@@ -173,7 +173,6 @@ pub struct GpsBuilder {
     planner: PlannerConfig,
     index_shards: Option<usize>,
     cache_capacity: Option<usize>,
-    words_capacity: Option<usize>,
     delete_saturation: f64,
     checkpoint_every: u64,
     metrics: Arc<MetricsRegistry>,
@@ -191,7 +190,6 @@ impl GpsBuilder {
             planner: PlannerConfig::default(),
             index_shards: None,
             cache_capacity: None,
-            words_capacity: None,
             delete_saturation: DEFAULT_OVERDELETE_LIMIT,
             checkpoint_every: crate::versioned::CheckpointPolicy::default().every_n_publishes,
             metrics: Arc::new(MetricsRegistry::disabled()),
@@ -284,15 +282,6 @@ impl GpsBuilder {
     /// cache (defaults to [`gps_rpq::cache::DEFAULT_CAPACITY`]).
     pub fn cache_capacity(mut self, capacity: usize) -> Self {
         self.cache_capacity = Some(capacity);
-        self
-    }
-
-    /// Caps the number of per-bound bounded-word snapshots the shared cache
-    /// keeps (defaults to [`gps_rpq::cache::DEFAULT_WORDS_CAPACITY`]) — the
-    /// memory knob for multi-session deployments, since the word snapshots
-    /// dominate the cache's footprint.
-    pub fn words_capacity(mut self, capacity: usize) -> Self {
-        self.words_capacity = Some(capacity);
         self
     }
 
@@ -418,9 +407,6 @@ impl GpsBuilder {
         if let Some(capacity) = self.cache_capacity {
             cache = cache.with_capacity(capacity);
         }
-        if let Some(capacity) = self.words_capacity {
-            cache = cache.with_words_capacity(capacity);
-        }
         let core = EngineCore {
             snapshot,
             cache: Arc::new(cache),
@@ -434,7 +420,6 @@ impl GpsBuilder {
                 planner: self.planner,
                 index_shards: self.index_shards,
                 cache_capacity: self.cache_capacity,
-                words_capacity: self.words_capacity,
                 delete_saturation: self.delete_saturation,
                 metrics: self.metrics,
             }),
@@ -456,7 +441,6 @@ pub(crate) struct EngineOptions {
     planner: PlannerConfig,
     index_shards: Option<usize>,
     cache_capacity: Option<usize>,
-    words_capacity: Option<usize>,
     delete_saturation: f64,
     metrics: Arc<MetricsRegistry>,
 }
@@ -498,7 +482,7 @@ impl EngineCore {
     /// `delta`): the frontier modes patch their label index and planner
     /// statistics through the delta instead of re-indexing, the new bounded
     /// evaluation cache migrates the old epoch's answers across the delta
-    /// ([`EvalCache::migrate_answers`]) and inherits its word snapshots
+    /// ([`EvalCache::migrate_answers`]) and inherits its word index
     /// ([`EvalCache::inherit_words`]), and every configuration knob carries
     /// over unchanged.  Returns the new core together with the migration
     /// split (how many cached answers were carried verbatim, re-derived from
@@ -547,9 +531,6 @@ impl EngineCore {
             .with_metrics(&self.options.metrics);
         if let Some(capacity) = self.options.cache_capacity {
             cache = cache.with_capacity(capacity);
-        }
-        if let Some(capacity) = self.options.words_capacity {
-            cache = cache.with_words_capacity(capacity);
         }
         let migration = cache.migrate_answers(&self.cache, delta);
         cache.inherit_words(&self.cache, delta);
@@ -747,7 +728,6 @@ impl<B: GraphBackend> Engine<B> {
                     planner,
                     index_shards: None,
                     cache_capacity: None,
-                    words_capacity: None,
                     delete_saturation: DEFAULT_OVERDELETE_LIMIT,
                     metrics: Arc::new(MetricsRegistry::disabled()),
                 }),

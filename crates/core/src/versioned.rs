@@ -12,7 +12,7 @@
 //!   *advanced* — the label index and planner statistics are patched through
 //!   the delta (untouched label partitions are `Arc`-shared with the previous
 //!   epoch), and the new evaluation cache inherits the old epoch's
-//!   bounded-word snapshots with only the affected nodes re-enumerated.
+//!   bounded-word index with only the affected nodes re-derived.
 //! * Readers resolve the **latest** core when they start
 //!   ([`pin_latest`](VersionedStore::pin_latest)); a session holds its birth
 //!   core's `Arc`s for its whole life, so a publish never changes what an
@@ -808,7 +808,7 @@ mod tests {
     }
 
     #[test]
-    fn publish_inherits_bounded_word_snapshots() {
+    fn publish_inherits_the_bounded_word_index() {
         let store = store(EvalMode::Frontier);
         let old = store.latest();
         old.eval_cache().bounded_words(3);
@@ -817,12 +817,18 @@ mod tests {
             .unwrap();
         let new = store.latest();
         assert_eq!(
-            new.eval_cache().words_len(),
-            1,
-            "the new epoch's word snapshot was seeded by the publish"
+            new.eval_cache().words_bound(),
+            Some(3),
+            "the new epoch's word index was seeded by the publish"
         );
-        // And it matches a cold enumeration.
+        // And it matches a cold derivation.
         let cold = gps_rpq::EvalCache::from_csr(new.snapshot().clone());
-        assert_eq!(*new.eval_cache().bounded_words(3), *cold.bounded_words(3));
+        let (inherited, cold) = (new.eval_cache().bounded_words(3), cold.bounded_words(3));
+        for node in new.snapshot().nodes() {
+            assert!(
+                inherited[node.index()].iter().eq(cold[node.index()].iter()),
+                "node {node}"
+            );
+        }
     }
 }

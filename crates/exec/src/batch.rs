@@ -13,18 +13,15 @@
 //! through it the whole `gps-core` engine, sessions, learner and coverage —
 //! runs on the frontier engine by flipping the `EvalMode` builder knob.
 
-use crate::bitset::FixedBitSet;
 use crate::frontier::{
     evaluate_captured, evaluate_counting, resume_counting, resume_with_removals, selects_from,
     witness_from, FrontierPolicy, Scratch, DEFAULT_OVERDELETE_LIMIT,
 };
-use crate::index::{Direction, LabelIndex};
+use crate::index::LabelIndex;
 use crate::metrics::ExecMetrics;
 use crate::planner::{self, Plan, PlanDecision, PlannerConfig};
 use gps_automata::Dfa;
-use gps_graph::{
-    CsrGraph, GraphBackend, GraphDelta, LabelStats, NodeId, Path, PrefixNodeId, PrefixTree, Word,
-};
+use gps_graph::{CsrGraph, GraphBackend, GraphDelta, LabelStats, NodeId, Path};
 use gps_rpq::{DfaEvaluator, EvalResume, PathQuery, QueryAnswer};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -473,59 +470,6 @@ impl BatchEvaluator {
     pub fn selects(&self, dfa: &Dfa, node: NodeId) -> bool {
         selects_from(&self.index, dfa, node.index())
     }
-
-    /// Trie-shaped backward sweep for [`DfaEvaluator::nodes_spelling`]: per
-    /// trie node, the set of graph nodes spelling some word of its subtree,
-    /// computed bottom-up through the label-partitioned reverse slices.
-    fn spell_reach(&self, trie: &PrefixTree, t: PrefixNodeId) -> FixedBitSet {
-        let n = self.index.node_count();
-        let mut reach = FixedBitSet::new(n);
-        if trie.is_terminal(t) {
-            // The empty suffix completes a word here: every node qualifies.
-            reach.insert_all();
-            return reach;
-        }
-        for (label, child) in trie.children(t) {
-            let child_reach = self.spell_reach(trie, child);
-            for v in child_reach.ones() {
-                for &u in self.index.neighbors(Direction::Reverse, label, v) {
-                    reach.insert(u as usize);
-                }
-            }
-        }
-        reach
-    }
-
-    /// Pre-order sweep of the reversed-word trie for
-    /// [`DfaEvaluator::spelling_counts`]: the speller set of each prefix is
-    /// narrowed through the label-partitioned reverse slices; every terminal
-    /// bumps its spellers' counts.
-    fn count_spellers(
-        &self,
-        trie: &PrefixTree,
-        t: PrefixNodeId,
-        spellers: &FixedBitSet,
-        counts: &mut [u32],
-    ) {
-        if trie.is_terminal(t) {
-            for v in spellers.ones() {
-                counts[v] += 1;
-            }
-        }
-        for (label, child) in trie.children(t) {
-            let mut next = FixedBitSet::new(counts.len());
-            let mut any = false;
-            for v in spellers.ones() {
-                for &u in self.index.neighbors(Direction::Reverse, label, v) {
-                    next.insert(u as usize);
-                    any = true;
-                }
-            }
-            if any {
-                self.count_spellers(trie, child, &next, counts);
-            }
-        }
-    }
 }
 
 impl DfaEvaluator for BatchEvaluator {
@@ -598,39 +542,6 @@ impl DfaEvaluator for BatchEvaluator {
 
     fn witness(&self, dfa: &Dfa, node: NodeId) -> Option<Path> {
         witness_from(&self.index, dfa, node.index())
-    }
-
-    fn nodes_spelling(&self, words: &[Word]) -> Vec<NodeId> {
-        if self.index.node_count() == 0 || words.is_empty() {
-            return Vec::new();
-        }
-        let trie = PrefixTree::from_words(words);
-        self.spell_reach(&trie, trie.root())
-            .ones()
-            .map(NodeId::from)
-            .collect()
-    }
-
-    fn spelling_counts(&self, words: &[Word]) -> Vec<(NodeId, u32)> {
-        let n = self.index.node_count();
-        if n == 0 || words.is_empty() {
-            return Vec::new();
-        }
-        let reversed: Vec<Word> = words
-            .iter()
-            .map(|w| w.iter().rev().copied().collect())
-            .collect();
-        let trie = PrefixTree::from_words(&reversed);
-        let mut counts = vec![0u32; n];
-        let mut all = FixedBitSet::new(n);
-        all.insert_all();
-        self.count_spellers(&trie, trie.root(), &all, &mut counts);
-        counts
-            .into_iter()
-            .enumerate()
-            .filter(|&(_, count)| count > 0)
-            .map(|(index, count)| (NodeId::from(index), count))
-            .collect()
     }
 }
 

@@ -80,6 +80,6 @@ pub use graph::{Edge, Graph};
 pub use ids::{EdgeId, LabelId, NodeId};
 pub use labels::LabelInterner;
 pub use neighborhood::{Neighborhood, NeighborhoodDelta};
-pub use paths::{Path, PathEnumerator, Word};
+pub use paths::{Path, PathEnumerator, Word, DEFAULT_MAX_PATHS};
 pub use prefix_tree::{PrefixNodeId, PrefixTree};
 pub use stats::{GraphStats, LabelStat, LabelStats};

@@ -84,6 +84,9 @@ pub fn render_word<B: GraphBackend>(graph: &B, word: &[LabelId]) -> String {
         .join("·")
 }
 
+/// The number of paths a default [`PathEnumerator`] stops at.
+pub const DEFAULT_MAX_PATHS: usize = 100_000;
+
 /// Configurable enumerator of bounded paths from a node.
 #[derive(Debug, Clone)]
 pub struct PathEnumerator {
@@ -96,7 +99,7 @@ impl Default for PathEnumerator {
     fn default() -> Self {
         Self {
             max_length: 4,
-            max_paths: 100_000,
+            max_paths: DEFAULT_MAX_PATHS,
             include_empty: false,
         }
     }

@@ -11,16 +11,21 @@
 use gps_telemetry::{Counter, Histogram, MetricsRegistry};
 
 /// The pruning sub-family (`gps_interactive_pruning_*`): how the
-/// informativeness state is being kept up to date — cheap incremental delta
-/// sweeps, full rescans, or the silent-and-slow foreign-snapshot fallback.
+/// informativeness state is being kept up to date — cheap incremental
+/// postings walks, full rescans, or the silent-and-slow foreign-snapshot
+/// fallback.
 #[derive(Debug, Clone, Default)]
 pub struct PruningMetrics {
     /// `gps_interactive_pruning_full_sweeps_total` — full informativeness
-    /// rescans (first refresh, oversized deltas, foreign handles).
+    /// rescans (a first refresh without a matching handle, foreign handles).
     pub full_sweeps: Counter,
-    /// `gps_interactive_pruning_incremental_refreshes_total` — delta-sweep
-    /// refreshes that avoided a rescan.
+    /// `gps_interactive_pruning_incremental_refreshes_total` — refreshes that
+    /// applied a coverage delta through the word index instead of rescanning.
     pub incremental_refreshes: Counter,
+    /// `gps_interactive_refresh_postings_total` — word-index postings walked
+    /// by those refreshes, i.e. score decrements applied: what a slow
+    /// negative-label step spent its time on.
+    pub refresh_postings: Counter,
     /// `gps_interactive_pruning_foreign_rescans_total` — full rescans forced
     /// by a mismatched evaluation handle; 0 in a correctly wired deployment.
     pub foreign_rescans: Counter,
@@ -38,6 +43,7 @@ impl PruningMetrics {
             full_sweeps: registry.counter("gps_interactive_pruning_full_sweeps_total"),
             incremental_refreshes: registry
                 .counter("gps_interactive_pruning_incremental_refreshes_total"),
+            refresh_postings: registry.counter("gps_interactive_refresh_postings_total"),
             foreign_rescans: registry.counter("gps_interactive_pruning_foreign_rescans_total"),
         }
     }

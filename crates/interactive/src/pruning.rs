@@ -12,32 +12,30 @@
 //! Inside a session the state is kept up to date with
 //! [`refresh_with`](PruningState::refresh_with): instead of re-enumerating
 //! every node's bounded paths after each interaction, it reads the coverage's
-//! word delta (the words newly covered since the last sync), asks the shared
-//! evaluation stack which nodes spell any of them — one prefix-tree-acceptor
-//! evaluation — and rescans only those.  The cached per-node uncovered-word
-//! counts double as the informative-paths strategy's scores.
+//! word delta (the words newly covered since the last sync) and, for each of
+//! them, walks the postings of the snapshot's shared word index
+//! ([`gps_rpq::WordIndex::spellers`]) — exactly the nodes whose uncovered
+//! count drops, by exactly one per word.  No graph sweep, no evaluation.  The
+//! per-node uncovered-word counts double as the informative-paths strategy's
+//! scores.
 
 use crate::metrics::PruningMetrics;
 use gps_graph::{GraphBackend, NodeId};
 use gps_learner::ExampleSet;
 use gps_rpq::{EvalHandle, NegativeCoverage};
-use std::collections::BTreeSet;
-
-/// Ceiling on the total size (states) of the word-delta acceptor the
-/// incremental refresh evaluates; a pathological delta (a negative hub with
-/// an enormous bounded language) falls back to the full rescan instead of
-/// building an oversized product.
-const DELTA_ACCEPTOR_STATE_CAP: usize = 50_000;
 
 /// The set of nodes that should no longer be proposed to the user.
 #[derive(Debug, Clone)]
 pub struct PruningState {
-    pruned: BTreeSet<NodeId>,
+    /// One bit per node, set when pruned (grown on demand), and the number of
+    /// set bits.
+    pruned: Vec<u64>,
+    pruned_count: usize,
     bound: usize,
     /// Per-node uncovered-word counts (`coverage.uncovered_count`), valid
     /// for the coverage version in `synced`.  A node is
     /// coverage-uninformative iff its entry is 0.
-    scores: Vec<usize>,
+    scores: Vec<u32>,
     /// The coverage `(log_identity, version)` the scores were last
     /// synchronized against, `None` before the first refresh.  The identity
     /// lets the incremental refresh and the strategy detect a *different*
@@ -63,7 +61,8 @@ impl PruningState {
     /// bound the learner and the coverage use).
     pub fn new(bound: usize) -> Self {
         Self {
-            pruned: BTreeSet::new(),
+            pruned: Vec::new(),
+            pruned_count: 0,
             bound,
             scores: Vec::new(),
             synced: None,
@@ -102,12 +101,19 @@ impl PruningState {
         self.synced == Some((coverage.log_identity(), coverage.version()))
     }
 
-    /// The cached uncovered-word count of `node`, when the state has been
-    /// refreshed.  Only meaningful for the coverage the state was refreshed
-    /// with (check [`is_synced_to`](Self::is_synced_to) before trusting it).
+    /// Every node's cached uncovered-word count, indexed by node id, when the
+    /// state has been refreshed.  Only meaningful for the coverage the state
+    /// was refreshed with (check [`is_synced_to`](Self::is_synced_to) before
+    /// trusting it).
+    pub fn cached_scores(&self) -> Option<&[u32]> {
+        self.synced.map(|_| self.scores.as_slice())
+    }
+
+    /// The cached uncovered-word count of `node` — see
+    /// [`cached_scores`](Self::cached_scores).
     pub fn cached_score(&self, node: NodeId) -> Option<usize> {
-        self.synced?;
-        self.scores.get(node.index()).copied()
+        let score = self.cached_scores()?.get(node.index())?;
+        Some(*score as usize)
     }
 
     /// Recomputes the pruned set from scratch: labeled nodes plus nodes that
@@ -119,17 +125,17 @@ impl PruningState {
         examples: &ExampleSet,
         coverage: &NegativeCoverage,
     ) -> usize {
-        let before = self.pruned.len();
+        let before = self.pruned_count;
         self.full_rescan(graph, coverage);
         self.prune_labeled(examples);
-        self.pruned.len() - before
+        self.pruned_count - before
     }
 
     /// Incremental refresh for sessions: identical resulting state to
-    /// [`refresh`](Self::refresh), but after the first (full) scan each call
-    /// only rescans the nodes that spell a word covered since the previous
-    /// call — computed in one acceptor evaluation on the shared stack —
-    /// plus the newly labeled nodes.
+    /// [`refresh`](Self::refresh), but after the first scan each call only
+    /// touches the nodes that spell a word covered since the previous call —
+    /// read off the shared word index's postings — plus the newly labeled
+    /// nodes.
     pub fn refresh_with<B: GraphBackend>(
         &mut self,
         graph: &B,
@@ -137,16 +143,17 @@ impl PruningState {
         coverage: &NegativeCoverage,
         exec: &EvalHandle,
     ) -> usize {
-        let before = self.pruned.len();
+        let before = self.pruned_count;
         let identity = coverage.log_identity();
         let version = coverage.version();
         let scores_current = self.scores.len() == graph.node_count();
-        // The delta sweep runs on the handle's snapshot, so its node ids are
-        // only meaningful here when that snapshot matches this graph — same
-        // node count *and* same epoch, so a superseded snapshot of a live
-        // store is never mistaken for the session's pinned one.  A foreign
-        // handle falls back to the full rescan like everywhere else, and the
-        // fallback is counted (see [`foreign_rescans`](Self::foreign_rescans)).
+        // The word index belongs to the handle's snapshot, so its node ids
+        // are only meaningful here when that snapshot matches this graph —
+        // same node count *and* same epoch, so a superseded snapshot of a
+        // live store is never mistaken for the session's pinned one.  A
+        // foreign handle falls back to the full rescan like everywhere else,
+        // and the fallback is counted (see
+        // [`foreign_rescans`](Self::foreign_rescans)).
         let exec_matches = exec.cache().csr().node_count() == graph.node_count()
             && exec.cache().epoch() == graph.epoch();
         if !exec_matches
@@ -158,62 +165,58 @@ impl PruningState {
         match self.synced {
             Some((id, v)) if id == identity && v == version && scores_current => {}
             Some((id, v)) if id == identity && v < version && scores_current && exec_matches => {
-                let fresh = coverage.covered_since(v);
-                let trie_states: usize = fresh.iter().map(|w| w.len()).sum::<usize>() + 1;
-                if trie_states > DELTA_ACCEPTOR_STATE_CAP {
-                    self.full_rescan(graph, coverage);
-                } else {
-                    // A node's uncovered count drops by exactly the number
-                    // of newly covered words it spells — one engine sweep,
-                    // no path re-enumeration.  Already-pruned nodes are
-                    // decremented too, keeping every cached score accurate.
-                    for (node, count) in exec.spelling_counts(fresh) {
-                        let score = self.scores[node.index()].saturating_sub(count as usize);
+                // A node's uncovered count drops by one for every newly
+                // covered word it spells.  Already-pruned nodes are
+                // decremented too, keeping every cached score accurate.
+                let index = exec.bounded_words(coverage.bound());
+                let mut walked = 0;
+                for word in coverage.covered_since(v) {
+                    let spellers = index.spellers(word);
+                    walked += spellers.len();
+                    for &node in spellers {
+                        let score = self.scores[node.index()].saturating_sub(1);
                         self.scores[node.index()] = score;
                         if score == 0 {
-                            self.pruned.insert(node);
+                            self.prune(node);
                         }
                     }
-                    self.synced = Some((identity, version));
-                    self.metrics.incremental_refreshes.inc();
                 }
+                self.synced = Some((identity, version));
+                self.metrics.incremental_refreshes.inc();
+                self.metrics.refresh_postings.add(walked as u64);
             }
             // First refresh, or a coverage/graph this state has never been
             // synchronized against: rebuild everything.  With no covered
             // word yet, every node's uncovered count is its bounded-word
-            // count — served from the stack's shared per-snapshot baseline
-            // instead of re-enumerating the whole graph per session.
+            // count — read off the stack's shared word index instead of
+            // re-enumerating the whole graph per session.
             _ => {
-                let baseline = (coverage.version() == 0 && exec_matches)
-                    .then(|| exec.bounded_word_counts(coverage.bound()))
-                    .filter(|baseline| baseline.len() == graph.node_count());
-                match baseline {
-                    Some(baseline) => {
-                        self.scores = (*baseline).clone();
-                        for (index, &score) in self.scores.iter().enumerate() {
-                            if score == 0 {
-                                self.pruned.insert(NodeId::from(index));
-                            }
+                if coverage.version() == 0 && exec_matches {
+                    let scores = exec.bounded_word_counts(coverage.bound());
+                    for (index, &score) in scores.iter().enumerate() {
+                        if score == 0 {
+                            self.prune(NodeId::from(index));
                         }
-                        self.synced = Some((identity, 0));
                     }
-                    None => self.full_rescan(graph, coverage),
+                    self.scores = scores;
+                    self.synced = Some((identity, 0));
+                } else {
+                    self.full_rescan(graph, coverage);
                 }
             }
         }
         self.prune_labeled(examples);
-        self.pruned.len() - before
+        self.pruned_count - before
     }
 
     fn full_rescan<B: GraphBackend>(&mut self, graph: &B, coverage: &NegativeCoverage) {
         self.metrics.full_sweeps.inc();
-        let n = graph.node_count();
-        self.scores = vec![0; n];
+        self.scores = vec![0; graph.node_count()];
         for node in graph.nodes() {
             let score = coverage.uncovered_count(graph, node);
-            self.scores[node.index()] = score;
+            self.scores[node.index()] = score as u32;
             if score == 0 {
-                self.pruned.insert(node);
+                self.prune(node);
             }
         }
         self.synced = Some((coverage.log_identity(), coverage.version()));
@@ -221,23 +224,33 @@ impl PruningState {
 
     fn prune_labeled(&mut self, examples: &ExampleSet) {
         for (node, _) in examples.iter() {
-            self.pruned.insert(node);
+            self.prune(node);
         }
     }
 
     /// Marks a single node as pruned (used when the user labels it).
+    /// Returns `false` when it already was.
     pub fn prune(&mut self, node: NodeId) -> bool {
-        self.pruned.insert(node)
+        let (word, bit) = (node.index() / 64, 1u64 << (node.index() % 64));
+        if word >= self.pruned.len() {
+            self.pruned.resize(word + 1, 0);
+        }
+        let newly = self.pruned[word] & bit == 0;
+        self.pruned[word] |= bit;
+        self.pruned_count += usize::from(newly);
+        newly
     }
 
     /// Returns `true` when `node` has been pruned.
     pub fn is_pruned(&self, node: NodeId) -> bool {
-        self.pruned.contains(&node)
+        self.pruned
+            .get(node.index() / 64)
+            .is_some_and(|word| word & (1u64 << (node.index() % 64)) != 0)
     }
 
     /// Number of pruned nodes.
     pub fn pruned_count(&self) -> usize {
-        self.pruned.len()
+        self.pruned_count
     }
 
     /// The nodes that may still be proposed to the user, in id order.

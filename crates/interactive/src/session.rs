@@ -116,9 +116,9 @@ impl<B> GraphRef<'_, B> {
 /// (defaults to the mutable [`Graph`]; run sessions on a
 /// [`gps_graph::CsrGraph`] snapshot for cache-friendly traversal).
 ///
-/// Every DFA evaluation inside the loop — the learner's consistency check,
-/// the incremental pruning's dirty-set query — goes through the session's
-/// [`EvalHandle`].  [`Session::new`] builds a private naive handle;
+/// Every DFA evaluation inside the loop (the learner's consistency check)
+/// and every read of the word index (pruning, coverage, path selection) goes
+/// through the session's [`EvalHandle`].  [`Session::new`] builds a private naive handle;
 /// [`Session::with_exec`] shares an engine's cache and configured execution
 /// engine, putting the whole loop on the frontier fast path;
 /// [`Session::with_shared_exec`] additionally shares ownership of the graph
@@ -240,7 +240,7 @@ impl<'g, B: GraphBackend> Session<'g, B> {
         let graph = self.graph.get();
 
         // 1–3: pick the next informative node (incremental refresh: only
-        // nodes spelling newly covered words are rescanned).
+        // nodes spelling newly covered words are touched).
         self.pruning
             .refresh_with(graph, &self.examples, &self.coverage, &self.exec);
         let node = {
@@ -312,9 +312,9 @@ impl<'g, B: GraphBackend> Session<'g, B> {
                 self.stats.negative_labels += 1;
                 self.examples.add_negative(node);
                 // Cover the node's words from the shared per-snapshot word
-                // cache when it matches this graph (same epoch and node
+                // index when it matches this graph (same epoch and node
                 // count); identical to enumerating them here.  The epoch
-                // check comes first so a misrouted handle never enumerates
+                // check comes first so a misrouted handle never derives
                 // (and caches) a foreign snapshot's words.
                 let cached = (self.exec.epoch() == graph.epoch())
                     .then(|| self.exec.bounded_words(self.coverage.bound()))
@@ -386,7 +386,7 @@ impl<'g, B: GraphBackend> Session<'g, B> {
         node: NodeId,
         radius: usize,
     ) -> Option<Word> {
-        // The candidate words come from the shared per-snapshot word cache
+        // The candidate words come from the shared per-snapshot word index
         // (identical to enumerating the node's radius-bounded paths here).
         let prompt = validation::build_prompt_with(graph, node, radius, coverage, Some(exec))?;
         let chosen = user.validate_path(graph, node, &prompt.candidates, &prompt.suggested);

@@ -51,11 +51,13 @@ pub trait Strategy<B: GraphBackend = Graph> {
     fn propose(&mut self, ctx: &StrategyContext<'_, B>) -> Option<NodeId>;
 }
 
-fn candidates<B: GraphBackend>(ctx: &StrategyContext<'_, B>) -> Vec<NodeId> {
+/// The nodes a strategy may propose: neither pruned nor labeled, in id order.
+fn candidates<'a, B: GraphBackend>(
+    ctx: &'a StrategyContext<'_, B>,
+) -> impl Iterator<Item = NodeId> + 'a {
     ctx.graph
         .nodes()
         .filter(|&n| !ctx.pruning.is_pruned(n) && !ctx.examples.is_labeled(n))
-        .collect()
 }
 
 /// Proposes a uniformly random unlabeled, unpruned node.
@@ -86,7 +88,7 @@ impl<B: GraphBackend> Strategy<B> for RandomStrategy {
     }
 
     fn propose(&mut self, ctx: &StrategyContext<'_, B>) -> Option<NodeId> {
-        let candidates = candidates(ctx);
+        let candidates: Vec<NodeId> = candidates(ctx).collect();
         if candidates.is_empty() {
             return None;
         }
@@ -105,9 +107,7 @@ impl<B: GraphBackend> Strategy<B> for DegreeStrategy {
     }
 
     fn propose(&mut self, ctx: &StrategyContext<'_, B>) -> Option<NodeId> {
-        candidates(ctx)
-            .into_iter()
-            .max_by_key(|&n| (ctx.graph.out_degree(n), std::cmp::Reverse(n)))
+        candidates(ctx).max_by_key(|&n| (ctx.graph.out_degree(n), std::cmp::Reverse(n)))
     }
 }
 
@@ -146,20 +146,29 @@ impl<B: GraphBackend> Strategy<B> for InformativePathsStrategy {
     fn propose(&mut self, ctx: &StrategyContext<'_, B>) -> Option<NodeId> {
         // When the pruning state has been refreshed against this exact
         // coverage (lineage and version), its per-node uncovered counts are
-        // the scores — read them instead of re-enumerating every
-        // candidate's paths.
-        let cached = ctx.pruning.is_synced_to(ctx.coverage);
-        candidates(ctx)
-            .into_iter()
-            .map(|n| {
-                let score = if cached {
-                    ctx.pruning.cached_score(n)
-                } else {
-                    None
+        // the scores: one pass over them, asking whether a node is still a
+        // candidate only when it would beat the best so far.  Ties go to the
+        // smaller id, so only a strictly larger score displaces.
+        let cached = ctx.pruning.cached_scores().filter(|scores| {
+            ctx.pruning.is_synced_to(ctx.coverage) && scores.len() == ctx.graph.node_count()
+        });
+        if let Some(scores) = cached {
+            let mut best = None;
+            let mut best_score = 0;
+            for (index, &score) in scores.iter().enumerate() {
+                let node = NodeId::from(index);
+                if score > best_score
+                    && !ctx.pruning.is_pruned(node)
+                    && !ctx.examples.is_labeled(node)
+                {
+                    best = Some(node);
+                    best_score = score;
                 }
-                .unwrap_or_else(|| self.score(ctx, n));
-                (score, n)
-            })
+            }
+            return best;
+        }
+        candidates(ctx)
+            .map(|n| (self.score(ctx, n), n))
             .filter(|&(score, _)| score > 0)
             .max_by_key(|&(score, n)| (score, std::cmp::Reverse(n)))
             .map(|(_, n)| n)

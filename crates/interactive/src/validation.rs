@@ -51,14 +51,14 @@ pub fn build_prompt<B: GraphBackend>(
 }
 
 /// [`build_prompt`] reading the node's radius-bounded words from a shared
-/// per-snapshot word cache instead of re-enumerating its paths per positive
+/// per-snapshot word index instead of re-enumerating its paths per positive
 /// label — the session hot-spot fix.
 ///
 /// When `exec` is present and its snapshot matches `graph`, the candidate
-/// words come from [`gps_rpq::EvalCache::bounded_words`] (computed once per
-/// `(snapshot, radius)` and shared across every session on the engine);
-/// otherwise the direct enumeration of [`build_prompt`] is used.  Both paths
-/// produce byte-identical prompts.
+/// words come from the snapshot's word index restricted to `radius`
+/// ([`gps_rpq::EvalCache::bounded_words`], shared across every session on
+/// the engine); otherwise the direct enumeration of [`build_prompt`] is used.
+/// Both paths produce byte-identical prompts.
 pub fn build_prompt_with<B: GraphBackend>(
     graph: &B,
     node: NodeId,
@@ -71,13 +71,12 @@ pub fn build_prompt_with<B: GraphBackend>(
         .map(|exec| exec.bounded_words(radius))
         .filter(|cached| cached.len() == graph.node_count());
     let mut candidates: Vec<Word> = match &cached {
-        // The cached per-node sets are exactly
-        // `PathEnumerator::new(radius).words_from(graph, node)` in the same
-        // (lexicographic) order.
+        // The index holds exactly
+        // `PathEnumerator::new(radius).words_from(graph, node)`.
         Some(cached) => cached[node.index()]
             .iter()
             .filter(|w| !coverage.is_covered(w))
-            .cloned()
+            .map(<[_]>::to_vec)
             .collect(),
         None => PathEnumerator::new(radius)
             .words_from(graph, node)

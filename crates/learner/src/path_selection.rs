@@ -30,12 +30,12 @@ pub fn select_paths<B: GraphBackend>(
 }
 
 /// [`select_paths`] reading every positive node's bounded words from a shared
-/// per-snapshot word cache instead of re-enumerating its paths per learn call
+/// per-snapshot word index instead of re-enumerating its paths per learn call
 /// — the positive re-check hot-spot fix.
 ///
 /// When `exec` is present and its snapshot matches `graph`, the words come
-/// from [`gps_rpq::EvalCache::bounded_words`] (computed once per `(snapshot,
-/// bound)` and shared across sessions); otherwise selection enumerates
+/// from the snapshot's shared word index
+/// ([`gps_rpq::EvalCache::bounded_words`]); otherwise selection enumerates
 /// directly.  Both paths select byte-identical words.
 pub fn select_paths_with<B: GraphBackend>(
     graph: &B,
@@ -58,7 +58,12 @@ pub fn select_paths_with<B: GraphBackend>(
             continue;
         }
         let word = match &cached {
-            Some(cached) => smallest_uncovered_of(cached[positive.index()].iter(), coverage),
+            // The index lists a node's words by (length, labels): the first
+            // uncovered one is the smallest.
+            Some(cached) => cached[positive.index()]
+                .iter()
+                .find(|word| !coverage.is_covered(word))
+                .map(<[_]>::to_vec),
             None => smallest_uncovered_word(graph, positive, coverage, bound),
         }
         .ok_or(LearnError::PositiveFullyCovered { node: positive })?;

@@ -15,9 +15,10 @@
 //! and the `gps-exec` frontier/batch engines.
 
 use crate::eval::{DfaEvaluator, EvalResume, NaiveEvaluator, QueryAnswer};
+use crate::words::WordIndex;
 use gps_automata::{Alphabet, Dfa, Regex};
-use gps_graph::{CsrGraph, GraphBackend, GraphDelta, NodeId, Path, PathEnumerator, Word};
-use gps_telemetry::{Counter, Histogram, MetricsRegistry};
+use gps_graph::{CsrGraph, GraphBackend, GraphDelta, NodeId, Path};
+use gps_telemetry::{Counter, Gauge, Histogram, MetricsRegistry};
 use parking_lot::RwLock;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -25,15 +26,6 @@ use std::sync::Arc;
 
 /// Default maximum number of cached answers.
 pub const DEFAULT_CAPACITY: usize = 1024;
-
-/// Default maximum number of per-bound bounded-word snapshots.
-///
-/// A word snapshot holds every node's distinct bounded words, so it is by far
-/// the largest object the cache can own; interactive sessions only ever ask
-/// for a handful of distinct bounds (the path bound plus the zoom radii in
-/// use, typically 2–6), so a small cap bounds the memory without evicting on
-/// the session fast path.
-pub const DEFAULT_WORDS_CAPACITY: usize = 8;
 
 #[derive(Debug)]
 struct Entry {
@@ -58,29 +50,24 @@ struct Entry {
     last_used: AtomicU64,
 }
 
-/// One per-bound snapshot of every node's distinct bounded words, plus the
-/// derived per-node counts (always materialized together: the counts are a
-/// trivial map over the words, and a single entry keeps the LRU eviction of
-/// words and counts atomic).
-#[derive(Debug)]
-struct WordsEntry {
-    words: Arc<Vec<Vec<Word>>>,
-    counts: Arc<Vec<usize>>,
-    /// Every label occurring in any node's bounded words — the fingerprint
-    /// [`EvalCache::inherit_words`] uses to skip its union-BFS entirely when
-    /// a removal-only delta cannot touch any materialized word.
-    alphabet: Alphabet,
-    last_used: AtomicU64,
+/// The snapshot's bounded-word index: derived once at the largest bound
+/// asked for so far, plus its cheap restrictions to the smaller bounds in use
+/// (the zoom radii below the path bound) — a restriction shares the index's
+/// dictionary, id lists and postings, so no bound is ever derived twice.
+#[derive(Debug, Default)]
+struct Words {
+    index: Option<Arc<WordIndex>>,
+    restricted: HashMap<usize, Arc<WordIndex>>,
 }
 
-/// Every label appearing in any word of a bounded-word snapshot.
-fn words_alphabet(words: &[Vec<Word>]) -> Alphabet {
-    Alphabet::from_labels(words.iter().flatten().flatten().copied())
+impl Words {
+    fn get(&self, bound: usize) -> Option<Arc<WordIndex>> {
+        match &self.index {
+            Some(index) if index.bound() == bound => Some(Arc::clone(index)),
+            _ => self.restricted.get(&bound).cloned(),
+        }
+    }
 }
-
-/// One bounded-word snapshot lifted out of an old cache for inheritance:
-/// `(bound, words, counts, alphabet)`.
-type WordsSnapshot = (usize, Arc<Vec<Vec<Word>>>, Arc<Vec<usize>>, Alphabet);
 
 /// How one epoch migration ([`EvalCache::migrate_answers`]) split the old
 /// cache's answers.
@@ -118,16 +105,11 @@ pub struct EvalCache {
     csr: Arc<CsrGraph>,
     evaluator: Box<dyn DfaEvaluator>,
     capacity: usize,
-    words_capacity: usize,
     answers: RwLock<HashMap<Regex, Entry>>,
-    /// Per-bound distinct bounded word sets of every node (lazy, shared) and
-    /// their derived per-node counts.  Sessions score informativeness and
-    /// cover negatives against these words; enumerating them once per
-    /// snapshot instead of once per node per interaction is a large part of
-    /// the sessions/sec win.  LRU-bounded by `words_capacity` — the word
-    /// snapshots dominate the cache's memory, so a shard-sized deployment can
-    /// cap them independently of the answer cache.
-    words: RwLock<HashMap<usize, WordsEntry>>,
+    /// The bounded-word index of the snapshot (lazy, shared): sessions score
+    /// informativeness, cover negatives and decrement scores against it
+    /// instead of walking the graph per node per interaction.
+    words: RwLock<Words>,
     /// Hit/miss/eviction counters.  Standalone (per-cache) by default so the
     /// legacy accessors keep their exact per-instance semantics; rebound to
     /// the shared `gps_rpq_cache_*` registry series by
@@ -136,7 +118,6 @@ pub struct EvalCache {
     hits: Counter,
     misses: Counter,
     evictions: Counter,
-    word_evictions: Counter,
     /// Epoch-migration split: answers carried verbatim (Tier 1), re-derived
     /// from their seed across insert-only deltas (Tier 2) or removal-bearing
     /// deltas (Tier 3), and dropped to a cold recompute — the latter further
@@ -148,7 +129,7 @@ pub struct EvalCache {
     fallback_saturation: Counter,
     fallback_no_seed: Counter,
     fallback_evicted: Counter,
-    /// Entries (answers + word snapshots) dropped when the cache's epoch was
+    /// Entries (answers + the word index) dropped when the cache's epoch was
     /// retired — the eviction attribution of the epoch swap.
     retired_entries: Counter,
     /// `gps_rpq_eval_latency_ns` — wall time of one cache-miss evaluation
@@ -160,6 +141,11 @@ pub struct EvalCache {
     /// `gps_rpq_delete_reseed_latency_ns` — wall time of one Tier-3
     /// over-delete/re-derive at publish.
     delete_reseed_latency: Histogram,
+    /// `gps_rpq_words_build_latency_ns` — wall time of one cold derivation of
+    /// the word index.
+    words_build_latency: Histogram,
+    /// `gps_rpq_words_pairs` — (node, word) pairs the word index holds.
+    words_pairs: Gauge,
     tick: AtomicU64,
     /// Set once the snapshot this cache serves has been superseded by a
     /// newer epoch and every entry has been dropped (see
@@ -199,13 +185,11 @@ impl EvalCache {
             csr,
             evaluator,
             capacity: DEFAULT_CAPACITY,
-            words_capacity: DEFAULT_WORDS_CAPACITY,
             answers: RwLock::new(HashMap::new()),
-            words: RwLock::new(HashMap::new()),
+            words: RwLock::new(Words::default()),
             hits: Counter::standalone(),
             misses: Counter::standalone(),
             evictions: Counter::standalone(),
-            word_evictions: Counter::standalone(),
             carried: Counter::standalone(),
             reseeded: Counter::standalone(),
             delete_reseeded: Counter::standalone(),
@@ -217,6 +201,8 @@ impl EvalCache {
             eval_latency: Histogram::disabled(),
             reseed_latency: Histogram::disabled(),
             delete_reseed_latency: Histogram::disabled(),
+            words_build_latency: Histogram::disabled(),
+            words_pairs: Gauge::disabled(),
             tick: AtomicU64::new(0),
             retired: AtomicBool::new(false),
         }
@@ -235,7 +221,6 @@ impl EvalCache {
             self.hits = registry.counter("gps_rpq_cache_hits_total");
             self.misses = registry.counter("gps_rpq_cache_misses_total");
             self.evictions = registry.counter("gps_rpq_cache_evictions_total");
-            self.word_evictions = registry.counter("gps_rpq_cache_word_evictions_total");
             self.carried = registry.counter("gps_rpq_cache_carried_total");
             self.reseeded = registry.counter("gps_rpq_cache_reseeded_total");
             self.delete_reseeded = registry.counter("gps_rpq_cache_delete_reseeded_total");
@@ -247,6 +232,8 @@ impl EvalCache {
             self.eval_latency = registry.histogram("gps_rpq_eval_latency_ns");
             self.reseed_latency = registry.histogram("gps_rpq_reseed_latency_ns");
             self.delete_reseed_latency = registry.histogram("gps_rpq_delete_reseed_latency_ns");
+            self.words_build_latency = registry.histogram("gps_rpq_words_build_latency_ns");
+            self.words_pairs = registry.gauge("gps_rpq_words_pairs");
         }
         self
     }
@@ -257,21 +244,9 @@ impl EvalCache {
         self
     }
 
-    /// Sets the maximum number of per-bound bounded-word snapshots (at least
-    /// 1) — the memory knob for the largest structures the cache owns.
-    pub fn with_words_capacity(mut self, capacity: usize) -> Self {
-        self.words_capacity = capacity.max(1);
-        self
-    }
-
     /// The maximum number of cached answers.
     pub fn capacity(&self) -> usize {
         self.capacity
-    }
-
-    /// The maximum number of per-bound bounded-word snapshots.
-    pub fn words_capacity(&self) -> usize {
-        self.words_capacity
     }
 
     /// The underlying snapshot.
@@ -279,8 +254,8 @@ impl EvalCache {
         &self.csr
     }
 
-    /// The epoch of the snapshot this cache serves.  Cached answers and word
-    /// snapshots are only valid for graphs at exactly this `(epoch,
+    /// The epoch of the snapshot this cache serves.  Cached answers and the
+    /// word index are only valid for graphs at exactly this `(epoch,
     /// node_count)` identity — the check the per-snapshot fast paths
     /// (pruning deltas, validation prompts) perform before trusting shared
     /// state, instead of relying on pointer or size coincidence.
@@ -288,23 +263,24 @@ impl EvalCache {
         self.csr.epoch()
     }
 
-    /// Atomically drops every cached answer and word snapshot: called by a
+    /// Atomically drops every cached answer and the word index: called by a
     /// versioned store when this cache's snapshot has been superseded by a
     /// published epoch and no session is pinned to it anymore.  The cache
     /// stays functional (a straggling handle re-misses and recomputes
     /// deterministically), but its memory is released eagerly instead of
     /// waiting for the last `Arc` to die.
     ///
-    /// The drop is attributed to `gps_rpq_cache_retired_total` (answers plus
-    /// word snapshots), so the epoch swap's evictions stay observable next to
+    /// The drop is attributed to `gps_rpq_cache_retired_total` (the answers,
+    /// plus one for the word index), so the epoch swap's evictions stay observable next to
     /// the migration split instead of vanishing without a counter.
     pub fn retire(&self) {
         let mut answers = self.answers.write();
         let mut words = self.words.write();
         self.retired_entries
-            .add((answers.len() + words.len()) as u64);
+            .add((answers.len() + usize::from(words.index.is_some())) as u64);
         answers.clear();
-        words.clear();
+        *words = Words::default();
+        self.words_pairs.set(0);
         self.retired.store(true, Ordering::Release);
     }
 
@@ -452,148 +428,22 @@ impl EvalCache {
         report
     }
 
-    /// Seeds this (new-epoch) cache's bounded-word snapshots from `old` (the
-    /// superseded epoch's cache) after a publish whose changed-edge sources
-    /// are `changed_sources` — the incremental-maintenance alternative to
-    /// re-enumerating every node's bounded paths on the first session of
-    /// each epoch.
-    ///
-    /// A node's distinct bounded words (length `1..=bound`) can only change
-    /// if one of its bounded out-paths — in the old graph (a path that
-    /// disappeared) or the new one (a path that appeared) — traverses a
-    /// changed edge, i.e. iff the node reaches some changed edge's source
-    /// within `bound - 1` steps.  For every bound the old cache had
-    /// materialized, a reverse BFS over the *union* of both snapshots'
-    /// reverse adjacencies computes that affected set; affected and
-    /// newly-inserted nodes are re-enumerated on the new snapshot and every
-    /// other node's word set is carried over verbatim.  The result is
-    /// identical to a cold enumeration (asserted by the conformance tests).
-    ///
-    /// Before any of that, a fingerprint check can skip even the union BFS:
-    /// when the delta adds no edges (an insertion always mints a fresh
-    /// length-1 word at its source) and no removed edge's label occurs in any
-    /// snapshot's word alphabet, no materialized word can change, and every
-    /// snapshot is carried verbatim — `Arc`-shared when the node count is
-    /// unchanged, extended with empty word sets for added nodes otherwise.
+    /// Seeds this (new-epoch) cache's word index from `old`'s (the superseded
+    /// epoch's cache) across `delta` — the incremental alternative to
+    /// re-deriving every node's words on the first session of each epoch.
+    /// Only the nodes that can reach a changed edge within the bound are
+    /// re-derived ([`WordIndex::inherit`]); every other node shares its id
+    /// list with the old epoch.  Nothing happens when `old` never built an
+    /// index, or this cache already has one.
     pub fn inherit_words(&self, old: &EvalCache, delta: &GraphDelta) {
-        let old_n = old.csr.node_count();
-        let new_n = self.csr.node_count();
-        let mut snapshots: Vec<WordsSnapshot> = old
-            .words
-            .read()
-            .iter()
-            .map(|(&bound, entry)| {
-                (
-                    bound,
-                    Arc::clone(&entry.words),
-                    Arc::clone(&entry.counts),
-                    entry.alphabet.clone(),
-                )
-            })
-            .collect();
-        if snapshots.is_empty() {
+        let Some(index) = old.words.read().index.clone() else {
             return;
-        }
-        // Deterministic inheritance order: when the capacity cap truncates,
-        // the smallest bounds — the ones the session fast paths ask for
-        // first — survive, not whatever the map iteration happened to yield.
-        snapshots.sort_by_key(|(bound, ..)| *bound);
-
-        let touched = delta.touched_labels();
-        let untouchable = delta.added_edges.is_empty()
-            && snapshots
-                .iter()
-                .all(|(_, _, _, alphabet)| !alphabet.iter().any(|label| touched.contains(&label)));
-        if untouchable {
-            let tick = self.tick.fetch_add(1, Ordering::Relaxed) + 1;
-            let mut map = self.words.write();
-            for (bound, old_words, old_counts, alphabet) in snapshots {
-                if map.len() >= self.words_capacity {
-                    break;
-                }
-                let (words, counts) = if old_n == new_n {
-                    (old_words, old_counts)
-                } else {
-                    let mut words = (*old_words).clone();
-                    words.resize(new_n, Vec::new());
-                    let counts: Vec<usize> = words.iter().map(|words| words.len()).collect();
-                    (Arc::new(words), Arc::new(counts))
-                };
-                map.entry(bound).or_insert(WordsEntry {
-                    words,
-                    counts,
-                    alphabet,
-                    last_used: AtomicU64::new(tick),
-                });
-            }
-            return;
-        }
-
-        let changed_sources = delta.changed_sources();
-        // One union reverse BFS up to the largest materialized bound; the
-        // per-bound affected set is "reached within bound - 1 steps".
-        let max_bound = snapshots.iter().map(|(bound, ..)| *bound).max().unwrap();
-        let mut depth: Vec<Option<usize>> = vec![None; new_n.max(old_n)];
-        let mut frontier: Vec<NodeId> = Vec::new();
-        for &source in &changed_sources {
-            if source.index() < depth.len() && depth[source.index()].is_none() {
-                depth[source.index()] = Some(0);
-                frontier.push(source);
-            }
-        }
-        let mut level = 0usize;
-        while !frontier.is_empty() && level + 1 < max_bound {
-            level += 1;
-            let mut next = Vec::new();
-            for &node in &frontier {
-                let mut visit = |pred: NodeId| {
-                    if pred.index() < depth.len() && depth[pred.index()].is_none() {
-                        depth[pred.index()] = Some(level);
-                        next.push(pred);
-                    }
-                };
-                if node.index() < old_n {
-                    for entry in old.csr.inc(node) {
-                        visit(entry.node);
-                    }
-                }
-                if node.index() < new_n {
-                    for entry in self.csr.inc(node) {
-                        visit(entry.node);
-                    }
-                }
-            }
-            frontier = next;
-        }
-
-        let tick = self.tick.fetch_add(1, Ordering::Relaxed) + 1;
-        let mut map = self.words.write();
-        for (bound, old_words, _, _) in snapshots {
-            if map.len() >= self.words_capacity {
-                break;
-            }
-            let enumerator = PathEnumerator::new(bound);
-            let words: Vec<Vec<Word>> = (0..new_n)
-                .map(|index| {
-                    let carried = index < old_n && depth[index].is_none_or(|d| d + 1 > bound);
-                    if carried {
-                        old_words[index].clone()
-                    } else {
-                        enumerator
-                            .words_from(&*self.csr, NodeId::from(index))
-                            .into_iter()
-                            .collect()
-                    }
-                })
-                .collect();
-            let counts: Vec<usize> = words.iter().map(|words| words.len()).collect();
-            let alphabet = words_alphabet(&words);
-            map.entry(bound).or_insert(WordsEntry {
-                words: Arc::new(words),
-                counts: Arc::new(counts),
-                alphabet,
-                last_used: AtomicU64::new(tick),
-            });
+        };
+        let mut words = self.words.write();
+        if words.index.is_none() {
+            let index = index.inherit(&old.csr, &self.csr, delta);
+            self.words_pairs.set(index.pairs() as u64);
+            words.index = Some(Arc::new(index));
         }
     }
 
@@ -647,99 +497,60 @@ impl EvalCache {
         self.evaluator.witness(dfa, node)
     }
 
-    /// The distinct words of length `1..=bound` spelled by each node's
-    /// outgoing paths (sorted, indexed by node id).
+    /// The word index of the snapshot for words of length `1..=bound`:
+    /// indexed by node it yields exactly
+    /// `PathEnumerator::new(bound).words_from(graph, node)`, and per word the
+    /// nodes spelling it.
     ///
-    /// Computed lazily once per bound on the shared snapshot and memoized;
-    /// identical to `PathEnumerator::new(bound).words_from(graph, node)` for
-    /// every node.  Sessions score informativeness (filter by coverage) and
-    /// record negative examples against these sets without re-walking the
-    /// graph.
-    pub fn bounded_words(&self, bound: usize) -> Arc<Vec<Vec<Word>>> {
-        self.bounded_entry(bound).0
+    /// Derived lazily, once, at the largest bound asked for; a smaller bound
+    /// is a restriction of that index (memoized too), a larger one replaces
+    /// it.  The derivation is the most expensive thing the cache builds, so a
+    /// miss runs *under the write lock* after a re-check: a burst of cold
+    /// sessions derives once and the rest wait for the shared result.  Only
+    /// `words` callers wait on this lock — the answer cache has its own.
+    pub fn bounded_words(&self, bound: usize) -> Arc<WordIndex> {
+        if let Some(index) = self.words.read().get(bound) {
+            return index;
+        }
+        let mut words = self.words.write();
+        if let Some(index) = words.get(bound) {
+            return index;
+        }
+        match &words.index {
+            Some(index) if index.bound() > bound => {
+                let restricted = Arc::new(index.restricted(bound));
+                words.restricted.insert(bound, Arc::clone(&restricted));
+                restricted
+            }
+            _ => {
+                let span = self.words_build_latency.start_timer();
+                let index = Arc::new(WordIndex::build(&self.csr, bound));
+                span.stop();
+                self.words_pairs.set(index.pairs() as u64);
+                *words = Words {
+                    index: Some(Arc::clone(&index)),
+                    restricted: HashMap::new(),
+                };
+                index
+            }
+        }
     }
 
     /// The number of distinct words of length `1..=bound` spelled by each
     /// node's outgoing paths, indexed by node id — every node's
     /// uncovered-word count under *empty* negative coverage, i.e. the
     /// informativeness baseline an interactive session starts from.
-    pub fn bounded_word_counts(&self, bound: usize) -> Arc<Vec<usize>> {
-        self.bounded_entry(bound).1
+    pub fn bounded_word_counts(&self, bound: usize) -> Vec<u32> {
+        self.bounded_words(bound)
+            .iter()
+            .map(|words| words.len() as u32)
+            .collect()
     }
 
-    /// Looks up (or computes) the bounded-word snapshot for `bound`,
-    /// refreshing its recency; when the map is full the least-recently-used
-    /// bound is evicted first.  Re-computation after an eviction is
-    /// deterministic, so eviction never changes observable behavior.
-    ///
-    /// The snapshot is the most expensive object the cache builds (a bounded
-    /// enumeration over every node), so a miss computes it *under the write
-    /// lock* after a re-check: a burst of cold sessions asking for the same
-    /// bound enumerates once and 7 waiters get the shared result, instead of
-    /// N racing whole-graph sweeps.  Only `words` callers wait on this lock —
-    /// the answer cache has its own.
-    fn bounded_entry(&self, bound: usize) -> (Arc<Vec<Vec<Word>>>, Arc<Vec<usize>>) {
-        let tick = self.tick.fetch_add(1, Ordering::Relaxed) + 1;
-        if let Some(entry) = self.words.read().get(&bound) {
-            entry.last_used.store(tick, Ordering::Relaxed);
-            return (Arc::clone(&entry.words), Arc::clone(&entry.counts));
-        }
-        let mut map = self.words.write();
-        if let Some(entry) = map.get(&bound) {
-            entry.last_used.store(tick, Ordering::Relaxed);
-            return (Arc::clone(&entry.words), Arc::clone(&entry.counts));
-        }
-        let enumerator = PathEnumerator::new(bound);
-        let words: Vec<Vec<Word>> = self
-            .csr
-            .nodes()
-            .map(|node| {
-                enumerator
-                    .words_from(self.csr.as_ref(), node)
-                    .into_iter()
-                    .collect()
-            })
-            .collect();
-        let counts: Vec<usize> = words.iter().map(|words| words.len()).collect();
-        let alphabet = words_alphabet(&words);
-        let words = Arc::new(words);
-        let counts = Arc::new(counts);
-        if map.len() >= self.words_capacity {
-            if let Some(oldest) = map
-                .iter()
-                .min_by_key(|(_, entry)| entry.last_used.load(Ordering::Relaxed))
-                .map(|(&bound, _)| bound)
-            {
-                map.remove(&oldest);
-                self.word_evictions.inc();
-            }
-        }
-        map.insert(
-            bound,
-            WordsEntry {
-                words: Arc::clone(&words),
-                counts: Arc::clone(&counts),
-                alphabet,
-                last_used: AtomicU64::new(tick),
-            },
-        );
-        (words, counts)
-    }
-
-    /// Number of per-bound bounded-word snapshots currently cached.
-    pub fn words_len(&self) -> usize {
-        self.words.read().len()
-    }
-
-    /// Number of bounded-word snapshots evicted by the capacity cap so far.
-    ///
-    /// Deprecated in favor of the registry snapshot path
-    /// (`gps_rpq_cache_word_evictions_total` in
-    /// [`MetricsRegistry::snapshot`]); kept as a thin read of the same
-    /// counter.  Note that under [`with_metrics`](Self::with_metrics) the
-    /// counter is shared registry-wide, not per-cache.
-    pub fn word_evictions(&self) -> u64 {
-        self.word_evictions.get()
+    /// The bound the word index is currently derived at, `None` before the
+    /// first [`bounded_words`](Self::bounded_words) or inheritance.
+    pub fn words_bound(&self) -> Option<usize> {
+        self.words.read().index.as_ref().map(|index| index.bound())
     }
 
     /// Evaluates a batch of expressions, returning the answers in input
@@ -877,7 +688,7 @@ impl EvalCache {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use gps_graph::Graph;
+    use gps_graph::{Graph, PathEnumerator, Word};
 
     fn sample() -> Graph {
         let mut g = Graph::new();
@@ -1046,6 +857,21 @@ mod tests {
         assert!(debug.contains("evaluated: 2"), "got {debug}");
     }
 
+    /// The words a node's handle yields, as owned label sequences.
+    fn words_of(index: &WordIndex, node: NodeId) -> Vec<Word> {
+        index[node.index()].iter().map(<[_]>::to_vec).collect()
+    }
+
+    /// `PathEnumerator`'s words in the index's (length, labels) order.
+    fn enumerated(graph: &impl GraphBackend, node: NodeId, bound: usize) -> Vec<Word> {
+        let mut words: Vec<Word> = PathEnumerator::new(bound)
+            .words_from(graph, node)
+            .into_iter()
+            .collect();
+        words.sort_by(|a, b| a.len().cmp(&b.len()).then_with(|| a.cmp(b)));
+        words
+    }
+
     #[test]
     fn bounded_words_match_direct_enumeration() {
         let g = sample();
@@ -1053,82 +879,35 @@ mod tests {
         let words = cache.bounded_words(3);
         let counts = cache.bounded_word_counts(3);
         for node in g.nodes() {
-            let direct: Vec<Word> = PathEnumerator::new(3)
-                .words_from(&g, node)
-                .into_iter()
-                .collect();
-            assert_eq!(words[node.index()], direct);
-            assert_eq!(counts[node.index()], direct.len());
+            let direct = enumerated(&g, node, 3);
+            assert_eq!(words_of(&words, node), direct);
+            assert_eq!(counts[node.index()] as usize, direct.len());
         }
     }
 
     #[test]
-    fn words_capacity_evicts_least_recently_used_bound() {
+    fn smaller_bounds_restrict_the_index_and_larger_ones_replace_it() {
         let g = sample();
-        let cache = EvalCache::new(&g).with_words_capacity(2);
-        assert_eq!(cache.words_capacity(), 2);
-        cache.bounded_words(1);
-        cache.bounded_words(2);
-        assert_eq!(cache.words_len(), 2);
-        // Touch bound 1 so bound 2 is the least recently used, then overflow.
-        cache.bounded_words(1);
-        cache.bounded_words(3);
-        assert_eq!(cache.words_len(), 2);
-        assert_eq!(cache.word_evictions(), 1);
-        // Bounds 1 and 3 survive (same shared allocation on re-request);
-        // bound 2 was evicted and is recomputed to identical content.
-        let w1 = cache.bounded_words(1);
-        assert!(Arc::ptr_eq(&w1, &cache.bounded_words(1)));
+        let cache = EvalCache::new(&g);
+        assert_eq!(cache.words_bound(), None);
         let w2 = cache.bounded_words(2);
-        assert_eq!(cache.word_evictions(), 2, "bound 3 evicted in turn");
-        let direct: Vec<Word> = PathEnumerator::new(2)
-            .words_from(&g, g.node_by_name("A").unwrap())
-            .into_iter()
-            .collect();
-        assert_eq!(w2[g.node_by_name("A").unwrap().index()], direct);
-    }
-
-    #[test]
-    fn words_and_counts_evict_together() {
-        let g = sample();
-        let cache = EvalCache::new(&g).with_words_capacity(1);
-        let counts1 = cache.bounded_word_counts(1);
-        cache.bounded_words(2);
-        assert_eq!(cache.words_len(), 1);
-        assert_eq!(cache.word_evictions(), 1);
-        // The bound-1 counts were evicted with their words; re-requesting
-        // recomputes identical content in a fresh allocation.
-        let counts1_again = cache.bounded_word_counts(1);
-        assert_eq!(*counts1, *counts1_again);
-        assert!(!Arc::ptr_eq(&counts1, &counts1_again));
-    }
-
-    #[test]
-    fn words_capacity_is_at_least_one() {
-        let g = sample();
-        let cache = EvalCache::new(&g).with_words_capacity(0);
-        assert_eq!(cache.words_capacity(), 1);
-        cache.bounded_words(1);
-        cache.bounded_words(2);
-        assert_eq!(cache.words_len(), 1);
-    }
-
-    #[test]
-    fn repeated_bounds_stay_within_words_capacity() {
-        let g = sample();
-        let cache = EvalCache::new(&g).with_words_capacity(2);
-        for round in 0..3 {
-            for bound in 1..=6usize {
-                cache.bounded_words(bound);
-                cache.bounded_word_counts(bound);
-                assert!(
-                    cache.words_len() <= 2,
-                    "round {round}, bound {bound}: {} snapshots",
-                    cache.words_len()
-                );
-            }
+        assert_eq!(cache.words_bound(), Some(2));
+        // A smaller bound is served from the same index, and memoized.
+        let w1 = cache.bounded_words(1);
+        assert_eq!(cache.words_bound(), Some(2));
+        assert!(Arc::ptr_eq(&w1, &cache.bounded_words(1)));
+        assert!(Arc::ptr_eq(&w2, &cache.bounded_words(2)));
+        // A larger bound re-derives; the smaller ones follow it.
+        cache.bounded_words(3);
+        assert_eq!(cache.words_bound(), Some(3));
+        let a = g.node_by_name("A").unwrap();
+        for bound in 1..=3 {
+            assert_eq!(
+                words_of(&cache.bounded_words(bound), a),
+                enumerated(&g, a, bound),
+                "bound {bound}"
+            );
         }
-        assert!(cache.word_evictions() >= 12);
     }
 
     #[test]
@@ -1139,12 +918,12 @@ mod tests {
         cache.evaluate(&Regex::symbol(x));
         cache.bounded_words(2);
         assert_eq!(cache.len(), 1);
-        assert_eq!(cache.words_len(), 1);
+        assert_eq!(cache.words_bound(), Some(2));
         assert!(!cache.is_retired());
         cache.retire();
         assert!(cache.is_retired());
         assert!(cache.is_empty());
-        assert_eq!(cache.words_len(), 0);
+        assert_eq!(cache.words_bound(), None);
         // A straggling handle recomputes deterministically.
         let answer = cache.evaluate(&Regex::symbol(x));
         assert!(answer.contains(g.node_by_name("A").unwrap()));
@@ -1188,44 +967,46 @@ mod tests {
 
         let new_cache = EvalCache::from_csr(compacted.clone());
         new_cache.inherit_words(&old_cache, &summary);
-        assert_eq!(new_cache.words_len(), 2, "both bounds inherited");
-        let cold = EvalCache::from_csr(compacted);
+        assert_eq!(new_cache.words_bound(), Some(4), "the index was inherited");
+        let cold = EvalCache::from_csr(compacted.clone());
         for bound in [2usize, 4] {
             let inherited = new_cache.bounded_words(bound);
             let direct = cold.bounded_words(bound);
-            assert_eq!(*inherited, *direct, "bound {bound}");
+            for node in compacted.nodes() {
+                assert_eq!(
+                    words_of(&inherited, node),
+                    words_of(&direct, node),
+                    "bound {bound}, node {node}"
+                );
+            }
             assert_eq!(
-                *new_cache.bounded_word_counts(bound),
-                *cold.bounded_word_counts(bound),
+                new_cache.bounded_word_counts(bound),
+                cold.bounded_word_counts(bound),
                 "bound {bound}"
             );
         }
         // v1 is 3 reverse steps from the nearest changed source (v4) and
-        // unreachable from v0's removal, so its bound-2 words carried over…
+        // unreachable from v0's removal, so its bound-2 words are unchanged…
         assert_eq!(
-            new_cache.bounded_words(2)[nodes[1].index()],
-            old_w2[nodes[1].index()]
+            words_of(&new_cache.bounded_words(2), nodes[1]),
+            words_of(&old_w2, nodes[1])
         );
         // …while at bound 4 the appended tail edge reaches it.
         assert_ne!(
-            new_cache.bounded_words(4)[nodes[1].index()],
-            old_w4[nodes[1].index()]
+            words_of(&new_cache.bounded_words(4), nodes[1]),
+            words_of(&old_w4, nodes[1])
         );
-        // The changed nodes themselves were recomputed on the new snapshot.
+        // The changed nodes themselves were re-derived on the new snapshot.
         assert!(new_cache.bounded_words(2)[nodes[0].index()].is_empty());
         assert!(new_cache.bounded_words(2)[w.index()].is_empty());
     }
 
     #[test]
-    fn inherit_words_respects_the_capacity_cap() {
+    fn inherit_words_is_a_no_op_without_an_index() {
         let g = sample();
-        let old_cache = EvalCache::new(&g);
-        for bound in 1..=4usize {
-            old_cache.bounded_words(bound);
-        }
-        let new_cache = EvalCache::new(&g).with_words_capacity(2);
-        new_cache.inherit_words(&old_cache, &GraphDelta::default());
-        assert!(new_cache.words_len() <= 2);
+        let new_cache = EvalCache::new(&g);
+        new_cache.inherit_words(&EvalCache::new(&g), &GraphDelta::default());
+        assert_eq!(new_cache.words_bound(), None);
     }
 
     #[test]
@@ -1386,22 +1167,7 @@ mod tests {
     }
 
     #[test]
-    fn inherit_words_short_circuits_to_shared_snapshots() {
-        let g = sample();
-        let old_cache = EvalCache::new(&g);
-        let w2 = old_cache.bounded_words(2);
-        let c2 = old_cache.bounded_word_counts(2);
-        let new_cache = EvalCache::new(&g);
-        new_cache.inherit_words(&old_cache, &GraphDelta::default());
-        assert!(
-            Arc::ptr_eq(&w2, &new_cache.bounded_words(2)),
-            "an irrelevant delta carries the snapshot allocation verbatim"
-        );
-        assert!(Arc::ptr_eq(&c2, &new_cache.bounded_word_counts(2)));
-    }
-
-    #[test]
-    fn inherit_words_extends_snapshots_over_added_nodes() {
+    fn inherit_words_extends_the_index_over_added_nodes() {
         use gps_graph::DeltaGraph;
 
         let g = sample();
@@ -1414,22 +1180,19 @@ mod tests {
         let w = delta.add_node("W");
         let summary = delta.delta();
         let compacted = delta.compact();
-        let new_cache = EvalCache::from_csr(compacted.clone());
+        let new_cache = EvalCache::from_csr(compacted);
         new_cache.inherit_words(&old_cache, &summary);
 
         let inherited = new_cache.bounded_words(2);
         assert_eq!(inherited.len(), 3);
-        assert_eq!(inherited[..2], old_words[..]);
+        for node in g.nodes() {
+            assert_eq!(words_of(&inherited, node), words_of(&old_words, node));
+        }
         assert!(
             inherited[w.index()].is_empty(),
             "isolated node spells nothing"
         );
-        let cold = EvalCache::from_csr(compacted);
-        assert_eq!(*inherited, *cold.bounded_words(2));
-        assert_eq!(
-            *new_cache.bounded_word_counts(2),
-            *cold.bounded_word_counts(2)
-        );
+        assert_eq!(new_cache.bounded_word_counts(2), vec![1, 0, 0]);
     }
 
     #[test]

@@ -7,7 +7,7 @@
 //! negative: the goal query cannot select via that word, because it would
 //! then also select the negative node.
 
-use gps_graph::{GraphBackend, NodeId, PathEnumerator, PrefixTree, Word};
+use gps_graph::{GraphBackend, LabelId, NodeId, PathEnumerator, PrefixTree, Word};
 use std::collections::BTreeSet;
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -88,19 +88,25 @@ impl NegativeCoverage {
     }
 
     /// Like [`add_negative`](Self::add_negative), but with the node's
-    /// bounded word set supplied by the caller (typically the shared
-    /// per-snapshot word cache) instead of enumerated from the graph.
+    /// bounded word set supplied by the caller — typically its handle in the
+    /// shared per-snapshot word index (`&index[node.index()]`), or a slice of
+    /// words — instead of enumerated from the graph.
     ///
     /// `words` must be exactly the node's distinct words up to this
     /// coverage's bound.
-    pub fn add_negative_with_words(&mut self, node: NodeId, words: &[Word]) -> bool {
+    pub fn add_negative_with_words<I>(&mut self, node: NodeId, words: I) -> bool
+    where
+        I: IntoIterator,
+        I::Item: AsRef<[LabelId]>,
+    {
         if !self.negatives.insert(node) {
             return false;
         }
         for word in words {
+            let word = word.as_ref();
             if !self.covered.contains(word) {
                 self.covered.insert(word);
-                self.covered_log.push(word.clone());
+                self.covered_log.push(word.to_vec());
             }
         }
         true
@@ -140,7 +146,7 @@ impl NegativeCoverage {
     }
 
     /// Returns `true` when `word` is covered by some negative example.
-    pub fn is_covered(&self, word: &[gps_graph::LabelId]) -> bool {
+    pub fn is_covered(&self, word: &[LabelId]) -> bool {
         self.covered.contains(word)
     }
 

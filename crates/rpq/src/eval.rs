@@ -8,7 +8,7 @@
 //! start nodes), then reads off the answer for every node at once.
 
 use gps_automata::Dfa;
-use gps_graph::{CsrGraph, GraphBackend, GraphDelta, LabelId, NodeId, Path, PrefixTree, Word};
+use gps_graph::{CsrGraph, GraphBackend, GraphDelta, LabelId, NodeId, Path, Word};
 use std::collections::{BTreeMap, VecDeque};
 
 /// The set of nodes selected by a query on a graph.
@@ -284,13 +284,12 @@ pub trait DfaEvaluator: std::fmt::Debug + Send + Sync {
     fn witness(&self, dfa: &Dfa, node: NodeId) -> Option<Path>;
 
     /// The nodes with at least one outgoing path spelling one of `words`
-    /// (ascending id order) — the dirty set incremental session pruning
-    /// rescans when those words become covered.
+    /// (ascending id order), by evaluation: the word set is compiled into
+    /// its prefix-tree acceptor and evaluated like any query.
     ///
-    /// The default compiles the word set into its prefix-tree acceptor and
-    /// evaluates it like any query; engines override it with a direct
-    /// trie-shaped backward sweep over their own adjacency, which avoids
-    /// materializing a many-state product for what is a finite language.
+    /// Sessions read this relation from the word index
+    /// ([`WordIndex::spellers`](crate::WordIndex::spellers)) instead; this is
+    /// the evaluation the index is tested against.
     fn nodes_spelling(&self, words: &[Word]) -> Vec<NodeId> {
         if words.is_empty() {
             return Vec::new();
@@ -300,13 +299,9 @@ pub trait DfaEvaluator: std::fmt::Debug + Send + Sync {
     }
 
     /// For every node spelling at least one of the (distinct) `words`, the
-    /// *number* of those words it spells, as sorted `(node, count)` pairs.
-    ///
-    /// This is the exact informativeness decrement incremental pruning
-    /// applies when `words` become covered: a node's uncovered count drops
-    /// by precisely the number of newly covered words it spells.  Engines
-    /// override the default (one membership query per word) with a shared
-    /// sweep over the reversed-word trie.
+    /// *number* of those words it spells, as sorted `(node, count)` pairs —
+    /// by how much a node's uncovered-word count drops when `words` become
+    /// covered.  One [`nodes_spelling`](Self::nodes_spelling) per word.
     fn spelling_counts(&self, words: &[Word]) -> Vec<(NodeId, u32)> {
         let mut counts: BTreeMap<NodeId, u32> = BTreeMap::new();
         for word in words {
@@ -316,111 +311,6 @@ pub trait DfaEvaluator: std::fmt::Debug + Send + Sync {
         }
         counts.into_iter().collect()
     }
-}
-
-/// Reference implementation of [`DfaEvaluator::nodes_spelling`] over any
-/// backend: a post-order walk of the word trie computing, per trie node, the
-/// graph nodes that can spell some word of its subtree — `R(t) = all` when
-/// `t` ends a word, else the union over children `(a, c)` of the
-/// `a`-predecessors of `R(c)`.  Memory is one node-set per trie depth.
-pub fn nodes_spelling<B: GraphBackend>(graph: &B, words: &[Word]) -> Vec<NodeId> {
-    let n = GraphBackend::node_count(graph);
-    if n == 0 || words.is_empty() {
-        return Vec::new();
-    }
-    let trie = PrefixTree::from_words(words);
-    let reach = spell_reach(graph, &trie, trie.root(), n);
-    reach
-        .iter()
-        .enumerate()
-        .filter(|&(_, &reached)| reached)
-        .map(|(index, _)| NodeId::from(index))
-        .collect()
-}
-
-/// Reference implementation of [`DfaEvaluator::spelling_counts`] over any
-/// backend: a pre-order walk of the trie of the **reversed** words.  The set
-/// of spellers of a word `w = a₁…a_k` is `pred_{a₁}(…pred_{a_k}(V)…)` —
-/// consumed suffix-first, so reversed words share their sweeps through the
-/// trie — and every terminal's speller set bumps its nodes' counts by one.
-pub fn spelling_counts<B: GraphBackend>(graph: &B, words: &[Word]) -> Vec<(NodeId, u32)> {
-    let n = GraphBackend::node_count(graph);
-    if n == 0 || words.is_empty() {
-        return Vec::new();
-    }
-    let reversed: Vec<Word> = words
-        .iter()
-        .map(|w| w.iter().rev().copied().collect())
-        .collect();
-    let trie = PrefixTree::from_words(&reversed);
-    let mut counts = vec![0u32; n];
-    let all = vec![true; n];
-    count_spellers(graph, &trie, trie.root(), &all, &mut counts);
-    counts
-        .into_iter()
-        .enumerate()
-        .filter(|&(_, count)| count > 0)
-        .map(|(index, count)| (NodeId::from(index), count))
-        .collect()
-}
-
-fn count_spellers<B: GraphBackend>(
-    graph: &B,
-    trie: &PrefixTree,
-    t: gps_graph::PrefixNodeId,
-    spellers: &[bool],
-    counts: &mut [u32],
-) {
-    if trie.is_terminal(t) {
-        for (index, &spells) in spellers.iter().enumerate() {
-            if spells {
-                counts[index] += 1;
-            }
-        }
-    }
-    for (label, child) in trie.children(t) {
-        let mut next = vec![false; spellers.len()];
-        let mut any = false;
-        for (index, &spells) in spellers.iter().enumerate() {
-            if spells {
-                for (entry_label, u) in graph.predecessors(NodeId::from(index)) {
-                    if entry_label == label {
-                        next[u.index()] = true;
-                        any = true;
-                    }
-                }
-            }
-        }
-        if any {
-            count_spellers(graph, trie, child, &next, counts);
-        }
-    }
-}
-
-fn spell_reach<B: GraphBackend>(
-    graph: &B,
-    trie: &PrefixTree,
-    t: gps_graph::PrefixNodeId,
-    n: usize,
-) -> Vec<bool> {
-    if trie.is_terminal(t) {
-        // The empty suffix completes a word here: every node qualifies.
-        return vec![true; n];
-    }
-    let mut reach = vec![false; n];
-    for (label, child) in trie.children(t) {
-        let child_reach = spell_reach(graph, trie, child, n);
-        for (index, &reached) in child_reach.iter().enumerate() {
-            if reached {
-                for (entry_label, u) in graph.predecessors(NodeId::from(index)) {
-                    if entry_label == label {
-                        reach[u.index()] = true;
-                    }
-                }
-            }
-        }
-    }
-    reach
 }
 
 /// The reference node-at-a-time evaluator over a CSR snapshot.
@@ -463,14 +353,6 @@ impl DfaEvaluator for NaiveEvaluator {
 
     fn witness(&self, dfa: &Dfa, node: NodeId) -> Option<Path> {
         crate::witness::shortest_witness(self.csr.as_ref(), dfa, node)
-    }
-
-    fn nodes_spelling(&self, words: &[Word]) -> Vec<NodeId> {
-        nodes_spelling(self.csr.as_ref(), words)
-    }
-
-    fn spelling_counts(&self, words: &[Word]) -> Vec<(NodeId, u32)> {
-        spelling_counts(self.csr.as_ref(), words)
     }
 }
 

@@ -2,8 +2,8 @@
 //!
 //! An interactive session touches the evaluator from many places — the
 //! simulated user computes the goal answer, the learner re-checks every new
-//! hypothesis, the pruning state asks which nodes spell newly covered words,
-//! witnesses are extracted for proposed nodes.  [`EvalHandle`] bundles the
+//! hypothesis, the pruning state reads the word index for the nodes spelling
+//! newly covered words, witnesses are extracted for proposed nodes.  [`EvalHandle`] bundles the
 //! [`EvalCache`] (and through it the configured [`DfaEvaluator`] and its
 //! shared snapshot/index) behind one cheaply cloneable value so all of those
 //! call sites share a single cache, evaluator and [`gps_graph::CsrGraph`]
@@ -11,8 +11,9 @@
 
 use crate::cache::EvalCache;
 use crate::eval::{DfaEvaluator, QueryAnswer};
+use crate::words::WordIndex;
 use gps_automata::{Dfa, Regex};
-use gps_graph::{GraphBackend, NodeId, Path, Word};
+use gps_graph::{GraphBackend, NodeId, Path};
 use std::sync::Arc;
 
 /// A cheaply cloneable handle to a shared evaluation cache + evaluator.
@@ -81,36 +82,16 @@ impl EvalHandle {
         self.evaluator().witness(dfa, node)
     }
 
-    /// Distinct bounded word sets per node, computed once per snapshot and
-    /// shared — see [`EvalCache::bounded_words`].
-    pub fn bounded_words(&self, bound: usize) -> Arc<Vec<Vec<Word>>> {
+    /// The snapshot's bounded-word index, derived once and shared — see
+    /// [`EvalCache::bounded_words`].
+    pub fn bounded_words(&self, bound: usize) -> Arc<WordIndex> {
         self.cache.bounded_words(bound)
     }
 
     /// Distinct bounded-word counts per node (empty-coverage informativeness
-    /// baseline), computed once per snapshot and shared — see
-    /// [`EvalCache::bounded_word_counts`].
-    pub fn bounded_word_counts(&self, bound: usize) -> Arc<Vec<usize>> {
+    /// baseline) — see [`EvalCache::bounded_word_counts`].
+    pub fn bounded_word_counts(&self, bound: usize) -> Vec<u32> {
         self.cache.bounded_word_counts(bound)
-    }
-
-    /// The nodes having at least one outgoing path spelling one of `words`.
-    ///
-    /// This is the dirty set the incremental pruning refresh needs: when a
-    /// word becomes covered by a new negative example, only the nodes that
-    /// spell it can change informativeness.  Answered by the configured
-    /// engine's [`DfaEvaluator::nodes_spelling`] — a trie-shaped backward
-    /// sweep over the engine's own adjacency (the RPQ semantics — "has a
-    /// path spelling a word of the language" — is exactly this set).
-    pub fn nodes_spelling(&self, words: &[Word]) -> Vec<NodeId> {
-        self.evaluator().nodes_spelling(words)
-    }
-
-    /// Per-node counts of how many of `words` each node spells — the exact
-    /// informativeness decrement when those words become covered.  See
-    /// [`DfaEvaluator::spelling_counts`].
-    pub fn spelling_counts(&self, words: &[Word]) -> Vec<(NodeId, u32)> {
-        self.evaluator().spelling_counts(words)
     }
 }
 
@@ -171,21 +152,5 @@ mod tests {
         let path = handle.witness(q.dfa(), n2).unwrap();
         assert_eq!(path.len(), 3);
         assert!(handle.witness(q.dfa(), c1).is_none());
-    }
-
-    #[test]
-    fn nodes_spelling_matches_path_semantics() {
-        let g = chain();
-        let handle = EvalHandle::naive(&g);
-        let bus = g.label_id("bus").unwrap();
-        let tram = g.label_id("tram").unwrap();
-        let cinema = g.label_id("cinema").unwrap();
-        // Who spells bus·tram or cinema?  N2 (bus·tram) and N4 (cinema).
-        let nodes = handle.nodes_spelling(&[vec![bus, tram], vec![cinema]]);
-        assert_eq!(
-            nodes,
-            vec![g.node_by_name("N2").unwrap(), g.node_by_name("N4").unwrap()]
-        );
-        assert!(handle.nodes_spelling(&[]).is_empty());
     }
 }

@@ -14,6 +14,8 @@
 //!   paper's notion of informative nodes;
 //! * [`cache`] — a concurrent memoization layer for repeated evaluations of
 //!   the same query during an interactive session;
+//! * [`words`] — the interned bounded-word index: every node's distinct short
+//!   words and, per word, the nodes spelling it;
 //! * [`handle`] — a cheaply cloneable [`EvalHandle`] bundling the cache and
 //!   its evaluator, threaded through sessions, learner and pruning so the
 //!   whole interactive loop shares one evaluation stack.
@@ -48,9 +50,11 @@ pub mod eval;
 pub mod handle;
 pub mod query;
 pub mod witness;
+pub mod words;
 
 pub use cache::{EvalCache, MigrationReport};
 pub use coverage::NegativeCoverage;
 pub use eval::{DfaEvaluator, EvalResume, NaiveEvaluator, QueryAnswer};
 pub use handle::EvalHandle;
 pub use query::PathQuery;
+pub use words::{NodeWords, WordDict, WordIndex};

@@ -24,7 +24,6 @@ fn main() {
     let core = Engine::builder(net.graph)
         .eval_mode(EvalMode::Frontier)
         .cache_capacity(1024) // LRU cap on cached query answers
-        .words_capacity(8) // LRU cap on per-bound word snapshots
         .max_interactions(30)
         .build_core();
     println!(
@@ -59,11 +58,11 @@ fn main() {
     }
     let stats = service.stats();
     println!(
-        "\naggregate: {} sessions, {} interactions, cache {:?} (hits, misses), {} word-snapshot evictions",
+        "\naggregate: {} sessions, {} interactions, cache {:?} (hits, misses), word index at bound {:?}",
         stats.sessions_closed,
         stats.interactions,
         service.core().eval_cache().stats(),
-        service.core().eval_cache().word_evictions(),
+        service.core().eval_cache().words_bound(),
     );
 
     // The same table also serves sessions one step at a time.

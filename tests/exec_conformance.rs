@@ -200,9 +200,12 @@ fn engine_eval_modes_are_observationally_identical() {
 #[test]
 fn spelling_sweeps_match_the_reference_and_the_acceptor_evaluation() {
     use gps_graph::PathEnumerator;
+    use std::collections::BTreeMap;
     for (name, graph) in corpus() {
         let naive = gps_rpq::NaiveEvaluator::new(&graph);
         let engine = BatchEvaluator::new(&graph);
+        // What sessions read instead of sweeping: the word index's postings.
+        let index = gps_rpq::WordIndex::build(&CsrGraph::from_graph(&graph), 3);
         // Word sets as sessions produce them: the bounded words of a few
         // nodes (what a negative label covers), plus edge cases.
         let mut word_sets: Vec<Vec<Word>> = GraphBackend::nodes(&graph)
@@ -219,52 +222,31 @@ fn spelling_sweeps_match_the_reference_and_the_acceptor_evaluation() {
             word_sets.push(vec![vec![label], vec![label, label]]);
         }
         for (i, words) in word_sets.iter().enumerate() {
-            // The three nodes_spelling implementations agree: trie sweep on
-            // the adjacency (naive), trie sweep on the label index (batch),
-            // and the prefix-tree-acceptor evaluation (trait default).
-            let reference = gps_rpq::eval::nodes_spelling(&graph, words);
-            assert_eq!(
-                DfaEvaluator::nodes_spelling(&naive, words),
-                reference,
-                "{name} set {i}: naive sweep"
-            );
-            assert_eq!(
-                DfaEvaluator::nodes_spelling(&engine, words),
-                reference,
-                "{name} set {i}: indexed sweep"
-            );
-            if !words.is_empty() {
-                let acceptor = gps_automata::pta::build_pta(words);
-                assert_eq!(
-                    DfaEvaluator::evaluate_dfa(&engine, &acceptor).nodes(),
-                    reference,
-                    "{name} set {i}: acceptor evaluation"
-                );
+            // Per node, how many of the words the index says it spells.
+            let mut counts: BTreeMap<NodeId, u32> = BTreeMap::new();
+            for word in words {
+                for &node in index.spellers(word) {
+                    *counts.entry(node).or_default() += 1;
+                }
             }
-            // spelling_counts: engine sweeps equal the reference, and each
-            // node's count is exactly the number of words it spells.
-            let counts = gps_rpq::eval::spelling_counts(&graph, words);
-            assert_eq!(
-                DfaEvaluator::spelling_counts(&naive, words),
-                counts,
-                "{name} set {i}: naive counts"
-            );
-            assert_eq!(
-                DfaEvaluator::spelling_counts(&engine, words),
-                counts,
-                "{name} set {i}: indexed counts"
-            );
-            let spellers: Vec<NodeId> = counts.iter().map(|&(node, _)| node).collect();
-            assert_eq!(spellers, reference, "{name} set {i}: counts cover spellers");
-            for &(node, count) in &counts {
-                let spelled = words
-                    .iter()
-                    .filter(|w| {
-                        gps_rpq::eval::nodes_spelling(&graph, std::slice::from_ref(*w))
-                            .contains(&node)
-                    })
-                    .count();
-                assert_eq!(count as usize, spelled, "{name} set {i}: node {node}");
+            let counts: Vec<(NodeId, u32)> = counts.into_iter().collect();
+            let reference: Vec<NodeId> = counts.iter().map(|&(node, _)| node).collect();
+            // The trait defaults (prefix-tree-acceptor evaluation) on both
+            // evaluators agree with the postings.
+            for (evaluator, which) in [
+                (&naive as &dyn DfaEvaluator, "naive"),
+                (&engine as &dyn DfaEvaluator, "frontier"),
+            ] {
+                assert_eq!(
+                    evaluator.nodes_spelling(words),
+                    reference,
+                    "{name} set {i}: {which} spellers"
+                );
+                assert_eq!(
+                    evaluator.spelling_counts(words),
+                    counts,
+                    "{name} set {i}: {which} counts"
+                );
             }
         }
     }

@@ -174,7 +174,7 @@ fn retired_epochs_report_their_dropped_entries() {
     service.core().eval_cache().bounded_words(2);
 
     // No session pins epoch 0, so the publish retires it — and the retired
-    // cache's entries (16 answers + 1 word snapshot) land on the counter.
+    // cache's entries (16 answers + the word index) land on the counter.
     let report = service.update(leaf_update(&graph)).unwrap();
     assert_eq!(report.retired_epochs, 1);
     assert_eq!(

@@ -192,10 +192,10 @@ fn interleaved_stepping_matches_batch_runs() {
 
 #[test]
 fn bounded_cache_never_exceeds_capacity_under_stress() {
-    // A deliberately tiny cache: 4 query answers, 2 bounded-word snapshots.
-    // 24 concurrent sessions with rotating goals thrash both maps; the caps
-    // must hold, evictions must be observed, and — the crucial part — the
-    // transcripts must still be byte-identical to the unbounded run.
+    // A deliberately tiny cache: 4 query answers.  24 concurrent sessions
+    // with rotating goals thrash it; the cap must hold, evictions must be
+    // observed, and — the crucial part — the transcripts must still be
+    // byte-identical to the unbounded run.
     let sf = scale_free::generate(&ScaleFreeConfig {
         nodes: 120,
         seed: 11,
@@ -224,12 +224,10 @@ fn bounded_cache_never_exceeds_capacity_under_stress() {
         .eval_mode(EvalMode::Frontier)
         .session_config(session_config())
         .cache_capacity(4)
-        .words_capacity(2)
         .build_core();
     let cache = core.eval_handle();
     let service = GpsService::new(core);
     assert_eq!(service.core().eval_cache().capacity(), 4);
-    assert_eq!(service.core().eval_cache().words_capacity(), 2);
 
     // Interleave serving with capacity probes from a sibling thread, so the
     // bound is observed *while* workers are hammering the cache.
@@ -238,7 +236,7 @@ fn bounded_cache_never_exceeds_capacity_under_stress() {
     let outcomes = std::thread::scope(|scope| {
         let probe = scope.spawn(|| {
             while !stop.load(std::sync::atomic::Ordering::Relaxed) {
-                if cache.cache().len() > 4 || cache.cache().words_len() > 2 {
+                if cache.cache().len() > 4 {
                     violations.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
                 }
                 std::thread::yield_now();
@@ -258,11 +256,6 @@ fn bounded_cache_never_exceeds_capacity_under_stress() {
     let core = service.core();
     let cache = core.eval_cache();
     assert!(cache.len() <= 4, "answers: {}", cache.len());
-    assert!(
-        cache.words_len() <= 2,
-        "word snapshots: {}",
-        cache.words_len()
-    );
     assert!(
         cache.evictions() > 0,
         "the stress load must actually overflow the answer cache"

@@ -207,6 +207,8 @@ fn mixed_workload_exports_are_complete_and_valid() {
         "gps_rpq_cache_fallback_no_seed_total",
         "gps_rpq_cache_fallback_evicted_total",
         "gps_rpq_delete_reseed_latency_ns",
+        "gps_rpq_words_build_latency_ns",
+        "gps_rpq_words_pairs",
         "gps_exec_support_overdeleted_total",
         "gps_core_publish_latency_ns",
         "gps_core_recovery_replay_ns",
@@ -215,6 +217,7 @@ fn mixed_workload_exports_are_complete_and_valid() {
         "gps_service_sessions_opened_total",
         "gps_service_sessions_closed_total",
         "gps_interactive_interactions_total",
+        "gps_interactive_refresh_postings_total",
     ] {
         assert!(text.contains(required), "missing {required} in:\n{text}");
     }
@@ -239,6 +242,22 @@ fn mixed_workload_exports_are_complete_and_valid() {
 
     // Store-level series reflect real durable work.
     let snapshot = svc.metrics();
+    // The word index was derived (cold, at least once per process), holds
+    // pairs, and negative labels decremented scores through its postings.
+    assert!(
+        snapshot
+            .histogram("gps_rpq_words_build_latency_ns")
+            .unwrap()
+            .count
+            >= 1
+    );
+    assert!(snapshot.gauge("gps_rpq_words_pairs").unwrap() > 0);
+    assert!(
+        snapshot
+            .counter("gps_interactive_refresh_postings_total")
+            .unwrap()
+            > 0
+    );
     assert!(snapshot.counter("gps_store_fsyncs_total").unwrap() >= 2);
     assert!(snapshot.counter("gps_store_wal_bytes_total").unwrap() > 0);
     assert!(snapshot.counter("gps_store_checkpoints_total").unwrap() >= 1);
