@@ -52,6 +52,7 @@ use gps_rpq::{
 };
 use gps_telemetry::MetricsRegistry;
 use std::sync::Arc;
+use std::time::{Duration, Instant};
 
 /// Which execution engine the facade evaluates queries with.
 ///
@@ -445,6 +446,18 @@ pub(crate) struct EngineOptions {
     metrics: Arc<MetricsRegistry>,
 }
 
+/// What [`EngineCore::advance`] built, and where its time went.
+pub(crate) struct Advanced {
+    pub core: EngineCore,
+    pub migration: MigrationReport,
+    /// Label index and planner statistics patched through the delta.
+    pub index_patch: Duration,
+    /// New cache built and the old epoch's answers migrated into it.
+    pub migrate_answers: Duration,
+    /// Bounded-word index inherited.
+    pub inherit_words: Duration,
+}
+
 /// The immutable, cheaply-cloneable heart of an engine: one graph snapshot,
 /// one bounded evaluation cache (with the mode's evaluator and, for the
 /// frontier modes, one shared [`LabelIndex`]), and the configuration every
@@ -486,12 +499,10 @@ impl EngineCore {
     /// ([`EvalCache::inherit_words`]), and every configuration knob carries
     /// over unchanged.  Returns the new core together with the migration
     /// split (how many cached answers were carried verbatim, re-derived from
-    /// their seed, or dropped to a cold recompute).
-    pub(crate) fn advance(
-        &self,
-        snapshot: Arc<CsrGraph>,
-        delta: &GraphDelta,
-    ) -> (EngineCore, MigrationReport) {
+    /// their seed, or dropped to a cold recompute) and how long each of the
+    /// three steps took.
+    pub(crate) fn advance(&self, snapshot: Arc<CsrGraph>, delta: &GraphDelta) -> Advanced {
+        let started = Instant::now();
         let (evaluator, index, stats): (
             Box<dyn DfaEvaluator>,
             Option<Arc<LabelIndex>>,
@@ -527,12 +538,14 @@ impl EngineCore {
                 self.options.delete_saturation,
             ),
         };
+        let patched = Instant::now();
         let mut cache = EvalCache::with_shared_evaluator(Arc::clone(&snapshot), evaluator)
             .with_metrics(&self.options.metrics);
         if let Some(capacity) = self.options.cache_capacity {
             cache = cache.with_capacity(capacity);
         }
         let migration = cache.migrate_answers(&self.cache, delta);
+        let migrated = Instant::now();
         cache.inherit_words(&self.cache, delta);
         let core = EngineCore {
             snapshot,
@@ -541,7 +554,13 @@ impl EngineCore {
             stats,
             options: Arc::clone(&self.options),
         };
-        (core, migration)
+        Advanced {
+            core,
+            migration,
+            index_patch: patched - started,
+            migrate_answers: migrated - patched,
+            inherit_words: migrated.elapsed(),
+        }
     }
 
     /// A new reference to the shared snapshot.

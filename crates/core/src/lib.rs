@@ -70,7 +70,8 @@ pub use scenario::{ScenarioReport, StaticLabelingOutcome};
 pub use service::{GpsService, ServiceStats, SessionId, SessionManager, SessionStatus};
 pub use transcript::Transcript;
 pub use versioned::{
-    CheckpointPolicy, DurabilityReport, GraphUpdate, PublishReport, RecoveryReport, VersionedStore,
+    CheckpointPolicy, DurabilityReport, GraphUpdate, PublishPhases, PublishReport, RecoveryReport,
+    VersionedStore,
 };
 
 /// The zero-dependency metrics/tracing layer (`gps-telemetry`), re-exported
@@ -90,8 +91,8 @@ pub mod prelude {
     pub use crate::service::{GpsService, ServiceStats, SessionId, SessionManager, SessionStatus};
     pub use crate::transcript::Transcript;
     pub use crate::versioned::{
-        CheckpointPolicy, DurabilityReport, GraphUpdate, PublishReport, RecoveryReport,
-        VersionedStore,
+        CheckpointPolicy, DurabilityReport, GraphUpdate, PublishPhases, PublishReport,
+        RecoveryReport, VersionedStore,
     };
     pub use gps_exec::{BatchEvaluator, Plan, PlannerConfig};
     pub use gps_graph::{

@@ -18,6 +18,10 @@ pub(crate) struct CoreMetrics {
     /// `gps_core_publish_latency_ns` — wall time of one publish (delta apply
     /// + compact + index/cache patch + commit fsync + swap).
     pub publish_latency: Histogram,
+    /// `gps_core_publish_phase_<phase>_ns` — the same wall time split into
+    /// the seven phases of [`crate::PublishPhases::named`], in that order
+    /// (the registry's names carry no labels, so the phase is a suffix).
+    pub publish_phases: [Histogram; 7],
     /// `gps_core_staged_ops_total` — update ops staged for publishing.
     pub staged_ops: Counter,
     /// `gps_core_retired_epochs_total` — superseded epochs retired (their
@@ -42,6 +46,9 @@ impl CoreMetrics {
         Self {
             publishes: registry.counter("gps_core_publishes_total"),
             publish_latency: registry.histogram("gps_core_publish_latency_ns"),
+            publish_phases: crate::PublishPhases::default().named().map(|(phase, _)| {
+                registry.histogram(&format!("gps_core_publish_phase_{phase}_ns"))
+            }),
             staged_ops: registry.counter("gps_core_staged_ops_total"),
             retired_epochs: registry.counter("gps_core_retired_epochs_total"),
             live_epochs: registry.gauge("gps_core_live_epochs"),

@@ -41,7 +41,7 @@
 //! patched label index and an inherited evaluation cache just like a live
 //! publish would.
 
-use crate::engine::{EngineCore, GpsBuilder};
+use crate::engine::{Advanced, EngineCore, GpsBuilder};
 use crate::error::GpsError;
 use crate::metrics::CoreMetrics;
 use gps_graph::{DeltaGraph, UpdateOp};
@@ -187,6 +187,48 @@ pub struct RecoveryReport {
     pub discarded_bytes: u64,
 }
 
+/// Where one publish's wall-clock time went: seven consecutive phases that
+/// add up to [`PublishReport::latency`] minus the bookkeeping around them
+/// (taking the staged batches, counters, the policy's checkpoint, the audit
+/// event).  All zeros for an empty publish.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub struct PublishPhases {
+    /// Staged ops applied to the delta overlay and summarized.
+    pub apply: Duration,
+    /// Overlay spliced into the next snapshot.
+    pub compact: Duration,
+    /// Label index and planner statistics patched.
+    pub index_patch: Duration,
+    /// Cached answers carried, reseeded or dropped.
+    pub migrate_answers: Duration,
+    /// Bounded-word index inherited.
+    pub inherit_words: Duration,
+    /// Commit record written (and fsynced under a durable store).
+    pub commit: Duration,
+    /// Epoch swap, then unpinned superseded epochs retired and freed.
+    pub swap_retire: Duration,
+}
+
+impl PublishPhases {
+    /// The phases by metric name, in the order they run.
+    pub fn named(&self) -> [(&'static str, Duration); 7] {
+        [
+            ("apply", self.apply),
+            ("compact", self.compact),
+            ("index_patch", self.index_patch),
+            ("migrate_answers", self.migrate_answers),
+            ("inherit_words", self.inherit_words),
+            ("commit", self.commit),
+            ("swap_retire", self.swap_retire),
+        ]
+    }
+
+    /// Sum of the seven phases.
+    pub fn total(&self) -> Duration {
+        self.named().iter().map(|&(_, phase)| phase).sum()
+    }
+}
+
 /// What one [`VersionedStore::publish`] did.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PublishReport {
@@ -218,6 +260,8 @@ pub struct PublishReport {
     /// Wall-clock time of the publish (delta apply + compact + index/cache
     /// patch + swap).
     pub latency: Duration,
+    /// The same time, phase by phase.
+    pub phases: PublishPhases,
     /// What the publish cost at the durability layer (zeros under the
     /// default in-memory store).
     pub durability: DurabilityReport,
@@ -380,8 +424,7 @@ impl VersionedStore {
             let snapshot = Arc::new(overlay.compact());
             // Replay cares only about reaching the final epoch; the per-step
             // migration split is a live-publish observability concern.
-            let (advanced, _migration) = core.advance(snapshot, &delta);
-            core = advanced;
+            core = core.advance(snapshot, &delta).core;
             replayed_publishes += 1;
             replayed_ops += batch.ops.len();
         }
@@ -518,20 +561,28 @@ impl VersionedStore {
     /// released is retired immediately (entries dropped, core removed from
     /// the live set).
     pub fn unpin(&self, epoch: u64) {
-        let mut epochs = self.epochs.lock();
-        let current = self.latest.read().epoch();
-        if let Some(slot) = epochs.get_mut(&epoch) {
+        let retired = {
+            let mut epochs = self.epochs.lock();
+            let current = self.latest.read().epoch();
+            let Some(slot) = epochs.get_mut(&epoch) else {
+                return;
+            };
             slot.pins = slot.pins.saturating_sub(1);
-            if slot.pins == 0 && epoch != current {
-                let slot = epochs.remove(&epoch).expect("just seen");
-                slot.core.eval_cache().retire();
-                self.retired.fetch_add(1, Ordering::Relaxed);
-                self.metrics.retired_epochs.inc();
-                self.metrics.live_epochs.set(epochs.len() as u64);
-                self.registry
-                    .event_with("retire", || vec![("epoch".to_string(), epoch.to_string())]);
+            if slot.pins > 0 || epoch == current {
+                return;
             }
-        }
+            let slot = epochs.remove(&epoch).expect("just seen");
+            self.metrics.live_epochs.set(epochs.len() as u64);
+            slot
+        };
+        // Freeing an epoch's answers is proportional to the cache; readers
+        // pinning the latest epoch must not wait on it.
+        retired.core.eval_cache().retire();
+        drop(retired);
+        self.retired.fetch_add(1, Ordering::Relaxed);
+        self.metrics.retired_epochs.inc();
+        self.registry
+            .event_with("retire", || vec![("epoch".to_string(), epoch.to_string())]);
     }
 
     /// Stages `update` and immediately publishes it.
@@ -579,6 +630,7 @@ impl VersionedStore {
                 recomputed_answers: 0,
                 retired_epochs: 0,
                 latency: started.elapsed(),
+                phases: PublishPhases::default(),
                 durability: DurabilityReport::default(),
             });
         }
@@ -586,22 +638,40 @@ impl VersionedStore {
         let last_seq = batches.last().expect("non-empty").seq;
         let ops: Vec<UpdateOp> = batches.into_iter().flat_map(|batch| batch.ops).collect();
 
+        // Seven consecutive phases, each ending where the next begins.
+        let mut mark = Instant::now();
+        let mut lap = || {
+            let now = Instant::now();
+            let phase = now - mark;
+            mark = now;
+            phase
+        };
         let mut overlay = DeltaGraph::new(base.shared_snapshot());
         overlay.apply_all(&ops)?;
         let delta = overlay.delta();
+        let apply = lap();
         let snapshot = Arc::new(overlay.compact());
-        let (next, migration) = base.advance(Arc::clone(&snapshot), &delta);
+        drop(overlay);
+        let compact = lap();
+        let Advanced {
+            core: next,
+            migration,
+            index_patch,
+            migrate_answers,
+            inherit_words,
+        } = base.advance(snapshot, &delta);
+        drop(base);
         let epoch = next.epoch();
+        lap();
 
         // Durability point: the publish becomes visible to readers only
         // after its commit record is on stable storage.
-        let commit = self
+        let receipt = self
             .store
             .commit(epoch, first_seq, last_seq, ops.len() as u32)?;
+        let commit = lap();
 
-        let mut retired_epochs = 0usize;
-        let live_epochs;
-        {
+        let (stale, live_epochs) = {
             let mut epochs = self.epochs.lock();
             *self.latest.write() = next.clone();
             epochs.insert(
@@ -616,13 +686,28 @@ impl VersionedStore {
                 .filter(|&(&e, slot)| e != epoch && slot.pins == 0)
                 .map(|(&e, _)| e)
                 .collect();
-            for e in stale {
-                let slot = epochs.remove(&e).expect("just collected");
-                slot.core.eval_cache().retire();
-                retired_epochs += 1;
-            }
-            live_epochs = epochs.len() as u64;
+            let stale: Vec<EpochSlot> = stale
+                .into_iter()
+                .map(|e| epochs.remove(&e).expect("just collected"))
+                .collect();
+            (stale, epochs.len() as u64)
+        };
+        // Retired and freed outside the registry lock: a superseded epoch's
+        // snapshot, index and answers are graph-sized, and `pin_latest`
+        // (every session open) takes that lock.
+        let retired_epochs = stale.len();
+        for slot in stale {
+            slot.core.eval_cache().retire();
         }
+        let phases = PublishPhases {
+            apply,
+            compact,
+            index_patch,
+            migrate_answers,
+            inherit_words,
+            commit,
+            swap_retire: lap(),
+        };
         self.publishes.fetch_add(1, Ordering::Relaxed);
         self.retired
             .fetch_add(retired_epochs as u64, Ordering::Relaxed);
@@ -655,6 +740,9 @@ impl VersionedStore {
         }
         let latency = started.elapsed();
         self.metrics.publish_latency.record_duration(latency);
+        for (histogram, (_, phase)) in self.metrics.publish_phases.iter().zip(phases.named()) {
+            histogram.record_duration(phase);
+        }
         self.registry.event_with("publish", || {
             vec![
                 ("epoch".to_string(), epoch.to_string()),
@@ -674,9 +762,10 @@ impl VersionedStore {
             recomputed_answers: migration.recomputed,
             retired_epochs,
             latency,
+            phases,
             durability: DurabilityReport {
-                wal_bytes: commit.wal_bytes,
-                fsync: commit.fsync,
+                wal_bytes: receipt.wal_bytes,
+                fsync: receipt.fsync,
                 checkpointed,
                 checkpoint_error,
             },

@@ -9,10 +9,28 @@
 //! `neighbors(direction, label, node)` is a contiguous `&[u32]` slice holding
 //! only the matching endpoints, which turns delta expansion into tight
 //! slice-and-bitset sweeps.
+//!
+//! ## Across epochs
+//!
+//! The per-(direction, label) partitions are individually `Arc`-shared, so
+//! [`LabelIndex::apply_delta`] hands the labels an update does not touch to
+//! the next epoch by pointer.  A touched partition is *spliced*, the same way
+//! the snapshot is compacted ([`gps_graph::splice::RowSplice`]): the delta's
+//! edges of that label are sorted by the partition's row endpoint, the
+//! neighbor stretches between consecutive touched rows are copied with
+//! `extend_from_slice`, the offsets are the old ones plus a running shift,
+//! and only the touched rows are rewritten: a removal takes the neighbor's
+//! first occurrence; an addition goes last in a forward row (edge order) and
+//! after the last entry from its source or a lower one in a reverse row
+//! (the order a forward scan of the snapshot meets the sources in).  The
+//! planner statistics of a touched label come from one fused sweep over the
+//! new offsets.  The layout a reader sweeps is exactly what a fresh build
+//! produces, byte for byte.
 
 use crate::bitset::FixedBitSet;
-use gps_graph::{CsrGraph, GraphBackend, GraphDelta, LabelId, LabelStat, LabelStats, NodeId};
-use std::collections::{BTreeSet, HashMap};
+use gps_graph::splice::RowSplice;
+use gps_graph::{CsrGraph, Edge, GraphBackend, GraphDelta, LabelId, LabelStat, LabelStats, NodeId};
+use std::collections::{BTreeMap, BTreeSet};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
@@ -141,38 +159,65 @@ impl Partition {
         &self.neighbors[lo..hi]
     }
 
-    /// Rebuilds this partition with per-node removals and additions applied
-    /// (first-occurrence removal semantics, additions appended in order) —
-    /// identical to what a fresh build over the merged adjacency produces.
+    /// Rebuilds this partition with `removals` and `additions` applied — both
+    /// `(row, neighbor)` pairs sorted by row, in delta order within a row —
+    /// to exactly what a fresh build over the merged adjacency produces.
+    /// Removal takes a neighbor's first occurrence.  A forward row lists
+    /// targets in edge order, so additions go last; a reverse row lists
+    /// sources in the order a forward scan of the snapshot meets them
+    /// (ascending, a source's own edges in edge order), so an addition goes
+    /// right after the last entry from its source or a lower one.  Untouched
+    /// stretches are bulk copies (see the [module docs](self)); rows the old
+    /// partition does not cover yet start empty.
     fn patched(
         old: Option<&Partition>,
+        direction: Direction,
         node_count: usize,
-        removals: &HashMap<u32, Vec<u32>>,
-        additions: &HashMap<u32, Vec<u32>>,
+        removals: &[(u32, u32)],
+        additions: &[(u32, u32)],
     ) -> Self {
-        let mut offsets = Vec::with_capacity(node_count + 1);
-        let mut neighbors = Vec::new();
-        offsets.push(0u32);
-        for node in 0..node_count {
-            let base = old.map(|p| p.neighbors_of(node)).unwrap_or(&[]);
-            match removals.get(&(node as u32)) {
-                Some(removed) => {
-                    let mut pending = removed.clone();
-                    for &to in base {
-                        if let Some(pos) = pending.iter().position(|&r| r == to) {
-                            pending.swap_remove(pos);
-                        } else {
-                            neighbors.push(to);
+        let (old_offsets, old_neighbors) =
+            old.map_or((&[][..], &[][..]), |p| (&p.offsets[..], &p.neighbors[..]));
+        let mut neighbors = Vec::with_capacity(
+            (old_neighbors.len() + additions.len()).saturating_sub(removals.len()),
+        );
+        let mut splice = RowSplice::new(old_offsets);
+        let (mut removals, mut additions) = (removals, additions);
+        while let Some(&(row, _)) = [removals.first(), additions.first()]
+            .into_iter()
+            .flatten()
+            .min()
+        {
+            let (before, own) = splice.seek(row as usize);
+            neighbors.extend_from_slice(&old_neighbors[before]);
+            let start = neighbors.len();
+            let removed = take_row(&mut removals, row);
+            if removed.is_empty() {
+                neighbors.extend_from_slice(&old_neighbors[own]);
+            } else {
+                let mut pending: Vec<u32> = removed.iter().map(|&(_, to)| to).collect();
+                for &to in &old_neighbors[own] {
+                    match pending.iter().position(|&r| r == to) {
+                        Some(at) => {
+                            pending.swap_remove(at);
                         }
+                        None => neighbors.push(to),
                     }
                 }
-                None => neighbors.extend_from_slice(base),
             }
-            if let Some(added) = additions.get(&(node as u32)) {
-                neighbors.extend_from_slice(added);
+            for &(_, to) in take_row(&mut additions, row) {
+                let at = match direction {
+                    Direction::Forward => neighbors.len(),
+                    Direction::Reverse => {
+                        start + neighbors[start..].partition_point(|&from| from <= to)
+                    }
+                };
+                neighbors.insert(at, to);
             }
-            offsets.push(neighbors.len() as u32);
+            splice.set_len(neighbors.len() - start);
         }
+        let (rest, offsets) = splice.finish(node_count);
+        neighbors.extend_from_slice(&old_neighbors[rest]);
         Self { offsets, neighbors }
     }
 
@@ -180,16 +225,70 @@ impl Partition {
         (self.offsets.len() + self.neighbors.len()) * std::mem::size_of::<u32>()
     }
 
-    fn max_degree(&self) -> usize {
-        self.offsets
-            .windows(2)
-            .map(|w| (w[1] - w[0]) as usize)
-            .max()
-            .unwrap_or(0)
+    /// The largest row and the number of non-empty rows, in one sweep.
+    fn degree_summary(&self) -> (usize, usize) {
+        let (mut max, mut occupied) = (0u32, 0usize);
+        for w in self.offsets.windows(2) {
+            let degree = w[1] - w[0];
+            max = max.max(degree);
+            occupied += (degree > 0) as usize;
+        }
+        (max as usize, occupied)
     }
+}
 
-    fn occupied_nodes(&self) -> usize {
-        self.offsets.windows(2).filter(|w| w[1] > w[0]).count()
+/// Splits off the leading pairs of `pairs` whose row is `row`.
+fn take_row<'a>(pairs: &mut &'a [(u32, u32)], row: u32) -> &'a [(u32, u32)] {
+    let len = pairs.iter().take_while(|&&(r, _)| r == row).count();
+    let (head, tail) = pairs.split_at(len);
+    *pairs = tail;
+    head
+}
+
+/// One label's share of a [`GraphDelta`], as the `(row, neighbor)` pair lists
+/// [`Partition::patched`] takes for each direction.
+#[derive(Debug, Default)]
+struct LabelPatch {
+    fwd_removals: Vec<(u32, u32)>,
+    fwd_additions: Vec<(u32, u32)>,
+    rev_removals: Vec<(u32, u32)>,
+    rev_additions: Vec<(u32, u32)>,
+}
+
+impl LabelPatch {
+    /// Groups the delta's edges by label, each list sorted by row (stably:
+    /// delta order within a row).
+    fn by_label(delta: &GraphDelta) -> BTreeMap<usize, LabelPatch> {
+        let mut patches: BTreeMap<usize, LabelPatch> = BTreeMap::new();
+        let pairs = |e: &Edge| {
+            (
+                (e.source.raw(), e.target.raw()),
+                (e.target.raw(), e.source.raw()),
+            )
+        };
+        for edge in &delta.removed_edges {
+            let patch = patches.entry(edge.label.index()).or_default();
+            let (fwd, rev) = pairs(edge);
+            patch.fwd_removals.push(fwd);
+            patch.rev_removals.push(rev);
+        }
+        for edge in &delta.added_edges {
+            let patch = patches.entry(edge.label.index()).or_default();
+            let (fwd, rev) = pairs(edge);
+            patch.fwd_additions.push(fwd);
+            patch.rev_additions.push(rev);
+        }
+        for patch in patches.values_mut() {
+            for list in [
+                &mut patch.fwd_removals,
+                &mut patch.fwd_additions,
+                &mut patch.rev_removals,
+                &mut patch.rev_additions,
+            ] {
+                list.sort_by_key(|&(row, _)| row);
+            }
+        }
+        patches
     }
 }
 
@@ -434,9 +533,10 @@ impl LabelIndex {
     ///
     /// `node_count` / `label_count` are the merged graph's counts (take them
     /// from the compacted snapshot).  The result is identical to
-    /// [`from_csr`](Self::from_csr) over that snapshot — the partition's
-    /// per-node neighbor order is (surviving base order, then insertion
-    /// order), exactly what a fresh build over the merged adjacency yields.
+    /// [`from_csr`](Self::from_csr) over that snapshot, neighbor order
+    /// included: a forward row keeps (surviving base order, then insertion
+    /// order), a reverse row stays in the order a forward scan of the
+    /// snapshot meets its sources (see the [module docs](self)).
     ///
     /// When this index carries `shards > 1`, the touched labels' patch jobs
     /// (one per direction × label) fan out over that many scoped threads;
@@ -449,82 +549,45 @@ impl LabelIndex {
         node_count: usize,
         label_count: usize,
     ) -> LabelIndex {
-        let touched = delta.touched_labels();
-        // Per touched label and direction: removals and additions bucketed by
-        // the partition's "from" endpoint (source forward, target reverse).
-        let mut fwd_removals: HashMap<u32, HashMap<u32, Vec<u32>>> = HashMap::new();
-        let mut rev_removals: HashMap<u32, HashMap<u32, Vec<u32>>> = HashMap::new();
-        let mut fwd_additions: HashMap<u32, HashMap<u32, Vec<u32>>> = HashMap::new();
-        let mut rev_additions: HashMap<u32, HashMap<u32, Vec<u32>>> = HashMap::new();
-        for edge in &delta.removed_edges {
-            fwd_removals
-                .entry(edge.label.raw())
-                .or_default()
-                .entry(edge.source.raw())
-                .or_default()
-                .push(edge.target.raw());
-            rev_removals
-                .entry(edge.label.raw())
-                .or_default()
-                .entry(edge.target.raw())
-                .or_default()
-                .push(edge.source.raw());
-        }
-        for edge in &delta.added_edges {
-            fwd_additions
-                .entry(edge.label.raw())
-                .or_default()
-                .entry(edge.source.raw())
-                .or_default()
-                .push(edge.target.raw());
-            rev_additions
-                .entry(edge.label.raw())
-                .or_default()
-                .entry(edge.target.raw())
-                .or_default()
-                .push(edge.source.raw());
-        }
-
-        let empty = HashMap::new();
         // Patch the touched labels first — one job per label (each job
         // rebuilds both directions), fanned over the configured shards.
-        // Each job reads only its own label's buckets and old partitions.
-        let patch_labels: Vec<usize> = (0..label_count)
-            .filter(|&label| touched.contains(&LabelId::from(label)))
-            .collect();
+        // Each job reads only its own label's patch and old partitions.
+        let patches: Vec<(usize, LabelPatch)> = LabelPatch::by_label(delta).into_iter().collect();
         let patched_pairs: Vec<(Partition, Partition)> =
-            run_jobs(self.effective_shards(), patch_labels.len(), |job| {
-                let label = patch_labels[job];
-                let known = label < self.label_count;
-                let old_fwd = known.then(|| self.fwd.parts[label].as_ref());
-                let old_rev = known.then(|| self.rev.parts[label].as_ref());
-                let raw = label as u32;
+            run_jobs(self.effective_shards(), patches.len(), |job| {
+                let (label, patch) = &patches[job];
+                let known = *label < self.label_count;
+                let old_fwd = known.then(|| self.fwd.parts[*label].as_ref());
+                let old_rev = known.then(|| self.rev.parts[*label].as_ref());
                 let fwd = Partition::patched(
                     old_fwd,
+                    Direction::Forward,
                     node_count,
-                    fwd_removals.get(&raw).unwrap_or(&empty),
-                    fwd_additions.get(&raw).unwrap_or(&empty),
+                    &patch.fwd_removals,
+                    &patch.fwd_additions,
                 );
                 let rev = Partition::patched(
                     old_rev,
+                    Direction::Reverse,
                     node_count,
-                    rev_removals.get(&raw).unwrap_or(&empty),
-                    rev_additions.get(&raw).unwrap_or(&empty),
+                    &patch.rev_removals,
+                    &patch.rev_additions,
                 );
                 (fwd, rev)
             });
-        let mut patched_by_label: Vec<Option<(Partition, Partition)>> =
-            Vec::with_capacity(label_count);
-        patched_by_label.resize_with(label_count, || None);
-        for (&label, pair) in patch_labels.iter().zip(patched_pairs) {
-            patched_by_label[label] = Some(pair);
-        }
+        // `patches` is in label order, so the patched pairs are consumed in
+        // step with the label sweep.
+        let mut patched = patches
+            .iter()
+            .map(|&(label, _)| label)
+            .zip(patched_pairs)
+            .peekable();
 
         let mut fwd_parts = Vec::with_capacity(label_count);
         let mut rev_parts = Vec::with_capacity(label_count);
         let mut label_edge_counts = vec![0usize; label_count];
         for (label, slot) in label_edge_counts.iter_mut().enumerate() {
-            if let Some((fwd, rev)) = patched_by_label[label].take() {
+            if let Some((_, (fwd, rev))) = patched.next_if(|&(touched, _)| touched == label) {
                 *slot = fwd.neighbors.len();
                 fwd_parts.push(Arc::new(fwd));
                 rev_parts.push(Arc::new(rev));
@@ -551,7 +614,8 @@ impl LabelIndex {
     /// Derives the merged graph's [`LabelStats`] from this (already patched)
     /// index: untouched labels keep their [`LabelStat`] from `old` (only the
     /// frequency denominator is refreshed), touched labels are recomputed
-    /// from their partitions — no sweep over the graph's adjacency.
+    /// by one sweep over each of their two partitions' offsets — no sweep
+    /// over the graph's adjacency.
     pub fn patched_stats(&self, old: &LabelStats, touched: &BTreeSet<LabelId>) -> LabelStats {
         let edge_count: usize = self.label_edge_counts.iter().sum();
         let per_label = (0..self.label_count)
@@ -562,15 +626,16 @@ impl LabelIndex {
                     Some(stat) => stat.clone(),
                     None => {
                         let fwd = self.fwd.parts[index].as_ref();
-                        let rev = self.rev.parts[index].as_ref();
+                        let (max_out_degree, source_count) = fwd.degree_summary();
+                        let (max_in_degree, target_count) = self.rev.parts[index].degree_summary();
                         LabelStat {
                             label,
                             edge_count: fwd.neighbors.len(),
                             frequency: 0.0,
-                            max_out_degree: fwd.max_degree(),
-                            max_in_degree: rev.max_degree(),
-                            source_count: fwd.occupied_nodes(),
-                            target_count: rev.occupied_nodes(),
+                            max_out_degree,
+                            max_in_degree,
+                            source_count,
+                            target_count,
                         }
                     }
                 };
@@ -869,5 +934,257 @@ mod tests {
         g.add_edge_by_name(a, "y", c);
         let larger = LabelIndex::from_backend(&g).memory_bytes();
         assert!(larger > small);
+    }
+
+    // ------------------------------------------------ the splice's corners
+
+    /// One staged mutation of a corner-case scenario, by node index.
+    #[derive(Debug, Clone, Copy)]
+    enum Op {
+        Node,
+        Add(usize, &'static str, usize),
+        Del(usize, &'static str, usize),
+    }
+    use Op::{Add, Del, Node};
+
+    /// Five nodes, labels x/y, eight edges with parallel duplicates: the
+    /// first edge leaves the first node, the last (a self-loop) sits on the
+    /// last node.
+    fn corner_base() -> Graph {
+        let mut g = Graph::new();
+        let n = g.add_nodes("n", 5);
+        for (s, label, t) in [
+            (0, "x", 1),
+            (0, "x", 1),
+            (1, "y", 2),
+            (2, "x", 3),
+            (3, "y", 4),
+            (4, "x", 0),
+            (2, "x", 3),
+            (4, "y", 4),
+        ] {
+            g.add_edge_by_name(n[s], label, n[t]);
+        }
+        g
+    }
+
+    /// One epoch of the index: snapshot, index, planner statistics.
+    struct Epoch {
+        snapshot: Arc<CsrGraph>,
+        index: LabelIndex,
+        stats: LabelStats,
+    }
+
+    impl Epoch {
+        fn fresh(graph: &Graph, shards: usize) -> Self {
+            let snapshot = Arc::new(CsrGraph::from_graph(graph));
+            Self {
+                index: LabelIndex::from_csr_sharded(&snapshot, shards),
+                stats: LabelStats::compute(snapshot.as_ref()),
+                snapshot,
+            }
+        }
+
+        /// Publishes `ops` and checks the patched index and statistics
+        /// against a from-scratch build over the compacted snapshot: every
+        /// neighbor slice, the touched partitions' packed arrays verbatim,
+        /// the untouched ones shared by pointer.
+        fn publish(&self, ops: &[Op], context: &str) -> Epoch {
+            let mut staged = gps_graph::DeltaGraph::new(Arc::clone(&self.snapshot));
+            for &op in ops {
+                match op {
+                    Node => {
+                        staged.add_node("new");
+                    }
+                    Add(s, label, t) => {
+                        let label = staged.label(label);
+                        staged.add_edge(NodeId::from(s), label, NodeId::from(t));
+                    }
+                    Del(s, label, t) => {
+                        let label = staged.label(label);
+                        assert!(
+                            staged.remove_edge(NodeId::from(s), label, NodeId::from(t)),
+                            "{context}: {op:?} matches a live edge"
+                        );
+                    }
+                }
+            }
+            let delta = staged.delta();
+            let snapshot = Arc::new(staged.compact());
+            let (n, labels) = (snapshot.node_count(), snapshot.label_count());
+            let patched = self.index.apply_delta(&delta, n, labels);
+            let fresh = LabelIndex::from_csr(&snapshot);
+            assert_eq!(patched.node_count, n, "{context}");
+            assert_eq!(
+                patched.label_edge_counts, fresh.label_edge_counts,
+                "{context}"
+            );
+            let touched = delta.touched_labels();
+            for label in 0..labels {
+                let id = LabelId::from(label);
+                for node in 0..n {
+                    for direction in [Direction::Forward, Direction::Reverse] {
+                        assert_eq!(
+                            patched.neighbors(direction, id, node),
+                            fresh.neighbors(direction, id, node),
+                            "{context}: {direction:?} {id:?} node {node}"
+                        );
+                    }
+                }
+                for (side, got, want, old) in [
+                    ("fwd", &patched.fwd, &fresh.fwd, &self.index.fwd),
+                    ("rev", &patched.rev, &fresh.rev, &self.index.rev),
+                ] {
+                    if touched.contains(&id) {
+                        assert_eq!(
+                            got.parts[label], want.parts[label],
+                            "{context}: {side} {id:?}"
+                        );
+                    } else if label < self.index.label_count {
+                        assert!(
+                            Arc::ptr_eq(&got.parts[label], &old.parts[label]),
+                            "{context}: untouched {side} {id:?} is shared"
+                        );
+                    }
+                }
+            }
+            let stats = patched.patched_stats(&self.stats, &touched);
+            assert_eq!(stats, LabelStats::compute(snapshot.as_ref()), "{context}");
+            Epoch {
+                snapshot,
+                index: patched,
+                stats,
+            }
+        }
+    }
+
+    #[test]
+    fn patch_corners_match_a_from_scratch_index() {
+        let scenarios: &[(&str, &[Op])] = &[
+            ("empty delta", &[]),
+            ("first node touched", &[Add(0, "x", 2)]),
+            ("last node touched", &[Add(4, "y", 1)]),
+            (
+                "adjacent touched nodes",
+                &[Add(1, "x", 2), Add(2, "x", 1), Del(3, "y", 4)],
+            ),
+            (
+                "every node touched",
+                &[
+                    Add(0, "y", 0),
+                    Add(1, "y", 1),
+                    Add(2, "y", 2),
+                    Add(3, "y", 3),
+                    Add(4, "y", 4),
+                ],
+            ),
+            ("removal of the first edge", &[Del(0, "x", 1)]),
+            ("removal of the last edge", &[Del(4, "y", 4)]),
+            (
+                "two removals on one node (parallel duplicates)",
+                &[Del(0, "x", 1), Del(0, "x", 1)],
+            ),
+            ("one of two parallel duplicates", &[Del(2, "x", 3)]),
+            (
+                "remove and add on the same node",
+                &[Del(2, "x", 3), Add(2, "x", 0), Add(2, "y", 0)],
+            ),
+            (
+                "add then remove inside one overlay",
+                &[Add(1, "x", 3), Del(1, "x", 3)],
+            ),
+            (
+                "new nodes with in- and out-edges, and isolated ones",
+                &[
+                    Node,
+                    Add(5, "x", 0),
+                    Add(4, "y", 5),
+                    Node,
+                    Node,
+                    Add(7, "y", 5),
+                ],
+            ),
+            ("a new label", &[Add(3, "w", 3), Add(0, "w", 4)]),
+            ("a new label on a new node", &[Node, Add(5, "w", 5)]),
+            (
+                "a partition emptied",
+                &[Del(1, "y", 2), Del(3, "y", 4), Del(4, "y", 4)],
+            ),
+            (
+                "everything at once",
+                &[
+                    Del(0, "x", 1),
+                    Node,
+                    Add(5, "w", 5),
+                    Del(4, "y", 4),
+                    Add(4, "x", 0),
+                    Add(0, "y", 5),
+                    Del(4, "x", 0),
+                    Del(2, "x", 3),
+                ],
+            ),
+        ];
+        for shards in [1, 3] {
+            for (context, ops) in scenarios {
+                let context = format!("{context} ({shards} shards)");
+                let once = Epoch::fresh(&corner_base(), shards).publish(ops, &context);
+                // And once more on top: partitions left stale by added nodes
+                // (shorter offsets than the node count) are a sound base.
+                once.publish(&[Node, Add(1, "y", 0), Del(4, "x", 0)], &context);
+            }
+        }
+    }
+
+    #[test]
+    fn patches_over_an_empty_index() {
+        let empty = Epoch::fresh(&Graph::new(), 1);
+        empty.publish(&[], "empty over empty");
+        let grown = empty.publish(&[Node, Node, Add(1, "x", 0), Add(1, "x", 1)], "first edges");
+        grown.publish(&[Del(1, "x", 0), Node], "then a removal");
+    }
+
+    #[test]
+    fn thirty_two_chained_patches_stay_exact() {
+        // Dependency-free xorshift64*: the same walk on every run.
+        let mut state = 0x2545_F491_4F6C_DD1Du64;
+        let mut below = |n: usize| {
+            state ^= state >> 12;
+            state ^= state << 25;
+            state ^= state >> 27;
+            (state.wrapping_mul(0x2545_F491_4F6C_DD1D) >> 33) as usize % n
+        };
+        const LABELS: [&str; 3] = ["x", "y", "w"];
+        let mut epoch = Epoch::fresh(&corner_base(), 1);
+        for round in 0..32 {
+            let csr = Arc::clone(&epoch.snapshot);
+            let mut nodes = csr.node_count();
+            // Removals draw from the base's edges, each at most once.
+            let mut removable: Vec<(usize, &str, usize)> = csr
+                .nodes()
+                .flat_map(|s| csr.out(s).iter().map(move |e| (s, e)))
+                .map(|(s, e)| {
+                    let label = csr.labels().name(e.label).expect("interned");
+                    let label = LABELS.iter().find(|&&l| l == label).expect("in LABELS");
+                    (s.index(), *label, e.node.index())
+                })
+                .collect();
+            let mut ops = Vec::new();
+            for _ in 0..1 + below(6) {
+                match below(10) {
+                    0 | 1 => {
+                        ops.push(Node);
+                        nodes += 1;
+                    }
+                    2..=6 => ops.push(Add(below(nodes), LABELS[below(3)], below(nodes))),
+                    _ if !removable.is_empty() => {
+                        let (s, label, t) = removable.swap_remove(below(removable.len()));
+                        ops.push(Del(s, label, t));
+                    }
+                    _ => {}
+                }
+            }
+            epoch = epoch.publish(&ops, &format!("round {round}"));
+        }
+        assert_eq!(epoch.snapshot.epoch(), 32);
     }
 }

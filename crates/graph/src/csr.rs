@@ -13,12 +13,21 @@
 //! so rendering and query parsing work against it; the original edge
 //! identifiers are preserved per adjacency entry so neighborhood extraction
 //! and zoom deltas agree exactly with the mutable [`Graph`] backend.
+//!
+//! Node names are append-only across the epochs of a live graph, so a
+//! snapshot holds them — and the first-bearer name lookup — behind one `Arc`
+//! of chunk-shared storage (`names.rs`): the snapshot
+//! [`DeltaGraph::compact`](crate::DeltaGraph::compact) produces shares its
+//! base's names outright when the publish added no node, and all but the
+//! tail chunk otherwise.  The packed adjacency arrays stay flat `Vec`s (the
+//! layout every reader sweeps); compaction copies them at `memcpy` speed.
 
 use crate::backend::GraphBackend;
 use crate::graph::{Edge, Graph};
 use crate::ids::{EdgeId, LabelId, NodeId};
 use crate::labels::LabelInterner;
-use std::collections::BTreeMap;
+use crate::names::NodeNames;
+use std::sync::Arc;
 
 /// One packed adjacency entry: the label of an edge and its other endpoint.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -32,8 +41,9 @@ pub struct CsrEntry {
 /// An immutable CSR snapshot with both forward and reverse adjacency.
 #[derive(Debug, Clone, Default)]
 pub struct CsrGraph {
-    node_names: Vec<String>,
-    name_index: BTreeMap<String, NodeId>,
+    /// Node names and the first-bearer lookup over them, shared with the
+    /// neighbouring epochs of a live graph.
+    names: Arc<NodeNames>,
     labels: LabelInterner,
     fwd_offsets: Vec<u32>,
     fwd_entries: Vec<CsrEntry>,
@@ -66,10 +76,6 @@ impl CsrGraph {
             .nodes()
             .map(|node| backend.node_name(node).to_string())
             .collect();
-        let mut name_index = BTreeMap::new();
-        for (i, name) in node_names.iter().enumerate() {
-            name_index.entry(name.clone()).or_insert(NodeId::from(i));
-        }
 
         let mut fwd_offsets = Vec::with_capacity(n + 1);
         let mut fwd_entries = Vec::with_capacity(m);
@@ -102,8 +108,7 @@ impl CsrGraph {
         }
 
         Self {
-            node_names,
-            name_index,
+            names: Arc::new(NodeNames::new(node_names)),
             labels: backend.labels().clone(),
             fwd_offsets,
             fwd_entries,
@@ -115,14 +120,13 @@ impl CsrGraph {
         }
     }
 
-    /// Assembles a snapshot directly from pre-built packed arrays (the
-    /// delta-graph compaction path).  The caller guarantees the arrays are
-    /// mutually consistent — exactly what [`Self::from_backend`] would have
-    /// produced for the merged graph.
+    /// Assembles a snapshot directly from pre-built packed arrays and
+    /// already-shared names (the delta-graph compaction path).  The caller
+    /// guarantees the parts are mutually consistent — exactly what
+    /// [`Self::from_backend`] would have produced for the merged graph.
     #[allow(clippy::too_many_arguments)]
     pub(crate) fn from_parts(
-        node_names: Vec<String>,
-        name_index: BTreeMap<String, NodeId>,
+        names: Arc<NodeNames>,
         labels: LabelInterner,
         fwd_offsets: Vec<u32>,
         fwd_entries: Vec<CsrEntry>,
@@ -133,8 +137,7 @@ impl CsrGraph {
         epoch: u64,
     ) -> Self {
         Self {
-            node_names,
-            name_index,
+            names,
             labels,
             fwd_offsets,
             fwd_entries,
@@ -160,7 +163,7 @@ impl CsrGraph {
 
     /// Number of nodes in the snapshot.
     pub fn node_count(&self) -> usize {
-        self.node_names.len()
+        self.names.len()
     }
 
     /// Number of edges in the snapshot.
@@ -183,12 +186,18 @@ impl CsrGraph {
     /// # Panics
     /// Panics if `node` does not belong to this snapshot.
     pub fn node_name(&self, node: NodeId) -> &str {
-        &self.node_names[node.index()]
+        self.names.get(node.index())
+    }
+
+    /// The display names of all nodes, in id order (what a checkpoint
+    /// writer streams out).
+    pub fn node_names(&self) -> impl Iterator<Item = &str> + '_ {
+        self.names.iter()
     }
 
     /// Looks up the first node bearing `name`.
     pub fn node_by_name(&self, name: &str) -> Option<NodeId> {
-        self.name_index.get(name).copied()
+        self.names.lookup(name)
     }
 
     /// Iterates over all node identifiers.
@@ -270,7 +279,7 @@ impl CsrGraph {
     }
 
     /// Assembles a snapshot from raw packed arrays — the checkpoint
-    /// *deserialization* seam.  The name index is rebuilt first-bearer from
+    /// *deserialization* seam.  The first-bearer name lookup is rebuilt from
     /// the node names; the caller guarantees the arrays are mutually
     /// consistent (offsets monotone and spanning the entry arrays, entry
     /// ids within bounds), exactly what the public accessors of a live
@@ -287,13 +296,8 @@ impl CsrGraph {
         rev_edge_ids: Vec<EdgeId>,
         epoch: u64,
     ) -> Self {
-        let mut name_index = BTreeMap::new();
-        for (i, name) in node_names.iter().enumerate() {
-            name_index.entry(name.clone()).or_insert(NodeId::from(i));
-        }
-        Self {
-            node_names,
-            name_index,
+        Self::from_parts(
+            Arc::new(NodeNames::new(node_names)),
             labels,
             fwd_offsets,
             fwd_entries,
@@ -302,15 +306,15 @@ impl CsrGraph {
             rev_entries,
             rev_edge_ids,
             epoch,
-        }
+        )
     }
 
-    /// The first-bearer name → id map (what [`node_by_name`](Self::node_by_name)
-    /// consults) — cloned wholesale by the delta overlay instead of being
-    /// rebuilt per publish.
+    /// The shared name storage (what [`node_name`](Self::node_name) and
+    /// [`node_by_name`](Self::node_by_name) consult) — handed to the next
+    /// epoch by the delta overlay instead of being rebuilt per publish.
     #[inline]
-    pub(crate) fn name_index(&self) -> &BTreeMap<String, NodeId> {
-        &self.name_index
+    pub(crate) fn names(&self) -> &Arc<NodeNames> {
+        &self.names
     }
 
     /// Original edge ids of `node`'s outgoing entries (aligned with

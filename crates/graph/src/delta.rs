@@ -5,15 +5,32 @@
 //! edge insertion.  [`DeltaGraph`] layers a small mutable overlay — inserted
 //! nodes, inserted edges, and tombstones for deleted edges — over a shared
 //! `Arc<CsrGraph>` base, and implements [`GraphBackend`] so the staged state
-//! is queryable before it is published.  [`DeltaGraph::compact`] merges the
-//! overlay into a fresh snapshot in one pass over the packed arrays — no
-//! intermediate adjacency-list graph — producing byte-for-byte the snapshot a
+//! is queryable before it is published.  [`DeltaGraph::compact`] *splices*
+//! the overlay into a fresh snapshot — producing byte-for-byte the snapshot a
 //! from-scratch [`Graph`] → [`CsrGraph`] build of the surviving edges would
 //! have produced, stamped with the next [`epoch`](CsrGraph::epoch).
 //!
 //! The overlay is the unit writers stage: a service accumulates
 //! [`UpdateOp`]s into a `DeltaGraph` and publishes the compacted snapshot,
 //! while readers pinned to the old epoch keep traversing the unchanged base.
+//!
+//! ## What a publish costs
+//!
+//! Staging is proportional to the ops: the overlay holds only the names it
+//! added and resolves every other name through the base's shared lookup, so
+//! [`DeltaGraph::new`] copies nothing that grows with the graph.
+//!
+//! Compaction never looks at an untouched adjacency entry.  The rows an
+//! overlay touches (endpoints of tombstones and of inserted edges) come
+//! sorted out of its maps; between consecutive touched rows the base's
+//! entries and edge ids are copied with `extend_from_slice`, the offsets are
+//! the base's plus a running shift, and only the touched rows are rewritten
+//! ([`RowSplice`]).  A surviving base edge id drops by the number of
+//! tombstones below it — not at all when nothing was removed, so the id
+//! arrays are then straight copies too.  Node names and their lookup are
+//! handed to the next epoch behind the base's `Arc` (plus the overlay's own
+//! additions).  What remains proportional to the graph is one `memcpy` of the
+//! packed arrays.
 //!
 //! ## Identifier semantics
 //!
@@ -29,6 +46,7 @@ use crate::csr::{CsrEntry, CsrGraph};
 use crate::graph::Edge;
 use crate::ids::{EdgeId, LabelId, NodeId};
 use crate::labels::LabelInterner;
+use crate::splice::RowSplice;
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
 use std::sync::Arc;
@@ -145,7 +163,9 @@ pub struct DeltaGraph {
     base: Arc<CsrGraph>,
     labels: LabelInterner,
     added_names: Vec<String>,
-    name_index: BTreeMap<String, NodeId>,
+    /// First bearer of each name among the *added* nodes; a name the base
+    /// already bears resolves there first.
+    added_index: BTreeMap<String, NodeId>,
     added_edges: Vec<Edge>,
     /// `false` for overlay edges deleted before publication.
     added_alive: Vec<bool>,
@@ -162,9 +182,9 @@ impl DeltaGraph {
     pub fn new(base: Arc<CsrGraph>) -> Self {
         Self {
             labels: base.labels().clone(),
-            name_index: base.name_index().clone(),
             base,
             added_names: Vec::new(),
+            added_index: BTreeMap::new(),
             added_edges: Vec::new(),
             added_alive: Vec::new(),
             added_out: BTreeMap::new(),
@@ -209,7 +229,7 @@ impl DeltaGraph {
     pub fn add_node(&mut self, name: impl Into<String>) -> NodeId {
         let id = NodeId::from(self.base.node_count() + self.added_names.len());
         let name = name.into();
-        self.name_index.entry(name.clone()).or_insert(id);
+        self.added_index.entry(name.clone()).or_insert(id);
         self.added_names.push(name);
         id
     }
@@ -308,9 +328,7 @@ impl DeltaGraph {
     }
 
     fn resolve(&self, name: &str) -> Result<NodeId, UpdateError> {
-        self.name_index
-            .get(name)
-            .copied()
+        self.node_by_name(name)
             .ok_or_else(|| UpdateError::UnknownNode(name.to_string()))
     }
 
@@ -332,95 +350,57 @@ impl DeltaGraph {
 
     /// Merges the overlay into a fresh snapshot stamped `base.epoch() + 1`.
     ///
-    /// One pass over the packed arrays per direction; the result is
-    /// byte-identical to snapshotting a from-scratch [`Graph`] holding the
-    /// surviving edges (base edges in base order, then overlay insertions) —
-    /// `tests/mvcc_conformance.rs` proves this over random update sequences.
+    /// The untouched stretches of the packed arrays are bulk copies and only
+    /// the touched rows are rewritten (see the [module docs](self)); the
+    /// result is byte-identical to snapshotting a from-scratch [`Graph`]
+    /// holding the surviving edges (base edges in base order, then overlay
+    /// insertions) — `tests/mvcc_conformance.rs` proves this over random
+    /// update sequences.
     pub fn compact(&self) -> CsrGraph {
         let base = self.base.as_ref();
-        let base_n = base.node_count();
-        let n = self.node_count();
 
-        // Dense renumbering: surviving base edges in base-id order, then
-        // surviving overlay edges in insertion order.
-        let mut next = 0u32;
-        let mut base_id_map = vec![u32::MAX; base.edge_count()];
-        for (old, slot) in base_id_map.iter_mut().enumerate() {
-            if !self.tombstones.contains_key(&EdgeId::from(old)) {
-                *slot = next;
-                next += 1;
-            }
-        }
-        let mut overlay_id_map = vec![u32::MAX; self.added_edges.len()];
-        for (i, slot) in overlay_id_map.iter_mut().enumerate() {
-            if self.added_alive[i] {
-                *slot = next;
-                next += 1;
-            }
-        }
-        let total_edges = next as usize;
+        // Dense renumbering: a surviving base edge drops by the number of
+        // tombstones below it, surviving overlay edges follow in insertion
+        // order.
+        let tombstones: Vec<u32> = self.tombstones.keys().map(|id| id.raw()).collect();
+        let mut next = (base.edge_count() - tombstones.len()) as u32;
+        let overlay_ids: Vec<u32> = self
+            .added_alive
+            .iter()
+            .map(|&alive| {
+                let id = next;
+                next += alive as u32;
+                id
+            })
+            .collect();
+        let merge = Merge {
+            overlay: self,
+            tombstones: &tombstones,
+            overlay_ids: &overlay_ids,
+            edge_count: next as usize,
+        };
+        let (fwd_offsets, fwd_entries, fwd_edge_ids) = merge.side(
+            base.fwd_offsets(),
+            base.fwd_entries(),
+            base.fwd_edge_ids(),
+            &self.added_out,
+            |edge| (edge.source, edge.target),
+        );
+        let (rev_offsets, rev_entries, rev_edge_ids) = merge.side(
+            base.rev_offsets(),
+            base.rev_entries(),
+            base.rev_edge_ids(),
+            &self.added_in,
+            |edge| (edge.target, edge.source),
+        );
 
-        let mut node_names = Vec::with_capacity(n);
-        node_names.extend(base.nodes().map(|node| base.node_name(node).to_string()));
-        node_names.extend(self.added_names.iter().cloned());
-
-        let mut fwd_offsets = Vec::with_capacity(n + 1);
-        let mut fwd_entries = Vec::with_capacity(total_edges);
-        let mut fwd_edge_ids = Vec::with_capacity(total_edges);
-        let mut rev_offsets = Vec::with_capacity(n + 1);
-        let mut rev_entries = Vec::with_capacity(total_edges);
-        let mut rev_edge_ids = Vec::with_capacity(total_edges);
-        fwd_offsets.push(0);
-        rev_offsets.push(0);
-        for index in 0..n {
-            let node = NodeId::from(index);
-            if index < base_n {
-                for (entry, &id) in base.out(node).iter().zip(base.out_ids(node)) {
-                    let new = base_id_map[id.index()];
-                    if new != u32::MAX {
-                        fwd_entries.push(*entry);
-                        fwd_edge_ids.push(EdgeId::new(new));
-                    }
-                }
-                for (entry, &id) in base.inc(node).iter().zip(base.inc_ids(node)) {
-                    let new = base_id_map[id.index()];
-                    if new != u32::MAX {
-                        rev_entries.push(*entry);
-                        rev_edge_ids.push(EdgeId::new(new));
-                    }
-                }
-            }
-            if let Some(indices) = self.added_out.get(&node) {
-                for &i in indices {
-                    if self.added_alive[i] {
-                        let edge = self.added_edges[i];
-                        fwd_entries.push(CsrEntry {
-                            label: edge.label,
-                            node: edge.target,
-                        });
-                        fwd_edge_ids.push(EdgeId::new(overlay_id_map[i]));
-                    }
-                }
-            }
-            if let Some(indices) = self.added_in.get(&node) {
-                for &i in indices {
-                    if self.added_alive[i] {
-                        let edge = self.added_edges[i];
-                        rev_entries.push(CsrEntry {
-                            label: edge.label,
-                            node: edge.source,
-                        });
-                        rev_edge_ids.push(EdgeId::new(overlay_id_map[i]));
-                    }
-                }
-            }
-            fwd_offsets.push(fwd_entries.len() as u32);
-            rev_offsets.push(rev_entries.len() as u32);
-        }
-
+        let names = if self.added_names.is_empty() {
+            Arc::clone(base.names())
+        } else {
+            Arc::new(base.names().extended(&self.added_names))
+        };
         CsrGraph::from_parts(
-            node_names,
-            self.name_index.clone(),
+            names,
             self.labels.clone(),
             fwd_offsets,
             fwd_entries,
@@ -453,6 +433,84 @@ impl DeltaGraph {
         node: NodeId,
     ) -> std::slice::Iter<'_, usize> {
         map.get(&node).map(|v| v.iter()).unwrap_or([].iter())
+    }
+}
+
+/// What both directions of a [`DeltaGraph::compact`] share.
+struct Merge<'a> {
+    overlay: &'a DeltaGraph,
+    /// Tombstoned base edge ids, ascending.
+    tombstones: &'a [u32],
+    /// Merged id of each overlay edge (meaningful for the alive ones).
+    overlay_ids: &'a [u32],
+    edge_count: usize,
+}
+
+impl Merge<'_> {
+    /// The merged id of surviving base edge `id`.
+    #[inline]
+    fn renumbered(&self, id: EdgeId) -> EdgeId {
+        let below = self.tombstones.partition_point(|&dead| dead < id.raw());
+        EdgeId::new(id.raw() - below as u32)
+    }
+
+    fn copy_ids(&self, ids: &[EdgeId], out: &mut Vec<EdgeId>) {
+        if self.tombstones.is_empty() {
+            out.extend_from_slice(ids);
+        } else {
+            out.extend(ids.iter().map(|&id| self.renumbered(id)));
+        }
+    }
+
+    /// One direction's packed arrays of the merged graph, spliced from the
+    /// base's.  `added` is the overlay adjacency of this direction and
+    /// `ends` splits an edge into (the row it lives in, the endpoint its
+    /// entry stores).
+    fn side(
+        &self,
+        offsets: &[u32],
+        entries: &[CsrEntry],
+        ids: &[EdgeId],
+        added: &BTreeMap<NodeId, Vec<usize>>,
+        ends: fn(&Edge) -> (NodeId, NodeId),
+    ) -> (Vec<u32>, Vec<CsrEntry>, Vec<EdgeId>) {
+        let overlay = self.overlay;
+        let touched: BTreeSet<NodeId> = overlay
+            .tombstones
+            .values()
+            .map(|edge| ends(edge).0)
+            .chain(added.keys().copied())
+            .collect();
+        let mut out_entries = Vec::with_capacity(self.edge_count);
+        let mut out_ids = Vec::with_capacity(self.edge_count);
+        let mut splice = RowSplice::new(offsets);
+        for row in touched {
+            let (before, own) = splice.seek(row.index());
+            out_entries.extend_from_slice(&entries[before.clone()]);
+            self.copy_ids(&ids[before], &mut out_ids);
+            let start = out_entries.len();
+            for (entry, &id) in entries[own.clone()].iter().zip(&ids[own]) {
+                if !overlay.tombstones.contains_key(&id) {
+                    out_entries.push(*entry);
+                    out_ids.push(self.renumbered(id));
+                }
+            }
+            for &i in added.get(&row).into_iter().flatten() {
+                if overlay.added_alive[i] {
+                    let edge = overlay.added_edges[i];
+                    out_entries.push(CsrEntry {
+                        label: edge.label,
+                        node: ends(&edge).1,
+                    });
+                    out_ids.push(EdgeId::new(self.overlay_ids[i]));
+                }
+            }
+            splice.set_len(out_entries.len() - start);
+        }
+        let (rest, out_offsets) = splice.finish(overlay.node_count());
+        out_entries.extend_from_slice(&entries[rest.clone()]);
+        self.copy_ids(&ids[rest], &mut out_ids);
+        (out_offsets, out_entries, out_ids)
     }
 }
 
@@ -558,7 +616,9 @@ impl GraphBackend for DeltaGraph {
     }
 
     fn node_by_name(&self, name: &str) -> Option<NodeId> {
-        self.name_index.get(name).copied()
+        self.base
+            .node_by_name(name)
+            .or_else(|| self.added_index.get(name).copied())
     }
 
     fn successors(&self, node: NodeId) -> DeltaNeighbors<'_> {
@@ -838,5 +898,364 @@ mod tests {
         assert!(delta.remove_edge(a, x, b));
         assert_eq!(delta.edge_count(), 0);
         assert!(!delta.remove_edge(a, x, b));
+    }
+
+    // ------------------------------------------------ the splice's corners
+
+    /// One staged mutation of a corner-case scenario, by node index.
+    #[derive(Debug, Clone, Copy)]
+    enum Op {
+        Node(&'static str),
+        Add(usize, &'static str, usize),
+        Del(usize, &'static str, usize),
+    }
+    use Op::{Add, Del, Node};
+
+    /// What a from-scratch build is made from: node names, label names and
+    /// the surviving edges, each in insertion order.
+    #[derive(Debug, Clone, Default)]
+    struct Model {
+        nodes: Vec<String>,
+        labels: Vec<String>,
+        edges: Vec<(usize, usize, usize)>,
+    }
+
+    impl Model {
+        fn label(&mut self, name: &str) -> usize {
+            self.labels
+                .iter()
+                .position(|l| l == name)
+                .unwrap_or_else(|| {
+                    self.labels.push(name.to_string());
+                    self.labels.len() - 1
+                })
+        }
+
+        fn build(&self) -> CsrGraph {
+            let mut g = Graph::new();
+            for label in &self.labels {
+                g.label(label);
+            }
+            for name in &self.nodes {
+                g.add_node(name.clone());
+            }
+            for &(s, l, t) in &self.edges {
+                g.add_edge(NodeId::from(s), LabelId::from(l), NodeId::from(t));
+            }
+            CsrGraph::from_graph(&g)
+        }
+
+        /// Stages `ops` on the overlay and mirrors them here.
+        fn stage(&mut self, delta: &mut DeltaGraph, ops: &[Op]) {
+            for &op in ops {
+                match op {
+                    Node(name) => {
+                        delta.add_node(name);
+                        self.nodes.push(name.to_string());
+                    }
+                    Add(s, label, t) => {
+                        let l = delta.label(label);
+                        assert_eq!(l.index(), self.label(label), "interners in step");
+                        delta.add_edge(NodeId::from(s), l, NodeId::from(t));
+                        self.edges.push((s, l.index(), t));
+                    }
+                    Del(s, label, t) => {
+                        let l = self.label(label);
+                        assert!(
+                            delta.remove_edge(NodeId::from(s), LabelId::from(l), NodeId::from(t)),
+                            "{op:?} matches a live edge"
+                        );
+                        let first = self.edges.iter().position(|&e| e == (s, l, t));
+                        self.edges
+                            .remove(first.expect("the model holds the edge too"));
+                    }
+                }
+            }
+        }
+    }
+
+    /// Every packed array, every name and every lookup, not just the
+    /// per-node views.
+    fn assert_identical(got: &CsrGraph, want: &CsrGraph, context: &str) {
+        assert!(got.node_names().eq(want.node_names()), "{context}: names");
+        assert_eq!(got.labels(), want.labels(), "{context}: labels");
+        assert_eq!(
+            got.fwd_offsets(),
+            want.fwd_offsets(),
+            "{context}: fwd offsets"
+        );
+        assert_eq!(
+            got.fwd_entries(),
+            want.fwd_entries(),
+            "{context}: fwd entries"
+        );
+        assert_eq!(
+            got.fwd_edge_ids(),
+            want.fwd_edge_ids(),
+            "{context}: fwd ids"
+        );
+        assert_eq!(
+            got.rev_offsets(),
+            want.rev_offsets(),
+            "{context}: rev offsets"
+        );
+        assert_eq!(
+            got.rev_entries(),
+            want.rev_entries(),
+            "{context}: rev entries"
+        );
+        assert_eq!(
+            got.rev_edge_ids(),
+            want.rev_edge_ids(),
+            "{context}: rev ids"
+        );
+        for name in want.node_names() {
+            assert_eq!(
+                got.node_by_name(name),
+                want.node_by_name(name),
+                "{context}: lookup of {name}"
+            );
+        }
+    }
+
+    /// Publishes `ops` over `snapshot` and checks the result against a
+    /// from-scratch build of the mirrored model.
+    fn publish(
+        snapshot: &Arc<CsrGraph>,
+        model: &mut Model,
+        ops: &[Op],
+        context: &str,
+    ) -> Arc<CsrGraph> {
+        let mut delta = DeltaGraph::new(Arc::clone(snapshot));
+        model.stage(&mut delta, ops);
+        let compacted = delta.compact();
+        assert_identical(&compacted, &model.build(), context);
+        assert_eq!(compacted.epoch(), snapshot.epoch() + 1, "{context}");
+        Arc::new(compacted)
+    }
+
+    /// Five nodes, labels x/y, eight edges with parallel duplicates: edge 0
+    /// leaves the first node, edge 7 (a self-loop) sits on the last.
+    fn corner_model() -> Model {
+        Model {
+            nodes: (0..5).map(|i| format!("n{i}")).collect(),
+            labels: vec!["x".into(), "y".into()],
+            edges: vec![
+                (0, 0, 1),
+                (0, 0, 1),
+                (1, 1, 2),
+                (2, 0, 3),
+                (3, 1, 4),
+                (4, 0, 0),
+                (2, 0, 3),
+                (4, 1, 4),
+            ],
+        }
+    }
+
+    #[test]
+    fn splice_corners_match_a_from_scratch_build() {
+        let scenarios: &[(&str, &[Op])] = &[
+            ("empty delta", &[]),
+            ("first node touched", &[Add(0, "x", 2)]),
+            ("last node touched", &[Add(4, "y", 1)]),
+            (
+                "adjacent touched nodes",
+                &[Add(1, "x", 2), Add(2, "x", 1), Del(3, "y", 4)],
+            ),
+            (
+                "every node touched",
+                &[
+                    Add(0, "y", 0),
+                    Add(1, "y", 1),
+                    Add(2, "y", 2),
+                    Add(3, "y", 3),
+                    Add(4, "y", 4),
+                ],
+            ),
+            ("tombstone of edge id 0", &[Del(0, "x", 1)]),
+            ("tombstone of the last edge id", &[Del(4, "y", 4)]),
+            (
+                "tombstones of the first and last ids",
+                &[Del(4, "y", 4), Del(0, "x", 1)],
+            ),
+            (
+                "two tombstones on one node (parallel duplicates)",
+                &[Del(0, "x", 1), Del(0, "x", 1)],
+            ),
+            (
+                "one of two parallel duplicates, the later id survives",
+                &[Del(2, "x", 3)],
+            ),
+            (
+                "remove and add on the same node",
+                &[Del(2, "x", 3), Add(2, "y", 0)],
+            ),
+            (
+                "add then remove inside one overlay",
+                &[Add(1, "x", 3), Del(1, "x", 3)],
+            ),
+            (
+                "add twice, remove once inside one overlay",
+                &[
+                    Add(1, "x", 3),
+                    Add(1, "x", 3),
+                    Del(1, "x", 3),
+                    Add(3, "x", 1),
+                ],
+            ),
+            (
+                "new nodes with in- and out-edges, and an isolated one",
+                &[
+                    Node("m"),
+                    Add(5, "x", 0),
+                    Add(4, "y", 5),
+                    Node("k"),
+                    Node("j"),
+                    Add(7, "y", 5),
+                ],
+            ),
+            ("a new label", &[Add(3, "w", 3), Add(0, "w", 4)]),
+            (
+                "a node emptied on both sides",
+                &[Del(2, "x", 3), Del(2, "x", 3), Del(1, "y", 2)],
+            ),
+            (
+                "everything at once",
+                &[
+                    Del(0, "x", 1),
+                    Node("m"),
+                    Add(5, "w", 5),
+                    Del(4, "y", 4),
+                    Add(4, "x", 0),
+                    Add(0, "y", 5),
+                    Del(4, "x", 0),
+                    Del(2, "x", 3),
+                ],
+            ),
+        ];
+        for (context, ops) in scenarios {
+            let mut model = corner_model();
+            let base = Arc::new(model.build());
+            let once = publish(&base, &mut model, ops, context);
+            // And once more on top, so the spliced arrays are a sound base.
+            publish(
+                &once,
+                &mut model,
+                &[Del(4, "x", 0), Add(1, "x", 0)],
+                context,
+            );
+        }
+    }
+
+    #[test]
+    fn empty_bases_compact() {
+        for (context, base) in [
+            ("empty graph", CsrGraph::from_graph(&Graph::new())),
+            ("default snapshot", CsrGraph::default()),
+        ] {
+            let base = Arc::new(base);
+            let mut model = Model::default();
+            publish(&base, &mut model, &[], context);
+            let grown = publish(
+                &base,
+                &mut model,
+                &[Node("a"), Node("b"), Add(1, "x", 0), Add(1, "x", 1)],
+                context,
+            );
+            publish(&grown, &mut model, &[Del(1, "x", 0), Node("a")], context);
+        }
+    }
+
+    #[test]
+    fn thirty_two_chained_epochs_stay_exact() {
+        // Dependency-free xorshift64*: the same walk on every run.
+        let mut state = 0x9E37_79B9_7F4A_7C15u64;
+        let mut below = |n: usize| {
+            state ^= state >> 12;
+            state ^= state << 25;
+            state ^= state >> 27;
+            (state.wrapping_mul(0x2545_F491_4F6C_DD1D) >> 33) as usize % n
+        };
+        const NAMES: [&str; 4] = ["n0", "dup", "n3", "other"];
+        const LABELS: [&str; 3] = ["x", "y", "w"];
+        let mut model = corner_model();
+        let mut snapshot = Arc::new(model.build());
+        for epoch in 0..32 {
+            let mut ops = Vec::new();
+            let mut nodes = model.nodes.len();
+            let mut live = model.edges.clone();
+            for _ in 0..1 + below(6) {
+                match below(10) {
+                    0 | 1 => {
+                        ops.push(Node(NAMES[below(NAMES.len())]));
+                        nodes += 1;
+                    }
+                    2..=6 => {
+                        let (s, l, t) = (below(nodes), below(LABELS.len()), below(nodes));
+                        ops.push(Add(s, LABELS[l], t));
+                        // `live` only feeds removals; labels resolve by name.
+                        live.push((s, usize::MAX, t));
+                    }
+                    _ => {
+                        let removable: Vec<_> =
+                            live.iter().filter(|e| e.1 != usize::MAX).copied().collect();
+                        if let Some(&(s, l, t)) = removable.get(below(removable.len().max(1))) {
+                            let at = live.iter().position(|&e| e == (s, l, t)).expect("live");
+                            live.remove(at);
+                            let label = LABELS.iter().find(|&&n| n == model.labels[l]);
+                            ops.push(Del(s, label.expect("only LABELS are interned"), t));
+                        }
+                    }
+                }
+            }
+            snapshot = publish(&snapshot, &mut model, &ops, &format!("epoch {epoch}"));
+        }
+        assert_eq!(snapshot.epoch(), 32);
+        assert!(snapshot.node_count() > 5 && snapshot.edge_count() > 0);
+    }
+
+    #[test]
+    fn publishes_share_name_storage_with_their_base() {
+        use crate::names::CHUNK;
+        let mut g = Graph::new();
+        for i in 0..2 * CHUNK + 7 {
+            g.add_node(format!("n{i}"));
+        }
+        let a = g.add_edge_by_name(NodeId::from(0usize), "x", NodeId::from(1usize));
+        assert_eq!(a, EdgeId::from(0usize));
+        let base = Arc::new(CsrGraph::from_graph(&g));
+
+        // No new node: the very same names and lookup, by pointer.
+        let mut delta = DeltaGraph::new(Arc::clone(&base));
+        let x = delta.label("x");
+        delta.add_edge(NodeId::from(3usize), x, NodeId::from(4usize));
+        assert!(delta.remove_edge(NodeId::from(0usize), x, NodeId::from(1usize)));
+        let same_nodes = Arc::new(delta.compact());
+        assert!(Arc::ptr_eq(same_nodes.names(), base.names()));
+
+        // Three new nodes, one reusing an old name: only the tail chunk and
+        // a three-id run are new allocations.
+        let mut delta = DeltaGraph::new(Arc::clone(&same_nodes));
+        delta.add_node("fresh");
+        let shadowed = delta.add_node("n5");
+        delta.add_node("fresh");
+        assert_eq!(delta.node_by_name("n5"), Some(NodeId::from(5usize)));
+        assert_eq!(
+            delta.node_by_name("fresh"),
+            Some(NodeId::from(2 * CHUNK + 7)),
+            "first bearer among the added nodes"
+        );
+        let grown = delta.compact();
+        assert!(!Arc::ptr_eq(grown.names(), base.names()));
+        assert_eq!(grown.names().shared_with(base.names()), (2, 1));
+        assert_eq!(grown.node_by_name("n5"), Some(NodeId::from(5usize)));
+        assert_eq!(grown.node_name(shadowed), "n5");
+        assert_eq!(
+            grown.node_by_name("fresh"),
+            Some(NodeId::from(2 * CHUNK + 7))
+        );
+        assert_eq!(base.node_by_name("fresh"), None, "the base is untouched");
+        assert_eq!(base.node_count(), 2 * CHUNK + 7);
     }
 }

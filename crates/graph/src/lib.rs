@@ -19,6 +19,9 @@
 //! * [`delta::DeltaGraph`] — a mutable overlay (insertions + tombstoned
 //!   deletions) over a shared snapshot; [`compact`](delta::DeltaGraph::compact)
 //!   publishes the next epoch;
+//! * [`splice::RowSplice`] — the offset bookkeeping of rebuilding packed CSR
+//!   rows from bulk copies plus a few rewritten rows, shared by `compact` and
+//!   the label-index patch in `gps-exec`;
 //! * [`traversal`] — BFS/DFS, distances and reachability, over any backend;
 //! * [`neighborhood`] — the *k*-neighborhood subgraphs the user is shown
 //!   (Figure 3(a)/(b) of the paper), including the frontier markers ("…")
@@ -67,9 +70,11 @@ pub mod graph;
 pub mod ids;
 pub mod io;
 pub mod labels;
+mod names;
 pub mod neighborhood;
 pub mod paths;
 pub mod prefix_tree;
+pub mod splice;
 pub mod stats;
 pub mod traversal;
 

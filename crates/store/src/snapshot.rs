@@ -55,8 +55,8 @@ pub fn encode_snapshot(csr: &CsrGraph) -> Vec<u8> {
     put_u64(&mut out, csr.label_count() as u64);
     let arrays_offset_pos = out.len();
     put_u64(&mut out, 0); // patched below once the names are written
-    for node in csr.nodes() {
-        put_str(&mut out, csr.node_name(node));
+    for name in csr.node_names() {
+        put_str(&mut out, name);
     }
     for (_, name) in csr.labels().iter() {
         put_str(&mut out, name);

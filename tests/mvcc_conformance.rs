@@ -95,11 +95,16 @@ fn assert_snapshots_identical(got: &CsrGraph, want: &CsrGraph, context: &str) {
         let want_in: Vec<(EdgeId, Edge)> = GraphBackend::in_edges(want, node).collect();
         assert_eq!(got_in, want_in, "{context}: in edge ids of {node}");
     }
-    for name in want.nodes().map(|n| want.node_name(n)) {
+    for (id, name) in want.nodes().map(|n| (n, want.node_name(n))) {
+        let first = got.node_by_name(name).expect("every name resolves");
         assert_eq!(
-            got.node_by_name(name),
+            Some(first),
             want.node_by_name(name),
             "{context}: lookup of {name}"
+        );
+        assert!(
+            first <= id && got.node_name(first) == name,
+            "{context}: {name} resolves to its oldest bearer"
         );
     }
 }
@@ -127,10 +132,16 @@ fn random_base(rng: &mut StdRng) -> Graph {
 /// Applies one random op to both the delta graph and the shadow model.
 fn random_op(rng: &mut StdRng, delta: &mut DeltaGraph, shadow: &mut Shadow, fresh: &mut usize) {
     match rng.gen_range(0..10u32) {
-        // Insert a node (20%).
+        // Insert a node (20%); every other one re-uses a name some node —
+        // of the base, of an earlier epoch or of this overlay — already
+        // bears, so first-bearer lookup is exercised across epochs.
         0..=1 => {
-            let name = format!("f{}", *fresh);
-            *fresh += 1;
+            let name = if rng.gen_range(0..2u32) == 0 {
+                shadow.nodes[rng.gen_range(0..shadow.nodes.len())].clone()
+            } else {
+                *fresh += 1;
+                format!("f{}", *fresh)
+            };
             delta.add_node(name.clone());
             shadow.nodes.push(name);
         }
@@ -175,9 +186,9 @@ fn compacted_delta_graphs_equal_from_scratch_builds() {
         let mut shadow = Shadow::from_graph(&base);
         let mut snapshot = Arc::new(CsrGraph::from_graph(&base));
         let mut fresh = 0usize;
-        // Two rounds of (random ops → compact) chained, so epoch N+1 builds
+        // Four rounds of (random ops → compact) chained, so epoch N+1 builds
         // on a compacted epoch N, not only on a fresh snapshot.
-        for round in 0..2 {
+        for round in 0..4 {
             let mut delta = DeltaGraph::new(Arc::clone(&snapshot));
             for _ in 0..rng.gen_range(1..=12usize) {
                 random_op(&mut rng, &mut delta, &mut shadow, &mut fresh);

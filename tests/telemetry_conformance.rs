@@ -211,6 +211,13 @@ fn mixed_workload_exports_are_complete_and_valid() {
         "gps_rpq_words_pairs",
         "gps_exec_support_overdeleted_total",
         "gps_core_publish_latency_ns",
+        "gps_core_publish_phase_apply_ns",
+        "gps_core_publish_phase_compact_ns",
+        "gps_core_publish_phase_index_patch_ns",
+        "gps_core_publish_phase_migrate_answers_ns",
+        "gps_core_publish_phase_inherit_words_ns",
+        "gps_core_publish_phase_commit_ns",
+        "gps_core_publish_phase_swap_retire_ns",
         "gps_core_recovery_replay_ns",
         "gps_store_fsyncs_total",
         "gps_store_wal_bytes_total",
@@ -330,4 +337,73 @@ fn updates_and_retirement_keep_gauges_accurate() {
     let kinds: Vec<&str> = events.iter().map(|event| event.kind.as_str()).collect();
     assert!(kinds.contains(&"retire"));
     assert!(kinds.contains(&"session_halt") || kinds.contains(&"session_close"));
+}
+
+#[test]
+fn publish_phases_add_up_to_the_publish_latency() {
+    // A 2,000-node corpus with a warm cache and a bounded-word index, so
+    // every phase has work to do; 4-op updates from the generated stream.
+    let (graph, ops) = gps_datasets::updates::sample_stream(2_000, 4 * 15, 21);
+    let service = |registry: Option<Arc<MetricsRegistry>>| {
+        let mut builder = Engine::builder(graph.clone()).eval_mode(EvalMode::Frontier);
+        if let Some(registry) = registry {
+            builder = builder.metrics(registry);
+        }
+        GpsService::new(builder.build_core())
+    };
+    let goals = ["a0.a1*", "a1", "(a0+a2).a1"].map(String::from);
+    let registry = Arc::new(MetricsRegistry::enabled());
+    let enabled = service(Some(Arc::clone(&registry)));
+    let disabled = service(None);
+    enabled.serve(&goals, 1).unwrap();
+    disabled.serve(&goals, 1).unwrap();
+
+    let mut gaps = Vec::new();
+    for chunk in ops.chunks(4) {
+        let report = enabled
+            .update(GraphUpdate::from_ops(chunk.to_vec()))
+            .unwrap();
+        disabled
+            .update(GraphUpdate::from_ops(chunk.to_vec()))
+            .unwrap();
+        let (sum, latency) = (report.phases.total(), report.latency);
+        assert!(sum <= latency, "phases are disjoint parts of the publish");
+        assert!(report.phases.compact > std::time::Duration::ZERO);
+        gaps.push((latency - sum).as_secs_f64() / latency.as_secs_f64());
+    }
+    // The typical publish, so one descheduled between two phases on a busy
+    // test machine does not decide.
+    gaps.sort_by(f64::total_cmp);
+    let median = gaps[gaps.len() / 2];
+    assert!(
+        median <= 0.05,
+        "phases cover {:.1}% of the median publish: {gaps:?}",
+        100.0 * (1.0 - median)
+    );
+
+    // One sample per publish on every phase histogram, and they sum to what
+    // the reports said.
+    let snapshot = registry.snapshot();
+    let publishes = snapshot
+        .histogram("gps_core_publish_latency_ns")
+        .unwrap()
+        .count;
+    assert_eq!(publishes, gaps.len() as u64);
+    for (phase, _) in PublishPhases::default().named() {
+        let histogram = snapshot
+            .histogram(&format!("gps_core_publish_phase_{phase}_ns"))
+            .unwrap_or_else(|| panic!("phase {phase} is exported"));
+        assert_eq!(histogram.count, publishes, "{phase}");
+    }
+
+    // Purely observational: sessions after the publishes are byte-identical
+    // with the registry enabled and disabled.
+    let fingerprints = |svc: &GpsService| -> Vec<SessionFingerprint> {
+        svc.serve(&goals, 1)
+            .unwrap()
+            .iter()
+            .map(fingerprint)
+            .collect()
+    };
+    assert_eq!(fingerprints(&enabled), fingerprints(&disabled));
 }
