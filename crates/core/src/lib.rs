@@ -106,7 +106,9 @@ pub mod prelude {
     };
     pub use gps_interactive::user::{ScriptedUser, SimulatedUser, User, UserResponse};
     pub use gps_learner::{ExampleSet, Label, LearnedQuery, Learner};
-    pub use gps_rpq::{EvalCache, EvalHandle, NegativeCoverage, PathQuery, QueryAnswer};
+    pub use gps_rpq::{
+        EvalCache, EvalHandle, MigrationReport, NegativeCoverage, PathQuery, QueryAnswer,
+    };
     pub use gps_store::{FileStore, GraphStore, MemoryStore};
     pub use gps_telemetry::{MetricsRegistry, MetricsSnapshot};
 }

@@ -522,8 +522,9 @@ impl GpsService {
     }
 
     /// Serves one full interactive session per goal query, fanning the
-    /// sessions out over `workers` scoped threads (clamped to `1..=goals`),
-    /// and returns the outcomes in input order.
+    /// sessions out over `workers` scoped threads (clamped to `1..=goals`;
+    /// a single worker is the calling thread itself — no thread is spawned
+    /// to wait for), and returns the outcomes in input order.
     ///
     /// Each worker pulls the next unserved goal off a shared cursor, opens a
     /// session for it, runs it to completion and closes it — so all `workers`
@@ -535,18 +536,24 @@ impl GpsService {
         let cursor = AtomicUsize::new(0);
         let slots: Vec<Mutex<Option<Result<SessionOutcome, GpsError>>>> =
             goals.iter().map(|_| Mutex::new(None)).collect();
-        std::thread::scope(|scope| {
-            for _ in 0..workers {
-                scope.spawn(|| loop {
-                    let next = cursor.fetch_add(1, Ordering::Relaxed);
-                    if next >= goals.len() {
-                        break;
-                    }
-                    let outcome = self.serve_one(&goals[next]);
-                    *slots[next].lock() = Some(outcome);
-                });
+        let worker = || loop {
+            let next = cursor.fetch_add(1, Ordering::Relaxed);
+            if next >= goals.len() {
+                break;
             }
-        });
+            let outcome = self.serve_one(&goals[next]);
+            *slots[next].lock() = Some(outcome);
+        };
+        if workers == 1 {
+            // Nothing to overlap: the one worker is the calling thread.
+            worker();
+        } else {
+            std::thread::scope(|scope| {
+                for _ in 0..workers {
+                    scope.spawn(worker);
+                }
+            });
+        }
         slots
             .into_iter()
             .map(|slot| slot.into_inner().expect("every goal was served"))

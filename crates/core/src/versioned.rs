@@ -45,6 +45,7 @@ use crate::engine::{Advanced, EngineCore, GpsBuilder};
 use crate::error::GpsError;
 use crate::metrics::CoreMetrics;
 use gps_graph::{DeltaGraph, UpdateOp};
+use gps_rpq::MigrationReport;
 use gps_store::{FileStore, GraphStore, MemoryStore, StagedBatch, StoreMetrics};
 use gps_telemetry::MetricsRegistry;
 use parking_lot::{Mutex, RwLock};
@@ -255,6 +256,12 @@ pub struct PublishReport {
     /// budget blown, no captured seed, or capacity-evicted — the cache's
     /// `gps_rpq_cache_fallback_*` reason counters split this sum).
     pub recomputed_answers: usize,
+    /// The answer migration in full: the four counts above, the cold
+    /// fallbacks by reason, and how many seed blocks the resumed answers
+    /// copied against how many they share with the superseded epoch
+    /// ([`MigrationReport::blocks_copied`]) — "many touched answers" and
+    /// "one huge derivation cone" read differently here.
+    pub migration: MigrationReport,
     /// Superseded epochs retired by this publish (no sessions pinned).
     pub retired_epochs: usize,
     /// Wall-clock time of the publish (delta apply + compact + index/cache
@@ -628,6 +635,7 @@ impl VersionedStore {
                 reseeded_answers: 0,
                 delete_reseeded_answers: 0,
                 recomputed_answers: 0,
+                migration: MigrationReport::default(),
                 retired_epochs: 0,
                 latency: started.elapsed(),
                 phases: PublishPhases::default(),
@@ -760,6 +768,7 @@ impl VersionedStore {
             reseeded_answers: migration.reseeded,
             delete_reseeded_answers: migration.delete_reseeded,
             recomputed_answers: migration.recomputed,
+            migration,
             retired_epochs,
             latency,
             phases,

@@ -14,8 +14,8 @@
 //! runs on the frontier engine by flipping the `EvalMode` builder knob.
 
 use crate::frontier::{
-    evaluate_captured, evaluate_counting, resume_counting, resume_with_removals, selects_from,
-    witness_from, FrontierPolicy, Scratch, DEFAULT_OVERDELETE_LIMIT,
+    evaluate_captured, evaluate_counting, resume, selects_from, witness_from, FrontierPolicy,
+    Resumed, Scratch, DEFAULT_OVERDELETE_LIMIT,
 };
 use crate::index::LabelIndex;
 use crate::metrics::ExecMetrics;
@@ -506,34 +506,22 @@ impl DfaEvaluator for BatchEvaluator {
     fn evaluate_dfa_resumed(
         &self,
         dfa: &Dfa,
-        resume: &EvalResume,
+        seed: &EvalResume,
         delta: &GraphDelta,
     ) -> Option<(QueryAnswer, EvalResume)> {
-        let mut scratch = self.scratch();
-        let (answer, rounds, next) = if delta.removed_edges.is_empty() {
-            resume_counting(&self.index, dfa, resume, delta, &mut scratch)?
-        } else if self.overdelete_limit <= 0.0 {
-            // The knob's floor is a kill switch: removals always recompute
-            // cold, even ones whose over-delete cone would be empty.
-            return None;
-        } else {
-            let (answer, rounds, overdeleted, next) = resume_with_removals(
-                &self.index,
-                dfa,
-                resume,
-                delta,
-                &mut scratch,
-                self.overdelete_limit,
-            )?;
-            self.metrics.support_overdeleted.add(overdeleted);
-            (answer, rounds, next)
-        };
+        let Resumed {
+            answer,
+            rounds,
+            overdeleted,
+            seed,
+        } = resume(&self.index, dfa, seed, delta, self.overdelete_limit)?;
         // Counted as an evaluation (its rounds are the delta-restricted
         // sweeps); latency is attributed by the caller's reseed histogram,
         // not the cold-eval one.
         self.metrics.evals.inc();
         self.metrics.frontier_rounds.add(rounds);
-        Some((answer, next))
+        self.metrics.support_overdeleted.add(overdeleted);
+        Some((answer, seed))
     }
 
     fn selects_node(&self, dfa: &Dfa, node: NodeId) -> bool {

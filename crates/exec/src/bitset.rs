@@ -62,17 +62,6 @@ impl FixedBitSet {
         fresh
     }
 
-    /// Clears `bit`; returns `true` when the bit was previously set.
-    #[inline]
-    pub fn remove(&mut self, bit: usize) -> bool {
-        debug_assert!(bit < self.len);
-        let word = &mut self.words[bit / WORD_BITS];
-        let mask = 1 << (bit % WORD_BITS);
-        let present = *word & mask != 0;
-        *word &= !mask;
-        present
-    }
-
     /// Sets every bit of the universe.
     pub fn insert_all(&mut self) {
         for word in &mut self.words {
@@ -134,19 +123,9 @@ impl FixedBitSet {
     }
 
     /// The packed backing words (64 bits each, little-endian within a word)
-    /// — the snapshot format resumable evaluation state is exported in.
+    /// — what answers and resumable seeds are packed from.
     pub fn as_words(&self) -> &[u64] {
         &self.words
-    }
-
-    /// Overwrites the first `words.len()` backing words from a snapshot taken
-    /// with [`as_words`](Self::as_words), leaving any later words untouched
-    /// and masking bits beyond the universe.  Restores a bitset captured on a
-    /// smaller universe into one that has since grown.
-    pub fn load_prefix(&mut self, words: &[u64]) {
-        let n = words.len().min(self.words.len());
-        self.words[..n].copy_from_slice(&words[..n]);
-        self.mask_tail();
     }
 
     /// Clears any bits set beyond `len` in the last word.
@@ -525,34 +504,6 @@ mod tests {
         assert!(set.is_empty());
         set.insert(199);
         assert!(set.contains(199));
-    }
-
-    #[test]
-    fn word_snapshots_round_trip_across_universe_growth() {
-        let mut small = FixedBitSet::new(70);
-        small.insert(3);
-        small.insert(69);
-        let words = small.as_words().to_vec();
-
-        let mut same = FixedBitSet::new(70);
-        same.load_prefix(&words);
-        assert_eq!(same, small);
-
-        // Restoring into a larger universe keeps the old bits and leaves the
-        // new range clear.
-        let mut grown = FixedBitSet::new(200);
-        grown.insert(150);
-        grown.load_prefix(&words);
-        assert!(grown.contains(3));
-        assert!(grown.contains(69));
-        assert!(grown.contains(150), "words beyond the prefix are untouched");
-        assert_eq!(grown.count(), 3);
-
-        // Restoring into a smaller universe masks the tail.
-        let mut shrunk = FixedBitSet::new(65);
-        shrunk.load_prefix(&words);
-        assert!(shrunk.contains(3));
-        assert_eq!(shrunk.count(), 1, "bit 69 is outside the universe");
     }
 
     #[test]

@@ -17,6 +17,13 @@
 //!
 //! [`Plan::Bidirectional`] re-picks the cheaper mode every round from the
 //! estimated frontier/dead edge volumes, mirroring direction-optimizing BFS.
+//!
+//! Two entry points, two working sets.  A **cold** evaluation
+//! ([`evaluate_with`] and friends) sweeps dense per-state bitsets in a
+//! reusable [`Scratch`] and, when asked to capture, packs the completed
+//! fixed point once into a block-shared [`EvalResume`].  A **resume**
+//! ([`resume`]) never sees a `Scratch`: it clones that seed copy-on-write and
+//! touches only the configurations a [`GraphDelta`] can change.
 
 use crate::bitset::{FixedBitSet, Ones, SparseBitSet, SparseOnes};
 use crate::index::{Direction, LabelIndex};
@@ -24,14 +31,14 @@ use crate::planner::Plan;
 use gps_automata::Dfa;
 use gps_graph::{GraphDelta, LabelId, NodeId, Path};
 use gps_rpq::{EvalResume, QueryAnswer};
+use std::collections::{BTreeMap, BTreeSet, HashSet};
 
-/// Default cap on the delete-aware reseed's over-deletion, as a fraction of
-/// the post-insert alive configuration population: when a removal's
-/// transitive over-delete cone grows past `limit × alive_total`
-/// configurations, [`resume_with_removals`] gives up (`None`) and the caller
-/// falls back to a cold recompute — at that point the cold fixed point is in
-/// the same cost class as over-delete *plus* re-derive, without the
-/// bookkeeping.
+/// Default cap on a resume's over-deletion, as a fraction of the post-insert
+/// alive configuration population: when a removal's transitive over-delete
+/// cone grows past `limit × alive_total` configurations, [`resume`] gives up
+/// (`None`) and the caller falls back to a cold recompute — at that point
+/// the cold fixed point is in the same cost class as over-delete *plus*
+/// re-derive, without the bookkeeping.
 pub const DEFAULT_OVERDELETE_LIMIT: f64 = 0.5;
 
 /// Node count at which [`FrontierPolicy::Auto`] switches the frontier/delta
@@ -44,10 +51,12 @@ pub const SPARSE_FRONTIER_NODES: usize = 1 << 16;
 /// How the evaluator represents the per-round frontier/delta sets.
 ///
 /// The **alive** sets stay dense regardless (they fill monotonically toward
-/// the answer and back the [`EvalResume`] word-snapshot format); only the
-/// frontier and its staging double are switched.  Every policy produces
-/// bit-identical answers — the representation changes constants, not
-/// semantics — which `tests/exec_conformance.rs` asserts differentially.
+/// the answer, and answers and [`EvalResume`] seeds are packed from their
+/// words); only the frontier and its staging double are switched.  The
+/// policy concerns cold evaluations alone: a [`resume`] uses neither.  Every
+/// policy produces bit-identical answers — the representation changes
+/// constants, not semantics — which `tests/exec_conformance.rs` asserts
+/// differentially.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub enum FrontierPolicy {
     /// Sparse when the graph has at least [`SPARSE_FRONTIER_NODES`] nodes,
@@ -172,9 +181,9 @@ impl<'a> Iterator for FrontierOnes<'a> {
     }
 }
 
-/// Reusable allocation for one evaluation: per-state alive/frontier/delta
-/// bitsets.  Batch callers keep one `Scratch` per worker and amortize the
-/// allocations across every query of the workload.
+/// Reusable allocation for one cold evaluation: per-state
+/// alive/frontier/delta bitsets.  Batch callers keep one `Scratch` per worker
+/// and amortize the allocations across every query of the workload.
 ///
 /// The alive sets are always dense; the frontier/staging sets follow the
 /// configured [`FrontierPolicy`] (default [`FrontierPolicy::Auto`]).
@@ -183,6 +192,8 @@ pub struct Scratch {
     alive: Vec<FixedBitSet>,
     frontier: Vec<FrontierSet>,
     next: Vec<FrontierSet>,
+    /// One state's dense support counters while a capture packs them.
+    support_row: Vec<u8>,
     policy: FrontierPolicy,
 }
 
@@ -239,8 +250,10 @@ pub fn evaluate_counting(
     (answer, rounds)
 }
 
-/// [`evaluate_counting`], additionally capturing the per-state alive sets as
-/// an [`EvalResume`] seed for later delta-restricted re-derivation.
+/// [`evaluate_counting`], additionally capturing the completed fixed point
+/// as an [`EvalResume`] seed for later delta-restricted re-derivation; the
+/// returned answer is the seed's start-state alive set and shares its
+/// blocks.
 ///
 /// The seed is only sound when the fixed point actually completed, so when
 /// the start state saturates early (a query selecting every node) the
@@ -373,41 +386,39 @@ fn fixed_point(
         }
     };
 
-    let selected = (0..n)
-        .map(|node| scratch.alive[start].contains(node))
-        .collect();
-    let resume = (capture && complete).then(|| {
-        EvalResume::new(
-            n,
-            scratch
-                .alive
-                .iter()
-                .map(|bits| bits.as_words().to_vec())
-                .collect(),
-            compute_supports(index, dfa, &scratch.alive, n),
-        )
-    });
-    (QueryAnswer::from_flags(selected), rounds, resume)
+    // A captured answer is the seed's start-state alive set (shared blocks);
+    // an uncaptured one is packed from the dense words directly.
+    let resume = (capture && complete)
+        .then(|| capture_seed(index, dfa, &scratch.alive, &mut scratch.support_row));
+    let answer = match &resume {
+        Some(seed) => seed.answer(start),
+        None => QueryAnswer::from_words(n, scratch.alive[start].as_words()),
+    };
+    (answer, rounds, resume)
 }
 
-/// Derivation counts of a *completed* fixed point: `supports[p][u]` is the
-/// number of `(DFA transition p --a--> q, graph edge u --a--> v)` pairs with
-/// `(v, q)` alive, saturated at 255.  A non-accepting configuration is alive
-/// iff its support is positive; accepting configurations are alive
-/// unconditionally (their support only counts their edge-derivations).
+/// Packs a *completed* fixed point into a resumable seed, computing each
+/// state's derivation counts on the way: `supports[p][u]` is the number of
+/// `(DFA transition p --a--> q, graph edge u --a--> v)` pairs with `(v, q)`
+/// alive, saturated at 255.  A non-accepting configuration is alive iff its
+/// support is positive; accepting configurations are alive unconditionally
+/// (their support only counts their edge-derivations).
 ///
-/// One full push-shaped sweep over the alive sets — the capture-time
-/// post-pass that seeds the delete-aware resume's bookkeeping.  Dead
+/// One full push-shaped sweep over the alive sets, one state at a time
+/// through the dense `row` buffer (random increments want a flat array; the
+/// blocks are packed from it once, all-zero stretches shared).  Dead
 /// configurations naturally end at 0: a derivation from an alive target
 /// would have made them alive.
-fn compute_supports(
+fn capture_seed(
     index: &LabelIndex,
     dfa: &Dfa,
     alive: &[FixedBitSet],
-    nodes: usize,
-) -> Vec<Vec<u8>> {
-    let mut supports = vec![vec![0u8; nodes]; alive.len()];
-    for (state, row) in supports.iter_mut().enumerate() {
+    row: &mut Vec<u8>,
+) -> EvalResume {
+    let mut seed = EvalResume::new(index.node_count());
+    for (state, bits) in alive.iter().enumerate() {
+        row.clear();
+        row.resize(index.node_count(), 0);
         for (label, target) in dfa.transitions_from(state) {
             for v in alive[target].ones() {
                 for &u in index.neighbors(Direction::Reverse, label, v) {
@@ -416,8 +427,42 @@ fn compute_supports(
                 }
             }
         }
+        seed.push_state(bits.as_words(), row);
     }
-    supports
+    seed
+}
+
+/// What [`resume`] produced.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Resumed {
+    /// The answer on the patched graph: the start state's alive set of
+    /// `seed`, sharing its blocks.
+    pub answer: QueryAnswer,
+    /// Push rounds swept (insert sweep plus re-derivation).
+    pub rounds: u64,
+    /// Configurations the over-delete phase doomed.
+    pub overdeleted: u64,
+    /// The patched graph's fixed point — equal to a fresh capture on it,
+    /// sharing every block the delta's cone did not reach with the old seed.
+    pub seed: EvalResume,
+}
+
+/// The reversed DFA: for each target state, the `(label, source state)`
+/// pairs leading into it.
+fn reverse_transitions(dfa: &Dfa) -> Vec<Vec<(LabelId, usize)>> {
+    let mut rev_dfa = vec![Vec::new(); dfa.state_count()];
+    for state in 0..dfa.state_count() {
+        for (label, target) in dfa.transitions_from(state) {
+            rev_dfa[target].push((label, state));
+        }
+    }
+    rev_dfa
+}
+
+/// Adds one derivation to `(node, state)`'s counter, saturating at 255.
+#[inline]
+fn bump_support(seed: &mut EvalResume, state: usize, node: usize) {
+    seed.set_support(state, node, seed.support(state, node).saturating_add(1));
 }
 
 /// Recomputes one configuration's support from scratch against the *current*
@@ -426,14 +471,14 @@ fn compute_supports(
 fn recount_support(
     index: &LabelIndex,
     dfa: &Dfa,
-    alive: &[FixedBitSet],
+    seed: &EvalResume,
     state: usize,
     node: usize,
 ) -> u8 {
     let mut count = 0u32;
     for (label, target) in dfa.transitions_from(state) {
         for &v in index.neighbors(Direction::Forward, label, node) {
-            if alive[target].contains(v as usize) {
+            if seed.is_alive(target, v as usize) {
                 count += 1;
                 if count >= u8::MAX as u32 {
                     return u8::MAX;
@@ -444,394 +489,234 @@ fn recount_support(
     count as u8
 }
 
-/// Resumes the product fixed point from a captured [`EvalResume`] after an
-/// **insert-only** [`GraphDelta`]: the old alive sets are restored, nodes
-/// added since the capture seed the accepting states, the added edges'
-/// direct derivations seed the frontier, and push rounds over the patched
-/// index expand only what the delta can newly derive.
-///
-/// The fixed point is monotone in the edge set, so converging from the old
-/// answer is exact for insertions; any removal invalidates the seed and the
-/// caller must fall back to a cold evaluation — signalled by `None`, as is a
-/// seed whose DFA shape does not match.
-pub fn resume_counting(
+/// Pushes `frontier` — configurations that just turned alive — to closure
+/// over the patched index: every frontier configuration sweeps its reverse
+/// dependents exactly once, adding one derivation to each, and a dependent
+/// that is dead and `eligible` turns alive and joins the next round's
+/// frontier.  Returns the number of rounds that derived something.
+fn push_to_closure(
     index: &LabelIndex,
-    dfa: &Dfa,
-    resume: &EvalResume,
-    delta: &GraphDelta,
-    scratch: &mut Scratch,
-) -> Option<(QueryAnswer, u64, EvalResume)> {
-    if !delta.removed_edges.is_empty() {
-        return None;
-    }
-    let mut supports = restore_seed(index.node_count(), dfa, resume, scratch)?;
-    let rounds = insert_sweep(index, dfa, resume, delta, scratch, &mut supports)?;
-    Some(pack_result(
-        index.node_count(),
-        dfa,
-        scratch,
-        supports,
-        rounds,
-    ))
-}
-
-/// Restores a captured seed into `scratch` (alive sets via `load_prefix`)
-/// and returns a working copy of its support counters extended to `n` nodes.
-/// `None` when the seed's shape does not match the DFA or the index.
-fn restore_seed(
-    n: usize,
-    dfa: &Dfa,
-    resume: &EvalResume,
-    scratch: &mut Scratch,
-) -> Option<Vec<Vec<u8>>> {
-    let s = dfa.state_count();
-    if n == 0 || s == 0 || resume.state_count() != s || resume.nodes() > n {
-        return None;
-    }
-    scratch.prepare(s, n);
-    for state in 0..s {
-        scratch.alive[state].load_prefix(resume.state_words(state));
-    }
-    Some(
-        (0..s)
-            .map(|state| {
-                let mut row = resume.state_supports(state).to_vec();
-                row.resize(n, 0);
-                row
-            })
-            .collect(),
-    )
-}
-
-/// The insert half of a resume: seeds added nodes and added edges into the
-/// restored fixed point and pushes to closure over the patched index, keeping
-/// `supports` exact along the way (every configuration that turns alive
-/// sweeps its reverse dependents exactly once, incrementing their counters;
-/// added edges whose target was alive *in the seed* are counted separately —
-/// those derivations are the only ones no newly-alive sweep can see).
-///
-/// Monotone, so after this sweep `supports[p][u]` counts `(u, p)`'s
-/// derivations over the patched edge set against the expanded alive sets —
-/// the invariant both the insert-only resume and the over-delete phase build
-/// on.  Returns the number of push rounds.
-fn insert_sweep(
-    index: &LabelIndex,
-    dfa: &Dfa,
-    resume: &EvalResume,
-    delta: &GraphDelta,
-    scratch: &mut Scratch,
-    supports: &mut [Vec<u8>],
-) -> Option<u64> {
-    let n = index.node_count();
-    let s = dfa.state_count();
-    let mut rev_dfa: Vec<Vec<(LabelId, usize)>> = vec![Vec::new(); s];
-    for state in 0..s {
-        for (label, target) in dfa.transitions_from(state) {
-            rev_dfa[target].push((label, state));
-        }
-    }
-
-    // Nodes added since the capture: their accepting configurations are
-    // alive by definition and expand like any fresh discovery.
-    for state in 0..s {
-        if dfa.is_accepting(state) {
-            for node in resume.nodes()..n {
-                if scratch.alive[state].insert(node) {
-                    scratch.frontier[state].insert(node);
-                }
-            }
-        }
-    }
-    // Direct consequences of the added edges: (u, p) is alive when
-    // u --a--> v was inserted, p --a--> q in the DFA and (v, q) is alive.
-    // Cascades through *old* edges are handled by the push rounds below —
-    // every new discovery enters the frontier and is expanded through the
-    // full (patched) reverse index.  Support accounting: a derivation
-    // through an added edge whose target was alive in the *seed* is
-    // invisible to the newly-alive sweeps (the target never re-enters a
-    // frontier), so it is counted here; targets that turn alive later are
-    // counted by their own sweep, which enumerates the patched index and so
-    // sees the added edge.
-    for edge in &delta.added_edges {
-        let (u, v) = (edge.source.index(), edge.target.index());
-        if u >= n || v >= n {
-            return None;
-        }
-        for (p, row) in supports.iter_mut().enumerate().take(s) {
-            if let Some(q) = dfa.step(p, edge.label) {
-                if seed_alive(resume, q, v) {
-                    row[u] = row[u].saturating_add(1);
-                }
-                if scratch.alive[q].contains(v) && scratch.alive[p].insert(u) {
-                    scratch.frontier[p].insert(u);
-                }
-            }
-        }
-    }
-
-    let mut rounds = 0u64;
+    rev_dfa: &[Vec<(LabelId, usize)>],
+    seed: &mut EvalResume,
+    frontier: &mut Vec<(usize, usize)>,
+    eligible: impl Fn(usize, usize) -> bool,
+) -> u64 {
+    let mut rounds = 0;
+    let mut next = Vec::new();
     loop {
-        let mut progress = false;
-        for (q, transitions) in rev_dfa.iter().enumerate() {
-            if scratch.frontier[q].is_empty() {
-                continue;
-            }
-            for &(label, p) in transitions {
-                for u in scratch.frontier[q].ones() {
-                    for &w in index.neighbors(Direction::Reverse, label, u) {
-                        let slot = &mut supports[p][w as usize];
-                        *slot = slot.saturating_add(1);
-                        if scratch.alive[p].insert(w as usize) {
-                            scratch.next[p].insert(w as usize);
-                            progress = true;
-                        }
+        for &(q, v) in frontier.iter() {
+            for &(label, p) in &rev_dfa[q] {
+                for &w in index.neighbors(Direction::Reverse, label, v) {
+                    let w = w as usize;
+                    bump_support(seed, p, w);
+                    if eligible(p, w) && seed.insert(p, w) {
+                        next.push((p, w));
                     }
                 }
             }
         }
-        if !progress {
-            break;
+        if next.is_empty() {
+            return rounds;
         }
         rounds += 1;
-        std::mem::swap(&mut scratch.frontier, &mut scratch.next);
-        for bits in &mut scratch.next {
-            bits.clear();
-        }
+        std::mem::swap(frontier, &mut next);
+        next.clear();
     }
-    Some(rounds)
 }
 
-/// Was configuration `(node, state)` alive in the captured seed?  Reads the
-/// immutable snapshot words, so it stays answerable after `scratch` has
-/// moved on — the old-alive test the delta sweeps need.
-#[inline]
-fn seed_alive(resume: &EvalResume, state: usize, node: usize) -> bool {
-    node < resume.nodes() && resume.state_words(state)[node / 64] & (1u64 << (node % 64)) != 0
-}
-
-/// Packs the answer and the next epoch's seed out of a converged `scratch`.
-fn pack_result(
-    n: usize,
-    dfa: &Dfa,
-    scratch: &Scratch,
-    supports: Vec<Vec<u8>>,
-    rounds: u64,
-) -> (QueryAnswer, u64, EvalResume) {
-    let start = dfa.start();
-    let selected = (0..n)
-        .map(|node| scratch.alive[start].contains(node))
-        .collect();
-    let next_resume = EvalResume::new(
-        n,
-        scratch
-            .alive
-            .iter()
-            .map(|bits| bits.as_words().to_vec())
-            .collect(),
-        supports,
-    );
-    (QueryAnswer::from_flags(selected), rounds, next_resume)
-}
-
-/// Resumes the product fixed point from a captured [`EvalResume`] after a
-/// [`GraphDelta`] that contains **removals** (with or without insertions) —
-/// the delete-aware Tier-2 path.  DRed-style, in three phases over the
-/// patched index:
+/// Resumes the product fixed point from `old` — the seed captured (or
+/// resumed) on the pre-delta graph — across `delta`, over the patched
+/// `index`.  Works **in place on a copy-on-write clone of the seed**: the
+/// clone copies pointer tables, every alive bit or support counter the delta
+/// changes copies the one block it lives in, and the worklists are plain
+/// vectors of `(state, node)` configurations — so a resume costs the delta's
+/// derivation cone (plus one `Arc` per block for the clone), never the node
+/// count.  DRed-style, in three phases; the last two only run when the delta
+/// removed edges:
 ///
-/// 1. **Insert sweep.** Added nodes and edges are folded in first, exactly
-///    like [`resume_counting`], keeping the support counters exact.  Doing
-///    inserts first means the later sweeps can enumerate the patched index
-///    uniformly: every derivation it contains is counted exactly once.
+/// 1. **Insert sweep.** Nodes added since the capture are alive in the
+///    accepting states by definition; an added edge `u --a--> v` makes `(u,
+///    p)` alive when `p --a--> q` and `(v, q)` is alive.  Those seed the
+///    frontier and `push_to_closure` cascades them through old and new
+///    edges alike.  Support accounting: a derivation through an added edge
+///    whose target was alive *in the old seed* is invisible to the
+///    newly-alive sweeps (the target never enters a frontier), so it is
+///    counted here; targets that turn alive later are counted by their own
+///    sweep, which enumerates the patched index and so sees the added edge.
+///    The fixed point is monotone in the edge set, so for an insert-only
+///    delta this is the whole resume.  Doing inserts first means the later
+///    phases can enumerate the patched index uniformly: every derivation it
+///    contains is counted exactly once.
 /// 2. **Over-delete.** Each removed edge decrements the support of its
-///    source configurations (only for targets alive *in the seed* — those
-///    are the derivations the counters actually contain; the patched index
-///    no longer holds the removed edges, so no later sweep counted them).
-///    Every alive non-accepting configuration that lost a derivation is
-///    *doomed* — unconditionally, regardless of remaining support, because
-///    a positive count may rest on a non-well-founded cycle (two
-///    configurations supporting only each other survive zero-propagation
-///    but must die).  Dooming propagates transitively over the reverse
-///    index; each popped configuration leaves the alive set and decrements
-///    its dependents.  A decrement hitting a saturated (255) counter is
-///    deferred to a post-phase exact recount instead of guessing.  When the
-///    doom count passes `overdelete_limit × alive population`, the sweep
-///    gives up and returns `None` — the saturation fallback to a cold
-///    recompute.
+///    source configurations (only for targets alive *in the old seed* —
+///    those are the derivations the counters actually contain; the patched
+///    index no longer holds the removed edges, so no later sweep counted
+///    them).  Every alive non-accepting configuration that lost a derivation
+///    is *doomed* — unconditionally, regardless of remaining support,
+///    because a positive count may rest on a non-well-founded cycle (two
+///    configurations supporting only each other survive zero-propagation but
+///    must die).  Dooming propagates transitively over the reverse index;
+///    each popped configuration leaves the alive set and decrements its
+///    dependents.  A decrement hitting a saturated (255) counter is deferred
+///    to a post-phase exact recount instead of guessing.  When the doom
+///    count passes `overdelete_limit ×` the alive population after the
+///    insert sweep (carried in the seed, not re-counted), the sweep gives up
+///    — the saturation fallback to a cold recompute, in the same cost class
+///    at that point.  A limit of `0.0` is a kill switch: removals always
+///    recompute cold, even ones whose cone would be empty.
 /// 3. **Re-derive.** After the worklist drains, supports count derivations
 ///    through *surviving* configurations only, so every doomed
 ///    configuration with a positive count is still derivable from the
 ///    surviving boundary: those re-enter the alive set and push to closure,
-///    re-incrementing supports along the way.  Classic DRed: the survivors
-///    under-approximate the new fixed point, and re-derivation from the
-///    still-derivable boundary restores it exactly.
+///    re-incrementing supports along the way.  Only doomed configurations
+///    can revive — everything else alive-eligible survived over-delete.
 ///
-/// Returns `(answer, push rounds, configurations over-deleted, next seed)`;
-/// `None` on a shape mismatch or when the over-delete cone saturates.
-pub fn resume_with_removals(
+/// Returns `None` when the seed's shape does not match the DFA or the index,
+/// when the delta names a node the index does not have, or on the
+/// saturation fallback.  `old` is never modified.
+pub fn resume(
     index: &LabelIndex,
     dfa: &Dfa,
-    resume: &EvalResume,
+    old: &EvalResume,
     delta: &GraphDelta,
-    scratch: &mut Scratch,
     overdelete_limit: f64,
-) -> Option<(QueryAnswer, u64, u64, EvalResume)> {
+) -> Option<Resumed> {
     let n = index.node_count();
     let s = dfa.state_count();
-    let mut supports = restore_seed(n, dfa, resume, scratch)?;
-    let mut rounds = insert_sweep(index, dfa, resume, delta, scratch, &mut supports)?;
+    if n == 0 || s == 0 || old.state_count() != s || old.nodes() > n {
+        return None;
+    }
+    let in_range = |edge: &gps_graph::Edge| edge.source.index() < n && edge.target.index() < n;
+    if !delta.added_edges.iter().all(in_range) || !delta.removed_edges.iter().all(in_range) {
+        return None;
+    }
+    if !delta.removed_edges.is_empty() && overdelete_limit <= 0.0 {
+        return None;
+    }
+    let rev_dfa = reverse_transitions(dfa);
+    let mut seed = old.clone();
+
+    // --- Insert sweep -----------------------------------------------------
+    let mut frontier: Vec<(usize, usize)> = Vec::new();
+    seed.grow(n, |state| dfa.is_accepting(state));
+    for state in (0..s).filter(|&state| dfa.is_accepting(state)) {
+        frontier.extend((old.nodes()..n).map(|node| (state, node)));
+    }
+    for edge in &delta.added_edges {
+        let (u, v) = (edge.source.index(), edge.target.index());
+        for p in 0..s {
+            if let Some(q) = dfa.step(p, edge.label) {
+                if old.is_alive(q, v) {
+                    bump_support(&mut seed, p, u);
+                }
+                if seed.is_alive(q, v) && seed.insert(p, u) {
+                    frontier.push((p, u));
+                }
+            }
+        }
+    }
+    let mut rounds = push_to_closure(index, &rev_dfa, &mut seed, &mut frontier, |_, _| true);
+    if delta.removed_edges.is_empty() {
+        return Some(Resumed {
+            answer: seed.answer(dfa.start()),
+            rounds,
+            overdeleted: 0,
+            seed,
+        });
+    }
 
     // --- Over-delete ------------------------------------------------------
     // Aggregate the removed edges' derivation losses per configuration
     // before touching any counter, so parallel removed edges into the same
     // configuration subtract in one step.
-    let mut losses: std::collections::BTreeMap<(usize, usize), u32> =
-        std::collections::BTreeMap::new();
+    let mut losses: BTreeMap<(usize, usize), u32> = BTreeMap::new();
     for edge in &delta.removed_edges {
         let (u, v) = (edge.source.index(), edge.target.index());
-        if u >= n || v >= n {
-            return None;
-        }
         for p in 0..s {
             if let Some(q) = dfa.step(p, edge.label) {
-                if seed_alive(resume, q, v) {
+                if old.is_alive(q, v) {
                     *losses.entry((p, u)).or_insert(0) += 1;
                 }
             }
         }
     }
 
-    let alive_total: usize = scratch.alive.iter().map(FixedBitSet::count).sum();
-    let budget = overdelete_limit * alive_total as f64;
-    // Doomed = over-deleted at least once this sweep; popped configurations
-    // leave `alive` only when their propagation runs, so in-flight recounts
-    // of "derivations via alive targets" stay consistent.
-    let mut doomed: Vec<FixedBitSet> = (0..s).map(|_| FixedBitSet::new(n)).collect();
+    let budget = overdelete_limit * seed.alive_total() as f64;
+    // Doomed = over-deleted at least once this sweep, in discovery order;
+    // the set answers membership.  A doomed configuration leaves the alive
+    // set only when its own propagation runs, so in-flight recounts of
+    // "derivations via alive targets" stay consistent.
+    let mut doomed: Vec<(usize, usize)> = Vec::new();
+    let mut is_doomed: HashSet<(usize, usize)> = HashSet::new();
     // Counters that were saturated when a decrement hit them: their true
     // value is unknown until the exact post-phase recount.
-    let mut stale: Vec<FixedBitSet> = (0..s).map(|_| FixedBitSet::new(n)).collect();
-    let mut doomed_configs: Vec<(usize, usize)> = Vec::new();
-    let mut worklist: std::collections::VecDeque<(usize, usize)> =
-        std::collections::VecDeque::new();
-    let doom = |p: usize,
-                u: usize,
-                alive: &[FixedBitSet],
-                doomed: &mut [FixedBitSet],
-                configs: &mut Vec<(usize, usize)>,
-                worklist: &mut std::collections::VecDeque<(usize, usize)>|
+    let mut stale: BTreeSet<(usize, usize)> = BTreeSet::new();
+    // Takes `k` derivations from `(node, state)` and dooms it; `false` once
+    // the doom count is over budget.
+    let mut lose = |seed: &mut EvalResume,
+                    doomed: &mut Vec<(usize, usize)>,
+                    state: usize,
+                    node: usize,
+                    k: u32|
      -> bool {
-        if !dfa.is_accepting(p) && alive[p].contains(u) && doomed[p].insert(u) {
-            configs.push((p, u));
-            worklist.push_back((p, u));
-            if configs.len() as f64 > budget {
-                return false;
+        match seed.support(state, node) {
+            u8::MAX => {
+                stale.insert((state, node));
             }
+            support => seed.set_support(
+                state,
+                node,
+                support.saturating_sub(k.min(u8::MAX as u32) as u8),
+            ),
         }
-        true
+        if !dfa.is_accepting(state) && seed.is_alive(state, node) && is_doomed.insert((state, node))
+        {
+            doomed.push((state, node));
+        }
+        doomed.len() as f64 <= budget
     };
-
     for (&(p, u), &k) in &losses {
-        let slot = &mut supports[p][u];
-        if *slot == u8::MAX {
-            stale[p].insert(u);
-        } else {
-            *slot = slot.saturating_sub(k.min(u8::MAX as u32) as u8);
-        }
-        if !doom(
-            p,
-            u,
-            &scratch.alive,
-            &mut doomed,
-            &mut doomed_configs,
-            &mut worklist,
-        ) {
+        if !lose(&mut seed, &mut doomed, p, u, k) {
             return None;
         }
     }
-    let mut rev_dfa: Vec<Vec<(LabelId, usize)>> = vec![Vec::new(); s];
-    for state in 0..s {
-        for (label, target) in dfa.transitions_from(state) {
-            rev_dfa[target].push((label, state));
-        }
-    }
-    while let Some((q, v)) = worklist.pop_front() {
-        scratch.alive[q].remove(v);
+    let mut popped = 0;
+    while let Some(&(q, v)) = doomed.get(popped) {
+        popped += 1;
+        seed.remove(q, v);
         for &(label, p) in &rev_dfa[q] {
             for &w in index.neighbors(Direction::Reverse, label, v) {
-                let w = w as usize;
-                let slot = &mut supports[p][w];
-                if *slot == u8::MAX {
-                    stale[p].insert(w);
-                } else {
-                    *slot = slot.saturating_sub(1);
-                }
-                if !doom(
-                    p,
-                    w,
-                    &scratch.alive,
-                    &mut doomed,
-                    &mut doomed_configs,
-                    &mut worklist,
-                ) {
+                if !lose(&mut seed, &mut doomed, p, w as usize, 1) {
                     return None;
                 }
             }
         }
     }
-    let overdeleted = doomed_configs.len() as u64;
     // Exact recount for every counter a decrement found saturated, against
     // the post-over-delete alive sets — from here on each counter is either
     // exact or a true 255 again.
-    for (p, dirty) in stale.iter().enumerate() {
-        for w in dirty.ones() {
-            supports[p][w] = recount_support(index, dfa, &scratch.alive, p, w);
-        }
+    for &(p, w) in &stale {
+        let exact = recount_support(index, dfa, &seed, p, w);
+        seed.set_support(p, w, exact);
     }
 
     // --- Re-derive --------------------------------------------------------
-    // Supports now count derivations through survivors only, so a doomed
-    // configuration with a positive count is derivable from the surviving
-    // boundary: revive it and push to closure.  Only doomed configurations
-    // can revive — everything else alive-eligible survived over-delete.
-    for set in scratch.frontier.iter_mut().chain(scratch.next.iter_mut()) {
-        set.clear();
-    }
-    for &(p, u) in &doomed_configs {
-        if supports[p][u] > 0 && scratch.alive[p].insert(u) {
-            scratch.frontier[p].insert(u);
+    frontier.clear();
+    for &(p, u) in &doomed {
+        if seed.support(p, u) > 0 && seed.insert(p, u) {
+            frontier.push((p, u));
         }
     }
-    loop {
-        let mut progress = false;
-        for (q, transitions) in rev_dfa.iter().enumerate() {
-            if scratch.frontier[q].is_empty() {
-                continue;
-            }
-            for &(label, p) in transitions {
-                for v in scratch.frontier[q].ones() {
-                    for &w in index.neighbors(Direction::Reverse, label, v) {
-                        let w = w as usize;
-                        let slot = &mut supports[p][w];
-                        *slot = slot.saturating_add(1);
-                        if doomed[p].contains(w) && scratch.alive[p].insert(w) {
-                            scratch.next[p].insert(w);
-                            progress = true;
-                        }
-                    }
-                }
-            }
-        }
-        if !progress {
-            break;
-        }
-        rounds += 1;
-        std::mem::swap(&mut scratch.frontier, &mut scratch.next);
-        for bits in &mut scratch.next {
-            bits.clear();
-        }
-    }
+    rounds += push_to_closure(index, &rev_dfa, &mut seed, &mut frontier, |p, w| {
+        is_doomed.contains(&(p, w))
+    });
 
-    let (answer, rounds, next_resume) = pack_result(n, dfa, scratch, supports, rounds);
-    Some((answer, rounds, overdeleted, next_resume))
+    Some(Resumed {
+        answer: seed.answer(dfa.start()),
+        rounds,
+        overdeleted: doomed.len() as u64,
+        seed,
+    })
 }
 
 /// Forward single-source check: does some path from `source` spell an
@@ -1088,9 +973,10 @@ mod tests {
         let summary = delta.delta();
         let compacted = delta.compact();
         let patched = index.apply_delta(&summary, compacted.node_count(), compacted.label_count());
-        let (resumed, _, _) =
-            resume_counting(&patched, &dfa, &resume, &summary, &mut scratch).expect("insert-only");
-        assert_eq!(resumed, gps_rpq::eval::evaluate(&compacted, &dfa));
+        let resumed = super::resume(&patched, &dfa, &resume, &summary, DEFAULT_OVERDELETE_LIMIT)
+            .expect("insert-only");
+        assert_eq!(resumed.answer, gps_rpq::eval::evaluate(&compacted, &dfa));
+        assert_eq!(resumed.overdeleted, 0);
     }
 
     #[test]
@@ -1126,9 +1012,17 @@ mod tests {
         let summary = delta.delta();
         let compacted = delta.compact();
         let patched = index.apply_delta(&summary, compacted.node_count(), compacted.label_count());
-        let (answer, _, _, next) =
-            resume_with_removals(&patched, dfa, &resume, &summary, &mut scratch, limit)?;
-        Some((answer, next, compacted, patched))
+        let resumed = super::resume(&patched, dfa, &resume, &summary, limit)?;
+        assert_eq!(
+            (0..dfa.state_count())
+                .map(|state| resumed.seed.population(state))
+                .collect::<Vec<_>>(),
+            (0..dfa.state_count())
+                .map(|state| resumed.seed.answer(state).len())
+                .collect::<Vec<_>>(),
+            "the carried population is the alive count"
+        );
+        Some((resumed.answer, resumed.seed, compacted, patched))
     }
 
     #[test]

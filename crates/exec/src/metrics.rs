@@ -38,8 +38,8 @@ pub struct ExecMetrics {
     /// [`LabelIndex`]: crate::LabelIndex
     pub index_shards: Gauge,
     /// `gps_exec_support_overdeleted_total` — configurations transitively
-    /// over-deleted by delete-aware resumes
-    /// ([`resume_with_removals`](crate::frontier::resume_with_removals));
+    /// over-deleted by resumes across removal-bearing deltas
+    /// ([`resume`](crate::frontier::resume));
     /// re-derivation revives the still-derivable ones, so this counts the
     /// DRed sweep's working-set size, not lost answers.
     pub support_overdeleted: Counter,

@@ -1,19 +1,30 @@
-//! Support-counter conformance — the delete-aware resume's bookkeeping must
-//! be indistinguishable from starting over.
+//! Support-counter conformance — a resumed seed must be indistinguishable
+//! from starting over, and must cost the delta's cone.
 //!
-//! Property: across chained random mixed insert+delete epochs, the
-//! [`EvalResume`] produced by `resume_with_removals` — alive words **and**
-//! per-`(state, node)` support counts — equals a from-scratch captured
-//! evaluation on the patched graph, and the answer equals a cold evaluation.
-//! Checked under both frontier backends ([`FrontierPolicy::Dense`] and
-//! [`FrontierPolicy::Sparse`]) with a deterministic xorshift generator (no
-//! external RNG dependency).
+//! Properties, with a deterministic xorshift generator (no external RNG
+//! dependency):
+//!
+//! * across chained random mixed insert+delete epochs, the [`EvalResume`]
+//!   produced by [`resume`] — alive bits, per-`(state, node)` support counts
+//!   **and** the carried alive population — equals a from-scratch captured
+//!   evaluation on the patched graph, and the answer equals the naive
+//!   evaluator's.  Checked with captures from both frontier backends
+//!   ([`FrontierPolicy::Dense`] and [`FrontierPolicy::Sparse`]), over node
+//!   counts that cross block boundaries of the seed's arrays and land on an
+//!   exact multiple of one;
+//! * on a 200k-node graph a 4-op delta copies a handful of seed blocks and
+//!   shares the rest with the superseded epoch, and a label-disjoint publish
+//!   that adds nodes shares all but the tail block of every carried answer —
+//!   counted block by block, not timed.
 
 use gps_automata::{Dfa, Regex};
-use gps_exec::frontier::{evaluate_captured, resume_with_removals, Scratch};
+use gps_datasets::scale_free::ScaleFreeConfig;
+use gps_exec::frontier::{evaluate_captured, resume, Scratch};
 use gps_exec::planner::Plan;
-use gps_exec::{FrontierPolicy, LabelIndex};
+use gps_exec::{BatchEvaluator, FrontierPolicy, LabelIndex};
 use gps_graph::{CsrGraph, DeltaGraph, Edge, Graph, GraphBackend, LabelId, NodeId};
+use gps_rpq::blocks::BLOCK_NODES;
+use gps_rpq::{BlockSharing, EvalCache, MigrationReport, PathQuery};
 use std::sync::Arc;
 
 /// xorshift64* — deterministic, dependency-free.
@@ -34,9 +45,13 @@ impl XorShift {
     }
 }
 
-const NODES: usize = 60;
-const EDGES: usize = 150;
-const EPOCHS: usize = 4;
+/// The chain starts just under one block boundary, creeps over it a node or
+/// two per epoch, jumps to exactly the next boundary at `JUMP_EPOCH`, and
+/// keeps growing from that exact multiple.
+const NODES: usize = BLOCK_NODES - 12;
+const EDGES: usize = 3 * NODES;
+const EPOCHS: usize = 32;
+const JUMP_EPOCH: usize = 16;
 const REMOVALS_PER_EPOCH: usize = 3;
 const ADDS_PER_EPOCH: usize = 3;
 
@@ -110,12 +125,22 @@ fn chained_epochs_reproduce_fresh_captures(policy: FrontierPolicy, seed: u64) {
         })
         .collect();
 
+    let mut node_counts = vec![base.node_count()];
     for epoch in 1..=EPOCHS {
         let mut delta = DeltaGraph::new(Arc::clone(&base));
-        let fresh = delta.add_node(format!("fresh{epoch}"));
-        delta.add_edge(fresh, labels[rng.below(labels.len())], {
-            NodeId::from(rng.below(base.node_count()))
-        });
+        let fresh_nodes = if epoch == JUMP_EPOCH {
+            2 * BLOCK_NODES - base.node_count()
+        } else {
+            1 + epoch % 2
+        };
+        for i in 0..fresh_nodes {
+            let fresh = delta.add_node(format!("fresh{epoch}-{i}"));
+            if i < 2 {
+                delta.add_edge(fresh, labels[rng.below(labels.len())], {
+                    NodeId::from(rng.below(base.node_count()))
+                });
+            }
+        }
         for _ in 0..ADDS_PER_EPOCH {
             let s = NodeId::from(rng.below(base.node_count()));
             let t = NodeId::from(rng.below(base.node_count()));
@@ -128,32 +153,37 @@ fn chained_epochs_reproduce_fresh_captures(policy: FrontierPolicy, seed: u64) {
         assert!(!summary.removed_edges.is_empty(), "epoch {epoch} removes");
         let compacted = delta.compact();
         let patched = index.apply_delta(&summary, compacted.node_count(), compacted.label_count());
+        node_counts.push(compacted.node_count());
 
         for (dfa, seed) in queries.iter().zip(seeds.iter_mut()) {
             // Limit 1.0 never bails: the resume must succeed on every delta.
-            let (answer, _, _, next) =
-                resume_with_removals(&patched, dfa, seed, &summary, &mut scratch, 1.0)
-                    .expect("limit 1.0 never falls back");
+            let resumed =
+                resume(&patched, dfa, seed, &summary, 1.0).expect("limit 1.0 never falls back");
             assert_eq!(
-                answer,
+                resumed.answer,
                 gps_rpq::eval::evaluate(&compacted, dfa),
                 "{policy:?}, epoch {epoch}: resumed answer diverged from cold"
             );
-            // The resumed seed — alive words and support counts — must be
-            // byte-identical to capturing from scratch on the patched graph.
+            // The resumed seed — alive bits, support counts and populations
+            // — must equal capturing from scratch on the patched graph.
             let (_, _, fresh_seed) =
                 evaluate_captured(&patched, dfa, Plan::Bidirectional, &mut scratch);
             assert_eq!(
-                next,
+                resumed.seed,
                 fresh_seed.expect("fresh capture"),
-                "{policy:?}, epoch {epoch}: resumed supports diverged from a fresh capture"
+                "{policy:?}, epoch {epoch}: resumed seed diverged from a fresh capture"
             );
-            *seed = next;
+            *seed = resumed.seed;
         }
 
         base = Arc::new(compacted);
         index = patched;
     }
+    // The chain really did what the constants promise.
+    let below = |boundary: usize| node_counts.iter().any(|&n| n < boundary);
+    let above = |boundary: usize| node_counts.iter().any(|&n| n > boundary);
+    assert!(below(BLOCK_NODES) && above(BLOCK_NODES), "{node_counts:?}");
+    assert!(node_counts.contains(&(2 * BLOCK_NODES)) && above(2 * BLOCK_NODES));
 }
 
 #[test]
@@ -164,4 +194,143 @@ fn dense_backend_chained_mixed_epochs() {
 #[test]
 fn sparse_backend_chained_mixed_epochs() {
     chained_epochs_reproduce_fresh_captures(FrontierPolicy::Sparse, 0x0B0B_5EED);
+}
+
+/// A scale-free graph of a node count that is not a block multiple, its warm
+/// cache over the frontier evaluator, and the warmed expressions.
+fn large_warm_cache(queries: &[&str]) -> (Arc<CsrGraph>, BatchEvaluator, EvalCache, Vec<Regex>) {
+    let base = Arc::new(gps_datasets::streamed::generate_csr(&ScaleFreeConfig {
+        nodes: 200_003,
+        edges_per_node: 3,
+        alphabet_size: 4,
+        skewed_labels: false,
+        seed: 7,
+    }));
+    let evaluator = BatchEvaluator::from_csr(&base);
+    let cache = EvalCache::with_shared_evaluator(Arc::clone(&base), Box::new(evaluator.clone()));
+    let regexes: Vec<Regex> = queries
+        .iter()
+        .map(|syntax| {
+            let query = PathQuery::parse(syntax, base.labels()).expect("query parses");
+            query.regex().clone()
+        })
+        .collect();
+    for regex in &regexes {
+        cache.evaluate(regex);
+    }
+    (base, evaluator, cache, regexes)
+}
+
+/// Publishes `delta` over `old`: the patched evaluator behind a fresh cache
+/// with `old`'s answers migrated in.
+fn publish(
+    evaluator: &BatchEvaluator,
+    old: &EvalCache,
+    delta: DeltaGraph,
+) -> (Arc<CsrGraph>, EvalCache, MigrationReport) {
+    let summary = delta.delta();
+    let compacted = Arc::new(delta.compact());
+    let patched = evaluator.apply_delta(&compacted, &summary);
+    let cache = EvalCache::with_shared_evaluator(Arc::clone(&compacted), Box::new(patched));
+    let report = cache.migrate_answers(old, &summary);
+    (compacted, cache, report)
+}
+
+#[test]
+fn a_four_op_delta_on_200k_nodes_copies_a_handful_of_seed_blocks() {
+    // Star-free chains: each label fires exactly one DFA transition, so an
+    // edge op on a node nobody points to reaches one configuration.
+    let queries = ["a0.a1", "a1.a0.a2", "a2.a1"];
+    let (base, evaluator, old_cache, regexes) = large_warm_cache(&queries);
+    let n = base.node_count();
+    let label = |name: &str| base.labels().get(name).unwrap();
+
+    // Four ops on sources without predecessors: two inserts, two removals.
+    let mut leaves = (0..n)
+        .rev()
+        .map(NodeId::from)
+        .filter(|&node| base.in_degree(node) == 0 && base.out_degree(node) > 0);
+    let mut delta = DeltaGraph::new(Arc::clone(&base));
+    for name in ["a1", "a0"] {
+        let source = leaves.next().expect("a leaf");
+        delta.add_edge(source, label(name), NodeId::from(n / 2));
+    }
+    for _ in 0..2 {
+        let source = leaves.next().expect("a leaf");
+        let (edge_label, target) = base.successors(source).next().expect("out-degree > 0");
+        assert!(delta.remove_edge(source, edge_label, target));
+    }
+    let (compacted, new_cache, report) = publish(&evaluator, &old_cache, delta);
+
+    assert_eq!(report.delete_reseeded, queries.len(), "{report:?}");
+    // 4 ops x at most one configuration each x (alive block + support block),
+    // per query.
+    let handful = 4 * 2 * queries.len();
+    assert!(report.blocks_copied <= handful, "{report:?}");
+    let blocks_per_array = n.div_ceil(BLOCK_NODES);
+    let arrays: usize = regexes
+        .iter()
+        .map(|regex| 2 * Dfa::from_regex(regex).state_count())
+        .sum();
+    assert_eq!(
+        report.blocks_copied + report.blocks_shared,
+        arrays * blocks_per_array,
+        "every seed block is either copied or shared"
+    );
+    // Cheap, and still right.
+    let cold = BatchEvaluator::from_csr(&compacted);
+    for regex in &regexes {
+        let migrated = new_cache.evaluate(regex);
+        assert_eq!(*migrated, cold.evaluate(&Dfa::from_regex(regex)));
+        // The answer is the new seed's start-state alive set: at most the
+        // blocks the resume copied there are its own.
+        assert!(migrated.sharing(&old_cache.evaluate(regex)).copied <= 4);
+    }
+    assert_eq!(new_cache.stats(), (queries.len() as u64, 0), "all hits");
+}
+
+#[test]
+fn a_label_disjoint_publish_shares_all_but_the_tail_block_of_carried_answers() {
+    // One query whose language holds the empty word (added nodes selected:
+    // the tail block is rewritten) and one without (nothing is written).
+    let queries = ["a0*", "a0.a1"];
+    let (base, evaluator, old_cache, regexes) = large_warm_cache(&queries);
+    let n = base.node_count();
+    let blocks = n.div_ceil(BLOCK_NODES);
+    assert_eq!(
+        (n + 3).div_ceil(BLOCK_NODES),
+        blocks,
+        "growth stays in the tail"
+    );
+
+    let mut delta = DeltaGraph::new(Arc::clone(&base));
+    let fresh_label = delta.label("z");
+    for i in 0..3usize {
+        let fresh = delta.add_node(format!("fresh{i}"));
+        delta.add_edge(NodeId::from(i), fresh_label, fresh);
+    }
+    let (compacted, new_cache, report) = publish(&evaluator, &old_cache, delta);
+    assert_eq!(
+        report,
+        MigrationReport {
+            carried: 2,
+            ..MigrationReport::default()
+        },
+        "carried entries resume nothing, so no seed block is counted"
+    );
+
+    let cold = BatchEvaluator::from_csr(&compacted);
+    for (regex, own_blocks) in regexes.iter().zip([1, 0]) {
+        let carried = new_cache.evaluate(regex);
+        assert_eq!(carried.node_count(), n + 3);
+        assert_eq!(*carried, cold.evaluate(&Dfa::from_regex(regex)));
+        assert_eq!(
+            carried.sharing(&old_cache.evaluate(regex)),
+            BlockSharing {
+                copied: own_blocks,
+                shared: blocks - own_blocks
+            },
+            "{regex:?}"
+        );
+    }
 }

@@ -29,23 +29,20 @@ pub struct AnswerMetrics {
 impl AnswerMetrics {
     /// Compares `hypothesis` against `goal`.
     pub fn compare(hypothesis: &QueryAnswer, goal: &QueryAnswer) -> Self {
-        let hypothesis_nodes = hypothesis.nodes();
-        let goal_nodes = goal.nodes();
-        let true_positives = hypothesis_nodes
-            .iter()
-            .filter(|n| goal.contains(**n))
-            .count();
-        let false_positives = hypothesis_nodes.len() - true_positives;
-        let false_negatives = goal_nodes.len() - true_positives;
-        let precision = if hypothesis_nodes.is_empty() {
+        let selected = hypothesis.len();
+        let wanted = goal.len();
+        let true_positives = hypothesis.intersection_len(goal);
+        let false_positives = selected - true_positives;
+        let false_negatives = wanted - true_positives;
+        let precision = if selected == 0 {
             1.0
         } else {
-            true_positives as f64 / hypothesis_nodes.len() as f64
+            true_positives as f64 / selected as f64
         };
-        let recall = if goal_nodes.is_empty() {
+        let recall = if wanted == 0 {
             1.0
         } else {
-            true_positives as f64 / goal_nodes.len() as f64
+            true_positives as f64 / wanted as f64
         };
         let f1 = if precision + recall == 0.0 {
             0.0

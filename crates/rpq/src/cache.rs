@@ -42,8 +42,9 @@ struct Entry {
     /// The compiled automaton the answer was computed from, kept so a
     /// touched entry can be re-derived without reparsing the expression.
     dfa: Arc<Dfa>,
-    /// The captured fixed point (Tier-2 seed); `None` when the evaluator
-    /// does not capture (naive mode) or the evaluation early-exited.
+    /// The fixed point behind `answer` (the Tier-2/3 seed, sharing the
+    /// answer's blocks); `None` when the evaluator does not capture (naive
+    /// mode) or the evaluation early-exited.
     resume: Option<Arc<EvalResume>>,
     /// Monotonic recency tick, updated with a relaxed store on every hit so
     /// lookups stay on the shared read lock.
@@ -94,6 +95,15 @@ pub struct MigrationReport {
     /// Cold fallbacks because the new cache hit its capacity before the
     /// entry's recency rank came up.
     pub fallback_evicted: usize,
+    /// Seed blocks the Tier-2/3 resumes had to copy, summed over the
+    /// resumed entries ([`EvalResume::sharing`]): the size of the delta's
+    /// derivation cones.  Large with few resumed entries means one huge
+    /// cone; small per entry with many entries means many touched queries.
+    pub blocks_copied: usize,
+    /// Seed blocks the resumed entries share with the superseded epoch's
+    /// seeds (or with the uniform blocks) — what retiring that epoch will
+    /// not free.
+    pub blocks_shared: usize,
 }
 
 /// A concurrent, bounded evaluation cache bound to one graph snapshot.
@@ -129,6 +139,10 @@ pub struct EvalCache {
     fallback_saturation: Counter,
     fallback_no_seed: Counter,
     fallback_evicted: Counter,
+    /// `gps_rpq_cache_migrate_blocks_{copied,shared}_total` — the resumed
+    /// seeds' block split (see [`MigrationReport::blocks_copied`]).
+    blocks_copied: Counter,
+    blocks_shared: Counter,
     /// Entries (answers + the word index) dropped when the cache's epoch was
     /// retired — the eviction attribution of the epoch swap.
     retired_entries: Counter,
@@ -197,6 +211,8 @@ impl EvalCache {
             fallback_saturation: Counter::standalone(),
             fallback_no_seed: Counter::standalone(),
             fallback_evicted: Counter::standalone(),
+            blocks_copied: Counter::standalone(),
+            blocks_shared: Counter::standalone(),
             retired_entries: Counter::standalone(),
             eval_latency: Histogram::disabled(),
             reseed_latency: Histogram::disabled(),
@@ -228,6 +244,8 @@ impl EvalCache {
             self.fallback_saturation = registry.counter("gps_rpq_cache_fallback_saturation_total");
             self.fallback_no_seed = registry.counter("gps_rpq_cache_fallback_no_seed_total");
             self.fallback_evicted = registry.counter("gps_rpq_cache_fallback_evicted_total");
+            self.blocks_copied = registry.counter("gps_rpq_cache_migrate_blocks_copied_total");
+            self.blocks_shared = registry.counter("gps_rpq_cache_migrate_blocks_shared_total");
             self.retired_entries = registry.counter("gps_rpq_cache_retired_total");
             self.eval_latency = registry.histogram("gps_rpq_eval_latency_ns");
             self.reseed_latency = registry.histogram("gps_rpq_reseed_latency_ns");
@@ -296,10 +314,13 @@ impl EvalCache {
     ///   misses every touched label cannot observe the delta: edges with
     ///   labels outside the alphabet never fire a DFA transition, so the
     ///   product — and the answer, witnesses and captured fixed point — is
-    ///   unchanged.  The entry is carried verbatim (`Arc`-shared; when the
-    ///   delta added nodes, the answer is extended with the language's
-    ///   nullability, since a node whose every edge is alphabet-irrelevant is
-    ///   selected iff the language contains the empty word).
+    ///   unchanged.  The entry is carried verbatim: answer and seed are
+    ///   `Arc`-shared with the old epoch.  When the delta added nodes the
+    ///   answer is extended by exactly those bits, filled with the language's
+    ///   nullability (a node whose every edge is alphabet-irrelevant is
+    ///   selected iff the language contains the empty word) — a new pointer
+    ///   table over the old blocks, of which at most the tail one is
+    ///   rewritten ([`QueryAnswer::extended`]).
     /// * **Tier 2 — delta-restricted re-derivation.** A touched entry with a
     ///   captured seed on an *insert-only* delta resumes its fixed point
     ///   restricted to the delta ([`DfaEvaluator::evaluate_dfa_resumed`]) —
@@ -311,6 +332,14 @@ impl EvalCache {
     ///   configurations are transitively over-deleted, and the survivors
     ///   re-seed a push-only re-derivation (mixed insert+delete deltas run
     ///   the insert sweep first, then the removal sweep — one unified path).
+    ///
+    /// A Tier-2/3 entry's new seed is a copy-on-write clone of the old one
+    /// and its new answer that seed's start-state alive set: they share
+    /// every block the delta's derivation cone did not reach with the
+    /// superseded epoch, so migrating costs the cone and retiring the old
+    /// epoch frees only what was copied.  The report's `blocks_copied` /
+    /// `blocks_shared` (and `gps_rpq_cache_migrate_blocks_*_total`) say how
+    /// large the cones were.
     ///
     /// Everything else falls back to a cold recompute on next use, with the
     /// reason attributed: `fallback_saturation` (the resume gave up — the
@@ -352,12 +381,10 @@ impl EvalCache {
             let untouched = !entry.alphabet.iter().any(|label| touched.contains(&label));
             let migrated = if untouched {
                 report.carried += 1;
-                let answer = if entry.answer.flags().len() == new_n {
+                let answer = if entry.answer.node_count() == new_n {
                     Arc::clone(&entry.answer)
                 } else {
-                    let mut flags = entry.answer.flags().to_vec();
-                    flags.resize(new_n, entry.nullable);
-                    Arc::new(QueryAnswer::from_flags(flags))
+                    Arc::new(entry.answer.extended(new_n, entry.nullable))
                 };
                 Entry {
                     answer,
@@ -380,13 +407,24 @@ impl EvalCache {
                     let outcome = self
                         .evaluator
                         .evaluate_dfa_resumed(&entry.dfa, resume, delta);
-                    if outcome.is_none() {
-                        span.cancel();
+                    match outcome {
+                        // The span ends before the block walk: that is
+                        // bookkeeping, not part of the resume it times.
+                        Some((answer, next)) => {
+                            span.stop();
+                            let sharing = next.sharing(resume);
+                            Some((answer, next, sharing))
+                        }
+                        None => {
+                            span.cancel();
+                            None
+                        }
                     }
-                    outcome
                 });
                 match reseeded {
-                    Some((answer, resume)) => {
+                    Some((answer, resume, sharing)) => {
+                        report.blocks_copied += sharing.copied;
+                        report.blocks_shared += sharing.shared;
                         if insert_only {
                             report.reseeded += 1;
                         } else {
@@ -425,6 +463,8 @@ impl EvalCache {
             .add(report.fallback_saturation as u64);
         self.fallback_no_seed.add(report.fallback_no_seed as u64);
         self.fallback_evicted.add(report.fallback_evicted as u64);
+        self.blocks_copied.add(report.blocks_copied as u64);
+        self.blocks_shared.add(report.blocks_shared as u64);
         report
     }
 
@@ -1053,8 +1093,8 @@ mod tests {
         assert!(!migrated.contains(w), "`x` is not nullable: W unselected");
         assert!(migrated_star.contains(w), "`x*` is nullable: W selected");
         let cold = EvalCache::from_csr(compacted);
-        assert_eq!(migrated.flags(), cold.evaluate(&q).flags());
-        assert_eq!(migrated_star.flags(), cold.evaluate(&star).flags());
+        assert_eq!(migrated, cold.evaluate(&q));
+        assert_eq!(migrated_star, cold.evaluate(&star));
     }
 
     #[test]

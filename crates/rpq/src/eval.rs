@@ -7,44 +7,69 @@
 //! fixed point (one pass over the product, independent of the number of
 //! start nodes), then reads off the answer for every node at once.
 
+use crate::blocks::{BlockBits, BlockBytes, BlockSharing};
 use gps_automata::Dfa;
 use gps_graph::{CsrGraph, GraphBackend, GraphDelta, LabelId, NodeId, Path, Word};
 use std::collections::{BTreeMap, VecDeque};
 
-/// The set of nodes selected by a query on a graph.
+/// The set of nodes selected by a query on a graph: one bit per node, packed
+/// in `Arc`-shared blocks ([`BlockBits`]).
+///
+/// Cloning an answer copies a pointer table, not the bits, and an answer
+/// produced by a capturing or resumed evaluation *is* the start state's alive
+/// set of its [`EvalResume`] — the two share every block.  Equality is by
+/// node count and bits whatever produced the answer (bits past the node count
+/// are always clear), so a naive evaluation equals a migrated one.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct QueryAnswer {
-    selected: Vec<bool>,
+    selected: BlockBits,
 }
 
 impl QueryAnswer {
     /// Builds an answer from a per-node membership vector.
     pub fn from_flags(selected: Vec<bool>) -> Self {
-        Self { selected }
+        Self {
+            selected: BlockBits::from_flags(&selected),
+        }
+    }
+
+    /// Builds an answer over `nodes` nodes from dense membership words (node
+    /// `v` is bit `v % 64` of word `v / 64`).
+    pub fn from_words(nodes: usize, words: &[u64]) -> Self {
+        Self {
+            selected: BlockBits::from_words(nodes, words),
+        }
+    }
+
+    /// Number of nodes of the graph the answer was computed on.
+    pub fn node_count(&self) -> usize {
+        self.selected.len()
     }
 
     /// Returns `true` when `node` is selected.
+    #[inline]
     pub fn contains(&self, node: NodeId) -> bool {
-        self.selected.get(node.index()).copied().unwrap_or(false)
+        self.selected.contains(node.index())
     }
 
     /// The selected nodes in ascending id order.
     pub fn nodes(&self) -> Vec<NodeId> {
-        self.selected
-            .iter()
-            .enumerate()
-            .filter_map(|(i, &sel)| sel.then_some(i).map(NodeId::from))
-            .collect()
+        self.selected.ones().map(NodeId::from).collect()
     }
 
     /// Number of selected nodes.
     pub fn len(&self) -> usize {
-        self.selected.iter().filter(|&&sel| sel).count()
+        self.selected.count()
     }
 
     /// Returns `true` when no node is selected.
     pub fn is_empty(&self) -> bool {
-        self.len() == 0
+        self.selected.is_empty()
+    }
+
+    /// Number of nodes selected by both answers.
+    pub fn intersection_len(&self, other: &QueryAnswer) -> usize {
+        self.selected.intersection_count(&other.selected)
     }
 
     /// Resolves the selected nodes to their display names.
@@ -55,52 +80,85 @@ impl QueryAnswer {
             .collect()
     }
 
-    /// The underlying per-node membership flags (indexed by node id).
-    pub fn flags(&self) -> &[bool] {
-        &self.selected
+    /// This answer over a graph grown to `nodes` nodes, every added node
+    /// selected iff `selected`.  Shares every block but the old tail one
+    /// (and that one too when the added nodes are unselected).
+    pub fn extended(&self, nodes: usize, selected: bool) -> Self {
+        let mut extended = self.clone();
+        extended.selected.grow(nodes, selected);
+        extended
+    }
+
+    /// How many blocks this answer shares with `older` (or with the uniform
+    /// blocks) and how many are its own.
+    pub fn sharing(&self, older: &QueryAnswer) -> BlockSharing {
+        self.selected.sharing(&older.selected)
     }
 }
 
-/// A portable snapshot of a *completed* product fixed point: for every DFA
-/// state, the packed bit-words of its alive-node set (one bit per node, 64
-/// nodes per word, little-endian within each word), plus a per-state
-/// **support** array — for each configuration `(node, state)`, the number of
-/// distinct edge-derivations it has (one per `(DFA transition, graph edge)`
-/// pair whose target configuration is alive), saturated at 255.
+/// One DFA state's share of a captured fixed point.
+#[derive(Debug, Clone, PartialEq, Eq)]
+struct StateSeed {
+    /// The nodes `v` with configuration `(v, state)` alive.
+    alive: BlockBits,
+    /// `min(derivations of (v, state), 255)` per node; 0 when dead.
+    supports: BlockBytes,
+    /// Set bits of `alive`, maintained on every insert/remove so the
+    /// over-delete budget never re-counts them.
+    population: usize,
+}
+
+/// A *completed* product fixed point, resumable in place: for every DFA
+/// state the alive-node set, a per-node **support** counter — the number of
+/// distinct edge-derivations of configuration `(node, state)` (one per `(DFA
+/// transition, graph edge)` pair whose target configuration is alive),
+/// saturated at 255 — and the alive population.
 ///
-/// An answer cache stores one of these next to each answer so that after a
-/// [`GraphDelta`] the fixed point can be re-entered from the old alive sets
-/// instead of from zero: insert-only deltas resume monotonically, and deltas
-/// with removals run a DRed-style over-delete/re-derive sweep that uses the
-/// support counts to find the still-derivable boundary.  The snapshot is only
-/// a valid seed when it describes a true fixed point of the old graph —
-/// evaluators that early-exit once the start state saturates must not capture
-/// one.
+/// The per-node arrays live in `Arc`-shared blocks ([`crate::blocks`]), so
+/// `clone` copies pointer tables and every write copies one block.  That is
+/// the whole resume protocol: an evaluator clones the old epoch's seed,
+/// applies a [`GraphDelta`]'s consequences through [`insert`](Self::insert) /
+/// [`remove`](Self::remove) / [`set_support`](Self::set_support), and hands
+/// the clone back as the new epoch's seed — the two epochs share every block
+/// the delta's derivation cone did not reach ([`sharing`](Self::sharing)
+/// counts them), and retiring the old epoch frees only what was copied.
+///
+/// An answer cache stores one of these next to each answer.  The seed is only
+/// valid when it describes a true fixed point of the graph it was captured
+/// on — evaluators that early-exit once the start state saturates must not
+/// capture one.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct EvalResume {
     nodes: usize,
-    states: Vec<Vec<u64>>,
-    supports: Vec<Vec<u8>>,
+    states: Vec<StateSeed>,
 }
 
 impl EvalResume {
-    /// Packs a captured fixed point: `states[q]` holds the bit-words of DFA
-    /// state `q`'s alive set over a universe of `nodes` nodes, and
-    /// `supports[q][v]` the saturating derivation count of configuration
-    /// `(v, q)` (0 for dead configurations).
-    pub fn new(nodes: usize, states: Vec<Vec<u64>>, supports: Vec<Vec<u8>>) -> Self {
-        debug_assert_eq!(states.len(), supports.len());
-        debug_assert!(supports.iter().all(|sup| sup.len() == nodes));
+    /// An empty seed over `nodes` nodes; [`push_state`](Self::push_state)
+    /// adds the DFA states in order.
+    pub fn new(nodes: usize) -> Self {
         Self {
             nodes,
-            states,
-            supports,
+            states: Vec::new(),
         }
     }
 
-    /// The node count of the graph the fixed point was computed on.  A later
-    /// epoch may have more nodes; bits for nodes `>= nodes()` are implied by
-    /// the DFA alone (accepting states are alive everywhere).
+    /// Packs the next DFA state of a captured fixed point from its dense
+    /// form: `alive` holds the state's alive set as bit-words over
+    /// [`nodes`](Self::nodes) nodes and `supports[v]` the saturating
+    /// derivation count of configuration `(v, state)` (0 when dead).
+    pub fn push_state(&mut self, alive: &[u64], supports: &[u8]) {
+        debug_assert_eq!(supports.len(), self.nodes);
+        let alive = BlockBits::from_words(self.nodes, alive);
+        self.states.push(StateSeed {
+            population: alive.count(),
+            alive,
+            supports: BlockBytes::from_slice(supports),
+        });
+    }
+
+    /// The node count of the graph the fixed point describes.  A later
+    /// epoch may have more nodes; [`grow`](Self::grow) extends the seed.
     pub fn nodes(&self) -> usize {
         self.nodes
     }
@@ -110,16 +168,83 @@ impl EvalResume {
         self.states.len()
     }
 
-    /// The packed alive-set words of DFA state `state`.
-    pub fn state_words(&self, state: usize) -> &[u64] {
-        &self.states[state]
+    /// Is configuration `(node, state)` alive?  Nodes past
+    /// [`nodes`](Self::nodes) read as dead.
+    #[inline]
+    pub fn is_alive(&self, state: usize, node: usize) -> bool {
+        self.states[state].alive.contains(node)
     }
 
-    /// The per-node saturating derivation counts of DFA state `state`
-    /// (indexed by node, `min(true support, 255)`; 0 for dead
-    /// configurations).
-    pub fn state_supports(&self, state: usize) -> &[u8] {
-        &self.supports[state]
+    /// The saturating derivation count of configuration `(node, state)`.
+    #[inline]
+    pub fn support(&self, state: usize, node: usize) -> u8 {
+        self.states[state].supports.get(node)
+    }
+
+    /// Number of alive configurations of `state`.
+    pub fn population(&self, state: usize) -> usize {
+        self.states[state].population
+    }
+
+    /// Number of alive configurations over all states.
+    pub fn alive_total(&self) -> usize {
+        self.states.iter().map(|state| state.population).sum()
+    }
+
+    /// Marks `(node, state)` alive; returns `true` when it was dead.
+    pub fn insert(&mut self, state: usize, node: usize) -> bool {
+        let state = &mut self.states[state];
+        let fresh = state.alive.insert(node);
+        state.population += usize::from(fresh);
+        fresh
+    }
+
+    /// Marks `(node, state)` dead; returns `true` when it was alive.
+    pub fn remove(&mut self, state: usize, node: usize) -> bool {
+        let state = &mut self.states[state];
+        let present = state.alive.remove(node);
+        state.population -= usize::from(present);
+        present
+    }
+
+    /// Stores the derivation count of configuration `(node, state)`.
+    pub fn set_support(&mut self, state: usize, node: usize, support: u8) {
+        self.states[state].supports.set(node, support);
+    }
+
+    /// Extends the seed to a graph of `nodes` nodes (at least the current
+    /// count).  An added node has no edges yet, so its configurations are
+    /// alive exactly in the states `accepting` names, with no derivations.
+    pub fn grow(&mut self, nodes: usize, accepting: impl Fn(usize) -> bool) {
+        let added = nodes - self.nodes;
+        for (index, state) in self.states.iter_mut().enumerate() {
+            let fill = accepting(index);
+            state.alive.grow(nodes, fill);
+            state.supports.grow(nodes);
+            state.population += if fill { added } else { 0 };
+        }
+        self.nodes = nodes;
+    }
+
+    /// The alive set of `state` as an answer — for the DFA's start state,
+    /// *the* answer.  Shares every block with the seed.
+    pub fn answer(&self, state: usize) -> QueryAnswer {
+        QueryAnswer {
+            selected: self.states[state].alive.clone(),
+        }
+    }
+
+    /// How many blocks (alive bits and supports, over all states) this seed
+    /// shares with `older` — the seed it was resumed from — or with the
+    /// uniform blocks, and how many the resume had to copy: the size of the
+    /// delta's derivation cone, in blocks.
+    pub fn sharing(&self, older: &EvalResume) -> BlockSharing {
+        let mut total = BlockSharing::default();
+        for (new, old) in self.states.iter().zip(&older.states) {
+            total += new.alive.sharing(&old.alive);
+            total += new.supports.sharing(&old.supports);
+        }
+        total
     }
 }
 
@@ -247,11 +372,13 @@ pub trait DfaEvaluator: std::fmt::Debug + Send + Sync {
     }
 
     /// Re-derives `dfa`'s answer on this evaluator's (post-delta) graph by
-    /// resuming the product fixed point from `resume` — the captured alive
-    /// sets and support counts of the *pre-delta* evaluation.  Insert-only
-    /// deltas expand monotonically from the seed; deltas with removals
-    /// additionally run a DRed-style over-delete/re-derive sweep over the
-    /// removed edges' derivation cones.
+    /// resuming the product fixed point from `resume` — the alive sets and
+    /// support counts of the *pre-delta* evaluation — on a copy-on-write
+    /// clone of it.  Insert-only deltas expand monotonically from the seed;
+    /// deltas with removals additionally run a DRed-style
+    /// over-delete/re-derive sweep over the removed edges' derivation cones.
+    /// The returned seed shares every block the cone did not reach with
+    /// `resume`, and the returned answer is its start state's alive set.
     ///
     /// Returns `None` when the seed does not match the DFA, when a removal's
     /// over-delete cone would exceed the engine's configured fraction of the

@@ -44,6 +44,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+pub mod blocks;
 pub mod cache;
 pub mod coverage;
 pub mod eval;
@@ -52,6 +53,7 @@ pub mod query;
 pub mod witness;
 pub mod words;
 
+pub use blocks::BlockSharing;
 pub use cache::{EvalCache, MigrationReport};
 pub use coverage::NegativeCoverage;
 pub use eval::{DfaEvaluator, EvalResume, NaiveEvaluator, QueryAnswer};

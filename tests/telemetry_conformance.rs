@@ -206,6 +206,8 @@ fn mixed_workload_exports_are_complete_and_valid() {
         "gps_rpq_cache_fallback_saturation_total",
         "gps_rpq_cache_fallback_no_seed_total",
         "gps_rpq_cache_fallback_evicted_total",
+        "gps_rpq_cache_migrate_blocks_copied_total",
+        "gps_rpq_cache_migrate_blocks_shared_total",
         "gps_rpq_delete_reseed_latency_ns",
         "gps_rpq_words_build_latency_ns",
         "gps_rpq_words_pairs",
@@ -280,6 +282,13 @@ fn mixed_workload_exports_are_complete_and_valid() {
     assert!(
         snapshot
             .counter("gps_rpq_cache_delete_reseeded_total")
+            .unwrap()
+            > 0
+    );
+    // Every resumed answer copied at least the block its delta landed in.
+    assert!(
+        snapshot
+            .counter("gps_rpq_cache_migrate_blocks_copied_total")
             .unwrap()
             > 0
     );
