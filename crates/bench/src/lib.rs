@@ -1,7 +1,7 @@
 //! # gps-bench — experiment harness
 //!
-//! Shared helpers for the Criterion benchmarks and the `repro` binary that
-//! regenerates every experiment series reported in `EXPERIMENTS.md`.
+//! Shared helpers for the `repro` binary, which regenerates every experiment
+//! series reported in `EXPERIMENTS.md`.
 //!
 //! The individual experiments are:
 //!

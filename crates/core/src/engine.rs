@@ -1,16 +1,17 @@
-//! The GPS engine — a builder-style facade over every query layer.
+//! The GPS engine — one graph snapshot, one evaluator, one cache.
 //!
-//! [`Engine`] bundles a graph backend with the query evaluator, the learner
-//! and the interactive machinery.  It is generic over [`GraphBackend`], so
-//! the same facade serves both first-class stores:
-//!
-//! * `Engine<Graph>` (alias [`Gps`]) — the mutable adjacency-list backend;
-//! * `Engine<CsrGraph>` — the immutable cache-friendly snapshot, built with
-//!   [`GpsBuilder::build_csr`].
+//! [`Engine`] is the whole system bound to one graph: an immutable
+//! [`CsrGraph`] snapshot, the label-indexed frontier evaluator over it
+//! ([`BatchEvaluator`]), the bounded evaluation cache every query goes
+//! through, and the configuration sessions run with.  It holds each of them
+//! exactly once, behind `Arc`s, so a clone is a handle: a service hands one
+//! to every worker thread and every session, and all of them share a single
+//! snapshot, index and cache.
 //!
 //! Construction goes through [`GpsBuilder`], which exposes every knob of the
-//! system in one place — backend choice, node-proposal strategy, halt
-//! conditions, zoom radii, path-validation toggle and learner bounds:
+//! system in one place — node-proposal strategy, halt conditions, zoom radii,
+//! path-validation toggle, learner bounds and the evaluation stack's
+//! thresholds:
 //!
 //! ```
 //! use gps_core::{Engine, StrategyChoice};
@@ -21,7 +22,7 @@
 //!     .strategy(StrategyChoice::InformativePaths { bound: 3 })
 //!     .initial_radius(2)
 //!     .max_interactions(100)
-//!     .build_csr(); // run everything on the CSR snapshot
+//!     .build();
 //!
 //! let answer = engine.evaluate(MOTIVATING_QUERY).unwrap();
 //! assert!(answer.contains(ids.n2));
@@ -29,16 +30,16 @@
 //! assert!(report.goal_reached);
 //! ```
 //!
-//! The pre-builder API remains available: [`Gps::new`] constructs an
-//! adjacency-backed engine with default options.
+//! There is one execution path.  `gps_rpq::NaiveEvaluator`, the
+//! node-at-a-time reference, is the oracle the conformance suites compare
+//! this engine against — not a mode of it.
 
 use crate::error::GpsError;
 use crate::render;
 use crate::scenario::{self, ScenarioReport, StaticLabelingOutcome};
 use gps_exec::{BatchEvaluator, ExecMetrics, LabelIndex, PlannerConfig, DEFAULT_OVERDELETE_LIMIT};
 use gps_graph::{
-    CsrGraph, Graph, GraphBackend, GraphDelta, LabelStats, Neighborhood, NodeId, PathEnumerator,
-    PrefixTree,
+    CsrGraph, Graph, GraphBackend, GraphDelta, Neighborhood, NodeId, PathEnumerator, PrefixTree,
 };
 use gps_interactive::halt::HaltConfig;
 use gps_interactive::session::{Session, SessionConfig, SessionOutcome};
@@ -47,81 +48,22 @@ use gps_interactive::strategy::{
 };
 use gps_interactive::user::{SimulatedUser, User};
 use gps_learner::{Label, Learner};
-use gps_rpq::{
-    DfaEvaluator, EvalCache, EvalHandle, MigrationReport, NaiveEvaluator, PathQuery, QueryAnswer,
-};
+use gps_rpq::{EvalCache, EvalHandle, MigrationReport, PathQuery, QueryAnswer};
 use gps_telemetry::MetricsRegistry;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-/// Which execution engine the facade evaluates queries with.
-///
-/// Every mode computes the *same* answers (the conformance suite asserts
-/// byte-identical results); they differ only in how the product fixed point
-/// is driven:
-///
-/// * [`Naive`](EvalMode::Naive) — the reference node-at-a-time evaluator;
-/// * [`Frontier`](EvalMode::Frontier) — the `gps-exec` set-at-a-time bitset
-///   engine with direction-aware planning (fastest single-query latency);
-/// * [`Parallel`](EvalMode::Parallel) — the frontier engine plus the scoped
-///   `std::thread` batch executor: multi-query calls such as
-///   [`Engine::evaluate_many`] fan out across worker threads.
+/// How multi-query calls are executed.  Single evaluations, sessions and
+/// publishes are identical under both; the conformance suites assert
+/// byte-identical answers.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum EvalMode {
-    /// Node-at-a-time reference evaluator.
+    /// Batches run on the calling thread, sharing one scratch allocation.
     #[default]
-    Naive,
-    /// Frontier-based bitset engine (`gps-exec`).
     Frontier,
-    /// Frontier engine with the parallel batch executor.
+    /// Batches such as [`Engine::evaluate_many`] fan their cache misses out
+    /// across scoped worker threads.
     Parallel,
-}
-
-impl EvalMode {
-    /// Builds the mode's evaluator over a shared snapshot, returning the
-    /// label index it indexes the graph with and the planner statistics it
-    /// consults (frontier modes only) so the core can expose the one
-    /// allocation every session shares — and patch both on a live update
-    /// instead of rebuilding.
-    fn evaluator_for(
-        self,
-        csr: &Arc<CsrGraph>,
-        planner: PlannerConfig,
-        metrics: ExecMetrics,
-        index_shards: Option<usize>,
-        delete_saturation: f64,
-    ) -> (
-        Box<dyn DfaEvaluator>,
-        Option<Arc<LabelIndex>>,
-        Option<LabelStats>,
-    ) {
-        match self {
-            EvalMode::Naive => (
-                Box::new(NaiveEvaluator::from_shared(Arc::clone(csr))),
-                None,
-                None,
-            ),
-            EvalMode::Frontier | EvalMode::Parallel => {
-                let shards = index_shards.unwrap_or(match self {
-                    EvalMode::Parallel => BatchEvaluator::default_threads(),
-                    _ => 1,
-                });
-                let started = std::time::Instant::now();
-                let evaluator = BatchEvaluator::from_csr_sharded(csr, shards);
-                metrics.record_index_build(started.elapsed(), shards);
-                let mut evaluator = evaluator
-                    .with_planner_config(planner)
-                    .with_metrics(metrics)
-                    .with_overdelete_limit(delete_saturation);
-                if self == EvalMode::Parallel {
-                    evaluator = evaluator.with_parallelism(BatchEvaluator::default_threads());
-                }
-                let index = evaluator.shared_index();
-                let stats = evaluator.stats().clone();
-                (Box::new(evaluator), Some(index), Some(stats))
-            }
-        }
-    }
 }
 
 /// Which node-proposal strategy the engine runs interactive sessions with.
@@ -161,18 +103,16 @@ impl StrategyChoice {
     }
 }
 
-/// Builder for [`Engine`]: pick the backend, the strategy and every session
-/// option, then [`build`](GpsBuilder::build) (adjacency backend) or
-/// [`build_csr`](GpsBuilder::build_csr) (CSR snapshot backend).
+/// Builder for [`Engine`]: pick the strategy and every session and
+/// evaluation option, then [`build`](GpsBuilder::build).
 #[derive(Debug, Clone)]
 pub struct GpsBuilder {
     graph: Graph,
-    learner: Learner,
+    /// The session configuration; its embedded learner is the engine's.
     session: SessionConfig,
     strategy: StrategyChoice,
     eval_mode: EvalMode,
     planner: PlannerConfig,
-    index_shards: Option<usize>,
     cache_capacity: Option<usize>,
     delete_saturation: f64,
     checkpoint_every: u64,
@@ -184,12 +124,10 @@ impl GpsBuilder {
     pub fn new(graph: Graph) -> Self {
         Self {
             graph,
-            learner: Learner::default(),
             session: SessionConfig::default(),
             strategy: StrategyChoice::default(),
             eval_mode: EvalMode::default(),
             planner: PlannerConfig::default(),
-            index_shards: None,
             cache_capacity: None,
             delete_saturation: DEFAULT_OVERDELETE_LIMIT,
             checkpoint_every: crate::versioned::CheckpointPolicy::default().every_n_publishes,
@@ -204,14 +142,14 @@ impl GpsBuilder {
 
     /// Replaces the learner configuration.
     pub fn learner(mut self, learner: Learner) -> Self {
-        self.learner = learner;
+        self.session.learner = learner;
         self
     }
 
     /// Sets the path-length bound shared by the learner, the coverage and
     /// the pruning.
     pub fn path_bound(mut self, bound: usize) -> Self {
-        self.learner.path_bound = bound;
+        self.session.learner.path_bound = bound;
         self.session.path_bound = bound;
         self
     }
@@ -252,30 +190,18 @@ impl GpsBuilder {
         self
     }
 
-    /// Chooses the query execution engine (see [`EvalMode`]).
+    /// Chooses how multi-query batches are executed (see [`EvalMode`]).
     pub fn eval_mode(mut self, mode: EvalMode) -> Self {
         self.eval_mode = mode;
         self
     }
 
-    /// Replaces the direction-aware planner's decision thresholds (frontier
-    /// modes; defaults to [`PlannerConfig::default`], the values hand-tuned
+    /// Replaces the direction-aware planner's decision thresholds (defaults
+    /// to [`PlannerConfig::default`], the values hand-tuned
     /// on the checked-in corpora).  Calibrate per corpus when the label
     /// distribution differs sharply from the defaults' assumptions.
     pub fn planner_config(mut self, config: PlannerConfig) -> Self {
         self.planner = config;
-        self
-    }
-
-    /// Sets how many shards (worker threads) the frontier modes' label index
-    /// builds and patches fan out over.  Defaults to the mode's natural
-    /// width: [`EvalMode::Parallel`] uses the machine's available
-    /// parallelism, [`EvalMode::Frontier`] builds sequentially.  The index
-    /// is byte-identical at every shard count — this knob trades build/patch
-    /// latency against thread usage, never answers.  Ignored under
-    /// [`EvalMode::Naive`].
-    pub fn index_shards(mut self, shards: usize) -> Self {
-        self.index_shards = Some(shards.max(1));
         self
     }
 
@@ -289,7 +215,7 @@ impl GpsBuilder {
     /// Caps how much of the alive configuration population a removal-bearing
     /// publish may transitively over-delete before the Tier-3 delete-reseed
     /// gives up and the touched answer falls back to a cold recompute
-    /// (frontier modes; clamped to `0.0..=1.0`, default
+    /// (clamped to `0.0..=1.0`, default
     /// [`gps_exec::DEFAULT_OVERDELETE_LIMIT`]).  `0.0` disables the delete
     /// path entirely — every removal recomputes cold, the pre-Tier-3
     /// behavior — and `1.0` never gives up.
@@ -328,38 +254,45 @@ impl GpsBuilder {
     /// Replaces the whole session configuration at once, including its
     /// embedded learner (which becomes the engine's learner).
     pub fn session_config(mut self, config: SessionConfig) -> Self {
-        self.learner = config.learner.clone();
         self.session = config;
         self
     }
 
-    /// Builds an engine over the mutable adjacency-list backend.
-    pub fn build(self) -> Engine<Graph> {
+    /// Builds the engine over a CSR snapshot of the builder's graph.
+    pub fn build(self) -> Engine {
         let snapshot = Arc::new(CsrGraph::from_graph(&self.graph));
-        let (graph, core) = self.into_core(Arc::clone(&snapshot));
-        Engine {
-            backend: graph,
-            core,
-        }
+        self.build_core_over(snapshot)
     }
 
-    /// Builds an engine over an immutable CSR snapshot of the graph — the
-    /// cache-friendly backend for read-heavy interactive and bulk-evaluation
-    /// workloads.
-    pub fn build_csr(self) -> Engine<CsrGraph> {
-        let snapshot = Arc::new(CsrGraph::from_graph(&self.graph));
-        let (_, core) = self.into_core(Arc::clone(&snapshot));
-        Engine {
-            backend: (*snapshot).clone(),
-            core,
+    /// Builds the engine directly over an existing CSR `snapshot`, ignoring
+    /// the builder's own graph (the builder only contributes the
+    /// configuration) — the recovery path, and the million-node path: pair it
+    /// with a streamed corpus builder (e.g.
+    /// `gps_datasets::streamed::generate_csr`) to stand up an engine without
+    /// ever materializing a mutable [`Graph`].
+    pub fn build_core_over(self, snapshot: Arc<CsrGraph>) -> Engine {
+        let exec_metrics = ExecMetrics::from_registry(&self.metrics);
+        let started = Instant::now();
+        let evaluator = BatchEvaluator::from_csr(&snapshot);
+        exec_metrics.index_build.record_duration(started.elapsed());
+        let mut evaluator = evaluator
+            .with_planner_config(self.planner)
+            .with_metrics(exec_metrics)
+            .with_overdelete_limit(self.delete_saturation);
+        if self.eval_mode == EvalMode::Parallel {
+            evaluator = evaluator.with_parallelism(BatchEvaluator::default_threads());
         }
-    }
-
-    /// Builds just the shared, cheaply-cloneable [`EngineCore`] — the value a
-    /// multi-session service owns (see [`crate::service::GpsService`]).
-    pub fn build_core(self) -> EngineCore {
-        let snapshot = Arc::new(CsrGraph::from_graph(&self.graph));
-        self.into_core(snapshot).1
+        Engine::over(
+            snapshot,
+            evaluator,
+            Arc::new(EngineOptions {
+                session: self.session,
+                strategy: self.strategy,
+                eval_mode: self.eval_mode,
+                cache_capacity: self.cache_capacity,
+                metrics: self.metrics,
+            }),
+        )
     }
 
     /// The telemetry registry this builder wires through (disabled unless
@@ -374,81 +307,26 @@ impl GpsBuilder {
             every_n_publishes: self.checkpoint_every,
         }
     }
-
-    /// Builds a core over a *recovered* snapshot instead of the builder's
-    /// graph (the replay-on-startup path: the snapshot comes from a
-    /// checkpoint, the builder only contributes the configuration knobs).
-    pub(crate) fn core_over(self, snapshot: Arc<CsrGraph>) -> EngineCore {
-        self.into_core(snapshot).1
-    }
-
-    /// Builds a core directly over an existing CSR `snapshot`, ignoring the
-    /// builder's own graph — the million-node path: pair it with a streamed
-    /// corpus builder (e.g. `gps_datasets::streamed::generate_csr`) to stand
-    /// up an engine without ever materializing a mutable
-    /// [`Graph`](gps_graph::Graph).
-    pub fn build_core_over(self, snapshot: Arc<CsrGraph>) -> EngineCore {
-        self.into_core(snapshot).1
-    }
-
-    /// Consumes the builder into the adjacency graph plus the shared core
-    /// over `snapshot`.
-    fn into_core(self, snapshot: Arc<CsrGraph>) -> (Graph, EngineCore) {
-        let mut session = self.session;
-        session.learner = self.learner.clone();
-        let (evaluator, index, stats) = self.eval_mode.evaluator_for(
-            &snapshot,
-            self.planner,
-            ExecMetrics::from_registry(&self.metrics),
-            self.index_shards,
-            self.delete_saturation,
-        );
-        let mut cache = EvalCache::with_shared_evaluator(Arc::clone(&snapshot), evaluator)
-            .with_metrics(&self.metrics);
-        if let Some(capacity) = self.cache_capacity {
-            cache = cache.with_capacity(capacity);
-        }
-        let core = EngineCore {
-            snapshot,
-            cache: Arc::new(cache),
-            index,
-            stats,
-            options: Arc::new(EngineOptions {
-                learner: self.learner,
-                session,
-                strategy: self.strategy,
-                eval_mode: self.eval_mode,
-                planner: self.planner,
-                index_shards: self.index_shards,
-                cache_capacity: self.cache_capacity,
-                delete_saturation: self.delete_saturation,
-                metrics: self.metrics,
-            }),
-        };
-        (self.graph, core)
-    }
 }
 
-/// The configuration shared by every handle and session of one core — and by
-/// every *epoch* of a live store, which is why the evaluation-stack knobs
-/// (planner thresholds, cache capacities) live here: a publish rebuilds the
-/// cache and evaluator with the same knobs the builder chose.
+/// The configuration shared by every clone and session of one engine — and
+/// by every *epoch* of a live store.  The evaluator's own knobs (planner
+/// thresholds, batch fan-out, over-delete cap, telemetry handles) travel
+/// inside the [`BatchEvaluator`], which carries them across
+/// [`apply_delta`](BatchEvaluator::apply_delta).
 #[derive(Debug)]
-pub(crate) struct EngineOptions {
-    learner: Learner,
+struct EngineOptions {
+    /// The session configuration, its embedded learner being the engine's.
     session: SessionConfig,
     strategy: StrategyChoice,
     eval_mode: EvalMode,
-    planner: PlannerConfig,
-    index_shards: Option<usize>,
     cache_capacity: Option<usize>,
-    delete_saturation: f64,
     metrics: Arc<MetricsRegistry>,
 }
 
-/// What [`EngineCore::advance`] built, and where its time went.
+/// What [`Engine::advance`] built, and where its time went.
 pub(crate) struct Advanced {
-    pub core: EngineCore,
+    pub core: Engine,
     pub migration: MigrationReport,
     /// Label index and planner statistics patched through the delta.
     pub index_patch: Duration,
@@ -458,102 +336,87 @@ pub(crate) struct Advanced {
     pub inherit_words: Duration,
 }
 
-/// The immutable, cheaply-cloneable heart of an engine: one graph snapshot,
-/// one bounded evaluation cache (with the mode's evaluator and, for the
-/// frontier modes, one shared [`LabelIndex`]), and the configuration every
-/// session runs with.
+/// The GPS system bound to one graph snapshot: query evaluation,
+/// neighborhood rendering, interactive sessions and the three demonstration
+/// scenarios the demo paper describes, all over one shared snapshot, label
+/// index and bounded evaluation cache.
 ///
-/// Cloning an `EngineCore` copies four `Arc`s — nothing graph-sized — so a
-/// service can hand a core to every worker thread and every session while
-/// all of them share a single snapshot, index and cache.  All mutability
-/// lives in per-session state ([`Session`] owns its examples, coverage,
-/// pruning and statistics) and inside the concurrency-safe cache.
+/// Cloning an `Engine` copies `Arc`s and the evaluator's few knobs — nothing
+/// graph-sized — so a clone is the handle to give a worker thread, a session
+/// table or [`crate::service::GpsService`].  All mutability lives in
+/// per-session state ([`Session`] owns its examples, coverage, pruning and
+/// statistics) and inside the concurrency-safe cache.
 #[derive(Debug, Clone)]
-pub struct EngineCore {
-    pub(crate) snapshot: Arc<CsrGraph>,
-    pub(crate) cache: Arc<EvalCache>,
-    pub(crate) index: Option<Arc<LabelIndex>>,
-    /// Planner statistics of the frontier evaluator (patched, not
-    /// recomputed, on a live update).
-    pub(crate) stats: Option<LabelStats>,
-    pub(crate) options: Arc<EngineOptions>,
+pub struct Engine {
+    snapshot: Arc<CsrGraph>,
+    cache: Arc<EvalCache>,
+    /// The evaluator the cache runs misses on (the cache holds a clone of
+    /// it; both share one [`LabelIndex`]).
+    evaluator: BatchEvaluator,
+    options: Arc<EngineOptions>,
 }
 
-impl EngineCore {
-    /// The shared CSR snapshot sessions run on.
-    pub fn snapshot(&self) -> &CsrGraph {
-        &self.snapshot
+/// The name the service layer and `benchmark/` know the engine by.
+pub type EngineCore = Engine;
+
+/// The historical name of the engine.
+pub type Gps = Engine;
+
+impl Engine {
+    /// Creates an engine over `graph` with default options.
+    pub fn new(graph: Graph) -> Self {
+        GpsBuilder::new(graph).build()
     }
 
-    /// The epoch of the snapshot this core serves (see
-    /// [`CsrGraph::epoch`]).
-    pub fn epoch(&self) -> u64 {
-        self.snapshot.epoch()
+    /// Creates an engine with a custom learner configuration.
+    pub fn with_learner(graph: Graph, learner: Learner) -> Self {
+        GpsBuilder::new(graph).learner(learner).build()
     }
 
-    /// Builds the next epoch's core over `snapshot` (the compacted result of
-    /// `delta`): the frontier modes patch their label index and planner
-    /// statistics through the delta instead of re-indexing, the new bounded
-    /// evaluation cache migrates the old epoch's answers across the delta
+    /// Starts a builder over `graph`; finish with
+    /// [`build`](GpsBuilder::build).
+    pub fn builder(graph: Graph) -> GpsBuilder {
+        GpsBuilder::new(graph)
+    }
+
+    /// Assembles an engine: a fresh bounded cache over `evaluator`.
+    fn over(
+        snapshot: Arc<CsrGraph>,
+        evaluator: BatchEvaluator,
+        options: Arc<EngineOptions>,
+    ) -> Self {
+        let mut cache =
+            EvalCache::with_shared_evaluator(Arc::clone(&snapshot), Box::new(evaluator.clone()))
+                .with_metrics(&options.metrics);
+        if let Some(capacity) = options.cache_capacity {
+            cache = cache.with_capacity(capacity);
+        }
+        Self {
+            snapshot,
+            cache: Arc::new(cache),
+            evaluator,
+            options,
+        }
+    }
+
+    /// Builds the next epoch's engine over `snapshot` (the compacted result
+    /// of `delta`): the label index and planner statistics are patched
+    /// through the delta instead of re-indexed, the new bounded evaluation
+    /// cache migrates the old epoch's answers across the delta
     /// ([`EvalCache::migrate_answers`]) and inherits its word index
     /// ([`EvalCache::inherit_words`]), and every configuration knob carries
-    /// over unchanged.  Returns the new core together with the migration
+    /// over unchanged.  Returns the new engine together with the migration
     /// split (how many cached answers were carried verbatim, re-derived from
     /// their seed, or dropped to a cold recompute) and how long each of the
     /// three steps took.
     pub(crate) fn advance(&self, snapshot: Arc<CsrGraph>, delta: &GraphDelta) -> Advanced {
         let started = Instant::now();
-        let (evaluator, index, stats): (
-            Box<dyn DfaEvaluator>,
-            Option<Arc<LabelIndex>>,
-            Option<LabelStats>,
-        ) = match (self.options.eval_mode, &self.index, &self.stats) {
-            (EvalMode::Naive, _, _) => (
-                Box::new(NaiveEvaluator::from_shared(Arc::clone(&snapshot))),
-                None,
-                None,
-            ),
-            (mode, Some(index), Some(stats)) => {
-                let previous = BatchEvaluator::from_shared_index(Arc::clone(index), stats.clone())
-                    .with_planner_config(self.options.planner)
-                    .with_metrics(ExecMetrics::from_registry(&self.options.metrics))
-                    .with_overdelete_limit(self.options.delete_saturation);
-                let previous = if mode == EvalMode::Parallel {
-                    previous.with_parallelism(BatchEvaluator::default_threads())
-                } else {
-                    previous
-                };
-                let patched = previous.apply_delta(&snapshot, delta);
-                let index = patched.shared_index();
-                let stats = patched.stats().clone();
-                (Box::new(patched), Some(index), Some(stats))
-            }
-            // A frontier core without index/stats cannot exist through the
-            // builder; rebuild defensively if it ever does.
-            (mode, _, _) => mode.evaluator_for(
-                &snapshot,
-                self.options.planner,
-                ExecMetrics::from_registry(&self.options.metrics),
-                self.options.index_shards,
-                self.options.delete_saturation,
-            ),
-        };
+        let evaluator = self.evaluator.apply_delta(&snapshot, delta);
         let patched = Instant::now();
-        let mut cache = EvalCache::with_shared_evaluator(Arc::clone(&snapshot), evaluator)
-            .with_metrics(&self.options.metrics);
-        if let Some(capacity) = self.options.cache_capacity {
-            cache = cache.with_capacity(capacity);
-        }
-        let migration = cache.migrate_answers(&self.cache, delta);
+        let core = Self::over(snapshot, evaluator, Arc::clone(&self.options));
+        let migration = core.cache.migrate_answers(&self.cache, delta);
         let migrated = Instant::now();
-        cache.inherit_words(&self.cache, delta);
-        let core = EngineCore {
-            snapshot,
-            cache: Arc::new(cache),
-            index,
-            stats,
-            options: Arc::clone(&self.options),
-        };
+        core.cache.inherit_words(&self.cache, delta);
         Advanced {
             core,
             migration,
@@ -563,9 +426,28 @@ impl EngineCore {
         }
     }
 
+    // ------------------------------------------------------- shared state
+
+    /// The graph this engine serves: its immutable CSR snapshot.
+    pub fn graph(&self) -> &CsrGraph {
+        &self.snapshot
+    }
+
+    /// The shared CSR snapshot sessions run on (same as
+    /// [`graph`](Self::graph)).
+    pub fn snapshot(&self) -> &CsrGraph {
+        &self.snapshot
+    }
+
     /// A new reference to the shared snapshot.
     pub fn shared_snapshot(&self) -> Arc<CsrGraph> {
         Arc::clone(&self.snapshot)
+    }
+
+    /// The epoch of the snapshot this engine serves (see
+    /// [`CsrGraph::epoch`]).
+    pub fn epoch(&self) -> u64 {
+        self.snapshot.epoch()
     }
 
     /// The shared evaluation cache.
@@ -573,77 +455,146 @@ impl EngineCore {
         &self.cache
     }
 
-    /// A cheaply cloneable handle to the shared evaluation stack.
+    /// A cheaply cloneable handle to the shared evaluation stack — hand it
+    /// to [`Session::with_exec`] / [`SimulatedUser::with_exec`] (the engine's
+    /// own session entry points do so automatically).
     pub fn eval_handle(&self) -> EvalHandle {
         EvalHandle::from_cache(Arc::clone(&self.cache))
     }
 
-    /// The label index the frontier evaluator indexes the snapshot with
-    /// (`None` under [`EvalMode::Naive`]).  Every session of this core —
-    /// and every clone of this core — shares this one allocation.
-    pub fn shared_index(&self) -> Option<Arc<LabelIndex>> {
-        self.index.clone()
+    /// The label index the evaluator indexes the snapshot with.  Every
+    /// session of this engine — and every clone of it — shares this one
+    /// allocation.
+    pub fn shared_index(&self) -> Arc<LabelIndex> {
+        self.evaluator.shared_index()
     }
 
-    /// Approximate heap footprint of the shared label index in bytes (0
-    /// under [`EvalMode::Naive`]).
+    /// Approximate heap footprint of the shared label index in bytes.
     pub fn index_memory_bytes(&self) -> usize {
-        self.index
-            .as_ref()
-            .map(|index| index.memory_bytes())
-            .unwrap_or(0)
+        self.evaluator.index().memory_bytes()
     }
 
-    /// The query execution mode sessions of this core evaluate with.
+    /// How multi-query batches are executed.
     pub fn eval_mode(&self) -> EvalMode {
         self.options.eval_mode
     }
 
-    /// The planner thresholds the frontier evaluators of this core (and of
-    /// every epoch advanced from it) run with.
+    /// The planner thresholds the evaluator of this engine (and of every
+    /// epoch advanced from it) runs with.
     pub fn planner_config(&self) -> PlannerConfig {
-        self.options.planner
+        self.evaluator.planner_config()
     }
 
-    /// The node-proposal strategy sessions of this core run with.
+    /// The configured node-proposal strategy.
     pub fn strategy(&self) -> StrategyChoice {
         self.options.strategy
     }
 
-    /// The session configuration sessions of this core start from.
+    /// The session configuration sessions of this engine start from.
     pub fn session_config(&self) -> &SessionConfig {
         &self.options.session
     }
 
     /// The learner configuration.
     pub fn learner(&self) -> &Learner {
-        &self.options.learner
+        &self.options.session.learner
     }
 
-    /// The telemetry registry this core (and every epoch advanced from it)
+    /// The telemetry registry this engine (and every epoch advanced from it)
     /// records into — the disabled registry unless the builder wired one via
     /// [`GpsBuilder::metrics`].
     pub fn metrics_registry(&self) -> &Arc<MetricsRegistry> {
         &self.options.metrics
     }
 
-    /// Parses a query in the paper's syntax against the snapshot's alphabet.
+    // ------------------------------------------------------------- queries
+
+    /// Parses a query in the paper's syntax against this graph's alphabet.
     pub fn parse_query(&self, syntax: &str) -> Result<PathQuery, GpsError> {
         Ok(PathQuery::parse(syntax, self.snapshot.labels())?)
     }
 
-    /// Parses and evaluates a query through the shared cache.
+    /// Parses and evaluates a query, returning the selected nodes.  Repeated
+    /// evaluations of the same expression are served from the shared cache.
     pub fn evaluate(&self, syntax: &str) -> Result<QueryAnswer, GpsError> {
         let query = self.parse_query(syntax)?;
         Ok((*self.cache.evaluate(query.regex())).clone())
     }
 
+    /// Parses and evaluates a batch of queries, returning the answers in
+    /// input order.
+    ///
+    /// Cache misses are handed to the evaluator in one batch call: under
+    /// [`EvalMode::Parallel`] they fan out across worker threads, under
+    /// [`EvalMode::Frontier`] they share one scratch allocation.
+    pub fn evaluate_many(&self, syntaxes: &[&str]) -> Result<Vec<QueryAnswer>, GpsError> {
+        let queries: Vec<PathQuery> = syntaxes
+            .iter()
+            .map(|syntax| self.parse_query(syntax))
+            .collect::<Result<_, _>>()?;
+        let regexes: Vec<&gps_automata::Regex> = queries.iter().map(|q| q.regex()).collect();
+        Ok(self
+            .cache
+            .evaluate_many(&regexes)
+            .into_iter()
+            .map(|answer| (*answer).clone())
+            .collect())
+    }
+
+    /// Renders the answer of a query as `{N1, N2, …}`.
+    pub fn evaluate_rendered(&self, syntax: &str) -> Result<String, GpsError> {
+        let answer = self.evaluate(syntax)?;
+        Ok(render::render_node_set(&self.snapshot, &answer.nodes()))
+    }
+
+    /// Resolves a node by display name.
+    pub fn node(&self, name: &str) -> Result<NodeId, GpsError> {
+        self.snapshot
+            .node_by_name(name)
+            .ok_or_else(|| GpsError::UnknownNode(name.to_string()))
+    }
+
+    // -------------------------------------------------------- visualization
+
+    /// Extracts the neighborhood of a node at the given radius (Figure 3(a)).
+    pub fn neighborhood(&self, node: NodeId, radius: u32) -> Neighborhood {
+        Neighborhood::extract(&*self.snapshot, node, radius)
+    }
+
+    /// Renders the neighborhood of a node at the given radius.
+    pub fn render_neighborhood(&self, node: NodeId, radius: u32) -> String {
+        render::render_neighborhood(&self.snapshot, &self.neighborhood(node, radius), None)
+    }
+
+    /// Renders the zoom-out from radius `radius` to `radius + 1`, marking the
+    /// newly revealed nodes (Figure 3(b)).
+    pub fn render_zoom(&self, node: NodeId, radius: u32) -> String {
+        let hood = self.neighborhood(node, radius);
+        let (larger, delta) = hood.zoom_out(&*self.snapshot);
+        render::render_neighborhood(&self.snapshot, &larger, Some(&delta))
+    }
+
+    /// Renders the prefix tree of a node's paths up to `bound`, highlighting
+    /// `suggested` (Figure 3(c)).
+    pub fn render_prefix_tree(
+        &self,
+        node: NodeId,
+        bound: usize,
+        suggested: &[gps_graph::LabelId],
+    ) -> String {
+        let words = PathEnumerator::new(bound).words_from(&*self.snapshot, node);
+        let tree = PrefixTree::from_words(&words);
+        render::render_prefix_tree(&self.snapshot, &tree, &suggested.to_vec())
+    }
+
+    // ------------------------------------------------------------- sessions
+
     /// Opens a new interactive session on the shared snapshot and stack.
     ///
-    /// The session co-owns the snapshot (no borrow of the core), so it can be
-    /// stored in a session table and stepped from any worker thread; its
+    /// The session co-owns the snapshot (no borrow of the engine), so it can
+    /// be stored in a session table and stepped from any worker thread; its
     /// learner/coverage/pruning state is private to the session, while every
-    /// query it evaluates goes through the core's one bounded cache.
+    /// query it evaluates goes through the engine's one bounded cache.
     pub fn open_session(&self) -> Session<'static, CsrGraph> {
         let mut session = Session::with_shared_exec(
             Arc::clone(&self.snapshot),
@@ -658,8 +609,7 @@ impl EngineCore {
         session
     }
 
-    /// Instantiates the configured node-proposal strategy for the snapshot
-    /// backend.
+    /// Instantiates the configured node-proposal strategy.
     pub fn instantiate_strategy(&self) -> Box<dyn Strategy<CsrGraph> + Send> {
         self.options.strategy.instantiate::<CsrGraph>()
     }
@@ -670,256 +620,12 @@ impl EngineCore {
         let goal = self.parse_query(goal_syntax)?;
         Ok(SimulatedUser::with_exec(goal, self.eval_handle()))
     }
-}
-
-/// The GPS system bound to one graph backend: a thin per-user handle over a
-/// shared [`EngineCore`].
-///
-/// See the [module docs](self) for the builder-based construction; the
-/// methods mirror the operations the demo paper describes — query
-/// evaluation, neighborhood rendering, and the three demonstration
-/// scenarios.  The backend is what the handle's own traversal/rendering
-/// methods walk; every query evaluation, session, learner and pruning call
-/// goes through the core's shared snapshot, cache and (frontier modes)
-/// label index.  [`Engine::core`] exposes the core for multi-session
-/// serving — see [`crate::service`].
-#[derive(Debug)]
-pub struct Engine<B: GraphBackend = Graph> {
-    backend: B,
-    core: EngineCore,
-}
-
-/// The historical name of the adjacency-backed engine.
-pub type Gps = Engine<Graph>;
-
-impl Engine<Graph> {
-    /// Creates an adjacency-backed engine with default options.
-    pub fn new(graph: Graph) -> Self {
-        GpsBuilder::new(graph).build()
-    }
-
-    /// Creates an engine with a custom learner configuration.
-    pub fn with_learner(graph: Graph, learner: Learner) -> Self {
-        GpsBuilder::new(graph).learner(learner).build()
-    }
-
-    /// Starts a builder over `graph`; finish with
-    /// [`build`](GpsBuilder::build) or [`build_csr`](GpsBuilder::build_csr).
-    pub fn builder(graph: Graph) -> GpsBuilder {
-        GpsBuilder::new(graph)
-    }
-}
-
-impl<B: GraphBackend> Engine<B> {
-    /// Wraps an existing backend with default options (no builder knobs).
-    pub fn from_backend(backend: B) -> Self {
-        let eval_mode = EvalMode::default();
-        let planner = PlannerConfig::default();
-        let snapshot = Arc::new(CsrGraph::from_backend(&backend));
-        let (evaluator, index, stats) = eval_mode.evaluator_for(
-            &snapshot,
-            planner,
-            ExecMetrics::disabled(),
-            None,
-            DEFAULT_OVERDELETE_LIMIT,
-        );
-        let cache = Arc::new(EvalCache::with_shared_evaluator(
-            Arc::clone(&snapshot),
-            evaluator,
-        ));
-        let learner = Learner::default();
-        let session = SessionConfig {
-            learner: learner.clone(),
-            ..SessionConfig::default()
-        };
-        Self {
-            backend,
-            core: EngineCore {
-                snapshot,
-                cache,
-                index,
-                stats,
-                options: Arc::new(EngineOptions {
-                    learner,
-                    session,
-                    strategy: StrategyChoice::default(),
-                    eval_mode,
-                    planner,
-                    index_shards: None,
-                    cache_capacity: None,
-                    delete_saturation: DEFAULT_OVERDELETE_LIMIT,
-                    metrics: Arc::new(MetricsRegistry::disabled()),
-                }),
-            },
-        }
-    }
-
-    /// The underlying backend.
-    pub fn backend(&self) -> &B {
-        &self.backend
-    }
-
-    /// The underlying backend (historical name).
-    pub fn graph(&self) -> &B {
-        &self.backend
-    }
-
-    /// The shared core this handle evaluates through.
-    pub fn core(&self) -> &EngineCore {
-        &self.core
-    }
-
-    /// A cheap clone of the shared core — hand it to
-    /// [`crate::service::GpsService`] to serve many concurrent sessions over
-    /// this engine's snapshot, cache and index.
-    pub fn core_handle(&self) -> EngineCore {
-        self.core.clone()
-    }
-
-    /// The learner configuration.
-    pub fn learner(&self) -> &Learner {
-        self.core.learner()
-    }
-
-    /// The session configuration interactive scenarios run with.
-    pub fn session_config(&self) -> &SessionConfig {
-        self.core.session_config()
-    }
-
-    /// The configured node-proposal strategy.
-    pub fn strategy(&self) -> StrategyChoice {
-        self.core.strategy()
-    }
-
-    /// The configured query execution mode.
-    pub fn eval_mode(&self) -> EvalMode {
-        self.core.eval_mode()
-    }
-
-    /// The engine's shared evaluation cache.
-    pub fn eval_cache(&self) -> &EvalCache {
-        self.core.eval_cache()
-    }
-
-    /// A cheaply cloneable handle to the engine's evaluation stack — hand it
-    /// to [`Session::with_exec`] / [`gps_interactive::user::SimulatedUser::with_exec`]
-    /// (the engine's own session entry points do so automatically).
-    pub fn eval_handle(&self) -> EvalHandle {
-        self.core.eval_handle()
-    }
-
-    /// Takes an immutable CSR snapshot of the current backend.
-    pub fn snapshot(&self) -> CsrGraph {
-        CsrGraph::from_backend(&self.backend)
-    }
-
-    // ------------------------------------------------------------- queries
-
-    /// Parses a query in the paper's syntax against this graph's alphabet.
-    pub fn parse_query(&self, syntax: &str) -> Result<PathQuery, GpsError> {
-        Ok(PathQuery::parse(syntax, self.backend.labels())?)
-    }
-
-    /// Parses and evaluates a query, returning the selected nodes.  Repeated
-    /// evaluations of the same expression are served from a cache.
-    pub fn evaluate(&self, syntax: &str) -> Result<QueryAnswer, GpsError> {
-        let query = self.parse_query(syntax)?;
-        Ok((*self.core.cache.evaluate(query.regex())).clone())
-    }
-
-    /// Parses and evaluates a batch of queries, returning the answers in
-    /// input order.
-    ///
-    /// Cache misses are handed to the configured execution engine in one
-    /// batch call, so under [`EvalMode::Parallel`] the uncached queries fan
-    /// out across worker threads and under [`EvalMode::Frontier`] they share
-    /// one scratch allocation.
-    pub fn evaluate_many(&self, syntaxes: &[&str]) -> Result<Vec<QueryAnswer>, GpsError> {
-        let queries: Vec<PathQuery> = syntaxes
-            .iter()
-            .map(|syntax| self.parse_query(syntax))
-            .collect::<Result<_, _>>()?;
-        let regexes: Vec<&gps_automata::Regex> = queries.iter().map(|q| q.regex()).collect();
-        Ok(self
-            .core
-            .cache
-            .evaluate_many(&regexes)
-            .into_iter()
-            .map(|answer| (*answer).clone())
-            .collect())
-    }
-
-    /// Renders the answer of a query as `{N1, N2, …}`.
-    pub fn evaluate_rendered(&self, syntax: &str) -> Result<String, GpsError> {
-        let answer = self.evaluate(syntax)?;
-        Ok(render::render_node_set(&self.backend, &answer.nodes()))
-    }
-
-    /// Resolves a node by display name.
-    pub fn node(&self, name: &str) -> Result<NodeId, GpsError> {
-        self.backend
-            .node_by_name(name)
-            .ok_or_else(|| GpsError::UnknownNode(name.to_string()))
-    }
-
-    // -------------------------------------------------------- visualization
-
-    /// Extracts the neighborhood of a node at the given radius (Figure 3(a)).
-    pub fn neighborhood(&self, node: NodeId, radius: u32) -> Neighborhood {
-        Neighborhood::extract(&self.backend, node, radius)
-    }
-
-    /// Renders the neighborhood of a node at the given radius.
-    pub fn render_neighborhood(&self, node: NodeId, radius: u32) -> String {
-        render::render_neighborhood(&self.backend, &self.neighborhood(node, radius), None)
-    }
-
-    /// Renders the zoom-out from radius `radius` to `radius + 1`, marking the
-    /// newly revealed nodes (Figure 3(b)).
-    pub fn render_zoom(&self, node: NodeId, radius: u32) -> String {
-        let hood = self.neighborhood(node, radius);
-        let (larger, delta) = hood.zoom_out(&self.backend);
-        render::render_neighborhood(&self.backend, &larger, Some(&delta))
-    }
-
-    /// Renders the prefix tree of a node's paths up to `bound`, highlighting
-    /// `suggested` (Figure 3(c)).
-    pub fn render_prefix_tree(
-        &self,
-        node: NodeId,
-        bound: usize,
-        suggested: &[gps_graph::LabelId],
-    ) -> String {
-        let words = PathEnumerator::new(bound).words_from(&self.backend, node);
-        let tree = PrefixTree::from_words(&words);
-        render::render_prefix_tree(&self.backend, &tree, &suggested.to_vec())
-    }
-
-    // ------------------------------------------------------------- sessions
-
-    /// Starts an interactive session over this engine's backend with its
-    /// configured session options, evaluating through the engine's shared
-    /// stack (cache + configured execution engine).
-    pub fn new_session(&self) -> Session<'_, B> {
-        let mut session = Session::with_exec(
-            &self.backend,
-            self.core.options.session.clone(),
-            self.eval_handle(),
-        );
-        if self.core.options.metrics.is_enabled() {
-            session.set_metrics(gps_interactive::metrics::SessionMetrics::from_registry(
-                &self.core.options.metrics,
-            ));
-        }
-        session
-    }
 
     /// Runs a full interactive session against `user` with the configured
     /// strategy and options.
-    pub fn specify<U: User<B> + ?Sized>(&self, user: &mut U) -> SessionOutcome {
-        let mut strategy = self.core.options.strategy.instantiate::<B>();
-        let mut session = self.new_session();
-        session.run(strategy.as_mut(), user)
+    pub fn specify<U: User<CsrGraph> + ?Sized>(&self, user: &mut U) -> SessionOutcome {
+        let mut strategy = self.instantiate_strategy();
+        self.open_session().run(strategy.as_mut(), user)
     }
 
     // ------------------------------------------------------------ scenarios
@@ -927,7 +633,7 @@ impl<B: GraphBackend> Engine<B> {
     /// Scenario 1 — static labeling: the user labels arbitrary nodes and the
     /// system proposes a consistent query or reports the inconsistency.
     pub fn static_labeling(&self, labels: &[(NodeId, Label)]) -> StaticLabelingOutcome {
-        scenario::static_labeling(&self.backend, labels, self.core.learner())
+        scenario::static_labeling(&self.snapshot, labels, self.learner())
     }
 
     /// Scenario 2 — interactive labeling without path validation, against a
@@ -937,19 +643,7 @@ impl<B: GraphBackend> Engine<B> {
         goal_syntax: &str,
         _seed: u64,
     ) -> Result<ScenarioReport, GpsError> {
-        let goal = self.parse_query(goal_syntax)?;
-        let config = SessionConfig {
-            with_path_validation: false,
-            ..self.core.options.session.clone()
-        };
-        let mut strategy = self.core.options.strategy.instantiate::<B>();
-        Ok(scenario::interactive_with_exec(
-            &self.backend,
-            &goal,
-            config,
-            strategy.as_mut(),
-            self.eval_handle(),
-        ))
+        self.interactive(goal_syntax, false)
     }
 
     /// Scenario 3 — interactive labeling with path validation (the core of
@@ -960,14 +654,22 @@ impl<B: GraphBackend> Engine<B> {
         goal_syntax: &str,
         _seed: u64,
     ) -> Result<ScenarioReport, GpsError> {
+        self.interactive(goal_syntax, true)
+    }
+
+    fn interactive(
+        &self,
+        goal_syntax: &str,
+        with_path_validation: bool,
+    ) -> Result<ScenarioReport, GpsError> {
         let goal = self.parse_query(goal_syntax)?;
         let config = SessionConfig {
-            with_path_validation: true,
-            ..self.core.options.session.clone()
+            with_path_validation,
+            ..self.options.session.clone()
         };
-        let mut strategy = self.core.options.strategy.instantiate::<B>();
-        Ok(scenario::interactive_with_exec(
-            &self.backend,
+        let mut strategy = self.instantiate_strategy();
+        Ok(scenario::interactive(
+            &self.snapshot,
             &goal,
             config,
             strategy.as_mut(),
@@ -980,7 +682,8 @@ impl<B: GraphBackend> Engine<B> {
 mod tests {
     use super::*;
     use gps_datasets::figure1::{figure1_graph, MOTIVATING_QUERY};
-    use gps_interactive::user::SimulatedUser;
+    use gps_graph::GraphBackend;
+    use gps_rpq::{DfaEvaluator, NaiveEvaluator};
 
     fn gps() -> (Gps, gps_datasets::figure1::Figure1) {
         let (graph, ids) = figure1_graph();
@@ -1112,33 +815,56 @@ mod tests {
     }
 
     #[test]
-    fn eval_modes_agree_and_reach_the_engine() {
-        let (graph, ids) = figure1_graph();
-        let naive = Engine::builder(graph.clone()).build();
-        assert_eq!(naive.eval_mode(), EvalMode::Naive, "default mode");
-        for mode in [EvalMode::Frontier, EvalMode::Parallel] {
-            let engine = Engine::builder(graph.clone()).eval_mode(mode).build();
-            assert_eq!(engine.eval_mode(), mode);
-            assert_eq!(
-                engine.evaluate(MOTIVATING_QUERY).unwrap().nodes(),
-                naive.evaluate(MOTIVATING_QUERY).unwrap().nodes(),
-                "{mode:?}"
-            );
-            let csr_engine = Engine::builder(graph.clone()).eval_mode(mode).build_csr();
-            assert!(csr_engine.evaluate("cinema").unwrap().contains(ids.n4));
+    fn the_engine_answers_like_the_naive_oracle_in_both_modes() {
+        let (graph, _) = figure1_graph();
+        let oracle = NaiveEvaluator::new(&graph);
+        let default = Engine::builder(graph.clone()).build();
+        assert_eq!(default.eval_mode(), EvalMode::Frontier, "default mode");
+        let parallel = Engine::builder(graph.clone())
+            .eval_mode(EvalMode::Parallel)
+            .build();
+        assert_eq!(parallel.eval_mode(), EvalMode::Parallel);
+        for syntax in [MOTIVATING_QUERY, "cinema", "bus", "(tram+bus)*"] {
+            let query = PathQuery::parse(syntax, graph.labels()).unwrap();
+            let expected = oracle.evaluate_dfa(query.dfa());
+            assert_eq!(default.evaluate(syntax).unwrap(), expected, "{syntax}");
+            assert_eq!(parallel.evaluate(syntax).unwrap(), expected, "{syntax}");
         }
+        assert_eq!(
+            default.evaluate_rendered(MOTIVATING_QUERY).unwrap(),
+            "{N1, N2, N4, N6}"
+        );
+    }
+
+    #[test]
+    fn the_engine_holds_its_graph_and_index_once() {
+        fn handle<T: Clone + Send + Sync>(_: &T) {}
+        let (graph, _) = figure1_graph();
+        let engine = Engine::builder(graph).build();
+        handle(&engine);
+        let clone = engine.clone();
+        let snapshot = engine.shared_snapshot();
+        assert!(Arc::ptr_eq(&snapshot, &clone.shared_snapshot()));
+        assert!(std::ptr::eq(engine.graph(), &*snapshot));
+        assert!(
+            std::ptr::eq(engine.open_session().graph(), &*snapshot),
+            "a session runs on the engine's snapshot, not on a copy"
+        );
+        assert!(Arc::ptr_eq(&engine.shared_index(), &clone.shared_index()));
+        assert!(engine.index_memory_bytes() > 0);
     }
 
     #[test]
     fn evaluate_many_matches_per_query_evaluation() {
         let (graph, _) = figure1_graph();
         let queries = [MOTIVATING_QUERY, "cinema", "bus", MOTIVATING_QUERY];
-        let naive = Engine::builder(graph.clone()).build();
+        let oracle = NaiveEvaluator::new(&graph);
         let expected: Vec<Vec<NodeId>> = queries
             .iter()
-            .map(|q| naive.evaluate(q).unwrap().nodes())
+            .map(|q| PathQuery::parse(q, graph.labels()).unwrap())
+            .map(|q| oracle.evaluate_dfa(q.dfa()).nodes())
             .collect();
-        for mode in [EvalMode::Naive, EvalMode::Frontier, EvalMode::Parallel] {
+        for mode in [EvalMode::Frontier, EvalMode::Parallel] {
             let engine = Engine::builder(graph.clone()).eval_mode(mode).build();
             let answers = engine.evaluate_many(&queries).unwrap();
             assert_eq!(answers.len(), queries.len());
@@ -1150,63 +876,17 @@ mod tests {
     }
 
     #[test]
-    fn interactive_scenarios_run_under_the_frontier_mode() {
-        let (graph, _) = figure1_graph();
-        let engine = Engine::builder(graph)
-            .eval_mode(EvalMode::Frontier)
-            .build_csr();
-        let report = engine
-            .interactive_with_validation(MOTIVATING_QUERY, 0)
-            .unwrap();
-        assert!(report.goal_reached);
-    }
-
-    #[test]
-    fn csr_engine_answers_like_the_adjacency_engine() {
-        let (graph, _) = figure1_graph();
-        let adjacency = Engine::builder(graph.clone()).build();
-        let csr = Engine::builder(graph).build_csr();
-        assert_eq!(
-            adjacency.evaluate(MOTIVATING_QUERY).unwrap().nodes(),
-            csr.evaluate(MOTIVATING_QUERY).unwrap().nodes()
-        );
-        assert_eq!(
-            adjacency.evaluate_rendered("bus").unwrap(),
-            csr.evaluate_rendered("bus").unwrap()
-        );
-    }
-
-    #[test]
-    fn interactive_scenarios_run_on_the_csr_backend() {
-        let (graph, _) = figure1_graph();
-        let engine = Engine::builder(graph).build_csr();
-        let report = engine
-            .interactive_with_validation(MOTIVATING_QUERY, 0)
-            .unwrap();
-        assert!(report.goal_reached, "report: {report:?}");
-    }
-
-    #[test]
     fn specify_runs_the_configured_strategy() {
         let (graph, _) = figure1_graph();
         let engine = Engine::builder(graph).build();
         let goal = engine.parse_query(MOTIVATING_QUERY).unwrap();
-        let mut user = SimulatedUser::new(goal.clone(), engine.backend());
+        let mut user = SimulatedUser::new(goal.clone(), engine.graph());
         let outcome = engine.specify(&mut user);
         let learned = outcome.learned.expect("a query is learned");
         assert_eq!(
             learned.answer.nodes(),
-            goal.evaluate(engine.backend()).nodes()
+            goal.evaluate(engine.graph()).nodes()
         );
-    }
-
-    #[test]
-    fn from_backend_wraps_a_snapshot_directly() {
-        let (graph, ids) = figure1_graph();
-        let snapshot = gps_graph::CsrGraph::from_graph(&graph);
-        let engine = Engine::from_backend(snapshot);
-        assert!(engine.evaluate("cinema").unwrap().contains(ids.n4));
-        assert_eq!(engine.snapshot().node_count(), 10);
     }
 
     #[test]
@@ -1214,7 +894,7 @@ mod tests {
         let engine = GpsBuilder::from_edge_list("N1 tram N4\nN4 cinema C1\n")
             .unwrap()
             .build();
-        assert_eq!(engine.backend().node_count(), 3);
+        assert_eq!(engine.graph().node_count(), 3);
         assert!(GpsBuilder::from_edge_list("one two\n").is_err());
     }
 }

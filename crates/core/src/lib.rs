@@ -4,24 +4,23 @@
 //! non-expert user in specifying a path query — a regular expression over
 //! edge labels — on a graph database, by interactively labeling nodes as
 //! positive or negative examples on small, easy-to-visualize fragments of
-//! the graph.  This crate ties the substrates together behind a
-//! backend-agnostic, builder-style facade:
+//! the graph.  This crate ties the substrates together behind one
+//! builder-style facade:
 //!
-//! * [`Engine`] — the facade, generic over [`gps_graph::GraphBackend`]:
-//!   evaluate queries, render neighborhoods and prefix trees, run interactive
-//!   sessions and the three demonstration scenarios on either the mutable
-//!   adjacency [`gps_graph::Graph`] or the immutable
-//!   [`gps_graph::CsrGraph`] snapshot;
-//! * [`GpsBuilder`] — one place to choose the backend, the node-proposal
-//!   strategy, the halt conditions and the zoom/validation options;
+//! * [`Engine`] — the system bound to one graph: an immutable
+//!   [`gps_graph::CsrGraph`] snapshot, the label-indexed frontier evaluator
+//!   and the bounded evaluation cache, each held once and shared by every
+//!   clone and session.  Evaluate queries, render neighborhoods and prefix
+//!   trees, run interactive sessions and the three demonstration scenarios;
+//! * [`GpsBuilder`] — one place to choose the node-proposal strategy, the
+//!   halt conditions and the zoom/validation/evaluation options;
 //! * [`GpsError`] — the typed error unifying the per-layer error enums;
 //! * [`render`] — the textual "visualization" layer standing in for the demo
 //!   GUI (Figure 3(a)–(c) of the paper);
 //! * [`scenario`] — the three demonstration scenarios;
-//! * [`service`] — the multi-session layer: [`EngineCore`] (the immutable,
-//!   cheaply-cloneable snapshot + cache + index every session shares) served
-//!   by [`service::GpsService`]/[`service::SessionManager`] across worker
-//!   threads;
+//! * [`service`] — the multi-session layer: one engine (a clone is a
+//!   handle) served by [`service::GpsService`]/[`service::SessionManager`]
+//!   across worker threads;
 //! * [`versioned`] — live updates: [`VersionedStore`] publishes
 //!   epoch-stamped snapshots (staged [`GraphUpdate`]s → delta-patched index
 //!   and cache) while in-flight sessions stay pinned to their birth epoch;
@@ -36,11 +35,11 @@
 //!
 //! let (graph, ids) = figure1_graph();
 //!
-//! // Build the engine on the immutable CSR backend with explicit options.
+//! // Build the engine with explicit options.
 //! let engine = Engine::builder(graph)
 //!     .strategy(StrategyChoice::InformativePaths { bound: 3 })
 //!     .initial_radius(2)
-//!     .build_csr();
+//!     .build();
 //!
 //! // Evaluate the motivating query of the paper.
 //! let answer = engine.evaluate(MOTIVATING_QUERY).unwrap();

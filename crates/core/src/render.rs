@@ -8,14 +8,16 @@
 //! (Figure 3(b)), and an indented prefix tree with a `◀ candidate` marker on
 //! the suggested path (Figure 3(c)).
 
-use gps_graph::{GraphBackend, Neighborhood, NeighborhoodDelta, NodeId, PrefixTree, Word};
+use gps_graph::{
+    CsrGraph, GraphBackend, Neighborhood, NeighborhoodDelta, NodeId, PrefixTree, Word,
+};
 
 /// Renders a neighborhood as indented text.
 ///
 /// `delta` — when rendering the result of a zoom-out, the nodes added by the
 /// zoom are marked `*new*`, mirroring the blue highlighting of Figure 3(b).
-pub fn render_neighborhood<B: GraphBackend>(
-    graph: &B,
+pub fn render_neighborhood(
+    graph: &CsrGraph,
     neighborhood: &Neighborhood,
     delta: Option<&NeighborhoodDelta>,
 ) -> String {
@@ -61,11 +63,7 @@ pub fn render_neighborhood<B: GraphBackend>(
 }
 
 /// Renders a prefix tree of candidate words, marking the suggested path.
-pub fn render_prefix_tree<B: GraphBackend>(
-    graph: &B,
-    tree: &PrefixTree,
-    suggested: &Word,
-) -> String {
+pub fn render_prefix_tree(graph: &CsrGraph, tree: &PrefixTree, suggested: &Word) -> String {
     let mut out = String::new();
     out.push_str("candidate paths\n");
     // Track, for each depth, the word spelled so far so we can compare the
@@ -91,7 +89,7 @@ pub fn render_prefix_tree<B: GraphBackend>(
 
 /// Renders a one-line description of a labeled answer set, e.g.
 /// `{N1, N2, N4, N6}`.
-pub fn render_node_set<B: GraphBackend>(graph: &B, nodes: &[NodeId]) -> String {
+pub fn render_node_set(graph: &CsrGraph, nodes: &[NodeId]) -> String {
     let names: Vec<&str> = nodes.iter().map(|&n| graph.node_name(n)).collect();
     format!("{{{}}}", names.join(", "))
 }
@@ -105,6 +103,7 @@ mod tests {
     #[test]
     fn neighborhood_rendering_mentions_nodes_and_continuations() {
         let (g, ids) = figure1_graph();
+        let g = CsrGraph::from_graph(&g);
         let hood = Neighborhood::extract(&g, ids.n2, 2);
         let text = render_neighborhood(&g, &hood, None);
         assert!(text.contains("neighborhood of N2 (radius 2)"));
@@ -117,6 +116,7 @@ mod tests {
     #[test]
     fn zoom_rendering_marks_new_nodes() {
         let (g, ids) = figure1_graph();
+        let g = CsrGraph::from_graph(&g);
         let hood2 = Neighborhood::extract(&g, ids.n2, 2);
         let (hood3, delta) = hood2.zoom_out(&g);
         let text = render_neighborhood(&g, &hood3, Some(&delta));
@@ -127,6 +127,7 @@ mod tests {
     #[test]
     fn prefix_tree_rendering_marks_the_candidate() {
         let (g, ids) = figure1_graph();
+        let g = CsrGraph::from_graph(&g);
         let words: Vec<_> = PathEnumerator::new(3)
             .words_from(&g, ids.n2)
             .into_iter()
@@ -146,6 +147,7 @@ mod tests {
     #[test]
     fn node_set_rendering() {
         let (g, ids) = figure1_graph();
+        let g = CsrGraph::from_graph(&g);
         let text = render_node_set(&g, &[ids.n1, ids.n2, ids.n4, ids.n6]);
         assert_eq!(text, "{N1, N2, N4, N6}");
         assert_eq!(render_node_set(&g, &[]), "{}");

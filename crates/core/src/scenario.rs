@@ -14,9 +14,9 @@
 //!    guarantees the generalization uses the paths she cares about.
 
 use crate::transcript::Transcript;
-use gps_graph::{GraphBackend, NodeId};
+use gps_graph::{CsrGraph, NodeId};
 use gps_interactive::session::{Session, SessionConfig, SessionOutcome};
-use gps_interactive::strategy::{InformativePathsStrategy, Strategy};
+use gps_interactive::strategy::Strategy;
 use gps_interactive::user::SimulatedUser;
 use gps_learner::{consistency, ExampleSet, Label, LearnedQuery, Learner};
 use gps_rpq::{EvalHandle, PathQuery};
@@ -39,8 +39,8 @@ pub enum StaticLabelingOutcome {
 }
 
 /// Runs the static-labeling scenario on a user-provided example set.
-pub fn static_labeling<B: GraphBackend>(
-    graph: &B,
+pub fn static_labeling(
+    graph: &CsrGraph,
     labels: &[(NodeId, Label)],
     learner: &Learner,
 ) -> StaticLabelingOutcome {
@@ -89,8 +89,8 @@ pub struct ScenarioReport {
     pub transcript: Transcript,
 }
 
-fn report_from_outcome<B: GraphBackend>(
-    graph: &B,
+fn report_from_outcome(
+    graph: &CsrGraph,
     goal: &PathQuery,
     scenario: &str,
     outcome: &SessionOutcome,
@@ -124,28 +124,15 @@ fn report_from_outcome<B: GraphBackend>(
     }
 }
 
-/// Runs an interactive scenario with an explicit session configuration and
-/// node-proposal strategy.  Builds a private naive evaluation stack; engine
-/// callers use [`interactive_with_exec`] to share theirs.
-pub fn interactive_with_options<B: GraphBackend>(
-    graph: &B,
+/// Runs an interactive scenario on the engine's evaluation stack: the
+/// session, the simulated user, the learner and the final report all
+/// evaluate through `exec`.  The scenario label follows
+/// `config.with_path_validation`.
+pub fn interactive(
+    graph: &CsrGraph,
     goal: &PathQuery,
     config: SessionConfig,
-    strategy: &mut dyn Strategy<B>,
-) -> ScenarioReport {
-    interactive_with_exec(graph, goal, config, strategy, EvalHandle::naive(graph))
-}
-
-/// Runs an interactive scenario on a shared evaluation stack — the entry
-/// point the engine's builder knobs feed into.  The session, the simulated
-/// user, the learner and the final report all evaluate through `exec`, so
-/// the whole loop runs on the engine's configured execution mode and cache.
-/// The scenario label follows `config.with_path_validation`.
-pub fn interactive_with_exec<B: GraphBackend>(
-    graph: &B,
-    goal: &PathQuery,
-    config: SessionConfig,
-    strategy: &mut dyn Strategy<B>,
+    strategy: &mut dyn Strategy<CsrGraph>,
     exec: EvalHandle,
 ) -> ScenarioReport {
     let scenario = if config.with_path_validation {
@@ -159,55 +146,26 @@ pub fn interactive_with_exec<B: GraphBackend>(
     report_from_outcome(graph, goal, scenario, &outcome, &exec)
 }
 
-/// Runs the interactive scenario *without* path validation against a
-/// simulated user whose hidden goal is `goal`.
-pub fn interactive_without_validation<B: GraphBackend>(
-    graph: &B,
-    goal: &PathQuery,
-    seed: u64,
-) -> ScenarioReport {
-    run_interactive(graph, goal, SessionConfig::without_path_validation(), seed)
-}
-
-/// Runs the full interactive scenario *with* path validation (the core of
-/// GPS) against a simulated user whose hidden goal is `goal`.
-pub fn interactive_with_validation<B: GraphBackend>(
-    graph: &B,
-    goal: &PathQuery,
-    seed: u64,
-) -> ScenarioReport {
-    run_interactive(graph, goal, SessionConfig::default(), seed)
-}
-
-fn run_interactive<B: GraphBackend>(
-    graph: &B,
-    goal: &PathQuery,
-    config: SessionConfig,
-    _seed: u64,
-) -> ScenarioReport {
-    let mut strategy = InformativePathsStrategy::with_bound(config.path_bound.min(3));
-    interactive_with_options(graph, goal, config, &mut strategy)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::Engine;
     use gps_datasets::figure1::{figure1_graph, MOTIVATING_QUERY};
-    use gps_graph::Graph;
 
-    fn goal(graph: &Graph) -> PathQuery {
-        PathQuery::parse(MOTIVATING_QUERY, graph.labels()).unwrap()
+    fn static_labeling_on_figure1(labels: &[(NodeId, Label)]) -> StaticLabelingOutcome {
+        let csr = CsrGraph::from_graph(&figure1_graph().0);
+        static_labeling(&csr, labels, &Learner::default())
     }
 
     #[test]
     fn static_labeling_learns_from_consistent_labels() {
-        let (g, ids) = figure1_graph();
+        let (_, ids) = figure1_graph();
         let labels = vec![
             (ids.n2, Label::Positive),
             (ids.n6, Label::Positive),
             (ids.n5, Label::Negative),
         ];
-        match static_labeling(&g, &labels, &Learner::default()) {
+        match static_labeling_on_figure1(&labels) {
             StaticLabelingOutcome::Learned(learned) => {
                 assert!(learned.answer.contains(ids.n2));
                 assert!(learned.answer.contains(ids.n6));
@@ -219,11 +177,11 @@ mod tests {
 
     #[test]
     fn static_labeling_detects_inconsistency() {
-        let (g, ids) = figure1_graph();
+        let (_, ids) = figure1_graph();
         // C1 has no outgoing path: labeling it positive together with any
         // negative is inconsistent for non-nullable queries.
         let labels = vec![(ids.c1, Label::Positive), (ids.n5, Label::Negative)];
-        match static_labeling(&g, &labels, &Learner::default()) {
+        match static_labeling_on_figure1(&labels) {
             StaticLabelingOutcome::Inconsistent {
                 conflicting_positive,
             } => assert_eq!(conflicting_positive, ids.c1),
@@ -233,19 +191,19 @@ mod tests {
 
     #[test]
     fn static_labeling_without_positives() {
-        let (g, ids) = figure1_graph();
+        let (_, ids) = figure1_graph();
         let labels = vec![(ids.n5, Label::Negative)];
         assert!(matches!(
-            static_labeling(&g, &labels, &Learner::default()),
+            static_labeling_on_figure1(&labels),
             StaticLabelingOutcome::NoPositives
         ));
     }
 
     #[test]
     fn with_validation_reaches_the_goal() {
-        let (g, _) = figure1_graph();
-        let goal = goal(&g);
-        let report = interactive_with_validation(&g, &goal, 0);
+        let report = Engine::new(figure1_graph().0)
+            .interactive_with_validation(MOTIVATING_QUERY, 0)
+            .unwrap();
         assert!(report.goal_reached, "report: {report:?}");
         assert!(report.consistent_with_labels);
         assert_eq!(report.scenario, "interactive+validation");
@@ -254,22 +212,22 @@ mod tests {
     }
 
     #[test]
+    fn reports_serialize() {
+        let report = Engine::new(figure1_graph().0)
+            .interactive_with_validation(MOTIVATING_QUERY, 0)
+            .unwrap();
+        let json = serde_json::to_string(&report).unwrap();
+        assert!(json.contains("interactive+validation"));
+    }
+
+    #[test]
     fn without_validation_is_consistent_but_may_differ_from_goal() {
-        let (g, _) = figure1_graph();
-        let goal = goal(&g);
-        let report = interactive_without_validation(&g, &goal, 0);
+        let report = Engine::new(figure1_graph().0)
+            .interactive_without_validation(MOTIVATING_QUERY, 0)
+            .unwrap();
         assert!(report.consistent_with_labels);
         assert_eq!(report.scenario, "interactive");
         // It may or may not hit the goal; the paper's point is only that it
         // is not guaranteed.  Both outcomes are acceptable here.
-    }
-
-    #[test]
-    fn reports_serialize() {
-        let (g, _) = figure1_graph();
-        let goal = goal(&g);
-        let report = interactive_with_validation(&g, &goal, 0);
-        let json = serde_json::to_string(&report).unwrap();
-        assert!(json.contains("interactive+validation"));
     }
 }

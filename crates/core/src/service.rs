@@ -23,14 +23,11 @@
 //!
 //! ```
 //! use gps_core::service::GpsService;
-//! use gps_core::{Engine, EvalMode};
+//! use gps_core::Engine;
 //! use gps_datasets::figure1::{figure1_graph, MOTIVATING_QUERY};
 //!
 //! let (graph, _) = figure1_graph();
-//! let core = Engine::builder(graph)
-//!     .eval_mode(EvalMode::Frontier)
-//!     .build_core();
-//! let service = GpsService::new(core);
+//! let service = GpsService::new(Engine::builder(graph).build());
 //! let goals = vec![MOTIVATING_QUERY.to_string(); 4];
 //! let outcomes = service.serve(&goals, 2).unwrap();
 //! assert_eq!(outcomes.len(), 4);
@@ -212,7 +209,7 @@ impl SessionManager {
     }
 
     /// The *latest* core — what a session opened right now would run on.
-    /// (Cheap: clones four `Arc`s.)
+    /// (Cheap: an [`EngineCore`] clone is a handle.)
     pub fn core(&self) -> EngineCore {
         self.store.latest()
     }
@@ -475,7 +472,7 @@ impl GpsService {
         &self.manager
     }
 
-    /// The *latest* core (cheap clone of four `Arc`s).
+    /// The *latest* core (a cheap handle clone).
     pub fn core(&self) -> EngineCore {
         self.manager.core()
     }
@@ -571,17 +568,16 @@ impl GpsService {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::engine::{Engine, EvalMode};
+    use crate::engine::Engine;
     use gps_datasets::figure1::{figure1_graph, MOTIVATING_QUERY};
 
-    fn core(mode: EvalMode) -> EngineCore {
-        let (graph, _) = figure1_graph();
-        Engine::builder(graph).eval_mode(mode).build_core()
+    fn core() -> EngineCore {
+        Engine::new(figure1_graph().0)
     }
 
     #[test]
     fn open_step_close_lifecycle() {
-        let manager = SessionManager::new(core(EvalMode::Frontier));
+        let manager = SessionManager::new(core());
         let id = manager.open(MOTIVATING_QUERY).unwrap();
         assert_eq!(manager.active_count(), 1);
         let reason = loop {
@@ -608,7 +604,7 @@ mod tests {
 
     #[test]
     fn unknown_and_closed_sessions_error() {
-        let manager = SessionManager::new(core(EvalMode::Naive));
+        let manager = SessionManager::new(core());
         let bogus = SessionId(42);
         assert!(matches!(
             manager.step(bogus),
@@ -636,7 +632,7 @@ mod tests {
                 max_interactions: 200,
                 stop_on_goal: false,
             })
-            .build_core();
+            .build();
         let manager = SessionManager::new(core);
         let id = manager.open(MOTIVATING_QUERY).unwrap();
         manager.step(id).unwrap();
@@ -650,14 +646,14 @@ mod tests {
 
     #[test]
     fn unparsable_goal_is_rejected_at_open() {
-        let manager = SessionManager::new(core(EvalMode::Naive));
+        let manager = SessionManager::new(core());
         assert!(matches!(manager.open("(bus"), Err(GpsError::Parse(_))));
         assert_eq!(manager.active_count(), 0);
     }
 
     #[test]
     fn serve_returns_outcomes_in_input_order() {
-        let service = GpsService::new(core(EvalMode::Frontier));
+        let service = GpsService::new(core());
         let goals = vec![
             MOTIVATING_QUERY.to_string(),
             "cinema".to_string(),
@@ -681,7 +677,7 @@ mod tests {
 
     #[test]
     fn serve_surfaces_parse_errors_without_poisoning_other_goals() {
-        let service = GpsService::new(core(EvalMode::Naive));
+        let service = GpsService::new(core());
         let goals = vec![MOTIVATING_QUERY.to_string(), "(bus".to_string()];
         let result = service.serve(&goals, 2);
         assert!(matches!(result, Err(GpsError::Parse(_))));
@@ -698,12 +694,11 @@ mod tests {
         // closing the first retires its superseded epoch.
         let (graph, _) = figure1_graph();
         let core = Engine::builder(graph)
-            .eval_mode(EvalMode::Frontier)
             .halt(gps_interactive::halt::HaltConfig {
                 max_interactions: 200,
                 stop_on_goal: false,
             })
-            .build_core();
+            .build();
         let service = GpsService::new(core);
         let first = service.manager().open(MOTIVATING_QUERY).unwrap();
         service.manager().step(first).unwrap();
@@ -734,7 +729,7 @@ mod tests {
 
     #[test]
     fn open_failure_does_not_leak_a_pin() {
-        let service = GpsService::new(core(EvalMode::Frontier));
+        let service = GpsService::new(core());
         assert!(service.manager().open("(bus").is_err());
         service
             .update(crate::versioned::GraphUpdate::new().add_node("Z1"))
@@ -748,8 +743,8 @@ mod tests {
 
     #[test]
     fn sessions_share_one_core_allocation() {
-        let service = GpsService::new(core(EvalMode::Frontier));
-        let index = service.core().shared_index().expect("frontier has one");
+        let service = GpsService::new(core());
+        let index = service.core().shared_index();
         assert!(service.core().index_memory_bytes() > 0);
         // Serving sessions adds no index clones: the Arc count stays at
         // (core) + (evaluator) + (this probe).

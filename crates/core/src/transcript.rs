@@ -5,7 +5,7 @@
 //! sequence of proposed nodes with their labels and validated paths, the
 //! final learned query, and the session statistics.
 
-use gps_graph::GraphBackend;
+use gps_graph::CsrGraph;
 use gps_interactive::session::SessionOutcome;
 use gps_interactive::SessionStats;
 use gps_learner::Label;
@@ -42,7 +42,7 @@ pub struct Transcript {
 impl Transcript {
     /// Builds a transcript from a session outcome, resolving names against
     /// the graph the session ran on.
-    pub fn from_outcome<B: GraphBackend>(graph: &B, outcome: &SessionOutcome) -> Self {
+    pub fn from_outcome(graph: &CsrGraph, outcome: &SessionOutcome) -> Self {
         let entries = outcome
             .transcript
             .iter()
@@ -124,8 +124,8 @@ mod tests {
     use gps_interactive::user::SimulatedUser;
     use gps_rpq::PathQuery;
 
-    fn run_session() -> (gps_graph::Graph, SessionOutcome) {
-        let (g, _) = figure1_graph();
+    fn run_session() -> (CsrGraph, SessionOutcome) {
+        let g = CsrGraph::from_graph(&figure1_graph().0);
         let goal = PathQuery::parse(MOTIVATING_QUERY, g.labels()).unwrap();
         let mut user = SimulatedUser::new(goal, &g);
         let mut session = Session::new(&g, SessionConfig::default());

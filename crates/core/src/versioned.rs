@@ -365,7 +365,7 @@ impl VersionedStore {
     ///
     /// On a fresh directory the builder's graph becomes the base checkpoint.
     /// On an existing one the builder contributes only its configuration
-    /// (evaluation mode, planner, session knobs, checkpoint policy) — the
+    /// (batch mode, planner, session knobs, checkpoint policy) — the
     /// graph state comes from the latest checkpoint plus a replay of every
     /// committed write-ahead-log batch, each applied through the same
     /// delta/advance machinery as a live publish.  Torn or uncommitted log
@@ -390,14 +390,14 @@ impl VersionedStore {
                         "write-ahead log without a base checkpoint".to_string(),
                     ));
                 }
-                let core = builder.build_core();
+                let core = builder.build();
                 store.checkpoint(core.snapshot(), &[])?;
                 let epoch = core.epoch();
                 (core, true, epoch)
             }
             Some(snapshot) => {
                 let checkpoint_epoch = snapshot.epoch();
-                let core = builder.core_over(Arc::new(snapshot));
+                let core = builder.build_core_over(Arc::new(snapshot));
                 (core, false, checkpoint_epoch)
             }
         };
@@ -602,13 +602,7 @@ impl VersionedStore {
     ///
     /// The heavy work (delta application, compaction, index/stats/cache
     /// patching) happens outside any reader-visible lock; only the final
-    /// swap holds the epoch registry.  When the core's label index is
-    /// sharded ([`GpsBuilder::index_shards`](crate::GpsBuilder::index_shards)
-    /// or [`EvalMode::Parallel`](crate::EvalMode::Parallel)), the index
-    /// patch inside `advance` fans the touched (direction, label)
-    /// partitions out across scoped worker threads — publish latency on
-    /// wide-alphabet corpora drops accordingly, with byte-identical
-    /// results.  In-flight sessions keep their pinned
+    /// swap holds the epoch registry.  In-flight sessions keep their pinned
     /// epoch; sessions opened after the swap see the new one.  On error (an
     /// op referencing a missing node or edge) nothing is published and the
     /// whole batch is discarded — publishes are all-or-nothing.
@@ -813,12 +807,12 @@ mod tests {
 
     fn store(mode: EvalMode) -> VersionedStore {
         let (graph, _) = figure1_graph();
-        VersionedStore::new(Engine::builder(graph).eval_mode(mode).build_core())
+        VersionedStore::new(Engine::builder(graph).eval_mode(mode).build())
     }
 
     #[test]
     fn publish_advances_the_epoch_and_new_readers_see_it() {
-        for mode in [EvalMode::Naive, EvalMode::Frontier, EvalMode::Parallel] {
+        for mode in [EvalMode::Frontier, EvalMode::Parallel] {
             let store = store(mode);
             assert_eq!(store.current_epoch(), 0);
             let before = store.latest().evaluate(MOTIVATING_QUERY).unwrap();
@@ -864,7 +858,7 @@ mod tests {
 
     #[test]
     fn failed_publishes_are_all_or_nothing() {
-        let store = store(EvalMode::Naive);
+        let store = store(EvalMode::Frontier);
         let result = store.update(
             GraphUpdate::new()
                 .add_edge("N1", "bus", "N2")
@@ -890,12 +884,12 @@ mod tests {
     fn frontier_epochs_share_untouched_index_partitions() {
         let store = store(EvalMode::Frontier);
         let old = store.latest();
-        let old_index = old.shared_index().unwrap();
+        let old_index = old.shared_index();
         store
             .update(GraphUpdate::new().add_edge("N1", "bus", "N2"))
             .unwrap();
         let new = store.latest();
-        let new_index = new.shared_index().unwrap();
+        let new_index = new.shared_index();
         assert!(!Arc::ptr_eq(&old_index, &new_index));
         // Same answers on both epochs for a query over an untouched label.
         let q = "cinema";

@@ -9,13 +9,13 @@
 //! direction-aware multi-source membership checks
 //! ([`evaluate_sources`](BatchEvaluator::evaluate_sources)).
 //!
-//! It implements [`DfaEvaluator`], so the `gps-rpq` evaluation cache — and
-//! through it the whole `gps-core` engine, sessions, learner and coverage —
-//! runs on the frontier engine by flipping the `EvalMode` builder knob.
+//! It implements [`DfaEvaluator`], which is how the `gps-rpq` evaluation
+//! cache — and through it the whole `gps-core` engine, sessions, learner and
+//! coverage — runs on it.
 
 use crate::frontier::{
-    evaluate_captured, evaluate_counting, resume, selects_from, witness_from, FrontierPolicy,
-    Resumed, Scratch, DEFAULT_OVERDELETE_LIMIT,
+    evaluate_captured, evaluate_counting, resume, selects_from, witness_from, Resumed, Scratch,
+    DEFAULT_OVERDELETE_LIMIT,
 };
 use crate::index::LabelIndex;
 use crate::metrics::ExecMetrics;
@@ -31,19 +31,6 @@ use std::sync::Arc;
 /// fixed point.
 const FORWARD_SOURCE_FRACTION: usize = 16;
 
-/// How a parallel batch is distributed across worker threads.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum ParallelSplit {
-    /// Dynamic work stealing: workers pop the next query off a shared atomic
-    /// cursor, so heterogeneous batches (one slow query among many fast
-    /// ones) balance across cores.  The default.
-    #[default]
-    WorkStealing,
-    /// Static contiguous chunks (the historical executor) — kept selectable
-    /// so the two splits stay differentially testable.
-    Chunked,
-}
-
 /// A frontier-based batch evaluator bound to one graph snapshot.
 ///
 /// The label-partitioned index is held behind an [`Arc`], so cloning the
@@ -56,8 +43,6 @@ pub struct BatchEvaluator {
     planner: PlannerConfig,
     plan_override: Option<Plan>,
     parallelism: Option<usize>,
-    split: ParallelSplit,
-    frontier_policy: FrontierPolicy,
     overdelete_limit: f64,
     metrics: ExecMetrics,
 }
@@ -73,14 +58,12 @@ impl BatchEvaluator {
         Self::from_parts(LabelIndex::from_csr(csr), LabelStats::compute(csr))
     }
 
-    /// [`from_csr`](Self::from_csr) with the index's per-(direction, label)
-    /// partitions built on up to `shards` scoped threads; the shard count
-    /// sticks, so delta patches fan out the same way.
-    pub fn from_csr_sharded(csr: &CsrGraph, shards: usize) -> Self {
-        Self::from_parts(
-            LabelIndex::from_csr_sharded(csr, shards),
-            LabelStats::compute(csr),
-        )
+    // `benchmark/src/shadow.rs:128,508` are the sole callers, and ordinary
+    // PRs may not edit `benchmark/`; the next `[benchmark]` PR calls
+    // `from_csr` and drops this.
+    #[doc(hidden)]
+    pub fn from_csr_sharded(csr: &CsrGraph, _shards: usize) -> Self {
+        Self::from_csr(csr)
     }
 
     /// Builds the evaluator over an already-shared index (no re-partition).
@@ -91,8 +74,6 @@ impl BatchEvaluator {
             planner: PlannerConfig::default(),
             plan_override: None,
             parallelism: None,
-            split: ParallelSplit::default(),
-            frontier_policy: FrontierPolicy::default(),
             overdelete_limit: DEFAULT_OVERDELETE_LIMIT,
             metrics: ExecMetrics::disabled(),
         }
@@ -108,8 +89,7 @@ impl BatchEvaluator {
         let index = self
             .index
             .apply_delta(delta, csr.node_count(), csr.label_count());
-        self.metrics
-            .record_index_build(started.elapsed(), index.shards());
+        self.metrics.index_build.record_duration(started.elapsed());
         let stats = index.patched_stats(&self.stats, &delta.touched_labels());
         Self {
             index: Arc::new(index),
@@ -117,8 +97,6 @@ impl BatchEvaluator {
             planner: self.planner,
             plan_override: self.plan_override,
             parallelism: self.parallelism,
-            split: self.split,
-            frontier_policy: self.frontier_policy,
             overdelete_limit: self.overdelete_limit,
             metrics: self.metrics.clone(),
         }
@@ -154,38 +132,6 @@ impl BatchEvaluator {
         self
     }
 
-    /// Chooses how parallel batches are split across workers (default:
-    /// [`ParallelSplit::WorkStealing`]).
-    pub fn with_split(mut self, split: ParallelSplit) -> Self {
-        self.split = split;
-        self
-    }
-
-    /// Sets the shard (worker-thread) count future
-    /// [`apply_delta`](Self::apply_delta) patches fan out over.  Cheap: the
-    /// partitions themselves are `Arc`-shared, only the handle vector is
-    /// cloned when the setting changes.
-    pub fn with_index_shards(mut self, shards: usize) -> Self {
-        if self.index.shards() != shards {
-            self.index = Arc::new(LabelIndex::clone(&self.index).with_shards(shards));
-        }
-        self
-    }
-
-    /// Chooses the frontier bitset representation (default:
-    /// [`FrontierPolicy::Auto`] — sparse two-level sets on graphs with at
-    /// least [`crate::SPARSE_FRONTIER_NODES`] nodes).  Every policy yields
-    /// identical answers.
-    pub fn with_frontier_policy(mut self, policy: FrontierPolicy) -> Self {
-        self.frontier_policy = policy;
-        self
-    }
-
-    /// The frontier representation policy in effect.
-    pub fn frontier_policy(&self) -> FrontierPolicy {
-        self.frontier_policy
-    }
-
     /// Caps the delete-aware resume's over-deletion at `limit` (a fraction
     /// of the alive configuration population, clamped to `0.0..=1.0`;
     /// default [`DEFAULT_OVERDELETE_LIMIT`]).  Past the cap a removal-bearing
@@ -201,16 +147,6 @@ impl BatchEvaluator {
     /// The over-deletion cap in effect.
     pub fn overdelete_limit(&self) -> f64 {
         self.overdelete_limit
-    }
-
-    /// A fresh scratch following the configured frontier policy.
-    fn scratch(&self) -> Scratch {
-        Scratch::with_policy(self.frontier_policy)
-    }
-
-    /// The configured batch split.
-    pub fn split(&self) -> ParallelSplit {
-        self.split
     }
 
     /// Installs pre-bound telemetry handles (default:
@@ -259,8 +195,7 @@ impl BatchEvaluator {
 
     /// Evaluates one compiled DFA (fresh scratch).
     pub fn evaluate(&self, dfa: &Dfa) -> QueryAnswer {
-        let mut scratch = self.scratch();
-        self.evaluate_scratch(dfa, &mut scratch)
+        self.evaluate_scratch(dfa, &mut Scratch::default())
     }
 
     /// Evaluates one parsed query.
@@ -297,40 +232,43 @@ impl BatchEvaluator {
         (answer, resume)
     }
 
-    /// Capture-enabled work-stealing batch (same shape as
-    /// [`evaluate_many_stealing`](Self::evaluate_many_stealing)).  Like
-    /// every parallel entry point, the worker count is clamped to the batch
-    /// size and a one-worker request runs inline — no scoped thread is ever
-    /// spawned just to drain the whole cursor by itself.
-    fn evaluate_many_captured_parallel(
+    /// Runs `eval` over every query of the batch on up to `threads` scoped
+    /// worker threads, each with its own scratch, sharing the read-only index
+    /// (results in input order).  Every worker repeatedly claims the next
+    /// unprocessed query off one shared atomic cursor, so a worker that drew
+    /// cheap queries keeps pulling work while another grinds through an
+    /// expensive one.  The worker count is clamped to the batch size and a
+    /// one-worker request runs inline — no scoped thread is ever spawned just
+    /// to drain the whole cursor by itself.
+    fn fan_out<T: Send>(
         &self,
         dfas: &[&Dfa],
         threads: usize,
-    ) -> Vec<(QueryAnswer, Option<EvalResume>)> {
+        eval: impl Fn(&Self, &Dfa, &mut Scratch) -> T + Sync,
+    ) -> Vec<T> {
         let threads = threads.clamp(1, dfas.len().max(1));
         if threads == 1 {
-            let mut scratch = self.scratch();
+            let mut scratch = Scratch::default();
             return dfas
                 .iter()
-                .map(|dfa| self.evaluate_captured_scratch(dfa, &mut scratch))
+                .map(|dfa| eval(self, dfa, &mut scratch))
                 .collect();
         }
         let cursor = AtomicUsize::new(0);
-        let mut results: Vec<Option<(QueryAnswer, Option<EvalResume>)>> = vec![None; dfas.len()];
+        let mut results: Vec<Option<T>> = dfas.iter().map(|_| None).collect();
         std::thread::scope(|scope| {
-            let cursor = &cursor;
+            let (cursor, eval) = (&cursor, &eval);
             let handles: Vec<_> = (0..threads)
                 .map(|_| {
                     scope.spawn(move || {
-                        let mut scratch = self.scratch();
+                        let mut scratch = Scratch::default();
                         let mut answered = Vec::new();
                         loop {
                             let i = cursor.fetch_add(1, Ordering::Relaxed);
                             if i >= dfas.len() {
                                 break;
                             }
-                            answered
-                                .push((i, self.evaluate_captured_scratch(dfas[i], &mut scratch)));
+                            answered.push((i, eval(self, dfas[i], &mut scratch)));
                         }
                         answered
                     })
@@ -351,90 +289,13 @@ impl BatchEvaluator {
     /// Evaluates a batch sequentially, sharing one scratch allocation across
     /// all queries (answers in input order).
     pub fn evaluate_many(&self, dfas: &[&Dfa]) -> Vec<QueryAnswer> {
-        let mut scratch = self.scratch();
-        dfas.iter()
-            .map(|dfa| self.evaluate_scratch(dfa, &mut scratch))
-            .collect()
+        self.fan_out(dfas, 1, Self::evaluate_scratch)
     }
 
-    /// Evaluates a batch on up to `threads` scoped worker threads, each with
-    /// its own scratch, sharing the read-only index (answers in input
-    /// order).  The batch is distributed according to the configured
-    /// [`ParallelSplit`].
+    /// Evaluates a batch on up to `threads` scoped worker threads (answers in
+    /// input order).
     pub fn evaluate_many_parallel(&self, dfas: &[&Dfa], threads: usize) -> Vec<QueryAnswer> {
-        let threads = threads.clamp(1, dfas.len().max(1));
-        if threads == 1 {
-            return self.evaluate_many(dfas);
-        }
-        match self.split {
-            ParallelSplit::WorkStealing => self.evaluate_many_stealing(dfas, threads),
-            ParallelSplit::Chunked => self.evaluate_many_chunked(dfas, threads),
-        }
-    }
-
-    /// Work-stealing executor: every worker repeatedly claims the next
-    /// unprocessed query via one shared atomic cursor, so a worker that drew
-    /// cheap queries keeps pulling work while another grinds through an
-    /// expensive one.
-    fn evaluate_many_stealing(&self, dfas: &[&Dfa], threads: usize) -> Vec<QueryAnswer> {
-        let cursor = AtomicUsize::new(0);
-        let mut results: Vec<Option<QueryAnswer>> = vec![None; dfas.len()];
-        std::thread::scope(|scope| {
-            let cursor = &cursor;
-            let handles: Vec<_> = (0..threads)
-                .map(|_| {
-                    scope.spawn(move || {
-                        let mut scratch = self.scratch();
-                        let mut answered = Vec::new();
-                        loop {
-                            let i = cursor.fetch_add(1, Ordering::Relaxed);
-                            if i >= dfas.len() {
-                                break;
-                            }
-                            answered.push((i, self.evaluate_scratch(dfas[i], &mut scratch)));
-                        }
-                        answered
-                    })
-                })
-                .collect();
-            for handle in handles {
-                for (i, answer) in handle.join().expect("batch worker panicked") {
-                    results[i] = Some(answer);
-                }
-            }
-        });
-        results
-            .into_iter()
-            .map(|r| r.expect("the cursor visits every query exactly once"))
-            .collect()
-    }
-
-    /// Static contiguous-chunk executor (one chunk per worker).
-    pub fn evaluate_many_chunked(&self, dfas: &[&Dfa], threads: usize) -> Vec<QueryAnswer> {
-        let threads = threads.clamp(1, dfas.len().max(1));
-        if threads == 1 {
-            return self.evaluate_many(dfas);
-        }
-        let chunk = dfas.len().div_ceil(threads);
-        let mut results = Vec::with_capacity(dfas.len());
-        std::thread::scope(|scope| {
-            let handles: Vec<_> = dfas
-                .chunks(chunk)
-                .map(|chunk| {
-                    scope.spawn(move || {
-                        let mut scratch = self.scratch();
-                        chunk
-                            .iter()
-                            .map(|dfa| self.evaluate_scratch(dfa, &mut scratch))
-                            .collect::<Vec<_>>()
-                    })
-                })
-                .collect();
-            for handle in handles {
-                results.extend(handle.join().expect("batch worker panicked"));
-            }
-        });
-        results
+        self.fan_out(dfas, threads, Self::evaluate_scratch)
     }
 
     /// Default worker-thread count for the parallel executor.
@@ -478,29 +339,19 @@ impl DfaEvaluator for BatchEvaluator {
     }
 
     fn evaluate_dfas(&self, dfas: &[&Dfa]) -> Vec<QueryAnswer> {
-        match self.parallelism {
-            Some(threads) if dfas.len() > 1 => self.evaluate_many_parallel(dfas, threads),
-            _ => self.evaluate_many(dfas),
-        }
+        self.evaluate_many_parallel(dfas, self.parallelism.unwrap_or(1))
     }
 
     fn evaluate_dfa_captured(&self, dfa: &Dfa) -> (QueryAnswer, Option<EvalResume>) {
-        let mut scratch = self.scratch();
-        self.evaluate_captured_scratch(dfa, &mut scratch)
+        self.evaluate_captured_scratch(dfa, &mut Scratch::default())
     }
 
     fn evaluate_dfas_captured(&self, dfas: &[&Dfa]) -> Vec<(QueryAnswer, Option<EvalResume>)> {
-        match self.parallelism {
-            Some(threads) if threads > 1 && dfas.len() > 1 => {
-                self.evaluate_many_captured_parallel(dfas, threads)
-            }
-            _ => {
-                let mut scratch = self.scratch();
-                dfas.iter()
-                    .map(|dfa| self.evaluate_captured_scratch(dfa, &mut scratch))
-                    .collect()
-            }
-        }
+        self.fan_out(
+            dfas,
+            self.parallelism.unwrap_or(1),
+            Self::evaluate_captured_scratch,
+        )
     }
 
     fn evaluate_dfa_resumed(
@@ -583,17 +434,14 @@ mod tests {
         let g = sample();
         let dfas = queries(&g);
         let refs: Vec<&Dfa> = dfas.iter().collect();
-        let sequential = BatchEvaluator::new(&g).evaluate_many(&refs);
-        for split in [ParallelSplit::WorkStealing, ParallelSplit::Chunked] {
-            let evaluator = BatchEvaluator::new(&g).with_split(split);
-            assert_eq!(evaluator.split(), split);
-            for threads in [1, 2, 3, 8] {
-                assert_eq!(
-                    evaluator.evaluate_many_parallel(&refs, threads),
-                    sequential,
-                    "{split:?} x{threads}"
-                );
-            }
+        let evaluator = BatchEvaluator::new(&g);
+        let sequential = evaluator.evaluate_many(&refs);
+        for threads in [1, 2, 3, 8] {
+            assert_eq!(
+                evaluator.evaluate_many_parallel(&refs, threads),
+                sequential,
+                "x{threads}"
+            );
         }
     }
 
@@ -829,33 +677,6 @@ mod tests {
             default.evaluate(&dfa),
             "thresholds change the plan, never the answer"
         );
-    }
-
-    #[test]
-    fn frontier_policy_and_shard_knobs_preserve_answers() {
-        let g = sample();
-        let dfas = queries(&g);
-        let baseline = BatchEvaluator::new(&g);
-        let expected: Vec<_> = dfas.iter().map(|d| baseline.evaluate(d)).collect();
-        for policy in [
-            FrontierPolicy::Auto,
-            FrontierPolicy::Dense,
-            FrontierPolicy::Sparse,
-        ] {
-            let evaluator = BatchEvaluator::new(&g).with_frontier_policy(policy);
-            assert_eq!(evaluator.frontier_policy(), policy);
-            for (dfa, want) in dfas.iter().zip(&expected) {
-                assert_eq!(evaluator.evaluate(dfa), *want, "{policy:?}");
-            }
-        }
-        let csr = CsrGraph::from_graph(&g);
-        let sharded = BatchEvaluator::from_csr_sharded(&csr, 4);
-        assert_eq!(sharded.index().shards(), 4);
-        for (dfa, want) in dfas.iter().zip(&expected) {
-            assert_eq!(sharded.evaluate(dfa), *want);
-        }
-        let re_knobbed = BatchEvaluator::from_csr(&csr).with_index_shards(3);
-        assert_eq!(re_knobbed.index().shards(), 3);
     }
 
     #[test]

@@ -25,7 +25,7 @@
 //! ([`resume`]) never sees a `Scratch`: it clones that seed copy-on-write and
 //! touches only the configurations a [`GraphDelta`] can change.
 
-use crate::bitset::{FixedBitSet, Ones, SparseBitSet, SparseOnes};
+use crate::bitset::FixedBitSet;
 use crate::index::{Direction, LabelIndex};
 use crate::planner::Plan;
 use gps_automata::Dfa;
@@ -41,187 +41,25 @@ use std::collections::{BTreeMap, BTreeSet, HashSet};
 /// re-derive, without the bookkeeping.
 pub const DEFAULT_OVERDELETE_LIMIT: f64 = 0.5;
 
-/// Node count at which [`FrontierPolicy::Auto`] switches the frontier/delta
-/// bitsets from dense to sparse.  Below this a dense sweep fits comfortably
-/// in cache and the summary level is pure overhead; above it, per-round
-/// clears and scans of near-empty frontiers dominate and the sparse
-/// representation's `O(population)` operations win.
-pub const SPARSE_FRONTIER_NODES: usize = 1 << 16;
-
-/// How the evaluator represents the per-round frontier/delta sets.
-///
-/// The **alive** sets stay dense regardless (they fill monotonically toward
-/// the answer, and answers and [`EvalResume`] seeds are packed from their
-/// words); only the frontier and its staging double are switched.  The
-/// policy concerns cold evaluations alone: a [`resume`] uses neither.  Every
-/// policy produces bit-identical answers — the representation changes
-/// constants, not semantics — which `tests/exec_conformance.rs` asserts
-/// differentially.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub enum FrontierPolicy {
-    /// Sparse when the graph has at least [`SPARSE_FRONTIER_NODES`] nodes,
-    /// dense below.
-    #[default]
-    Auto,
-    /// Always dense ([`FixedBitSet`]): one bit per node, `O(nodes)` clears.
-    Dense,
-    /// Always sparse ([`SparseBitSet`]): summary-word + chunk two-level
-    /// sets with `O(population)` clears/scans.
-    Sparse,
-}
-
-impl FrontierPolicy {
-    /// Whether `nodes` resolves to the sparse representation.
-    #[inline]
-    pub fn is_sparse(self, nodes: usize) -> bool {
-        match self {
-            FrontierPolicy::Auto => nodes >= SPARSE_FRONTIER_NODES,
-            FrontierPolicy::Dense => false,
-            FrontierPolicy::Sparse => true,
-        }
-    }
-}
-
-/// One frontier/delta set in whichever representation the policy resolved.
-#[derive(Debug, Clone)]
-enum FrontierSet {
-    Dense(FixedBitSet),
-    Sparse(SparseBitSet),
-}
-
-impl Default for FrontierSet {
-    fn default() -> Self {
-        FrontierSet::Dense(FixedBitSet::default())
-    }
-}
-
-impl FrontierSet {
-    /// Resizes to the universe `0..len` in the requested representation and
-    /// clears every bit, reusing the allocation when the variant matches.
-    fn reset_as(&mut self, len: usize, sparse: bool) {
-        match self {
-            FrontierSet::Dense(bits) if !sparse => bits.reset(len),
-            FrontierSet::Sparse(bits) if sparse => bits.reset(len),
-            slot => {
-                *slot = if sparse {
-                    FrontierSet::Sparse(SparseBitSet::new(len))
-                } else {
-                    FrontierSet::Dense(FixedBitSet::new(len))
-                };
-            }
-        }
-    }
-
-    #[inline]
-    fn insert(&mut self, bit: usize) -> bool {
-        match self {
-            FrontierSet::Dense(bits) => bits.insert(bit),
-            FrontierSet::Sparse(bits) => bits.insert(bit),
-        }
-    }
-
-    fn insert_all(&mut self) {
-        match self {
-            FrontierSet::Dense(bits) => bits.insert_all(),
-            FrontierSet::Sparse(bits) => bits.insert_all(),
-        }
-    }
-
-    fn clear(&mut self) {
-        match self {
-            FrontierSet::Dense(bits) => bits.clear(),
-            FrontierSet::Sparse(bits) => bits.clear(),
-        }
-    }
-
-    fn is_empty(&self) -> bool {
-        match self {
-            FrontierSet::Dense(bits) => bits.is_empty(),
-            FrontierSet::Sparse(bits) => bits.is_empty(),
-        }
-    }
-
-    fn count(&self) -> usize {
-        match self {
-            FrontierSet::Dense(bits) => bits.count(),
-            FrontierSet::Sparse(bits) => bits.count(),
-        }
-    }
-
-    fn ones(&self) -> FrontierOnes<'_> {
-        match self {
-            FrontierSet::Dense(bits) => FrontierOnes::Dense(bits.ones()),
-            FrontierSet::Sparse(bits) => FrontierOnes::Sparse(bits.ones()),
-        }
-    }
-
-    /// ORs this set into `dense`; returns `true` when any new bit appeared.
-    fn union_into(&self, dense: &mut FixedBitSet) -> bool {
-        match self {
-            FrontierSet::Dense(bits) => dense.union_with(bits),
-            FrontierSet::Sparse(bits) => bits.union_into(dense),
-        }
-    }
-}
-
-enum FrontierOnes<'a> {
-    Dense(Ones<'a>),
-    Sparse(SparseOnes<'a>),
-}
-
-impl<'a> Iterator for FrontierOnes<'a> {
-    type Item = usize;
-
-    #[inline]
-    fn next(&mut self) -> Option<usize> {
-        match self {
-            FrontierOnes::Dense(ones) => ones.next(),
-            FrontierOnes::Sparse(ones) => ones.next(),
-        }
-    }
-}
-
-/// Reusable allocation for one cold evaluation: per-state
-/// alive/frontier/delta bitsets.  Batch callers keep one `Scratch` per worker
-/// and amortize the allocations across every query of the workload.
-///
-/// The alive sets are always dense; the frontier/staging sets follow the
-/// configured [`FrontierPolicy`] (default [`FrontierPolicy::Auto`]).
+/// Reusable allocation for one cold evaluation: per-state alive, frontier
+/// and staging bitsets.  Batch callers keep one `Scratch` per worker and
+/// amortize the allocations across every query of the workload.
 #[derive(Debug, Clone, Default)]
 pub struct Scratch {
     alive: Vec<FixedBitSet>,
-    frontier: Vec<FrontierSet>,
-    next: Vec<FrontierSet>,
+    frontier: Vec<FixedBitSet>,
+    next: Vec<FixedBitSet>,
     /// One state's dense support counters while a capture packs them.
     support_row: Vec<u8>,
-    policy: FrontierPolicy,
 }
 
 impl Scratch {
-    /// A scratch whose frontier sets follow `policy`.
-    pub fn with_policy(policy: FrontierPolicy) -> Self {
-        Self {
-            policy,
-            ..Self::default()
-        }
-    }
-
-    /// The configured frontier representation policy.
-    pub fn policy(&self) -> FrontierPolicy {
-        self.policy
-    }
-
     /// Resizes for `states` × `nodes` and clears every bit.
     fn prepare(&mut self, states: usize, nodes: usize) {
-        self.alive.resize_with(states, FixedBitSet::default);
-        for bits in &mut self.alive {
-            bits.reset(nodes);
-        }
-        let sparse = self.policy.is_sparse(nodes);
-        for set in [&mut self.frontier, &mut self.next] {
-            set.resize_with(states, FrontierSet::default);
+        for set in [&mut self.alive, &mut self.frontier, &mut self.next] {
+            set.resize_with(states, FixedBitSet::default);
             for bits in set.iter_mut() {
-                bits.reset_as(nodes, sparse);
+                bits.reset(nodes);
             }
         }
     }
@@ -355,7 +193,7 @@ fn fixed_point(
                 }
             }
             for p in 0..s {
-                progress |= scratch.next[p].union_into(&mut scratch.alive[p]);
+                progress |= scratch.alive[p].union_with(&scratch.next[p]);
             }
         } else {
             // Gauss-Seidel round: mark `alive` immediately, collect the
@@ -921,26 +759,6 @@ mod tests {
         let path = witness_from(&index, &eps, 0).unwrap();
         assert!(path.is_empty());
         assert!(witness_from(&index, &eps, 99).is_none(), "out of range");
-    }
-
-    #[test]
-    fn sparse_and_dense_frontiers_agree() {
-        let g = figure1_like();
-        let index = LabelIndex::from_backend(&g);
-        let dfa = motivating(&g);
-        let mut dense = Scratch::with_policy(FrontierPolicy::Dense);
-        let mut sparse = Scratch::with_policy(FrontierPolicy::Sparse);
-        for plan in [Plan::Reverse, Plan::Forward, Plan::Bidirectional] {
-            let (a, a_rounds) = evaluate_counting(&index, &dfa, plan, &mut dense);
-            let (b, b_rounds) = evaluate_counting(&index, &dfa, plan, &mut sparse);
-            assert_eq!(a, b, "{plan:?}");
-            assert_eq!(a_rounds, b_rounds, "{plan:?}");
-        }
-        // Swapping one scratch between policies must not leak state.
-        let mut auto = Scratch::with_policy(FrontierPolicy::Sparse);
-        let first = evaluate_with(&index, &dfa, Plan::Bidirectional, &mut auto);
-        let expected = gps_rpq::eval::evaluate(&g, &dfa);
-        assert_eq!(first, expected);
     }
 
     #[test]

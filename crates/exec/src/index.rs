@@ -31,60 +31,7 @@ use crate::bitset::FixedBitSet;
 use gps_graph::splice::RowSplice;
 use gps_graph::{CsrGraph, Edge, GraphBackend, GraphDelta, LabelId, LabelStat, LabelStats, NodeId};
 use std::collections::{BTreeMap, BTreeSet};
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
-
-/// Runs `jobs` independent closures across at most `workers` scoped threads
-/// and returns the results in job order.
-///
-/// Work is distributed by an atomic cursor (work-stealing over indices), so
-/// a straggler job never idles the other workers.  With `workers <= 1` or a
-/// single job this is a plain sequential loop — no thread is ever spawned —
-/// which is what keeps the sharded index byte-identical *and*
-/// overhead-identical to the historical sequential build on one core.
-fn run_jobs<T, F>(workers: usize, jobs: usize, job: F) -> Vec<T>
-where
-    T: Send,
-    F: Fn(usize) -> T + Sync,
-{
-    let workers = workers.min(jobs);
-    if workers <= 1 {
-        return (0..jobs).map(&job).collect();
-    }
-    let cursor = AtomicUsize::new(0);
-    let per_worker: Vec<Vec<(usize, T)>> = std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..workers)
-            .map(|_| {
-                scope.spawn(|| {
-                    let mut out = Vec::new();
-                    loop {
-                        let next = cursor.fetch_add(1, Ordering::Relaxed);
-                        if next >= jobs {
-                            break;
-                        }
-                        out.push((next, job(next)));
-                    }
-                    out
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|handle| handle.join().expect("index shard worker panicked"))
-            .collect()
-    });
-    let mut slots: Vec<Option<T>> = Vec::with_capacity(jobs);
-    slots.resize_with(jobs, || None);
-    for chunk in per_worker {
-        for (index, value) in chunk {
-            slots[index] = Some(value);
-        }
-    }
-    slots
-        .into_iter()
-        .map(|slot| slot.expect("every job index below the cursor bound ran"))
-        .collect()
-}
 
 /// Expansion direction through the index.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -110,33 +57,21 @@ struct Partition {
 impl Partition {
     /// Builds one label's partition from its `(from, to)` pairs.
     fn build(node_count: usize, edges: &[(u32, u32)]) -> Self {
-        Self::build_chunked(node_count, &[edges])
-    }
-
-    /// Builds one label's partition from its `(from, to)` pairs split across
-    /// consecutive chunks — byte-identical to [`build`](Self::build) over
-    /// the chunks' concatenation.
-    fn build_chunked(node_count: usize, chunks: &[&[(u32, u32)]]) -> Self {
         let mut offsets = vec![0u32; node_count + 2];
         // Count one slot ahead so the prefix sum leaves offsets[node] = start.
-        for chunk in chunks {
-            for &(from, _) in *chunk {
-                offsets[from as usize + 1] += 1;
-            }
+        for &(from, _) in edges {
+            offsets[from as usize + 1] += 1;
         }
         for i in 1..offsets.len() {
             offsets[i] += offsets[i - 1];
         }
         offsets.truncate(node_count + 1);
-        let total: usize = chunks.iter().map(|chunk| chunk.len()).sum();
-        let mut neighbors = vec![0u32; total];
+        let mut neighbors = vec![0u32; edges.len()];
         let mut cursor = offsets.clone();
-        for chunk in chunks {
-            for &(from, to) in *chunk {
-                let slot = &mut cursor[from as usize];
-                neighbors[*slot as usize] = to;
-                *slot += 1;
-            }
+        for &(from, to) in edges {
+            let slot = &mut cursor[from as usize];
+            neighbors[*slot as usize] = to;
+            *slot += 1;
         }
         Self { offsets, neighbors }
     }
@@ -306,6 +241,45 @@ impl DirIndex {
     }
 }
 
+/// The edge set bucketed per label in both directions, in edge-stream order
+/// — the one pass a fresh [`LabelIndex`] build makes before packing each
+/// bucket into its [`Partition`].
+struct Buckets {
+    fwd: Vec<Vec<(u32, u32)>>,
+    rev: Vec<Vec<(u32, u32)>>,
+}
+
+impl Buckets {
+    fn new(label_count: usize) -> Self {
+        Self {
+            fwd: vec![Vec::new(); label_count],
+            rev: vec![Vec::new(); label_count],
+        }
+    }
+
+    #[inline]
+    fn push(&mut self, label: usize, source: u32, target: u32) {
+        self.fwd[label].push((source, target));
+        self.rev[label].push((target, source));
+    }
+
+    fn into_index(self, node_count: usize) -> LabelIndex {
+        let pack = |buckets: &[Vec<(u32, u32)>]| DirIndex {
+            parts: buckets
+                .iter()
+                .map(|bucket| Arc::new(Partition::build(node_count, bucket)))
+                .collect(),
+        };
+        LabelIndex {
+            node_count,
+            label_count: self.fwd.len(),
+            label_edge_counts: self.fwd.iter().map(Vec::len).collect(),
+            fwd: pack(&self.fwd),
+            rev: pack(&self.rev),
+        }
+    }
+}
+
 /// Label-partitioned forward and reverse adjacency of one graph snapshot.
 ///
 /// Built once per graph and shared across every query of a batch (and across
@@ -313,16 +287,6 @@ impl DirIndex {
 /// store does not rebuild it per epoch: [`LabelIndex::apply_delta`] patches
 /// only the label partitions an update touches and `Arc`-shares the rest
 /// with the previous epoch's index.
-///
-/// The per-(direction, label) partitions are independent, so both the fresh
-/// build and the delta patch can fan out across **shards**: with
-/// [`from_csr_sharded`](Self::from_csr_sharded) or
-/// [`with_shards`](Self::with_shards) set to `n > 1`, up to `n` scoped
-/// threads pull partition jobs off an atomic cursor.  The result is
-/// byte-identical to the sequential build regardless of shard count —
-/// every partition's content depends only on its own label's edges, never
-/// on scheduling (the differential suites assert exact equality across
-/// shard counts).  `shards <= 1` takes the literal sequential code path.
 #[derive(Debug, Clone, Default)]
 pub struct LabelIndex {
     node_count: usize,
@@ -330,154 +294,33 @@ pub struct LabelIndex {
     fwd: DirIndex,
     rev: DirIndex,
     label_edge_counts: Vec<usize>,
-    /// Build/patch parallelism: number of worker threads partition jobs fan
-    /// out over (0 and 1 both mean sequential).  Inherited by indexes
-    /// derived via [`apply_delta`](Self::apply_delta).
-    shards: usize,
 }
 
 impl LabelIndex {
     /// Builds the index from any backend by one pass over the edge set.
     pub fn from_backend<B: GraphBackend>(graph: &B) -> Self {
-        let mut edges = Vec::with_capacity(graph.edge_count());
+        let mut buckets = Buckets::new(graph.label_count());
         for node in graph.nodes() {
             for (label, target) in graph.successors(node) {
-                edges.push((label.raw(), node.index() as u32, target.raw()));
+                buckets.push(label.index(), node.raw(), target.raw());
             }
         }
-        Self::from_edges(graph.node_count(), graph.label_count(), edges, 1)
+        buckets.into_index(graph.node_count())
     }
 
     /// Builds the index from a CSR snapshot via its raw packed arrays (no
     /// per-node iterator dispatch).
     pub fn from_csr(csr: &CsrGraph) -> Self {
-        Self::from_csr_sharded(csr, 1)
-    }
-
-    /// Like [`from_csr`](Self::from_csr), but builds the per-(direction,
-    /// label) partitions on up to `shards` scoped threads and remembers the
-    /// shard count for [`apply_delta`](Self::apply_delta).  Byte-identical
-    /// to the sequential build for every `shards` value.
-    pub fn from_csr_sharded(csr: &CsrGraph, shards: usize) -> Self {
-        let node_count = csr.node_count();
-        let label_count = csr.label_count();
+        let mut buckets = Buckets::new(csr.label_count());
         let offsets = csr.fwd_offsets();
         let entries = csr.fwd_entries();
-        // Every worker buckets a *fixed* contiguous node range straight off
-        // the packed CSR arrays (no intermediate edge vector).  Range
-        // boundaries depend only on the shard count, and concatenating the
-        // per-range buckets in range order reproduces exactly what a single
-        // pass over the whole snapshot produces — so the build stays
-        // byte-identical at every shard count.
-        struct BucketChunk {
-            fwd: Vec<Vec<(u32, u32)>>,
-            rev: Vec<Vec<(u32, u32)>>,
-        }
-        let workers = shards.max(1).min(node_count.max(1));
-        let per_worker = node_count.div_ceil(workers.max(1)).max(1);
-        let chunks: Vec<BucketChunk> = run_jobs(workers, workers, |w| {
-            let lo = (w * per_worker).min(node_count);
-            let hi = ((w + 1) * per_worker).min(node_count);
-            let mut fwd: Vec<Vec<(u32, u32)>> = vec![Vec::new(); label_count];
-            let mut rev: Vec<Vec<(u32, u32)>> = vec![Vec::new(); label_count];
-            for node in lo..hi {
-                let span = offsets[node] as usize..offsets[node + 1] as usize;
-                for entry in &entries[span] {
-                    fwd[entry.label.index()].push((node as u32, entry.node.raw()));
-                    rev[entry.label.index()].push((entry.node.raw(), node as u32));
-                }
-            }
-            BucketChunk { fwd, rev }
-        });
-        let mut label_edge_counts = vec![0usize; label_count];
-        for chunk in &chunks {
-            for (label, bucket) in chunk.fwd.iter().enumerate() {
-                label_edge_counts[label] += bucket.len();
+        for node in 0..csr.node_count() {
+            let span = offsets[node] as usize..offsets[node + 1] as usize;
+            for entry in &entries[span] {
+                buckets.push(entry.label.index(), node as u32, entry.node.raw());
             }
         }
-        // One job per (direction, label) partition: jobs [0, label_count)
-        // build forward, [label_count, 2*label_count) build reverse.
-        let mut parts = run_jobs(shards.max(1), label_count * 2, |job| {
-            let slices: Vec<&[(u32, u32)]> = chunks
-                .iter()
-                .map(|chunk| {
-                    if job < label_count {
-                        chunk.fwd[job].as_slice()
-                    } else {
-                        chunk.rev[job - label_count].as_slice()
-                    }
-                })
-                .collect();
-            Arc::new(Partition::build_chunked(node_count, &slices))
-        });
-        let rev_parts = parts.split_off(label_count);
-        Self {
-            node_count,
-            label_count,
-            fwd: DirIndex { parts },
-            rev: DirIndex { parts: rev_parts },
-            label_edge_counts,
-            shards,
-        }
-    }
-
-    /// Returns this index with its shard (worker) count set; subsequent
-    /// [`apply_delta`](Self::apply_delta) calls patch touched labels on up
-    /// to that many threads.  Does not re-partition anything.
-    pub fn with_shards(mut self, shards: usize) -> Self {
-        self.shards = shards;
-        self
-    }
-
-    /// The configured shard (worker) count; `0`/`1` mean sequential.
-    pub fn shards(&self) -> usize {
-        self.shards
-    }
-
-    #[inline]
-    fn effective_shards(&self) -> usize {
-        self.shards.max(1)
-    }
-
-    fn from_edges(
-        node_count: usize,
-        label_count: usize,
-        edges: Vec<(u32, u32, u32)>,
-        shards: usize,
-    ) -> Self {
-        let mut label_edge_counts = vec![0usize; label_count];
-        for &(label, _, _) in &edges {
-            label_edge_counts[label as usize] += 1;
-        }
-        // Bucket both directions per label in one pass over the edge stream;
-        // bucket order is edge-stream order, exactly what the historical
-        // build-then-reverse sequence produced.
-        let mut fwd_buckets: Vec<Vec<(u32, u32)>> = vec![Vec::new(); label_count];
-        let mut rev_buckets: Vec<Vec<(u32, u32)>> = vec![Vec::new(); label_count];
-        for &(label, from, to) in &edges {
-            fwd_buckets[label as usize].push((from, to));
-            rev_buckets[label as usize].push((to, from));
-        }
-        drop(edges);
-        // One job per (direction, label) partition: jobs [0, label_count)
-        // build forward, [label_count, 2*label_count) build reverse.
-        let mut parts = run_jobs(shards.max(1), label_count * 2, |job| {
-            let bucket = if job < label_count {
-                &fwd_buckets[job]
-            } else {
-                &rev_buckets[job - label_count]
-            };
-            Arc::new(Partition::build(node_count, bucket))
-        });
-        let rev_parts = parts.split_off(label_count);
-        Self {
-            node_count,
-            label_count,
-            fwd: DirIndex { parts },
-            rev: DirIndex { parts: rev_parts },
-            label_edge_counts,
-            shards,
-        }
+        buckets.into_index(csr.node_count())
     }
 
     /// Number of nodes in the indexed graph.
@@ -537,61 +380,39 @@ impl LabelIndex {
     /// included: a forward row keeps (surviving base order, then insertion
     /// order), a reverse row stays in the order a forward scan of the
     /// snapshot meets its sources (see the [module docs](self)).
-    ///
-    /// When this index carries `shards > 1`, the touched labels' patch jobs
-    /// (one per direction × label) fan out over that many scoped threads;
-    /// each job only reads its own label's removal/addition buckets and old
-    /// partition, so the output is byte-identical regardless of shard count.
-    /// The returned index inherits the shard setting.
     pub fn apply_delta(
         &self,
         delta: &GraphDelta,
         node_count: usize,
         label_count: usize,
     ) -> LabelIndex {
-        // Patch the touched labels first — one job per label (each job
-        // rebuilds both directions), fanned over the configured shards.
-        // Each job reads only its own label's patch and old partitions.
-        let patches: Vec<(usize, LabelPatch)> = LabelPatch::by_label(delta).into_iter().collect();
-        let patched_pairs: Vec<(Partition, Partition)> =
-            run_jobs(self.effective_shards(), patches.len(), |job| {
-                let (label, patch) = &patches[job];
-                let known = *label < self.label_count;
-                let old_fwd = known.then(|| self.fwd.parts[*label].as_ref());
-                let old_rev = known.then(|| self.rev.parts[*label].as_ref());
+        // In label order, so the patches are consumed in step with the label
+        // sweep below.
+        let mut patches = LabelPatch::by_label(delta).into_iter().peekable();
+        let mut fwd_parts = Vec::with_capacity(label_count);
+        let mut rev_parts = Vec::with_capacity(label_count);
+        let mut label_edge_counts = vec![0usize; label_count];
+        for (label, slot) in label_edge_counts.iter_mut().enumerate() {
+            let known = label < self.label_count;
+            if let Some((_, patch)) = patches.next_if(|&(touched, _)| touched == label) {
                 let fwd = Partition::patched(
-                    old_fwd,
+                    known.then(|| self.fwd.parts[label].as_ref()),
                     Direction::Forward,
                     node_count,
                     &patch.fwd_removals,
                     &patch.fwd_additions,
                 );
                 let rev = Partition::patched(
-                    old_rev,
+                    known.then(|| self.rev.parts[label].as_ref()),
                     Direction::Reverse,
                     node_count,
                     &patch.rev_removals,
                     &patch.rev_additions,
                 );
-                (fwd, rev)
-            });
-        // `patches` is in label order, so the patched pairs are consumed in
-        // step with the label sweep.
-        let mut patched = patches
-            .iter()
-            .map(|&(label, _)| label)
-            .zip(patched_pairs)
-            .peekable();
-
-        let mut fwd_parts = Vec::with_capacity(label_count);
-        let mut rev_parts = Vec::with_capacity(label_count);
-        let mut label_edge_counts = vec![0usize; label_count];
-        for (label, slot) in label_edge_counts.iter_mut().enumerate() {
-            if let Some((_, (fwd, rev))) = patched.next_if(|&(touched, _)| touched == label) {
                 *slot = fwd.neighbors.len();
                 fwd_parts.push(Arc::new(fwd));
                 rev_parts.push(Arc::new(rev));
-            } else if label < self.label_count {
+            } else if known {
                 fwd_parts.push(Arc::clone(&self.fwd.parts[label]));
                 rev_parts.push(Arc::clone(&self.rev.parts[label]));
                 *slot = self.label_edge_counts[label];
@@ -607,7 +428,6 @@ impl LabelIndex {
             fwd: DirIndex { parts: fwd_parts },
             rev: DirIndex { parts: rev_parts },
             label_edge_counts,
-            shards: self.shards,
         }
     }
 
@@ -879,48 +699,6 @@ mod tests {
         assert_eq!(patched.label_edge_count(x), 1);
     }
 
-    fn assert_byte_identical(a: &LabelIndex, b: &LabelIndex) {
-        assert_eq!(a.node_count, b.node_count);
-        assert_eq!(a.label_count, b.label_count);
-        assert_eq!(a.label_edge_counts, b.label_edge_counts);
-        for label in 0..a.label_count {
-            assert_eq!(*a.fwd.parts[label], *b.fwd.parts[label], "fwd {label}");
-            assert_eq!(*a.rev.parts[label], *b.rev.parts[label], "rev {label}");
-        }
-    }
-
-    #[test]
-    fn sharded_build_and_patch_are_byte_identical_to_sequential() {
-        use gps_graph::{CsrGraph, DeltaGraph};
-
-        let g = sample();
-        let base = std::sync::Arc::new(CsrGraph::from_graph(&g));
-        let sequential = LabelIndex::from_csr(&base);
-        let mut delta = DeltaGraph::new(std::sync::Arc::clone(&base));
-        let a = delta.node_by_name("a").unwrap();
-        let b = delta.node_by_name("b").unwrap();
-        let d = delta.add_node("d");
-        let x = delta.labels().get("x").unwrap();
-        let z = delta.label("z");
-        assert!(delta.remove_edge(a, x, b));
-        delta.add_edge(b, x, d);
-        delta.add_edge(d, z, a);
-        let summary = delta.delta();
-        let compacted = delta.compact();
-        let seq_patched =
-            sequential.apply_delta(&summary, compacted.node_count(), compacted.label_count());
-
-        for shards in [2usize, 3, 7, 64] {
-            let sharded = LabelIndex::from_csr_sharded(&base, shards);
-            assert_eq!(sharded.shards(), shards);
-            assert_byte_identical(&sequential, &sharded);
-            let patched =
-                sharded.apply_delta(&summary, compacted.node_count(), compacted.label_count());
-            assert_eq!(patched.shards(), shards, "patched index inherits shards");
-            assert_byte_identical(&seq_patched, &patched);
-        }
-    }
-
     #[test]
     fn memory_bytes_grows_with_the_graph() {
         let mut g = Graph::new();
@@ -976,10 +754,10 @@ mod tests {
     }
 
     impl Epoch {
-        fn fresh(graph: &Graph, shards: usize) -> Self {
+        fn fresh(graph: &Graph) -> Self {
             let snapshot = Arc::new(CsrGraph::from_graph(graph));
             Self {
-                index: LabelIndex::from_csr_sharded(&snapshot, shards),
+                index: LabelIndex::from_csr(&snapshot),
                 stats: LabelStats::compute(snapshot.as_ref()),
                 snapshot,
             }
@@ -1124,20 +902,17 @@ mod tests {
                 ],
             ),
         ];
-        for shards in [1, 3] {
-            for (context, ops) in scenarios {
-                let context = format!("{context} ({shards} shards)");
-                let once = Epoch::fresh(&corner_base(), shards).publish(ops, &context);
-                // And once more on top: partitions left stale by added nodes
-                // (shorter offsets than the node count) are a sound base.
-                once.publish(&[Node, Add(1, "y", 0), Del(4, "x", 0)], &context);
-            }
+        for (context, ops) in scenarios {
+            let once = Epoch::fresh(&corner_base()).publish(ops, context);
+            // And once more on top: partitions left stale by added nodes
+            // (shorter offsets than the node count) are a sound base.
+            once.publish(&[Node, Add(1, "y", 0), Del(4, "x", 0)], context);
         }
     }
 
     #[test]
     fn patches_over_an_empty_index() {
-        let empty = Epoch::fresh(&Graph::new(), 1);
+        let empty = Epoch::fresh(&Graph::new());
         empty.publish(&[], "empty over empty");
         let grown = empty.publish(&[Node, Node, Add(1, "x", 0), Add(1, "x", 1)], "first edges");
         grown.publish(&[Del(1, "x", 0), Node], "then a removal");
@@ -1154,7 +929,7 @@ mod tests {
             (state.wrapping_mul(0x2545_F491_4F6C_DD1D) >> 33) as usize % n
         };
         const LABELS: [&str; 3] = ["x", "y", "w"];
-        let mut epoch = Epoch::fresh(&corner_base(), 1);
+        let mut epoch = Epoch::fresh(&corner_base());
         for round in 0..32 {
             let csr = Arc::clone(&epoch.snapshot);
             let mut nodes = csr.node_count();

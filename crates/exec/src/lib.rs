@@ -6,12 +6,11 @@
 //! through RPQ evaluation.  This crate is the set-at-a-time execution engine
 //! for that traffic, built on the [`gps_graph::GraphBackend`] seam:
 //!
-//! * [`bitset::FixedBitSet`] / [`bitset::SparseBitSet`] — dense and
-//!   two-level sparse per-state node sets; alive sets are dense, frontiers
-//!   switch to sparse on large graphs per [`frontier::FrontierPolicy`];
+//! * [`bitset::FixedBitSet`] — the per-state node sets (alive, frontier and
+//!   its staging double), one bit per node;
 //! * [`index::LabelIndex`] — label-partitioned forward + reverse CSR built
-//!   once per graph (optionally sharded across scoped threads on multi-core
-//!   machines) and shared, also across threads, by every query;
+//!   once per graph, patched per update, and shared, also across threads,
+//!   by every query;
 //! * [`frontier`] — the semi-naive product-automaton fixed point sweeping
 //!   whole frontiers per DFA transition, in push (reverse), pull (forward)
 //!   or per-round adaptive mode;
@@ -22,8 +21,10 @@
 //!   `gps-rpq` cache (and thus the whole `gps-core` engine) through the
 //!   [`gps_rpq::DfaEvaluator`] trait.
 //!
-//! Every mode is differentially tested to be answer-identical to the naive
-//! node-at-a-time evaluator in `gps_rpq::eval`.
+//! There is one execution path: every plan, the batch fan-out and the
+//! resume across a delta are differentially tested to be answer-identical to
+//! the naive node-at-a-time evaluator in `gps_rpq::eval`, which exists as
+//! that oracle.
 //!
 //! ## Example
 //!
@@ -56,9 +57,9 @@ pub mod index;
 pub mod metrics;
 pub mod planner;
 
-pub use batch::{BatchEvaluator, ParallelSplit};
-pub use bitset::{FixedBitSet, SparseBitSet};
-pub use frontier::{FrontierPolicy, DEFAULT_OVERDELETE_LIMIT, SPARSE_FRONTIER_NODES};
+pub use batch::BatchEvaluator;
+pub use bitset::FixedBitSet;
+pub use frontier::DEFAULT_OVERDELETE_LIMIT;
 pub use index::{Direction, LabelIndex};
 pub use metrics::ExecMetrics;
 pub use planner::{Plan, PlanDecision, PlannerConfig};

@@ -7,7 +7,7 @@
 //! path records through lock-free handles instead of registry lookups.
 
 use crate::planner::Plan;
-use gps_telemetry::{Counter, Gauge, Histogram, MetricsRegistry};
+use gps_telemetry::{Counter, Histogram, MetricsRegistry};
 
 /// The execution-engine metric family (`gps_exec_*`).
 #[derive(Debug, Clone, Default)]
@@ -28,15 +28,10 @@ pub struct ExecMetrics {
     pub plan_bidirectional: Counter,
     /// `gps_exec_index_build_ns` — wall time of one [`LabelIndex`]
     /// construction or delta patch (fresh builds and `apply_delta` both
-    /// record here; the shard gauge says how wide the build fanned out).
+    /// record here).
     ///
     /// [`LabelIndex`]: crate::LabelIndex
     pub index_build: Histogram,
-    /// `gps_exec_index_shards` — the shard (worker-thread) count of the most
-    /// recently built or patched [`LabelIndex`] (`1` = sequential).
-    ///
-    /// [`LabelIndex`]: crate::LabelIndex
-    pub index_shards: Gauge,
     /// `gps_exec_support_overdeleted_total` — configurations transitively
     /// over-deleted by resumes across removal-bearing deltas
     /// ([`resume`](crate::frontier::resume));
@@ -62,7 +57,6 @@ impl ExecMetrics {
             plan_forward: registry.counter("gps_exec_plan_forward_total"),
             plan_bidirectional: registry.counter("gps_exec_plan_bidirectional_total"),
             index_build: registry.histogram("gps_exec_index_build_ns"),
-            index_shards: registry.gauge("gps_exec_index_shards"),
             support_overdeleted: registry.counter("gps_exec_support_overdeleted_total"),
         }
     }
@@ -74,12 +68,5 @@ impl ExecMetrics {
             Plan::Forward => self.plan_forward.inc(),
             Plan::Bidirectional => self.plan_bidirectional.inc(),
         }
-    }
-
-    /// Records one index build/patch: its wall time and how many shards it
-    /// fanned out over (`0` is normalized to `1` = sequential).
-    pub fn record_index_build(&self, elapsed: std::time::Duration, shards: usize) {
-        self.index_build.record_duration(elapsed);
-        self.index_shards.set(shards.max(1) as u64);
     }
 }

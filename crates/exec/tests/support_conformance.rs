@@ -8,10 +8,8 @@
 //!   produced by [`resume`] — alive bits, per-`(state, node)` support counts
 //!   **and** the carried alive population — equals a from-scratch captured
 //!   evaluation on the patched graph, and the answer equals the naive
-//!   evaluator's.  Checked with captures from both frontier backends
-//!   ([`FrontierPolicy::Dense`] and [`FrontierPolicy::Sparse`]), over node
-//!   counts that cross block boundaries of the seed's arrays and land on an
-//!   exact multiple of one;
+//!   evaluator's.  Checked on two seeds, over node counts that cross block
+//!   boundaries of the seed's arrays and land on an exact multiple of one;
 //! * on a 200k-node graph a 4-op delta copies a handful of seed blocks and
 //!   shares the rest with the superseded epoch, and a label-disjoint publish
 //!   that adds nodes shares all but the tail block of every carried answer —
@@ -21,7 +19,7 @@ use gps_automata::{Dfa, Regex};
 use gps_datasets::scale_free::ScaleFreeConfig;
 use gps_exec::frontier::{evaluate_captured, resume, Scratch};
 use gps_exec::planner::Plan;
-use gps_exec::{BatchEvaluator, FrontierPolicy, LabelIndex};
+use gps_exec::{BatchEvaluator, LabelIndex};
 use gps_graph::{CsrGraph, DeltaGraph, Edge, Graph, GraphBackend, LabelId, NodeId};
 use gps_rpq::blocks::BLOCK_NODES;
 use gps_rpq::{BlockSharing, EvalCache, MigrationReport, PathQuery};
@@ -105,8 +103,8 @@ fn pick_removals(snapshot: &CsrGraph, rng: &mut XorShift, count: usize) -> Vec<E
     picked
 }
 
-fn chained_epochs_reproduce_fresh_captures(policy: FrontierPolicy, seed: u64) {
-    let mut rng = XorShift(seed);
+fn chained_epochs_reproduce_fresh_captures(rng_seed: u64) {
+    let mut rng = XorShift(rng_seed);
     let graph = random_graph(&mut rng);
     let queries = query_set(&graph);
     let labels: Vec<LabelId> = ["a", "b", "c"]
@@ -116,7 +114,7 @@ fn chained_epochs_reproduce_fresh_captures(policy: FrontierPolicy, seed: u64) {
 
     let mut base = Arc::new(CsrGraph::from_graph(&graph));
     let mut index = LabelIndex::from_backend(&*base);
-    let mut scratch = Scratch::with_policy(policy);
+    let mut scratch = Scratch::default();
     let mut seeds: Vec<_> = queries
         .iter()
         .map(|dfa| {
@@ -162,7 +160,7 @@ fn chained_epochs_reproduce_fresh_captures(policy: FrontierPolicy, seed: u64) {
             assert_eq!(
                 resumed.answer,
                 gps_rpq::eval::evaluate(&compacted, dfa),
-                "{policy:?}, epoch {epoch}: resumed answer diverged from cold"
+                "rng seed {rng_seed:#x}, epoch {epoch}: resumed answer diverged from cold"
             );
             // The resumed seed — alive bits, support counts and populations
             // — must equal capturing from scratch on the patched graph.
@@ -171,7 +169,7 @@ fn chained_epochs_reproduce_fresh_captures(policy: FrontierPolicy, seed: u64) {
             assert_eq!(
                 resumed.seed,
                 fresh_seed.expect("fresh capture"),
-                "{policy:?}, epoch {epoch}: resumed seed diverged from a fresh capture"
+                "rng seed {rng_seed:#x}, epoch {epoch}: resumed seed diverged from a fresh capture"
             );
             *seed = resumed.seed;
         }
@@ -187,13 +185,10 @@ fn chained_epochs_reproduce_fresh_captures(policy: FrontierPolicy, seed: u64) {
 }
 
 #[test]
-fn dense_backend_chained_mixed_epochs() {
-    chained_epochs_reproduce_fresh_captures(FrontierPolicy::Dense, 0xA11CE);
-}
-
-#[test]
-fn sparse_backend_chained_mixed_epochs() {
-    chained_epochs_reproduce_fresh_captures(FrontierPolicy::Sparse, 0x0B0B_5EED);
+fn chained_mixed_epochs_reproduce_fresh_captures() {
+    for seed in [0xA11CE, 0x0B0B_5EED] {
+        chained_epochs_reproduce_fresh_captures(seed);
+    }
 }
 
 /// A scale-free graph of a node count that is not a block multiple, its warm

@@ -131,11 +131,10 @@ pub struct EvalCache {
     /// Epoch-migration split: answers carried verbatim (Tier 1), re-derived
     /// from their seed across insert-only deltas (Tier 2) or removal-bearing
     /// deltas (Tier 3), and dropped to a cold recompute — the latter further
-    /// attributed to a reason trio whose sum is the legacy `fallback` series.
+    /// attributed to one of three reasons.
     carried: Counter,
     reseeded: Counter,
     delete_reseeded: Counter,
-    fallback: Counter,
     fallback_saturation: Counter,
     fallback_no_seed: Counter,
     fallback_evicted: Counter,
@@ -207,7 +206,6 @@ impl EvalCache {
             carried: Counter::standalone(),
             reseeded: Counter::standalone(),
             delete_reseeded: Counter::standalone(),
-            fallback: Counter::standalone(),
             fallback_saturation: Counter::standalone(),
             fallback_no_seed: Counter::standalone(),
             fallback_evicted: Counter::standalone(),
@@ -240,7 +238,6 @@ impl EvalCache {
             self.carried = registry.counter("gps_rpq_cache_carried_total");
             self.reseeded = registry.counter("gps_rpq_cache_reseeded_total");
             self.delete_reseeded = registry.counter("gps_rpq_cache_delete_reseeded_total");
-            self.fallback = registry.counter("gps_rpq_cache_fallback_total");
             self.fallback_saturation = registry.counter("gps_rpq_cache_fallback_saturation_total");
             self.fallback_no_seed = registry.counter("gps_rpq_cache_fallback_no_seed_total");
             self.fallback_evicted = registry.counter("gps_rpq_cache_fallback_evicted_total");
@@ -350,7 +347,7 @@ impl EvalCache {
     ///
     /// Recency ticks carry over, so LRU ordering survives the epoch swap;
     /// the split is recorded on the `carried`/`reseeded`/`delete_reseeded`/
-    /// `fallback*` counters and each reseed's wall time on
+    /// `fallback_*` counters and each reseed's wall time on
     /// `gps_rpq_reseed_latency_ns` (Tier 2) or
     /// `gps_rpq_delete_reseed_latency_ns` (Tier 3).
     pub fn migrate_answers(&self, old: &EvalCache, delta: &GraphDelta) -> MigrationReport {
@@ -458,7 +455,6 @@ impl EvalCache {
         self.carried.add(report.carried as u64);
         self.reseeded.add(report.reseeded as u64);
         self.delete_reseeded.add(report.delete_reseeded as u64);
-        self.fallback.add(report.recomputed as u64);
         self.fallback_saturation
             .add(report.fallback_saturation as u64);
         self.fallback_no_seed.add(report.fallback_no_seed as u64);

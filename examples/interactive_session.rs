@@ -41,7 +41,7 @@ fn main() {
     let mut session = Session::new(graph, SessionConfig::default());
     let outcome = session.run(&mut strategy, &mut user);
 
-    let transcript = Transcript::from_outcome(graph, &outcome);
+    let transcript = Transcript::from_outcome(&gps_graph::CsrGraph::from_graph(graph), &outcome);
     println!("=== transcript (informative-paths strategy) ===");
     println!("{}", transcript.render());
 

@@ -8,7 +8,7 @@
 //! Run with `cargo run --example many_users`.
 
 use gps_core::service::GpsService;
-use gps_core::{Engine, EvalMode, SessionStatus};
+use gps_core::{Engine, SessionStatus};
 use gps_datasets::transport::{self, TransportConfig};
 
 fn main() {
@@ -19,13 +19,12 @@ fn main() {
         net.graph.edge_count()
     );
 
-    // One immutable core for the whole fleet: every session shares the CSR
-    // snapshot, the frontier engine's label index and the bounded cache.
+    // One immutable engine for the whole fleet: every session shares the CSR
+    // snapshot, the evaluator's label index and the bounded cache.
     let core = Engine::builder(net.graph)
-        .eval_mode(EvalMode::Frontier)
         .cache_capacity(1024) // LRU cap on cached query answers
         .max_interactions(30)
-        .build_core();
+        .build();
     println!(
         "shared label index: {} KiB for all sessions\n",
         core.index_memory_bytes() / 1024

@@ -19,9 +19,9 @@ fn main() {
     println!("{}", gps.render_zoom(ids.n2, 2));
 
     println!("=== Figure 3(c): prefix tree of N2's paths of length <= 3 ===");
-    let g = gps.graph();
-    let bus = g.label_id("bus").unwrap();
-    let cinema = g.label_id("cinema").unwrap();
+    let labels = gps.graph().labels();
+    let bus = labels.get("bus").unwrap();
+    let cinema = labels.get("cinema").unwrap();
     // The system highlights bus·bus·cinema: a path of length 3, matching the
     // radius the user zoomed out to.
     println!("{}", gps.render_prefix_tree(ids.n2, 3, &[bus, bus, cinema]));

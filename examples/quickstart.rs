@@ -17,12 +17,12 @@ fn main() {
     );
 
     // Build the engine through the builder: pick the strategy and the zoom
-    // options, then snapshot to the immutable CSR backend — queries,
-    // rendering and interactive sessions all run on the snapshot.
+    // options.  The engine snapshots the graph once — queries, rendering and
+    // interactive sessions all run on that snapshot.
     let gps = Engine::builder(graph)
         .strategy(StrategyChoice::InformativePaths { bound: 3 })
         .initial_radius(2)
-        .build_csr();
+        .build();
 
     // 2. Evaluate the motivating query: from which neighborhoods can one
     //    reach a cinema using public transportation?
@@ -55,12 +55,12 @@ fn main() {
     }
 
     // 4. The full interactive scenario with a simulated user who has the
-    //    motivating query in mind — running entirely on the CSR backend.
+    //    motivating query in mind.
     let report = gps
         .interactive_with_validation(MOTIVATING_QUERY, 0)
         .unwrap();
     println!(
-        "\nInteractive session (CSR backend): {} interactions, {} zooms, goal reached: {}",
+        "\nInteractive session: {} interactions, {} zooms, goal reached: {}",
         report.interactions, report.zooms, report.goal_reached
     );
     println!("learned: {}", report.learned.unwrap_or_default());

@@ -275,14 +275,15 @@ fn interactive_sessions_agree_end_to_end() {
 
 #[test]
 fn engine_facade_agrees_across_backends_on_every_dataset() {
+    // The engine serves a CSR snapshot; the oracle is the naive evaluator on
+    // the adjacency graph the snapshot was taken from.
     for (name, graph) in corpus() {
-        let adjacency = Engine::builder(graph.clone()).build();
-        let csr = Engine::builder(graph.clone()).build_csr();
+        let engine = Engine::builder(graph.clone()).build();
         for query in &queries::standard_workload(&graph).queries {
             let syntax = query.display(graph.labels());
             assert_eq!(
-                adjacency.evaluate(&syntax).unwrap().nodes(),
-                csr.evaluate(&syntax).unwrap().nodes(),
+                engine.evaluate(&syntax).unwrap(),
+                query.evaluate(&graph),
                 "{name}: engine disagreement on {syntax}"
             );
         }

@@ -28,7 +28,7 @@ use std::fs;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 
-const MODES: [EvalMode; 3] = [EvalMode::Naive, EvalMode::Frontier, EvalMode::Parallel];
+const MODES: [EvalMode; 2] = [EvalMode::Frontier, EvalMode::Parallel];
 
 static DIRS: AtomicU64 = AtomicU64::new(0);
 
@@ -270,11 +270,7 @@ fn durable_publishes_match_the_in_memory_store_byte_for_byte() {
     let (durable, _) = VersionedStore::open_durable(&dir, builder(EvalMode::Frontier, 0)).unwrap();
     let memory = {
         let (graph, _) = figure1_graph();
-        VersionedStore::new(
-            Engine::builder(graph)
-                .eval_mode(EvalMode::Frontier)
-                .build_core(),
-        )
+        VersionedStore::new(Engine::builder(graph).build())
     };
     assert!(!memory.is_durable());
     assert_eq!(memory.wal_bytes(), 0);

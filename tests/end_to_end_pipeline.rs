@@ -4,7 +4,7 @@
 
 use gps_core::{Gps, Transcript};
 use gps_datasets::figure1::MOTIVATING_QUERY;
-use gps_graph::io;
+use gps_graph::{io, CsrGraph};
 use gps_interactive::session::{Session, SessionConfig};
 use gps_interactive::strategy::InformativePathsStrategy;
 use gps_interactive::user::SimulatedUser;
@@ -68,7 +68,7 @@ fn full_session_on_a_loaded_graph_produces_a_serializable_transcript() {
     let mut session = Session::new(&graph, SessionConfig::default());
     let outcome = session.run(&mut strategy, &mut user);
 
-    let transcript = Transcript::from_outcome(&graph, &outcome);
+    let transcript = Transcript::from_outcome(&CsrGraph::from_graph(&graph), &outcome);
     let json = transcript.to_json().unwrap();
     let restored: Transcript = serde_json::from_str(&json).unwrap();
     assert_eq!(restored.entries.len(), transcript.entries.len());

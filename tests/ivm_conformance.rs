@@ -9,16 +9,19 @@
 //!    answers equal a from-scratch evaluation on the new snapshot.
 //! 2. **Tier-2 reseeds converge.**  Across chained random insert-only
 //!    epochs that *do* touch the query alphabet, the seeded delta-restricted
-//!    fixed point produces exactly the cold-evaluation answers, under every
-//!    [`EvalMode`]; the frontier modes actually take the reseed path.
+//!    fixed point produces exactly the cold-evaluation answers, in both
+//!    [`EvalMode`]s, and the reseed path is actually taken.
 //! 3. **Tier-3 delete-reseeds converge.**  Deltas containing removals take
-//!    the delete-aware over-delete/re-derive path in the frontier modes:
-//!    support counts are decremented along removed edges, zero-support
-//!    configurations over-deleted transitively, survivors re-derived — and
-//!    the migrated answers are byte-identical to cold evaluation across
-//!    chained random **mixed** insert+delete epochs.  The naive evaluator
-//!    captures no seed and still recomputes cold, and a saturation budget of
-//!    `0.0` restores the recompute-everything behavior.
+//!    the delete-aware over-delete/re-derive path: support counts are
+//!    decremented along removed edges, zero-support configurations
+//!    over-deleted transitively, survivors re-derived — and the migrated
+//!    answers are byte-identical to cold evaluation across chained random
+//!    **mixed** insert+delete epochs.  A saturation budget of `0.0` restores
+//!    the recompute-everything behavior.
+//!
+//! "Cold evaluation" is the oracle: `gps_rpq::eval::evaluate` — the naive
+//! node-at-a-time evaluator — over a from-scratch [`Graph`] of the published
+//! snapshot's nodes and edges.
 
 use gps_core::prelude::*;
 use gps_core::service::GpsService;
@@ -30,7 +33,7 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::sync::Arc;
 
-const MODES: [EvalMode; 3] = [EvalMode::Naive, EvalMode::Frontier, EvalMode::Parallel];
+const MODES: [EvalMode; 2] = [EvalMode::Frontier, EvalMode::Parallel];
 
 fn scale_free_graph(nodes: usize) -> Graph {
     scale_free::generate(&ScaleFreeConfig {
@@ -76,15 +79,32 @@ fn warm(service: &GpsService, queries: &[PathQuery]) {
     }
 }
 
-/// Every cached query answer on the service's latest epoch must equal a
-/// from-scratch evaluation of the same query on the same snapshot.
+/// A from-scratch adjacency graph with the snapshot's labels, nodes and
+/// edges, ids included.
+fn rebuilt(snapshot: &CsrGraph) -> Graph {
+    let mut graph = Graph::new();
+    for (_, name) in snapshot.labels().iter() {
+        graph.label(name);
+    }
+    for name in snapshot.node_names() {
+        graph.add_node(name);
+    }
+    for (_, edge) in snapshot.edges_by_source() {
+        graph.add_edge(edge.source, edge.label, edge.target);
+    }
+    graph
+}
+
+/// Every cached query answer on the service's latest epoch must equal the
+/// naive evaluator's over a from-scratch graph of the same snapshot.
 fn assert_matches_cold(service: &GpsService, queries: &[PathQuery], context: &str) {
     let core = service.core();
     let cache = core.eval_cache();
     let snapshot = core.snapshot();
+    let oracle = rebuilt(snapshot);
     for q in queries {
         let live = cache.evaluate_compiled(q.regex(), q.dfa());
-        let cold = q.evaluate_csr(snapshot);
+        let cold = gps_rpq::eval::evaluate(&oracle, q.dfa());
         assert_eq!(
             *live,
             cold,
@@ -116,9 +136,8 @@ fn label_disjoint_publish_carries_answers_with_zero_frontier_rounds() {
     let registry = Arc::new(MetricsRegistry::enabled());
     let service = GpsService::new(
         Engine::builder(graph.clone())
-            .eval_mode(EvalMode::Frontier)
             .metrics(Arc::clone(&registry))
-            .build_core(),
+            .build(),
     );
     let queries = warm_queries(&graph);
     warm(&service, &queries);
@@ -156,7 +175,13 @@ fn label_disjoint_publish_carries_answers_with_zero_frontier_rounds() {
         Some(queries.len() as u64)
     );
     assert_eq!(snapshot.counter("gps_rpq_cache_reseeded_total"), Some(0));
-    assert_eq!(snapshot.counter("gps_rpq_cache_fallback_total"), Some(0));
+    for reason in ["saturation", "no_seed", "evicted"] {
+        assert_eq!(
+            snapshot.counter(&format!("gps_rpq_cache_fallback_{reason}_total")),
+            Some(0),
+            "{reason}"
+        );
+    }
 }
 
 #[test]
@@ -165,9 +190,8 @@ fn retired_epochs_report_their_dropped_entries() {
     let registry = Arc::new(MetricsRegistry::enabled());
     let service = GpsService::new(
         Engine::builder(graph.clone())
-            .eval_mode(EvalMode::Frontier)
             .metrics(Arc::clone(&registry))
-            .build_core(),
+            .build(),
     );
     let queries = warm_queries(&graph);
     warm(&service, &queries);
@@ -213,7 +237,7 @@ fn random_insert_update(graph: &Graph, rng: &mut StdRng, round: usize) -> GraphU
 fn insert_only_epochs_reseed_to_exactly_the_cold_answers() {
     let graph = scale_free_graph(400);
     for mode in MODES {
-        let service = GpsService::new(Engine::builder(graph.clone()).eval_mode(mode).build_core());
+        let service = GpsService::new(Engine::builder(graph.clone()).eval_mode(mode).build());
         let queries = warm_queries(&graph);
         warm(&service, &queries);
         let mut rng = StdRng::seed_from_u64(0x1B4D_5EED);
@@ -237,16 +261,10 @@ fn insert_only_epochs_reseed_to_exactly_the_cold_answers() {
             reseeded += report.reseeded_answers;
             assert_matches_cold(&service, &queries, &format!("{mode:?}, epoch {epoch}"));
         }
-        match mode {
-            // The naive evaluator captures no seed: touched entries are
-            // always recomputed, never reseeded.
-            EvalMode::Naive => assert_eq!(reseeded, 0),
-            // The frontier modes capture seeds and must actually use them.
-            _ => assert!(
-                reseeded > 0,
-                "{mode:?}: insert-only touched epochs must take the reseed path"
-            ),
-        }
+        assert!(
+            reseeded > 0,
+            "{mode:?}: insert-only touched epochs must take the reseed path"
+        );
     }
 }
 
@@ -262,8 +280,8 @@ fn start_state_saturating_queries_still_capture_and_reseed() {
     let graph = scale_free_graph(400);
     let saturating =
         PathQuery::parse("a0*", graph.labels()).expect("a0 exists in the generated alphabet");
-    for mode in [EvalMode::Frontier, EvalMode::Parallel] {
-        let service = GpsService::new(Engine::builder(graph.clone()).eval_mode(mode).build_core());
+    for mode in MODES {
+        let service = GpsService::new(Engine::builder(graph.clone()).eval_mode(mode).build());
         warm(&service, std::slice::from_ref(&saturating));
         // Every node already matches (epsilon ⊆ a0*): the alive set of the
         // start state is saturated from round zero.
@@ -299,7 +317,7 @@ fn start_state_saturating_queries_still_capture_and_reseed() {
 fn deletion_deltas_delete_reseed_and_stay_correct() {
     let graph = scale_free_graph(400);
     for mode in MODES {
-        let service = GpsService::new(Engine::builder(graph.clone()).eval_mode(mode).build_core());
+        let service = GpsService::new(Engine::builder(graph.clone()).eval_mode(mode).build());
         let queries = warm_queries(&graph);
         warm(&service, &queries);
 
@@ -325,28 +343,14 @@ fn deletion_deltas_delete_reseed_and_stay_correct() {
             report.reseeded_answers, 0,
             "{mode:?}: a removal-bearing delta never takes the monotone insert-only path"
         );
-        match mode {
-            EvalMode::Naive => {
-                assert_eq!(
-                    report.delete_reseeded_answers, 0,
-                    "Naive: no captured seed, no delete-reseed"
-                );
-                assert!(
-                    report.recomputed_answers > 0,
-                    "Naive: queries reading a0/a1 fall back to recomputation"
-                );
-            }
-            _ => {
-                assert!(
-                    report.delete_reseeded_answers > 0,
-                    "{mode:?}: touched seeds must take the delete-aware resume"
-                );
-                assert_eq!(
-                    report.recomputed_answers, 0,
-                    "{mode:?}: a tiny removal must stay under the saturation budget"
-                );
-            }
-        }
+        assert!(
+            report.delete_reseeded_answers > 0,
+            "{mode:?}: touched seeds must take the delete-aware resume"
+        );
+        assert_eq!(
+            report.recomputed_answers, 0,
+            "{mode:?}: a tiny removal must stay under the saturation budget"
+        );
         assert!(
             report.carried_answers > 0,
             "{mode:?}: queries not reading a0/a1 are still carried"
@@ -408,7 +412,7 @@ fn random_mixed_update(
 fn chained_mixed_epochs_match_cold_evaluation_in_every_mode() {
     let graph = scale_free_graph(400);
     for mode in MODES {
-        let service = GpsService::new(Engine::builder(graph.clone()).eval_mode(mode).build_core());
+        let service = GpsService::new(Engine::builder(graph.clone()).eval_mode(mode).build());
         let queries = warm_queries(&graph);
         warm(&service, &queries);
         let mut rng = StdRng::seed_from_u64(0x0D37_E7E5);
@@ -445,16 +449,10 @@ fn chained_mixed_epochs_match_cold_evaluation_in_every_mode() {
             // cache again.
             warm(&service, &queries);
         }
-        match mode {
-            EvalMode::Naive => assert_eq!(
-                delete_reseeded, 0,
-                "Naive: the delete-reseed path requires a captured seed"
-            ),
-            _ => assert!(
-                delete_reseeded > 0,
-                "{mode:?}: chained mixed epochs must exercise the delete-aware resume"
-            ),
-        }
+        assert!(
+            delete_reseeded > 0,
+            "{mode:?}: chained mixed epochs must exercise the delete-aware resume"
+        );
     }
 }
 
@@ -463,9 +461,8 @@ fn zero_saturation_budget_disables_the_delete_path() {
     let graph = scale_free_graph(400);
     let service = GpsService::new(
         Engine::builder(graph.clone())
-            .eval_mode(EvalMode::Frontier)
             .delete_reseed_saturation(0.0)
-            .build_core(),
+            .build(),
     );
     let queries = warm_queries(&graph);
     warm(&service, &queries);

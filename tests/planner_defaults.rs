@@ -8,7 +8,7 @@
 //! defaults misfire can override them without forking the planner.
 
 use gps_automata::{Dfa, Regex};
-use gps_core::{Engine, EvalMode};
+use gps_core::Engine;
 use gps_datasets::Workload;
 use gps_exec::{planner, BatchEvaluator, Plan, PlannerConfig};
 use gps_graph::LabelStats;
@@ -72,15 +72,11 @@ fn builder_planner_knob_reaches_the_frontier_evaluator() {
         pull_coverage: 0.95,
         pull_mean_degree: 2.0,
     };
-    let engine = Engine::builder(graph)
-        .eval_mode(EvalMode::Frontier)
-        .planner_config(custom)
-        .build_csr();
-    assert_eq!(engine.core().planner_config(), custom);
+    let engine = Engine::builder(graph).planner_config(custom).build();
+    assert_eq!(engine.planner_config(), custom);
     assert_eq!(
         Engine::builder(gps_datasets::figure1::figure1_graph().0)
             .build()
-            .core()
             .planner_config(),
         PlannerConfig::default(),
         "defaults unchanged when the knob is untouched"

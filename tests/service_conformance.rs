@@ -121,7 +121,7 @@ fn service_for(graph: &Graph, mode: EvalMode) -> GpsService {
     let core = Engine::builder(graph.clone())
         .eval_mode(mode)
         .session_config(session_config())
-        .build_core();
+        .build();
     GpsService::new(core)
 }
 
@@ -133,7 +133,7 @@ fn concurrent_sessions_match_sequential_bare_sessions() {
             reference.iter().all(|f| f.interactions >= 1),
             "{name}: every reference session must interact"
         );
-        for mode in [EvalMode::Naive, EvalMode::Frontier, EvalMode::Parallel] {
+        for mode in [EvalMode::Frontier, EvalMode::Parallel] {
             for workers in [1, 4] {
                 let service = service_for(&graph, mode);
                 let outcomes = service.serve(&goals, workers).unwrap();
@@ -221,10 +221,9 @@ fn bounded_cache_never_exceeds_capacity_under_stress() {
         .collect();
 
     let core = Engine::builder(sf.clone())
-        .eval_mode(EvalMode::Frontier)
         .session_config(session_config())
         .cache_capacity(4)
-        .build_core();
+        .build();
     let cache = core.eval_handle();
     let service = GpsService::new(core);
     assert_eq!(service.core().eval_cache().capacity(), 4);
@@ -272,19 +271,16 @@ fn bounded_cache_never_exceeds_capacity_under_stress() {
 #[test]
 fn one_core_shares_snapshot_index_and_cache_across_sessions() {
     let (graph, _) = figure1_graph();
-    let core = Engine::builder(graph)
-        .eval_mode(EvalMode::Frontier)
-        .build_core();
+    let core = Engine::builder(graph).build();
     // Cloning the core is cheap sharing, not duplication.
     let clone = core.clone();
     assert!(std::sync::Arc::ptr_eq(
         &core.shared_snapshot(),
         &clone.shared_snapshot()
     ));
-    let index = core.shared_index().expect("frontier mode has an index");
     assert!(std::sync::Arc::ptr_eq(
-        &index,
-        &clone.shared_index().unwrap()
+        &core.shared_index(),
+        &clone.shared_index()
     ));
     assert!(core.index_memory_bytes() > 0);
 

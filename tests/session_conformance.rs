@@ -1,5 +1,5 @@
 //! Session conformance suite: interactive sessions must be
-//! **transcript-identical** regardless of which execution engine backs them.
+//! **transcript-identical** between the engine and the naive reference stack.
 //!
 //! A session's observable behavior is its transcript — the sequence of
 //! proposed nodes, zoom counts, labels and validated words — plus the
@@ -8,9 +8,9 @@
 //!
 //! * the reference path: `Session::new` + `SimulatedUser::new` on the
 //!   mutable adjacency backend (private naive evaluation stack), and
-//! * the engine path under **every** [`EvalMode`] on the CSR backend, with
-//!   the session, user, learner and pruning all sharing the engine's
-//!   evaluation stack via [`EvalHandle`],
+//! * the engine path under both [`EvalMode`]s, with the session, user,
+//!   learner and pruning all sharing the engine's evaluation stack via
+//!   [`EvalHandle`],
 //!
 //! and asserts byte-identical outcomes across the figure1, transport and
 //! scale-free corpora, with and without path validation.
@@ -104,7 +104,7 @@ fn run_reference(graph: &Graph, syntax: &str, config: SessionConfig) -> SessionO
     session.run(&mut InformativePathsStrategy::default(), &mut user)
 }
 
-/// The engine run: CSR backend, shared evaluation stack, chosen eval mode.
+/// The engine run: shared evaluation stack, chosen eval mode.
 fn run_engine(
     graph: &Graph,
     syntax: &str,
@@ -114,10 +114,10 @@ fn run_engine(
     let engine = Engine::builder(graph.clone())
         .eval_mode(mode)
         .session_config(config)
-        .build_csr();
+        .build();
     let goal = engine.parse_query(syntax).unwrap();
     let mut user = SimulatedUser::with_exec(goal, engine.eval_handle());
-    let mut session = engine.new_session();
+    let mut session = engine.open_session();
     session.run(&mut InformativePathsStrategy::default(), &mut user)
 }
 
@@ -133,7 +133,7 @@ fn session_transcripts_identical_across_eval_modes_and_backends() {
                 reference.interactions >= 1,
                 "{name}: the reference session must interact"
             );
-            for mode in [EvalMode::Naive, EvalMode::Frontier, EvalMode::Parallel] {
+            for mode in [EvalMode::Frontier, EvalMode::Parallel] {
                 let outcome = run_engine(&graph, &syntax, config(with_validation), mode);
                 let candidate = fingerprint(graph.labels(), &outcome);
                 assert_eq!(
@@ -148,9 +148,7 @@ fn session_transcripts_identical_across_eval_modes_and_backends() {
 #[test]
 fn frontier_sessions_share_the_engine_cache() {
     let (graph, _) = figure1_graph();
-    let engine = Engine::builder(graph)
-        .eval_mode(EvalMode::Frontier)
-        .build_csr();
+    let engine = Engine::builder(graph).build();
     assert!(engine.eval_cache().is_empty());
     let report = engine
         .interactive_with_validation(MOTIVATING_QUERY, 0)
@@ -177,18 +175,12 @@ fn frontier_sessions_share_the_engine_cache() {
 
 #[test]
 fn engine_sessions_match_scenario_reports_across_modes() {
-    // The scenario path (engine.interactive_with_validation) and the manual
-    // session path must agree on interactions for every mode — both run on
-    // the same shared stack.
+    // The scenario path (engine.interactive_with_validation) must agree on
+    // interactions with the bare reference session in both modes.
     let (graph, _) = figure1_graph();
-    let reference = run_engine(
-        &graph,
-        MOTIVATING_QUERY,
-        SessionConfig::default(),
-        EvalMode::Naive,
-    );
-    for mode in [EvalMode::Naive, EvalMode::Frontier, EvalMode::Parallel] {
-        let engine = Engine::builder(graph.clone()).eval_mode(mode).build_csr();
+    let reference = run_reference(&graph, MOTIVATING_QUERY, SessionConfig::default());
+    for mode in [EvalMode::Frontier, EvalMode::Parallel] {
+        let engine = Engine::builder(graph.clone()).eval_mode(mode).build();
         let report = engine
             .interactive_with_validation(MOTIVATING_QUERY, 0)
             .unwrap();
