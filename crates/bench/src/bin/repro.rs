@@ -1,4 +1,4 @@
-//! `repro` — regenerates every experiment series of EXPERIMENTS.md.
+//! `repro` — prints the paper's experiments as fixed-width tables on stdout.
 //!
 //! Usage:
 //!
@@ -284,7 +284,7 @@ fn experiment_e5() {
         let started = Instant::now();
         let iterations = 20;
         for _ in 0..iterations {
-            std::hint::black_box(query.evaluate_csr(&csr));
+            std::hint::black_box(query.evaluate(&csr));
         }
         let elapsed = started.elapsed() / iterations;
         println!(

@@ -1,10 +1,15 @@
-//! # gps-bench — experiment harness
+//! # gps-bench — experiment tables and the CI perf floors
 //!
-//! Shared helpers for the `repro` binary, which regenerates every experiment
-//! series reported in `EXPERIMENTS.md`.
+//! Two binaries.  `rpq_baseline` checks the ten perf floors CI holds (its
+//! module docs list them) and measures nothing else; the numbers a user of
+//! the system feels come from the `benchmark/` package.  `repro` prints the
+//! paper's experiments to stdout, one fixed-width table per experiment —
+//! nothing is written to disk or checked in — and this library holds the
+//! helpers it shares between experiments.
 //!
 //! The individual experiments are:
 //!
+//! * **F1** — the answer of the motivating query on the Figure 1 graph;
 //! * **E1** — interactions to convergence per strategy and graph size;
 //! * **E2** — per-interaction latency per strategy;
 //! * **E3** — learning time as a function of the number of examples;

@@ -342,8 +342,8 @@ pub(crate) struct Advanced {
 /// index and bounded evaluation cache.
 ///
 /// Cloning an `Engine` copies `Arc`s and the evaluator's few knobs — nothing
-/// graph-sized — so a clone is the handle to give a worker thread, a session
-/// table or [`crate::service::GpsService`].  All mutability lives in
+/// graph-sized — so a clone is the handle to give a worker thread or a
+/// [`crate::service::SessionManager`].  All mutability lives in
 /// per-session state ([`Session`] owns its examples, coverage, pruning and
 /// statistics) and inside the concurrency-safe cache.
 #[derive(Debug, Clone)]

@@ -19,8 +19,8 @@
 //!   GUI (Figure 3(a)–(c) of the paper);
 //! * [`scenario`] — the three demonstration scenarios;
 //! * [`service`] — the multi-session layer: one engine (a clone is a
-//!   handle) served by [`service::GpsService`]/[`service::SessionManager`]
-//!   across worker threads;
+//!   handle) served by [`service::SessionManager`], a session table whose
+//!   `serve` fans a goal batch out across worker threads;
 //! * [`versioned`] — live updates: [`VersionedStore`] publishes
 //!   epoch-stamped snapshots (staged [`GraphUpdate`]s → delta-patched index
 //!   and cache) while in-flight sessions stay pinned to their birth epoch;
@@ -87,7 +87,7 @@ pub mod prelude {
     pub use crate::engine::{Engine, EngineCore, EvalMode, Gps, GpsBuilder, StrategyChoice};
     pub use crate::error::GpsError;
     pub use crate::scenario::{ScenarioReport, StaticLabelingOutcome};
-    pub use crate::service::{GpsService, ServiceStats, SessionId, SessionManager, SessionStatus};
+    pub use crate::service::{ServiceStats, SessionId, SessionManager, SessionStatus};
     pub use crate::transcript::Transcript;
     pub use crate::versioned::{
         CheckpointPolicy, DurabilityReport, GraphUpdate, PublishPhases, PublishReport,

@@ -24,7 +24,7 @@
 //!   memory is bounded by (current epoch + epochs with in-flight sessions).
 //!
 //! The service layer wires this into sessions: `SessionManager` pins every
-//! session to its birth epoch and `GpsService::update` is the client-facing
+//! session to its birth epoch and `SessionManager::update` is the client-facing
 //! write API (see [`crate::service`]).
 //!
 //! ## Durability

@@ -24,8 +24,8 @@
 //! arrays, and a per-node dedup scratch of at most `edges_per_node` entries
 //! — all small multiples of `4 bytes × (nodes + edges)`, versus the
 //! `Graph`'s per-edge records plus two nested adjacency tables plus a second
-//! name table.  The `scale-free-1m` group of `rpq_baseline` measures both
-//! paths with a counting allocator.
+//! name table.  Floor 10 of `rpq_baseline` measures both paths' peaks at
+//! 100k nodes with a counting allocator.
 
 use crate::scale_free::{pick_label, ScaleFreeConfig};
 use gps_graph::{CsrEntry, CsrGraph, EdgeId, LabelId, LabelInterner, NodeId};

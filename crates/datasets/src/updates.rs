@@ -11,7 +11,7 @@
 //! an edge a previous op already deleted).
 //!
 //! Feed chunks of the stream into `gps_core::GraphUpdate::from_ops` /
-//! `GpsService::update` to drive a publish workload; the benchmark harness
+//! `SessionManager::update` to drive a publish workload; the benchmark harness
 //! records publish latency and sessions-during-updates throughput over
 //! exactly these streams.
 
@@ -194,7 +194,7 @@ pub fn sample_stream(nodes: usize, operations: usize, seed: u64) -> (Graph, Vec<
 #[cfg(test)]
 mod tests {
     use super::*;
-    use gps_graph::{CsrGraph, DeltaGraph, GraphBackend};
+    use gps_graph::{CsrGraph, DeltaGraph};
     use std::sync::Arc;
 
     #[test]

@@ -324,13 +324,6 @@ impl CsrGraph {
         &self.fwd_edge_ids[self.fwd_range(node)]
     }
 
-    /// Original edge ids of `node`'s incoming entries (aligned with
-    /// [`inc`](Self::inc)).
-    #[inline]
-    pub(crate) fn inc_ids(&self, node: NodeId) -> &[EdgeId] {
-        &self.rev_edge_ids[self.rev_range(node)]
-    }
-
     #[inline]
     fn fwd_range(&self, node: NodeId) -> std::ops::Range<usize> {
         let i = node.index();

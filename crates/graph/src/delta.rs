@@ -4,11 +4,13 @@
 //! A served graph cannot stop the world to rebuild its [`CsrGraph`] on every
 //! edge insertion.  [`DeltaGraph`] layers a small mutable overlay — inserted
 //! nodes, inserted edges, and tombstones for deleted edges — over a shared
-//! `Arc<CsrGraph>` base, and implements [`GraphBackend`] so the staged state
-//! is queryable before it is published.  [`DeltaGraph::compact`] *splices*
-//! the overlay into a fresh snapshot — producing byte-for-byte the snapshot a
-//! from-scratch [`Graph`] → [`CsrGraph`] build of the surviving edges would
-//! have produced, stamped with the next [`epoch`](CsrGraph::epoch).
+//! `Arc<CsrGraph>` base.  It is a write overlay, not a read backend: it
+//! answers only what staging itself asks (counts, name lookup, the
+//! alphabet), and the staged state is read by compacting it.
+//! [`DeltaGraph::compact`] *splices* the overlay into a fresh snapshot —
+//! producing byte-for-byte the snapshot a from-scratch [`Graph`] →
+//! [`CsrGraph`] build of the surviving edges would have produced, stamped
+//! with the next [`epoch`](CsrGraph::epoch).
 //!
 //! The overlay is the unit writers stage: a service accumulates
 //! [`UpdateOp`]s into a `DeltaGraph` and publishes the compacted snapshot,
@@ -41,7 +43,6 @@
 //! edges densely in (base order, then insertion order) — exactly the ids a
 //! from-scratch rebuild assigns.
 
-use crate::backend::GraphBackend;
 use crate::csr::{CsrEntry, CsrGraph};
 use crate::graph::Edge;
 use crate::ids::{EdgeId, LabelId, NodeId};
@@ -198,24 +199,33 @@ impl DeltaGraph {
         &self.base
     }
 
-    /// Returns `true` when nothing has been staged yet.
-    pub fn is_clean(&self) -> bool {
-        self.added_names.is_empty() && self.added_edges.is_empty() && self.tombstones.is_empty()
+    /// Number of nodes of the staged graph: the base's plus the insertions.
+    pub fn node_count(&self) -> usize {
+        self.base.node_count() + self.added_names.len()
     }
 
-    /// Number of staged node insertions.
-    pub fn added_node_count(&self) -> usize {
-        self.added_names.len()
+    /// Number of surviving edges of the staged graph.
+    pub fn edge_count(&self) -> usize {
+        let added = self.added_alive.iter().filter(|&&alive| alive).count();
+        self.base.edge_count() - self.tombstones.len() + added
     }
 
-    /// Number of surviving staged edge insertions.
-    pub fn added_edge_count(&self) -> usize {
-        self.added_alive.iter().filter(|&&alive| alive).count()
+    /// Whether `node` is a base node or a staged insertion.
+    pub fn contains_node(&self, node: NodeId) -> bool {
+        node.index() < self.node_count()
     }
 
-    /// Number of staged base-edge deletions.
-    pub fn removed_edge_count(&self) -> usize {
-        self.tombstones.len()
+    /// The first bearer of `name`: a base node if the base has one, else a
+    /// staged insertion.
+    pub fn node_by_name(&self, name: &str) -> Option<NodeId> {
+        self.base
+            .node_by_name(name)
+            .or_else(|| self.added_index.get(name).copied())
+    }
+
+    /// The overlay's alphabet: the base's plus every label staged so far.
+    pub fn labels(&self) -> &LabelInterner {
+        &self.labels
     }
 
     /// Interns (or looks up) a label string in the overlay's alphabet.
@@ -411,29 +421,6 @@ impl DeltaGraph {
             base.epoch() + 1,
         )
     }
-
-    fn base_out_parts(&self, node: NodeId) -> (&[CsrEntry], &[EdgeId]) {
-        if node.index() < self.base.node_count() {
-            (self.base.out(node), self.base.out_ids(node))
-        } else {
-            (&[], &[])
-        }
-    }
-
-    fn base_in_parts(&self, node: NodeId) -> (&[CsrEntry], &[EdgeId]) {
-        if node.index() < self.base.node_count() {
-            (self.base.inc(node), self.base.inc_ids(node))
-        } else {
-            (&[], &[])
-        }
-    }
-
-    fn overlay_indices(
-        map: &BTreeMap<NodeId, Vec<usize>>,
-        node: NodeId,
-    ) -> std::slice::Iter<'_, usize> {
-        map.get(&node).map(|v| v.iter()).unwrap_or([].iter())
-    }
 }
 
 /// What both directions of a [`DeltaGraph::compact`] share.
@@ -514,184 +501,6 @@ impl Merge<'_> {
     }
 }
 
-/// Iterator over the surviving `(label, neighbor)` pairs of one node of a
-/// [`DeltaGraph`]: base entries with tombstones skipped, then overlay
-/// insertions.
-pub struct DeltaNeighbors<'a> {
-    base_entries: std::slice::Iter<'a, CsrEntry>,
-    base_ids: std::slice::Iter<'a, EdgeId>,
-    tombstones: &'a BTreeMap<EdgeId, Edge>,
-    overlay: std::slice::Iter<'a, usize>,
-    edges: &'a [Edge],
-    alive: &'a [bool],
-    reverse: bool,
-}
-
-impl<'a> Iterator for DeltaNeighbors<'a> {
-    type Item = (LabelId, NodeId);
-
-    fn next(&mut self) -> Option<(LabelId, NodeId)> {
-        for entry in self.base_entries.by_ref() {
-            let id = self.base_ids.next().expect("ids aligned with entries");
-            if !self.tombstones.contains_key(id) {
-                return Some((entry.label, entry.node));
-            }
-        }
-        for &i in self.overlay.by_ref() {
-            if self.alive[i] {
-                let edge = self.edges[i];
-                let neighbor = if self.reverse {
-                    edge.source
-                } else {
-                    edge.target
-                };
-                return Some((edge.label, neighbor));
-            }
-        }
-        None
-    }
-}
-
-/// Iterator over the surviving `(edge id, edge)` pairs incident to one node
-/// of a [`DeltaGraph`] (overlay edges numbered from `base.edge_count()`).
-pub struct DeltaIncidentEdges<'a> {
-    base_entries: std::slice::Iter<'a, CsrEntry>,
-    base_ids: std::slice::Iter<'a, EdgeId>,
-    tombstones: &'a BTreeMap<EdgeId, Edge>,
-    overlay: std::slice::Iter<'a, usize>,
-    edges: &'a [Edge],
-    alive: &'a [bool],
-    base_edge_count: usize,
-    pivot: NodeId,
-    reverse: bool,
-}
-
-impl<'a> Iterator for DeltaIncidentEdges<'a> {
-    type Item = (EdgeId, Edge);
-
-    fn next(&mut self) -> Option<(EdgeId, Edge)> {
-        for entry in self.base_entries.by_ref() {
-            let id = self.base_ids.next().expect("ids aligned with entries");
-            if !self.tombstones.contains_key(id) {
-                let edge = if self.reverse {
-                    Edge::new(entry.node, entry.label, self.pivot)
-                } else {
-                    Edge::new(self.pivot, entry.label, entry.node)
-                };
-                return Some((*id, edge));
-            }
-        }
-        for &i in self.overlay.by_ref() {
-            if self.alive[i] {
-                return Some((EdgeId::from(self.base_edge_count + i), self.edges[i]));
-            }
-        }
-        None
-    }
-}
-
-impl GraphBackend for DeltaGraph {
-    type Neighbors<'a> = DeltaNeighbors<'a>;
-    type IncidentEdges<'a> = DeltaIncidentEdges<'a>;
-
-    fn node_count(&self) -> usize {
-        self.base.node_count() + self.added_names.len()
-    }
-
-    fn edge_count(&self) -> usize {
-        self.base.edge_count() - self.tombstones.len() + self.added_edge_count()
-    }
-
-    fn labels(&self) -> &LabelInterner {
-        &self.labels
-    }
-
-    fn node_name(&self, node: NodeId) -> &str {
-        let base_n = self.base.node_count();
-        if node.index() < base_n {
-            self.base.node_name(node)
-        } else {
-            &self.added_names[node.index() - base_n]
-        }
-    }
-
-    fn node_by_name(&self, name: &str) -> Option<NodeId> {
-        self.base
-            .node_by_name(name)
-            .or_else(|| self.added_index.get(name).copied())
-    }
-
-    fn successors(&self, node: NodeId) -> DeltaNeighbors<'_> {
-        let (entries, ids) = self.base_out_parts(node);
-        DeltaNeighbors {
-            base_entries: entries.iter(),
-            base_ids: ids.iter(),
-            tombstones: &self.tombstones,
-            overlay: Self::overlay_indices(&self.added_out, node),
-            edges: &self.added_edges,
-            alive: &self.added_alive,
-            reverse: false,
-        }
-    }
-
-    fn predecessors(&self, node: NodeId) -> DeltaNeighbors<'_> {
-        let (entries, ids) = self.base_in_parts(node);
-        DeltaNeighbors {
-            base_entries: entries.iter(),
-            base_ids: ids.iter(),
-            tombstones: &self.tombstones,
-            overlay: Self::overlay_indices(&self.added_in, node),
-            edges: &self.added_edges,
-            alive: &self.added_alive,
-            reverse: true,
-        }
-    }
-
-    fn out_edges(&self, node: NodeId) -> DeltaIncidentEdges<'_> {
-        let (entries, ids) = self.base_out_parts(node);
-        DeltaIncidentEdges {
-            base_entries: entries.iter(),
-            base_ids: ids.iter(),
-            tombstones: &self.tombstones,
-            overlay: Self::overlay_indices(&self.added_out, node),
-            edges: &self.added_edges,
-            alive: &self.added_alive,
-            base_edge_count: self.base.edge_count(),
-            pivot: node,
-            reverse: false,
-        }
-    }
-
-    fn in_edges(&self, node: NodeId) -> DeltaIncidentEdges<'_> {
-        let (entries, ids) = self.base_in_parts(node);
-        DeltaIncidentEdges {
-            base_entries: entries.iter(),
-            base_ids: ids.iter(),
-            tombstones: &self.tombstones,
-            overlay: Self::overlay_indices(&self.added_in, node),
-            edges: &self.added_edges,
-            alive: &self.added_alive,
-            base_edge_count: self.base.edge_count(),
-            pivot: node,
-            reverse: true,
-        }
-    }
-
-    fn out_degree(&self, node: NodeId) -> usize {
-        self.successors(node).count()
-    }
-
-    fn in_degree(&self, node: NodeId) -> usize {
-        self.predecessors(node).count()
-    }
-
-    /// The epoch of the *base* snapshot: the overlay is unpublished state, so
-    /// it identifies with the version it was staged against.
-    fn epoch(&self) -> u64 {
-        self.base.epoch()
-    }
-}
-
 // `Graph` is referenced by the docs above.
 #[allow(unused_imports)]
 use crate::graph::Graph;
@@ -699,6 +508,7 @@ use crate::graph::Graph;
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::backend::GraphBackend;
     use crate::graph::Graph;
 
     /// a -x-> b -y-> c ; a -x-> c
@@ -720,7 +530,6 @@ mod tests {
     #[test]
     fn overlay_reads_combine_base_and_staged_state() {
         let mut delta = DeltaGraph::new(base());
-        assert!(delta.is_clean());
         let a = names(&delta, "a");
         let c = names(&delta, "c");
         let d = delta.add_node("d");
@@ -729,20 +538,24 @@ mod tests {
         let x = delta.labels().get("x").unwrap();
         assert!(delta.remove_edge(a, x, c));
         assert!(!delta.remove_edge(a, x, c), "already tombstoned");
-
         assert_eq!(delta.node_count(), 4);
         assert_eq!(delta.edge_count(), 3);
-        assert_eq!(delta.node_name(d), "d");
-        let out_a: Vec<_> = delta.successors(a).collect();
-        assert_eq!(out_a, vec![(x, names(&delta, "b"))], "a-x->c tombstoned");
-        let out_c: Vec<_> = delta.successors(c).collect();
+
+        let merged = delta.compact();
+        assert_eq!(merged.node_count(), 4);
+        assert_eq!(merged.edge_count(), 3);
+        assert_eq!(merged.node_name(d), "d");
+        let b = merged.node_by_name("b").unwrap();
+        let out_a: Vec<_> = merged.successors(a).collect();
+        assert_eq!(out_a, vec![(x, b)], "a-x->c tombstoned");
+        let out_c: Vec<_> = merged.successors(c).collect();
         assert_eq!(out_c, vec![(z, d)]);
-        let in_d: Vec<_> = delta.predecessors(d).collect();
+        let in_d: Vec<_> = merged.predecessors(d).collect();
         assert_eq!(in_d, vec![(z, c)]);
-        assert_eq!(delta.out_degree(a), 1);
-        assert_eq!(delta.in_degree(c), 1, "b-y->c survives, a-x->c removed");
-        assert!(delta.has_edge(c, z, d));
-        assert!(!delta.has_edge(a, x, c));
+        assert_eq!(merged.out_degree(a), 1);
+        assert_eq!(merged.in_degree(c), 1, "b-y->c survives, a-x->c removed");
+        assert!(merged.has_edge(c, z, d));
+        assert!(!merged.has_edge(a, x, c));
     }
 
     #[test]
@@ -753,7 +566,8 @@ mod tests {
         let x = delta.label("x");
         let id = delta.add_edge(b, x, a);
         assert_eq!(id, EdgeId::from(3usize));
-        let incident: Vec<EdgeId> = delta.out_edges(b).map(|(id, _)| id).collect();
+        // With nothing removed, compaction keeps the ids as staged.
+        let incident: Vec<EdgeId> = delta.compact().out_edges(b).map(|(id, _)| id).collect();
         assert_eq!(incident, vec![EdgeId::from(1usize), EdgeId::from(3usize)]);
     }
 
@@ -843,9 +657,10 @@ mod tests {
                 },
             ])
             .unwrap();
-        assert_eq!(delta.added_node_count(), 1);
-        assert_eq!(delta.added_edge_count(), 1);
-        assert_eq!(delta.removed_edge_count(), 1);
+        let staged = delta.delta();
+        assert_eq!(staged.added_nodes, 1);
+        assert_eq!(staged.added_edges.len(), 1);
+        assert_eq!(staged.removed_edges.len(), 1);
 
         let unknown = delta.apply(&UpdateOp::AddEdge {
             source: "ghost".into(),

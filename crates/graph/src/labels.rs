@@ -49,14 +49,6 @@ impl LabelInterner {
         self.names.get(id.index()).map(String::as_str)
     }
 
-    /// Returns the name of a label identifier, panicking on unknown ids.
-    ///
-    /// Intended for display code where the identifier is known to come from
-    /// this interner.
-    pub fn name_or_panic(&self, id: LabelId) -> &str {
-        self.name(id).expect("unknown label id")
-    }
-
     /// Number of distinct labels interned so far (the alphabet size).
     pub fn len(&self) -> usize {
         self.names.len()

@@ -483,11 +483,6 @@ impl EvalCache {
         }
     }
 
-    /// A new reference to the shared snapshot the answers are computed on.
-    pub fn shared_csr(&self) -> Arc<CsrGraph> {
-        Arc::clone(&self.csr)
-    }
-
     /// The evaluator answering cache misses.
     pub fn evaluator(&self) -> &dyn DfaEvaluator {
         self.evaluator.as_ref()

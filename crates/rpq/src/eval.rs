@@ -315,14 +315,6 @@ pub fn evaluate<B: GraphBackend>(graph: &B, dfa: &Dfa) -> QueryAnswer {
     QueryAnswer::from_flags(selected)
 }
 
-/// Evaluates a query DFA on a CSR snapshot.
-///
-/// Kept as a named entry point for callers that already hold a snapshot;
-/// equivalent to [`evaluate`] at `B = CsrGraph`.
-pub fn evaluate_csr(csr: &CsrGraph, dfa: &Dfa) -> QueryAnswer {
-    evaluate(csr, dfa)
-}
-
 /// Evaluates several query DFAs on the same graph.
 ///
 /// Since [`evaluate`] runs on any backend directly, no intermediate CSR

@@ -1,11 +1,11 @@
 //! Compiled path queries.
 
-use crate::eval::{evaluate_csr, QueryAnswer};
+use crate::eval::QueryAnswer;
 use crate::witness::shortest_witness;
 use gps_automata::parser::{self, ParseError};
 use gps_automata::printer;
 use gps_automata::{Dfa, Regex};
-use gps_graph::{CsrGraph, GraphBackend, LabelInterner, NodeId, Path};
+use gps_graph::{GraphBackend, LabelInterner, NodeId, Path};
 
 /// A path query: a regular expression over edge labels together with its
 /// compiled minimal DFA.
@@ -50,13 +50,6 @@ impl PathQuery {
     /// selected nodes.
     pub fn evaluate<B: GraphBackend>(&self, graph: &B) -> QueryAnswer {
         crate::eval::evaluate(graph, &self.dfa)
-    }
-
-    /// Evaluates the query on a pre-built CSR snapshot (equivalent to
-    /// [`PathQuery::evaluate`] at `B = CsrGraph`; kept as a named entry
-    /// point for snapshot-holding callers).
-    pub fn evaluate_csr(&self, csr: &CsrGraph) -> QueryAnswer {
-        evaluate_csr(csr, &self.dfa)
     }
 
     /// Returns `true` if `node` is selected by the query on `graph`.

@@ -15,8 +15,9 @@
 //! The module also ships two tiny std-only validators —
 //! [`validate_json`] (a full recursive-descent JSON parser) and
 //! [`validate_prometheus_text`] (a line validator of the exposition
-//! grammar) — used by `rpq_baseline --smoke` so that exporter drift fails
-//! CI without adding a parser dependency.
+//! grammar) — used by `tests/telemetry_conformance.rs` on both exports
+//! after real traffic, so that exporter drift fails CI without adding a
+//! parser dependency.
 
 use crate::metric::HistogramSnapshot;
 use crate::registry::MetricsSnapshot;

@@ -11,7 +11,7 @@
 //!
 //! Run with `cargo run --example durable_updates`.
 
-use gps_core::service::GpsService;
+use gps_core::service::SessionManager;
 use gps_core::versioned::GraphUpdate;
 use gps_core::{Engine, EvalMode};
 use gps_datasets::figure1::{figure1_graph, MOTIVATING_QUERY};
@@ -29,7 +29,7 @@ fn main() {
     let _ = std::fs::remove_dir_all(&dir);
 
     // First life: a fresh directory gets a base checkpoint of epoch 0.
-    let (service, report) = GpsService::open_durable(&dir, builder()).expect("store opens");
+    let (service, report) = SessionManager::open_durable(&dir, builder()).expect("store opens");
     println!(
         "opened {:?}: created={}, epoch {}",
         dir, report.created, report.current_epoch
@@ -84,7 +84,7 @@ fn main() {
     drop(service);
 
     // Second life: recovery = last checkpoint + committed WAL suffix.
-    let (service, report) = GpsService::open_durable(&dir, builder()).expect("store reopens");
+    let (service, report) = SessionManager::open_durable(&dir, builder()).expect("store reopens");
     println!(
         "\nrecovered: epoch {} (replayed {} publishes / {} ops, discarded {} uncommitted bytes)",
         report.current_epoch,

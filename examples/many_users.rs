@@ -2,12 +2,12 @@
 //!
 //! Builds one `EngineCore` (snapshot + bounded cache + label index) on a
 //! mid-size transport network and drives a batch of concurrent interactive
-//! specification sessions through `GpsService`, then steps one more session
-//! manually through the `SessionManager` open/step/close API.
+//! specification sessions through `SessionManager::serve`, then steps one more
+//! session manually through the same table's open/step/close API.
 //!
 //! Run with `cargo run --example many_users`.
 
-use gps_core::service::GpsService;
+use gps_core::service::SessionManager;
 use gps_core::{Engine, SessionStatus};
 use gps_datasets::transport::{self, TransportConfig};
 
@@ -45,7 +45,7 @@ fn main() {
     .map(|s| s.to_string())
     .collect();
 
-    let service = GpsService::new(core);
+    let service = SessionManager::new(core);
     let outcomes = service
         .serve(&goals, 4)
         .expect("all goals parse and all sessions halt");
@@ -65,17 +65,16 @@ fn main() {
     );
 
     // The same table also serves sessions one step at a time.
-    let manager = service.manager();
-    let id = manager.open("(tram+bus)*.cinema").expect("goal parses");
+    let id = service.open("(tram+bus)*.cinema").expect("goal parses");
     let mut steps = 0;
     let reason = loop {
         steps += 1;
-        match manager.step(id).expect("session exists") {
+        match service.step(id).expect("session exists") {
             SessionStatus::Running { .. } => continue,
             SessionStatus::Halted(reason) => break reason,
         }
     };
-    let outcome = manager.close(id).expect("session exists");
+    let outcome = service.close(id).expect("session exists");
     println!(
         "\nstepped session: {steps} steps to {reason:?}, learned {}",
         outcome.learned.is_some()

@@ -11,7 +11,7 @@
 //! Run with `cargo run --example metrics_export`.
 
 use gps_core::prelude::*;
-use gps_core::service::GpsService;
+use gps_core::service::SessionManager;
 use gps_datasets::figure1::{figure1_graph, MOTIVATING_QUERY};
 use std::sync::Arc;
 
@@ -34,7 +34,8 @@ fn main() {
     // First life: serve a few users, publish two updates (the second one
     // crosses the checkpoint threshold), then "crash".
     {
-        let (service, _) = GpsService::open_durable(&dir, builder(&registry)).expect("store opens");
+        let (service, _) =
+            SessionManager::open_durable(&dir, builder(&registry)).expect("store opens");
         let goals = vec![
             MOTIVATING_QUERY.to_string(),
             "cinema".to_string(),
@@ -55,7 +56,8 @@ fn main() {
 
     // Second life: recovery replays the WAL (timed into
     // gps_core_recovery_replay_ns), then more traffic.
-    let (service, report) = GpsService::open_durable(&dir, builder(&registry)).expect("reopens");
+    let (service, report) =
+        SessionManager::open_durable(&dir, builder(&registry)).expect("reopens");
     println!(
         "recovered epoch {} ({} publishes replayed)\n",
         report.current_epoch, report.replayed_publishes

@@ -19,7 +19,7 @@
 //!    recovery without changing what is recovered.
 
 use gps_core::prelude::*;
-use gps_core::service::GpsService;
+use gps_core::service::SessionManager;
 use gps_core::versioned::{GraphUpdate, VersionedStore};
 use gps_datasets::figure1::{figure1_graph, MOTIVATING_QUERY};
 use gps_interactive::session::InteractionRecord;
@@ -239,7 +239,7 @@ fn fingerprint(
 fn recovered_stores_serve_byte_identical_transcripts() {
     for mode in MODES {
         let dir = tmp_dir("transcript");
-        let (service, report) = GpsService::open_durable(&dir, builder(mode, 32)).unwrap();
+        let (service, report) = SessionManager::open_durable(&dir, builder(mode, 32)).unwrap();
         assert!(report.created, "{mode:?}");
         let [first, second, _] = updates();
         service.update(first).unwrap();
@@ -248,7 +248,7 @@ fn recovered_stores_serve_byte_identical_transcripts() {
         let before = fingerprint(&labels, &service.serve_one(MOTIVATING_QUERY).unwrap());
         drop(service);
 
-        let (service, report) = GpsService::open_durable(&dir, builder(mode, 32)).unwrap();
+        let (service, report) = SessionManager::open_durable(&dir, builder(mode, 32)).unwrap();
         assert!(!report.created, "{mode:?}");
         assert_eq!(report.replayed_publishes, 2, "{mode:?}");
         assert_eq!(report.current_epoch, 2, "{mode:?}");

@@ -24,7 +24,7 @@
 //! snapshot's nodes and edges.
 
 use gps_core::prelude::*;
-use gps_core::service::GpsService;
+use gps_core::service::SessionManager;
 use gps_core::versioned::GraphUpdate;
 use gps_datasets::scale_free::{self, ScaleFreeConfig};
 use gps_rpq::PathQuery;
@@ -71,7 +71,7 @@ fn warm_queries(graph: &Graph) -> Vec<PathQuery> {
     .collect()
 }
 
-fn warm(service: &GpsService, queries: &[PathQuery]) {
+fn warm(service: &SessionManager, queries: &[PathQuery]) {
     let core = service.core();
     let cache = core.eval_cache();
     for q in queries {
@@ -97,7 +97,7 @@ fn rebuilt(snapshot: &CsrGraph) -> Graph {
 
 /// Every cached query answer on the service's latest epoch must equal the
 /// naive evaluator's over a from-scratch graph of the same snapshot.
-fn assert_matches_cold(service: &GpsService, queries: &[PathQuery], context: &str) {
+fn assert_matches_cold(service: &SessionManager, queries: &[PathQuery], context: &str) {
     let core = service.core();
     let cache = core.eval_cache();
     let snapshot = core.snapshot();
@@ -134,7 +134,7 @@ fn leaf_update(graph: &Graph) -> GraphUpdate {
 fn label_disjoint_publish_carries_answers_with_zero_frontier_rounds() {
     let graph = scale_free_graph(2_000);
     let registry = Arc::new(MetricsRegistry::enabled());
-    let service = GpsService::new(
+    let service = SessionManager::new(
         Engine::builder(graph.clone())
             .metrics(Arc::clone(&registry))
             .build(),
@@ -188,7 +188,7 @@ fn label_disjoint_publish_carries_answers_with_zero_frontier_rounds() {
 fn retired_epochs_report_their_dropped_entries() {
     let graph = scale_free_graph(200);
     let registry = Arc::new(MetricsRegistry::enabled());
-    let service = GpsService::new(
+    let service = SessionManager::new(
         Engine::builder(graph.clone())
             .metrics(Arc::clone(&registry))
             .build(),
@@ -237,7 +237,7 @@ fn random_insert_update(graph: &Graph, rng: &mut StdRng, round: usize) -> GraphU
 fn insert_only_epochs_reseed_to_exactly_the_cold_answers() {
     let graph = scale_free_graph(400);
     for mode in MODES {
-        let service = GpsService::new(Engine::builder(graph.clone()).eval_mode(mode).build());
+        let service = SessionManager::new(Engine::builder(graph.clone()).eval_mode(mode).build());
         let queries = warm_queries(&graph);
         warm(&service, &queries);
         let mut rng = StdRng::seed_from_u64(0x1B4D_5EED);
@@ -281,7 +281,7 @@ fn start_state_saturating_queries_still_capture_and_reseed() {
     let saturating =
         PathQuery::parse("a0*", graph.labels()).expect("a0 exists in the generated alphabet");
     for mode in MODES {
-        let service = GpsService::new(Engine::builder(graph.clone()).eval_mode(mode).build());
+        let service = SessionManager::new(Engine::builder(graph.clone()).eval_mode(mode).build());
         warm(&service, std::slice::from_ref(&saturating));
         // Every node already matches (epsilon ⊆ a0*): the alive set of the
         // start state is saturated from round zero.
@@ -317,7 +317,7 @@ fn start_state_saturating_queries_still_capture_and_reseed() {
 fn deletion_deltas_delete_reseed_and_stay_correct() {
     let graph = scale_free_graph(400);
     for mode in MODES {
-        let service = GpsService::new(Engine::builder(graph.clone()).eval_mode(mode).build());
+        let service = SessionManager::new(Engine::builder(graph.clone()).eval_mode(mode).build());
         let queries = warm_queries(&graph);
         warm(&service, &queries);
 
@@ -412,7 +412,7 @@ fn random_mixed_update(
 fn chained_mixed_epochs_match_cold_evaluation_in_every_mode() {
     let graph = scale_free_graph(400);
     for mode in MODES {
-        let service = GpsService::new(Engine::builder(graph.clone()).eval_mode(mode).build());
+        let service = SessionManager::new(Engine::builder(graph.clone()).eval_mode(mode).build());
         let queries = warm_queries(&graph);
         warm(&service, &queries);
         let mut rng = StdRng::seed_from_u64(0x0D37_E7E5);
@@ -459,7 +459,7 @@ fn chained_mixed_epochs_match_cold_evaluation_in_every_mode() {
 #[test]
 fn zero_saturation_budget_disables_the_delete_path() {
     let graph = scale_free_graph(400);
-    let service = GpsService::new(
+    let service = SessionManager::new(
         Engine::builder(graph.clone())
             .delete_reseed_saturation(0.0)
             .build(),

@@ -15,7 +15,7 @@
 //!    evaluator's over the published snapshot.
 
 use gps_core::prelude::*;
-use gps_core::service::GpsService;
+use gps_core::service::SessionManager;
 use gps_core::versioned::{GraphUpdate, VersionedStore};
 use gps_datasets::figure1::{figure1_graph, MOTIVATING_QUERY};
 use gps_graph::delta::UpdateOp;
@@ -245,9 +245,9 @@ fn figure1_update() -> GraphUpdate {
         .remove_edge("N2", "restaurant", "R1")
 }
 
-fn service(mode: EvalMode) -> GpsService {
+fn service(mode: EvalMode) -> SessionManager {
     let (graph, _) = figure1_graph();
-    GpsService::new(Engine::builder(graph).eval_mode(mode).build())
+    SessionManager::new(Engine::builder(graph).eval_mode(mode).build())
 }
 
 #[test]
@@ -258,20 +258,18 @@ fn pinned_sessions_replay_identically_across_a_mid_run_publish() {
             let baseline_service = service(mode);
             let labels = baseline_service.core().snapshot().labels().clone();
             let baseline = {
-                let manager = baseline_service.manager();
-                let id = manager.open(goal).unwrap();
-                manager.run_to_completion(id).unwrap();
-                fingerprint(&labels, &manager.close(id).unwrap())
+                let id = baseline_service.open(goal).unwrap();
+                baseline_service.run_to_completion(id).unwrap();
+                fingerprint(&labels, &baseline_service.close(id).unwrap())
             };
 
             // Live: identical session, but a publish lands after step 2.
             let live_service = service(mode);
-            let manager = live_service.manager();
-            let id = manager.open(goal).unwrap();
-            assert_eq!(manager.session_epoch(id).unwrap(), 0);
+            let id = live_service.open(goal).unwrap();
+            assert_eq!(live_service.session_epoch(id).unwrap(), 0);
             let mut halted = false;
             for _ in 0..2 {
-                if let SessionStatus::Halted(_) = manager.step(id).unwrap() {
+                if let SessionStatus::Halted(_) = live_service.step(id).unwrap() {
                     halted = true;
                     break;
                 }
@@ -285,13 +283,13 @@ fn pinned_sessions_replay_identically_across_a_mid_run_publish() {
                     "{mode:?}: the pinned birth epoch stays live"
                 );
             }
-            manager.run_to_completion(id).unwrap();
+            live_service.run_to_completion(id).unwrap();
             assert_eq!(
-                manager.session_epoch(id).unwrap(),
+                live_service.session_epoch(id).unwrap(),
                 0,
                 "{mode:?}: the session never migrates epochs"
             );
-            let live = fingerprint(&labels, &manager.close(id).unwrap());
+            let live = fingerprint(&labels, &live_service.close(id).unwrap());
             assert_eq!(
                 live, baseline,
                 "{mode:?}/{goal}: a mid-run publish must not perturb a pinned session"
@@ -313,14 +311,12 @@ fn pinned_sessions_survive_a_storm_of_publishes() {
         let baseline_service = service(mode);
         let labels = baseline_service.core().snapshot().labels().clone();
         let baseline = {
-            let manager = baseline_service.manager();
-            let id = manager.open(MOTIVATING_QUERY).unwrap();
-            manager.run_to_completion(id).unwrap();
-            fingerprint(&labels, &manager.close(id).unwrap())
+            let id = baseline_service.open(MOTIVATING_QUERY).unwrap();
+            baseline_service.run_to_completion(id).unwrap();
+            fingerprint(&labels, &baseline_service.close(id).unwrap())
         };
         let live_service = service(mode);
-        let manager = live_service.manager();
-        let id = manager.open(MOTIVATING_QUERY).unwrap();
+        let id = live_service.open(MOTIVATING_QUERY).unwrap();
         let mut toggle = false;
         loop {
             let update = if toggle {
@@ -330,11 +326,11 @@ fn pinned_sessions_survive_a_storm_of_publishes() {
             };
             toggle = !toggle;
             live_service.update(update).unwrap();
-            if let SessionStatus::Halted(_) = manager.step(id).unwrap() {
+            if let SessionStatus::Halted(_) = live_service.step(id).unwrap() {
                 break;
             }
         }
-        let live = fingerprint(&labels, &manager.close(id).unwrap());
+        let live = fingerprint(&labels, &live_service.close(id).unwrap());
         assert_eq!(live, baseline, "{mode:?}");
     }
 }

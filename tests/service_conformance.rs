@@ -10,7 +10,7 @@
 //! LRU eviction under memory pressure changes cost but never content.
 
 use gps_core::prelude::*;
-use gps_core::service::GpsService;
+use gps_core::service::SessionManager;
 use gps_datasets::figure1::{figure1_graph, MOTIVATING_QUERY};
 use gps_datasets::scale_free::{self, ScaleFreeConfig};
 use gps_datasets::transport::{self, TransportConfig};
@@ -117,12 +117,12 @@ fn sequential_reference(graph: &Graph, goals: &[String]) -> Vec<SessionFingerpri
         .collect()
 }
 
-fn service_for(graph: &Graph, mode: EvalMode) -> GpsService {
+fn service_for(graph: &Graph, mode: EvalMode) -> SessionManager {
     let core = Engine::builder(graph.clone())
         .eval_mode(mode)
         .session_config(session_config())
         .build();
-    GpsService::new(core)
+    SessionManager::new(core)
 }
 
 #[test]
@@ -168,20 +168,19 @@ fn interleaved_stepping_matches_batch_runs() {
     ];
     let reference = sequential_reference(&graph, &goals);
     let service = service_for(&graph, EvalMode::Frontier);
-    let manager = service.manager();
-    let ids: Vec<_> = goals.iter().map(|g| manager.open(g).unwrap()).collect();
+    let ids: Vec<_> = goals.iter().map(|g| service.open(g).unwrap()).collect();
     let mut done = vec![false; ids.len()];
     while !done.iter().all(|&d| d) {
         for (i, &id) in ids.iter().enumerate() {
             if !done[i] {
-                if let gps_core::SessionStatus::Halted(_) = manager.step(id).unwrap() {
+                if let gps_core::SessionStatus::Halted(_) = service.step(id).unwrap() {
                     done[i] = true;
                 }
             }
         }
     }
     for (i, (&id, expected)) in ids.iter().zip(&reference).enumerate() {
-        let outcome = manager.close(id).unwrap();
+        let outcome = service.close(id).unwrap();
         assert_eq!(
             fingerprint(graph.labels(), &outcome),
             *expected,
@@ -225,7 +224,7 @@ fn bounded_cache_never_exceeds_capacity_under_stress() {
         .cache_capacity(4)
         .build();
     let cache = core.eval_handle();
-    let service = GpsService::new(core);
+    let service = SessionManager::new(core);
     assert_eq!(service.core().eval_cache().capacity(), 4);
 
     // Interleave serving with capacity probes from a sibling thread, so the
@@ -286,8 +285,8 @@ fn one_core_shares_snapshot_index_and_cache_across_sessions() {
 
     // Sessions of both clones evaluate through one cache: the second
     // session's goal evaluation is a hit, not a recomputation.
-    let service_a = GpsService::new(core);
-    let service_b = GpsService::new(clone);
+    let service_a = SessionManager::new(core);
+    let service_b = SessionManager::new(clone);
     service_a.serve_one(MOTIVATING_QUERY).unwrap();
     let misses_before = service_a.core().eval_cache().stats().1;
     service_b.serve_one(MOTIVATING_QUERY).unwrap();

@@ -11,7 +11,7 @@
 //! Prometheus text validator and `metrics_json()` passes the JSON validator.
 
 use gps_core::prelude::*;
-use gps_core::service::GpsService;
+use gps_core::service::SessionManager;
 use gps_datasets::figure1::{figure1_graph, MOTIVATING_QUERY};
 use gps_interactive::session::InteractionRecord;
 use gps_telemetry::{validate_json, validate_prometheus_text};
@@ -61,13 +61,13 @@ fn fingerprint(outcome: &SessionOutcome) -> SessionFingerprint {
     }
 }
 
-fn service(mode: EvalMode, registry: Option<Arc<MetricsRegistry>>) -> GpsService {
+fn service(mode: EvalMode, registry: Option<Arc<MetricsRegistry>>) -> SessionManager {
     let (graph, _) = figure1_graph();
     let mut builder = Engine::builder(graph).eval_mode(mode);
     if let Some(registry) = registry {
         builder = builder.metrics(registry);
     }
-    GpsService::new(builder.build())
+    SessionManager::new(builder.build())
 }
 
 #[test]
@@ -162,7 +162,7 @@ fn mixed_workload_exports_are_complete_and_valid() {
     // drop.
     let recomputed: usize = {
         let (svc, report) =
-            GpsService::open_durable(&dir, builder().metrics(Arc::clone(&registry))).unwrap();
+            SessionManager::open_durable(&dir, builder().metrics(Arc::clone(&registry))).unwrap();
         assert!(report.created);
         svc.serve(&goals(), 2).unwrap();
         let reports = [
@@ -184,7 +184,7 @@ fn mixed_workload_exports_are_complete_and_valid() {
 
     // Recover into the same registry and serve again.
     let (svc, report) =
-        GpsService::open_durable(&dir, builder().metrics(Arc::clone(&registry))).unwrap();
+        SessionManager::open_durable(&dir, builder().metrics(Arc::clone(&registry))).unwrap();
     assert!(!report.created);
     svc.serve(&goals(), 2).unwrap();
 
@@ -317,8 +317,8 @@ fn disabled_registry_exports_are_empty_but_valid() {
 fn updates_and_retirement_keep_gauges_accurate() {
     let registry = Arc::new(MetricsRegistry::enabled());
     let svc = service(EvalMode::Frontier, Some(Arc::clone(&registry)));
-    let first = svc.manager().open(MOTIVATING_QUERY).unwrap();
-    svc.manager().step(first).unwrap();
+    let first = svc.open(MOTIVATING_QUERY).unwrap();
+    svc.step(first).unwrap();
     svc.update(GraphUpdate::new().add_node("Z1")).unwrap();
 
     let snapshot = svc.metrics();
@@ -330,7 +330,7 @@ fn updates_and_retirement_keep_gauges_accurate() {
     );
     assert_eq!(snapshot.gauge("gps_service_active_sessions"), Some(1));
 
-    svc.manager().close(first).unwrap();
+    svc.close(first).unwrap();
     let snapshot = svc.metrics();
     assert_eq!(snapshot.gauge("gps_core_live_epochs"), Some(1));
     assert_eq!(snapshot.gauge("gps_service_active_sessions"), Some(0));
@@ -351,7 +351,7 @@ fn publish_phases_add_up_to_the_publish_latency() {
         if let Some(registry) = registry {
             builder = builder.metrics(registry);
         }
-        GpsService::new(builder.build())
+        SessionManager::new(builder.build())
     };
     let goals = ["a0.a1*", "a1", "(a0+a2).a1"].map(String::from);
     let registry = Arc::new(MetricsRegistry::enabled());
@@ -400,7 +400,7 @@ fn publish_phases_add_up_to_the_publish_latency() {
 
     // Purely observational: sessions after the publishes are byte-identical
     // with the registry enabled and disabled.
-    let fingerprints = |svc: &GpsService| -> Vec<SessionFingerprint> {
+    let fingerprints = |svc: &SessionManager| -> Vec<SessionFingerprint> {
         svc.serve(&goals, 1)
             .unwrap()
             .iter()
