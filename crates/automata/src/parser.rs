@@ -14,10 +14,22 @@
 //! Label names are resolved against a [`LabelInterner`]; referencing a label
 //! that the graph does not know is an error (a query can only be evaluated
 //! over the graph's alphabet).
+//!
+//! The parser is recursive descent, and so is everything that later walks
+//! the expression (printing, the Thompson construction, dropping it), so
+//! parentheses may nest at most [`MAX_NESTING`] deep: a query string comes
+//! from outside the program, and a hundred thousand `(` must be an error,
+//! not a stack overflow.
 
 use crate::regex::Regex;
 use gps_graph::LabelInterner;
 use std::fmt;
+
+/// How deep parentheses may nest.  The paper's queries nest two or three
+/// levels; at this depth parsing, compiling and printing the worst-case
+/// expression stay under 256 KiB of stack in an unoptimised build — an
+/// eighth of a spawned thread's default 2 MiB.
+pub const MAX_NESTING: usize = 64;
 
 /// Errors produced by [`parse`].
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -46,6 +58,11 @@ pub enum ParseError {
         /// Byte offset of the first unconsumed token.
         offset: usize,
     },
+    /// Parentheses nest more than [`MAX_NESTING`] deep.
+    TooDeep {
+        /// Byte offset of the opening parenthesis that went past the limit.
+        offset: usize,
+    },
 }
 
 impl fmt::Display for ParseError {
@@ -64,6 +81,10 @@ impl fmt::Display for ParseError {
             ParseError::TrailingInput { offset } => {
                 write!(f, "trailing input starting at offset {offset}")
             }
+            ParseError::TooDeep { offset } => write!(
+                f,
+                "parentheses nested more than {MAX_NESTING} deep at offset {offset}"
+            ),
         }
     }
 }
@@ -156,6 +177,8 @@ struct Parser<'a> {
     pos: usize,
     /// Byte length of the input, reported as the offset at end-of-input.
     end: usize,
+    /// Parentheses currently open.
+    depth: usize,
     labels: &'a LabelInterner,
 }
 
@@ -239,7 +262,14 @@ impl<'a> Parser<'a> {
             Some(Token::Epsilon) => Ok(Regex::Epsilon),
             Some(Token::EmptySet) => Ok(Regex::Empty),
             Some(Token::LParen) => {
+                if self.depth == MAX_NESTING {
+                    return Err(ParseError::TooDeep {
+                        offset: self.tokens[self.pos - 1].0,
+                    });
+                }
+                self.depth += 1;
                 let inner = self.parse_union()?;
+                self.depth -= 1;
                 match self.advance() {
                     Some(Token::RParen) => Ok(inner),
                     _ => Err(ParseError::ExpectedClosingParen {
@@ -263,6 +293,7 @@ pub fn parse(input: &str, labels: &LabelInterner) -> Result<Regex, ParseError> {
         tokens,
         pos: 0,
         end: input.len(),
+        depth: 0,
         labels,
     };
     let regex = parser.parse_union()?;
@@ -383,6 +414,38 @@ mod tests {
             parse("+bus", &labels).unwrap_err(),
             ParseError::UnexpectedChar { .. } | ParseError::UnexpectedEnd
         ));
+    }
+
+    #[test]
+    fn nesting_past_the_limit_is_an_error_not_a_stack_overflow() {
+        let labels = alphabet();
+        let nested = |depth: usize| format!("{}bus{}", "(".repeat(depth), ")".repeat(depth));
+        assert_eq!(
+            parse(&nested(MAX_NESTING), &labels).unwrap(),
+            parse("bus", &labels).unwrap()
+        );
+        let err = parse(&nested(MAX_NESTING + 1), &labels).unwrap_err();
+        assert_eq!(
+            err,
+            ParseError::TooDeep {
+                offset: MAX_NESTING
+            }
+        );
+        assert!(
+            err.to_string()
+                .contains(&format!("{MAX_NESTING} deep at offset {MAX_NESTING}")),
+            "{err}"
+        );
+        // Unbalanced and far past any stack: still the same error.
+        assert_eq!(
+            parse(&"(".repeat(100_000), &labels).unwrap_err(),
+            ParseError::TooDeep {
+                offset: MAX_NESTING
+            }
+        );
+        // Depth is nesting, not the number of groups.
+        let flat = vec!["(bus)"; 4 * MAX_NESTING].join(".");
+        assert!(parse(&flat, &labels).is_ok());
     }
 
     #[test]

@@ -773,11 +773,12 @@ fn telemetry_floor(graph: &Graph, goals: &[String]) -> Floor {
 /// * Re-deriving a 6-hop chain answer from its seed across a 6-edge
 ///   insert-only delta (`resume-insert`), and across the delta that removes
 ///   those edges again (`resume-delete`), vs. evaluating the same query
-///   cold (`eval-cold`).  A resume (`DfaEvaluator::evaluate_dfa_resumed`) is
-///   a copy-on-write clone of the seed plus the delta's derivation cone, a
-///   cold evaluation costs the graph: the slower of the two resumes must
-///   beat it by 20x (measured: 140-180x here, 500x at 1M; a resume that
-///   copies or scans per node again lands near 1x).
+///   cold, seed capture included as on the engine's path (`eval-cold`).  A
+///   resume (`DfaEvaluator::evaluate_dfa_resumed`) is a copy-on-write clone
+///   of the seed plus the delta's derivation cone, a cold evaluation costs
+///   the graph: the slower of the two resumes must beat it by 20x (measured:
+///   90-105x here, 0.36-0.54 ms against 3.3-5.3 us; a resume that copies or
+///   scans per node again lands near 1x).
 fn scale_floors() -> [Floor; 2] {
     const GROUP: &str = "scale-free-100k";
     let config = ScaleFreeConfig {
@@ -882,8 +883,10 @@ fn scale_floors() -> [Floor; 2] {
     let mut run_resume_delete = || {
         black_box(remove_eval.evaluate_dfa_resumed(&low_reach, &insert_seed, &remove_delta));
     };
+    // What the engine pays for a cold answer: `EvalCache::evaluate` always
+    // captures the seed with it.
     let mut run_cold = || {
-        black_box(insert_eval.evaluate(&low_reach));
+        black_box(insert_eval.evaluate_dfa_captured(&low_reach));
     };
     let [insert, delete, cold] = bench_group(
         5,

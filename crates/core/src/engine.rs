@@ -715,6 +715,14 @@ mod tests {
         let (gps, _) = gps();
         assert!(matches!(gps.evaluate("spaceship"), Err(GpsError::Parse(_))));
         assert!(gps.parse_query("(bus").is_err());
+        // Query strings come from outside: unbounded nesting is an error on
+        // this path too, not a stack overflow.
+        assert!(matches!(
+            gps.evaluate(&"(".repeat(100_000)),
+            Err(GpsError::Parse(
+                gps_automata::parser::ParseError::TooDeep { .. }
+            ))
+        ));
         assert!(matches!(gps.node("Nowhere"), Err(GpsError::UnknownNode(_))));
     }
 

@@ -6,7 +6,7 @@
 //! frontier and its staging double, so the product fixed point runs as
 //! word-wide sweeps instead of per-configuration queue traffic.
 
-const WORD_BITS: usize = 64;
+pub(crate) const WORD_BITS: usize = 64;
 
 /// A fixed-capacity set of `usize` keys below `len`, packed one bit per key.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
@@ -92,24 +92,9 @@ impl FixedBitSet {
     }
 
     /// Iterates the set bits in ascending order.
-    pub fn ones(&self) -> Ones<'_> {
-        Ones {
-            words: &self.words,
-            current: self.words.first().copied().unwrap_or(0),
-            word_index: 0,
-        }
-    }
-
-    /// Iterates the *clear* bits (the complement within the universe) in
-    /// ascending order.
-    pub fn zeros(&self) -> Zeros<'_> {
-        let mut zeros = Zeros {
-            set: self,
-            current: 0,
-            word_index: 0,
-        };
-        zeros.current = zeros.complemented_word(0);
-        zeros
+    pub fn ones(&self) -> impl Iterator<Item = usize> + '_ {
+        let words = self.words.iter().enumerate();
+        words.flat_map(|(index, &word)| word_ones(index, word))
     }
 
     /// The packed backing words (64 bits each, little-endian within a word)
@@ -129,69 +114,18 @@ impl FixedBitSet {
     }
 }
 
-/// Iterator over the set bits of a [`FixedBitSet`].
-pub struct Ones<'a> {
-    words: &'a [u64],
-    current: u64,
-    word_index: usize,
-}
-
-impl<'a> Iterator for Ones<'a> {
-    type Item = usize;
-
-    #[inline]
-    fn next(&mut self) -> Option<usize> {
-        while self.current == 0 {
-            self.word_index += 1;
-            if self.word_index >= self.words.len() {
-                return None;
-            }
-            self.current = self.words[self.word_index];
-        }
-        let bit = self.current.trailing_zeros() as usize;
-        self.current &= self.current - 1;
-        Some(self.word_index * WORD_BITS + bit)
-    }
-}
-
-/// Iterator over the clear bits of a [`FixedBitSet`].
-pub struct Zeros<'a> {
-    set: &'a FixedBitSet,
-    current: u64,
-    word_index: usize,
-}
-
-impl<'a> Zeros<'a> {
-    /// The complement of word `i`, with bits beyond the universe masked off.
-    fn complemented_word(&self, i: usize) -> u64 {
-        let Some(&word) = self.set.words.get(i) else {
-            return 0;
-        };
-        let mut complemented = !word;
-        let tail = self.set.len % WORD_BITS;
-        if tail != 0 && i + 1 == self.set.words.len() {
-            complemented &= (1u64 << tail) - 1;
-        }
-        complemented
-    }
-}
-
-impl<'a> Iterator for Zeros<'a> {
-    type Item = usize;
-
-    #[inline]
-    fn next(&mut self) -> Option<usize> {
-        while self.current == 0 {
-            self.word_index += 1;
-            if self.word_index >= self.set.words.len() {
-                return None;
-            }
-            self.current = self.complemented_word(self.word_index);
-        }
-        let bit = self.current.trailing_zeros() as usize;
-        self.current &= self.current - 1;
-        Some(self.word_index * WORD_BITS + bit)
-    }
+/// The set bits of `word`, read as word `index` of a packed set: the keys
+/// `index * 64 + bit`, ascending.  What a masked sweep iterates after ANDing
+/// two sets' words together.
+#[inline]
+pub(crate) fn word_ones(index: usize, mut word: u64) -> impl Iterator<Item = usize> {
+    std::iter::from_fn(move || {
+        (word != 0).then(|| {
+            let bit = word.trailing_zeros() as usize;
+            word &= word - 1;
+            index * WORD_BITS + bit
+        })
+    })
 }
 
 #[cfg(test)]
@@ -218,20 +152,6 @@ mod tests {
         set.insert_all();
         assert_eq!(set.count(), 70);
         assert_eq!(set.ones().last(), Some(69));
-        assert_eq!(set.zeros().count(), 0);
-    }
-
-    #[test]
-    fn zeros_complement_ones() {
-        let mut set = FixedBitSet::new(67);
-        set.insert(3);
-        set.insert(65);
-        let zeros: Vec<usize> = set.zeros().collect();
-        assert_eq!(zeros.len(), 65);
-        assert!(!zeros.contains(&3));
-        assert!(!zeros.contains(&65));
-        assert!(zeros.contains(&66));
-        assert!(zeros.iter().all(|&b| b < 67));
     }
 
     #[test]
@@ -263,7 +183,6 @@ mod tests {
         let mut set = FixedBitSet::new(0);
         assert!(set.is_empty());
         assert_eq!(set.ones().count(), 0);
-        assert_eq!(set.zeros().count(), 0);
         set.insert_all();
         assert_eq!(set.count(), 0);
     }

@@ -17,15 +17,23 @@
 //!
 //! [`Plan::Bidirectional`] re-picks the cheaper mode every round from the
 //! estimated frontier/dead edge volumes, mirroring direction-optimizing BFS.
+//! Either way a round walks `node set & occupancy words` of the label
+//! partition it expands through ([`LabelIndex::rows`]), so it never looks up
+//! a row the label has nothing in.
 //!
 //! Two entry points, two working sets.  A **cold** evaluation
 //! ([`evaluate_with`] and friends) sweeps dense per-state bitsets in a
-//! reusable [`Scratch`] and, when asked to capture, packs the completed
-//! fixed point once into a block-shared [`EvalResume`].  A **resume**
-//! ([`resume`]) never sees a `Scratch`: it clones that seed copy-on-write and
-//! touches only the configurations a [`GraphDelta`] can change.
+//! reusable [`Scratch`].  When asked to capture, it is still one pass: the
+//! per-configuration support counts a resumable seed needs are taken in the
+//! push loop, where each derivation's edge is already in hand; only the
+//! frontiers a pull round left unexpanded are swept — counting, not
+//! inserting — after the fixed point, and the dense result is packed once
+//! into a block-shared [`EvalResume`].  An uncaptured evaluation is the same
+//! function compiled without the counting.  A **resume** ([`resume`]) never
+//! sees a `Scratch`: it clones that seed copy-on-write and touches only the
+//! configurations a [`GraphDelta`] can change.
 
-use crate::bitset::FixedBitSet;
+use crate::bitset::{word_ones, FixedBitSet};
 use crate::index::{Direction, LabelIndex};
 use crate::planner::Plan;
 use gps_automata::Dfa;
@@ -42,24 +50,41 @@ use std::collections::{BTreeMap, BTreeSet, HashSet};
 pub const DEFAULT_OVERDELETE_LIMIT: f64 = 0.5;
 
 /// Reusable allocation for one cold evaluation: per-state alive, frontier
-/// and staging bitsets.  Batch callers keep one `Scratch` per worker and
-/// amortize the allocations across every query of the workload.
+/// and staging bitsets, plus — sized only by a capturing evaluation — the
+/// dense support counters and the frontiers still owed theirs.  Batch callers
+/// keep one `Scratch` per worker and amortize the allocations across every
+/// query of the workload.
 #[derive(Debug, Clone, Default)]
 pub struct Scratch {
     alive: Vec<FixedBitSet>,
     frontier: Vec<FixedBitSet>,
     next: Vec<FixedBitSet>,
-    /// One state's dense support counters while a capture packs them.
-    support_row: Vec<u8>,
+    /// Frontiers a pull round left unexpanded: alive configurations whose
+    /// reverse edges no push sweep has counted yet.
+    unpushed: Vec<FixedBitSet>,
+    /// `supports[p][w]`: derivations of `(w, p)` counted so far, saturating.
+    supports: Vec<Vec<u8>>,
 }
 
 impl Scratch {
-    /// Resizes for `states` × `nodes` and clears every bit.
-    fn prepare(&mut self, states: usize, nodes: usize) {
-        for set in [&mut self.alive, &mut self.frontier, &mut self.next] {
-            set.resize_with(states, FixedBitSet::default);
-            for bits in set.iter_mut() {
+    /// Resizes for `states` × `nodes` and clears every bit (and, when
+    /// capturing, every counter).
+    fn prepare(&mut self, states: usize, nodes: usize, capture: bool) {
+        let reset = |sets: &mut Vec<FixedBitSet>| {
+            sets.resize_with(states, FixedBitSet::default);
+            for bits in sets {
                 bits.reset(nodes);
+            }
+        };
+        reset(&mut self.alive);
+        reset(&mut self.frontier);
+        reset(&mut self.next);
+        if capture {
+            reset(&mut self.unpushed);
+            self.supports.resize_with(states, Vec::new);
+            for counts in &mut self.supports {
+                counts.clear();
+                counts.resize(nodes, 0);
             }
         }
     }
@@ -84,7 +109,7 @@ pub fn evaluate_counting(
     plan: Plan,
     scratch: &mut Scratch,
 ) -> (QueryAnswer, u64) {
-    let (answer, rounds, _) = fixed_point(index, dfa, plan, scratch, false);
+    let (answer, rounds, _) = fixed_point::<false>(index, dfa, plan, scratch);
     (answer, rounds)
 }
 
@@ -107,33 +132,97 @@ pub fn evaluate_captured(
     plan: Plan,
     scratch: &mut Scratch,
 ) -> (QueryAnswer, u64, Option<EvalResume>) {
-    fixed_point(index, dfa, plan, scratch, true)
+    fixed_point::<true>(index, dfa, plan, scratch)
 }
 
-fn fixed_point(
+/// Calls `visit(p, sources)` with the `a`-predecessor row of `u` for every
+/// DFA transition `p --a--> q` and every `u` in `from[q]` that has one: each
+/// entry `w` of such a row is one derivation of configuration `(w, p)` from
+/// `(u, q)`.  Walks `from[q] & occupied(Reverse, a)` word by word, so the
+/// rows a label has nothing in are never looked up.
+#[inline]
+fn for_each_derivation(
+    index: &LabelIndex,
+    rev_dfa: &[Vec<(LabelId, usize)>],
+    from: &[FixedBitSet],
+    mut visit: impl FnMut(usize, &[u32]),
+) {
+    for (transitions, from) in rev_dfa.iter().zip(from) {
+        if from.is_empty() {
+            continue;
+        }
+        for &(label, p) in transitions {
+            let rows = index.rows(Direction::Reverse, label);
+            let masked = from.as_words().iter().zip(rows.occupied());
+            for (i, (&set, &occupied)) in masked.enumerate() {
+                for u in word_ones(i, set & occupied) {
+                    visit(p, rows.of(u));
+                }
+            }
+        }
+    }
+}
+
+/// Adds one derivation to each configuration `(w, state)` for `w` in
+/// `sources`, saturating at 255; `counts` is the state's dense counter row.
+#[inline]
+fn count_derivations(counts: &mut [u8], sources: &[u32]) {
+    for &w in sources {
+        let slot = &mut counts[w as usize];
+        *slot = slot.saturating_add(1);
+    }
+}
+
+#[cfg(test)]
+thread_local! {
+    /// Whether each round of this thread's latest fixed point was a pull.
+    static ROUND_LOG: std::cell::RefCell<Vec<bool>> = const { std::cell::RefCell::new(Vec::new()) };
+}
+
+/// The product fixed point.  With `CAPTURE` it also leaves, for every
+/// configuration, its derivation count — `supports[p][w]` is the number of
+/// `(DFA transition p --a--> q, graph edge w --a--> v)` pairs with `(v, q)`
+/// alive, saturated at 255 — and packs both into a resumable seed.  A
+/// non-accepting configuration is alive iff its support is positive;
+/// accepting configurations are alive unconditionally (their support only
+/// counts their edge-derivations); dead ones end at 0, since a derivation
+/// from an alive target would have made them alive.
+///
+/// The counts cost no second pass.  Every alive configuration enters a
+/// frontier exactly once and a push round walks the reverse edges of its
+/// whole frontier, so the count is taken where the edge is already in hand.
+/// Only a pull round leaves its frontier unexpanded: those are remembered in
+/// `unpushed` and swept — counting, not inserting — once the fixed point is
+/// complete.  Without `CAPTURE` none of this is compiled in.
+fn fixed_point<const CAPTURE: bool>(
     index: &LabelIndex,
     dfa: &Dfa,
     plan: Plan,
     scratch: &mut Scratch,
-    capture: bool,
 ) -> (QueryAnswer, u64, Option<EvalResume>) {
     let n = index.node_count();
     let s = dfa.state_count();
     if n == 0 || s == 0 {
         return (QueryAnswer::from_flags(vec![false; n]), 0, None);
     }
-    scratch.prepare(s, n);
+    scratch.prepare(s, n, CAPTURE);
+    let Scratch {
+        alive,
+        frontier,
+        next,
+        unpushed,
+        supports,
+    } = scratch;
 
     // DFA transitions, forward (pull) and reversed (push), plus per-state
     // mean-degree weights for the adaptive cost model.
-    let mut rev_dfa: Vec<Vec<(LabelId, usize)>> = vec![Vec::new(); s];
+    let rev_dfa = reverse_transitions(dfa);
     let mut fwd_dfa: Vec<Vec<(LabelId, usize)>> = vec![Vec::new(); s];
     let mut push_weight = vec![0.0f64; s];
     let mut pull_weight = vec![0.0f64; s];
     let mean_degree = |label: LabelId| index.label_edge_count(label) as f64 / n as f64;
     for state in 0..s {
         for (label, target) in dfa.transitions_from(state) {
-            rev_dfa[target].push((label, state));
             fwd_dfa[state].push((label, target));
             push_weight[target] += mean_degree(label);
             pull_weight[state] += mean_degree(label);
@@ -143,20 +232,22 @@ fn fixed_point(
     // Seed: every configuration whose DFA state is accepting.
     for state in 0..s {
         if dfa.is_accepting(state) {
-            scratch.alive[state].insert_all();
-            scratch.frontier[state].insert_all();
+            alive[state].insert_all();
+            frontier[state].insert_all();
         }
     }
 
     let start = dfa.start();
     let mut rounds = 0u64;
-    let complete = loop {
+    #[cfg(test)]
+    ROUND_LOG.with_borrow_mut(Vec::clear);
+    loop {
         // The answer only reads `alive[start]`; once every node is selected
         // no further round can change it.  This exit can leave *other*
         // states under-derived, so a capturing evaluation skips it and runs
         // on to the true fixed point — the seed must cover every state.
-        if !capture && scratch.alive[start].count() == n {
-            break false;
+        if !CAPTURE && alive[start].count() == n {
+            break;
         }
         rounds += 1;
 
@@ -165,109 +256,81 @@ fn fixed_point(
             Plan::Forward => true,
             Plan::Bidirectional => {
                 let push_cost: f64 = (0..s)
-                    .map(|q| scratch.frontier[q].count() as f64 * push_weight[q])
+                    .map(|q| frontier[q].count() as f64 * push_weight[q])
                     .sum();
                 let pull_cost: f64 = (0..s)
-                    .map(|p| (n - scratch.alive[p].count()) as f64 * pull_weight[p])
+                    .map(|p| (n - alive[p].count()) as f64 * pull_weight[p])
                     .sum();
                 pull_cost < push_cost
             }
         };
+        #[cfg(test)]
+        ROUND_LOG.with_borrow_mut(|log| log.push(pull));
 
         let mut progress = false;
         if pull {
-            // Jacobi round: read `alive`, stage discoveries in `next`.
+            // Jacobi round: read `alive`, stage discoveries in `next`.  Per
+            // transition, only the still-dead nodes that have an edge under
+            // its label are looked at.
             for (p, transitions) in fwd_dfa.iter().enumerate() {
-                if transitions.is_empty() {
-                    continue;
-                }
-                'dead: for w in scratch.alive[p].zeros() {
-                    for &(label, q) in transitions {
-                        for &u in index.neighbors(Direction::Forward, label, w) {
-                            if scratch.alive[q].contains(u as usize) {
-                                scratch.next[p].insert(w);
-                                continue 'dead;
+                for &(label, q) in transitions {
+                    let rows = index.rows(Direction::Forward, label);
+                    for (i, &occupied) in rows.occupied().iter().enumerate() {
+                        let found = alive[p].as_words()[i] | next[p].as_words()[i];
+                        for w in word_ones(i, occupied & !found) {
+                            if rows.of(w).iter().any(|&u| alive[q].contains(u as usize)) {
+                                next[p].insert(w);
                             }
                         }
                     }
                 }
             }
             for p in 0..s {
-                progress |= scratch.alive[p].union_with(&scratch.next[p]);
+                progress |= alive[p].union_with(&next[p]);
+                if CAPTURE {
+                    unpushed[p].union_with(&frontier[p]);
+                }
             }
         } else {
             // Gauss-Seidel round: mark `alive` immediately, collect the
             // delta in `next`.
-            for (q, transitions) in rev_dfa.iter().enumerate() {
-                if scratch.frontier[q].is_empty() {
-                    continue;
+            for_each_derivation(index, &rev_dfa, frontier, |p, sources| {
+                if CAPTURE {
+                    count_derivations(&mut supports[p], sources);
                 }
-                for &(label, p) in transitions {
-                    for u in scratch.frontier[q].ones() {
-                        for &w in index.neighbors(Direction::Reverse, label, u) {
-                            if scratch.alive[p].insert(w as usize) {
-                                scratch.next[p].insert(w as usize);
-                                progress = true;
-                            }
-                        }
+                for &w in sources {
+                    if alive[p].insert(w as usize) {
+                        next[p].insert(w as usize);
+                        progress = true;
                     }
                 }
-            }
+            });
         }
         if !progress {
             // No round mode can derive anything further: a true fixed point.
-            break true;
+            break;
         }
-        std::mem::swap(&mut scratch.frontier, &mut scratch.next);
-        for bits in &mut scratch.next {
+        std::mem::swap(frontier, next);
+        for bits in next.iter_mut() {
             bits.clear();
         }
-    };
-
-    // A captured answer is the seed's start-state alive set (shared blocks);
-    // an uncaptured one is packed from the dense words directly.
-    let resume = (capture && complete)
-        .then(|| capture_seed(index, dfa, &scratch.alive, &mut scratch.support_row));
-    let answer = match &resume {
-        Some(seed) => seed.answer(start),
-        None => QueryAnswer::from_words(n, scratch.alive[start].as_words()),
-    };
-    (answer, rounds, resume)
-}
-
-/// Packs a *completed* fixed point into a resumable seed, computing each
-/// state's derivation counts on the way: `supports[p][u]` is the number of
-/// `(DFA transition p --a--> q, graph edge u --a--> v)` pairs with `(v, q)`
-/// alive, saturated at 255.  A non-accepting configuration is alive iff its
-/// support is positive; accepting configurations are alive unconditionally
-/// (their support only counts their edge-derivations).
-///
-/// One full push-shaped sweep over the alive sets, one state at a time
-/// through the dense `row` buffer (random increments want a flat array; the
-/// blocks are packed from it once, all-zero stretches shared).  Dead
-/// configurations naturally end at 0: a derivation from an alive target
-/// would have made them alive.
-fn capture_seed(
-    index: &LabelIndex,
-    dfa: &Dfa,
-    alive: &[FixedBitSet],
-    row: &mut Vec<u8>,
-) -> EvalResume {
-    let mut seed = EvalResume::new(index.node_count());
-    for (state, bits) in alive.iter().enumerate() {
-        row.clear();
-        row.resize(index.node_count(), 0);
-        for (label, target) in dfa.transitions_from(state) {
-            for v in alive[target].ones() {
-                for &u in index.neighbors(Direction::Reverse, label, v) {
-                    let slot = &mut row[u as usize];
-                    *slot = slot.saturating_add(1);
-                }
-            }
-        }
-        seed.push_state(bits.as_words(), row);
     }
-    seed
+
+    if !CAPTURE {
+        let answer = QueryAnswer::from_words(n, alive[start].as_words());
+        return (answer, rounds, None);
+    }
+    for_each_derivation(index, &rev_dfa, unpushed, |p, sources| {
+        count_derivations(&mut supports[p], sources)
+    });
+    // Dense rows want random increments; the blocks are packed from them
+    // once, all-zero stretches shared.  The answer is the seed's start-state
+    // alive set (shared blocks).
+    let mut seed = EvalResume::new(n);
+    for (bits, counts) in alive.iter().zip(supports.iter()) {
+        seed.push_state(bits.as_words(), counts);
+    }
+    (seed.answer(start), rounds, Some(seed))
 }
 
 /// What [`resume`] produced.
@@ -795,6 +858,56 @@ mod tests {
             .expect("insert-only");
         assert_eq!(resumed.answer, gps_rpq::eval::evaluate(&compacted, &dfa));
         assert_eq!(resumed.overdeleted, 0);
+    }
+
+    #[test]
+    fn a_run_mixing_pull_and_push_rounds_counts_every_derivation_once() {
+        // `c.a.b*` over dense `b`, some `a` and a few `c` edges (the shape
+        // `support_conformance` recounts): round 1 pulls — the accepting
+        // frontier is every node and `b` is dense, while the dead states
+        // only read the sparse `a` and `c` — leaving that frontier to the
+        // post-fixed-point sweep; round 2 pushes the few nodes it found
+        // through `c`, counting as it goes.
+        let mut g = Graph::new();
+        let n = g.add_nodes("n", 400);
+        for i in 0..398 {
+            g.add_edge_by_name(n[i], "b", n[i + 1]);
+            g.add_edge_by_name(n[i], "b", n[i + 2]);
+        }
+        for i in 0..100 {
+            g.add_edge_by_name(n[i], "a", n[i + 1]);
+        }
+        for i in 0..20 {
+            g.add_edge_by_name(n[200 + i], "c", n[90 + i]);
+        }
+        let [a, b, c] = ["a", "b", "c"].map(|name| Regex::symbol(g.label_id(name).unwrap()));
+        let dfa = Dfa::from_regex(&Regex::concat([c, a, Regex::star(b)]));
+        let index = LabelIndex::from_backend(&g);
+        let mut scratch = Scratch::default();
+        let mut capture = |plan| {
+            let (answer, _, seed) = evaluate_captured(&index, &dfa, plan, &mut scratch);
+            assert_eq!(answer, gps_rpq::eval::evaluate(&g, &dfa), "{plan:?}");
+            seed.expect("capturing evaluations always produce a seed")
+        };
+        let mixed = capture(Plan::Bidirectional);
+        let pulls = ROUND_LOG.with_borrow(Vec::clone);
+        assert_eq!(pulls, [true, false, false], "pull, then push to the end");
+        assert_eq!(
+            mixed,
+            capture(Plan::Reverse),
+            "all counted in the push loop"
+        );
+        assert_eq!(mixed, capture(Plan::Forward), "all counted by the sweep");
+        // Spot checks against the definition: a `c` source whose target has
+        // an `a` edge has one derivation, one whose target has none is dead;
+        // a node's accepting-state support is its `b` out-degree.
+        let (s0, s2) = (dfa.start(), 2);
+        assert!(dfa.is_accepting(s2) && !dfa.is_accepting(s0));
+        for (node, support) in [(200, 1), (209, 1), (210, 0), (219, 0)] {
+            assert_eq!(mixed.support(s0, node), support, "node {node}");
+        }
+        assert_eq!(mixed.support(s2, 0), 2);
+        assert_eq!(mixed.support(s2, 399), 0);
     }
 
     #[test]

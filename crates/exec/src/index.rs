@@ -10,6 +10,13 @@
 //! only the matching endpoints, which turns delta expansion into tight
 //! slice-and-bitset sweeps.
 //!
+//! Most rows of any one partition are empty — a node has edges under a few
+//! labels, not all of them — so every partition also carries **occupancy
+//! words**: bit `v` set iff row `v` is non-empty.  A whole-frontier sweep
+//! takes [`LabelIndex::rows`], ANDs the occupancy words with the node set it
+//! expands and looks up only the rows behind the surviving bits, instead of
+//! one [`LabelIndex::neighbors`] call per node of the set.
+//!
 //! ## Across epochs
 //!
 //! The per-(direction, label) partitions are individually `Arc`-shared, so
@@ -23,11 +30,17 @@
 //! first occurrence; an addition goes last in a forward row (edge order) and
 //! after the last entry from its source or a lower one in a reverse row
 //! (the order a forward scan of the snapshot meets the sources in).  The
+//! occupancy words ride along at a bit per node: the old words copied,
+//! zero-extended to the new node count, and one bit set or cleared per
+//! touched row from the row's new length — never a rebuild from the offsets,
+//! which would put an O(n) scan per touched partition and direction on the
+//! publish path.  An untouched partition shared from before nodes were added
+//! simply has fewer words: the rows it does not cover are empty.  The
 //! planner statistics of a touched label come from one fused sweep over the
 //! new offsets.  The layout a reader sweeps is exactly what a fresh build
 //! produces, byte for byte.
 
-use crate::bitset::FixedBitSet;
+use crate::bitset::WORD_BITS;
 use gps_graph::splice::RowSplice;
 use gps_graph::{CsrGraph, Edge, GraphBackend, GraphDelta, LabelId, LabelStat, LabelStats, NodeId};
 use std::collections::{BTreeMap, BTreeSet};
@@ -46,12 +59,32 @@ pub enum Direction {
 /// `neighbors[offsets[node] .. offsets[node+1]]`.  Nodes beyond
 /// `offsets.len() - 1` (inserted after the partition was built) have no
 /// neighbors under this label — the bounds check in
-/// [`Partition::neighbors_of`] makes stale coverage safe, which is what lets
+/// [`Rows::of`] makes stale coverage safe, which is what lets
 /// [`LabelIndex::apply_delta`] share untouched partitions across epochs.
+///
+/// `occupied` holds one bit per covered row, set iff the row is non-empty:
+/// a sweep ANDs it with the node set it is about to expand and never looks
+/// up the (many) rows this label has nothing in.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 struct Partition {
     offsets: Vec<u32>,
     neighbors: Vec<u32>,
+    occupied: Vec<u64>,
+}
+
+/// The occupancy words of `offsets`: bit `v` set iff row `v` is non-empty.
+fn occupancy(offsets: &[u32]) -> Vec<u64> {
+    let rows = offsets.len().saturating_sub(1);
+    (0..rows.div_ceil(WORD_BITS))
+        .map(|word| {
+            let first = word * WORD_BITS;
+            let last = (first + WORD_BITS).min(rows);
+            let degrees = offsets[first..=last].windows(2);
+            degrees.enumerate().fold(0u64, |bits, (bit, w)| {
+                bits | (u64::from(w[1] > w[0]) << bit)
+            })
+        })
+        .collect()
 }
 
 impl Partition {
@@ -73,7 +106,11 @@ impl Partition {
             neighbors[*slot as usize] = to;
             *slot += 1;
         }
-        Self { offsets, neighbors }
+        Self {
+            occupied: occupancy(&offsets),
+            offsets,
+            neighbors,
+        }
     }
 
     /// An empty partition covering `node_count` nodes.
@@ -81,17 +118,8 @@ impl Partition {
         Self {
             offsets: vec![0u32; node_count + 1],
             neighbors: Vec::new(),
+            occupied: vec![0u64; node_count.div_ceil(WORD_BITS)],
         }
-    }
-
-    #[inline]
-    fn neighbors_of(&self, node: usize) -> &[u32] {
-        if node + 1 >= self.offsets.len() {
-            return &[];
-        }
-        let lo = self.offsets[node] as usize;
-        let hi = self.offsets[node + 1] as usize;
-        &self.neighbors[lo..hi]
     }
 
     /// Rebuilds this partition with `removals` and `additions` applied — both
@@ -103,7 +131,9 @@ impl Partition {
     /// (ascending, a source's own edges in edge order), so an addition goes
     /// right after the last entry from its source or a lower one.  Untouched
     /// stretches are bulk copies (see the [module docs](self)); rows the old
-    /// partition does not cover yet start empty.
+    /// partition does not cover yet start empty.  The occupancy words are the
+    /// old ones with one bit rewritten per touched row, not a rescan of the
+    /// offsets.
     fn patched(
         old: Option<&Partition>,
         direction: Direction,
@@ -111,8 +141,13 @@ impl Partition {
         removals: &[(u32, u32)],
         additions: &[(u32, u32)],
     ) -> Self {
-        let (old_offsets, old_neighbors) =
-            old.map_or((&[][..], &[][..]), |p| (&p.offsets[..], &p.neighbors[..]));
+        let (old_offsets, old_neighbors, old_occupied) = old
+            .map_or((&[][..], &[][..], &[][..]), |p| {
+                (&p.offsets[..], &p.neighbors[..], &p.occupied[..])
+            });
+        let mut occupied = Vec::with_capacity(node_count.div_ceil(WORD_BITS));
+        occupied.extend_from_slice(old_occupied);
+        occupied.resize(node_count.div_ceil(WORD_BITS), 0);
         let mut neighbors = Vec::with_capacity(
             (old_neighbors.len() + additions.len()).saturating_sub(removals.len()),
         );
@@ -149,15 +184,28 @@ impl Partition {
                 };
                 neighbors.insert(at, to);
             }
-            splice.set_len(neighbors.len() - start);
+            let len = neighbors.len() - start;
+            splice.set_len(len);
+            let (word, bit) = (row as usize / WORD_BITS, 1u64 << (row as usize % WORD_BITS));
+            if len > 0 {
+                occupied[word] |= bit;
+            } else {
+                occupied[word] &= !bit;
+            }
         }
         let (rest, offsets) = splice.finish(node_count);
         neighbors.extend_from_slice(&old_neighbors[rest]);
-        Self { offsets, neighbors }
+        debug_assert_eq!(occupied, occupancy(&offsets));
+        Self {
+            offsets,
+            neighbors,
+            occupied,
+        }
     }
 
     fn memory_bytes(&self) -> usize {
         (self.offsets.len() + self.neighbors.len()) * std::mem::size_of::<u32>()
+            + self.occupied.len() * std::mem::size_of::<u64>()
     }
 
     /// The largest row and the number of non-empty rows, in one sweep.
@@ -234,13 +282,6 @@ struct DirIndex {
     parts: Vec<Arc<Partition>>,
 }
 
-impl DirIndex {
-    #[inline]
-    fn neighbors(&self, label: usize, node: usize) -> &[u32] {
-        self.parts[label].neighbors_of(node)
-    }
-}
-
 /// The edge set bucketed per label in both directions, in edge-stream order
 /// — the one pass a fresh [`LabelIndex`] build makes before packing each
 /// bucket into its [`Partition`].
@@ -277,6 +318,50 @@ impl Buckets {
             fwd: pack(&self.fwd),
             rev: pack(&self.rev),
         }
+    }
+}
+
+/// One label's rows in one direction, as a sweep reads them: the occupancy
+/// words to mask a node set with, and the rows behind the bits that survive.
+///
+/// ```
+/// use gps_exec::{Direction, LabelIndex};
+/// use gps_graph::Graph;
+///
+/// let mut g = Graph::new();
+/// let n = g.add_nodes("n", 3);
+/// g.add_edge_by_name(n[0], "x", n[2]);
+/// g.add_edge_by_name(n[1], "x", n[2]);
+/// let index = LabelIndex::from_backend(&g);
+/// let rows = index.rows(Direction::Reverse, g.label_id("x").unwrap());
+/// assert_eq!(rows.occupied(), [0b100], "only n2 has x-predecessors");
+/// assert_eq!(rows.of(2), [0, 1]);
+/// ```
+#[derive(Debug, Clone, Copy)]
+pub struct Rows<'a> {
+    offsets: &'a [u32],
+    neighbors: &'a [u32],
+    occupied: &'a [u64],
+}
+
+impl<'a> Rows<'a> {
+    /// Bit `v` of word `v / 64` is set iff row `v` is non-empty.  May hold
+    /// fewer words than the graph has nodes: the rows of nodes added after
+    /// the partition was built are empty.
+    #[inline]
+    pub fn occupied(&self) -> &'a [u64] {
+        self.occupied
+    }
+
+    /// The neighbors of `node`; none for a node past the coverage.
+    #[inline]
+    pub fn of(&self, node: usize) -> &'a [u32] {
+        if node + 1 >= self.offsets.len() {
+            return &[];
+        }
+        let lo = self.offsets[node] as usize;
+        let hi = self.offsets[node + 1] as usize;
+        &self.neighbors[lo..hi]
     }
 }
 
@@ -361,12 +446,30 @@ impl LabelIndex {
     /// semantics instead of panicking.
     #[inline]
     pub fn neighbors(&self, direction: Direction, label: LabelId, node: usize) -> &[u32] {
-        if label.index() >= self.label_count || node >= self.node_count {
-            return &[];
-        }
-        match direction {
-            Direction::Forward => self.fwd.neighbors(label.index(), node),
-            Direction::Reverse => self.rev.neighbors(label.index(), node),
+        self.rows(direction, label).of(node)
+    }
+
+    /// All of `label`'s rows in `direction` with their occupancy words —
+    /// what a whole-frontier sweep walks instead of one
+    /// [`neighbors`](Self::neighbors) lookup per node.  A label outside the
+    /// indexed alphabet has no words and no rows: nothing to sweep.
+    #[inline]
+    pub fn rows(&self, direction: Direction, label: LabelId) -> Rows<'_> {
+        let dir = match direction {
+            Direction::Forward => &self.fwd,
+            Direction::Reverse => &self.rev,
+        };
+        match dir.parts.get(label.index()) {
+            Some(part) => Rows {
+                offsets: &part.offsets,
+                neighbors: &part.neighbors,
+                occupied: &part.occupied,
+            },
+            None => Rows {
+                offsets: &[],
+                neighbors: &[],
+                occupied: &[],
+            },
         }
     }
 
@@ -473,24 +576,6 @@ impl LabelIndex {
             edge_count,
         }
     }
-
-    /// Marks in `out` every `label`-neighbor (in `direction`) of every node
-    /// of `frontier`, returning how many bits were newly set in `out`.
-    pub fn expand_into(
-        &self,
-        direction: Direction,
-        label: LabelId,
-        frontier: &FixedBitSet,
-        out: &mut FixedBitSet,
-    ) -> usize {
-        let mut fresh = 0;
-        for node in frontier.ones() {
-            for &neighbor in self.neighbors(direction, label, node) {
-                fresh += out.insert(neighbor as usize) as usize;
-            }
-        }
-        fresh
-    }
 }
 
 /// Convenience: the `label`-successors of `node` as typed ids (test helper).
@@ -571,21 +656,6 @@ mod tests {
                 }
             }
         }
-    }
-
-    #[test]
-    fn expand_into_marks_neighbors_once() {
-        let g = sample();
-        let index = LabelIndex::from_backend(&g);
-        let x = g.label_id("x").unwrap();
-        let mut frontier = FixedBitSet::new(g.node_count());
-        frontier.insert_all();
-        let mut out = FixedBitSet::new(g.node_count());
-        // Every node has exactly one x-successor here: a→b, b→c, c→a.
-        let fresh = index.expand_into(Direction::Forward, x, &frontier, &mut out);
-        assert_eq!(fresh, 3);
-        let again = index.expand_into(Direction::Forward, x, &frontier, &mut out);
-        assert_eq!(again, 0, "already marked");
     }
 
     #[test]
@@ -824,6 +894,19 @@ mod tests {
                             "{context}: untouched {side} {id:?} is shared"
                         );
                     }
+                    // Occupancy, shared or patched: the fresh build's words;
+                    // a partition shared from before nodes were added lacks
+                    // only their (all-zero) words.
+                    let (got, want) = (&got.parts[label].occupied, &want.parts[label].occupied);
+                    assert_eq!(
+                        got[..],
+                        want[..got.len()],
+                        "{context}: {side} {id:?} occupancy"
+                    );
+                    assert!(
+                        want[got.len()..].iter().all(|&word| word == 0),
+                        "{context}: {side} {id:?} occupancy past the shared coverage"
+                    );
                 }
             }
             let stats = patched.patched_stats(&self.stats, &touched);
@@ -908,6 +991,25 @@ mod tests {
             // (shorter offsets than the node count) are a sound base.
             once.publish(&[Node, Add(1, "y", 0), Del(4, "x", 0)], context);
         }
+        // Occupancy across a word boundary: nodes added past the old
+        // coverage's last word, a far row filled for the first time (its `w`
+        // partition first seen in this delta, `y` left shared with one word
+        // for two words of nodes), then emptied again.
+        let mut ops = vec![Node; 64];
+        ops.extend([Add(68, "x", 0), Add(0, "x", 68), Add(68, "w", 67)]);
+        let grown = Epoch::fresh(&corner_base()).publish(&ops, "past an occupancy word");
+        let x = grown.snapshot.labels().get("x").expect("interned").index();
+        assert_eq!(grown.index.fwd.parts[x].occupied.len(), 2);
+        assert_eq!(grown.index.fwd.parts[x].occupied[1], 1 << (68 - 64));
+        let emptied = grown.publish(&[Del(68, "x", 0)], "the far row emptied");
+        assert_eq!(emptied.index.fwd.parts[x].occupied[1], 0);
+        let y = emptied
+            .snapshot
+            .labels()
+            .get("y")
+            .expect("interned")
+            .index();
+        assert_eq!(emptied.index.fwd.parts[y].occupied.len(), 1, "still shared");
     }
 
     #[test]

@@ -8,12 +8,14 @@
 //!
 //! * [`bitset::FixedBitSet`] — the per-state node sets (alive, frontier and
 //!   its staging double), one bit per node;
-//! * [`index::LabelIndex`] — label-partitioned forward + reverse CSR built
-//!   once per graph, patched per update, and shared, also across threads,
-//!   by every query;
+//! * [`index::LabelIndex`] — label-partitioned forward + reverse CSR with
+//!   one occupancy bit per row, built once per graph, patched per update,
+//!   and shared, also across threads, by every query;
 //! * [`frontier`] — the semi-naive product-automaton fixed point sweeping
-//!   whole frontiers per DFA transition, in push (reverse), pull (forward)
-//!   or per-round adaptive mode;
+//!   whole frontiers per DFA transition — only the rows a label has edges
+//!   in — in push (reverse), pull (forward) or per-round adaptive mode; a
+//!   capturing evaluation takes its resumable seed's support counts in that
+//!   same pass;
 //! * [`planner`] — picks the expansion [`Plan`] per query from the
 //!   per-label degree/frequency statistics of [`gps_graph::LabelStats`];
 //! * [`batch::BatchEvaluator`] — the public engine: single, batch,
@@ -60,6 +62,6 @@ pub mod planner;
 pub use batch::BatchEvaluator;
 pub use bitset::FixedBitSet;
 pub use frontier::DEFAULT_OVERDELETE_LIMIT;
-pub use index::{Direction, LabelIndex};
+pub use index::{Direction, LabelIndex, Rows};
 pub use metrics::ExecMetrics;
 pub use planner::{Plan, PlanDecision, PlannerConfig};

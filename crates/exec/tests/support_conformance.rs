@@ -10,6 +10,11 @@
 //!   evaluation on the patched graph, and the answer equals the naive
 //!   evaluator's.  Checked on two seeds, over node counts that cross block
 //!   boundaries of the seed's arrays and land on an exact multiple of one;
+//! * a captured seed's supports equal their definition — a plain forward
+//!   count of derivations through alive successors, written here without the
+//!   engine — under every forced plan, so both places the fused evaluation
+//!   counts in (the push loop, the sweep of what pull rounds left) are held
+//!   to it, including a counter that saturates;
 //! * on a 200k-node graph a 4-op delta copies a handful of seed blocks and
 //!   shares the rest with the superseded epoch, and a label-disjoint publish
 //!   that adds nodes shares all but the tail block of every carried answer —
@@ -189,6 +194,108 @@ fn chained_mixed_epochs_reproduce_fresh_captures() {
     for seed in [0xA11CE, 0x0B0B_5EED] {
         chained_epochs_reproduce_fresh_captures(seed);
     }
+}
+
+/// A hub with 300 out-edges and 300 in-edges under `a` (its own counter
+/// saturates; its reverse row is one long sweep), `b`/`c` edges so the whole
+/// query set has something to read.
+fn hub_graph() -> Graph {
+    let mut g = Graph::new();
+    let hub = g.add_node("hub");
+    let leaves = g.add_nodes("leaf", 300);
+    for (i, &leaf) in leaves.iter().enumerate() {
+        g.add_edge_by_name(hub, "a", leaf);
+        g.add_edge_by_name(leaf, "a", hub);
+        g.add_edge_by_name(leaf, ["b", "c"][i % 2], leaves[(i + 1) % leaves.len()]);
+    }
+    g
+}
+
+/// Dense `b`, some `a`, a few `c`: on `c.a.b*` the adaptive plan pulls in
+/// round 1 and pushes afterwards (`gps_exec::frontier`'s unit tests assert
+/// that round sequence on this shape), so one run counts in both places.
+fn pull_then_push_graph() -> (Graph, Dfa) {
+    let mut g = Graph::new();
+    let n = g.add_nodes("n", 400);
+    for i in 0..398 {
+        g.add_edge_by_name(n[i], "b", n[i + 1]);
+        g.add_edge_by_name(n[i], "b", n[i + 2]);
+    }
+    for i in 0..100 {
+        g.add_edge_by_name(n[i], "a", n[i + 1]);
+    }
+    for i in 0..20 {
+        g.add_edge_by_name(n[200 + i], "c", n[90 + i]);
+    }
+    let [a, b, c] = ["a", "b", "c"].map(|name| Regex::symbol(g.label_id(name).unwrap()));
+    let dfa = Dfa::from_regex(&Regex::concat([c, a, Regex::star(b)]));
+    (g, dfa)
+}
+
+#[test]
+fn captured_supports_equal_a_forward_recount() {
+    let mut cases: Vec<(String, Graph, Vec<Dfa>)> = [0xA11CE, 0x0B0B_5EED]
+        .into_iter()
+        .map(|seed| {
+            let graph = random_graph(&mut XorShift(seed));
+            let queries = query_set(&graph);
+            (format!("random {seed:#x}"), graph, queries)
+        })
+        .collect();
+    let hub = hub_graph();
+    let hub_queries = query_set(&hub);
+    cases.push(("hub".to_string(), hub, hub_queries));
+    let (mixed, mixed_query) = pull_then_push_graph();
+    let mut mixed_queries = query_set(&mixed);
+    mixed_queries.push(mixed_query);
+    cases.push(("pull then push".to_string(), mixed, mixed_queries));
+
+    let mut scratch = Scratch::default();
+    let mut saturated = 0;
+    for (name, graph, queries) in &cases {
+        let index = LabelIndex::from_backend(graph);
+        for (i, dfa) in queries.iter().enumerate() {
+            let expected = gps_rpq::eval::evaluate(graph, dfa);
+            for plan in [Plan::Reverse, Plan::Forward, Plan::Bidirectional] {
+                let context = format!("{name}, query {i}, {plan:?}");
+                let (answer, _, seed) = evaluate_captured(&index, dfa, plan, &mut scratch);
+                let seed = seed.expect("capturing evaluations always produce a seed");
+                assert_eq!(answer, expected, "{context}");
+                assert_eq!(seed.answer(dfa.start()), expected, "{context}");
+                for state in 0..dfa.state_count() {
+                    for node in graph.nodes() {
+                        // The definition: one derivation per (DFA transition
+                        // out of `state`, edge out of `node`) pair whose
+                        // target configuration is alive.
+                        let derivations = dfa
+                            .transitions_from(state)
+                            .flat_map(|(label, target_state)| {
+                                graph
+                                    .successors(node)
+                                    .filter(move |&(edge_label, _)| edge_label == label)
+                                    .map(move |(_, target)| (target_state, target))
+                            })
+                            .filter(|&(target_state, target)| {
+                                seed.is_alive(target_state, target.index())
+                            })
+                            .count();
+                        assert_eq!(
+                            seed.support(state, node.index()) as usize,
+                            derivations.min(255),
+                            "{context}: support of ({node}, state {state})"
+                        );
+                        assert_eq!(
+                            seed.is_alive(state, node.index()),
+                            dfa.is_accepting(state) || derivations > 0,
+                            "{context}: ({node}, state {state}) alive"
+                        );
+                        saturated += usize::from(derivations > 255);
+                    }
+                }
+            }
+        }
+    }
+    assert!(saturated > 0, "the hub's counter saturates");
 }
 
 /// A scale-free graph of a node count that is not a block multiple, its warm

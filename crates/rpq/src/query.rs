@@ -134,6 +134,35 @@ mod tests {
     }
 
     #[test]
+    fn nesting_is_bounded_and_the_bound_is_safe_downstream() {
+        use gps_automata::parser::MAX_NESTING;
+        let g = figure1_like();
+        assert_eq!(
+            PathQuery::parse(&"(".repeat(100_000), g.labels()).unwrap_err(),
+            ParseError::TooDeep {
+                offset: MAX_NESTING
+            }
+        );
+        // The deepest accepted query, every level a star the constructors
+        // cannot collapse: compiling it (Thompson, determinize, minimize),
+        // printing it and dropping it all recurse on this depth.
+        let deepest = format!(
+            "{}tram{}",
+            "(".repeat(MAX_NESTING),
+            ")*.bus".repeat(MAX_NESTING)
+        );
+        let q = PathQuery::parse(&deepest, g.labels()).unwrap();
+        assert_eq!(q.regex().star_height(), MAX_NESTING);
+        let bus = g.label_id("bus").unwrap();
+        let tram = g.label_id("tram").unwrap();
+        let mut word = vec![tram];
+        word.resize(1 + MAX_NESTING, bus);
+        assert!(q.dfa().accepts(&word) && !q.dfa().accepts(&word[..MAX_NESTING]));
+        let reparsed = PathQuery::parse(&q.display(g.labels()), g.labels()).unwrap();
+        assert_eq!(q.regex(), reparsed.regex());
+    }
+
+    #[test]
     fn equivalence_of_queries() {
         let g = figure1_like();
         let q1 = PathQuery::parse("(tram+bus)*.cinema", g.labels()).unwrap();

@@ -277,6 +277,24 @@ fn assert_indexes_identical(
                     "{context}: {direction:?} adjacency of label {label:?}, node {node}"
                 );
             }
+            // The occupancy words a sweep masks with: the reference's, except
+            // that a partition shared from before nodes were added lacks
+            // their (all-zero) words.
+            let want = a.rows(direction, label).occupied();
+            let got = b.rows(direction, label).occupied();
+            assert!(
+                got.len() <= want.len(),
+                "{context}: {direction:?} {label:?}"
+            );
+            assert_eq!(
+                want[..got.len()],
+                *got,
+                "{context}: {direction:?} occupancy of label {label:?}"
+            );
+            assert!(
+                want[got.len()..].iter().all(|&word| word == 0),
+                "{context}: {direction:?} occupancy of label {label:?} past the shared coverage"
+            );
         }
     }
     assert_eq!(reference.stats(), other.stats(), "{context}: planner stats");
