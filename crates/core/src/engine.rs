@@ -19,7 +19,7 @@
 //!
 //! let (graph, ids) = figure1_graph();
 //! let engine = Engine::builder(graph)
-//!     .strategy(StrategyChoice::InformativePaths { bound: 3 })
+//!     .strategy(StrategyChoice::InformativePaths)
 //!     .initial_radius(2)
 //!     .max_interactions(100)
 //!     .build();
@@ -67,13 +67,12 @@ pub enum EvalMode {
 }
 
 /// Which node-proposal strategy the engine runs interactive sessions with.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum StrategyChoice {
-    /// The paper's practical strategy: most short uncovered paths first.
-    InformativePaths {
-        /// Path-length bound used when counting uncovered paths.
-        bound: usize,
-    },
+    /// The paper's practical strategy: most short uncovered paths first,
+    /// counted at the session's path bound.
+    #[default]
+    InformativePaths,
     /// Highest out-degree first.
     Degree,
     /// Uniformly random unlabeled node (reproducible per seed).
@@ -83,20 +82,12 @@ pub enum StrategyChoice {
     },
 }
 
-impl Default for StrategyChoice {
-    fn default() -> Self {
-        StrategyChoice::InformativePaths { bound: 3 }
-    }
-}
-
 impl StrategyChoice {
     /// Instantiates the chosen strategy for backend `B`.  The trait object is
     /// `Send` so service deployments can drive sessions from worker threads.
     pub fn instantiate<B: GraphBackend>(&self) -> Box<dyn Strategy<B> + Send> {
         match *self {
-            StrategyChoice::InformativePaths { bound } => {
-                Box::new(InformativePathsStrategy::with_bound(bound))
-            }
+            StrategyChoice::InformativePaths => Box::new(InformativePathsStrategy),
             StrategyChoice::Degree => Box::new(DegreeStrategy),
             StrategyChoice::Random { seed } => Box::new(RandomStrategy::seeded(seed)),
         }
@@ -428,13 +419,8 @@ impl Engine {
 
     // ------------------------------------------------------- shared state
 
-    /// The graph this engine serves: its immutable CSR snapshot.
-    pub fn graph(&self) -> &CsrGraph {
-        &self.snapshot
-    }
-
-    /// The shared CSR snapshot sessions run on (same as
-    /// [`graph`](Self::graph)).
+    /// The graph this engine serves: the immutable CSR snapshot sessions
+    /// run on.
     pub fn snapshot(&self) -> &CsrGraph {
         &self.snapshot
     }
@@ -633,7 +619,7 @@ impl Engine {
     /// Scenario 1 — static labeling: the user labels arbitrary nodes and the
     /// system proposes a consistent query or reports the inconsistency.
     pub fn static_labeling(&self, labels: &[(NodeId, Label)]) -> StaticLabelingOutcome {
-        scenario::static_labeling(&self.snapshot, labels, self.learner())
+        scenario::static_labeling(&self.eval_handle(), labels, self.learner())
     }
 
     /// Scenario 2 — interactive labeling without path validation, against a
@@ -733,7 +719,7 @@ mod tests {
         assert!(fig3a.contains("radius 2"));
         let fig3b = gps.render_zoom(ids.n2, 2);
         assert!(fig3b.contains("*new*"));
-        let graph = gps.graph();
+        let graph = gps.snapshot();
         let bus = graph.label_id("bus").unwrap();
         let cinema = graph.label_id("cinema").unwrap();
         let fig3c = gps.render_prefix_tree(ids.n2, 3, &[bus, bus, cinema]);
@@ -762,7 +748,7 @@ mod tests {
         let (graph, _) = figure1_graph();
         let gps = Gps::with_learner(graph, Learner::with_bound(3));
         assert_eq!(gps.learner().path_bound, 3);
-        assert!(gps.graph().node_count() == 10);
+        assert!(gps.snapshot().node_count() == 10);
     }
 
     #[test]
@@ -853,7 +839,7 @@ mod tests {
         let clone = engine.clone();
         let snapshot = engine.shared_snapshot();
         assert!(Arc::ptr_eq(&snapshot, &clone.shared_snapshot()));
-        assert!(std::ptr::eq(engine.graph(), &*snapshot));
+        assert!(std::ptr::eq(engine.snapshot(), &*snapshot));
         assert!(
             std::ptr::eq(engine.open_session().graph(), &*snapshot),
             "a session runs on the engine's snapshot, not on a copy"
@@ -888,12 +874,12 @@ mod tests {
         let (graph, _) = figure1_graph();
         let engine = Engine::builder(graph).build();
         let goal = engine.parse_query(MOTIVATING_QUERY).unwrap();
-        let mut user = SimulatedUser::new(goal.clone(), engine.graph());
+        let mut user = SimulatedUser::new(goal.clone(), engine.snapshot());
         let outcome = engine.specify(&mut user);
         let learned = outcome.learned.expect("a query is learned");
         assert_eq!(
             learned.answer.nodes(),
-            goal.evaluate(engine.graph()).nodes()
+            goal.evaluate(engine.snapshot()).nodes()
         );
     }
 
@@ -902,7 +888,7 @@ mod tests {
         let engine = GpsBuilder::from_edge_list("N1 tram N4\nN4 cinema C1\n")
             .unwrap()
             .build();
-        assert_eq!(engine.graph().node_count(), 3);
+        assert_eq!(engine.snapshot().node_count(), 3);
         assert!(GpsBuilder::from_edge_list("one two\n").is_err());
     }
 }

@@ -37,7 +37,7 @@
 //!
 //! // Build the engine with explicit options.
 //! let engine = Engine::builder(graph)
-//!     .strategy(StrategyChoice::InformativePaths { bound: 3 })
+//!     .strategy(StrategyChoice::InformativePaths)
 //!     .initial_radius(2)
 //!     .build();
 //!

@@ -19,7 +19,7 @@ use gps_interactive::session::{Session, SessionConfig, SessionOutcome};
 use gps_interactive::strategy::Strategy;
 use gps_interactive::user::SimulatedUser;
 use gps_learner::{consistency, ExampleSet, Label, LearnedQuery, Learner};
-use gps_rpq::{EvalHandle, PathQuery};
+use gps_rpq::{EvalHandle, NegativeCoverage, PathQuery};
 use serde::{Deserialize, Serialize};
 
 /// The result of the static-labeling scenario.
@@ -38,9 +38,10 @@ pub enum StaticLabelingOutcome {
     NoPositives,
 }
 
-/// Runs the static-labeling scenario on a user-provided example set.
+/// Runs the static-labeling scenario on a user-provided example set, over
+/// `exec`'s snapshot: words come from its word index, answers from its cache.
 pub fn static_labeling(
-    graph: &CsrGraph,
+    exec: &EvalHandle,
     labels: &[(NodeId, Label)],
     learner: &Learner,
 ) -> StaticLabelingOutcome {
@@ -49,13 +50,15 @@ pub fn static_labeling(
         return StaticLabelingOutcome::NoPositives;
     }
     if let Some(consistency::Infeasibility::PositiveCovered(node)) =
-        consistency::check_satisfiable(graph, &examples, learner.path_bound)
+        consistency::check_satisfiable(exec, &examples, learner.path_bound)
     {
         return StaticLabelingOutcome::Inconsistent {
             conflicting_positive: node,
         };
     }
-    match learner.learn(graph, &examples) {
+    let index = exec.bounded_words(learner.path_bound);
+    let coverage = NegativeCoverage::from_index(&index, examples.negatives());
+    match learner.learn_with(exec.cache().csr(), &examples, &coverage, exec) {
         Ok(learned) => StaticLabelingOutcome::Learned(Box::new(learned)),
         Err(gps_learner::LearnError::PositiveFullyCovered { node })
         | Err(gps_learner::LearnError::ValidatedPathCovered { node })
@@ -153,8 +156,8 @@ mod tests {
     use gps_datasets::figure1::{figure1_graph, MOTIVATING_QUERY};
 
     fn static_labeling_on_figure1(labels: &[(NodeId, Label)]) -> StaticLabelingOutcome {
-        let csr = CsrGraph::from_graph(&figure1_graph().0);
-        static_labeling(&csr, labels, &Learner::default())
+        let exec = EvalHandle::naive(&figure1_graph().0);
+        static_labeling(&exec, labels, &Learner::default())
     }
 
     #[test]

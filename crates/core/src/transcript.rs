@@ -129,7 +129,7 @@ mod tests {
         let goal = PathQuery::parse(MOTIVATING_QUERY, g.labels()).unwrap();
         let mut user = SimulatedUser::new(goal, &g);
         let mut session = Session::new(&g, SessionConfig::default());
-        let outcome = session.run(&mut InformativePathsStrategy::default(), &mut user);
+        let outcome = session.run(&mut InformativePathsStrategy, &mut user);
         (g, outcome)
     }
 

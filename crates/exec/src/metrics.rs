@@ -1,9 +1,8 @@
 //! Pre-bound telemetry handles for the execution engine.
 //!
-//! [`ExecMetrics`] is resolved once against a
-//! [`MetricsRegistry`](gps_telemetry::MetricsRegistry) (or left disabled)
-//! and then carried by value inside [`BatchEvaluator`](crate::BatchEvaluator)
-//! — including across epochs through `apply_delta` — so the hot evaluation
+//! [`ExecMetrics`] is resolved once against a [`MetricsRegistry`] (or left
+//! disabled) and then carried by value inside
+//! [`BatchEvaluator`](crate::BatchEvaluator) — including across epochs through `apply_delta` — so the hot evaluation
 //! path records through lock-free handles instead of registry lookups.
 
 use crate::planner::Plan;

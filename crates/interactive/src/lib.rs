@@ -39,7 +39,7 @@
 //! let goal = PathQuery::parse(MOTIVATING_QUERY, graph.labels()).unwrap();
 //! let mut user = SimulatedUser::new(goal.clone(), &graph);
 //! let mut session = Session::new(&graph, SessionConfig::default());
-//! let outcome = session.run(&mut InformativePathsStrategy::default(), &mut user);
+//! let outcome = session.run(&mut InformativePathsStrategy, &mut user);
 //! let learned = outcome.learned.expect("a query is learned");
 //! // The learned query agrees with the goal on the whole graph.
 //! assert_eq!(learned.answer.nodes(), goal.evaluate(&graph).nodes());

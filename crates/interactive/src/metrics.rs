@@ -1,8 +1,7 @@
 //! Pre-bound telemetry handles for the interactive loop.
 //!
-//! [`SessionMetrics`] is resolved once against a
-//! [`MetricsRegistry`](gps_telemetry::MetricsRegistry) and installed into a
-//! [`Session`](crate::Session) via
+//! [`SessionMetrics`] is resolved once against a [`MetricsRegistry`] and
+//! installed into a [`Session`](crate::Session) via
 //! [`Session::set_metrics`](crate::Session::set_metrics) (the engine and the
 //! session manager do this when a registry is configured).  Metrics never
 //! influence the loop's control flow, so an instrumented session produces a
@@ -10,25 +9,18 @@
 
 use gps_telemetry::{Counter, Histogram, MetricsRegistry};
 
-/// The pruning sub-family (`gps_interactive_pruning_*`): how the
-/// informativeness state is being kept up to date — cheap incremental
-/// postings walks, full rescans, or the silent-and-slow foreign-snapshot
-/// fallback.
+/// The pruning sub-family (`gps_interactive_pruning_*`): how much work the
+/// word-index postings walks that keep the informativeness state up to date
+/// are doing.
 #[derive(Debug, Clone, Default)]
 pub struct PruningMetrics {
-    /// `gps_interactive_pruning_full_sweeps_total` — full informativeness
-    /// rescans (a first refresh without a matching handle, foreign handles).
-    pub full_sweeps: Counter,
     /// `gps_interactive_pruning_incremental_refreshes_total` — refreshes that
-    /// applied a coverage delta through the word index instead of rescanning.
+    /// applied a coverage delta through the word index.
     pub incremental_refreshes: Counter,
     /// `gps_interactive_refresh_postings_total` — word-index postings walked
     /// by those refreshes, i.e. score decrements applied: what a slow
     /// negative-label step spent its time on.
     pub refresh_postings: Counter,
-    /// `gps_interactive_pruning_foreign_rescans_total` — full rescans forced
-    /// by a mismatched evaluation handle; 0 in a correctly wired deployment.
-    pub foreign_rescans: Counter,
 }
 
 impl PruningMetrics {
@@ -40,11 +32,9 @@ impl PruningMetrics {
     /// Binds the `gps_interactive_pruning_*` family in `registry`.
     pub fn from_registry(registry: &MetricsRegistry) -> Self {
         Self {
-            full_sweeps: registry.counter("gps_interactive_pruning_full_sweeps_total"),
             incremental_refreshes: registry
                 .counter("gps_interactive_pruning_incremental_refreshes_total"),
             refresh_postings: registry.counter("gps_interactive_refresh_postings_total"),
-            foreign_rescans: registry.counter("gps_interactive_pruning_foreign_rescans_total"),
         }
     }
 }

@@ -16,9 +16,9 @@
 //! information for the learner); they are reported so the UI can display them
 //! and so the pruning layer can skip them.
 
-use gps_graph::{GraphBackend, NodeId, PathEnumerator, Word};
+use gps_graph::{NodeId, Word};
 use gps_learner::ExampleSet;
-use gps_rpq::NegativeCoverage;
+use gps_rpq::{EvalHandle, NegativeCoverage};
 
 /// Labels implied by the user-provided examples.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
@@ -41,39 +41,38 @@ impl PropagatedLabels {
     }
 }
 
-/// Computes the labels implied by `examples` on `graph`.
+/// Computes the labels implied by `examples` on `exec`'s snapshot, reading
+/// every node's words from its word index at `bound`.
 ///
 /// `coverage` must have been built from the same example set (its negatives).
-pub fn propagate<B: GraphBackend>(
-    graph: &B,
+pub fn propagate(
+    exec: &EvalHandle,
     examples: &ExampleSet,
     coverage: &NegativeCoverage,
     bound: usize,
 ) -> PropagatedLabels {
-    let validated_words: Vec<Word> = examples
+    let index = exec.bounded_words(bound);
+    let unlabeled = |node: &NodeId| !examples.is_labeled(*node);
+    let implied_negative: Vec<NodeId> = if coverage.negative_count() > 0 {
+        (0..index.len())
+            .map(NodeId::from)
+            .filter(unlabeled)
+            .filter(|node| index[node.index()].iter().all(|w| coverage.is_covered(w)))
+            .collect()
+    } else {
+        Vec::new()
+    };
+    // The nodes spelling a validated word: a postings walk per word.
+    let mut implied_positive: Vec<NodeId> = examples
         .positives()
         .into_iter()
-        .filter_map(|n| examples.validated_path(n).cloned())
+        .filter_map(|node| examples.validated_path(node))
+        .flat_map(|word: &Word| index.spellers(word).iter().copied())
+        .filter(unlabeled)
+        .filter(|node| implied_negative.binary_search(node).is_err())
         .collect();
-    let enumerator = PathEnumerator::new(bound);
-
-    let mut implied_negative = Vec::new();
-    let mut implied_positive = Vec::new();
-    for node in graph.nodes() {
-        if examples.is_labeled(node) {
-            continue;
-        }
-        if coverage.negative_count() > 0 && coverage.is_uninformative(graph, node) {
-            implied_negative.push(node);
-            continue;
-        }
-        if !validated_words.is_empty() {
-            let words = enumerator.words_from(graph, node);
-            if validated_words.iter().any(|w| words.contains(w)) {
-                implied_positive.push(node);
-            }
-        }
-    }
+    implied_positive.sort_unstable();
+    implied_positive.dedup();
     PropagatedLabels {
         implied_negative,
         implied_positive,
@@ -115,7 +114,7 @@ mod tests {
         let mut examples = ExampleSet::new();
         examples.set_validated_path(a, vec![x, y]);
         let coverage = NegativeCoverage::new(3);
-        let propagated = propagate(&g, &examples, &coverage, 3);
+        let propagated = propagate(&EvalHandle::naive(&g), &examples, &coverage, 3);
         assert!(propagated.implied_positive.contains(&d));
         assert!(!propagated.implied_positive.contains(&a), "already labeled");
     }
@@ -129,7 +128,7 @@ mod tests {
         // Labeling A negative covers x, x·y — D's words are then all covered.
         examples.add_negative(a);
         let coverage = NegativeCoverage::from_negatives(&g, [a], 3);
-        let propagated = propagate(&g, &examples, &coverage, 3);
+        let propagated = propagate(&EvalHandle::naive(&g), &examples, &coverage, 3);
         let d = g.node_by_name("D").unwrap();
         assert!(propagated.implied_negative.contains(&d));
         // G spells z, which is uncovered, so it stays unresolved.
@@ -141,7 +140,7 @@ mod tests {
         let g = sample();
         let examples = ExampleSet::new();
         let coverage = NegativeCoverage::new(3);
-        let propagated = propagate(&g, &examples, &coverage, 3);
+        let propagated = propagate(&EvalHandle::naive(&g), &examples, &coverage, 3);
         // No negatives and no validated words: only the trivially
         // uninformative sinks would qualify, but negative propagation is
         // gated on having at least one negative example.
@@ -161,7 +160,7 @@ mod tests {
         examples.set_validated_path(a, vec![x, y]);
         examples.add_negative(g.node_by_name("G").unwrap());
         let coverage = NegativeCoverage::from_negatives(&g, [g.node_by_name("G").unwrap()], 3);
-        let propagated = propagate(&g, &examples, &coverage, 3);
+        let propagated = propagate(&EvalHandle::naive(&g), &examples, &coverage, 3);
         assert_eq!(
             propagated.len(),
             propagated.implied_negative.len() + propagated.implied_positive.len()

@@ -9,15 +9,15 @@
 //! [`PruningState`] maintains this set incrementally and exposes the numbers
 //! the pruning-effectiveness experiment (E4) reports.
 //!
-//! Inside a session the state is kept up to date with
-//! [`refresh_with`](PruningState::refresh_with): instead of re-enumerating
-//! every node's bounded paths after each interaction, it reads the coverage's
-//! word delta (the words newly covered since the last sync) and, for each of
-//! them, walks the postings of the snapshot's shared word index
+//! The state is kept up to date with
+//! [`refresh_with`](PruningState::refresh_with), which reads words only
+//! through the session's [`EvalHandle`]: scores start at each node's
+//! bounded-word count, and each word the coverage covered since the last
+//! sync walks its postings in the snapshot's shared word index
 //! ([`gps_rpq::WordIndex::spellers`]) — exactly the nodes whose uncovered
 //! count drops, by exactly one per word.  No graph sweep, no evaluation.  The
-//! per-node uncovered-word counts double as the informative-paths strategy's
-//! scores.
+//! handle must serve the graph it is refreshed on (asserted).  The per-node
+//! uncovered-word counts double as the informative-paths strategy's scores.
 
 use crate::metrics::PruningMetrics;
 use gps_graph::{GraphBackend, NodeId};
@@ -38,17 +38,10 @@ pub struct PruningState {
     scores: Vec<u32>,
     /// The coverage `(log_identity, version)` the scores were last
     /// synchronized against, `None` before the first refresh.  The identity
-    /// lets the incremental refresh and the strategy detect a *different*
-    /// coverage object (whose delta would be meaningless here) instead of
-    /// trusting a bare version number.
+    /// lets the refresh and the strategy detect a *different* coverage object
+    /// (whose delta would be meaningless here) instead of trusting a bare
+    /// version number.
     synced: Option<(u64, u64)>,
-    /// How many times [`refresh_with`](Self::refresh_with) had a valid
-    /// coverage delta but had to fall back to the full rescan because the
-    /// evaluation handle's snapshot did not match the session graph (a
-    /// foreign or superseded snapshot).  This fallback is silent and slow —
-    /// surfacing it as a counter makes a misrouted handle measurable instead
-    /// of just "sessions feel slower".
-    foreign_rescans: u64,
     /// Telemetry handles (all disabled by default — one branch per event).
     /// The session installs registry-backed handles via
     /// [`set_metrics`](Self::set_metrics); they never affect which nodes get
@@ -66,7 +59,6 @@ impl PruningState {
             bound,
             scores: Vec::new(),
             synced: None,
-            foreign_rescans: 0,
             metrics: PruningMetrics::disabled(),
         }
     }
@@ -85,12 +77,6 @@ impl PruningState {
     /// The coverage version the cached scores are synchronized to, if any.
     pub fn synced_version(&self) -> Option<u64> {
         self.synced.map(|(_, version)| version)
-    }
-
-    /// Number of full rescans forced by a foreign-snapshot evaluation handle
-    /// (see the field docs) — 0 in a correctly wired deployment.
-    pub fn foreign_rescans(&self) -> u64 {
-        self.foreign_rescans
     }
 
     /// Returns `true` when the cached scores are synchronized with exactly
@@ -116,26 +102,19 @@ impl PruningState {
         Some(*score as usize)
     }
 
-    /// Recomputes the pruned set from scratch: labeled nodes plus nodes that
-    /// are uninformative under the current negative coverage.  Returns the
-    /// number of *newly* pruned nodes.
-    pub fn refresh<B: GraphBackend>(
-        &mut self,
-        graph: &B,
-        examples: &ExampleSet,
-        coverage: &NegativeCoverage,
-    ) -> usize {
-        let before = self.pruned_count;
-        self.full_rescan(graph, coverage);
-        self.prune_labeled(examples);
-        self.pruned_count - before
-    }
-
-    /// Incremental refresh for sessions: identical resulting state to
-    /// [`refresh`](Self::refresh), but after the first scan each call only
-    /// touches the nodes that spell a word covered since the previous call —
-    /// read off the shared word index's postings — plus the newly labeled
-    /// nodes.
+    /// Brings the pruned set up to date: labeled nodes plus nodes with no
+    /// word left uncovered by `coverage`.  Returns the number of *newly*
+    /// pruned nodes.
+    ///
+    /// While the state is synced to `coverage`'s log lineage, a call only
+    /// touches the nodes spelling a word covered since the previous call —
+    /// read off the word index's postings — plus the newly labeled nodes.
+    /// Otherwise (the first call, or another coverage) every score restarts
+    /// at the node's bounded-word count, its score at version 0, and the
+    /// whole covered log is walked; the log holds each word exactly once.
+    ///
+    /// # Panics
+    /// When `exec` does not serve `graph` ([`EvalHandle::assert_serves`]).
     pub fn refresh_with<B: GraphBackend>(
         &mut self,
         graph: &B,
@@ -143,83 +122,53 @@ impl PruningState {
         coverage: &NegativeCoverage,
         exec: &EvalHandle,
     ) -> usize {
+        exec.assert_serves(graph);
         let before = self.pruned_count;
         let identity = coverage.log_identity();
         let version = coverage.version();
         let scores_current = self.scores.len() == graph.node_count();
-        // The word index belongs to the handle's snapshot, so its node ids
-        // are only meaningful here when that snapshot matches this graph —
-        // same node count *and* same epoch, so a superseded snapshot of a
-        // live store is never mistaken for the session's pinned one.  A
-        // foreign handle falls back to the full rescan like everywhere else,
-        // and the fallback is counted (see
-        // [`foreign_rescans`](Self::foreign_rescans)).
-        let exec_matches = exec.cache().csr().node_count() == graph.node_count()
-            && exec.cache().epoch() == graph.epoch();
-        if !exec_matches
-            && matches!(self.synced, Some((id, v)) if id == identity && v < version && scores_current)
-        {
-            self.foreign_rescans += 1;
-            self.metrics.foreign_rescans.inc();
-        }
-        match self.synced {
-            Some((id, v)) if id == identity && v == version && scores_current => {}
-            Some((id, v)) if id == identity && v < version && scores_current && exec_matches => {
-                // A node's uncovered count drops by one for every newly
-                // covered word it spells.  Already-pruned nodes are
-                // decremented too, keeping every cached score accurate.
-                let index = exec.bounded_words(coverage.bound());
-                let mut walked = 0;
-                for word in coverage.covered_since(v) {
-                    let spellers = index.spellers(word);
-                    walked += spellers.len();
-                    for &node in spellers {
-                        let score = self.scores[node.index()].saturating_sub(1);
-                        self.scores[node.index()] = score;
-                        if score == 0 {
-                            self.prune(node);
-                        }
-                    }
-                }
-                self.synced = Some((identity, version));
-                self.metrics.incremental_refreshes.inc();
-                self.metrics.refresh_postings.add(walked as u64);
-            }
-            // First refresh, or a coverage/graph this state has never been
-            // synchronized against: rebuild everything.  With no covered
-            // word yet, every node's uncovered count is its bounded-word
-            // count — read off the stack's shared word index instead of
-            // re-enumerating the whole graph per session.
-            _ => {
-                if coverage.version() == 0 && exec_matches {
+        let synced_at = match self.synced {
+            Some((id, v)) if id == identity && v <= version && scores_current => Some(v),
+            _ => None,
+        };
+        if synced_at != Some(version) {
+            let index = exec.bounded_words(coverage.bound());
+            let since = match synced_at {
+                Some(v) => v,
+                None => {
                     let scores = exec.bounded_word_counts(coverage.bound());
-                    for (index, &score) in scores.iter().enumerate() {
+                    for (node, &score) in scores.iter().enumerate() {
                         if score == 0 {
-                            self.prune(NodeId::from(index));
+                            self.prune(NodeId::from(node));
                         }
                     }
                     self.scores = scores;
-                    self.synced = Some((identity, 0));
-                } else {
-                    self.full_rescan(graph, coverage);
+                    0
+                }
+            };
+            // A node's uncovered count drops by one for every newly covered
+            // word it spells.  Already-pruned nodes are decremented too,
+            // keeping every cached score accurate.
+            let mut walked = 0;
+            for word in coverage.covered_since(since) {
+                let spellers = index.spellers(word);
+                walked += spellers.len();
+                for &node in spellers {
+                    let score = self.scores[node.index()].saturating_sub(1);
+                    self.scores[node.index()] = score;
+                    if score == 0 {
+                        self.prune(node);
+                    }
                 }
             }
+            if since < version {
+                self.metrics.incremental_refreshes.inc();
+                self.metrics.refresh_postings.add(walked as u64);
+            }
+            self.synced = Some((identity, version));
         }
         self.prune_labeled(examples);
         self.pruned_count - before
-    }
-
-    fn full_rescan<B: GraphBackend>(&mut self, graph: &B, coverage: &NegativeCoverage) {
-        self.metrics.full_sweeps.inc();
-        self.scores = vec![0; graph.node_count()];
-        for node in graph.nodes() {
-            let score = coverage.uncovered_count(graph, node);
-            self.scores[node.index()] = score as u32;
-            if score == 0 {
-                self.prune(node);
-            }
-        }
-        self.synced = Some((coverage.log_identity(), coverage.version()));
     }
 
     fn prune_labeled(&mut self, examples: &ExampleSet) {
@@ -302,7 +251,7 @@ mod tests {
         let mut pruning = PruningState::new(3);
         let examples = ExampleSet::new();
         let coverage = NegativeCoverage::new(3);
-        let newly = pruning.refresh(&g, &examples, &coverage);
+        let newly = pruning.refresh_with(&g, &examples, &coverage, &EvalHandle::naive(&g));
         // C2, R2 and the isolated N8 have no outgoing paths.
         assert_eq!(newly, 3);
         assert!(pruning.is_pruned(g.node_by_name("C2").unwrap()));
@@ -319,20 +268,21 @@ mod tests {
         let n5 = g.node_by_name("N5").unwrap();
         examples.add_positive(n5);
         let coverage = NegativeCoverage::new(3);
-        pruning.refresh(&g, &examples, &coverage);
+        pruning.refresh_with(&g, &examples, &coverage, &EvalHandle::naive(&g));
         assert!(pruning.is_pruned(n5));
     }
 
     #[test]
     fn negatives_make_covered_nodes_uninformative() {
         let g = sample();
+        let exec = EvalHandle::naive(&g);
         let n5 = g.node_by_name("N5").unwrap();
         let n6 = g.node_by_name("N6").unwrap();
         let mut examples = ExampleSet::new();
         examples.add_negative(n5);
         let coverage = NegativeCoverage::from_negatives(&g, [n5], 3);
         let mut pruning = PruningState::new(3);
-        pruning.refresh(&g, &examples, &coverage);
+        pruning.refresh_with(&g, &examples, &coverage, &exec);
         // N5 is labeled; its words cover bus·cinema but NOT cinema, so N6
         // stays informative.
         assert!(pruning.is_pruned(n5));
@@ -343,7 +293,7 @@ mod tests {
         examples2.add_negative(n5);
         examples2.add_negative(n6);
         let mut pruning2 = PruningState::new(3);
-        pruning2.refresh(&g, &examples2, &coverage2);
+        pruning2.refresh_with(&g, &examples2, &coverage2, &exec);
         assert_eq!(pruning2.candidate_count(&g), 0);
         assert!((pruning2.pruned_fraction(&g) - 1.0).abs() < 1e-9);
     }
@@ -351,11 +301,10 @@ mod tests {
     #[test]
     fn incremental_refresh_matches_full_rescan() {
         let g = sample();
-        let exec = gps_rpq::EvalHandle::naive(&g);
+        let exec = EvalHandle::naive(&g);
         let n5 = g.node_by_name("N5").unwrap();
         let n6 = g.node_by_name("N6").unwrap();
 
-        let mut full = PruningState::new(3);
         let mut incremental = PruningState::new(3);
         let mut examples = ExampleSet::new();
         let mut coverage = NegativeCoverage::new(3);
@@ -374,18 +323,20 @@ mod tests {
                 examples.add_negative(n6);
                 coverage.add_negative(&g, n6);
             }
-            let newly_full = full.refresh(&g, &examples, &coverage);
-            let newly_inc = incremental.refresh_with(&g, &examples, &coverage, &exec);
-            assert_eq!(newly_full, newly_inc, "step {step}");
+            let before = incremental.pruned_count();
+            let newly = incremental.refresh_with(&g, &examples, &coverage, &exec);
+            assert_eq!(incremental.pruned_count(), before + newly, "step {step}");
+            // The reference: a full rescan of every node's enumerated words.
             for node in g.nodes() {
+                let uncovered = coverage.uncovered_count(&g, node);
                 assert_eq!(
-                    full.is_pruned(node),
                     incremental.is_pruned(node),
+                    examples.is_labeled(node) || uncovered == 0,
                     "step {step}, node {node}"
                 );
                 assert_eq!(
                     incremental.cached_score(node),
-                    Some(coverage.uncovered_count(&g, node)),
+                    Some(uncovered),
                     "step {step}, node {node}"
                 );
             }
@@ -426,83 +377,6 @@ mod tests {
         pruning.refresh_with(&g, &examples, &c, &exec);
         assert!(pruning.is_synced_to(&c));
         assert_eq!(pruning.cached_score(n6), Some(0), "cinema is now covered");
-    }
-
-    #[test]
-    fn foreign_snapshot_handle_falls_back_to_full_rescan() {
-        // A handle over a *larger* graph: its delta sweep returns node ids
-        // that do not exist here, so the incremental arm must not run (it
-        // would index out of bounds); the state rescans locally instead.
-        let g = sample();
-        let mut big = Graph::new();
-        for i in 0..8 {
-            big.add_node(format!("B{i}").as_str());
-        }
-        for i in 0..7usize {
-            let from = big.node_by_name(&format!("B{i}")).unwrap();
-            let to = big.node_by_name(&format!("B{}", i + 1)).unwrap();
-            big.add_edge_by_name(from, "bus", to);
-        }
-        let foreign = gps_rpq::EvalHandle::naive(&big);
-        let n5 = g.node_by_name("N5").unwrap();
-        let examples = ExampleSet::new();
-        let mut coverage = NegativeCoverage::new(3);
-        let mut pruning = PruningState::new(3);
-        pruning.refresh_with(&g, &examples, &coverage, &foreign);
-        assert_eq!(
-            pruning.foreign_rescans(),
-            0,
-            "the first refresh is always a full scan — not a fallback"
-        );
-        coverage.add_negative(&g, n5);
-        pruning.refresh_with(&g, &examples, &coverage, &foreign);
-        assert_eq!(
-            pruning.foreign_rescans(),
-            1,
-            "a valid delta was available but the handle's snapshot is foreign"
-        );
-        for node in g.nodes() {
-            assert_eq!(
-                pruning.cached_score(node),
-                Some(coverage.uncovered_count(&g, node)),
-                "node {node}"
-            );
-        }
-        // A matching handle keeps the delta path counter-free.
-        let local = gps_rpq::EvalHandle::naive(&g);
-        let n6 = g.node_by_name("N6").unwrap();
-        coverage.add_negative(&g, n6);
-        pruning.refresh_with(&g, &examples, &coverage, &local);
-        assert_eq!(pruning.foreign_rescans(), 1, "no new fallback");
-    }
-
-    #[test]
-    fn superseded_epoch_handle_is_foreign_even_at_equal_node_count() {
-        use gps_graph::CsrGraph;
-        use std::sync::Arc;
-
-        // Same node count, different epoch: the handle's snapshot pretends to
-        // be a newer published version of this graph — its spelling sweeps
-        // must not be trusted for delta decrements.
-        let g = sample();
-        let session_graph = CsrGraph::from_graph(&g); // epoch 0
-        let newer = CsrGraph::from_graph(&g).with_epoch(1);
-        let handle = gps_rpq::EvalHandle::from_cache(Arc::new(gps_rpq::EvalCache::from_csr(newer)));
-        let n5 = session_graph.node_by_name("N5").unwrap();
-        let examples = ExampleSet::new();
-        let mut coverage = NegativeCoverage::new(3);
-        let mut pruning = PruningState::new(3);
-        pruning.refresh_with(&session_graph, &examples, &coverage, &handle);
-        coverage.add_negative(&session_graph, n5);
-        pruning.refresh_with(&session_graph, &examples, &coverage, &handle);
-        assert_eq!(pruning.foreign_rescans(), 1);
-        for node in session_graph.nodes() {
-            assert_eq!(
-                pruning.cached_score(node),
-                Some(coverage.uncovered_count(&session_graph, node)),
-                "node {node}"
-            );
-        }
     }
 
     #[test]

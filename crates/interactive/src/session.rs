@@ -6,6 +6,12 @@
 //! with a [`Strategy`] and a [`User`] until a halt condition fires;
 //! [`Session::step`] performs a single interaction and is what the
 //! step-by-step demo scenarios use.
+//!
+//! Every bounded word the loop reads — pruning scores, negative coverage,
+//! validation prompts, the learner's path selection — comes from the
+//! session's [`EvalHandle`] ([`EvalHandle::bounded_words`]), never from a
+//! per-node path enumeration.  The handle must serve the session's graph:
+//! [`Session::with_exec`] and [`Session::with_shared_exec`] assert it.
 
 use crate::halt::{HaltConfig, HaltReason};
 use crate::metrics::SessionMetrics;
@@ -146,7 +152,8 @@ impl<B: GraphBackend> Session<'static, B> {
     /// table) and stepped from worker threads long after the creating scope
     /// ended.
     ///
-    /// `exec` must have been built over (a snapshot of) `graph`.
+    /// # Panics
+    /// When `exec` does not serve `graph` ([`EvalHandle::assert_serves`]).
     pub fn with_shared_exec(graph: Arc<B>, config: SessionConfig, exec: EvalHandle) -> Self {
         Self::from_graph_ref(GraphRef::Shared(graph), config, exec)
     }
@@ -165,7 +172,8 @@ impl<'g, B: GraphBackend> Session<'g, B> {
     /// pruning and the engine's own query API share one cache, evaluator and
     /// snapshot.
     ///
-    /// `exec` must have been built over (a snapshot of) `graph`.
+    /// # Panics
+    /// When `exec` does not serve `graph` ([`EvalHandle::assert_serves`]).
     pub fn with_exec(graph: &'g B, config: SessionConfig, exec: EvalHandle) -> Self {
         Self::from_graph_ref(GraphRef::Borrowed(graph), config, exec)
     }
@@ -181,6 +189,7 @@ impl<'g, B: GraphBackend> Session<'g, B> {
     }
 
     fn from_graph_ref(graph: GraphRef<'g, B>, config: SessionConfig, exec: EvalHandle) -> Self {
+        exec.assert_serves(graph.get());
         let coverage = NegativeCoverage::new(config.path_bound);
         let pruning = PruningState::new(config.path_bound);
         Self {
@@ -311,23 +320,9 @@ impl<'g, B: GraphBackend> Session<'g, B> {
             UserResponse::Negative => {
                 self.stats.negative_labels += 1;
                 self.examples.add_negative(node);
-                // Cover the node's words from the shared per-snapshot word
-                // index when it matches this graph (same epoch and node
-                // count); identical to enumerating them here.  The epoch
-                // check comes first so a misrouted handle never derives
-                // (and caches) a foreign snapshot's words.
-                let cached = (self.exec.epoch() == graph.epoch())
-                    .then(|| self.exec.bounded_words(self.coverage.bound()))
-                    .filter(|cached| cached.len() == graph.node_count());
-                match cached {
-                    Some(cached) => {
-                        self.coverage
-                            .add_negative_with_words(node, &cached[node.index()]);
-                    }
-                    None => {
-                        self.coverage.add_negative(graph, node);
-                    }
-                }
+                let index = self.exec.bounded_words(self.coverage.bound());
+                self.coverage
+                    .add_negative_with_words(node, &index[node.index()]);
                 InteractionRecord {
                     node,
                     zooms: zoom.zoom_count(),
@@ -386,9 +381,7 @@ impl<'g, B: GraphBackend> Session<'g, B> {
         node: NodeId,
         radius: usize,
     ) -> Option<Word> {
-        // The candidate words come from the shared per-snapshot word index
-        // (identical to enumerating the node's radius-bounded paths here).
-        let prompt = validation::build_prompt_with(graph, node, radius, coverage, Some(exec))?;
+        let prompt = validation::build_prompt(exec, node, radius, coverage)?;
         let chosen = user.validate_path(graph, node, &prompt.candidates, &prompt.suggested);
         stats.path_validations += 1;
         let word = if prompt.is_candidate(&chosen) {
@@ -453,7 +446,7 @@ mod tests {
         let goal = goal(&g);
         let mut user = SimulatedUser::new(goal.clone(), &g);
         let mut session = Session::new(&g, SessionConfig::default());
-        let outcome = session.run(&mut InformativePathsStrategy::default(), &mut user);
+        let outcome = session.run(&mut InformativePathsStrategy, &mut user);
         assert!(
             outcome.halt_reason.is_convergence(),
             "{:?}",
@@ -467,6 +460,47 @@ mod tests {
     }
 
     #[test]
+    fn handles_of_another_snapshot_are_rejected_at_construction() {
+        use crate::pruning::PruningState;
+        use gps_graph::CsrGraph;
+        use gps_rpq::EvalCache;
+        use std::panic::{catch_unwind, AssertUnwindSafe};
+
+        let (g, _) = figure1_graph();
+        let graph = CsrGraph::from_graph(&g);
+        let mut bigger = g.clone();
+        bigger.add_node("X");
+        let newer = CsrGraph::from_graph(&g).with_epoch(1);
+        let panic_message = |run: &dyn Fn()| {
+            let payload = catch_unwind(AssertUnwindSafe(run)).expect_err("a foreign handle panics");
+            payload
+                .downcast_ref::<String>()
+                .cloned()
+                .unwrap_or_default()
+        };
+        // (epoch, node_count): another node count, then another epoch.
+        for (handle, pair) in [
+            (EvalHandle::naive(&bigger), "(0, 11)"),
+            (
+                EvalHandle::from_cache(Arc::new(EvalCache::from_csr(newer))),
+                "(1, 10)",
+            ),
+        ] {
+            let session = panic_message(&|| {
+                Session::with_exec(&graph, SessionConfig::default(), handle.clone());
+            });
+            let refresh = panic_message(&|| {
+                let coverage = NegativeCoverage::new(4);
+                PruningState::new(4).refresh_with(&graph, &ExampleSet::new(), &coverage, &handle);
+            });
+            for message in [session, refresh] {
+                assert!(message.contains(pair), "{message}");
+                assert!(message.contains("(0, 10)"), "{message}");
+            }
+        }
+    }
+
+    #[test]
     fn all_strategies_converge_but_informative_needs_fewest_labels() {
         let (g, _) = figure1_graph();
         let goal = goal(&g);
@@ -475,7 +509,7 @@ mod tests {
             let mut session = Session::new(&g, SessionConfig::default());
             session.run(strategy, &mut user)
         };
-        let informative = run(&mut InformativePathsStrategy::default());
+        let informative = run(&mut InformativePathsStrategy);
         let degree = run(&mut DegreeStrategy);
         let random = run(&mut RandomStrategy::seeded(3));
         for outcome in [&informative, &degree, &random] {
@@ -497,7 +531,7 @@ mod tests {
         let goal = goal(&g);
         let mut user = SimulatedUser::new(goal.clone(), &g);
         let mut session = Session::new(&g, SessionConfig::default());
-        let outcome = session.run(&mut InformativePathsStrategy::default(), &mut user);
+        let outcome = session.run(&mut InformativePathsStrategy, &mut user);
         // N2 requires a zoom (its witness has length 3); if it was proposed,
         // the zoom counter reflects it.
         if outcome
@@ -515,7 +549,7 @@ mod tests {
         let goal = goal(&g);
         let mut user = SimulatedUser::new(goal.clone(), &g);
         let mut session = Session::new(&g, SessionConfig::without_path_validation());
-        let outcome = session.run(&mut InformativePathsStrategy::default(), &mut user);
+        let outcome = session.run(&mut InformativePathsStrategy, &mut user);
         // The learned query is still consistent with the provided labels.
         let learned = outcome.learned.expect("learned something");
         for positive in outcome.examples.positives() {
@@ -540,7 +574,7 @@ mod tests {
             ..SessionConfig::default()
         };
         let mut session = Session::new(&g, config);
-        let outcome = session.run(&mut InformativePathsStrategy::default(), &mut user);
+        let outcome = session.run(&mut InformativePathsStrategy, &mut user);
         assert_eq!(outcome.halt_reason, HaltReason::InteractionBudgetExhausted);
         assert_eq!(outcome.stats.interactions, 1);
     }
@@ -550,7 +584,7 @@ mod tests {
         let (g, _) = figure1_graph();
         let goal = goal(&g);
         let mut user = SimulatedUser::new(goal, &g);
-        let mut strategy = InformativePathsStrategy::default();
+        let mut strategy = InformativePathsStrategy;
         let mut session = Session::new(&g, SessionConfig::default());
         assert!(session.hypothesis().is_none());
         assert!(session.examples().is_empty());
@@ -570,7 +604,7 @@ mod tests {
         let goal = goal(&g);
         let mut user = SimulatedUser::new(goal, &g);
         let mut session = Session::new(&g, SessionConfig::default());
-        let outcome = session.run(&mut InformativePathsStrategy::default(), &mut user);
+        let outcome = session.run(&mut InformativePathsStrategy, &mut user);
         for window in outcome.stats.pruned_after_interaction.windows(2) {
             assert!(window[0] <= window[1]);
         }

@@ -113,30 +113,13 @@ impl<B: GraphBackend> Strategy<B> for DegreeStrategy {
 
 /// The paper's practical strategy: proposes the candidate with the largest
 /// number of short paths not covered by any negative example.
-#[derive(Debug, Clone)]
-pub struct InformativePathsStrategy {
-    /// Path-length bound used when counting uncovered paths.
-    pub bound: usize,
-}
-
-impl Default for InformativePathsStrategy {
-    fn default() -> Self {
-        Self { bound: 3 }
-    }
-}
-
-impl InformativePathsStrategy {
-    /// Creates the strategy with an explicit path-length bound.
-    pub fn with_bound(bound: usize) -> Self {
-        Self { bound }
-    }
-
-    /// The informativeness score of a node: its number of uncovered words up
-    /// to the bound.
-    pub fn score<B: GraphBackend>(&self, ctx: &StrategyContext<'_, B>, node: NodeId) -> usize {
-        ctx.coverage.uncovered_count(ctx.graph, node)
-    }
-}
+///
+/// The scores are the pruning state's per-node uncovered-word counts, at the
+/// session's path bound, so the context's pruning state must have been
+/// refreshed against its coverage ([`PruningState::refresh_with`]); proposing
+/// from an unsynced context panics.
+#[derive(Debug, Clone, Default)]
+pub struct InformativePathsStrategy;
 
 impl<B: GraphBackend> Strategy<B> for InformativePathsStrategy {
     fn name(&self) -> &'static str {
@@ -144,34 +127,25 @@ impl<B: GraphBackend> Strategy<B> for InformativePathsStrategy {
     }
 
     fn propose(&mut self, ctx: &StrategyContext<'_, B>) -> Option<NodeId> {
-        // When the pruning state has been refreshed against this exact
-        // coverage (lineage and version), its per-node uncovered counts are
-        // the scores: one pass over them, asking whether a node is still a
+        let scores = ctx.pruning.cached_scores().unwrap_or_default();
+        assert!(
+            ctx.pruning.is_synced_to(ctx.coverage) && scores.len() == ctx.graph.node_count(),
+            "the pruning state must be refreshed against the context's coverage and graph"
+        );
+        // One pass over the scores, asking whether a node is still a
         // candidate only when it would beat the best so far.  Ties go to the
         // smaller id, so only a strictly larger score displaces.
-        let cached = ctx.pruning.cached_scores().filter(|scores| {
-            ctx.pruning.is_synced_to(ctx.coverage) && scores.len() == ctx.graph.node_count()
-        });
-        if let Some(scores) = cached {
-            let mut best = None;
-            let mut best_score = 0;
-            for (index, &score) in scores.iter().enumerate() {
-                let node = NodeId::from(index);
-                if score > best_score
-                    && !ctx.pruning.is_pruned(node)
-                    && !ctx.examples.is_labeled(node)
-                {
-                    best = Some(node);
-                    best_score = score;
-                }
+        let mut best = None;
+        let mut best_score = 0;
+        for (index, &score) in scores.iter().enumerate() {
+            let node = NodeId::from(index);
+            if score > best_score && !ctx.pruning.is_pruned(node) && !ctx.examples.is_labeled(node)
+            {
+                best = Some(node);
+                best_score = score;
             }
-            return best;
         }
-        candidates(ctx)
-            .map(|n| (self.score(ctx, n), n))
-            .filter(|&(score, _)| score > 0)
-            .max_by_key(|&(score, n)| (score, std::cmp::Reverse(n)))
-            .map(|(_, n)| n)
+        best
     }
 }
 
@@ -179,6 +153,7 @@ impl<B: GraphBackend> Strategy<B> for InformativePathsStrategy {
 mod tests {
     use super::*;
     use gps_datasets::figure1::figure1_graph;
+    use gps_rpq::EvalHandle;
 
     fn context<'a>(
         graph: &'a Graph,
@@ -201,12 +176,13 @@ mod tests {
         examples.add_positive(ids.n2);
         let coverage = NegativeCoverage::new(3);
         let mut pruning = PruningState::new(3);
+        pruning.refresh_with(&g, &examples, &coverage, &EvalHandle::naive(&g));
         pruning.prune(ids.n1);
         let ctx = context(&g, &examples, &coverage, &pruning);
         for strategy in [
             &mut RandomStrategy::seeded(1) as &mut dyn Strategy,
             &mut DegreeStrategy as &mut dyn Strategy,
-            &mut InformativePathsStrategy::default() as &mut dyn Strategy,
+            &mut InformativePathsStrategy as &mut dyn Strategy,
         ] {
             for _ in 0..5 {
                 let proposal = strategy.propose(&ctx).unwrap();
@@ -244,16 +220,17 @@ mod tests {
         let (g, ids) = figure1_graph();
         let examples = ExampleSet::new();
         let coverage = NegativeCoverage::new(3);
-        let pruning = PruningState::new(3);
+        let mut pruning = PruningState::new(3);
+        pruning.refresh_with(&g, &examples, &coverage, &EvalHandle::naive(&g));
         let ctx = context(&g, &examples, &coverage, &pruning);
-        let mut strategy = InformativePathsStrategy::default();
-        let proposal = strategy.propose(&ctx).unwrap();
-        // The proposal has the maximum score among all nodes.
-        let best_score = g.nodes().map(|n| strategy.score(&ctx, n)).max().unwrap();
-        assert_eq!(strategy.score(&ctx, proposal), best_score);
+        let proposal = InformativePathsStrategy.propose(&ctx).unwrap();
+        // The proposal has the maximum reference score among all nodes.
+        let score = |node| coverage.uncovered_count(&g, node);
+        let best_score = g.nodes().map(score).max().unwrap();
+        assert_eq!(score(proposal), best_score);
         assert!(best_score > 0);
         // Facility nodes score zero.
-        assert_eq!(strategy.score(&ctx, ids.c1), 0);
+        assert_eq!(score(ids.c1), 0);
     }
 
     #[test]
@@ -267,32 +244,19 @@ mod tests {
         }
         let coverage = NegativeCoverage::from_negatives(&g, negatives, 3);
         let mut pruning = PruningState::new(3);
-        pruning.refresh(&g, &examples, &coverage);
+        pruning.refresh_with(&g, &examples, &coverage, &EvalHandle::naive(&g));
         let ctx = context(&g, &examples, &coverage, &pruning);
-        assert_eq!(InformativePathsStrategy::default().propose(&ctx), None);
+        assert_eq!(InformativePathsStrategy.propose(&ctx), None);
     }
 
     #[test]
-    fn cached_scores_propose_the_same_node_as_direct_scoring() {
-        let (g, ids) = figure1_graph();
-        let exec = gps_rpq::EvalHandle::naive(&g);
-        let mut examples = ExampleSet::new();
-        examples.add_negative(ids.n5);
-        let coverage = NegativeCoverage::from_negatives(&g, [ids.n5], 3);
-        // One pruning state synced to the coverage (cached path), one never
-        // refreshed (direct path).
-        let mut synced = PruningState::new(3);
-        synced.refresh_with(&g, &examples, &coverage, &exec);
-        let cold = PruningState::new(3);
-        let from_cache = InformativePathsStrategy::default()
-            .propose(&context(&g, &examples, &coverage, &synced))
-            .unwrap();
-        let direct = InformativePathsStrategy::default()
-            .propose(&context(&g, &examples, &coverage, &cold))
-            .unwrap();
-        // The synced state prunes uninformative nodes the cold one keeps, but
-        // the chosen top-scoring candidate must be the same node.
-        assert_eq!(from_cache, direct);
+    #[should_panic(expected = "refreshed against the context's coverage")]
+    fn informative_strategy_rejects_an_unsynced_context() {
+        let (g, _) = figure1_graph();
+        let examples = ExampleSet::new();
+        let coverage = NegativeCoverage::new(3);
+        let pruning = PruningState::new(3);
+        InformativePathsStrategy.propose(&context(&g, &examples, &coverage, &pruning));
     }
 
     #[test]
@@ -321,7 +285,7 @@ mod tests {
         );
         assert_eq!(Strategy::<Graph>::name(&DegreeStrategy), "degree");
         assert_eq!(
-            Strategy::<Graph>::name(&InformativePathsStrategy::default()),
+            Strategy::<Graph>::name(&InformativePathsStrategy),
             "informative-paths"
         );
     }

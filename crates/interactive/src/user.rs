@@ -5,7 +5,10 @@
 //! validating or correcting a candidate path, and declaring satisfaction with
 //! an intermediate query.  [`SimulatedUser`] answers according to a hidden
 //! goal query — the oracle model used by the experiments in the companion
-//! research paper — with a configurable zooming behaviour.
+//! research paper — with a configurable zooming behaviour.  It evaluates its
+//! goal and extracts witnesses only through an [`EvalHandle`]: a private one
+//! ([`SimulatedUser::new`]) or the engine's ([`SimulatedUser::with_exec`]),
+//! which should serve the graph the session runs on.
 
 use gps_graph::{Graph, GraphBackend, Neighborhood, NodeId, Word};
 use gps_learner::LearnedQuery;
@@ -59,15 +62,15 @@ pub trait User<B: GraphBackend = Graph> {
 ///
 /// The goal's answer is computed **once** at construction and reused for
 /// every labeling and satisfaction check; witness lengths are memoized per
-/// node (the zoom loop re-asks about the same node at growing radii).  With
-/// [`with_exec`](SimulatedUser::with_exec) both go through a shared
-/// evaluation stack, so engine-driven sessions answer from the engine's
-/// cache and extract witnesses with its configured execution engine.
+/// node (the zoom loop re-asks about the same node at growing radii).  Both
+/// go through the user's evaluation stack: engine-driven sessions hand it
+/// the engine's ([`with_exec`](SimulatedUser::with_exec)), so it answers from
+/// the engine's cache and extracts witnesses with its execution engine.
 #[derive(Debug, Clone)]
 pub struct SimulatedUser {
     goal: PathQuery,
     answer_cache: Arc<QueryAnswer>,
-    exec: Option<EvalHandle>,
+    exec: EvalHandle,
     witness_lengths: HashMap<NodeId, Option<usize>>,
     /// Maximum number of zooms the user is willing to perform per node.
     pub max_zooms: u32,
@@ -76,17 +79,10 @@ pub struct SimulatedUser {
 }
 
 impl SimulatedUser {
-    /// Creates a simulated user for `goal` on `graph`.
+    /// Creates a simulated user for `goal` on `graph`, over a private
+    /// reference evaluation stack.
     pub fn new<B: GraphBackend>(goal: PathQuery, graph: &B) -> Self {
-        let answer_cache = Arc::new(goal.evaluate(graph));
-        Self {
-            goal,
-            answer_cache,
-            exec: None,
-            witness_lengths: HashMap::new(),
-            max_zooms: 4,
-            zooms_performed: 0,
-        }
+        Self::with_exec(goal, EvalHandle::naive(graph))
     }
 
     /// Creates a simulated user whose goal answer and witnesses come from a
@@ -96,7 +92,7 @@ impl SimulatedUser {
         Self {
             goal,
             answer_cache,
-            exec: Some(exec),
+            exec,
             witness_lengths: HashMap::new(),
             max_zooms: 4,
             zooms_performed: 0,
@@ -121,14 +117,19 @@ impl SimulatedUser {
 }
 
 impl<B: GraphBackend> User<B> for SimulatedUser {
-    fn label_node(&mut self, graph: &B, node: NodeId, neighborhood: &Neighborhood) -> UserResponse {
+    fn label_node(
+        &mut self,
+        _graph: &B,
+        node: NodeId,
+        neighborhood: &Neighborhood,
+    ) -> UserResponse {
         if !self.wants(node) {
             return UserResponse::Negative;
         }
         // The user answers "yes" only once the evidence (a witness path) fits
         // inside the visible fragment; otherwise she asks to zoom out.
         let radius = neighborhood.radius() as usize;
-        let witness = self.witness_length(graph, node);
+        let witness = self.witness_length(node);
         match witness {
             Some(len) if len <= radius => UserResponse::Positive,
             Some(_) if self.zooms_this_node(neighborhood) < self.max_zooms => {
@@ -172,14 +173,11 @@ impl SimulatedUser {
 
     /// The goal's shortest-witness length for `node`, memoized (the zoom
     /// loop asks repeatedly about the same node).
-    fn witness_length<B: GraphBackend>(&mut self, graph: &B, node: NodeId) -> Option<usize> {
+    fn witness_length(&mut self, node: NodeId) -> Option<usize> {
         if let Some(&len) = self.witness_lengths.get(&node) {
             return len;
         }
-        let len = match &self.exec {
-            Some(exec) => exec.witness(self.goal.dfa(), node).map(|p| p.len()),
-            None => self.goal.witness(graph, node).map(|p| p.len()),
-        };
+        let len = self.exec.witness(self.goal.dfa(), node).map(|p| p.len());
         self.witness_lengths.insert(node, len);
         len
     }

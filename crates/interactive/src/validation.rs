@@ -6,8 +6,13 @@
 //! highlights the path it believes the user has in mind — preferring a path
 //! whose length equals the last neighborhood radius, because the user zoomed
 //! out exactly that far before answering.
+//!
+//! The candidate words are read from the session's [`EvalHandle`]: its
+//! snapshot's word index restricted to the radius
+//! ([`EvalHandle::bounded_words`], shared across every session on the
+//! engine).  There is no other source.
 
-use gps_graph::{GraphBackend, NodeId, PathEnumerator, PrefixTree, Word};
+use gps_graph::{NodeId, PrefixTree, Word};
 use gps_rpq::{EvalHandle, NegativeCoverage};
 
 /// The prompt shown to the user for path validation: the candidate words (as
@@ -32,7 +37,8 @@ impl PathValidationPrompt {
     }
 }
 
-/// Builds the path-validation prompt for a positive `node`.
+/// Builds the path-validation prompt for a positive `node` of `exec`'s
+/// snapshot.
 ///
 /// * `radius` — the radius of the last neighborhood the user saw; candidate
 ///   words are bounded by it and the suggestion prefers words of exactly that
@@ -41,53 +47,22 @@ impl PathValidationPrompt {
 ///
 /// Returns `None` when the node has no uncovered word within the radius (the
 /// node should not have been proposed in that case).
-pub fn build_prompt<B: GraphBackend>(
-    graph: &B,
+pub fn build_prompt(
+    exec: &EvalHandle,
     node: NodeId,
     radius: usize,
     coverage: &NegativeCoverage,
 ) -> Option<PathValidationPrompt> {
-    build_prompt_with(graph, node, radius, coverage, None)
-}
-
-/// [`build_prompt`] reading the node's radius-bounded words from a shared
-/// per-snapshot word index instead of re-enumerating its paths per positive
-/// label — the session hot-spot fix.
-///
-/// When `exec` is present and its snapshot matches `graph`, the candidate
-/// words come from the snapshot's word index restricted to `radius`
-/// ([`gps_rpq::EvalCache::bounded_words`], shared across every session on
-/// the engine); otherwise the direct enumeration of [`build_prompt`] is used.
-/// Both paths produce byte-identical prompts.
-pub fn build_prompt_with<B: GraphBackend>(
-    graph: &B,
-    node: NodeId,
-    radius: usize,
-    coverage: &NegativeCoverage,
-    exec: Option<&EvalHandle>,
-) -> Option<PathValidationPrompt> {
-    let cached = exec
-        .filter(|exec| exec.epoch() == graph.epoch())
-        .map(|exec| exec.bounded_words(radius))
-        .filter(|cached| cached.len() == graph.node_count());
-    let mut candidates: Vec<Word> = match &cached {
-        // The index holds exactly
-        // `PathEnumerator::new(radius).words_from(graph, node)`.
-        Some(cached) => cached[node.index()]
-            .iter()
-            .filter(|w| !coverage.is_covered(w))
-            .map(<[_]>::to_vec)
-            .collect(),
-        None => PathEnumerator::new(radius)
-            .words_from(graph, node)
-            .into_iter()
-            .filter(|w| !coverage.is_covered(w))
-            .collect(),
-    };
+    // The index lists a node's words by (length, labels): already the
+    // candidates' order.
+    let candidates: Vec<Word> = exec.bounded_words(radius)[node.index()]
+        .iter()
+        .filter(|w| !coverage.is_covered(w))
+        .map(<[_]>::to_vec)
+        .collect();
     if candidates.is_empty() {
         return None;
     }
-    candidates.sort_by(|a, b| a.len().cmp(&b.len()).then_with(|| a.cmp(b)));
     let suggested = suggest(&candidates, radius);
     let tree = PrefixTree::from_words(&candidates);
     Some(PathValidationPrompt {
@@ -118,8 +93,9 @@ mod tests {
     #[test]
     fn figure3c_prompt_for_n2() {
         let (g, ids) = figure1_graph();
+        let exec = EvalHandle::naive(&g);
         let coverage = NegativeCoverage::new(3);
-        let prompt = build_prompt(&g, ids.n2, 3, &coverage).unwrap();
+        let prompt = build_prompt(&exec, ids.n2, 3, &coverage).unwrap();
         assert_eq!(prompt.node, ids.n2);
         let bus = g.label_id("bus").unwrap();
         let tram = g.label_id("tram").unwrap();
@@ -142,10 +118,11 @@ mod tests {
     #[test]
     fn covered_words_are_excluded() {
         let (g, ids) = figure1_graph();
+        let exec = EvalHandle::naive(&g);
         // Labeling N5 negative covers bus (N5 -bus-> ... no wait, N5 has
         // tram and restaurant); use N3 whose words are bus-prefixed.
         let coverage = NegativeCoverage::from_negatives(&g, [ids.n5], 3);
-        let prompt = build_prompt(&g, ids.n2, 3, &coverage).unwrap();
+        let prompt = build_prompt(&exec, ids.n2, 3, &coverage).unwrap();
         let restaurant = g.label_id("restaurant").unwrap();
         // N5's words include restaurant, so N2's bare `restaurant` word is
         // covered and excluded.
@@ -159,8 +136,9 @@ mod tests {
     #[test]
     fn radius_bounds_candidate_length() {
         let (g, ids) = figure1_graph();
+        let exec = EvalHandle::naive(&g);
         let coverage = NegativeCoverage::new(3);
-        let prompt = build_prompt(&g, ids.n2, 2, &coverage).unwrap();
+        let prompt = build_prompt(&exec, ids.n2, 2, &coverage).unwrap();
         assert!(prompt.candidates.iter().all(|w| w.len() <= 2));
         // With radius 2 there is no length-2 cinema word from N2, so the
         // suggestion is a length-2 transport word.
@@ -170,39 +148,40 @@ mod tests {
     #[test]
     fn node_without_uncovered_words_has_no_prompt() {
         let (g, ids) = figure1_graph();
+        let exec = EvalHandle::naive(&g);
         let coverage = NegativeCoverage::new(3);
-        assert!(build_prompt(&g, ids.c1, 3, &coverage).is_none());
+        assert!(build_prompt(&exec, ids.c1, 3, &coverage).is_none());
         // Cover all of N6's words: cinema and bus, bus·tram, bus·restaurant…
         let coverage2 = NegativeCoverage::from_negatives(&g, [ids.n4, ids.n5], 3);
         // N6's words: cinema (covered by N4), bus (covered via N4's bus),
         // bus·tram (N4: bus·tram? N4 -bus-> N5 -tram-> N3 = bus·tram yes),
         // bus·restaurant (N4 -bus-> N5 -restaurant-> R2 yes)… so everything
         // within radius 2 is covered.
-        assert!(build_prompt(&g, ids.n6, 2, &coverage2).is_none());
+        assert!(build_prompt(&exec, ids.n6, 2, &coverage2).is_none());
     }
 
     #[test]
     fn cached_prompt_is_byte_identical_to_direct_enumeration() {
         let (g, ids) = figure1_graph();
-        let exec = gps_rpq::EvalHandle::naive(&g);
+        let exec = EvalHandle::naive(&g);
         for negatives in [vec![], vec![ids.n5], vec![ids.n4, ids.n5]] {
             let coverage = NegativeCoverage::from_negatives(&g, negatives.clone(), 3);
             for node in g.nodes() {
                 for radius in 1..=4usize {
-                    let direct = build_prompt(&g, node, radius, &coverage);
-                    let cached = build_prompt_with(&g, node, radius, &coverage, Some(&exec));
-                    match (direct, cached) {
-                        (None, None) => {}
-                        (Some(d), Some(c)) => {
-                            assert_eq!(d.candidates, c.candidates, "{node} r{radius}");
-                            assert_eq!(d.suggested, c.suggested, "{node} r{radius}");
-                            assert_eq!(
-                                d.tree.word_count(),
-                                c.tree.word_count(),
-                                "{node} r{radius}"
-                            );
+                    // The reference: the node's enumerated paths.
+                    let mut direct: Vec<Word> = gps_graph::PathEnumerator::new(radius)
+                        .words_from(&g, node)
+                        .into_iter()
+                        .filter(|w| !coverage.is_covered(w))
+                        .collect();
+                    direct.sort_by(|a, b| a.len().cmp(&b.len()).then_with(|| a.cmp(b)));
+                    match build_prompt(&exec, node, radius, &coverage) {
+                        None => assert!(direct.is_empty(), "{node} r{radius}"),
+                        Some(prompt) => {
+                            assert_eq!(prompt.candidates, direct, "{node} r{radius}");
+                            assert_eq!(prompt.suggested, suggest(&direct, radius));
+                            assert_eq!(prompt.tree.word_count(), direct.len());
                         }
-                        (d, c) => panic!("{node} r{radius}: {d:?} vs {c:?}"),
                     }
                 }
             }
@@ -210,27 +189,12 @@ mod tests {
     }
 
     #[test]
-    fn mismatched_snapshot_falls_back_to_enumeration() {
-        let (g, ids) = figure1_graph();
-        // A handle over a *different* (smaller) graph must not be trusted.
-        let mut other = gps_graph::Graph::new();
-        let a = other.add_node("A");
-        let b = other.add_node("B");
-        other.add_edge_by_name(a, "x", b);
-        let foreign = gps_rpq::EvalHandle::naive(&other);
-        let coverage = NegativeCoverage::new(3);
-        let direct = build_prompt(&g, ids.n2, 3, &coverage).unwrap();
-        let fallback = build_prompt_with(&g, ids.n2, 3, &coverage, Some(&foreign)).unwrap();
-        assert_eq!(direct.candidates, fallback.candidates);
-        assert_eq!(direct.suggested, fallback.suggested);
-    }
-
-    #[test]
     fn suggestion_falls_back_to_longest() {
         let (g, ids) = figure1_graph();
+        let exec = EvalHandle::naive(&g);
         let coverage = NegativeCoverage::new(3);
         // Radius 5 but N6's longest uncovered word is shorter than 5.
-        let prompt = build_prompt(&g, ids.n6, 5, &coverage).unwrap();
+        let prompt = build_prompt(&exec, ids.n6, 5, &coverage).unwrap();
         let max_len = prompt.candidates.iter().map(|w| w.len()).max().unwrap();
         assert!(prompt.suggested.len() <= 5);
         assert_eq!(prompt.suggested.len(), max_len.min(5));

@@ -10,7 +10,7 @@ use gps_interactive::session::{Session, SessionConfig};
 use gps_interactive::strategy::{InformativePathsStrategy, Strategy, StrategyContext};
 use gps_interactive::user::{ScriptedUser, SimulatedUser, User, UserResponse};
 use gps_learner::{consistency, ExampleSet, Learner};
-use gps_rpq::{NegativeCoverage, PathQuery};
+use gps_rpq::{EvalHandle, NegativeCoverage, PathQuery};
 
 #[test]
 fn scripted_all_negative_user_exhausts_the_graph() {
@@ -18,7 +18,7 @@ fn scripted_all_negative_user_exhausts_the_graph() {
     // A user who answers "No" to everything: the session ends when every node
     // is labeled or pruned, and no query can be learned.
     let mut user = ScriptedUser::new(vec![UserResponse::Negative; 20], vec![]);
-    let mut strategy = InformativePathsStrategy::default();
+    let mut strategy = InformativePathsStrategy;
     let mut session = Session::new(&graph, SessionConfig::default());
     let outcome = session.run(&mut strategy, &mut user);
     assert_eq!(outcome.halt_reason, HaltReason::AllNodesResolved);
@@ -34,7 +34,7 @@ fn user_that_always_zooms_is_forced_to_decide() {
     // Zoom forever: the zoom cap converts the non-answer into a conservative
     // negative, so the session still terminates.
     let mut user = ScriptedUser::new(vec![UserResponse::ZoomOut; 100], vec![]);
-    let mut strategy = InformativePathsStrategy::default();
+    let mut strategy = InformativePathsStrategy;
     let mut session = Session::new(&graph, SessionConfig::default());
     let outcome = session.run(&mut strategy, &mut user);
     assert!(outcome.halt_reason.is_convergence() || outcome.stats.interactions > 0);
@@ -55,7 +55,7 @@ fn budget_of_zero_interactions_halts_immediately() {
         ..SessionConfig::default()
     };
     let mut session = Session::new(&graph, config);
-    let outcome = session.run(&mut InformativePathsStrategy::default(), &mut user);
+    let outcome = session.run(&mut InformativePathsStrategy, &mut user);
     assert_eq!(outcome.halt_reason, HaltReason::InteractionBudgetExhausted);
     assert_eq!(outcome.stats.interactions, 0);
     assert!(outcome.learned.is_none());
@@ -97,7 +97,9 @@ fn with_validation_the_same_examples_seed_the_goal_paths() {
     // Build the validation prompt N2 would get at radius 3 and check the
     // simulated user corrects the suggestion to a goal-accepted word.
     let coverage = NegativeCoverage::from_negatives(&graph, [ids.n5], 4);
-    let prompt = gps_interactive::validation::build_prompt(&graph, ids.n2, 3, &coverage).unwrap();
+    let prompt =
+        gps_interactive::validation::build_prompt(&EvalHandle::naive(&graph), ids.n2, 3, &coverage)
+            .unwrap();
     let chosen = user.validate_path(&graph, ids.n2, &prompt.candidates, &prompt.suggested);
     assert!(goal.dfa().accepts(&chosen));
 }
@@ -110,14 +112,14 @@ fn strategy_context_is_reusable_across_strategies() {
     let examples = ExampleSet::new();
     let coverage = NegativeCoverage::new(3);
     let mut pruning = PruningState::new(3);
-    pruning.refresh(&graph, &examples, &coverage);
+    pruning.refresh_with(&graph, &examples, &coverage, &EvalHandle::naive(&graph));
     let ctx = StrategyContext {
         graph: &graph,
         examples: &examples,
         coverage: &coverage,
         pruning: &pruning,
     };
-    let mut informative = InformativePathsStrategy::default();
+    let mut informative = InformativePathsStrategy;
     let first = informative.propose(&ctx);
     let second = informative.propose(&ctx);
     assert_eq!(first, second, "stateless strategy is deterministic");
@@ -127,7 +129,7 @@ fn strategy_context_is_reusable_across_strategies() {
 fn scripted_positive_then_negative_is_recorded_in_order() {
     let (graph, _) = figure1_graph();
     let mut user = ScriptedUser::new(vec![UserResponse::Positive, UserResponse::Negative], vec![]);
-    let mut strategy = InformativePathsStrategy::default();
+    let mut strategy = InformativePathsStrategy;
     let config = SessionConfig {
         halt: HaltConfig {
             max_interactions: 2,

@@ -8,7 +8,7 @@
 
 use crate::examples::ExampleSet;
 use gps_graph::{GraphBackend, NodeId};
-use gps_rpq::{NegativeCoverage, PathQuery, QueryAnswer};
+use gps_rpq::{EvalHandle, NegativeCoverage, PathQuery, QueryAnswer};
 
 /// The verdict of checking a query against an example set.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -67,19 +67,23 @@ pub enum Infeasibility {
 /// when the set is satisfiable.
 ///
 /// This is the test the static-labeling scenario uses to tell the user her
-/// labeling is inconsistent.
-pub fn check_satisfiable<B: GraphBackend>(
-    graph: &B,
+/// labeling is inconsistent.  Words are read from `exec`'s word index.
+pub fn check_satisfiable(
+    exec: &EvalHandle,
     examples: &ExampleSet,
     bound: usize,
 ) -> Option<Infeasibility> {
-    let coverage = NegativeCoverage::from_negatives(graph, examples.negatives(), bound);
-    for positive in examples.positives() {
-        if coverage.uncovered_count(graph, positive) == 0 {
-            return Some(Infeasibility::PositiveCovered(positive));
-        }
-    }
-    None
+    let index = exec.bounded_words(bound);
+    let coverage = NegativeCoverage::from_index(&index, examples.negatives());
+    examples
+        .positives()
+        .into_iter()
+        .find(|positive| {
+            index[positive.index()]
+                .iter()
+                .all(|w| coverage.is_covered(w))
+        })
+        .map(Infeasibility::PositiveCovered)
 }
 
 #[cfg(test)]
@@ -172,7 +176,7 @@ mod tests {
         ex.add_positive(n2);
         ex.add_negative(n5);
         assert_eq!(
-            check_satisfiable(&g, &ex, 3),
+            check_satisfiable(&EvalHandle::naive(&g), &ex, 3),
             Some(Infeasibility::PositiveCovered(n2))
         );
         // A positive whose words are not all covered is fine: N1's words
@@ -181,12 +185,15 @@ mod tests {
         let mut ex2 = ExampleSet::new();
         ex2.add_positive(n1);
         ex2.add_negative(n2);
-        assert_eq!(check_satisfiable(&g, &ex2, 3), None);
+        assert_eq!(check_satisfiable(&EvalHandle::naive(&g), &ex2, 3), None);
     }
 
     #[test]
     fn empty_example_set_is_satisfiable() {
         let g = sample();
-        assert_eq!(check_satisfiable(&g, &ExampleSet::new(), 3), None);
+        assert_eq!(
+            check_satisfiable(&EvalHandle::naive(&g), &ExampleSet::new(), 3),
+            None
+        );
     }
 }

@@ -6,15 +6,21 @@
 //! it by state merging while no negative node's word is accepted, and return
 //! the result as both a DFA and a regular expression, together with its
 //! answer on the graph.
+//!
+//! Every bounded word the learner reads comes from an [`EvalHandle`]'s word
+//! index, and every answer from its cache; [`Learner::learn`] builds a
+//! private handle, [`Learner::learn_with`] takes the session's, which must
+//! serve the graph.  The one enumeration left is the `max_paths_per_node`
+//! valve, a resource bound on the negative constraint set.
 
 use crate::error::LearnError;
 use crate::examples::ExampleSet;
 use crate::merge::generalize;
-use crate::path_selection::{select_paths_with, SelectedPaths};
+use crate::path_selection::{select_paths, SelectedPaths};
 use gps_automata::state_elim::dfa_to_regex;
 use gps_automata::{Dfa, Regex};
 use gps_graph::{GraphBackend, NodeId, PathEnumerator, Word};
-use gps_rpq::{eval, EvalHandle, NegativeCoverage, QueryAnswer};
+use gps_rpq::{EvalHandle, NegativeCoverage, QueryAnswer};
 
 /// Tunable parameters of the learner.
 #[derive(Debug, Clone)]
@@ -64,7 +70,10 @@ impl Learner {
         }
     }
 
-    /// Learns a query consistent with `examples` on `graph`.
+    /// Learns a query consistent with `examples` on `graph`: the convenience
+    /// form of [`learn_with`](Self::learn_with) over a private reference
+    /// evaluation stack and a coverage of the negatives read off its word
+    /// index.
     ///
     /// # Errors
     /// * [`LearnError::NoPositiveExamples`] — nothing to generalize from;
@@ -77,21 +86,24 @@ impl Learner {
         graph: &B,
         examples: &ExampleSet,
     ) -> Result<LearnedQuery, LearnError> {
-        let coverage =
-            NegativeCoverage::from_negatives(graph, examples.negatives(), self.path_bound);
-        self.learn_core(graph, examples, &coverage, None)
+        let exec = EvalHandle::naive(graph);
+        let coverage = NegativeCoverage::from_index(
+            &exec.bounded_words(self.path_bound),
+            examples.negatives(),
+        );
+        self.learn_with(graph, examples, &coverage, &exec)
     }
 
-    /// Like [`learn`](Self::learn), but threaded through a shared evaluation
-    /// stack: the final consistency evaluation goes through the handle's
-    /// cache/evaluator (a stable hypothesis across interactions is a cache
-    /// hit), and the caller's `coverage` — which a session maintains
-    /// incrementally anyway — replaces the per-call coverage rebuild, with
-    /// the negative constraint words read off its prefix tree instead of
-    /// re-enumerating every negative node's paths.
+    /// Learns a query consistent with `examples` through a shared evaluation
+    /// stack: the positives' words come from its word index, the final
+    /// consistency evaluation goes through its cache/evaluator (a stable
+    /// hypothesis across interactions is a cache hit), and the caller's
+    /// `coverage` — which a session maintains incrementally anyway — supplies
+    /// the negative constraint words off its prefix tree.
     ///
-    /// `coverage` must reflect exactly the negatives of `examples`; when its
-    /// bound differs from the learner's it is rebuilt at the learner's bound.
+    /// `exec` must serve `graph`, and `coverage` must reflect exactly the
+    /// negatives of `examples`; when its bound differs from the learner's it
+    /// is rebuilt at the learner's bound from the word index.
     pub fn learn_with<B: GraphBackend>(
         &self,
         graph: &B,
@@ -100,11 +112,11 @@ impl Learner {
         exec: &EvalHandle,
     ) -> Result<LearnedQuery, LearnError> {
         if coverage.bound() != self.path_bound {
-            let rebuilt =
-                NegativeCoverage::from_negatives(graph, examples.negatives(), self.path_bound);
-            return self.learn_core(graph, examples, &rebuilt, Some(exec));
+            let index = exec.bounded_words(self.path_bound);
+            let rebuilt = NegativeCoverage::from_index(&index, examples.negatives());
+            return self.learn_core(graph, examples, &rebuilt, exec);
         }
-        self.learn_core(graph, examples, coverage, Some(exec))
+        self.learn_core(graph, examples, coverage, exec)
     }
 
     fn learn_core<B: GraphBackend>(
@@ -112,37 +124,29 @@ impl Learner {
         graph: &B,
         examples: &ExampleSet,
         coverage: &NegativeCoverage,
-        exec: Option<&EvalHandle>,
+        exec: &EvalHandle,
     ) -> Result<LearnedQuery, LearnError> {
         if examples.positive_count() == 0 {
             return Err(LearnError::NoPositiveExamples);
         }
-        // Step (i): one uncovered word per positive example.  With a shared
-        // stack the positive nodes' bounded words are read from the
-        // per-snapshot cache instead of being re-enumerated per learn call.
-        let selected = select_paths_with(graph, examples, coverage, self.path_bound, exec)?;
+        // Step (i): one uncovered word per positive example.
+        let selected = select_paths(exec, examples, coverage, self.path_bound)?;
         let positive_words: Vec<Word> = selected.values().cloned().collect();
 
         // Negative constraint: every bounded word of every negative node,
         // plus the empty word (a nullable query degenerately selects *every*
         // node of every graph, so it can never be the intended path query).
-        // With a shared stack the words come straight off the coverage's
-        // prefix tree (same sorted order; ε sorts before every other word) —
-        // unless the uncapped trie outgrew the learner's `max_paths_per_node`
-        // safety valve, in which case the capped per-node enumeration of
-        // [`learn`](Self::learn) is restored so the PTA stays bounded.
-        let negative_words = match exec {
-            Some(_) => {
-                let covered = coverage.covered_words();
-                if covered.len() > self.max_paths_per_node {
-                    self.negative_words(graph, examples)
-                } else {
-                    let mut words: Vec<Word> = vec![Vec::new()];
-                    words.extend(covered);
-                    words
-                }
-            }
-            None => self.negative_words(graph, examples),
+        // The words come straight off the coverage's prefix tree (sorted; ε
+        // sorts before every other word) — unless the uncapped trie outgrew
+        // the learner's `max_paths_per_node` safety valve, in which case the
+        // capped per-node enumeration keeps the PTA bounded.
+        let covered = coverage.covered_words();
+        let negative_words = if covered.len() > self.max_paths_per_node {
+            self.negative_words(graph, examples)
+        } else {
+            let mut words: Vec<Word> = vec![Vec::new()];
+            words.extend(covered);
+            words
         };
 
         // Step (ii): PTA + state merging.
@@ -150,10 +154,7 @@ impl Learner {
         let regex = dfa_to_regex(&dfa);
 
         // Final consistency check against the actual graph semantics.
-        let answer = match exec {
-            Some(exec) => (*exec.evaluate_compiled(&regex, &dfa)).clone(),
-            None => eval::evaluate(graph, &dfa),
-        };
+        let answer = (*exec.evaluate_compiled(&regex, &dfa)).clone();
         for negative in examples.negatives() {
             if answer.contains(negative) {
                 return Err(LearnError::InconsistentResult { node: negative });

@@ -5,49 +5,32 @@
 //! that word is used verbatim.  Otherwise the learner picks the *shortest*
 //! uncovered word (ties broken lexicographically by label id), which is the
 //! deterministic choice used by the second demo scenario.
+//!
+//! A positive's words are read from the evaluation stack's word index
+//! ([`EvalHandle::bounded_words`]), the one source of bounded words.
 
 use crate::error::LearnError;
 use crate::examples::ExampleSet;
-use gps_graph::{GraphBackend, NodeId, PathEnumerator, Word};
+use gps_graph::{NodeId, Word};
 use gps_rpq::{EvalHandle, NegativeCoverage};
 use std::collections::BTreeMap;
 
 /// The words selected for the positive examples, keyed by node.
 pub type SelectedPaths = BTreeMap<NodeId, Word>;
 
-/// Selects one uncovered word per positive example.
+/// Selects one uncovered word per positive example of `exec`'s snapshot,
+/// reading each positive's bounded words from its word index.
 ///
 /// * `bound` — the maximum path length considered;
 /// * validated paths recorded in `examples` take precedence over automatic
 ///   selection but are still checked against the coverage.
-pub fn select_paths<B: GraphBackend>(
-    graph: &B,
+pub fn select_paths(
+    exec: &EvalHandle,
     examples: &ExampleSet,
     coverage: &NegativeCoverage,
     bound: usize,
 ) -> Result<SelectedPaths, LearnError> {
-    select_paths_with(graph, examples, coverage, bound, None)
-}
-
-/// [`select_paths`] reading every positive node's bounded words from a shared
-/// per-snapshot word index instead of re-enumerating its paths per learn call
-/// — the positive re-check hot-spot fix.
-///
-/// When `exec` is present and its snapshot matches `graph`, the words come
-/// from the snapshot's shared word index
-/// ([`gps_rpq::EvalCache::bounded_words`]); otherwise selection enumerates
-/// directly.  Both paths select byte-identical words.
-pub fn select_paths_with<B: GraphBackend>(
-    graph: &B,
-    examples: &ExampleSet,
-    coverage: &NegativeCoverage,
-    bound: usize,
-    exec: Option<&EvalHandle>,
-) -> Result<SelectedPaths, LearnError> {
-    let cached = exec
-        .filter(|exec| exec.epoch() == graph.epoch())
-        .map(|exec| exec.bounded_words(bound))
-        .filter(|cached| cached.len() == graph.node_count());
+    let index = exec.bounded_words(bound);
     let mut selected = SelectedPaths::new();
     for positive in examples.positives() {
         if let Some(word) = examples.validated_path(positive) {
@@ -57,46 +40,15 @@ pub fn select_paths_with<B: GraphBackend>(
             selected.insert(positive, word.clone());
             continue;
         }
-        let word = match &cached {
-            // The index lists a node's words by (length, labels): the first
-            // uncovered one is the smallest.
-            Some(cached) => cached[positive.index()]
-                .iter()
-                .find(|word| !coverage.is_covered(word))
-                .map(<[_]>::to_vec),
-            None => smallest_uncovered_word(graph, positive, coverage, bound),
-        }
-        .ok_or(LearnError::PositiveFullyCovered { node: positive })?;
-        selected.insert(positive, word);
+        // The index lists a node's words by (length, labels): the first
+        // uncovered one is the smallest.
+        let word = index[positive.index()]
+            .iter()
+            .find(|word| !coverage.is_covered(word))
+            .ok_or(LearnError::PositiveFullyCovered { node: positive })?;
+        selected.insert(positive, word.to_vec());
     }
     Ok(selected)
-}
-
-/// The shortest word of `node` (length ≤ `bound`) not covered by the
-/// negatives, ties broken lexicographically; `None` when every word is
-/// covered (or the node has no outgoing path at all).
-pub fn smallest_uncovered_word<B: GraphBackend>(
-    graph: &B,
-    node: NodeId,
-    coverage: &NegativeCoverage,
-    bound: usize,
-) -> Option<Word> {
-    // words_from returns a BTreeSet (lexicographic); pick by (len, word).
-    smallest_uncovered_of(
-        PathEnumerator::new(bound).words_from(graph, node).iter(),
-        coverage,
-    )
-}
-
-/// The `(len, word)`-minimal uncovered word among `words` (any order).
-fn smallest_uncovered_of<'a>(
-    words: impl Iterator<Item = &'a Word>,
-    coverage: &NegativeCoverage,
-) -> Option<Word> {
-    words
-        .filter(|w| !coverage.is_covered(w))
-        .min_by(|a, b| a.len().cmp(&b.len()).then_with(|| a.cmp(b)))
-        .cloned()
 }
 
 #[cfg(test)]
@@ -126,12 +78,21 @@ mod tests {
         g
     }
 
+    /// The word [`select_paths`] picks for `node` as the only positive.
+    fn selected_word(g: &Graph, node: NodeId, coverage: &NegativeCoverage) -> Option<Word> {
+        let mut examples = ExampleSet::new();
+        examples.add_positive(node);
+        let exec = EvalHandle::naive(g);
+        let selected = select_paths(&exec, &examples, coverage, coverage.bound()).ok()?;
+        selected.get(&node).cloned()
+    }
+
     #[test]
     fn smallest_uncovered_prefers_short_words() {
         let g = sample();
         let n2 = g.node_by_name("N2").unwrap();
         let coverage = NegativeCoverage::new(3);
-        let word = smallest_uncovered_word(&g, n2, &coverage, 3).unwrap();
+        let word = selected_word(&g, n2, &coverage).unwrap();
         // Without negatives the shortest word wins: either "bus" or
         // "restaurant" (length 1); the lexicographically smaller label id is
         // "bus" (interned first).
@@ -151,7 +112,7 @@ mod tests {
         // check restaurant is skipped once bus is also covered by a custom
         // negative.
         let coverage = NegativeCoverage::from_negatives(&g, [n5], 3);
-        let word = smallest_uncovered_word(&g, n2, &coverage, 3).unwrap();
+        let word = selected_word(&g, n2, &coverage).unwrap();
         assert_eq!(word, vec![g.label_id("bus").unwrap()]);
     }
 
@@ -162,13 +123,10 @@ mod tests {
         let n4 = g.node_by_name("N4").unwrap();
         // N4 covers the word "cinema", which is N6's only word.
         let coverage = NegativeCoverage::from_negatives(&g, [n4], 3);
-        assert_eq!(smallest_uncovered_word(&g, n6, &coverage, 3), None);
+        assert_eq!(selected_word(&g, n6, &coverage), None);
         // A sink node has no words at all.
         let c1 = g.node_by_name("C1").unwrap();
-        assert_eq!(
-            smallest_uncovered_word(&g, c1, &NegativeCoverage::new(3), 3),
-            None
-        );
+        assert_eq!(selected_word(&g, c1, &NegativeCoverage::new(3)), None);
     }
 
     #[test]
@@ -183,7 +141,7 @@ mod tests {
         examples.set_validated_path(n2, vec![bus, tram, cinema]);
         examples.add_positive(n6);
         let coverage = NegativeCoverage::new(3);
-        let selected = select_paths(&g, &examples, &coverage, 3).unwrap();
+        let selected = select_paths(&EvalHandle::naive(&g), &examples, &coverage, 3).unwrap();
         assert_eq!(selected[&n2], vec![bus, tram, cinema]);
         assert_eq!(selected[&n6], vec![cinema]);
     }
@@ -191,36 +149,38 @@ mod tests {
     #[test]
     fn cached_selection_is_byte_identical_to_direct_enumeration() {
         let g = sample();
-        let exec = gps_rpq::EvalHandle::naive(&g);
+        let exec = EvalHandle::naive(&g);
         let n2 = g.node_by_name("N2").unwrap();
+        let n4 = g.node_by_name("N4").unwrap();
         let n5 = g.node_by_name("N5").unwrap();
         let n6 = g.node_by_name("N6").unwrap();
         let mut examples = ExampleSet::new();
         examples.add_positive(n2);
         examples.add_positive(n6);
+        // The reference: the (length, labels)-smallest uncovered word among
+        // the node's enumerated paths.
+        let direct = |node, coverage: &NegativeCoverage, bound| {
+            gps_graph::PathEnumerator::new(bound)
+                .words_from(&g, node)
+                .into_iter()
+                .filter(|w| !coverage.is_covered(w))
+                .min_by(|a, b| a.len().cmp(&b.len()).then_with(|| a.cmp(b)))
+        };
         for (negatives, bound) in [(vec![], 3), (vec![n5], 3), (vec![n5], 2)] {
             let coverage = NegativeCoverage::from_negatives(&g, negatives, bound);
-            let direct = select_paths(&g, &examples, &coverage, bound).unwrap();
-            let cached = select_paths_with(&g, &examples, &coverage, bound, Some(&exec)).unwrap();
-            assert_eq!(direct, cached, "bound {bound}");
+            let expected: SelectedPaths = [n2, n6]
+                .into_iter()
+                .map(|node| (node, direct(node, &coverage, bound).unwrap()))
+                .collect();
+            let cached = select_paths(&exec, &examples, &coverage, bound).unwrap();
+            assert_eq!(cached, expected, "bound {bound}");
         }
         // Error cases agree too: every word of N6 covered.
-        let n4 = g.node_by_name("N4").unwrap();
         let coverage = NegativeCoverage::from_negatives(&g, [n4], 3);
+        assert_eq!(direct(n6, &coverage, 3), None);
         assert_eq!(
-            select_paths(&g, &examples, &coverage, 3).unwrap_err(),
-            select_paths_with(&g, &examples, &coverage, 3, Some(&exec)).unwrap_err(),
-        );
-        // A handle over a different graph falls back to direct enumeration.
-        let mut other = Graph::new();
-        let a = other.add_node("A");
-        let b = other.add_node("B");
-        other.add_edge_by_name(a, "x", b);
-        let foreign = gps_rpq::EvalHandle::naive(&other);
-        let coverage = NegativeCoverage::new(3);
-        assert_eq!(
-            select_paths(&g, &examples, &coverage, 3).unwrap(),
-            select_paths_with(&g, &examples, &coverage, 3, Some(&foreign)).unwrap(),
+            select_paths(&exec, &examples, &coverage, 3).unwrap_err(),
+            LearnError::PositiveFullyCovered { node: n6 },
         );
     }
 
@@ -234,7 +194,7 @@ mod tests {
         examples.set_validated_path(n2, vec![restaurant]);
         examples.add_negative(n5);
         let coverage = NegativeCoverage::from_negatives(&g, [n5], 3);
-        let err = select_paths(&g, &examples, &coverage, 3).unwrap_err();
+        let err = select_paths(&EvalHandle::naive(&g), &examples, &coverage, 3).unwrap_err();
         assert_eq!(err, LearnError::ValidatedPathCovered { node: n2 });
     }
 
@@ -247,7 +207,7 @@ mod tests {
         examples.add_positive(n6);
         examples.add_negative(n4);
         let coverage = NegativeCoverage::from_negatives(&g, [n4], 3);
-        let err = select_paths(&g, &examples, &coverage, 3).unwrap_err();
+        let err = select_paths(&EvalHandle::naive(&g), &examples, &coverage, 3).unwrap_err();
         assert_eq!(err, LearnError::PositiveFullyCovered { node: n6 });
     }
 }

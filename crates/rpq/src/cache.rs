@@ -271,9 +271,9 @@ impl EvalCache {
 
     /// The epoch of the snapshot this cache serves.  Cached answers and the
     /// word index are only valid for graphs at exactly this `(epoch,
-    /// node_count)` identity — the check the per-snapshot fast paths
-    /// (pruning deltas, validation prompts) perform before trusting shared
-    /// state, instead of relying on pointer or size coincidence.
+    /// node_count)` identity — what [`EvalHandle::assert_serves`](crate::EvalHandle::assert_serves)
+    /// checks where a session is set up, instead of relying on pointer or
+    /// size coincidence.
     pub fn epoch(&self) -> u64 {
         self.csr.epoch()
     }

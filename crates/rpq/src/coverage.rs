@@ -6,7 +6,14 @@
 //! *covered* when it is spelled by some path of a node already labeled
 //! negative: the goal query cannot select via that word, because it would
 //! then also select the negative node.
+//!
+//! Production code feeds a coverage from the snapshot's word index
+//! ([`add_negative_with_words`](NegativeCoverage::add_negative_with_words),
+//! [`from_index`](NegativeCoverage::from_index)).  The methods that take a
+//! graph enumerate its paths instead; they are the **reference** the tests
+//! compare the index-fed paths against, and nothing else calls them.
 
+use crate::words::WordIndex;
 use gps_graph::{GraphBackend, LabelId, NodeId, PathEnumerator, PrefixTree, Word};
 use std::collections::BTreeSet;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -44,7 +51,18 @@ impl NegativeCoverage {
         }
     }
 
-    /// Creates a coverage seeded with a set of negative nodes.
+    /// Creates a coverage at `index`'s bound seeded with a set of negative
+    /// nodes, their words read off the index.
+    pub fn from_index(index: &WordIndex, negatives: impl IntoIterator<Item = NodeId>) -> Self {
+        let mut coverage = Self::new(index.bound());
+        for node in negatives {
+            coverage.add_negative_with_words(node, &index[node.index()]);
+        }
+        coverage
+    }
+
+    /// Creates a coverage seeded with a set of negative nodes, enumerating
+    /// their paths (the reference for [`from_index`](Self::from_index)).
     pub fn from_negatives<B: GraphBackend>(
         graph: &B,
         negatives: impl IntoIterator<Item = NodeId>,
@@ -73,7 +91,9 @@ impl NegativeCoverage {
     }
 
     /// Records `node` as a negative example: all its words up to the bound
-    /// become covered.  Returns `false` when the node was already recorded.
+    /// become covered, enumerated from `graph` (the reference for
+    /// [`add_negative_with_words`](Self::add_negative_with_words)).  Returns
+    /// `false` when the node was already recorded.
     pub fn add_negative<B: GraphBackend>(&mut self, graph: &B, node: NodeId) -> bool {
         if !self.negatives.insert(node) {
             return false;
@@ -87,10 +107,10 @@ impl NegativeCoverage {
         true
     }
 
-    /// Like [`add_negative`](Self::add_negative), but with the node's
-    /// bounded word set supplied by the caller — typically its handle in the
-    /// shared per-snapshot word index (`&index[node.index()]`), or a slice of
-    /// words — instead of enumerated from the graph.
+    /// Records `node` as a negative example with its bounded word set
+    /// supplied by the caller — its entry in the shared per-snapshot word
+    /// index (`&index[node.index()]`), or a slice of words.  Returns `false`
+    /// when the node was already recorded.
     ///
     /// `words` must be exactly the node's distinct words up to this
     /// coverage's bound.
@@ -152,7 +172,8 @@ impl NegativeCoverage {
 
     /// The words of `node` (up to the bound) that are *not* covered — the
     /// words that could still witness the node's membership in the goal
-    /// query.
+    /// query.  Enumerated from `graph`: the reference the index-fed pruning
+    /// scores are tested against.
     pub fn uncovered_words<B: GraphBackend>(&self, graph: &B, node: NodeId) -> Vec<Word> {
         PathEnumerator::new(self.bound)
             .words_from(graph, node)

@@ -476,8 +476,9 @@ impl DfaEvaluator for NaiveEvaluator {
 }
 
 /// Counts, for every node, the number of distinct words of length at most
-/// `bound` spelled by its outgoing paths that the DFA accepts.  This is the
-/// quantity the informative-paths strategy scores nodes with.
+/// `bound` spelled by its outgoing paths that the DFA accepts.  It enumerates
+/// every node's paths: a diagnostic, not what sessions score nodes with (they
+/// read the word index, see [`EvalHandle::bounded_words`](crate::EvalHandle::bounded_words)).
 pub fn accepted_word_counts<B: GraphBackend>(
     graph: &B,
     dfa: &Dfa,

@@ -8,6 +8,14 @@
 //! shared snapshot/index) behind one cheaply cloneable value so all of those
 //! call sites share a single cache, evaluator and [`gps_graph::CsrGraph`]
 //! per engine instead of re-evaluating or re-snapshotting ad hoc.
+//!
+//! [`EvalHandle::bounded_words`] is the one place production code reads a
+//! node's bounded words: pruning, the strategy's scores, negative coverage,
+//! validation prompts, path selection, propagation and satisfiability all go
+//! through it.  Its node ids are the handle's snapshot's, so a handle must
+//! serve the graph it is used with — [`EvalHandle::assert_serves`] checks
+//! that once, where a session or a standalone refresh is set up, and no read
+//! site falls back to enumerating paths.
 
 use crate::cache::EvalCache;
 use crate::eval::{DfaEvaluator, QueryAnswer};
@@ -58,6 +66,19 @@ impl EvalHandle {
     /// [`EvalCache::epoch`].
     pub fn epoch(&self) -> u64 {
         self.cache.epoch()
+    }
+
+    /// Panics unless this handle's snapshot is `graph`'s: the same epoch and
+    /// node count.  The message names both `(epoch, node_count)` pairs.
+    #[track_caller]
+    pub fn assert_serves<B: GraphBackend>(&self, graph: &B) {
+        let handle = (self.epoch(), self.cache.csr().node_count());
+        let graph = (graph.epoch(), graph.node_count());
+        assert!(
+            handle == graph,
+            "the evaluation handle serves (epoch, node_count) = {handle:?}, \
+             but the graph is {graph:?}"
+        );
     }
 
     /// Evaluates `regex` through the cache.

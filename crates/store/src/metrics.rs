@@ -1,8 +1,7 @@
 //! Pre-bound telemetry handles for the durability layer.
 //!
-//! [`StoreMetrics`] is resolved once against a
-//! [`MetricsRegistry`](gps_telemetry::MetricsRegistry) and installed into a
-//! [`GraphStore`](crate::GraphStore) through
+//! [`StoreMetrics`] is resolved once against a [`MetricsRegistry`] and
+//! installed into a [`GraphStore`](crate::GraphStore) through
 //! [`GraphStore::set_metrics`](crate::GraphStore::set_metrics) (a default
 //! no-op — [`MemoryStore`](crate::MemoryStore) ignores it).  A
 //! [`FileStore`](crate::FileStore) then records WAL append volume, commit

@@ -15,7 +15,7 @@ use gps_learner::Label;
 fn main() {
     let (graph, ids) = figure1_graph();
     let gps = Gps::new(graph);
-    let labels = gps.graph().labels();
+    let labels = gps.snapshot().labels();
 
     // ------------------------------------------------------------------
     println!("=== Scenario 1: static labeling ===");
@@ -41,7 +41,7 @@ fn main() {
             conflicting_positive,
         } => println!(
             "  the system points out the labeling is inconsistent (positive {} cannot be separated)\n",
-            gps.graph().node_name(conflicting_positive)
+            gps.snapshot().node_name(conflicting_positive)
         ),
         other => println!("  unexpected: {other:?}\n"),
     }
@@ -78,6 +78,6 @@ fn main() {
 }
 
 fn render(gps: &Gps, nodes: &[gps_graph::NodeId]) -> String {
-    let names: Vec<&str> = nodes.iter().map(|&n| gps.graph().node_name(n)).collect();
+    let names: Vec<&str> = nodes.iter().map(|&n| gps.snapshot().node_name(n)).collect();
     format!("{{{}}}", names.join(", "))
 }

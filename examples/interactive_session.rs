@@ -37,7 +37,7 @@ fn main() {
     // Run the full session with the paper's informative-paths strategy and
     // print the transcript.
     let mut user = SimulatedUser::new(goal.clone(), graph);
-    let mut strategy = InformativePathsStrategy::default();
+    let mut strategy = InformativePathsStrategy;
     let mut session = Session::new(graph, SessionConfig::default());
     let outcome = session.run(&mut strategy, &mut user);
 
@@ -54,10 +54,7 @@ fn main() {
     // claim is that proposing informative nodes minimizes user effort.
     println!("=== strategy comparison (interactions to halt) ===");
     let strategies: Vec<(&str, Box<dyn Strategy>)> = vec![
-        (
-            "informative-paths",
-            Box::new(InformativePathsStrategy::default()),
-        ),
+        ("informative-paths", Box::new(InformativePathsStrategy)),
         ("degree", Box::new(DegreeStrategy)),
         ("random", Box::new(RandomStrategy::seeded(1))),
     ];

@@ -19,7 +19,7 @@ fn main() {
     println!("{}", gps.render_zoom(ids.n2, 2));
 
     println!("=== Figure 3(c): prefix tree of N2's paths of length <= 3 ===");
-    let labels = gps.graph().labels();
+    let labels = gps.snapshot().labels();
     let bus = labels.get("bus").unwrap();
     let cinema = labels.get("cinema").unwrap();
     // The system highlights bus·bus·cinema: a path of length 3, matching the

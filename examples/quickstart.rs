@@ -20,7 +20,7 @@ fn main() {
     // options.  The engine snapshots the graph once — queries, rendering and
     // interactive sessions all run on that snapshot.
     let gps = Engine::builder(graph)
-        .strategy(StrategyChoice::InformativePaths { bound: 3 })
+        .strategy(StrategyChoice::InformativePaths)
         .initial_radius(2)
         .build();
 
@@ -41,13 +41,13 @@ fn main() {
     ]);
     match outcome {
         gps_core::StaticLabelingOutcome::Learned(learned) => {
-            let display = gps_automata::printer::print(&learned.regex, gps.graph().labels());
+            let display = gps_automata::printer::print(&learned.regex, gps.snapshot().labels());
             println!("\nFrom examples +N2 +N6 -N5 the system proposes: {display}");
             let names: Vec<&str> = learned
                 .answer
                 .nodes()
                 .into_iter()
-                .map(|n| gps.graph().node_name(n))
+                .map(|n| gps.snapshot().node_name(n))
                 .collect();
             println!("which selects {{{}}}", names.join(", "));
         }

@@ -51,7 +51,7 @@ fn main() {
             continue;
         }
         let mut user = SimulatedUser::new(goal.clone(), graph);
-        let mut strategy = InformativePathsStrategy::default();
+        let mut strategy = InformativePathsStrategy;
         let mut session = Session::new(graph, SessionConfig::default());
         let outcome = session.run(&mut strategy, &mut user);
         let reached = outcome

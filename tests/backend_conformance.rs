@@ -252,12 +252,11 @@ fn interactive_sessions_agree_end_to_end() {
 
     let mut graph_user = SimulatedUser::new(goal.clone(), &graph);
     let mut graph_session = Session::new(&graph, SessionConfig::default());
-    let graph_outcome =
-        graph_session.run(&mut InformativePathsStrategy::default(), &mut graph_user);
+    let graph_outcome = graph_session.run(&mut InformativePathsStrategy, &mut graph_user);
 
     let mut csr_user = SimulatedUser::new(goal.clone(), &csr);
     let mut csr_session: Session<'_, CsrGraph> = Session::new(&csr, SessionConfig::default());
-    let csr_outcome = csr_session.run(&mut InformativePathsStrategy::default(), &mut csr_user);
+    let csr_outcome = csr_session.run(&mut InformativePathsStrategy, &mut csr_user);
 
     assert_eq!(graph_outcome.halt_reason, csr_outcome.halt_reason);
     assert_eq!(

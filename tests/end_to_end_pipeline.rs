@@ -36,7 +36,7 @@ fn graph_loaded_from_edge_list_gives_the_same_answer() {
     let mut names: Vec<&str> = answer
         .nodes()
         .into_iter()
-        .map(|n| gps.graph().node_name(n))
+        .map(|n| gps.snapshot().node_name(n))
         .collect();
     names.sort_unstable();
     assert_eq!(names, vec!["N1", "N2", "N4", "N6"]);
@@ -64,7 +64,7 @@ fn full_session_on_a_loaded_graph_produces_a_serializable_transcript() {
     let graph = io::parse_edge_list(FIGURE1_EDGE_LIST).unwrap();
     let goal = PathQuery::parse(MOTIVATING_QUERY, graph.labels()).unwrap();
     let mut user = SimulatedUser::new(goal.clone(), &graph);
-    let mut strategy = InformativePathsStrategy::default();
+    let mut strategy = InformativePathsStrategy;
     let mut session = Session::new(&graph, SessionConfig::default());
     let outcome = session.run(&mut strategy, &mut user);
 

@@ -8,7 +8,7 @@ use gps_core::Gps;
 use gps_datasets::figure1::{figure1_graph, MOTIVATING_QUERY};
 use gps_graph::Neighborhood;
 use gps_interactive::validation;
-use gps_rpq::{NegativeCoverage, PathQuery};
+use gps_rpq::{EvalHandle, NegativeCoverage, PathQuery};
 
 #[test]
 fn figure1_motivating_query_answer() {
@@ -80,7 +80,8 @@ fn figure3b_zoom_to_distance_3_reveals_the_cinema_highlighted() {
 fn figure3c_prefix_tree_highlights_a_length3_candidate() {
     let (graph, ids) = figure1_graph();
     let coverage = NegativeCoverage::new(3);
-    let prompt = validation::build_prompt(&graph, ids.n2, 3, &coverage).unwrap();
+    let prompt =
+        validation::build_prompt(&EvalHandle::naive(&graph), ids.n2, 3, &coverage).unwrap();
     // The system suggests a path of length 3 — the radius the user zoomed to.
     assert_eq!(prompt.suggested.len(), 3);
     let bus = graph.label_id("bus").unwrap();

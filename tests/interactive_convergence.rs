@@ -32,11 +32,7 @@ fn informative_strategy_converges_on_every_workload_family() {
             .iter()
             .find(|q| !q.evaluate(&workload.graph).is_empty());
         let Some(goal) = goal else { continue };
-        let outcome = run(
-            &workload.graph,
-            goal,
-            &mut InformativePathsStrategy::default(),
-        );
+        let outcome = run(&workload.graph, goal, &mut InformativePathsStrategy);
         assert!(
             outcome.halt_reason.is_convergence(),
             "{}: halted with {:?}",
@@ -65,11 +61,7 @@ fn informative_strategy_converges_on_every_workload_family() {
 fn informative_strategy_needs_no_more_interactions_than_random_on_figure1() {
     let workload = Workload::figure1();
     let goal = PathQuery::parse("(tram+bus)*.cinema", workload.graph.labels()).unwrap();
-    let informative = run(
-        &workload.graph,
-        &goal,
-        &mut InformativePathsStrategy::default(),
-    );
+    let informative = run(&workload.graph, &goal, &mut InformativePathsStrategy);
     // Average random over a few seeds to smooth out luck.
     let mut random_total = 0usize;
     let seeds = [1u64, 2, 3, 4, 5];
@@ -90,11 +82,7 @@ fn informative_strategy_needs_no_more_interactions_than_random_on_figure1() {
 fn pruning_counters_are_monotone_and_end_high() {
     let workload = Workload::transport(40, 9);
     let goal = PathQuery::parse("(tram+bus)*.cinema", workload.graph.labels()).unwrap();
-    let outcome = run(
-        &workload.graph,
-        &goal,
-        &mut InformativePathsStrategy::default(),
-    );
+    let outcome = run(&workload.graph, &goal, &mut InformativePathsStrategy);
     let pruned = &outcome.stats.pruned_after_interaction;
     assert!(!pruned.is_empty());
     for window in pruned.windows(2) {
@@ -136,11 +124,7 @@ fn characteristic_samples_recover_goal_behaviour_on_all_families() {
 fn session_transcript_lengths_match_interaction_counts() {
     let workload = Workload::transport(25, 4);
     let goal = PathQuery::parse("cinema", workload.graph.labels()).unwrap();
-    let outcome = run(
-        &workload.graph,
-        &goal,
-        &mut InformativePathsStrategy::default(),
-    );
+    let outcome = run(&workload.graph, &goal, &mut InformativePathsStrategy);
     assert_eq!(outcome.transcript.len(), outcome.stats.interactions);
     assert_eq!(
         outcome.stats.positive_labels + outcome.stats.negative_labels,

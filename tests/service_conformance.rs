@@ -111,7 +111,7 @@ fn sequential_reference(graph: &Graph, goals: &[String]) -> Vec<SessionFingerpri
             let goal = PathQuery::parse(goal, graph.labels()).unwrap();
             let mut user = SimulatedUser::new(goal, graph);
             let mut session = Session::new(graph, session_config());
-            let outcome = session.run(&mut InformativePathsStrategy::default(), &mut user);
+            let outcome = session.run(&mut InformativePathsStrategy, &mut user);
             fingerprint(graph.labels(), &outcome)
         })
         .collect()

@@ -101,7 +101,7 @@ fn run_reference(graph: &Graph, syntax: &str, config: SessionConfig) -> SessionO
     let goal = PathQuery::parse(syntax, graph.labels()).unwrap();
     let mut user = SimulatedUser::new(goal.clone(), graph);
     let mut session = Session::new(graph, config);
-    session.run(&mut InformativePathsStrategy::default(), &mut user)
+    session.run(&mut InformativePathsStrategy, &mut user)
 }
 
 /// The engine run: shared evaluation stack, chosen eval mode.
@@ -118,7 +118,7 @@ fn run_engine(
     let goal = engine.parse_query(syntax).unwrap();
     let mut user = SimulatedUser::with_exec(goal, engine.eval_handle());
     let mut session = engine.open_session();
-    session.run(&mut InformativePathsStrategy::default(), &mut user)
+    session.run(&mut InformativePathsStrategy, &mut user)
 }
 
 #[test]

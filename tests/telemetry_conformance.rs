@@ -117,9 +117,9 @@ fn bare_sessions_are_identical_and_record_per_session_histograms() {
         .build();
 
     let goal = plain.parse_query(MOTIVATING_QUERY).unwrap();
-    let mut user = SimulatedUser::new(goal.clone(), plain.graph());
+    let mut user = SimulatedUser::new(goal.clone(), plain.snapshot());
     let base = fingerprint(&plain.specify(&mut user));
-    let mut user = SimulatedUser::new(goal, instrumented.graph());
+    let mut user = SimulatedUser::new(goal, instrumented.snapshot());
     let outcome = instrumented.specify(&mut user);
     assert_eq!(base, fingerprint(&outcome));
 
