@@ -900,6 +900,52 @@ mod tests {
     }
 
     #[test]
+    fn epochs_share_untouched_adjacency_chunks() {
+        use gps_graph::csr::CHUNK_ROWS;
+        // Three adjacency chunks, the last one partial.
+        let mut graph = gps_graph::Graph::new();
+        for i in 0..2 * CHUNK_ROWS + 7 {
+            graph.add_node(format!("v{i}"));
+        }
+        let n = graph.node_count();
+        for i in 0..n {
+            let next = gps_graph::NodeId::from((i + 1) % n);
+            graph.add_edge_by_name(gps_graph::NodeId::from(i), "next", next);
+        }
+        let store = VersionedStore::new(Engine::builder(graph).build());
+
+        // One edge inside the middle chunk: one forward chunk (its source's)
+        // and one reverse chunk (its target's) are new.
+        let base = store.latest();
+        let (source, target) = (
+            format!("v{}", CHUNK_ROWS + 3),
+            format!("v{}", CHUNK_ROWS + 9),
+        );
+        store
+            .update(GraphUpdate::new().add_edge(source, "next", target))
+            .unwrap();
+        let one_edge = store.latest();
+        let sharing = one_edge.snapshot().shared_with(base.snapshot());
+        assert_eq!(sharing, ((2, 1), (2, 1)));
+
+        // Two new nodes and edges between them: only the tail chunk of each
+        // direction is rebuilt.
+        store
+            .update(
+                GraphUpdate::new()
+                    .add_node("fresh")
+                    .add_node("fresher")
+                    .add_edge("fresh", "next", "fresher")
+                    .add_edge("fresher", "next", "fresh"),
+            )
+            .unwrap();
+        let grown = store.latest();
+        assert_eq!(grown.snapshot().node_count(), n + 2);
+        let sharing = grown.snapshot().shared_with(one_edge.snapshot());
+        assert_eq!(sharing, ((2, 1), (2, 1)));
+    }
+
+    #[test]
     fn publish_inherits_the_bounded_word_index() {
         let store = store(EvalMode::Frontier);
         let old = store.latest();

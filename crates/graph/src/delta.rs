@@ -22,17 +22,20 @@
 //! added and resolves every other name through the base's shared lookup, so
 //! [`DeltaGraph::new`] copies nothing that grows with the graph.
 //!
-//! Compaction never looks at an untouched adjacency entry.  The rows an
-//! overlay touches (endpoints of tombstones and of inserted edges) come
-//! sorted out of its maps; between consecutive touched rows the base's
-//! entries and edge ids are copied with `extend_from_slice`, the offsets are
-//! the base's plus a running shift, and only the touched rows are rewritten
-//! ([`RowSplice`]).  A surviving base edge id drops by the number of
-//! tombstones below it — not at all when nothing was removed, so the id
-//! arrays are then straight copies too.  Node names and their lookup are
-//! handed to the next epoch behind the base's `Arc` (plus the overlay's own
-//! additions).  What remains proportional to the graph is one `memcpy` of the
-//! packed arrays.
+//! Compaction never looks at an untouched adjacency entry, and copies none
+//! outside the chunks it must rebuild.  Each direction of a snapshot is a
+//! list of [`CHUNK_ROWS`]-row chunks behind `Arc`s (see [`CsrGraph`]).  The
+//! rows an overlay touches (endpoints of tombstones and of inserted edges)
+//! come sorted out of its maps; a chunk holding one is rebuilt by splicing
+//! ([`RowSplice`] over its chunk-local offsets: bulk copies between the
+//! rewritten rows), and so is the tail chunk when nodes were added.  Every
+//! other chunk is the base's, by pointer.  A surviving base edge id drops by
+//! the number of tombstones below it, so a chunk whose largest id exceeds
+//! the smallest tombstone gets fresh ids beside its shared offsets and
+//! entries; with nothing removed no id moves.  Node names and their lookup
+//! are handed to the next epoch behind the base's `Arc` (plus the overlay's
+//! own additions).  What remains proportional to the graph is one pass over
+//! the chunk pointers, about a thousand per direction at 1M nodes.
 //!
 //! ## Identifier semantics
 //!
@@ -43,13 +46,14 @@
 //! edges densely in (base order, then insertion order) — exactly the ids a
 //! from-scratch rebuild assigns.
 
-use crate::csr::{CsrEntry, CsrGraph};
+use crate::csr::{Adjacency, Chunk, CsrEntry, CsrGraph, CHUNK_ROWS};
 use crate::graph::Edge;
 use crate::ids::{EdgeId, LabelId, NodeId};
 use crate::labels::LabelInterner;
 use crate::splice::RowSplice;
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
+use std::ops::Range;
 use std::sync::Arc;
 
 /// One staged mutation, with endpoints addressed by display name (the
@@ -360,9 +364,9 @@ impl DeltaGraph {
 
     /// Merges the overlay into a fresh snapshot stamped `base.epoch() + 1`.
     ///
-    /// The untouched stretches of the packed arrays are bulk copies and only
-    /// the touched rows are rewritten (see the [module docs](self)); the
-    /// result is byte-identical to snapshotting a from-scratch [`Graph`]
+    /// Chunks without a touched row are shared with the base and only the
+    /// touched rows are rewritten (see the [module docs](self)); the result
+    /// is byte-identical to snapshotting a from-scratch [`Graph`]
     /// holding the surviving edges (base edges in base order, then overlay
     /// insertions) — `tests/mvcc_conformance.rs` proves this over random
     /// update sequences.
@@ -387,39 +391,20 @@ impl DeltaGraph {
             overlay: self,
             tombstones: &tombstones,
             overlay_ids: &overlay_ids,
-            edge_count: next as usize,
         };
-        let (fwd_offsets, fwd_entries, fwd_edge_ids) = merge.side(
-            base.fwd_offsets(),
-            base.fwd_entries(),
-            base.fwd_edge_ids(),
-            &self.added_out,
-            |edge| (edge.source, edge.target),
-        );
-        let (rev_offsets, rev_entries, rev_edge_ids) = merge.side(
-            base.rev_offsets(),
-            base.rev_entries(),
-            base.rev_edge_ids(),
-            &self.added_in,
-            |edge| (edge.target, edge.source),
-        );
+        let fwd = merge.side(base.forward(), &self.added_out, |edge| {
+            (edge.source, edge.target)
+        });
+        let rev = merge.side(base.reverse(), &self.added_in, |edge| {
+            (edge.target, edge.source)
+        });
 
         let names = if self.added_names.is_empty() {
             Arc::clone(base.names())
         } else {
             Arc::new(base.names().extended(&self.added_names))
         };
-        CsrGraph::from_parts(
-            names,
-            self.labels.clone(),
-            fwd_offsets,
-            fwd_entries,
-            fwd_edge_ids,
-            rev_offsets,
-            rev_entries,
-            rev_edge_ids,
-            base.epoch() + 1,
-        )
+        CsrGraph::from_parts(names, self.labels.clone(), fwd, rev, base.epoch() + 1)
     }
 }
 
@@ -430,7 +415,6 @@ struct Merge<'a> {
     tombstones: &'a [u32],
     /// Merged id of each overlay edge (meaningful for the alive ones).
     overlay_ids: &'a [u32],
-    edge_count: usize,
 }
 
 impl Merge<'_> {
@@ -449,30 +433,66 @@ impl Merge<'_> {
         }
     }
 
-    /// One direction's packed arrays of the merged graph, spliced from the
-    /// base's.  `added` is the overlay adjacency of this direction and
-    /// `ends` splits an edge into (the row it lives in, the endpoint its
-    /// entry stores).
+    /// One direction of the merged graph: the base's chunks, shared where
+    /// nothing in them changes.  `added` is the overlay adjacency of this
+    /// direction and `ends` splits an edge into (the row it lives in, the
+    /// endpoint its entry stores).
     fn side(
         &self,
-        offsets: &[u32],
-        entries: &[CsrEntry],
-        ids: &[EdgeId],
+        base: &Adjacency,
         added: &BTreeMap<NodeId, Vec<usize>>,
         ends: fn(&Edge) -> (NodeId, NodeId),
-    ) -> (Vec<u32>, Vec<CsrEntry>, Vec<EdgeId>) {
+    ) -> Adjacency {
         let overlay = self.overlay;
-        let touched: BTreeSet<NodeId> = overlay
+        let touched: BTreeSet<usize> = overlay
             .tombstones
             .values()
-            .map(|edge| ends(edge).0)
-            .chain(added.keys().copied())
+            .map(|edge| ends(edge).0.index())
+            .chain(added.keys().map(|node| node.index()))
             .collect();
-        let mut out_entries = Vec::with_capacity(self.edge_count);
-        let mut out_ids = Vec::with_capacity(self.edge_count);
+        let mut touched = touched.into_iter().peekable();
+        // Only ids above the smallest tombstone move.
+        let first_dead = self.tombstones.first().map(|&id| EdgeId::new(id));
+        let rows = overlay.node_count();
+        let chunks = (0..rows.div_ceil(CHUNK_ROWS))
+            .map(|c| {
+                let (lo, hi) = (c * CHUNK_ROWS, rows.min((c + 1) * CHUNK_ROWS));
+                let own: Vec<usize> =
+                    std::iter::from_fn(|| touched.next_if(|&row| row < hi)).collect();
+                match base.chunks().get(c) {
+                    Some(old) if own.is_empty() && old.rows() == hi - lo => {
+                        if first_dead.is_some_and(|dead| old.max_id > Some(dead)) {
+                            old.renumbered(|id| self.renumbered(id))
+                        } else {
+                            old.clone()
+                        }
+                    }
+                    old => self.rebuilt(old, lo..hi, &own, added, ends),
+                }
+            })
+            .collect();
+        Adjacency::new(chunks)
+    }
+
+    /// The chunk of `rows` spliced from `old` (`None` past the base's last
+    /// chunk): bulk copies around the rewritten rows `touched` (ascending).
+    fn rebuilt(
+        &self,
+        old: Option<&Chunk>,
+        rows: Range<usize>,
+        touched: &[usize],
+        added: &BTreeMap<NodeId, Vec<usize>>,
+        ends: fn(&Edge) -> (NodeId, NodeId),
+    ) -> Chunk {
+        let overlay = self.overlay;
+        let (offsets, entries, ids) = old.map_or((&[][..], &[][..], &[][..]), |old| {
+            (&old.offsets[..], &old.entries[..], &old.ids[..])
+        });
+        let mut out_entries = Vec::with_capacity(entries.len() + touched.len());
+        let mut out_ids = Vec::with_capacity(entries.len() + touched.len());
         let mut splice = RowSplice::new(offsets);
-        for row in touched {
-            let (before, own) = splice.seek(row.index());
+        for &row in touched {
+            let (before, own) = splice.seek(row - rows.start);
             out_entries.extend_from_slice(&entries[before.clone()]);
             self.copy_ids(&ids[before], &mut out_ids);
             let start = out_entries.len();
@@ -482,7 +502,7 @@ impl Merge<'_> {
                     out_ids.push(self.renumbered(id));
                 }
             }
-            for &i in added.get(&row).into_iter().flatten() {
+            for &i in added.get(&NodeId::from(row)).into_iter().flatten() {
                 if overlay.added_alive[i] {
                     let edge = overlay.added_edges[i];
                     out_entries.push(CsrEntry {
@@ -494,10 +514,10 @@ impl Merge<'_> {
             }
             splice.set_len(out_entries.len() - start);
         }
-        let (rest, out_offsets) = splice.finish(overlay.node_count());
+        let (rest, out_offsets) = splice.finish(rows.len());
         out_entries.extend_from_slice(&entries[rest.clone()]);
         self.copy_ids(&ids[rest], &mut out_ids);
-        (out_offsets, out_entries, out_ids)
+        Chunk::new(out_offsets, out_entries, out_ids)
     }
 }
 
@@ -789,41 +809,26 @@ mod tests {
         }
     }
 
-    /// Every packed array, every name and every lookup, not just the
-    /// per-node views.
+    /// Every row and its ids in both directions, the chunk layout, every
+    /// name and every lookup.
     fn assert_identical(got: &CsrGraph, want: &CsrGraph, context: &str) {
         assert!(got.node_names().eq(want.node_names()), "{context}: names");
         assert_eq!(got.labels(), want.labels(), "{context}: labels");
-        assert_eq!(
-            got.fwd_offsets(),
-            want.fwd_offsets(),
-            "{context}: fwd offsets"
-        );
-        assert_eq!(
-            got.fwd_entries(),
-            want.fwd_entries(),
-            "{context}: fwd entries"
-        );
-        assert_eq!(
-            got.fwd_edge_ids(),
-            want.fwd_edge_ids(),
-            "{context}: fwd ids"
-        );
-        assert_eq!(
-            got.rev_offsets(),
-            want.rev_offsets(),
-            "{context}: rev offsets"
-        );
-        assert_eq!(
-            got.rev_entries(),
-            want.rev_entries(),
-            "{context}: rev entries"
-        );
-        assert_eq!(
-            got.rev_edge_ids(),
-            want.rev_edge_ids(),
-            "{context}: rev ids"
-        );
+        assert_eq!(got.edge_count(), want.edge_count(), "{context}: edges");
+        for node in want.nodes() {
+            assert_eq!(got.out(node), want.out(node), "{context}: out({node})");
+            assert_eq!(got.out_ids(node), want.out_ids(node), "{context}: out ids");
+            assert_eq!(got.inc(node), want.inc(node), "{context}: inc({node})");
+            assert_eq!(got.in_ids(node), want.in_ids(node), "{context}: in ids");
+        }
+        let shape = |csr: &CsrGraph| -> Vec<(usize, usize, Option<EdgeId>)> {
+            [csr.forward(), csr.reverse()]
+                .into_iter()
+                .flat_map(Adjacency::chunks)
+                .map(|chunk| (chunk.rows(), chunk.entries.len(), chunk.max_id))
+                .collect()
+        };
+        assert_eq!(shape(got), shape(want), "{context}: chunks");
         for name in want.node_names() {
             assert_eq!(
                 got.node_by_name(name),
@@ -961,6 +966,79 @@ mod tests {
                 context,
             );
         }
+
+        // The same corners across chunk boundaries, with the chunks each
+        // publish must leave shared: (forward, reverse), each (shared, new).
+        let (rows, n) = (CHUNK_ROWS, 2 * CHUNK_ROWS + 7);
+        let fill = |k: usize| vec![Node("m"); k];
+        let scenarios: Vec<(&str, Vec<Op>, _)> = vec![
+            (
+                "first and last rows of chunks",
+                vec![
+                    Add(rows - 1, "x", rows),
+                    Add(rows, "y", rows - 1),
+                    Add(2 * rows - 1, "x", 0),
+                    Add(0, "y", 2 * rows - 1),
+                ],
+                ((1, 2), (1, 2)),
+            ),
+            (
+                "tombstone of the last edge id",
+                vec![Del(n - 1, "y", n - 1)],
+                ((2, 1), (2, 1)),
+            ),
+            (
+                "added nodes fill the tail chunk and open a new one",
+                [
+                    fill(rows - 7 + 3),
+                    vec![Add(5, "y", n), Add(3 * rows + 2, "x", 0)],
+                ]
+                .concat(),
+                ((1, 3), (1, 3)),
+            ),
+            (
+                "tombstone of edge id 0 renumbers every chunk",
+                vec![Del(0, "x", 1)],
+                ((0, 3), (0, 3)),
+            ),
+            (
+                "a new label on a node past the old last chunk",
+                [
+                    fill(rows - 6),
+                    vec![Add(3 * rows, "w", 3), Add(2, "w", 3 * rows)],
+                ]
+                .concat(),
+                ((1, 3), (1, 3)),
+            ),
+        ];
+        for (context, ops, sharing) in &scenarios {
+            let mut model = chunked_model();
+            let base = Arc::new(model.build());
+            let once = publish(&base, &mut model, ops, context);
+            assert_eq!(once.shared_with(&base), *sharing, "{context}");
+            publish(
+                &once,
+                &mut model,
+                &[Del(0, "x", 1), Add(rows + 1, "x", 0)],
+                context,
+            );
+        }
+    }
+
+    /// `2 * CHUNK_ROWS + 7` nodes (three chunks, the last holding seven
+    /// rows), labels x/y: edges 0 and 1 are parallel duplicates leaving the
+    /// first node, every other node has one out-edge, and the last edge is
+    /// a self-loop on the last node.
+    fn chunked_model() -> Model {
+        let n = 2 * CHUNK_ROWS + 7;
+        let mut edges = vec![(0, 0, 1), (0, 0, 1)];
+        edges.extend((1..n).map(|i| (i, i % 2, (i * 31 + 7) % n)));
+        edges.push((n - 1, 1, n - 1));
+        Model {
+            nodes: (0..n).map(|i| format!("n{i}")).collect(),
+            labels: vec!["x".into(), "y".into()],
+            edges,
+        }
     }
 
     #[test]
@@ -984,6 +1062,13 @@ mod tests {
 
     #[test]
     fn thirty_two_chained_epochs_stay_exact() {
+        chained_epochs(corner_model());
+        chained_epochs(chunked_model());
+    }
+
+    /// Thirty-two random publishes in a row over `model`, each checked
+    /// against a from-scratch build.
+    fn chained_epochs(mut model: Model) {
         // Dependency-free xorshift64*: the same walk on every run.
         let mut state = 0x9E37_79B9_7F4A_7C15u64;
         let mut below = |n: usize| {
@@ -994,7 +1079,7 @@ mod tests {
         };
         const NAMES: [&str; 4] = ["n0", "dup", "n3", "other"];
         const LABELS: [&str; 3] = ["x", "y", "w"];
-        let mut model = corner_model();
+        let first_nodes = model.nodes.len();
         let mut snapshot = Arc::new(model.build());
         for epoch in 0..32 {
             let mut ops = Vec::new();
@@ -1027,7 +1112,7 @@ mod tests {
             snapshot = publish(&snapshot, &mut model, &ops, &format!("epoch {epoch}"));
         }
         assert_eq!(snapshot.epoch(), 32);
-        assert!(snapshot.node_count() > 5 && snapshot.edge_count() > 0);
+        assert!(snapshot.node_count() > first_nodes && snapshot.edge_count() > 0);
     }
 
     #[test]

@@ -15,7 +15,8 @@
 //!   adjacency, label interning and node naming;
 //! * [`csr::CsrGraph`] — an immutable, cache-friendly snapshot; a first-class
 //!   backend for the traversal-heavy evaluation and learning code, stamped
-//!   with a version [`epoch`](csr::CsrGraph::epoch);
+//!   with a version [`epoch`](csr::CsrGraph::epoch), its adjacency held in
+//!   node-range chunks that consecutive epochs share;
 //! * [`delta::DeltaGraph`] — a mutable overlay (insertions + tombstoned
 //!   deletions) over a shared snapshot; [`compact`](delta::DeltaGraph::compact)
 //!   publishes the next epoch;

@@ -12,8 +12,11 @@
 //! [`RowSplice`] owns that bookkeeping (the part an off-by-one breaks): the
 //! caller walks its touched rows in ascending order, copies the ranges it is
 //! handed and reports each rewritten row's new length.  The snapshot
-//! compaction ([`crate::DeltaGraph::compact`]) and the label-index patch
-//! (`gps_exec::LabelIndex::apply_delta`) are both written against it.
+//! compaction ([`crate::DeltaGraph::compact`]) splices inside each adjacency
+//! chunk it rebuilds (chunk-local offsets, so a row's growth shifts nothing
+//! outside its chunk), and the label-index patch
+//! (`gps_exec::LabelIndex::apply_delta`) splices whole label partitions;
+//! both are written against it.
 
 use std::ops::Range;
 

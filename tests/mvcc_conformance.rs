@@ -4,7 +4,8 @@
 //!    through a [`DeltaGraph`] and [`compact`](DeltaGraph::compact)ed yields
 //!    a snapshot byte-identical to a from-scratch [`Graph`] → [`CsrGraph`]
 //!    build of the surviving edges (names, labels, adjacency order, edge
-//!    ids, both directions) — including across chained compactions.
+//!    ids, both directions) — including across chained compactions and on
+//!    bases that span several adjacency chunks.
 //! 2. **Pinned sessions are byte-stable.**  A session opened before a
 //!    publish replays exactly the transcript it would have produced had the
 //!    publish never happened, in both [`EvalMode`]s, while the publish
@@ -18,11 +19,13 @@ use gps_core::prelude::*;
 use gps_core::service::SessionManager;
 use gps_core::versioned::{GraphUpdate, VersionedStore};
 use gps_datasets::figure1::{figure1_graph, MOTIVATING_QUERY};
+use gps_graph::csr::CHUNK_ROWS;
 use gps_graph::delta::UpdateOp;
 use gps_graph::DeltaGraph;
 use gps_interactive::session::InteractionRecord;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use std::ops::RangeInclusive;
 use std::sync::Arc;
 
 const MODES: [EvalMode; 2] = [EvalMode::Frontier, EvalMode::Parallel];
@@ -110,17 +113,21 @@ fn assert_snapshots_identical(got: &CsrGraph, want: &CsrGraph, context: &str) {
     }
 }
 
-fn random_base(rng: &mut StdRng) -> Graph {
+fn random_base(
+    rng: &mut StdRng,
+    nodes: RangeInclusive<usize>,
+    edges: RangeInclusive<usize>,
+) -> Graph {
     let mut g = Graph::new();
     for label in ["x", "y", "z"] {
         g.label(label);
     }
-    let n = rng.gen_range(1..=10usize);
+    let n = rng.gen_range(nodes);
     for i in 0..n {
         // Deliberately collide some names so first-wins lookup is exercised.
         g.add_node(format!("n{}", i % 7));
     }
-    let m = rng.gen_range(0..=24usize);
+    let m = rng.gen_range(edges);
     for _ in 0..m {
         let s = NodeId::from(rng.gen_range(0..n));
         let t = NodeId::from(rng.gen_range(0..n));
@@ -181,9 +188,23 @@ fn random_op(rng: &mut StdRng, delta: &mut DeltaGraph, shadow: &mut Shadow, fres
 
 #[test]
 fn compacted_delta_graphs_equal_from_scratch_builds() {
-    let mut rng = StdRng::seed_from_u64(0x5EED_CAFE);
-    for trial in 0..40 {
-        let base = random_base(&mut rng);
+    chained_compactions(0x5EED_CAFE, 40, |rng| random_base(rng, 1..=10, 0..=24));
+}
+
+/// The same over bases of three adjacency chunks (the last one partial), so
+/// publishes splice some chunks, renumber others and share the rest.
+#[test]
+fn compactions_across_chunk_boundaries_equal_from_scratch_builds() {
+    let n = 2 * CHUNK_ROWS + 7;
+    chained_compactions(0xC4A2_7ED5, 6, |rng| random_base(rng, n..=n, 0..=3 * n));
+}
+
+/// `trials` random bases, each taken through four chained rounds of random
+/// ops and compaction, every round checked against a from-scratch build.
+fn chained_compactions(seed: u64, trials: usize, base_of: impl Fn(&mut StdRng) -> Graph) {
+    let mut rng = StdRng::seed_from_u64(seed);
+    for trial in 0..trials {
+        let base = base_of(&mut rng);
         let mut shadow = Shadow::from_graph(&base);
         let mut snapshot = Arc::new(CsrGraph::from_graph(&base));
         let mut fresh = 0usize;
