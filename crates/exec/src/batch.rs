@@ -53,9 +53,9 @@ impl BatchEvaluator {
         Self::from_parts(LabelIndex::from_backend(graph), LabelStats::compute(graph))
     }
 
-    /// Builds the evaluator from a CSR snapshot via its raw packed arrays.
+    /// Builds the evaluator from a CSR snapshot.
     pub fn from_csr(csr: &CsrGraph) -> Self {
-        Self::from_parts(LabelIndex::from_csr(csr), LabelStats::compute(csr))
+        Self::new(csr)
     }
 
     // `benchmark/src/shadow.rs:128,508` are the sole callers, and ordinary
