@@ -100,9 +100,9 @@ fn run(args: &[String]) -> Result<String, String> {
             let with_validation = !args.iter().any(|a| a == "--no-validation");
             let gps = Gps::new(load_graph(graph_spec)?);
             let report = if with_validation {
-                gps.interactive_with_validation(goal, 0)
+                gps.interactive_with_validation(goal)
             } else {
-                gps.interactive_without_validation(goal, 0)
+                gps.interactive_without_validation(goal)
             }
             .map_err(|e| e.to_string())?;
             let mut out = String::new();

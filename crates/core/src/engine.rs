@@ -10,8 +10,8 @@
 //!
 //! Construction goes through [`GpsBuilder`], which exposes every knob of the
 //! system in one place — node-proposal strategy, halt conditions, zoom radii,
-//! path-validation toggle, learner bounds and the evaluation stack's
-//! thresholds:
+//! path-validation toggle, learner bounds, cache capacity, checkpointing and
+//! telemetry:
 //!
 //! ```
 //! use gps_core::{Engine, StrategyChoice};
@@ -26,18 +26,19 @@
 //!
 //! let answer = engine.evaluate(MOTIVATING_QUERY).unwrap();
 //! assert!(answer.contains(ids.n2));
-//! let report = engine.interactive_with_validation(MOTIVATING_QUERY, 0).unwrap();
+//! let report = engine.interactive_with_validation(MOTIVATING_QUERY).unwrap();
 //! assert!(report.goal_reached);
 //! ```
 //!
-//! There is one execution path.  `gps_rpq::NaiveEvaluator`, the
+//! There is one execution path, one query at a time, with the planner's
+//! default thresholds and over-delete budget.  `gps_rpq::NaiveEvaluator`, the
 //! node-at-a-time reference, is the oracle the conformance suites compare
 //! this engine against — not a mode of it.
 
 use crate::error::GpsError;
 use crate::render;
 use crate::scenario::{self, ScenarioReport, StaticLabelingOutcome};
-use gps_exec::{BatchEvaluator, ExecMetrics, LabelIndex, PlannerConfig, DEFAULT_OVERDELETE_LIMIT};
+use gps_exec::{BatchEvaluator, ExecMetrics, LabelIndex, PlannerConfig};
 use gps_graph::{
     CsrGraph, Graph, GraphBackend, GraphDelta, Neighborhood, NodeId, PathEnumerator, PrefixTree,
 };
@@ -53,17 +54,14 @@ use gps_telemetry::MetricsRegistry;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-/// How multi-query calls are executed.  Single evaluations, sessions and
-/// publishes are identical under both; the conformance suites assert
-/// byte-identical answers.
+// Kept only for `benchmark/src/service.rs:9,32`, which pins `Frontier`
+// through `GpsBuilder::eval_mode`; `benchmark/` changes only together with
+// its contract, and the next change to it drops the call and this.
+#[doc(hidden)]
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum EvalMode {
-    /// Batches run on the calling thread, sharing one scratch allocation.
     #[default]
     Frontier,
-    /// Batches such as [`Engine::evaluate_many`] fan their cache misses out
-    /// across scoped worker threads.
-    Parallel,
 }
 
 /// Which node-proposal strategy the engine runs interactive sessions with.
@@ -102,10 +100,7 @@ pub struct GpsBuilder {
     /// The session configuration; its embedded learner is the engine's.
     session: SessionConfig,
     strategy: StrategyChoice,
-    eval_mode: EvalMode,
-    planner: PlannerConfig,
     cache_capacity: Option<usize>,
-    delete_saturation: f64,
     checkpoint_every: u64,
     metrics: Arc<MetricsRegistry>,
 }
@@ -117,10 +112,7 @@ impl GpsBuilder {
             graph,
             session: SessionConfig::default(),
             strategy: StrategyChoice::default(),
-            eval_mode: EvalMode::default(),
-            planner: PlannerConfig::default(),
             cache_capacity: None,
-            delete_saturation: DEFAULT_OVERDELETE_LIMIT,
             checkpoint_every: crate::versioned::CheckpointPolicy::default().every_n_publishes,
             metrics: Arc::new(MetricsRegistry::disabled()),
         }
@@ -181,18 +173,9 @@ impl GpsBuilder {
         self
     }
 
-    /// Chooses how multi-query batches are executed (see [`EvalMode`]).
-    pub fn eval_mode(mut self, mode: EvalMode) -> Self {
-        self.eval_mode = mode;
-        self
-    }
-
-    /// Replaces the direction-aware planner's decision thresholds (defaults
-    /// to [`PlannerConfig::default`], the values hand-tuned
-    /// on the checked-in corpora).  Calibrate per corpus when the label
-    /// distribution differs sharply from the defaults' assumptions.
-    pub fn planner_config(mut self, config: PlannerConfig) -> Self {
-        self.planner = config;
+    // See `EvalMode`: kept for `benchmark/src/service.rs:32` alone.
+    #[doc(hidden)]
+    pub fn eval_mode(self, _: EvalMode) -> Self {
         self
     }
 
@@ -200,18 +183,6 @@ impl GpsBuilder {
     /// cache (defaults to [`gps_rpq::cache::DEFAULT_CAPACITY`]).
     pub fn cache_capacity(mut self, capacity: usize) -> Self {
         self.cache_capacity = Some(capacity);
-        self
-    }
-
-    /// Caps how much of the alive configuration population a removal-bearing
-    /// publish may transitively over-delete before the Tier-3 delete-reseed
-    /// gives up and the touched answer falls back to a cold recompute
-    /// (clamped to `0.0..=1.0`, default
-    /// [`gps_exec::DEFAULT_OVERDELETE_LIMIT`]).  `0.0` disables the delete
-    /// path entirely — every removal recomputes cold, the pre-Tier-3
-    /// behavior — and `1.0` never gives up.
-    pub fn delete_reseed_saturation(mut self, fraction: f64) -> Self {
-        self.delete_saturation = fraction.clamp(0.0, 1.0);
         self
     }
 
@@ -266,20 +237,13 @@ impl GpsBuilder {
         let started = Instant::now();
         let evaluator = BatchEvaluator::from_csr(&snapshot);
         exec_metrics.index_build.record_duration(started.elapsed());
-        let mut evaluator = evaluator
-            .with_planner_config(self.planner)
-            .with_metrics(exec_metrics)
-            .with_overdelete_limit(self.delete_saturation);
-        if self.eval_mode == EvalMode::Parallel {
-            evaluator = evaluator.with_parallelism(BatchEvaluator::default_threads());
-        }
+        let evaluator = evaluator.with_metrics(exec_metrics);
         Engine::over(
             snapshot,
             evaluator,
             Arc::new(EngineOptions {
                 session: self.session,
                 strategy: self.strategy,
-                eval_mode: self.eval_mode,
                 cache_capacity: self.cache_capacity,
                 metrics: self.metrics,
             }),
@@ -301,16 +265,14 @@ impl GpsBuilder {
 }
 
 /// The configuration shared by every clone and session of one engine — and
-/// by every *epoch* of a live store.  The evaluator's own knobs (planner
-/// thresholds, batch fan-out, over-delete cap, telemetry handles) travel
-/// inside the [`BatchEvaluator`], which carries them across
+/// by every *epoch* of a live store.  The evaluator's telemetry handles
+/// travel inside the [`BatchEvaluator`], which carries them across
 /// [`apply_delta`](BatchEvaluator::apply_delta).
 #[derive(Debug)]
 struct EngineOptions {
     /// The session configuration, its embedded learner being the engine's.
     session: SessionConfig,
     strategy: StrategyChoice,
-    eval_mode: EvalMode,
     cache_capacity: Option<usize>,
     metrics: Arc<MetricsRegistry>,
 }
@@ -332,8 +294,8 @@ pub(crate) struct Advanced {
 /// scenarios the demo paper describes, all over one shared snapshot, label
 /// index and bounded evaluation cache.
 ///
-/// Cloning an `Engine` copies `Arc`s and the evaluator's few knobs — nothing
-/// graph-sized — so a clone is the handle to give a worker thread or a
+/// Cloning an `Engine` copies `Arc`s and the evaluator's telemetry handles —
+/// nothing graph-sized — so a clone is the handle to give a worker thread or a
 /// [`crate::service::SessionManager`].  All mutability lives in
 /// per-session state ([`Session`] owns its examples, coverage, pruning and
 /// statistics) and inside the concurrency-safe cache.
@@ -460,15 +422,13 @@ impl Engine {
         self.evaluator.index().memory_bytes()
     }
 
-    /// How multi-query batches are executed.
-    pub fn eval_mode(&self) -> EvalMode {
-        self.options.eval_mode
-    }
-
-    /// The planner thresholds the evaluator of this engine (and of every
-    /// epoch advanced from it) runs with.
+    // Kept only for `benchmark/src/shadow.rs:129`, which hands the value to
+    // the no-op `BatchEvaluator::with_planner_config`; the evaluator always
+    // plans with the default.  The next change to `benchmark/` drops the
+    // call and this.
+    #[doc(hidden)]
     pub fn planner_config(&self) -> PlannerConfig {
-        self.evaluator.planner_config()
+        PlannerConfig::default()
     }
 
     /// The configured node-proposal strategy.
@@ -508,11 +468,8 @@ impl Engine {
     }
 
     /// Parses and evaluates a batch of queries, returning the answers in
-    /// input order.
-    ///
-    /// Cache misses are handed to the evaluator in one batch call: under
-    /// [`EvalMode::Parallel`] they fan out across worker threads, under
-    /// [`EvalMode::Frontier`] they share one scratch allocation.
+    /// input order.  Cache misses are handed to the evaluator in one batch
+    /// call, which runs them in turn over one scratch allocation.
     pub fn evaluate_many(&self, syntaxes: &[&str]) -> Result<Vec<QueryAnswer>, GpsError> {
         let queries: Vec<PathQuery> = syntaxes
             .iter()
@@ -627,7 +584,6 @@ impl Engine {
     pub fn interactive_without_validation(
         &self,
         goal_syntax: &str,
-        _seed: u64,
     ) -> Result<ScenarioReport, GpsError> {
         self.interactive(goal_syntax, false)
     }
@@ -638,7 +594,6 @@ impl Engine {
     pub fn interactive_with_validation(
         &self,
         goal_syntax: &str,
-        _seed: u64,
     ) -> Result<ScenarioReport, GpsError> {
         self.interactive(goal_syntax, true)
     }
@@ -733,12 +688,10 @@ mod tests {
             gps.static_labeling(&[(ids.n2, Label::Positive), (ids.n5, Label::Negative)]);
         assert!(matches!(static_outcome, StaticLabelingOutcome::Learned(_)));
 
-        let report = gps
-            .interactive_with_validation(MOTIVATING_QUERY, 0)
-            .unwrap();
+        let report = gps.interactive_with_validation(MOTIVATING_QUERY).unwrap();
         assert!(report.goal_reached);
         let report2 = gps
-            .interactive_without_validation(MOTIVATING_QUERY, 0)
+            .interactive_without_validation(MOTIVATING_QUERY)
             .unwrap();
         assert!(report2.consistent_with_labels);
     }
@@ -790,7 +743,7 @@ mod tests {
             })
             .build();
         let report = engine
-            .interactive_with_validation(MOTIVATING_QUERY, 0)
+            .interactive_with_validation(MOTIVATING_QUERY)
             .unwrap();
         assert_eq!(report.interactions, 1, "budget knob must reach sessions");
     }
@@ -809,23 +762,17 @@ mod tests {
     }
 
     #[test]
-    fn the_engine_answers_like_the_naive_oracle_in_both_modes() {
+    fn the_engine_answers_like_the_naive_oracle() {
         let (graph, _) = figure1_graph();
         let oracle = NaiveEvaluator::new(&graph);
-        let default = Engine::builder(graph.clone()).build();
-        assert_eq!(default.eval_mode(), EvalMode::Frontier, "default mode");
-        let parallel = Engine::builder(graph.clone())
-            .eval_mode(EvalMode::Parallel)
-            .build();
-        assert_eq!(parallel.eval_mode(), EvalMode::Parallel);
+        let engine = Engine::builder(graph.clone()).build();
         for syntax in [MOTIVATING_QUERY, "cinema", "bus", "(tram+bus)*"] {
             let query = PathQuery::parse(syntax, graph.labels()).unwrap();
             let expected = oracle.evaluate_dfa(query.dfa());
-            assert_eq!(default.evaluate(syntax).unwrap(), expected, "{syntax}");
-            assert_eq!(parallel.evaluate(syntax).unwrap(), expected, "{syntax}");
+            assert_eq!(engine.evaluate(syntax).unwrap(), expected, "{syntax}");
         }
         assert_eq!(
-            default.evaluate_rendered(MOTIVATING_QUERY).unwrap(),
+            engine.evaluate_rendered(MOTIVATING_QUERY).unwrap(),
             "{N1, N2, N4, N6}"
         );
     }
@@ -858,15 +805,13 @@ mod tests {
             .map(|q| PathQuery::parse(q, graph.labels()).unwrap())
             .map(|q| oracle.evaluate_dfa(q.dfa()).nodes())
             .collect();
-        for mode in [EvalMode::Frontier, EvalMode::Parallel] {
-            let engine = Engine::builder(graph.clone()).eval_mode(mode).build();
-            let answers = engine.evaluate_many(&queries).unwrap();
-            assert_eq!(answers.len(), queries.len());
-            for (answer, expected) in answers.iter().zip(&expected) {
-                assert_eq!(&answer.nodes(), expected, "{mode:?}");
-            }
-            assert!(engine.evaluate_many(&["(bus"]).is_err(), "{mode:?}");
+        let engine = Engine::builder(graph).build();
+        let answers = engine.evaluate_many(&queries).unwrap();
+        assert_eq!(answers.len(), queries.len());
+        for (answer, expected) in answers.iter().zip(&expected) {
+            assert_eq!(&answer.nodes(), expected);
         }
+        assert!(engine.evaluate_many(&["(bus"]).is_err());
     }
 
     #[test]

@@ -13,7 +13,7 @@
 //!   clone and session.  Evaluate queries, render neighborhoods and prefix
 //!   trees, run interactive sessions and the three demonstration scenarios;
 //! * [`GpsBuilder`] — one place to choose the node-proposal strategy, the
-//!   halt conditions and the zoom/validation/evaluation options;
+//!   halt conditions, the zoom/validation options and the cache capacity;
 //! * [`GpsError`] — the typed error unifying the per-layer error enums;
 //! * [`render`] — the textual "visualization" layer standing in for the demo
 //!   GUI (Figure 3(a)–(c) of the paper);
@@ -47,7 +47,7 @@
 //!
 //! // Run the full interactive scenario against a simulated user who has the
 //! // motivating query in mind.
-//! let report = engine.interactive_with_validation(MOTIVATING_QUERY, 0).unwrap();
+//! let report = engine.interactive_with_validation(MOTIVATING_QUERY).unwrap();
 //! assert!(report.goal_reached);
 //! ```
 
@@ -84,7 +84,7 @@ pub use gps_telemetry as telemetry;
 /// use gps_core::prelude::*;
 /// ```
 pub mod prelude {
-    pub use crate::engine::{Engine, EngineCore, EvalMode, Gps, GpsBuilder, StrategyChoice};
+    pub use crate::engine::{Engine, EngineCore, Gps, GpsBuilder, StrategyChoice};
     pub use crate::error::GpsError;
     pub use crate::scenario::{ScenarioReport, StaticLabelingOutcome};
     pub use crate::service::{ServiceStats, SessionId, SessionManager, SessionStatus};

@@ -205,7 +205,7 @@ mod tests {
     #[test]
     fn with_validation_reaches_the_goal() {
         let report = Engine::new(figure1_graph().0)
-            .interactive_with_validation(MOTIVATING_QUERY, 0)
+            .interactive_with_validation(MOTIVATING_QUERY)
             .unwrap();
         assert!(report.goal_reached, "report: {report:?}");
         assert!(report.consistent_with_labels);
@@ -217,7 +217,7 @@ mod tests {
     #[test]
     fn reports_serialize() {
         let report = Engine::new(figure1_graph().0)
-            .interactive_with_validation(MOTIVATING_QUERY, 0)
+            .interactive_with_validation(MOTIVATING_QUERY)
             .unwrap();
         let json = serde_json::to_string(&report).unwrap();
         assert!(json.contains("interactive+validation"));
@@ -226,7 +226,7 @@ mod tests {
     #[test]
     fn without_validation_is_consistent_but_may_differ_from_goal() {
         let report = Engine::new(figure1_graph().0)
-            .interactive_without_validation(MOTIVATING_QUERY, 0)
+            .interactive_without_validation(MOTIVATING_QUERY)
             .unwrap();
         assert!(report.consistent_with_labels);
         assert_eq!(report.scenario, "interactive");

@@ -365,7 +365,7 @@ impl VersionedStore {
     ///
     /// On a fresh directory the builder's graph becomes the base checkpoint.
     /// On an existing one the builder contributes only its configuration
-    /// (batch mode, planner, session knobs, checkpoint policy) — the
+    /// (session knobs, cache capacity, checkpoint policy, telemetry) — the
     /// graph state comes from the latest checkpoint plus a replay of every
     /// committed write-ahead-log batch, each applied through the same
     /// delta/advance machinery as a live publish.  Torn or uncommitted log
@@ -802,46 +802,44 @@ impl VersionedStore {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::engine::{Engine, EvalMode};
+    use crate::engine::Engine;
     use gps_datasets::figure1::{figure1_graph, MOTIVATING_QUERY};
 
-    fn store(mode: EvalMode) -> VersionedStore {
+    fn store() -> VersionedStore {
         let (graph, _) = figure1_graph();
-        VersionedStore::new(Engine::builder(graph).eval_mode(mode).build())
+        VersionedStore::new(Engine::builder(graph).build())
     }
 
     #[test]
     fn publish_advances_the_epoch_and_new_readers_see_it() {
-        for mode in [EvalMode::Frontier, EvalMode::Parallel] {
-            let store = store(mode);
-            assert_eq!(store.current_epoch(), 0);
-            let before = store.latest().evaluate(MOTIVATING_QUERY).unwrap();
+        let store = store();
+        assert_eq!(store.current_epoch(), 0);
+        let before = store.latest().evaluate(MOTIVATING_QUERY).unwrap();
 
-            // N9 gains a cinema: bus(N5->N9 exists? no — build our own hop).
-            let report = store
-                .update(
-                    GraphUpdate::new()
-                        .add_node("C9")
-                        .add_edge("N5", "cinema", "C9"),
-                )
-                .unwrap();
-            assert_eq!(report.epoch, 1, "{mode:?}");
-            assert_eq!(report.added_nodes, 1);
-            assert_eq!(report.added_edges, 1);
-            assert_eq!(store.current_epoch(), 1);
-            assert_eq!(store.live_epochs(), 1, "epoch 0 had no pins: retired");
-            assert_eq!(report.retired_epochs, 1);
+        // N9 gains a cinema: bus(N5->N9 exists? no — build our own hop).
+        let report = store
+            .update(
+                GraphUpdate::new()
+                    .add_node("C9")
+                    .add_edge("N5", "cinema", "C9"),
+            )
+            .unwrap();
+        assert_eq!(report.epoch, 1);
+        assert_eq!(report.added_nodes, 1);
+        assert_eq!(report.added_edges, 1);
+        assert_eq!(store.current_epoch(), 1);
+        assert_eq!(store.live_epochs(), 1, "epoch 0 had no pins: retired");
+        assert_eq!(report.retired_epochs, 1);
 
-            let after = store.latest().evaluate(MOTIVATING_QUERY).unwrap();
-            let n5 = store.latest().snapshot().node_by_name("N5").unwrap();
-            assert!(after.contains(n5), "N5 now reaches a cinema ({mode:?})");
-            assert!(!before.contains(n5));
-        }
+        let after = store.latest().evaluate(MOTIVATING_QUERY).unwrap();
+        let n5 = store.latest().snapshot().node_by_name("N5").unwrap();
+        assert!(after.contains(n5), "N5 now reaches a cinema");
+        assert!(!before.contains(n5));
     }
 
     #[test]
     fn pinned_epochs_survive_a_publish_and_retire_on_unpin() {
-        let store = store(EvalMode::Frontier);
+        let store = store();
         let pinned = store.pin_latest();
         assert_eq!(pinned.epoch(), 0);
         store.update(GraphUpdate::new().add_node("X9")).unwrap();
@@ -858,7 +856,7 @@ mod tests {
 
     #[test]
     fn failed_publishes_are_all_or_nothing() {
-        let store = store(EvalMode::Frontier);
+        let store = store();
         let result = store.update(
             GraphUpdate::new()
                 .add_edge("N1", "bus", "N2")
@@ -873,7 +871,7 @@ mod tests {
 
     #[test]
     fn empty_publish_is_a_noop() {
-        let store = store(EvalMode::Frontier);
+        let store = store();
         let report = store.publish().unwrap();
         assert_eq!(report.epoch, 0);
         assert_eq!(report.added_edges, 0);
@@ -882,7 +880,7 @@ mod tests {
 
     #[test]
     fn frontier_epochs_share_untouched_index_partitions() {
-        let store = store(EvalMode::Frontier);
+        let store = store();
         let old = store.latest();
         let old_index = old.shared_index();
         store
@@ -947,7 +945,7 @@ mod tests {
 
     #[test]
     fn publish_inherits_the_bounded_word_index() {
-        let store = store(EvalMode::Frontier);
+        let store = store();
         let old = store.latest();
         old.eval_cache().bounded_words(3);
         store

@@ -109,7 +109,7 @@ pub fn transport_workload(graph: &Graph) -> QueryWorkload {
 }
 
 /// A multi-query *batch* workload of `count` structurally varied queries —
-/// the input shape of the `gps-exec` batch/parallel execution engine and of
+/// the input shape of the `gps-exec` batch entry points and of
 /// the batch benchmarks.
 ///
 /// Queries are generated deterministically by rotating through the graph's

@@ -1,13 +1,11 @@
 //! The batch execution engine — one index, many queries.
 //!
 //! [`BatchEvaluator`] snapshots a graph into the label-partitioned
-//! [`LabelIndex`] once and then serves any number of queries over it:
-//! single evaluations, shared-scratch sequential batches
-//! ([`evaluate_many`](BatchEvaluator::evaluate_many)), an opt-in scoped
-//! `std::thread` parallel batch
-//! ([`evaluate_many_parallel`](BatchEvaluator::evaluate_many_parallel)), and
-//! direction-aware multi-source membership checks
-//! ([`evaluate_sources`](BatchEvaluator::evaluate_sources)).
+//! [`LabelIndex`] once and then serves any number of queries over it, one
+//! at a time: single evaluations, sequential batches sharing one scratch
+//! allocation ([`evaluate_many`](BatchEvaluator::evaluate_many)), resumes
+//! across a graph delta, and forward early-exit membership checks
+//! ([`selects`](BatchEvaluator::selects)).
 //!
 //! It implements [`DfaEvaluator`], which is how the `gps-rpq` evaluation
 //! cache — and through it the whole `gps-core` engine, sessions, learner and
@@ -23,13 +21,7 @@ use crate::planner::{self, Plan, PlanDecision, PlannerConfig};
 use gps_automata::Dfa;
 use gps_graph::{CsrGraph, GraphBackend, GraphDelta, LabelStats, NodeId, Path};
 use gps_rpq::{DfaEvaluator, EvalResume, PathQuery, QueryAnswer};
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
-
-/// Source-count threshold (relative to `node_count`) below which
-/// multi-source checks run per-source forward searches instead of one global
-/// fixed point.
-const FORWARD_SOURCE_FRACTION: usize = 16;
 
 /// A frontier-based batch evaluator bound to one graph snapshot.
 ///
@@ -40,10 +32,7 @@ const FORWARD_SOURCE_FRACTION: usize = 16;
 pub struct BatchEvaluator {
     index: Arc<LabelIndex>,
     stats: LabelStats,
-    planner: PlannerConfig,
     plan_override: Option<Plan>,
-    parallelism: Option<usize>,
-    overdelete_limit: f64,
     metrics: ExecMetrics,
 }
 
@@ -71,10 +60,7 @@ impl BatchEvaluator {
         Self {
             index,
             stats,
-            planner: PlannerConfig::default(),
             plan_override: None,
-            parallelism: None,
-            overdelete_limit: DEFAULT_OVERDELETE_LIMIT,
             metrics: ExecMetrics::disabled(),
         }
     }
@@ -94,10 +80,7 @@ impl BatchEvaluator {
         Self {
             index: Arc::new(index),
             stats,
-            planner: self.planner,
             plan_override: self.plan_override,
-            parallelism: self.parallelism,
-            overdelete_limit: self.overdelete_limit,
             metrics: self.metrics.clone(),
         }
     }
@@ -113,40 +96,13 @@ impl BatchEvaluator {
         self
     }
 
-    /// Replaces the planner's decision thresholds (defaults:
-    /// [`PlannerConfig::default`]).
-    pub fn with_planner_config(mut self, config: PlannerConfig) -> Self {
-        self.planner = config;
+    // Kept only for `benchmark/src/shadow.rs:129`, which passes
+    // `Engine::planner_config` (always the default) and so is ignored: the
+    // planner always runs `PlannerConfig::default()`.  The next change to
+    // `benchmark/` drops the call and this.
+    #[doc(hidden)]
+    pub fn with_planner_config(self, _config: PlannerConfig) -> Self {
         self
-    }
-
-    /// The planner thresholds in effect.
-    pub fn planner_config(&self) -> PlannerConfig {
-        self.planner
-    }
-
-    /// Enables the parallel executor for batch entry points: batches are
-    /// fanned out over up to `threads` scoped worker threads.
-    pub fn with_parallelism(mut self, threads: usize) -> Self {
-        self.parallelism = Some(threads.max(1));
-        self
-    }
-
-    /// Caps the delete-aware resume's over-deletion at `limit` (a fraction
-    /// of the alive configuration population, clamped to `0.0..=1.0`;
-    /// default [`DEFAULT_OVERDELETE_LIMIT`]).  Past the cap a removal-bearing
-    /// [`evaluate_dfa_resumed`](DfaEvaluator::evaluate_dfa_resumed) returns
-    /// `None` and the caller cold-recomputes — `0.0` disables the delete
-    /// path entirely, `1.0` never gives up.  Carried across epochs by
-    /// [`apply_delta`](Self::apply_delta).
-    pub fn with_overdelete_limit(mut self, limit: f64) -> Self {
-        self.overdelete_limit = limit.clamp(0.0, 1.0);
-        self
-    }
-
-    /// The over-deletion cap in effect.
-    pub fn overdelete_limit(&self) -> f64 {
-        self.overdelete_limit
     }
 
     /// Installs pre-bound telemetry handles (default:
@@ -179,14 +135,9 @@ impl BatchEvaluator {
         &self.stats
     }
 
-    /// The configured worker-thread count, if the parallel executor is on.
-    pub fn parallelism(&self) -> Option<usize> {
-        self.parallelism
-    }
-
     /// The plan the evaluator would run `dfa` with, and why.
     pub fn plan_for(&self, dfa: &Dfa) -> PlanDecision {
-        let mut decision = planner::plan_with(&self.stats, dfa, self.planner);
+        let mut decision = planner::plan(&self.stats, dfa);
         if let Some(plan) = self.plan_override {
             decision.plan = plan;
         }
@@ -232,99 +183,13 @@ impl BatchEvaluator {
         (answer, resume)
     }
 
-    /// Runs `eval` over every query of the batch on up to `threads` scoped
-    /// worker threads, each with its own scratch, sharing the read-only index
-    /// (results in input order).  Every worker repeatedly claims the next
-    /// unprocessed query off one shared atomic cursor, so a worker that drew
-    /// cheap queries keeps pulling work while another grinds through an
-    /// expensive one.  The worker count is clamped to the batch size and a
-    /// one-worker request runs inline — no scoped thread is ever spawned just
-    /// to drain the whole cursor by itself.
-    fn fan_out<T: Send>(
-        &self,
-        dfas: &[&Dfa],
-        threads: usize,
-        eval: impl Fn(&Self, &Dfa, &mut Scratch) -> T + Sync,
-    ) -> Vec<T> {
-        let threads = threads.clamp(1, dfas.len().max(1));
-        if threads == 1 {
-            let mut scratch = Scratch::default();
-            return dfas
-                .iter()
-                .map(|dfa| eval(self, dfa, &mut scratch))
-                .collect();
-        }
-        let cursor = AtomicUsize::new(0);
-        let mut results: Vec<Option<T>> = dfas.iter().map(|_| None).collect();
-        std::thread::scope(|scope| {
-            let (cursor, eval) = (&cursor, &eval);
-            let handles: Vec<_> = (0..threads)
-                .map(|_| {
-                    scope.spawn(move || {
-                        let mut scratch = Scratch::default();
-                        let mut answered = Vec::new();
-                        loop {
-                            let i = cursor.fetch_add(1, Ordering::Relaxed);
-                            if i >= dfas.len() {
-                                break;
-                            }
-                            answered.push((i, eval(self, dfas[i], &mut scratch)));
-                        }
-                        answered
-                    })
-                })
-                .collect();
-            for handle in handles {
-                for (i, outcome) in handle.join().expect("batch worker panicked") {
-                    results[i] = Some(outcome);
-                }
-            }
-        });
-        results
-            .into_iter()
-            .map(|r| r.expect("the cursor visits every query exactly once"))
-            .collect()
-    }
-
     /// Evaluates a batch sequentially, sharing one scratch allocation across
     /// all queries (answers in input order).
     pub fn evaluate_many(&self, dfas: &[&Dfa]) -> Vec<QueryAnswer> {
-        self.fan_out(dfas, 1, Self::evaluate_scratch)
-    }
-
-    /// Evaluates a batch on up to `threads` scoped worker threads (answers in
-    /// input order).
-    pub fn evaluate_many_parallel(&self, dfas: &[&Dfa], threads: usize) -> Vec<QueryAnswer> {
-        self.fan_out(dfas, threads, Self::evaluate_scratch)
-    }
-
-    /// Default worker-thread count for the parallel executor.
-    pub fn default_threads() -> usize {
-        std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1)
-    }
-
-    /// Direction-aware multi-source membership: returns, for each source,
-    /// whether it is selected by `dfa`.
-    ///
-    /// A handful of sources runs as per-source *forward* searches with early
-    /// exit; source sets that are a sizable fraction of the graph fall back
-    /// to one global (reverse/bidirectional) fixed point answering them all.
-    pub fn evaluate_sources(&self, dfa: &Dfa, sources: &[NodeId]) -> Vec<bool> {
-        let n = self.index.node_count();
-        if sources.len() * FORWARD_SOURCE_FRACTION <= n {
-            sources
-                .iter()
-                .map(|&source| selects_from(&self.index, dfa, source.index()))
-                .collect()
-        } else {
-            let answer = self.evaluate(dfa);
-            sources
-                .iter()
-                .map(|&source| answer.contains(source))
-                .collect()
-        }
+        let mut scratch = Scratch::default();
+        dfas.iter()
+            .map(|dfa| self.evaluate_scratch(dfa, &mut scratch))
+            .collect()
     }
 
     /// Forward early-exit membership check for one node.
@@ -339,7 +204,7 @@ impl DfaEvaluator for BatchEvaluator {
     }
 
     fn evaluate_dfas(&self, dfas: &[&Dfa]) -> Vec<QueryAnswer> {
-        self.evaluate_many_parallel(dfas, self.parallelism.unwrap_or(1))
+        self.evaluate_many(dfas)
     }
 
     fn evaluate_dfa_captured(&self, dfa: &Dfa) -> (QueryAnswer, Option<EvalResume>) {
@@ -347,11 +212,10 @@ impl DfaEvaluator for BatchEvaluator {
     }
 
     fn evaluate_dfas_captured(&self, dfas: &[&Dfa]) -> Vec<(QueryAnswer, Option<EvalResume>)> {
-        self.fan_out(
-            dfas,
-            self.parallelism.unwrap_or(1),
-            Self::evaluate_captured_scratch,
-        )
+        let mut scratch = Scratch::default();
+        dfas.iter()
+            .map(|dfa| self.evaluate_captured_scratch(dfa, &mut scratch))
+            .collect()
     }
 
     fn evaluate_dfa_resumed(
@@ -365,7 +229,7 @@ impl DfaEvaluator for BatchEvaluator {
             rounds,
             overdeleted,
             seed,
-        } = resume(&self.index, dfa, seed, delta, self.overdelete_limit)?;
+        } = resume(&self.index, dfa, seed, delta, DEFAULT_OVERDELETE_LIMIT)?;
         // Counted as an evaluation (its rounds are the delta-restricted
         // sweeps); latency is attributed by the caller's reseed histogram,
         // not the cold-eval one.
@@ -430,37 +294,6 @@ mod tests {
     }
 
     #[test]
-    fn parallel_matches_sequential_in_order() {
-        let g = sample();
-        let dfas = queries(&g);
-        let refs: Vec<&Dfa> = dfas.iter().collect();
-        let evaluator = BatchEvaluator::new(&g);
-        let sequential = evaluator.evaluate_many(&refs);
-        for threads in [1, 2, 3, 8] {
-            assert_eq!(
-                evaluator.evaluate_many_parallel(&refs, threads),
-                sequential,
-                "x{threads}"
-            );
-        }
-    }
-
-    #[test]
-    fn work_stealing_preserves_order_on_large_heterogeneous_batches() {
-        // More queries than threads, duplicated in shuffled positions, so the
-        // cursor hands different slices to different workers across runs;
-        // output order must always match input order.
-        let g = sample();
-        let evaluator = BatchEvaluator::new(&g);
-        let base = queries(&g);
-        let many: Vec<&Dfa> = (0..37).map(|i| &base[i % base.len()]).collect();
-        let expected = evaluator.evaluate_many(&many);
-        for _ in 0..5 {
-            assert_eq!(evaluator.evaluate_many_parallel(&many, 4), expected);
-        }
-    }
-
-    #[test]
     fn shared_index_is_one_allocation() {
         let g = sample();
         let evaluator = BatchEvaluator::new(&g);
@@ -497,64 +330,6 @@ mod tests {
                 a.is_some(),
                 "{node}"
             );
-        }
-    }
-
-    #[test]
-    fn trait_batch_honors_parallelism_knob() {
-        let g = sample();
-        let dfas = queries(&g);
-        let refs: Vec<&Dfa> = dfas.iter().collect();
-        let sequential = BatchEvaluator::new(&g).evaluate_dfas(&refs);
-        let parallel = BatchEvaluator::new(&g)
-            .with_parallelism(4)
-            .evaluate_dfas(&refs);
-        assert_eq!(sequential, parallel);
-        assert_eq!(
-            BatchEvaluator::new(&g).with_parallelism(0).parallelism(),
-            Some(1),
-            "thread count is clamped to at least one"
-        );
-    }
-
-    #[test]
-    fn evaluate_sources_agrees_with_global_answer() {
-        // The 4-node sample is below the forward-path threshold for any
-        // source count, so both calls here take the global branch…
-        let g = sample();
-        let evaluator = BatchEvaluator::new(&g);
-        let dfas = queries(&g);
-        let all: Vec<NodeId> = (0..g.node_count()).map(NodeId::from).collect();
-        for dfa in &dfas {
-            let expected = evaluator.evaluate(dfa);
-            let few = evaluator.evaluate_sources(dfa, &all[..1]);
-            assert_eq!(few[0], expected.contains(all[0]));
-            let many = evaluator.evaluate_sources(dfa, &all);
-            for (node, selected) in all.iter().zip(many) {
-                assert_eq!(selected, expected.contains(*node));
-            }
-        }
-
-        // …while a chain long enough that 1 source × FORWARD_SOURCE_FRACTION
-        // fits within the node count exercises the per-source forward search.
-        let mut chain = Graph::new();
-        let nodes: Vec<NodeId> = (0..(2 * FORWARD_SOURCE_FRACTION))
-            .map(|i| chain.add_node(format!("c{i}")))
-            .collect();
-        for window in nodes.windows(2) {
-            chain.add_edge_by_name(window[0], "step", window[1]);
-        }
-        let step = chain.label_id("step").unwrap();
-        let dfa = Dfa::from_regex(&Regex::concat([
-            Regex::star(Regex::symbol(step)),
-            Regex::symbol(step),
-        ]));
-        let evaluator = BatchEvaluator::new(&chain);
-        let expected = evaluator.evaluate(&dfa);
-        let probes = [nodes[0], *nodes.last().unwrap()];
-        assert!(probes.len() * FORWARD_SOURCE_FRACTION <= chain.node_count());
-        for (node, selected) in probes.iter().zip(evaluator.evaluate_sources(&dfa, &probes)) {
-            assert_eq!(selected, expected.contains(*node), "forward path {node}");
         }
     }
 
@@ -631,7 +406,7 @@ mod tests {
 
         let g = sample();
         let base = Arc::new(CsrGraph::from_graph(&g));
-        let old = BatchEvaluator::from_csr(&base).with_parallelism(2);
+        let old = BatchEvaluator::from_csr(&base);
         let mut delta = DeltaGraph::new(Arc::clone(&base));
         let n2 = delta.node_by_name("N2").unwrap();
         let c1 = delta.node_by_name("C1").unwrap();
@@ -647,7 +422,6 @@ mod tests {
         let patched = old.apply_delta(&compacted, &summary);
         let fresh = BatchEvaluator::from_csr(&compacted);
         assert_eq!(patched.stats(), fresh.stats());
-        assert_eq!(patched.parallelism(), Some(2), "knobs carry over");
         for dfa in queries(&g) {
             assert_eq!(patched.evaluate(&dfa), fresh.evaluate(&dfa));
             assert_eq!(
@@ -659,43 +433,17 @@ mod tests {
     }
 
     #[test]
-    fn planner_config_knob_reaches_plan_for() {
+    fn captured_batch_matches_single_captures() {
+        // The batch shares one scratch across queries; nothing may leak from
+        // one query's fixed point into the next.
         let g = sample();
-        let dfa = Dfa::from_regex(&Regex::symbol(g.label_id("bus").unwrap()));
-        let default = BatchEvaluator::new(&g);
-        assert_eq!(
-            default.planner_config(),
-            crate::planner::PlannerConfig::default()
-        );
-        let push_all = BatchEvaluator::new(&g).with_planner_config(crate::planner::PlannerConfig {
-            push_coverage: 1.1,
-            ..Default::default()
-        });
-        assert_eq!(push_all.plan_for(&dfa).plan, Plan::Reverse);
-        assert_eq!(
-            push_all.evaluate(&dfa),
-            default.evaluate(&dfa),
-            "thresholds change the plan, never the answer"
-        );
-    }
-
-    #[test]
-    fn captured_batches_agree_across_worker_counts() {
-        let g = sample();
+        let evaluator = BatchEvaluator::new(&g);
         let dfas = queries(&g);
         let refs: Vec<&Dfa> = dfas.iter().collect();
-        let sequential = BatchEvaluator::new(&g).evaluate_dfas_captured(&refs);
-        // A one-worker request must run inline (no idle scoped thread) and
-        // produce the same results; so must genuinely parallel runs.
-        for threads in [1usize, 2, 8] {
-            let parallel = BatchEvaluator::new(&g)
-                .with_parallelism(threads)
-                .evaluate_dfas_captured(&refs);
-            assert_eq!(parallel.len(), sequential.len());
-            for (i, ((a, ar), (b, br))) in sequential.iter().zip(&parallel).enumerate() {
-                assert_eq!(a, b, "answer {i} x{threads}");
-                assert_eq!(ar.is_some(), br.is_some(), "capture {i} x{threads}");
-            }
+        let batch = evaluator.evaluate_dfas_captured(&refs);
+        assert_eq!(batch.len(), dfas.len());
+        for (i, (dfa, captured)) in dfas.iter().zip(&batch).enumerate() {
+            assert_eq!(*captured, evaluator.evaluate_dfa_captured(dfa), "query {i}");
         }
     }
 
@@ -704,9 +452,6 @@ mod tests {
         let g = Graph::new();
         let evaluator = BatchEvaluator::new(&g);
         assert!(evaluator.evaluate_many(&[]).is_empty());
-        assert!(evaluator.evaluate_many_parallel(&[], 4).is_empty());
-        assert!(evaluator
-            .evaluate_sources(&Dfa::epsilon_language(), &[])
-            .is_empty());
+        assert!(evaluator.evaluate_dfas_captured(&[]).is_empty());
     }
 }

@@ -41,12 +41,13 @@ use gps_graph::{GraphDelta, LabelId, NodeId, Path};
 use gps_rpq::{EvalResume, QueryAnswer};
 use std::collections::{BTreeMap, BTreeSet, HashSet};
 
-/// Default cap on a resume's over-deletion, as a fraction of the post-insert
-/// alive configuration population: when a removal's transitive over-delete
-/// cone grows past `limit × alive_total` configurations, [`resume`] gives up
-/// (`None`) and the caller falls back to a cold recompute — at that point
-/// the cold fixed point is in the same cost class as over-delete *plus*
-/// re-derive, without the bookkeeping.
+/// The cap [`BatchEvaluator`](crate::BatchEvaluator) puts on a resume's
+/// over-deletion, as a fraction of the post-insert alive configuration
+/// population: when a removal's transitive over-delete cone grows past
+/// `limit × alive_total` configurations, [`resume`] gives up (`None`) and
+/// the caller falls back to a cold recompute — at that point the cold fixed
+/// point is in the same cost class as over-delete *plus* re-derive, without
+/// the bookkeeping.
 pub const DEFAULT_OVERDELETE_LIMIT: f64 = 0.5;
 
 /// Reusable allocation for one cold evaluation: per-state alive, frontier
@@ -463,8 +464,7 @@ fn push_to_closure(
 ///    count passes `overdelete_limit ×` the alive population after the
 ///    insert sweep (carried in the seed, not re-counted), the sweep gives up
 ///    — the saturation fallback to a cold recompute, in the same cost class
-///    at that point.  A limit of `0.0` is a kill switch: removals always
-///    recompute cold, even ones whose cone would be empty.
+///    at that point.
 /// 3. **Re-derive.** After the worklist drains, supports count derivations
 ///    through *surviving* configurations only, so every doomed
 ///    configuration with a positive count is still derivable from the
@@ -489,9 +489,6 @@ pub fn resume(
     }
     let in_range = |edge: &gps_graph::Edge| edge.source.index() < n && edge.target.index() < n;
     if !delta.added_edges.iter().all(in_range) || !delta.removed_edges.iter().all(in_range) {
-        return None;
-    }
-    if !delta.removed_edges.is_empty() && overdelete_limit <= 0.0 {
         return None;
     }
     let rev_dfa = reverse_transitions(dfa);

@@ -1,4 +1,4 @@
-//! # gps-exec — frontier-based batch/parallel RPQ execution
+//! # gps-exec — frontier-based RPQ execution
 //!
 //! The interactive layers of GPS evaluate the *same graph* against *many*
 //! queries: the learner's consistency checks, session pruning and
@@ -10,7 +10,7 @@
 //!   its staging double), one bit per node;
 //! * [`index::LabelIndex`] — label-partitioned forward + reverse CSR with
 //!   one occupancy bit per row, built once per graph, patched per update,
-//!   and shared, also across threads, by every query;
+//!   and shared by every query and every clone of the evaluator;
 //! * [`frontier`] — the semi-naive product-automaton fixed point sweeping
 //!   whole frontiers per DFA transition — only the rows a label has edges
 //!   in — in push (reverse), pull (forward) or per-round adaptive mode; a
@@ -18,15 +18,15 @@
 //!   same pass;
 //! * [`planner`] — picks the expansion [`Plan`] per query from the
 //!   per-label degree/frequency statistics of [`gps_graph::LabelStats`];
-//! * [`batch::BatchEvaluator`] — the public engine: single, batch,
-//!   multi-source and scoped-thread parallel evaluation, pluggable into the
-//!   `gps-rpq` cache (and thus the whole `gps-core` engine) through the
-//!   [`gps_rpq::DfaEvaluator`] trait.
+//! * [`batch::BatchEvaluator`] — the public engine: single and sequential
+//!   batch evaluation, resumes across a delta, membership checks and
+//!   witnesses, pluggable into the `gps-rpq` cache (and thus the whole
+//!   `gps-core` engine) through the [`gps_rpq::DfaEvaluator`] trait.
 //!
-//! There is one execution path: every plan, the batch fan-out and the
-//! resume across a delta are differentially tested to be answer-identical to
-//! the naive node-at-a-time evaluator in `gps_rpq::eval`, which exists as
-//! that oracle.
+//! There is one execution path, one query at a time: every plan, the batch
+//! and the resume across a delta are differentially tested to be
+//! answer-identical to the naive node-at-a-time evaluator in
+//! `gps_rpq::eval`, which exists as that oracle.
 //!
 //! ## Example
 //!

@@ -43,10 +43,11 @@ pub struct PlanDecision {
     pub used_labels: Vec<LabelId>,
 }
 
-/// The planner's decision thresholds, exposed as configuration so deployments
-/// can calibrate them per corpus (the defaults were hand-tuned on the
-/// checked-in workloads and sanity-checked against the 20k-node scale-free
-/// corpus — see `tests/planner_defaults.rs`).
+/// The planner's decision thresholds.  [`BatchEvaluator`](crate::BatchEvaluator)
+/// always plans with the defaults, which were hand-tuned on the checked-in
+/// workloads and sanity-checked against the 20k-node scale-free corpus (see
+/// `tests/planner_defaults.rs`); [`plan_with`] takes explicit ones for
+/// calibrating them.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PlannerConfig {
     /// Edge-coverage below which expansion always stays in push mode.

@@ -4,15 +4,15 @@
 //! repeatedly against the same (immutable) graph — after every interaction
 //! the learner re-checks consistency and the halt condition re-evaluates the
 //! current hypothesis.  [`EvalCache`] memoizes answers keyed by the query's
-//! regular expression, behind a lock so strategy evaluation can be
-//! parallelized by the benchmark harness.
+//! regular expression, behind a lock so every session of a service shares
+//! one cache across worker threads.
 //!
 //! The cache is **bounded**: entries carry a last-used tick and once
 //! [`capacity`](EvalCache::capacity) is reached the least-recently-used entry
 //! is evicted, so workload replay over many distinct queries cannot grow the
 //! cache without limit.  Evaluation itself is delegated to a pluggable
 //! [`DfaEvaluator`], so the same cache serves the naive reference evaluator
-//! and the `gps-exec` frontier/batch engines.
+//! and the `gps-exec` frontier engine.
 
 use crate::eval::{DfaEvaluator, EvalResume, NaiveEvaluator, QueryAnswer};
 use crate::words::WordIndex;
@@ -340,7 +340,7 @@ impl EvalCache {
     ///
     /// Everything else falls back to a cold recompute on next use, with the
     /// reason attributed: `fallback_saturation` (the resume gave up — the
-    /// over-delete cone blew the configured budget, or the seed's shape no
+    /// over-delete cone blew the evaluator's budget, or the seed's shape no
     /// longer matched), `fallback_no_seed` (nothing captured to resume
     /// from), or `fallback_evicted` (the new cache filled before this
     /// entry's recency rank came up); `recomputed` is always their sum.
@@ -587,8 +587,8 @@ impl EvalCache {
     /// Evaluates a batch of expressions, returning the answers in input
     /// order.  Hits are served from the cache; the *distinct* misses are
     /// compiled and handed to the evaluator's batch entry point in one call
-    /// (duplicates within the batch are evaluated once), so batch engines
-    /// can share visited state or parallelize across the misses.
+    /// (duplicates within the batch are evaluated once), so a batch engine
+    /// can share scratch state across the misses.
     pub fn evaluate_many(&self, regexes: &[&Regex]) -> Vec<Arc<QueryAnswer>> {
         let mut results: Vec<Option<Arc<QueryAnswer>>> =
             regexes.iter().map(|regex| self.touch(regex)).collect();
@@ -1154,6 +1154,99 @@ mod tests {
         // The cold recompute on next use is correct for the new graph.
         let recomputed = new_cache.evaluate(&q);
         assert!(!recomputed.contains(g.node_by_name("A").unwrap()));
+    }
+
+    #[test]
+    fn migrate_answers_attributes_declined_resumes_to_saturation() {
+        use gps_graph::DeltaGraph;
+
+        /// Captures a seed for every query and declines every resume, as an
+        /// evaluator whose over-delete budget is blown does.
+        #[derive(Debug)]
+        struct Declining(NaiveEvaluator);
+        impl DfaEvaluator for Declining {
+            fn evaluate_dfa(&self, dfa: &Dfa) -> QueryAnswer {
+                self.0.evaluate_dfa(dfa)
+            }
+
+            fn evaluate_dfa_captured(&self, dfa: &Dfa) -> (QueryAnswer, Option<EvalResume>) {
+                let answer = self.0.evaluate_dfa(dfa);
+                let seed = EvalResume::new(answer.node_count());
+                (answer, Some(seed))
+            }
+
+            fn evaluate_dfa_resumed(
+                &self,
+                _dfa: &Dfa,
+                _resume: &EvalResume,
+                delta: &GraphDelta,
+            ) -> Option<(QueryAnswer, EvalResume)> {
+                assert!(!delta.removed_edges.is_empty(), "a removal-bearing delta");
+                None
+            }
+
+            fn witness(&self, dfa: &Dfa, node: NodeId) -> Option<Path> {
+                self.0.witness(dfa, node)
+            }
+        }
+        fn declining(csr: &Arc<CsrGraph>) -> EvalCache {
+            let evaluator = Declining(NaiveEvaluator::from_shared(Arc::clone(csr)));
+            EvalCache::with_shared_evaluator(Arc::clone(csr), Box::new(evaluator))
+        }
+
+        let mut g = Graph::new();
+        let a = g.add_node("A");
+        let b = g.add_node("B");
+        let c = g.add_node("C");
+        g.add_edge_by_name(a, "x", b);
+        g.add_edge_by_name(b, "x", c);
+        g.add_edge_by_name(c, "y", a);
+        let base = Arc::new(CsrGraph::from_graph(&g));
+        let old_cache = declining(&base);
+        let x = g.label_id("x").unwrap();
+        let y = g.label_id("y").unwrap();
+        let touched = [
+            Regex::symbol(x),
+            Regex::star(Regex::symbol(x)),
+            Regex::concat([Regex::symbol(x), Regex::symbol(x)]),
+        ];
+        let untouched = Regex::symbol(y);
+        let all: Vec<&Regex> = touched.iter().chain([&untouched]).collect();
+        for regex in &all {
+            old_cache.evaluate(regex);
+        }
+
+        // A mixed delta on `x` alone: every `x` entry holds a seed, and the
+        // evaluator declines each resume.
+        let mut delta = DeltaGraph::new(Arc::clone(&base));
+        assert!(delta.remove_edge(a, x, b));
+        delta.add_edge(c, x, b);
+        let summary = delta.delta();
+        let compacted = Arc::new(delta.compact());
+
+        let registry = MetricsRegistry::enabled();
+        let new_cache = declining(&compacted).with_metrics(&registry);
+        let report = new_cache.migrate_answers(&old_cache, &summary);
+        assert_eq!(
+            report,
+            MigrationReport {
+                carried: 1,
+                recomputed: touched.len(),
+                fallback_saturation: touched.len(),
+                ..MigrationReport::default()
+            }
+        );
+        assert_eq!(
+            registry
+                .snapshot()
+                .counter("gps_rpq_cache_fallback_saturation_total"),
+            Some(touched.len() as u64)
+        );
+        assert_eq!(new_cache.len(), 1, "only the untouched entry is carried");
+        let cold = EvalCache::from_csr((*compacted).clone());
+        for regex in &all {
+            assert_eq!(new_cache.evaluate(regex), cold.evaluate(regex));
+        }
     }
 
     #[test]

@@ -340,7 +340,7 @@ pub trait DfaEvaluator: std::fmt::Debug + Send + Sync {
     /// Evaluates a batch of compiled DFAs (answers in input order).
     ///
     /// The default implementation is a sequential loop; batch engines
-    /// override it to share visited state or fan out across threads.
+    /// override it to share scratch state across the queries.
     fn evaluate_dfas(&self, dfas: &[&Dfa]) -> Vec<QueryAnswer> {
         dfas.iter().map(|dfa| self.evaluate_dfa(dfa)).collect()
     }
@@ -373,7 +373,7 @@ pub trait DfaEvaluator: std::fmt::Debug + Send + Sync {
     /// `resume`, and the returned answer is its start state's alive set.
     ///
     /// Returns `None` when the seed does not match the DFA, when a removal's
-    /// over-delete cone would exceed the engine's configured fraction of the
+    /// over-delete cone would exceed the engine's budget, a fraction of the
     /// alive configuration set (the saturation fallback — a cold recompute
     /// is cheaper at that point), or when the engine has no resumable entry
     /// point (the default).

@@ -49,7 +49,7 @@ fn main() {
     // ------------------------------------------------------------------
     println!("=== Scenario 2: interactive labeling WITHOUT path validation ===");
     let report = gps
-        .interactive_without_validation(MOTIVATING_QUERY, 0)
+        .interactive_without_validation(MOTIVATING_QUERY)
         .unwrap();
     println!(
         "goal: {}\nlearned: {}\nconsistent with labels: {}\nequals the goal answer: {}\ninteractions: {}\n",
@@ -62,9 +62,7 @@ fn main() {
 
     // ------------------------------------------------------------------
     println!("=== Scenario 3: interactive labeling WITH path validation ===");
-    let report = gps
-        .interactive_with_validation(MOTIVATING_QUERY, 0)
-        .unwrap();
+    let report = gps.interactive_with_validation(MOTIVATING_QUERY).unwrap();
     println!(
         "goal: {}\nlearned: {}\nconsistent with labels: {}\nequals the goal answer: {}\ninteractions: {} (+{} zooms)\n",
         report.goal,

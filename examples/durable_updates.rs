@@ -13,15 +13,13 @@
 
 use gps_core::service::SessionManager;
 use gps_core::versioned::GraphUpdate;
-use gps_core::{Engine, EvalMode};
+use gps_core::Engine;
 use gps_datasets::figure1::{figure1_graph, MOTIVATING_QUERY};
 use gps_store::encode_snapshot;
 
 fn builder() -> gps_core::GpsBuilder {
     let (graph, _) = figure1_graph();
-    Engine::builder(graph)
-        .eval_mode(EvalMode::Frontier)
-        .checkpoint_every_n_publishes(8)
+    Engine::builder(graph).checkpoint_every_n_publishes(8)
 }
 
 fn main() {

@@ -21,10 +21,7 @@ fn main() {
 
     // One immutable engine for the whole fleet: every session shares the CSR
     // snapshot, the evaluator's label index and the bounded cache.
-    let core = Engine::builder(net.graph)
-        .cache_capacity(1024) // LRU cap on cached query answers
-        .max_interactions(30)
-        .build();
+    let core = Engine::builder(net.graph).max_interactions(30).build();
     println!(
         "shared label index: {} KiB for all sessions\n",
         core.index_memory_bytes() / 1024

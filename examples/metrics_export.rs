@@ -18,7 +18,6 @@ use std::sync::Arc;
 fn builder(registry: &Arc<MetricsRegistry>) -> gps_core::GpsBuilder {
     let (graph, _) = figure1_graph();
     Engine::builder(graph)
-        .eval_mode(EvalMode::Frontier)
         .checkpoint_every_n_publishes(2)
         .metrics(Arc::clone(registry))
 }

@@ -56,9 +56,7 @@ fn main() {
 
     // 4. The full interactive scenario with a simulated user who has the
     //    motivating query in mind.
-    let report = gps
-        .interactive_with_validation(MOTIVATING_QUERY, 0)
-        .unwrap();
+    let report = gps.interactive_with_validation(MOTIVATING_QUERY).unwrap();
     println!(
         "\nInteractive session: {} interactions, {} zooms, goal reached: {}",
         report.interactions, report.zooms, report.goal_reached

@@ -12,7 +12,7 @@
 //!    a corrupted magic number is a typed [`GpsError::CorruptLog`].
 //! 3. **Restart is invisible to sessions.**  A served session on a
 //!    recovered store replays the exact transcript the pre-crash store
-//!    produced, across every [`EvalMode`].
+//!    produced.
 //! 4. **Durability is free when unused, exact when used.**  The default
 //!    in-memory store and a file-backed store publish byte-identical
 //!    snapshots epoch for epoch; checkpoints bound the log and speed
@@ -28,8 +28,6 @@ use std::fs;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 
-const MODES: [EvalMode; 2] = [EvalMode::Frontier, EvalMode::Parallel];
-
 static DIRS: AtomicU64 = AtomicU64::new(0);
 
 fn tmp_dir(tag: &str) -> PathBuf {
@@ -38,11 +36,9 @@ fn tmp_dir(tag: &str) -> PathBuf {
 }
 
 /// A figure-1 builder with `every_n` as the checkpoint policy (0 = never).
-fn builder(mode: EvalMode, every_n: u64) -> GpsBuilder {
+fn builder(every_n: u64) -> GpsBuilder {
     let (graph, _) = figure1_graph();
-    Engine::builder(graph)
-        .eval_mode(mode)
-        .checkpoint_every_n_publishes(every_n)
+    Engine::builder(graph).checkpoint_every_n_publishes(every_n)
 }
 
 /// Three publishes worth of updates: inserts, a deletion, and a batch that
@@ -83,8 +79,7 @@ struct Checkpoint {
 /// final WAL image and the base checkpoint.
 fn prepared_store(tag: &str) -> (Vec<Vec<u8>>, Vec<u8>, Checkpoint) {
     let dir = tmp_dir(tag);
-    let (store, report) =
-        VersionedStore::open_durable(&dir, builder(EvalMode::Frontier, 0)).unwrap();
+    let (store, report) = VersionedStore::open_durable(&dir, builder(0)).unwrap();
     assert!(report.created);
     assert!(store.is_durable());
     let mut expected = vec![encode_snapshot(store.latest().snapshot())];
@@ -119,8 +114,7 @@ fn recover_and_check(
     fs::create_dir_all(trial).unwrap();
     fs::write(trial.join(&checkpoint.name), &checkpoint.bytes).unwrap();
     fs::write(FileStore::wal_path(trial), wal_image).unwrap();
-    let (store, report) =
-        VersionedStore::open_durable(trial, builder(EvalMode::Frontier, 0)).unwrap();
+    let (store, report) = VersionedStore::open_durable(trial, builder(0)).unwrap();
     assert!(!report.created, "{context}");
     let epoch = store.current_epoch();
     assert_eq!(report.current_epoch, epoch, "{context}");
@@ -186,7 +180,7 @@ fn single_bit_flips_are_detected_and_never_panic() {
         fs::create_dir_all(&trial).unwrap();
         fs::write(trial.join(&checkpoint.name), &checkpoint.bytes).unwrap();
         fs::write(FileStore::wal_path(&trial), &flipped).unwrap();
-        let result = VersionedStore::open_durable(&trial, builder(EvalMode::Frontier, 0));
+        let result = VersionedStore::open_durable(&trial, builder(0));
         assert!(
             matches!(result, Err(GpsError::CorruptLog(_))),
             "magic flip at byte {offset}: {result:?}"
@@ -205,7 +199,7 @@ fn a_corrupt_checkpoint_is_a_typed_error() {
     snap[mid] ^= 0x10;
     fs::write(trial.join(&checkpoint.name), &snap).unwrap();
     fs::write(FileStore::wal_path(&trial), &wal).unwrap();
-    let result = VersionedStore::open_durable(&trial, builder(EvalMode::Frontier, 0));
+    let result = VersionedStore::open_durable(&trial, builder(0));
     assert!(matches!(result, Err(GpsError::CorruptLog(_))), "{result:?}");
     fs::remove_dir_all(&trial).unwrap();
 }
@@ -237,29 +231,24 @@ fn fingerprint(
 
 #[test]
 fn recovered_stores_serve_byte_identical_transcripts() {
-    for mode in MODES {
-        let dir = tmp_dir("transcript");
-        let (service, report) = SessionManager::open_durable(&dir, builder(mode, 32)).unwrap();
-        assert!(report.created, "{mode:?}");
-        let [first, second, _] = updates();
-        service.update(first).unwrap();
-        service.update(second).unwrap();
-        let labels = service.core().snapshot().labels().clone();
-        let before = fingerprint(&labels, &service.serve_one(MOTIVATING_QUERY).unwrap());
-        drop(service);
+    let dir = tmp_dir("transcript");
+    let (service, report) = SessionManager::open_durable(&dir, builder(32)).unwrap();
+    assert!(report.created);
+    let [first, second, _] = updates();
+    service.update(first).unwrap();
+    service.update(second).unwrap();
+    let labels = service.core().snapshot().labels().clone();
+    let before = fingerprint(&labels, &service.serve_one(MOTIVATING_QUERY).unwrap());
+    drop(service);
 
-        let (service, report) = SessionManager::open_durable(&dir, builder(mode, 32)).unwrap();
-        assert!(!report.created, "{mode:?}");
-        assert_eq!(report.replayed_publishes, 2, "{mode:?}");
-        assert_eq!(report.current_epoch, 2, "{mode:?}");
-        let after = fingerprint(&labels, &service.serve_one(MOTIVATING_QUERY).unwrap());
-        assert_eq!(
-            after, before,
-            "{mode:?}: a restart must not perturb served sessions"
-        );
-        drop(service);
-        fs::remove_dir_all(&dir).unwrap();
-    }
+    let (service, report) = SessionManager::open_durable(&dir, builder(32)).unwrap();
+    assert!(!report.created);
+    assert_eq!(report.replayed_publishes, 2);
+    assert_eq!(report.current_epoch, 2);
+    let after = fingerprint(&labels, &service.serve_one(MOTIVATING_QUERY).unwrap());
+    assert_eq!(after, before, "a restart must not perturb served sessions");
+    drop(service);
+    fs::remove_dir_all(&dir).unwrap();
 }
 
 // ----------------------------------- 4. parity, checkpoints, edge behaviors
@@ -267,7 +256,7 @@ fn recovered_stores_serve_byte_identical_transcripts() {
 #[test]
 fn durable_publishes_match_the_in_memory_store_byte_for_byte() {
     let dir = tmp_dir("parity");
-    let (durable, _) = VersionedStore::open_durable(&dir, builder(EvalMode::Frontier, 0)).unwrap();
+    let (durable, _) = VersionedStore::open_durable(&dir, builder(0)).unwrap();
     let memory = {
         let (graph, _) = figure1_graph();
         VersionedStore::new(Engine::builder(graph).build())
@@ -294,7 +283,7 @@ fn durable_publishes_match_the_in_memory_store_byte_for_byte() {
 #[test]
 fn checkpoints_bound_the_log_and_speed_recovery() {
     let dir = tmp_dir("checkpoint");
-    let (store, _) = VersionedStore::open_durable(&dir, builder(EvalMode::Frontier, 2)).unwrap();
+    let (store, _) = VersionedStore::open_durable(&dir, builder(2)).unwrap();
     for i in 0..5u64 {
         let update = if i % 2 == 0 {
             GraphUpdate::new().add_edge("N6", "tram", "N1")
@@ -312,8 +301,7 @@ fn checkpoints_bound_the_log_and_speed_recovery() {
     assert_eq!(store.current_epoch(), 5);
     drop(store);
 
-    let (store, report) =
-        VersionedStore::open_durable(&dir, builder(EvalMode::Frontier, 2)).unwrap();
+    let (store, report) = VersionedStore::open_durable(&dir, builder(2)).unwrap();
     assert_eq!(report.checkpoint_epoch, 4, "the last due checkpoint");
     assert_eq!(
         report.replayed_publishes, 1,
@@ -324,7 +312,7 @@ fn checkpoints_bound_the_log_and_speed_recovery() {
     // open replays nothing.
     assert!(FileStore::checkpoint_path(&dir, 5).exists());
     drop(store);
-    let (_, report) = VersionedStore::open_durable(&dir, builder(EvalMode::Frontier, 2)).unwrap();
+    let (_, report) = VersionedStore::open_durable(&dir, builder(2)).unwrap();
     assert_eq!(report.replayed_publishes, 0);
     fs::remove_dir_all(&dir).unwrap();
 }
@@ -332,15 +320,14 @@ fn checkpoints_bound_the_log_and_speed_recovery() {
 #[test]
 fn staged_but_unpublished_ops_are_discarded_at_recovery() {
     let dir = tmp_dir("staged");
-    let (store, _) = VersionedStore::open_durable(&dir, builder(EvalMode::Frontier, 32)).unwrap();
+    let (store, _) = VersionedStore::open_durable(&dir, builder(32)).unwrap();
     let [first, ..] = updates();
     store.update(first).unwrap();
     store.stage(GraphUpdate::new().add_node("GHOST")).unwrap();
     assert_eq!(store.staged_len(), 1);
     drop(store);
 
-    let (store, report) =
-        VersionedStore::open_durable(&dir, builder(EvalMode::Frontier, 32)).unwrap();
+    let (store, report) = VersionedStore::open_durable(&dir, builder(32)).unwrap();
     assert_eq!(
         report.current_epoch, 1,
         "only the published update survives"
@@ -359,7 +346,7 @@ fn staged_but_unpublished_ops_are_discarded_at_recovery() {
 #[test]
 fn a_failed_publish_leaves_no_trace_after_recovery() {
     let dir = tmp_dir("failed");
-    let (store, _) = VersionedStore::open_durable(&dir, builder(EvalMode::Frontier, 0)).unwrap();
+    let (store, _) = VersionedStore::open_durable(&dir, builder(0)).unwrap();
     let err = store
         .update(GraphUpdate::new().add_edge("N1", "bus", "Nowhere"))
         .unwrap_err();
@@ -370,8 +357,7 @@ fn a_failed_publish_leaves_no_trace_after_recovery() {
     let expected = encode_snapshot(store.latest().snapshot());
     drop(store);
 
-    let (store, report) =
-        VersionedStore::open_durable(&dir, builder(EvalMode::Frontier, 0)).unwrap();
+    let (store, report) = VersionedStore::open_durable(&dir, builder(0)).unwrap();
     assert_eq!(report.replayed_publishes, 1);
     assert_eq!(report.current_epoch, 1);
     assert_eq!(

@@ -91,9 +91,7 @@ fn learned_queries_transfer_to_grown_graphs() {
     // query is a regular expression, not a set of node ids.
     let graph = io::parse_edge_list(FIGURE1_EDGE_LIST).unwrap();
     let gps = Gps::new(graph.clone());
-    let report = gps
-        .interactive_with_validation(MOTIVATING_QUERY, 0)
-        .unwrap();
+    let report = gps.interactive_with_validation(MOTIVATING_QUERY).unwrap();
     let learned_syntax = report.learned.expect("learned a query");
 
     let mut grown = graph.clone();

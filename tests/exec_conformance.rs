@@ -1,24 +1,21 @@
 //! Execution-engine conformance suite: every entry point of the `gps-exec`
-//! frontier/batch engine must be **answer-identical** to the naive
+//! frontier engine must be **answer-identical** to the naive
 //! node-at-a-time evaluator in `gps_rpq::eval`, the oracle.
 //!
 //! Differential properties over the transport, scale-free, figure1,
 //! biological and random corpora:
 //!
 //! * single-query evaluation under the planner-chosen plan and under every
-//!   *forced* plan (push / pull / adaptive);
-//! * shared-scratch sequential batches and the scoped-thread parallel
-//!   executor (all thread counts preserve input order);
-//! * direction-aware multi-source membership checks (both the per-source
-//!   forward path and the global fallback);
+//!   *forced* plan (push / pull / adaptive), and the forward early-exit
+//!   membership check (`selects`) on a spread of nodes;
+//! * shared-scratch sequential batches (input order preserved);
 //! * a delta-patched index against a fresh build of the compacted snapshot;
-//! * the full `gps_core` engine under both `EvalMode`s, including cached
-//!   `evaluate` / `evaluate_many` and an end-to-end interactive scenario.
+//! * the full `gps_core` engine's cached `evaluate` / `evaluate_many`.
 
 use gps_automata::{Dfa, Regex};
 use gps_core::prelude::*;
 use gps_datasets::biological::{self, BiologicalConfig};
-use gps_datasets::figure1::{figure1_graph, MOTIVATING_QUERY};
+use gps_datasets::figure1::figure1_graph;
 use gps_datasets::queries;
 use gps_datasets::scale_free::{self, ScaleFreeConfig};
 use gps_datasets::transport::{self, TransportConfig};
@@ -112,6 +109,17 @@ fn frontier_plans_match_the_naive_evaluator() {
                     "{name} query {i}: forced {plan:?}"
                 );
             }
+            // The forward early-exit membership check, on about eight nodes
+            // spread over the graph plus the first selected one.
+            let nodes = graph.node_count();
+            let spread = (0..nodes).step_by((nodes / 8).max(1)).map(NodeId::from);
+            for node in spread.chain(expected.nodes().first().copied()) {
+                assert_eq!(
+                    planner_engine.selects(dfa, node),
+                    expected.contains(node),
+                    "{name} query {i}: selects {node}"
+                );
+            }
         }
     }
 }
@@ -125,33 +133,6 @@ fn batch_and_parallel_executors_preserve_answers_and_order() {
         let refs: Vec<&Dfa> = dfas.iter().collect();
         let expected: Vec<QueryAnswer> = refs.iter().map(|d| naive.evaluate_dfa(d)).collect();
         assert_eq!(engine.evaluate_many(&refs), expected, "{name}: sequential");
-        for threads in [1, 2, 4, 7] {
-            assert_eq!(
-                engine.evaluate_many_parallel(&refs, threads),
-                expected,
-                "{name}: parallel x{threads}"
-            );
-        }
-    }
-}
-
-#[test]
-fn multi_source_checks_match_global_answers() {
-    for (name, graph) in corpus() {
-        let engine = BatchEvaluator::new(&graph);
-        let all: Vec<NodeId> = GraphBackend::nodes(&graph).collect();
-        for (i, dfa) in query_set(&graph).iter().enumerate() {
-            let expected = gps_rpq::eval::evaluate(&graph, dfa);
-            // Few sources exercises the forward early-exit path; the full
-            // node set exercises the global fallback.
-            let few: Vec<NodeId> = all.iter().copied().take(2).collect();
-            for (node, selected) in few.iter().zip(engine.evaluate_sources(dfa, &few)) {
-                assert_eq!(selected, expected.contains(*node), "{name} query {i} (few)");
-            }
-            for (node, selected) in all.iter().zip(engine.evaluate_sources(dfa, &all)) {
-                assert_eq!(selected, expected.contains(*node), "{name} query {i} (all)");
-            }
-        }
     }
 }
 
@@ -165,13 +146,11 @@ fn engine_eval_modes_are_observationally_identical() {
         .map(|q| PathQuery::parse(q, net.graph.labels()).unwrap())
         .map(|q| oracle.evaluate_dfa(q.dfa()))
         .collect();
-    for mode in [EvalMode::Frontier, EvalMode::Parallel] {
-        let engine = Engine::builder(net.graph.clone()).eval_mode(mode).build();
-        let many = engine.evaluate_many(&syntaxes).unwrap();
-        for ((syntax, batch_answer), expected) in syntaxes.iter().zip(&many).zip(&expected) {
-            assert_eq!(&engine.evaluate(syntax).unwrap(), expected, "{mode:?}");
-            assert_eq!(batch_answer, expected, "{mode:?} (batch)");
-        }
+    let engine = Engine::builder(net.graph).build();
+    let many = engine.evaluate_many(&syntaxes).unwrap();
+    for ((syntax, batch_answer), expected) in syntaxes.iter().zip(&many).zip(&expected) {
+        assert_eq!(&engine.evaluate(syntax).unwrap(), expected, "{syntax}");
+        assert_eq!(batch_answer, expected, "{syntax} (batch)");
     }
 }
 
@@ -228,24 +207,6 @@ fn spelling_sweeps_match_the_reference_and_the_acceptor_evaluation() {
             }
         }
     }
-}
-
-#[test]
-fn interactive_sessions_converge_identically_across_modes() {
-    let (graph, _) = figure1_graph();
-    let run = |mode| {
-        Engine::builder(graph.clone())
-            .eval_mode(mode)
-            .build()
-            .interactive_with_validation(MOTIVATING_QUERY, 0)
-            .unwrap()
-    };
-    let (frontier, parallel) = (run(EvalMode::Frontier), run(EvalMode::Parallel));
-    assert!(frontier.goal_reached);
-    assert_eq!(parallel.goal_reached, frontier.goal_reached);
-    assert_eq!(parallel.interactions, frontier.interactions);
-    assert_eq!(parallel.learned, frontier.learned);
-    assert_eq!(parallel.transcript.entries, frontier.transcript.entries);
 }
 
 /// Two frontier evaluators must expose the *same* index: every adjacency

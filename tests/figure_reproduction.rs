@@ -99,9 +99,7 @@ fn figure3c_prefix_tree_highlights_a_length3_candidate() {
 fn figure2_loop_reaches_the_goal_query() {
     let (graph, _) = figure1_graph();
     let gps = Gps::new(graph);
-    let report = gps
-        .interactive_with_validation(MOTIVATING_QUERY, 0)
-        .unwrap();
+    let report = gps.interactive_with_validation(MOTIVATING_QUERY).unwrap();
     assert!(report.goal_reached);
     assert!(report.consistent_with_labels);
     // The paper's promise: a small number of interactions (never more than

@@ -9,15 +9,15 @@
 //!    answers equal a from-scratch evaluation on the new snapshot.
 //! 2. **Tier-2 reseeds converge.**  Across chained random insert-only
 //!    epochs that *do* touch the query alphabet, the seeded delta-restricted
-//!    fixed point produces exactly the cold-evaluation answers, in both
-//!    [`EvalMode`]s, and the reseed path is actually taken.
+//!    fixed point produces exactly the cold-evaluation answers, and the
+//!    reseed path is actually taken.
 //! 3. **Tier-3 delete-reseeds converge.**  Deltas containing removals take
 //!    the delete-aware over-delete/re-derive path: support counts are
 //!    decremented along removed edges, zero-support configurations
 //!    over-deleted transitively, survivors re-derived — and the migrated
 //!    answers are byte-identical to cold evaluation across chained random
-//!    **mixed** insert+delete epochs.  A saturation budget of `0.0` restores
-//!    the recompute-everything behavior.
+//!    **mixed** insert+delete epochs.  The saturation fallback (a resume
+//!    that gives up) is unit-tested in `gps-rpq`'s cache.
 //!
 //! "Cold evaluation" is the oracle: `gps_rpq::eval::evaluate` — the naive
 //! node-at-a-time evaluator — over a from-scratch [`Graph`] of the published
@@ -32,8 +32,6 @@ use gps_telemetry::MetricsRegistry;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::sync::Arc;
-
-const MODES: [EvalMode; 2] = [EvalMode::Frontier, EvalMode::Parallel];
 
 fn scale_free_graph(nodes: usize) -> Graph {
     scale_free::generate(&ScaleFreeConfig {
@@ -236,36 +234,34 @@ fn random_insert_update(graph: &Graph, rng: &mut StdRng, round: usize) -> GraphU
 #[test]
 fn insert_only_epochs_reseed_to_exactly_the_cold_answers() {
     let graph = scale_free_graph(400);
-    for mode in MODES {
-        let service = SessionManager::new(Engine::builder(graph.clone()).eval_mode(mode).build());
-        let queries = warm_queries(&graph);
-        warm(&service, &queries);
-        let mut rng = StdRng::seed_from_u64(0x1B4D_5EED);
-        let mut reseeded = 0usize;
-        for epoch in 1..=4u64 {
-            let update = random_insert_update(&graph, &mut rng, epoch as usize);
-            let report = service.update(update).unwrap();
-            assert_eq!(report.epoch, epoch, "{mode:?}");
-            assert_eq!(
-                report.carried_answers
-                    + report.reseeded_answers
-                    + report.delete_reseeded_answers
-                    + report.recomputed_answers,
-                queries.len(),
-                "{mode:?}, epoch {epoch}: the migration split partitions the cache"
-            );
-            assert_eq!(
-                report.delete_reseeded_answers, 0,
-                "{mode:?}, epoch {epoch}: insert-only deltas never take the delete path"
-            );
-            reseeded += report.reseeded_answers;
-            assert_matches_cold(&service, &queries, &format!("{mode:?}, epoch {epoch}"));
-        }
-        assert!(
-            reseeded > 0,
-            "{mode:?}: insert-only touched epochs must take the reseed path"
+    let service = SessionManager::new(Engine::builder(graph.clone()).build());
+    let queries = warm_queries(&graph);
+    warm(&service, &queries);
+    let mut rng = StdRng::seed_from_u64(0x1B4D_5EED);
+    let mut reseeded = 0usize;
+    for epoch in 1..=4u64 {
+        let update = random_insert_update(&graph, &mut rng, epoch as usize);
+        let report = service.update(update).unwrap();
+        assert_eq!(report.epoch, epoch);
+        assert_eq!(
+            report.carried_answers
+                + report.reseeded_answers
+                + report.delete_reseeded_answers
+                + report.recomputed_answers,
+            queries.len(),
+            "epoch {epoch}: the migration split partitions the cache"
         );
+        assert_eq!(
+            report.delete_reseeded_answers, 0,
+            "epoch {epoch}: insert-only deltas never take the delete path"
+        );
+        reseeded += report.reseeded_answers;
+        assert_matches_cold(&service, &queries, &format!("epoch {epoch}"));
     }
+    assert!(
+        reseeded > 0,
+        "insert-only touched epochs must take the reseed path"
+    );
 }
 
 /// A query whose DFA start state is accepting (`a0*` matches every node via
@@ -280,35 +276,33 @@ fn start_state_saturating_queries_still_capture_and_reseed() {
     let graph = scale_free_graph(400);
     let saturating =
         PathQuery::parse("a0*", graph.labels()).expect("a0 exists in the generated alphabet");
-    for mode in MODES {
-        let service = SessionManager::new(Engine::builder(graph.clone()).eval_mode(mode).build());
-        warm(&service, std::slice::from_ref(&saturating));
-        // Every node already matches (epsilon ⊆ a0*): the alive set of the
-        // start state is saturated from round zero.
-        assert_eq!(
-            service
-                .core()
-                .eval_cache()
-                .evaluate_compiled(saturating.regex(), saturating.dfa())
-                .nodes()
-                .len(),
-            graph.node_count(),
-        );
-        let mut rng = StdRng::seed_from_u64(0xCAFE);
-        let report = service
-            .update(random_insert_update(&graph, &mut rng, 1))
-            .unwrap();
-        assert_eq!(
-            report.reseeded_answers, 1,
-            "{mode:?}: the saturating query must reseed, not recompute"
-        );
-        assert_eq!(report.recomputed_answers, 0, "{mode:?}");
-        assert_matches_cold(
-            &service,
-            std::slice::from_ref(&saturating),
-            &format!("{mode:?}, saturating reseed"),
-        );
-    }
+    let service = SessionManager::new(Engine::builder(graph.clone()).build());
+    warm(&service, std::slice::from_ref(&saturating));
+    // Every node already matches (epsilon ⊆ a0*): the alive set of the
+    // start state is saturated from round zero.
+    assert_eq!(
+        service
+            .core()
+            .eval_cache()
+            .evaluate_compiled(saturating.regex(), saturating.dfa())
+            .nodes()
+            .len(),
+        graph.node_count(),
+    );
+    let mut rng = StdRng::seed_from_u64(0xCAFE);
+    let report = service
+        .update(random_insert_update(&graph, &mut rng, 1))
+        .unwrap();
+    assert_eq!(
+        report.reseeded_answers, 1,
+        "the saturating query must reseed, not recompute"
+    );
+    assert_eq!(report.recomputed_answers, 0);
+    assert_matches_cold(
+        &service,
+        std::slice::from_ref(&saturating),
+        "saturating reseed",
+    );
 }
 
 // ------------------------------------------- 3. Tier-3 delete-reseed exact
@@ -316,47 +310,45 @@ fn start_state_saturating_queries_still_capture_and_reseed() {
 #[test]
 fn deletion_deltas_delete_reseed_and_stay_correct() {
     let graph = scale_free_graph(400);
-    for mode in MODES {
-        let service = SessionManager::new(Engine::builder(graph.clone()).eval_mode(mode).build());
-        let queries = warm_queries(&graph);
-        warm(&service, &queries);
+    let service = SessionManager::new(Engine::builder(graph.clone()).build());
+    let queries = warm_queries(&graph);
+    warm(&service, &queries);
 
-        // Remove an existing a0 edge (touching most query alphabets) and add
-        // an a1 edge in the same batch: a mixed delta with a deletion.
-        let (_, removed) = graph
-            .edges()
-            .find(|(_, e)| graph.labels().name(e.label).unwrap() == "a0")
-            .expect("scale-free graph has a0 edges");
-        let update = GraphUpdate::new()
-            .remove_edge(
-                graph.node_name(removed.source),
-                "a0",
-                graph.node_name(removed.target),
-            )
-            .add_edge(
-                graph.node_name(removed.target),
-                "a1",
-                graph.node_name(removed.source),
-            );
-        let report = service.update(update).unwrap();
-        assert_eq!(
-            report.reseeded_answers, 0,
-            "{mode:?}: a removal-bearing delta never takes the monotone insert-only path"
+    // Remove an existing a0 edge (touching most query alphabets) and add
+    // an a1 edge in the same batch: a mixed delta with a deletion.
+    let (_, removed) = graph
+        .edges()
+        .find(|(_, e)| graph.labels().name(e.label).unwrap() == "a0")
+        .expect("scale-free graph has a0 edges");
+    let update = GraphUpdate::new()
+        .remove_edge(
+            graph.node_name(removed.source),
+            "a0",
+            graph.node_name(removed.target),
+        )
+        .add_edge(
+            graph.node_name(removed.target),
+            "a1",
+            graph.node_name(removed.source),
         );
-        assert!(
-            report.delete_reseeded_answers > 0,
-            "{mode:?}: touched seeds must take the delete-aware resume"
-        );
-        assert_eq!(
-            report.recomputed_answers, 0,
-            "{mode:?}: a tiny removal must stay under the saturation budget"
-        );
-        assert!(
-            report.carried_answers > 0,
-            "{mode:?}: queries not reading a0/a1 are still carried"
-        );
-        assert_matches_cold(&service, &queries, &format!("{mode:?}, after removal"));
-    }
+    let report = service.update(update).unwrap();
+    assert_eq!(
+        report.reseeded_answers, 0,
+        "a removal-bearing delta never takes the monotone insert-only path"
+    );
+    assert!(
+        report.delete_reseeded_answers > 0,
+        "touched seeds must take the delete-aware resume"
+    );
+    assert_eq!(
+        report.recomputed_answers, 0,
+        "a tiny removal must stay under the saturation budget"
+    );
+    assert!(
+        report.carried_answers > 0,
+        "queries not reading a0/a1 are still carried"
+    );
+    assert_matches_cold(&service, &queries, "after removal");
 }
 
 /// One random mixed publish against the *current* snapshot: a fresh node,
@@ -411,74 +403,41 @@ fn random_mixed_update(
 #[test]
 fn chained_mixed_epochs_match_cold_evaluation_in_every_mode() {
     let graph = scale_free_graph(400);
-    for mode in MODES {
-        let service = SessionManager::new(Engine::builder(graph.clone()).eval_mode(mode).build());
-        let queries = warm_queries(&graph);
-        warm(&service, &queries);
-        let mut rng = StdRng::seed_from_u64(0x0D37_E7E5);
-        let mut delete_reseeded = 0usize;
-        for epoch in 1..=5u64 {
-            let update = {
-                let core = service.core();
-                random_mixed_update(core.snapshot(), &mut rng, epoch as usize, 2)
-            };
-            let report = service.update(update).unwrap();
-            assert_eq!(report.epoch, epoch, "{mode:?}");
-            assert!(report.removed_edges > 0, "{mode:?}: every epoch removes");
-            assert_eq!(
-                report.carried_answers
-                    + report.reseeded_answers
-                    + report.delete_reseeded_answers
-                    + report.recomputed_answers,
-                queries.len(),
-                "{mode:?}, epoch {epoch}: the migration split partitions the cache"
-            );
-            assert_eq!(
-                report.reseeded_answers, 0,
-                "{mode:?}, epoch {epoch}: mixed deltas never take the insert-only tier"
-            );
-            delete_reseeded += report.delete_reseeded_answers;
-            // Every live answer — migrated through the delete-aware resume or
-            // recomputed — must be byte-identical to a cold evaluation.
-            assert_matches_cold(
-                &service,
-                &queries,
-                &format!("{mode:?}, mixed epoch {epoch}"),
-            );
-            // Re-warm whatever fell out so the next epoch migrates a full
-            // cache again.
-            warm(&service, &queries);
-        }
-        assert!(
-            delete_reseeded > 0,
-            "{mode:?}: chained mixed epochs must exercise the delete-aware resume"
-        );
-    }
-}
-
-#[test]
-fn zero_saturation_budget_disables_the_delete_path() {
-    let graph = scale_free_graph(400);
-    let service = SessionManager::new(
-        Engine::builder(graph.clone())
-            .delete_reseed_saturation(0.0)
-            .build(),
-    );
+    let service = SessionManager::new(Engine::builder(graph.clone()).build());
     let queries = warm_queries(&graph);
     warm(&service, &queries);
-    let mut rng = StdRng::seed_from_u64(0x0D15_AB7E);
-    let update = {
-        let core = service.core();
-        random_mixed_update(core.snapshot(), &mut rng, 1, 2)
-    };
-    let report = service.update(update).unwrap();
-    assert_eq!(
-        report.delete_reseeded_answers, 0,
-        "budget 0.0: the first over-deleted configuration forces the fallback"
-    );
+    let mut rng = StdRng::seed_from_u64(0x0D37_E7E5);
+    let mut delete_reseeded = 0usize;
+    for epoch in 1..=5u64 {
+        let update = {
+            let core = service.core();
+            random_mixed_update(core.snapshot(), &mut rng, epoch as usize, 2)
+        };
+        let report = service.update(update).unwrap();
+        assert_eq!(report.epoch, epoch);
+        assert!(report.removed_edges > 0, "every epoch removes");
+        assert_eq!(
+            report.carried_answers
+                + report.reseeded_answers
+                + report.delete_reseeded_answers
+                + report.recomputed_answers,
+            queries.len(),
+            "epoch {epoch}: the migration split partitions the cache"
+        );
+        assert_eq!(
+            report.reseeded_answers, 0,
+            "epoch {epoch}: mixed deltas never take the insert-only tier"
+        );
+        delete_reseeded += report.delete_reseeded_answers;
+        // Every live answer — migrated through the delete-aware resume or
+        // recomputed — must be byte-identical to a cold evaluation.
+        assert_matches_cold(&service, &queries, &format!("mixed epoch {epoch}"));
+        // Re-warm whatever fell out so the next epoch migrates a full
+        // cache again.
+        warm(&service, &queries);
+    }
     assert!(
-        report.recomputed_answers > 0,
-        "touched entries recompute cold instead"
+        delete_reseeded > 0,
+        "chained mixed epochs must exercise the delete-aware resume"
     );
-    assert_matches_cold(&service, &queries, "zero saturation budget");
 }

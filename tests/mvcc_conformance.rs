@@ -8,12 +8,11 @@
 //!    bases that span several adjacency chunks.
 //! 2. **Pinned sessions are byte-stable.**  A session opened before a
 //!    publish replays exactly the transcript it would have produced had the
-//!    publish never happened, in both [`EvalMode`]s, while the publish
-//!    lands mid-run.
+//!    publish never happened, while the publish lands mid-run.
 //! 3. **New sessions observe the update.**  Sessions (and plain reads)
 //!    opened after a publish run on the new epoch and see the inserted
-//!    edges, in both [`EvalMode`]s, with answers equal to the naive
-//!    evaluator's over the published snapshot.
+//!    edges, with answers equal to the naive evaluator's over the published
+//!    snapshot.
 
 use gps_core::prelude::*;
 use gps_core::service::SessionManager;
@@ -27,8 +26,6 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::ops::RangeInclusive;
 use std::sync::Arc;
-
-const MODES: [EvalMode; 2] = [EvalMode::Frontier, EvalMode::Parallel];
 
 // ------------------------------------------------------ 1. compaction exact
 
@@ -266,61 +263,59 @@ fn figure1_update() -> GraphUpdate {
         .remove_edge("N2", "restaurant", "R1")
 }
 
-fn service(mode: EvalMode) -> SessionManager {
+fn service() -> SessionManager {
     let (graph, _) = figure1_graph();
-    SessionManager::new(Engine::builder(graph).eval_mode(mode).build())
+    SessionManager::new(Engine::builder(graph).build())
 }
 
 #[test]
 fn pinned_sessions_replay_identically_across_a_mid_run_publish() {
-    for mode in MODES {
-        for goal in [MOTIVATING_QUERY, "cinema", "bus.tram*.cinema"] {
-            // Baseline: the same manager-driven session with no publish.
-            let baseline_service = service(mode);
-            let labels = baseline_service.core().snapshot().labels().clone();
-            let baseline = {
-                let id = baseline_service.open(goal).unwrap();
-                baseline_service.run_to_completion(id).unwrap();
-                fingerprint(&labels, &baseline_service.close(id).unwrap())
-            };
+    for goal in [MOTIVATING_QUERY, "cinema", "bus.tram*.cinema"] {
+        // Baseline: the same manager-driven session with no publish.
+        let baseline_service = service();
+        let labels = baseline_service.core().snapshot().labels().clone();
+        let baseline = {
+            let id = baseline_service.open(goal).unwrap();
+            baseline_service.run_to_completion(id).unwrap();
+            fingerprint(&labels, &baseline_service.close(id).unwrap())
+        };
 
-            // Live: identical session, but a publish lands after step 2.
-            let live_service = service(mode);
-            let id = live_service.open(goal).unwrap();
-            assert_eq!(live_service.session_epoch(id).unwrap(), 0);
-            let mut halted = false;
-            for _ in 0..2 {
-                if let SessionStatus::Halted(_) = live_service.step(id).unwrap() {
-                    halted = true;
-                    break;
-                }
+        // Live: identical session, but a publish lands after step 2.
+        let live_service = service();
+        let id = live_service.open(goal).unwrap();
+        assert_eq!(live_service.session_epoch(id).unwrap(), 0);
+        let mut halted = false;
+        for _ in 0..2 {
+            if let SessionStatus::Halted(_) = live_service.step(id).unwrap() {
+                halted = true;
+                break;
             }
-            let report = live_service.update(figure1_update()).unwrap();
-            assert_eq!(report.epoch, 1, "{mode:?}");
-            if !halted {
-                assert_eq!(
-                    live_service.stats().live_epochs,
-                    2,
-                    "{mode:?}: the pinned birth epoch stays live"
-                );
-            }
-            live_service.run_to_completion(id).unwrap();
-            assert_eq!(
-                live_service.session_epoch(id).unwrap(),
-                0,
-                "{mode:?}: the session never migrates epochs"
-            );
-            let live = fingerprint(&labels, &live_service.close(id).unwrap());
-            assert_eq!(
-                live, baseline,
-                "{mode:?}/{goal}: a mid-run publish must not perturb a pinned session"
-            );
+        }
+        let report = live_service.update(figure1_update()).unwrap();
+        assert_eq!(report.epoch, 1);
+        if !halted {
             assert_eq!(
                 live_service.stats().live_epochs,
-                1,
-                "{mode:?}: closing the last pinned session retires epoch 0"
+                2,
+                "the pinned birth epoch stays live"
             );
         }
+        live_service.run_to_completion(id).unwrap();
+        assert_eq!(
+            live_service.session_epoch(id).unwrap(),
+            0,
+            "the session never migrates epochs"
+        );
+        let live = fingerprint(&labels, &live_service.close(id).unwrap());
+        assert_eq!(
+            live, baseline,
+            "{goal}: a mid-run publish must not perturb a pinned session"
+        );
+        assert_eq!(
+            live_service.stats().live_epochs,
+            1,
+            "closing the last pinned session retires epoch 0"
+        );
     }
 }
 
@@ -328,71 +323,67 @@ fn pinned_sessions_replay_identically_across_a_mid_run_publish() {
 fn pinned_sessions_survive_a_storm_of_publishes() {
     // Same property under repeated mid-run publishes (insertions and
     // deletions oscillating), interleaved step by step.
-    for mode in MODES {
-        let baseline_service = service(mode);
-        let labels = baseline_service.core().snapshot().labels().clone();
-        let baseline = {
-            let id = baseline_service.open(MOTIVATING_QUERY).unwrap();
-            baseline_service.run_to_completion(id).unwrap();
-            fingerprint(&labels, &baseline_service.close(id).unwrap())
+    let baseline_service = service();
+    let labels = baseline_service.core().snapshot().labels().clone();
+    let baseline = {
+        let id = baseline_service.open(MOTIVATING_QUERY).unwrap();
+        baseline_service.run_to_completion(id).unwrap();
+        fingerprint(&labels, &baseline_service.close(id).unwrap())
+    };
+    let live_service = service();
+    let id = live_service.open(MOTIVATING_QUERY).unwrap();
+    let mut toggle = false;
+    loop {
+        let update = if toggle {
+            GraphUpdate::new().remove_edge("N6", "tram", "N1")
+        } else {
+            GraphUpdate::new().add_edge("N6", "tram", "N1")
         };
-        let live_service = service(mode);
-        let id = live_service.open(MOTIVATING_QUERY).unwrap();
-        let mut toggle = false;
-        loop {
-            let update = if toggle {
-                GraphUpdate::new().remove_edge("N6", "tram", "N1")
-            } else {
-                GraphUpdate::new().add_edge("N6", "tram", "N1")
-            };
-            toggle = !toggle;
-            live_service.update(update).unwrap();
-            if let SessionStatus::Halted(_) = live_service.step(id).unwrap() {
-                break;
-            }
+        toggle = !toggle;
+        live_service.update(update).unwrap();
+        if let SessionStatus::Halted(_) = live_service.step(id).unwrap() {
+            break;
         }
-        let live = fingerprint(&labels, &live_service.close(id).unwrap());
-        assert_eq!(live, baseline, "{mode:?}");
     }
+    let live = fingerprint(&labels, &live_service.close(id).unwrap());
+    assert_eq!(live, baseline);
 }
 
 // ------------------------------------------------- 3. new sessions see more
 
 #[test]
 fn post_publish_sessions_observe_the_new_edges() {
-    for mode in MODES {
-        let live = service(mode);
-        let n5 = live.core().snapshot().node_by_name("N5").unwrap();
-        let before = live.core().evaluate(MOTIVATING_QUERY).unwrap();
-        assert!(
-            !before.contains(n5),
-            "{mode:?}: N5 reaches no cinema in the base graph"
-        );
+    let live = service();
+    let n5 = live.core().snapshot().node_by_name("N5").unwrap();
+    let before = live.core().evaluate(MOTIVATING_QUERY).unwrap();
+    assert!(
+        !before.contains(n5),
+        "N5 reaches no cinema in the base graph"
+    );
 
-        live.update(figure1_update()).unwrap();
+    live.update(figure1_update()).unwrap();
 
-        // Plain reads on the latest core see the new edge…
-        let core = live.core();
-        let after = core.evaluate(MOTIVATING_QUERY).unwrap();
-        assert!(after.contains(n5), "{mode:?}");
-        assert!(core.snapshot().node_by_name("C9").is_some());
-        let goal = core.parse_query(MOTIVATING_QUERY).unwrap();
-        assert_eq!(
-            after,
-            gps_rpq::eval::evaluate(core.snapshot(), goal.dfa()),
-            "{mode:?}: the oracle over the published snapshot agrees"
-        );
+    // Plain reads on the latest core see the new edge…
+    let core = live.core();
+    let after = core.evaluate(MOTIVATING_QUERY).unwrap();
+    assert!(after.contains(n5));
+    assert!(core.snapshot().node_by_name("C9").is_some());
+    let goal = core.parse_query(MOTIVATING_QUERY).unwrap();
+    assert_eq!(
+        after,
+        gps_rpq::eval::evaluate(core.snapshot(), goal.dfa()),
+        "the oracle over the published snapshot agrees"
+    );
 
-        // …and a full served session converges onto the *new* answer.
-        let outcome = live.serve_one(MOTIVATING_QUERY).unwrap();
-        assert!(outcome.halt_reason.is_convergence(), "{mode:?}");
-        let learned = outcome.learned.expect("a query is learned");
-        assert_eq!(
-            learned.answer.nodes(),
-            after.nodes(),
-            "{mode:?}: the learned answer is the post-publish answer"
-        );
-    }
+    // …and a full served session converges onto the *new* answer.
+    let outcome = live.serve_one(MOTIVATING_QUERY).unwrap();
+    assert!(outcome.halt_reason.is_convergence());
+    let learned = outcome.learned.expect("a query is learned");
+    assert_eq!(
+        learned.answer.nodes(),
+        after.nodes(),
+        "the learned answer is the post-publish answer"
+    );
 }
 
 #[test]
@@ -401,7 +392,7 @@ fn versioned_reads_and_writes_interleave_across_threads() {
     // serving sessions — sessions always converge, every observed answer is
     // one of the two publishable states, and the store ends at a bounded
     // number of live epochs.
-    let live = Arc::new(service(EvalMode::Frontier));
+    let live = Arc::new(service());
     let store: Arc<VersionedStore> = Arc::clone(live.store());
     std::thread::scope(|scope| {
         let writer = {

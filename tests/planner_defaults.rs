@@ -3,14 +3,11 @@
 //! exercise *all three* plans on a corpus this size — rare labels push,
 //! blanket star queries pull, mid-coverage queries go hybrid — and the
 //! chosen plans must never change answers.  This is the calibration the
-//! ROADMAP asked for once a larger workload landed; the thresholds are now
-//! builder knobs (`GpsBuilder::planner_config`), so a corpus where these
-//! defaults misfire can override them without forking the planner.
+//! ROADMAP asked for once a larger workload landed.
 
 use gps_automata::{Dfa, Regex};
-use gps_core::Engine;
 use gps_datasets::Workload;
-use gps_exec::{planner, BatchEvaluator, Plan, PlannerConfig};
+use gps_exec::{planner, BatchEvaluator, Plan};
 use gps_graph::LabelStats;
 
 #[test]
@@ -62,23 +59,4 @@ fn planner_chosen_plans_match_forced_plans_on_the_large_corpus() {
             assert_eq!(chosen, forced, "{plan:?}");
         }
     }
-}
-
-#[test]
-fn builder_planner_knob_reaches_the_frontier_evaluator() {
-    let (graph, _) = gps_datasets::figure1::figure1_graph();
-    let custom = PlannerConfig {
-        push_coverage: 0.2,
-        pull_coverage: 0.95,
-        pull_mean_degree: 2.0,
-    };
-    let engine = Engine::builder(graph).planner_config(custom).build();
-    assert_eq!(engine.planner_config(), custom);
-    assert_eq!(
-        Engine::builder(gps_datasets::figure1::figure1_graph().0)
-            .build()
-            .planner_config(),
-        PlannerConfig::default(),
-        "defaults unchanged when the knob is untouched"
-    );
 }

@@ -52,7 +52,7 @@ fn s2_without_validation_is_consistent_but_not_necessarily_the_goal() {
     let (graph, _) = figure1_graph();
     let gps = Gps::new(graph);
     let report = gps
-        .interactive_without_validation(MOTIVATING_QUERY, 0)
+        .interactive_without_validation(MOTIVATING_QUERY)
         .unwrap();
     // Always consistent with the labels the user provided...
     assert!(report.consistent_with_labels);
@@ -70,9 +70,7 @@ fn s2_without_validation_is_consistent_but_not_necessarily_the_goal() {
 fn s3_with_validation_recovers_the_goal_on_figure1() {
     let (graph, _) = figure1_graph();
     let gps = Gps::new(graph);
-    let report = gps
-        .interactive_with_validation(MOTIVATING_QUERY, 0)
-        .unwrap();
+    let report = gps.interactive_with_validation(MOTIVATING_QUERY).unwrap();
     assert!(report.goal_reached);
     assert!(report.consistent_with_labels);
     assert!(report.transcript.entries.len() == report.interactions);
@@ -90,7 +88,7 @@ fn s3_with_validation_recovers_goals_on_generated_transport_networks() {
             if goal.evaluate(&net.graph).is_empty() {
                 continue;
             }
-            let report = gps.interactive_with_validation(goal_syntax, seed).unwrap();
+            let report = gps.interactive_with_validation(goal_syntax).unwrap();
             assert!(
                 report.goal_reached,
                 "seed {seed}, goal {goal_syntax}: learned {:?} in {} interactions",
@@ -105,11 +103,9 @@ fn s2_and_s3_use_comparable_numbers_of_interactions() {
     let (graph, _) = figure1_graph();
     let gps = Gps::new(graph);
     let without = gps
-        .interactive_without_validation(MOTIVATING_QUERY, 0)
+        .interactive_without_validation(MOTIVATING_QUERY)
         .unwrap();
-    let with = gps
-        .interactive_with_validation(MOTIVATING_QUERY, 0)
-        .unwrap();
+    let with = gps.interactive_with_validation(MOTIVATING_QUERY).unwrap();
     // Path validation costs the user one extra click per positive node but
     // not extra *labeling* interactions.
     assert!(with.interactions <= without.interactions + 2);

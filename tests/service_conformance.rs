@@ -1,7 +1,7 @@
 //! Service conformance suite: N **concurrent** sessions over one shared
 //! [`EngineCore`] must produce exactly the same per-session transcripts as N
-//! **sequential** bare sessions — across every [`EvalMode`] and several
-//! corpora — and the shared bounded cache must never exceed its configured
+//! **sequential** bare sessions — across several corpora and worker counts —
+//! and the shared bounded cache must never exceed its configured
 //! capacities under a multi-session stress load.
 //!
 //! This is the contract that makes the multi-session service safe to deploy:
@@ -117,9 +117,8 @@ fn sequential_reference(graph: &Graph, goals: &[String]) -> Vec<SessionFingerpri
         .collect()
 }
 
-fn service_for(graph: &Graph, mode: EvalMode) -> SessionManager {
+fn service_for(graph: &Graph) -> SessionManager {
     let core = Engine::builder(graph.clone())
-        .eval_mode(mode)
         .session_config(session_config())
         .build();
     SessionManager::new(core)
@@ -133,24 +132,22 @@ fn concurrent_sessions_match_sequential_bare_sessions() {
             reference.iter().all(|f| f.interactions >= 1),
             "{name}: every reference session must interact"
         );
-        for mode in [EvalMode::Frontier, EvalMode::Parallel] {
-            for workers in [1, 4] {
-                let service = service_for(&graph, mode);
-                let outcomes = service.serve(&goals, workers).unwrap();
-                assert_eq!(outcomes.len(), reference.len());
-                for (i, (outcome, expected)) in outcomes.iter().zip(&reference).enumerate() {
-                    let candidate = fingerprint(graph.labels(), outcome);
-                    assert_eq!(
-                        candidate, *expected,
-                        "{name}: session {i} diverged ({mode:?}, {workers} workers)"
-                    );
-                }
-                let stats = service.stats();
-                assert_eq!(stats.sessions_closed, goals.len() as u64, "{name} {mode:?}");
-                assert_eq!(stats.active_sessions, 0, "{name} {mode:?}");
-                let total: usize = reference.iter().map(|f| f.interactions).sum();
-                assert_eq!(stats.interactions, total as u64, "{name} {mode:?}");
+        for workers in [1, 4] {
+            let service = service_for(&graph);
+            let outcomes = service.serve(&goals, workers).unwrap();
+            assert_eq!(outcomes.len(), reference.len());
+            for (i, (outcome, expected)) in outcomes.iter().zip(&reference).enumerate() {
+                let candidate = fingerprint(graph.labels(), outcome);
+                assert_eq!(
+                    candidate, *expected,
+                    "{name}: session {i} diverged ({workers} workers)"
+                );
             }
+            let stats = service.stats();
+            assert_eq!(stats.sessions_closed, goals.len() as u64, "{name}");
+            assert_eq!(stats.active_sessions, 0, "{name}");
+            let total: usize = reference.iter().map(|f| f.interactions).sum();
+            assert_eq!(stats.interactions, total as u64, "{name}");
         }
     }
 }
@@ -167,7 +164,7 @@ fn interleaved_stepping_matches_batch_runs() {
         "restaurant".to_string(),
     ];
     let reference = sequential_reference(&graph, &goals);
-    let service = service_for(&graph, EvalMode::Frontier);
+    let service = service_for(&graph);
     let ids: Vec<_> = goals.iter().map(|g| service.open(g).unwrap()).collect();
     let mut done = vec![false; ids.len()];
     while !done.iter().all(|&d| d) {
@@ -211,7 +208,7 @@ fn bounded_cache_never_exceeds_capacity_under_stress() {
         .map(|i| distinct[i % distinct.len()].clone())
         .collect();
 
-    let unbounded = service_for(&sf, EvalMode::Frontier);
+    let unbounded = service_for(&sf);
     let expected: Vec<_> = unbounded
         .serve(&goals, 4)
         .unwrap()

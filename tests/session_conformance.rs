@@ -8,9 +8,8 @@
 //!
 //! * the reference path: `Session::new` + `SimulatedUser::new` on the
 //!   mutable adjacency backend (private naive evaluation stack), and
-//! * the engine path under both [`EvalMode`]s, with the session, user,
-//!   learner and pruning all sharing the engine's evaluation stack via
-//!   [`EvalHandle`],
+//! * the engine path, with the session, user, learner and pruning all
+//!   sharing the engine's evaluation stack via [`EvalHandle`],
 //!
 //! and asserts byte-identical outcomes across the figure1, transport and
 //! scale-free corpora, with and without path validation.
@@ -104,15 +103,9 @@ fn run_reference(graph: &Graph, syntax: &str, config: SessionConfig) -> SessionO
     session.run(&mut InformativePathsStrategy, &mut user)
 }
 
-/// The engine run: shared evaluation stack, chosen eval mode.
-fn run_engine(
-    graph: &Graph,
-    syntax: &str,
-    config: SessionConfig,
-    mode: EvalMode,
-) -> SessionOutcome {
+/// The engine run: shared evaluation stack.
+fn run_engine(graph: &Graph, syntax: &str, config: SessionConfig) -> SessionOutcome {
     let engine = Engine::builder(graph.clone())
-        .eval_mode(mode)
         .session_config(config)
         .build();
     let goal = engine.parse_query(syntax).unwrap();
@@ -133,14 +126,12 @@ fn session_transcripts_identical_across_eval_modes_and_backends() {
                 reference.interactions >= 1,
                 "{name}: the reference session must interact"
             );
-            for mode in [EvalMode::Frontier, EvalMode::Parallel] {
-                let outcome = run_engine(&graph, &syntax, config(with_validation), mode);
-                let candidate = fingerprint(graph.labels(), &outcome);
-                assert_eq!(
-                    candidate, reference,
-                    "{name} (validation={with_validation}): {mode:?} session diverged"
-                );
-            }
+            let outcome = run_engine(&graph, &syntax, config(with_validation));
+            let candidate = fingerprint(graph.labels(), &outcome);
+            assert_eq!(
+                candidate, reference,
+                "{name} (validation={with_validation}): engine session diverged"
+            );
         }
     }
 }
@@ -151,7 +142,7 @@ fn frontier_sessions_share_the_engine_cache() {
     let engine = Engine::builder(graph).build();
     assert!(engine.eval_cache().is_empty());
     let report = engine
-        .interactive_with_validation(MOTIVATING_QUERY, 0)
+        .interactive_with_validation(MOTIVATING_QUERY)
         .unwrap();
     assert!(report.goal_reached);
     let (hits, misses) = engine.eval_cache().stats();
@@ -163,7 +154,7 @@ fn frontier_sessions_share_the_engine_cache() {
     // A second identical scenario is served almost entirely from the cache.
     let misses_before = engine.eval_cache().stats().1;
     let report2 = engine
-        .interactive_with_validation(MOTIVATING_QUERY, 0)
+        .interactive_with_validation(MOTIVATING_QUERY)
         .unwrap();
     assert_eq!(report2.interactions, report.interactions);
     assert_eq!(
@@ -176,18 +167,13 @@ fn frontier_sessions_share_the_engine_cache() {
 #[test]
 fn engine_sessions_match_scenario_reports_across_modes() {
     // The scenario path (engine.interactive_with_validation) must agree on
-    // interactions with the bare reference session in both modes.
+    // interactions with the bare reference session.
     let (graph, _) = figure1_graph();
     let reference = run_reference(&graph, MOTIVATING_QUERY, SessionConfig::default());
-    for mode in [EvalMode::Frontier, EvalMode::Parallel] {
-        let engine = Engine::builder(graph.clone()).eval_mode(mode).build();
-        let report = engine
-            .interactive_with_validation(MOTIVATING_QUERY, 0)
-            .unwrap();
-        assert_eq!(
-            report.interactions, reference.stats.interactions,
-            "{mode:?}"
-        );
-        assert!(report.goal_reached, "{mode:?}");
-    }
+    let engine = Engine::builder(graph).build();
+    let report = engine
+        .interactive_with_validation(MOTIVATING_QUERY)
+        .unwrap();
+    assert_eq!(report.interactions, reference.stats.interactions);
+    assert!(report.goal_reached);
 }

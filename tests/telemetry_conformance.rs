@@ -3,12 +3,12 @@
 //! The contract the tentpole rests on: wiring a [`MetricsRegistry`] through
 //! the stack must not change a single observable byte — transcripts, learned
 //! queries, example sets and statistics are identical with metrics enabled
-//! and disabled, in both [`EvalMode`]s and on both the bare-session and the
-//! managed-service paths.  On top of that, after a mixed
-//! serve + update + recover workload the service's exports must be complete
-//! (eval latency, cache hit/miss, publish latency, WAL fsyncs, session
-//! counters) and grammatically valid: `metrics_text()` passes the
-//! Prometheus text validator and `metrics_json()` passes the JSON validator.
+//! and disabled, on both the bare-session and the managed-service paths.
+//! On top of that, after a mixed serve + update + recover workload the
+//! service's exports must be complete (eval latency, cache hit/miss, publish
+//! latency, WAL fsyncs, session counters) and grammatically valid:
+//! `metrics_text()` passes the Prometheus text validator and
+//! `metrics_json()` passes the JSON validator.
 
 use gps_core::prelude::*;
 use gps_core::service::SessionManager;
@@ -18,8 +18,6 @@ use gps_telemetry::{validate_json, validate_prometheus_text};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-
-const MODES: [EvalMode; 2] = [EvalMode::Frontier, EvalMode::Parallel];
 
 static DIRS: AtomicU64 = AtomicU64::new(0);
 
@@ -61,9 +59,9 @@ fn fingerprint(outcome: &SessionOutcome) -> SessionFingerprint {
     }
 }
 
-fn service(mode: EvalMode, registry: Option<Arc<MetricsRegistry>>) -> SessionManager {
+fn service(registry: Option<Arc<MetricsRegistry>>) -> SessionManager {
     let (graph, _) = figure1_graph();
-    let mut builder = Engine::builder(graph).eval_mode(mode);
+    let mut builder = Engine::builder(graph);
     if let Some(registry) = registry {
         builder = builder.metrics(registry);
     }
@@ -72,39 +70,35 @@ fn service(mode: EvalMode, registry: Option<Arc<MetricsRegistry>>) -> SessionMan
 
 #[test]
 fn transcripts_are_byte_identical_with_metrics_enabled() {
-    for mode in MODES {
-        let disabled = service(mode, None);
-        let registry = Arc::new(MetricsRegistry::enabled());
-        let enabled = service(mode, Some(Arc::clone(&registry)));
+    let disabled = service(None);
+    let registry = Arc::new(MetricsRegistry::enabled());
+    let enabled = service(Some(Arc::clone(&registry)));
 
-        let base: Vec<SessionFingerprint> = disabled
-            .serve(&goals(), 2)
-            .unwrap()
-            .iter()
-            .map(fingerprint)
-            .collect();
-        let instrumented: Vec<SessionFingerprint> = enabled
-            .serve(&goals(), 2)
-            .unwrap()
-            .iter()
-            .map(fingerprint)
-            .collect();
-        assert_eq!(base, instrumented, "{mode:?}: metrics changed a session");
+    let base: Vec<SessionFingerprint> = disabled
+        .serve(&goals(), 2)
+        .unwrap()
+        .iter()
+        .map(fingerprint)
+        .collect();
+    let instrumented: Vec<SessionFingerprint> = enabled
+        .serve(&goals(), 2)
+        .unwrap()
+        .iter()
+        .map(fingerprint)
+        .collect();
+    assert_eq!(base, instrumented, "metrics changed a session");
 
-        // The instrumented run actually recorded: sessions and interactions.
-        let snapshot = enabled.metrics();
-        assert_eq!(
-            snapshot.counter("gps_service_sessions_opened_total"),
-            Some(goals().len() as u64),
-            "{mode:?}"
-        );
-        let total: usize = instrumented.iter().map(|f| f.interactions).sum();
-        assert_eq!(
-            snapshot.counter("gps_interactive_interactions_total"),
-            Some(total as u64),
-            "{mode:?}"
-        );
-    }
+    // The instrumented run actually recorded: sessions and interactions.
+    let snapshot = enabled.metrics();
+    assert_eq!(
+        snapshot.counter("gps_service_sessions_opened_total"),
+        Some(goals().len() as u64)
+    );
+    let total: usize = instrumented.iter().map(|f| f.interactions).sum();
+    assert_eq!(
+        snapshot.counter("gps_interactive_interactions_total"),
+        Some(total as u64)
+    );
 }
 
 #[test]
@@ -135,7 +129,7 @@ fn bare_sessions_are_identical_and_record_per_session_histograms() {
 #[test]
 fn legacy_cache_getters_mirror_the_registry_counters() {
     let registry = Arc::new(MetricsRegistry::enabled());
-    let svc = service(EvalMode::Frontier, Some(Arc::clone(&registry)));
+    let svc = service(Some(Arc::clone(&registry)));
     svc.serve(&goals(), 2).unwrap();
     let (hits, misses) = svc.core().eval_cache().stats();
     assert!(hits > 0, "repeated goals must hit the shared cache");
@@ -305,7 +299,7 @@ fn mixed_workload_exports_are_complete_and_valid() {
 
 #[test]
 fn disabled_registry_exports_are_empty_but_valid() {
-    let svc = service(EvalMode::Frontier, None);
+    let svc = service(None);
     svc.serve(&goals()[..1], 1).unwrap();
     assert_eq!(svc.metrics_text(), "");
     validate_json(&svc.metrics_json()).expect("the empty document is still valid JSON");
@@ -316,7 +310,7 @@ fn disabled_registry_exports_are_empty_but_valid() {
 #[test]
 fn updates_and_retirement_keep_gauges_accurate() {
     let registry = Arc::new(MetricsRegistry::enabled());
-    let svc = service(EvalMode::Frontier, Some(Arc::clone(&registry)));
+    let svc = service(Some(Arc::clone(&registry)));
     let first = svc.open(MOTIVATING_QUERY).unwrap();
     svc.step(first).unwrap();
     svc.update(GraphUpdate::new().add_node("Z1")).unwrap();
