@@ -13,11 +13,12 @@
 //! ablation).
 
 use gps_bench::{goal_reached, row, run_session, strategies};
-use gps_core::Gps;
+use gps_core::Engine;
 use gps_datasets::figure1::{figure1_graph, MOTIVATING_QUERY};
 use gps_datasets::synthetic::{self, SyntheticConfig};
 use gps_datasets::transport::{self, TransportConfig};
 use gps_datasets::Workload;
+use gps_graph::CsrGraph;
 use gps_interactive::session::SessionConfig;
 use gps_learner::characteristic::partial_sample;
 use gps_learner::Learner;
@@ -63,7 +64,7 @@ fn main() {
 fn experiment_f1() {
     println!("== F1: Figure 1 motivating query ==");
     let (graph, _) = figure1_graph();
-    let gps = Gps::new(graph);
+    let gps = Engine::builder(graph).build();
     println!("q = {MOTIVATING_QUERY}");
     println!(
         "q(G) = {}",
@@ -101,24 +102,20 @@ fn experiment_e1() {
     );
     for neighborhoods in [20usize, 50, 100, 200] {
         let net = transport::generate(&TransportConfig::with_neighborhoods(neighborhoods, 3));
-        let goal = PathQuery::parse("tram*.cinema", net.graph.labels()).unwrap();
+        let graph = CsrGraph::from_graph(&net.graph);
+        let goal = PathQuery::parse("tram*.cinema", graph.labels()).unwrap();
         for (name, mut strategy) in strategies(1) {
-            let outcome = run_session(
-                &net.graph,
-                &goal,
-                strategy.as_mut(),
-                SessionConfig::default(),
-            );
+            let outcome = run_session(&graph, &goal, strategy.as_mut(), SessionConfig::default());
             println!(
                 "{}",
                 row(
                     &[
                         format!("transport-{neighborhoods}"),
-                        net.graph.node_count().to_string(),
+                        graph.node_count().to_string(),
                         name.to_string(),
                         outcome.stats.interactions.to_string(),
                         outcome.stats.zooms.to_string(),
-                        goal_reached(&net.graph, &goal, &outcome).to_string(),
+                        goal_reached(&graph, &goal, &outcome).to_string(),
                     ],
                     &widths
                 )
@@ -147,14 +144,10 @@ fn experiment_e2() {
     );
     for neighborhoods in [50usize, 200] {
         let net = transport::generate(&TransportConfig::with_neighborhoods(neighborhoods, 5));
-        let goal = PathQuery::parse("(tram+bus)*.cinema", net.graph.labels()).unwrap();
+        let graph = CsrGraph::from_graph(&net.graph);
+        let goal = PathQuery::parse("(tram+bus)*.cinema", graph.labels()).unwrap();
         for (name, mut strategy) in strategies(2) {
-            let outcome = run_session(
-                &net.graph,
-                &goal,
-                strategy.as_mut(),
-                SessionConfig::default(),
-            );
+            let outcome = run_session(&graph, &goal, strategy.as_mut(), SessionConfig::default());
             println!(
                 "{}",
                 row(
@@ -185,7 +178,7 @@ fn experiment_e3() {
         )
     );
     let net = transport::generate(&TransportConfig::with_neighborhoods(100, 5));
-    let graph = net.graph;
+    let graph = CsrGraph::from_graph(&net.graph);
     let learner = Learner::default();
     for syntax in ["cinema", "tram*.cinema", "(tram+bus)*.cinema"] {
         let goal = PathQuery::parse(syntax, graph.labels()).unwrap();
@@ -235,14 +228,10 @@ fn experiment_e4() {
     );
     for neighborhoods in [50usize, 100, 200] {
         let net = transport::generate(&TransportConfig::with_neighborhoods(neighborhoods, 11));
-        let goal = PathQuery::parse("(tram+bus)*.cinema", net.graph.labels()).unwrap();
+        let graph = CsrGraph::from_graph(&net.graph);
+        let goal = PathQuery::parse("(tram+bus)*.cinema", graph.labels()).unwrap();
         let mut strategy = strategies(1).remove(0).1;
-        let outcome = run_session(
-            &net.graph,
-            &goal,
-            strategy.as_mut(),
-            SessionConfig::default(),
-        );
+        let outcome = run_session(&graph, &goal, strategy.as_mut(), SessionConfig::default());
         let final_pruned = outcome
             .stats
             .pruned_after_interaction
@@ -258,7 +247,7 @@ fn experiment_e4() {
                     final_pruned.to_string(),
                     format!(
                         "{:.2}",
-                        outcome.stats.final_pruned_fraction(net.graph.node_count())
+                        outcome.stats.final_pruned_fraction(graph.node_count())
                     ),
                 ],
                 &widths
@@ -288,7 +277,7 @@ fn experiment_e5() {
     for nodes in [100usize, 500, 2000] {
         let graph = synthetic::generate(&SyntheticConfig::with_nodes(nodes, 7));
         let query = PathQuery::parse("(a0+a1)*.a2", graph.labels()).unwrap();
-        let csr = gps_graph::CsrGraph::from_graph(&graph);
+        let csr = CsrGraph::from_graph(&graph);
         let started = Instant::now();
         let iterations = 20;
         for _ in 0..iterations {
@@ -338,15 +327,16 @@ fn experiment_a1() {
     );
     let workloads = [Workload::figure1(), Workload::transport(30, 21)];
     for workload in &workloads {
-        let alphabet = gps_automata::Alphabet::from_interner(workload.graph.labels());
+        let graph = CsrGraph::from_graph(&workload.graph);
+        let alphabet = gps_automata::Alphabet::from_interner(graph.labels());
         for goal in &workload.queries.queries {
-            if goal.evaluate(&workload.graph).is_empty() {
+            if goal.evaluate(&graph).is_empty() {
                 continue;
             }
             let measure = |config: SessionConfig| {
                 let mut strategy = strategies(1).remove(0).1;
-                let outcome = run_session(&workload.graph, goal, strategy.as_mut(), config);
-                let ans = goal_reached(&workload.graph, goal, &outcome);
+                let outcome = run_session(&graph, goal, strategy.as_mut(), config);
+                let ans = goal_reached(&graph, goal, &outcome);
                 let lang = outcome
                     .learned
                     .as_ref()
@@ -361,7 +351,7 @@ fn experiment_a1() {
                 row(
                     &[
                         workload.name.clone(),
-                        goal.display(workload.graph.labels()),
+                        goal.display(graph.labels()),
                         ans_with.to_string(),
                         lang_with.to_string(),
                         ans_without.to_string(),
@@ -393,14 +383,15 @@ fn experiment_a2() {
         )
     );
     let net = transport::generate(&TransportConfig::with_neighborhoods(50, 9));
-    let goal = PathQuery::parse("tram*.cinema", net.graph.labels()).unwrap();
+    let graph = CsrGraph::from_graph(&net.graph);
+    let goal = PathQuery::parse("tram*.cinema", graph.labels()).unwrap();
     for radius in [1u32, 2, 3] {
         let config = SessionConfig {
             initial_radius: radius,
             ..SessionConfig::default()
         };
         let mut strategy = strategies(1).remove(0).1;
-        let outcome = run_session(&net.graph, &goal, strategy.as_mut(), config);
+        let outcome = run_session(&graph, &goal, strategy.as_mut(), config);
         println!(
             "{}",
             row(
@@ -409,7 +400,7 @@ fn experiment_a2() {
                     radius.to_string(),
                     outcome.stats.interactions.to_string(),
                     outcome.stats.zooms.to_string(),
-                    goal_reached(&net.graph, &goal, &outcome).to_string(),
+                    goal_reached(&graph, &goal, &outcome).to_string(),
                 ],
                 &widths
             )

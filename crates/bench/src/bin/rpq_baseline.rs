@@ -38,7 +38,7 @@ use gps_datasets::scale_free::{self, ScaleFreeConfig};
 use gps_datasets::streamed;
 use gps_datasets::updates::{update_stream, UpdateStreamConfig};
 use gps_exec::BatchEvaluator;
-use gps_graph::{CsrGraph, DeltaGraph, Graph, LabelId};
+use gps_graph::{CsrEntry, CsrGraph, DeltaGraph, Graph, LabelId};
 use gps_graph::{NodeId, PathEnumerator, UpdateOp};
 use gps_interactive::strategy::InformativePathsStrategy;
 use gps_interactive::user::SimulatedUser;
@@ -619,11 +619,12 @@ fn delete_reseeded_read_floor(graph: &Graph) -> Floor {
         leaf_sources.len() >= 8,
         "scale-free graph has in-degree-0 attachment sources"
     );
+    let csr = CsrGraph::from_graph(graph);
     let edge = |source: NodeId| -> (String, String, String) {
-        let (label, target) = graph
-            .successors(source)
-            .next()
-            .expect("source filtered for out-degree > 0");
+        let CsrEntry {
+            label,
+            node: target,
+        } = csr.out(source)[0];
         (
             graph.node_name(source).to_string(),
             graph.labels().name(label).unwrap().to_string(),
@@ -643,7 +644,12 @@ fn delete_reseeded_read_floor(graph: &Graph) -> Floor {
             let target_id = graph.node_by_name(&target).unwrap();
             let label = (0..4u32)
                 .map(|k| LabelId::new((i as u32 + k) % 4))
-                .find(|&l| !graph.has_edge(source, l, target_id))
+                .find(|&l| {
+                    !csr.out(source).contains(&CsrEntry {
+                        label: l,
+                        node: target_id,
+                    })
+                })
                 .expect("some alphabet label is free for this pair");
             (
                 graph.node_name(source).to_string(),

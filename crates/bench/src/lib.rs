@@ -20,7 +20,7 @@
 
 #![forbid(unsafe_code)]
 
-use gps_graph::Graph;
+use gps_graph::CsrGraph;
 use gps_interactive::session::{Session, SessionConfig, SessionOutcome};
 use gps_interactive::strategy::{
     DegreeStrategy, InformativePathsStrategy, RandomStrategy, Strategy,
@@ -44,7 +44,7 @@ pub fn strategies(seed: u64) -> Vec<(&'static str, Box<dyn Strategy>)> {
 /// Runs one interactive session of `goal` on `graph` with the given strategy
 /// and configuration, against the simulated oracle user.
 pub fn run_session(
-    graph: &Graph,
+    graph: &CsrGraph,
     goal: &PathQuery,
     strategy: &mut dyn Strategy,
     config: SessionConfig,
@@ -56,7 +56,7 @@ pub fn run_session(
 
 /// Returns `true` when the session's learned query selects exactly the same
 /// nodes as the goal.
-pub fn goal_reached(graph: &Graph, goal: &PathQuery, outcome: &SessionOutcome) -> bool {
+pub fn goal_reached(graph: &CsrGraph, goal: &PathQuery, outcome: &SessionOutcome) -> bool {
     outcome
         .learned
         .as_ref()
@@ -81,7 +81,7 @@ mod tests {
 
     #[test]
     fn helpers_compose() {
-        let (g, _) = figure1_graph();
+        let g = CsrGraph::from_graph(&figure1_graph().0);
         let goal = PathQuery::parse(MOTIVATING_QUERY, g.labels()).unwrap();
         for (name, mut strategy) in strategies(1) {
             let outcome = run_session(&g, &goal, strategy.as_mut(), SessionConfig::default());

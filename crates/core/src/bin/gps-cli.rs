@@ -14,9 +14,9 @@
 //! Graphs are read from the edge-list format (`source label target` per
 //! line); `--figure1` loads the paper's running example instead of a file.
 
-use gps_core::Gps;
+use gps_core::Engine;
 use gps_datasets::figure1::figure1_graph;
-use gps_graph::{io, Graph};
+use gps_graph::{io, CsrGraph, Graph};
 use std::process::ExitCode;
 
 fn main() -> ExitCode {
@@ -55,12 +55,12 @@ fn run(args: &[String]) -> Result<String, String> {
     match command.as_str() {
         "evaluate" => {
             let [graph_spec, query] = expect_args(args, 2)?;
-            let gps = Gps::new(load_graph(graph_spec)?);
+            let gps = Engine::builder(load_graph(graph_spec)?).build();
             gps.evaluate_rendered(query).map_err(|e| e.to_string())
         }
         "witness" => {
             let [graph_spec, query, node_name] = expect_args(args, 3)?;
-            let graph = load_graph(graph_spec)?;
+            let graph = CsrGraph::from_graph(&load_graph(graph_spec)?);
             let node = graph
                 .node_by_name(node_name)
                 .ok_or_else(|| format!("unknown node {node_name}"))?;
@@ -86,19 +86,19 @@ fn run(args: &[String]) -> Result<String, String> {
                 .node_by_name(node_name)
                 .ok_or_else(|| format!("unknown node {node_name}"))?;
             let radius: u32 = radius.parse().map_err(|_| "radius must be a number")?;
-            let gps = Gps::new(graph);
+            let gps = Engine::builder(graph).build();
             Ok(gps.render_neighborhood(node, radius))
         }
         "dot" => {
             let [graph_spec] = expect_args(args, 1)?;
-            let graph = load_graph(graph_spec)?;
+            let graph = CsrGraph::from_graph(&load_graph(graph_spec)?);
             Ok(gps_graph::dot::graph_to_dot(&graph, "gps"))
         }
         "interactive" => {
             let graph_spec = args.get(1).ok_or("missing graph")?;
             let goal = args.get(2).ok_or("missing goal query")?;
             let with_validation = !args.iter().any(|a| a == "--no-validation");
-            let gps = Gps::new(load_graph(graph_spec)?);
+            let gps = Engine::builder(load_graph(graph_spec)?).build();
             let report = if with_validation {
                 gps.interactive_with_validation(goal)
             } else {
@@ -118,7 +118,7 @@ fn run(args: &[String]) -> Result<String, String> {
         }
         "stats" => {
             let [graph_spec] = expect_args(args, 1)?;
-            let graph = load_graph(graph_spec)?;
+            let graph = CsrGraph::from_graph(&load_graph(graph_spec)?);
             let mut out = gps_graph::stats::GraphStats::compute(&graph).summary();
             let label_stats = gps_graph::stats::LabelStats::compute(&graph);
             if !label_stats.per_label.is_empty() {

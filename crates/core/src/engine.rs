@@ -39,9 +39,7 @@ use crate::error::GpsError;
 use crate::render;
 use crate::scenario::{self, ScenarioReport, StaticLabelingOutcome};
 use gps_exec::{BatchEvaluator, ExecMetrics, LabelIndex, PlannerConfig};
-use gps_graph::{
-    CsrGraph, Graph, GraphBackend, GraphDelta, Neighborhood, NodeId, PathEnumerator, PrefixTree,
-};
+use gps_graph::{CsrGraph, Graph, GraphDelta, Neighborhood, NodeId, PathEnumerator, PrefixTree};
 use gps_interactive::halt::HaltConfig;
 use gps_interactive::session::{Session, SessionConfig, SessionOutcome};
 use gps_interactive::strategy::{
@@ -81,9 +79,10 @@ pub enum StrategyChoice {
 }
 
 impl StrategyChoice {
-    /// Instantiates the chosen strategy for backend `B`.  The trait object is
-    /// `Send` so service deployments can drive sessions from worker threads.
-    pub fn instantiate<B: GraphBackend>(&self) -> Box<dyn Strategy<B> + Send> {
+    /// Instantiates the chosen strategy.  The trait object is `Send` so
+    /// service deployments can drive sessions from worker threads.
+    // `B` is ignored; it is kept only for `benchmark/src/shadow.rs:252`.
+    pub fn instantiate<B>(&self) -> Box<dyn Strategy + Send> {
         match *self {
             StrategyChoice::InformativePaths => Box::new(InformativePathsStrategy),
             StrategyChoice::Degree => Box::new(DegreeStrategy),
@@ -312,20 +311,7 @@ pub struct Engine {
 /// The name the service layer and `benchmark/` know the engine by.
 pub type EngineCore = Engine;
 
-/// The historical name of the engine.
-pub type Gps = Engine;
-
 impl Engine {
-    /// Creates an engine over `graph` with default options.
-    pub fn new(graph: Graph) -> Self {
-        GpsBuilder::new(graph).build()
-    }
-
-    /// Creates an engine with a custom learner configuration.
-    pub fn with_learner(graph: Graph, learner: Learner) -> Self {
-        GpsBuilder::new(graph).learner(learner).build()
-    }
-
     /// Starts a builder over `graph`; finish with
     /// [`build`](GpsBuilder::build).
     pub fn builder(graph: Graph) -> GpsBuilder {
@@ -501,7 +487,7 @@ impl Engine {
 
     /// Extracts the neighborhood of a node at the given radius (Figure 3(a)).
     pub fn neighborhood(&self, node: NodeId, radius: u32) -> Neighborhood {
-        Neighborhood::extract(&*self.snapshot, node, radius)
+        Neighborhood::extract(&self.snapshot, node, radius)
     }
 
     /// Renders the neighborhood of a node at the given radius.
@@ -513,7 +499,7 @@ impl Engine {
     /// newly revealed nodes (Figure 3(b)).
     pub fn render_zoom(&self, node: NodeId, radius: u32) -> String {
         let hood = self.neighborhood(node, radius);
-        let (larger, delta) = hood.zoom_out(&*self.snapshot);
+        let (larger, delta) = hood.zoom_out(&self.snapshot);
         render::render_neighborhood(&self.snapshot, &larger, Some(&delta))
     }
 
@@ -525,7 +511,7 @@ impl Engine {
         bound: usize,
         suggested: &[gps_graph::LabelId],
     ) -> String {
-        let words = PathEnumerator::new(bound).words_from(&*self.snapshot, node);
+        let words = PathEnumerator::new(bound).words_from(&self.snapshot, node);
         let tree = PrefixTree::from_words(&words);
         render::render_prefix_tree(&self.snapshot, &tree, &suggested.to_vec())
     }
@@ -538,7 +524,7 @@ impl Engine {
     /// be stored in a session table and stepped from any worker thread; its
     /// learner/coverage/pruning state is private to the session, while every
     /// query it evaluates goes through the engine's one bounded cache.
-    pub fn open_session(&self) -> Session<'static, CsrGraph> {
+    pub fn open_session(&self) -> Session<'static> {
         let mut session = Session::with_shared_exec(
             Arc::clone(&self.snapshot),
             self.options.session.clone(),
@@ -553,7 +539,7 @@ impl Engine {
     }
 
     /// Instantiates the configured node-proposal strategy.
-    pub fn instantiate_strategy(&self) -> Box<dyn Strategy<CsrGraph> + Send> {
+    pub fn instantiate_strategy(&self) -> Box<dyn Strategy + Send> {
         self.options.strategy.instantiate::<CsrGraph>()
     }
 
@@ -566,7 +552,7 @@ impl Engine {
 
     /// Runs a full interactive session against `user` with the configured
     /// strategy and options.
-    pub fn specify<U: User<CsrGraph> + ?Sized>(&self, user: &mut U) -> SessionOutcome {
+    pub fn specify<U: User + ?Sized>(&self, user: &mut U) -> SessionOutcome {
         let mut strategy = self.instantiate_strategy();
         self.open_session().run(strategy.as_mut(), user)
     }
@@ -623,12 +609,11 @@ impl Engine {
 mod tests {
     use super::*;
     use gps_datasets::figure1::{figure1_graph, MOTIVATING_QUERY};
-    use gps_graph::GraphBackend;
     use gps_rpq::{DfaEvaluator, NaiveEvaluator};
 
-    fn gps() -> (Gps, gps_datasets::figure1::Figure1) {
+    fn gps() -> (Engine, gps_datasets::figure1::Figure1) {
         let (graph, ids) = figure1_graph();
-        (Gps::new(graph), ids)
+        (Engine::builder(graph).build(), ids)
     }
 
     #[test]
@@ -699,7 +684,9 @@ mod tests {
     #[test]
     fn custom_learner_configuration() {
         let (graph, _) = figure1_graph();
-        let gps = Gps::with_learner(graph, Learner::with_bound(3));
+        let gps = Engine::builder(graph)
+            .learner(Learner::with_bound(3))
+            .build();
         assert_eq!(gps.learner().path_bound, 3);
         assert!(gps.snapshot().node_count() == 10);
     }
@@ -764,7 +751,7 @@ mod tests {
     #[test]
     fn the_engine_answers_like_the_naive_oracle() {
         let (graph, _) = figure1_graph();
-        let oracle = NaiveEvaluator::new(&graph);
+        let oracle = NaiveEvaluator::from_csr(CsrGraph::from_graph(&graph));
         let engine = Engine::builder(graph.clone()).build();
         for syntax in [MOTIVATING_QUERY, "cinema", "bus", "(tram+bus)*"] {
             let query = PathQuery::parse(syntax, graph.labels()).unwrap();
@@ -799,7 +786,7 @@ mod tests {
     fn evaluate_many_matches_per_query_evaluation() {
         let (graph, _) = figure1_graph();
         let queries = [MOTIVATING_QUERY, "cinema", "bus", MOTIVATING_QUERY];
-        let oracle = NaiveEvaluator::new(&graph);
+        let oracle = NaiveEvaluator::from_csr(CsrGraph::from_graph(&graph));
         let expected: Vec<Vec<NodeId>> = queries
             .iter()
             .map(|q| PathQuery::parse(q, graph.labels()).unwrap())

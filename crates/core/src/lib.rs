@@ -63,7 +63,7 @@ pub mod service;
 pub mod transcript;
 pub mod versioned;
 
-pub use engine::{Engine, EngineCore, EvalMode, Gps, GpsBuilder, StrategyChoice};
+pub use engine::{Engine, EngineCore, EvalMode, GpsBuilder, StrategyChoice};
 pub use error::GpsError;
 pub use scenario::{ScenarioReport, StaticLabelingOutcome};
 pub use service::{GpsService, ServiceStats, SessionId, SessionManager, SessionStatus};
@@ -84,7 +84,7 @@ pub use gps_telemetry as telemetry;
 /// use gps_core::prelude::*;
 /// ```
 pub mod prelude {
-    pub use crate::engine::{Engine, EngineCore, Gps, GpsBuilder, StrategyChoice};
+    pub use crate::engine::{Engine, EngineCore, GpsBuilder, StrategyChoice};
     pub use crate::error::GpsError;
     pub use crate::scenario::{ScenarioReport, StaticLabelingOutcome};
     pub use crate::service::{ServiceStats, SessionId, SessionManager, SessionStatus};
@@ -95,8 +95,8 @@ pub mod prelude {
     };
     pub use gps_exec::{BatchEvaluator, Plan, PlannerConfig};
     pub use gps_graph::{
-        CsrGraph, Edge, EdgeId, Graph, GraphBackend, LabelId, LabelInterner, LabelStats,
-        Neighborhood, NeighborhoodDelta, NodeId, Path, PathEnumerator, PrefixTree, Word,
+        CsrGraph, Edge, EdgeId, Graph, LabelId, LabelInterner, LabelStats, Neighborhood,
+        NeighborhoodDelta, NodeId, Path, PathEnumerator, PrefixTree, Word,
     };
     pub use gps_interactive::halt::{HaltConfig, HaltReason};
     pub use gps_interactive::session::{Session, SessionConfig, SessionOutcome};

@@ -8,9 +8,7 @@
 //! (Figure 3(b)), and an indented prefix tree with a `◀ candidate` marker on
 //! the suggested path (Figure 3(c)).
 
-use gps_graph::{
-    CsrGraph, GraphBackend, Neighborhood, NeighborhoodDelta, NodeId, PrefixTree, Word,
-};
+use gps_graph::{CsrGraph, Neighborhood, NeighborhoodDelta, NodeId, PrefixTree, Word};
 
 /// Renders a neighborhood as indented text.
 ///

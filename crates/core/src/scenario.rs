@@ -135,7 +135,7 @@ pub fn interactive(
     graph: &CsrGraph,
     goal: &PathQuery,
     config: SessionConfig,
-    strategy: &mut dyn Strategy<CsrGraph>,
+    strategy: &mut dyn Strategy,
     exec: EvalHandle,
 ) -> ScenarioReport {
     let scenario = if config.with_path_validation {
@@ -156,7 +156,7 @@ mod tests {
     use gps_datasets::figure1::{figure1_graph, MOTIVATING_QUERY};
 
     fn static_labeling_on_figure1(labels: &[(NodeId, Label)]) -> StaticLabelingOutcome {
-        let exec = EvalHandle::naive(&figure1_graph().0);
+        let exec = EvalHandle::naive(&CsrGraph::from_graph(&figure1_graph().0));
         static_labeling(&exec, labels, &Learner::default())
     }
 
@@ -204,7 +204,8 @@ mod tests {
 
     #[test]
     fn with_validation_reaches_the_goal() {
-        let report = Engine::new(figure1_graph().0)
+        let report = Engine::builder(figure1_graph().0)
+            .build()
             .interactive_with_validation(MOTIVATING_QUERY)
             .unwrap();
         assert!(report.goal_reached, "report: {report:?}");
@@ -216,7 +217,8 @@ mod tests {
 
     #[test]
     fn reports_serialize() {
-        let report = Engine::new(figure1_graph().0)
+        let report = Engine::builder(figure1_graph().0)
+            .build()
             .interactive_with_validation(MOTIVATING_QUERY)
             .unwrap();
         let json = serde_json::to_string(&report).unwrap();
@@ -225,7 +227,8 @@ mod tests {
 
     #[test]
     fn without_validation_is_consistent_but_may_differ_from_goal() {
-        let report = Engine::new(figure1_graph().0)
+        let report = Engine::builder(figure1_graph().0)
+            .build()
             .interactive_without_validation(MOTIVATING_QUERY)
             .unwrap();
         assert!(report.consistent_with_labels);

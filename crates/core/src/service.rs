@@ -39,7 +39,6 @@ use crate::engine::{EngineCore, GpsBuilder};
 use crate::error::GpsError;
 use crate::metrics::ServiceMetrics;
 use crate::versioned::{GraphUpdate, PublishReport, RecoveryReport, VersionedStore};
-use gps_graph::CsrGraph;
 use gps_interactive::halt::HaltReason;
 use gps_interactive::metrics::SessionMetrics;
 use gps_interactive::session::{Session, SessionOutcome};
@@ -87,9 +86,9 @@ pub enum SessionStatus {
 /// structures a step touches are the pinned core's concurrency-safe
 /// cache/index.
 struct ManagedSession {
-    session: Session<'static, CsrGraph>,
+    session: Session<'static>,
     user: SimulatedUser,
-    strategy: Box<dyn Strategy<CsrGraph> + Send>,
+    strategy: Box<dyn Strategy + Send>,
     halted: Option<HaltReason>,
     /// The store epoch this session is pinned to (its birth epoch): the
     /// session's snapshot, cache and index all belong to this version, so a
@@ -486,7 +485,7 @@ mod tests {
     use gps_datasets::figure1::{figure1_graph, MOTIVATING_QUERY};
 
     fn core() -> EngineCore {
-        Engine::new(figure1_graph().0)
+        Engine::builder(figure1_graph().0).build()
     }
 
     #[test]

@@ -578,7 +578,9 @@ impl VersionedStore {
             if slot.pins > 0 || epoch == current {
                 return;
             }
-            let slot = epochs.remove(&epoch).expect("just seen");
+            let Some(slot) = epochs.remove(&epoch) else {
+                return;
+            };
             self.metrics.live_epochs.set(epochs.len() as u64);
             slot
         };
@@ -683,14 +685,9 @@ impl VersionedStore {
                     pins: 0,
                 },
             );
-            let stale: Vec<u64> = epochs
-                .iter()
-                .filter(|&(&e, slot)| e != epoch && slot.pins == 0)
-                .map(|(&e, _)| e)
-                .collect();
-            let stale: Vec<EpochSlot> = stale
-                .into_iter()
-                .map(|e| epochs.remove(&e).expect("just collected"))
+            let stale: Vec<EpochSlot> = epochs
+                .extract_if(.., |&e, slot| e != epoch && slot.pins == 0)
+                .map(|(_, slot)| slot)
                 .collect();
             (stale, epochs.len() as u64)
         };

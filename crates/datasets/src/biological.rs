@@ -143,7 +143,7 @@ mod tests {
     fn hubs_have_high_degree() {
         let g = generate(&BiologicalConfig::default());
         let p0 = g.node_by_name("P0").unwrap();
-        let stats = GraphStats::compute(&g);
+        let stats = GraphStats::compute(&gps_graph::CsrGraph::from_graph(&g));
         let hub_degree = g.out_degree(p0) + g.in_degree(p0);
         assert!(
             hub_degree as f64 > 2.0 * stats.mean_out_degree,
@@ -165,10 +165,10 @@ mod tests {
         let g = generate(&BiologicalConfig::default());
         // Some entity activates something that inhibits something.
         let q = PathQuery::parse("activates.inhibits", g.labels()).unwrap();
-        assert!(!q.evaluate(&g).is_empty());
+        assert!(!q.evaluate(&gps_graph::CsrGraph::from_graph(&g)).is_empty());
         // The hub-binding query is widely satisfied.
         let q2 = PathQuery::parse("binds", g.labels()).unwrap();
-        assert!(q2.evaluate(&g).len() > 5);
+        assert!(q2.evaluate(&gps_graph::CsrGraph::from_graph(&g)).len() > 5);
     }
 
     #[test]

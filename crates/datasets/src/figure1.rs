@@ -104,12 +104,17 @@ pub const MOTIVATING_QUERY: &str = "(tram+bus)*.cinema";
 #[cfg(test)]
 mod tests {
     use super::*;
-    use gps_graph::{Neighborhood, PathEnumerator};
+    use gps_graph::{CsrEntry, CsrGraph, Neighborhood, PathEnumerator};
     use gps_rpq::PathQuery;
+
+    fn figure1() -> (CsrGraph, Figure1) {
+        let (g, ids) = figure1_graph();
+        (CsrGraph::from_graph(&g), ids)
+    }
 
     #[test]
     fn graph_has_the_papers_shape() {
-        let (g, ids) = figure1_graph();
+        let (g, ids) = figure1();
         assert_eq!(g.node_count(), 10);
         assert_eq!(g.edge_count(), 12);
         assert_eq!(g.label_count(), 4);
@@ -117,14 +122,15 @@ mod tests {
         assert_eq!(g.node_name(ids.c2), "C2");
         let bus = g.label_id("bus").unwrap();
         let cinema = g.label_id("cinema").unwrap();
-        assert!(g.has_edge(ids.n2, bus, ids.n3), "bus travel from N2 to N3");
-        assert!(g.has_edge(ids.n4, cinema, ids.c1), "cinema C1 in N4");
-        assert!(g.has_edge(ids.n6, cinema, ids.c2), "cinema C2 in N6");
+        let has_edge = |source, label, node| g.out(source).contains(&CsrEntry { label, node });
+        assert!(has_edge(ids.n2, bus, ids.n3), "bus travel from N2 to N3");
+        assert!(has_edge(ids.n4, cinema, ids.c1), "cinema C1 in N4");
+        assert!(has_edge(ids.n6, cinema, ids.c2), "cinema C2 in N6");
     }
 
     #[test]
     fn motivating_query_selects_exactly_the_papers_answer() {
-        let (g, _) = figure1_graph();
+        let (g, _) = figure1();
         let q = PathQuery::parse(MOTIVATING_QUERY, g.labels()).unwrap();
         let answer = q.evaluate(&g);
         assert_eq!(answer.node_names(&g), vec!["N1", "N2", "N4", "N6"]);
@@ -132,7 +138,7 @@ mod tests {
 
     #[test]
     fn paper_witness_paths_exist() {
-        let (g, ids) = figure1_graph();
+        let (g, ids) = figure1();
         let q = PathQuery::parse(MOTIVATING_QUERY, g.labels()).unwrap();
         let w1 = q.witness(&g, ids.n1).unwrap();
         assert_eq!(w1.render_word(&g), "tram·cinema");
@@ -147,7 +153,7 @@ mod tests {
 
     #[test]
     fn n5_and_n3_cannot_reach_a_cinema() {
-        let (g, ids) = figure1_graph();
+        let (g, ids) = figure1();
         let q = PathQuery::parse(MOTIVATING_QUERY, g.labels()).unwrap();
         let answer = q.evaluate(&g);
         assert!(!answer.contains(ids.n5));
@@ -165,7 +171,7 @@ mod tests {
         // Scenario 2 of the demo: with examples +N2, +N6, −N5, the query
         // `bus` is consistent (selects both positives, not the negative) but
         // is not the goal query.
-        let (g, ids) = figure1_graph();
+        let (g, ids) = figure1();
         let q = PathQuery::parse("bus", g.labels()).unwrap();
         let answer = q.evaluate(&g);
         assert!(answer.contains(ids.n2));
@@ -175,7 +181,7 @@ mod tests {
 
     #[test]
     fn figure3_neighborhood_radii() {
-        let (g, ids) = figure1_graph();
+        let (g, ids) = figure1();
         // Distance ≤ 2 around N2: no cinema visible.
         let hood2 = Neighborhood::extract(&g, ids.n2, 2);
         assert!(!hood2.contains(ids.c1));
@@ -187,7 +193,7 @@ mod tests {
 
     #[test]
     fn figure3c_candidate_path_exists() {
-        let (g, ids) = figure1_graph();
+        let (g, ids) = figure1();
         let bus = g.label_id("bus").unwrap();
         let cinema = g.label_id("cinema").unwrap();
         let words = PathEnumerator::new(3).words_from(&g, ids.n2);

@@ -206,7 +206,10 @@ mod tests {
         let satisfiable = workload
             .queries
             .iter()
-            .filter(|q| !q.evaluate(&net.graph).is_empty())
+            .filter(|q| {
+                !q.evaluate(&gps_graph::CsrGraph::from_graph(&net.graph))
+                    .is_empty()
+            })
             .count();
         assert!(satisfiable >= 3);
     }

@@ -112,7 +112,7 @@ mod tests {
             nodes: 300,
             ..ScaleFreeConfig::default()
         });
-        let stats = GraphStats::compute(&g);
+        let stats = GraphStats::compute(&gps_graph::CsrGraph::from_graph(&g));
         // A hub node accumulates far more than the mean in-degree.
         let max_in = g.nodes().map(|n| g.in_degree(n)).max().unwrap();
         assert!(
@@ -165,7 +165,7 @@ mod tests {
             nodes: 150,
             ..ScaleFreeConfig::default()
         });
-        let stats = GraphStats::compute(&g);
+        let stats = GraphStats::compute(&gps_graph::CsrGraph::from_graph(&g));
         assert_eq!(stats.weak_component_count, 1);
     }
 }

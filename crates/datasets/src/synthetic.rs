@@ -112,7 +112,7 @@ mod tests {
             ..SyntheticConfig::default()
         };
         let g = generate(&config);
-        let stats = GraphStats::compute(&g);
+        let stats = GraphStats::compute(&gps_graph::CsrGraph::from_graph(&g));
         assert!(
             (stats.mean_out_degree - 3.0).abs() < 0.5,
             "observed {}",

@@ -207,7 +207,7 @@ mod tests {
     fn motivating_query_family_is_satisfiable() {
         let net = generate(&TransportConfig::default());
         let q = PathQuery::parse("(tram+bus)*.cinema", net.graph.labels()).unwrap();
-        let answer = q.evaluate(&net.graph);
+        let answer = q.evaluate(&gps_graph::CsrGraph::from_graph(&net.graph));
         assert!(
             !answer.is_empty(),
             "some neighborhood can always reach a cinema"
@@ -230,7 +230,7 @@ mod tests {
     #[test]
     fn network_is_weakly_connected() {
         let net = generate(&TransportConfig::default());
-        let stats = GraphStats::compute(&net.graph);
+        let stats = GraphStats::compute(&gps_graph::CsrGraph::from_graph(&net.graph));
         assert_eq!(stats.weak_component_count, 1);
     }
 
@@ -244,6 +244,8 @@ mod tests {
         });
         assert!(net.graph.label_id("cinema").is_some());
         let q = PathQuery::parse("cinema", net.graph.labels()).unwrap();
-        assert!(!q.evaluate(&net.graph).is_empty());
+        assert!(!q
+            .evaluate(&gps_graph::CsrGraph::from_graph(&net.graph))
+            .is_empty());
     }
 }

@@ -9,6 +9,7 @@ use gps_datasets::synthetic::{self, SyntheticConfig};
 use gps_datasets::transport::{self, TransportConfig};
 use gps_datasets::{queries, Workload};
 use gps_graph::stats::GraphStats;
+use gps_graph::CsrGraph;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -24,7 +25,7 @@ fn transport_generator_honours_size_and_connectivity() {
             net.graph.node_count(),
             net.neighborhoods.len() + net.facilities.len()
         );
-        let stats = GraphStats::compute(&net.graph);
+        let stats = GraphStats::compute(&CsrGraph::from_graph(&net.graph));
         assert_eq!(
             stats.weak_component_count, 1,
             "transport networks are connected"
@@ -65,7 +66,7 @@ fn scale_free_generator_produces_connected_graphs() {
             ..ScaleFreeConfig::default()
         });
         assert_eq!(graph.node_count(), nodes);
-        let stats = GraphStats::compute(&graph);
+        let stats = GraphStats::compute(&CsrGraph::from_graph(&graph));
         assert_eq!(stats.weak_component_count, 1);
     }
 }
@@ -85,10 +86,11 @@ fn biological_generator_keeps_all_interaction_labels() {
 #[test]
 fn every_workload_query_parses_and_evaluates() {
     for workload in Workload::default_suite(5) {
+        let graph = CsrGraph::from_graph(&workload.graph);
         for query in &workload.queries.queries {
             // Evaluation must not panic and facility-free answers must stay
             // within the graph.
-            let answer = query.evaluate(&workload.graph);
+            let answer = query.evaluate(&graph);
             for node in answer.nodes() {
                 assert!(workload.graph.contains_node(node), "{}", workload.name);
             }

@@ -19,7 +19,7 @@ use crate::index::LabelIndex;
 use crate::metrics::ExecMetrics;
 use crate::planner::{self, Plan, PlanDecision, PlannerConfig};
 use gps_automata::Dfa;
-use gps_graph::{CsrGraph, GraphBackend, GraphDelta, LabelStats, NodeId, Path};
+use gps_graph::{CsrGraph, GraphDelta, LabelStats, NodeId, Path};
 use gps_rpq::{DfaEvaluator, EvalResume, PathQuery, QueryAnswer};
 use std::sync::Arc;
 
@@ -37,14 +37,9 @@ pub struct BatchEvaluator {
 }
 
 impl BatchEvaluator {
-    /// Indexes `graph` (one edge sweep) and builds the evaluator.
-    pub fn new<B: GraphBackend>(graph: &B) -> Self {
-        Self::from_parts(LabelIndex::from_backend(graph), LabelStats::compute(graph))
-    }
-
-    /// Builds the evaluator from a CSR snapshot.
+    /// Indexes `csr` (one edge sweep) and builds the evaluator.
     pub fn from_csr(csr: &CsrGraph) -> Self {
-        Self::new(csr)
+        Self::from_parts(LabelIndex::from_csr(csr), LabelStats::compute(csr))
     }
 
     // `benchmark/src/shadow.rs:128,508` are the sole callers, and ordinary
@@ -252,9 +247,9 @@ impl DfaEvaluator for BatchEvaluator {
 mod tests {
     use super::*;
     use gps_automata::Regex;
-    use gps_graph::Graph;
+    use gps_graph::{CsrGraph, Graph};
 
-    fn sample() -> Graph {
+    fn sample() -> CsrGraph {
         let mut g = Graph::new();
         let n1 = g.add_node("N1");
         let n2 = g.add_node("N2");
@@ -263,10 +258,10 @@ mod tests {
         g.add_edge_by_name(n2, "bus", n1);
         g.add_edge_by_name(n1, "tram", n4);
         g.add_edge_by_name(n4, "cinema", c1);
-        g
+        CsrGraph::from_graph(&g)
     }
 
-    fn queries(g: &Graph) -> Vec<Dfa> {
+    fn queries(g: &CsrGraph) -> Vec<Dfa> {
         let tram = g.label_id("tram").unwrap();
         let bus = g.label_id("bus").unwrap();
         let cinema = g.label_id("cinema").unwrap();
@@ -284,7 +279,7 @@ mod tests {
     #[test]
     fn batch_matches_naive_per_query() {
         let g = sample();
-        let evaluator = BatchEvaluator::new(&g);
+        let evaluator = BatchEvaluator::from_csr(&g);
         let dfas = queries(&g);
         let refs: Vec<&Dfa> = dfas.iter().collect();
         let batch = evaluator.evaluate_many(&refs);
@@ -296,7 +291,7 @@ mod tests {
     #[test]
     fn shared_index_is_one_allocation() {
         let g = sample();
-        let evaluator = BatchEvaluator::new(&g);
+        let evaluator = BatchEvaluator::from_csr(&g);
         let clone = evaluator.clone();
         assert!(Arc::ptr_eq(
             &evaluator.shared_index(),
@@ -313,8 +308,8 @@ mod tests {
     #[test]
     fn trait_witness_matches_naive_witness_length() {
         let g = sample();
-        let evaluator = BatchEvaluator::new(&g);
-        let naive = gps_rpq::NaiveEvaluator::new(&g);
+        let evaluator = BatchEvaluator::from_csr(&g);
+        let naive = gps_rpq::NaiveEvaluator::from_csr(g.clone());
         let query = PathQuery::parse("(tram+bus)*.cinema", g.labels()).unwrap();
         for node in 0..g.node_count() {
             let node = NodeId::from(node);
@@ -338,7 +333,7 @@ mod tests {
         let g = sample();
         let dfas = queries(&g);
         for plan in [Plan::Reverse, Plan::Forward, Plan::Bidirectional] {
-            let evaluator = BatchEvaluator::new(&g).with_plan(plan);
+            let evaluator = BatchEvaluator::from_csr(&g).with_plan(plan);
             for dfa in &dfas {
                 assert_eq!(
                     evaluator.plan_for(dfa).plan,
@@ -353,23 +348,11 @@ mod tests {
     #[test]
     fn evaluate_query_accepts_parsed_queries() {
         let g = sample();
-        let evaluator = BatchEvaluator::new(&g);
+        let evaluator = BatchEvaluator::from_csr(&g);
         let query = PathQuery::parse("(tram+bus)*.cinema", g.labels()).unwrap();
         assert_eq!(evaluator.evaluate_query(&query), query.evaluate(&g));
         assert!(evaluator.selects(query.dfa(), g.node_by_name("N2").unwrap()));
         assert!(!evaluator.selects(query.dfa(), g.node_by_name("C1").unwrap()));
-    }
-
-    #[test]
-    fn from_csr_matches_from_backend() {
-        let g = sample();
-        let csr = CsrGraph::from_graph(&g);
-        let a = BatchEvaluator::new(&g);
-        let b = BatchEvaluator::from_csr(&csr);
-        for dfa in queries(&g) {
-            assert_eq!(a.evaluate(&dfa), b.evaluate(&dfa));
-        }
-        assert_eq!(a.stats(), b.stats());
     }
 
     #[test]
@@ -385,10 +368,10 @@ mod tests {
         ];
         for dfa in &dfas {
             let expected = gps_rpq::eval::evaluate(&g, dfa);
-            let evaluator = BatchEvaluator::new(&g);
+            let evaluator = BatchEvaluator::from_csr(&g);
             assert_eq!(evaluator.evaluate(dfa), expected);
             for plan in [Plan::Reverse, Plan::Forward, Plan::Bidirectional] {
-                let forced = BatchEvaluator::new(&g).with_plan(plan);
+                let forced = BatchEvaluator::from_csr(&g).with_plan(plan);
                 assert_eq!(forced.evaluate(dfa), expected, "{plan:?}");
             }
             for node in 0..g.node_count() {
@@ -405,7 +388,7 @@ mod tests {
         use gps_graph::DeltaGraph;
 
         let g = sample();
-        let base = Arc::new(CsrGraph::from_graph(&g));
+        let base = Arc::new(g.clone());
         let old = BatchEvaluator::from_csr(&base);
         let mut delta = DeltaGraph::new(Arc::clone(&base));
         let n2 = delta.node_by_name("N2").unwrap();
@@ -437,7 +420,7 @@ mod tests {
         // The batch shares one scratch across queries; nothing may leak from
         // one query's fixed point into the next.
         let g = sample();
-        let evaluator = BatchEvaluator::new(&g);
+        let evaluator = BatchEvaluator::from_csr(&g);
         let dfas = queries(&g);
         let refs: Vec<&Dfa> = dfas.iter().collect();
         let batch = evaluator.evaluate_dfas_captured(&refs);
@@ -449,8 +432,8 @@ mod tests {
 
     #[test]
     fn empty_graph_and_empty_batch() {
-        let g = Graph::new();
-        let evaluator = BatchEvaluator::new(&g);
+        let g = CsrGraph::default();
+        let evaluator = BatchEvaluator::from_csr(&g);
         assert!(evaluator.evaluate_many(&[]).is_empty());
         assert!(evaluator.evaluate_dfas_captured(&[]).is_empty());
     }

@@ -714,9 +714,9 @@ pub fn witness_from(index: &LabelIndex, dfa: &Dfa, source: usize) -> Option<Path
 mod tests {
     use super::*;
     use gps_automata::Regex;
-    use gps_graph::{Graph, GraphBackend};
+    use gps_graph::{CsrGraph, Graph};
 
-    fn figure1_like() -> Graph {
+    fn figure1_like() -> CsrGraph {
         let mut g = Graph::new();
         let n1 = g.add_node("N1");
         let n2 = g.add_node("N2");
@@ -725,10 +725,10 @@ mod tests {
         g.add_edge_by_name(n2, "bus", n1);
         g.add_edge_by_name(n1, "tram", n4);
         g.add_edge_by_name(n4, "cinema", c1);
-        g
+        CsrGraph::from_graph(&g)
     }
 
-    fn motivating(g: &Graph) -> Dfa {
+    fn motivating(g: &CsrGraph) -> Dfa {
         let tram = g.label_id("tram").unwrap();
         let bus = g.label_id("bus").unwrap();
         let cinema = g.label_id("cinema").unwrap();
@@ -738,8 +738,8 @@ mod tests {
         ]))
     }
 
-    fn eval(g: &Graph, dfa: &Dfa, plan: Plan) -> QueryAnswer {
-        let index = LabelIndex::from_backend(g);
+    fn eval(g: &CsrGraph, dfa: &Dfa, plan: Plan) -> QueryAnswer {
+        let index = LabelIndex::from_csr(g);
         let mut scratch = Scratch::default();
         evaluate_with(&index, dfa, plan, &mut scratch)
     }
@@ -768,7 +768,7 @@ mod tests {
     #[test]
     fn scratch_reuse_across_different_shapes() {
         let g = figure1_like();
-        let index = LabelIndex::from_backend(&g);
+        let index = LabelIndex::from_csr(&g);
         let mut scratch = Scratch::default();
         let big = motivating(&g);
         let small = Dfa::from_regex(&Regex::symbol(g.label_id("cinema").unwrap()));
@@ -783,7 +783,7 @@ mod tests {
     fn selects_from_agrees_with_global_answer() {
         let g = figure1_like();
         let dfa = motivating(&g);
-        let index = LabelIndex::from_backend(&g);
+        let index = LabelIndex::from_csr(&g);
         let expected = gps_rpq::eval::evaluate(&g, &dfa);
         for node in 0..g.node_count() {
             assert_eq!(
@@ -799,8 +799,8 @@ mod tests {
     fn witness_from_matches_naive_witness_lengths() {
         let g = figure1_like();
         let dfa = motivating(&g);
-        let index = LabelIndex::from_backend(&g);
-        for node in GraphBackend::nodes(&g) {
+        let index = LabelIndex::from_csr(&g);
+        for node in g.nodes() {
             let naive = gps_rpq::witness::shortest_witness(&g, &dfa, node);
             let indexed = witness_from(&index, &dfa, node.index());
             match (naive, indexed) {
@@ -834,7 +834,8 @@ mod tests {
         g.add_edge_by_name(b, "x", c);
         let x = g.label_id("x").unwrap();
         let dfa = Dfa::from_regex(&Regex::star(Regex::symbol(x)));
-        let index = LabelIndex::from_backend(&g);
+        let g = CsrGraph::from_graph(&g);
+        let index = LabelIndex::from_csr(&g);
         let mut scratch = Scratch::default();
         let (answer, _, resume) =
             evaluate_captured(&index, &dfa, Plan::Bidirectional, &mut scratch);
@@ -844,7 +845,7 @@ mod tests {
         assert_eq!(resume.nodes(), g.node_count());
         // The captured seed must be the *true* fixed point: answers resumed
         // from it after an insert-only delta match a cold evaluation.
-        let base = std::sync::Arc::new(gps_graph::CsrGraph::from_graph(&g));
+        let base = std::sync::Arc::new(g.clone());
         let mut delta = gps_graph::DeltaGraph::new(std::sync::Arc::clone(&base));
         let d = delta.add_node("d");
         delta.add_edge(c, x, d);
@@ -879,7 +880,8 @@ mod tests {
         }
         let [a, b, c] = ["a", "b", "c"].map(|name| Regex::symbol(g.label_id(name).unwrap()));
         let dfa = Dfa::from_regex(&Regex::concat([c, a, Regex::star(b)]));
-        let index = LabelIndex::from_backend(&g);
+        let g = CsrGraph::from_graph(&g);
+        let index = LabelIndex::from_csr(&g);
         let mut scratch = Scratch::default();
         let mut capture = |plan| {
             let (answer, _, seed) = evaluate_captured(&index, &dfa, plan, &mut scratch);
@@ -916,6 +918,7 @@ mod tests {
         g.add_edge_by_name(b, "x", a);
         let x = g.label_id("x").unwrap();
         let dfa = Dfa::from_regex(&Regex::star(Regex::symbol(x)));
+        let g = CsrGraph::from_graph(&g);
         for plan in [Plan::Reverse, Plan::Forward, Plan::Bidirectional] {
             assert_eq!(eval(&g, &dfa, plan).len(), 2, "{plan:?}");
         }
@@ -925,16 +928,16 @@ mod tests {
     /// and returns the delete-aware resumed answer + seed alongside the
     /// patched graph (panicking if the resume bails).
     fn resume_removal_case(
-        g: &Graph,
+        g: &CsrGraph,
         dfa: &Dfa,
         limit: f64,
         mutate: impl FnOnce(&mut gps_graph::DeltaGraph),
-    ) -> Option<(QueryAnswer, EvalResume, gps_graph::CsrGraph, LabelIndex)> {
-        let index = LabelIndex::from_backend(g);
+    ) -> Option<(QueryAnswer, EvalResume, CsrGraph, LabelIndex)> {
+        let index = LabelIndex::from_csr(g);
         let mut scratch = Scratch::default();
         let (_, _, resume) = evaluate_captured(&index, dfa, Plan::Bidirectional, &mut scratch);
         let resume = resume.expect("base capture");
-        let base = std::sync::Arc::new(gps_graph::CsrGraph::from_graph(g));
+        let base = std::sync::Arc::new(g.clone());
         let mut delta = gps_graph::DeltaGraph::new(base);
         mutate(&mut delta);
         let summary = delta.delta();
@@ -973,10 +976,11 @@ mod tests {
             Regex::star(Regex::symbol(x)),
             Regex::symbol(y),
         ]));
-        let (answer, next, compacted, patched) = resume_removal_case(&g, &dfa, 1.0, |delta| {
-            assert!(delta.remove_edge(b, y, c));
-        })
-        .expect("within budget");
+        let (answer, next, compacted, patched) =
+            resume_removal_case(&CsrGraph::from_graph(&g), &dfa, 1.0, |delta| {
+                assert!(delta.remove_edge(b, y, c));
+            })
+            .expect("within budget");
         assert!(answer.is_empty(), "the cycle must not keep itself alive");
         assert_eq!(answer, gps_rpq::eval::evaluate(&compacted, &dfa));
         // The produced seed must equal a from-scratch capture on the

@@ -42,7 +42,7 @@
 
 use crate::bitset::WORD_BITS;
 use gps_graph::splice::RowSplice;
-use gps_graph::{Edge, GraphBackend, GraphDelta, LabelId, LabelStat, LabelStats, NodeId};
+use gps_graph::{CsrGraph, Edge, GraphDelta, LabelId, LabelStat, LabelStats, NodeId};
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
 
@@ -326,13 +326,13 @@ impl Buckets {
 ///
 /// ```
 /// use gps_exec::{Direction, LabelIndex};
-/// use gps_graph::Graph;
+/// use gps_graph::{CsrGraph, Graph};
 ///
 /// let mut g = Graph::new();
 /// let n = g.add_nodes("n", 3);
 /// g.add_edge_by_name(n[0], "x", n[2]);
 /// g.add_edge_by_name(n[1], "x", n[2]);
-/// let index = LabelIndex::from_backend(&g);
+/// let index = LabelIndex::from_csr(&CsrGraph::from_graph(&g));
 /// let rows = index.rows(Direction::Reverse, g.label_id("x").unwrap());
 /// assert_eq!(rows.occupied(), [0b100], "only n2 has x-predecessors");
 /// assert_eq!(rows.of(2), [0, 1]);
@@ -382,12 +382,12 @@ pub struct LabelIndex {
 }
 
 impl LabelIndex {
-    /// Builds the index from any backend by one pass over the edge set.
-    pub fn from_backend<B: GraphBackend>(graph: &B) -> Self {
+    /// Builds the index of `graph` by one pass over its edges.
+    pub fn from_csr(graph: &CsrGraph) -> Self {
         let mut buckets = Buckets::new(graph.label_count());
         for node in graph.nodes() {
-            for (label, target) in graph.successors(node) {
-                buckets.push(label.index(), node.raw(), target.raw());
+            for entry in graph.out(node) {
+                buckets.push(entry.label.index(), node.raw(), entry.node.raw());
             }
         }
         buckets.into_index(graph.node_count())
@@ -464,7 +464,7 @@ impl LabelIndex {
     ///
     /// `node_count` / `label_count` are the merged graph's counts (take them
     /// from the compacted snapshot).  The result is identical to
-    /// [`from_backend`](Self::from_backend) over that snapshot, neighbor order
+    /// [`from_csr`](Self::from_csr) over that snapshot, neighbor order
     /// included: a forward row keeps (surviving base order, then insertion
     /// order), a reverse row stays in the order a forward scan of the
     /// snapshot meets its sources (see the [module docs](self)).
@@ -577,7 +577,7 @@ mod tests {
     use super::*;
     use gps_graph::{CsrGraph, Graph};
 
-    fn sample() -> Graph {
+    fn sample() -> CsrGraph {
         let mut g = Graph::new();
         let a = g.add_node("a");
         let b = g.add_node("b");
@@ -586,13 +586,13 @@ mod tests {
         g.add_edge_by_name(a, "y", c);
         g.add_edge_by_name(b, "x", c);
         g.add_edge_by_name(c, "x", a);
-        g
+        CsrGraph::from_graph(&g)
     }
 
     #[test]
     fn forward_partitions_by_label() {
         let g = sample();
-        let index = LabelIndex::from_backend(&g);
+        let index = LabelIndex::from_csr(&g);
         let x = g.label_id("x").unwrap();
         let y = g.label_id("y").unwrap();
         let a = g.node_by_name("a").unwrap();
@@ -611,7 +611,7 @@ mod tests {
     #[test]
     fn reverse_partitions_by_label() {
         let g = sample();
-        let index = LabelIndex::from_backend(&g);
+        let index = LabelIndex::from_csr(&g);
         let x = g.label_id("x").unwrap();
         let c = g.node_by_name("c").unwrap();
         let mut preds: Vec<u32> = index.neighbors(Direction::Reverse, x, c.index()).to_vec();
@@ -625,28 +625,9 @@ mod tests {
     }
 
     #[test]
-    fn csr_and_backend_builds_agree() {
-        let g = sample();
-        let csr = CsrGraph::from_graph(&g);
-        let from_graph = LabelIndex::from_backend(&g);
-        let from_csr = LabelIndex::from_backend(&csr);
-        for label in g.labels().ids() {
-            for node in 0..g.node_count() {
-                for direction in [Direction::Forward, Direction::Reverse] {
-                    let mut a: Vec<u32> = from_graph.neighbors(direction, label, node).to_vec();
-                    let mut b: Vec<u32> = from_csr.neighbors(direction, label, node).to_vec();
-                    a.sort_unstable();
-                    b.sort_unstable();
-                    assert_eq!(a, b, "{direction:?} {label:?} node {node}");
-                }
-            }
-        }
-    }
-
-    #[test]
     fn foreign_labels_and_nodes_have_no_neighbors() {
         let g = sample();
-        let index = LabelIndex::from_backend(&g);
+        let index = LabelIndex::from_csr(&g);
         assert!(index
             .neighbors(Direction::Forward, LabelId::new(99), 0)
             .is_empty());
@@ -660,8 +641,7 @@ mod tests {
 
     #[test]
     fn empty_graph_index() {
-        let g = Graph::new();
-        let index = LabelIndex::from_backend(&g);
+        let index = LabelIndex::from_csr(&CsrGraph::default());
         assert_eq!(index.node_count(), 0);
         assert_eq!(index.label_count(), 0);
     }
@@ -671,8 +651,8 @@ mod tests {
         use gps_graph::DeltaGraph;
 
         let g = sample();
-        let base = std::sync::Arc::new(CsrGraph::from_graph(&g));
-        let old = LabelIndex::from_backend(base.as_ref());
+        let base = std::sync::Arc::new(g.clone());
+        let old = LabelIndex::from_csr(base.as_ref());
 
         // Touch only label `x`: remove a-x->b, add c-x->d and a new node d;
         // also intern a brand-new label `z` with one edge.
@@ -690,7 +670,7 @@ mod tests {
         let compacted = delta.compact();
 
         let patched = old.apply_delta(&summary, compacted.node_count(), compacted.label_count());
-        let fresh = LabelIndex::from_backend(&compacted);
+        let fresh = LabelIndex::from_csr(&compacted);
         assert_eq!(patched.node_count(), fresh.node_count());
         assert_eq!(patched.label_count(), fresh.label_count());
         for label in 0..fresh.label_count() {
@@ -739,7 +719,7 @@ mod tests {
         g.add_edge_by_name(a, "x", b);
         g.add_edge_by_name(a, "x", b);
         let base = std::sync::Arc::new(CsrGraph::from_graph(&g));
-        let old = LabelIndex::from_backend(base.as_ref());
+        let old = LabelIndex::from_csr(base.as_ref());
         let mut delta = DeltaGraph::new(std::sync::Arc::clone(&base));
         let x = delta.labels().get("x").unwrap();
         assert!(delta.remove_edge(a, x, b));
@@ -760,12 +740,12 @@ mod tests {
         let a = g.add_node("A");
         let b = g.add_node("B");
         g.add_edge_by_name(a, "x", b);
-        let small = LabelIndex::from_backend(&g).memory_bytes();
+        let small = LabelIndex::from_csr(&CsrGraph::from_graph(&g)).memory_bytes();
         assert!(small > 0);
         let c = g.add_node("C");
         g.add_edge_by_name(b, "y", c);
         g.add_edge_by_name(a, "y", c);
-        let larger = LabelIndex::from_backend(&g).memory_bytes();
+        let larger = LabelIndex::from_csr(&CsrGraph::from_graph(&g)).memory_bytes();
         assert!(larger > small);
     }
 
@@ -783,7 +763,7 @@ mod tests {
     /// Five nodes, labels x/y, eight edges with parallel duplicates: the
     /// first edge leaves the first node, the last (a self-loop) sits on the
     /// last node.
-    fn corner_base() -> Graph {
+    fn corner_base() -> CsrGraph {
         let mut g = Graph::new();
         let n = g.add_nodes("n", 5);
         for (s, label, t) in [
@@ -798,7 +778,7 @@ mod tests {
         ] {
             g.add_edge_by_name(n[s], label, n[t]);
         }
-        g
+        CsrGraph::from_graph(&g)
     }
 
     /// One epoch of the index: snapshot, index, planner statistics.
@@ -809,10 +789,10 @@ mod tests {
     }
 
     impl Epoch {
-        fn fresh(graph: &Graph) -> Self {
-            let snapshot = Arc::new(CsrGraph::from_graph(graph));
+        fn fresh(graph: &CsrGraph) -> Self {
+            let snapshot = Arc::new(graph.clone());
             Self {
-                index: LabelIndex::from_backend(snapshot.as_ref()),
+                index: LabelIndex::from_csr(snapshot.as_ref()),
                 stats: LabelStats::compute(snapshot.as_ref()),
                 snapshot,
             }
@@ -846,7 +826,7 @@ mod tests {
             let snapshot = Arc::new(staged.compact());
             let (n, labels) = (snapshot.node_count(), snapshot.label_count());
             let patched = self.index.apply_delta(&delta, n, labels);
-            let fresh = LabelIndex::from_backend(snapshot.as_ref());
+            let fresh = LabelIndex::from_csr(snapshot.as_ref());
             assert_eq!(patched.node_count, n, "{context}");
             assert_eq!(
                 patched.label_edge_counts, fresh.label_edge_counts,
@@ -999,7 +979,7 @@ mod tests {
 
     #[test]
     fn patches_over_an_empty_index() {
-        let empty = Epoch::fresh(&Graph::new());
+        let empty = Epoch::fresh(&CsrGraph::default());
         empty.publish(&[], "empty over empty");
         let grown = empty.publish(&[Node, Node, Add(1, "x", 0), Add(1, "x", 1)], "first edges");
         grown.publish(&[Del(1, "x", 0), Node], "then a removal");

@@ -4,7 +4,7 @@
 //! queries: the learner's consistency checks, session pruning and
 //! propagation, coverage, witnesses and the benchmark workloads all funnel
 //! through RPQ evaluation.  This crate is the set-at-a-time execution engine
-//! for that traffic, built on the [`gps_graph::GraphBackend`] seam:
+//! for that traffic, over [`gps_graph::CsrGraph`] snapshots:
 //!
 //! * [`bitset::FixedBitSet`] — the per-state node sets (alive, frontier and
 //!   its staging double), one bit per node;
@@ -32,7 +32,7 @@
 //!
 //! ```
 //! use gps_exec::BatchEvaluator;
-//! use gps_graph::Graph;
+//! use gps_graph::{CsrGraph, Graph};
 //! use gps_rpq::PathQuery;
 //!
 //! let mut g = Graph::new();
@@ -42,7 +42,7 @@
 //! g.add_edge_by_name(n1, "tram", n4);
 //! g.add_edge_by_name(n4, "cinema", c1);
 //!
-//! let engine = BatchEvaluator::new(&g);
+//! let engine = BatchEvaluator::from_csr(&CsrGraph::from_graph(&g));
 //! let q = PathQuery::parse("tram*.cinema", g.labels()).unwrap();
 //! let answer = engine.evaluate_query(&q);
 //! assert!(answer.contains(n1));

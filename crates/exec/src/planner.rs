@@ -99,10 +99,10 @@ pub fn plan_with(stats: &LabelStats, dfa: &Dfa, config: PlannerConfig) -> PlanDe
 mod tests {
     use super::*;
     use gps_automata::Regex;
-    use gps_graph::Graph;
+    use gps_graph::{CsrGraph, Graph};
 
     /// A graph where label `x` dominates and `y` is rare.
-    fn skewed() -> Graph {
+    fn skewed() -> CsrGraph {
         let mut g = Graph::new();
         let nodes: Vec<_> = (0..20).map(|i| g.add_node(format!("n{i}"))).collect();
         for window in nodes.windows(2) {
@@ -111,7 +111,7 @@ mod tests {
             }
         }
         g.add_edge_by_name(nodes[0], "y", nodes[10]);
-        g
+        CsrGraph::from_graph(&g)
     }
 
     #[test]
@@ -142,7 +142,7 @@ mod tests {
         let b = g.add_node("b");
         g.add_edge_by_name(a, "x", b);
         g.add_edge_by_name(b, "y", a);
-        let stats = LabelStats::compute(&g);
+        let stats = LabelStats::compute(&CsrGraph::from_graph(&g));
         let x = g.label_id("x").unwrap();
         let decision = plan(&stats, &Dfa::from_regex(&Regex::symbol(x)));
         // x covers half the edges: neither rare nor blanket.

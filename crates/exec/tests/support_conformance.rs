@@ -25,7 +25,7 @@ use gps_datasets::scale_free::ScaleFreeConfig;
 use gps_exec::frontier::{evaluate_captured, resume, Scratch};
 use gps_exec::planner::Plan;
 use gps_exec::{BatchEvaluator, LabelIndex};
-use gps_graph::{CsrGraph, DeltaGraph, Edge, Graph, GraphBackend, LabelId, NodeId};
+use gps_graph::{CsrEntry, CsrGraph, DeltaGraph, Edge, Graph, LabelId, NodeId};
 use gps_rpq::blocks::BLOCK_NODES;
 use gps_rpq::{BlockSharing, EvalCache, MigrationReport, PathQuery};
 use std::sync::Arc;
@@ -58,7 +58,7 @@ const JUMP_EPOCH: usize = 16;
 const REMOVALS_PER_EPOCH: usize = 3;
 const ADDS_PER_EPOCH: usize = 3;
 
-fn random_graph(rng: &mut XorShift) -> Graph {
+fn random_graph(rng: &mut XorShift) -> CsrGraph {
     let mut g = Graph::new();
     for i in 0..NODES {
         g.add_node(format!("n{i}"));
@@ -69,10 +69,10 @@ fn random_graph(rng: &mut XorShift) -> Graph {
         let label = ["a", "b", "c"][rng.below(3)];
         g.add_edge_by_name(s, label, t);
     }
-    g
+    CsrGraph::from_graph(&g)
 }
 
-fn query_set(g: &Graph) -> Vec<Dfa> {
+fn query_set(g: &CsrGraph) -> Vec<Dfa> {
     let a = Regex::symbol(g.label_id("a").unwrap());
     let b = Regex::symbol(g.label_id("b").unwrap());
     let c = Regex::symbol(g.label_id("c").unwrap());
@@ -117,8 +117,8 @@ fn chained_epochs_reproduce_fresh_captures(rng_seed: u64) {
         .map(|name| graph.label_id(name).unwrap())
         .collect();
 
-    let mut base = Arc::new(CsrGraph::from_graph(&graph));
-    let mut index = LabelIndex::from_backend(&*base);
+    let mut base = Arc::new(graph.clone());
+    let mut index = LabelIndex::from_csr(&base);
     let mut scratch = Scratch::default();
     let mut seeds: Vec<_> = queries
         .iter()
@@ -199,7 +199,7 @@ fn chained_mixed_epochs_reproduce_fresh_captures() {
 /// A hub with 300 out-edges and 300 in-edges under `a` (its own counter
 /// saturates; its reverse row is one long sweep), `b`/`c` edges so the whole
 /// query set has something to read.
-fn hub_graph() -> Graph {
+fn hub_graph() -> CsrGraph {
     let mut g = Graph::new();
     let hub = g.add_node("hub");
     let leaves = g.add_nodes("leaf", 300);
@@ -208,13 +208,13 @@ fn hub_graph() -> Graph {
         g.add_edge_by_name(leaf, "a", hub);
         g.add_edge_by_name(leaf, ["b", "c"][i % 2], leaves[(i + 1) % leaves.len()]);
     }
-    g
+    CsrGraph::from_graph(&g)
 }
 
 /// Dense `b`, some `a`, a few `c`: on `c.a.b*` the adaptive plan pulls in
 /// round 1 and pushes afterwards (`gps_exec::frontier`'s unit tests assert
 /// that round sequence on this shape), so one run counts in both places.
-fn pull_then_push_graph() -> (Graph, Dfa) {
+fn pull_then_push_graph() -> (CsrGraph, Dfa) {
     let mut g = Graph::new();
     let n = g.add_nodes("n", 400);
     for i in 0..398 {
@@ -229,12 +229,12 @@ fn pull_then_push_graph() -> (Graph, Dfa) {
     }
     let [a, b, c] = ["a", "b", "c"].map(|name| Regex::symbol(g.label_id(name).unwrap()));
     let dfa = Dfa::from_regex(&Regex::concat([c, a, Regex::star(b)]));
-    (g, dfa)
+    (CsrGraph::from_graph(&g), dfa)
 }
 
 #[test]
 fn captured_supports_equal_a_forward_recount() {
-    let mut cases: Vec<(String, Graph, Vec<Dfa>)> = [0xA11CE, 0x0B0B_5EED]
+    let mut cases: Vec<(String, CsrGraph, Vec<Dfa>)> = [0xA11CE, 0x0B0B_5EED]
         .into_iter()
         .map(|seed| {
             let graph = random_graph(&mut XorShift(seed));
@@ -253,7 +253,7 @@ fn captured_supports_equal_a_forward_recount() {
     let mut scratch = Scratch::default();
     let mut saturated = 0;
     for (name, graph, queries) in &cases {
-        let index = LabelIndex::from_backend(graph);
+        let index = LabelIndex::from_csr(graph);
         for (i, dfa) in queries.iter().enumerate() {
             let expected = gps_rpq::eval::evaluate(graph, dfa);
             for plan in [Plan::Reverse, Plan::Forward, Plan::Bidirectional] {
@@ -271,9 +271,10 @@ fn captured_supports_equal_a_forward_recount() {
                             .transitions_from(state)
                             .flat_map(|(label, target_state)| {
                                 graph
-                                    .successors(node)
-                                    .filter(move |&(edge_label, _)| edge_label == label)
-                                    .map(move |(_, target)| (target_state, target))
+                                    .out(node)
+                                    .iter()
+                                    .filter(move |entry| entry.label == label)
+                                    .map(move |entry| (target_state, entry.node))
                             })
                             .filter(|&(target_state, target)| {
                                 seed.is_alive(target_state, target.index())
@@ -359,7 +360,10 @@ fn a_four_op_delta_on_200k_nodes_copies_a_handful_of_seed_blocks() {
     }
     for _ in 0..2 {
         let source = leaves.next().expect("a leaf");
-        let (edge_label, target) = base.successors(source).next().expect("out-degree > 0");
+        let CsrEntry {
+            label: edge_label,
+            node: target,
+        } = base.out(source)[0];
         assert!(delta.remove_edge(source, edge_label, target));
     }
     let (compacted, new_cache, report) = publish(&evaluator, &old_cache, delta);

@@ -2,16 +2,17 @@
 //!
 //! The interactive loop and the RPQ evaluator traverse the graph heavily and
 //! never mutate it.  [`CsrGraph`] packs the adjacency into offsets +
-//! `(label, target)` pairs for cache-friendly scans, keeps a reverse CSR for
-//! backward traversals, and — since it implements [`GraphBackend`] — serves
-//! as a first-class drop-in store for every query layer: RPQ evaluation,
-//! neighborhoods, path enumeration, learning and interactive sessions all
-//! run directly on the snapshot.
+//! `(label, target)` pairs for cache-friendly scans and keeps a reverse CSR
+//! for backward traversals.  It is the one graph every query layer reads:
+//! RPQ evaluation, neighborhoods, path enumeration, learning and interactive
+//! sessions all take `&CsrGraph` and scan its [`out`](CsrGraph::out) /
+//! [`inc`](CsrGraph::inc) rows; the mutable [`Graph`] only ingests.
 //!
 //! The snapshot carries the node names and the label interner of its source
 //! so rendering and query parsing work against it; the original edge
-//! identifiers are preserved per adjacency entry so neighborhood extraction
-//! and zoom deltas agree exactly with the mutable [`Graph`] backend.
+//! identifiers are preserved per adjacency entry
+//! ([`out_ids`](CsrGraph::out_ids) / [`in_ids`](CsrGraph::in_ids)), so
+//! neighborhoods and zoom deltas name the edges the graph was built with.
 //!
 //! Consecutive epochs of a live graph differ in a handful of rows, so a
 //! snapshot stores what it can share with its neighbours behind [`Arc`]s:
@@ -28,7 +29,6 @@
 //!   storage of their own (`names.rs`), shared outright when a publish added
 //!   no node and all but the tail chunk otherwise.
 
-use crate::backend::GraphBackend;
 use crate::graph::{Edge, Graph};
 use crate::ids::{EdgeId, LabelId, NodeId};
 use crate::labels::LabelInterner;
@@ -238,8 +238,7 @@ pub struct CsrGraph {
     labels: LabelInterner,
     fwd: Adjacency,
     rev: Adjacency,
-    /// Version stamp of the snapshot.  Snapshots built directly from a
-    /// backend inherit the backend's epoch (0 for fresh builds);
+    /// Version stamp of the snapshot: 0 for fresh builds;
     /// [`crate::delta::DeltaGraph::compact`] stamps its output with the base
     /// epoch plus one, so every published version of a live graph is
     /// distinguishable even when node and edge counts happen to coincide.
@@ -247,42 +246,30 @@ pub struct CsrGraph {
 }
 
 impl CsrGraph {
-    /// Builds a CSR snapshot from a mutable [`Graph`].
+    /// Builds a CSR snapshot from a mutable [`Graph`]: each row keeps the
+    /// graph's insertion order, each entry its edge id.
     pub fn from_graph(graph: &Graph) -> Self {
-        Self::from_backend(graph)
-    }
-
-    /// Builds a CSR snapshot from any backend.
-    pub fn from_backend<B: GraphBackend>(backend: &B) -> Self {
-        let node_names: Vec<String> = backend
+        let node_names: Vec<String> = graph
             .nodes()
-            .map(|node| backend.node_name(node).to_string())
+            .map(|node| graph.node_name(node).to_string())
             .collect();
-        let mut fwd = AdjacencyBuilder::new(backend.nodes().map(|n| backend.out_degree(n) as u32));
-        let mut rev = AdjacencyBuilder::new(backend.nodes().map(|n| backend.in_degree(n) as u32));
-        for node in backend.nodes() {
-            for (edge_id, edge) in backend.out_edges(node) {
-                let entry = CsrEntry {
-                    label: edge.label,
-                    node: edge.target,
-                };
-                fwd.place(node.index(), entry, edge_id);
-            }
-            for (edge_id, edge) in backend.in_edges(node) {
-                let entry = CsrEntry {
-                    label: edge.label,
-                    node: edge.source,
-                };
-                rev.place(node.index(), entry, edge_id);
-            }
+        let mut fwd = AdjacencyBuilder::new(graph.nodes().map(|n| graph.out_degree(n) as u32));
+        let mut rev = AdjacencyBuilder::new(graph.nodes().map(|n| graph.in_degree(n) as u32));
+        // Edge ids ascend, so placing edges in id order keeps every row in
+        // the graph's adjacency order.
+        for (id, edge) in graph.edges() {
+            let forward = CsrEntry {
+                label: edge.label,
+                node: edge.target,
+            };
+            fwd.place(edge.source.index(), forward, id);
+            let backward = CsrEntry {
+                label: edge.label,
+                node: edge.source,
+            };
+            rev.place(edge.target.index(), backward, id);
         }
-        Self::from_adjacency(
-            node_names,
-            backend.labels().clone(),
-            fwd,
-            rev,
-            backend.epoch(),
-        )
+        Self::from_adjacency(node_names, graph.labels().clone(), fwd, rev, 0)
     }
 
     /// Assembles a snapshot from both directions' filled builders — the
@@ -358,6 +345,16 @@ impl CsrGraph {
         &self.labels
     }
 
+    /// The name of a label, if it exists.
+    pub fn label_name(&self, label: LabelId) -> Option<&str> {
+        self.labels.name(label)
+    }
+
+    /// Looks up a label by name.
+    pub fn label_id(&self, name: &str) -> Option<LabelId> {
+        self.labels.get(name)
+    }
+
     /// The display name of a node.
     ///
     /// # Panics
@@ -409,6 +406,15 @@ impl CsrGraph {
         self.rev.ids(node)
     }
 
+    /// Every edge as `(edge id, edge)`, grouped by source node in row order
+    /// (not in id order, as [`Graph::edges`] lists them).
+    pub fn edges_by_source(&self) -> impl Iterator<Item = (EdgeId, Edge)> + '_ {
+        self.nodes().flat_map(move |source| {
+            let row = self.out_ids(source).iter().zip(self.out(source));
+            row.map(move |(&id, entry)| (id, Edge::new(source, entry.label, entry.node)))
+        })
+    }
+
     /// Out-degree of `node`.
     #[inline]
     pub fn out_degree(&self, node: NodeId) -> usize {
@@ -434,6 +440,12 @@ impl CsrGraph {
         )
     }
 
+    /// Whether `other` is this snapshot or a clone of it: the same epoch and
+    /// the same name storage, which clones share and separate builds do not.
+    pub fn is_same_snapshot(&self, other: &CsrGraph) -> bool {
+        self.epoch == other.epoch && Arc::ptr_eq(&self.names, &other.names)
+    }
+
     /// The shared name storage (what [`node_name`](Self::node_name) and
     /// [`node_by_name`](Self::node_by_name) consult) — handed to the next
     /// epoch by the delta overlay instead of being rebuilt per publish.
@@ -450,132 +462,6 @@ impl CsrGraph {
     /// The reverse adjacency.
     pub(crate) fn reverse(&self) -> &Adjacency {
         &self.rev
-    }
-}
-
-impl From<&Graph> for CsrGraph {
-    fn from(graph: &Graph) -> Self {
-        Self::from_graph(graph)
-    }
-}
-
-/// Iterator over `(label, neighbor)` pairs of a CSR slice.
-pub struct CsrNeighbors<'a> {
-    entries: std::slice::Iter<'a, CsrEntry>,
-}
-
-impl<'a> Iterator for CsrNeighbors<'a> {
-    type Item = (LabelId, NodeId);
-
-    #[inline]
-    fn next(&mut self) -> Option<(LabelId, NodeId)> {
-        self.entries.next().map(|entry| (entry.label, entry.node))
-    }
-
-    fn size_hint(&self) -> (usize, Option<usize>) {
-        self.entries.size_hint()
-    }
-}
-
-impl<'a> ExactSizeIterator for CsrNeighbors<'a> {}
-
-/// Iterator over `(EdgeId, Edge)` pairs of a CSR slice, reconstructing the
-/// full edge records from the pivot node.
-pub struct CsrIncidentEdges<'a> {
-    entries: std::slice::Iter<'a, CsrEntry>,
-    ids: std::slice::Iter<'a, EdgeId>,
-    pivot: NodeId,
-    reverse: bool,
-}
-
-impl<'a> Iterator for CsrIncidentEdges<'a> {
-    type Item = (EdgeId, Edge);
-
-    #[inline]
-    fn next(&mut self) -> Option<(EdgeId, Edge)> {
-        let entry = self.entries.next()?;
-        let id = *self.ids.next().expect("edge ids aligned with entries");
-        let edge = if self.reverse {
-            Edge::new(entry.node, entry.label, self.pivot)
-        } else {
-            Edge::new(self.pivot, entry.label, entry.node)
-        };
-        Some((id, edge))
-    }
-
-    fn size_hint(&self) -> (usize, Option<usize>) {
-        self.entries.size_hint()
-    }
-}
-
-impl<'a> ExactSizeIterator for CsrIncidentEdges<'a> {}
-
-impl GraphBackend for CsrGraph {
-    type Neighbors<'a> = CsrNeighbors<'a>;
-    type IncidentEdges<'a> = CsrIncidentEdges<'a>;
-
-    fn node_count(&self) -> usize {
-        CsrGraph::node_count(self)
-    }
-
-    fn edge_count(&self) -> usize {
-        CsrGraph::edge_count(self)
-    }
-
-    fn labels(&self) -> &LabelInterner {
-        CsrGraph::labels(self)
-    }
-
-    fn node_name(&self, node: NodeId) -> &str {
-        CsrGraph::node_name(self, node)
-    }
-
-    fn node_by_name(&self, name: &str) -> Option<NodeId> {
-        CsrGraph::node_by_name(self, name)
-    }
-
-    fn successors(&self, node: NodeId) -> CsrNeighbors<'_> {
-        CsrNeighbors {
-            entries: self.out(node).iter(),
-        }
-    }
-
-    fn predecessors(&self, node: NodeId) -> CsrNeighbors<'_> {
-        CsrNeighbors {
-            entries: self.inc(node).iter(),
-        }
-    }
-
-    fn out_edges(&self, node: NodeId) -> CsrIncidentEdges<'_> {
-        let (chunk, range) = self.fwd.locate(node);
-        CsrIncidentEdges {
-            entries: chunk.entries[range.clone()].iter(),
-            ids: chunk.ids[range].iter(),
-            pivot: node,
-            reverse: false,
-        }
-    }
-
-    fn in_edges(&self, node: NodeId) -> CsrIncidentEdges<'_> {
-        let (chunk, range) = self.rev.locate(node);
-        CsrIncidentEdges {
-            entries: chunk.entries[range.clone()].iter(),
-            ids: chunk.ids[range].iter(),
-            pivot: node,
-            reverse: true,
-        }
-    }
-
-    fn out_degree(&self, node: NodeId) -> usize {
-        CsrGraph::out_degree(self, node)
-    }
-
-    fn in_degree(&self, node: NodeId) -> usize {
-        CsrGraph::in_degree(self, node)
-    }
-
-    fn epoch(&self) -> u64 {
-        CsrGraph::epoch(self)
     }
 }
 
@@ -644,13 +530,6 @@ mod tests {
     }
 
     #[test]
-    fn from_reference_conversion() {
-        let (g, _) = diamond();
-        let csr: CsrGraph = (&g).into();
-        assert_eq!(csr.edge_count(), g.edge_count());
-    }
-
-    #[test]
     fn snapshot_carries_names_and_labels() {
         let (g, n) = diamond();
         let csr = CsrGraph::from_graph(&g);
@@ -660,24 +539,39 @@ mod tests {
         assert_eq!(csr.labels().get("x"), g.label_id("x"));
     }
 
+    /// `node`'s forward and reverse rows as `g` ingested them: `(edge id,
+    /// entry)` pairs in insertion order.
+    fn ingested_rows(g: &Graph, node: NodeId) -> [Vec<(EdgeId, CsrEntry)>; 2] {
+        let entry = |label, node| CsrEntry { label, node };
+        [
+            g.edges()
+                .filter(|(_, e)| e.source == node)
+                .map(|(id, e)| (id, entry(e.label, e.target)))
+                .collect(),
+            g.edges()
+                .filter(|(_, e)| e.target == node)
+                .map(|(id, e)| (id, entry(e.label, e.source)))
+                .collect(),
+        ]
+    }
+
+    fn snapshot_rows(csr: &CsrGraph, node: NodeId) -> [Vec<(EdgeId, CsrEntry)>; 2] {
+        let zip = |ids: &[EdgeId], entries: &[CsrEntry]| {
+            ids.iter().copied().zip(entries.iter().copied()).collect()
+        };
+        [
+            zip(csr.out_ids(node), csr.out(node)),
+            zip(csr.in_ids(node), csr.inc(node)),
+        ]
+    }
+
     #[test]
     fn incident_edges_preserve_original_ids() {
-        let (g, n) = diamond();
+        let (g, _) = diamond();
         let csr = CsrGraph::from_graph(&g);
-        let graph_out: Vec<(EdgeId, Edge)> = g.out_edges(n[0]).collect();
-        let csr_out: Vec<(EdgeId, Edge)> = GraphBackend::out_edges(&csr, n[0]).collect();
-        assert_eq!(graph_out, csr_out);
-        let graph_in: Vec<(EdgeId, Edge)> = g.in_edges(n[3]).collect();
-        let csr_in: Vec<(EdgeId, Edge)> = GraphBackend::in_edges(&csr, n[3]).collect();
-        assert_eq!(graph_in, csr_in);
-        assert!(csr_out
-            .iter()
-            .map(|e| e.0)
-            .eq(csr.out_ids(n[0]).iter().copied()));
-        assert!(csr_in
-            .iter()
-            .map(|e| e.0)
-            .eq(csr.in_ids(n[3]).iter().copied()));
+        for node in g.nodes() {
+            assert_eq!(snapshot_rows(&csr, node), ingested_rows(&g, node));
+        }
     }
 
     /// A ring over `2 * CHUNK_ROWS + 7` nodes (three chunks, the last
@@ -708,13 +602,7 @@ mod tests {
         assert_eq!(chunks(&csr.rev), [CHUNK_ROWS, CHUNK_ROWS, 7]);
         assert_eq!(csr.edge_count(), g.edge_count());
         for node in g.nodes() {
-            let want: Vec<(EdgeId, Edge)> = g.out_edges(node).collect();
-            assert_eq!(
-                GraphBackend::out_edges(&csr, node).collect::<Vec<_>>(),
-                want
-            );
-            let want: Vec<(EdgeId, Edge)> = g.in_edges(node).collect();
-            assert_eq!(GraphBackend::in_edges(&csr, node).collect::<Vec<_>>(), want);
+            assert_eq!(snapshot_rows(&csr, node), ingested_rows(&g, node));
         }
         // Node 0's reverse row (one `next` plus every chord) is one slice.
         assert_eq!(
@@ -728,25 +616,12 @@ mod tests {
         assert_eq!(largest(&csr.fwd)[2], Some(last));
         assert_eq!(largest(&csr.rev)[0], Some(last), "the ring closes at 0");
 
-        let copy = CsrGraph::from_backend(&csr);
+        let copy = CsrGraph::from_graph(&g);
         assert_eq!(
             copy.shared_with(&csr),
             ((0, 3), (0, 3)),
             "a rebuild shares nothing"
         );
         assert_eq!(csr.clone().shared_with(&csr), ((3, 0), (3, 0)));
-    }
-
-    #[test]
-    fn snapshot_of_a_snapshot_is_identical() {
-        let (g, _) = diamond();
-        let once = CsrGraph::from_graph(&g);
-        let twice = CsrGraph::from_backend(&once);
-        assert_eq!(once.node_count(), twice.node_count());
-        assert_eq!(once.edge_count(), twice.edge_count());
-        for node in once.nodes() {
-            assert_eq!(once.out(node), twice.out(node));
-            assert_eq!(once.inc(node), twice.inc(node));
-        }
     }
 }

@@ -7,7 +7,7 @@
 //! with a double border, nodes revealed by the last zoom are drawn in blue,
 //! and frontier nodes carry a dashed "…" edge.
 
-use crate::backend::GraphBackend;
+use crate::csr::CsrGraph;
 use crate::ids::NodeId;
 use crate::neighborhood::{Neighborhood, NeighborhoodDelta};
 use std::fmt::Write as _;
@@ -17,7 +17,7 @@ fn quote(name: &str) -> String {
 }
 
 /// Exports the whole graph as a DOT digraph.
-pub fn graph_to_dot<B: GraphBackend>(graph: &B, name: &str) -> String {
+pub fn graph_to_dot(graph: &CsrGraph, name: &str) -> String {
     let mut out = String::new();
     let _ = writeln!(out, "digraph {} {{", quote(name));
     let _ = writeln!(out, "  rankdir=LR;");
@@ -41,8 +41,8 @@ pub fn graph_to_dot<B: GraphBackend>(graph: &B, name: &str) -> String {
 /// Exports a neighborhood fragment as a DOT digraph, following the visual
 /// conventions of Figure 3 (see module docs).  `delta` marks the nodes
 /// revealed by the last zoom-out in blue.
-pub fn neighborhood_to_dot<B: GraphBackend>(
-    graph: &B,
+pub fn neighborhood_to_dot(
+    graph: &CsrGraph,
     neighborhood: &Neighborhood,
     delta: Option<&NeighborhoodDelta>,
 ) -> String {
@@ -107,7 +107,7 @@ mod tests {
     use super::*;
     use crate::graph::Graph;
 
-    fn sample() -> Graph {
+    fn sample() -> CsrGraph {
         let mut g = Graph::new();
         let n2 = g.add_node("N2");
         let n1 = g.add_node("N1");
@@ -116,7 +116,7 @@ mod tests {
         g.add_edge_by_name(n2, "bus", n1);
         g.add_edge_by_name(n1, "tram", n4);
         g.add_edge_by_name(n4, "cinema", c1);
-        g
+        CsrGraph::from_graph(&g)
     }
 
     #[test]
@@ -163,7 +163,7 @@ mod tests {
         let a = g.add_node("a\"b");
         let b = g.add_node("plain");
         g.add_edge_by_name(a, "x", b);
-        let dot = graph_to_dot(&g, "test");
+        let dot = graph_to_dot(&CsrGraph::from_graph(&g), "test");
         assert!(dot.contains("\"a\\\"b\""));
     }
 }

@@ -1,12 +1,11 @@
 //! The mutable, adjacency-list graph database.
 //!
-//! [`Graph`] is the primary store: an edge-labeled directed multigraph with
+//! [`Graph`] is the ingest store: an edge-labeled directed multigraph with
 //! named nodes, forward and reverse adjacency lists, and an embedded
-//! [`LabelInterner`].  It supports the operations the GPS system needs while
-//! staying simple to reason about; read-heavy code converts it to a
-//! [`crate::CsrGraph`] snapshot first.
+//! [`LabelInterner`].  Loaders and generators build one; every algorithm
+//! reads the [`crate::CsrGraph`] snapshot taken from it
+//! ([`CsrGraph::from_graph`](crate::CsrGraph::from_graph)).
 
-use crate::backend::GraphBackend;
 use crate::ids::{EdgeId, LabelId, NodeId};
 use crate::labels::LabelInterner;
 use serde::{Deserialize, Serialize};
@@ -198,44 +197,12 @@ impl Graph {
         self.edges.len()
     }
 
-    /// Returns an edge record.
-    ///
-    /// # Panics
-    /// Panics if `edge` does not belong to this graph.
-    pub fn edge(&self, edge: EdgeId) -> Edge {
-        self.edges[edge.index()]
-    }
-
     /// Iterates over all edges in insertion order.
     pub fn edges(&self) -> impl Iterator<Item = (EdgeId, Edge)> + '_ {
         self.edges
             .iter()
             .enumerate()
             .map(|(i, &e)| (EdgeId::from(i), e))
-    }
-
-    /// Outgoing edges of `node` as `(EdgeId, Edge)` pairs.
-    pub fn out_edges(&self, node: NodeId) -> impl Iterator<Item = (EdgeId, Edge)> + '_ {
-        self.out_adjacency[node.index()]
-            .iter()
-            .map(move |&id| (id, self.edges[id.index()]))
-    }
-
-    /// Incoming edges of `node` as `(EdgeId, Edge)` pairs.
-    pub fn in_edges(&self, node: NodeId) -> impl Iterator<Item = (EdgeId, Edge)> + '_ {
-        self.in_adjacency[node.index()]
-            .iter()
-            .map(move |&id| (id, self.edges[id.index()]))
-    }
-
-    /// Successors of `node` as `(label, target)` pairs.
-    pub fn successors(&self, node: NodeId) -> impl Iterator<Item = (LabelId, NodeId)> + '_ {
-        self.out_edges(node).map(|(_, e)| (e.label, e.target))
-    }
-
-    /// Predecessors of `node` as `(label, source)` pairs.
-    pub fn predecessors(&self, node: NodeId) -> impl Iterator<Item = (LabelId, NodeId)> + '_ {
-        self.in_edges(node).map(|(_, e)| (e.label, e.source))
     }
 
     /// Out-degree of `node`.
@@ -246,13 +213,6 @@ impl Graph {
     /// In-degree of `node`.
     pub fn in_degree(&self, node: NodeId) -> usize {
         self.in_adjacency[node.index()].len()
-    }
-
-    /// Returns `true` if there is at least one `source --label--> target`
-    /// edge.
-    pub fn has_edge(&self, source: NodeId, label: LabelId, target: NodeId) -> bool {
-        self.out_edges(source)
-            .any(|(_, e)| e.label == label && e.target == target)
     }
 
     /// Rebuilds indexes that are skipped during serialization.  Must be
@@ -271,119 +231,6 @@ impl Graph {
             first.entry(name.clone()).or_insert(NodeId::from(i));
         }
         self.name_index = first;
-    }
-}
-
-/// Iterator over the `(label, neighbor)` pairs of an adjacency list.
-pub struct AdjacencyNeighbors<'a> {
-    edges: &'a [Edge],
-    ids: std::slice::Iter<'a, EdgeId>,
-    reverse: bool,
-}
-
-impl<'a> Iterator for AdjacencyNeighbors<'a> {
-    type Item = (LabelId, NodeId);
-
-    #[inline]
-    fn next(&mut self) -> Option<(LabelId, NodeId)> {
-        self.ids.next().map(|id| {
-            let edge = self.edges[id.index()];
-            if self.reverse {
-                (edge.label, edge.source)
-            } else {
-                (edge.label, edge.target)
-            }
-        })
-    }
-
-    fn size_hint(&self) -> (usize, Option<usize>) {
-        self.ids.size_hint()
-    }
-}
-
-impl<'a> ExactSizeIterator for AdjacencyNeighbors<'a> {}
-
-/// Iterator over the `(EdgeId, Edge)` pairs of an adjacency list.
-pub struct AdjacencyEdges<'a> {
-    edges: &'a [Edge],
-    ids: std::slice::Iter<'a, EdgeId>,
-}
-
-impl<'a> Iterator for AdjacencyEdges<'a> {
-    type Item = (EdgeId, Edge);
-
-    #[inline]
-    fn next(&mut self) -> Option<(EdgeId, Edge)> {
-        self.ids.next().map(|&id| (id, self.edges[id.index()]))
-    }
-
-    fn size_hint(&self) -> (usize, Option<usize>) {
-        self.ids.size_hint()
-    }
-}
-
-impl<'a> ExactSizeIterator for AdjacencyEdges<'a> {}
-
-impl GraphBackend for Graph {
-    type Neighbors<'a> = AdjacencyNeighbors<'a>;
-    type IncidentEdges<'a> = AdjacencyEdges<'a>;
-
-    fn node_count(&self) -> usize {
-        Graph::node_count(self)
-    }
-
-    fn edge_count(&self) -> usize {
-        Graph::edge_count(self)
-    }
-
-    fn labels(&self) -> &LabelInterner {
-        Graph::labels(self)
-    }
-
-    fn node_name(&self, node: NodeId) -> &str {
-        Graph::node_name(self, node)
-    }
-
-    fn node_by_name(&self, name: &str) -> Option<NodeId> {
-        Graph::node_by_name(self, name)
-    }
-
-    fn successors(&self, node: NodeId) -> AdjacencyNeighbors<'_> {
-        AdjacencyNeighbors {
-            edges: &self.edges,
-            ids: self.out_adjacency[node.index()].iter(),
-            reverse: false,
-        }
-    }
-
-    fn predecessors(&self, node: NodeId) -> AdjacencyNeighbors<'_> {
-        AdjacencyNeighbors {
-            edges: &self.edges,
-            ids: self.in_adjacency[node.index()].iter(),
-            reverse: true,
-        }
-    }
-
-    fn out_edges(&self, node: NodeId) -> AdjacencyEdges<'_> {
-        AdjacencyEdges {
-            edges: &self.edges,
-            ids: self.out_adjacency[node.index()].iter(),
-        }
-    }
-
-    fn in_edges(&self, node: NodeId) -> AdjacencyEdges<'_> {
-        AdjacencyEdges {
-            edges: &self.edges,
-            ids: self.in_adjacency[node.index()].iter(),
-        }
-    }
-
-    fn out_degree(&self, node: NodeId) -> usize {
-        Graph::out_degree(self, node)
-    }
-
-    fn in_degree(&self, node: NodeId) -> usize {
-        Graph::in_degree(self, node)
     }
 }
 
@@ -427,20 +274,13 @@ mod tests {
         assert_eq!(g.out_degree(a), 2);
         assert_eq!(g.in_degree(c), 2);
         assert_eq!(g.out_degree(c), 0);
-        let succ: Vec<_> = g.successors(a).map(|(_, t)| t).collect();
-        assert_eq!(succ, vec![b, c]);
-        let pred: Vec<_> = g.predecessors(c).map(|(_, s)| s).collect();
-        assert_eq!(pred, vec![b, a]);
-    }
-
-    #[test]
-    fn has_edge_checks_label_and_target() {
-        let (g, a, b, c) = tiny();
         let x = g.label_id("x").unwrap();
         let y = g.label_id("y").unwrap();
-        assert!(g.has_edge(a, x, b));
-        assert!(!g.has_edge(a, x, c));
-        assert!(g.has_edge(a, y, c));
+        let edges: Vec<Edge> = g.edges().map(|(_, e)| e).collect();
+        assert_eq!(
+            edges,
+            [Edge::new(a, x, b), Edge::new(b, y, c), Edge::new(a, y, c)]
+        );
     }
 
     #[test]

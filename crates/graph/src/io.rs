@@ -161,7 +161,7 @@ N5
         let n1 = g.node_by_name("N1").unwrap();
         let n4 = g.node_by_name("N4").unwrap();
         let tram = g.label_id("tram").unwrap();
-        assert!(g.has_edge(n1, tram, n4));
+        assert!(g.edges().any(|(_, e)| e == crate::Edge::new(n1, tram, n4)));
     }
 
     #[test]

@@ -9,21 +9,19 @@
 //! learning or interaction — and exposes exactly the primitives the rest of
 //! the system needs:
 //!
-//! * [`backend::GraphBackend`] — the storage-agnostic read interface all
-//!   query layers are generic over (see its module docs for the design);
-//! * [`Graph`] — the mutable adjacency-list store with forward and reverse
-//!   adjacency, label interning and node naming;
-//! * [`csr::CsrGraph`] — an immutable, cache-friendly snapshot; a first-class
-//!   backend for the traversal-heavy evaluation and learning code, stamped
-//!   with a version [`epoch`](csr::CsrGraph::epoch), its adjacency held in
-//!   node-range chunks that consecutive epochs share;
+//! * [`Graph`] — the mutable ingest store (label interning, node naming,
+//!   edge insertion) that loaders and generators fill;
+//! * [`csr::CsrGraph`] — the immutable, cache-friendly snapshot every
+//!   algorithm reads, stamped with a version
+//!   [`epoch`](csr::CsrGraph::epoch), its adjacency held in node-range chunks
+//!   that consecutive epochs share;
 //! * [`delta::DeltaGraph`] — a mutable overlay (insertions + tombstoned
 //!   deletions) over a shared snapshot; [`compact`](delta::DeltaGraph::compact)
 //!   publishes the next epoch;
 //! * [`splice::RowSplice`] — the offset bookkeeping of rebuilding packed CSR
 //!   rows from bulk copies plus a few rewritten rows, shared by `compact` and
 //!   the label-index patch in `gps-exec`;
-//! * [`traversal`] — BFS/DFS, distances and reachability, over any backend;
+//! * [`traversal`] — BFS/DFS, distances and reachability;
 //! * [`neighborhood`] — the *k*-neighborhood subgraphs the user is shown
 //!   (Figure 3(a)/(b) of the paper), including the frontier markers ("…")
 //!   and the delta highlighting used when zooming out;
@@ -36,7 +34,7 @@
 //! ## Example
 //!
 //! ```
-//! use gps_graph::{CsrGraph, Graph, GraphBackend};
+//! use gps_graph::{CsrGraph, Graph};
 //!
 //! let mut g = Graph::new();
 //! let n1 = g.add_node("N1");
@@ -51,19 +49,15 @@
 //! assert_eq!(g.edge_count(), 2);
 //! assert_eq!(g.out_degree(n1), 1);
 //!
-//! // Snapshot to the immutable CSR backend: both stores satisfy
-//! // `GraphBackend`, so every query layer runs on either.
+//! // Snapshot once; every query layer reads the snapshot's rows.
 //! let csr = CsrGraph::from_graph(&g);
-//! fn describe<B: GraphBackend>(b: &B) -> (usize, usize) {
-//!     (b.node_count(), b.edge_count())
-//! }
-//! assert_eq!(describe(&g), describe(&csr));
+//! assert_eq!((csr.node_count(), csr.edge_count()), (3, 2));
+//! assert_eq!(csr.out(n1)[0].node, n4);
 //! ```
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod backend;
 pub mod csr;
 pub mod delta;
 pub mod dot;
@@ -79,7 +73,6 @@ pub mod splice;
 pub mod stats;
 pub mod traversal;
 
-pub use backend::GraphBackend;
 pub use csr::{CsrEntry, CsrGraph};
 pub use delta::{DeltaGraph, GraphDelta, UpdateError, UpdateOp};
 pub use graph::{Edge, Graph};

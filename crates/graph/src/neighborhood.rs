@@ -9,7 +9,7 @@
 //! continuation information, and [`NeighborhoodDelta`] captures the zoom
 //! highlight.
 
-use crate::backend::GraphBackend;
+use crate::csr::CsrGraph;
 use crate::graph::Edge;
 use crate::ids::{EdgeId, NodeId};
 use crate::traversal::{bfs, Direction};
@@ -35,7 +35,7 @@ pub struct Neighborhood {
 impl Neighborhood {
     /// Extracts the neighborhood of `center` with the given `radius`
     /// (maximum number of edges from the center).
-    pub fn extract<B: GraphBackend>(graph: &B, center: NodeId, radius: u32) -> Self {
+    pub fn extract(graph: &CsrGraph, center: NodeId, radius: u32) -> Self {
         let distances = bfs(graph, center, Some(radius), Direction::Forward);
         let mut nodes: Vec<(NodeId, u32)> = distances.reachable().collect();
         nodes.sort_by_key(|&(n, _)| n);
@@ -45,12 +45,12 @@ impl Neighborhood {
         let mut edges = Vec::new();
         let mut continuations = BTreeSet::new();
         for &(node, dist) in &nodes {
-            for (edge_id, edge) in graph.out_edges(node) {
+            for (&edge_id, entry) in graph.out_ids(node).iter().zip(graph.out(node)) {
                 // The edge is inside the fragment only when it can be part of
                 // a path of length <= radius from the center and its target
                 // was reached within the radius.
-                if dist < radius && in_fragment.contains(&edge.target) {
-                    edges.push((edge_id, edge));
+                if dist < radius && in_fragment.contains(&entry.node) {
+                    edges.push((edge_id, Edge::new(node, entry.label, entry.node)));
                 } else {
                     continuations.insert(node);
                 }
@@ -124,7 +124,7 @@ impl Neighborhood {
 
     /// Zooms out by one: returns the neighborhood of the same center with
     /// radius `radius + 1` together with the delta against `self`.
-    pub fn zoom_out<B: GraphBackend>(&self, graph: &B) -> (Neighborhood, NeighborhoodDelta) {
+    pub fn zoom_out(&self, graph: &CsrGraph) -> (Neighborhood, NeighborhoodDelta) {
         let larger = Neighborhood::extract(graph, self.center, self.radius + 1);
         let delta = NeighborhoodDelta::between(self, &larger);
         (larger, delta)
@@ -184,7 +184,7 @@ mod tests {
     /// N2 -bus-> N1 -tram-> N4 -cinema-> C1, N2 -bus-> N3, N2 -restaurant-> R1,
     /// N3 -bus-> N2 (cycle), N1 -... etc.  We model a simplified version that
     /// has the same radius behaviour.
-    fn sample() -> (Graph, Vec<NodeId>) {
+    fn sample() -> (CsrGraph, Vec<NodeId>) {
         let mut g = Graph::new();
         let n1 = g.add_node("N1");
         let n2 = g.add_node("N2");
@@ -198,7 +198,7 @@ mod tests {
         g.add_edge_by_name(n1, "tram", n4);
         g.add_edge_by_name(n4, "cinema", c1);
         g.add_edge_by_name(n3, "bus", n2);
-        (g, vec![n1, n2, n3, n4, c1, r1])
+        (CsrGraph::from_graph(&g), vec![n1, n2, n3, n4, c1, r1])
     }
 
     #[test]

@@ -7,7 +7,7 @@
 //! sequences.  Paths are walks: nodes and edges may repeat, which is why a
 //! length bound (and optionally a result cap) is always applied.
 
-use crate::backend::GraphBackend;
+use crate::csr::CsrGraph;
 use crate::ids::{LabelId, NodeId};
 use std::collections::BTreeSet;
 
@@ -68,13 +68,13 @@ impl Path {
     }
 
     /// Renders the word using the graph's label names, e.g. `bus·bus·cinema`.
-    pub fn render_word<B: GraphBackend>(&self, graph: &B) -> String {
+    pub fn render_word(&self, graph: &CsrGraph) -> String {
         render_word(graph, &self.word)
     }
 }
 
 /// Renders a word using the graph's label names, joining labels with `·`.
-pub fn render_word<B: GraphBackend>(graph: &B, word: &[LabelId]) -> String {
+pub fn render_word(graph: &CsrGraph, word: &[LabelId]) -> String {
     if word.is_empty() {
         return "ε".to_string();
     }
@@ -136,7 +136,7 @@ impl PathEnumerator {
     /// Enumerates all paths of length `1..=max_length` (plus the empty path
     /// when configured) starting at `start`, in breadth-first (shortest
     /// first) order, deterministically following edge insertion order.
-    pub fn paths_from<B: GraphBackend>(&self, graph: &B, start: NodeId) -> Vec<Path> {
+    pub fn paths_from(&self, graph: &CsrGraph, start: NodeId) -> Vec<Path> {
         let mut result = Vec::new();
         if self.include_empty {
             result.push(Path::empty(start));
@@ -148,11 +148,11 @@ impl PathEnumerator {
         for _ in 0..self.max_length {
             let mut next_frontier = Vec::new();
             for path in &frontier {
-                for (label, target) in graph.successors(path.end()) {
+                for entry in graph.out(path.end()) {
                     if result.len() >= self.max_paths {
                         return result;
                     }
-                    let extended = path.extend(label, target);
+                    let extended = path.extend(entry.label, entry.node);
                     result.push(extended.clone());
                     next_frontier.push(extended);
                 }
@@ -166,7 +166,7 @@ impl PathEnumerator {
     }
 
     /// The set of distinct words spelled by paths from `start`.
-    pub fn words_from<B: GraphBackend>(&self, graph: &B, start: NodeId) -> BTreeSet<Word> {
+    pub fn words_from(&self, graph: &CsrGraph, start: NodeId) -> BTreeSet<Word> {
         self.paths_from(graph, start)
             .into_iter()
             .map(|p| p.word)
@@ -175,7 +175,7 @@ impl PathEnumerator {
 
     /// The shortest paths from `start`, grouped: for every distinct word, a
     /// single witness path (the first found in BFS order).
-    pub fn witness_paths_from<B: GraphBackend>(&self, graph: &B, start: NodeId) -> Vec<Path> {
+    pub fn witness_paths_from(&self, graph: &CsrGraph, start: NodeId) -> Vec<Path> {
         let mut seen = BTreeSet::new();
         let mut witnesses = Vec::new();
         for path in self.paths_from(graph, start) {
@@ -196,7 +196,7 @@ mod tests {
     /// N2 -bus-> N1, N2 -bus-> N3, N2 -restaurant-> R1,
     /// N1 -tram-> N4, N1 -bus-> N2*, N3 -bus-> N2*, N4 -cinema-> C1.
     /// (*cycles kept to exercise walk semantics)
-    fn n2_fragment() -> (Graph, NodeId) {
+    fn n2_fragment() -> (CsrGraph, NodeId) {
         let mut g = Graph::new();
         let n1 = g.add_node("N1");
         let n2 = g.add_node("N2");
@@ -213,7 +213,7 @@ mod tests {
         g.add_edge_by_name(n1, "bus", n2);
         g.add_edge_by_name(n3, "bus", n2);
         g.add_edge_by_name(n4, "cinema", c1);
-        (g, n2)
+        (CsrGraph::from_graph(&g), n2)
     }
 
     #[test]

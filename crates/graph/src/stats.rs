@@ -3,7 +3,7 @@
 //! benchmark harness when reporting workload characteristics, and — through
 //! [`LabelStats`] — by the batch execution engine's direction-aware planner.
 
-use crate::backend::GraphBackend;
+use crate::csr::CsrGraph;
 use crate::ids::LabelId;
 use crate::traversal::weakly_connected_components;
 use std::collections::BTreeMap;
@@ -35,7 +35,7 @@ pub struct GraphStats {
 
 impl GraphStats {
     /// Computes statistics for `graph`.
-    pub fn compute<B: GraphBackend>(graph: &B) -> Self {
+    pub fn compute(graph: &CsrGraph) -> Self {
         let node_count = graph.node_count();
         let edge_count = graph.edge_count();
         let mut min_out = usize::MAX;
@@ -132,7 +132,7 @@ pub struct LabelStats {
 
 impl LabelStats {
     /// Computes per-label statistics for `graph` in one adjacency sweep.
-    pub fn compute<B: GraphBackend>(graph: &B) -> Self {
+    pub fn compute(graph: &CsrGraph) -> Self {
         let node_count = graph.node_count();
         let edge_count = graph.edge_count();
         let label_count = graph.label_count();
@@ -148,8 +148,8 @@ impl LabelStats {
         let mut touched: Vec<usize> = Vec::new();
 
         for node in graph.nodes() {
-            for (label, _) in graph.successors(node) {
-                let i = label.index();
+            for entry in graph.out(node) {
+                let i = entry.label.index();
                 if per_node[i] == 0 {
                     touched.push(i);
                 }
@@ -164,8 +164,8 @@ impl LabelStats {
             touched.clear();
         }
         for node in graph.nodes() {
-            for (label, _) in graph.predecessors(node) {
-                let i = label.index();
+            for entry in graph.inc(node) {
+                let i = entry.label.index();
                 if per_node[i] == 0 {
                     touched.push(i);
                 }
@@ -230,7 +230,7 @@ impl LabelStats {
     }
 
     /// One display line per label, for the CLI stats output.
-    pub fn summary_lines<B: GraphBackend>(&self, graph: &B) -> Vec<String> {
+    pub fn summary_lines(&self, graph: &CsrGraph) -> Vec<String> {
         self.per_label
             .iter()
             .map(|s| {
@@ -250,7 +250,7 @@ impl LabelStats {
 }
 
 /// Per-label edge counts with label names resolved, for display.
-pub fn label_usage<B: GraphBackend>(graph: &B) -> Vec<(String, usize)> {
+pub fn label_usage(graph: &CsrGraph) -> Vec<(String, usize)> {
     let stats = GraphStats::compute(graph);
     stats
         .label_histogram
@@ -264,7 +264,7 @@ mod tests {
     use super::*;
     use crate::graph::Graph;
 
-    fn sample() -> Graph {
+    fn sample() -> CsrGraph {
         let mut g = Graph::new();
         let a = g.add_node("a");
         let b = g.add_node("b");
@@ -273,7 +273,7 @@ mod tests {
         g.add_edge_by_name(a, "x", b);
         g.add_edge_by_name(a, "y", c);
         g.add_edge_by_name(b, "x", c);
-        g
+        CsrGraph::from_graph(&g)
     }
 
     #[test]
@@ -309,7 +309,7 @@ mod tests {
 
     #[test]
     fn empty_graph_stats_are_zeroed() {
-        let stats = GraphStats::compute(&Graph::new());
+        let stats = GraphStats::compute(&CsrGraph::default());
         assert_eq!(stats.node_count, 0);
         assert_eq!(stats.min_out_degree, 0);
         assert_eq!(stats.mean_out_degree, 0.0);
@@ -345,7 +345,7 @@ mod tests {
         g.add_edge_by_name(a, "x", b);
         g.add_edge_by_name(a, "x", c);
         g.add_edge_by_name(b, "x", c);
-        let stats = LabelStats::compute(&g);
+        let stats = LabelStats::compute(&CsrGraph::from_graph(&g));
         let x = g.label_id("x").unwrap();
         assert_eq!(stats.get(x).unwrap().max_out_degree, 2, "a has two x edges");
         assert_eq!(stats.get(x).unwrap().max_in_degree, 2, "c receives two");
@@ -367,7 +367,7 @@ mod tests {
 
     #[test]
     fn label_stats_on_empty_graph() {
-        let stats = LabelStats::compute(&Graph::new());
+        let stats = LabelStats::compute(&CsrGraph::default());
         assert_eq!(stats.edge_count, 0);
         assert!(stats.per_label.is_empty());
         assert_eq!(stats.coverage([LabelId::new(0)]), 0.0);

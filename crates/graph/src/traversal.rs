@@ -4,7 +4,7 @@
 //! ([`crate::neighborhood`]) and for the informativeness analysis in the
 //! interactive layer.
 
-use crate::backend::GraphBackend;
+use crate::csr::CsrGraph;
 use crate::ids::NodeId;
 use std::collections::VecDeque;
 
@@ -60,27 +60,23 @@ pub enum Direction {
     Both,
 }
 
-fn neighbors<'a, B: GraphBackend>(
-    graph: &'a B,
+fn neighbors(
+    graph: &CsrGraph,
     node: NodeId,
     direction: Direction,
-) -> Box<dyn Iterator<Item = NodeId> + 'a> {
-    match direction {
-        Direction::Forward => Box::new(graph.successors(node).map(|(_, t)| t)),
-        Direction::Backward => Box::new(graph.predecessors(node).map(|(_, s)| s)),
-        Direction::Both => Box::new(
-            graph
-                .successors(node)
-                .map(|(_, t)| t)
-                .chain(graph.predecessors(node).map(|(_, s)| s)),
-        ),
-    }
+) -> impl Iterator<Item = NodeId> + '_ {
+    let (out, inc) = match direction {
+        Direction::Forward => (graph.out(node), &[][..]),
+        Direction::Backward => (&[][..], graph.inc(node)),
+        Direction::Both => (graph.out(node), graph.inc(node)),
+    };
+    out.iter().chain(inc).map(|entry| entry.node)
 }
 
 /// Breadth-first search from `start`, optionally bounded by `max_depth`
 /// (number of edges), following edges in the given `direction`.
-pub fn bfs<B: GraphBackend>(
-    graph: &B,
+pub fn bfs(
+    graph: &CsrGraph,
     start: NodeId,
     max_depth: Option<u32>,
     direction: Direction,
@@ -107,13 +103,13 @@ pub fn bfs<B: GraphBackend>(
 }
 
 /// Unbounded forward BFS from `start`.
-pub fn bfs_forward<B: GraphBackend>(graph: &B, start: NodeId) -> BfsDistances {
+pub fn bfs_forward(graph: &CsrGraph, start: NodeId) -> BfsDistances {
     bfs(graph, start, None, Direction::Forward)
 }
 
 /// Returns the nodes reachable from `start` (forward direction), including
 /// `start` itself, in BFS order.
-pub fn reachable_from<B: GraphBackend>(graph: &B, start: NodeId) -> Vec<NodeId> {
+pub fn reachable_from(graph: &CsrGraph, start: NodeId) -> Vec<NodeId> {
     let mut order = Vec::new();
     let mut visited = vec![false; graph.node_count()];
     let mut queue = VecDeque::new();
@@ -121,7 +117,7 @@ pub fn reachable_from<B: GraphBackend>(graph: &B, start: NodeId) -> Vec<NodeId> 
     queue.push_back(start);
     while let Some(node) = queue.pop_front() {
         order.push(node);
-        for (_, next) in graph.successors(node) {
+        for next in graph.out(node).iter().map(|entry| entry.node) {
             if !visited[next.index()] {
                 visited[next.index()] = true;
                 queue.push_back(next);
@@ -133,7 +129,7 @@ pub fn reachable_from<B: GraphBackend>(graph: &B, start: NodeId) -> Vec<NodeId> 
 
 /// Depth-first search that invokes `visit` on every node reachable from
 /// `start` in pre-order.
-pub fn dfs_preorder<B: GraphBackend>(graph: &B, start: NodeId, mut visit: impl FnMut(NodeId)) {
+pub fn dfs_preorder(graph: &CsrGraph, start: NodeId, mut visit: impl FnMut(NodeId)) {
     let mut visited = vec![false; graph.node_count()];
     let mut stack = vec![start];
     while let Some(node) = stack.pop() {
@@ -143,8 +139,7 @@ pub fn dfs_preorder<B: GraphBackend>(graph: &B, start: NodeId, mut visit: impl F
         visited[node.index()] = true;
         visit(node);
         // Push successors in reverse so the first successor is visited first.
-        let succ: Vec<NodeId> = graph.successors(node).map(|(_, t)| t).collect();
-        for next in succ.into_iter().rev() {
+        for next in graph.out(node).iter().rev().map(|entry| entry.node) {
             if !visited[next.index()] {
                 stack.push(next);
             }
@@ -154,7 +149,7 @@ pub fn dfs_preorder<B: GraphBackend>(graph: &B, start: NodeId, mut visit: impl F
 
 /// Returns `true` if `target` is reachable from `source` following forward
 /// edges.
-pub fn is_reachable<B: GraphBackend>(graph: &B, source: NodeId, target: NodeId) -> bool {
+pub fn is_reachable(graph: &CsrGraph, source: NodeId, target: NodeId) -> bool {
     if source == target {
         return true;
     }
@@ -164,7 +159,7 @@ pub fn is_reachable<B: GraphBackend>(graph: &B, source: NodeId, target: NodeId) 
 /// Weakly connected components, ignoring edge direction.  Returns one vector
 /// of node ids per component, each sorted by node id; components are sorted
 /// by their smallest node id.
-pub fn weakly_connected_components<B: GraphBackend>(graph: &B) -> Vec<Vec<NodeId>> {
+pub fn weakly_connected_components(graph: &CsrGraph) -> Vec<Vec<NodeId>> {
     let mut component = vec![usize::MAX; graph.node_count()];
     let mut components = Vec::new();
     for start in graph.nodes() {
@@ -197,7 +192,7 @@ mod tests {
     use crate::graph::Graph;
 
     /// a -> b -> c -> d, plus e isolated, plus d -> b cycle edge.
-    fn chain_with_cycle() -> (Graph, Vec<NodeId>) {
+    fn chain_with_cycle() -> (CsrGraph, Vec<NodeId>) {
         let mut g = Graph::new();
         let ids: Vec<NodeId> = ["a", "b", "c", "d", "e"]
             .iter()
@@ -207,7 +202,7 @@ mod tests {
         g.add_edge_by_name(ids[1], "x", ids[2]);
         g.add_edge_by_name(ids[2], "x", ids[3]);
         g.add_edge_by_name(ids[3], "x", ids[1]);
-        (g, ids)
+        (CsrGraph::from_graph(&g), ids)
     }
 
     #[test]

@@ -7,10 +7,8 @@
 //! the label, prunes nodes that became uninformative, and re-learns a
 //! candidate query until a halt condition is met.
 //!
-//! Every piece is generic over [`gps_graph::GraphBackend`] (defaulting to
-//! the mutable [`gps_graph::Graph`]), so whole sessions — strategies, users,
-//! zooming, pruning and validation included — run unchanged on the immutable
-//! [`gps_graph::CsrGraph`] snapshot.
+//! Every piece — strategies, users, zooming, pruning and validation — reads
+//! the immutable [`gps_graph::CsrGraph`] snapshot.
 //!
 //! * [`strategy`] — node-proposal strategies `Υ` (random, degree-based, and
 //!   the informative-paths strategy of the paper);
@@ -30,12 +28,13 @@
 //!
 //! ```
 //! use gps_datasets::figure1::{figure1_graph, MOTIVATING_QUERY};
+//! use gps_graph::CsrGraph;
 //! use gps_interactive::session::{Session, SessionConfig};
 //! use gps_interactive::strategy::InformativePathsStrategy;
 //! use gps_interactive::user::SimulatedUser;
 //! use gps_rpq::PathQuery;
 //!
-//! let (graph, _) = figure1_graph();
+//! let graph = CsrGraph::from_graph(&figure1_graph().0);
 //! let goal = PathQuery::parse(MOTIVATING_QUERY, graph.labels()).unwrap();
 //! let mut user = SimulatedUser::new(goal.clone(), &graph);
 //! let mut session = Session::new(&graph, SessionConfig::default());

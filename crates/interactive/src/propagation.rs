@@ -82,11 +82,11 @@ pub fn propagate(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use gps_graph::Graph;
+    use gps_graph::{CsrGraph, Graph};
 
     /// Two symmetric branches:
     /// A -x-> B -y-> C     D -x-> E -y-> F     G -z-> H
-    fn sample() -> Graph {
+    fn sample() -> CsrGraph {
         let mut g = Graph::new();
         let a = g.add_node("A");
         let b = g.add_node("B");
@@ -101,7 +101,7 @@ mod tests {
         g.add_edge_by_name(d, "x", e);
         g.add_edge_by_name(e, "y", f);
         g.add_edge_by_name(gg, "z", h);
-        g
+        CsrGraph::from_graph(&g)
     }
 
     #[test]

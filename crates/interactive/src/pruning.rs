@@ -20,7 +20,7 @@
 //! uncovered-word counts double as the informative-paths strategy's scores.
 
 use crate::metrics::PruningMetrics;
-use gps_graph::{GraphBackend, NodeId};
+use gps_graph::{CsrGraph, NodeId};
 use gps_learner::ExampleSet;
 use gps_rpq::{EvalHandle, NegativeCoverage};
 
@@ -115,9 +115,9 @@ impl PruningState {
     ///
     /// # Panics
     /// When `exec` does not serve `graph` ([`EvalHandle::assert_serves`]).
-    pub fn refresh_with<B: GraphBackend>(
+    pub fn refresh_with(
         &mut self,
-        graph: &B,
+        graph: &CsrGraph,
         examples: &ExampleSet,
         coverage: &NegativeCoverage,
         exec: &EvalHandle,
@@ -203,21 +203,18 @@ impl PruningState {
     }
 
     /// The nodes that may still be proposed to the user, in id order.
-    pub fn candidates<'a, B: GraphBackend>(
-        &'a self,
-        graph: &'a B,
-    ) -> impl Iterator<Item = NodeId> + 'a {
+    pub fn candidates<'a>(&'a self, graph: &'a CsrGraph) -> impl Iterator<Item = NodeId> + 'a {
         graph.nodes().filter(move |n| !self.is_pruned(*n))
     }
 
     /// Number of candidate (not yet pruned) nodes.
-    pub fn candidate_count<B: GraphBackend>(&self, graph: &B) -> usize {
+    pub fn candidate_count(&self, graph: &CsrGraph) -> usize {
         self.candidates(graph).count()
     }
 
     /// Fraction of the graph's nodes that has been pruned (0.0 for an empty
     /// graph).
-    pub fn pruned_fraction<B: GraphBackend>(&self, graph: &B) -> f64 {
+    pub fn pruned_fraction(&self, graph: &CsrGraph) -> f64 {
         if graph.node_count() == 0 {
             0.0
         } else {
@@ -232,7 +229,7 @@ mod tests {
     use gps_graph::Graph;
 
     /// N5 -bus-> N6 -cinema-> C2; N5 -restaurant-> R2; N8 isolated.
-    fn sample() -> Graph {
+    fn sample() -> CsrGraph {
         let mut g = Graph::new();
         let n5 = g.add_node("N5");
         let n6 = g.add_node("N6");
@@ -242,7 +239,7 @@ mod tests {
         g.add_edge_by_name(n5, "bus", n6);
         g.add_edge_by_name(n6, "cinema", c2);
         g.add_edge_by_name(n5, "restaurant", r2);
-        g
+        CsrGraph::from_graph(&g)
     }
 
     #[test]
@@ -400,7 +397,7 @@ mod tests {
 
     #[test]
     fn empty_graph_fraction_is_zero() {
-        let g = Graph::new();
+        let g = CsrGraph::default();
         let pruning = PruningState::new(2);
         assert_eq!(pruning.pruned_fraction(&g), 0.0);
         assert_eq!(pruning.candidate_count(&g), 0);

@@ -21,9 +21,10 @@ use crate::strategy::{Strategy, StrategyContext};
 use crate::user::{User, UserResponse};
 use crate::validation;
 use crate::zoom::ZoomState;
-use gps_graph::{Graph, GraphBackend, NodeId, Word};
+use gps_graph::{CsrGraph, NodeId, Word};
 use gps_learner::{ExampleSet, Label, LearnedQuery, Learner};
 use gps_rpq::{EvalHandle, NegativeCoverage};
+use std::marker::PhantomData;
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -101,16 +102,16 @@ pub struct SessionOutcome {
 
 /// How a session holds its graph: borrowed from the caller (the classic
 /// single-session shape) or shared behind an [`Arc`] (the service shape —
-/// a `Session<'static, CsrGraph>` that can be stored in a session manager
+/// a `Session<'static>` that can be stored in a session manager
 /// and driven from worker threads).
 #[derive(Debug)]
-enum GraphRef<'g, B> {
-    Borrowed(&'g B),
-    Shared(Arc<B>),
+enum GraphRef<'g> {
+    Borrowed(&'g CsrGraph),
+    Shared(Arc<CsrGraph>),
 }
 
-impl<B> GraphRef<'_, B> {
-    fn get(&self) -> &B {
+impl GraphRef<'_> {
+    fn get(&self) -> &CsrGraph {
         match self {
             GraphRef::Borrowed(graph) => graph,
             GraphRef::Shared(graph) => graph.as_ref(),
@@ -118,9 +119,7 @@ impl<B> GraphRef<'_, B> {
     }
 }
 
-/// An in-progress interactive specification session over backend `B`
-/// (defaults to the mutable [`Graph`]; run sessions on a
-/// [`gps_graph::CsrGraph`] snapshot for cache-friendly traversal).
+/// An in-progress interactive specification session over a [`CsrGraph`].
 ///
 /// Every DFA evaluation inside the loop (the learner's consistency check)
 /// and every read of the word index (pruning, coverage, path selection) goes
@@ -131,9 +130,10 @@ impl<B> GraphRef<'_, B> {
 /// snapshot itself, producing a `'static` session that outlives its creator
 /// (the shape the multi-session service stores and steps from worker
 /// threads).
+// `B` (always `CsrGraph`) is kept only for `benchmark/src/shadow.rs:43`.
 #[derive(Debug)]
-pub struct Session<'g, B: GraphBackend = Graph> {
-    graph: GraphRef<'g, B>,
+pub struct Session<'g, B = CsrGraph> {
+    graph: GraphRef<'g>,
     exec: EvalHandle,
     config: SessionConfig,
     examples: ExampleSet,
@@ -143,9 +143,10 @@ pub struct Session<'g, B: GraphBackend = Graph> {
     hypothesis: Option<LearnedQuery>,
     transcript: Vec<InteractionRecord>,
     metrics: SessionMetrics,
+    graph_type: PhantomData<B>,
 }
 
-impl<B: GraphBackend> Session<'static, B> {
+impl Session<'static> {
     /// Creates a session co-owning its graph: behavior is identical to
     /// [`Session::with_exec`] over the same graph and stack, but the session
     /// borrows nothing, so it can be stored (e.g. in a session manager's
@@ -154,15 +155,15 @@ impl<B: GraphBackend> Session<'static, B> {
     ///
     /// # Panics
     /// When `exec` does not serve `graph` ([`EvalHandle::assert_serves`]).
-    pub fn with_shared_exec(graph: Arc<B>, config: SessionConfig, exec: EvalHandle) -> Self {
+    pub fn with_shared_exec(graph: Arc<CsrGraph>, config: SessionConfig, exec: EvalHandle) -> Self {
         Self::from_graph_ref(GraphRef::Shared(graph), config, exec)
     }
 }
 
-impl<'g, B: GraphBackend> Session<'g, B> {
+impl<'g> Session<'g> {
     /// Creates a session over `graph` with a private reference evaluation
     /// stack (one snapshot + the naive evaluator).
-    pub fn new(graph: &'g B, config: SessionConfig) -> Self {
+    pub fn new(graph: &'g CsrGraph, config: SessionConfig) -> Self {
         let exec = EvalHandle::naive(graph);
         Self::with_exec(graph, config, exec)
     }
@@ -174,7 +175,7 @@ impl<'g, B: GraphBackend> Session<'g, B> {
     ///
     /// # Panics
     /// When `exec` does not serve `graph` ([`EvalHandle::assert_serves`]).
-    pub fn with_exec(graph: &'g B, config: SessionConfig, exec: EvalHandle) -> Self {
+    pub fn with_exec(graph: &'g CsrGraph, config: SessionConfig, exec: EvalHandle) -> Self {
         Self::from_graph_ref(GraphRef::Borrowed(graph), config, exec)
     }
 
@@ -183,12 +184,12 @@ impl<'g, B: GraphBackend> Session<'g, B> {
         &self.exec
     }
 
-    /// The graph backend this session runs on.
-    pub fn graph(&self) -> &B {
+    /// The graph this session runs on.
+    pub fn graph(&self) -> &CsrGraph {
         self.graph.get()
     }
 
-    fn from_graph_ref(graph: GraphRef<'g, B>, config: SessionConfig, exec: EvalHandle) -> Self {
+    fn from_graph_ref(graph: GraphRef<'g>, config: SessionConfig, exec: EvalHandle) -> Self {
         exec.assert_serves(graph.get());
         let coverage = NegativeCoverage::new(config.path_bound);
         let pruning = PruningState::new(config.path_bound);
@@ -203,6 +204,7 @@ impl<'g, B: GraphBackend> Session<'g, B> {
             hypothesis: None,
             transcript: Vec::new(),
             metrics: SessionMetrics::disabled(),
+            graph_type: PhantomData,
         }
     }
 
@@ -237,7 +239,7 @@ impl<'g, B: GraphBackend> Session<'g, B> {
     /// Performs one interaction.  Returns `Some(reason)` when a halt
     /// condition fired (either before or after the interaction), `None` when
     /// the loop should continue.
-    pub fn step<S: Strategy<B> + ?Sized, U: User<B> + ?Sized>(
+    pub fn step<S: Strategy + ?Sized, U: User + ?Sized>(
         &mut self,
         strategy: &mut S,
         user: &mut U,
@@ -372,8 +374,8 @@ impl<'g, B: GraphBackend> Session<'g, B> {
 
     /// Free-standing so the caller can keep borrowing the graph through
     /// [`GraphRef`] while the statistics are updated (disjoint fields).
-    fn validate_path<U: User<B> + ?Sized>(
-        graph: &B,
+    fn validate_path<U: User + ?Sized>(
+        graph: &CsrGraph,
         exec: &EvalHandle,
         coverage: &NegativeCoverage,
         stats: &mut SessionStats,
@@ -397,7 +399,7 @@ impl<'g, B: GraphBackend> Session<'g, B> {
 
     /// Runs the loop to completion and consumes the session state into a
     /// [`SessionOutcome`].
-    pub fn run<S: Strategy<B> + ?Sized, U: User<B> + ?Sized>(
+    pub fn run<S: Strategy + ?Sized, U: User + ?Sized>(
         &mut self,
         strategy: &mut S,
         user: &mut U,
@@ -436,13 +438,18 @@ mod tests {
     use gps_datasets::figure1::{figure1_graph, MOTIVATING_QUERY};
     use gps_rpq::PathQuery;
 
-    fn goal(graph: &Graph) -> PathQuery {
+    fn goal(graph: &CsrGraph) -> PathQuery {
         PathQuery::parse(MOTIVATING_QUERY, graph.labels()).unwrap()
+    }
+
+    fn figure1() -> (gps_graph::CsrGraph, gps_datasets::figure1::Figure1) {
+        let (g, ids) = figure1_graph();
+        (gps_graph::CsrGraph::from_graph(&g), ids)
     }
 
     #[test]
     fn session_converges_to_the_goal_on_figure1() {
-        let (g, _) = figure1_graph();
+        let (g, _) = figure1();
         let goal = goal(&g);
         let mut user = SimulatedUser::new(goal.clone(), &g);
         let mut session = Session::new(&g, SessionConfig::default());
@@ -470,6 +477,7 @@ mod tests {
         let graph = CsrGraph::from_graph(&g);
         let mut bigger = g.clone();
         bigger.add_node("X");
+        let bigger = CsrGraph::from_graph(&bigger);
         let newer = CsrGraph::from_graph(&g).with_epoch(1);
         let panic_message = |run: &dyn Fn()| {
             let payload = catch_unwind(AssertUnwindSafe(run)).expect_err("a foreign handle panics");
@@ -478,13 +486,15 @@ mod tests {
                 .cloned()
                 .unwrap_or_default()
         };
-        // (epoch, node_count): another node count, then another epoch.
+        // Another node count, another epoch, then a separate build of the
+        // same graph: same (epoch, node_count), other storage.
         for (handle, pair) in [
             (EvalHandle::naive(&bigger), "(0, 11)"),
             (
                 EvalHandle::from_cache(Arc::new(EvalCache::from_csr(newer))),
                 "(1, 10)",
             ),
+            (EvalHandle::naive(&CsrGraph::from_graph(&g)), "(0, 10)"),
         ] {
             let session = panic_message(&|| {
                 Session::with_exec(&graph, SessionConfig::default(), handle.clone());
@@ -502,7 +512,7 @@ mod tests {
 
     #[test]
     fn all_strategies_converge_but_informative_needs_fewest_labels() {
-        let (g, _) = figure1_graph();
+        let (g, _) = figure1();
         let goal = goal(&g);
         let run = |strategy: &mut dyn Strategy| {
             let mut user = SimulatedUser::new(goal.clone(), &g);
@@ -527,7 +537,7 @@ mod tests {
 
     #[test]
     fn zooms_happen_when_evidence_is_far() {
-        let (g, _) = figure1_graph();
+        let (g, _) = figure1();
         let goal = goal(&g);
         let mut user = SimulatedUser::new(goal.clone(), &g);
         let mut session = Session::new(&g, SessionConfig::default());
@@ -545,7 +555,7 @@ mod tests {
 
     #[test]
     fn without_validation_may_learn_a_different_query() {
-        let (g, _) = figure1_graph();
+        let (g, _) = figure1();
         let goal = goal(&g);
         let mut user = SimulatedUser::new(goal.clone(), &g);
         let mut session = Session::new(&g, SessionConfig::without_path_validation());
@@ -563,7 +573,7 @@ mod tests {
 
     #[test]
     fn budget_halt_fires() {
-        let (g, _) = figure1_graph();
+        let (g, _) = figure1();
         let goal = goal(&g);
         let mut user = SimulatedUser::new(goal, &g);
         let config = SessionConfig {
@@ -581,7 +591,7 @@ mod tests {
 
     #[test]
     fn step_by_step_api_exposes_intermediate_state() {
-        let (g, _) = figure1_graph();
+        let (g, _) = figure1();
         let goal = goal(&g);
         let mut user = SimulatedUser::new(goal, &g);
         let mut strategy = InformativePathsStrategy;
@@ -600,7 +610,7 @@ mod tests {
 
     #[test]
     fn pruning_grows_monotonically() {
-        let (g, _) = figure1_graph();
+        let (g, _) = figure1();
         let goal = goal(&g);
         let mut user = SimulatedUser::new(goal, &g);
         let mut session = Session::new(&g, SessionConfig::default());

@@ -15,18 +15,16 @@
 //!   the most short uncovered paths.
 
 use crate::pruning::PruningState;
-use gps_graph::{Graph, GraphBackend, NodeId};
+use gps_graph::{CsrGraph, NodeId};
 use gps_learner::ExampleSet;
 use gps_rpq::NegativeCoverage;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 /// Everything a strategy may look at when choosing the next node.
-///
-/// Generic over the [`GraphBackend`] the session runs on; defaults to the
-/// mutable [`Graph`] so existing call sites read naturally.
+// `B` (always `CsrGraph`) is kept only for `benchmark/src/trace.rs:307`.
 #[derive(Debug, Clone, Copy)]
-pub struct StrategyContext<'a, B: GraphBackend = Graph> {
+pub struct StrategyContext<'a, B = CsrGraph> {
     /// The graph database.
     pub graph: &'a B,
     /// The examples collected so far.
@@ -37,12 +35,9 @@ pub struct StrategyContext<'a, B: GraphBackend = Graph> {
     pub pruning: &'a PruningState,
 }
 
-/// A node-proposal strategy over backend `B` (defaults to [`Graph`]).
-///
-/// The provided strategies implement `Strategy<B>` for every backend, so one
-/// strategy value can drive sessions on the mutable graph and on CSR
-/// snapshots alike.
-pub trait Strategy<B: GraphBackend = Graph> {
+/// A node-proposal strategy.
+// `B` (always `CsrGraph`) is kept only for `benchmark/src/{trace.rs:298,302, shadow.rs:251}`.
+pub trait Strategy<B = CsrGraph> {
     /// A short name used in experiment reports.
     fn name(&self) -> &'static str;
 
@@ -52,9 +47,7 @@ pub trait Strategy<B: GraphBackend = Graph> {
 }
 
 /// The nodes a strategy may propose: neither pruned nor labeled, in id order.
-fn candidates<'a, B: GraphBackend>(
-    ctx: &'a StrategyContext<'_, B>,
-) -> impl Iterator<Item = NodeId> + 'a {
+fn candidates<'a>(ctx: &'a StrategyContext<'_>) -> impl Iterator<Item = NodeId> + 'a {
     ctx.graph
         .nodes()
         .filter(|&n| !ctx.pruning.is_pruned(n) && !ctx.examples.is_labeled(n))
@@ -82,12 +75,12 @@ impl Default for RandomStrategy {
     }
 }
 
-impl<B: GraphBackend> Strategy<B> for RandomStrategy {
+impl Strategy for RandomStrategy {
     fn name(&self) -> &'static str {
         "random"
     }
 
-    fn propose(&mut self, ctx: &StrategyContext<'_, B>) -> Option<NodeId> {
+    fn propose(&mut self, ctx: &StrategyContext<'_>) -> Option<NodeId> {
         let candidates: Vec<NodeId> = candidates(ctx).collect();
         if candidates.is_empty() {
             return None;
@@ -101,12 +94,12 @@ impl<B: GraphBackend> Strategy<B> for RandomStrategy {
 #[derive(Debug, Clone, Default)]
 pub struct DegreeStrategy;
 
-impl<B: GraphBackend> Strategy<B> for DegreeStrategy {
+impl Strategy for DegreeStrategy {
     fn name(&self) -> &'static str {
         "degree"
     }
 
-    fn propose(&mut self, ctx: &StrategyContext<'_, B>) -> Option<NodeId> {
+    fn propose(&mut self, ctx: &StrategyContext<'_>) -> Option<NodeId> {
         candidates(ctx).max_by_key(|&n| (ctx.graph.out_degree(n), std::cmp::Reverse(n)))
     }
 }
@@ -121,12 +114,12 @@ impl<B: GraphBackend> Strategy<B> for DegreeStrategy {
 #[derive(Debug, Clone, Default)]
 pub struct InformativePathsStrategy;
 
-impl<B: GraphBackend> Strategy<B> for InformativePathsStrategy {
+impl Strategy for InformativePathsStrategy {
     fn name(&self) -> &'static str {
         "informative-paths"
     }
 
-    fn propose(&mut self, ctx: &StrategyContext<'_, B>) -> Option<NodeId> {
+    fn propose(&mut self, ctx: &StrategyContext<'_>) -> Option<NodeId> {
         let scores = ctx.pruning.cached_scores().unwrap_or_default();
         assert!(
             ctx.pruning.is_synced_to(ctx.coverage) && scores.len() == ctx.graph.node_count(),
@@ -156,7 +149,7 @@ mod tests {
     use gps_rpq::EvalHandle;
 
     fn context<'a>(
-        graph: &'a Graph,
+        graph: &'a CsrGraph,
         examples: &'a ExampleSet,
         coverage: &'a NegativeCoverage,
         pruning: &'a PruningState,
@@ -169,9 +162,14 @@ mod tests {
         }
     }
 
+    fn figure1() -> (gps_graph::CsrGraph, gps_datasets::figure1::Figure1) {
+        let (g, ids) = figure1_graph();
+        (gps_graph::CsrGraph::from_graph(&g), ids)
+    }
+
     #[test]
     fn strategies_skip_labeled_and_pruned_nodes() {
-        let (g, ids) = figure1_graph();
+        let (g, ids) = figure1();
         let mut examples = ExampleSet::new();
         examples.add_positive(ids.n2);
         let coverage = NegativeCoverage::new(3);
@@ -204,7 +202,7 @@ mod tests {
 
     #[test]
     fn degree_strategy_prefers_hubs() {
-        let (g, ids) = figure1_graph();
+        let (g, ids) = figure1();
         let examples = ExampleSet::new();
         let coverage = NegativeCoverage::new(3);
         let pruning = PruningState::new(3);
@@ -217,7 +215,7 @@ mod tests {
 
     #[test]
     fn informative_strategy_prefers_nodes_with_many_uncovered_paths() {
-        let (g, ids) = figure1_graph();
+        let (g, ids) = figure1();
         let examples = ExampleSet::new();
         let coverage = NegativeCoverage::new(3);
         let mut pruning = PruningState::new(3);
@@ -235,7 +233,7 @@ mod tests {
 
     #[test]
     fn informative_strategy_returns_none_when_all_paths_covered() {
-        let (g, ids) = figure1_graph();
+        let (g, ids) = figure1();
         // Label every transport node negative: everything is covered.
         let negatives = [ids.n1, ids.n2, ids.n3, ids.n4, ids.n5, ids.n6];
         let mut examples = ExampleSet::new();
@@ -252,7 +250,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "refreshed against the context's coverage")]
     fn informative_strategy_rejects_an_unsynced_context() {
-        let (g, _) = figure1_graph();
+        let (g, _) = figure1();
         let examples = ExampleSet::new();
         let coverage = NegativeCoverage::new(3);
         let pruning = PruningState::new(3);
@@ -261,7 +259,7 @@ mod tests {
 
     #[test]
     fn random_strategy_is_reproducible_per_seed() {
-        let (g, _) = figure1_graph();
+        let (g, _) = figure1();
         let examples = ExampleSet::new();
         let coverage = NegativeCoverage::new(3);
         let pruning = PruningState::new(3);
@@ -279,20 +277,14 @@ mod tests {
 
     #[test]
     fn strategies_report_names() {
-        assert_eq!(
-            Strategy::<Graph>::name(&RandomStrategy::default()),
-            "random"
-        );
-        assert_eq!(Strategy::<Graph>::name(&DegreeStrategy), "degree");
-        assert_eq!(
-            Strategy::<Graph>::name(&InformativePathsStrategy),
-            "informative-paths"
-        );
+        assert_eq!(RandomStrategy::default().name(), "random");
+        assert_eq!(DegreeStrategy.name(), "degree");
+        assert_eq!(InformativePathsStrategy.name(), "informative-paths");
     }
 
     #[test]
     fn exhausted_graph_proposes_nothing() {
-        let (g, _) = figure1_graph();
+        let (g, _) = figure1();
         let mut examples = ExampleSet::new();
         for n in g.nodes() {
             examples.add_negative(n);

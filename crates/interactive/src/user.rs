@@ -10,7 +10,7 @@
 //! ([`SimulatedUser::new`]) or the engine's ([`SimulatedUser::with_exec`]),
 //! which should serve the graph the session runs on.
 
-use gps_graph::{Graph, GraphBackend, Neighborhood, NodeId, Word};
+use gps_graph::{CsrGraph, Neighborhood, NodeId, Word};
 use gps_learner::LearnedQuery;
 use gps_rpq::{EvalHandle, PathQuery, QueryAnswer};
 use std::collections::HashMap;
@@ -27,9 +27,9 @@ pub enum UserResponse {
     ZoomOut,
 }
 
-/// A participant in the interactive protocol, over backend `B` (defaults to
-/// [`Graph`]).
-pub trait User<B: GraphBackend = Graph> {
+/// A participant in the interactive protocol.
+// `B` (always `CsrGraph`) is kept only for `benchmark/src/trace.rs:320`.
+pub trait User<B = CsrGraph> {
     /// Asked to label `node` given the currently visible `neighborhood`.
     fn label_node(&mut self, graph: &B, node: NodeId, neighborhood: &Neighborhood) -> UserResponse;
 
@@ -81,7 +81,7 @@ pub struct SimulatedUser {
 impl SimulatedUser {
     /// Creates a simulated user for `goal` on `graph`, over a private
     /// reference evaluation stack.
-    pub fn new<B: GraphBackend>(goal: PathQuery, graph: &B) -> Self {
+    pub fn new(goal: PathQuery, graph: &CsrGraph) -> Self {
         Self::with_exec(goal, EvalHandle::naive(graph))
     }
 
@@ -116,10 +116,10 @@ impl SimulatedUser {
     }
 }
 
-impl<B: GraphBackend> User<B> for SimulatedUser {
+impl User for SimulatedUser {
     fn label_node(
         &mut self,
-        _graph: &B,
+        _graph: &CsrGraph,
         node: NodeId,
         neighborhood: &Neighborhood,
     ) -> UserResponse {
@@ -143,7 +143,7 @@ impl<B: GraphBackend> User<B> for SimulatedUser {
 
     fn validate_path(
         &mut self,
-        _graph: &B,
+        _graph: &CsrGraph,
         _node: NodeId,
         candidates: &[Word],
         suggested: &Word,
@@ -156,7 +156,7 @@ impl<B: GraphBackend> User<B> for SimulatedUser {
             .unwrap_or_else(|| suggested.clone())
     }
 
-    fn satisfied_with(&mut self, _graph: &B, hypothesis: &LearnedQuery) -> bool {
+    fn satisfied_with(&mut self, _graph: &CsrGraph, hypothesis: &LearnedQuery) -> bool {
         // The simulated user is satisfied exactly when the hypothesis gives
         // the same answer as her goal on the whole (visible) graph; the goal
         // answer was computed once at construction.
@@ -208,8 +208,8 @@ impl ScriptedUser {
     }
 }
 
-impl<B: GraphBackend> User<B> for ScriptedUser {
-    fn label_node(&mut self, _: &B, _: NodeId, _: &Neighborhood) -> UserResponse {
+impl User for ScriptedUser {
+    fn label_node(&mut self, _: &CsrGraph, _: NodeId, _: &Neighborhood) -> UserResponse {
         let response = self
             .responses
             .get(self.next_response)
@@ -219,7 +219,7 @@ impl<B: GraphBackend> User<B> for ScriptedUser {
         response
     }
 
-    fn validate_path(&mut self, _: &B, _: NodeId, _: &[Word], suggested: &Word) -> Word {
+    fn validate_path(&mut self, _: &CsrGraph, _: NodeId, _: &[Word], suggested: &Word) -> Word {
         let validation = self
             .validations
             .get(self.next_validation)
@@ -235,13 +235,18 @@ mod tests {
     use super::*;
     use gps_datasets::figure1::{figure1_graph, MOTIVATING_QUERY};
 
-    fn goal(graph: &Graph) -> PathQuery {
+    fn goal(graph: &CsrGraph) -> PathQuery {
         PathQuery::parse(MOTIVATING_QUERY, graph.labels()).unwrap()
+    }
+
+    fn figure1() -> (gps_graph::CsrGraph, gps_datasets::figure1::Figure1) {
+        let (g, ids) = figure1_graph();
+        (gps_graph::CsrGraph::from_graph(&g), ids)
     }
 
     #[test]
     fn simulated_user_knows_the_goal_answer() {
-        let (g, ids) = figure1_graph();
+        let (g, ids) = figure1();
         let user = SimulatedUser::new(goal(&g), &g);
         assert!(user.wants(ids.n2));
         assert!(user.wants(ids.n6));
@@ -252,7 +257,7 @@ mod tests {
 
     #[test]
     fn negative_nodes_are_labeled_without_zooming() {
-        let (g, ids) = figure1_graph();
+        let (g, ids) = figure1();
         let mut user = SimulatedUser::new(goal(&g), &g);
         let hood = Neighborhood::extract(&g, ids.n5, 2);
         assert_eq!(user.label_node(&g, ids.n5, &hood), UserResponse::Negative);
@@ -261,7 +266,7 @@ mod tests {
 
     #[test]
     fn positive_node_with_long_witness_triggers_zoom() {
-        let (g, ids) = figure1_graph();
+        let (g, ids) = figure1();
         let mut user = SimulatedUser::new(goal(&g), &g);
         // N2's shortest witness has length 3 > radius 2 → zoom request.
         let hood2 = Neighborhood::extract(&g, ids.n2, 2);
@@ -274,7 +279,7 @@ mod tests {
 
     #[test]
     fn zoom_budget_forces_an_answer() {
-        let (g, ids) = figure1_graph();
+        let (g, ids) = figure1();
         let mut user = SimulatedUser::new(goal(&g), &g).with_max_zooms(0);
         let hood2 = Neighborhood::extract(&g, ids.n2, 2);
         assert_eq!(user.label_node(&g, ids.n2, &hood2), UserResponse::Positive);
@@ -282,7 +287,7 @@ mod tests {
 
     #[test]
     fn path_validation_picks_a_goal_accepted_word() {
-        let (g, ids) = figure1_graph();
+        let (g, ids) = figure1();
         let mut user = SimulatedUser::new(goal(&g), &g);
         let bus = g.label_id("bus").unwrap();
         let tram = g.label_id("tram").unwrap();
@@ -302,7 +307,7 @@ mod tests {
 
     #[test]
     fn exec_backed_user_behaves_like_the_direct_user() {
-        let (g, ids) = figure1_graph();
+        let (g, ids) = figure1();
         let exec = gps_rpq::EvalHandle::naive(&g);
         let mut direct = SimulatedUser::new(goal(&g), &g);
         let mut shared = SimulatedUser::with_exec(goal(&g), exec.clone());
@@ -331,7 +336,7 @@ mod tests {
 
     #[test]
     fn satisfied_with_uses_the_cached_goal_answer() {
-        let (g, _) = figure1_graph();
+        let (g, _) = figure1();
         let the_goal = goal(&g);
         let mut user = SimulatedUser::new(the_goal.clone(), &g);
         let mut ex = gps_learner::ExampleSet::new();
@@ -341,7 +346,7 @@ mod tests {
         let learned = gps_learner::Learner::default().learn(&g, &ex).unwrap();
         let expected = learned.answer.nodes() == the_goal.evaluate(&g).nodes();
         assert_eq!(
-            <SimulatedUser as User<Graph>>::satisfied_with(&mut user, &g, &learned),
+            <SimulatedUser as User>::satisfied_with(&mut user, &g, &learned),
             expected,
             "cached-answer satisfaction must equal the re-evaluated one"
         );
@@ -349,7 +354,7 @@ mod tests {
 
     #[test]
     fn scripted_user_replays_and_then_defaults() {
-        let (g, ids) = figure1_graph();
+        let (g, ids) = figure1();
         let hood = Neighborhood::extract(&g, ids.n1, 2);
         let mut user = ScriptedUser::new(
             vec![UserResponse::Positive, UserResponse::ZoomOut],

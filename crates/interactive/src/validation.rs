@@ -90,9 +90,14 @@ mod tests {
     use super::*;
     use gps_datasets::figure1::figure1_graph;
 
+    fn figure1() -> (gps_graph::CsrGraph, gps_datasets::figure1::Figure1) {
+        let (g, ids) = figure1_graph();
+        (gps_graph::CsrGraph::from_graph(&g), ids)
+    }
+
     #[test]
     fn figure3c_prompt_for_n2() {
-        let (g, ids) = figure1_graph();
+        let (g, ids) = figure1();
         let exec = EvalHandle::naive(&g);
         let coverage = NegativeCoverage::new(3);
         let prompt = build_prompt(&exec, ids.n2, 3, &coverage).unwrap();
@@ -117,7 +122,7 @@ mod tests {
 
     #[test]
     fn covered_words_are_excluded() {
-        let (g, ids) = figure1_graph();
+        let (g, ids) = figure1();
         let exec = EvalHandle::naive(&g);
         // Labeling N5 negative covers bus (N5 -bus-> ... no wait, N5 has
         // tram and restaurant); use N3 whose words are bus-prefixed.
@@ -135,7 +140,7 @@ mod tests {
 
     #[test]
     fn radius_bounds_candidate_length() {
-        let (g, ids) = figure1_graph();
+        let (g, ids) = figure1();
         let exec = EvalHandle::naive(&g);
         let coverage = NegativeCoverage::new(3);
         let prompt = build_prompt(&exec, ids.n2, 2, &coverage).unwrap();
@@ -147,7 +152,7 @@ mod tests {
 
     #[test]
     fn node_without_uncovered_words_has_no_prompt() {
-        let (g, ids) = figure1_graph();
+        let (g, ids) = figure1();
         let exec = EvalHandle::naive(&g);
         let coverage = NegativeCoverage::new(3);
         assert!(build_prompt(&exec, ids.c1, 3, &coverage).is_none());
@@ -162,7 +167,7 @@ mod tests {
 
     #[test]
     fn cached_prompt_is_byte_identical_to_direct_enumeration() {
-        let (g, ids) = figure1_graph();
+        let (g, ids) = figure1();
         let exec = EvalHandle::naive(&g);
         for negatives in [vec![], vec![ids.n5], vec![ids.n4, ids.n5]] {
             let coverage = NegativeCoverage::from_negatives(&g, negatives.clone(), 3);
@@ -190,7 +195,7 @@ mod tests {
 
     #[test]
     fn suggestion_falls_back_to_longest() {
-        let (g, ids) = figure1_graph();
+        let (g, ids) = figure1();
         let exec = EvalHandle::naive(&g);
         let coverage = NegativeCoverage::new(3);
         // Radius 5 but N6's longest uncovered word is shorter than 5.

@@ -6,7 +6,7 @@
 //! and the deltas, and refuses to zoom past the point where nothing new can
 //! be revealed (or past a configurable cap).
 
-use gps_graph::{GraphBackend, Neighborhood, NeighborhoodDelta, NodeId};
+use gps_graph::{CsrGraph, Neighborhood, NeighborhoodDelta, NodeId};
 
 /// The zooming state for one proposed node.
 #[derive(Debug, Clone)]
@@ -20,12 +20,7 @@ pub struct ZoomState {
 impl ZoomState {
     /// Starts zooming on `node` with the given initial radius (the paper uses
     /// 2) and a maximum radius cap.
-    pub fn new<B: GraphBackend>(
-        graph: &B,
-        node: NodeId,
-        initial_radius: u32,
-        max_radius: u32,
-    ) -> Self {
+    pub fn new(graph: &CsrGraph, node: NodeId, initial_radius: u32, max_radius: u32) -> Self {
         let current = Neighborhood::extract(graph, node, initial_radius);
         Self {
             node,
@@ -69,7 +64,7 @@ impl ZoomState {
 
     /// Zooms out by one ring.  Returns the delta, or `None` when zooming is
     /// no longer possible.
-    pub fn zoom_out<B: GraphBackend>(&mut self, graph: &B) -> Option<&NeighborhoodDelta> {
+    pub fn zoom_out(&mut self, graph: &CsrGraph) -> Option<&NeighborhoodDelta> {
         if !self.can_zoom() {
             return None;
         }
@@ -85,9 +80,14 @@ mod tests {
     use super::*;
     use gps_datasets::figure1::figure1_graph;
 
+    fn figure1() -> (gps_graph::CsrGraph, gps_datasets::figure1::Figure1) {
+        let (g, ids) = figure1_graph();
+        (gps_graph::CsrGraph::from_graph(&g), ids)
+    }
+
     #[test]
     fn initial_state_matches_the_paper_default() {
-        let (g, ids) = figure1_graph();
+        let (g, ids) = figure1();
         let zoom = ZoomState::new(&g, ids.n2, 2, 5);
         assert_eq!(zoom.node(), ids.n2);
         assert_eq!(zoom.radius(), 2);
@@ -98,7 +98,7 @@ mod tests {
 
     #[test]
     fn zooming_reveals_the_cinema_as_in_figure3() {
-        let (g, ids) = figure1_graph();
+        let (g, ids) = figure1();
         let mut zoom = ZoomState::new(&g, ids.n2, 2, 5);
         let delta = zoom.zoom_out(&g).expect("zoom succeeds").clone();
         assert_eq!(zoom.radius(), 3);
@@ -110,7 +110,7 @@ mod tests {
 
     #[test]
     fn zooming_stops_at_the_cap() {
-        let (g, ids) = figure1_graph();
+        let (g, ids) = figure1();
         let mut zoom = ZoomState::new(&g, ids.n2, 2, 3);
         assert!(zoom.zoom_out(&g).is_some());
         assert!(!zoom.can_zoom());
@@ -120,7 +120,7 @@ mod tests {
 
     #[test]
     fn zooming_stops_when_nothing_new_appears() {
-        let (g, ids) = figure1_graph();
+        let (g, ids) = figure1();
         let mut zoom = ZoomState::new(&g, ids.n6, 2, 20);
         // From N6 everything reachable is within a few hops; keep zooming
         // until the state refuses.
@@ -137,7 +137,7 @@ mod tests {
 
     #[test]
     fn cap_below_initial_radius_is_clamped() {
-        let (g, ids) = figure1_graph();
+        let (g, ids) = figure1();
         let zoom = ZoomState::new(&g, ids.n2, 2, 1);
         assert_eq!(zoom.radius(), 2);
         assert!(!zoom.can_zoom());

@@ -12,9 +12,14 @@ use gps_interactive::user::{ScriptedUser, SimulatedUser, User, UserResponse};
 use gps_learner::{consistency, ExampleSet, Learner};
 use gps_rpq::{EvalHandle, NegativeCoverage, PathQuery};
 
+fn figure1() -> (gps_graph::CsrGraph, gps_datasets::figure1::Figure1) {
+    let (g, ids) = figure1_graph();
+    (gps_graph::CsrGraph::from_graph(&g), ids)
+}
+
 #[test]
 fn scripted_all_negative_user_exhausts_the_graph() {
-    let (graph, _) = figure1_graph();
+    let (graph, _) = figure1();
     // A user who answers "No" to everything: the session ends when every node
     // is labeled or pruned, and no query can be learned.
     let mut user = ScriptedUser::new(vec![UserResponse::Negative; 20], vec![]);
@@ -30,7 +35,7 @@ fn scripted_all_negative_user_exhausts_the_graph() {
 
 #[test]
 fn user_that_always_zooms_is_forced_to_decide() {
-    let (graph, _) = figure1_graph();
+    let (graph, _) = figure1();
     // Zoom forever: the zoom cap converts the non-answer into a conservative
     // negative, so the session still terminates.
     let mut user = ScriptedUser::new(vec![UserResponse::ZoomOut; 100], vec![]);
@@ -44,7 +49,7 @@ fn user_that_always_zooms_is_forced_to_decide() {
 
 #[test]
 fn budget_of_zero_interactions_halts_immediately() {
-    let (graph, _) = figure1_graph();
+    let (graph, _) = figure1();
     let goal = PathQuery::parse(MOTIVATING_QUERY, graph.labels()).unwrap();
     let mut user = SimulatedUser::new(goal, &graph);
     let config = SessionConfig {
@@ -67,7 +72,7 @@ fn paper_counterexample_without_validation_learns_bus_like_query() {
     // examples +N2 +N6 −N5 and the learner choosing its own (smallest
     // uncovered) witness words, the learned query behaves like `bus` — it is
     // consistent with the examples but not the goal query.
-    let (graph, ids) = figure1_graph();
+    let (graph, ids) = figure1();
     let mut examples = ExampleSet::new();
     examples.add_positive(ids.n2);
     examples.add_positive(ids.n6);
@@ -91,7 +96,7 @@ fn paper_counterexample_without_validation_learns_bus_like_query() {
 
 #[test]
 fn with_validation_the_same_examples_seed_the_goal_paths() {
-    let (graph, ids) = figure1_graph();
+    let (graph, ids) = figure1();
     let goal = PathQuery::parse(MOTIVATING_QUERY, graph.labels()).unwrap();
     let mut user = SimulatedUser::new(goal.clone(), &graph);
     // Build the validation prompt N2 would get at radius 3 and check the
@@ -108,7 +113,7 @@ fn with_validation_the_same_examples_seed_the_goal_paths() {
 fn strategy_context_is_reusable_across_strategies() {
     // The same context can be consulted by several strategies in one step
     // (the benchmark harness does this); verify borrows compose.
-    let (graph, _) = figure1_graph();
+    let (graph, _) = figure1();
     let examples = ExampleSet::new();
     let coverage = NegativeCoverage::new(3);
     let mut pruning = PruningState::new(3);
@@ -127,7 +132,7 @@ fn strategy_context_is_reusable_across_strategies() {
 
 #[test]
 fn scripted_positive_then_negative_is_recorded_in_order() {
-    let (graph, _) = figure1_graph();
+    let (graph, _) = figure1();
     let mut user = ScriptedUser::new(vec![UserResponse::Positive, UserResponse::Negative], vec![]);
     let mut strategy = InformativePathsStrategy;
     let config = SessionConfig {

@@ -9,13 +9,13 @@
 //! would provide through the interactive protocol with path validation.
 
 use crate::examples::ExampleSet;
-use gps_graph::GraphBackend;
+use gps_graph::CsrGraph;
 use gps_rpq::PathQuery;
 
 /// Builds the example set a fully cooperative user would provide for `goal`
 /// on `graph`: every selected node is a positive example with its shortest
 /// witness path validated, every other node is a negative example.
-pub fn characteristic_sample<B: GraphBackend>(graph: &B, goal: &PathQuery) -> ExampleSet {
+pub fn characteristic_sample(graph: &CsrGraph, goal: &PathQuery) -> ExampleSet {
     let answer = goal.evaluate(graph);
     let mut examples = ExampleSet::new();
     for node in graph.nodes() {
@@ -40,8 +40,8 @@ pub fn characteristic_sample<B: GraphBackend>(graph: &B, goal: &PathQuery) -> Ex
 /// `max_positives` positive and `max_negatives` negative examples (taken in
 /// node-id order).  Used by the experiments that study convergence as a
 /// function of the number of examples.
-pub fn partial_sample<B: GraphBackend>(
-    graph: &B,
+pub fn partial_sample(
+    graph: &CsrGraph,
     goal: &PathQuery,
     max_positives: usize,
     max_negatives: usize,
@@ -68,7 +68,7 @@ mod tests {
     use crate::learn::Learner;
     use gps_graph::Graph;
 
-    fn transport_graph() -> Graph {
+    fn transport_graph() -> CsrGraph {
         let mut g = Graph::new();
         for name in ["N1", "N2", "N3", "N4", "C1", "C2", "R1"] {
             g.add_node(name);
@@ -86,7 +86,7 @@ mod tests {
             let t = n(&g, t);
             g.add_edge_by_name(s, l, t);
         }
-        g
+        CsrGraph::from_graph(&g)
     }
 
     #[test]

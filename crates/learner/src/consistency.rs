@@ -7,7 +7,7 @@
 //! bounded path is covered by negative nodes.
 
 use crate::examples::ExampleSet;
-use gps_graph::{GraphBackend, NodeId};
+use gps_graph::{CsrGraph, NodeId};
 use gps_rpq::{EvalHandle, NegativeCoverage, PathQuery, QueryAnswer};
 
 /// The verdict of checking a query against an example set.
@@ -29,11 +29,7 @@ impl Consistency {
 }
 
 /// Checks whether `query` is consistent with `examples` on `graph`.
-pub fn check_query<B: GraphBackend>(
-    graph: &B,
-    query: &PathQuery,
-    examples: &ExampleSet,
-) -> Consistency {
+pub fn check_query(graph: &CsrGraph, query: &PathQuery, examples: &ExampleSet) -> Consistency {
     check_answer(&query.evaluate(graph), examples)
 }
 
@@ -93,7 +89,7 @@ mod tests {
 
     /// N2 -bus-> N1 -tram-> N4 -cinema-> C1; N5 -bus-> N1 (so N5's only
     /// words are prefixes of bus·tram·cinema); N6 -cinema-> C2.
-    fn sample() -> Graph {
+    fn sample() -> CsrGraph {
         let mut g = Graph::new();
         let n2 = g.add_node("N2");
         let n1 = g.add_node("N1");
@@ -107,7 +103,7 @@ mod tests {
         g.add_edge_by_name(n4, "cinema", c1);
         g.add_edge_by_name(n5, "bus", n1);
         g.add_edge_by_name(n6, "cinema", c2);
-        g
+        CsrGraph::from_graph(&g)
     }
 
     #[test]

@@ -19,7 +19,7 @@ use crate::merge::generalize;
 use crate::path_selection::{select_paths, SelectedPaths};
 use gps_automata::state_elim::dfa_to_regex;
 use gps_automata::{Dfa, Regex};
-use gps_graph::{GraphBackend, NodeId, PathEnumerator, Word};
+use gps_graph::{CsrGraph, NodeId, PathEnumerator, Word};
 use gps_rpq::{EvalHandle, NegativeCoverage, QueryAnswer};
 
 /// Tunable parameters of the learner.
@@ -81,9 +81,9 @@ impl Learner {
     ///   — the labeling is inconsistent within the length bound;
     /// * [`LearnError::InconsistentResult`] — the generalized query still
     ///   selects a negative node (the bound was too small to separate them).
-    pub fn learn<B: GraphBackend>(
+    pub fn learn(
         &self,
-        graph: &B,
+        graph: &CsrGraph,
         examples: &ExampleSet,
     ) -> Result<LearnedQuery, LearnError> {
         let exec = EvalHandle::naive(graph);
@@ -104,9 +104,9 @@ impl Learner {
     /// `exec` must serve `graph`, and `coverage` must reflect exactly the
     /// negatives of `examples`; when its bound differs from the learner's it
     /// is rebuilt at the learner's bound from the word index.
-    pub fn learn_with<B: GraphBackend>(
+    pub fn learn_with(
         &self,
-        graph: &B,
+        graph: &CsrGraph,
         examples: &ExampleSet,
         coverage: &NegativeCoverage,
         exec: &EvalHandle,
@@ -119,9 +119,9 @@ impl Learner {
         self.learn_core(graph, examples, coverage, exec)
     }
 
-    fn learn_core<B: GraphBackend>(
+    fn learn_core(
         &self,
-        graph: &B,
+        graph: &CsrGraph,
         examples: &ExampleSet,
         coverage: &NegativeCoverage,
         exec: &EvalHandle,
@@ -171,7 +171,7 @@ impl Learner {
     /// The words (up to the bound) of every negative node, plus ε (a nullable
     /// hypothesis would select every node and is never a meaningful path
     /// query).
-    fn negative_words<B: GraphBackend>(&self, graph: &B, examples: &ExampleSet) -> Vec<Word> {
+    fn negative_words(&self, graph: &CsrGraph, examples: &ExampleSet) -> Vec<Word> {
         let negatives = examples.negatives();
         let mut words: Vec<Word> = vec![Vec::new()];
         let enumerator =
@@ -193,7 +193,7 @@ mod tests {
     use gps_rpq::PathQuery;
 
     /// The full Figure 1 graph of the paper.
-    fn figure1() -> Graph {
+    fn figure1() -> CsrGraph {
         let mut g = Graph::new();
         for name in ["N1", "N2", "N3", "N4", "N5", "N6", "C1", "C2", "R1", "R2"] {
             g.add_node(name);
@@ -218,7 +218,7 @@ mod tests {
             let t = n(&g, t);
             g.add_edge_by_name(s, l, t);
         }
-        g
+        CsrGraph::from_graph(&g)
     }
 
     #[test]

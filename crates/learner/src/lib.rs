@@ -27,7 +27,7 @@
 //! ## Example
 //!
 //! ```
-//! use gps_graph::Graph;
+//! use gps_graph::{CsrGraph, Graph};
 //! use gps_learner::{examples::ExampleSet, learn::Learner};
 //!
 //! // N2 -bus-> N1 -tram-> N4 -cinema-> C1;  N5 -restaurant-> R2
@@ -48,7 +48,9 @@
 //! examples.add_positive(n4);
 //! examples.add_negative(n5);
 //!
-//! let learned = Learner::default().learn(&g, &examples).unwrap();
+//! let learned = Learner::default()
+//!     .learn(&CsrGraph::from_graph(&g), &examples)
+//!     .unwrap();
 //! // The learned query selects both positives and not the negative.
 //! assert!(learned.answer.contains(n2));
 //! assert!(learned.answer.contains(n4));

@@ -54,11 +54,11 @@ pub fn select_paths(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use gps_graph::Graph;
+    use gps_graph::{CsrGraph, Graph};
 
     /// N2 -bus-> N1 -tram-> N4 -cinema-> C1; N2 -restaurant-> R1;
     /// N5 -restaurant-> R2; N6 -cinema-> C2.
-    fn sample() -> Graph {
+    fn sample() -> CsrGraph {
         let mut g = Graph::new();
         let n2 = g.add_node("N2");
         let n1 = g.add_node("N1");
@@ -75,11 +75,11 @@ mod tests {
         g.add_edge_by_name(n4, "cinema", c1);
         g.add_edge_by_name(n5, "restaurant", r2);
         g.add_edge_by_name(n6, "cinema", c2);
-        g
+        CsrGraph::from_graph(&g)
     }
 
     /// The word [`select_paths`] picks for `node` as the only positive.
-    fn selected_word(g: &Graph, node: NodeId, coverage: &NegativeCoverage) -> Option<Word> {
+    fn selected_word(g: &CsrGraph, node: NodeId, coverage: &NegativeCoverage) -> Option<Word> {
         let mut examples = ExampleSet::new();
         examples.add_positive(node);
         let exec = EvalHandle::naive(g);

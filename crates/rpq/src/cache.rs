@@ -17,7 +17,7 @@
 use crate::eval::{DfaEvaluator, EvalResume, NaiveEvaluator, QueryAnswer};
 use crate::words::WordIndex;
 use gps_automata::{Alphabet, Dfa, Regex};
-use gps_graph::{CsrGraph, GraphBackend, GraphDelta, NodeId, Path};
+use gps_graph::{CsrGraph, GraphDelta, NodeId, Path};
 use gps_telemetry::{Counter, Gauge, Histogram, MetricsRegistry};
 use parking_lot::RwLock;
 use std::collections::HashMap;
@@ -167,12 +167,6 @@ pub struct EvalCache {
 }
 
 impl EvalCache {
-    /// Creates a cache for any backend (snapshotting it), evaluating with the
-    /// naive reference evaluator and the default capacity.
-    pub fn new<B: GraphBackend>(graph: &B) -> Self {
-        Self::from_csr(CsrGraph::from_backend(graph))
-    }
-
     /// Creates a cache from an existing CSR snapshot (naive evaluator,
     /// default capacity).  The snapshot is shared with the evaluator, not
     /// copied.
@@ -270,10 +264,10 @@ impl EvalCache {
     }
 
     /// The epoch of the snapshot this cache serves.  Cached answers and the
-    /// word index are only valid for graphs at exactly this `(epoch,
-    /// node_count)` identity — what [`EvalHandle::assert_serves`](crate::EvalHandle::assert_serves)
-    /// checks where a session is set up, instead of relying on pointer or
-    /// size coincidence.
+    /// word index are only valid for this snapshot and its clones — what
+    /// [`EvalHandle::assert_serves`](crate::EvalHandle::assert_serves)
+    /// checks where a session is set up, instead of relying on size
+    /// coincidence.
     pub fn epoch(&self) -> u64 {
         self.csr.epoch()
     }
@@ -721,18 +715,18 @@ mod tests {
     use super::*;
     use gps_graph::{Graph, PathEnumerator, Word};
 
-    fn sample() -> Graph {
+    fn sample() -> CsrGraph {
         let mut g = Graph::new();
         let a = g.add_node("A");
         let b = g.add_node("B");
         g.add_edge_by_name(a, "x", b);
-        g
+        CsrGraph::from_graph(&g)
     }
 
     #[test]
     fn caches_repeated_evaluations() {
         let g = sample();
-        let cache = EvalCache::new(&g);
+        let cache = EvalCache::from_csr(g.clone());
         let x = g.label_id("x").unwrap();
         let q = Regex::symbol(x);
         assert!(cache.is_empty());
@@ -746,7 +740,7 @@ mod tests {
     #[test]
     fn distinct_queries_get_distinct_entries() {
         let g = sample();
-        let cache = EvalCache::new(&g);
+        let cache = EvalCache::from_csr(g.clone());
         let x = g.label_id("x").unwrap();
         cache.evaluate(&Regex::symbol(x));
         cache.evaluate(&Regex::star(Regex::symbol(x)));
@@ -759,7 +753,7 @@ mod tests {
     #[test]
     fn answers_are_correct_through_the_cache() {
         let g = sample();
-        let cache = EvalCache::new(&g);
+        let cache = EvalCache::from_csr(g.clone());
         let x = g.label_id("x").unwrap();
         let answer = cache.evaluate(&Regex::symbol(x));
         assert!(answer.contains(g.node_by_name("A").unwrap()));
@@ -769,7 +763,7 @@ mod tests {
     #[test]
     fn clear_empties_the_cache() {
         let g = sample();
-        let cache = EvalCache::new(&g);
+        let cache = EvalCache::from_csr(g.clone());
         let x = g.label_id("x").unwrap();
         cache.evaluate(&Regex::symbol(x));
         cache.clear();
@@ -782,7 +776,7 @@ mod tests {
     #[test]
     fn capacity_cap_evicts_least_recently_used() {
         let g = sample();
-        let cache = EvalCache::new(&g).with_capacity(2);
+        let cache = EvalCache::from_csr(g.clone()).with_capacity(2);
         assert_eq!(cache.capacity(), 2);
         let x = g.label_id("x").unwrap();
         let q1 = Regex::symbol(x);
@@ -809,7 +803,7 @@ mod tests {
     #[test]
     fn workload_replay_stays_within_capacity() {
         let g = sample();
-        let cache = EvalCache::new(&g).with_capacity(4);
+        let cache = EvalCache::from_csr(g.clone()).with_capacity(4);
         let x = g.label_id("x").unwrap();
         for round in 0..3 {
             for i in 1..=16usize {
@@ -824,7 +818,7 @@ mod tests {
     #[test]
     fn capacity_is_at_least_one() {
         let g = sample();
-        let cache = EvalCache::new(&g).with_capacity(0);
+        let cache = EvalCache::from_csr(g.clone()).with_capacity(0);
         assert_eq!(cache.capacity(), 1);
         let x = g.label_id("x").unwrap();
         cache.evaluate(&Regex::symbol(x));
@@ -835,7 +829,7 @@ mod tests {
     #[test]
     fn evaluate_many_mixes_hits_and_misses() {
         let g = sample();
-        let cache = EvalCache::new(&g);
+        let cache = EvalCache::from_csr(g.clone());
         let x = g.label_id("x").unwrap();
         let q1 = Regex::symbol(x);
         let q2 = Regex::star(Regex::symbol(x));
@@ -870,7 +864,7 @@ mod tests {
             }
         }
         let g = sample();
-        let csr = gps_graph::CsrGraph::from_graph(&g);
+        let csr = g.clone();
         let counting = Counting {
             inner: NaiveEvaluator::from_csr(csr.clone()),
             evaluated: std::sync::atomic::AtomicUsize::new(0),
@@ -894,7 +888,7 @@ mod tests {
     }
 
     /// `PathEnumerator`'s words in the index's (length, labels) order.
-    fn enumerated(graph: &impl GraphBackend, node: NodeId, bound: usize) -> Vec<Word> {
+    fn enumerated(graph: &CsrGraph, node: NodeId, bound: usize) -> Vec<Word> {
         let mut words: Vec<Word> = PathEnumerator::new(bound)
             .words_from(graph, node)
             .into_iter()
@@ -906,7 +900,7 @@ mod tests {
     #[test]
     fn bounded_words_match_direct_enumeration() {
         let g = sample();
-        let cache = EvalCache::new(&g);
+        let cache = EvalCache::from_csr(g.clone());
         let words = cache.bounded_words(3);
         let counts = cache.bounded_word_counts(3);
         for node in g.nodes() {
@@ -919,7 +913,7 @@ mod tests {
     #[test]
     fn smaller_bounds_restrict_the_index_and_larger_ones_replace_it() {
         let g = sample();
-        let cache = EvalCache::new(&g);
+        let cache = EvalCache::from_csr(g.clone());
         assert_eq!(cache.words_bound(), None);
         let w2 = cache.bounded_words(2);
         assert_eq!(cache.words_bound(), Some(2));
@@ -944,7 +938,7 @@ mod tests {
     #[test]
     fn retire_drops_every_entry_but_stays_functional() {
         let g = sample();
-        let cache = EvalCache::new(&g);
+        let cache = EvalCache::from_csr(g.clone());
         let x = g.label_id("x").unwrap();
         cache.evaluate(&Regex::symbol(x));
         cache.bounded_words(2);
@@ -963,9 +957,9 @@ mod tests {
     #[test]
     fn epoch_tracks_the_snapshot() {
         let g = sample();
-        let cache = EvalCache::new(&g);
+        let cache = EvalCache::from_csr(g.clone());
         assert_eq!(cache.epoch(), 0);
-        let stamped = CsrGraph::from_graph(&g).with_epoch(7);
+        let stamped = g.clone().with_epoch(7);
         let cache = EvalCache::from_csr(stamped);
         assert_eq!(cache.epoch(), 7);
     }
@@ -1035,8 +1029,8 @@ mod tests {
     #[test]
     fn inherit_words_is_a_no_op_without_an_index() {
         let g = sample();
-        let new_cache = EvalCache::new(&g);
-        new_cache.inherit_words(&EvalCache::new(&g), &GraphDelta::default());
+        let new_cache = EvalCache::from_csr(g.clone());
+        new_cache.inherit_words(&EvalCache::from_csr(g.clone()), &GraphDelta::default());
         assert_eq!(new_cache.words_bound(), None);
     }
 
@@ -1093,7 +1087,7 @@ mod tests {
         use gps_graph::DeltaGraph;
 
         let g = sample();
-        let base = Arc::new(CsrGraph::from_graph(&g));
+        let base = Arc::new(g.clone());
         let old_cache = EvalCache::from_csr((*base).clone());
         let x = g.label_id("x").unwrap();
         let q = Regex::symbol(x);
@@ -1124,7 +1118,7 @@ mod tests {
         use gps_graph::DeltaGraph;
 
         let g = sample();
-        let base = Arc::new(CsrGraph::from_graph(&g));
+        let base = Arc::new(g.clone());
         let old_cache = EvalCache::from_csr((*base).clone());
         let x = g.label_id("x").unwrap();
         let q = Regex::symbol(x);
@@ -1295,7 +1289,7 @@ mod tests {
         use gps_graph::DeltaGraph;
 
         let g = sample();
-        let base = Arc::new(CsrGraph::from_graph(&g));
+        let base = Arc::new(g.clone());
         let old_cache = EvalCache::from_csr((*base).clone());
         let old_words = old_cache.bounded_words(2);
 
@@ -1322,7 +1316,7 @@ mod tests {
     #[test]
     fn shared_across_threads() {
         let g = sample();
-        let cache = std::sync::Arc::new(EvalCache::new(&g));
+        let cache = std::sync::Arc::new(EvalCache::from_csr(g.clone()));
         let x = g.label_id("x").unwrap();
         let handles: Vec<_> = (0..4)
             .map(|_| {

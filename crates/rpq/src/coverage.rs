@@ -14,7 +14,7 @@
 //! compare the index-fed paths against, and nothing else calls them.
 
 use crate::words::WordIndex;
-use gps_graph::{GraphBackend, LabelId, NodeId, PathEnumerator, PrefixTree, Word};
+use gps_graph::{CsrGraph, LabelId, NodeId, PathEnumerator, PrefixTree, Word};
 use std::collections::BTreeSet;
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -63,8 +63,8 @@ impl NegativeCoverage {
 
     /// Creates a coverage seeded with a set of negative nodes, enumerating
     /// their paths (the reference for [`from_index`](Self::from_index)).
-    pub fn from_negatives<B: GraphBackend>(
-        graph: &B,
+    pub fn from_negatives(
+        graph: &CsrGraph,
         negatives: impl IntoIterator<Item = NodeId>,
         bound: usize,
     ) -> Self {
@@ -94,7 +94,7 @@ impl NegativeCoverage {
     /// become covered, enumerated from `graph` (the reference for
     /// [`add_negative_with_words`](Self::add_negative_with_words)).  Returns
     /// `false` when the node was already recorded.
-    pub fn add_negative<B: GraphBackend>(&mut self, graph: &B, node: NodeId) -> bool {
+    pub fn add_negative(&mut self, graph: &CsrGraph, node: NodeId) -> bool {
         if !self.negatives.insert(node) {
             return false;
         }
@@ -174,7 +174,7 @@ impl NegativeCoverage {
     /// words that could still witness the node's membership in the goal
     /// query.  Enumerated from `graph`: the reference the index-fed pruning
     /// scores are tested against.
-    pub fn uncovered_words<B: GraphBackend>(&self, graph: &B, node: NodeId) -> Vec<Word> {
+    pub fn uncovered_words(&self, graph: &CsrGraph, node: NodeId) -> Vec<Word> {
         PathEnumerator::new(self.bound)
             .words_from(graph, node)
             .into_iter()
@@ -184,7 +184,7 @@ impl NegativeCoverage {
 
     /// Number of uncovered words of `node` — the informativeness score used
     /// by the practical strategy of the paper.
-    pub fn uncovered_count<B: GraphBackend>(&self, graph: &B, node: NodeId) -> usize {
+    pub fn uncovered_count(&self, graph: &CsrGraph, node: NodeId) -> usize {
         self.uncovered_words(graph, node).len()
     }
 
@@ -192,12 +192,12 @@ impl NegativeCoverage {
     /// path of the node (up to the bound) is covered by a negative example.
     /// Nodes with no outgoing paths at all are also uninformative (there is
     /// nothing to learn from them under non-nullable goal queries).
-    pub fn is_uninformative<B: GraphBackend>(&self, graph: &B, node: NodeId) -> bool {
+    pub fn is_uninformative(&self, graph: &CsrGraph, node: NodeId) -> bool {
         self.uncovered_count(graph, node) == 0
     }
 
     /// All uninformative nodes of the graph under the current negatives.
-    pub fn uninformative_nodes<B: GraphBackend>(&self, graph: &B) -> Vec<NodeId> {
+    pub fn uninformative_nodes(&self, graph: &CsrGraph) -> Vec<NodeId> {
         graph
             .nodes()
             .filter(|&n| self.is_uninformative(graph, n))
@@ -211,7 +211,7 @@ mod tests {
     use gps_graph::Graph;
 
     /// N5 -bus-> N6 -cinema-> C2, N5 -restaurant-> R2 ; N7 isolated.
-    fn sample() -> Graph {
+    fn sample() -> CsrGraph {
         let mut g = Graph::new();
         let n5 = g.add_node("N5");
         let n6 = g.add_node("N6");
@@ -221,7 +221,7 @@ mod tests {
         g.add_edge_by_name(n5, "bus", n6);
         g.add_edge_by_name(n6, "cinema", c2);
         g.add_edge_by_name(n5, "restaurant", r2);
-        g
+        CsrGraph::from_graph(&g)
     }
 
     #[test]

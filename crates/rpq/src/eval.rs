@@ -9,7 +9,7 @@
 
 use crate::blocks::{BlockBits, BlockBytes, BlockSharing};
 use gps_automata::Dfa;
-use gps_graph::{CsrGraph, GraphBackend, GraphDelta, LabelId, NodeId, Path, Word};
+use gps_graph::{CsrGraph, GraphDelta, LabelId, NodeId, Path, Word};
 use std::collections::{BTreeMap, VecDeque};
 
 /// The set of nodes selected by a query on a graph: one bit per node, packed
@@ -73,7 +73,7 @@ impl QueryAnswer {
     }
 
     /// Resolves the selected nodes to their display names.
-    pub fn node_names<'g, B: GraphBackend>(&self, graph: &'g B) -> Vec<&'g str> {
+    pub fn node_names<'g>(&self, graph: &'g CsrGraph) -> Vec<&'g str> {
         self.nodes()
             .into_iter()
             .map(|n| graph.node_name(n))
@@ -248,15 +248,13 @@ impl EvalResume {
     }
 }
 
-/// Evaluates a query DFA on any graph backend.
+/// Evaluates a query DFA on a snapshot, node at a time: the reference every
+/// other evaluator is tested against.
 ///
-/// The product fixed point iterates the backend's reverse adjacency
-/// directly; the generic parameter is monomorphized, so evaluation over a
-/// [`CsrGraph`] compiles to the same contiguous-slice scans as the previous
-/// hand-specialized CSR evaluator, while the mutable [`gps_graph::Graph`]
-/// backend works without an up-front snapshot.
-pub fn evaluate<B: GraphBackend>(graph: &B, dfa: &Dfa) -> QueryAnswer {
-    let n = GraphBackend::node_count(graph);
+/// The product fixed point scans the snapshot's reverse rows
+/// ([`CsrGraph::inc`]) directly.
+pub fn evaluate(graph: &CsrGraph, dfa: &Dfa) -> QueryAnswer {
+    let n = graph.node_count();
     let s = dfa.state_count();
     if n == 0 || s == 0 {
         return QueryAnswer::from_flags(vec![false; n]);
@@ -297,10 +295,10 @@ pub fn evaluate<B: GraphBackend>(graph: &B, dfa: &Dfa) -> QueryAnswer {
         if rev_transitions.is_empty() {
             continue;
         }
-        for (entry_label, entry_node) in graph.predecessors(NodeId::from(node)) {
+        for entry in graph.inc(NodeId::from(node)) {
             for &(label, prev_state) in rev_transitions {
-                if label == entry_label {
-                    let prev = (entry_node.index(), prev_state);
+                if label == entry.label {
+                    let prev = (entry.node.index(), prev_state);
                     if !alive[idx(prev.0, prev.1)] {
                         alive[idx(prev.0, prev.1)] = true;
                         queue.push_back(prev);
@@ -316,12 +314,7 @@ pub fn evaluate<B: GraphBackend>(graph: &B, dfa: &Dfa) -> QueryAnswer {
 }
 
 /// Evaluates several query DFAs on the same graph.
-///
-/// Since [`evaluate`] runs on any backend directly, no intermediate CSR
-/// snapshot is built — callers holding a mutable [`gps_graph::Graph`] that
-/// want snapshot-speed bulk evaluation should snapshot once themselves and
-/// pass the [`CsrGraph`].
-pub fn evaluate_many<B: GraphBackend>(graph: &B, dfas: &[&Dfa]) -> Vec<QueryAnswer> {
+pub fn evaluate_many(graph: &CsrGraph, dfas: &[&Dfa]) -> Vec<QueryAnswer> {
     dfas.iter().map(|dfa| evaluate(graph, dfa)).collect()
 }
 
@@ -434,7 +427,7 @@ pub trait DfaEvaluator: std::fmt::Debug + Send + Sync {
 
 /// The reference node-at-a-time evaluator over a CSR snapshot.
 ///
-/// Wraps [`evaluate`] at `B = CsrGraph` behind the [`DfaEvaluator`] trait;
+/// Wraps [`evaluate`] behind the [`DfaEvaluator`] trait;
 /// this is the evaluator every alternative engine is differentially tested
 /// against.  The snapshot is held behind an [`Arc`](std::sync::Arc) so the
 /// cache and the evaluator share one copy.
@@ -444,11 +437,6 @@ pub struct NaiveEvaluator {
 }
 
 impl NaiveEvaluator {
-    /// Snapshots `graph` and builds the reference evaluator over it.
-    pub fn new<B: GraphBackend>(graph: &B) -> Self {
-        Self::from_csr(CsrGraph::from_backend(graph))
-    }
-
     /// Builds the reference evaluator over an existing snapshot.
     pub fn from_csr(csr: CsrGraph) -> Self {
         Self::from_shared(std::sync::Arc::new(csr))
@@ -479,11 +467,7 @@ impl DfaEvaluator for NaiveEvaluator {
 /// `bound` spelled by its outgoing paths that the DFA accepts.  It enumerates
 /// every node's paths: a diagnostic, not what sessions score nodes with (they
 /// read the word index, see [`EvalHandle::bounded_words`](crate::EvalHandle::bounded_words)).
-pub fn accepted_word_counts<B: GraphBackend>(
-    graph: &B,
-    dfa: &Dfa,
-    bound: usize,
-) -> BTreeMap<NodeId, usize> {
+pub fn accepted_word_counts(graph: &CsrGraph, dfa: &Dfa, bound: usize) -> BTreeMap<NodeId, usize> {
     use gps_graph::PathEnumerator;
     let enumerator = PathEnumerator::new(bound);
     graph
@@ -506,7 +490,7 @@ mod tests {
     use gps_graph::Graph;
 
     /// The full Figure 1 graph of the paper.
-    fn figure1() -> Graph {
+    fn figure1() -> CsrGraph {
         let mut g = Graph::new();
         for name in ["N1", "N2", "N3", "N4", "N5", "N6", "C1", "C2", "R1", "R2"] {
             g.add_node(name);
@@ -531,10 +515,10 @@ mod tests {
             let t = n(&g, t);
             g.add_edge_by_name(s, l, t);
         }
-        g
+        CsrGraph::from_graph(&g)
     }
 
-    fn motivating_query(g: &Graph) -> Dfa {
+    fn motivating_query(g: &CsrGraph) -> Dfa {
         let tram = g.label_id("tram").unwrap();
         let bus = g.label_id("bus").unwrap();
         let cinema = g.label_id("cinema").unwrap();
@@ -606,7 +590,7 @@ mod tests {
 
     #[test]
     fn evaluation_on_empty_graph() {
-        let g = Graph::new();
+        let g = CsrGraph::default();
         let dfa = Dfa::from_regex(&Regex::Epsilon);
         let answer = evaluate(&g, &dfa);
         assert!(answer.is_empty());
@@ -641,7 +625,7 @@ mod tests {
     fn naive_evaluator_matches_direct_evaluation() {
         let g = figure1();
         let dfa = motivating_query(&g);
-        let evaluator = NaiveEvaluator::new(&g);
+        let evaluator = NaiveEvaluator::from_csr(g.clone());
         assert_eq!(evaluator.evaluate_dfa(&dfa), evaluate(&g, &dfa));
         let cinema = g.label_id("cinema").unwrap();
         let d2 = Dfa::from_regex(&Regex::symbol(cinema));

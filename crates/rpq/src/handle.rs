@@ -21,7 +21,7 @@ use crate::cache::EvalCache;
 use crate::eval::{DfaEvaluator, QueryAnswer};
 use crate::words::WordIndex;
 use gps_automata::{Dfa, Regex};
-use gps_graph::{GraphBackend, NodeId, Path};
+use gps_graph::{CsrGraph, NodeId, Path};
 use std::sync::Arc;
 
 /// A cheaply cloneable handle to a shared evaluation cache + evaluator.
@@ -35,11 +35,12 @@ pub struct EvalHandle {
 }
 
 impl EvalHandle {
-    /// A handle over the reference node-at-a-time evaluator (snapshotting
-    /// `graph`).  This is what a bare [`Session`](../gps_interactive) runs
-    /// with when no engine provides a handle.
-    pub fn naive<B: GraphBackend>(graph: &B) -> Self {
-        Self::from_cache(Arc::new(EvalCache::new(graph)))
+    /// A handle over the reference node-at-a-time evaluator on `graph` (a
+    /// clone sharing its storage).  This is what a bare
+    /// [`Session`](../gps_interactive) runs with when no engine provides a
+    /// handle.
+    pub fn naive(graph: &CsrGraph) -> Self {
+        Self::from_cache(Arc::new(EvalCache::from_csr(graph.clone())))
     }
 
     /// Wraps an existing shared cache (the engine's).
@@ -68,16 +69,19 @@ impl EvalHandle {
         self.cache.epoch()
     }
 
-    /// Panics unless this handle's snapshot is `graph`'s: the same epoch and
-    /// node count.  The message names both `(epoch, node_count)` pairs.
+    /// Panics unless `graph` is this handle's snapshot or a clone of it
+    /// ([`CsrGraph::is_same_snapshot`]): a separate build of the same size
+    /// and epoch is another graph.  The message names both `(epoch,
+    /// node_count)` pairs.
     #[track_caller]
-    pub fn assert_serves<B: GraphBackend>(&self, graph: &B) {
-        let handle = (self.epoch(), self.cache.csr().node_count());
-        let graph = (graph.epoch(), graph.node_count());
+    pub fn assert_serves(&self, graph: &CsrGraph) {
+        let csr = self.cache.csr();
         assert!(
-            handle == graph,
-            "the evaluation handle serves (epoch, node_count) = {handle:?}, \
-             but the graph is {graph:?}"
+            csr.is_same_snapshot(graph),
+            "the evaluation handle serves (epoch, node_count) = {:?}, \
+             but the graph is {:?} or a separate build",
+            (csr.epoch(), csr.node_count()),
+            (graph.epoch(), graph.node_count()),
         );
     }
 
@@ -122,7 +126,7 @@ mod tests {
     use gps_graph::Graph;
 
     /// N2 -bus-> N1 -tram-> N4 -cinema-> C1, N2 -restaurant-> R1.
-    fn chain() -> Graph {
+    fn chain() -> CsrGraph {
         let mut g = Graph::new();
         let n2 = g.add_node("N2");
         let n1 = g.add_node("N1");
@@ -133,7 +137,7 @@ mod tests {
         g.add_edge_by_name(n1, "tram", n4);
         g.add_edge_by_name(n4, "cinema", c1);
         g.add_edge_by_name(n2, "restaurant", r1);
-        g
+        CsrGraph::from_graph(&g)
     }
 
     #[test]
@@ -173,5 +177,15 @@ mod tests {
         let path = handle.witness(q.dfa(), n2).unwrap();
         assert_eq!(path.len(), 3);
         assert!(handle.witness(q.dfa(), c1).is_none());
+    }
+
+    #[test]
+    #[should_panic(expected = "or a separate build")]
+    fn a_separate_build_of_the_same_graph_is_not_served() {
+        let g = chain();
+        let handle = EvalHandle::naive(&g);
+        handle.assert_serves(&g.clone());
+        // The same epoch and node count, other storage.
+        handle.assert_serves(&chain());
     }
 }

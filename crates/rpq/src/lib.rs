@@ -23,8 +23,7 @@
 //! ## Example
 //!
 //! ```
-//! use gps_graph::Graph;
-//! use gps_automata::parser;
+//! use gps_graph::{CsrGraph, Graph};
 //! use gps_rpq::PathQuery;
 //!
 //! let mut g = Graph::new();
@@ -35,7 +34,7 @@
 //! g.add_edge_by_name(n4, "cinema", c1);
 //!
 //! let q = PathQuery::parse("tram*.cinema", g.labels()).unwrap();
-//! let answer = q.evaluate(&g);
+//! let answer = q.evaluate(&CsrGraph::from_graph(&g));
 //! assert!(answer.contains(n1));
 //! assert!(answer.contains(n4));
 //! assert!(!answer.contains(c1));

@@ -5,7 +5,7 @@ use crate::witness::shortest_witness;
 use gps_automata::parser::{self, ParseError};
 use gps_automata::printer;
 use gps_automata::{Dfa, Regex};
-use gps_graph::{GraphBackend, LabelInterner, NodeId, Path};
+use gps_graph::{CsrGraph, LabelInterner, NodeId, Path};
 
 /// A path query: a regular expression over edge labels together with its
 /// compiled minimal DFA.
@@ -46,20 +46,20 @@ impl PathQuery {
         printer::print(&self.regex, labels)
     }
 
-    /// Evaluates the query on any graph backend, returning the set of
-    /// selected nodes.
-    pub fn evaluate<B: GraphBackend>(&self, graph: &B) -> QueryAnswer {
+    /// Evaluates the query on `graph` with the reference evaluator, returning
+    /// the set of selected nodes.
+    pub fn evaluate(&self, graph: &CsrGraph) -> QueryAnswer {
         crate::eval::evaluate(graph, &self.dfa)
     }
 
     /// Returns `true` if `node` is selected by the query on `graph`.
-    pub fn selects<B: GraphBackend>(&self, graph: &B, node: NodeId) -> bool {
+    pub fn selects(&self, graph: &CsrGraph, node: NodeId) -> bool {
         self.evaluate(graph).contains(node)
     }
 
     /// Returns a shortest witness path for `node` (a path spelling an
     /// accepted word), or `None` when the node is not selected.
-    pub fn witness<B: GraphBackend>(&self, graph: &B, node: NodeId) -> Option<Path> {
+    pub fn witness(&self, graph: &CsrGraph, node: NodeId) -> Option<Path> {
         shortest_witness(graph, &self.dfa, node)
     }
 
@@ -82,7 +82,7 @@ mod tests {
     use super::*;
     use gps_graph::Graph;
 
-    fn figure1_like() -> Graph {
+    fn figure1_like() -> CsrGraph {
         let mut g = Graph::new();
         let n1 = g.add_node("N1");
         let n2 = g.add_node("N2");
@@ -91,7 +91,7 @@ mod tests {
         g.add_edge_by_name(n2, "bus", n1);
         g.add_edge_by_name(n1, "tram", n4);
         g.add_edge_by_name(n4, "cinema", c1);
-        g
+        CsrGraph::from_graph(&g)
     }
 
     #[test]

@@ -7,7 +7,7 @@
 //! accepting path.
 
 use gps_automata::Dfa;
-use gps_graph::{GraphBackend, NodeId, Path};
+use gps_graph::{CsrGraph, NodeId, Path};
 use std::collections::{HashMap, VecDeque};
 
 /// A `(graph node, DFA state)` configuration of the product search.
@@ -18,14 +18,14 @@ type ParentMap = HashMap<Config, (Config, gps_graph::LabelId)>;
 
 /// Returns a shortest path starting at `node` whose word is accepted by
 /// `dfa`, or `None` when no such path exists (the node is not selected).
-pub fn shortest_witness<B: GraphBackend>(graph: &B, dfa: &Dfa, node: NodeId) -> Option<Path> {
+pub fn shortest_witness(graph: &CsrGraph, dfa: &Dfa, node: NodeId) -> Option<Path> {
     witness_within(graph, dfa, node, usize::MAX)
 }
 
 /// Like [`shortest_witness`] but only considers paths of length at most
 /// `max_length` edges.
-pub fn witness_within<B: GraphBackend>(
-    graph: &B,
+pub fn witness_within(
+    graph: &CsrGraph,
     dfa: &Dfa,
     node: NodeId,
     max_length: usize,
@@ -48,14 +48,14 @@ pub fn witness_within<B: GraphBackend>(
             continue;
         }
         let (current_node, current_state) = config;
-        for (label, target_node) in graph.successors(current_node) {
-            if let Some(target_state) = dfa.step(current_state, label) {
-                let next = (target_node, target_state);
+        for entry in graph.out(current_node) {
+            if let Some(target_state) = dfa.step(current_state, entry.label) {
+                let next = (entry.node, target_state);
                 if depth.contains_key(&next) {
                     continue;
                 }
                 depth.insert(next, d + 1);
-                parents.insert(next, (config, label));
+                parents.insert(next, (config, entry.label));
                 if dfa.is_accepting(target_state) {
                     return Some(reconstruct(node, next, &parents));
                 }
@@ -86,7 +86,7 @@ fn reconstruct(start: NodeId, accepting: Config, parents: &ParentMap) -> Path {
 
 /// Returns one shortest witness per selected node, in node-id order.  Nodes
 /// that are not selected are omitted.
-pub fn all_witnesses<B: GraphBackend>(graph: &B, dfa: &Dfa) -> Vec<Path> {
+pub fn all_witnesses(graph: &CsrGraph, dfa: &Dfa) -> Vec<Path> {
     graph
         .nodes()
         .filter_map(|node| shortest_witness(graph, dfa, node))
@@ -99,7 +99,7 @@ mod tests {
     use gps_automata::Regex;
     use gps_graph::Graph;
 
-    fn chain() -> Graph {
+    fn chain() -> CsrGraph {
         // N2 -bus-> N1 -tram-> N4 -cinema-> C1, plus N2 -restaurant-> R1.
         let mut g = Graph::new();
         let n2 = g.add_node("N2");
@@ -111,10 +111,10 @@ mod tests {
         g.add_edge_by_name(n1, "tram", n4);
         g.add_edge_by_name(n4, "cinema", c1);
         g.add_edge_by_name(n2, "restaurant", r1);
-        g
+        CsrGraph::from_graph(&g)
     }
 
-    fn motivating(g: &Graph) -> Dfa {
+    fn motivating(g: &CsrGraph) -> Dfa {
         let tram = g.label_id("tram").unwrap();
         let bus = g.label_id("bus").unwrap();
         let cinema = g.label_id("cinema").unwrap();
@@ -196,15 +196,15 @@ mod tests {
         g.add_edge_by_name(a, "x", b);
         g.add_edge_by_name(b, "x", a);
         let x = g.label_id("x").unwrap();
+        let y = g.label("y");
+        let g = CsrGraph::from_graph(&g);
         // Query x·x·x·x·x — witness loops around the cycle.
         let dfa = Dfa::from_regex(&Regex::word(&[x; 5]));
         let path = shortest_witness(&g, &dfa, a).unwrap();
         assert_eq!(path.len(), 5);
         assert!(dfa.accepts(&path.word));
-        // Query with no accepted word from this graph: label y is absent.
-        let mut g2 = g.clone();
-        let y = g2.label("y");
+        // Query with no accepted word from this graph: label y has no edge.
         let dfa2 = Dfa::from_regex(&Regex::symbol(y));
-        assert!(shortest_witness(&g2, &dfa2, a).is_none());
+        assert!(shortest_witness(&g, &dfa2, a).is_none());
     }
 }

@@ -3,12 +3,12 @@
 //! relationship between evaluation, witnesses and coverage.
 
 use gps_automata::{Dfa, Regex};
-use gps_graph::{Graph, PathEnumerator};
+use gps_graph::{CsrGraph, Graph, PathEnumerator};
 use gps_rpq::{eval, witness, NegativeCoverage, PathQuery};
 
 /// A two-component graph: a directed cycle a→b→c→a labeled `x` with one `y`
 /// exit to a sink, and an isolated chain d→e labeled `z`.
-fn cyclic_graph() -> Graph {
+fn cyclic_graph() -> CsrGraph {
     let mut g = Graph::new();
     let a = g.add_node("a");
     let b = g.add_node("b");
@@ -21,7 +21,7 @@ fn cyclic_graph() -> Graph {
     g.add_edge_by_name(c, "x", a);
     g.add_edge_by_name(c, "y", sink);
     g.add_edge_by_name(d, "z", e);
-    g
+    CsrGraph::from_graph(&g)
 }
 
 #[test]

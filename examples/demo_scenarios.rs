@@ -8,13 +8,13 @@
 //!
 //! Run with `cargo run --example demo_scenarios`.
 
-use gps_core::{Gps, StaticLabelingOutcome};
+use gps_core::{Engine, StaticLabelingOutcome};
 use gps_datasets::figure1::{figure1_graph, MOTIVATING_QUERY};
 use gps_learner::Label;
 
 fn main() {
     let (graph, ids) = figure1_graph();
-    let gps = Gps::new(graph);
+    let gps = Engine::builder(graph).build();
     let labels = gps.snapshot().labels();
 
     // ------------------------------------------------------------------
@@ -75,7 +75,7 @@ fn main() {
     println!("transcript:\n{}", report.transcript.render());
 }
 
-fn render(gps: &Gps, nodes: &[gps_graph::NodeId]) -> String {
+fn render(gps: &Engine, nodes: &[gps_graph::NodeId]) -> String {
     let names: Vec<&str> = nodes.iter().map(|&n| gps.snapshot().node_name(n)).collect();
     format!("{{{}}}", names.join(", "))
 }

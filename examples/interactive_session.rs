@@ -18,7 +18,7 @@ fn main() {
     // A small Transpole-like network: a 4x5 grid of neighborhoods connected
     // by tram and bus lines, decorated with cinemas and restaurants.
     let network = generate(&TransportConfig::default());
-    let graph = &network.graph;
+    let graph = &gps_graph::CsrGraph::from_graph(&network.graph);
     println!(
         "transport network: {} nodes ({} neighborhoods), {} edges",
         graph.node_count(),
@@ -41,7 +41,7 @@ fn main() {
     let mut session = Session::new(graph, SessionConfig::default());
     let outcome = session.run(&mut strategy, &mut user);
 
-    let transcript = Transcript::from_outcome(&gps_graph::CsrGraph::from_graph(graph), &outcome);
+    let transcript = Transcript::from_outcome(graph, &outcome);
     println!("=== transcript (informative-paths strategy) ===");
     println!("{}", transcript.render());
 

@@ -5,12 +5,12 @@
 //!
 //! Run with `cargo run --example neighborhood_zoom`.
 
-use gps_core::Gps;
+use gps_core::Engine;
 use gps_datasets::figure1::figure1_graph;
 
 fn main() {
     let (graph, ids) = figure1_graph();
-    let gps = Gps::new(graph);
+    let gps = Engine::builder(graph).build();
 
     println!("=== Figure 3(a): neighborhood of N2, distance <= 2 ===");
     println!("{}", gps.render_neighborhood(ids.n2, 2));

@@ -19,7 +19,7 @@ fn main() {
         .unwrap_or(36);
 
     let network = generate(&TransportConfig::with_neighborhoods(neighborhoods, 42));
-    let graph = &network.graph;
+    let graph = &gps_graph::CsrGraph::from_graph(&network.graph);
     let stats = GraphStats::compute(graph);
     println!("generated transport network: {}", stats.summary());
     println!("label usage:");
@@ -28,7 +28,7 @@ fn main() {
     }
 
     println!("\n=== query workload ===");
-    let workload = transport_workload(graph);
+    let workload = transport_workload(&network.graph);
     for query in &workload.queries {
         let answer = query.evaluate(graph);
         println!(

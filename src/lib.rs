@@ -2,7 +2,7 @@
 //!
 //! Umbrella crate for the GPS workspace (a reproduction of "Interactive
 //! path query specification on graph databases", EDBT 2015, grown into a
-//! multi-backend query system).  It re-exports the [`prelude`] and the
+//! regular-path-query system).  It re-exports the [`prelude`] and the
 //! individual layer crates so binaries and examples can depend on a single
 //! crate.
 //!

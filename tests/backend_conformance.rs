@@ -1,18 +1,16 @@
-//! Backend-conformance suite: the mutable adjacency [`Graph`] and the
-//! immutable [`CsrGraph`] snapshot must be observationally equivalent
-//! through the [`GraphBackend`] trait.
+//! Snapshot conformance: the immutable [`CsrGraph`] every algorithm reads
+//! must hold exactly what the ingest [`Graph`] was given, and must answer
+//! queries like the naive oracle.
 //!
-//! Property tests over generated graphs (random edge-lists, transport
-//! networks, scale-free and biological graphs) assert that the two backends
-//! produce identical:
+//! Over generated graphs (random edge-lists, transport networks, scale-free
+//! and biological graphs, synthetic generator seeds) the suite asserts that:
 //!
-//! * RPQ answers, for every query of the standard workloads and for random
-//!   word queries;
-//! * neighborhoods (node sets, distance rings, edge id sets, continuation
-//!   markers) and zoom deltas;
-//! * bounded path enumerations (words and witness paths);
-//! * traversals, degrees, statistics and witness extraction;
-//! * full interactive sessions against the same simulated user.
+//! * a snapshot holds exactly the ingested nodes, labels, edges and edge ids,
+//!   row by row in insertion order;
+//! * rebuilding a graph from a snapshot's own edges and snapshotting it again
+//!   is a fixed point;
+//! * the engine's frontier evaluator answers the standard workloads and
+//!   random word queries like the naive evaluator, witnesses included.
 
 use gps_core::prelude::*;
 use gps_datasets::biological::{self, BiologicalConfig};
@@ -20,8 +18,8 @@ use gps_datasets::queries;
 use gps_datasets::scale_free::{self, ScaleFreeConfig};
 use gps_datasets::synthetic::{self, SyntheticConfig};
 use gps_datasets::transport::{self, TransportConfig};
-use gps_graph::stats::GraphStats;
-use gps_graph::traversal::{self, Direction};
+use gps_graph::CsrEntry;
+use gps_rpq::DfaEvaluator;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -67,27 +65,36 @@ fn corpus() -> Vec<(String, Graph)> {
     graphs
 }
 
-/// Structural equivalence: counts, names, degrees, adjacency.
-fn assert_structurally_equal(name: &str, graph: &Graph, csr: &CsrGraph) {
+/// The snapshot holds exactly `graph`'s nodes, labels and edges: every row,
+/// in both directions, lists the node's edges in insertion order with their
+/// original ids.
+fn assert_holds_the_ingested_graph(name: &str, graph: &Graph, csr: &CsrGraph) {
     assert_eq!(graph.node_count(), csr.node_count(), "{name}: node count");
-    assert_eq!(graph.edge_count(), csr.edge_count(), "{name}: edge count");
-    assert_eq!(graph.label_count(), csr.label_count(), "{name}: labels");
-    for node in graph.nodes() {
+    assert_eq!(graph.labels(), csr.labels(), "{name}: labels");
+    let names = graph.nodes().map(|node| graph.node_name(node));
+    assert!(csr.node_names().eq(names), "{name}: node names");
+    let mut out = vec![Vec::new(); graph.node_count()];
+    let mut inc = out.clone();
+    let entry = |label, node| CsrEntry { label, node };
+    for (id, edge) in graph.edges() {
+        out[edge.source.index()].push((id, entry(edge.label, edge.target)));
+        inc[edge.target.index()].push((id, entry(edge.label, edge.source)));
+    }
+    let row = |ids: &[EdgeId], entries: &[CsrEntry]| -> Vec<(EdgeId, CsrEntry)> {
+        ids.iter().copied().zip(entries.iter().copied()).collect()
+    };
+    for node in csr.nodes() {
+        let i = node.index();
         assert_eq!(
-            graph.node_name(node),
-            csr.node_name(node),
-            "{name}: name of {node}"
+            row(csr.out_ids(node), csr.out(node)),
+            out[i],
+            "{name}: out row of {node}"
         );
-        assert_eq!(graph.out_degree(node), csr.out_degree(node));
-        assert_eq!(graph.in_degree(node), csr.in_degree(node));
-        let g_succ: Vec<(LabelId, NodeId)> = graph.successors(node).collect();
-        let c_succ: Vec<(LabelId, NodeId)> = GraphBackend::successors(csr, node).collect();
-        assert_eq!(g_succ, c_succ, "{name}: successors of {node}");
-        let mut g_pred: Vec<(LabelId, NodeId)> = graph.predecessors(node).collect();
-        let mut c_pred: Vec<(LabelId, NodeId)> = GraphBackend::predecessors(csr, node).collect();
-        g_pred.sort();
-        c_pred.sort();
-        assert_eq!(g_pred, c_pred, "{name}: predecessors of {node}");
+        assert_eq!(
+            row(csr.in_ids(node), csr.inc(node)),
+            inc[i],
+            "{name}: in row of {node}"
+        );
     }
 }
 
@@ -95,21 +102,23 @@ fn assert_structurally_equal(name: &str, graph: &Graph, csr: &CsrGraph) {
 fn backends_are_structurally_equivalent() {
     for (name, graph) in corpus() {
         let csr = CsrGraph::from_graph(&graph);
-        assert_structurally_equal(&name, &graph, &csr);
+        assert_holds_the_ingested_graph(&name, &graph, &csr);
     }
 }
 
 #[test]
 fn rpq_answers_agree_on_workload_queries() {
-    // Standard workloads per family, evaluated on both backends.
+    // The engine serves the snapshot through its frontier evaluator and
+    // cache; the oracle is the naive evaluator on the same snapshot.
     for (name, graph) in corpus() {
-        let csr = CsrGraph::from_graph(&graph);
-        for query in &queries::standard_workload(&graph).queries {
+        let workload = queries::standard_workload(&graph);
+        let engine = Engine::builder(graph).build();
+        for query in &workload.queries {
+            let syntax = query.display(engine.snapshot().labels());
             assert_eq!(
-                query.evaluate(&graph).nodes(),
-                query.evaluate(&csr).nodes(),
-                "{name}: query {} disagrees",
-                query.display(graph.labels())
+                engine.evaluate(&syntax).unwrap(),
+                query.evaluate(engine.snapshot()),
+                "{name}: query {syntax} disagrees"
             );
         }
     }
@@ -123,178 +132,54 @@ fn rpq_answers_agree_on_random_word_queries() {
             continue;
         }
         let csr = CsrGraph::from_graph(&graph);
+        let frontier = BatchEvaluator::from_csr(&csr);
         for _ in 0..8 {
             let len = rng.gen_range(1..=4usize);
             let word: Vec<LabelId> = (0..len)
-                .map(|_| LabelId::new(rng.gen_range(0..graph.label_count() as u32)))
+                .map(|_| LabelId::new(rng.gen_range(0..csr.label_count() as u32)))
                 .collect();
             let query = PathQuery::new(gps_automata::Regex::word(&word));
-            let graph_answer = query.evaluate(&graph);
-            let csr_answer = query.evaluate(&csr);
+            let answer = query.evaluate(&csr);
             assert_eq!(
-                graph_answer.nodes(),
-                csr_answer.nodes(),
+                frontier.evaluate_dfa(query.dfa()),
+                answer,
                 "{name}: word query {word:?} disagrees"
             );
-            // Witnesses must exist on both backends for exactly the answer.
-            for node in graph_answer.nodes() {
-                assert!(query.witness(&graph, node).is_some());
-                assert!(query.witness(&csr, node).is_some());
+            // Both evaluators find a shortest witness for exactly the answer.
+            for node in csr.nodes() {
+                let naive = query.witness(&csr, node).map(|path| path.len());
+                let indexed = frontier.witness(query.dfa(), node).map(|path| path.len());
+                assert_eq!(naive.is_some(), answer.contains(node), "{name}: {node}");
+                assert_eq!(indexed, naive, "{name}: witness length of {node}");
             }
         }
     }
 }
 
-#[test]
-fn neighborhoods_and_zoom_deltas_agree() {
-    for (name, graph) in corpus() {
-        let csr = CsrGraph::from_graph(&graph);
-        for node in graph.nodes().step_by(3) {
-            for radius in [0u32, 1, 2, 3] {
-                let g_hood = Neighborhood::extract(&graph, node, radius);
-                let c_hood = Neighborhood::extract(&csr, node, radius);
-                assert_eq!(g_hood.nodes(), c_hood.nodes(), "{name}: nodes@r{radius}");
-                assert_eq!(g_hood.edges(), c_hood.edges(), "{name}: edges@r{radius}");
-                assert_eq!(
-                    g_hood.continuations(),
-                    c_hood.continuations(),
-                    "{name}: continuations@r{radius}"
-                );
-                let (g_larger, g_delta) = g_hood.zoom_out(&graph);
-                let (c_larger, c_delta) = c_hood.zoom_out(&csr);
-                assert_eq!(g_larger.node_ids(), c_larger.node_ids());
-                assert_eq!(g_delta, c_delta, "{name}: zoom delta@r{radius}");
-            }
-        }
+/// `csr`'s labels, nodes and edges added to a fresh [`Graph`] in edge-id
+/// order, so every edge keeps its id.
+fn regraph(csr: &CsrGraph) -> Graph {
+    let mut graph = Graph::with_capacity(csr.node_count(), csr.edge_count());
+    for (_, label) in csr.labels().iter() {
+        graph.label(label);
     }
-}
-
-#[test]
-fn path_enumerations_agree() {
-    for (name, graph) in corpus() {
-        let csr = CsrGraph::from_graph(&graph);
-        let enumerator = PathEnumerator::new(3).with_max_paths(5_000);
-        for node in graph.nodes().step_by(2) {
-            assert_eq!(
-                enumerator.words_from(&graph, node),
-                enumerator.words_from(&csr, node),
-                "{name}: words of {node}"
-            );
-            assert_eq!(
-                enumerator.paths_from(&graph, node),
-                enumerator.paths_from(&csr, node),
-                "{name}: paths of {node}"
-            );
-        }
+    for name in csr.node_names() {
+        graph.add_node(name);
     }
-}
-
-#[test]
-fn traversals_and_stats_agree() {
-    for (name, graph) in corpus() {
-        let csr = CsrGraph::from_graph(&graph);
-        let g_stats = GraphStats::compute(&graph);
-        let c_stats = GraphStats::compute(&csr);
-        assert_eq!(g_stats, c_stats, "{name}: stats");
-        for node in graph.nodes().step_by(4) {
-            for direction in [Direction::Forward, Direction::Backward, Direction::Both] {
-                let g_bfs = traversal::bfs(&graph, node, Some(3), direction);
-                let c_bfs = traversal::bfs(&csr, node, Some(3), direction);
-                let g_pairs: Vec<(NodeId, u32)> = g_bfs.reachable().collect();
-                let c_pairs: Vec<(NodeId, u32)> = c_bfs.reachable().collect();
-                assert_eq!(g_pairs, c_pairs, "{name}: bfs from {node}");
-            }
-        }
-        assert_eq!(
-            traversal::weakly_connected_components(&graph),
-            traversal::weakly_connected_components(&csr),
-            "{name}: components"
-        );
+    let mut edges: Vec<(EdgeId, Edge)> = csr.edges_by_source().collect();
+    edges.sort_by_key(|&(id, _)| id);
+    for (_, edge) in edges {
+        graph.add_edge(edge.source, edge.label, edge.target);
     }
-}
-
-#[test]
-fn negative_coverage_and_pruning_agree() {
-    for (name, graph) in corpus() {
-        if graph.node_count() < 2 {
-            continue;
-        }
-        let csr = CsrGraph::from_graph(&graph);
-        let negatives: Vec<NodeId> = graph.nodes().step_by(2).collect();
-        let g_cov = NegativeCoverage::from_negatives(&graph, negatives.iter().copied(), 3);
-        let c_cov = NegativeCoverage::from_negatives(&csr, negatives.iter().copied(), 3);
-        for node in graph.nodes() {
-            assert_eq!(
-                g_cov.uncovered_count(&graph, node),
-                c_cov.uncovered_count(&csr, node),
-                "{name}: uncovered count of {node}"
-            );
-            assert_eq!(
-                g_cov.is_uninformative(&graph, node),
-                c_cov.is_uninformative(&csr, node),
-                "{name}: informativeness of {node}"
-            );
-        }
-    }
-}
-
-#[test]
-fn interactive_sessions_agree_end_to_end() {
-    // The same goal query, strategy and simulated user must drive identical
-    // sessions on both backends: same transcript, same learned answer.
-    let net = transport::generate(&TransportConfig::with_neighborhoods(12, 5));
-    let graph = net.graph;
-    let csr = CsrGraph::from_graph(&graph);
-    let goal = match PathQuery::parse("(tram+bus)*.cinema", graph.labels()) {
-        Ok(goal) => goal,
-        Err(_) => return, // tiny networks may lack a label; not this seed
-    };
-
-    let mut graph_user = SimulatedUser::new(goal.clone(), &graph);
-    let mut graph_session = Session::new(&graph, SessionConfig::default());
-    let graph_outcome = graph_session.run(&mut InformativePathsStrategy, &mut graph_user);
-
-    let mut csr_user = SimulatedUser::new(goal.clone(), &csr);
-    let mut csr_session: Session<'_, CsrGraph> = Session::new(&csr, SessionConfig::default());
-    let csr_outcome = csr_session.run(&mut InformativePathsStrategy, &mut csr_user);
-
-    assert_eq!(graph_outcome.halt_reason, csr_outcome.halt_reason);
-    assert_eq!(
-        graph_outcome.stats.interactions,
-        csr_outcome.stats.interactions
-    );
-    let graph_nodes: Vec<NodeId> = graph_outcome.transcript.iter().map(|r| r.node).collect();
-    let csr_nodes: Vec<NodeId> = csr_outcome.transcript.iter().map(|r| r.node).collect();
-    assert_eq!(graph_nodes, csr_nodes, "same nodes proposed in same order");
-    assert_eq!(
-        graph_outcome.learned.map(|l| l.answer.nodes()),
-        csr_outcome.learned.map(|l| l.answer.nodes())
-    );
-}
-
-#[test]
-fn engine_facade_agrees_across_backends_on_every_dataset() {
-    // The engine serves a CSR snapshot; the oracle is the naive evaluator on
-    // the adjacency graph the snapshot was taken from.
-    for (name, graph) in corpus() {
-        let engine = Engine::builder(graph.clone()).build();
-        for query in &queries::standard_workload(&graph).queries {
-            let syntax = query.display(graph.labels());
-            assert_eq!(
-                engine.evaluate(&syntax).unwrap(),
-                query.evaluate(&graph),
-                "{name}: engine disagreement on {syntax}"
-            );
-        }
-    }
+    graph
 }
 
 #[test]
 fn double_snapshot_is_a_fixed_point() {
     for (name, graph) in corpus() {
         let once = CsrGraph::from_graph(&graph);
-        let twice = CsrGraph::from_backend(&once);
-        assert_structurally_equal(&name, &graph, &twice);
+        let twice = CsrGraph::from_graph(&regraph(&once));
+        assert_holds_the_ingested_graph(&name, &graph, &twice);
     }
 }
 
@@ -303,6 +188,6 @@ fn synthetic_generator_graphs_conform_across_seeds() {
     for seed in 0..6u64 {
         let graph = synthetic::generate(&SyntheticConfig::with_nodes(80, seed));
         let csr = CsrGraph::from_graph(&graph);
-        assert_structurally_equal(&format!("synthetic-{seed}"), &graph, &csr);
+        assert_holds_the_ingested_graph(&format!("synthetic-{seed}"), &graph, &csr);
     }
 }

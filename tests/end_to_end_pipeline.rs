@@ -2,7 +2,7 @@
 //! query parsing → evaluation → learning → interactive session → transcript
 //! serialization.
 
-use gps_core::{Gps, Transcript};
+use gps_core::{Engine, Transcript};
 use gps_datasets::figure1::MOTIVATING_QUERY;
 use gps_graph::{io, CsrGraph};
 use gps_interactive::session::{Session, SessionConfig};
@@ -31,7 +31,7 @@ fn graph_loaded_from_edge_list_gives_the_same_answer() {
     let graph = io::parse_edge_list(FIGURE1_EDGE_LIST).unwrap();
     assert_eq!(graph.node_count(), 10);
     assert_eq!(graph.edge_count(), 12);
-    let gps = Gps::new(graph);
+    let gps = Engine::builder(graph).build();
     let answer = gps.evaluate(MOTIVATING_QUERY).unwrap();
     let mut names: Vec<&str> = answer
         .nodes()
@@ -45,30 +45,29 @@ fn graph_loaded_from_edge_list_gives_the_same_answer() {
 #[test]
 fn edge_list_and_json_round_trips_preserve_query_answers() {
     let graph = io::parse_edge_list(FIGURE1_EDGE_LIST).unwrap();
-    let query = PathQuery::parse(MOTIVATING_QUERY, graph.labels()).unwrap();
-    let original = query.evaluate(&graph).nodes();
+    let answer = |graph: &gps_graph::Graph| {
+        let query = PathQuery::parse(MOTIVATING_QUERY, graph.labels()).unwrap();
+        query.evaluate(&CsrGraph::from_graph(graph))
+    };
+    let original = answer(&graph);
 
-    let edge_list = io::to_edge_list(&graph);
-    let reloaded = io::parse_edge_list(&edge_list).unwrap();
-    let q2 = PathQuery::parse(MOTIVATING_QUERY, reloaded.labels()).unwrap();
-    assert_eq!(q2.evaluate(&reloaded).len(), original.len());
+    let reloaded = io::parse_edge_list(&io::to_edge_list(&graph)).unwrap();
+    assert_eq!(answer(&reloaded).len(), original.len());
 
-    let json = io::to_json(&graph).unwrap();
-    let reloaded = io::from_json(&json).unwrap();
-    let q3 = PathQuery::parse(MOTIVATING_QUERY, reloaded.labels()).unwrap();
-    assert_eq!(q3.evaluate(&reloaded).nodes(), original);
+    let reloaded = io::from_json(&io::to_json(&graph).unwrap()).unwrap();
+    assert_eq!(answer(&reloaded), original);
 }
 
 #[test]
 fn full_session_on_a_loaded_graph_produces_a_serializable_transcript() {
-    let graph = io::parse_edge_list(FIGURE1_EDGE_LIST).unwrap();
+    let graph = CsrGraph::from_graph(&io::parse_edge_list(FIGURE1_EDGE_LIST).unwrap());
     let goal = PathQuery::parse(MOTIVATING_QUERY, graph.labels()).unwrap();
     let mut user = SimulatedUser::new(goal.clone(), &graph);
     let mut strategy = InformativePathsStrategy;
     let mut session = Session::new(&graph, SessionConfig::default());
     let outcome = session.run(&mut strategy, &mut user);
 
-    let transcript = Transcript::from_outcome(&CsrGraph::from_graph(&graph), &outcome);
+    let transcript = Transcript::from_outcome(&graph, &outcome);
     let json = transcript.to_json().unwrap();
     let restored: Transcript = serde_json::from_str(&json).unwrap();
     assert_eq!(restored.entries.len(), transcript.entries.len());
@@ -90,7 +89,7 @@ fn learned_queries_transfer_to_grown_graphs() {
     // extended with new neighborhoods: the semantics transfer because the
     // query is a regular expression, not a set of node ids.
     let graph = io::parse_edge_list(FIGURE1_EDGE_LIST).unwrap();
-    let gps = Gps::new(graph.clone());
+    let gps = Engine::builder(graph.clone()).build();
     let report = gps.interactive_with_validation(MOTIVATING_QUERY).unwrap();
     let learned_syntax = report.learned.expect("learned a query");
 
@@ -104,7 +103,7 @@ fn learned_queries_transfer_to_grown_graphs() {
     grown.add_edge(n8, cinema, c3);
 
     let learned = PathQuery::parse(&learned_syntax, grown.labels()).unwrap();
-    let answer = learned.evaluate(&grown);
+    let answer = learned.evaluate(&CsrGraph::from_graph(&grown));
     assert!(
         answer.contains(n7),
         "new neighborhood N7 reaches a cinema by tram"

@@ -88,12 +88,13 @@ fn query_set(graph: &Graph) -> Vec<Dfa> {
 #[test]
 fn frontier_plans_match_the_naive_evaluator() {
     for (name, graph) in corpus() {
-        let naive = gps_rpq::NaiveEvaluator::new(&graph);
-        let planner_engine = BatchEvaluator::new(&graph);
+        let csr = CsrGraph::from_graph(&graph);
+        let naive = gps_rpq::NaiveEvaluator::from_csr(csr.clone());
+        let planner_engine = BatchEvaluator::from_csr(&csr);
         let forced: Vec<(Plan, BatchEvaluator)> =
             [Plan::Reverse, Plan::Forward, Plan::Bidirectional]
                 .into_iter()
-                .map(|plan| (plan, BatchEvaluator::new(&graph).with_plan(plan)))
+                .map(|plan| (plan, planner_engine.clone().with_plan(plan)))
                 .collect();
         for (i, dfa) in query_set(&graph).iter().enumerate() {
             let expected = naive.evaluate_dfa(dfa);
@@ -127,8 +128,9 @@ fn frontier_plans_match_the_naive_evaluator() {
 #[test]
 fn batch_and_parallel_executors_preserve_answers_and_order() {
     for (name, graph) in corpus() {
-        let naive = gps_rpq::NaiveEvaluator::new(&graph);
-        let engine = BatchEvaluator::new(&graph);
+        let csr = CsrGraph::from_graph(&graph);
+        let naive = gps_rpq::NaiveEvaluator::from_csr(csr.clone());
+        let engine = BatchEvaluator::from_csr(&csr);
         let dfas = query_set(&graph);
         let refs: Vec<&Dfa> = dfas.iter().collect();
         let expected: Vec<QueryAnswer> = refs.iter().map(|d| naive.evaluate_dfa(d)).collect();
@@ -140,7 +142,7 @@ fn batch_and_parallel_executors_preserve_answers_and_order() {
 fn engine_eval_modes_are_observationally_identical() {
     let net = transport::generate(&TransportConfig::with_neighborhoods(25, 7));
     let syntaxes = ["(tram+bus)*.cinema", "cinema", "tram*.cinema", "bus"];
-    let oracle = gps_rpq::NaiveEvaluator::new(&net.graph);
+    let oracle = gps_rpq::NaiveEvaluator::from_csr(CsrGraph::from_graph(&net.graph));
     let expected: Vec<QueryAnswer> = syntaxes
         .iter()
         .map(|q| PathQuery::parse(q, net.graph.labels()).unwrap())
@@ -159,17 +161,19 @@ fn spelling_sweeps_match_the_reference_and_the_acceptor_evaluation() {
     use gps_graph::PathEnumerator;
     use std::collections::BTreeMap;
     for (name, graph) in corpus() {
-        let naive = gps_rpq::NaiveEvaluator::new(&graph);
-        let engine = BatchEvaluator::new(&graph);
+        let csr = CsrGraph::from_graph(&graph);
+        let naive = gps_rpq::NaiveEvaluator::from_csr(csr.clone());
+        let engine = BatchEvaluator::from_csr(&csr);
         // What sessions read instead of sweeping: the word index's postings.
-        let index = gps_rpq::WordIndex::build(&CsrGraph::from_graph(&graph), 3);
+        let index = gps_rpq::WordIndex::build(&csr, 3);
         // Word sets as sessions produce them: the bounded words of a few
         // nodes (what a negative label covers), plus edge cases.
-        let mut word_sets: Vec<Vec<Word>> = GraphBackend::nodes(&graph)
+        let mut word_sets: Vec<Vec<Word>> = csr
+            .nodes()
             .take(4)
             .map(|node| {
                 PathEnumerator::new(3)
-                    .words_from(&graph, node)
+                    .words_from(&csr, node)
                     .into_iter()
                     .collect()
             })
@@ -292,17 +296,14 @@ fn chained_patches_match_a_fresh_build_of_the_compacted_snapshot() {
         for round in 0..3 {
             let mut staged = DeltaGraph::new(std::sync::Arc::clone(&base));
             let fresh = staged.add_node(format!("delta-{round}"));
-            let nodes: Vec<NodeId> = GraphBackend::nodes(&*base).collect();
+            let nodes: Vec<NodeId> = base.nodes().collect();
             let pick = |rng: &mut StdRng| nodes[rng.gen_range(0..nodes.len())];
             for _ in 0..5 {
                 let label = LabelId::new(rng.gen_range(0u32..4));
                 staged.add_edge(pick(&mut rng), label, pick(&mut rng));
                 staged.add_edge(fresh, label, pick(&mut rng));
             }
-            if let Some(edge) = GraphBackend::nodes(&*base)
-                .find_map(|node| GraphBackend::out_edges(&*base, node).next())
-                .map(|(_, edge)| edge)
-            {
+            if let Some((_, edge)) = base.edges_by_source().next() {
                 staged.remove_edge(edge.source, edge.label, edge.target);
             }
             let delta = staged.delta();
@@ -335,7 +336,7 @@ fn frontier_cache_stays_correct_under_eviction() {
     for round in 0..2 {
         for regex in &regexes {
             let through_cache = cache.evaluate(regex);
-            let fresh = gps_rpq::eval::evaluate(&net.graph, &Dfa::from_regex(regex));
+            let fresh = gps_rpq::eval::evaluate(&csr, &Dfa::from_regex(regex));
             assert_eq!(*through_cache, fresh, "round {round}");
         }
     }

@@ -4,16 +4,21 @@
 //! Figure 3(c) (the prefix tree of N2's candidate paths with the suggested
 //! path highlighted).
 
-use gps_core::Gps;
+use gps_core::Engine;
 use gps_datasets::figure1::{figure1_graph, MOTIVATING_QUERY};
 use gps_graph::Neighborhood;
 use gps_interactive::validation;
 use gps_rpq::{EvalHandle, NegativeCoverage, PathQuery};
 
+fn figure1() -> (gps_graph::CsrGraph, gps_datasets::figure1::Figure1) {
+    let (g, ids) = figure1_graph();
+    (gps_graph::CsrGraph::from_graph(&g), ids)
+}
+
 #[test]
 fn figure1_motivating_query_answer() {
     let (graph, ids) = figure1_graph();
-    let gps = Gps::new(graph);
+    let gps = Engine::builder(graph).build();
     let answer = gps.evaluate(MOTIVATING_QUERY).unwrap();
     assert_eq!(answer.nodes(), vec![ids.n1, ids.n2, ids.n4, ids.n6]);
     assert_eq!(
@@ -24,7 +29,7 @@ fn figure1_motivating_query_answer() {
 
 #[test]
 fn figure1_witness_paths_match_the_papers_narrative() {
-    let (graph, ids) = figure1_graph();
+    let (graph, ids) = figure1();
     let query = PathQuery::parse(MOTIVATING_QUERY, graph.labels()).unwrap();
     // The paper lists these paths as the entailment evidence.
     assert_eq!(
@@ -49,7 +54,7 @@ fn figure1_witness_paths_match_the_papers_narrative() {
 
 #[test]
 fn figure3a_neighborhood_of_n2_at_distance_2_hides_the_cinema() {
-    let (graph, ids) = figure1_graph();
+    let (graph, ids) = figure1();
     let hood = Neighborhood::extract(&graph, ids.n2, 2);
     assert_eq!(hood.center(), ids.n2);
     assert!(hood.contains(ids.n1));
@@ -63,7 +68,7 @@ fn figure3a_neighborhood_of_n2_at_distance_2_hides_the_cinema() {
 
 #[test]
 fn figure3b_zoom_to_distance_3_reveals_the_cinema_highlighted() {
-    let (graph, ids) = figure1_graph();
+    let (graph, ids) = figure1();
     let hood2 = Neighborhood::extract(&graph, ids.n2, 2);
     let (hood3, delta) = hood2.zoom_out(&graph);
     assert_eq!(hood3.radius(), 3);
@@ -71,14 +76,14 @@ fn figure3b_zoom_to_distance_3_reveals_the_cinema_highlighted() {
     assert!(delta.added_nodes.contains(&ids.c1));
     // The textual rendering marks the new nodes like the figure's blue
     // highlighting.
-    let gps = Gps::new(figure1_graph().0);
+    let gps = Engine::builder(figure1_graph().0).build();
     let rendered = gps.render_zoom(ids.n2, 2);
     assert!(rendered.contains("C1 *new*"));
 }
 
 #[test]
 fn figure3c_prefix_tree_highlights_a_length3_candidate() {
-    let (graph, ids) = figure1_graph();
+    let (graph, ids) = figure1();
     let coverage = NegativeCoverage::new(3);
     let prompt =
         validation::build_prompt(&EvalHandle::naive(&graph), ids.n2, 3, &coverage).unwrap();
@@ -90,7 +95,7 @@ fn figure3c_prefix_tree_highlights_a_length3_candidate() {
     assert!(prompt.is_candidate(&[bus, bus, cinema]));
     assert!(prompt.is_candidate(&[bus, tram, cinema]));
     // Rendering shows the candidate marker.
-    let gps = Gps::new(figure1_graph().0);
+    let gps = Engine::builder(figure1_graph().0).build();
     let rendered = gps.render_prefix_tree(ids.n2, 3, &prompt.suggested);
     assert!(rendered.contains("◀ candidate"));
 }
@@ -98,7 +103,7 @@ fn figure3c_prefix_tree_highlights_a_length3_candidate() {
 #[test]
 fn figure2_loop_reaches_the_goal_query() {
     let (graph, _) = figure1_graph();
-    let gps = Gps::new(graph);
+    let gps = Engine::builder(graph).build();
     let report = gps.interactive_with_validation(MOTIVATING_QUERY).unwrap();
     assert!(report.goal_reached);
     assert!(report.consistent_with_labels);

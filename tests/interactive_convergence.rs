@@ -5,6 +5,7 @@
 //! samples on every workload family.
 
 use gps_datasets::{Workload, WorkloadKind};
+use gps_graph::CsrGraph;
 use gps_interactive::session::{Session, SessionConfig};
 use gps_interactive::strategy::{InformativePathsStrategy, RandomStrategy, Strategy};
 use gps_interactive::user::SimulatedUser;
@@ -13,7 +14,7 @@ use gps_learner::Learner;
 use gps_rpq::PathQuery;
 
 fn run(
-    graph: &gps_graph::Graph,
+    graph: &CsrGraph,
     goal: &PathQuery,
     strategy: &mut dyn Strategy,
 ) -> gps_interactive::session::SessionOutcome {
@@ -25,14 +26,15 @@ fn run(
 #[test]
 fn informative_strategy_converges_on_every_workload_family() {
     for workload in Workload::default_suite(17) {
+        let graph = CsrGraph::from_graph(&workload.graph);
         // Pick the first satisfiable goal query of the workload.
         let goal = workload
             .queries
             .queries
             .iter()
-            .find(|q| !q.evaluate(&workload.graph).is_empty());
+            .find(|q| !q.evaluate(&graph).is_empty());
         let Some(goal) = goal else { continue };
-        let outcome = run(&workload.graph, goal, &mut InformativePathsStrategy);
+        let outcome = run(&graph, goal, &mut InformativePathsStrategy);
         assert!(
             outcome.halt_reason.is_convergence(),
             "{}: halted with {:?}",
@@ -50,7 +52,7 @@ fn informative_strategy_converges_on_every_workload_family() {
         // Interactions stay well below the graph size (the whole point of the
         // system).
         assert!(
-            outcome.stats.interactions <= workload.graph.node_count(),
+            outcome.stats.interactions <= graph.node_count(),
             "{}",
             workload.name
         );
@@ -60,13 +62,14 @@ fn informative_strategy_converges_on_every_workload_family() {
 #[test]
 fn informative_strategy_needs_no_more_interactions_than_random_on_figure1() {
     let workload = Workload::figure1();
-    let goal = PathQuery::parse("(tram+bus)*.cinema", workload.graph.labels()).unwrap();
-    let informative = run(&workload.graph, &goal, &mut InformativePathsStrategy);
+    let graph = CsrGraph::from_graph(&workload.graph);
+    let goal = PathQuery::parse("(tram+bus)*.cinema", graph.labels()).unwrap();
+    let informative = run(&graph, &goal, &mut InformativePathsStrategy);
     // Average random over a few seeds to smooth out luck.
     let mut random_total = 0usize;
     let seeds = [1u64, 2, 3, 4, 5];
     for seed in seeds {
-        random_total += run(&workload.graph, &goal, &mut RandomStrategy::seeded(seed))
+        random_total += run(&graph, &goal, &mut RandomStrategy::seeded(seed))
             .stats
             .interactions;
     }
@@ -81,8 +84,9 @@ fn informative_strategy_needs_no_more_interactions_than_random_on_figure1() {
 #[test]
 fn pruning_counters_are_monotone_and_end_high() {
     let workload = Workload::transport(40, 9);
-    let goal = PathQuery::parse("(tram+bus)*.cinema", workload.graph.labels()).unwrap();
-    let outcome = run(&workload.graph, &goal, &mut InformativePathsStrategy);
+    let graph = CsrGraph::from_graph(&workload.graph);
+    let goal = PathQuery::parse("(tram+bus)*.cinema", graph.labels()).unwrap();
+    let outcome = run(&graph, &goal, &mut InformativePathsStrategy);
     let pruned = &outcome.stats.pruned_after_interaction;
     assert!(!pruned.is_empty());
     for window in pruned.windows(2) {
@@ -95,24 +99,25 @@ fn pruning_counters_are_monotone_and_end_high() {
 #[test]
 fn characteristic_samples_recover_goal_behaviour_on_all_families() {
     for workload in Workload::default_suite(23) {
+        let graph = CsrGraph::from_graph(&workload.graph);
         // Use a cheap goal per family to keep the test fast.
         let goal = workload.queries.queries.iter().find(|q| {
-            let n = q.evaluate(&workload.graph).len();
-            n > 0 && n < workload.graph.node_count()
+            let n = q.evaluate(&graph).len();
+            n > 0 && n < graph.node_count()
         });
         let Some(goal) = goal else { continue };
         // Scale-free and synthetic graphs can be dense; skip the largest to
         // keep CI fast while still covering the family.
-        if workload.kind == WorkloadKind::ScaleFree && workload.graph.edge_count() > 400 {
+        if workload.kind == WorkloadKind::ScaleFree && graph.edge_count() > 400 {
             continue;
         }
-        let sample = characteristic_sample(&workload.graph, goal);
+        let sample = characteristic_sample(&graph, goal);
         let learned = Learner::default()
-            .learn(&workload.graph, &sample)
+            .learn(&graph, &sample)
             .unwrap_or_else(|e| panic!("{}: {e}", workload.name));
         assert_eq!(
             learned.answer.nodes(),
-            goal.evaluate(&workload.graph).nodes(),
+            goal.evaluate(&graph).nodes(),
             "{}: learned {:?}",
             workload.name,
             learned.regex
@@ -123,8 +128,9 @@ fn characteristic_samples_recover_goal_behaviour_on_all_families() {
 #[test]
 fn session_transcript_lengths_match_interaction_counts() {
     let workload = Workload::transport(25, 4);
-    let goal = PathQuery::parse("cinema", workload.graph.labels()).unwrap();
-    let outcome = run(&workload.graph, &goal, &mut InformativePathsStrategy);
+    let graph = CsrGraph::from_graph(&workload.graph);
+    let goal = PathQuery::parse("cinema", graph.labels()).unwrap();
+    let outcome = run(&graph, &goal, &mut InformativePathsStrategy);
     assert_eq!(outcome.transcript.len(), outcome.stats.interactions);
     assert_eq!(
         outcome.stats.positive_labels + outcome.stats.negative_labels,

@@ -79,7 +79,7 @@ fn warm(service: &SessionManager, queries: &[PathQuery]) {
 
 /// A from-scratch adjacency graph with the snapshot's labels, nodes and
 /// edges, ids included.
-fn rebuilt(snapshot: &CsrGraph) -> Graph {
+fn rebuilt(snapshot: &CsrGraph) -> CsrGraph {
     let mut graph = Graph::new();
     for (_, name) in snapshot.labels().iter() {
         graph.label(name);
@@ -90,7 +90,7 @@ fn rebuilt(snapshot: &CsrGraph) -> Graph {
     for (_, edge) in snapshot.edges_by_source() {
         graph.add_edge(edge.source, edge.label, edge.target);
     }
-    graph
+    CsrGraph::from_graph(&graph)
 }
 
 /// Every cached query answer on the service's latest epoch must equal the

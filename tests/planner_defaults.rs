@@ -8,12 +8,12 @@
 use gps_automata::{Dfa, Regex};
 use gps_datasets::Workload;
 use gps_exec::{planner, BatchEvaluator, Plan};
-use gps_graph::LabelStats;
+use gps_graph::{CsrGraph, LabelStats};
 
 #[test]
 fn default_thresholds_cover_all_three_plans_on_the_large_corpus() {
     let workload = Workload::scale_free_large(7);
-    let graph = &workload.graph;
+    let graph = &CsrGraph::from_graph(&workload.graph);
     assert_eq!(graph.node_count(), 20_000);
     assert!(graph.edge_count() > 60_000, "dense enough to matter");
     let stats = LabelStats::compute(graph);
@@ -44,7 +44,7 @@ fn default_thresholds_cover_all_three_plans_on_the_large_corpus() {
 fn planner_chosen_plans_match_forced_plans_on_the_large_corpus() {
     // Answers are plan-independent; the planner only picks the cheapest.
     let workload = Workload::scale_free_large(7);
-    let evaluator = BatchEvaluator::new(&workload.graph);
+    let evaluator = BatchEvaluator::from_csr(&CsrGraph::from_graph(&workload.graph));
     let label = |name: &str| workload.graph.label_id(name).unwrap();
     let queries = [
         Regex::symbol(label("a5")),

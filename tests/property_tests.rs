@@ -11,7 +11,7 @@
 //! * the learner's output is always consistent with its examples.
 
 use gps_automata::{decide, parser, printer, Dfa, Regex};
-use gps_graph::{Graph, LabelId, LabelInterner, PathEnumerator};
+use gps_graph::{CsrGraph, Graph, LabelId, LabelInterner, PathEnumerator};
 use gps_learner::{ExampleSet, Learner};
 use gps_rpq::eval;
 use rand::rngs::StdRng;
@@ -179,7 +179,7 @@ fn csr_matches_adjacency() {
     let mut rng = StdRng::seed_from_u64(106);
     for _ in 0..48 {
         let graph = arb_graph(&mut rng, 8, 16);
-        let csr = gps_graph::CsrGraph::from_graph(&graph);
+        let csr = CsrGraph::from_graph(&graph);
         assert_eq!(csr.node_count(), graph.node_count());
         assert_eq!(csr.edge_count(), graph.edge_count());
         for node in graph.nodes() {
@@ -205,7 +205,7 @@ fn edge_list_round_trip() {
 fn bounded_words_have_bounded_length() {
     let mut rng = StdRng::seed_from_u64(108);
     for _ in 0..48 {
-        let graph = arb_graph(&mut rng, 6, 12);
+        let graph = CsrGraph::from_graph(&arb_graph(&mut rng, 6, 12));
         let bound = rng.gen_range(0usize..4);
         for node in graph.nodes() {
             for word in PathEnumerator::new(bound)
@@ -227,7 +227,7 @@ fn evaluation_agrees_with_path_enumeration() {
     let mut rng = StdRng::seed_from_u64(109);
     let mut cases = 0;
     while cases < 32 {
-        let graph = arb_graph(&mut rng, 6, 12);
+        let graph = CsrGraph::from_graph(&arb_graph(&mut rng, 6, 12));
         let word = arb_word(&mut rng, 3);
         if word.is_empty() {
             continue;
@@ -251,7 +251,7 @@ fn evaluation_agrees_with_path_enumeration() {
 fn learner_output_is_consistent() {
     let mut rng = StdRng::seed_from_u64(110);
     for _ in 0..24 {
-        let graph = arb_graph(&mut rng, 7, 14);
+        let graph = CsrGraph::from_graph(&arb_graph(&mut rng, 7, 14));
         let mut examples = ExampleSet::new();
         for i in 0..graph.node_count() {
             let node = gps_graph::NodeId::from(i);

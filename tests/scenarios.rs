@@ -2,16 +2,15 @@
 //! paper): static labeling, interactive labeling without path validation, and
 //! interactive labeling with path validation.
 
-use gps_core::{Gps, StaticLabelingOutcome};
+use gps_core::{Engine, StaticLabelingOutcome};
 use gps_datasets::figure1::{figure1_graph, MOTIVATING_QUERY};
 use gps_datasets::transport::{generate, TransportConfig};
 use gps_learner::Label;
-use gps_rpq::PathQuery;
 
 #[test]
 fn s1_static_labeling_with_consistent_labels_learns_a_query() {
     let (graph, ids) = figure1_graph();
-    let gps = Gps::new(graph);
+    let gps = Engine::builder(graph).build();
     let outcome = gps.static_labeling(&[
         (ids.n2, Label::Positive),
         (ids.n6, Label::Positive),
@@ -32,7 +31,7 @@ fn s1_static_labeling_with_consistent_labels_learns_a_query() {
 #[test]
 fn s1_static_labeling_reports_inconsistent_labelings() {
     let (graph, ids) = figure1_graph();
-    let gps = Gps::new(graph);
+    let gps = Engine::builder(graph).build();
     // R1 has no outgoing edge: positive R1 plus any negative cannot be
     // satisfied by a query with non-empty witnesses.
     let outcome = gps.static_labeling(&[(ids.r1, Label::Positive), (ids.n2, Label::Negative)]);
@@ -50,7 +49,7 @@ fn s1_static_labeling_reports_inconsistent_labelings() {
 #[test]
 fn s2_without_validation_is_consistent_but_not_necessarily_the_goal() {
     let (graph, _) = figure1_graph();
-    let gps = Gps::new(graph);
+    let gps = Engine::builder(graph).build();
     let report = gps
         .interactive_without_validation(MOTIVATING_QUERY)
         .unwrap();
@@ -69,7 +68,7 @@ fn s2_without_validation_is_consistent_but_not_necessarily_the_goal() {
 #[test]
 fn s3_with_validation_recovers_the_goal_on_figure1() {
     let (graph, _) = figure1_graph();
-    let gps = Gps::new(graph);
+    let gps = Engine::builder(graph).build();
     let report = gps.interactive_with_validation(MOTIVATING_QUERY).unwrap();
     assert!(report.goal_reached);
     assert!(report.consistent_with_labels);
@@ -82,10 +81,10 @@ fn s3_with_validation_recovers_goals_on_generated_transport_networks() {
     // networks and goal queries.
     for seed in [1u64, 2, 3] {
         let net = generate(&TransportConfig::with_neighborhoods(25, seed));
-        let gps = Gps::new(net.graph.clone());
+        let gps = Engine::builder(net.graph).build();
         for goal_syntax in ["cinema", "(tram+bus)*.cinema"] {
-            let goal = PathQuery::parse(goal_syntax, net.graph.labels()).unwrap();
-            if goal.evaluate(&net.graph).is_empty() {
+            let goal = gps.parse_query(goal_syntax).unwrap();
+            if goal.evaluate(gps.snapshot()).is_empty() {
                 continue;
             }
             let report = gps.interactive_with_validation(goal_syntax).unwrap();
@@ -101,7 +100,7 @@ fn s3_with_validation_recovers_goals_on_generated_transport_networks() {
 #[test]
 fn s2_and_s3_use_comparable_numbers_of_interactions() {
     let (graph, _) = figure1_graph();
-    let gps = Gps::new(graph);
+    let gps = Engine::builder(graph).build();
     let without = gps
         .interactive_without_validation(MOTIVATING_QUERY)
         .unwrap();

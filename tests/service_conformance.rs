@@ -102,9 +102,10 @@ fn session_config() -> SessionConfig {
 }
 
 /// The sequential reference: one bare session per goal, run one after the
-/// other, each with its own private naive evaluation stack on the adjacency
-/// backend — the single-user shape of the original system.
+/// other, each with its own private naive evaluation stack on a snapshot of
+/// `graph` — the single-user shape of the original system.
 fn sequential_reference(graph: &Graph, goals: &[String]) -> Vec<SessionFingerprint> {
+    let graph = &CsrGraph::from_graph(graph);
     goals
         .iter()
         .map(|goal| {

@@ -6,8 +6,8 @@
 //! learned query, the collected examples, the halt reason and the pruning
 //! trajectory.  This suite replays the same specification task through
 //!
-//! * the reference path: `Session::new` + `SimulatedUser::new` on the
-//!   mutable adjacency backend (private naive evaluation stack), and
+//! * the reference path: `Session::new` + `SimulatedUser::new` on a
+//!   separate snapshot of the graph (private naive evaluation stack), and
 //! * the engine path, with the session, user, learner and pruning all
 //!   sharing the engine's evaluation stack via [`EvalHandle`],
 //!
@@ -95,8 +95,9 @@ fn config(with_validation: bool) -> SessionConfig {
     }
 }
 
-/// The reference run: bare `Session::new` on the adjacency backend.
+/// The reference run: bare `Session::new` on a snapshot of its own.
 fn run_reference(graph: &Graph, syntax: &str, config: SessionConfig) -> SessionOutcome {
+    let graph = &CsrGraph::from_graph(graph);
     let goal = PathQuery::parse(syntax, graph.labels()).unwrap();
     let mut user = SimulatedUser::new(goal.clone(), graph);
     let mut session = Session::new(graph, config);
