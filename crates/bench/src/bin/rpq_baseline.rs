@@ -2,7 +2,7 @@
 //!
 //! The numbers a user of the system feels are measured by the `benchmark/`
 //! package (seeded workloads, ten-pairs protocol, `BENCH_history.jsonl`).
-//! This binary only holds ten ratios no workload there can express — two
+//! This binary only holds eleven ratios no workload there can express — two
 //! shapes of the same work timed side by side in one process — and exits
 //! non-zero, with one `SMOKE FAILURE:` line per broken floor, when one of
 //! them crosses its bound:
@@ -19,6 +19,7 @@
 //! | 8 | `scale-free-2000-telemetry` | `telemetry-enabled` ≥ 0.95× `telemetry-disabled`, median of per-round ratios |
 //! | 9 | `scale-free-100k` | the slower of `resume-insert` / `resume-delete` ≥ 20× `eval-cold` |
 //! | 10 | `scale-free-100k` | streamed corpus build peak heap < 0.9× the Graph-then-compact peak |
+//! | 11 | `scale-free-100k` | `index-patch` (`BatchEvaluator::apply_delta` of the 6-edge insert) ≤ `PATCH_BOUND`× `index-build` (`BatchEvaluator::from_csr` of the patched snapshot) |
 //!
 //! Samples of the compared shapes are interleaved round-robin so clock or
 //! thermal drift cannot bias a comparison one way; the floors that compare
@@ -294,6 +295,12 @@ fn sample_group<const N: usize>(
     }
     series
 }
+
+/// Floor 11's bound on `index-patch / index-build`.  A patch that rebuilds
+/// the touched label partitions whole read 0.084-0.089 here (1.6 ms against
+/// 18 ms), one that rebuilds only their touched chunks 0.002 (60 us against
+/// 26 ms).
+const PATCH_BOUND: f64 = 0.02;
 
 /// Rounds of the calibrated or hand-timed 2k groups (floors 2, 5, 6, 7).
 const ROUNDS: usize = 4;
@@ -769,7 +776,7 @@ fn telemetry_floor(graph: &Graph, goals: &[String]) -> Floor {
     Floor::of_pairs("scale-free-2000-telemetry", &off, &on, AtLeast(0.95))
 }
 
-/// Floors 10 and 9, on a 4-edges-per-node, 8-label scale-free corpus of
+/// Floors 10, 9 and 11, on a 4-edges-per-node, 8-label scale-free corpus of
 /// 100k nodes.
 ///
 /// * The streamed `CsrGraph` builder vs. materializing the mutable `Graph`
@@ -785,7 +792,12 @@ fn telemetry_floor(graph: &Graph, goals: &[String]) -> Floor {
 ///   the graph: the slower of the two resumes must beat it by 20x (measured:
 ///   90-105x here, 0.36-0.54 ms against 3.3-5.3 us; a resume that copies or
 ///   scans per node again lands near 1x).
-fn scale_floors() -> [Floor; 2] {
+/// * Patching the evaluator's label index and planner statistics through
+///   that 6-edge insert (`BatchEvaluator::apply_delta`, what a publish
+///   runs) vs. building both from scratch over the patched snapshot
+///   (`BatchEvaluator::from_csr`): a patch rebuilds only the index chunks
+///   the delta touches, so it must stay under [`PATCH_BOUND`] of a build.
+fn scale_floors() -> [Floor; 3] {
     const GROUP: &str = "scale-free-100k";
     let config = ScaleFreeConfig {
         nodes: 100_000,
@@ -913,7 +925,24 @@ fn scale_floors() -> [Floor; 2] {
             "ratio of means, {cold:.0} ns cold vs {insert:.0} / {delete:.0} ns resumed"
         ),
     };
-    [peaks, resume]
+
+    // The same 6-edge insert, as the label-index patch a publish runs
+    // against indexing the patched snapshot from scratch.
+    let mut run_patch = || {
+        black_box(base_eval.apply_delta(&inserted, &insert_delta));
+    };
+    let mut run_build = || {
+        black_box(BatchEvaluator::from_csr(&inserted));
+    };
+    let [patch, build] = bench_group(
+        5,
+        [
+            ("index-patch", &mut run_patch),
+            ("index-build", &mut run_build),
+        ],
+    );
+    let patch = Floor::of_means(GROUP, &patch, &build, AtMost(PATCH_BOUND));
+    [peaks, resume, patch]
 }
 
 fn main() {

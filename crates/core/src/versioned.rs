@@ -557,10 +557,14 @@ impl VersionedStore {
     pub fn pin_latest(&self) -> EngineCore {
         let mut epochs = self.epochs.lock();
         let core = self.latest.read().clone();
-        epochs
-            .get_mut(&core.epoch())
-            .expect("the latest epoch is always registered")
-            .pins += 1;
+        // The latest epoch is always registered (publish swaps `latest` and
+        // inserts its slot under this lock), so the entry is always occupied;
+        // registering it here otherwise keeps the pin path panic-free.
+        let slot = epochs.entry(core.epoch()).or_insert_with(|| EpochSlot {
+            core: core.clone(),
+            pins: 0,
+        });
+        slot.pins += 1;
         core
     }
 

@@ -21,7 +21,7 @@ use crate::planner::{self, Plan, PlanDecision, PlannerConfig};
 use gps_automata::Dfa;
 use gps_graph::{CsrGraph, GraphDelta, LabelStats, NodeId, Path};
 use gps_rpq::{DfaEvaluator, EvalResume, PathQuery, QueryAnswer};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, TryLockError};
 
 /// A frontier-based batch evaluator bound to one graph snapshot.
 ///
@@ -34,6 +34,13 @@ pub struct BatchEvaluator {
     stats: LabelStats,
     plan_override: Option<Plan>,
     metrics: ExecMetrics,
+    /// The per-state bitsets and support counters evaluations sweep in,
+    /// kept between calls — by every clone and across
+    /// [`apply_delta`](Self::apply_delta) — so a cold evaluation reuses
+    /// memory that is already mapped instead of allocating and faulting in
+    /// megabytes per call at a million nodes.  A caller that finds it busy
+    /// (another thread mid-evaluation) sweeps in a fresh one.
+    scratch: Arc<Mutex<Scratch>>,
 }
 
 impl BatchEvaluator {
@@ -57,26 +64,30 @@ impl BatchEvaluator {
             stats,
             plan_override: None,
             metrics: ExecMetrics::disabled(),
+            scratch: Arc::default(),
         }
     }
 
     /// Builds the next epoch's evaluator after a graph update: the label
-    /// index is patched ([`LabelIndex::apply_delta`] — untouched partitions
-    /// are shared, not copied) and the planner statistics are derived from
-    /// the patched partitions, with every knob carried over.  `csr` is the
-    /// compacted snapshot the delta produced.
+    /// index is patched ([`LabelIndex::apply_delta`] — untouched partitions,
+    /// and the untouched chunks of touched ones, are shared, not copied) and
+    /// the planner statistics are derived from the patched partitions, with
+    /// every knob carried over.  `csr` is the compacted snapshot the delta
+    /// produced.  Both steps are one `gps_exec_index_build_ns` sample: the
+    /// interval a publish's `index_patch` phase times too.
     pub fn apply_delta(&self, csr: &CsrGraph, delta: &GraphDelta) -> Self {
         let started = std::time::Instant::now();
         let index = self
             .index
             .apply_delta(delta, csr.node_count(), csr.label_count());
-        self.metrics.index_build.record_duration(started.elapsed());
         let stats = index.patched_stats(&self.stats, &delta.touched_labels());
+        self.metrics.index_build.record_duration(started.elapsed());
         Self {
             index: Arc::new(index),
             stats,
             plan_override: self.plan_override,
             metrics: self.metrics.clone(),
+            scratch: Arc::clone(&self.scratch),
         }
     }
 
@@ -139,9 +150,21 @@ impl BatchEvaluator {
         decision
     }
 
-    /// Evaluates one compiled DFA (fresh scratch).
+    /// Evaluates one compiled DFA.
     pub fn evaluate(&self, dfa: &Dfa) -> QueryAnswer {
-        self.evaluate_scratch(dfa, &mut Scratch::default())
+        self.with_scratch(|scratch| self.evaluate_scratch(dfa, scratch))
+    }
+
+    /// Runs `sweep` in the shared scratch, or in a fresh one while another
+    /// caller holds it.
+    fn with_scratch<R>(&self, sweep: impl FnOnce(&mut Scratch) -> R) -> R {
+        match self.scratch.try_lock() {
+            Ok(mut scratch) => sweep(&mut scratch),
+            // `prepare` resets every bit and counter, so a scratch a
+            // panicking sweep left behind is as good as any.
+            Err(TryLockError::Poisoned(poisoned)) => sweep(&mut poisoned.into_inner()),
+            Err(TryLockError::WouldBlock) => sweep(&mut Scratch::default()),
+        }
     }
 
     /// Evaluates one parsed query.
@@ -181,10 +204,11 @@ impl BatchEvaluator {
     /// Evaluates a batch sequentially, sharing one scratch allocation across
     /// all queries (answers in input order).
     pub fn evaluate_many(&self, dfas: &[&Dfa]) -> Vec<QueryAnswer> {
-        let mut scratch = Scratch::default();
-        dfas.iter()
-            .map(|dfa| self.evaluate_scratch(dfa, &mut scratch))
-            .collect()
+        self.with_scratch(|scratch| {
+            dfas.iter()
+                .map(|dfa| self.evaluate_scratch(dfa, scratch))
+                .collect()
+        })
     }
 
     /// Forward early-exit membership check for one node.
@@ -203,14 +227,15 @@ impl DfaEvaluator for BatchEvaluator {
     }
 
     fn evaluate_dfa_captured(&self, dfa: &Dfa) -> (QueryAnswer, Option<EvalResume>) {
-        self.evaluate_captured_scratch(dfa, &mut Scratch::default())
+        self.with_scratch(|scratch| self.evaluate_captured_scratch(dfa, scratch))
     }
 
     fn evaluate_dfas_captured(&self, dfas: &[&Dfa]) -> Vec<(QueryAnswer, Option<EvalResume>)> {
-        let mut scratch = Scratch::default();
-        dfas.iter()
-            .map(|dfa| self.evaluate_captured_scratch(dfa, &mut scratch))
-            .collect()
+        self.with_scratch(|scratch| {
+            dfas.iter()
+                .map(|dfa| self.evaluate_captured_scratch(dfa, scratch))
+                .collect()
+        })
     }
 
     fn evaluate_dfa_resumed(

@@ -18,8 +18,9 @@
 //! [`Plan::Bidirectional`] re-picks the cheaper mode every round from the
 //! estimated frontier/dead edge volumes, mirroring direction-optimizing BFS.
 //! Either way a round walks `node set & occupancy words` of the label
-//! partition it expands through ([`LabelIndex::rows`]), so it never looks up
-//! a row the label has nothing in.
+//! partition it expands through ([`LabelIndex::rows`]) chunk by chunk — one
+//! chunk lookup, then a word-masked loop over the chunk's rows — so it never
+//! looks up a row the label has nothing in.
 //!
 //! Two entry points, two working sets.  A **cold** evaluation
 //! ([`evaluate_with`] and friends) sweeps dense per-state bitsets in a
@@ -34,7 +35,7 @@
 //! configurations a [`GraphDelta`] can change.
 
 use crate::bitset::{word_ones, FixedBitSet};
-use crate::index::{Direction, LabelIndex};
+use crate::index::{Direction, LabelIndex, CHUNK_ROWS, CHUNK_WORDS};
 use crate::planner::Plan;
 use gps_automata::Dfa;
 use gps_graph::{GraphDelta, LabelId, NodeId, Path};
@@ -139,8 +140,8 @@ pub fn evaluate_captured(
 /// Calls `visit(p, sources)` with the `a`-predecessor row of `u` for every
 /// DFA transition `p --a--> q` and every `u` in `from[q]` that has one: each
 /// entry `w` of such a row is one derivation of configuration `(w, p)` from
-/// `(u, q)`.  Walks `from[q] & occupied(Reverse, a)` word by word, so the
-/// rows a label has nothing in are never looked up.
+/// `(u, q)`.  Walks `from[q] & occupied(Reverse, a)` chunk by chunk, word by
+/// word, so the rows a label has nothing in are never looked up.
 #[inline]
 fn for_each_derivation(
     index: &LabelIndex,
@@ -153,11 +154,15 @@ fn for_each_derivation(
             continue;
         }
         for &(label, p) in transitions {
-            let rows = index.rows(Direction::Reverse, label);
-            let masked = from.as_words().iter().zip(rows.occupied());
-            for (i, (&set, &occupied)) in masked.enumerate() {
-                for u in word_ones(i, set & occupied) {
-                    visit(p, rows.of(u));
+            let chunks = index.rows(Direction::Reverse, label).chunks();
+            for (chunk, words) in chunks.iter().zip(from.as_words().chunks(CHUNK_WORDS)) {
+                if chunk.is_empty() {
+                    continue;
+                }
+                for (i, (&set, &occupied)) in words.iter().zip(chunk.occupied()).enumerate() {
+                    for row in word_ones(i, set & occupied) {
+                        visit(p, chunk.row(row));
+                    }
                 }
             }
         }
@@ -272,15 +277,26 @@ fn fixed_point<const CAPTURE: bool>(
         if pull {
             // Jacobi round: read `alive`, stage discoveries in `next`.  Per
             // transition, only the still-dead nodes that have an edge under
-            // its label are looked at.
+            // its label are looked at, chunk by chunk.
             for (p, transitions) in fwd_dfa.iter().enumerate() {
                 for &(label, q) in transitions {
-                    let rows = index.rows(Direction::Forward, label);
-                    for (i, &occupied) in rows.occupied().iter().enumerate() {
-                        let found = alive[p].as_words()[i] | next[p].as_words()[i];
-                        for w in word_ones(i, occupied & !found) {
-                            if rows.of(w).iter().any(|&u| alive[q].contains(u as usize)) {
-                                next[p].insert(w);
+                    let chunks = index.rows(Direction::Forward, label).chunks();
+                    for (c, chunk) in chunks.iter().enumerate() {
+                        if chunk.is_empty() {
+                            continue;
+                        }
+                        let first = c * CHUNK_WORDS;
+                        for (i, &occupied) in chunk.occupied().iter().enumerate() {
+                            let found =
+                                alive[p].as_words()[first + i] | next[p].as_words()[first + i];
+                            for row in word_ones(i, occupied & !found) {
+                                if chunk
+                                    .row(row)
+                                    .iter()
+                                    .any(|&u| alive[q].contains(u as usize))
+                                {
+                                    next[p].insert(c * CHUNK_ROWS + row);
+                                }
                             }
                         }
                     }

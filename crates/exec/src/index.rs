@@ -17,34 +17,76 @@
 //! expands and looks up only the rows behind the surviving bits, instead of
 //! one [`LabelIndex::neighbors`] call per node of the set.
 //!
+//! ## Chunks
+//!
+//! Each partition is cut into fixed node ranges of [`CHUNK_ROWS`] rows, each
+//! a [`RowChunk`] behind an [`Arc`]: chunk-local offsets, the chunk's
+//! neighbors, its occupancy words and its largest row.  `CHUNK_ROWS` is a
+//! multiple of 64, so the occupancy words of chunk `c` line up with words
+//! `c * CHUNK_ROWS / 64 ..` of a node set's [`FixedBitSet`]: a sweep walks
+//! chunk-major — one chunk lookup, then the same word-masked loop over the
+//! chunk's words and local offsets a flat partition would run — and a point
+//! lookup is one shift and one mask.  A node range in which a label has no
+//! edge is one all-empty chunk that every partition shares.
+//!
 //! ## Across epochs
 //!
 //! The per-(direction, label) partitions are individually `Arc`-shared, so
 //! [`LabelIndex::apply_delta`] hands the labels an update does not touch to
-//! the next epoch by pointer.  A touched partition is *spliced*, the same way
-//! the snapshot is compacted ([`gps_graph::splice::RowSplice`]): the delta's
-//! edges of that label are sorted by the partition's row endpoint, the
-//! neighbor stretches between consecutive touched rows are copied with
-//! `extend_from_slice`, the offsets are the old ones plus a running shift,
-//! and only the touched rows are rewritten: a removal takes the neighbor's
-//! first occurrence; an addition goes last in a forward row (edge order) and
-//! after the last entry from its source or a lower one in a reverse row
-//! (the order a forward scan of the snapshot meets the sources in).  The
-//! occupancy words ride along at a bit per node: the old words copied,
-//! zero-extended to the new node count, and one bit set or cleared per
-//! touched row from the row's new length — never a rebuild from the offsets,
-//! which would put an O(n) scan per touched partition and direction on the
-//! publish path.  An untouched partition shared from before nodes were added
-//! simply has fewer words: the rows it does not cover are empty.  The
-//! planner statistics of a touched label come from one fused sweep over the
-//! new offsets.  The layout a reader sweeps is exactly what a fresh build
-//! produces, byte for byte.
+//! the next epoch by pointer.  A touched partition clones its chunk-pointer
+//! table and rebuilds only the chunks holding a touched row, plus the tail
+//! chunk when nodes were added; every other chunk stays shared by pointer,
+//! so a four-edge delta costs a few chunks and one pointer copy per chunk,
+//! not a pass over the partition's rows.  Inside a chunk the rebuild is a
+//! *splice*, the same way the snapshot is compacted
+//! ([`gps_graph::splice::RowSplice`]): the delta's edges of that label are
+//! sorted by row, the neighbor stretches between consecutive touched rows
+//! are copied with `extend_from_slice`, the chunk-local offsets are the old
+//! ones plus a running shift, and only the touched rows are rewritten: a
+//! removal takes the neighbor's first occurrence; an addition goes last in a
+//! forward row (edge order) and after the last entry from its source or a
+//! lower one in a reverse row (the order a forward scan of the snapshot
+//! meets the sources in).  The rebuilt chunk's occupancy words and largest
+//! row come from one sweep over its own offsets.  An untouched partition
+//! shared from before nodes were added simply covers fewer rows: the rows it
+//! does not cover are empty.  The planner statistics of a touched label are
+//! folded from its chunks' summaries.  The layout a reader sweeps is exactly
+//! what a fresh build produces, chunk for chunk.
+//!
+//! [`FixedBitSet`]: crate::FixedBitSet
 
 use crate::bitset::WORD_BITS;
 use gps_graph::splice::RowSplice;
 use gps_graph::{CsrGraph, Edge, GraphDelta, LabelId, LabelStat, LabelStats, NodeId};
 use std::collections::{BTreeMap, BTreeSet};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
+
+/// Rows per label-index chunk: the unit a publish copies.  A power of two,
+/// so a row lookup is a shift and a mask, and a multiple of 64, so a chunk's
+/// occupancy words are whole words of a node set.
+///
+/// Chosen by a sweep at 1M nodes / 4M edges (2-core x86-64 Linux): the
+/// median index patch of a 4-op publish over three traced `publish-1m`
+/// runs, and the cold evaluation of the same 24 queries run alternately on
+/// this index and on unchunked partitions in one process, caches evicted
+/// before each run (`eval_cold_p50_ms` itself spread 12.7–17.4 ms across
+/// runs of one build, wider than any difference between sizes):
+///
+/// | rows | index patch | cold evaluation vs unchunked |
+/// |---|---|---|
+/// | 1,024 | 0.41 ms | +3.3% |
+/// | 4,096 | 0.31 ms | +0.9% |
+/// | 16,384 | 0.54 ms | +2.1% |
+///
+/// The unchunked partitions' patch read 11.5 ms.
+pub const CHUNK_ROWS: usize = 4096;
+
+/// Occupancy words per full chunk.
+pub(crate) const CHUNK_WORDS: usize = CHUNK_ROWS / WORD_BITS;
+
+const CHUNK_SHIFT: u32 = CHUNK_ROWS.trailing_zeros();
+
+const _: () = assert!(CHUNK_ROWS.is_power_of_two() && CHUNK_ROWS.is_multiple_of(WORD_BITS));
 
 /// Expansion direction through the index.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -55,99 +97,94 @@ pub enum Direction {
     Reverse,
 }
 
-/// One label's CSR in one direction: the neighbors of `node` live at
-/// `neighbors[offsets[node] .. offsets[node+1]]`.  Nodes beyond
-/// `offsets.len() - 1` (inserted after the partition was built) have no
-/// neighbors under this label — the bounds check in
-/// [`Rows::of`] makes stale coverage safe, which is what lets
-/// [`LabelIndex::apply_delta`] share untouched partitions across epochs.
+/// The rows of chunk `chunk` of a partition covering `node_count` nodes.
+fn chunk_rows(chunk: usize, node_count: usize) -> usize {
+    (node_count - chunk * CHUNK_ROWS).min(CHUNK_ROWS)
+}
+
+/// [`CHUNK_ROWS`] consecutive rows of one label's partition in one direction
+/// (fewer in the last chunk): the neighbors of local row `r` live at
+/// `neighbors[offsets[r] .. offsets[r + 1]]`.
 ///
-/// `occupied` holds one bit per covered row, set iff the row is non-empty:
-/// a sweep ANDs it with the node set it is about to expand and never looks
-/// up the (many) rows this label has nothing in.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-struct Partition {
+/// `occupied` holds one bit per row, set iff the row is non-empty: a sweep
+/// ANDs it with the node set it is about to expand and never looks up the
+/// (many) rows this label has nothing in.  `max_degree` is the largest row;
+/// with the popcount of `occupied` it is what a label's planner statistics
+/// are folded from.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct RowChunk {
     offsets: Vec<u32>,
     neighbors: Vec<u32>,
     occupied: Vec<u64>,
+    max_degree: u32,
 }
 
-/// The occupancy words of `offsets`: bit `v` set iff row `v` is non-empty.
-fn occupancy(offsets: &[u32]) -> Vec<u64> {
-    let rows = offsets.len().saturating_sub(1);
-    (0..rows.div_ceil(WORD_BITS))
-        .map(|word| {
-            let first = word * WORD_BITS;
-            let last = (first + WORD_BITS).min(rows);
-            let degrees = offsets[first..=last].windows(2);
-            degrees.enumerate().fold(0u64, |bits, (bit, w)| {
-                bits | (u64::from(w[1] > w[0]) << bit)
-            })
-        })
-        .collect()
-}
-
-impl Partition {
-    /// Builds one label's partition from its `(from, to)` pairs.
-    fn build(node_count: usize, edges: &[(u32, u32)]) -> Self {
-        let mut offsets = vec![0u32; node_count + 2];
-        // Count one slot ahead so the prefix sum leaves offsets[node] = start.
-        for &(from, _) in edges {
-            offsets[from as usize + 1] += 1;
-        }
-        for i in 1..offsets.len() {
-            offsets[i] += offsets[i - 1];
-        }
-        offsets.truncate(node_count + 1);
-        let mut neighbors = vec![0u32; edges.len()];
-        let mut cursor = offsets.clone();
-        for &(from, to) in edges {
-            let slot = &mut cursor[from as usize];
-            neighbors[*slot as usize] = to;
-            *slot += 1;
+impl RowChunk {
+    /// Wraps `rows + 1` chunk-local offsets and the neighbors they index,
+    /// deriving the occupancy words and the largest row in one sweep.
+    fn new(offsets: Vec<u32>, neighbors: Vec<u32>) -> Self {
+        debug_assert_eq!(offsets.last().map(|&o| o as usize), Some(neighbors.len()));
+        let rows = offsets.len() - 1;
+        let mut occupied = vec![0u64; rows.div_ceil(WORD_BITS)];
+        let mut max_degree = 0;
+        for (row, w) in offsets.windows(2).enumerate() {
+            let degree = w[1] - w[0];
+            max_degree = max_degree.max(degree);
+            occupied[row / WORD_BITS] |= u64::from(degree > 0) << (row % WORD_BITS);
         }
         Self {
-            occupied: occupancy(&offsets),
             offsets,
             neighbors,
+            occupied,
+            max_degree,
         }
     }
 
-    /// An empty partition covering `node_count` nodes.
-    fn empty(node_count: usize) -> Self {
-        Self {
-            offsets: vec![0u32; node_count + 1],
-            neighbors: Vec::new(),
-            occupied: vec![0u64; node_count.div_ceil(WORD_BITS)],
-        }
+    /// The number of rows this chunk covers.
+    pub fn rows(&self) -> usize {
+        self.offsets.len() - 1
     }
 
-    /// Rebuilds this partition with `removals` and `additions` applied — both
-    /// `(row, neighbor)` pairs sorted by row, in delta order within a row —
-    /// to exactly what a fresh build over the merged adjacency produces.
+    /// Whether no row of this chunk has a neighbor.
+    pub fn is_empty(&self) -> bool {
+        self.neighbors.is_empty()
+    }
+
+    /// Bit `r % 64` of word `r / 64` is set iff local row `r` is non-empty.
+    pub fn occupied(&self) -> &[u64] {
+        &self.occupied
+    }
+
+    /// The neighbors of local row `row`.
+    ///
+    /// # Panics
+    /// Panics if `row` is not below [`rows`](Self::rows).
+    pub fn row(&self, row: usize) -> &[u32] {
+        &self.neighbors[self.offsets[row] as usize..self.offsets[row + 1] as usize]
+    }
+
+    /// Rebuilds `old` — the chunk whose first row is `first`, `None` when
+    /// the old partition did not cover it — over `rows` rows with `removals`
+    /// and `additions` applied: both `(row, neighbor)` pairs inside this
+    /// chunk, sorted by row, in delta order within a row.  The result is
+    /// exactly what a fresh build over the merged adjacency produces.
     /// Removal takes a neighbor's first occurrence.  A forward row lists
     /// targets in edge order, so additions go last; a reverse row lists
     /// sources in the order a forward scan of the snapshot meets them
     /// (ascending, a source's own edges in edge order), so an addition goes
     /// right after the last entry from its source or a lower one.  Untouched
     /// stretches are bulk copies (see the [module docs](self)); rows the old
-    /// partition does not cover yet start empty.  The occupancy words are the
-    /// old ones with one bit rewritten per touched row, not a rescan of the
-    /// offsets.
+    /// chunk does not cover yet start empty.
     fn patched(
-        old: Option<&Partition>,
+        old: Option<&RowChunk>,
         direction: Direction,
-        node_count: usize,
+        first: usize,
+        rows: usize,
         removals: &[(u32, u32)],
         additions: &[(u32, u32)],
     ) -> Self {
-        let (old_offsets, old_neighbors, old_occupied) = old
-            .map_or((&[][..], &[][..], &[][..]), |p| {
-                (&p.offsets[..], &p.neighbors[..], &p.occupied[..])
-            });
-        let mut occupied = Vec::with_capacity(node_count.div_ceil(WORD_BITS));
-        occupied.extend_from_slice(old_occupied);
-        occupied.resize(node_count.div_ceil(WORD_BITS), 0);
+        let (old_offsets, old_neighbors) =
+            old.map_or((&[][..], &[][..]), |c| (&c.offsets[..], &c.neighbors[..]));
         let mut neighbors = Vec::with_capacity(
             (old_neighbors.len() + additions.len()).saturating_sub(removals.len()),
         );
@@ -158,10 +195,10 @@ impl Partition {
             .flatten()
             .min()
         {
-            let (before, own) = splice.seek(row as usize);
+            let (before, own) = splice.seek(row as usize - first);
             neighbors.extend_from_slice(&old_neighbors[before]);
             let start = neighbors.len();
-            let removed = take_row(&mut removals, row);
+            let removed = take_below(&mut removals, row as usize + 1);
             if removed.is_empty() {
                 neighbors.extend_from_slice(&old_neighbors[own]);
             } else {
@@ -175,7 +212,7 @@ impl Partition {
                     }
                 }
             }
-            for &(_, to) in take_row(&mut additions, row) {
+            for &(_, to) in take_below(&mut additions, row as usize + 1) {
                 let at = match direction {
                     Direction::Forward => neighbors.len(),
                     Direction::Reverse => {
@@ -184,45 +221,165 @@ impl Partition {
                 };
                 neighbors.insert(at, to);
             }
-            let len = neighbors.len() - start;
-            splice.set_len(len);
-            let (word, bit) = (row as usize / WORD_BITS, 1u64 << (row as usize % WORD_BITS));
-            if len > 0 {
-                occupied[word] |= bit;
-            } else {
-                occupied[word] &= !bit;
-            }
+            splice.set_len(neighbors.len() - start);
         }
-        let (rest, offsets) = splice.finish(node_count);
+        let (rest, offsets) = splice.finish(rows);
         neighbors.extend_from_slice(&old_neighbors[rest]);
-        debug_assert_eq!(occupied, occupancy(&offsets));
-        Self {
-            offsets,
-            neighbors,
-            occupied,
-        }
+        Self::new(offsets, neighbors)
     }
 
     fn memory_bytes(&self) -> usize {
         (self.offsets.len() + self.neighbors.len()) * std::mem::size_of::<u32>()
             + self.occupied.len() * std::mem::size_of::<u64>()
     }
+}
 
-    /// The largest row and the number of non-empty rows, in one sweep.
-    fn degree_summary(&self) -> (usize, usize) {
-        let (mut max, mut occupied) = (0u32, 0usize);
-        for w in self.offsets.windows(2) {
-            let degree = w[1] - w[0];
-            max = max.max(degree);
-            occupied += (degree > 0) as usize;
-        }
-        (max as usize, occupied)
+/// An all-empty chunk of `rows` rows.  Every full-size one is the same
+/// allocation, shared by every partition of every index.
+fn empty_chunk(rows: usize) -> Arc<RowChunk> {
+    static FULL: OnceLock<Arc<RowChunk>> = OnceLock::new();
+    let empty = || RowChunk::new(vec![0; rows + 1], Vec::new());
+    if rows == CHUNK_ROWS {
+        Arc::clone(FULL.get_or_init(|| Arc::new(empty())))
+    } else {
+        Arc::new(empty())
     }
 }
 
-/// Splits off the leading pairs of `pairs` whose row is `row`.
-fn take_row<'a>(pairs: &mut &'a [(u32, u32)], row: u32) -> &'a [(u32, u32)] {
-    let len = pairs.iter().take_while(|&&(r, _)| r == row).count();
+/// `chunk` behind an [`Arc`] — the shared empty chunk when it has no edge.
+fn shared(chunk: RowChunk) -> Arc<RowChunk> {
+    if chunk.is_empty() {
+        empty_chunk(chunk.rows())
+    } else {
+        Arc::new(chunk)
+    }
+}
+
+/// One label's CSR in one direction, as a table of [`RowChunk`]s: chunk `c`
+/// holds rows `c * CHUNK_ROWS ..`, and every chunk but the last holds
+/// exactly [`CHUNK_ROWS`].  Nodes past the last chunk's rows (inserted after
+/// the partition was built) have no neighbors under this label — the bounds
+/// check in [`Rows::of`] makes stale coverage safe, which is what lets
+/// [`LabelIndex::apply_delta`] share untouched partitions across epochs.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+struct Partition {
+    chunks: Vec<Arc<RowChunk>>,
+}
+
+impl Partition {
+    /// Builds one label's partition from its `(from, to)` pairs, writing
+    /// each pair straight into its chunk (a row keeps the pairs' order).
+    fn build(node_count: usize, edges: &[(u32, u32)]) -> Self {
+        let locate = |from: u32| (from as usize >> CHUNK_SHIFT, from as usize % CHUNK_ROWS);
+        let mut lens = vec![0usize; node_count.div_ceil(CHUNK_ROWS)];
+        for &(from, _) in edges {
+            lens[locate(from).0] += 1;
+        }
+        // Only chunks with edges get offsets.  Until every pair is placed,
+        // `offsets[c][r + 1]` is the next free slot of local row `r` (it
+        // starts at the row's first slot and ends at its end).
+        let mut offsets: Vec<Vec<u32>> = lens
+            .iter()
+            .enumerate()
+            .map(|(c, &len)| match len {
+                0 => Vec::new(),
+                _ => vec![0; chunk_rows(c, node_count) + 1],
+            })
+            .collect();
+        for &(from, _) in edges {
+            let (c, r) = locate(from);
+            offsets[c][r + 1] += 1;
+        }
+        for rows in &mut offsets {
+            let mut start = 0;
+            for slot in rows.iter_mut().skip(1) {
+                let degree = *slot;
+                *slot = start;
+                start += degree;
+            }
+        }
+        let mut neighbors: Vec<Vec<u32>> = lens.iter().map(|&len| vec![0; len]).collect();
+        for &(from, to) in edges {
+            let (c, r) = locate(from);
+            let slot = &mut offsets[c][r + 1];
+            neighbors[c][*slot as usize] = to;
+            *slot += 1;
+        }
+        let chunks = offsets.into_iter().zip(neighbors).enumerate();
+        Self {
+            chunks: chunks
+                .map(|(c, (offsets, neighbors))| match neighbors.len() {
+                    0 => empty_chunk(chunk_rows(c, node_count)),
+                    _ => Arc::new(RowChunk::new(offsets, neighbors)),
+                })
+                .collect(),
+        }
+    }
+
+    /// An empty partition covering `node_count` nodes.
+    fn empty(node_count: usize) -> Self {
+        Self::build(node_count, &[])
+    }
+
+    /// This partition with `removals` and `additions` applied (both
+    /// `(row, neighbor)` pairs sorted by row, in delta order within a row),
+    /// covering `node_count` nodes: a copy of the chunk-pointer table in
+    /// which only the chunks holding a touched row, and the tail chunk when
+    /// it grew, are rebuilt ([`RowChunk::patched`]).
+    fn patched(
+        old: Option<&Partition>,
+        direction: Direction,
+        node_count: usize,
+        removals: &[(u32, u32)],
+        additions: &[(u32, u32)],
+    ) -> Self {
+        let old_chunks = old.map_or(&[][..], |p| &p.chunks[..]);
+        let (mut removals, mut additions) = (removals, additions);
+        let chunks = (0..node_count.div_ceil(CHUNK_ROWS)).map(|c| {
+            let (first, rows) = (c * CHUNK_ROWS, chunk_rows(c, node_count));
+            let removed = take_below(&mut removals, first + CHUNK_ROWS);
+            let added = take_below(&mut additions, first + CHUNK_ROWS);
+            let old = old_chunks.get(c);
+            if removed.is_empty() && added.is_empty() {
+                match old {
+                    Some(old) if old.rows() == rows => return Arc::clone(old),
+                    // A tail with edges that must grow: rebuilt below.
+                    Some(old) if !old.is_empty() => {}
+                    _ => return empty_chunk(rows),
+                }
+            }
+            let chunk =
+                RowChunk::patched(old.map(|c| &**c), direction, first, rows, removed, added);
+            shared(chunk)
+        });
+        Self {
+            chunks: chunks.collect(),
+        }
+    }
+
+    /// The number of `(row, neighbor)` entries.
+    fn edge_count(&self) -> usize {
+        self.chunks.iter().map(|chunk| chunk.neighbors.len()).sum()
+    }
+
+    fn memory_bytes(&self) -> usize {
+        self.chunks.iter().map(|chunk| chunk.memory_bytes()).sum()
+    }
+
+    /// The largest row and the number of non-empty rows, folded from the
+    /// chunks' summaries.
+    fn degree_summary(&self) -> (usize, usize) {
+        self.chunks.iter().fold((0, 0), |(max, occupied), chunk| {
+            let rows: u32 = chunk.occupied.iter().map(|word| word.count_ones()).sum();
+            (max.max(chunk.max_degree as usize), occupied + rows as usize)
+        })
+    }
+}
+
+/// Splits off the leading pairs of `pairs` (sorted by row) whose row is
+/// below `end`.
+fn take_below<'a>(pairs: &mut &'a [(u32, u32)], end: usize) -> &'a [(u32, u32)] {
+    let len = pairs.partition_point(|&(row, _)| (row as usize) < end);
     let (head, tail) = pairs.split_at(len);
     *pairs = tail;
     head
@@ -282,6 +439,26 @@ struct DirIndex {
     parts: Vec<Arc<Partition>>,
 }
 
+impl DirIndex {
+    /// `(shared, new)`: how many chunks of these partitions are `base`'s
+    /// chunk at the same label and position, by pointer, and how many are
+    /// not.
+    fn shared_with(&self, base: &Self) -> (usize, usize) {
+        let mut shared = 0;
+        let mut total = 0;
+        for (label, part) in self.parts.iter().enumerate() {
+            total += part.chunks.len();
+            if let Some(theirs) = base.parts.get(label) {
+                let pairs = part.chunks.iter().zip(&theirs.chunks);
+                shared += pairs
+                    .filter(|(mine, theirs)| Arc::ptr_eq(mine, theirs))
+                    .count();
+            }
+        }
+        (shared, total - shared)
+    }
+}
+
 /// The edge set bucketed per label in both directions, in edge-stream order
 /// — the one pass a fresh [`LabelIndex`] build makes before packing each
 /// bucket into its [`Partition`].
@@ -321,8 +498,9 @@ impl Buckets {
     }
 }
 
-/// One label's rows in one direction, as a sweep reads them: the occupancy
-/// words to mask a node set with, and the rows behind the bits that survive.
+/// One label's rows in one direction, as a sweep reads them: chunk by chunk,
+/// each with the occupancy words to mask a node set with and the rows behind
+/// the bits that survive.
 ///
 /// ```
 /// use gps_exec::{Direction, LabelIndex};
@@ -334,34 +512,36 @@ impl Buckets {
 /// g.add_edge_by_name(n[1], "x", n[2]);
 /// let index = LabelIndex::from_csr(&CsrGraph::from_graph(&g));
 /// let rows = index.rows(Direction::Reverse, g.label_id("x").unwrap());
-/// assert_eq!(rows.occupied(), [0b100], "only n2 has x-predecessors");
+/// let [chunk] = rows.chunks() else {
+///     panic!("three nodes fit one chunk")
+/// };
+/// assert_eq!(chunk.occupied(), [0b100], "only n2 has x-predecessors");
+/// assert_eq!(chunk.row(2), [0, 1]);
 /// assert_eq!(rows.of(2), [0, 1]);
 /// ```
 #[derive(Debug, Clone, Copy)]
 pub struct Rows<'a> {
-    offsets: &'a [u32],
-    neighbors: &'a [u32],
-    occupied: &'a [u64],
+    chunks: &'a [Arc<RowChunk>],
 }
 
 impl<'a> Rows<'a> {
-    /// Bit `v` of word `v / 64` is set iff row `v` is non-empty.  May hold
-    /// fewer words than the graph has nodes: the rows of nodes added after
-    /// the partition was built are empty.
+    /// The chunks in node order: chunk `c` holds rows `c * CHUNK_ROWS ..`,
+    /// and its occupancy words line up with words `c * CHUNK_ROWS / 64 ..`
+    /// of a node set.  May cover fewer rows than the graph has nodes: the
+    /// rows of nodes added after the partition was built are empty.
     #[inline]
-    pub fn occupied(&self) -> &'a [u64] {
-        self.occupied
+    pub fn chunks(&self) -> &'a [Arc<RowChunk>] {
+        self.chunks
     }
 
     /// The neighbors of `node`; none for a node past the coverage.
     #[inline]
     pub fn of(&self, node: usize) -> &'a [u32] {
-        if node + 1 >= self.offsets.len() {
-            return &[];
+        let row = node % CHUNK_ROWS;
+        match self.chunks.get(node >> CHUNK_SHIFT) {
+            Some(chunk) if row < chunk.rows() => chunk.row(row),
+            _ => &[],
         }
-        let lo = self.offsets[node] as usize;
-        let hi = self.offsets[node + 1] as usize;
-        &self.neighbors[lo..hi]
     }
 }
 
@@ -369,8 +549,9 @@ impl<'a> Rows<'a> {
 ///
 /// Built once per graph and shared across every query of a batch (and across
 /// worker threads — the index is immutable after construction).  A live
-/// store does not rebuild it per epoch: [`LabelIndex::apply_delta`] patches
-/// only the label partitions an update touches and `Arc`-shares the rest
+/// store does not rebuild it per epoch: [`LabelIndex::apply_delta`] rebuilds
+/// only the chunks an update touches and `Arc`-shares the rest — whole
+/// partitions of untouched labels, and every other chunk of touched ones —
 /// with the previous epoch's index.
 #[derive(Debug, Clone, Default)]
 pub struct LabelIndex {
@@ -403,11 +584,12 @@ impl LabelIndex {
         self.label_count
     }
 
-    /// Approximate heap footprint of the index in bytes (the packed offset
-    /// and neighbor arrays of both directions).  Multi-session deployments
-    /// report this to show N sessions share **one** index allocation rather
-    /// than N copies.  Partitions `Arc`-shared with another epoch's index
-    /// are counted in full here (the figure is per-index, not per-fleet).
+    /// Approximate heap footprint of the index in bytes (the packed offset,
+    /// neighbor and occupancy arrays of both directions).  Multi-session
+    /// deployments report this to show N sessions share **one** index
+    /// allocation rather than N copies.  Chunks `Arc`-shared with another
+    /// partition or another epoch's index are counted in full here (the
+    /// figure is per-index, not per-fleet).
     pub fn memory_bytes(&self) -> usize {
         let dir = |d: &DirIndex| -> usize { d.parts.iter().map(|p| p.memory_bytes()).sum() };
         dir(&self.fwd)
@@ -434,33 +616,43 @@ impl LabelIndex {
         self.rows(direction, label).of(node)
     }
 
-    /// All of `label`'s rows in `direction` with their occupancy words —
-    /// what a whole-frontier sweep walks instead of one
+    /// All of `label`'s rows in `direction`, chunk by chunk with their
+    /// occupancy words — what a whole-frontier sweep walks instead of one
     /// [`neighbors`](Self::neighbors) lookup per node.  A label outside the
-    /// indexed alphabet has no words and no rows: nothing to sweep.
+    /// indexed alphabet has no chunks: nothing to sweep.
     #[inline]
     pub fn rows(&self, direction: Direction, label: LabelId) -> Rows<'_> {
         let dir = match direction {
             Direction::Forward => &self.fwd,
             Direction::Reverse => &self.rev,
         };
-        match dir.parts.get(label.index()) {
-            Some(part) => Rows {
-                offsets: &part.offsets,
-                neighbors: &part.neighbors,
-                occupied: &part.occupied,
-            },
-            None => Rows {
-                offsets: &[],
-                neighbors: &[],
-                occupied: &[],
-            },
+        Rows {
+            chunks: dir
+                .parts
+                .get(label.index())
+                .map_or(&[][..], |part| &part.chunks[..]),
         }
     }
 
+    /// How many chunks this index shares with `base` by pointer, per
+    /// direction: `(forward, reverse)`, each `(shared, new)` where `new`
+    /// counts this index's chunks that are not `base`'s chunk at the same
+    /// label and position (rebuilt, or past `base`'s coverage).  A publish of
+    /// a few edges over a large graph reads `new` in the single digits.  The
+    /// all-empty chunk every index shares counts as shared wherever both
+    /// indexes hold it, so a fresh build of the same graph shares exactly
+    /// its empty ranges.
+    pub fn shared_with(&self, base: &LabelIndex) -> ((usize, usize), (usize, usize)) {
+        (
+            self.fwd.shared_with(&base.fwd),
+            self.rev.shared_with(&base.rev),
+        )
+    }
+
     /// Builds the next epoch's index from this one by patching **only** the
-    /// label partitions `delta` touches; untouched labels share their packed
-    /// arrays with this index (`Arc` clone, no copy).
+    /// chunks of the label partitions `delta` touches; untouched labels, and
+    /// the untouched chunks of touched ones, are shared with this index
+    /// (`Arc` clone, no copy).
     ///
     /// `node_count` / `label_count` are the merged graph's counts (take them
     /// from the compacted snapshot).  The result is identical to
@@ -497,7 +689,7 @@ impl LabelIndex {
                     &patch.rev_removals,
                     &patch.rev_additions,
                 );
-                *slot = fwd.neighbors.len();
+                *slot = fwd.edge_count();
                 fwd_parts.push(Arc::new(fwd));
                 rev_parts.push(Arc::new(rev));
             } else if known {
@@ -506,8 +698,9 @@ impl LabelIndex {
                 *slot = self.label_edge_counts[label];
             } else {
                 // A label interned without edges: nothing to patch.
-                fwd_parts.push(Arc::new(Partition::empty(node_count)));
-                rev_parts.push(Arc::new(Partition::empty(node_count)));
+                let empty = Arc::new(Partition::empty(node_count));
+                fwd_parts.push(Arc::clone(&empty));
+                rev_parts.push(empty);
             }
         }
         LabelIndex {
@@ -521,9 +714,9 @@ impl LabelIndex {
 
     /// Derives the merged graph's [`LabelStats`] from this (already patched)
     /// index: untouched labels keep their [`LabelStat`] from `old` (only the
-    /// frequency denominator is refreshed), touched labels are recomputed
-    /// by one sweep over each of their two partitions' offsets — no sweep
-    /// over the graph's adjacency.
+    /// frequency denominator is refreshed), touched labels are folded from
+    /// the per-chunk summaries of their two partitions — one step per
+    /// chunk, no sweep over rows or over the graph's adjacency.
     pub fn patched_stats(&self, old: &LabelStats, touched: &BTreeSet<LabelId>) -> LabelStats {
         let edge_count: usize = self.label_edge_counts.iter().sum();
         let per_label = (0..self.label_count)
@@ -533,12 +726,11 @@ impl LabelIndex {
                 let mut stat = match known {
                     Some(stat) => stat.clone(),
                     None => {
-                        let fwd = self.fwd.parts[index].as_ref();
-                        let (max_out_degree, source_count) = fwd.degree_summary();
+                        let (max_out_degree, source_count) = self.fwd.parts[index].degree_summary();
                         let (max_in_degree, target_count) = self.rev.parts[index].degree_summary();
                         LabelStat {
                             label,
-                            edge_count: fwd.neighbors.len(),
+                            edge_count: self.label_edge_counts[index],
                             frequency: 0.0,
                             max_out_degree,
                             max_in_degree,
@@ -781,6 +973,36 @@ mod tests {
         CsrGraph::from_graph(&g)
     }
 
+    /// Checks that `got` — a partition shared from an older epoch, or
+    /// patched — holds exactly `want`'s chunks over the rows it covers: every
+    /// chunk it has is `want`'s, chunk content by chunk content, except that
+    /// its last chunk may stop short of `want`'s (a partition shared from
+    /// before nodes were added), and `want` holds no edge past that coverage.
+    fn assert_covers(context: &str, got: &Partition, want: &Partition) {
+        assert!(got.chunks.len() <= want.chunks.len(), "{context}: chunks");
+        let last = got.chunks.len().saturating_sub(1);
+        for (c, (got, want)) in got.chunks.iter().zip(&want.chunks).enumerate() {
+            if got.rows() == want.rows() {
+                assert_eq!(got, want, "{context}: chunk {c}");
+                continue;
+            }
+            let rows = got.rows();
+            assert!(c == last && rows < want.rows(), "{context}: chunk {c} rows");
+            assert_eq!(
+                want.offsets[rows] as usize,
+                want.neighbors.len(),
+                "{context}: chunk {c} has no edge past the shared coverage"
+            );
+            let truncated = RowChunk::new(want.offsets[..=rows].to_vec(), want.neighbors.clone());
+            assert_eq!(**got, truncated, "{context}: chunk {c}");
+        }
+        let past = &want.chunks[got.chunks.len()..];
+        assert!(
+            past.iter().all(|chunk| chunk.is_empty()),
+            "{context}: no edge past the shared coverage"
+        );
+    }
+
     /// One epoch of the index: snapshot, index, planner statistics.
     struct Epoch {
         snapshot: Arc<CsrGraph>,
@@ -800,8 +1022,10 @@ mod tests {
 
         /// Publishes `ops` and checks the patched index and statistics
         /// against a from-scratch build over the compacted snapshot: every
-        /// neighbor slice, the touched partitions' packed arrays verbatim,
-        /// the untouched ones shared by pointer.
+        /// neighbor slice, the touched partitions chunk for chunk, the
+        /// untouched ones shared by pointer, and at most one rebuilt chunk
+        /// per edge op per touched partition (plus the chunks the added
+        /// nodes reach).
         fn publish(&self, ops: &[Op], context: &str) -> Epoch {
             let mut staged = gps_graph::DeltaGraph::new(Arc::clone(&self.snapshot));
             for &op in ops {
@@ -859,21 +1083,46 @@ mod tests {
                             "{context}: untouched {side} {id:?} is shared"
                         );
                     }
-                    // Occupancy, shared or patched: the fresh build's words;
-                    // a partition shared from before nodes were added lacks
-                    // only their (all-zero) words.
-                    let (got, want) = (&got.parts[label].occupied, &want.parts[label].occupied);
-                    assert_eq!(
-                        got[..],
-                        want[..got.len()],
-                        "{context}: {side} {id:?} occupancy"
-                    );
-                    assert!(
-                        want[got.len()..].iter().all(|&word| word == 0),
-                        "{context}: {side} {id:?} occupancy past the shared coverage"
-                    );
+                    // Shared or patched: the fresh build's chunks, up to a
+                    // shared partition's older coverage.
+                    let context = format!("{context}: {side} {id:?}");
+                    assert_covers(&context, &got.parts[label], &want.parts[label]);
+                    // An edgeless full chunk is the one shared empty chunk.
+                    for (c, chunk) in got.parts[label].chunks.iter().enumerate() {
+                        if chunk.is_empty() && chunk.rows() == CHUNK_ROWS {
+                            assert!(
+                                Arc::ptr_eq(chunk, &empty_chunk(CHUNK_ROWS)),
+                                "{context}: empty chunk {c} is shared"
+                            );
+                        }
+                    }
                 }
             }
+            // Chunks replaced: per touched partition, one per edge op at
+            // most, plus its tail and every chunk past it when nodes were
+            // added since it was built; a label first seen here is new
+            // throughout.
+            let edits = ops.iter().filter(|op| !matches!(op, Node)).count();
+            let old = &self.index.fwd.parts;
+            let bound: usize = (0..labels)
+                .map(|label| match old.get(label) {
+                    None => n.div_ceil(CHUNK_ROWS),
+                    Some(_) if !touched.contains(&LabelId::from(label)) => 0,
+                    Some(part) => {
+                        let covered: usize = part.chunks.iter().map(|c| c.rows()).sum();
+                        let grown = match n > covered {
+                            true => n.div_ceil(CHUNK_ROWS) + 1 - covered.div_ceil(CHUNK_ROWS),
+                            false => 0,
+                        };
+                        edits + grown
+                    }
+                })
+                .sum();
+            let ((_, fwd_new), (_, rev_new)) = patched.shared_with(&self.index);
+            assert!(
+                fwd_new <= bound && rev_new <= bound,
+                "{context}: replaced {fwd_new} / {rev_new} chunks, at most {bound}"
+            );
             let stats = patched.patched_stats(&self.stats, &touched);
             assert_eq!(stats, LabelStats::compute(snapshot.as_ref()), "{context}");
             Epoch {
@@ -953,7 +1202,7 @@ mod tests {
         for (context, ops) in scenarios {
             let once = Epoch::fresh(&corner_base()).publish(ops, context);
             // And once more on top: partitions left stale by added nodes
-            // (shorter offsets than the node count) are a sound base.
+            // (fewer rows than the node count) are a sound base.
             once.publish(&[Node, Add(1, "y", 0), Del(4, "x", 0)], context);
         }
         // Occupancy across a word boundary: nodes added past the old
@@ -964,17 +1213,18 @@ mod tests {
         ops.extend([Add(68, "x", 0), Add(0, "x", 68), Add(68, "w", 67)]);
         let grown = Epoch::fresh(&corner_base()).publish(&ops, "past an occupancy word");
         let x = grown.snapshot.labels().get("x").expect("interned").index();
-        assert_eq!(grown.index.fwd.parts[x].occupied.len(), 2);
-        assert_eq!(grown.index.fwd.parts[x].occupied[1], 1 << (68 - 64));
+        let words =
+            |index: &LabelIndex, label: usize| index.fwd.parts[label].chunks[0].occupied.clone();
+        assert_eq!(words(&grown.index, x), [0b10101, 1 << (68 - 64)]);
         let emptied = grown.publish(&[Del(68, "x", 0)], "the far row emptied");
-        assert_eq!(emptied.index.fwd.parts[x].occupied[1], 0);
+        assert_eq!(words(&emptied.index, x)[1], 0);
         let y = emptied
             .snapshot
             .labels()
             .get("y")
             .expect("interned")
             .index();
-        assert_eq!(emptied.index.fwd.parts[y].occupied.len(), 1, "still shared");
+        assert_eq!(words(&emptied.index, y).len(), 1, "still shared");
     }
 
     #[test]
@@ -985,8 +1235,9 @@ mod tests {
         grown.publish(&[Del(1, "x", 0), Node], "then a removal");
     }
 
-    #[test]
-    fn thirty_two_chained_patches_stay_exact() {
+    /// Publishes 32 random rounds of nodes, additions and removals (drawn
+    /// from labels x/y/w) over `base`, checking every epoch.
+    fn chained_patches_stay_exact(base: &CsrGraph) {
         // Dependency-free xorshift64*: the same walk on every run.
         let mut state = 0x2545_F491_4F6C_DD1Du64;
         let mut below = |n: usize| {
@@ -996,7 +1247,7 @@ mod tests {
             (state.wrapping_mul(0x2545_F491_4F6C_DD1D) >> 33) as usize % n
         };
         const LABELS: [&str; 3] = ["x", "y", "w"];
-        let mut epoch = Epoch::fresh(&corner_base());
+        let mut epoch = Epoch::fresh(base);
         for round in 0..32 {
             let csr = Arc::clone(&epoch.snapshot);
             let mut nodes = csr.node_count();
@@ -1028,5 +1279,165 @@ mod tests {
             epoch = epoch.publish(&ops, &format!("round {round}"));
         }
         assert_eq!(epoch.snapshot.epoch(), 32);
+    }
+
+    #[test]
+    fn thirty_two_chained_patches_stay_exact() {
+        chained_patches_stay_exact(&corner_base());
+    }
+
+    // ------------------------------------------------ the chunks' corners
+
+    const R: usize = CHUNK_ROWS;
+
+    /// Three full chunks and a 37-row tail.  `x` leaves every seventh node
+    /// (parallel duplicates on node 0), `y` links the chunk edges (0,
+    /// `R - 1`, `R`, the last node) with self-loops on `R - 1` and `2R`, and
+    /// `w` lives in chunk 1 alone, in both directions.
+    fn multi_chunk_base() -> CsrGraph {
+        let n = 3 * R + 37;
+        let mut g = Graph::new();
+        let v = g.add_nodes("v", n);
+        g.add_edge_by_name(v[0], "x", v[1]);
+        for i in (0..n).step_by(7) {
+            g.add_edge_by_name(v[i], "x", v[(i * 13 + 5) % n]);
+        }
+        for (s, t) in [
+            (0, R - 1),
+            (R - 1, R),
+            (R, n - 1),
+            (n - 1, 0),
+            (R - 1, R - 1),
+            (2 * R, 2 * R),
+        ] {
+            g.add_edge_by_name(v[s], "y", v[t]);
+        }
+        g.add_edge_by_name(v[R + 1], "w", v[R + 2]);
+        g.add_edge_by_name(v[R + 2], "w", v[R + 1]);
+        CsrGraph::from_graph(&g)
+    }
+
+    #[test]
+    fn a_fresh_build_is_cut_into_chunks_with_a_partial_tail() {
+        let base = multi_chunk_base();
+        let index = LabelIndex::from_csr(&base);
+        for label in 0..index.label_count {
+            for dir in [&index.fwd, &index.rev] {
+                let rows: Vec<usize> = dir.parts[label].chunks.iter().map(|c| c.rows()).collect();
+                assert_eq!(rows, [R, R, R, 37]);
+            }
+        }
+        let w = base.label_id("w").expect("interned");
+        let rows = index.rows(Direction::Forward, w);
+        let empties: Vec<bool> = rows.chunks().iter().map(|c| c.is_empty()).collect();
+        assert_eq!(empties, [true, false, true, true], "w lives in chunk 1");
+        assert!(Arc::ptr_eq(&rows.chunks()[0], &rows.chunks()[2]));
+        assert_eq!(rows.chunks()[1].occupied()[0], 0b110);
+        assert_eq!(rows.of(R + 1), [R as u32 + 2]);
+        assert_eq!(rows.chunks()[1].row(2), [R as u32 + 1]);
+        // A rebuild shares exactly the empty chunks; a clone everything.
+        let copy = LabelIndex::from_csr(&base);
+        let empty = |dir: &DirIndex| -> usize {
+            dir.parts
+                .iter()
+                .flat_map(|p| &p.chunks)
+                .filter(|c| Arc::ptr_eq(c, &empty_chunk(R)))
+                .count()
+        };
+        let (fwd, rev) = (empty(&index.fwd), empty(&index.rev));
+        assert_eq!(copy.shared_with(&index), ((fwd, 12 - fwd), (rev, 12 - rev)));
+        assert_eq!(index.clone().shared_with(&index), ((12, 0), (12, 0)));
+    }
+
+    #[test]
+    fn chunk_corners_match_a_from_scratch_index() {
+        let n = 3 * R + 37;
+        let far = n + R;
+        let scenarios: Vec<(&str, Vec<Op>)> = vec![
+            (
+                "touched rows at 0, R - 1, R and the last row",
+                vec![
+                    Add(0, "y", R),
+                    Add(R - 1, "x", 2 * R),
+                    Add(R, "w", 0),
+                    Add(n - 1, "y", R - 1),
+                ],
+            ),
+            (
+                "removals at the chunk edges",
+                vec![
+                    Del(0, "y", R - 1),
+                    Del(R - 1, "y", R),
+                    Del(R, "y", n - 1),
+                    Del(n - 1, "y", 0),
+                ],
+            ),
+            (
+                "one of two parallel duplicates on the first row",
+                vec![Del(0, "x", 1), Add(0, "x", n - 1)],
+            ),
+            (
+                "a row at a chunk edge emptied and refilled",
+                vec![
+                    Del(R - 1, "y", R),
+                    Del(R - 1, "y", R - 1),
+                    Add(R - 1, "w", R),
+                ],
+            ),
+            (
+                "a chunk emptied by removals",
+                vec![Del(R + 1, "w", R + 2), Del(R + 2, "w", R + 1)],
+            ),
+            (
+                "nodes added across a chunk boundary",
+                std::iter::repeat_n(Node, R)
+                    .chain([
+                        Add(far - 1, "x", 0),
+                        Add(n, "y", far - 1),
+                        Add(3 * R + 36, "w", n),
+                    ])
+                    .collect(),
+            ),
+            (
+                "a new label whose first edge is past the old last chunk",
+                std::iter::repeat_n(Node, R)
+                    .chain([Add(4 * R + 3, "v", 5), Add(2 * R, "v", 4 * R + 3)])
+                    .collect(),
+            ),
+            (
+                "a node added into the partial tail",
+                vec![Node, Add(n, "x", n)],
+            ),
+        ];
+        for (context, ops) in &scenarios {
+            let once = Epoch::fresh(&multi_chunk_base()).publish(ops, context);
+            // Once more on top, at the far corners of the grown graph.
+            let last = once.snapshot.node_count() - 1;
+            once.publish(&[Node, Add(last, "y", 0), Add(0, "x", last + 1)], context);
+        }
+    }
+
+    #[test]
+    fn a_four_op_publish_replaces_four_chunks_per_touched_partition() {
+        let base = Epoch::fresh(&multi_chunk_base());
+        let ops = [
+            Add(3, "y", 3),
+            Add(R + 3, "y", R + 3),
+            Add(2 * R + 3, "y", 2 * R + 3),
+            Add(3 * R + 3, "y", 3 * R + 3),
+        ];
+        let next = base.publish(&ops, "one insert per chunk");
+        // y's four chunks in each direction; x and w are shared whole.
+        let shared = next.index.shared_with(&base.index);
+        assert_eq!(shared, ((8, 4), (8, 4)));
+        // One more edge, in w's chunk 1: against the base, that chunk too.
+        let next = next.publish(&[Add(R, "w", R + 5)], "one chunk");
+        let shared = next.index.shared_with(&base.index);
+        assert_eq!(shared, ((7, 5), (7, 5)));
+    }
+
+    #[test]
+    fn thirty_two_chained_patches_stay_exact_across_chunks() {
+        chained_patches_stay_exact(&multi_chunk_base());
     }
 }

@@ -9,8 +9,10 @@
 //! * [`bitset::FixedBitSet`] — the per-state node sets (alive, frontier and
 //!   its staging double), one bit per node;
 //! * [`index::LabelIndex`] — label-partitioned forward + reverse CSR with
-//!   one occupancy bit per row, built once per graph, patched per update,
-//!   and shared by every query and every clone of the evaluator;
+//!   one occupancy bit per row, cut into `Arc`-shared chunks of
+//!   [`index::CHUNK_ROWS`] rows, built once per graph, patched per update
+//!   by rebuilding only the chunks the update touches, and shared by every
+//!   query and every clone of the evaluator;
 //! * [`frontier`] — the semi-naive product-automaton fixed point sweeping
 //!   whole frontiers per DFA transition — only the rows a label has edges
 //!   in — in push (reverse), pull (forward) or per-round adaptive mode; a
@@ -62,6 +64,6 @@ pub mod planner;
 pub use batch::BatchEvaluator;
 pub use bitset::FixedBitSet;
 pub use frontier::DEFAULT_OVERDELETE_LIMIT;
-pub use index::{Direction, LabelIndex, Rows};
+pub use index::{Direction, LabelIndex, RowChunk, Rows};
 pub use metrics::ExecMetrics;
 pub use planner::{Plan, PlanDecision, PlannerConfig};

@@ -26,8 +26,9 @@ pub struct ExecMetrics {
     /// [`Plan::Bidirectional`].
     pub plan_bidirectional: Counter,
     /// `gps_exec_index_build_ns` — wall time of one [`LabelIndex`]
-    /// construction or delta patch (fresh builds and `apply_delta` both
-    /// record here).
+    /// construction or delta patch, planner statistics included (fresh
+    /// builds and `apply_delta` both record here; a patch's sample spans the
+    /// same interval as a publish's `index_patch` phase).
     ///
     /// [`LabelIndex`]: crate::LabelIndex
     pub index_build: Histogram,

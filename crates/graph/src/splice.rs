@@ -11,12 +11,12 @@
 //!
 //! [`RowSplice`] owns that bookkeeping (the part an off-by-one breaks): the
 //! caller walks its touched rows in ascending order, copies the ranges it is
-//! handed and reports each rewritten row's new length.  The snapshot
-//! compaction ([`crate::DeltaGraph::compact`]) splices inside each adjacency
-//! chunk it rebuilds (chunk-local offsets, so a row's growth shifts nothing
-//! outside its chunk), and the label-index patch
-//! (`gps_exec::LabelIndex::apply_delta`) splices whole label partitions;
-//! both are written against it.
+//! handed and reports each rewritten row's new length.  Both users splice
+//! per chunk, over chunk-local offsets, so a row's growth shifts nothing
+//! outside its chunk: the snapshot compaction
+//! ([`crate::DeltaGraph::compact`]) inside each adjacency chunk it rebuilds,
+//! and the label-index patch (`gps_exec::LabelIndex::apply_delta`) inside
+//! each chunk of a label partition that holds a touched row.
 
 use std::ops::Range;
 

@@ -214,9 +214,9 @@ fn spelling_sweeps_match_the_reference_and_the_acceptor_evaluation() {
 }
 
 /// Two frontier evaluators must expose the *same* index: every adjacency
-/// slice, per-label edge count, planner statistic and query answer.  (Not the
-/// memory footprint: an untouched partition shared across a node-adding
-/// patch keeps its shorter offsets array.)
+/// slice, per-label edge count, occupancy word, planner statistic and query
+/// answer.  (Not the memory footprint: an untouched partition shared across a
+/// node-adding patch keeps its shorter coverage.)
 fn assert_indexes_identical(
     context: &str,
     reference: &BatchEvaluator,
@@ -242,23 +242,41 @@ fn assert_indexes_identical(
                     "{context}: {direction:?} adjacency of label {label:?}, node {node}"
                 );
             }
-            // The occupancy words a sweep masks with: the reference's, except
-            // that a partition shared from before nodes were added lacks
-            // their (all-zero) words.
-            let want = a.rows(direction, label).occupied();
-            let got = b.rows(direction, label).occupied();
+            // The occupancy words a sweep masks with, chunk by chunk: the
+            // reference's, except that a partition shared from before nodes
+            // were added covers fewer rows — its last chunk stops short and
+            // later chunks are missing — and lacks their (all-zero) words.
+            let want = a.rows(direction, label).chunks();
+            let got = b.rows(direction, label).chunks();
             assert!(
                 got.len() <= want.len(),
-                "{context}: {direction:?} {label:?}"
+                "{context}: {direction:?} {label:?} chunks"
             );
-            assert_eq!(
-                want[..got.len()],
-                *got,
-                "{context}: {direction:?} occupancy of label {label:?}"
-            );
+            for (c, (got_chunk, want_chunk)) in got.iter().zip(want).enumerate() {
+                assert!(
+                    got_chunk.rows() == want_chunk.rows() || c + 1 == got.len(),
+                    "{context}: {direction:?} {label:?} chunk {c} rows"
+                );
+                let (want_words, got_words) = (want_chunk.occupied(), got_chunk.occupied());
+                assert!(
+                    got_words.len() <= want_words.len(),
+                    "{context}: {direction:?} {label:?} chunk {c} words"
+                );
+                assert_eq!(
+                    want_words[..got_words.len()],
+                    *got_words,
+                    "{context}: {direction:?} occupancy of label {label:?}, chunk {c}"
+                );
+                assert!(
+                    want_words[got_words.len()..].iter().all(|&word| word == 0),
+                    "{context}: {direction:?} occupancy of label {label:?} past the shared coverage"
+                );
+            }
             assert!(
-                want[got.len()..].iter().all(|&word| word == 0),
-                "{context}: {direction:?} occupancy of label {label:?} past the shared coverage"
+                want[got.len()..]
+                    .iter()
+                    .all(|chunk| chunk.occupied().iter().all(|&word| word == 0)),
+                "{context}: {direction:?} occupancy of label {label:?} past the shared chunks"
             );
         }
     }
