@@ -345,8 +345,8 @@ impl Engine {
     /// ([`EvalCache::migrate_answers`]) and inherits its word index
     /// ([`EvalCache::inherit_words`]), and every configuration knob carries
     /// over unchanged.  Returns the new engine together with the migration
-    /// split (how many cached answers were carried verbatim, re-derived from
-    /// their seed, or dropped to a cold recompute) and how long each of the
+    /// split (how many cached answers were carried verbatim, left to resume
+    /// from their seed on first read, or dropped to a cold recompute) and how long each of the
     /// three steps took.
     pub(crate) fn advance(&self, snapshot: Arc<CsrGraph>, delta: &GraphDelta) -> Advanced {
         let started = Instant::now();

@@ -200,7 +200,8 @@ pub struct PublishPhases {
     pub compact: Duration,
     /// Label index and planner statistics patched.
     pub index_patch: Duration,
-    /// Cached answers carried, reseeded or dropped.
+    /// Cached answers classified: carried, left pending for a resume on
+    /// their first read, or dropped.  No answer is recomputed here.
     pub migrate_answers: Duration,
     /// Bounded-word index inherited.
     pub inherit_words: Duration,
@@ -246,21 +247,23 @@ pub struct PublishReport {
     /// Cached answers whose DFA alphabet is disjoint from the touched labels,
     /// migrated verbatim into the new epoch's cache (Tier-1 carry).
     pub carried_answers: usize,
-    /// Cached answers re-derived from their seeded fixed point restricted to
-    /// an insert-only delta (Tier-2 reseed).
+    /// Cached answers scheduled to resume their seeded fixed point across an
+    /// insert-only delta (Tier-2 reseed); the resume runs on first read.
     pub reseeded_answers: usize,
-    /// Cached answers re-derived across a removal-bearing delta by the
-    /// over-delete/re-derive sweep (Tier-3 delete-reseed).
+    /// Cached answers scheduled to resume across a removal-bearing delta by
+    /// the over-delete/re-derive sweep (Tier-3 delete-reseed); the resume
+    /// runs on first read.
     pub delete_reseeded_answers: usize,
-    /// Cached answers dropped to a cold recompute on next use (over-delete
-    /// budget blown, no captured seed, or capacity-evicted — the cache's
-    /// `gps_rpq_cache_fallback_*` reason counters split this sum).
+    /// Cached answers dropped to a cold recompute on next use (no captured
+    /// seed, capacity-evicted, or pending past the changed-edge budget — the
+    /// cache's `gps_rpq_cache_fallback_*` reason counters split this sum;
+    /// a resume the evaluator declines on read is counted there too, as
+    /// saturation, but not here).
     pub recomputed_answers: usize,
-    /// The answer migration in full: the four counts above, the cold
-    /// fallbacks by reason, and how many seed blocks the resumed answers
-    /// copied against how many they share with the superseded epoch
-    /// ([`MigrationReport::blocks_copied`]) — "many touched answers" and
-    /// "one huge derivation cone" read differently here.
+    /// The answer migration in full: the four counts above and the cold
+    /// fallbacks by reason.  How many seed blocks the resumes copied is
+    /// counted when they run, on first read
+    /// (`gps_rpq_cache_migrate_blocks_{copied,shared}_total`).
     pub migration: MigrationReport,
     /// Superseded epochs retired by this publish (no sessions pinned).
     pub retired_epochs: usize,

@@ -28,6 +28,7 @@ use gps_exec::{BatchEvaluator, LabelIndex};
 use gps_graph::{CsrEntry, CsrGraph, DeltaGraph, Edge, Graph, LabelId, NodeId};
 use gps_rpq::blocks::BLOCK_NODES;
 use gps_rpq::{BlockSharing, EvalCache, MigrationReport, PathQuery};
+use gps_telemetry::MetricsRegistry;
 use std::sync::Arc;
 
 /// xorshift64* — deterministic, dependency-free.
@@ -325,16 +326,19 @@ fn large_warm_cache(queries: &[&str]) -> (Arc<CsrGraph>, BatchEvaluator, EvalCac
 }
 
 /// Publishes `delta` over `old`: the patched evaluator behind a fresh cache
-/// with `old`'s answers migrated in.
+/// with `old`'s answers migrated in, bound to `registry` (the block split of
+/// the resumes its first reads run lands on its counters).
 fn publish(
     evaluator: &BatchEvaluator,
     old: &EvalCache,
     delta: DeltaGraph,
+    registry: &MetricsRegistry,
 ) -> (Arc<CsrGraph>, EvalCache, MigrationReport) {
     let summary = delta.delta();
     let compacted = Arc::new(delta.compact());
     let patched = evaluator.apply_delta(&compacted, &summary);
-    let cache = EvalCache::with_shared_evaluator(Arc::clone(&compacted), Box::new(patched));
+    let cache = EvalCache::with_shared_evaluator(Arc::clone(&compacted), Box::new(patched))
+        .with_metrics(registry);
     let report = cache.migrate_answers(old, &summary);
     (compacted, cache, report)
 }
@@ -366,24 +370,14 @@ fn a_four_op_delta_on_200k_nodes_copies_a_handful_of_seed_blocks() {
         } = base.out(source)[0];
         assert!(delta.remove_edge(source, edge_label, target));
     }
-    let (compacted, new_cache, report) = publish(&evaluator, &old_cache, delta);
-
+    let registry = MetricsRegistry::enabled();
+    let (compacted, new_cache, report) = publish(&evaluator, &old_cache, delta, &registry);
     assert_eq!(report.delete_reseeded, queries.len(), "{report:?}");
-    // 4 ops x at most one configuration each x (alive block + support block),
-    // per query.
-    let handful = 4 * 2 * queries.len();
-    assert!(report.blocks_copied <= handful, "{report:?}");
-    let blocks_per_array = n.div_ceil(BLOCK_NODES);
-    let arrays: usize = regexes
-        .iter()
-        .map(|regex| 2 * Dfa::from_regex(regex).state_count())
-        .sum();
-    assert_eq!(
-        report.blocks_copied + report.blocks_shared,
-        arrays * blocks_per_array,
-        "every seed block is either copied or shared"
-    );
-    // Cheap, and still right.
+
+    // Cheap, and still right.  The publish only scheduled the resumes: the
+    // first reads run them.
+    let blocks = |name: &str| registry.snapshot().counter(name).unwrap() as usize;
+    assert_eq!(blocks("gps_rpq_cache_migrate_blocks_copied_total"), 0);
     let cold = BatchEvaluator::from_csr(&compacted);
     for regex in &regexes {
         let migrated = new_cache.evaluate(regex);
@@ -393,6 +387,22 @@ fn a_four_op_delta_on_200k_nodes_copies_a_handful_of_seed_blocks() {
         assert!(migrated.sharing(&old_cache.evaluate(regex)).copied <= 4);
     }
     assert_eq!(new_cache.stats(), (queries.len() as u64, 0), "all hits");
+
+    // 4 ops x at most one configuration each x (alive block + support block),
+    // per query.
+    let handful = 4 * 2 * queries.len();
+    let copied = blocks("gps_rpq_cache_migrate_blocks_copied_total");
+    assert!(copied <= handful, "{copied} blocks copied");
+    let blocks_per_array = n.div_ceil(BLOCK_NODES);
+    let arrays: usize = regexes
+        .iter()
+        .map(|regex| 2 * Dfa::from_regex(regex).state_count())
+        .sum();
+    assert_eq!(
+        copied + blocks("gps_rpq_cache_migrate_blocks_shared_total"),
+        arrays * blocks_per_array,
+        "every seed block is either copied or shared"
+    );
 }
 
 #[test]
@@ -415,14 +425,14 @@ fn a_label_disjoint_publish_shares_all_but_the_tail_block_of_carried_answers() {
         let fresh = delta.add_node(format!("fresh{i}"));
         delta.add_edge(NodeId::from(i), fresh_label, fresh);
     }
-    let (compacted, new_cache, report) = publish(&evaluator, &old_cache, delta);
+    let registry = MetricsRegistry::enabled();
+    let (compacted, new_cache, report) = publish(&evaluator, &old_cache, delta, &registry);
     assert_eq!(
         report,
         MigrationReport {
             carried: 2,
             ..MigrationReport::default()
-        },
-        "carried entries resume nothing, so no seed block is counted"
+        }
     );
 
     let cold = BatchEvaluator::from_csr(&compacted);
@@ -437,6 +447,18 @@ fn a_label_disjoint_publish_shares_all_but_the_tail_block_of_carried_answers() {
                 shared: blocks - own_blocks
             },
             "{regex:?}"
+        );
+    }
+    let snapshot = registry.snapshot();
+    for counter in [
+        "gps_rpq_cache_resumed_on_read_total",
+        "gps_rpq_cache_migrate_blocks_copied_total",
+        "gps_rpq_cache_migrate_blocks_shared_total",
+    ] {
+        assert_eq!(
+            snapshot.counter(counter),
+            Some(0),
+            "carried entries resume nothing, so no seed block is counted"
         );
     }
 }

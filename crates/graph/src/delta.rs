@@ -51,7 +51,7 @@ use crate::graph::Edge;
 use crate::ids::{EdgeId, LabelId, NodeId};
 use crate::labels::LabelInterner;
 use crate::splice::RowSplice;
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::fmt;
 use std::ops::Range;
 use std::sync::Arc;
@@ -158,6 +158,67 @@ impl GraphDelta {
             .map(|e| e.source)
             .collect();
         set.into_iter().collect()
+    }
+
+    /// Edges inserted plus edges removed.
+    pub fn changed_edges(&self) -> usize {
+        self.added_edges.len() + self.removed_edges.len()
+    }
+
+    /// `self` followed by `next` (a delta staged over the snapshot `self`
+    /// produced) as one delta from `self`'s base; see
+    /// [`composed`](Self::composed).
+    pub fn then(&self, next: &GraphDelta) -> GraphDelta {
+        Self::composed([self, next])
+    }
+
+    /// The *net* effect of a chain of deltas, each staged over the snapshot
+    /// the one before it produced, as one delta from the first one's base.
+    ///
+    /// Edges are counted as a multiset: an edge inserted by one delta and
+    /// removed by a later one cancels, so does a removal later re-inserted,
+    /// and parallel copies count one by one.  An edge whose net count is
+    /// positive is listed that many times as inserted, one whose count is
+    /// negative as removed, each list in order of first appearance (so a
+    /// composed removal list is not in base edge-id order).  Node additions
+    /// add up.  The empty chain composes to the empty delta.
+    pub fn composed<'a>(deltas: impl IntoIterator<Item = &'a GraphDelta>) -> GraphDelta {
+        let deltas: Vec<&GraphDelta> = deltas.into_iter().collect();
+        let mut net: HashMap<Edge, i64> = HashMap::new();
+        for delta in &deltas {
+            for edge in &delta.added_edges {
+                *net.entry(*edge).or_default() += 1;
+            }
+            for edge in &delta.removed_edges {
+                *net.entry(*edge).or_default() -= 1;
+            }
+        }
+        // Each edge is emitted while its net count still has copies to give.
+        fn emit<'a>(
+            net: &mut HashMap<Edge, i64>,
+            edges: impl Iterator<Item = &'a Edge>,
+            sign: i64,
+        ) -> Vec<Edge> {
+            edges
+                .filter(|edge| {
+                    let count = net.get_mut(edge).expect("counted above");
+                    let keep = *count * sign > 0;
+                    if keep {
+                        *count -= sign;
+                    }
+                    keep
+                })
+                .copied()
+                .collect()
+        }
+        let added_edges = emit(&mut net, deltas.iter().flat_map(|d| &d.added_edges), 1);
+        let removed_edges = emit(&mut net, deltas.iter().flat_map(|d| &d.removed_edges), -1);
+        GraphDelta {
+            base_epoch: deltas.first().map_or(0, |delta| delta.base_epoch),
+            added_nodes: deltas.iter().map(|delta| delta.added_nodes).sum(),
+            added_edges,
+            removed_edges,
+        }
     }
 }
 
@@ -1148,5 +1209,227 @@ mod tests {
         );
         assert_eq!(base.node_by_name("fresh"), None, "the base is untouched");
         assert_eq!(base.node_count(), 2 * CHUNK + 7);
+    }
+
+    /// Edge multiplicities of a snapshot.
+    fn edges_of(csr: &CsrGraph) -> HashMap<Edge, i64> {
+        let mut counts = HashMap::new();
+        for (_, edge) in csr.edges_by_source() {
+            *counts.entry(edge).or_default() += 1;
+        }
+        counts
+    }
+
+    /// Net edge counts of a delta: inserted copies minus removed ones,
+    /// zeros dropped.
+    fn net(delta: &GraphDelta) -> HashMap<Edge, i64> {
+        let mut counts: HashMap<Edge, i64> = HashMap::new();
+        for edge in &delta.added_edges {
+            *counts.entry(*edge).or_default() += 1;
+        }
+        for edge in &delta.removed_edges {
+            *counts.entry(*edge).or_default() -= 1;
+        }
+        counts.retain(|_, count| *count != 0);
+        counts
+    }
+
+    /// `after - before`, zeros dropped.
+    fn difference(before: &CsrGraph, after: &CsrGraph) -> HashMap<Edge, i64> {
+        let mut counts = edges_of(after);
+        for (edge, count) in edges_of(before) {
+            *counts.entry(edge).or_default() -= count;
+        }
+        counts.retain(|_, count| *count != 0);
+        counts
+    }
+
+    /// A composed delta lists each edge on one side only, as many times as
+    /// its net count says.
+    fn assert_is_net(delta: &GraphDelta) {
+        let counts = net(delta);
+        for edge in &delta.added_edges {
+            assert!(counts[edge] > 0, "{edge:?} is inserted and removed");
+        }
+        for edge in &delta.removed_edges {
+            assert!(counts[edge] < 0, "{edge:?} is inserted and removed");
+        }
+        let listed: i64 = counts.values().map(|count| count.abs()).sum();
+        assert_eq!(listed as usize, delta.changed_edges());
+    }
+
+    fn op(source: &str, label: &str, target: &str, add: bool) -> UpdateOp {
+        let (source, label, target) = (source.into(), label.into(), target.into());
+        if add {
+            UpdateOp::AddEdge {
+                source,
+                label,
+                target,
+            }
+        } else {
+            UpdateOp::RemoveEdge {
+                source,
+                label,
+                target,
+            }
+        }
+    }
+
+    /// Publishes each batch over the previous snapshot; returns every
+    /// snapshot (the base first) and every publish's delta.
+    fn publish_all(
+        base: &Arc<CsrGraph>,
+        batches: &[Vec<UpdateOp>],
+    ) -> (Vec<Arc<CsrGraph>>, Vec<GraphDelta>) {
+        let mut snapshots = vec![Arc::clone(base)];
+        let mut deltas = Vec::new();
+        for batch in batches {
+            let mut overlay = DeltaGraph::new(Arc::clone(snapshots.last().unwrap()));
+            overlay.apply_all(batch).expect("the batch applies");
+            deltas.push(overlay.delta());
+            snapshots.push(Arc::new(overlay.compact()));
+        }
+        (snapshots, deltas)
+    }
+
+    /// The same ops as one overlay over the base.
+    fn all_at_once(base: &Arc<CsrGraph>, batches: &[Vec<UpdateOp>]) -> GraphDelta {
+        let mut overlay = DeltaGraph::new(Arc::clone(base));
+        for batch in batches {
+            overlay.apply_all(batch).expect("the ops apply");
+        }
+        overlay.delta()
+    }
+
+    #[test]
+    fn then_cancels_round_trips_and_counts_parallel_copies() {
+        let base = base();
+        let batches = vec![
+            vec![
+                UpdateOp::AddNode("d".into()),
+                // Inserted here, removed by the next publish.
+                op("c", "z", "d", true),
+                // A base edge removed here, re-inserted by the next publish.
+                op("a", "x", "b", false),
+                // A parallel copy of the base edge b -y-> c.
+                op("b", "y", "c", true),
+            ],
+            vec![
+                UpdateOp::AddNode("e".into()),
+                op("c", "z", "d", false),
+                op("a", "x", "b", true),
+                op("d", "x", "a", true),
+            ],
+        ];
+        let (snapshots, deltas) = publish_all(&base, &batches);
+        let composed = deltas[0].then(&deltas[1]);
+        assert_is_net(&composed);
+        assert_eq!(composed.added_nodes, 2);
+        assert_eq!(composed.base_epoch, base.epoch());
+        let (b, c) = (NodeId::from(1usize), NodeId::from(2usize));
+        let d = NodeId::from(3usize);
+        let a = NodeId::from(0usize);
+        let labels = snapshots[2].labels();
+        let (x, y) = (labels.get("x").unwrap(), labels.get("y").unwrap());
+        assert_eq!(
+            composed.added_edges,
+            [Edge::new(b, y, c), Edge::new(d, x, a)],
+            "the round trips cancel; the parallel copy stays"
+        );
+        assert!(composed.removed_edges.is_empty());
+        assert_eq!(net(&composed), difference(&base, &snapshots[2]));
+        assert_eq!(net(&composed), net(&all_at_once(&base, &batches)));
+    }
+
+    #[test]
+    fn then_removes_as_many_parallel_copies_as_went() {
+        let base = base();
+        let batches = vec![
+            vec![op("b", "y", "c", true), op("b", "y", "c", true)],
+            vec![
+                op("b", "y", "c", false),
+                op("b", "y", "c", false),
+                op("b", "y", "c", false),
+            ],
+        ];
+        let (snapshots, deltas) = publish_all(&base, &batches);
+        let composed = deltas[0].then(&deltas[1]);
+        assert_is_net(&composed);
+        let y = base.labels().get("y").unwrap();
+        let edge = Edge::new(NodeId::from(1usize), y, NodeId::from(2usize));
+        assert_eq!(composed.removed_edges, [edge], "three out after two in");
+        assert!(composed.added_edges.is_empty());
+        assert_eq!(net(&composed), difference(&base, &snapshots[2]));
+        assert!(snapshots[2].out(NodeId::from(1usize)).is_empty());
+    }
+
+    #[test]
+    fn chains_of_random_publishes_compose_to_the_snapshot_difference() {
+        let mut state = 0x9E37_79B9_7F4A_7C15u64;
+        let mut next = move |bound: usize| {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            (state % bound as u64) as usize
+        };
+        for k in 1..=8usize {
+            let base = base();
+            let mut current = Arc::clone(&base);
+            let mut batches = Vec::new();
+            for round in 0..k {
+                let mut overlay = DeltaGraph::new(Arc::clone(&current));
+                let mut batch = vec![UpdateOp::AddNode(format!("n{round}"))];
+                overlay.apply(&batch[0]).unwrap();
+                for _ in 0..4 {
+                    let n = overlay.node_count();
+                    let name = |i: usize| {
+                        if i < current.node_count() {
+                            current.node_name(NodeId::from(i)).to_string()
+                        } else {
+                            format!("n{round}")
+                        }
+                    };
+                    let label = ["x", "y", "z"][next(3)];
+                    let (source, target) = (name(next(n)), name(next(n)));
+                    // Removals pick an edge of the current snapshot, so some
+                    // undo earlier insertions and some hit base edges.
+                    let op = match current
+                        .edges_by_source()
+                        .nth(next(current.edge_count().max(1)))
+                    {
+                        Some((_, edge)) if next(2) == 0 => op(
+                            current.node_name(edge.source),
+                            current.labels().name(edge.label).unwrap(),
+                            current.node_name(edge.target),
+                            false,
+                        ),
+                        _ => op(&source, label, &target, true),
+                    };
+                    if overlay.apply(&op).is_ok() {
+                        batch.push(op);
+                    }
+                }
+                current = Arc::new(overlay.compact());
+                batches.push(batch);
+            }
+            let (snapshots, deltas) = publish_all(&base, &batches);
+            let folded = deltas[1..]
+                .iter()
+                .fold(deltas[0].clone(), |acc, delta| acc.then(delta));
+            let composed = GraphDelta::composed(&deltas);
+            assert_is_net(&composed);
+            assert_eq!(net(&folded), net(&composed), "k = {k}");
+            assert_eq!(composed.added_nodes, k);
+            assert_eq!(
+                net(&composed),
+                difference(&base, snapshots.last().unwrap()),
+                "k = {k}"
+            );
+            assert_eq!(
+                net(&composed),
+                net(&all_at_once(&base, &batches)),
+                "k = {k}"
+            );
+        }
     }
 }

@@ -13,42 +13,265 @@
 //! cache without limit.  Evaluation itself is delegated to a pluggable
 //! [`DfaEvaluator`], so the same cache serves the naive reference evaluator
 //! and the `gps-exec` frontier engine.
+//!
+//! Across a publish the cache is **migrated**, not rebuilt
+//! ([`EvalCache::migrate_answers`]): an answer the delta cannot change is
+//! carried, and one it can is left *pending* — its last resolved answer and
+//! seed, plus a position in the cache's log of deltas — and resumed by the
+//! first read that asks for it.  A publish therefore does pointer work per
+//! entry, and only answers someone reads again pay their resume.
 
 use crate::eval::{DfaEvaluator, EvalResume, NaiveEvaluator, QueryAnswer};
 use crate::words::WordIndex;
 use gps_automata::{Alphabet, Dfa, Regex};
-use gps_graph::{CsrGraph, GraphDelta, NodeId, Path};
+use gps_graph::{CsrGraph, GraphDelta, LabelId, NodeId, Path};
 use gps_telemetry::{Counter, Gauge, Histogram, MetricsRegistry};
 use parking_lot::RwLock;
-use std::collections::HashMap;
+use std::collections::{BTreeSet, HashMap};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 /// Default maximum number of cached answers.
 pub const DEFAULT_CAPACITY: usize = 1024;
 
+/// Changed edges a pending entry may fall behind before a publish drops it
+/// to a cold recompute (`fallback_pending`): past this, the composed delta
+/// its first read would resume across — and the log that must hold it — is
+/// no longer small.
+///
+/// No workload reaches it.  Every `benchmark/` publish changes 4 edges, so
+/// 65,536 edges are 16,384 publishes behind, while a whole 15-second run
+/// makes about 290 publishes on `publish-1m` and 1,200 on `live-2k-durable`
+/// (under 5,000 changed edges; a reopened store starts a fresh cache and
+/// log).
+const PENDING_EDGE_BUDGET: u64 = 1 << 16;
+
+/// What a cache entry knows about its query, independent of any epoch:
+/// `Arc`-shared by every epoch's cache the entry migrates into.
 #[derive(Debug)]
-struct Entry {
-    answer: Arc<QueryAnswer>,
+struct Compiled {
+    /// The compiled automaton the answer is computed from, kept so a
+    /// touched entry can be re-derived without reparsing the expression.
+    dfa: Dfa,
     /// The labels the query's DFA can ever read — the per-entry alphabet
-    /// fingerprint epoch migration compares against a delta's touched labels
-    /// to prove the entry unaffected (Tier 1).
+    /// fingerprint migration compares against a delta's touched labels to
+    /// prove the entry unaffected (Tier 1).
     alphabet: Alphabet,
     /// Whether the query's language contains the empty word — the membership
     /// a node with no alphabet-relevant out-edges has, i.e. the fill value
     /// when a carried answer is extended over nodes a label-disjoint delta
     /// added.
     nullable: bool,
-    /// The compiled automaton the answer was computed from, kept so a
-    /// touched entry can be re-derived without reparsing the expression.
-    dfa: Arc<Dfa>,
+}
+
+impl Compiled {
+    /// Whether a delta touching `labels` can change the query's answer.
+    fn reads_any(&self, labels: &BTreeSet<LabelId>) -> bool {
+        labels.iter().any(|&label| self.alphabet.contains(label))
+    }
+}
+
+/// An answer valid on its cache's snapshot.
+#[derive(Debug)]
+struct Resolved {
+    answer: Arc<QueryAnswer>,
     /// The fixed point behind `answer` (the Tier-2/3 seed, sharing the
-    /// answer's blocks); `None` when the evaluator does not capture (naive
-    /// mode) or the evaluation early-exited.
+    /// answer's blocks); `None` only when the evaluator does not capture
+    /// (the naive evaluator) — the frontier engine captures every
+    /// evaluation.
     resume: Option<Arc<EvalResume>>,
+}
+
+/// Where an entry a publish touched resumes from on its first read.
+#[derive(Debug, Clone)]
+struct Pending {
+    /// The last answer resolved for the query, and the seed behind it.
+    answer: Arc<QueryAnswer>,
+    seed: Arc<EvalResume>,
+    /// The log position of the epoch `answer` and `seed` describe.
+    mark: LogMark,
+}
+
+/// One cache's resolution state for one query, behind an `Arc` a reader
+/// clones out of the map before resolving it.
+#[derive(Debug)]
+struct Entry {
+    compiled: Arc<Compiled>,
+    /// The answer on this cache's snapshot: set at creation, or by the first
+    /// read of a pending entry.  Never shared across epochs — two epochs'
+    /// caches resolve against different evaluators.
+    resolved: OnceLock<Resolved>,
+    /// What `resolved` is resumed from; `None` for an entry created resolved.
+    pending: Option<Pending>,
+}
+
+impl Entry {
+    fn resolved(compiled: Arc<Compiled>, resolved: Resolved) -> Self {
+        Self {
+            compiled,
+            resolved: OnceLock::from(resolved),
+            pending: None,
+        }
+    }
+
+    fn pending(compiled: Arc<Compiled>, pending: Pending) -> Self {
+        Self {
+            compiled,
+            resolved: OnceLock::new(),
+            pending: Some(pending),
+        }
+    }
+
+    fn is_unresolved(&self) -> bool {
+        self.resolved.get().is_none()
+    }
+}
+
+/// A cache's map value: the entry and its recency, kept beside the pointer
+/// so the LRU scan and the migration sort read it without following one.
+#[derive(Debug)]
+struct Slot {
     /// Monotonic recency tick, updated with a relaxed store on every hit so
     /// lookups stay on the shared read lock.
     last_used: AtomicU64,
+    entry: Arc<Entry>,
+}
+
+impl Slot {
+    fn new(entry: Entry, last_used: u64) -> Self {
+        Self {
+            last_used: AtomicU64::new(last_used),
+            entry: Arc::new(entry),
+        }
+    }
+}
+
+/// A position in the delta log: publishes and changed edges since the first
+/// cache of the chain.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+struct LogMark {
+    publishes: u64,
+    changed_edges: u64,
+}
+
+/// One publish's delta, linked to the publishes before it.
+#[derive(Debug)]
+struct LogNode {
+    delta: GraphDelta,
+    /// The position `delta` leads to.
+    mark: LogMark,
+    /// The position before the oldest delta of this chain.
+    origin: u64,
+    prev: Option<Arc<LogNode>>,
+}
+
+impl Drop for LogNode {
+    /// Unlinks the chain iteratively: a long log must not drop recursively.
+    fn drop(&mut self) {
+        let mut prev = self.prev.take();
+        while let Some(node) = prev {
+            prev = Arc::try_unwrap(node)
+                .ok()
+                .and_then(|mut node| node.prev.take());
+        }
+    }
+}
+
+/// The deltas between the epochs pending entries describe and this cache's
+/// epoch — a persistent, `Arc`-linked list, newest first, that successive
+/// epochs' caches share.
+#[derive(Debug, Clone, Default)]
+struct DeltaLog {
+    /// `None` when no entry is pending.
+    head: Option<Arc<LogNode>>,
+    /// This cache's epoch's position.
+    mark: LogMark,
+}
+
+impl DeltaLog {
+    /// The net delta from position `from` to this log's epoch.
+    fn since(&self, from: LogMark) -> GraphDelta {
+        let count = (self.mark.publishes - from.publishes) as usize;
+        let mut deltas = Vec::with_capacity(count);
+        let mut cursor = self.head.as_deref();
+        for _ in 0..count {
+            let node = cursor.expect("the log reaches back to every pending entry");
+            deltas.push(&node.delta);
+            cursor = node.prev.as_deref();
+        }
+        GraphDelta::composed(deltas.into_iter().rev())
+    }
+
+    /// The next epoch's log: `delta` appended, holding only the deltas after
+    /// position `keep_after` (the oldest pending entry's), or none at all
+    /// when nothing is pending.
+    fn append(&self, delta: &GraphDelta, keep_after: Option<u64>) -> DeltaLog {
+        let mark = LogMark {
+            publishes: self.mark.publishes + 1,
+            changed_edges: self.mark.changed_edges + delta.changed_edges() as u64,
+        };
+        let Some(keep_after) = keep_after else {
+            return DeltaLog { head: None, mark };
+        };
+        let prev = self
+            .head
+            .as_ref()
+            .and_then(|head| trimmed(head, keep_after));
+        let origin = prev
+            .as_ref()
+            .map_or(self.mark.publishes, |prev| prev.origin);
+        let node = LogNode {
+            delta: delta.clone(),
+            mark,
+            origin,
+            prev,
+        };
+        DeltaLog {
+            head: Some(Arc::new(node)),
+            mark,
+        }
+    }
+}
+
+/// `head`'s chain holding the deltas after position `keep_after`.  The
+/// chain is shared as is until the deltas before `keep_after` outnumber
+/// those after it; then the live part is relinked, so rebuilding costs at
+/// most what the dropped part held and a log never holds more than twice
+/// what its pending entries need.
+fn trimmed(head: &Arc<LogNode>, keep_after: u64) -> Option<Arc<LogNode>> {
+    let needed = head
+        .mark
+        .publishes
+        .checked_sub(keep_after)
+        .filter(|&n| n > 0)?;
+    if keep_after - head.origin <= needed {
+        return Some(Arc::clone(head));
+    }
+    let mut live = Vec::with_capacity(needed as usize);
+    let mut cursor = Some(head.as_ref());
+    for _ in 0..needed {
+        let node = cursor.expect("the chain reaches back to keep_after");
+        live.push(node);
+        cursor = node.prev.as_deref();
+    }
+    live.into_iter().rev().fold(None, |prev, node| {
+        Some(Arc::new(LogNode {
+            delta: node.delta.clone(),
+            mark: node.mark,
+            origin: keep_after,
+            prev,
+        }))
+    })
+}
+
+/// `answer` over `nodes` nodes: shared when the node count is unchanged,
+/// else extended by bits filled with `nullable` ([`QueryAnswer::extended`]).
+fn grown(answer: &Arc<QueryAnswer>, nodes: usize, nullable: bool) -> Arc<QueryAnswer> {
+    if answer.node_count() == nodes {
+        Arc::clone(answer)
+    } else {
+        Arc::new(answer.extended(nodes, nullable))
+    }
 }
 
 /// The snapshot's bounded-word index: derived once at the largest bound
@@ -70,52 +293,49 @@ impl Words {
     }
 }
 
-/// How one epoch migration ([`EvalCache::migrate_answers`]) split the old
-/// cache's answers.
+/// How one epoch migration ([`EvalCache::migrate_answers`]) classified the
+/// old cache's answers.  The split is decided at publish; the Tier-2/3
+/// resumes it schedules run when an answer is first read on the new epoch.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct MigrationReport {
     /// Entries whose alphabet misses every touched label: carried verbatim
     /// (Tier 1), zero recomputation.
     pub carried: usize,
-    /// Touched entries re-derived from their seeded fixed point restricted
-    /// to an insert-only delta (Tier 2).
+    /// Touched entries scheduled to resume their seeded fixed point across
+    /// an insert-only delta (Tier 2) on their first read.
     pub reseeded: usize,
-    /// Touched entries re-derived across a removal-bearing delta by the
-    /// over-delete/re-derive sweep (Tier 3).
+    /// Touched entries scheduled to resume across a removal-bearing delta by
+    /// the over-delete/re-derive sweep (Tier 3) on their first read.
     pub delete_reseeded: usize,
-    /// Touched entries dropped to a cold recompute on next use — always the
-    /// sum of the three `fallback_*` reasons.
+    /// Entries dropped to a cold recompute on next use — always the sum of
+    /// the three `fallback_*` reasons below.  The fourth, a resume the
+    /// evaluator declines, is only known when the resume runs on read: it
+    /// is counted there, on `gps_rpq_cache_fallback_saturation_total`.
     pub recomputed: usize,
-    /// Cold fallbacks where the resume itself gave up: the removal's
-    /// over-delete cone blew the saturation budget (or the seed's shape no
-    /// longer matched the snapshot).
-    pub fallback_saturation: usize,
     /// Cold fallbacks because the entry never captured a resumable seed.
     pub fallback_no_seed: usize,
     /// Cold fallbacks because the new cache hit its capacity before the
     /// entry's recency rank came up.
     pub fallback_evicted: usize,
-    /// Seed blocks the Tier-2/3 resumes had to copy, summed over the
-    /// resumed entries ([`EvalResume::sharing`]): the size of the delta's
-    /// derivation cones.  Large with few resumed entries means one huge
-    /// cone; small per entry with many entries means many touched queries.
-    pub blocks_copied: usize,
-    /// Seed blocks the resumed entries share with the superseded epoch's
-    /// seeds (or with the uniform blocks) — what retiring that epoch will
-    /// not free.
-    pub blocks_shared: usize,
+    /// Cold fallbacks because the entry stayed unread while more than
+    /// `PENDING_EDGE_BUDGET` (65,536) edges changed since its seed's epoch.
+    pub fallback_pending: usize,
 }
 
 /// A concurrent, bounded evaluation cache bound to one graph snapshot.
 ///
 /// Hits take only the shared read lock (recency and counters are atomics);
-/// the exclusive write lock is reserved for inserts and evictions.
+/// the exclusive write lock is reserved for inserts and evictions.  A hit on
+/// an entry a publish left pending resumes it after releasing the lock.
 #[derive(Debug)]
 pub struct EvalCache {
     csr: Arc<CsrGraph>,
     evaluator: Box<dyn DfaEvaluator>,
     capacity: usize,
-    answers: RwLock<HashMap<Regex, Entry>>,
+    answers: RwLock<HashMap<Arc<Regex>, Slot>>,
+    /// The deltas this cache's pending entries resume across; written once,
+    /// by [`migrate_answers`](Self::migrate_answers).
+    log: RwLock<DeltaLog>,
     /// The bounded-word index of the snapshot (lazy, shared): sessions score
     /// informativeness, cover negatives and decrement scores against it
     /// instead of walking the graph per node per interaction.
@@ -128,18 +348,29 @@ pub struct EvalCache {
     hits: Counter,
     misses: Counter,
     evictions: Counter,
-    /// Epoch-migration split: answers carried verbatim (Tier 1), re-derived
-    /// from their seed across insert-only deltas (Tier 2) or removal-bearing
-    /// deltas (Tier 3), and dropped to a cold recompute — the latter further
-    /// attributed to one of three reasons.
+    /// Epoch-migration split: answers carried verbatim (Tier 1), scheduled
+    /// to resume from their seed across insert-only deltas (Tier 2) or
+    /// removal-bearing deltas (Tier 3), and dropped to a cold recompute —
+    /// the latter further attributed to one of four reasons (saturation
+    /// counted when a read-time resume declines).
     carried: Counter,
     reseeded: Counter,
     delete_reseeded: Counter,
     fallback_saturation: Counter,
     fallback_no_seed: Counter,
     fallback_evicted: Counter,
-    /// `gps_rpq_cache_migrate_blocks_{copied,shared}_total` — the resumed
-    /// seeds' block split (see [`MigrationReport::blocks_copied`]).
+    fallback_pending: Counter,
+    /// `gps_rpq_cache_resumed_on_read_total` — pending entries whose first
+    /// read ran a resume or its cold fallback.
+    resumed_on_read: Counter,
+    /// `gps_rpq_cache_pending_unread_total` — entries still pending when
+    /// their cache was retired or they were evicted.
+    pending_unread: Counter,
+    /// `gps_rpq_cache_migrate_blocks_{copied,shared}_total` — the seed
+    /// blocks each read-time resume copied against those it shares with the
+    /// seed it resumed from ([`EvalResume::sharing`]): the size of the
+    /// delta's derivation cones.  Large with few resumes means one huge
+    /// cone; small per resume with many resumes means many touched queries.
     blocks_copied: Counter,
     blocks_shared: Counter,
     /// Entries (answers + the word index) dropped when the cache's epoch was
@@ -149,10 +380,10 @@ pub struct EvalCache {
     /// (disabled until [`with_metrics`](Self::with_metrics) binds it).
     eval_latency: Histogram,
     /// `gps_rpq_reseed_latency_ns` — wall time of one Tier-2 seeded
-    /// re-derivation at publish.
+    /// re-derivation, run by the first read after the publish.
     reseed_latency: Histogram,
     /// `gps_rpq_delete_reseed_latency_ns` — wall time of one Tier-3
-    /// over-delete/re-derive at publish.
+    /// over-delete/re-derive, run by the first read after the publish.
     delete_reseed_latency: Histogram,
     /// `gps_rpq_words_build_latency_ns` — wall time of one cold derivation of
     /// the word index.
@@ -193,6 +424,7 @@ impl EvalCache {
             evaluator,
             capacity: DEFAULT_CAPACITY,
             answers: RwLock::new(HashMap::new()),
+            log: RwLock::new(DeltaLog::default()),
             words: RwLock::new(Words::default()),
             hits: Counter::standalone(),
             misses: Counter::standalone(),
@@ -203,6 +435,9 @@ impl EvalCache {
             fallback_saturation: Counter::standalone(),
             fallback_no_seed: Counter::standalone(),
             fallback_evicted: Counter::standalone(),
+            fallback_pending: Counter::standalone(),
+            resumed_on_read: Counter::standalone(),
+            pending_unread: Counter::standalone(),
             blocks_copied: Counter::standalone(),
             blocks_shared: Counter::standalone(),
             retired_entries: Counter::standalone(),
@@ -235,6 +470,9 @@ impl EvalCache {
             self.fallback_saturation = registry.counter("gps_rpq_cache_fallback_saturation_total");
             self.fallback_no_seed = registry.counter("gps_rpq_cache_fallback_no_seed_total");
             self.fallback_evicted = registry.counter("gps_rpq_cache_fallback_evicted_total");
+            self.fallback_pending = registry.counter("gps_rpq_cache_fallback_pending_total");
+            self.resumed_on_read = registry.counter("gps_rpq_cache_resumed_on_read_total");
+            self.pending_unread = registry.counter("gps_rpq_cache_pending_unread_total");
             self.blocks_copied = registry.counter("gps_rpq_cache_migrate_blocks_copied_total");
             self.blocks_shared = registry.counter("gps_rpq_cache_migrate_blocks_shared_total");
             self.retired_entries = registry.counter("gps_rpq_cache_retired_total");
@@ -281,12 +519,19 @@ impl EvalCache {
     ///
     /// The drop is attributed to `gps_rpq_cache_retired_total` (the answers,
     /// plus one for the word index), so the epoch swap's evictions stay observable next to
-    /// the migration split instead of vanishing without a counter.
+    /// the migration split instead of vanishing without a counter; entries
+    /// nobody read since a publish left them pending also land on
+    /// `gps_rpq_cache_pending_unread_total`.
     pub fn retire(&self) {
         let mut answers = self.answers.write();
         let mut words = self.words.write();
         self.retired_entries
             .add((answers.len() + usize::from(words.index.is_some())) as u64);
+        let unread = answers
+            .values()
+            .filter(|slot| slot.entry.is_unresolved())
+            .count();
+        self.pending_unread.add(unread as u64);
         answers.clear();
         *words = Words::default();
         self.words_pairs.set(0);
@@ -299,7 +544,10 @@ impl EvalCache {
     }
 
     /// Migrates `old`'s (the superseded epoch's) cached answers into this
-    /// (new-epoch) cache across `delta`, in three tiers:
+    /// (new-epoch) cache across `delta`.  Every entry is classified here, in
+    /// three tiers, but no answer is recomputed: migration is pointer work
+    /// per entry, and the resumes it schedules run when an answer is first
+    /// read on this epoch.
     ///
     /// * **Tier 1 — proof of irrelevance.** An entry whose DFA alphabet
     ///   misses every touched label cannot observe the delta: edges with
@@ -313,37 +561,42 @@ impl EvalCache {
     ///   table over the old blocks, of which at most the tail one is
     ///   rewritten ([`QueryAnswer::extended`]).
     /// * **Tier 2 — delta-restricted re-derivation.** A touched entry with a
-    ///   captured seed on an *insert-only* delta resumes its fixed point
-    ///   restricted to the delta ([`DfaEvaluator::evaluate_dfa_resumed`]) —
-    ///   the fixed point is monotone in the edge set, so inserts only grow
-    ///   it.
+    ///   captured seed on an *insert-only* delta is scheduled to resume its
+    ///   fixed point restricted to the delta
+    ///   ([`DfaEvaluator::evaluate_dfa_resumed`]) — the fixed point is
+    ///   monotone in the edge set, so inserts only grow it.
     /// * **Tier 3 — over-delete/re-derive.** A touched entry with a seed on
-    ///   a *removal-bearing* delta takes the delete-aware resume: support
-    ///   counts are decremented along removed edges, zero-support
+    ///   a *removal-bearing* delta is scheduled for the delete-aware resume:
+    ///   support counts are decremented along removed edges, zero-support
     ///   configurations are transitively over-deleted, and the survivors
     ///   re-seed a push-only re-derivation (mixed insert+delete deltas run
     ///   the insert sweep first, then the removal sweep — one unified path).
     ///
-    /// A Tier-2/3 entry's new seed is a copy-on-write clone of the old one
-    /// and its new answer that seed's start-state alive set: they share
-    /// every block the delta's derivation cone did not reach with the
-    /// superseded epoch, so migrating costs the cone and retiring the old
-    /// epoch frees only what was copied.  The report's `blocks_copied` /
-    /// `blocks_shared` (and `gps_rpq_cache_migrate_blocks_*_total`) say how
-    /// large the cones were.
+    /// A scheduled entry is *pending*: it keeps its last resolved answer and
+    /// seed and their epoch's position in the cache's delta log, which this
+    /// migration extends by `delta`.  An entry still pending from an earlier
+    /// epoch stays pending across this one (it is classified by `delta` like
+    /// any other).  Its first read composes the log from its seed's epoch
+    /// ([`GraphDelta::composed`]): when the net delta misses its alphabet the
+    /// answer is carried, otherwise it is resumed — sharing every block the
+    /// net delta's derivation cone did not reach with the seed — or, when
+    /// the evaluator declines the resume, evaluated cold
+    /// (`gps_rpq_cache_fallback_saturation_total`).  Concurrent first readers
+    /// wait for one resume.  Each resume's wall time lands on
+    /// `gps_rpq_reseed_latency_ns` (insert-only net delta) or
+    /// `gps_rpq_delete_reseed_latency_ns`, its block split on
+    /// `gps_rpq_cache_migrate_blocks_*_total`.
     ///
     /// Everything else falls back to a cold recompute on next use, with the
-    /// reason attributed: `fallback_saturation` (the resume gave up — the
-    /// over-delete cone blew the evaluator's budget, or the seed's shape no
-    /// longer matched), `fallback_no_seed` (nothing captured to resume
-    /// from), or `fallback_evicted` (the new cache filled before this
-    /// entry's recency rank came up); `recomputed` is always their sum.
+    /// reason attributed: `fallback_no_seed` (nothing captured to resume
+    /// from), `fallback_evicted` (the new cache filled before this entry's
+    /// recency rank came up) or `fallback_pending` (the entry stayed unread
+    /// while more than `PENDING_EDGE_BUDGET` (65,536) edges changed since its
+    /// seed's epoch); `recomputed` is always their sum.
     ///
     /// Recency ticks carry over, so LRU ordering survives the epoch swap;
     /// the split is recorded on the `carried`/`reseeded`/`delete_reseeded`/
-    /// `fallback_*` counters and each reseed's wall time on
-    /// `gps_rpq_reseed_latency_ns` (Tier 2) or
-    /// `gps_rpq_delete_reseed_latency_ns` (Tier 3).
+    /// `fallback_*` counters.
     pub fn migrate_answers(&self, old: &EvalCache, delta: &GraphDelta) -> MigrationReport {
         let mut report = MigrationReport::default();
         let touched = delta.touched_labels();
@@ -353,14 +606,18 @@ impl EvalCache {
         // comparable with post-migration touches.
         self.tick
             .fetch_max(old.tick.load(Ordering::Relaxed), Ordering::Relaxed);
+        let old_log = old.log.read().clone();
+        let changed_edges = old_log.mark.changed_edges + delta.changed_edges() as u64;
+        // The oldest log position a pending entry of this cache resumes from.
+        let mut keep_after: Option<u64> = None;
         let old_entries = old.answers.read();
         // Most-recently-used first, so the capacity cap keeps the hot end.
-        let mut ordered: Vec<(&Regex, &Entry)> = old_entries.iter().collect();
-        ordered
-            .sort_by_key(|(_, entry)| std::cmp::Reverse(entry.last_used.load(Ordering::Relaxed)));
+        let mut ordered: Vec<(&Arc<Regex>, &Slot)> = old_entries.iter().collect();
+        ordered.sort_by_key(|(_, slot)| std::cmp::Reverse(slot.last_used.load(Ordering::Relaxed)));
         let total = ordered.len();
         let mut entries = self.answers.write();
-        for (rank, (regex, entry)) in ordered.into_iter().enumerate() {
+        entries.reserve(total.min(self.capacity));
+        for (rank, (regex, slot)) in ordered.into_iter().enumerate() {
             if entries.len() >= self.capacity {
                 // Everything below the capacity line recomputes cold on its
                 // next use; attribute the whole tail in one step.
@@ -369,93 +626,126 @@ impl EvalCache {
                 report.fallback_evicted += evicted;
                 break;
             }
-            let untouched = !entry.alphabet.iter().any(|label| touched.contains(&label));
-            let migrated = if untouched {
-                report.carried += 1;
-                let answer = if entry.answer.node_count() == new_n {
-                    Arc::clone(&entry.answer)
-                } else {
-                    Arc::new(entry.answer.extended(new_n, entry.nullable))
-                };
-                Entry {
-                    answer,
-                    alphabet: entry.alphabet.clone(),
-                    nullable: entry.nullable,
-                    dfa: Arc::clone(&entry.dfa),
-                    // The seed stays valid: the relevant subgraph is
-                    // unchanged, and nodes past `resume.nodes()` are
-                    // re-seeded from the DFA alone at the next resume.
-                    resume: entry.resume.clone(),
-                    last_used: AtomicU64::new(entry.last_used.load(Ordering::Relaxed)),
-                }
-            } else {
-                let reseeded = entry.resume.as_ref().and_then(|resume| {
-                    let span = if insert_only {
-                        self.reseed_latency.start_timer()
-                    } else {
-                        self.delete_reseed_latency.start_timer()
+            let (entry, last_used) = (&slot.entry, slot.last_used.load(Ordering::Relaxed));
+            let compiled = Arc::clone(&entry.compiled);
+            let reads_delta = compiled.reads_any(&touched);
+            let pending = match entry.resolved.get() {
+                Some(resolved) if !reads_delta => {
+                    report.carried += 1;
+                    let carried = Resolved {
+                        answer: grown(&resolved.answer, new_n, compiled.nullable),
+                        // The seed stays valid: the relevant subgraph is
+                        // unchanged, and nodes past `resume.nodes()` are
+                        // re-seeded from the DFA alone at the next resume.
+                        resume: resolved.resume.clone(),
                     };
-                    let outcome = self
-                        .evaluator
-                        .evaluate_dfa_resumed(&entry.dfa, resume, delta);
-                    match outcome {
-                        // The span ends before the block walk: that is
-                        // bookkeeping, not part of the resume it times.
-                        Some((answer, next)) => {
-                            span.stop();
-                            let sharing = next.sharing(resume);
-                            Some((answer, next, sharing))
-                        }
-                        None => {
-                            span.cancel();
-                            None
-                        }
-                    }
-                });
-                match reseeded {
-                    Some((answer, resume, sharing)) => {
-                        report.blocks_copied += sharing.copied;
-                        report.blocks_shared += sharing.shared;
-                        if insert_only {
-                            report.reseeded += 1;
-                        } else {
-                            report.delete_reseeded += 1;
-                        }
-                        Entry {
-                            answer: Arc::new(answer),
-                            alphabet: entry.alphabet.clone(),
-                            nullable: entry.nullable,
-                            dfa: Arc::clone(&entry.dfa),
-                            resume: Some(Arc::new(resume)),
-                            last_used: AtomicU64::new(entry.last_used.load(Ordering::Relaxed)),
-                        }
-                    }
-                    None => {
-                        report.recomputed += 1;
-                        if entry.resume.is_some() {
-                            // The evaluator declined the seed: over-delete
-                            // budget blown, shape mismatch, or (naive
-                            // evaluator) no resume support at all.
-                            report.fallback_saturation += 1;
-                        } else {
-                            report.fallback_no_seed += 1;
-                        }
-                        continue;
-                    }
+                    let carried = Slot::new(Entry::resolved(compiled, carried), last_used);
+                    entries.insert(Arc::clone(regex), carried);
+                    continue;
                 }
+                Some(Resolved {
+                    answer,
+                    resume: Some(seed),
+                }) => Pending {
+                    answer: Arc::clone(answer),
+                    seed: Arc::clone(seed),
+                    mark: old_log.mark,
+                },
+                Some(Resolved { resume: None, .. }) => {
+                    report.recomputed += 1;
+                    report.fallback_no_seed += 1;
+                    continue;
+                }
+                None => entry
+                    .pending
+                    .clone()
+                    .expect("an unresolved entry is pending"),
             };
-            entries.insert(regex.clone(), migrated);
+            if changed_edges - pending.mark.changed_edges > PENDING_EDGE_BUDGET {
+                report.recomputed += 1;
+                report.fallback_pending += 1;
+                continue;
+            }
+            if !reads_delta {
+                report.carried += 1;
+            } else if insert_only {
+                report.reseeded += 1;
+            } else {
+                report.delete_reseeded += 1;
+            }
+            keep_after = Some(keep_after.unwrap_or(u64::MAX).min(pending.mark.publishes));
+            let pending = Slot::new(Entry::pending(compiled, pending), last_used);
+            entries.insert(Arc::clone(regex), pending);
         }
+        *self.log.write() = old_log.append(delta, keep_after);
         self.carried.add(report.carried as u64);
         self.reseeded.add(report.reseeded as u64);
         self.delete_reseeded.add(report.delete_reseeded as u64);
-        self.fallback_saturation
-            .add(report.fallback_saturation as u64);
         self.fallback_no_seed.add(report.fallback_no_seed as u64);
         self.fallback_evicted.add(report.fallback_evicted as u64);
-        self.blocks_copied.add(report.blocks_copied as u64);
-        self.blocks_shared.add(report.blocks_shared as u64);
+        self.fallback_pending.add(report.fallback_pending as u64);
         report
+    }
+
+    /// The answer `entry` holds on this cache's snapshot: the stored one, or
+    /// — for the first read of an entry a publish left pending — the one
+    /// resumed from its seed.  Concurrent first readers wait on the entry's
+    /// once-cell, so an entry resumes once.
+    fn resolve<'e>(&self, entry: &'e Entry) -> &'e Resolved {
+        entry.resolved.get_or_init(|| {
+            let pending = entry
+                .pending
+                .as_ref()
+                .expect("only a pending entry starts unresolved");
+            self.resume_on_read(&entry.compiled, pending)
+        })
+    }
+
+    /// Resolves a pending entry across the net delta since its seed's epoch.
+    fn resume_on_read(&self, compiled: &Compiled, pending: &Pending) -> Resolved {
+        let delta = self.log.read().since(pending.mark);
+        if !compiled.reads_any(&delta.touched_labels()) {
+            // The net delta misses the alphabet (its touching edges
+            // cancelled out): Tier 1, as at publish.
+            return Resolved {
+                answer: grown(&pending.answer, self.csr.node_count(), compiled.nullable),
+                resume: Some(Arc::clone(&pending.seed)),
+            };
+        }
+        self.resumed_on_read.inc();
+        let span = if delta.removed_edges.is_empty() {
+            self.reseed_latency.start_timer()
+        } else {
+            self.delete_reseed_latency.start_timer()
+        };
+        match self
+            .evaluator
+            .evaluate_dfa_resumed(&compiled.dfa, &pending.seed, &delta)
+        {
+            Some((answer, seed)) => {
+                // The span ends before the block walk: that is bookkeeping,
+                // not part of the resume it times.
+                span.stop();
+                let sharing = seed.sharing(&pending.seed);
+                self.blocks_copied.add(sharing.copied as u64);
+                self.blocks_shared.add(sharing.shared as u64);
+                Resolved {
+                    answer: Arc::new(answer),
+                    resume: Some(Arc::new(seed)),
+                }
+            }
+            None => {
+                // The evaluator declined the seed: over-delete budget blown,
+                // shape mismatch, or no resume support at all.
+                span.cancel();
+                self.fallback_saturation.inc();
+                let (answer, resume) = self.evaluator.evaluate_dfa_captured(&compiled.dfa);
+                Resolved {
+                    answer: Arc::new(answer),
+                    resume: resume.map(Arc::new),
+                }
+            }
+        }
     }
 
     /// Seeds this (new-epoch) cache's word index from `old`'s (the superseded
@@ -629,18 +919,24 @@ impl EvalCache {
     }
 
     /// Looks up `regex`, refreshing its recency on a hit.  Hits stay on the
-    /// shared read lock.
+    /// shared read lock; a hit on a pending entry resolves it after the lock
+    /// is released, so a resume holds up no insert and no other query.
     fn touch(&self, regex: &Regex) -> Option<Arc<QueryAnswer>> {
         let tick = self.tick.fetch_add(1, Ordering::Relaxed) + 1;
-        let answers = self.answers.read();
-        if let Some(entry) = answers.get(regex) {
-            entry.last_used.store(tick, Ordering::Relaxed);
+        let pending = {
+            let answers = self.answers.read();
+            let Some(slot) = answers.get(regex) else {
+                self.misses.inc();
+                return None;
+            };
+            slot.last_used.store(tick, Ordering::Relaxed);
             self.hits.inc();
-            Some(Arc::clone(&entry.answer))
-        } else {
-            self.misses.inc();
-            None
-        }
+            match slot.entry.resolved.get() {
+                Some(resolved) => return Some(Arc::clone(&resolved.answer)),
+                None => Arc::clone(&slot.entry),
+            }
+        };
+        Some(Arc::clone(&self.resolve(&pending).answer))
     }
 
     /// Inserts an answer (with the automaton it came from and, when captured,
@@ -658,21 +954,31 @@ impl EvalCache {
         if !answers.contains_key(regex) && answers.len() >= self.capacity {
             if let Some(oldest) = answers
                 .iter()
-                .min_by_key(|(_, entry)| entry.last_used.load(Ordering::Relaxed))
-                .map(|(regex, _)| regex.clone())
+                .min_by_key(|(_, slot)| slot.last_used.load(Ordering::Relaxed))
+                .map(|(regex, _)| Arc::clone(regex))
             {
-                answers.remove(&oldest);
+                if answers
+                    .remove(&oldest)
+                    .is_some_and(|slot| slot.entry.is_unresolved())
+                {
+                    self.pending_unread.inc();
+                }
                 self.evictions.inc();
             }
         }
-        answers.entry(regex.clone()).or_insert_with(|| Entry {
-            answer: Arc::clone(answer),
-            alphabet: dfa.used_alphabet(),
-            nullable: dfa.is_accepting(dfa.start()),
-            dfa: Arc::new(dfa),
-            resume: resume.map(Arc::new),
-            last_used: AtomicU64::new(tick),
-        });
+        if !answers.contains_key(regex) {
+            let compiled = Compiled {
+                alphabet: dfa.used_alphabet(),
+                nullable: dfa.is_accepting(dfa.start()),
+                dfa,
+            };
+            let resolved = Resolved {
+                answer: Arc::clone(answer),
+                resume: resume.map(Arc::new),
+            };
+            let slot = Slot::new(Entry::resolved(Arc::new(compiled), resolved), tick);
+            answers.insert(Arc::new(regex.clone()), slot);
+        }
     }
 
     /// Number of cached answers.
@@ -713,7 +1019,7 @@ impl EvalCache {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use gps_graph::{Graph, PathEnumerator, Word};
+    use gps_graph::{Edge, Graph, PathEnumerator, Word};
 
     fn sample() -> CsrGraph {
         let mut g = Graph::new();
@@ -1221,26 +1527,42 @@ mod tests {
         let registry = MetricsRegistry::enabled();
         let new_cache = declining(&compacted).with_metrics(&registry);
         let report = new_cache.migrate_answers(&old_cache, &summary);
+        // The publish only schedules the resumes; the evaluator declines
+        // them when the answers are read.
         assert_eq!(
             report,
             MigrationReport {
                 carried: 1,
-                recomputed: touched.len(),
-                fallback_saturation: touched.len(),
+                delete_reseeded: touched.len(),
                 ..MigrationReport::default()
             }
         );
-        assert_eq!(
-            registry
-                .snapshot()
-                .counter("gps_rpq_cache_fallback_saturation_total"),
-            Some(touched.len() as u64)
-        );
-        assert_eq!(new_cache.len(), 1, "only the untouched entry is carried");
+        let counter = |name: &str| registry.snapshot().counter(name);
+        assert_eq!(counter("gps_rpq_cache_fallback_saturation_total"), Some(0));
+        assert_eq!(new_cache.len(), all.len());
         let cold = EvalCache::from_csr((*compacted).clone());
         for regex in &all {
             assert_eq!(new_cache.evaluate(regex), cold.evaluate(regex));
         }
+        assert_eq!(
+            counter("gps_rpq_cache_fallback_saturation_total"),
+            Some(touched.len() as u64),
+            "every declined resume fell back to a cold evaluation on read"
+        );
+        assert_eq!(
+            counter("gps_rpq_cache_resumed_on_read_total"),
+            Some(touched.len() as u64)
+        );
+        assert_eq!(counter("gps_rpq_cache_hits_total"), Some(all.len() as u64));
+        // Later reads are plain hits.
+        for regex in &touched {
+            new_cache.evaluate(regex);
+        }
+        assert_eq!(
+            counter("gps_rpq_cache_fallback_saturation_total"),
+            Some(touched.len() as u64),
+            "a resolved entry resolves once"
+        );
     }
 
     #[test]
@@ -1311,6 +1633,294 @@ mod tests {
             "isolated node spells nothing"
         );
         assert_eq!(new_cache.bounded_word_counts(2), vec![1, 0, 0]);
+    }
+
+    /// Answers naively, captures a placeholder seed for every query, and
+    /// "resumes" by evaluating from scratch while recording the net delta it
+    /// was handed — a stand-in for the frontier engine, which lives in a
+    /// crate above this one.
+    #[derive(Debug)]
+    struct Replaying {
+        naive: NaiveEvaluator,
+        resumed: Arc<std::sync::Mutex<Vec<GraphDelta>>>,
+    }
+
+    impl DfaEvaluator for Replaying {
+        fn evaluate_dfa(&self, dfa: &Dfa) -> QueryAnswer {
+            self.naive.evaluate_dfa(dfa)
+        }
+
+        fn evaluate_dfa_captured(&self, dfa: &Dfa) -> (QueryAnswer, Option<EvalResume>) {
+            let answer = self.naive.evaluate_dfa(dfa);
+            let seed = EvalResume::new(answer.node_count());
+            (answer, Some(seed))
+        }
+
+        fn evaluate_dfa_resumed(
+            &self,
+            dfa: &Dfa,
+            _resume: &EvalResume,
+            delta: &GraphDelta,
+        ) -> Option<(QueryAnswer, EvalResume)> {
+            self.resumed.lock().unwrap().push(delta.clone());
+            let answer = self.naive.evaluate_dfa(dfa);
+            let seed = EvalResume::new(answer.node_count());
+            Some((answer, seed))
+        }
+
+        fn witness(&self, dfa: &Dfa, node: NodeId) -> Option<Path> {
+            self.naive.witness(dfa, node)
+        }
+    }
+
+    /// The chain of replaying caches one test publishes through, with the
+    /// registry they share and every delta a resume was handed.
+    struct Chain {
+        registry: MetricsRegistry,
+        resumed: Arc<std::sync::Mutex<Vec<GraphDelta>>>,
+    }
+
+    impl Chain {
+        fn new() -> Self {
+            Self {
+                registry: MetricsRegistry::enabled(),
+                resumed: Arc::default(),
+            }
+        }
+
+        fn cache(&self, csr: &Arc<CsrGraph>) -> EvalCache {
+            let evaluator = Replaying {
+                naive: NaiveEvaluator::from_shared(Arc::clone(csr)),
+                resumed: Arc::clone(&self.resumed),
+            };
+            EvalCache::with_shared_evaluator(Arc::clone(csr), Box::new(evaluator))
+                .with_metrics(&self.registry)
+        }
+
+        /// Stages `ops` over `old`'s snapshot and migrates `old` into a
+        /// cache over the result.
+        fn publish(
+            &self,
+            old: &EvalCache,
+            ops: impl FnOnce(&mut gps_graph::DeltaGraph),
+        ) -> (EvalCache, MigrationReport) {
+            let mut delta = gps_graph::DeltaGraph::new(Arc::clone(&old.csr));
+            ops(&mut delta);
+            let summary = delta.delta();
+            let cache = self.cache(&Arc::new(delta.compact()));
+            let report = cache.migrate_answers(old, &summary);
+            (cache, report)
+        }
+
+        fn counter(&self, name: &str) -> u64 {
+            self.registry.snapshot().counter(name).unwrap_or(0)
+        }
+
+        fn resumed(&self) -> Vec<GraphDelta> {
+            self.resumed.lock().unwrap().clone()
+        }
+    }
+
+    /// `A -x-> B`, `A -y-> B`.
+    fn two_labels() -> Arc<CsrGraph> {
+        let mut g = Graph::new();
+        let a = g.add_node("A");
+        let b = g.add_node("B");
+        g.add_edge_by_name(a, "x", b);
+        g.add_edge_by_name(a, "y", b);
+        Arc::new(CsrGraph::from_graph(&g))
+    }
+
+    #[test]
+    fn a_pending_entry_resumes_across_a_later_label_disjoint_publish() {
+        let chain = Chain::new();
+        let base = two_labels();
+        let (a, b) = (NodeId::from(0usize), NodeId::from(1usize));
+        let x = base.label_id("x").unwrap();
+        let queries = [Regex::symbol(x), Regex::star(Regex::symbol(x))];
+        let first = chain.cache(&base);
+        for regex in &queries {
+            first.evaluate(regex);
+        }
+
+        // Touch `x`, then publish a fresh label and node before any read.
+        let (second, report) = chain.publish(&first, |delta| {
+            delta.add_edge(b, x, a);
+        });
+        assert_eq!(report.reseeded, 2, "{report:?}");
+        let (third, report) = chain.publish(&second, |delta| {
+            let w = delta.add_node("W");
+            let z = delta.label("z");
+            delta.add_edge(b, z, w);
+        });
+        assert_eq!(
+            report,
+            MigrationReport {
+                carried: 2,
+                ..MigrationReport::default()
+            },
+            "still-pending entries are classified by the new delta alone"
+        );
+        assert!(chain.resumed().is_empty(), "no publish resumed anything");
+
+        // The first reads resume once each, across both deltas composed.
+        let cold = EvalCache::from_csr(third.csr().clone());
+        for regex in &queries {
+            assert_eq!(third.evaluate(regex), cold.evaluate(regex));
+        }
+        let z = third.csr().label_id("z").unwrap();
+        let w = NodeId::from(2usize);
+        for delta in chain.resumed() {
+            assert_eq!(delta.added_edges, [Edge::new(b, x, a), Edge::new(b, z, w)]);
+            assert!(delta.removed_edges.is_empty());
+            assert_eq!(delta.added_nodes, 1);
+        }
+        assert_eq!(chain.resumed().len(), queries.len());
+        assert_eq!(chain.counter("gps_rpq_cache_resumed_on_read_total"), 2);
+        assert_eq!(chain.counter("gps_rpq_cache_hits_total"), 2);
+        // The middle epoch was superseded unread.
+        second.retire();
+        assert_eq!(chain.counter("gps_rpq_cache_pending_unread_total"), 2);
+        third.retire();
+        assert_eq!(chain.counter("gps_rpq_cache_pending_unread_total"), 2);
+    }
+
+    #[test]
+    fn an_insert_undone_before_the_first_read_carries_the_answer() {
+        let chain = Chain::new();
+        let base = two_labels();
+        let (a, b) = (NodeId::from(0usize), NodeId::from(1usize));
+        let x = base.label_id("x").unwrap();
+        let twice = Regex::concat([Regex::symbol(x), Regex::symbol(x)]);
+        let first = chain.cache(&base);
+        let answer = first.evaluate(&twice);
+
+        let (second, report) = chain.publish(&first, |delta| {
+            delta.add_edge(b, x, a);
+        });
+        assert_eq!(report.reseeded, 1);
+        let (third, report) = chain.publish(&second, |delta| {
+            assert!(delta.remove_edge(b, x, a));
+        });
+        assert_eq!(report.delete_reseeded, 1);
+
+        // The net delta is empty: Tier 1 at read, no resume.
+        let read = third.evaluate(&twice);
+        assert!(Arc::ptr_eq(&read, &answer), "the seed's answer is carried");
+        assert!(chain.resumed().is_empty());
+        assert_eq!(chain.counter("gps_rpq_cache_resumed_on_read_total"), 0);
+        assert_eq!(
+            read,
+            EvalCache::from_csr(third.csr().clone()).evaluate(&twice)
+        );
+    }
+
+    #[test]
+    fn a_pending_entry_past_the_edge_budget_is_dropped_at_publish() {
+        let chain = Chain::new();
+        let base = two_labels();
+        let (a, b) = (NodeId::from(0usize), NodeId::from(1usize));
+        let (x, y) = (base.label_id("x").unwrap(), base.label_id("y").unwrap());
+        let (touched, untouched) = (Regex::symbol(x), Regex::symbol(y));
+        let first = chain.cache(&base);
+        first.evaluate(&touched);
+        first.evaluate(&untouched);
+        let (second, report) = chain.publish(&first, |delta| {
+            delta.add_edge(b, x, a);
+        });
+        assert_eq!((report.reseeded, report.carried), (1, 1));
+
+        // `z` edges no query reads: one publish keeps the pending entry at
+        // exactly the budget, one more edge drops it.
+        let parallel_z = |edges: u64| {
+            move |delta: &mut gps_graph::DeltaGraph| {
+                let z = delta.label("z");
+                for _ in 0..edges {
+                    delta.add_edge(a, z, b);
+                }
+            }
+        };
+        let (at_budget, report) = chain.publish(&second, parallel_z(PENDING_EDGE_BUDGET - 1));
+        assert_eq!(
+            report,
+            MigrationReport {
+                carried: 2,
+                ..MigrationReport::default()
+            }
+        );
+        assert_eq!(at_budget.len(), 2);
+        let (past_budget, report) = chain.publish(&second, parallel_z(PENDING_EDGE_BUDGET));
+        assert_eq!(
+            report,
+            MigrationReport {
+                carried: 1,
+                recomputed: 1,
+                fallback_pending: 1,
+                ..MigrationReport::default()
+            }
+        );
+        assert_eq!(chain.counter("gps_rpq_cache_fallback_pending_total"), 1);
+        assert_eq!(past_budget.len(), 1, "only the resolved entry is carried");
+        // The dropped entry recomputes on its next use.
+        let cold = EvalCache::from_csr(past_budget.csr().clone());
+        assert_eq!(past_budget.evaluate(&touched), cold.evaluate(&touched));
+        assert_eq!(past_budget.stats().1, 3, "two warm-up misses and this one");
+    }
+
+    /// Deltas held by `cache`'s log.
+    fn log_length(cache: &EvalCache) -> usize {
+        let log = cache.log.read();
+        let mut length = 0;
+        let mut cursor = log.head.as_deref();
+        while let Some(node) = cursor {
+            length += 1;
+            cursor = node.prev.as_deref();
+        }
+        length
+    }
+
+    #[test]
+    fn the_log_keeps_only_what_pending_entries_need() {
+        let chain = Chain::new();
+        let base = two_labels();
+        let (a, b) = (NodeId::from(0usize), NodeId::from(1usize));
+        let (x, y) = (base.label_id("x").unwrap(), base.label_id("y").unwrap());
+        let (on_x, on_y) = (Regex::symbol(x), Regex::symbol(y));
+        let mut cache = chain.cache(&base);
+        cache.evaluate(&on_x);
+        cache.evaluate(&on_y);
+        // Publish `r` touches both labels at r = 0 and `y` after.  `on_x` is
+        // first read after publish 29; `on_y` after every publish up to 24.
+        let mut lengths = Vec::new();
+        for round in 0..40 {
+            let (next, _) = chain.publish(&cache, |delta| {
+                if round == 0 {
+                    delta.add_edge(b, x, a);
+                }
+                delta.add_edge(b, y, a);
+            });
+            if round < 25 {
+                next.evaluate(&on_y);
+            }
+            if round == 29 {
+                next.evaluate(&on_x);
+            }
+            lengths.push(log_length(&next));
+            cache = next;
+        }
+        // Until `on_x` is read the log holds every delta.  Then `on_y`,
+        // pending since position 25, needs 5 of the 30 older deltas: the log
+        // is relinked to those, and grows from there.
+        let expected: Vec<usize> = (1..=30).chain(6..=15).collect();
+        assert_eq!(lengths, expected);
+        let cold = EvalCache::from_csr(cache.csr().clone());
+        assert_eq!(cache.evaluate(&on_y), cold.evaluate(&on_y));
+        assert_eq!(cache.evaluate(&on_x), cold.evaluate(&on_x));
+        // With every entry resolved, a publish leaves nothing pending.
+        let (last, _) = chain.publish(&cache, |delta| {
+            delta.add_node("W");
+        });
+        assert_eq!(log_length(&last), 0, "nothing pending, no log");
     }
 
     #[test]

@@ -25,7 +25,7 @@
 
 use gps_core::prelude::*;
 use gps_core::service::SessionManager;
-use gps_core::versioned::GraphUpdate;
+use gps_core::versioned::{GraphUpdate, PublishReport};
 use gps_datasets::scale_free::{self, ScaleFreeConfig};
 use gps_rpq::PathQuery;
 use gps_telemetry::MetricsRegistry;
@@ -440,4 +440,185 @@ fn chained_mixed_epochs_match_cold_evaluation_in_every_mode() {
         delete_reseeded > 0,
         "chained mixed epochs must exercise the delete-aware resume"
     );
+}
+
+// ------------------------------------- 4. Resumes run on read, lazily exact
+
+/// `a{i}` triples of `snapshot` as names, for update ops.
+fn named(snapshot: &CsrGraph, edge: Edge) -> (String, String, String) {
+    (
+        snapshot.node_name(edge.source).to_string(),
+        snapshot.labels().name(edge.label).unwrap().to_string(),
+        snapshot.node_name(edge.target).to_string(),
+    )
+}
+
+/// `k` chained mixed publishes over `service` with no read in between.
+/// Every publish adds a node, two random `a0..a3` edges and removes one
+/// random `a0..a3` edge; across the chain, an edge inserted by the first
+/// publish is removed by the last, a base edge removed by the first is
+/// re-added by the last, and the first adds a parallel copy of a base edge.
+fn unread_publishes(service: &SessionManager, rng: &mut StdRng, k: usize) -> Vec<PublishReport> {
+    let base = service.core().snapshot().clone();
+    let n = base.node_count();
+    let alphabet: Vec<Edge> = base
+        .edges_by_source()
+        .map(|(_, edge)| edge)
+        .filter(|edge| base.labels().name(edge.label).unwrap().starts_with('a'))
+        .collect();
+    let pick_edge = |rng: &mut StdRng| alphabet[rng.gen_range(0..alphabet.len())];
+    // A fresh triple (not in the base), a base edge and a parallel copy.
+    let inserted = loop {
+        let edge = Edge::new(
+            NodeId::from(rng.gen_range(0..n)),
+            LabelId::new(rng.gen_range(0..4u32)),
+            NodeId::from(rng.gen_range(0..n)),
+        );
+        if !alphabet.contains(&edge) {
+            break named(&base, edge);
+        }
+    };
+    let round_trip = named(&base, pick_edge(rng));
+    let parallel = named(&base, pick_edge(rng));
+    let special = [&inserted, &round_trip, &parallel];
+
+    let mut reports = Vec::with_capacity(k);
+    for round in 1..=k {
+        let snapshot = service.core().snapshot().clone();
+        let n = snapshot.node_count();
+        let pick = |rng: &mut StdRng| {
+            snapshot
+                .node_name(NodeId::from(rng.gen_range(0..n)))
+                .to_string()
+        };
+        let fresh = format!("lazy{k}x{round}");
+        let mut update =
+            GraphUpdate::new()
+                .add_node(fresh.clone())
+                .add_edge(fresh.as_str(), "a2", pick(rng));
+        for _ in 0..2 {
+            let label = format!("a{}", rng.gen_range(0..4u32));
+            update = update.add_edge(pick(rng), label, pick(rng));
+        }
+        // A random removal that leaves the three scripted triples alone.
+        let removable: Vec<Edge> = snapshot
+            .edges_by_source()
+            .map(|(_, edge)| edge)
+            .filter(|&edge| {
+                let name = named(&snapshot, edge);
+                snapshot.labels().name(edge.label).unwrap().starts_with('a')
+                    && !special.contains(&&name)
+            })
+            .collect();
+        let (source, label, target) =
+            named(&snapshot, removable[rng.gen_range(0..removable.len())]);
+        update = update.remove_edge(source, label, target);
+        if round == 1 {
+            let (source, label, target) = inserted.clone();
+            update = update.add_edge(source, label, target);
+            let (source, label, target) = round_trip.clone();
+            update = update.remove_edge(source, label, target);
+            let (source, label, target) = parallel.clone();
+            update = update.add_edge(source, label, target);
+        }
+        if round == k {
+            let (source, label, target) = inserted.clone();
+            update = update.remove_edge(source, label, target);
+            let (source, label, target) = round_trip.clone();
+            update = update.add_edge(source, label, target);
+        }
+        reports.push(service.update(update).unwrap());
+    }
+    reports
+}
+
+#[test]
+fn answers_resumed_after_k_unread_publishes_match_cold_evaluation() {
+    let graph = scale_free_graph(400);
+    let queries = warm_queries(&graph);
+    let mut rng = StdRng::seed_from_u64(0x1A2E_5EED);
+    for k in 1..=8usize {
+        let registry = Arc::new(MetricsRegistry::enabled());
+        let service = SessionManager::new(
+            Engine::builder(graph.clone())
+                .metrics(Arc::clone(&registry))
+                .build(),
+        );
+        warm(&service, &queries);
+        let reports = unread_publishes(&service, &mut rng, k);
+        for (round, report) in reports.iter().enumerate() {
+            assert_eq!(
+                report.carried_answers
+                    + report.reseeded_answers
+                    + report.delete_reseeded_answers
+                    + report.recomputed_answers,
+                queries.len(),
+                "k = {k}, publish {round}: the migration split partitions the cache"
+            );
+            assert_eq!(report.recomputed_answers, 0, "k = {k}, publish {round}");
+        }
+        let counter = |name: &str| registry.snapshot().counter(name).unwrap();
+        assert_eq!(
+            counter("gps_rpq_cache_resumed_on_read_total"),
+            0,
+            "k = {k}: no publish resumed anything"
+        );
+        let misses = counter("gps_rpq_cache_misses_total");
+        assert_matches_cold(&service, &queries, &format!("after {k} unread publishes"));
+        assert_eq!(
+            counter("gps_rpq_cache_misses_total"),
+            misses,
+            "k = {k}: every answer was served from its migrated entry"
+        );
+        assert!(
+            counter("gps_rpq_cache_resumed_on_read_total") > 0,
+            "k = {k}: the first reads ran the resumes"
+        );
+        assert_eq!(counter("gps_rpq_cache_fallback_saturation_total"), 0);
+    }
+}
+
+#[test]
+fn concurrent_first_reads_resume_a_pending_entry_once() {
+    let graph = scale_free_graph(400);
+    let registry = Arc::new(MetricsRegistry::enabled());
+    let service = SessionManager::new(
+        Engine::builder(graph.clone())
+            .metrics(Arc::clone(&registry))
+            .build(),
+    );
+    let query = PathQuery::parse("(a0+a1)*.a2", graph.labels()).unwrap();
+    warm(&service, std::slice::from_ref(&query));
+    let mut rng = StdRng::seed_from_u64(0x0C0C);
+    let report = service
+        .update(random_insert_update(&graph, &mut rng, 1))
+        .unwrap();
+    assert_eq!(report.reseeded_answers, 1, "the publish leaves it pending");
+
+    let resumed = || {
+        registry
+            .snapshot()
+            .counter("gps_rpq_cache_resumed_on_read_total")
+            .unwrap()
+    };
+    let before = resumed();
+    let core = service.core();
+    let cache = core.eval_cache();
+    let barrier = std::sync::Barrier::new(4);
+    let answers: Vec<_> = std::thread::scope(|scope| {
+        let readers: Vec<_> = (0..4)
+            .map(|_| {
+                scope.spawn(|| {
+                    barrier.wait();
+                    cache.evaluate_compiled(query.regex(), query.dfa())
+                })
+            })
+            .collect();
+        readers.into_iter().map(|r| r.join().unwrap()).collect()
+    });
+    assert_eq!(resumed(), before + 1, "one resume for four first readers");
+    for answer in &answers[1..] {
+        assert!(Arc::ptr_eq(answer, &answers[0]), "one answer");
+    }
+    assert_matches_cold(&service, std::slice::from_ref(&query), "concurrent reads");
 }

@@ -152,8 +152,8 @@ fn mixed_workload_exports_are_complete_and_valid() {
     };
 
     // Serve + update (two publishes trigger a checkpoint) + one
-    // removal-bearing publish that drives the Tier-3 delete-reseed, then
-    // drop.
+    // removal-bearing publish that schedules the Tier-3 delete-reseed, serve
+    // again (the reads run the scheduled resumes), then drop.
     let recomputed: usize = {
         let (svc, report) =
             SessionManager::open_durable(&dir, builder().metrics(Arc::clone(&registry))).unwrap();
@@ -173,6 +173,7 @@ fn mixed_workload_exports_are_complete_and_valid() {
             reports[2].delete_reseeded_answers > 0,
             "the removal publish must exercise the delete-aware resume"
         );
+        svc.serve(&goals(), 2).unwrap();
         reports.iter().map(|r| r.recomputed_answers).sum()
     };
 
@@ -193,6 +194,9 @@ fn mixed_workload_exports_are_complete_and_valid() {
         "gps_rpq_cache_fallback_saturation_total",
         "gps_rpq_cache_fallback_no_seed_total",
         "gps_rpq_cache_fallback_evicted_total",
+        "gps_rpq_cache_fallback_pending_total",
+        "gps_rpq_cache_resumed_on_read_total",
+        "gps_rpq_cache_pending_unread_total",
         "gps_rpq_cache_migrate_blocks_copied_total",
         "gps_rpq_cache_migrate_blocks_shared_total",
         "gps_rpq_delete_reseed_latency_ns",
