@@ -2,7 +2,7 @@
 //!
 //! The numbers a user of the system feels are measured by the `benchmark/`
 //! package (seeded workloads, ten-pairs protocol, `BENCH_history.jsonl`).
-//! This binary only holds twelve ratios no workload there can express — two
+//! This binary only holds thirteen ratios no workload there can express — two
 //! shapes of the same work timed side by side in one process — and exits
 //! non-zero, with one `SMOKE FAILURE:` line per broken floor, when one of
 //! them crosses its bound:
@@ -21,6 +21,7 @@
 //! | 10 | `scale-free-100k` | streamed corpus build peak heap < 0.9× the Graph-then-compact peak |
 //! | 11 | `scale-free-100k` | `index-patch` (`BatchEvaluator::apply_delta` of the 6-edge insert) ≤ `PATCH_BOUND`× `index-build` (`BatchEvaluator::from_csr` of the patched snapshot) |
 //! | 12 | `scale-free-100k` | `migrate` (`EvalCache::migrate_answers` of 64 touched entries) ≤ `MIGRATE_BOUND`× `migrate-then-read` (the same, then the first read of all 64) |
+//! | 13 | `scale-free-100k` | `eval-cold` (`evaluate_dfa_captured` of six broad star/chain queries) ≤ `CAPTURE_BOUND`× `eval-uncaptured` (`evaluate_dfa` of the same) |
 //!
 //! Samples of the compared shapes are interleaved round-robin so clock or
 //! thermal drift cannot bias a comparison one way; the floors that compare
@@ -778,7 +779,7 @@ fn telemetry_floor(graph: &Graph, goals: &[String]) -> Floor {
     Floor::of_pairs("scale-free-2000-telemetry", &off, &on, AtLeast(0.95))
 }
 
-/// Floors 10, 9, 11 and 12, on a 4-edges-per-node, 8-label scale-free corpus
+/// Floors 10, 9, 11, 12 and 13, on a 4-edges-per-node, 8-label scale-free corpus
 /// of 100k nodes.
 ///
 /// * The streamed `CsrGraph` builder vs. materializing the mutable `Graph`
@@ -801,7 +802,9 @@ fn telemetry_floor(graph: &Graph, goals: &[String]) -> Floor {
 ///   the delta touches, so it must stay under [`PATCH_BOUND`] of a build.
 /// * Migrating a warm answer cache across a 4-edge publish vs. migrating it
 ///   and reading every answer once ([`lazy_migration_floor`]).
-fn scale_floors() -> [Floor; 4] {
+/// * A cold evaluation with its seed captured vs. without
+///   ([`capture_floor`]).
+fn scale_floors() -> [Floor; 5] {
     const GROUP: &str = "scale-free-100k";
     let config = ScaleFreeConfig {
         nodes: 100_000,
@@ -947,7 +950,58 @@ fn scale_floors() -> [Floor; 4] {
     );
     let patch = Floor::of_means(GROUP, &patch, &build, AtMost(PATCH_BOUND));
     let lazy = lazy_migration_floor(GROUP, &snapshot, &base_eval);
-    [peaks, resume, patch, lazy]
+    let capture = capture_floor(GROUP, &base_eval);
+    [peaks, resume, patch, lazy, capture]
+}
+
+/// Floor 13's bound on `eval-cold / eval-uncaptured`.  While a seed carried
+/// a support counter per configuration beside its alive bits, capturing read
+/// 1.49-1.62x here; a seed of alive bits only reads 0.98-1.0x.
+const CAPTURE_BOUND: f64 = 1.15;
+
+/// Floor 13: capturing the seed costs a cold evaluation next to nothing.
+/// Six broad star/chain queries over `base_eval`'s snapshot, none of them
+/// nullable (a nullable query selects every node at once, and only the
+/// uncaptured path may stop there).  `eval-cold` evaluates each with its
+/// seed captured, as the answer cache does on a miss; `eval-uncaptured`
+/// evaluates each without.
+fn capture_floor(group: &'static str, base_eval: &BatchEvaluator) -> Floor {
+    let l = |i: u32| Regex::symbol(LabelId::new(i));
+    let any = |labels: &[u32]| Regex::star(Regex::union(labels.iter().map(|&i| l(i))));
+    let queries: Vec<Dfa> = [
+        Regex::concat([any(&[0, 1]), l(2)]),
+        Regex::concat([any(&[2, 3]), l(4)]),
+        Regex::concat([any(&[4, 5, 6, 7]), l(0)]),
+        Regex::concat([l(0), any(&[1, 2]), l(3)]),
+        Regex::concat([l(1), l(0), any(&[0, 1, 2, 3])]),
+        Regex::concat([l(5), l(6), l(7)]),
+    ]
+    .iter()
+    .map(Dfa::from_regex)
+    .collect();
+    for dfa in &queries {
+        let (answer, seed) = base_eval.evaluate_dfa_captured(dfa);
+        assert!(seed.is_some(), "a frontier fixed point always captures");
+        assert_eq!(answer, base_eval.evaluate_dfa(dfa));
+    }
+    let mut run_captured = || {
+        for dfa in &queries {
+            black_box(base_eval.evaluate_dfa_captured(dfa));
+        }
+    };
+    let mut run_uncaptured = || {
+        for dfa in &queries {
+            black_box(base_eval.evaluate_dfa(dfa));
+        }
+    };
+    let [captured, uncaptured] = bench_group(
+        5,
+        [
+            ("eval-cold", &mut run_captured),
+            ("eval-uncaptured", &mut run_uncaptured),
+        ],
+    );
+    Floor::of_means(group, &captured, &uncaptured, AtMost(CAPTURE_BOUND))
 }
 
 /// Floor 12's bound on `migrate / migrate-then-read`.  Migration that

@@ -34,11 +34,10 @@ pub struct BatchEvaluator {
     stats: LabelStats,
     plan_override: Option<Plan>,
     metrics: ExecMetrics,
-    /// The per-state bitsets and support counters evaluations sweep in,
-    /// kept between calls — by every clone and across
-    /// [`apply_delta`](Self::apply_delta) — so a cold evaluation reuses
-    /// memory that is already mapped instead of allocating and faulting in
-    /// megabytes per call at a million nodes.  A caller that finds it busy
+    /// The per-state bitsets evaluations sweep in, kept between calls — by
+    /// every clone and across [`apply_delta`](Self::apply_delta) — so a
+    /// cold evaluation reuses memory that is already mapped instead of
+    /// allocating and faulting in megabytes per call at a million nodes.  A caller that finds it busy
     /// (another thread mid-evaluation) sweeps in a fresh one.
     scratch: Arc<Mutex<Scratch>>,
 }

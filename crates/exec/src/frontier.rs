@@ -24,15 +24,15 @@
 //!
 //! Two entry points, two working sets.  A **cold** evaluation
 //! ([`evaluate_with`] and friends) sweeps dense per-state bitsets in a
-//! reusable [`Scratch`].  When asked to capture, it is still one pass: the
-//! per-configuration support counts a resumable seed needs are taken in the
-//! push loop, where each derivation's edge is already in hand; only the
-//! frontiers a pull round left unexpanded are swept — counting, not
-//! inserting — after the fixed point, and the dense result is packed once
-//! into a block-shared [`EvalResume`].  An uncaptured evaluation is the same
-//! function compiled without the counting.  A **resume** ([`resume`]) never
-//! sees a `Scratch`: it clones that seed copy-on-write and touches only the
-//! configurations a [`GraphDelta`] can change.
+//! reusable [`Scratch`].  When asked to capture, it runs to the true fixed
+//! point (no early exit) and packs the per-state alive sets once into a
+//! block-shared [`EvalResume`] — the alive sets are the whole seed, so a
+//! captured evaluation costs what an uncaptured one does.  A **resume**
+//! ([`resume`]) never sees a `Scratch`: it clones that seed copy-on-write
+//! and touches only the configurations a [`GraphDelta`] can change; where a
+//! removal may have taken a configuration's last derivation, it re-checks
+//! the configuration's out-edges on the patched index instead of reading a
+//! stored count.
 
 use crate::bitset::{word_ones, FixedBitSet};
 use crate::index::{Direction, LabelIndex, CHUNK_ROWS, CHUNK_WORDS};
@@ -40,7 +40,7 @@ use crate::planner::Plan;
 use gps_automata::Dfa;
 use gps_graph::{GraphDelta, LabelId, NodeId, Path};
 use gps_rpq::{EvalResume, QueryAnswer};
-use std::collections::{BTreeMap, BTreeSet, HashSet};
+use std::collections::HashSet;
 
 /// The cap [`BatchEvaluator`](crate::BatchEvaluator) puts on a resume's
 /// over-deletion, as a fraction of the post-insert alive configuration
@@ -52,41 +52,22 @@ use std::collections::{BTreeMap, BTreeSet, HashSet};
 pub const DEFAULT_OVERDELETE_LIMIT: f64 = 0.5;
 
 /// Reusable allocation for one cold evaluation: per-state alive, frontier
-/// and staging bitsets, plus — sized only by a capturing evaluation — the
-/// dense support counters and the frontiers still owed theirs.  Batch callers
-/// keep one `Scratch` per worker and amortize the allocations across every
-/// query of the workload.
+/// and staging bitsets.  Batch callers keep one `Scratch` per worker and
+/// amortize the allocations across every query of the workload.
 #[derive(Debug, Clone, Default)]
 pub struct Scratch {
     alive: Vec<FixedBitSet>,
     frontier: Vec<FixedBitSet>,
     next: Vec<FixedBitSet>,
-    /// Frontiers a pull round left unexpanded: alive configurations whose
-    /// reverse edges no push sweep has counted yet.
-    unpushed: Vec<FixedBitSet>,
-    /// `supports[p][w]`: derivations of `(w, p)` counted so far, saturating.
-    supports: Vec<Vec<u8>>,
 }
 
 impl Scratch {
-    /// Resizes for `states` × `nodes` and clears every bit (and, when
-    /// capturing, every counter).
-    fn prepare(&mut self, states: usize, nodes: usize, capture: bool) {
-        let reset = |sets: &mut Vec<FixedBitSet>| {
+    /// Resizes for `states` × `nodes` and clears every bit.
+    fn prepare(&mut self, states: usize, nodes: usize) {
+        for sets in [&mut self.alive, &mut self.frontier, &mut self.next] {
             sets.resize_with(states, FixedBitSet::default);
             for bits in sets {
                 bits.reset(nodes);
-            }
-        };
-        reset(&mut self.alive);
-        reset(&mut self.frontier);
-        reset(&mut self.next);
-        if capture {
-            reset(&mut self.unpushed);
-            self.supports.resize_with(states, Vec::new);
-            for counts in &mut self.supports {
-                counts.clear();
-                counts.resize(nodes, 0);
             }
         }
     }
@@ -169,37 +150,15 @@ fn for_each_derivation(
     }
 }
 
-/// Adds one derivation to each configuration `(w, state)` for `w` in
-/// `sources`, saturating at 255; `counts` is the state's dense counter row.
-#[inline]
-fn count_derivations(counts: &mut [u8], sources: &[u32]) {
-    for &w in sources {
-        let slot = &mut counts[w as usize];
-        *slot = slot.saturating_add(1);
-    }
-}
-
 #[cfg(test)]
 thread_local! {
     /// Whether each round of this thread's latest fixed point was a pull.
     static ROUND_LOG: std::cell::RefCell<Vec<bool>> = const { std::cell::RefCell::new(Vec::new()) };
 }
 
-/// The product fixed point.  With `CAPTURE` it also leaves, for every
-/// configuration, its derivation count — `supports[p][w]` is the number of
-/// `(DFA transition p --a--> q, graph edge w --a--> v)` pairs with `(v, q)`
-/// alive, saturated at 255 — and packs both into a resumable seed.  A
-/// non-accepting configuration is alive iff its support is positive;
-/// accepting configurations are alive unconditionally (their support only
-/// counts their edge-derivations); dead ones end at 0, since a derivation
-/// from an alive target would have made them alive.
-///
-/// The counts cost no second pass.  Every alive configuration enters a
-/// frontier exactly once and a push round walks the reverse edges of its
-/// whole frontier, so the count is taken where the edge is already in hand.
-/// Only a pull round leaves its frontier unexpanded: those are remembered in
-/// `unpushed` and swept — counting, not inserting — once the fixed point is
-/// complete.  Without `CAPTURE` none of this is compiled in.
+/// The product fixed point.  With `CAPTURE` it runs to the true fixed point
+/// even once the answer is final, and packs every state's alive set into a
+/// resumable seed.
 fn fixed_point<const CAPTURE: bool>(
     index: &LabelIndex,
     dfa: &Dfa,
@@ -211,13 +170,11 @@ fn fixed_point<const CAPTURE: bool>(
     if n == 0 || s == 0 {
         return (QueryAnswer::from_flags(vec![false; n]), 0, None);
     }
-    scratch.prepare(s, n, CAPTURE);
+    scratch.prepare(s, n);
     let Scratch {
         alive,
         frontier,
         next,
-        unpushed,
-        supports,
     } = scratch;
 
     // DFA transitions, forward (pull) and reversed (push), plus per-state
@@ -304,17 +261,11 @@ fn fixed_point<const CAPTURE: bool>(
             }
             for p in 0..s {
                 progress |= alive[p].union_with(&next[p]);
-                if CAPTURE {
-                    unpushed[p].union_with(&frontier[p]);
-                }
             }
         } else {
             // Gauss-Seidel round: mark `alive` immediately, collect the
             // delta in `next`.
             for_each_derivation(index, &rev_dfa, frontier, |p, sources| {
-                if CAPTURE {
-                    count_derivations(&mut supports[p], sources);
-                }
                 for &w in sources {
                     if alive[p].insert(w as usize) {
                         next[p].insert(w as usize);
@@ -337,15 +288,11 @@ fn fixed_point<const CAPTURE: bool>(
         let answer = QueryAnswer::from_words(n, alive[start].as_words());
         return (answer, rounds, None);
     }
-    for_each_derivation(index, &rev_dfa, unpushed, |p, sources| {
-        count_derivations(&mut supports[p], sources)
-    });
-    // Dense rows want random increments; the blocks are packed from them
-    // once, all-zero stretches shared.  The answer is the seed's start-state
-    // alive set (shared blocks).
+    // The blocks are packed once, uniform stretches shared.  The answer is
+    // the seed's start-state alive set (shared blocks).
     let mut seed = EvalResume::new(n);
-    for (bits, counts) in alive.iter().zip(supports.iter()) {
-        seed.push_state(bits.as_words(), counts);
+    for bits in alive.iter() {
+        seed.push_state(bits.as_words());
     }
     (seed.answer(start), rounds, Some(seed))
 }
@@ -377,41 +324,22 @@ fn reverse_transitions(dfa: &Dfa) -> Vec<Vec<(LabelId, usize)>> {
     rev_dfa
 }
 
-/// Adds one derivation to `(node, state)`'s counter, saturating at 255.
-#[inline]
-fn bump_support(seed: &mut EvalResume, state: usize, node: usize) {
-    seed.set_support(state, node, seed.support(state, node).saturating_add(1));
-}
-
-/// Recomputes one configuration's support from scratch against the *current*
-/// alive sets over the patched index — the exact fallback when a saturated
-/// (255) counter must be decremented and the true count is unknown.
-fn recount_support(
-    index: &LabelIndex,
-    dfa: &Dfa,
-    seed: &EvalResume,
-    state: usize,
-    node: usize,
-) -> u8 {
-    let mut count = 0u32;
-    for (label, target) in dfa.transitions_from(state) {
-        for &v in index.neighbors(Direction::Forward, label, node) {
-            if seed.is_alive(target, v as usize) {
-                count += 1;
-                if count >= u8::MAX as u32 {
-                    return u8::MAX;
-                }
-            }
-        }
-    }
-    count as u8
+/// Does configuration `(node, state)` have a one-step derivation into the
+/// alive set — some DFA transition `state --a--> q` and edge `node --a--> v`
+/// of the patched `index` with `(v, q)` alive in `seed`?  Stops at the first
+/// one, so it costs at most the configuration's out-degree.
+fn derivable(index: &LabelIndex, dfa: &Dfa, seed: &EvalResume, state: usize, node: usize) -> bool {
+    dfa.transitions_from(state).any(|(label, target)| {
+        (index.neighbors(Direction::Forward, label, node).iter())
+            .any(|&v| seed.is_alive(target, v as usize))
+    })
 }
 
 /// Pushes `frontier` — configurations that just turned alive — to closure
 /// over the patched index: every frontier configuration sweeps its reverse
-/// dependents exactly once, adding one derivation to each, and a dependent
-/// that is dead and `eligible` turns alive and joins the next round's
-/// frontier.  Returns the number of rounds that derived something.
+/// dependents exactly once, and a dependent that is dead and `eligible`
+/// turns alive and joins the next round's frontier.  Returns the number of
+/// rounds that derived something.
 fn push_to_closure(
     index: &LabelIndex,
     rev_dfa: &[Vec<(LabelId, usize)>],
@@ -426,7 +354,6 @@ fn push_to_closure(
             for &(label, p) in &rev_dfa[q] {
                 for &w in index.neighbors(Direction::Reverse, label, v) {
                     let w = w as usize;
-                    bump_support(seed, p, w);
                     if eligible(p, w) && seed.insert(p, w) {
                         next.push((p, w));
                     }
@@ -445,52 +372,41 @@ fn push_to_closure(
 /// Resumes the product fixed point from `old` — the seed captured (or
 /// resumed) on the pre-delta graph — across `delta`, over the patched
 /// `index`.  Works **in place on a copy-on-write clone of the seed**: the
-/// clone copies pointer tables, every alive bit or support counter the delta
-/// changes copies the one block it lives in, and the worklists are plain
-/// vectors of `(state, node)` configurations — so a resume costs the delta's
-/// derivation cone (plus one `Arc` per block for the clone), never the node
-/// count.  DRed-style, in three phases; the last two only run when the delta
-/// removed edges:
+/// clone copies pointer tables, every alive bit the delta changes copies the
+/// one block it lives in, and the worklists are plain vectors of `(state,
+/// node)` configurations — so a resume costs the delta's derivation cone
+/// (plus one `Arc` per block for the clone), never the node count.
+/// DRed-style (Gupta, Mumick & Subrahmanian), in three phases; the last two
+/// only run when the delta removed edges:
 ///
 /// 1. **Insert sweep.** Nodes added since the capture are alive in the
 ///    accepting states by definition; an added edge `u --a--> v` makes `(u,
 ///    p)` alive when `p --a--> q` and `(v, q)` is alive.  Those seed the
 ///    frontier and `push_to_closure` cascades them through old and new
-///    edges alike.  Support accounting: a derivation through an added edge
-///    whose target was alive *in the old seed* is invisible to the
-///    newly-alive sweeps (the target never enters a frontier), so it is
-///    counted here; targets that turn alive later are counted by their own
-///    sweep, which enumerates the patched index and so sees the added edge.
-///    The fixed point is monotone in the edge set, so for an insert-only
-///    delta this is the whole resume.  Doing inserts first means the later
-///    phases can enumerate the patched index uniformly: every derivation it
-///    contains is counted exactly once.
-/// 2. **Over-delete.** Each removed edge decrements the support of its
-///    source configurations (only for targets alive *in the old seed* —
-///    those are the derivations the counters actually contain; the patched
-///    index no longer holds the removed edges, so no later sweep counted
-///    them).  Every alive non-accepting configuration that lost a derivation
-///    is *doomed* — unconditionally, regardless of remaining support,
-///    because a positive count may rest on a non-well-founded cycle (two
-///    configurations supporting only each other survive zero-propagation but
-///    must die).  Dooming propagates transitively over the reverse index;
-///    each popped configuration leaves the alive set and decrements its
-///    dependents.  A decrement hitting a saturated (255) counter is deferred
-///    to a post-phase exact recount instead of guessing.  When the doom
-///    count passes `overdelete_limit ×` the alive population after the
+///    edges alike.  The fixed point is monotone in the edge set, so for an
+///    insert-only delta this is the whole resume.
+/// 2. **Over-delete.** Every alive, non-accepting source `(p, u)` of a
+///    removed edge `u --a--> v` whose target `(v, q)` was alive *in the old
+///    seed* is *doomed* — whether or not another derivation remains, because
+///    what remains may rest on a non-well-founded cycle (two configurations
+///    deriving only each other must both die).  Dooming propagates
+///    transitively over the reverse index: each popped configuration leaves
+///    the alive set and dooms its alive, non-accepting dependents.  When the
+///    doom count passes `overdelete_limit ×` the alive population after the
 ///    insert sweep (carried in the seed, not re-counted), the sweep gives up
-///    — the saturation fallback to a cold recompute, in the same cost class
-///    at that point.
-/// 3. **Re-derive.** After the worklist drains, supports count derivations
-///    through *surviving* configurations only, so every doomed
-///    configuration with a positive count is still derivable from the
-///    surviving boundary: those re-enter the alive set and push to closure,
-///    re-incrementing supports along the way.  Only doomed configurations
-///    can revive — everything else alive-eligible survived over-delete.
+///    — a cold recompute is in the same cost class at that point.
+/// 3. **Re-derive.** A survivor of over-delete has no derivation through a
+///    doomed configuration or a removed edge, so its old well-founded
+///    derivation still holds.  A doomed configuration is re-derivable
+///    exactly when it has a one-step derivation into the alive set
+///    (`derivable`, in its out-degree): those re-enter the alive set and
+///    push to closure over the doomed configurations.  Only doomed
+///    configurations can revive — everything else alive-eligible survived
+///    over-delete.
 ///
 /// Returns `None` when the seed's shape does not match the DFA or the index,
-/// when the delta names a node the index does not have, or on the
-/// saturation fallback.  `old` is never modified.
+/// when the delta names a node the index does not have, or when over-delete
+/// passes its budget.  `old` is never modified.
 pub fn resume(
     index: &LabelIndex,
     dfa: &Dfa,
@@ -520,9 +436,6 @@ pub fn resume(
         let (u, v) = (edge.source.index(), edge.target.index());
         for p in 0..s {
             if let Some(q) = dfa.step(p, edge.label) {
-                if old.is_alive(q, v) {
-                    bump_support(&mut seed, p, u);
-                }
                 if seed.is_alive(q, v) && seed.insert(p, u) {
                     frontier.push((p, u));
                 }
@@ -540,58 +453,29 @@ pub fn resume(
     }
 
     // --- Over-delete ------------------------------------------------------
-    // Aggregate the removed edges' derivation losses per configuration
-    // before touching any counter, so parallel removed edges into the same
-    // configuration subtract in one step.
-    let mut losses: BTreeMap<(usize, usize), u32> = BTreeMap::new();
-    for edge in &delta.removed_edges {
-        let (u, v) = (edge.source.index(), edge.target.index());
-        for p in 0..s {
-            if let Some(q) = dfa.step(p, edge.label) {
-                if old.is_alive(q, v) {
-                    *losses.entry((p, u)).or_insert(0) += 1;
-                }
-            }
-        }
-    }
-
     let budget = overdelete_limit * seed.alive_total() as f64;
-    // Doomed = over-deleted at least once this sweep, in discovery order;
-    // the set answers membership.  A doomed configuration leaves the alive
-    // set only when its own propagation runs, so in-flight recounts of
-    // "derivations via alive targets" stay consistent.
+    // Doomed = over-deleted this sweep, in discovery order; the set answers
+    // membership.  A doomed configuration leaves the alive set only when its
+    // own propagation runs.
     let mut doomed: Vec<(usize, usize)> = Vec::new();
     let mut is_doomed: HashSet<(usize, usize)> = HashSet::new();
-    // Counters that were saturated when a decrement hit them: their true
-    // value is unknown until the exact post-phase recount.
-    let mut stale: BTreeSet<(usize, usize)> = BTreeSet::new();
-    // Takes `k` derivations from `(node, state)` and dooms it; `false` once
+    // Dooms `(node, state)` if it is alive and not accepting; `false` once
     // the doom count is over budget.
-    let mut lose = |seed: &mut EvalResume,
-                    doomed: &mut Vec<(usize, usize)>,
-                    state: usize,
-                    node: usize,
-                    k: u32|
-     -> bool {
-        match seed.support(state, node) {
-            u8::MAX => {
-                stale.insert((state, node));
-            }
-            support => seed.set_support(
-                state,
-                node,
-                support.saturating_sub(k.min(u8::MAX as u32) as u8),
-            ),
-        }
+    let mut doom = |seed: &EvalResume, doomed: &mut Vec<(usize, usize)>, state, node| -> bool {
         if !dfa.is_accepting(state) && seed.is_alive(state, node) && is_doomed.insert((state, node))
         {
             doomed.push((state, node));
         }
         doomed.len() as f64 <= budget
     };
-    for (&(p, u), &k) in &losses {
-        if !lose(&mut seed, &mut doomed, p, u, k) {
-            return None;
+    for edge in &delta.removed_edges {
+        let (u, v) = (edge.source.index(), edge.target.index());
+        for p in 0..s {
+            if let Some(q) = dfa.step(p, edge.label) {
+                if old.is_alive(q, v) && !doom(&seed, &mut doomed, p, u) {
+                    return None;
+                }
+            }
         }
     }
     let mut popped = 0;
@@ -600,24 +484,17 @@ pub fn resume(
         seed.remove(q, v);
         for &(label, p) in &rev_dfa[q] {
             for &w in index.neighbors(Direction::Reverse, label, v) {
-                if !lose(&mut seed, &mut doomed, p, w as usize, 1) {
+                if !doom(&seed, &mut doomed, p, w as usize) {
                     return None;
                 }
             }
         }
     }
-    // Exact recount for every counter a decrement found saturated, against
-    // the post-over-delete alive sets — from here on each counter is either
-    // exact or a true 255 again.
-    for &(p, w) in &stale {
-        let exact = recount_support(index, dfa, &seed, p, w);
-        seed.set_support(p, w, exact);
-    }
 
     // --- Re-derive --------------------------------------------------------
     frontier.clear();
     for &(p, u) in &doomed {
-        if seed.support(p, u) > 0 && seed.insert(p, u) {
+        if derivable(index, dfa, &seed, p, u) && seed.insert(p, u) {
             frontier.push((p, u));
         }
     }
@@ -875,13 +752,12 @@ mod tests {
     }
 
     #[test]
-    fn a_run_mixing_pull_and_push_rounds_counts_every_derivation_once() {
-        // `c.a.b*` over dense `b`, some `a` and a few `c` edges (the shape
-        // `support_conformance` recounts): round 1 pulls — the accepting
-        // frontier is every node and `b` is dense, while the dead states
-        // only read the sparse `a` and `c` — leaving that frontier to the
-        // post-fixed-point sweep; round 2 pushes the few nodes it found
-        // through `c`, counting as it goes.
+    fn a_run_mixing_pull_and_push_rounds_captures_the_seed_every_plan_does() {
+        // `c.a.b*` over dense `b`, some `a` and a few `c` edges (a shape
+        // `support_conformance` resumes across): round 1 pulls — the
+        // accepting frontier is every node and `b` is dense, while the dead
+        // states only read the sparse `a` and `c` — and round 2 pushes the
+        // few nodes it found through `c`.
         let mut g = Graph::new();
         let n = g.add_nodes("n", 400);
         for i in 0..398 {
@@ -907,22 +783,8 @@ mod tests {
         let mixed = capture(Plan::Bidirectional);
         let pulls = ROUND_LOG.with_borrow(Vec::clone);
         assert_eq!(pulls, [true, false, false], "pull, then push to the end");
-        assert_eq!(
-            mixed,
-            capture(Plan::Reverse),
-            "all counted in the push loop"
-        );
-        assert_eq!(mixed, capture(Plan::Forward), "all counted by the sweep");
-        // Spot checks against the definition: a `c` source whose target has
-        // an `a` edge has one derivation, one whose target has none is dead;
-        // a node's accepting-state support is its `b` out-degree.
-        let (s0, s2) = (dfa.start(), 2);
-        assert!(dfa.is_accepting(s2) && !dfa.is_accepting(s0));
-        for (node, support) in [(200, 1), (209, 1), (210, 0), (219, 0)] {
-            assert_eq!(mixed.support(s0, node), support, "node {node}");
-        }
-        assert_eq!(mixed.support(s2, 0), 2);
-        assert_eq!(mixed.support(s2, 399), 0);
+        assert_eq!(mixed, capture(Plan::Reverse), "push rounds only");
+        assert_eq!(mixed, capture(Plan::Forward), "pull rounds only");
     }
 
     #[test]
@@ -941,14 +803,15 @@ mod tests {
     }
 
     /// Captures a seed on `g`, applies `mutate` on a [`DeltaGraph`] over it,
-    /// and returns the delete-aware resumed answer + seed alongside the
-    /// patched graph (panicking if the resume bails).
+    /// and resumes across the delta; `None` when the resume bails.  A resume
+    /// that succeeds must answer like the naive evaluator on the patched
+    /// graph and leave the seed a fresh capture there would.
     fn resume_removal_case(
         g: &CsrGraph,
         dfa: &Dfa,
         limit: f64,
         mutate: impl FnOnce(&mut gps_graph::DeltaGraph),
-    ) -> Option<(QueryAnswer, EvalResume, CsrGraph, LabelIndex)> {
+    ) -> Option<Resumed> {
         let index = LabelIndex::from_csr(g);
         let mut scratch = Scratch::default();
         let (_, _, resume) = evaluate_captured(&index, dfa, Plan::Bidirectional, &mut scratch);
@@ -960,16 +823,11 @@ mod tests {
         let compacted = delta.compact();
         let patched = index.apply_delta(&summary, compacted.node_count(), compacted.label_count());
         let resumed = super::resume(&patched, dfa, &resume, &summary, limit)?;
-        assert_eq!(
-            (0..dfa.state_count())
-                .map(|state| resumed.seed.population(state))
-                .collect::<Vec<_>>(),
-            (0..dfa.state_count())
-                .map(|state| resumed.seed.answer(state).len())
-                .collect::<Vec<_>>(),
-            "the carried population is the alive count"
-        );
-        Some((resumed.answer, resumed.seed, compacted, patched))
+        assert_eq!(resumed.answer, gps_rpq::eval::evaluate(&compacted, dfa));
+        // Alive bits and carried populations both.
+        let (_, _, fresh) = evaluate_captured(&patched, dfa, Plan::Bidirectional, &mut scratch);
+        assert_eq!(resumed.seed, fresh.expect("fresh capture"));
+        Some(resumed)
     }
 
     #[test]
@@ -992,18 +850,14 @@ mod tests {
             Regex::star(Regex::symbol(x)),
             Regex::symbol(y),
         ]));
-        let (answer, next, compacted, patched) =
-            resume_removal_case(&CsrGraph::from_graph(&g), &dfa, 1.0, |delta| {
-                assert!(delta.remove_edge(b, y, c));
-            })
-            .expect("within budget");
-        assert!(answer.is_empty(), "the cycle must not keep itself alive");
-        assert_eq!(answer, gps_rpq::eval::evaluate(&compacted, &dfa));
-        // The produced seed must equal a from-scratch capture on the
-        // patched graph — words and support counts both.
-        let mut scratch = Scratch::default();
-        let (_, _, fresh) = evaluate_captured(&patched, &dfa, Plan::Bidirectional, &mut scratch);
-        assert_eq!(next, fresh.expect("fresh capture"));
+        let resumed = resume_removal_case(&CsrGraph::from_graph(&g), &dfa, 1.0, |delta| {
+            assert!(delta.remove_edge(b, y, c));
+        })
+        .expect("within budget");
+        assert!(
+            resumed.answer.is_empty(),
+            "the cycle must not keep itself alive"
+        );
     }
 
     #[test]
@@ -1019,18 +873,44 @@ mod tests {
         let n4 = NodeId::from(2usize);
         let tram = g.label_id("tram").unwrap();
         let bus = g.label_id("bus").unwrap();
-        let (answer, next, compacted, patched) = resume_removal_case(&g, &dfa, 1.0, |delta| {
+        let resumed = resume_removal_case(&g, &dfa, 1.0, |delta| {
             let n5 = delta.add_node("N5");
             delta.add_edge(n2, tram, n5);
             delta.add_edge(n5, bus, n4);
             assert!(delta.remove_edge(n2, bus, n1));
         })
         .expect("within budget");
-        assert_eq!(answer, gps_rpq::eval::evaluate(&compacted, &dfa));
-        assert!(answer.contains(n1), "N1 still reaches the cinema via tram");
-        let mut scratch = Scratch::default();
-        let (_, _, fresh) = evaluate_captured(&patched, &dfa, Plan::Bidirectional, &mut scratch);
-        assert_eq!(next, fresh.expect("fresh capture"));
+        assert!(
+            resumed.answer.contains(n1),
+            "N1 still reaches the cinema via tram"
+        );
+    }
+
+    #[test]
+    fn a_surviving_parallel_edge_re_derives_its_source() {
+        // u --a--> v twice, query `a`: removing one copy dooms (u, start),
+        // and re-derive finds the surviving copy; removing both kills it.
+        let mut g = Graph::new();
+        let u = g.add_node("u");
+        let v = g.add_node("v");
+        g.add_edge_by_name(u, "a", v);
+        g.add_edge_by_name(u, "a", v);
+        let a = g.label_id("a").unwrap();
+        let dfa = Dfa::from_regex(&Regex::symbol(a));
+        let g = CsrGraph::from_graph(&g);
+        let one = resume_removal_case(&g, &dfa, 1.0, |delta| {
+            assert!(delta.remove_edge(u, a, v));
+        })
+        .expect("within budget");
+        assert_eq!(one.overdeleted, 1, "the source is doomed");
+        assert!(one.answer.contains(u), "and revived through the other copy");
+        let both = resume_removal_case(&g, &dfa, 1.0, |delta| {
+            assert!(delta.remove_edge(u, a, v));
+            assert!(delta.remove_edge(u, a, v));
+        })
+        .expect("within budget");
+        assert_eq!(both.overdeleted, 1);
+        assert!(both.answer.is_empty(), "no copy is left to derive it");
     }
 
     #[test]

@@ -16,8 +16,8 @@
 //! * [`frontier`] — the semi-naive product-automaton fixed point sweeping
 //!   whole frontiers per DFA transition — only the rows a label has edges
 //!   in — in push (reverse), pull (forward) or per-round adaptive mode; a
-//!   capturing evaluation takes its resumable seed's support counts in that
-//!   same pass;
+//!   capturing evaluation packs the per-state alive sets it swept in as its
+//!   resumable seed;
 //! * [`planner`] — picks the expansion [`Plan`] per query from the
 //!   per-label degree/frequency statistics of [`gps_graph::LabelStats`];
 //! * [`batch::BatchEvaluator`] — the public engine: single and sequential

@@ -34,9 +34,11 @@ pub struct ExecMetrics {
     pub index_build: Histogram,
     /// `gps_exec_support_overdeleted_total` — configurations transitively
     /// over-deleted by resumes across removal-bearing deltas
-    /// ([`resume`](crate::frontier::resume));
-    /// re-derivation revives the still-derivable ones, so this counts the
-    /// DRed sweep's working-set size, not lost answers.
+    /// ([`resume`](crate::frontier::resume)): sources of removed edges and
+    /// everything deriving through them.  Re-derivation revives the ones
+    /// with a surviving successor, so this counts the DRed sweep's
+    /// working-set size, not lost answers.  (The name predates seeds
+    /// without support counters; exporters read it as is.)
     pub support_overdeleted: Counter,
 }
 

@@ -1,32 +1,34 @@
-//! Per-node arrays in `Arc`-shared blocks.
+//! Per-node bit arrays in `Arc`-shared blocks.
 //!
-//! An answer is one bit per node and a captured fixed point is one bit and
-//! one byte per `(node, DFA state)`; a graph update changes a few dozen of
-//! those entries out of millions.  [`BlockBits`] and [`BlockBytes`] make the
-//! next epoch's copy cost what changed instead of what exists:
+//! An answer is one bit per node and a captured fixed point is one bit per
+//! `(node, DFA state)`; a graph update changes a few dozen of those bits out
+//! of millions.  [`BlockBits`] makes the next epoch's copy cost what changed
+//! instead of what exists:
 //!
 //! * `clone` copies the pointer table (one `Arc` per [`BLOCK_NODES`] nodes);
 //! * a write copies the one block it lands in, and only when another array
 //!   still shares it;
 //! * growth appends blocks and rewrites at most the old tail block;
-//! * all-zero blocks (supports of dead regions, unselected regions of an
+//! * all-zero blocks (dead regions of a state, unselected regions of an
 //!   answer) and all-one blocks (accepting states) are one shared allocation
 //!   each.
 //!
 //! Every block covers [`BLOCK_NODES`] nodes except the last, which covers
 //! what is left rounded up to 64 — so an array over a small graph is one
-//! block of its own size, not a padded one.  Both arrays are **canonical**:
-//! block sizes follow from `len` alone and every entry past `len` is zero,
+//! block of its own size, not a padded one.  The array is **canonical**:
+//! block sizes follow from `len` alone and every bit past `len` is clear,
 //! so equality is length plus block contents whatever route built the array,
 //! and whole-array scans never mask a tail.
 
 use std::sync::{Arc, OnceLock};
 
-/// Nodes covered by one full block: 2 KiB of bits, 16 KiB of bytes.
+/// Nodes covered by one full block: 2 KiB of bits.
 ///
 /// Picked by measurement, not configurable.  Resuming ~45 warm answers per
 /// 4-op publish on the 1M-node corpus (traced `publish-1m`, seed 42, mean
-/// `exec.resume_us` / `rpq.migrate_us` / `core.retire_ms`):
+/// `exec.resume_us` / `rpq.migrate_us` / `core.retire_ms`, measured while a
+/// seed still carried a byte array of support counters beside each bit
+/// array):
 ///
 /// | nodes per block | resume | migrate | retire |
 /// |---|---|---|---|
@@ -54,11 +56,6 @@ fn full_words() -> &'static Arc<[u64]> {
     BLOCK.get_or_init(|| Arc::from(vec![u64::MAX; BLOCK_WORDS]))
 }
 
-fn zero_bytes() -> &'static Arc<[u8]> {
-    static BLOCK: OnceLock<Arc<[u8]>> = OnceLock::new();
-    BLOCK.get_or_init(|| Arc::from(vec![0; BLOCK_NODES]))
-}
-
 /// Nodes block `index` of a `len`-entry array has room for: [`BLOCK_NODES`],
 /// or for the last block what is left of `len` rounded up to 64.
 fn block_capacity(len: usize, index: usize) -> usize {
@@ -67,13 +64,13 @@ fn block_capacity(len: usize, index: usize) -> usize {
         .next_multiple_of(64)
 }
 
-/// `block` zero-extended to `size` entries, as a block of its own.
-fn resized<T: Copy + Default>(block: &[T], size: usize) -> Arc<[T]> {
+/// `block` zero-extended to `size` words, as a block of its own.
+fn resized(block: &[u64], size: usize) -> Arc<[u64]> {
     let padding = size - block.len();
     block
         .iter()
         .copied()
-        .chain(std::iter::repeat_n(T::default(), padding))
+        .chain(std::iter::repeat_n(0, padding))
         .collect()
 }
 
@@ -104,25 +101,6 @@ impl std::ops::AddAssign for BlockSharing {
     }
 }
 
-fn sharing<T>(new: &[Arc<[T]>], old: &[Arc<[T]>], uniform: &[&Arc<[T]>]) -> BlockSharing {
-    let shared = new
-        .iter()
-        .enumerate()
-        .filter(|(i, block)| {
-            old.get(*i).is_some_and(|o| Arc::ptr_eq(o, block))
-                || uniform.iter().any(|u| Arc::ptr_eq(u, block))
-        })
-        .count();
-    BlockSharing {
-        copied: new.len() - shared,
-        shared,
-    }
-}
-
-fn same_blocks<T: PartialEq>(a: &[Arc<[T]>], b: &[Arc<[T]>]) -> bool {
-    a.len() == b.len() && a.iter().zip(b).all(|(x, y)| Arc::ptr_eq(x, y) || x == y)
-}
-
 /// A growable bit array over `0..len` in shared blocks; see the
 /// [module docs](self).
 #[derive(Debug, Clone, Default)]
@@ -133,7 +111,9 @@ pub struct BlockBits {
 
 impl PartialEq for BlockBits {
     fn eq(&self, other: &Self) -> bool {
-        self.len == other.len && same_blocks(&self.blocks, &other.blocks)
+        self.len == other.len
+            && self.blocks.len() == other.blocks.len()
+            && (self.blocks.iter().zip(&other.blocks)).all(|(x, y)| Arc::ptr_eq(x, y) || x == y)
     }
 }
 
@@ -309,108 +289,17 @@ impl BlockBits {
     /// Which of this array's blocks are `older`'s (same position, same
     /// allocation) or uniform, and which are its own.
     pub fn sharing(&self, older: &Self) -> BlockSharing {
-        sharing(&self.blocks, &older.blocks, &[zero_words(), full_words()])
-    }
-}
-
-/// A growable byte array over `0..len` in shared blocks; see the
-/// [module docs](self).
-#[derive(Debug, Clone, Default)]
-pub struct BlockBytes {
-    len: usize,
-    blocks: Vec<Arc<[u8]>>,
-}
-
-impl PartialEq for BlockBytes {
-    fn eq(&self, other: &Self) -> bool {
-        self.len == other.len && same_blocks(&self.blocks, &other.blocks)
-    }
-}
-
-impl Eq for BlockBytes {}
-
-impl BlockBytes {
-    /// `len` zero bytes (full blocks are the shared zero block).
-    pub fn new(len: usize) -> Self {
-        let mut bytes = Self::default();
-        bytes.grow(len);
-        bytes
-    }
-
-    /// Packs a dense byte slice; all-zero blocks are shared, not copied.
-    pub fn from_slice(bytes: &[u8]) -> Self {
-        let len = bytes.len();
-        let blocks = bytes
-            .chunks(BLOCK_NODES)
-            .enumerate()
-            .map(|(index, chunk)| {
-                if *chunk == zero_bytes()[..] {
-                    Arc::clone(zero_bytes())
-                } else if chunk.len() == BLOCK_NODES {
-                    Arc::from(chunk)
-                } else {
-                    resized(chunk, block_capacity(len, index))
-                }
+        let uniform = [zero_words(), full_words()];
+        let shared = (self.blocks.iter().enumerate())
+            .filter(|(i, block)| {
+                older.blocks.get(*i).is_some_and(|o| Arc::ptr_eq(o, block))
+                    || uniform.iter().any(|u| Arc::ptr_eq(u, block))
             })
-            .collect();
-        Self { len, blocks }
-    }
-
-    /// Number of addressable bytes.
-    pub fn len(&self) -> usize {
-        self.len
-    }
-
-    /// Returns `true` when the array addresses no byte.
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
-    }
-
-    /// The byte at `index`.
-    ///
-    /// # Panics
-    /// When `index >= len`.
-    #[inline]
-    pub fn get(&self, index: usize) -> u8 {
-        assert!(index < self.len, "index {index} out of range {}", self.len);
-        self.blocks[index / BLOCK_NODES][index % BLOCK_NODES]
-    }
-
-    /// Stores `value` at `index`.  Copies the index's block if another array
-    /// shares it — unless the byte already holds `value`.
-    pub fn set(&mut self, index: usize, value: u8) {
-        if self.get(index) != value {
-            Arc::make_mut(&mut self.blocks[index / BLOCK_NODES])[index % BLOCK_NODES] = value;
+            .count();
+        BlockSharing {
+            copied: self.blocks.len() - shared,
+            shared,
         }
-    }
-
-    /// Grows to `len` zero-extended bytes (at least the current length).
-    /// Only the old tail block can be rewritten, when it has to get longer;
-    /// full blocks appended behind it are the shared zero block.
-    pub fn grow(&mut self, len: usize) {
-        assert!(len >= self.len, "cannot shrink {} to {len}", self.len);
-        if let Some(index) = self.blocks.len().checked_sub(1) {
-            let tail = &mut self.blocks[index];
-            let size = block_capacity(len, index);
-            if size != tail.len() {
-                *tail = resized(tail, size);
-            }
-        }
-        for index in self.blocks.len()..len.div_ceil(BLOCK_NODES) {
-            let size = block_capacity(len, index);
-            self.blocks.push(if size == BLOCK_NODES {
-                Arc::clone(zero_bytes())
-            } else {
-                Arc::from(vec![0; size])
-            });
-        }
-        self.len = len;
-    }
-
-    /// Which of this array's blocks are `older`'s (same position, same
-    /// allocation) or the zero block, and which are its own.
-    pub fn sharing(&self, older: &Self) -> BlockSharing {
-        sharing(&self.blocks, &older.blocks, &[zero_bytes()])
     }
 }
 
@@ -635,81 +524,5 @@ mod tests {
             assert_eq!(Arc::as_ptr(&new.blocks[block]), own);
             assert_eq!(new, old, "equal by content again, not by pointer");
         }
-    }
-
-    #[test]
-    fn bytes_round_trip_grow_and_share() {
-        for len in LENGTHS {
-            let dense: Vec<u8> = (0..len)
-                .map(|i| {
-                    if corners(len).contains(&i) {
-                        (i % 250) as u8 + 1
-                    } else {
-                        0
-                    }
-                })
-                .collect();
-            let packed = BlockBytes::from_slice(&dense);
-            let mut written = BlockBytes::new(len);
-            for &i in &corners(len) {
-                assert_eq!(written.get(i), 0);
-                written.set(i, dense[i]);
-            }
-            let mut grown = BlockBytes::new(0);
-            for (i, &byte) in dense.iter().enumerate() {
-                grown.grow(i + 1);
-                grown.set(i, byte);
-            }
-            assert_eq!(packed.len(), len);
-            for (i, &byte) in dense.iter().enumerate() {
-                assert_eq!(packed.get(i), byte, "len {len} index {i}");
-            }
-            assert_eq!(packed, written, "len {len}");
-            assert_eq!(packed, grown, "len {len}");
-            let mut longer = packed.clone();
-            longer.grow(len + 1);
-            assert_ne!(packed, longer);
-            assert_eq!(longer.get(len), 0);
-            longer.grow(len + 1);
-            assert_eq!(longer.len(), len + 1, "growing by zero is a no-op");
-        }
-    }
-
-    #[test]
-    fn byte_writes_copy_one_block_and_skip_no_ops() {
-        let len = 3 * BLOCK_NODES;
-        let mut dense = vec![0u8; len];
-        dense[0] = 7;
-        dense[len - 1] = 9;
-        let old = BlockBytes::from_slice(&dense);
-        assert!(Arc::ptr_eq(&old.blocks[1], zero_bytes()), "dead region");
-        let mut new = old.clone();
-        new.set(0, 7);
-        assert!(Arc::ptr_eq(&old.blocks[0], &new.blocks[0]), "no-op write");
-        new.set(BLOCK_NODES, 1);
-        new.set(len - 1, 10);
-        assert_eq!(
-            new.sharing(&old),
-            BlockSharing {
-                copied: 2,
-                shared: 1
-            }
-        );
-        assert_eq!((old.get(BLOCK_NODES), old.get(len - 1)), (0, 9));
-        new.grow(len + 2 * BLOCK_NODES);
-        assert_eq!(
-            new.sharing(&old),
-            BlockSharing {
-                copied: 2,
-                shared: 3
-            },
-            "appended zero blocks are the shared one"
-        );
-    }
-
-    #[test]
-    #[should_panic(expected = "out of range")]
-    fn reading_a_byte_past_the_end_panics() {
-        BlockBytes::new(5).get(5);
     }
 }

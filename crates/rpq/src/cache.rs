@@ -75,10 +75,10 @@ impl Compiled {
 #[derive(Debug)]
 struct Resolved {
     answer: Arc<QueryAnswer>,
-    /// The fixed point behind `answer` (the Tier-2/3 seed, sharing the
-    /// answer's blocks); `None` only when the evaluator does not capture
-    /// (the naive evaluator) — the frontier engine captures every
-    /// evaluation.
+    /// The fixed point behind `answer` — the Tier-2/3 seed: every DFA
+    /// state's alive set, the start state's being the answer's very blocks;
+    /// `None` only when the evaluator does not capture (the naive
+    /// evaluator) — the frontier engine captures every evaluation.
     resume: Option<Arc<EvalResume>>,
 }
 
@@ -567,10 +567,11 @@ impl EvalCache {
     ///   monotone in the edge set, so inserts only grow it.
     /// * **Tier 3 — over-delete/re-derive.** A touched entry with a seed on
     ///   a *removal-bearing* delta is scheduled for the delete-aware resume:
-    ///   support counts are decremented along removed edges, zero-support
-    ///   configurations are transitively over-deleted, and the survivors
-    ///   re-seed a push-only re-derivation (mixed insert+delete deltas run
-    ///   the insert sweep first, then the removal sweep — one unified path).
+    ///   the sources of removed edges are transitively over-deleted, the
+    ///   over-deleted configurations that still have an alive successor are
+    ///   re-derived, and a push-only fixed point re-derives the rest from
+    ///   them (mixed insert+delete deltas run the insert sweep first, then
+    ///   the removal sweep — one unified path).
     ///
     /// A scheduled entry is *pending*: it keeps its last resolved answer and
     /// seed and their epoch's position in the cache's delta log, which this

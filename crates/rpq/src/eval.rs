@@ -7,7 +7,7 @@
 //! fixed point (one pass over the product, independent of the number of
 //! start nodes), then reads off the answer for every node at once.
 
-use crate::blocks::{BlockBits, BlockBytes, BlockSharing};
+use crate::blocks::{BlockBits, BlockSharing};
 use gps_automata::Dfa;
 use gps_graph::{CsrGraph, GraphDelta, LabelId, NodeId, Path, Word};
 use std::collections::{BTreeMap, VecDeque};
@@ -101,27 +101,26 @@ impl QueryAnswer {
 struct StateSeed {
     /// The nodes `v` with configuration `(v, state)` alive.
     alive: BlockBits,
-    /// `min(derivations of (v, state), 255)` per node; 0 when dead.
-    supports: BlockBytes,
     /// Set bits of `alive`, maintained on every insert/remove so the
     /// over-delete budget never re-counts them.
     population: usize,
 }
 
 /// A *completed* product fixed point, resumable in place: for every DFA
-/// state the alive-node set, a per-node **support** counter — the number of
-/// distinct edge-derivations of configuration `(node, state)` (one per `(DFA
-/// transition, graph edge)` pair whose target configuration is alive),
-/// saturated at 255 — and the alive population.
+/// state the alive-node set and its population — nothing else.  Whether a
+/// configuration still has a derivation after an update is re-checked on the
+/// patched graph, over the configuration's out-edges, only for the
+/// configurations the update reaches; no per-configuration count is kept in
+/// case one is needed.
 ///
-/// The per-node arrays live in `Arc`-shared blocks ([`crate::blocks`]), so
+/// The alive sets live in `Arc`-shared blocks ([`crate::blocks`]), so
 /// `clone` copies pointer tables and every write copies one block.  That is
 /// the whole resume protocol: an evaluator clones the old epoch's seed,
 /// applies a [`GraphDelta`]'s consequences through [`insert`](Self::insert) /
-/// [`remove`](Self::remove) / [`set_support`](Self::set_support), and hands
-/// the clone back as the new epoch's seed — the two epochs share every block
-/// the delta's derivation cone did not reach ([`sharing`](Self::sharing)
-/// counts them), and retiring the old epoch frees only what was copied.
+/// [`remove`](Self::remove), and hands the clone back as the new epoch's
+/// seed — the two epochs share every block the delta's derivation cone did
+/// not reach ([`sharing`](Self::sharing) counts them), and retiring the old
+/// epoch frees only what was copied.
 ///
 /// An answer cache stores one of these next to each answer.  The seed is only
 /// valid when it describes a true fixed point of the graph it was captured
@@ -145,15 +144,12 @@ impl EvalResume {
 
     /// Packs the next DFA state of a captured fixed point from its dense
     /// form: `alive` holds the state's alive set as bit-words over
-    /// [`nodes`](Self::nodes) nodes and `supports[v]` the saturating
-    /// derivation count of configuration `(v, state)` (0 when dead).
-    pub fn push_state(&mut self, alive: &[u64], supports: &[u8]) {
-        debug_assert_eq!(supports.len(), self.nodes);
+    /// [`nodes`](Self::nodes) nodes.
+    pub fn push_state(&mut self, alive: &[u64]) {
         let alive = BlockBits::from_words(self.nodes, alive);
         self.states.push(StateSeed {
             population: alive.count(),
             alive,
-            supports: BlockBytes::from_slice(supports),
         });
     }
 
@@ -173,12 +169,6 @@ impl EvalResume {
     #[inline]
     pub fn is_alive(&self, state: usize, node: usize) -> bool {
         self.states[state].alive.contains(node)
-    }
-
-    /// The saturating derivation count of configuration `(node, state)`.
-    #[inline]
-    pub fn support(&self, state: usize, node: usize) -> u8 {
-        self.states[state].supports.get(node)
     }
 
     /// Number of alive configurations of `state`.
@@ -207,20 +197,14 @@ impl EvalResume {
         present
     }
 
-    /// Stores the derivation count of configuration `(node, state)`.
-    pub fn set_support(&mut self, state: usize, node: usize, support: u8) {
-        self.states[state].supports.set(node, support);
-    }
-
     /// Extends the seed to a graph of `nodes` nodes (at least the current
     /// count).  An added node has no edges yet, so its configurations are
-    /// alive exactly in the states `accepting` names, with no derivations.
+    /// alive exactly in the states `accepting` names.
     pub fn grow(&mut self, nodes: usize, accepting: impl Fn(usize) -> bool) {
         let added = nodes - self.nodes;
         for (index, state) in self.states.iter_mut().enumerate() {
             let fill = accepting(index);
             state.alive.grow(nodes, fill);
-            state.supports.grow(nodes);
             state.population += if fill { added } else { 0 };
         }
         self.nodes = nodes;
@@ -234,15 +218,14 @@ impl EvalResume {
         }
     }
 
-    /// How many blocks (alive bits and supports, over all states) this seed
-    /// shares with `older` — the seed it was resumed from — or with the
-    /// uniform blocks, and how many the resume had to copy: the size of the
-    /// delta's derivation cone, in blocks.
+    /// How many blocks (alive bits, over all states) this seed shares with
+    /// `older` — the seed it was resumed from — or with the uniform blocks,
+    /// and how many the resume had to copy: the size of the delta's
+    /// derivation cone, in blocks.
     pub fn sharing(&self, older: &EvalResume) -> BlockSharing {
         let mut total = BlockSharing::default();
         for (new, old) in self.states.iter().zip(&older.states) {
             total += new.alive.sharing(&old.alive);
-            total += new.supports.sharing(&old.supports);
         }
         total
     }
@@ -357,11 +340,11 @@ pub trait DfaEvaluator: std::fmt::Debug + Send + Sync {
     }
 
     /// Re-derives `dfa`'s answer on this evaluator's (post-delta) graph by
-    /// resuming the product fixed point from `resume` — the alive sets and
-    /// support counts of the *pre-delta* evaluation — on a copy-on-write
-    /// clone of it.  Insert-only deltas expand monotonically from the seed;
-    /// deltas with removals additionally run a DRed-style
-    /// over-delete/re-derive sweep over the removed edges' derivation cones.
+    /// resuming the product fixed point from `resume` — the alive sets of
+    /// the *pre-delta* evaluation — on a copy-on-write clone of it.
+    /// Insert-only deltas expand monotonically from the seed; deltas with
+    /// removals additionally run a DRed-style over-delete/re-derive sweep
+    /// over the removed edges' derivation cones.
     /// The returned seed shares every block the cone did not reach with
     /// `resume`, and the returned answer is its start state's alive set.
     ///

@@ -12,9 +12,9 @@
 //!    fixed point produces exactly the cold-evaluation answers, and the
 //!    reseed path is actually taken.
 //! 3. **Tier-3 delete-reseeds converge.**  Deltas containing removals take
-//!    the delete-aware over-delete/re-derive path: support counts are
-//!    decremented along removed edges, zero-support configurations
-//!    over-deleted transitively, survivors re-derived — and the migrated
+//!    the delete-aware over-delete/re-derive path: sources of removed edges
+//!    over-deleted transitively, those with a surviving successor
+//!    re-derived — and the migrated
 //!    answers are byte-identical to cold evaluation across chained random
 //!    **mixed** insert+delete epochs.  The saturation fallback (a resume
 //!    that gives up) is unit-tested in `gps-rpq`'s cache.
