@@ -2,7 +2,7 @@
 //!
 //! The numbers a user of the system feels are measured by the `benchmark/`
 //! package (seeded workloads, ten-pairs protocol, `BENCH_history.jsonl`).
-//! This binary only holds thirteen ratios no workload there can express — two
+//! This binary only holds fourteen ratios no workload there can express — two
 //! shapes of the same work timed side by side in one process — and exits
 //! non-zero, with one `SMOKE FAILURE:` line per broken floor, when one of
 //! them crosses its bound:
@@ -22,6 +22,7 @@
 //! | 11 | `scale-free-100k` | `index-patch` (`BatchEvaluator::apply_delta` of the 6-edge insert) ≤ `PATCH_BOUND`× `index-build` (`BatchEvaluator::from_csr` of the patched snapshot) |
 //! | 12 | `scale-free-100k` | `migrate` (`EvalCache::migrate_answers` of 64 touched entries) ≤ `MIGRATE_BOUND`× `migrate-then-read` (the same, then the first read of all 64) |
 //! | 13 | `scale-free-100k` | `eval-cold` (`evaluate_dfa_captured` of six broad star/chain queries) ≤ `CAPTURE_BOUND`× `eval-uncaptured` (`evaluate_dfa` of the same) |
+//! | 14 | `scale-free-100k` | the peak heap of `LabelIndex::from_csr` above the index it keeps ≤ `INDEX_TRANSIENT_BOUND`× the index's `memory_bytes()` |
 //!
 //! Samples of the compared shapes are interleaved round-robin so clock or
 //! thermal drift cannot bias a comparison one way; the floors that compare
@@ -40,7 +41,7 @@ use gps_core::{Engine, GpsBuilder};
 use gps_datasets::scale_free::{self, ScaleFreeConfig};
 use gps_datasets::streamed;
 use gps_datasets::updates::{update_stream, UpdateStreamConfig};
-use gps_exec::BatchEvaluator;
+use gps_exec::{BatchEvaluator, LabelIndex};
 use gps_graph::{CsrEntry, CsrGraph, DeltaGraph, Graph, LabelId};
 use gps_graph::{NodeId, PathEnumerator, UpdateOp};
 use gps_interactive::strategy::InformativePathsStrategy;
@@ -51,7 +52,8 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// The system allocator wrapped with live/peak byte counters, so the corpus
-/// builds of floor 10 can report their true peak heap footprint.
+/// builds of floor 10 and the index build of floor 14 can report their true
+/// peak heap footprint.
 /// Relaxed atomics only — the tracking cost is a few nanoseconds per
 /// allocation and identical for every interleaved arm.
 mod alloc_track {
@@ -779,13 +781,14 @@ fn telemetry_floor(graph: &Graph, goals: &[String]) -> Floor {
     Floor::of_pairs("scale-free-2000-telemetry", &off, &on, AtLeast(0.95))
 }
 
-/// Floors 10, 9, 11, 12 and 13, on a 4-edges-per-node, 8-label scale-free corpus
-/// of 100k nodes.
+/// Floors 10, 14, 9, 11, 12 and 13, on a 4-edges-per-node, 8-label
+/// scale-free corpus of 100k nodes.
 ///
 /// * The streamed `CsrGraph` builder vs. materializing the mutable `Graph`
 ///   first: the **peak heap bytes** of one build of each (counting
 ///   allocator, relative to the live bytes when the build starts).  The
 ///   streamed builder's whole point is a peak well below the other path's.
+/// * The transient heap of a label-index build ([`index_transient_floor`]).
 /// * Re-deriving a 6-hop chain answer from its seed across a 6-edge
 ///   insert-only delta (`resume-insert`), and across the delta that removes
 ///   those edges again (`resume-delete`), vs. evaluating the same query
@@ -795,16 +798,16 @@ fn telemetry_floor(graph: &Graph, goals: &[String]) -> Floor {
 ///   the graph: the slower of the two resumes must beat it by 20x (measured:
 ///   90-105x here, 0.36-0.54 ms against 3.3-5.3 us; a resume that copies or
 ///   scans per node again lands near 1x).
-/// * Patching the evaluator's label index and planner statistics through
-///   that 6-edge insert (`BatchEvaluator::apply_delta`, what a publish
-///   runs) vs. building both from scratch over the patched snapshot
+/// * Patching the evaluator's label index through that 6-edge insert
+///   (`BatchEvaluator::apply_delta`, what a publish runs) vs. building it
+///   from scratch over the patched snapshot
 ///   (`BatchEvaluator::from_csr`): a patch rebuilds only the index chunks
 ///   the delta touches, so it must stay under [`PATCH_BOUND`] of a build.
 /// * Migrating a warm answer cache across a 4-edge publish vs. migrating it
 ///   and reading every answer once ([`lazy_migration_floor`]).
 /// * A cold evaluation with its seed captured vs. without
 ///   ([`capture_floor`]).
-fn scale_floors() -> [Floor; 5] {
+fn scale_floors() -> [Floor; 6] {
     const GROUP: &str = "scale-free-100k";
     let config = ScaleFreeConfig {
         nodes: 100_000,
@@ -843,6 +846,7 @@ fn scale_floors() -> [Floor; 5] {
     };
     let snapshot = Arc::new(last.expect("at least one build sample"));
     let n = snapshot.node_count();
+    let transient = index_transient_floor(GROUP, &snapshot);
 
     // Capture the 6-hop chain's fixed point once, insert a 6-edge path
     // spelling the query between existing nodes and resume across that
@@ -951,7 +955,34 @@ fn scale_floors() -> [Floor; 5] {
     let patch = Floor::of_means(GROUP, &patch, &build, AtMost(PATCH_BOUND));
     let lazy = lazy_migration_floor(GROUP, &snapshot, &base_eval);
     let capture = capture_floor(GROUP, &base_eval);
-    [peaks, resume, patch, lazy, capture]
+    [peaks, transient, resume, patch, lazy, capture]
+}
+
+/// Floor 14's bound on the transient heap of a label-index build over the
+/// index's own size.  Building from both directions' `(row, neighbor)`
+/// pairs of every edge at once read 1.08 here; bucketing one direction at a
+/// time and dropping each label's bucket once it is packed reads 0.14.
+const INDEX_TRANSIENT_BOUND: f64 = 0.75;
+
+/// Floor 14: what a label-index build allocates on top of the index it
+/// keeps — the peak heap of one `LabelIndex::from_csr` over `snapshot`,
+/// relative to the live bytes when it starts, minus the index's
+/// `memory_bytes()` — must stay under [`INDEX_TRANSIENT_BOUND`] of that
+/// size.  Counted allocations, no clock: the reading is deterministic.
+fn index_transient_floor(group: &'static str, snapshot: &CsrGraph) -> Floor {
+    let base = alloc_track::reset_peak();
+    let index = LabelIndex::from_csr(snapshot);
+    let peak = alloc_track::peak_since(base);
+    let kept = index.memory_bytes();
+    let transient = peak.saturating_sub(kept);
+    Floor {
+        group,
+        numerator: "index-build-transient-bytes",
+        denominator: "index-memory-bytes",
+        ratio: transient as f64 / kept as f64,
+        bound: AtMost(INDEX_TRANSIENT_BOUND),
+        detail: format!("peak {peak} bytes above the live heap, {kept} bytes kept"),
+    }
 }
 
 /// Floor 13's bound on `eval-cold / eval-uncaptured`.  While a seed carried

@@ -280,7 +280,7 @@ struct EngineOptions {
 pub(crate) struct Advanced {
     pub core: Engine,
     pub migration: MigrationReport,
-    /// Label index and planner statistics patched through the delta.
+    /// Label index patched through the delta.
     pub index_patch: Duration,
     /// New cache built and the old epoch's answers migrated into it.
     pub migrate_answers: Duration,
@@ -339,8 +339,8 @@ impl Engine {
     }
 
     /// Builds the next epoch's engine over `snapshot` (the compacted result
-    /// of `delta`): the label index and planner statistics are patched
-    /// through the delta instead of re-indexed, the new bounded evaluation
+    /// of `delta`): the label index is patched through the delta instead of
+    /// re-indexed, the new bounded evaluation
     /// cache migrates the old epoch's answers across the delta
     /// ([`EvalCache::migrate_answers`]) and inherits its word index
     /// ([`EvalCache::inherit_words`]), and every configuration knob carries

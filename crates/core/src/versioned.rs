@@ -9,8 +9,8 @@
 //!   the store, then [`publish`](VersionedStore::publish): the staged ops are
 //!   applied through a [`gps_graph::DeltaGraph`] overlay, compacted into a
 //!   fresh snapshot stamped with the next epoch, and the whole read stack is
-//!   *advanced* — the label index and planner statistics are patched through
-//!   the delta (untouched label partitions are `Arc`-shared with the previous
+//!   *advanced* — the label index is patched through the delta (untouched
+//!   label partitions are `Arc`-shared with the previous
 //!   epoch), and the new evaluation cache inherits the old epoch's
 //!   bounded-word index with only the affected nodes re-derived.
 //! * Readers resolve the **latest** core when they start
@@ -198,7 +198,7 @@ pub struct PublishPhases {
     pub apply: Duration,
     /// Overlay spliced into the next snapshot.
     pub compact: Duration,
-    /// Label index and planner statistics patched.
+    /// Label index patched.
     pub index_patch: Duration,
     /// Cached answers classified: carried, left pending for a resume on
     /// their first read, or dropped.  No answer is recomputed here.

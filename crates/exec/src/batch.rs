@@ -19,7 +19,7 @@ use crate::index::LabelIndex;
 use crate::metrics::ExecMetrics;
 use crate::planner::{self, Plan, PlanDecision, PlannerConfig};
 use gps_automata::Dfa;
-use gps_graph::{CsrGraph, GraphDelta, LabelStats, NodeId, Path};
+use gps_graph::{CsrGraph, GraphDelta, NodeId, Path};
 use gps_rpq::{DfaEvaluator, EvalResume, PathQuery, QueryAnswer};
 use std::sync::{Arc, Mutex, TryLockError};
 
@@ -31,7 +31,6 @@ use std::sync::{Arc, Mutex, TryLockError};
 #[derive(Debug, Clone)]
 pub struct BatchEvaluator {
     index: Arc<LabelIndex>,
-    stats: LabelStats,
     plan_override: Option<Plan>,
     metrics: ExecMetrics,
     /// The per-state bitsets evaluations sweep in, kept between calls — by
@@ -43,9 +42,10 @@ pub struct BatchEvaluator {
 }
 
 impl BatchEvaluator {
-    /// Indexes `csr` (one edge sweep) and builds the evaluator.
+    /// Indexes `csr` (one sweep of each direction's rows) and builds the
+    /// evaluator.
     pub fn from_csr(csr: &CsrGraph) -> Self {
-        Self::from_parts(LabelIndex::from_csr(csr), LabelStats::compute(csr))
+        Self::from_shared_index(Arc::new(LabelIndex::from_csr(csr)))
     }
 
     // `benchmark/src/shadow.rs:128,508` are the sole callers, and ordinary
@@ -57,10 +57,9 @@ impl BatchEvaluator {
     }
 
     /// Builds the evaluator over an already-shared index (no re-partition).
-    pub fn from_shared_index(index: Arc<LabelIndex>, stats: LabelStats) -> Self {
+    pub fn from_shared_index(index: Arc<LabelIndex>) -> Self {
         Self {
             index,
-            stats,
             plan_override: None,
             metrics: ExecMetrics::disabled(),
             scratch: Arc::default(),
@@ -69,29 +68,20 @@ impl BatchEvaluator {
 
     /// Builds the next epoch's evaluator after a graph update: the label
     /// index is patched ([`LabelIndex::apply_delta`] — untouched partitions,
-    /// and the untouched chunks of touched ones, are shared, not copied) and
-    /// the planner statistics are derived from the patched partitions, with
-    /// every knob carried over.  `csr` is the compacted snapshot the delta
-    /// produced.  Both steps are one `gps_exec_index_build_ns` sample: the
-    /// interval a publish's `index_patch` phase times too.
+    /// and the untouched chunks of touched ones, are shared, not copied),
+    /// with every knob carried over.  `csr` is the compacted snapshot the
+    /// delta produced.  The patch is one `gps_exec_index_build_ns` sample:
+    /// the interval a publish's `index_patch` phase times too.
     pub fn apply_delta(&self, csr: &CsrGraph, delta: &GraphDelta) -> Self {
         let started = std::time::Instant::now();
-        let index = self
-            .index
-            .apply_delta(delta, csr.node_count(), csr.label_count());
-        let stats = index.patched_stats(&self.stats, &delta.touched_labels());
+        let index = self.index.apply_delta(csr, delta);
         self.metrics.index_build.record_duration(started.elapsed());
         Self {
             index: Arc::new(index),
-            stats,
             plan_override: self.plan_override,
             metrics: self.metrics.clone(),
             scratch: Arc::clone(&self.scratch),
         }
-    }
-
-    fn from_parts(index: LabelIndex, stats: LabelStats) -> Self {
-        Self::from_shared_index(Arc::new(index), stats)
     }
 
     /// Forces every query onto `plan` instead of consulting the planner
@@ -135,14 +125,9 @@ impl BatchEvaluator {
         Arc::clone(&self.index)
     }
 
-    /// The per-label statistics the planner consults.
-    pub fn stats(&self) -> &LabelStats {
-        &self.stats
-    }
-
     /// The plan the evaluator would run `dfa` with, and why.
     pub fn plan_for(&self, dfa: &Dfa) -> PlanDecision {
-        let mut decision = planner::plan(&self.stats, dfa);
+        let mut decision = planner::plan(&self.index, dfa);
         if let Some(plan) = self.plan_override {
             decision.plan = plan;
         }
@@ -321,8 +306,7 @@ mod tests {
             &evaluator.shared_index(),
             &clone.shared_index()
         ));
-        let rebuilt =
-            BatchEvaluator::from_shared_index(evaluator.shared_index(), evaluator.stats().clone());
+        let rebuilt = BatchEvaluator::from_shared_index(evaluator.shared_index());
         let dfas = queries(&g);
         for dfa in &dfas {
             assert_eq!(rebuilt.evaluate(dfa), evaluator.evaluate(dfa));
@@ -428,7 +412,6 @@ mod tests {
 
         let patched = old.apply_delta(&compacted, &summary);
         let fresh = BatchEvaluator::from_csr(&compacted);
-        assert_eq!(patched.stats(), fresh.stats());
         for dfa in queries(&g) {
             assert_eq!(patched.evaluate(&dfa), fresh.evaluate(&dfa));
             assert_eq!(

@@ -744,7 +744,7 @@ mod tests {
         delta.add_edge(c, x, d);
         let summary = delta.delta();
         let compacted = delta.compact();
-        let patched = index.apply_delta(&summary, compacted.node_count(), compacted.label_count());
+        let patched = index.apply_delta(&compacted, &summary);
         let resumed = super::resume(&patched, &dfa, &resume, &summary, DEFAULT_OVERDELETE_LIMIT)
             .expect("insert-only");
         assert_eq!(resumed.answer, gps_rpq::eval::evaluate(&compacted, &dfa));
@@ -821,7 +821,7 @@ mod tests {
         mutate(&mut delta);
         let summary = delta.delta();
         let compacted = delta.compact();
-        let patched = index.apply_delta(&summary, compacted.node_count(), compacted.label_count());
+        let patched = index.apply_delta(&compacted, &summary);
         let resumed = super::resume(&patched, dfa, &resume, &summary, limit)?;
         assert_eq!(resumed.answer, gps_rpq::eval::evaluate(&compacted, dfa));
         // Alive bits and carried populations both.

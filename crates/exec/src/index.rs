@@ -21,7 +21,7 @@
 //!
 //! Each partition is cut into fixed node ranges of [`CHUNK_ROWS`] rows, each
 //! a [`RowChunk`] behind an [`Arc`]: chunk-local offsets, the chunk's
-//! neighbors, its occupancy words and its largest row.  `CHUNK_ROWS` is a
+//! neighbors and its occupancy words.  `CHUNK_ROWS` is a
 //! multiple of 64, so the occupancy words of chunk `c` line up with words
 //! `c * CHUNK_ROWS / 64 ..` of a node set's [`FixedBitSet`]: a sweep walks
 //! chunk-major — one chunk lookup, then the same word-masked loop over the
@@ -29,36 +29,42 @@
 //! lookup is one shift and one mask.  A node range in which a label has no
 //! edge is one all-empty chunk that every partition shares.
 //!
+//! ## One row definition
+//!
+//! Row `v` of `label`'s partition in a direction is the snapshot's row of
+//! `v` in that direction — [`CsrGraph::out`] forward, [`CsrGraph::inc`]
+//! reverse — filtered to `label`, in row order.  A fresh build
+//! ([`LabelIndex::from_csr`]) reads every row of one direction at a time,
+//! buckets its entries per label and packs each bucket; nothing else defines
+//! what a row holds.
+//!
 //! ## Across epochs
 //!
 //! The per-(direction, label) partitions are individually `Arc`-shared, so
 //! [`LabelIndex::apply_delta`] hands the labels an update does not touch to
 //! the next epoch by pointer.  A touched partition clones its chunk-pointer
-//! table and rebuilds only the chunks holding a touched row, plus the tail
+//! table and rebuilds only the chunks holding a touched row — a source of a
+//! changed edge of that label forward, a target reverse — plus the tail
 //! chunk when nodes were added; every other chunk stays shared by pointer,
 //! so a four-edge delta costs a few chunks and one pointer copy per chunk,
 //! not a pass over the partition's rows.  Inside a chunk the rebuild is a
 //! *splice*, the same way the snapshot is compacted
-//! ([`gps_graph::splice::RowSplice`]): the delta's edges of that label are
-//! sorted by row, the neighbor stretches between consecutive touched rows
-//! are copied with `extend_from_slice`, the chunk-local offsets are the old
-//! ones plus a running shift, and only the touched rows are rewritten: a
-//! removal takes the neighbor's first occurrence; an addition goes last in a
-//! forward row (edge order) and after the last entry from its source or a
-//! lower one in a reverse row (the order a forward scan of the snapshot
-//! meets the sources in).  The rebuilt chunk's occupancy words and largest
-//! row come from one sweep over its own offsets.  An untouched partition
-//! shared from before nodes were added simply covers fewer rows: the rows it
-//! does not cover are empty.  The planner statistics of a touched label are
-//! folded from its chunks' summaries.  The layout a reader sweeps is exactly
-//! what a fresh build produces, chunk for chunk.
+//! ([`gps_graph::splice::RowSplice`]): the neighbor stretches between
+//! consecutive touched rows are copied with `extend_from_slice`, the
+//! chunk-local offsets are the old ones plus a running shift, and each
+//! touched row is re-read from the compacted snapshot by the row definition
+//! above.  The rebuilt chunk's occupancy words come from one sweep over its
+//! own offsets.  An untouched partition shared from before nodes were added
+//! simply covers fewer rows: the rows it does not cover are empty.  Because
+//! a patch reads a row exactly as a build does, a patched index is what a
+//! fresh build of the compacted snapshot produces, chunk for chunk.
 //!
 //! [`FixedBitSet`]: crate::FixedBitSet
 
 use crate::bitset::WORD_BITS;
 use gps_graph::splice::RowSplice;
-use gps_graph::{CsrGraph, Edge, GraphDelta, LabelId, LabelStat, LabelStats, NodeId};
-use std::collections::{BTreeMap, BTreeSet};
+use gps_graph::{CsrEntry, CsrGraph, GraphDelta, LabelId, NodeId};
+use std::collections::BTreeMap;
 use std::sync::{Arc, OnceLock};
 
 /// Rows per label-index chunk: the unit a publish copies.  A power of two,
@@ -102,41 +108,43 @@ fn chunk_rows(chunk: usize, node_count: usize) -> usize {
     (node_count - chunk * CHUNK_ROWS).min(CHUNK_ROWS)
 }
 
+/// `node`'s snapshot row in `direction`, every label: what a label-index
+/// row is filtered from (see the [module docs](self)).
+fn snapshot_row(csr: &CsrGraph, direction: Direction, node: NodeId) -> &[CsrEntry] {
+    match direction {
+        Direction::Forward => csr.out(node),
+        Direction::Reverse => csr.inc(node),
+    }
+}
+
 /// [`CHUNK_ROWS`] consecutive rows of one label's partition in one direction
 /// (fewer in the last chunk): the neighbors of local row `r` live at
 /// `neighbors[offsets[r] .. offsets[r + 1]]`.
 ///
 /// `occupied` holds one bit per row, set iff the row is non-empty: a sweep
 /// ANDs it with the node set it is about to expand and never looks up the
-/// (many) rows this label has nothing in.  `max_degree` is the largest row;
-/// with the popcount of `occupied` it is what a label's planner statistics
-/// are folded from.
+/// (many) rows this label has nothing in.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RowChunk {
     offsets: Vec<u32>,
     neighbors: Vec<u32>,
     occupied: Vec<u64>,
-    max_degree: u32,
 }
 
 impl RowChunk {
     /// Wraps `rows + 1` chunk-local offsets and the neighbors they index,
-    /// deriving the occupancy words and the largest row in one sweep.
+    /// deriving the occupancy words in one sweep.
     fn new(offsets: Vec<u32>, neighbors: Vec<u32>) -> Self {
         debug_assert_eq!(offsets.last().map(|&o| o as usize), Some(neighbors.len()));
         let rows = offsets.len() - 1;
         let mut occupied = vec![0u64; rows.div_ceil(WORD_BITS)];
-        let mut max_degree = 0;
         for (row, w) in offsets.windows(2).enumerate() {
-            let degree = w[1] - w[0];
-            max_degree = max_degree.max(degree);
-            occupied[row / WORD_BITS] |= u64::from(degree > 0) << (row % WORD_BITS);
+            occupied[row / WORD_BITS] |= u64::from(w[1] > w[0]) << (row % WORD_BITS);
         }
         Self {
             offsets,
             neighbors,
             occupied,
-            max_degree,
         }
     }
 
@@ -164,63 +172,35 @@ impl RowChunk {
     }
 
     /// Rebuilds `old` — the chunk whose first row is `first`, `None` when
-    /// the old partition did not cover it — over `rows` rows with `removals`
-    /// and `additions` applied: both `(row, neighbor)` pairs inside this
-    /// chunk, sorted by row, in delta order within a row.  The result is
-    /// exactly what a fresh build over the merged adjacency produces.
-    /// Removal takes a neighbor's first occurrence.  A forward row lists
-    /// targets in edge order, so additions go last; a reverse row lists
-    /// sources in the order a forward scan of the snapshot meets them
-    /// (ascending, a source's own edges in edge order), so an addition goes
-    /// right after the last entry from its source or a lower one.  Untouched
-    /// stretches are bulk copies (see the [module docs](self)); rows the old
-    /// chunk does not cover yet start empty.
+    /// the old partition did not cover it — over `rows` rows of `csr`, with
+    /// each of the `touched` rows (ascending, inside this chunk) re-read
+    /// from `csr` by the row definition of the [module docs](self).
+    /// Untouched stretches are bulk copies; rows the old chunk does not
+    /// cover yet start empty.
     fn patched(
         old: Option<&RowChunk>,
+        csr: &CsrGraph,
         direction: Direction,
+        label: LabelId,
         first: usize,
         rows: usize,
-        removals: &[(u32, u32)],
-        additions: &[(u32, u32)],
+        touched: &[u32],
     ) -> Self {
         let (old_offsets, old_neighbors) =
             old.map_or((&[][..], &[][..]), |c| (&c.offsets[..], &c.neighbors[..]));
-        let mut neighbors = Vec::with_capacity(
-            (old_neighbors.len() + additions.len()).saturating_sub(removals.len()),
-        );
+        let mut neighbors = Vec::with_capacity(old_neighbors.len() + touched.len());
         let mut splice = RowSplice::new(old_offsets);
-        let (mut removals, mut additions) = (removals, additions);
-        while let Some(&(row, _)) = [removals.first(), additions.first()]
-            .into_iter()
-            .flatten()
-            .min()
-        {
-            let (before, own) = splice.seek(row as usize - first);
+        for &row in touched {
+            let (before, _) = splice.seek(row as usize - first);
             neighbors.extend_from_slice(&old_neighbors[before]);
             let start = neighbors.len();
-            let removed = take_below(&mut removals, row as usize + 1);
-            if removed.is_empty() {
-                neighbors.extend_from_slice(&old_neighbors[own]);
-            } else {
-                let mut pending: Vec<u32> = removed.iter().map(|&(_, to)| to).collect();
-                for &to in &old_neighbors[own] {
-                    match pending.iter().position(|&r| r == to) {
-                        Some(at) => {
-                            pending.swap_remove(at);
-                        }
-                        None => neighbors.push(to),
-                    }
-                }
-            }
-            for &(_, to) in take_below(&mut additions, row as usize + 1) {
-                let at = match direction {
-                    Direction::Forward => neighbors.len(),
-                    Direction::Reverse => {
-                        start + neighbors[start..].partition_point(|&from| from <= to)
-                    }
-                };
-                neighbors.insert(at, to);
-            }
+            let entries = snapshot_row(csr, direction, NodeId::new(row));
+            neighbors.extend(
+                entries
+                    .iter()
+                    .filter(|entry| entry.label == label)
+                    .map(|entry| entry.node.raw()),
+            );
             splice.set_len(neighbors.len() - start);
         }
         let (rest, offsets) = splice.finish(rows);
@@ -321,26 +301,28 @@ impl Partition {
         Self::build(node_count, &[])
     }
 
-    /// This partition with `removals` and `additions` applied (both
-    /// `(row, neighbor)` pairs sorted by row, in delta order within a row),
-    /// covering `node_count` nodes: a copy of the chunk-pointer table in
-    /// which only the chunks holding a touched row, and the tail chunk when
-    /// it grew, are rebuilt ([`RowChunk::patched`]).
+    /// `label`'s partition in `direction` of `csr` — the compacted snapshot
+    /// of a delta whose changed edges of `label` touch the `touched` rows
+    /// (ascending, distinct) — given `old`, the partition before it: a copy
+    /// of the chunk-pointer table in which only the chunks holding a touched
+    /// row, and the tail chunk when it grew, are rebuilt
+    /// ([`RowChunk::patched`]).
     fn patched(
         old: Option<&Partition>,
+        csr: &CsrGraph,
         direction: Direction,
-        node_count: usize,
-        removals: &[(u32, u32)],
-        additions: &[(u32, u32)],
+        label: LabelId,
+        mut touched: &[u32],
     ) -> Self {
+        let node_count = csr.node_count();
         let old_chunks = old.map_or(&[][..], |p| &p.chunks[..]);
-        let (mut removals, mut additions) = (removals, additions);
         let chunks = (0..node_count.div_ceil(CHUNK_ROWS)).map(|c| {
             let (first, rows) = (c * CHUNK_ROWS, chunk_rows(c, node_count));
-            let removed = take_below(&mut removals, first + CHUNK_ROWS);
-            let added = take_below(&mut additions, first + CHUNK_ROWS);
+            let len = touched.partition_point(|&row| (row as usize) < first + CHUNK_ROWS);
+            let (here, rest) = touched.split_at(len);
+            touched = rest;
             let old = old_chunks.get(c);
-            if removed.is_empty() && added.is_empty() {
+            if here.is_empty() {
                 match old {
                     Some(old) if old.rows() == rows => return Arc::clone(old),
                     // A tail with edges that must grow: rebuilt below.
@@ -348,9 +330,10 @@ impl Partition {
                     _ => return empty_chunk(rows),
                 }
             }
-            let chunk =
-                RowChunk::patched(old.map(|c| &**c), direction, first, rows, removed, added);
-            shared(chunk)
+            let old = old.map(|c| &**c);
+            shared(RowChunk::patched(
+                old, csr, direction, label, first, rows, here,
+            ))
         });
         Self {
             chunks: chunks.collect(),
@@ -365,67 +348,30 @@ impl Partition {
     fn memory_bytes(&self) -> usize {
         self.chunks.iter().map(|chunk| chunk.memory_bytes()).sum()
     }
-
-    /// The largest row and the number of non-empty rows, folded from the
-    /// chunks' summaries.
-    fn degree_summary(&self) -> (usize, usize) {
-        self.chunks.iter().fold((0, 0), |(max, occupied), chunk| {
-            let rows: u32 = chunk.occupied.iter().map(|word| word.count_ones()).sum();
-            (max.max(chunk.max_degree as usize), occupied + rows as usize)
-        })
-    }
 }
 
-/// Splits off the leading pairs of `pairs` (sorted by row) whose row is
-/// below `end`.
-fn take_below<'a>(pairs: &mut &'a [(u32, u32)], end: usize) -> &'a [(u32, u32)] {
-    let len = pairs.partition_point(|&(row, _)| (row as usize) < end);
-    let (head, tail) = pairs.split_at(len);
-    *pairs = tail;
-    head
-}
-
-/// One label's share of a [`GraphDelta`], as the `(row, neighbor)` pair lists
-/// [`Partition::patched`] takes for each direction.
+/// One label's share of a [`GraphDelta`]: the rows its changed edges touch
+/// in each direction — their sources forward, their targets reverse —
+/// ascending and distinct.
 #[derive(Debug, Default)]
 struct LabelPatch {
-    fwd_removals: Vec<(u32, u32)>,
-    fwd_additions: Vec<(u32, u32)>,
-    rev_removals: Vec<(u32, u32)>,
-    rev_additions: Vec<(u32, u32)>,
+    fwd: Vec<u32>,
+    rev: Vec<u32>,
 }
 
 impl LabelPatch {
-    /// Groups the delta's edges by label, each list sorted by row (stably:
-    /// delta order within a row).
+    /// The touched rows of every label the delta changes.
     fn by_label(delta: &GraphDelta) -> BTreeMap<usize, LabelPatch> {
         let mut patches: BTreeMap<usize, LabelPatch> = BTreeMap::new();
-        let pairs = |e: &Edge| {
-            (
-                (e.source.raw(), e.target.raw()),
-                (e.target.raw(), e.source.raw()),
-            )
-        };
-        for edge in &delta.removed_edges {
+        for edge in delta.added_edges.iter().chain(&delta.removed_edges) {
             let patch = patches.entry(edge.label.index()).or_default();
-            let (fwd, rev) = pairs(edge);
-            patch.fwd_removals.push(fwd);
-            patch.rev_removals.push(rev);
-        }
-        for edge in &delta.added_edges {
-            let patch = patches.entry(edge.label.index()).or_default();
-            let (fwd, rev) = pairs(edge);
-            patch.fwd_additions.push(fwd);
-            patch.rev_additions.push(rev);
+            patch.fwd.push(edge.source.raw());
+            patch.rev.push(edge.target.raw());
         }
         for patch in patches.values_mut() {
-            for list in [
-                &mut patch.fwd_removals,
-                &mut patch.fwd_additions,
-                &mut patch.rev_removals,
-                &mut patch.rev_additions,
-            ] {
-                list.sort_by_key(|&(row, _)| row);
+            for rows in [&mut patch.fwd, &mut patch.rev] {
+                rows.sort_unstable();
+                rows.dedup();
             }
         }
         patches
@@ -459,42 +405,22 @@ impl DirIndex {
     }
 }
 
-/// The edge set bucketed per label in both directions, in edge-stream order
-/// — the one pass a fresh [`LabelIndex`] build makes before packing each
-/// bucket into its [`Partition`].
-struct Buckets {
-    fwd: Vec<Vec<(u32, u32)>>,
-    rev: Vec<Vec<(u32, u32)>>,
-}
-
-impl Buckets {
-    fn new(label_count: usize) -> Self {
-        Self {
-            fwd: vec![Vec::new(); label_count],
-            rev: vec![Vec::new(); label_count],
+/// Every label's partition of `csr` in `direction`, by one pass over that
+/// direction's rows: each entry goes to its label's bucket as a `(row,
+/// neighbor)` pair, so a bucket lists each row's entries in row order, and
+/// each bucket is packed ([`Partition::build`]) and dropped in turn.
+fn partitions(csr: &CsrGraph, direction: Direction) -> DirIndex {
+    let mut buckets: Vec<Vec<(u32, u32)>> = vec![Vec::new(); csr.label_count()];
+    for node in csr.nodes() {
+        for entry in snapshot_row(csr, direction, node) {
+            buckets[entry.label.index()].push((node.raw(), entry.node.raw()));
         }
     }
-
-    #[inline]
-    fn push(&mut self, label: usize, source: u32, target: u32) {
-        self.fwd[label].push((source, target));
-        self.rev[label].push((target, source));
-    }
-
-    fn into_index(self, node_count: usize) -> LabelIndex {
-        let pack = |buckets: &[Vec<(u32, u32)>]| DirIndex {
-            parts: buckets
-                .iter()
-                .map(|bucket| Arc::new(Partition::build(node_count, bucket)))
-                .collect(),
-        };
-        LabelIndex {
-            node_count,
-            label_count: self.fwd.len(),
-            label_edge_counts: self.fwd.iter().map(Vec::len).collect(),
-            fwd: pack(&self.fwd),
-            rev: pack(&self.rev),
-        }
+    DirIndex {
+        parts: buckets
+            .into_iter()
+            .map(|bucket| Arc::new(Partition::build(csr.node_count(), &bucket)))
+            .collect(),
     }
 }
 
@@ -563,15 +489,18 @@ pub struct LabelIndex {
 }
 
 impl LabelIndex {
-    /// Builds the index of `graph` by one pass over its edges.
+    /// Builds the index of `graph` by one pass over each direction's rows,
+    /// one direction at a time.
     pub fn from_csr(graph: &CsrGraph) -> Self {
-        let mut buckets = Buckets::new(graph.label_count());
-        for node in graph.nodes() {
-            for entry in graph.out(node) {
-                buckets.push(entry.label.index(), node.raw(), entry.node.raw());
-            }
+        let fwd = partitions(graph, Direction::Forward);
+        let rev = partitions(graph, Direction::Reverse);
+        LabelIndex {
+            node_count: graph.node_count(),
+            label_count: graph.label_count(),
+            label_edge_counts: fwd.parts.iter().map(|part| part.edge_count()).collect(),
+            fwd,
+            rev,
         }
-        buckets.into_index(graph.node_count())
     }
 
     /// Number of nodes in the indexed graph.
@@ -603,6 +532,11 @@ impl LabelIndex {
             .get(label.index())
             .copied()
             .unwrap_or(0)
+    }
+
+    /// Number of edges in the indexed graph.
+    pub fn edge_count(&self) -> usize {
+        self.label_edge_counts.iter().sum()
     }
 
     /// The `label`-neighbors of `node` in `direction` as a packed slice.
@@ -654,18 +588,12 @@ impl LabelIndex {
     /// the untouched chunks of touched ones, are shared with this index
     /// (`Arc` clone, no copy).
     ///
-    /// `node_count` / `label_count` are the merged graph's counts (take them
-    /// from the compacted snapshot).  The result is identical to
-    /// [`from_csr`](Self::from_csr) over that snapshot, neighbor order
-    /// included: a forward row keeps (surviving base order, then insertion
-    /// order), a reverse row stays in the order a forward scan of the
-    /// snapshot meets its sources (see the [module docs](self)).
-    pub fn apply_delta(
-        &self,
-        delta: &GraphDelta,
-        node_count: usize,
-        label_count: usize,
-    ) -> LabelIndex {
+    /// `csr` is the compacted snapshot `delta` produced from this index's
+    /// graph: every touched row is re-read from it, so the result is
+    /// identical to [`from_csr`](Self::from_csr) over `csr`, chunk for chunk
+    /// (see the [module docs](self)).
+    pub fn apply_delta(&self, csr: &CsrGraph, delta: &GraphDelta) -> LabelIndex {
+        let (node_count, label_count) = (csr.node_count(), csr.label_count());
         // In label order, so the patches are consumed in step with the label
         // sweep below.
         let mut patches = LabelPatch::by_label(delta).into_iter().peekable();
@@ -675,19 +603,20 @@ impl LabelIndex {
         for (label, slot) in label_edge_counts.iter_mut().enumerate() {
             let known = label < self.label_count;
             if let Some((_, patch)) = patches.next_if(|&(touched, _)| touched == label) {
+                let id = LabelId::from(label);
                 let fwd = Partition::patched(
                     known.then(|| self.fwd.parts[label].as_ref()),
+                    csr,
                     Direction::Forward,
-                    node_count,
-                    &patch.fwd_removals,
-                    &patch.fwd_additions,
+                    id,
+                    &patch.fwd,
                 );
                 let rev = Partition::patched(
                     known.then(|| self.rev.parts[label].as_ref()),
+                    csr,
                     Direction::Reverse,
-                    node_count,
-                    &patch.rev_removals,
-                    &patch.rev_additions,
+                    id,
+                    &patch.rev,
                 );
                 *slot = fwd.edge_count();
                 fwd_parts.push(Arc::new(fwd));
@@ -711,63 +640,21 @@ impl LabelIndex {
             label_edge_counts,
         }
     }
-
-    /// Derives the merged graph's [`LabelStats`] from this (already patched)
-    /// index: untouched labels keep their [`LabelStat`] from `old` (only the
-    /// frequency denominator is refreshed), touched labels are folded from
-    /// the per-chunk summaries of their two partitions — one step per
-    /// chunk, no sweep over rows or over the graph's adjacency.
-    pub fn patched_stats(&self, old: &LabelStats, touched: &BTreeSet<LabelId>) -> LabelStats {
-        let edge_count: usize = self.label_edge_counts.iter().sum();
-        let per_label = (0..self.label_count)
-            .map(|index| {
-                let label = LabelId::from(index);
-                let known = old.get(label).filter(|_| !touched.contains(&label));
-                let mut stat = match known {
-                    Some(stat) => stat.clone(),
-                    None => {
-                        let (max_out_degree, source_count) = self.fwd.parts[index].degree_summary();
-                        let (max_in_degree, target_count) = self.rev.parts[index].degree_summary();
-                        LabelStat {
-                            label,
-                            edge_count: self.label_edge_counts[index],
-                            frequency: 0.0,
-                            max_out_degree,
-                            max_in_degree,
-                            source_count,
-                            target_count,
-                        }
-                    }
-                };
-                stat.frequency = if edge_count == 0 {
-                    0.0
-                } else {
-                    stat.edge_count as f64 / edge_count as f64
-                };
-                stat
-            })
-            .collect();
-        LabelStats {
-            per_label,
-            node_count: self.node_count,
-            edge_count,
-        }
-    }
-}
-
-/// Convenience: the `label`-successors of `node` as typed ids (test helper).
-pub fn successor_ids(index: &LabelIndex, label: LabelId, node: NodeId) -> Vec<NodeId> {
-    index
-        .neighbors(Direction::Forward, label, node.index())
-        .iter()
-        .map(|&n| NodeId::new(n))
-        .collect()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use gps_graph::{CsrGraph, Graph};
+
+    /// The `label`-successors of `node` as typed ids.
+    fn successor_ids(index: &LabelIndex, label: LabelId, node: NodeId) -> Vec<NodeId> {
+        index
+            .neighbors(Direction::Forward, label, node.index())
+            .iter()
+            .map(|&n| NodeId::new(n))
+            .collect()
+    }
 
     fn sample() -> CsrGraph {
         let mut g = Graph::new();
@@ -861,7 +748,7 @@ mod tests {
         let summary = delta.delta();
         let compacted = delta.compact();
 
-        let patched = old.apply_delta(&summary, compacted.node_count(), compacted.label_count());
+        let patched = old.apply_delta(&compacted, &summary);
         let fresh = LabelIndex::from_csr(&compacted);
         assert_eq!(patched.node_count(), fresh.node_count());
         assert_eq!(patched.label_count(), fresh.label_count());
@@ -892,12 +779,6 @@ mod tests {
             &patched.fwd.parts[x.index()],
             &old.fwd.parts[x.index()]
         ));
-
-        // Patched statistics agree with a full recompute on the merged graph.
-        let old_stats = gps_graph::LabelStats::compute(&g);
-        let patched_stats = patched.patched_stats(&old_stats, &summary.touched_labels());
-        let fresh_stats = gps_graph::LabelStats::compute(&compacted);
-        assert_eq!(patched_stats, fresh_stats);
     }
 
     #[test]
@@ -918,7 +799,7 @@ mod tests {
         assert!(delta.remove_edge(a, x, b));
         let summary = delta.delta();
         let compacted = delta.compact();
-        let patched = old.apply_delta(&summary, compacted.node_count(), compacted.label_count());
+        let patched = old.apply_delta(&compacted, &summary);
         assert_eq!(
             patched.neighbors(Direction::Forward, x, a.index()),
             &[b.raw()]
@@ -1003,11 +884,10 @@ mod tests {
         );
     }
 
-    /// One epoch of the index: snapshot, index, planner statistics.
+    /// One epoch of the index: snapshot and index.
     struct Epoch {
         snapshot: Arc<CsrGraph>,
         index: LabelIndex,
-        stats: LabelStats,
     }
 
     impl Epoch {
@@ -1015,17 +895,17 @@ mod tests {
             let snapshot = Arc::new(graph.clone());
             Self {
                 index: LabelIndex::from_csr(snapshot.as_ref()),
-                stats: LabelStats::compute(snapshot.as_ref()),
                 snapshot,
             }
         }
 
-        /// Publishes `ops` and checks the patched index and statistics
-        /// against a from-scratch build over the compacted snapshot: every
-        /// neighbor slice, the touched partitions chunk for chunk, the
-        /// untouched ones shared by pointer, and at most one rebuilt chunk
-        /// per edge op per touched partition (plus the chunks the added
-        /// nodes reach).
+        /// Publishes `ops` and checks the patched index against the row
+        /// definition and a from-scratch build over the compacted snapshot:
+        /// every neighbor slice of both is the snapshot's row filtered to
+        /// the label, the touched partitions equal the build's chunk for
+        /// chunk, the untouched ones are shared by pointer, and at most one
+        /// chunk per edge op per touched partition is rebuilt (plus the
+        /// chunks the added nodes reach).
         fn publish(&self, ops: &[Op], context: &str) -> Epoch {
             let mut staged = gps_graph::DeltaGraph::new(Arc::clone(&self.snapshot));
             for &op in ops {
@@ -1049,7 +929,7 @@ mod tests {
             let delta = staged.delta();
             let snapshot = Arc::new(staged.compact());
             let (n, labels) = (snapshot.node_count(), snapshot.label_count());
-            let patched = self.index.apply_delta(&delta, n, labels);
+            let patched = self.index.apply_delta(&snapshot, &delta);
             let fresh = LabelIndex::from_csr(snapshot.as_ref());
             assert_eq!(patched.node_count, n, "{context}");
             assert_eq!(
@@ -1059,13 +939,24 @@ mod tests {
             let touched = delta.touched_labels();
             for label in 0..labels {
                 let id = LabelId::from(label);
-                for node in 0..n {
+                for node in snapshot.nodes() {
                     for direction in [Direction::Forward, Direction::Reverse] {
-                        assert_eq!(
-                            patched.neighbors(direction, id, node),
-                            fresh.neighbors(direction, id, node),
-                            "{context}: {direction:?} {id:?} node {node}"
-                        );
+                        let entries = match direction {
+                            Direction::Forward => snapshot.out(node),
+                            Direction::Reverse => snapshot.inc(node),
+                        };
+                        let row: Vec<u32> = entries
+                            .iter()
+                            .filter(|entry| entry.label == id)
+                            .map(|entry| entry.node.raw())
+                            .collect();
+                        for (side, index) in [("patched", &patched), ("fresh", &fresh)] {
+                            assert_eq!(
+                                index.neighbors(direction, id, node.index()),
+                                row,
+                                "{context}: {side} {direction:?} {id:?} node {node}"
+                            );
+                        }
                     }
                 }
                 for (side, got, want, old) in [
@@ -1123,12 +1014,9 @@ mod tests {
                 fwd_new <= bound && rev_new <= bound,
                 "{context}: replaced {fwd_new} / {rev_new} chunks, at most {bound}"
             );
-            let stats = patched.patched_stats(&self.stats, &touched);
-            assert_eq!(stats, LabelStats::compute(snapshot.as_ref()), "{context}");
             Epoch {
                 snapshot,
                 index: patched,
-                stats,
             }
         }
     }
@@ -1178,6 +1066,10 @@ mod tests {
                     Node,
                     Add(7, "y", 5),
                 ],
+            ),
+            (
+                "added sources below their targets' existing ones",
+                &[Add(1, "x", 0), Add(0, "x", 3), Add(1, "x", 3)],
             ),
             ("a new label", &[Add(3, "w", 3), Add(0, "w", 4)]),
             ("a new label on a new node", &[Node, Add(5, "w", 5)]),

@@ -18,8 +18,8 @@
 //!   in — in push (reverse), pull (forward) or per-round adaptive mode; a
 //!   capturing evaluation packs the per-state alive sets it swept in as its
 //!   resumable seed;
-//! * [`planner`] — picks the expansion [`Plan`] per query from the
-//!   per-label degree/frequency statistics of [`gps_graph::LabelStats`];
+//! * [`planner`] — picks the expansion [`Plan`] per query from the label
+//!   index's per-label edge counts;
 //! * [`batch::BatchEvaluator`] — the public engine: single and sequential
 //!   batch evaluation, resumes across a delta, membership checks and
 //!   witnesses, pluggable into the `gps-rpq` cache (and thus the whole

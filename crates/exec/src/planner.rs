@@ -10,13 +10,14 @@
 //!   the dead set, which wins once most configurations are alive (the classic
 //!   direction-optimization argument from BFS).
 //!
-//! [`plan`] picks a [`Plan`] per query from per-label degree/frequency
-//! statistics ([`gps_graph::LabelStats`]): queries over rare labels stay in
+//! [`plan`] picks a [`Plan`] per query from the [`LabelIndex`]'s per-label
+//! edge counts, edge count and node count: queries over rare labels stay in
 //! push mode, queries whose labels blanket the graph switch to pull or to the
 //! adaptive hybrid that re-decides every round.
 
+use crate::index::LabelIndex;
 use gps_automata::Dfa;
-use gps_graph::{LabelId, LabelStats};
+use gps_graph::LabelId;
 
 /// How the frontier evaluator expands the product fixed point.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -69,17 +70,25 @@ impl Default for PlannerConfig {
     }
 }
 
-/// Picks the expansion plan for `dfa` over a graph with statistics `stats`,
-/// using the default thresholds.
-pub fn plan(stats: &LabelStats, dfa: &Dfa) -> PlanDecision {
-    plan_with(stats, dfa, PlannerConfig::default())
+/// Picks the expansion plan for `dfa` over the graph `index` indexes, using
+/// the default thresholds.
+pub fn plan(index: &LabelIndex, dfa: &Dfa) -> PlanDecision {
+    plan_with(index, dfa, PlannerConfig::default())
 }
 
 /// Picks the expansion plan for `dfa` under explicit thresholds.
-pub fn plan_with(stats: &LabelStats, dfa: &Dfa, config: PlannerConfig) -> PlanDecision {
+pub fn plan_with(index: &LabelIndex, dfa: &Dfa, config: PlannerConfig) -> PlanDecision {
     let used_labels = dfa.used_alphabet().symbols().to_vec();
-    let coverage = stats.coverage(used_labels.iter().copied());
-    let mean_degree = stats.mean_degree(used_labels.iter().copied());
+    let covered: usize = used_labels
+        .iter()
+        .map(|&label| index.label_edge_count(label))
+        .sum();
+    let ratio = |total: usize| match total {
+        0 => 0.0,
+        total => covered as f64 / total as f64,
+    };
+    let coverage = ratio(index.edge_count());
+    let mean_degree = ratio(index.node_count());
     let plan = if coverage < config.push_coverage {
         Plan::Reverse
     } else if coverage > config.pull_coverage && mean_degree >= config.pull_mean_degree {
@@ -117,9 +126,9 @@ mod tests {
     #[test]
     fn rare_label_queries_stay_in_push_mode() {
         let g = skewed();
-        let stats = LabelStats::compute(&g);
+        let index = LabelIndex::from_csr(&g);
         let y = g.label_id("y").unwrap();
-        let decision = plan(&stats, &Dfa::from_regex(&Regex::symbol(y)));
+        let decision = plan(&index, &Dfa::from_regex(&Regex::symbol(y)));
         assert_eq!(decision.plan, Plan::Reverse);
         assert!(decision.coverage < 0.05);
     }
@@ -127,9 +136,9 @@ mod tests {
     #[test]
     fn blanket_label_queries_pull() {
         let g = skewed();
-        let stats = LabelStats::compute(&g);
+        let index = LabelIndex::from_csr(&g);
         let x = g.label_id("x").unwrap();
-        let decision = plan(&stats, &Dfa::from_regex(&Regex::star(Regex::symbol(x))));
+        let decision = plan(&index, &Dfa::from_regex(&Regex::star(Regex::symbol(x))));
         assert_eq!(decision.plan, Plan::Forward);
         assert!(decision.coverage > 0.9);
         assert!(decision.mean_degree >= 4.0);
@@ -142,9 +151,9 @@ mod tests {
         let b = g.add_node("b");
         g.add_edge_by_name(a, "x", b);
         g.add_edge_by_name(b, "y", a);
-        let stats = LabelStats::compute(&CsrGraph::from_graph(&g));
+        let index = LabelIndex::from_csr(&CsrGraph::from_graph(&g));
         let x = g.label_id("x").unwrap();
-        let decision = plan(&stats, &Dfa::from_regex(&Regex::symbol(x)));
+        let decision = plan(&index, &Dfa::from_regex(&Regex::symbol(x)));
         // x covers half the edges: neither rare nor blanket.
         assert_eq!(decision.plan, Plan::Bidirectional);
         assert_eq!(decision.used_labels, vec![x]);
@@ -153,8 +162,8 @@ mod tests {
     #[test]
     fn empty_query_uses_push() {
         let g = skewed();
-        let stats = LabelStats::compute(&g);
-        let decision = plan(&stats, &Dfa::from_regex(&Regex::Empty));
+        let index = LabelIndex::from_csr(&g);
+        let decision = plan(&index, &Dfa::from_regex(&Regex::Empty));
         assert_eq!(decision.plan, Plan::Reverse);
         assert_eq!(decision.coverage, 0.0);
     }
@@ -162,21 +171,21 @@ mod tests {
     #[test]
     fn custom_thresholds_move_the_boundaries() {
         let g = skewed();
-        let stats = LabelStats::compute(&g);
+        let index = LabelIndex::from_csr(&g);
         let x = g.label_id("x").unwrap();
         let dfa = Dfa::from_regex(&Regex::star(Regex::symbol(x)));
-        assert_eq!(plan(&stats, &dfa).plan, Plan::Forward, "defaults");
+        assert_eq!(plan(&index, &dfa).plan, Plan::Forward, "defaults");
         // Raising the pull bar beyond x's coverage demotes it to hybrid…
         let strict = PlannerConfig {
             pull_coverage: 0.999,
             ..PlannerConfig::default()
         };
-        assert_eq!(plan_with(&stats, &dfa, strict).plan, Plan::Bidirectional);
+        assert_eq!(plan_with(&index, &dfa, strict).plan, Plan::Bidirectional);
         // …and raising the push bar above it forces push mode.
         let push_all = PlannerConfig {
             push_coverage: 1.1,
             ..PlannerConfig::default()
         };
-        assert_eq!(plan_with(&stats, &dfa, push_all).plan, Plan::Reverse);
+        assert_eq!(plan_with(&index, &dfa, push_all).plan, Plan::Reverse);
     }
 }

@@ -198,7 +198,7 @@ fn chained_epochs_reproduce_fresh_captures(rng_seed: u64) {
         let summary = delta.delta();
         assert!(!summary.removed_edges.is_empty(), "epoch {epoch} removes");
         let compacted = delta.compact();
-        let patched = index.apply_delta(&summary, compacted.node_count(), compacted.label_count());
+        let patched = index.apply_delta(&compacted, &summary);
         node_counts.push(compacted.node_count());
 
         let context = format!("rng seed {rng_seed:#x}, epoch {epoch}");
@@ -301,8 +301,7 @@ fn special_shapes_resume_to_fresh_captures() {
             }
             let summary = delta.delta();
             let compacted = delta.compact();
-            let patched =
-                index.apply_delta(&summary, compacted.node_count(), compacted.label_count());
+            let patched = index.apply_delta(&compacted, &summary);
             let context = format!("{name}, epoch {epoch}");
             resume_every_seed(
                 &queries, &mut seeds, &summary, &compacted, &patched, &context,

@@ -15,8 +15,11 @@
 //! per chunk, over chunk-local offsets, so a row's growth shifts nothing
 //! outside its chunk: the snapshot compaction
 //! ([`crate::DeltaGraph::compact`]) inside each adjacency chunk it rebuilds,
-//! and the label-index patch (`gps_exec::LabelIndex::apply_delta`) inside
-//! each chunk of a label partition that holds a touched row.
+//! rewriting a touched row from the base row and the overlay's edits; and
+//! the label-index patch (`gps_exec::LabelIndex::apply_delta`) inside each
+//! chunk of a label partition that holds a touched row, rewriting that row
+//! by re-reading it from the compacted snapshot (the snapshot's row
+//! filtered to the label), so it never replays the edits itself.
 
 use std::ops::Range;
 

@@ -1,7 +1,7 @@
 //! Summary statistics over a graph: degree distributions, label usage and
 //! connectivity.  Used by the dataset generators' self-checks, by the
 //! benchmark harness when reporting workload characteristics, and — through
-//! [`LabelStats`] — by the batch execution engine's direction-aware planner.
+//! [`LabelStats`] — by `gps-cli stats`.
 
 use crate::csr::CsrGraph;
 use crate::ids::LabelId;
@@ -114,12 +114,11 @@ pub struct LabelStat {
     pub target_count: usize,
 }
 
-/// Per-label degree/frequency statistics over a whole graph.
+/// Per-label degree/frequency statistics over a whole graph, as
+/// `gps-cli stats` prints them.
 ///
-/// This is the planner input of the batch execution engine (`gps-exec`): the
-/// choice between forward, reverse and bidirectional expansion is driven by
-/// how much of the edge set a query's labels cover and how skewed their
-/// degrees are.  Also surfaced by `gps-cli stats`.
+/// The batch execution engine's planner (`gps-exec`) does not read these: it
+/// needs only per-label edge counts, which its label index already holds.
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct LabelStats {
     /// One entry per label, indexed by [`LabelId::index`].

@@ -814,9 +814,9 @@ impl EvalCache {
     }
 
     /// The word index of the snapshot for words of length `1..=bound`:
-    /// indexed by node it yields exactly
-    /// `PathEnumerator::new(bound).words_from(graph, node)`, and per word the
-    /// nodes spelling it.
+    /// indexed by node it yields exactly the words of the node's walks of
+    /// length `1..=bound` — all of them, with no walk cap (an uncapped
+    /// `PathEnumerator`) — and per word the nodes spelling it.
     ///
     /// Derived lazily, once, at the largest bound asked for; a smaller bound
     /// is a restriction of that index (memoized too), a larger one replaces

@@ -16,17 +16,16 @@
 //!
 //! The index is derived level by level over the CSR — the length-`k` words of
 //! `v` are the label-prepends of the length-`k−1` words of its successors —
-//! and never materialises a walk.  Per node it holds exactly
-//! `PathEnumerator::new(bound).words_from(graph, node)`: that enumerator stops
-//! at [`DEFAULT_MAX_PATHS`] walks, so walks are counted by the same recurrence
-//! and the few nodes over the cap are enumerated the enumerator's way.
+//! and never materialises a walk.  Per node it holds exactly the node's
+//! bounded language: the words of every walk of length `1..=bound`, however
+//! many walks there are (what an uncapped
+//! `PathEnumerator::new(bound).with_max_paths(usize::MAX)` yields).
 //!
 //! Across a publish [`WordIndex::inherit`] re-derives only the nodes that can
 //! reach a changed edge within the bound; every other node shares its id list
 //! with the old epoch.
 
-use gps_graph::{CsrGraph, GraphDelta, LabelId, NodeId, PathEnumerator, DEFAULT_MAX_PATHS};
-use std::collections::BTreeMap;
+use gps_graph::{CsrGraph, GraphDelta, LabelId, NodeId};
 use std::ops::Index;
 use std::sync::Arc;
 
@@ -327,20 +326,6 @@ impl WordIndex {
         }
         let mut interner = Interner::seeded(&self.dict);
         let levels = self.derive_levels(csr, derived, &position, &mut interner);
-        // The enumerator truncates nodes over its walk cap; they keep what it
-        // yields, a subset of the complete set the recurrence derived.
-        let mut capped: BTreeMap<u32, Vec<u32>> = over_walk_cap(csr, self.bound)
-            .into_iter()
-            .filter(|&node| position[node as usize] != CARRIED)
-            .map(|node| {
-                let ids = PathEnumerator::new(self.bound)
-                    .words_from(csr, NodeId::new(node))
-                    .iter()
-                    .map(|word| interner.id_of(word))
-                    .collect();
-                (node, ids)
-            })
-            .collect();
         let (dict, remap) = interner.finish(&self.dict, self.bound);
         let nodes: Vec<NodeWords> = (0..n)
             .map(|node| {
@@ -355,14 +340,11 @@ impl WordIndex {
                         }
                     },
                     at => {
-                        let mut list = match capped.remove(&(node as u32)) {
-                            Some(list) => list,
-                            None => levels
-                                .iter()
-                                .flat_map(|level| level.list(at as usize))
-                                .copied()
-                                .collect(),
-                        };
+                        let mut list: Vec<u32> = levels
+                            .iter()
+                            .flat_map(|level| level.list(at as usize))
+                            .copied()
+                            .collect();
                         if let Some(remap) = &remap {
                             for id in &mut list {
                                 *id = remap[*id as usize];
@@ -507,12 +489,6 @@ impl Interner {
         }
     }
 
-    fn id_of(&mut self, word: &[LabelId]) -> u32 {
-        word.iter()
-            .rev()
-            .fold(EPSILON, |suffix, &label| self.intern(label, suffix))
-    }
-
     /// Freezes the words into a dictionary ordered by (length, label
     /// sequence).  Returns it with the map from interner ids to final ids —
     /// `None` when no word was minted, so `old` and every id stand as they are.
@@ -561,36 +537,6 @@ impl Interner {
         }
         (Arc::new(dict), Some(remap))
     }
-}
-
-/// The nodes with more than [`DEFAULT_MAX_PATHS`] walks of length
-/// `1..=bound`, ascending — the ones [`PathEnumerator`] truncates.
-fn over_walk_cap(csr: &CsrGraph, bound: usize) -> Vec<u32> {
-    // Counts clamp just past the cap: enough to decide "more than the cap".
-    let clamp = DEFAULT_MAX_PATHS as u64 + 1;
-    let n = csr.node_count();
-    let mut walks = vec![1u64; n];
-    let mut total = vec![0u64; n];
-    for _ in 0..bound {
-        let longer: Vec<u64> = csr
-            .nodes()
-            .map(|node| {
-                let sum: u64 = csr
-                    .out(node)
-                    .iter()
-                    .map(|entry| walks[entry.node.index()])
-                    .sum();
-                sum.min(clamp)
-            })
-            .collect();
-        for (total, &walks) in total.iter_mut().zip(&longer) {
-            *total = (*total + walks).min(clamp);
-        }
-        walks = longer;
-    }
-    (0..n as u32)
-        .filter(|&node| total[node as usize] == clamp)
-        .collect()
 }
 
 /// The nodes reaching a changed edge's source in fewer than `bound` steps,

@@ -1,8 +1,9 @@
 //! The bounded-word index against its specification.
 //!
-//! Per node and bound the index must hold exactly
-//! `PathEnumerator::new(bound).words_from(graph, node)` — walk cap included —
-//! with postings that are its transpose; a smaller bound must be the
+//! Per node and bound the index must hold exactly the node's bounded
+//! language — the words of all its walks of length `1..=bound`, what
+//! `PathEnumerator::new(bound).with_max_paths(usize::MAX)` yields, with no
+//! walk cap — with postings that are its transpose; a smaller bound must be the
 //! restriction of a larger one; an inherited index must equal a cold build;
 //! and the pruning refresh that walks its postings must keep the scores of
 //! the reference, a rescan of every node's enumerated words.
@@ -37,9 +38,10 @@ fn index_words(index: &WordIndex, node: NodeId) -> Vec<Word> {
     index[node.index()].iter().map(<[_]>::to_vec).collect()
 }
 
-/// The enumerator's words in the index's (length, labels) order.
+/// The uncapped enumerator's words in the index's (length, labels) order.
 fn enumerated(graph: &CsrGraph, node: NodeId, bound: usize) -> Vec<Word> {
     let mut words: Vec<Word> = PathEnumerator::new(bound)
+        .with_max_paths(usize::MAX)
         .words_from(graph, node)
         .into_iter()
         .collect();
@@ -121,31 +123,32 @@ fn index_equals_the_enumerator_and_its_transpose_at_every_bound() {
 }
 
 #[test]
-fn nodes_over_the_walk_cap_hold_what_the_enumerator_yields() {
-    // A hub pointing 24 times into a 6-clique with 4 parallel labels has
-    // 24·24³ walks of length 4: the enumerator stops at its cap.  The hub's
-    // last edge leads down a `z` chain, so the walk spelling x·z·z·z is the
-    // last one of the breadth-first order — the one the cap cuts.
+fn nodes_over_the_enumerators_walk_cap_hold_their_complete_language() {
+    // A hub pointing 24 times into a 6-clique with 3 parallel labels has
+    // 24·18³ walks of length 4: a default enumerator stops at its cap.  The
+    // hub's last edge leads down a `z` chain, so the walk spelling x·z·z·z is
+    // the last one of the breadth-first order — the one the cap cuts, and
+    // the index keeps.
     let mut g = Graph::new();
     let clique: Vec<NodeId> = (0..6).map(|i| g.add_node(format!("c{i}"))).collect();
     for &a in &clique {
         for &b in &clique {
-            for label in ["l0", "l1", "l2", "l3"] {
+            for label in ["l0", "l1", "l2"] {
                 g.add_edge_by_name(a, label, b);
             }
         }
     }
     let hub = g.add_node("hub");
     for (i, &c) in clique.iter().cycle().take(24).enumerate() {
-        g.add_edge_by_name(hub, ["l0", "l1", "l2", "l3"][i % 4], c);
+        g.add_edge_by_name(hub, ["l0", "l1", "l2"][i % 3], c);
     }
     let chain: Vec<NodeId> = (0..4).map(|i| g.add_node(format!("t{i}"))).collect();
     g.add_edge_by_name(hub, "x", chain[0]);
     for pair in chain.windows(2) {
         g.add_edge_by_name(pair[0], "z", pair[1]);
     }
-    // One step before the hub: under the cap itself, but its words extend
-    // the hub's *complete* length-3 words.
+    // One step before the hub: under the cap itself; its words extend the
+    // hub's length-3 words.
     let before = g.add_node("before");
     g.add_edge_by_name(before, "y", hub);
     let csr = CsrGraph::from_graph(&g);
@@ -158,22 +161,26 @@ fn nodes_over_the_walk_cap_hold_what_the_enumerator_yields() {
     );
     assert!(PathEnumerator::new(bound).paths_from(&csr, before).len() < DEFAULT_MAX_PATHS);
     let index = WordIndex::build(&csr, bound);
-    assert_index_matches("capped", &index, &csr, bound);
+    assert_index_matches("over the cap", &index, &csr, bound);
 
     let label = |name: &str| csr.labels().get(name).unwrap();
     let (x, y, z) = (label("x"), label("y"), label("z"));
     let cut: Vec<LabelId> = vec![x, z, z, z];
     assert!(
-        !index_words(&index, hub).contains(&cut),
-        "the cap cut the hub's last walk, and the index with it"
+        !PathEnumerator::new(bound)
+            .words_from(&csr, hub)
+            .contains(&cut),
+        "the default cap cuts the hub's last walk"
     );
-    assert!(index_words(&index, hub).contains(&vec![x, z, z]));
+    assert!(
+        index_words(&index, hub).contains(&cut),
+        "the index holds the walk the cap cuts"
+    );
     assert!(index_words(&index, before).contains(&vec![y, x, z, z]));
-    // The cap holds under restriction too: breadth-first order lists every
-    // shorter walk first.
+    // Restriction keeps the complete language at every smaller bound.
     for smaller in 1..bound {
         assert_index_matches(
-            &format!("capped, restricted to {smaller}"),
+            &format!("over the cap, restricted to {smaller}"),
             &index.restricted(smaller),
             &csr,
             smaller,

@@ -214,7 +214,7 @@ fn spelling_sweeps_match_the_reference_and_the_acceptor_evaluation() {
 }
 
 /// Two frontier evaluators must expose the *same* index: every adjacency
-/// slice, per-label edge count, occupancy word, planner statistic and query
+/// slice, per-label edge count, occupancy word, planner decision and query
 /// answer.  (Not the memory footprint: an untouched partition shared across a
 /// node-adding patch keeps its shorter coverage.)
 fn assert_indexes_identical(
@@ -280,8 +280,12 @@ fn assert_indexes_identical(
             );
         }
     }
-    assert_eq!(reference.stats(), other.stats(), "{context}: planner stats");
     for (i, dfa) in dfas.iter().enumerate() {
+        assert_eq!(
+            reference.plan_for(dfa),
+            other.plan_for(dfa),
+            "{context}: plan of query {i}"
+        );
         assert_eq!(
             reference.evaluate(dfa),
             other.evaluate(dfa),

@@ -7,8 +7,8 @@
 
 use gps_automata::{Dfa, Regex};
 use gps_datasets::Workload;
-use gps_exec::{planner, BatchEvaluator, Plan};
-use gps_graph::{CsrGraph, LabelStats};
+use gps_exec::{planner, BatchEvaluator, LabelIndex, Plan};
+use gps_graph::CsrGraph;
 
 #[test]
 fn default_thresholds_cover_all_three_plans_on_the_large_corpus() {
@@ -16,22 +16,22 @@ fn default_thresholds_cover_all_three_plans_on_the_large_corpus() {
     let graph = &CsrGraph::from_graph(&workload.graph);
     assert_eq!(graph.node_count(), 20_000);
     assert!(graph.edge_count() > 60_000, "dense enough to matter");
-    let stats = LabelStats::compute(graph);
+    let index = LabelIndex::from_csr(graph);
 
     // Labels are Zipf-skewed: a0 dominates, a5 is rare.
     let label = |name: &str| graph.label_id(name).unwrap();
-    let rare = planner::plan(&stats, &Dfa::from_regex(&Regex::symbol(label("a5"))));
+    let rare = planner::plan(&index, &Dfa::from_regex(&Regex::symbol(label("a5"))));
     assert_eq!(rare.plan, Plan::Reverse, "rare labels stay in push mode");
     assert!(rare.coverage < 0.4, "coverage {:.3}", rare.coverage);
 
     let blanket = Regex::star(Regex::union(
         (0..6).map(|i| Regex::symbol(label(&format!("a{i}")))),
     ));
-    let all = planner::plan(&stats, &Dfa::from_regex(&blanket));
+    let all = planner::plan(&index, &Dfa::from_regex(&blanket));
     assert_eq!(all.plan, Plan::Forward, "blanket star queries pull");
     assert!(all.coverage > 0.9 && all.mean_degree >= 4.0);
 
-    let mid = planner::plan(&stats, &Dfa::from_regex(&Regex::symbol(label("a0"))));
+    let mid = planner::plan(&index, &Dfa::from_regex(&Regex::symbol(label("a0"))));
     assert_eq!(
         mid.plan,
         Plan::Bidirectional,
