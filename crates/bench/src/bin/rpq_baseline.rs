@@ -2,7 +2,7 @@
 //!
 //! The numbers a user of the system feels are measured by the `benchmark/`
 //! package (seeded workloads, ten-pairs protocol, `BENCH_history.jsonl`).
-//! This binary only holds fourteen ratios no workload there can express — two
+//! This binary only holds fifteen ratios no workload there can express — two
 //! shapes of the same work timed side by side in one process — and exits
 //! non-zero, with one `SMOKE FAILURE:` line per broken floor, when one of
 //! them crosses its bound:
@@ -23,6 +23,7 @@
 //! | 12 | `scale-free-100k` | `migrate` (`EvalCache::migrate_answers` of 64 touched entries) ≤ `MIGRATE_BOUND`× `migrate-then-read` (the same, then the first read of all 64) |
 //! | 13 | `scale-free-100k` | `eval-cold` (`evaluate_dfa_captured` of six broad star/chain queries) ≤ `CAPTURE_BOUND`× `eval-uncaptured` (`evaluate_dfa` of the same) |
 //! | 14 | `scale-free-100k` | the peak heap of `LabelIndex::from_csr` above the index it keeps ≤ `INDEX_TRANSIENT_BOUND`× the index's `memory_bytes()` |
+//! | 15 | `scale-free-100k` | the index's `memory_bytes()` ≤ `INDEX_BYTES_BOUND`× 8 bytes per edge (a neighbour id in each direction) |
 //!
 //! Samples of the compared shapes are interleaved round-robin so clock or
 //! thermal drift cannot bias a comparison one way; the floors that compare
@@ -781,7 +782,7 @@ fn telemetry_floor(graph: &Graph, goals: &[String]) -> Floor {
     Floor::of_pairs("scale-free-2000-telemetry", &off, &on, AtLeast(0.95))
 }
 
-/// Floors 10, 14, 9, 11, 12 and 13, on a 4-edges-per-node, 8-label
+/// Floors 10, 14, 15, 9, 11, 12 and 13, on a 4-edges-per-node, 8-label
 /// scale-free corpus of 100k nodes.
 ///
 /// * The streamed `CsrGraph` builder vs. materializing the mutable `Graph`
@@ -789,6 +790,7 @@ fn telemetry_floor(graph: &Graph, goals: &[String]) -> Floor {
 ///   allocator, relative to the live bytes when the build starts).  The
 ///   streamed builder's whole point is a peak well below the other path's.
 /// * The transient heap of a label-index build ([`index_transient_floor`]).
+/// * The label index's bytes per stored neighbour ([`index_bytes_floor`]).
 /// * Re-deriving a 6-hop chain answer from its seed across a 6-edge
 ///   insert-only delta (`resume-insert`), and across the delta that removes
 ///   those edges again (`resume-delete`), vs. evaluating the same query
@@ -807,7 +809,7 @@ fn telemetry_floor(graph: &Graph, goals: &[String]) -> Floor {
 ///   and reading every answer once ([`lazy_migration_floor`]).
 /// * A cold evaluation with its seed captured vs. without
 ///   ([`capture_floor`]).
-fn scale_floors() -> [Floor; 6] {
+fn scale_floors() -> [Floor; 7] {
     const GROUP: &str = "scale-free-100k";
     let config = ScaleFreeConfig {
         nodes: 100_000,
@@ -871,6 +873,7 @@ fn scale_floors() -> [Floor; 6] {
         })
         .collect();
     let base_eval = BatchEvaluator::from_csr(&snapshot);
+    let bytes = index_bytes_floor(GROUP, &snapshot, base_eval.index());
     let (_, base_seed) = base_eval.evaluate_dfa_captured(&low_reach);
     let base_seed = base_seed.expect("a completed frontier fixed point always captures");
 
@@ -955,13 +958,17 @@ fn scale_floors() -> [Floor; 6] {
     let patch = Floor::of_means(GROUP, &patch, &build, AtMost(PATCH_BOUND));
     let lazy = lazy_migration_floor(GROUP, &snapshot, &base_eval);
     let capture = capture_floor(GROUP, &base_eval);
-    [peaks, transient, resume, patch, lazy, capture]
+    [peaks, transient, bytes, resume, patch, lazy, capture]
 }
 
 /// Floor 14's bound on the transient heap of a label-index build over the
 /// index's own size.  Building from both directions' `(row, neighbor)`
 /// pairs of every edge at once read 1.08 here; bucketing one direction at a
-/// time and dropping each label's bucket once it is packed reads 0.14.
+/// time and dropping each label's bucket once it is packed read 0.14 of the
+/// dense-offset index.  A chunk-major build reads 0.31 of the index with
+/// offsets for occupied rows only: nearly all of it is the reverse
+/// direction's per-label neighbour buffers, reused across chunks and so
+/// sized by the largest one (the first chunk, which holds the hubs: 1.4 MB).
 const INDEX_TRANSIENT_BOUND: f64 = 0.75;
 
 /// Floor 14: what a label-index build allocates on top of the index it
@@ -982,6 +989,27 @@ fn index_transient_floor(group: &'static str, snapshot: &CsrGraph) -> Floor {
         ratio: transient as f64 / kept as f64,
         bound: AtMost(INDEX_TRANSIENT_BOUND),
         detail: format!("peak {peak} bytes above the live heap, {kept} bytes kept"),
+    }
+}
+
+/// Floor 15's bound on the label index's bytes over 8 bytes per edge (a
+/// neighbour id in each direction).  Dense per-row offsets in every
+/// partition read 3.07 here; offsets for occupied rows only read 1.59.
+const INDEX_BYTES_BOUND: f64 = 2.0;
+
+/// Floor 15: the label index stays close to the neighbours it stores — its
+/// `memory_bytes()` over 8 bytes per edge of `snapshot` (one `u32` forward,
+/// one reverse) must stay under [`INDEX_BYTES_BOUND`].  Counted bytes, no
+/// clock: the reading is deterministic.
+fn index_bytes_floor(group: &'static str, snapshot: &CsrGraph, index: &LabelIndex) -> Floor {
+    let (kept, stored) = (index.memory_bytes(), 8 * snapshot.edge_count());
+    Floor {
+        group,
+        numerator: "index-memory-bytes",
+        denominator: "8-bytes-per-edge",
+        ratio: kept as f64 / stored as f64,
+        bound: AtMost(INDEX_BYTES_BOUND),
+        detail: format!("{kept} bytes kept for {} edges", snapshot.edge_count()),
     }
 }
 

@@ -71,17 +71,20 @@ impl BatchEvaluator {
     /// and the untouched chunks of touched ones, are shared, not copied),
     /// with every knob carried over.  `csr` is the compacted snapshot the
     /// delta produced.  The patch is one `gps_exec_index_build_ns` sample:
-    /// the interval a publish's `index_patch` phase times too.
+    /// the interval a publish's `index_patch` phase times too; the patched
+    /// index's size is then set on `gps_exec_index_bytes`.
     pub fn apply_delta(&self, csr: &CsrGraph, delta: &GraphDelta) -> Self {
         let started = std::time::Instant::now();
         let index = self.index.apply_delta(csr, delta);
         self.metrics.index_build.record_duration(started.elapsed());
-        Self {
+        let next = Self {
             index: Arc::new(index),
             plan_override: self.plan_override,
             metrics: self.metrics.clone(),
             scratch: Arc::clone(&self.scratch),
-        }
+        };
+        next.record_index_bytes();
+        next
     }
 
     /// Forces every query onto `plan` instead of consulting the planner
@@ -101,12 +104,23 @@ impl BatchEvaluator {
     }
 
     /// Installs pre-bound telemetry handles (default:
-    /// [`ExecMetrics::disabled`] — recording costs one branch).  Carried
-    /// across epochs by [`apply_delta`](Self::apply_delta), so a rebuilt
-    /// evaluator keeps extending the same registry series.
+    /// [`ExecMetrics::disabled`] — recording costs one branch) and sets the
+    /// index's size on `gps_exec_index_bytes`.  Carried across epochs by
+    /// [`apply_delta`](Self::apply_delta), so a rebuilt evaluator keeps
+    /// extending the same registry series.
     pub fn with_metrics(mut self, metrics: ExecMetrics) -> Self {
         self.metrics = metrics;
+        self.record_index_bytes();
         self
+    }
+
+    /// Sets `gps_exec_index_bytes` to the held index's size; walks the
+    /// index only when that handle records.
+    fn record_index_bytes(&self) {
+        if self.metrics.index_bytes.is_enabled() {
+            let bytes = self.index.memory_bytes();
+            self.metrics.index_bytes.set(bytes as u64);
+        }
     }
 
     /// The telemetry handles in effect.
@@ -435,6 +449,31 @@ mod tests {
         for (i, (dfa, captured)) in dfas.iter().zip(&batch).enumerate() {
             assert_eq!(*captured, evaluator.evaluate_dfa_captured(dfa), "query {i}");
         }
+    }
+
+    #[test]
+    fn the_index_bytes_gauge_follows_builds_and_patches() {
+        use gps_graph::DeltaGraph;
+        use gps_telemetry::MetricsRegistry;
+
+        let registry = MetricsRegistry::enabled();
+        let base = Arc::new(sample());
+        let built =
+            BatchEvaluator::from_csr(&base).with_metrics(ExecMetrics::from_registry(&registry));
+        let gauge = || registry.snapshot().gauge("gps_exec_index_bytes");
+        assert_eq!(gauge(), Some(built.index().memory_bytes() as u64));
+
+        let mut delta = DeltaGraph::new(Arc::clone(&base));
+        let n1 = delta.node_by_name("N1").unwrap();
+        let extra = delta.add_node("N9");
+        let tram = delta.labels().get("tram").unwrap();
+        delta.add_edge(n1, tram, extra);
+        delta.add_edge(extra, tram, n1);
+        let summary = delta.delta();
+        let patched = built.apply_delta(&delta.compact(), &summary);
+        let bytes = patched.index().memory_bytes();
+        assert_ne!(bytes, built.index().memory_bytes());
+        assert_eq!(gauge(), Some(bytes as u64));
     }
 
     #[test]

@@ -115,8 +115,7 @@ impl FixedBitSet {
 }
 
 /// The set bits of `word`, read as word `index` of a packed set: the keys
-/// `index * 64 + bit`, ascending.  What a masked sweep iterates after ANDing
-/// two sets' words together.
+/// `index * 64 + bit`, ascending.
 #[inline]
 pub(crate) fn word_ones(index: usize, mut word: u64) -> impl Iterator<Item = usize> {
     std::iter::from_fn(move || {

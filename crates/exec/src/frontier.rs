@@ -19,8 +19,10 @@
 //! estimated frontier/dead edge volumes, mirroring direction-optimizing BFS.
 //! Either way a round walks `node set & occupancy words` of the label
 //! partition it expands through ([`LabelIndex::rows`]) chunk by chunk — one
-//! chunk lookup, then a word-masked loop over the chunk's rows — so it never
-//! looks up a row the label has nothing in.
+//! chunk lookup, then per word [`RowChunk::for_each_hit`] over the masked
+//! bits — so it never looks up a row the label has nothing in.
+//!
+//! [`RowChunk::for_each_hit`]: crate::RowChunk::for_each_hit
 //!
 //! Two entry points, two working sets.  A **cold** evaluation
 //! ([`evaluate_with`] and friends) sweeps dense per-state bitsets in a
@@ -34,7 +36,7 @@
 //! the configuration's out-edges on the patched index instead of reading a
 //! stored count.
 
-use crate::bitset::{word_ones, FixedBitSet};
+use crate::bitset::FixedBitSet;
 use crate::index::{Direction, LabelIndex, CHUNK_ROWS, CHUNK_WORDS};
 use crate::planner::Plan;
 use gps_automata::Dfa;
@@ -140,10 +142,8 @@ fn for_each_derivation(
                 if chunk.is_empty() {
                     continue;
                 }
-                for (i, (&set, &occupied)) in words.iter().zip(chunk.occupied()).enumerate() {
-                    for row in word_ones(i, set & occupied) {
-                        visit(p, chunk.row(row));
-                    }
+                for (i, &set) in words.iter().take(chunk.occupied().len()).enumerate() {
+                    chunk.for_each_hit(i, set, |_, sources| visit(p, sources));
                 }
             }
         }
@@ -243,18 +243,14 @@ fn fixed_point<const CAPTURE: bool>(
                             continue;
                         }
                         let first = c * CHUNK_WORDS;
-                        for (i, &occupied) in chunk.occupied().iter().enumerate() {
+                        for i in 0..chunk.occupied().len() {
                             let found =
                                 alive[p].as_words()[first + i] | next[p].as_words()[first + i];
-                            for row in word_ones(i, occupied & !found) {
-                                if chunk
-                                    .row(row)
-                                    .iter()
-                                    .any(|&u| alive[q].contains(u as usize))
-                                {
+                            chunk.for_each_hit(i, !found, |row, targets| {
+                                if targets.iter().any(|&u| alive[q].contains(u as usize)) {
                                     next[p].insert(c * CHUNK_ROWS + row);
                                 }
-                            }
+                            });
                         }
                     }
                 }

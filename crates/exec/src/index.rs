@@ -11,32 +11,47 @@
 //! slice-and-bitset sweeps.
 //!
 //! Most rows of any one partition are empty — a node has edges under a few
-//! labels, not all of them — so every partition also carries **occupancy
-//! words**: bit `v` set iff row `v` is non-empty.  A whole-frontier sweep
-//! takes [`LabelIndex::rows`], ANDs the occupancy words with the node set it
+//! labels, not all of them (74% of the rows are empty on the scale-free
+//! corpora) — so every partition also carries **occupancy words**: bit `v`
+//! set iff row `v` is non-empty.  A whole-frontier sweep takes
+//! [`LabelIndex::rows`], ANDs the occupancy words with the node set it
 //! expands and looks up only the rows behind the surviving bits, instead of
 //! one [`LabelIndex::neighbors`] call per node of the set.
+//!
+//! Only occupied rows have offsets.  Beside the occupancy words a partition
+//! keeps, per word, its **rank**: how many occupied rows come before it.
+//! Row `v` is then occupied row `rank(v / 64)` plus the number of occupied
+//! bits below `v` in its word, one popcount away; an empty row costs its
+//! occupancy bit and nothing else.  At 1M nodes / 4M edges this halves the
+//! index (98.0 → 50.9 MB): the dense per-row offsets were ~64 MB, most of
+//! them for empty rows.
 //!
 //! ## Chunks
 //!
 //! Each partition is cut into fixed node ranges of [`CHUNK_ROWS`] rows, each
-//! a [`RowChunk`] behind an [`Arc`]: chunk-local offsets, the chunk's
-//! neighbors and its occupancy words.  `CHUNK_ROWS` is a
-//! multiple of 64, so the occupancy words of chunk `c` line up with words
-//! `c * CHUNK_ROWS / 64 ..` of a node set's [`FixedBitSet`]: a sweep walks
-//! chunk-major — one chunk lookup, then the same word-masked loop over the
-//! chunk's words and local offsets a flat partition would run — and a point
-//! lookup is one shift and one mask.  A node range in which a label has no
-//! edge is one all-empty chunk that every partition shares.
+//! a [`RowChunk`] behind an [`Arc`]: the chunk's occupancy words and their
+//! ranks, chunk-local offsets of its occupied rows and its neighbors.
+//! `CHUNK_ROWS` is a multiple of 64, so the occupancy words of chunk `c`
+//! line up with words `c * CHUNK_ROWS / 64 ..` of a node set's
+//! [`FixedBitSet`]: a sweep walks chunk-major — one chunk lookup, then per
+//! word a hit mask (the set's word, or its complement) handed to
+//! [`RowChunk::for_each_hit`], which skips a word without occupied hits
+//! before it reads a rank — and a point lookup is one shift, one mask and
+//! one popcount.  The rank arithmetic lives in `RowChunk` alone.  A node
+//! range in which a label has no edge is one all-empty chunk that every
+//! partition shares.
 //!
 //! ## One row definition
 //!
 //! Row `v` of `label`'s partition in a direction is the snapshot's row of
 //! `v` in that direction — [`CsrGraph::out`] forward, [`CsrGraph::inc`]
 //! reverse — filtered to `label`, in row order.  A fresh build
-//! ([`LabelIndex::from_csr`]) reads every row of one direction at a time,
-//! buckets its entries per label and packs each bucket; nothing else defines
-//! what a row holds.
+//! ([`LabelIndex::from_csr`]) runs chunk-major, one direction at a time: one
+//! pass over a chunk's snapshot rows appends every entry to its label's
+//! neighbors and ends the row in every label's dense offsets, and each
+//! label's chunk is packed before the next chunk is read, so the build
+//! holds one chunk's worth of buffers beside the index.  Nothing else
+//! defines what a row holds.
 //!
 //! ## Across epochs
 //!
@@ -49,19 +64,20 @@
 //! so a four-edge delta costs a few chunks and one pointer copy per chunk,
 //! not a pass over the partition's rows.  Inside a chunk the rebuild is a
 //! *splice*, the same way the snapshot is compacted
-//! ([`gps_graph::splice::RowSplice`]): the neighbor stretches between
-//! consecutive touched rows are copied with `extend_from_slice`, the
-//! chunk-local offsets are the old ones plus a running shift, and each
-//! touched row is re-read from the compacted snapshot by the row definition
-//! above.  The rebuilt chunk's occupancy words come from one sweep over its
-//! own offsets.  An untouched partition shared from before nodes were added
-//! simply covers fewer rows: the rows it does not cover are empty.  Because
-//! a patch reads a row exactly as a build does, a patched index is what a
-//! fresh build of the compacted snapshot produces, chunk for chunk.
+//! ([`gps_graph::splice::RowSplice`]): the old chunk is expanded to its
+//! dense chunk-local offsets, the neighbor stretches between consecutive
+//! touched rows are copied with `extend_from_slice`, the offsets are the
+//! old ones plus a running shift, and each touched row is re-read from the
+//! compacted snapshot by the row definition above.  The result is packed
+//! exactly as a build packs a chunk.  An untouched partition shared from
+//! before nodes were added simply covers fewer rows: the rows it does not
+//! cover are empty.  Because a patch reads a row exactly as a build does, a
+//! patched index is what a fresh build of the compacted snapshot produces,
+//! chunk for chunk.
 //!
 //! [`FixedBitSet`]: crate::FixedBitSet
 
-use crate::bitset::WORD_BITS;
+use crate::bitset::{word_ones, WORD_BITS};
 use gps_graph::splice::RowSplice;
 use gps_graph::{CsrEntry, CsrGraph, GraphDelta, LabelId, NodeId};
 use std::collections::BTreeMap;
@@ -118,39 +134,77 @@ fn snapshot_row(csr: &CsrGraph, direction: Direction, node: NodeId) -> &[CsrEntr
 }
 
 /// [`CHUNK_ROWS`] consecutive rows of one label's partition in one direction
-/// (fewer in the last chunk): the neighbors of local row `r` live at
-/// `neighbors[offsets[r] .. offsets[r + 1]]`.
+/// (fewer in the last chunk), with offsets for the occupied rows only.
 ///
 /// `occupied` holds one bit per row, set iff the row is non-empty: a sweep
 /// ANDs it with the node set it is about to expand and never looks up the
-/// (many) rows this label has nothing in.
+/// (many) rows this label has nothing in.  The `k`-th occupied row is
+/// `neighbors[offsets[k] .. offsets[k + 1]]`, and `ranks[w]` counts the
+/// occupied rows before occupancy word `w`, so local row `r` is occupied row
+/// `ranks[r / 64]` plus the occupied bits below `r` in its word.  A build
+/// and a patch both make a chunk the same way: `rows + 1` dense offsets
+/// packed to this layout, never stored in any other form.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RowChunk {
+    rows: usize,
     offsets: Vec<u32>,
     neighbors: Vec<u32>,
     occupied: Vec<u64>,
+    ranks: Vec<u16>,
 }
 
+const _: () = assert!(CHUNK_ROWS <= u16::MAX as usize);
+
 impl RowChunk {
-    /// Wraps `rows + 1` chunk-local offsets and the neighbors they index,
-    /// deriving the occupancy words in one sweep.
-    fn new(offsets: Vec<u32>, neighbors: Vec<u32>) -> Self {
-        debug_assert_eq!(offsets.last().map(|&o| o as usize), Some(neighbors.len()));
-        let rows = offsets.len() - 1;
-        let mut occupied = vec![0u64; rows.div_ceil(WORD_BITS)];
-        for (row, w) in offsets.windows(2).enumerate() {
-            occupied[row / WORD_BITS] |= u64::from(w[1] > w[0]) << (row % WORD_BITS);
+    /// Packs `rows + 1` dense chunk-local offsets and the neighbors they
+    /// index: derives the occupancy words and their ranks, and keeps the
+    /// offsets of the occupied rows only.
+    fn new(dense: &[u32], neighbors: Vec<u32>) -> Self {
+        debug_assert_eq!(dense.first(), Some(&0));
+        debug_assert_eq!(dense.last().map(|&o| o as usize), Some(neighbors.len()));
+        let rows = dense.len() - 1;
+        let occupied: Vec<u64> = dense[..rows]
+            .chunks(WORD_BITS)
+            .zip(dense[1..].chunks(WORD_BITS))
+            .map(|(starts, ends)| occupancy_word(starts, ends))
+            .collect();
+        let mut ranks = Vec::with_capacity(occupied.len());
+        let mut before = 0u16;
+        for word in &occupied {
+            ranks.push(before);
+            before += word.count_ones() as u16;
         }
+        let mut offsets = Vec::with_capacity(usize::from(before) + 1);
+        offsets.push(0);
+        let occupied_rows = occupied.iter().enumerate();
+        let occupied_rows = occupied_rows.flat_map(|(index, &word)| word_ones(index, word));
+        offsets.extend(occupied_rows.map(|row| dense[row + 1]));
         Self {
+            rows,
             offsets,
             neighbors,
             occupied,
+            ranks,
         }
+    }
+
+    /// The `rows + 1` dense chunk-local offsets this chunk was packed from:
+    /// row `r` ends where the last occupied row up to `r` ends.
+    fn dense_offsets(&self) -> Vec<u32> {
+        let mut dense = vec![0u32; self.rows + 1];
+        let mut k = 0;
+        for (&word, ends) in self.occupied.iter().zip(dense[1..].chunks_mut(WORD_BITS)) {
+            for (bit, end) in ends.iter_mut().enumerate() {
+                k += (word >> bit & 1) as usize;
+                *end = self.offsets[k];
+            }
+        }
+        dense
     }
 
     /// The number of rows this chunk covers.
     pub fn rows(&self) -> usize {
-        self.offsets.len() - 1
+        self.rows
     }
 
     /// Whether no row of this chunk has a neighbor.
@@ -163,18 +217,82 @@ impl RowChunk {
         &self.occupied
     }
 
+    /// The neighbors of the `k`-th occupied row.
+    #[inline(always)]
+    fn nth_occupied(&self, k: usize) -> &[u32] {
+        &self.neighbors[self.offsets[k] as usize..self.offsets[k + 1] as usize]
+    }
+
+    /// The neighbors of occupied local row `word * 64 + bit`, where
+    /// `occupied` is word `word`'s occupancy: the word's rank plus the
+    /// occupied rows below `bit` in it.
+    #[inline(always)]
+    fn ranked(&self, word: usize, occupied: u64, bit: u32) -> &[u32] {
+        let below = occupied & ((1u64 << bit) - 1);
+        self.nth_occupied(usize::from(self.ranks[word]) + below.count_ones() as usize)
+    }
+
     /// The neighbors of local row `row`.
     ///
     /// # Panics
     /// Panics if `row` is not below [`rows`](Self::rows).
     pub fn row(&self, row: usize) -> &[u32] {
-        &self.neighbors[self.offsets[row] as usize..self.offsets[row + 1] as usize]
+        assert!(row < self.rows, "row {row} of a {}-row chunk", self.rows);
+        let (word, bit) = (row / WORD_BITS, (row % WORD_BITS) as u32);
+        let occupied = self.occupied[word];
+        match occupied >> bit & 1 {
+            0 => &[],
+            _ => self.ranked(word, occupied, bit),
+        }
+    }
+
+    /// Calls `visit(r, neighbors)`, in ascending order, for every occupied
+    /// local row `r` of occupancy word `word` whose bit is set in `hits`:
+    /// what a sweep runs per word after masking a node set with
+    /// [`occupied`](Self::occupied).  Bits of empty rows are ignored, and a
+    /// word with no hit reads nothing else.
+    ///
+    /// # Panics
+    /// Panics if `word` is not below `occupied().len()`.
+    #[inline(always)]
+    pub fn for_each_hit<'a>(
+        &'a self,
+        word: usize,
+        hits: u64,
+        mut visit: impl FnMut(usize, &'a [u32]),
+    ) {
+        let occupied = self.occupied[word];
+        let mut hits = hits & occupied;
+        if hits == 0 {
+            return;
+        }
+        if hits == occupied {
+            // Every occupied row of the word: consecutive ranks, no
+            // popcount (software on the baseline x86-64 target).
+            let mut k = usize::from(self.ranks[word]);
+            while hits != 0 {
+                let bit = hits.trailing_zeros() as usize;
+                hits &= hits - 1;
+                visit(word * WORD_BITS + bit, self.nth_occupied(k));
+                k += 1;
+            }
+            return;
+        }
+        while hits != 0 {
+            let bit = hits.trailing_zeros();
+            hits &= hits - 1;
+            visit(
+                word * WORD_BITS + bit as usize,
+                self.ranked(word, occupied, bit),
+            );
+        }
     }
 
     /// Rebuilds `old` — the chunk whose first row is `first`, `None` when
     /// the old partition did not cover it — over `rows` rows of `csr`, with
     /// each of the `touched` rows (ascending, inside this chunk) re-read
-    /// from `csr` by the row definition of the [module docs](self).
+    /// from `csr` by the row definition of the [module docs](self): expands
+    /// `old` to its dense offsets, splices them and packs the result.
     /// Untouched stretches are bulk copies; rows the old chunk does not
     /// cover yet start empty.
     fn patched(
@@ -186,10 +304,10 @@ impl RowChunk {
         rows: usize,
         touched: &[u32],
     ) -> Self {
-        let (old_offsets, old_neighbors) =
-            old.map_or((&[][..], &[][..]), |c| (&c.offsets[..], &c.neighbors[..]));
+        let old_offsets = old.map_or_else(Vec::new, RowChunk::dense_offsets);
+        let old_neighbors = old.map_or(&[][..], |c| &c.neighbors[..]);
         let mut neighbors = Vec::with_capacity(old_neighbors.len() + touched.len());
-        let mut splice = RowSplice::new(old_offsets);
+        let mut splice = RowSplice::new(&old_offsets);
         for &row in touched {
             let (before, _) = splice.seek(row as usize - first);
             neighbors.extend_from_slice(&old_neighbors[before]);
@@ -205,20 +323,39 @@ impl RowChunk {
         }
         let (rest, offsets) = splice.finish(rows);
         neighbors.extend_from_slice(&old_neighbors[rest]);
-        Self::new(offsets, neighbors)
+        Self::new(&offsets, neighbors)
     }
 
     fn memory_bytes(&self) -> usize {
         (self.offsets.len() + self.neighbors.len()) * std::mem::size_of::<u32>()
             + self.occupied.len() * std::mem::size_of::<u64>()
+            + self.ranks.len() * std::mem::size_of::<u16>()
     }
+}
+
+/// The occupancy word of up to 64 rows starting at `starts` and ending at
+/// `ends`: bit `i` set iff row `i` is non-empty.  The rows are compared into
+/// one byte each (a loop the compiler vectorizes) and every eight bytes are
+/// gathered into eight bits by one multiply, so packing a chunk costs no
+/// branch or shift per row.
+fn occupancy_word(starts: &[u32], ends: &[u32]) -> u64 {
+    let mut flags = [0u8; WORD_BITS];
+    for ((flag, start), end) in flags.iter_mut().zip(starts).zip(ends) {
+        *flag = u8::from(end != start);
+    }
+    let bytes = flags.chunks_exact(8).enumerate();
+    bytes.fold(0, |word, (byte, eight)| {
+        let eight = u64::from_le_bytes(eight.try_into().expect("eight flags"));
+        // Flag `i` (0 or 1) of `eight` lands on bit 56 + i; nothing carries.
+        word | (eight.wrapping_mul(0x0102_0408_1020_4080) >> 56) << (8 * byte)
+    })
 }
 
 /// An all-empty chunk of `rows` rows.  Every full-size one is the same
 /// allocation, shared by every partition of every index.
 fn empty_chunk(rows: usize) -> Arc<RowChunk> {
     static FULL: OnceLock<Arc<RowChunk>> = OnceLock::new();
-    let empty = || RowChunk::new(vec![0; rows + 1], Vec::new());
+    let empty = || RowChunk::new(&vec![0; rows + 1], Vec::new());
     if rows == CHUNK_ROWS {
         Arc::clone(FULL.get_or_init(|| Arc::new(empty())))
     } else {
@@ -247,58 +384,14 @@ struct Partition {
 }
 
 impl Partition {
-    /// Builds one label's partition from its `(from, to)` pairs, writing
-    /// each pair straight into its chunk (a row keeps the pairs' order).
-    fn build(node_count: usize, edges: &[(u32, u32)]) -> Self {
-        let locate = |from: u32| (from as usize >> CHUNK_SHIFT, from as usize % CHUNK_ROWS);
-        let mut lens = vec![0usize; node_count.div_ceil(CHUNK_ROWS)];
-        for &(from, _) in edges {
-            lens[locate(from).0] += 1;
-        }
-        // Only chunks with edges get offsets.  Until every pair is placed,
-        // `offsets[c][r + 1]` is the next free slot of local row `r` (it
-        // starts at the row's first slot and ends at its end).
-        let mut offsets: Vec<Vec<u32>> = lens
-            .iter()
-            .enumerate()
-            .map(|(c, &len)| match len {
-                0 => Vec::new(),
-                _ => vec![0; chunk_rows(c, node_count) + 1],
-            })
-            .collect();
-        for &(from, _) in edges {
-            let (c, r) = locate(from);
-            offsets[c][r + 1] += 1;
-        }
-        for rows in &mut offsets {
-            let mut start = 0;
-            for slot in rows.iter_mut().skip(1) {
-                let degree = *slot;
-                *slot = start;
-                start += degree;
-            }
-        }
-        let mut neighbors: Vec<Vec<u32>> = lens.iter().map(|&len| vec![0; len]).collect();
-        for &(from, to) in edges {
-            let (c, r) = locate(from);
-            let slot = &mut offsets[c][r + 1];
-            neighbors[c][*slot as usize] = to;
-            *slot += 1;
-        }
-        let chunks = offsets.into_iter().zip(neighbors).enumerate();
-        Self {
-            chunks: chunks
-                .map(|(c, (offsets, neighbors))| match neighbors.len() {
-                    0 => empty_chunk(chunk_rows(c, node_count)),
-                    _ => Arc::new(RowChunk::new(offsets, neighbors)),
-                })
-                .collect(),
-        }
-    }
-
     /// An empty partition covering `node_count` nodes.
     fn empty(node_count: usize) -> Self {
-        Self::build(node_count, &[])
+        let chunks = 0..node_count.div_ceil(CHUNK_ROWS);
+        Self {
+            chunks: chunks
+                .map(|c| empty_chunk(chunk_rows(c, node_count)))
+                .collect(),
+        }
     }
 
     /// `label`'s partition in `direction` of `csr` — the compacted snapshot
@@ -405,21 +498,46 @@ impl DirIndex {
     }
 }
 
-/// Every label's partition of `csr` in `direction`, by one pass over that
-/// direction's rows: each entry goes to its label's bucket as a `(row,
-/// neighbor)` pair, so a bucket lists each row's entries in row order, and
-/// each bucket is packed ([`Partition::build`]) and dropped in turn.
+/// Every label's partition of `csr` in `direction`, chunk-major: one pass
+/// over a chunk's snapshot rows appends each entry to its label's neighbors
+/// and ends the row in every label's dense offsets, and each label's chunk is
+/// packed ([`RowChunk::new`]) before the next chunk is read.
 fn partitions(csr: &CsrGraph, direction: Direction) -> DirIndex {
-    let mut buckets: Vec<Vec<(u32, u32)>> = vec![Vec::new(); csr.label_count()];
-    for node in csr.nodes() {
-        for entry in snapshot_row(csr, direction, node) {
-            buckets[entry.label.index()].push((node.raw(), entry.node.raw()));
+    let (node_count, labels) = (csr.node_count(), csr.label_count());
+    let chunk_count = node_count.div_ceil(CHUNK_ROWS);
+    let mut parts: Vec<Vec<Arc<RowChunk>>> = (0..labels)
+        .map(|_| Vec::with_capacity(chunk_count))
+        .collect();
+    let mut dense: Vec<Vec<u32>> = (0..labels)
+        .map(|_| Vec::with_capacity(CHUNK_ROWS + 1))
+        .collect();
+    let mut neighbors: Vec<Vec<u32>> = vec![Vec::new(); labels];
+    for c in 0..chunk_count {
+        let (first, rows) = (c * CHUNK_ROWS, chunk_rows(c, node_count));
+        for offsets in &mut dense {
+            offsets.clear();
+            offsets.push(0);
+        }
+        for node in first..first + rows {
+            for entry in snapshot_row(csr, direction, NodeId::from(node)) {
+                neighbors[entry.label.index()].push(entry.node.raw());
+            }
+            for (offsets, row) in dense.iter_mut().zip(&neighbors) {
+                offsets.push(row.len() as u32);
+            }
+        }
+        for ((chunks, offsets), row) in parts.iter_mut().zip(&dense).zip(&mut neighbors) {
+            chunks.push(match row.is_empty() {
+                true => empty_chunk(rows),
+                false => Arc::new(RowChunk::new(offsets, row.to_vec())),
+            });
+            row.clear();
         }
     }
     DirIndex {
-        parts: buckets
+        parts: parts
             .into_iter()
-            .map(|bucket| Arc::new(Partition::build(csr.node_count(), &bucket)))
+            .map(|chunks| Arc::new(Partition { chunks }))
             .collect(),
     }
 }
@@ -869,12 +987,13 @@ mod tests {
             }
             let rows = got.rows();
             assert!(c == last && rows < want.rows(), "{context}: chunk {c} rows");
+            let dense = want.dense_offsets();
             assert_eq!(
-                want.offsets[rows] as usize,
+                dense[rows] as usize,
                 want.neighbors.len(),
                 "{context}: chunk {c} has no edge past the shared coverage"
             );
-            let truncated = RowChunk::new(want.offsets[..=rows].to_vec(), want.neighbors.clone());
+            let truncated = RowChunk::new(&dense[..=rows], want.neighbors.clone());
             assert_eq!(**got, truncated, "{context}: chunk {c}");
         }
         let past = &want.chunks[got.chunks.len()..];
@@ -1331,5 +1450,100 @@ mod tests {
     #[test]
     fn thirty_two_chained_patches_stay_exact_across_chunks() {
         chained_patches_stay_exact(&multi_chunk_base());
+    }
+
+    // ------------------------------------------------- the ranks' corners
+
+    /// Packs `rows` (one neighbor list per local row) into a chunk and
+    /// checks every way of reading it against the dense offsets: `row()`,
+    /// the sweep visitor over every word (all bits, every other bit, and
+    /// each row's bit on its own), and the round trip pack ∘ expand.
+    fn assert_packs(context: &str, rows: &[Vec<u32>]) -> RowChunk {
+        let mut dense = vec![0u32];
+        let mut neighbors = Vec::new();
+        for row in rows {
+            neighbors.extend_from_slice(row);
+            dense.push(neighbors.len() as u32);
+        }
+        let chunk = RowChunk::new(&dense, neighbors.clone());
+        assert_eq!(chunk.rows(), rows.len(), "{context}");
+        assert_eq!(chunk.occupied().len(), rows.len().div_ceil(WORD_BITS));
+        let occupied = rows.iter().filter(|row| !row.is_empty()).count();
+        assert_eq!(chunk.offsets.len(), occupied + 1, "{context}: offsets");
+        for (r, row) in rows.iter().enumerate() {
+            assert_eq!(chunk.row(r), row.as_slice(), "{context}: row {r}");
+            let mut visited = Vec::new();
+            chunk.for_each_hit(r / WORD_BITS, 1 << (r % WORD_BITS), |at, got| {
+                visited.push((at, got.to_vec()))
+            });
+            let want: Vec<_> = (!row.is_empty())
+                .then(|| (r, row.clone()))
+                .into_iter()
+                .collect();
+            assert_eq!(visited, want, "{context}: row {r} alone");
+        }
+        // Every row of a word (consecutive ranks), and every other one.
+        for mask in [!0u64, 0x5555_5555_5555_5555] {
+            let mut swept = Vec::new();
+            for word in 0..chunk.occupied().len() {
+                chunk.for_each_hit(word, mask, |at, got| swept.push((at, got.to_vec())));
+            }
+            let want: Vec<(usize, Vec<u32>)> = rows
+                .iter()
+                .enumerate()
+                .filter(|(r, row)| !row.is_empty() && mask >> (r % WORD_BITS) & 1 == 1)
+                .map(|(r, row)| (r, row.clone()))
+                .collect();
+            assert_eq!(swept, want, "{context}: sweep under {mask:#x}");
+        }
+        assert_eq!(chunk.dense_offsets(), dense, "{context}: expand");
+        assert_eq!(
+            RowChunk::new(&chunk.dense_offsets(), neighbors),
+            chunk,
+            "{context}: pack ∘ expand"
+        );
+        chunk
+    }
+
+    #[test]
+    fn rank_corners_read_like_dense_offsets() {
+        // Every row occupied, with lengths 1..=3: the largest rank.
+        let full: Vec<Vec<u32>> = (0..R as u32).map(|r| (r..=r + r % 3).collect()).collect();
+        let chunk = assert_packs("every row occupied", &full);
+        assert_eq!(chunk.ranks.last(), Some(&((R - WORD_BITS) as u16)));
+        assert!(chunk.occupied().iter().all(|&word| word == !0));
+
+        // Rows 63 and 64 (either side of a word boundary) and the last row.
+        let mut edges = vec![Vec::new(); R];
+        edges[63] = vec![7, 7];
+        edges[64] = vec![1];
+        edges[R - 1] = vec![R as u32 - 1];
+        let chunk = assert_packs("rows 63, 64 and the last", &edges);
+        assert_eq!(chunk.offsets, [0, 2, 3, 4]);
+        assert_eq!(chunk.ranks[1..3], [1, 2]);
+        assert_eq!(chunk.ranks[R / WORD_BITS - 1], 2);
+
+        // Empty words between occupied ones.
+        let mut gaps = vec![Vec::new(); R];
+        gaps[5] = vec![1, 2, 3];
+        gaps[10 * WORD_BITS + 1] = vec![4];
+        gaps[10 * WORD_BITS + 2] = vec![5];
+        gaps[40 * WORD_BITS] = vec![6];
+        let chunk = assert_packs("empty words between occupied ones", &gaps);
+        assert_eq!(chunk.ranks[1..=10], [1; 10]);
+        assert_eq!(chunk.ranks[11..=40], [3; 30]);
+
+        // A 37-row tail: a partial last word, first and last rows occupied.
+        let tail: Vec<Vec<u32>> = (0..37u32)
+            .map(|r| match r {
+                0 | 17 | 18 | 36 => vec![r, r + 1],
+                _ => Vec::new(),
+            })
+            .collect();
+        assert_packs("a 37-row tail", &tail);
+
+        // And the all-empty chunk, full and partial.
+        assert_packs("an empty chunk", &vec![Vec::new(); R]);
+        assert_packs("an empty tail", &vec![Vec::new(); 37]);
     }
 }

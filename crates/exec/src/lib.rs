@@ -9,7 +9,9 @@
 //! * [`bitset::FixedBitSet`] — the per-state node sets (alive, frontier and
 //!   its staging double), one bit per node;
 //! * [`index::LabelIndex`] — label-partitioned forward + reverse CSR with
-//!   one occupancy bit per row, cut into `Arc`-shared chunks of
+//!   one occupancy bit per row and offsets for the occupied rows only (a
+//!   row is found by its occupancy word's rank plus a popcount), cut into
+//!   `Arc`-shared chunks of
 //!   [`index::CHUNK_ROWS`] rows, built once per graph, patched per update
 //!   by rebuilding only the chunks the update touches, and shared by every
 //!   query and every clone of the evaluator;

@@ -6,7 +6,7 @@
 //! path records through lock-free handles instead of registry lookups.
 
 use crate::planner::Plan;
-use gps_telemetry::{Counter, Histogram, MetricsRegistry};
+use gps_telemetry::{Counter, Gauge, Histogram, MetricsRegistry};
 
 /// The execution-engine metric family (`gps_exec_*`).
 #[derive(Debug, Clone, Default)]
@@ -32,6 +32,14 @@ pub struct ExecMetrics {
     ///
     /// [`LabelIndex`]: crate::LabelIndex
     pub index_build: Histogram,
+    /// `gps_exec_index_bytes` — [`LabelIndex::memory_bytes`] of the index
+    /// the evaluator holds, set when the handles are installed
+    /// ([`BatchEvaluator::with_metrics`], after a fresh build) and after
+    /// every `apply_delta`; computed only when this handle is enabled.
+    ///
+    /// [`LabelIndex::memory_bytes`]: crate::LabelIndex::memory_bytes
+    /// [`BatchEvaluator::with_metrics`]: crate::BatchEvaluator::with_metrics
+    pub index_bytes: Gauge,
     /// `gps_exec_support_overdeleted_total` — configurations transitively
     /// over-deleted by resumes across removal-bearing deltas
     /// ([`resume`](crate::frontier::resume)): sources of removed edges and
@@ -59,6 +67,7 @@ impl ExecMetrics {
             plan_forward: registry.counter("gps_exec_plan_forward_total"),
             plan_bidirectional: registry.counter("gps_exec_plan_bidirectional_total"),
             index_build: registry.histogram("gps_exec_index_build_ns"),
+            index_bytes: registry.gauge("gps_exec_index_bytes"),
             support_overdeleted: registry.counter("gps_exec_support_overdeleted_total"),
         }
     }

@@ -17,9 +17,12 @@
 //! ([`crate::DeltaGraph::compact`]) inside each adjacency chunk it rebuilds,
 //! rewriting a touched row from the base row and the overlay's edits; and
 //! the label-index patch (`gps_exec::LabelIndex::apply_delta`) inside each
-//! chunk of a label partition that holds a touched row, rewriting that row
-//! by re-reading it from the compacted snapshot (the snapshot's row
-//! filtered to the label), so it never replays the edits itself.
+//! chunk of a label partition that holds a touched row.  A label-index chunk
+//! stores offsets for its occupied rows only, so that patch expands the old
+//! chunk to its dense offsets, splices them — rewriting a touched row by
+//! re-reading it from the compacted snapshot (the snapshot's row filtered
+//! to the label), so it never replays the edits itself — and packs the
+//! result again.
 
 use std::ops::Range;
 

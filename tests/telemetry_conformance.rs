@@ -188,6 +188,7 @@ fn mixed_workload_exports_are_complete_and_valid() {
     for required in [
         "gps_exec_eval_latency_ns",
         "gps_exec_index_build_ns",
+        "gps_exec_index_bytes",
         "gps_rpq_cache_hits_total",
         "gps_rpq_cache_misses_total",
         "gps_rpq_cache_delete_reseeded_total",
