@@ -2,7 +2,7 @@
 //!
 //! The numbers a user of the system feels are measured by the `benchmark/`
 //! package (seeded workloads, ten-pairs protocol, `BENCH_history.jsonl`).
-//! This binary only holds fifteen ratios no workload there can express — two
+//! This binary only holds sixteen ratios no workload there can express — two
 //! shapes of the same work timed side by side in one process — and exits
 //! non-zero, with one `SMOKE FAILURE:` line per broken floor, when one of
 //! them crosses its bound:
@@ -24,6 +24,7 @@
 //! | 13 | `scale-free-100k` | `eval-cold` (`evaluate_dfa_captured` of six broad star/chain queries) ≤ `CAPTURE_BOUND`× `eval-uncaptured` (`evaluate_dfa` of the same) |
 //! | 14 | `scale-free-100k` | the peak heap of `LabelIndex::from_csr` above the index it keeps ≤ `INDEX_TRANSIENT_BOUND`× the index's `memory_bytes()` |
 //! | 15 | `scale-free-100k` | the index's `memory_bytes()` ≤ `INDEX_BYTES_BOUND`× 8 bytes per edge (a neighbour id in each direction) |
+//! | 16 | `scale-free-100k` | the snapshot's `CsrGraph::memory_bytes()` ≤ `SNAPSHOT_BYTES_BOUND`× 16 bytes per edge (a label and a node id in each direction) |
 //!
 //! Samples of the compared shapes are interleaved round-robin so clock or
 //! thermal drift cannot bias a comparison one way; the floors that compare
@@ -782,7 +783,7 @@ fn telemetry_floor(graph: &Graph, goals: &[String]) -> Floor {
     Floor::of_pairs("scale-free-2000-telemetry", &off, &on, AtLeast(0.95))
 }
 
-/// Floors 10, 14, 15, 9, 11, 12 and 13, on a 4-edges-per-node, 8-label
+/// Floors 10, 14, 15, 16, 9, 11, 12 and 13, on a 4-edges-per-node, 8-label
 /// scale-free corpus of 100k nodes.
 ///
 /// * The streamed `CsrGraph` builder vs. materializing the mutable `Graph`
@@ -791,6 +792,7 @@ fn telemetry_floor(graph: &Graph, goals: &[String]) -> Floor {
 ///   streamed builder's whole point is a peak well below the other path's.
 /// * The transient heap of a label-index build ([`index_transient_floor`]).
 /// * The label index's bytes per stored neighbour ([`index_bytes_floor`]).
+/// * The snapshot's bytes per stored edge ([`snapshot_bytes_floor`]).
 /// * Re-deriving a 6-hop chain answer from its seed across a 6-edge
 ///   insert-only delta (`resume-insert`), and across the delta that removes
 ///   those edges again (`resume-delete`), vs. evaluating the same query
@@ -809,7 +811,7 @@ fn telemetry_floor(graph: &Graph, goals: &[String]) -> Floor {
 ///   and reading every answer once ([`lazy_migration_floor`]).
 /// * A cold evaluation with its seed captured vs. without
 ///   ([`capture_floor`]).
-fn scale_floors() -> [Floor; 7] {
+fn scale_floors() -> [Floor; 8] {
     const GROUP: &str = "scale-free-100k";
     let config = ScaleFreeConfig {
         nodes: 100_000,
@@ -849,6 +851,7 @@ fn scale_floors() -> [Floor; 7] {
     let snapshot = Arc::new(last.expect("at least one build sample"));
     let n = snapshot.node_count();
     let transient = index_transient_floor(GROUP, &snapshot);
+    let snapshot_bytes = snapshot_bytes_floor(GROUP, &snapshot);
 
     // Capture the 6-hop chain's fixed point once, insert a 6-edge path
     // spelling the query between existing nodes and resume across that
@@ -958,7 +961,16 @@ fn scale_floors() -> [Floor; 7] {
     let patch = Floor::of_means(GROUP, &patch, &build, AtMost(PATCH_BOUND));
     let lazy = lazy_migration_floor(GROUP, &snapshot, &base_eval);
     let capture = capture_floor(GROUP, &base_eval);
-    [peaks, transient, bytes, resume, patch, lazy, capture]
+    [
+        peaks,
+        transient,
+        bytes,
+        snapshot_bytes,
+        resume,
+        patch,
+        lazy,
+        capture,
+    ]
 }
 
 /// Floor 14's bound on the transient heap of a label-index build over the
@@ -1010,6 +1022,34 @@ fn index_bytes_floor(group: &'static str, snapshot: &CsrGraph, index: &LabelInde
         ratio: kept as f64 / stored as f64,
         bound: AtMost(INDEX_BYTES_BOUND),
         detail: format!("{kept} bytes kept for {} edges", snapshot.edge_count()),
+    }
+}
+
+/// Floor 16's bound on the snapshot's bytes over 16 bytes per edge (an
+/// 8-byte `(label, node)` entry in each direction).  With an edge id beside
+/// every entry and a `String` per node name this read 2.157 here; entries
+/// only and names in a byte arena per chunk read 1.343 (offsets ≈ 0.13,
+/// names ≈ 0.22 of it).
+const SNAPSHOT_BYTES_BOUND: f64 = 1.6;
+
+/// Floor 16: the snapshot stays close to the edges it stores — its
+/// `memory_bytes()` (both directions' offsets and entries, the node names'
+/// text, ends and lookup runs) over 16 bytes per edge of `snapshot` must
+/// stay under [`SNAPSHOT_BYTES_BOUND`].  Counted bytes, no clock: the
+/// reading is deterministic.
+fn snapshot_bytes_floor(group: &'static str, snapshot: &CsrGraph) -> Floor {
+    let (kept, stored) = (snapshot.memory_bytes(), 16 * snapshot.edge_count());
+    Floor {
+        group,
+        numerator: "snapshot-memory-bytes",
+        denominator: "16-bytes-per-edge",
+        ratio: kept as f64 / stored as f64,
+        bound: AtMost(SNAPSHOT_BYTES_BOUND),
+        detail: format!(
+            "{kept} bytes kept for {} nodes and {} edges",
+            snapshot.node_count(),
+            snapshot.edge_count()
+        ),
     }
 }
 

@@ -32,6 +32,10 @@ pub(crate) struct CoreMetrics {
     pub live_epochs: Gauge,
     /// `gps_core_current_epoch` — the epoch newly opened sessions resolve.
     pub current_epoch: Gauge,
+    /// `gps_core_snapshot_bytes` — `CsrGraph::memory_bytes` of that epoch's
+    /// snapshot (adjacency plus node names), set at open and at every
+    /// publish.
+    pub snapshot_bytes: Gauge,
     /// `gps_core_checkpoint_errors_total` — checkpoints that were due but
     /// failed (the publish itself succeeded; see
     /// [`crate::DurabilityReport::checkpoint_error`]).
@@ -42,6 +46,14 @@ pub(crate) struct CoreMetrics {
 }
 
 impl CoreMetrics {
+    /// Sets `gps_core_snapshot_bytes` to `snapshot`'s size; walks the
+    /// snapshot only when that handle records.
+    pub(crate) fn record_snapshot_bytes(&self, snapshot: &gps_graph::CsrGraph) {
+        if self.snapshot_bytes.is_enabled() {
+            self.snapshot_bytes.set(snapshot.memory_bytes() as u64);
+        }
+    }
+
     pub(crate) fn from_registry(registry: &MetricsRegistry) -> Self {
         Self {
             publishes: registry.counter("gps_core_publishes_total"),
@@ -53,6 +65,7 @@ impl CoreMetrics {
             retired_epochs: registry.counter("gps_core_retired_epochs_total"),
             live_epochs: registry.gauge("gps_core_live_epochs"),
             current_epoch: registry.gauge("gps_core_current_epoch"),
+            snapshot_bytes: registry.gauge("gps_core_snapshot_bytes"),
             checkpoint_errors: registry.counter("gps_core_checkpoint_errors_total"),
             recovery_replay: registry.histogram("gps_core_recovery_replay_ns"),
         }

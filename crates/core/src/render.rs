@@ -42,11 +42,7 @@ pub fn render_neighborhood(
             "  [{distance}] {}{marker}\n",
             graph.node_name(node)
         ));
-        for (_, edge) in neighborhood
-            .edges()
-            .iter()
-            .filter(|(_, e)| e.source == node)
-        {
+        for edge in neighborhood.edges().iter().filter(|e| e.source == node) {
             out.push_str(&format!(
                 "      --{}--> {}\n",
                 graph.label_name(edge.label).unwrap_or("?"),

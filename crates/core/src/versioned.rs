@@ -340,6 +340,7 @@ impl VersionedStore {
         store.set_metrics(StoreMetrics::from_registry(&registry));
         metrics.live_epochs.set(1);
         metrics.current_epoch.set(core.epoch());
+        metrics.record_snapshot_bytes(core.snapshot());
         let mut epochs = BTreeMap::new();
         epochs.insert(
             core.epoch(),
@@ -673,6 +674,7 @@ impl VersionedStore {
         } = base.advance(snapshot, &delta);
         drop(base);
         let epoch = next.epoch();
+        self.metrics.record_snapshot_bytes(next.snapshot());
         lap();
 
         // Durability point: the publish becomes visible to readers only

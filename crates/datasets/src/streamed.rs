@@ -2,34 +2,35 @@
 //! intermediate [`Graph`](gps_graph::Graph).
 //!
 //! [`scale_free::generate`](crate::scale_free::generate) materializes a
-//! mutable `Graph` (per-edge `Edge` records, two `Vec<Vec<EdgeId>>`
-//! adjacency tables, a name B-tree) and then compacts it into a
+//! mutable `Graph` (per-edge `Edge` records, two nested adjacency tables
+//! of edge ids, a name B-tree) and then compacts it into a
 //! [`CsrGraph`].  At 1M nodes / multi-M edges that intermediate costs
 //! several times the final snapshot's footprint and a full copy at the end.
 //!
 //! [`generate_csr`] produces the **byte-identical** `CsrGraph` (same node
-//! names, label ids, rows, edge ids and epoch — asserted
-//! differentially in the test suite) by replaying the exact same seeded RNG
-//! stream twice and emitting edges straight into the snapshot's chunks
-//! through an [`AdjacencyBuilder`] per direction:
+//! names, label ids, rows and epoch — asserted differentially in the test
+//! suite) by replaying the exact same seeded RNG stream twice and emitting
+//! edges straight into the snapshot's chunks through an
+//! [`AdjacencyBuilder`] per direction:
 //!
 //! * **pass 1** counts per-source and per-target degrees, which size every
 //!   chunk's rows;
 //! * **pass 2** places each edge in its forward and its reverse row, in
-//!   emission order — which is edge-id order inside every row, as in a
+//!   emission order — which is insertion order inside every row, as in a
 //!   from-scratch build.
 //!
-//! Peak auxiliary memory beyond the final snapshot is the preferential-
-//! attachment endpoint pool (one `u32` per edge endpoint), the degree
-//! arrays, and a per-node dedup scratch of at most `edges_per_node` entries
-//! — all small multiples of `4 bytes × (nodes + edges)`, versus the
-//! `Graph`'s per-edge records plus two nested adjacency tables plus a second
-//! name table.  Floor 10 of `rpq_baseline` measures both paths' peaks at
+//! The node names are formatted one at a time straight into the snapshot's
+//! name arenas; no list of them is held.  Peak auxiliary memory beyond the
+//! final snapshot is the preferential-attachment endpoint pool (one `u32`
+//! per edge endpoint), the degree arrays, and a per-node dedup scratch of
+//! at most `edges_per_node` entries — all small multiples of
+//! `4 bytes × (nodes + edges)`, versus the `Graph`'s per-edge records plus
+//! two nested adjacency tables plus a second name table.  Floor 10 of `rpq_baseline` measures both paths' peaks at
 //! 100k nodes with a counting allocator.
 
 use crate::scale_free::{pick_label, ScaleFreeConfig};
 use gps_graph::csr::AdjacencyBuilder;
-use gps_graph::{CsrEntry, CsrGraph, EdgeId, LabelId, LabelInterner, NodeId};
+use gps_graph::{CsrEntry, CsrGraph, LabelId, LabelInterner, NodeId};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -93,18 +94,14 @@ pub fn generate_csr(config: &ScaleFreeConfig) -> CsrGraph {
     let mut rev = AdjacencyBuilder::new(in_degrees);
 
     // Pass 2: every edge goes straight into its forward and reverse rows.
-    // Edge ids are sequential in insertion order, as in a fresh `Graph`.
-    let mut next_id = 0usize;
     replay(config, &label_ids, |source, label, target| {
-        let id = EdgeId::from(next_id);
-        next_id += 1;
         let node = NodeId::new(target);
-        fwd.place(source as usize, CsrEntry { label, node }, id);
+        fwd.place(source as usize, CsrEntry { label, node });
         let node = NodeId::new(source);
-        rev.place(target as usize, CsrEntry { label, node }, id);
+        rev.place(target as usize, CsrEntry { label, node });
     });
 
-    let node_names: Vec<String> = (0..n).map(|i| format!("v{i}")).collect();
+    let node_names = (0..n).map(|i| format!("v{i}"));
     CsrGraph::from_adjacency(node_names, labels, fwd, rev, 0)
 }
 
@@ -121,10 +118,9 @@ mod tests {
         for node in reference.nodes() {
             assert_eq!(streamed.node_name(node), reference.node_name(node));
             assert_eq!(streamed.out(node), reference.out(node));
-            assert_eq!(streamed.out_ids(node), reference.out_ids(node));
             assert_eq!(streamed.inc(node), reference.inc(node));
-            assert_eq!(streamed.in_ids(node), reference.in_ids(node));
         }
+        assert_eq!(streamed.memory_bytes(), reference.memory_bytes());
     }
 
     #[test]

@@ -93,7 +93,7 @@ fn query_set(g: &CsrGraph) -> Vec<Dfa> {
 
 /// Picks `count` distinct existing edges of `snapshot` to remove.
 fn pick_removals(snapshot: &CsrGraph, rng: &mut XorShift, count: usize) -> Vec<Edge> {
-    let all: Vec<Edge> = snapshot.edges_by_source().map(|(_, edge)| edge).collect();
+    let all: Vec<Edge> = snapshot.edges_by_source().collect();
     let mut picked: Vec<Edge> = Vec::new();
     let mut guard = 0;
     while picked.len() < count && guard < 100 {

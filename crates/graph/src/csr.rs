@@ -9,31 +9,37 @@
 //! [`inc`](CsrGraph::inc) rows; the mutable [`Graph`] only ingests.
 //!
 //! The snapshot carries the node names and the label interner of its source
-//! so rendering and query parsing work against it; the original edge
-//! identifiers are preserved per adjacency entry
-//! ([`out_ids`](CsrGraph::out_ids) / [`in_ids`](CsrGraph::in_ids)), so
-//! neighborhoods and zoom deltas name the edges the graph was built with.
+//! so rendering and query parsing work against it.  It keeps no edge
+//! identifiers: an edge is its `(source, label, target)` triple, and a row
+//! lists its entries in the order the edges were inserted, so parallel
+//! duplicates are told apart by their position in the row.  The *k*-th
+//! occurrence of an edge in its source's out-row and the *k*-th in its
+//! target's in-row are the same edge.
 //!
 //! Consecutive epochs of a live graph differ in a handful of rows, so a
 //! snapshot stores what it can share with its neighbours behind [`Arc`]s:
 //!
 //! * each direction of the adjacency is cut into fixed node ranges of
-//!   [`CHUNK_ROWS`] rows, each chunk holding chunk-local offsets, its entries
-//!   and their edge ids.  A row is still one contiguous slice
+//!   [`CHUNK_ROWS`] rows, each chunk holding chunk-local offsets and its
+//!   entries.  A row is still one contiguous slice
 //!   ([`out`](CsrGraph::out), [`inc`](CsrGraph::inc)), one shift away.  The
 //!   snapshot [`DeltaGraph::compact`](crate::DeltaGraph::compact) produces
 //!   rebuilds only the chunks holding a row its delta touched (and the tail
 //!   chunk when nodes were added); every other chunk is its base's, by
 //!   pointer;
 //! * node names and the first-bearer name lookup live in chunk-shared
-//!   storage of their own (`names.rs`), shared outright when a publish added
-//!   no node and all but the tail chunk otherwise.
+//!   storage of their own (`names.rs`: a byte arena per chunk), shared
+//!   outright when a publish added no node and all but the tail chunk
+//!   otherwise.
+//!
+//! [`memory_bytes`](CsrGraph::memory_bytes) counts what a snapshot holds: at
+//! 1M nodes / 4M edges, 8 bytes per entry in each direction plus ≈ 15 bytes
+//! per node name.
 
 use crate::graph::{Edge, Graph};
-use crate::ids::{EdgeId, LabelId, NodeId};
+use crate::ids::{LabelId, NodeId};
 use crate::labels::LabelInterner;
 use crate::names::NodeNames;
-use std::ops::Range;
 use std::sync::Arc;
 
 /// Rows per adjacency chunk: the unit a publish copies.  A power of two, so a
@@ -51,40 +57,20 @@ pub struct CsrEntry {
 }
 
 /// [`CHUNK_ROWS`] consecutive rows of one direction (fewer in the last
-/// chunk).  The three arrays are separate allocations so a publish that only
-/// renumbers edge ids shares the offsets and entries.
+/// chunk).
 #[derive(Debug, Clone)]
 pub(crate) struct Chunk {
     /// `rows + 1` chunk-local offsets into `entries`.
     pub(crate) offsets: Arc<[u32]>,
     pub(crate) entries: Arc<[CsrEntry]>,
-    /// Original edge id of each entry (aligned with `entries`).
-    pub(crate) ids: Arc<[EdgeId]>,
-    /// The largest id in `ids` (`None` when the chunk has no entries): a
-    /// removal shifts only ids above it, so only chunks whose largest id
-    /// exceeds the smallest removed one are renumbered.
-    pub(crate) max_id: Option<EdgeId>,
 }
 
 impl Chunk {
-    pub(crate) fn new(offsets: Vec<u32>, entries: Vec<CsrEntry>, ids: Vec<EdgeId>) -> Self {
+    pub(crate) fn new(offsets: Vec<u32>, entries: Vec<CsrEntry>) -> Self {
         debug_assert_eq!(offsets.last().map(|&o| o as usize), Some(entries.len()));
         Self {
-            max_id: ids.iter().copied().max(),
             offsets: offsets.into(),
             entries: entries.into(),
-            ids: ids.into(),
-        }
-    }
-
-    /// The same rows with every edge id mapped through `renumber` (which
-    /// must preserve order); offsets and entries stay shared.
-    pub(crate) fn renumbered(&self, renumber: impl Fn(EdgeId) -> EdgeId) -> Self {
-        Self {
-            offsets: Arc::clone(&self.offsets),
-            entries: Arc::clone(&self.entries),
-            ids: self.ids.iter().map(|&id| renumber(id)).collect(),
-            max_id: self.max_id.map(renumber),
         }
     }
 
@@ -92,11 +78,13 @@ impl Chunk {
         self.offsets.len() - 1
     }
 
-    /// Whether every array is `other`'s allocation.
+    /// Whether both arrays are `other`'s allocations.
     fn is_shared_with(&self, other: &Self) -> bool {
-        Arc::ptr_eq(&self.offsets, &other.offsets)
-            && Arc::ptr_eq(&self.entries, &other.entries)
-            && Arc::ptr_eq(&self.ids, &other.ids)
+        Arc::ptr_eq(&self.offsets, &other.offsets) && Arc::ptr_eq(&self.entries, &other.entries)
+    }
+
+    fn memory_bytes(&self) -> usize {
+        self.offsets.len() * size_of::<u32>() + self.entries.len() * size_of::<CsrEntry>()
     }
 }
 
@@ -120,28 +108,12 @@ impl Adjacency {
         &self.chunks
     }
 
-    /// Row `node`'s chunk and its range inside that chunk.
     #[inline]
-    fn locate(&self, node: NodeId) -> (&Chunk, Range<usize>) {
+    fn entries(&self, node: NodeId) -> &[CsrEntry] {
         let i = node.index();
         let chunk = &self.chunks[i / CHUNK_ROWS];
         let row = i % CHUNK_ROWS;
-        (
-            chunk,
-            chunk.offsets[row] as usize..chunk.offsets[row + 1] as usize,
-        )
-    }
-
-    #[inline]
-    fn entries(&self, node: NodeId) -> &[CsrEntry] {
-        let (chunk, range) = self.locate(node);
-        &chunk.entries[range]
-    }
-
-    #[inline]
-    fn ids(&self, node: NodeId) -> &[EdgeId] {
-        let (chunk, range) = self.locate(node);
-        &chunk.ids[range]
+        &chunk.entries[chunk.offsets[row] as usize..chunk.offsets[row + 1] as usize]
     }
 
     /// `(shared, new)`: how many of these chunks are `base`'s chunk at the
@@ -164,25 +136,25 @@ impl Adjacency {
 ///
 /// ```
 /// use gps_graph::csr::AdjacencyBuilder;
-/// use gps_graph::{CsrEntry, CsrGraph, EdgeId, LabelInterner, NodeId};
+/// use gps_graph::{CsrEntry, CsrGraph, LabelInterner, NodeId};
 ///
 /// // One edge 0 -a-> 1, placed in both directions.
 /// let mut labels = LabelInterner::new();
 /// let a = labels.intern("a");
 /// let (mut fwd, mut rev) = (AdjacencyBuilder::new([1, 0]), AdjacencyBuilder::new([0, 1]));
-/// let (n0, n1, id) = (NodeId::new(0), NodeId::new(1), EdgeId::new(0));
-/// fwd.place(0, CsrEntry { label: a, node: n1 }, id);
-/// rev.place(1, CsrEntry { label: a, node: n0 }, id);
-/// let csr = CsrGraph::from_adjacency(vec!["x".into(), "y".into()], labels, fwd, rev, 0);
+/// let (n0, n1) = (NodeId::new(0), NodeId::new(1));
+/// fwd.place(0, CsrEntry { label: a, node: n1 });
+/// rev.place(1, CsrEntry { label: a, node: n0 });
+/// let csr = CsrGraph::from_adjacency(["x", "y"], labels, fwd, rev, 0);
 /// assert_eq!(csr.out(n0), &[CsrEntry { label: a, node: n1 }]);
-/// assert_eq!(csr.in_ids(n1), &[id]);
+/// assert_eq!(csr.inc(n1), &[CsrEntry { label: a, node: n0 }]);
 /// ```
 #[derive(Debug)]
 pub struct AdjacencyBuilder {
-    /// Per chunk: offsets, entries and ids.  Until every item is placed,
+    /// Per chunk: offsets and entries.  Until every item is placed,
     /// `offsets[r + 1]` is the next free slot of row `r` (it starts at the
     /// row's first slot and ends at its end).
-    chunks: Vec<(Vec<u32>, Vec<CsrEntry>, Vec<EdgeId>)>,
+    chunks: Vec<(Vec<u32>, Vec<CsrEntry>)>,
 }
 
 impl AdjacencyBuilder {
@@ -203,19 +175,17 @@ impl AdjacencyBuilder {
                 offsets.push(total);
                 total += degree;
             }
-            let len = total as usize;
-            chunks.push((offsets, vec![blank; len], vec![EdgeId::new(0); len]));
+            chunks.push((offsets, vec![blank; total as usize]));
         }
         Self { chunks }
     }
 
-    /// Appends `entry`, carrying edge id `id`, to row `row`.
+    /// Appends `entry` to row `row`.
     #[inline]
-    pub fn place(&mut self, row: usize, entry: CsrEntry, id: EdgeId) {
-        let (offsets, entries, ids) = &mut self.chunks[row / CHUNK_ROWS];
+    pub fn place(&mut self, row: usize, entry: CsrEntry) {
+        let (offsets, entries) = &mut self.chunks[row / CHUNK_ROWS];
         let next = &mut offsets[row % CHUNK_ROWS + 1];
         entries[*next as usize] = entry;
-        ids[*next as usize] = id;
         *next += 1;
     }
 
@@ -223,7 +193,7 @@ impl AdjacencyBuilder {
         Adjacency::new(
             self.chunks
                 .into_iter()
-                .map(|(offsets, entries, ids)| Chunk::new(offsets, entries, ids))
+                .map(|(offsets, entries)| Chunk::new(offsets, entries))
                 .collect(),
         )
     }
@@ -247,40 +217,39 @@ pub struct CsrGraph {
 
 impl CsrGraph {
     /// Builds a CSR snapshot from a mutable [`Graph`]: each row keeps the
-    /// graph's insertion order, each entry its edge id.
+    /// graph's insertion order.
     pub fn from_graph(graph: &Graph) -> Self {
-        let node_names: Vec<String> = graph
-            .nodes()
-            .map(|node| graph.node_name(node).to_string())
-            .collect();
         let mut fwd = AdjacencyBuilder::new(graph.nodes().map(|n| graph.out_degree(n) as u32));
         let mut rev = AdjacencyBuilder::new(graph.nodes().map(|n| graph.in_degree(n) as u32));
         // Edge ids ascend, so placing edges in id order keeps every row in
         // the graph's adjacency order.
-        for (id, edge) in graph.edges() {
+        for (_, edge) in graph.edges() {
             let forward = CsrEntry {
                 label: edge.label,
                 node: edge.target,
             };
-            fwd.place(edge.source.index(), forward, id);
+            fwd.place(edge.source.index(), forward);
             let backward = CsrEntry {
                 label: edge.label,
                 node: edge.source,
             };
-            rev.place(edge.target.index(), backward, id);
+            rev.place(edge.target.index(), backward);
         }
-        Self::from_adjacency(node_names, graph.labels().clone(), fwd, rev, 0)
+        let names = graph.nodes().map(|node| graph.node_name(node));
+        Self::from_adjacency(names, graph.labels().clone(), fwd, rev, 0)
     }
 
     /// Assembles a snapshot from both directions' filled builders — the
     /// seam of bulk builders that produce the adjacency without a [`Graph`]
     /// (the streamed corpus generator, the checkpoint decoder).
-    /// The first-bearer name lookup is built from `node_names`; the caller
-    /// guarantees the parts are mutually consistent (one row per node in
-    /// each direction, the same edges in both, entry endpoints and labels
+    /// `node_names` (in node-id order) are copied straight into the name
+    /// arena, and the first-bearer name lookup is built over them; the
+    /// caller guarantees the parts are mutually consistent (one row per node
+    /// in each direction, the same edges in both, in the same order within
+    /// every `(source, label, target)` group, entry endpoints and labels
     /// within bounds).
     pub fn from_adjacency(
-        node_names: Vec<String>,
+        node_names: impl IntoIterator<Item = impl AsRef<str>>,
         labels: LabelInterner,
         fwd: AdjacencyBuilder,
         rev: AdjacencyBuilder,
@@ -391,27 +360,12 @@ impl CsrGraph {
         self.rev.entries(node)
     }
 
-    /// Original edge ids of `node`'s outgoing entries (aligned with
-    /// [`out`](Self::out)) — with [`out`](Self::out), what a checkpoint
-    /// writer streams out.
-    #[inline]
-    pub fn out_ids(&self, node: NodeId) -> &[EdgeId] {
-        self.fwd.ids(node)
-    }
-
-    /// Original edge ids of `node`'s incoming entries (aligned with
-    /// [`inc`](Self::inc)).
-    #[inline]
-    pub fn in_ids(&self, node: NodeId) -> &[EdgeId] {
-        self.rev.ids(node)
-    }
-
-    /// Every edge as `(edge id, edge)`, grouped by source node in row order
-    /// (not in id order, as [`Graph::edges`] lists them).
-    pub fn edges_by_source(&self) -> impl Iterator<Item = (EdgeId, Edge)> + '_ {
+    /// Every edge, grouped by source node in row order (not in insertion
+    /// order, as [`Graph::edges`] lists them).
+    pub fn edges_by_source(&self) -> impl Iterator<Item = Edge> + '_ {
         self.nodes().flat_map(move |source| {
-            let row = self.out_ids(source).iter().zip(self.out(source));
-            row.map(move |(&id, entry)| (id, Edge::new(source, entry.label, entry.node)))
+            let edge = move |entry: &CsrEntry| Edge::new(source, entry.label, entry.node);
+            self.out(source).iter().map(edge)
         })
     }
 
@@ -430,7 +384,7 @@ impl CsrGraph {
     /// How many adjacency chunks this snapshot shares with `base` by
     /// pointer, per direction: `(forward, reverse)`, each `(shared, new)`
     /// where `new` counts this snapshot's chunks that are not `base`'s chunk
-    /// at the same position (rebuilt, renumbered or past `base`'s end).  A
+    /// at the same position (rebuilt or past `base`'s end).  A
     /// publish of a few edges over a large graph reads `new` in the single
     /// digits.
     pub fn shared_with(&self, base: &CsrGraph) -> ((usize, usize), (usize, usize)) {
@@ -438,6 +392,16 @@ impl CsrGraph {
             self.fwd.shared_with(&base.fwd),
             self.rev.shared_with(&base.rev),
         )
+    }
+
+    /// The bytes of the adjacency (both directions' offsets and entries)
+    /// and of the node names (text, name ends and the lookup's runs),
+    /// counted from the arrays' lengths.  The label interner and the
+    /// per-chunk headers are not counted: they do not grow with the edges.
+    pub fn memory_bytes(&self) -> usize {
+        let adjacency =
+            |side: &Adjacency| -> usize { side.chunks.iter().map(Chunk::memory_bytes).sum() };
+        adjacency(&self.fwd) + adjacency(&self.rev) + self.names.memory_bytes()
     }
 
     /// Whether `other` is this snapshot or a clone of it: the same epoch and
@@ -539,34 +503,28 @@ mod tests {
         assert_eq!(csr.labels().get("x"), g.label_id("x"));
     }
 
-    /// `node`'s forward and reverse rows as `g` ingested them: `(edge id,
-    /// entry)` pairs in insertion order.
-    fn ingested_rows(g: &Graph, node: NodeId) -> [Vec<(EdgeId, CsrEntry)>; 2] {
+    /// `node`'s forward and reverse rows as `g` ingested them, in insertion
+    /// order.
+    fn ingested_rows(g: &Graph, node: NodeId) -> [Vec<CsrEntry>; 2] {
         let entry = |label, node| CsrEntry { label, node };
         [
             g.edges()
                 .filter(|(_, e)| e.source == node)
-                .map(|(id, e)| (id, entry(e.label, e.target)))
+                .map(|(_, e)| entry(e.label, e.target))
                 .collect(),
             g.edges()
                 .filter(|(_, e)| e.target == node)
-                .map(|(id, e)| (id, entry(e.label, e.source)))
+                .map(|(_, e)| entry(e.label, e.source))
                 .collect(),
         ]
     }
 
-    fn snapshot_rows(csr: &CsrGraph, node: NodeId) -> [Vec<(EdgeId, CsrEntry)>; 2] {
-        let zip = |ids: &[EdgeId], entries: &[CsrEntry]| {
-            ids.iter().copied().zip(entries.iter().copied()).collect()
-        };
-        [
-            zip(csr.out_ids(node), csr.out(node)),
-            zip(csr.in_ids(node), csr.inc(node)),
-        ]
+    fn snapshot_rows(csr: &CsrGraph, node: NodeId) -> [Vec<CsrEntry>; 2] {
+        [csr.out(node).to_vec(), csr.inc(node).to_vec()]
     }
 
     #[test]
-    fn incident_edges_preserve_original_ids() {
+    fn rows_keep_the_insertion_order() {
         let (g, _) = diamond();
         let csr = CsrGraph::from_graph(&g);
         for node in g.nodes() {
@@ -609,12 +567,6 @@ mod tests {
             csr.in_degree(NodeId::from(0usize)),
             1 + g.node_count().div_ceil(10)
         );
-        let largest = |adjacency: &Adjacency| -> Vec<Option<EdgeId>> {
-            adjacency.chunks().iter().map(|c| c.max_id).collect()
-        };
-        let last = EdgeId::from(g.edge_count() - 1);
-        assert_eq!(largest(&csr.fwd)[2], Some(last));
-        assert_eq!(largest(&csr.rev)[0], Some(last), "the ring closes at 0");
 
         let copy = CsrGraph::from_graph(&g);
         assert_eq!(
@@ -623,5 +575,20 @@ mod tests {
             "a rebuild shares nothing"
         );
         assert_eq!(csr.clone().shared_with(&csr), ((3, 0), (3, 0)));
+    }
+
+    #[test]
+    fn memory_bytes_counts_entries_offsets_and_names() {
+        let g = ring();
+        let csr = CsrGraph::from_graph(&g);
+        let (n, m) = (g.node_count(), g.edge_count());
+        // Per direction: an 8-byte entry per edge and `rows + 1` offsets per
+        // chunk.  Names: their text, `len + 1` ends per chunk and one lookup
+        // id per name.
+        let adjacency = 2 * (8 * m + 4 * (n + 3));
+        let text: usize = (0..n).map(|i| format!("v{i}").len()).sum();
+        let names = text + 4 * (n + n.div_ceil(crate::names::CHUNK)) + 4 * n;
+        assert_eq!(csr.memory_bytes(), adjacency + names);
+        assert_eq!(CsrGraph::default().memory_bytes(), 0);
     }
 }

@@ -8,8 +8,10 @@
 //! and frontier nodes carry a dashed "…" edge.
 
 use crate::csr::CsrGraph;
+use crate::graph::Edge;
 use crate::ids::NodeId;
 use crate::neighborhood::{Neighborhood, NeighborhoodDelta};
+use std::collections::HashMap;
 use std::fmt::Write as _;
 
 fn quote(name: &str) -> String {
@@ -25,7 +27,7 @@ pub fn graph_to_dot(graph: &CsrGraph, name: &str) -> String {
     for node in graph.nodes() {
         let _ = writeln!(out, "  {};", quote(graph.node_name(node)));
     }
-    for (_, edge) in graph.edges_by_source() {
+    for edge in graph.edges_by_source() {
         let _ = writeln!(
             out,
             "  {} -> {} [label={}];",
@@ -39,8 +41,9 @@ pub fn graph_to_dot(graph: &CsrGraph, name: &str) -> String {
 }
 
 /// Exports a neighborhood fragment as a DOT digraph, following the visual
-/// conventions of Figure 3 (see module docs).  `delta` marks the nodes
-/// revealed by the last zoom-out in blue.
+/// conventions of Figure 3 (see module docs).  `delta` marks the nodes and
+/// edges revealed by the last zoom-out in blue; of parallel duplicates, as
+/// many copies as the delta lists.
 pub fn neighborhood_to_dot(
     graph: &CsrGraph,
     neighborhood: &Neighborhood,
@@ -70,10 +73,19 @@ pub fn neighborhood_to_dot(
             let _ = writeln!(out, "  {name} [{}];", attrs.join(", "));
         }
     }
-    for (edge_id, edge) in neighborhood.edges() {
-        let new_edge = delta
-            .map(|d| d.added_edges.contains(edge_id))
-            .unwrap_or(false);
+    // Copies of each edge still to highlight.
+    let mut revealed: HashMap<Edge, usize> = HashMap::new();
+    for edge in delta.into_iter().flat_map(|d| &d.added_edges) {
+        *revealed.entry(*edge).or_default() += 1;
+    }
+    for edge in neighborhood.edges() {
+        let new_edge = match revealed.get_mut(edge) {
+            Some(left) if *left > 0 => {
+                *left -= 1;
+                true
+            }
+            _ => false,
+        };
         let color = if new_edge {
             ", color=blue, fontcolor=blue"
         } else {

@@ -11,8 +11,8 @@ use crate::labels::LabelInterner;
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 
-/// A directed, labeled edge.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+/// A directed, labeled edge.  It orders by source, then label, then target.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
 pub struct Edge {
     /// Source node.
     pub source: NodeId,

@@ -5,10 +5,12 @@
 //! names of epoch *N* plus whatever the publish added.  [`NodeNames`] stores
 //! them so that the next epoch shares everything it did not add:
 //!
-//! * the names live in fixed-size chunks behind [`Arc`]s — extending by *k*
-//!   names clones the chunk *pointers*, copies the one partial tail chunk and
-//!   appends; every full chunk is shared, no string is copied or freed when
-//!   an epoch retires;
+//! * the names live in fixed-size chunks behind [`Arc`]s, each chunk one
+//!   byte arena holding its names' text back to back plus a `u32` end per
+//!   name (≈ 7 + 4 bytes per name at 1M nodes, no allocation per name) —
+//!   extending by *k* names clones the chunk *pointers*, copies the one
+//!   partial tail chunk's arena and appends; every full chunk is shared, no
+//!   name is copied or freed when an epoch retires;
 //! * the name → id lookup holds no strings at all: it is a list of *runs*,
 //!   each the ids of one contiguous id range sorted by `(name, id)`.  A
 //!   lookup binary-searches the runs oldest first, so the first hit is the
@@ -24,11 +26,48 @@ use std::sync::Arc;
 /// Names per chunk (a power of two, so `node_name` is a shift and a mask).
 pub(crate) const CHUNK: usize = 1024;
 
+/// Up to [`CHUNK`] names in one arena: name `i` is
+/// `text[ends[i]..ends[i + 1]]`.
+#[derive(Debug)]
+struct NameChunk {
+    text: Box<str>,
+    /// `len + 1` byte offsets into `text`, the first 0.
+    ends: Box<[u32]>,
+}
+
+impl NameChunk {
+    /// `text` and `ends` extended by names from `added` until the chunk
+    /// holds [`CHUNK`] names or `added` runs dry.
+    fn filled(
+        mut text: String,
+        mut ends: Vec<u32>,
+        added: &mut impl Iterator<Item = impl AsRef<str>>,
+    ) -> Self {
+        for name in added.take(CHUNK + 1 - ends.len()) {
+            text.push_str(name.as_ref());
+            ends.push(u32::try_from(text.len()).expect("a name chunk's text exceeds 4 GiB"));
+        }
+        Self {
+            text: text.into_boxed_str(),
+            ends: ends.into_boxed_slice(),
+        }
+    }
+
+    fn len(&self) -> usize {
+        self.ends.len() - 1
+    }
+
+    #[inline]
+    fn get(&self, i: usize) -> &str {
+        &self.text[self.ends[i] as usize..self.ends[i + 1] as usize]
+    }
+}
+
 /// See the [module docs](self).
 #[derive(Debug, Clone, Default)]
 pub(crate) struct NodeNames {
     /// Every chunk but the last holds exactly [`CHUNK`] names.
-    chunks: Vec<Arc<Vec<String>>>,
+    chunks: Vec<Arc<NameChunk>>,
     len: usize,
     /// Ids sorted by `(name, id)`; run *i + 1* covers the id range right
     /// after run *i*'s.
@@ -36,8 +75,8 @@ pub(crate) struct NodeNames {
 }
 
 impl NodeNames {
-    /// Takes ownership of `names` (id order) and indexes them.
-    pub(crate) fn new(names: Vec<String>) -> Self {
+    /// Copies `names` (id order) into the arenas and indexes them.
+    pub(crate) fn new(names: impl IntoIterator<Item = impl AsRef<str>>) -> Self {
         let mut out = Self::default();
         out.append(names);
         out
@@ -53,14 +92,26 @@ impl NodeNames {
     /// Panics when `index >= len()`.
     #[inline]
     pub(crate) fn get(&self, index: usize) -> &str {
-        &self.chunks[index / CHUNK][index % CHUNK]
+        self.chunks[index / CHUNK].get(index % CHUNK)
     }
 
     /// All names in id order.
     pub(crate) fn iter(&self) -> impl Iterator<Item = &str> + '_ {
         self.chunks
             .iter()
-            .flat_map(|chunk| chunk.iter().map(String::as_str))
+            .flat_map(|chunk| (0..chunk.len()).map(|i| chunk.get(i)))
+    }
+
+    /// The bytes of the arenas (text and ends) and of the lookup's runs,
+    /// counted from their lengths.
+    pub(crate) fn memory_bytes(&self) -> usize {
+        let arenas: usize = self
+            .chunks
+            .iter()
+            .map(|chunk| chunk.text.len() + chunk.ends.len() * size_of::<u32>())
+            .sum();
+        let runs: usize = self.runs.iter().map(|run| run.len()).sum();
+        arenas + runs * size_of::<u32>()
     }
 
     /// The lowest id bearing `name`.
@@ -77,28 +128,26 @@ impl NodeNames {
     /// run the fold leaves alone.
     pub(crate) fn extended(&self, added: &[String]) -> Self {
         let mut out = self.clone();
-        out.append(added.to_vec());
+        out.append(added);
         out
     }
 
-    fn append(&mut self, added: Vec<String>) {
-        if added.is_empty() {
+    fn append(&mut self, added: impl IntoIterator<Item = impl AsRef<str>>) {
+        let mut added = added.into_iter().peekable();
+        if added.peek().is_none() {
             return;
         }
-        let first = self.len;
-        self.len += added.len();
-        let mut added = added.into_iter();
         if let Some(tail) = self.chunks.last_mut().filter(|tail| tail.len() < CHUNK) {
-            let room = CHUNK - tail.len();
-            Arc::make_mut(tail).extend(added.by_ref().take(room));
+            let (text, ends) = (String::from(&*tail.text), tail.ends.to_vec());
+            *tail = Arc::new(NameChunk::filled(text, ends, &mut added));
         }
-        loop {
-            let chunk: Vec<String> = added.by_ref().take(CHUNK).collect();
-            if chunk.is_empty() {
-                break;
-            }
+        while added.peek().is_some() {
+            let chunk = NameChunk::filled(String::new(), vec![0], &mut added);
             self.chunks.push(Arc::new(chunk));
         }
+        let first = self.len;
+        let tail = self.chunks.last().map_or(0, |tail| tail.len());
+        self.len = (self.chunks.len() - 1) * CHUNK + tail;
 
         let mut run: Vec<u32> = (first as u32..self.len as u32).collect();
         run.sort_unstable_by(|&a, &b| self.order(a, b));

@@ -8,12 +8,17 @@
 //! highlighted.  [`Neighborhood`] captures the fragment, frontier and
 //! continuation information, and [`NeighborhoodDelta`] captures the zoom
 //! highlight.
+//!
+//! Edges carry no identifier: a fragment lists each edge as its
+//! `(source, label, target)` triple in row order, and a zoom's revealed
+//! edges are the multiset difference of two fragments, so parallel
+//! duplicates count one by one.
 
 use crate::csr::CsrGraph;
 use crate::graph::Edge;
-use crate::ids::{EdgeId, NodeId};
+use crate::ids::NodeId;
 use crate::traversal::{bfs, Direction};
-use std::collections::BTreeSet;
+use std::collections::{BTreeSet, HashMap};
 
 /// A fragment of the graph around a center node: all nodes and edges at
 /// distance at most `radius` from the center, following outgoing edges (the
@@ -25,8 +30,8 @@ pub struct Neighborhood {
     /// Nodes in the fragment, sorted by id, with their BFS distance.
     nodes: Vec<(NodeId, u32)>,
     /// Edges whose both endpoints are in the fragment and which lie on some
-    /// path of length at most `radius` from the center.
-    edges: Vec<(EdgeId, Edge)>,
+    /// path of length at most `radius` from the center, in row order.
+    edges: Vec<Edge>,
     /// Nodes of the fragment that have at least one outgoing edge leaving
     /// the fragment — these are rendered with a "…" continuation marker.
     continuations: Vec<NodeId>,
@@ -45,18 +50,17 @@ impl Neighborhood {
         let mut edges = Vec::new();
         let mut continuations = BTreeSet::new();
         for &(node, dist) in &nodes {
-            for (&edge_id, entry) in graph.out_ids(node).iter().zip(graph.out(node)) {
+            for entry in graph.out(node) {
                 // The edge is inside the fragment only when it can be part of
                 // a path of length <= radius from the center and its target
                 // was reached within the radius.
                 if dist < radius && in_fragment.contains(&entry.node) {
-                    edges.push((edge_id, Edge::new(node, entry.label, entry.node)));
+                    edges.push(Edge::new(node, entry.label, entry.node));
                 } else {
                     continuations.insert(node);
                 }
             }
         }
-        edges.sort_by_key(|&(id, _)| id);
 
         Self {
             center,
@@ -88,8 +92,9 @@ impl Neighborhood {
         self.nodes.iter().map(|&(n, _)| n).collect()
     }
 
-    /// Edges of the fragment, sorted by edge id.
-    pub fn edges(&self) -> &[(EdgeId, Edge)] {
+    /// Edges of the fragment in row order: by source id, each source's
+    /// edges in the order of its out-row.
+    pub fn edges(&self) -> &[Edge] {
         &self.edges
     }
 
@@ -138,8 +143,10 @@ impl Neighborhood {
 pub struct NeighborhoodDelta {
     /// Nodes present in the larger fragment but not the smaller one.
     pub added_nodes: Vec<NodeId>,
-    /// Edges present in the larger fragment but not the smaller one.
-    pub added_edges: Vec<EdgeId>,
+    /// Edges present in the larger fragment but not the smaller one, in the
+    /// larger fragment's row order: the multiset difference, so an edge the
+    /// smaller fragment holds *k* times is listed once per further copy.
+    pub added_edges: Vec<Edge>,
 }
 
 impl NeighborhoodDelta {
@@ -150,7 +157,10 @@ impl NeighborhoodDelta {
     pub fn between(smaller: &Neighborhood, larger: &Neighborhood) -> Self {
         debug_assert_eq!(smaller.center(), larger.center());
         let small_nodes: BTreeSet<NodeId> = smaller.node_ids().into_iter().collect();
-        let small_edges: BTreeSet<EdgeId> = smaller.edges.iter().map(|&(id, _)| id).collect();
+        let mut small_edges: HashMap<Edge, usize> = HashMap::new();
+        for edge in &smaller.edges {
+            *small_edges.entry(*edge).or_default() += 1;
+        }
         let added_nodes = larger
             .node_ids()
             .into_iter()
@@ -159,8 +169,14 @@ impl NeighborhoodDelta {
         let added_edges = larger
             .edges
             .iter()
-            .map(|&(id, _)| id)
-            .filter(|id| !small_edges.contains(id))
+            .filter(|edge| match small_edges.get_mut(edge) {
+                Some(left) if *left > 0 => {
+                    *left -= 1;
+                    false
+                }
+                _ => true,
+            })
+            .copied()
             .collect();
         Self {
             added_nodes,
@@ -240,6 +256,34 @@ mod tests {
     }
 
     #[test]
+    fn zoom_diff_counts_parallel_duplicates_one_by_one() {
+        // c -x-> a twice, then a -y-> b twice with a -z-> b between them.
+        let mut g = Graph::new();
+        let (c, a, b) = (g.add_node("c"), g.add_node("a"), g.add_node("b"));
+        let (x, y, z) = (g.label("x"), g.label("y"), g.label("z"));
+        g.add_edge(c, x, a);
+        g.add_edge(a, y, b);
+        g.add_edge(c, x, a);
+        g.add_edge(a, z, b);
+        g.add_edge(a, y, b);
+        let g = CsrGraph::from_graph(&g);
+        let hood1 = Neighborhood::extract(&g, c, 1);
+        assert_eq!(hood1.edges(), [Edge::new(c, x, a), Edge::new(c, x, a)]);
+        let (hood2, delta) = hood1.zoom_out(&g);
+        let (cxa, ayb, azb) = (Edge::new(c, x, a), Edge::new(a, y, b), Edge::new(a, z, b));
+        assert_eq!(hood2.edges(), [cxa, cxa, ayb, azb, ayb], "row order");
+        assert_eq!(delta.added_nodes, [b]);
+        assert_eq!(delta.added_edges, [ayb, azb, ayb], "both copies, once each");
+        let dot = crate::dot::neighborhood_to_dot(&g, &hood2, Some(&delta));
+        assert_eq!(
+            dot.matches("[label=\"x\"];").count(),
+            2,
+            "old copies stay black"
+        );
+        assert_eq!(dot.matches("[label=\"y\", color=blue").count(), 2);
+    }
+
+    #[test]
     fn saturated_zoom_produces_empty_delta() {
         let (g, n) = sample();
         let hood = Neighborhood::extract(&g, n[1], 10);
@@ -265,7 +309,7 @@ mod tests {
         // appear even though both look "close".
         assert!(hood.contains(n[0]));
         assert!(!hood.contains(n[3]));
-        for (_, e) in hood.edges() {
+        for e in hood.edges() {
             assert!(hood.contains(e.source) && hood.contains(e.target));
         }
         // The N3 -bus-> N2 cycle edge is at the frontier: N3 is at distance 1

@@ -57,7 +57,7 @@ impl GraphStats {
             min_out = 0;
         }
         let mut label_histogram = BTreeMap::new();
-        for (_, edge) in graph.edges_by_source() {
+        for edge in graph.edges_by_source() {
             *label_histogram.entry(edge.label).or_insert(0) += 1;
         }
         Self {

@@ -56,6 +56,7 @@ pub(crate) fn put_str(out: &mut Vec<u8>, value: &str) {
 /// A bounds-checked reader over a byte slice.  Every method returns `None`
 /// instead of panicking when the input is truncated or malformed, so decoders
 /// built on it reject corrupt data gracefully.
+#[derive(Clone)]
 pub(crate) struct Cursor<'a> {
     bytes: &'a [u8],
     pos: usize,
@@ -110,10 +111,14 @@ impl<'a> Cursor<'a> {
             .map(|b| u64::from_le_bytes(b.try_into().expect("eight bytes")))
     }
 
-    pub(crate) fn string(&mut self) -> Option<String> {
+    /// A length-prefixed UTF-8 string, borrowed from the input.
+    pub(crate) fn str(&mut self) -> Option<&'a str> {
         let len = self.u32()? as usize;
-        let bytes = self.take(len)?;
-        String::from_utf8(bytes.to_vec()).ok()
+        std::str::from_utf8(self.take(len)?).ok()
+    }
+
+    pub(crate) fn string(&mut self) -> Option<String> {
+        self.str().map(str::to_string)
     }
 }
 

@@ -1,10 +1,10 @@
 //! Checkpoint serialization of a compacted [`CsrGraph`] epoch.
 //!
-//! A checkpoint is one self-contained file:
+//! A checkpoint is one self-contained file (format version 2):
 //!
 //! ```text
 //! magic "GPSSNAP1" (8)
-//! version: u32
+//! version: u32                  // 2
 //! epoch: u64
 //! node_count: u64
 //! edge_count: u64
@@ -15,22 +15,26 @@
 //! zero padding to 8-byte alignment
 //! fwd_offsets  : (n + 1) × u32  // packed arrays, flat CSR layout
 //! fwd_entries  : m × (label u32, node u32)
-//! fwd_edge_ids : m × u32
 //! rev_offsets  : (n + 1) × u32
 //! rev_entries  : m × (label u32, node u32)
-//! rev_edge_ids : m × u32
 //! crc32: u32                    // over everything before it
 //! ```
+//!
+//! Version 1 had an edge-id array (`m × u32`) after each direction's
+//! entries.  Snapshots keep no edge ids any more, so the decoder still reads
+//! version-1 files but skips those two arrays once the checksum has passed;
+//! the encoder writes version 2 only.
 //!
 //! The packed region starts 8-byte aligned at a header-recorded offset and
 //! holds each direction as one flat CSR (little-endian `u32`s): the in-memory
 //! snapshot keeps its rows in node-range chunks, and the encoder writes the
 //! offsets as a running sum of the row lengths, so the format does not
-//! depend on the chunk size (a golden test pins the bytes).  The decoder
-//! reads each direction straight into chunks, one entry and its edge id at a
-//! time, without a flat copy.  The name→id map and the label
-//! interner's reverse index are rebuilt on load (first-bearer semantics,
-//! identical to a from-scratch CSR build).
+//! depend on the chunk size (golden tests pin the bytes).  The decoder
+//! reads each direction straight into chunks, one entry at a time, and the
+//! node names straight into the snapshot's name arenas, without a flat copy
+//! of either.  The name→id map and the label interner's reverse index are
+//! rebuilt on load (first-bearer semantics, identical to a from-scratch CSR
+//! build).
 //!
 //! Encoding is deterministic — byte-identical snapshots for byte-identical
 //! graphs — which is what the crash-injection suite leans on to assert
@@ -39,18 +43,22 @@
 use crate::codec::{crc32, put_str, put_u32, put_u64, Cursor};
 use crate::error::StoreError;
 use gps_graph::csr::{AdjacencyBuilder, CsrEntry};
-use gps_graph::{CsrGraph, EdgeId, LabelId, LabelInterner, NodeId};
+use gps_graph::{CsrGraph, LabelId, LabelInterner, NodeId};
 
 /// First bytes of every checkpoint file.
 pub const SNAPSHOT_MAGIC: &[u8; 8] = b"GPSSNAP1";
 
-const SNAPSHOT_VERSION: u32 = 1;
+const SNAPSHOT_VERSION: u32 = 2;
+
+/// The version whose directions each carried an edge-id array after their
+/// entries; still decoded, never written.
+const SNAPSHOT_VERSION_EDGE_IDS: u32 = 1;
 
 /// Serializes a snapshot into the checkpoint format.
 pub fn encode_snapshot(csr: &CsrGraph) -> Vec<u8> {
     let n = csr.node_count();
     let m = csr.edge_count();
-    let mut out = Vec::with_capacity(64 + n * 16 + m * 24);
+    let mut out = Vec::with_capacity(64 + n * 16 + m * 16);
     out.extend_from_slice(SNAPSHOT_MAGIC);
     put_u32(&mut out, SNAPSHOT_VERSION);
     put_u64(&mut out, csr.epoch());
@@ -70,21 +78,16 @@ pub fn encode_snapshot(csr: &CsrGraph) -> Vec<u8> {
     }
     let arrays_offset = out.len() as u64;
     out[arrays_offset_pos..arrays_offset_pos + 8].copy_from_slice(&arrays_offset.to_le_bytes());
-    put_side(&mut out, csr, CsrGraph::out, CsrGraph::out_ids);
-    put_side(&mut out, csr, CsrGraph::inc, CsrGraph::in_ids);
+    put_side(&mut out, csr, CsrGraph::out);
+    put_side(&mut out, csr, CsrGraph::inc);
     let crc = crc32(&out);
     put_u32(&mut out, crc);
     out
 }
 
 /// One direction's flat arrays: offsets as a running sum of the row
-/// lengths, then every row's entries, then every row's edge ids.
-fn put_side(
-    out: &mut Vec<u8>,
-    csr: &CsrGraph,
-    row: fn(&CsrGraph, NodeId) -> &[CsrEntry],
-    ids: fn(&CsrGraph, NodeId) -> &[EdgeId],
-) {
+/// lengths, then every row's entries.
+fn put_side(out: &mut Vec<u8>, csr: &CsrGraph, row: fn(&CsrGraph, NodeId) -> &[CsrEntry]) {
     let mut offset = 0u32;
     put_u32(out, offset);
     for node in csr.nodes() {
@@ -95,11 +98,6 @@ fn put_side(
         for entry in row(csr, node) {
             put_u32(out, entry.label.raw());
             put_u32(out, entry.node.raw());
-        }
-    }
-    for node in csr.nodes() {
-        for &id in ids(csr, node) {
-            put_u32(out, id.raw());
         }
     }
 }
@@ -132,13 +130,12 @@ fn read_offsets(
 }
 
 /// Reads one direction straight into its chunks: the offsets first (they
-/// size the rows), then every entry paired with its edge id from the ids
-/// array, so no flat copy of either is held beside the chunks.
+/// size the rows), then every entry, so no flat copy of either is held
+/// beside the chunks.  A version-1 direction's edge ids are skipped.
 fn read_side(
     cursor: &mut Cursor<'_>,
-    n: usize,
-    m: usize,
-    labels: usize,
+    (n, m, labels): (usize, usize, usize),
+    version: u32,
     side: &str,
 ) -> Result<AdjacencyBuilder, StoreError> {
     let offsets = read_offsets(cursor, n, m, side)?;
@@ -146,14 +143,16 @@ fn read_side(
     let entries = cursor
         .take(m * 8)
         .ok_or_else(|| corrupt(cursor, &format!("truncated {side} entries")))?;
-    let ids = cursor
-        .take(m * 4)
-        .ok_or_else(|| corrupt(cursor, &format!("truncated {side} edge ids")))?;
+    if version == SNAPSHOT_VERSION_EDGE_IDS {
+        cursor
+            .take(m * 4)
+            .ok_or_else(|| corrupt(cursor, &format!("truncated {side} edge ids")))?;
+    }
     let word = |bytes: &[u8]| u32::from_le_bytes(bytes.try_into().expect("four bytes"));
     let mut builder = AdjacencyBuilder::new(offsets.windows(2).map(|w| w[1] - w[0]));
-    let mut items = entries.chunks_exact(8).zip(ids.chunks_exact(4)).enumerate();
+    let mut items = entries.chunks_exact(8).enumerate();
     for (row, span) in offsets.windows(2).enumerate() {
-        for (at, (entry, id)) in items.by_ref().take((span[1] - span[0]) as usize) {
+        for (at, entry) in items.by_ref().take((span[1] - span[0]) as usize) {
             let (label, node) = (word(&entry[..4]), word(&entry[4..]));
             if label as usize >= labels || node as usize >= n {
                 return Err(StoreError::corrupt(
@@ -165,7 +164,7 @@ fn read_side(
                 label: LabelId::new(label),
                 node: NodeId::new(node),
             };
-            builder.place(row, entry, EdgeId::new(word(id)));
+            builder.place(row, entry);
         }
     }
     Ok(builder)
@@ -190,7 +189,7 @@ pub fn decode_snapshot(bytes: &[u8]) -> Result<CsrGraph, StoreError> {
     let version = cursor
         .u32()
         .ok_or_else(|| corrupt(&cursor, "truncated header"))?;
-    if version != SNAPSHOT_VERSION {
+    if version != SNAPSHOT_VERSION && version != SNAPSHOT_VERSION_EDGE_IDS {
         return Err(corrupt(&cursor, &format!("unsupported version {version}")));
     }
     let epoch = cursor
@@ -212,20 +211,26 @@ pub fn decode_snapshot(bytes: &[u8]) -> Result<CsrGraph, StoreError> {
         return Err(corrupt(&cursor, "count exceeds the 32-bit id space"));
     }
 
-    let mut node_names = Vec::with_capacity(n.min(1 << 20));
+    // Validate every node name first, then hand the snapshot a second pass
+    // over the same bytes: the names go straight into its arenas.
+    let names_from = cursor.clone();
     for _ in 0..n {
-        node_names.push(
-            cursor
-                .string()
-                .ok_or_else(|| corrupt(&cursor, "truncated node names"))?,
-        );
+        cursor
+            .str()
+            .ok_or_else(|| corrupt(&cursor, "truncated node names"))?;
     }
+    // A name chunk's arena is indexed by `u32`: bound the whole section.
+    if cursor.pos() - names_from.pos() > u32::MAX as usize {
+        return Err(corrupt(&cursor, "node names exceed 4 GiB"));
+    }
+    let mut names = names_from;
+    let node_names = (0..n).map(move |_| names.str().expect("validated above"));
     let mut labels = LabelInterner::new();
     for _ in 0..label_count {
         let name = cursor
-            .string()
+            .str()
             .ok_or_else(|| corrupt(&cursor, "truncated label names"))?;
-        labels.intern(&name);
+        labels.intern(name);
     }
     if labels.len() != label_count {
         return Err(corrupt(&cursor, "duplicate label names"));
@@ -238,13 +243,19 @@ pub fn decode_snapshot(bytes: &[u8]) -> Result<CsrGraph, StoreError> {
     // `m` are header-supplied, so a crafted (or CRC-colliding) file could
     // otherwise request multi-gigabyte `with_capacity` calls — an abort,
     // not a typed error — before the element reads ever fail.
-    let packed_len = 2 * ((n as u64 + 1) * 4 + m as u64 * 12);
+    let entry_bytes = if version == SNAPSHOT_VERSION_EDGE_IDS {
+        12
+    } else {
+        8
+    };
+    let packed_len = 2 * ((n as u64 + 1) * 4 + m as u64 * entry_bytes);
     if cursor.remaining() as u64 != packed_len {
         return Err(corrupt(&cursor, "packed-array region length mismatch"));
     }
 
-    let fwd = read_side(&mut cursor, n, m, label_count, "forward")?;
-    let rev = read_side(&mut cursor, n, m, label_count, "reverse")?;
+    let counts = (n, m, label_count);
+    let fwd = read_side(&mut cursor, counts, version, "forward")?;
+    let rev = read_side(&mut cursor, counts, version, "reverse")?;
     if !cursor.is_empty() {
         return Err(corrupt(&cursor, "trailing bytes after the packed arrays"));
     }
@@ -348,7 +359,7 @@ mod tests {
         // re-stamp the CRC.
         let mut bytes = encode_snapshot(&sample());
         let body_len = bytes.len() - 4;
-        let last_entry_node = body_len - 3 * 4 - 4;
+        let last_entry_node = body_len - 4;
         bytes[last_entry_node..last_entry_node + 4].copy_from_slice(&3u32.to_le_bytes());
         let crc = crc32(&bytes[..body_len]);
         bytes[body_len..].copy_from_slice(&crc.to_le_bytes());
@@ -361,8 +372,7 @@ mod tests {
     }
 
     /// The figure-1 graph after three fixed publishes: nodes and edges
-    /// added, a base edge removed (every later edge id shifts down), and a
-    /// new label on a new node.
+    /// added, a base edge removed, and a new label on a new node.
     fn figure1_after_three_publishes() -> CsrGraph {
         use gps_graph::delta::UpdateOp;
         use gps_graph::DeltaGraph;
@@ -402,12 +412,35 @@ mod tests {
         Arc::try_unwrap(snapshot).unwrap()
     }
 
+    /// A checkpoint's length and the checksum stored in its last four bytes.
+    /// (The CRC-32 of a whole file, checksum included, is the constant
+    /// residue `0x2144_DF1C` for every intact file.)
+    fn fingerprint(bytes: &[u8]) -> (usize, u32, u32) {
+        let stored = u32::from_le_bytes(bytes[bytes.len() - 4..].try_into().unwrap());
+        (bytes.len(), crc32(bytes), stored)
+    }
+
     /// Pins the checkpoint bytes: a change to the in-memory layout of a
     /// snapshot, to compaction or to the encoder must leave them alone.
     #[test]
     fn figure1_checkpoint_bytes_are_golden() {
         let bytes = encode_snapshot(&figure1_after_three_publishes());
-        assert_eq!((bytes.len(), crc32(&bytes)), (668, 0x2144_DF1C));
+        assert_eq!(fingerprint(&bytes), (540, 0x2144_DF1C, 0xECCB_468B));
+    }
+
+    /// The same snapshot as a version-1 checkpoint (with edge-id arrays),
+    /// written by the encoder before snapshots dropped their edge ids: it
+    /// still decodes to the same graph, and re-encodes as version 2.
+    #[test]
+    fn figure1_version_1_checkpoint_still_decodes() {
+        let v1 = include_bytes!("../tests/data/figure1-v1.gpssnap");
+        assert_eq!((v1.len(), crc32(v1)), (668, 0x2144_DF1C));
+        assert_eq!(fingerprint(v1), (668, 0x2144_DF1C, 0xBAC7_5DDE));
+        assert_eq!(&v1[8..12], &1u32.to_le_bytes(), "a version-1 file");
+        let decoded = decode_snapshot(v1).unwrap();
+        let expected = figure1_after_three_publishes();
+        assert_same(&decoded, &expected);
+        assert_eq!(encode_snapshot(&decoded), encode_snapshot(&expected));
     }
 
     #[test]
@@ -428,24 +461,16 @@ mod tests {
         let bytes = encode_snapshot(&csr);
         let decoded = decode_snapshot(&bytes).unwrap();
         assert_same(&csr, &decoded);
-        for node in csr.nodes() {
-            assert_eq!(csr.out_ids(node), decoded.out_ids(node));
-            assert_eq!(csr.in_ids(node), decoded.in_ids(node));
-        }
         assert_eq!(encode_snapshot(&decoded), bytes);
     }
 
     #[test]
-    fn decoded_snapshot_keeps_rows_and_edge_ids() {
+    fn decoded_snapshot_keeps_row_order() {
         let csr = sample();
         let decoded = decode_snapshot(&encode_snapshot(&csr)).unwrap();
         let n1 = decoded.node_by_name("N1").unwrap();
         assert_eq!(decoded.out_degree(n1), 2);
-        assert_eq!(decoded.out(n1), csr.out(n1));
-        assert_eq!(
-            decoded.out_ids(n1),
-            csr.out_ids(n1),
-            "edge ids survive the round trip"
-        );
+        assert_eq!(decoded.out(n1), csr.out(n1), "rows keep insertion order");
+        assert_eq!(decoded.memory_bytes(), csr.memory_bytes());
     }
 }

@@ -325,7 +325,7 @@ fn chained_patches_match_a_fresh_build_of_the_compacted_snapshot() {
                 staged.add_edge(pick(&mut rng), label, pick(&mut rng));
                 staged.add_edge(fresh, label, pick(&mut rng));
             }
-            if let Some((_, edge)) = base.edges_by_source().next() {
+            if let Some(edge) = base.edges_by_source().next() {
                 staged.remove_edge(edge.source, edge.label, edge.target);
             }
             let delta = staged.delta();

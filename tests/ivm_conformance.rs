@@ -87,7 +87,7 @@ fn rebuilt(snapshot: &CsrGraph) -> CsrGraph {
     for name in snapshot.node_names() {
         graph.add_node(name);
     }
-    for (_, edge) in snapshot.edges_by_source() {
+    for edge in snapshot.edges_by_source() {
         graph.add_edge(edge.source, edge.label, edge.target);
     }
     CsrGraph::from_graph(&graph)
@@ -377,7 +377,6 @@ fn random_mixed_update(
     }
     let alphabet: Vec<Edge> = snapshot
         .edges_by_source()
-        .map(|(_, edge)| edge)
         .filter(|edge| {
             snapshot
                 .labels()
@@ -463,7 +462,6 @@ fn unread_publishes(service: &SessionManager, rng: &mut StdRng, k: usize) -> Vec
     let n = base.node_count();
     let alphabet: Vec<Edge> = base
         .edges_by_source()
-        .map(|(_, edge)| edge)
         .filter(|edge| base.labels().name(edge.label).unwrap().starts_with('a'))
         .collect();
     let pick_edge = |rng: &mut StdRng| alphabet[rng.gen_range(0..alphabet.len())];
@@ -503,7 +501,6 @@ fn unread_publishes(service: &SessionManager, rng: &mut StdRng, k: usize) -> Vec
         // A random removal that leaves the three scripted triples alone.
         let removable: Vec<Edge> = snapshot
             .edges_by_source()
-            .map(|(_, edge)| edge)
             .filter(|&edge| {
                 let name = named(&snapshot, edge);
                 snapshot.labels().name(edge.label).unwrap().starts_with('a')

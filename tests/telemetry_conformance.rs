@@ -189,6 +189,7 @@ fn mixed_workload_exports_are_complete_and_valid() {
         "gps_exec_eval_latency_ns",
         "gps_exec_index_build_ns",
         "gps_exec_index_bytes",
+        "gps_core_snapshot_bytes",
         "gps_rpq_cache_hits_total",
         "gps_rpq_cache_misses_total",
         "gps_rpq_cache_delete_reseeded_total",
@@ -318,10 +319,18 @@ fn updates_and_retirement_keep_gauges_accurate() {
     let svc = service(Some(Arc::clone(&registry)));
     let first = svc.open(MOTIVATING_QUERY).unwrap();
     svc.step(first).unwrap();
+    let bytes_at_open = svc.metrics().gauge("gps_core_snapshot_bytes");
+    assert_eq!(
+        bytes_at_open,
+        Some(svc.core().snapshot().memory_bytes() as u64)
+    );
     svc.update(GraphUpdate::new().add_node("Z1")).unwrap();
 
     let snapshot = svc.metrics();
     assert_eq!(snapshot.gauge("gps_core_current_epoch"), Some(1));
+    let bytes = snapshot.gauge("gps_core_snapshot_bytes");
+    assert_eq!(bytes, Some(svc.core().snapshot().memory_bytes() as u64));
+    assert!(bytes > bytes_at_open, "the added node's name is counted");
     assert_eq!(
         snapshot.gauge("gps_core_live_epochs"),
         Some(2),
