@@ -2,7 +2,7 @@
 //!
 //! The numbers a user of the system feels are measured by the `benchmark/`
 //! package (seeded workloads, ten-pairs protocol, `BENCH_history.jsonl`).
-//! This binary only holds sixteen ratios no workload there can express — two
+//! This binary only holds seventeen ratios no workload there can express — two
 //! shapes of the same work timed side by side in one process — and exits
 //! non-zero, with one `SMOKE FAILURE:` line per broken floor, when one of
 //! them crosses its bound:
@@ -25,6 +25,7 @@
 //! | 14 | `scale-free-100k` | the peak heap of `LabelIndex::from_csr` above the index it keeps ≤ `INDEX_TRANSIENT_BOUND`× the index's `memory_bytes()` |
 //! | 15 | `scale-free-100k` | the index's `memory_bytes()` ≤ `INDEX_BYTES_BOUND`× 8 bytes per edge (a neighbour id in each direction) |
 //! | 16 | `scale-free-100k` | the snapshot's `CsrGraph::memory_bytes()` ≤ `SNAPSHOT_BYTES_BOUND`× 16 bytes per edge (a label and a node id in each direction) |
+//! | 17 | `scale-free-100k` | the mean bytes one `Session::step` allocates over one seeded session (goal `a1.a0.a3`) ≤ `STEP_ALLOC_BOUND` bytes per node |
 //!
 //! Samples of the compared shapes are interleaved round-robin so clock or
 //! thermal drift cannot bias a comparison one way; the floors that compare
@@ -46,16 +47,19 @@ use gps_datasets::updates::{update_stream, UpdateStreamConfig};
 use gps_exec::{BatchEvaluator, LabelIndex};
 use gps_graph::{CsrEntry, CsrGraph, DeltaGraph, Graph, LabelId};
 use gps_graph::{NodeId, PathEnumerator, UpdateOp};
+use gps_interactive::halt::HaltConfig;
+use gps_interactive::session::{Session, SessionConfig};
 use gps_interactive::strategy::InformativePathsStrategy;
 use gps_interactive::user::SimulatedUser;
-use gps_rpq::{DfaEvaluator, EvalCache, PathQuery, WordIndex};
+use gps_rpq::{DfaEvaluator, EvalCache, EvalHandle, PathQuery, WordIndex};
 use std::hint::black_box;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// The system allocator wrapped with live/peak byte counters, so the corpus
 /// builds of floor 10 and the index build of floor 14 can report their true
-/// peak heap footprint.
+/// peak heap footprint, and a cumulative one, so floor 17 can count what a
+/// session step allocates.
 /// Relaxed atomics only — the tracking cost is a few nanoseconds per
 /// allocation and identical for every interleaved arm.
 mod alloc_track {
@@ -67,10 +71,12 @@ mod alloc_track {
 
     static LIVE: AtomicUsize = AtomicUsize::new(0);
     static PEAK: AtomicUsize = AtomicUsize::new(0);
+    static ALLOCATED: AtomicUsize = AtomicUsize::new(0);
 
     fn on_alloc(size: usize) {
         let now = LIVE.fetch_add(size, Ordering::Relaxed) + size;
         PEAK.fetch_max(now, Ordering::Relaxed);
+        ALLOCATED.fetch_add(size, Ordering::Relaxed);
     }
 
     fn on_dealloc(size: usize) {
@@ -119,6 +125,12 @@ mod alloc_track {
     /// Peak bytes allocated beyond `base` since the last [`reset_peak`].
     pub fn peak_since(base: usize) -> usize {
         PEAK.load(Ordering::Relaxed).saturating_sub(base)
+    }
+
+    /// Bytes allocated since the process started, never decreased by a
+    /// free (a reallocation counts its new size).
+    pub fn allocated() -> usize {
+        ALLOCATED.load(Ordering::Relaxed)
     }
 }
 
@@ -783,7 +795,7 @@ fn telemetry_floor(graph: &Graph, goals: &[String]) -> Floor {
     Floor::of_pairs("scale-free-2000-telemetry", &off, &on, AtLeast(0.95))
 }
 
-/// Floors 10, 14, 15, 16, 9, 11, 12 and 13, on a 4-edges-per-node, 8-label
+/// Floors 10, 14, 15, 16, 9, 11, 12, 13 and 17, on a 4-edges-per-node, 8-label
 /// scale-free corpus of 100k nodes.
 ///
 /// * The streamed `CsrGraph` builder vs. materializing the mutable `Graph`
@@ -811,7 +823,8 @@ fn telemetry_floor(graph: &Graph, goals: &[String]) -> Floor {
 ///   and reading every answer once ([`lazy_migration_floor`]).
 /// * A cold evaluation with its seed captured vs. without
 ///   ([`capture_floor`]).
-fn scale_floors() -> [Floor; 8] {
+/// * The bytes a session step allocates per node ([`step_alloc_floor`]).
+fn scale_floors() -> [Floor; 9] {
     const GROUP: &str = "scale-free-100k";
     let config = ScaleFreeConfig {
         nodes: 100_000,
@@ -961,6 +974,7 @@ fn scale_floors() -> [Floor; 8] {
     let patch = Floor::of_means(GROUP, &patch, &build, AtMost(PATCH_BOUND));
     let lazy = lazy_migration_floor(GROUP, &snapshot, &base_eval);
     let capture = capture_floor(GROUP, &base_eval);
+    let step_alloc = step_alloc_floor(GROUP, &snapshot, &base_eval);
     [
         peaks,
         transient,
@@ -970,6 +984,7 @@ fn scale_floors() -> [Floor; 8] {
         patch,
         lazy,
         capture,
+        step_alloc,
     ]
 }
 
@@ -1049,6 +1064,69 @@ fn snapshot_bytes_floor(group: &'static str, snapshot: &CsrGraph) -> Floor {
             "{kept} bytes kept for {} nodes and {} edges",
             snapshot.node_count(),
             snapshot.edge_count()
+        ),
+    }
+}
+
+/// Floor 17's bound on the mean bytes a session step allocates, per node of
+/// the snapshot.  While every proposal's fragment and every zoom ran a
+/// breadth-first search over a distance per node (8 bytes each) and the
+/// satisfaction check decoded both answers into node lists, this read 24.3
+/// here; a radius-bounded search and answers compared as bitsets read 1.87.
+/// What is left is the first step's per-session pruning scores (4 bytes per
+/// node), the learner's cold evaluations (an answer and a seed, bits per
+/// node) and the zoomed fragments themselves.
+const STEP_ALLOC_BOUND: f64 = 4.0;
+
+/// Floor 17: a session step allocates what it changes, not what the graph
+/// holds.  One session with a simulated user after the goal `a1.a0.a3` runs
+/// on `snapshot` through the frontier evaluator with the word index already
+/// derived (as an engine's set-up derives it); the bytes each `step`
+/// allocates are summed, and their mean over the steps divided by the node
+/// count must stay under [`STEP_ALLOC_BOUND`].  Counted bytes, no clock: the
+/// reading is deterministic.
+fn step_alloc_floor(
+    group: &'static str,
+    snapshot: &Arc<CsrGraph>,
+    base_eval: &BatchEvaluator,
+) -> Floor {
+    let cache = EvalCache::with_shared_evaluator(Arc::clone(snapshot), Box::new(base_eval.clone()));
+    let exec = EvalHandle::from_cache(Arc::new(cache));
+    let config = SessionConfig {
+        halt: HaltConfig {
+            max_interactions: 16,
+            stop_on_goal: true,
+        },
+        ..SessionConfig::default()
+    };
+    exec.bounded_words(config.path_bound);
+    let goal = PathQuery::parse("a1.a0.a3", snapshot.labels()).expect("the corpus has a0..a7");
+    let mut user = SimulatedUser::with_exec(goal, exec.clone());
+    let mut session = Session::with_shared_exec(Arc::clone(snapshot), config, exec);
+    let (mut bytes, mut steps) = (0, 0);
+    loop {
+        let before = alloc_track::allocated();
+        let halt = session.step(&mut InformativePathsStrategy, &mut user);
+        bytes += alloc_track::allocated() - before;
+        steps += 1;
+        if halt.is_some() {
+            break;
+        }
+    }
+    let stats = session.stats();
+    let per_step = bytes as f64 / steps as f64;
+    Floor {
+        group,
+        numerator: "step-allocated-bytes",
+        denominator: "nodes",
+        ratio: per_step / snapshot.node_count() as f64,
+        bound: AtMost(STEP_ALLOC_BOUND),
+        detail: format!(
+            "{per_step:.0} bytes per step over {steps} steps ({} negative, {} positive, {} zooms), {} nodes",
+            stats.negative_labels,
+            stats.positive_labels,
+            stats.zooms,
+            snapshot.node_count()
         ),
     }
 }

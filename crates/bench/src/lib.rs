@@ -60,7 +60,7 @@ pub fn goal_reached(graph: &CsrGraph, goal: &PathQuery, outcome: &SessionOutcome
     outcome
         .learned
         .as_ref()
-        .map(|l| l.answer.nodes() == goal.evaluate(graph).nodes())
+        .map(|l| l.answer == goal.evaluate(graph))
         .unwrap_or(false)
 }
 

@@ -105,7 +105,7 @@ fn report_from_outcome(
     let goal_reached = outcome
         .learned
         .as_ref()
-        .map(|l| l.answer.nodes() == goal_answer.nodes())
+        .map(|l| l.answer == *goal_answer)
         .unwrap_or(false);
     let consistent_with_labels = outcome
         .learned

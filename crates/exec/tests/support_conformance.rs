@@ -15,6 +15,9 @@
 //!   find the one that survives), and a graph whose adaptive plan pulls and
 //!   then pushes (the capture every resume starts from must not depend on
 //!   the round mode);
+//! * `QueryAnswer`'s `==` agrees with node-set equality for answers packed
+//!   from words, grown by selected or unselected nodes, resumed across a
+//!   delta that adds a node, and block-shared copies;
 //! * on a 200k-node graph a 4-op delta copies a handful of seed blocks and
 //!   shares the rest with the superseded epoch, and a label-disjoint publish
 //!   that adds nodes shares all but the tail block of every carried answer —
@@ -27,7 +30,7 @@ use gps_exec::planner::Plan;
 use gps_exec::{BatchEvaluator, LabelIndex};
 use gps_graph::{CsrEntry, CsrGraph, DeltaGraph, Edge, Graph, GraphDelta, LabelId, NodeId};
 use gps_rpq::blocks::BLOCK_NODES;
-use gps_rpq::{BlockSharing, EvalCache, EvalResume, MigrationReport, PathQuery};
+use gps_rpq::{BlockSharing, EvalCache, EvalResume, MigrationReport, PathQuery, QueryAnswer};
 use gps_telemetry::MetricsRegistry;
 use std::sync::Arc;
 
@@ -221,6 +224,64 @@ fn chained_mixed_epochs_reproduce_fresh_captures() {
     for seed in [0xA11CE, 0x0B0B_5EED] {
         chained_epochs_reproduce_fresh_captures(seed);
     }
+}
+
+/// `==` on answers is what `nodes() == nodes()` decides, without decoding a
+/// bit: answers of every query, each also packed again from its words (same
+/// bits, other blocks), grown by unselected nodes across a block boundary
+/// (same nodes, another length), grown by selected ones (other nodes),
+/// resumed across a delta that adds a node, and cloned (shared blocks).
+#[test]
+fn answer_equality_is_node_set_equality() {
+    let mut rng = XorShift(0xE0_A15);
+    let graph = random_graph(&mut rng);
+    let queries = query_set(&graph);
+    let n = graph.node_count();
+    let base = Arc::new(graph);
+    let index = LabelIndex::from_csr(&base);
+
+    let mut delta = DeltaGraph::new(Arc::clone(&base));
+    let fresh = delta.add_node("fresh");
+    let a = base.label_id("a").unwrap();
+    delta.add_edge(fresh, a, NodeId::from(rng.below(n)));
+    delta.add_edge(NodeId::from(rng.below(n)), a, fresh);
+    let summary = delta.delta();
+    let patched = index.apply_delta(&delta.compact(), &summary);
+
+    let mut scratch = Scratch::default();
+    let mut answers = Vec::new();
+    for dfa in &queries {
+        let (answer, _, seed) = evaluate_captured(&index, dfa, Plan::Bidirectional, &mut scratch);
+        let seed = seed.expect("capturing evaluations always produce a seed");
+        let mut words = vec![0u64; n.div_ceil(64)];
+        for node in answer.nodes() {
+            words[node.index() / 64] |= 1 << (node.index() % 64);
+        }
+        let resumed = resume(&patched, dfa, &seed, &summary, 1.0).expect("never falls back");
+        answers.extend([
+            QueryAnswer::from_words(n, &words),
+            answer.extended(n + BLOCK_NODES + 5, false),
+            answer.extended(n + 70, true),
+            resumed.answer,
+            answer.clone(),
+            answer,
+        ]);
+    }
+    answers.push(QueryAnswer::from_words(n, &vec![0; n.div_ceil(64)]));
+    answers.push(QueryAnswer::default());
+    let node_sets: Vec<Vec<NodeId>> = answers.iter().map(QueryAnswer::nodes).collect();
+    let mut equal_pairs = 0;
+    for (i, x) in answers.iter().enumerate() {
+        for (j, y) in answers.iter().enumerate() {
+            let same_nodes = node_sets[i] == node_sets[j];
+            assert_eq!(x == y, same_nodes, "answers {i} and {j}");
+            equal_pairs += usize::from(same_nodes && i != j);
+        }
+    }
+    // Both outcomes occur across lengths, not only on identical twins.
+    assert!(equal_pairs > 4 * queries.len(), "{equal_pairs}");
+    assert_ne!(answers[0].node_count(), answers[1].node_count());
+    assert_eq!(answers[0], answers[1]);
 }
 
 /// A hub with 300 out-edges and 300 in-edges under `a` (its configurations

@@ -17,8 +17,8 @@
 use crate::csr::CsrGraph;
 use crate::graph::Edge;
 use crate::ids::NodeId;
-use crate::traversal::{bfs, Direction};
-use std::collections::{BTreeSet, HashMap};
+use std::collections::hash_map::Entry;
+use std::collections::HashMap;
 
 /// A fragment of the graph around a center node: all nodes and edges at
 /// distance at most `radius` from the center, following outgoing edges (the
@@ -40,25 +40,46 @@ pub struct Neighborhood {
 impl Neighborhood {
     /// Extracts the neighborhood of `center` with the given `radius`
     /// (maximum number of edges from the center).
+    ///
+    /// A breadth-first search bounded by the radius, over a map of the nodes
+    /// it reached: the cost is the fragment's, not the graph's.
     pub fn extract(graph: &CsrGraph, center: NodeId, radius: u32) -> Self {
-        let distances = bfs(graph, center, Some(radius), Direction::Forward);
-        let mut nodes: Vec<(NodeId, u32)> = distances.reachable().collect();
-        nodes.sort_by_key(|&(n, _)| n);
-
-        let in_fragment: BTreeSet<NodeId> = nodes.iter().map(|&(n, _)| n).collect();
+        let mut distances: HashMap<NodeId, u32> = HashMap::from([(center, 0)]);
+        let mut ring = vec![center];
+        for distance in 1..=radius {
+            let mut next = Vec::new();
+            for &node in &ring {
+                for entry in graph.out(node) {
+                    if let Entry::Vacant(slot) = distances.entry(entry.node) {
+                        slot.insert(distance);
+                        next.push(entry.node);
+                    }
+                }
+            }
+            if next.is_empty() {
+                break;
+            }
+            ring = next;
+        }
+        let mut nodes: Vec<(NodeId, u32)> = distances.iter().map(|(&n, &d)| (n, d)).collect();
+        nodes.sort_unstable_by_key(|&(n, _)| n);
 
         let mut edges = Vec::new();
-        let mut continuations = BTreeSet::new();
+        let mut continuations = Vec::new();
         for &(node, dist) in &nodes {
+            let mut continues = false;
             for entry in graph.out(node) {
                 // The edge is inside the fragment only when it can be part of
                 // a path of length <= radius from the center and its target
                 // was reached within the radius.
-                if dist < radius && in_fragment.contains(&entry.node) {
+                if dist < radius && distances.contains_key(&entry.node) {
                     edges.push(Edge::new(node, entry.label, entry.node));
                 } else {
-                    continuations.insert(node);
+                    continues = true;
                 }
+            }
+            if continues {
+                continuations.push(node);
             }
         }
 
@@ -67,7 +88,7 @@ impl Neighborhood {
             radius,
             nodes,
             edges,
-            continuations: continuations.into_iter().collect(),
+            continuations,
         }
     }
 
@@ -156,15 +177,15 @@ impl NeighborhoodDelta {
     /// unrelated fragments is not meaningful.
     pub fn between(smaller: &Neighborhood, larger: &Neighborhood) -> Self {
         debug_assert_eq!(smaller.center(), larger.center());
-        let small_nodes: BTreeSet<NodeId> = smaller.node_ids().into_iter().collect();
         let mut small_edges: HashMap<Edge, usize> = HashMap::new();
         for edge in &smaller.edges {
             *small_edges.entry(*edge).or_default() += 1;
         }
         let added_nodes = larger
-            .node_ids()
-            .into_iter()
-            .filter(|n| !small_nodes.contains(n))
+            .nodes
+            .iter()
+            .map(|&(n, _)| n)
+            .filter(|&n| !smaller.contains(n))
             .collect();
         let added_edges = larger
             .edges

@@ -1,8 +1,9 @@
 //! Graph traversals: BFS, DFS, distances and reachability.
 //!
-//! These are the building blocks for neighborhood extraction
-//! ([`crate::neighborhood`]) and for the informativeness analysis in the
-//! interactive layer.
+//! Each of these allocates per-node state over the whole graph, so a
+//! traversal costs O(n) however little it reaches.  Neighborhood extraction
+//! ([`crate::neighborhood`]) runs its own radius-bounded search instead;
+//! [`bfs`] is the reference its differential test compares against.
 
 use crate::csr::CsrGraph;
 use crate::ids::NodeId;

@@ -159,8 +159,9 @@ impl User for SimulatedUser {
     fn satisfied_with(&mut self, _graph: &CsrGraph, hypothesis: &LearnedQuery) -> bool {
         // The simulated user is satisfied exactly when the hypothesis gives
         // the same answer as her goal on the whole (visible) graph; the goal
-        // answer was computed once at construction.
-        self.answer_cache.nodes() == hypothesis.answer.nodes()
+        // answer was computed once at construction.  Answers compare as
+        // bitsets, block by block: no node list is built.
+        *self.answer_cache == hypothesis.answer
     }
 }
 
@@ -345,6 +346,7 @@ mod tests {
         }
         let learned = gps_learner::Learner::default().learn(&g, &ex).unwrap();
         let expected = learned.answer.nodes() == the_goal.evaluate(&g).nodes();
+        assert_eq!(learned.answer == the_goal.evaluate(&g), expected);
         assert_eq!(
             <SimulatedUser as User>::satisfied_with(&mut user, &g, &learned),
             expected,

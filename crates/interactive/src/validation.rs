@@ -7,10 +7,12 @@
 //! whose length equals the last neighborhood radius, because the user zoomed
 //! out exactly that far before answering.
 //!
-//! The candidate words are read from the session's [`EvalHandle`]: its
-//! snapshot's word index restricted to the radius
+//! The candidate words are read from the session's [`EvalHandle`]: the
+//! node's entry in its snapshot's word index at the session's path bound
 //! ([`EvalHandle::bounded_words`], shared across every session on the
-//! engine).  There is no other source.
+//! engine), cut at the radius or, past the bound, extended for that node
+//! alone ([`gps_rpq::WordIndex::words_within`]).  There is no other source,
+//! and a prompt never derives the index at another bound.
 
 use gps_graph::{NodeId, PrefixTree, Word};
 use gps_rpq::{EvalHandle, NegativeCoverage};
@@ -53,12 +55,14 @@ pub fn build_prompt(
     radius: usize,
     coverage: &NegativeCoverage,
 ) -> Option<PathValidationPrompt> {
-    // The index lists a node's words by (length, labels): already the
-    // candidates' order.
-    let candidates: Vec<Word> = exec.bounded_words(radius)[node.index()]
-        .iter()
+    // The session's index at the coverage's bound, cut or extended to the
+    // radius for this one node: the shared index never widens for a prompt.
+    // Words come by (length, labels): already the candidates' order.
+    let index = exec.bounded_words(coverage.bound());
+    let candidates: Vec<Word> = index
+        .words_within(exec.cache().csr(), node, radius)
+        .into_iter()
         .filter(|w| !coverage.is_covered(w))
-        .map(<[_]>::to_vec)
         .collect();
     if candidates.is_empty() {
         return None;
@@ -172,7 +176,7 @@ mod tests {
         for negatives in [vec![], vec![ids.n5], vec![ids.n4, ids.n5]] {
             let coverage = NegativeCoverage::from_negatives(&g, negatives.clone(), 3);
             for node in g.nodes() {
-                for radius in 1..=4usize {
+                for radius in 1..=6usize {
                     // The reference: the node's enumerated paths.
                     let mut direct: Vec<Word> = gps_graph::PathEnumerator::new(radius)
                         .words_from(&g, node)

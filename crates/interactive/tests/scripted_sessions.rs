@@ -152,3 +152,35 @@ fn scripted_positive_then_negative_is_recorded_in_order() {
     assert_eq!(outcome.transcript[0].label, gps_learner::Label::Positive);
     assert_eq!(outcome.transcript[1].label, gps_learner::Label::Negative);
 }
+
+#[test]
+fn a_prompt_at_radius_six_leaves_the_shared_index_at_the_path_bound() {
+    // A 12-node ring with two labels: every zoom up to radius 6 reveals a
+    // new ring node, so the prompt is built at radius 6, two past the path
+    // bound of 4.
+    let mut g = gps_graph::Graph::new();
+    let nodes: Vec<_> = (0..12).map(|i| g.add_node(format!("v{i}"))).collect();
+    for (i, &node) in nodes.iter().enumerate() {
+        let label = if i % 3 == 0 { "a" } else { "b" };
+        g.add_edge_by_name(node, label, nodes[(i + 1) % nodes.len()]);
+    }
+    let graph = gps_graph::CsrGraph::from_graph(&g);
+    let exec = EvalHandle::naive(&graph);
+    let mut responses = vec![UserResponse::ZoomOut; 4];
+    responses.push(UserResponse::Positive);
+    let mut user = ScriptedUser::new(responses, vec![]);
+    let config = SessionConfig {
+        halt: HaltConfig {
+            max_interactions: 1,
+            stop_on_goal: false,
+        },
+        ..SessionConfig::default()
+    };
+    let mut session = Session::with_exec(&graph, config, exec.clone());
+    let outcome = session.run(&mut InformativePathsStrategy, &mut user);
+    assert_eq!(outcome.stats.zooms, 4);
+    assert_eq!(outcome.stats.path_validations, 1);
+    let validated = outcome.transcript[0].validated_word.as_ref().unwrap();
+    assert_eq!(validated.len(), 6, "the suggestion has the radius' length");
+    assert_eq!(exec.cache().words_bound(), Some(4));
+}

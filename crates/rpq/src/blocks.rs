@@ -268,6 +268,27 @@ impl BlockBits {
             .sum()
     }
 
+    /// Returns `true` when both arrays set the same bits, whatever their
+    /// lengths.  Blocks at one position cover the same bits, so each pair is
+    /// compared by pointer first, then word by word over the shorter block,
+    /// and whatever the longer array holds beyond the other must be clear.
+    /// No bit is decoded.
+    pub fn same_ones(&self, other: &Self) -> bool {
+        let (short, long) = if self.blocks.len() <= other.blocks.len() {
+            (self, other)
+        } else {
+            (other, self)
+        };
+        let clear = |words: &[u64]| words.iter().all(|&word| word == 0);
+        (short.blocks.iter().zip(&long.blocks)).all(|(x, y)| {
+            let common = x.len().min(y.len());
+            Arc::ptr_eq(x, y)
+                || (x[..common] == y[..common] && clear(&x[common..]) && clear(&y[common..]))
+        }) && long.blocks[short.blocks.len()..]
+            .iter()
+            .all(|block| Arc::ptr_eq(block, zero_words()) || clear(block))
+    }
+
     /// The set bits in ascending order.
     pub fn ones(&self) -> impl Iterator<Item = usize> + '_ {
         self.blocks
@@ -404,6 +425,37 @@ mod tests {
             let mut longer = from_flags.clone();
             longer.grow(len + 1, false);
             assert_ne!(from_flags, longer, "len {len}: length is part of equality");
+        }
+    }
+
+    #[test]
+    fn same_ones_ignores_the_length_but_not_a_bit() {
+        for len in LENGTHS {
+            let flags: Vec<bool> = (0..len).map(|i| i % 5 == 1 || i + 1 == len).collect();
+            let bits = BlockBits::from_flags(&flags);
+            let repacked = BlockBits::from_flags(&flags);
+            assert!(
+                bits.same_ones(&repacked),
+                "len {len}: other blocks, same bits"
+            );
+            for longer in [len, len + 1, len + 64, len + BLOCK_NODES, 2 * len + 3] {
+                let mut grown = bits.clone();
+                grown.grow(longer, false);
+                assert!(bits.same_ones(&grown), "len {len} grown to {longer}");
+                assert!(grown.same_ones(&bits), "len {len} grown to {longer}");
+                let mut filled = bits.clone();
+                filled.grow(longer, true);
+                assert_eq!(bits.same_ones(&filled), longer == len, "len {len}");
+                assert_eq!(filled.same_ones(&bits), longer == len, "len {len}");
+            }
+            for bit in corners(len) {
+                let mut flipped = bits.clone();
+                if !flipped.insert(bit) {
+                    flipped.remove(bit);
+                }
+                assert!(!bits.same_ones(&flipped), "len {len} bit {bit}");
+                assert!(!flipped.same_ones(&bits), "len {len} bit {bit}");
+            }
         }
     }
 

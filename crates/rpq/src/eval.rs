@@ -17,13 +17,24 @@ use std::collections::{BTreeMap, VecDeque};
 ///
 /// Cloning an answer copies a pointer table, not the bits, and an answer
 /// produced by a capturing or resumed evaluation *is* the start state's alive
-/// set of its [`EvalResume`] — the two share every block.  Equality is by
-/// node count and bits whatever produced the answer (bits past the node count
-/// are always clear), so a naive evaluation equals a migrated one.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
+/// set of its [`EvalResume`] — the two share every block.  Equality is
+/// node-set equality, compared block by block ([`BlockBits::same_ones`]):
+/// whatever produced the answer and whatever graph size it was computed on,
+/// two answers are equal iff they select the same nodes — a naive evaluation
+/// equals a migrated one, and an answer [`extended`](Self::extended) by
+/// unselected nodes equals the original.
+#[derive(Debug, Clone, Default)]
 pub struct QueryAnswer {
     selected: BlockBits,
 }
+
+impl PartialEq for QueryAnswer {
+    fn eq(&self, other: &Self) -> bool {
+        self.selected.same_ones(&other.selected)
+    }
+}
+
+impl Eq for QueryAnswer {}
 
 impl QueryAnswer {
     /// Builds an answer from a per-node membership vector.

@@ -24,8 +24,13 @@
 //! Across a publish [`WordIndex::inherit`] re-derives only the nodes that can
 //! reach a changed edge within the bound; every other node shares its id list
 //! with the old epoch.
+//!
+//! One node's words past the bound — a validation prompt after the user
+//! zoomed out further — come from [`WordIndex::words_within`], which runs the
+//! same recurrence over that node's neighbourhood alone.
 
-use gps_graph::{CsrGraph, GraphDelta, LabelId, NodeId};
+use gps_graph::{CsrGraph, GraphDelta, LabelId, NodeId, Word};
+use std::collections::HashMap;
 use std::ops::Index;
 use std::sync::Arc;
 
@@ -249,6 +254,79 @@ impl WordIndex {
             nodes,
             postings: Arc::clone(&self.postings),
         }
+    }
+
+    /// `node`'s distinct words of length `1..=length`, by (length, label
+    /// sequence): what an index derived at bound `length` lists for the
+    /// node, without deriving one.  `csr` is the snapshot this index was
+    /// built over.
+    ///
+    /// Up to this index's bound, the node's own id list is cut where longer
+    /// words start (ids are ordered by length).  Beyond it, the longer words
+    /// come from the same level recurrence as [`build`](Self::build), run
+    /// over the node's `length − bound − 1`-hop out-neighbourhood only, with
+    /// the length-`bound` words of its rim read off the index.
+    pub fn words_within(&self, csr: &CsrGraph, node: NodeId, length: usize) -> Vec<Word> {
+        let ids = self.nodes[node.index()].ids();
+        let end = self.dict.ids_within(length);
+        let mut words: Vec<Word> = ids[..ids.partition_point(|&id| id < end)]
+            .iter()
+            .map(|&id| self.dict.word(id).to_vec())
+            .collect();
+        if length <= self.bound {
+            return words;
+        }
+        // Every node within `length − bound` hops, with its distance: a
+        // length-`k` word of `node` steps through nodes within `length − k`
+        // hops and ends in a length-`bound` word of a node one hop further.
+        let mut distance: HashMap<NodeId, usize> = HashMap::from([(node, 0)]);
+        let mut ring = vec![node];
+        for hop in 1..=length - self.bound {
+            let mut next = Vec::new();
+            for &from in &ring {
+                for entry in csr.out(from) {
+                    distance.entry(entry.node).or_insert_with(|| {
+                        next.push(entry.node);
+                        hop
+                    });
+                }
+            }
+            ring = next;
+        }
+        // The level recurrence from the index's longest level up: `below`
+        // holds each node's sorted words of the previous length.
+        let mut below: HashMap<NodeId, Vec<Word>> = (distance.keys())
+            .map(|&u| {
+                let words = match self.bound {
+                    0 => vec![Word::new()],
+                    bound => (self.nodes[u.index()].level(bound).iter())
+                        .map(|&id| self.dict.word(id).to_vec())
+                        .collect(),
+                };
+                (u, words)
+            })
+            .collect();
+        for k in self.bound + 1..=length {
+            below = (distance.iter())
+                .filter(|&(_, &hops)| hops <= length - k)
+                .map(|(&u, _)| {
+                    let mut spelled: Vec<Word> = Vec::new();
+                    for entry in csr.out(u) {
+                        for suffix in &below[&entry.node] {
+                            let mut word = Vec::with_capacity(k);
+                            word.push(entry.label);
+                            word.extend_from_slice(suffix);
+                            spelled.push(word);
+                        }
+                    }
+                    spelled.sort_unstable();
+                    spelled.dedup();
+                    (u, spelled)
+                })
+                .collect();
+            words.extend_from_slice(&below[&node]);
+        }
+        words
     }
 
     /// The maximum word length covered.

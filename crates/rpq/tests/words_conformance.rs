@@ -4,7 +4,9 @@
 //! language — the words of all its walks of length `1..=bound`, what
 //! `PathEnumerator::new(bound).with_max_paths(usize::MAX)` yields, with no
 //! walk cap — with postings that are its transpose; a smaller bound must be the
-//! restriction of a larger one; an inherited index must equal a cold build;
+//! restriction of a larger one; one node's words at any length, cut from or
+//! derived past an index at any bound, must be its bounded language too; an
+//! inherited index must equal a cold build;
 //! and the pruning refresh that walks its postings must keep the scores of
 //! the reference, a rescan of every node's enumerated words.
 
@@ -118,6 +120,40 @@ fn index_equals_the_enumerator_and_its_transpose_at_every_bound() {
                 );
             }
             assert_eq!(cache.words_bound(), Some(4));
+        }
+    }
+}
+
+/// One node's words at any length, from an index at any bound — cut below
+/// the bound, derived for that node alone above it — are the uncapped
+/// enumerator's; a restricted view reads the same as a build at its bound.
+#[test]
+fn words_within_any_length_equal_the_enumerator_from_every_bound() {
+    for seed in 0..3u64 {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let graph = random_graph(&mut rng, 24, 36 + 6 * seed as usize, 3);
+        let csr = CsrGraph::from_graph(&graph);
+        let largest = WordIndex::build(&csr, 4);
+        for bound in 0..=4usize {
+            let built = WordIndex::build(&csr, bound);
+            let restricted = largest.restricted(bound);
+            for node in csr.nodes() {
+                for length in 0..=6usize {
+                    let expected = enumerated(&csr, node, length);
+                    let context =
+                        format!("seed {seed}, bound {bound}, node {node}, length {length}");
+                    assert_eq!(
+                        built.words_within(&csr, node, length),
+                        expected,
+                        "{context}"
+                    );
+                    assert_eq!(
+                        restricted.words_within(&csr, node, length),
+                        expected,
+                        "{context} (restricted)"
+                    );
+                }
+            }
         }
     }
 }

@@ -46,7 +46,7 @@ fn main() {
     println!("{}", transcript.render());
 
     if let Some(learned) = &outcome.learned {
-        let same = learned.answer.nodes() == goal.evaluate(graph).nodes();
+        let same = learned.answer == goal.evaluate(graph);
         println!("learned query equals the goal on this graph: {same}\n");
     }
 

@@ -57,7 +57,7 @@ fn main() {
         let reached = outcome
             .learned
             .as_ref()
-            .map(|l| l.answer.nodes() == answer.nodes())
+            .map(|l| l.answer == answer)
             .unwrap_or(false);
         println!(
             "{:<32} {:>12} {:>8} {:>12}",
