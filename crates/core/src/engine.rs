@@ -122,8 +122,10 @@ impl GpsBuilder {
         Ok(Self::new(gps_graph::io::parse_edge_list(text)?))
     }
 
-    /// Replaces the learner configuration.
+    /// Replaces the learner configuration; its `path_bound` becomes the
+    /// engine's path bound.
     pub fn learner(mut self, learner: Learner) -> Self {
+        self.session.path_bound = learner.path_bound;
         self.session.learner = learner;
         self
     }
@@ -213,7 +215,8 @@ impl GpsBuilder {
     }
 
     /// Replaces the whole session configuration at once, including its
-    /// embedded learner (which becomes the engine's learner).
+    /// embedded learner (which becomes the engine's learner, at the
+    /// configuration's `path_bound`).
     pub fn session_config(mut self, config: SessionConfig) -> Self {
         self.session = config;
         self
@@ -231,7 +234,10 @@ impl GpsBuilder {
     /// with a streamed corpus builder (e.g.
     /// `gps_datasets::streamed::generate_csr`) to stand up an engine without
     /// ever materializing a mutable [`Graph`].
-    pub fn build_core_over(self, snapshot: Arc<CsrGraph>) -> Engine {
+    pub fn build_core_over(mut self, snapshot: Arc<CsrGraph>) -> Engine {
+        // One path bound per engine: static labeling and sessions read one
+        // word index.
+        self.session.learner.path_bound = self.session.path_bound;
         let exec_metrics = ExecMetrics::from_registry(&self.metrics);
         let started = Instant::now();
         let evaluator = BatchEvaluator::from_csr(&snapshot);
@@ -736,16 +742,43 @@ mod tests {
     }
 
     #[test]
-    fn session_config_adopts_its_learner() {
+    fn session_config_adopts_its_learner_at_its_path_bound() {
         let (graph, _) = figure1_graph();
         let config = gps_interactive::session::SessionConfig {
             learner: Learner::with_bound(2),
             path_bound: 2,
             ..Default::default()
         };
-        let engine = Engine::builder(graph).session_config(config).build();
+        let engine = Engine::builder(graph.clone())
+            .session_config(config)
+            .build();
         assert_eq!(engine.learner().path_bound, 2);
         assert_eq!(engine.session_config().learner.path_bound, 2);
+        // Two different bounds: the session's wins, for the learner too.
+        let config = gps_interactive::session::SessionConfig {
+            learner: Learner::with_bound(2),
+            path_bound: 3,
+            ..Default::default()
+        };
+        let engine = Engine::builder(graph).session_config(config).build();
+        assert_eq!(engine.learner().path_bound, 3);
+        assert_eq!(engine.session_config().path_bound, 3);
+    }
+
+    #[test]
+    fn a_learner_bound_is_the_bound_of_the_shared_word_index() {
+        let (graph, _) = figure1_graph();
+        let engine = Engine::builder(graph)
+            .learner(Learner::with_bound(3))
+            .build();
+        assert_eq!(engine.session_config().path_bound, 3);
+        let mut user = engine.simulated_user(MOTIVATING_QUERY).unwrap();
+        engine.specify(&mut user);
+        assert_eq!(engine.eval_cache().words_bound(), Some(3));
+        // Static labeling reads the same index.
+        let (_, ids) = figure1_graph();
+        engine.static_labeling(&[(ids.n2, Label::Positive), (ids.n5, Label::Negative)]);
+        assert_eq!(engine.eval_cache().words_bound(), Some(3));
     }
 
     #[test]

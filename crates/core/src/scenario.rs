@@ -29,9 +29,10 @@ pub enum StaticLabelingOutcome {
     Learned(Box<LearnedQuery>),
     /// The labels are inconsistent: no query (within the learner's bound) can
     /// select all positives and no negative.  The offending positive node is
-    /// reported.
+    /// reported: the first, in id order, whose every bounded path is covered
+    /// by negatives, else the node the learner could not satisfy.
     Inconsistent {
-        /// A positive node whose every bounded path is covered by negatives.
+        /// A positive node the labels leave no consistent query for.
         conflicting_positive: NodeId,
     },
     /// The user provided no positive example, so there is nothing to learn.
@@ -48,13 +49,6 @@ pub fn static_labeling(
     let examples: ExampleSet = labels.iter().copied().collect();
     if examples.positive_count() == 0 {
         return StaticLabelingOutcome::NoPositives;
-    }
-    if let Some(consistency::Infeasibility::PositiveCovered(node)) =
-        consistency::check_satisfiable(exec, &examples, learner.path_bound)
-    {
-        return StaticLabelingOutcome::Inconsistent {
-            conflicting_positive: node,
-        };
     }
     let index = exec.bounded_words(learner.path_bound);
     let coverage = NegativeCoverage::from_index(&index, examples.negatives());
@@ -190,6 +184,41 @@ mod tests {
             } => assert_eq!(conflicting_positive, ids.c1),
             other => panic!("expected inconsistency, got {other:?}"),
         }
+    }
+
+    #[test]
+    fn static_labeling_reports_the_smallest_covered_positive() {
+        // N2 -bus-> N1 -tram-> N4 -cinema-> C1, and N5 -bus-> N1, N6 -bus-> N1:
+        // N5's words (bus, bus·tram, bus·tram·cinema) are all of N2's and
+        // N6's, so labeling N5 negative covers both positives, while N1's
+        // words (tram, tram·cinema) stay uncovered.
+        let mut g = gps_graph::Graph::new();
+        let [n2, n1, n4, c1, n5, n6] = ["N2", "N1", "N4", "C1", "N5", "N6"].map(|n| g.add_node(n));
+        g.add_edge_by_name(n2, "bus", n1);
+        g.add_edge_by_name(n1, "tram", n4);
+        g.add_edge_by_name(n4, "cinema", c1);
+        g.add_edge_by_name(n5, "bus", n1);
+        g.add_edge_by_name(n6, "bus", n1);
+        let exec = EvalHandle::naive(&CsrGraph::from_graph(&g));
+        let (pos, neg) = (Label::Positive, Label::Negative);
+        // The smaller id is reported, whatever order the labels come in.
+        for labels in [
+            [(n1, pos), (n2, pos), (n5, neg), (n6, pos)],
+            [(n6, pos), (n5, neg), (n2, pos), (n1, pos)],
+        ] {
+            match static_labeling(&exec, &labels, &Learner::default()) {
+                StaticLabelingOutcome::Inconsistent {
+                    conflicting_positive,
+                } => assert_eq!(conflicting_positive, n2),
+                other => panic!("expected inconsistency, got {other:?}"),
+            }
+        }
+        // Without the negative both learn.
+        let labels = [(n2, pos), (n6, pos)];
+        assert!(matches!(
+            static_labeling(&exec, &labels, &Learner::default()),
+            StaticLabelingOutcome::Learned(_)
+        ));
     }
 
     #[test]

@@ -4,15 +4,15 @@
 //! [`LabelIndex`] once and then serves any number of queries over it, one
 //! at a time: single evaluations, sequential batches sharing one scratch
 //! allocation ([`evaluate_many`](BatchEvaluator::evaluate_many)), resumes
-//! across a graph delta, and forward early-exit membership checks
-//! ([`selects`](BatchEvaluator::selects)).
+//! across a graph delta, and per-node shortest witnesses (which answer
+//! per-node membership too).
 //!
 //! It implements [`DfaEvaluator`], which is how the `gps-rpq` evaluation
 //! cache — and through it the whole `gps-core` engine, sessions, learner and
 //! coverage — runs on it.
 
 use crate::frontier::{
-    evaluate_captured, evaluate_counting, resume, selects_from, witness_from, Resumed, Scratch,
+    evaluate_captured, evaluate_counting, resume, witness_from, Resumed, Scratch,
     DEFAULT_OVERDELETE_LIMIT,
 };
 use crate::index::LabelIndex;
@@ -208,11 +208,6 @@ impl BatchEvaluator {
                 .collect()
         })
     }
-
-    /// Forward early-exit membership check for one node.
-    pub fn selects(&self, dfa: &Dfa, node: NodeId) -> bool {
-        selects_from(&self.index, dfa, node.index())
-    }
 }
 
 impl DfaEvaluator for BatchEvaluator {
@@ -258,7 +253,7 @@ impl DfaEvaluator for BatchEvaluator {
     }
 
     fn selects_node(&self, dfa: &Dfa, node: NodeId) -> bool {
-        self.selects(dfa, node)
+        self.witness(dfa, node).is_some()
     }
 
     fn witness(&self, dfa: &Dfa, node: NodeId) -> Option<Path> {
@@ -373,8 +368,8 @@ mod tests {
         let evaluator = BatchEvaluator::from_csr(&g);
         let query = PathQuery::parse("(tram+bus)*.cinema", g.labels()).unwrap();
         assert_eq!(evaluator.evaluate_query(&query), query.evaluate(&g));
-        assert!(evaluator.selects(query.dfa(), g.node_by_name("N2").unwrap()));
-        assert!(!evaluator.selects(query.dfa(), g.node_by_name("C1").unwrap()));
+        assert!(evaluator.selects_node(query.dfa(), g.node_by_name("N2").unwrap()));
+        assert!(!evaluator.selects_node(query.dfa(), g.node_by_name("C1").unwrap()));
     }
 
     #[test]
@@ -398,7 +393,7 @@ mod tests {
             }
             for node in 0..g.node_count() {
                 assert_eq!(
-                    evaluator.selects(dfa, NodeId::from(node)),
+                    evaluator.selects_node(dfa, NodeId::from(node)),
                     expected.contains(NodeId::from(node))
                 );
             }

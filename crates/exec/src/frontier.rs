@@ -42,7 +42,8 @@ use crate::planner::Plan;
 use gps_automata::Dfa;
 use gps_graph::{GraphDelta, LabelId, NodeId, Path};
 use gps_rpq::{EvalResume, QueryAnswer};
-use std::collections::HashSet;
+use std::collections::hash_map::Entry;
+use std::collections::{HashMap, HashSet};
 
 /// The cap [`BatchEvaluator`](crate::BatchEvaluator) puts on a resume's
 /// over-deletion, as a fraction of the post-insert alive configuration
@@ -506,54 +507,18 @@ pub fn resume(
     })
 }
 
-/// Forward single-source check: does some path from `source` spell an
-/// accepted word?  Early-exits on the first accepting configuration, so for
-/// selective queries over a handful of sources this beats the global fixed
-/// point.
-pub fn selects_from(index: &LabelIndex, dfa: &Dfa, source: usize) -> bool {
-    let n = index.node_count();
-    let s = dfa.state_count();
-    if n == 0 || s == 0 || source >= n {
-        return false;
-    }
-    if dfa.is_accepting(dfa.start()) {
-        return true;
-    }
-    let mut fwd_dfa: Vec<Vec<(LabelId, usize)>> = vec![Vec::new(); s];
-    for (state, transitions) in fwd_dfa.iter_mut().enumerate() {
-        transitions.extend(dfa.transitions_from(state));
-    }
-    let mut visited: Vec<FixedBitSet> = (0..s).map(|_| FixedBitSet::new(n)).collect();
-    let mut queue = std::collections::VecDeque::new();
-    visited[dfa.start()].insert(source);
-    queue.push_back((source, dfa.start()));
-    while let Some((node, state)) = queue.pop_front() {
-        for &(label, next_state) in &fwd_dfa[state] {
-            for &u in index.neighbors(Direction::Forward, label, node) {
-                if visited[next_state].insert(u as usize) {
-                    if dfa.is_accepting(next_state) {
-                        return true;
-                    }
-                    queue.push_back((u as usize, next_state));
-                }
-            }
-        }
-    }
-    false
-}
-
 /// Shortest witness extraction over the label index: a BFS over `(node, DFA
 /// state)` configurations following the per-label forward slices, with
-/// parent links for path reconstruction.
+/// parent links for path reconstruction.  The parent map is the visited set
+/// (the start configuration is in it, with no parent), so a search costs
+/// what it visits, not a bit per (node, state) of the graph.
 ///
 /// Returns a path of the same (minimal) length as
 /// `gps_rpq::witness::shortest_witness` — the concrete path may differ when
 /// several shortest witnesses exist, but the length (what the interactive
 /// layer's zooming decision consumes) is unique.
 pub fn witness_from(index: &LabelIndex, dfa: &Dfa, source: usize) -> Option<Path> {
-    let n = index.node_count();
-    let s = dfa.state_count();
-    if s == 0 || source >= n {
+    if dfa.state_count() == 0 || source >= index.node_count() {
         return None;
     }
     let start_node = NodeId::from(source);
@@ -561,24 +526,20 @@ pub fn witness_from(index: &LabelIndex, dfa: &Dfa, source: usize) -> Option<Path
         return Some(Path::empty(start_node));
     }
     // Parent links: (node, state) -> (parent node, parent state, label).
-    let mut parents: std::collections::HashMap<(usize, usize), (usize, usize, LabelId)> =
-        std::collections::HashMap::new();
-    let mut visited: Vec<FixedBitSet> = (0..s).map(|_| FixedBitSet::new(n)).collect();
-    let mut queue = std::collections::VecDeque::new();
-    visited[dfa.start()].insert(source);
-    queue.push_back((source, dfa.start()));
+    let mut parents = HashMap::from([((source, dfa.start()), None)]);
+    let mut queue = std::collections::VecDeque::from([(source, dfa.start())]);
     while let Some((node, state)) = queue.pop_front() {
         for (label, next_state) in dfa.transitions_from(state) {
             for &u in index.neighbors(Direction::Forward, label, node) {
                 let next = (u as usize, next_state);
-                if visited[next_state].insert(u as usize) {
-                    parents.insert(next, (node, state, label));
+                if let Entry::Vacant(slot) = parents.entry(next) {
+                    slot.insert(Some((node, state, label)));
                     if dfa.is_accepting(next_state) {
                         // Reconstruct by walking the parent links back.
                         let mut word = Vec::new();
                         let mut nodes = vec![NodeId::from(next.0)];
                         let mut current = next;
-                        while let Some(&(pn, ps, label)) = parents.get(&current) {
+                        while let Some(&(pn, ps, label)) = parents[&current].as_ref() {
                             word.push(label);
                             nodes.push(NodeId::from(pn));
                             current = (pn, ps);
@@ -669,19 +630,25 @@ mod tests {
     }
 
     #[test]
-    fn selects_from_agrees_with_global_answer() {
-        let g = figure1_like();
-        let dfa = motivating(&g);
-        let index = LabelIndex::from_csr(&g);
-        let expected = gps_rpq::eval::evaluate(&g, &dfa);
-        for node in 0..g.node_count() {
-            assert_eq!(
-                selects_from(&index, &dfa, node),
-                expected.contains(gps_graph::NodeId::from(node)),
-                "node {node}"
-            );
-        }
-        assert!(!selects_from(&index, &dfa, 99), "out of range is false");
+    fn a_witness_search_that_returns_to_its_start_terminates() {
+        // A -x-> B -x-> A closes a cycle through the start configuration
+        // (A, start) of `x*·y` before B -x-> D -y-> C reaches acceptance.
+        let mut g = Graph::new();
+        let [a, b, d, c] = ["A", "B", "D", "C"].map(|name| g.add_node(name));
+        g.add_edge_by_name(a, "x", b);
+        g.add_edge_by_name(b, "x", a);
+        g.add_edge_by_name(b, "x", d);
+        g.add_edge_by_name(d, "y", c);
+        let g = CsrGraph::from_graph(&g);
+        let (x, y) = (g.label_id("x").unwrap(), g.label_id("y").unwrap());
+        let dfa = Dfa::from_regex(&Regex::concat([
+            Regex::star(Regex::symbol(x)),
+            Regex::symbol(y),
+        ]));
+        let path = witness_from(&LabelIndex::from_csr(&g), &dfa, a.index()).unwrap();
+        assert_eq!(path.word, vec![x, x, y]);
+        assert_eq!(path.nodes, vec![a, b, d, c]);
+        assert_eq!(path.start, a);
     }
 
     #[test]

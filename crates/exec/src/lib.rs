@@ -1,8 +1,8 @@
 //! # gps-exec — frontier-based RPQ execution
 //!
 //! The interactive layers of GPS evaluate the *same graph* against *many*
-//! queries: the learner's consistency checks, session pruning and
-//! propagation, coverage, witnesses and the benchmark workloads all funnel
+//! queries: the learner's consistency checks, the simulated user's goal
+//! answers, witnesses and the benchmark workloads all funnel
 //! through RPQ evaluation.  This crate is the set-at-a-time execution engine
 //! for that traffic, over [`gps_graph::CsrGraph`] snapshots:
 //!

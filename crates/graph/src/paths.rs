@@ -172,19 +172,6 @@ impl PathEnumerator {
             .map(|p| p.word)
             .collect()
     }
-
-    /// The shortest paths from `start`, grouped: for every distinct word, a
-    /// single witness path (the first found in BFS order).
-    pub fn witness_paths_from(&self, graph: &CsrGraph, start: NodeId) -> Vec<Path> {
-        let mut seen = BTreeSet::new();
-        let mut witnesses = Vec::new();
-        for path in self.paths_from(graph, start) {
-            if seen.insert(path.word.clone()) {
-                witnesses.push(path);
-            }
-        }
-        witnesses
-    }
 }
 
 #[cfg(test)]
@@ -286,17 +273,6 @@ mod tests {
         assert!(words.contains(&Vec::new()));
         let words_no_eps = PathEnumerator::new(1).words_from(&g, n2);
         assert!(!words_no_eps.contains(&Vec::new()));
-    }
-
-    #[test]
-    fn witness_paths_have_unique_words() {
-        let (g, n2) = n2_fragment();
-        let witnesses = PathEnumerator::new(3).witness_paths_from(&g, n2);
-        let mut words: Vec<&Word> = witnesses.iter().map(|p| &p.word).collect();
-        let before = words.len();
-        words.sort();
-        words.dedup();
-        assert_eq!(before, words.len());
     }
 
     #[test]

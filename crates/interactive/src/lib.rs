@@ -3,9 +3,11 @@
 //! This crate implements the core of GPS (Figure 2 of the paper): the loop
 //! that repeatedly proposes an informative node to the user, shows her its
 //! neighborhood (zooming out on demand), records her positive/negative label,
-//! optionally lets her validate the witness path in a prefix tree, propagates
-//! the label, prunes nodes that became uninformative, and re-learns a
-//! candidate query until a halt condition is met.
+//! optionally lets her validate the witness path in a prefix tree, re-learns
+//! a candidate query, and refreshes the pruning — a negative label's newly
+//! covered words lower the scores of the nodes spelling them, and the nodes
+//! left with none are pruned as uninformative — until a halt condition is
+//! met.
 //!
 //! Every piece — strategies, users, zooming, pruning and validation — reads
 //! the immutable [`gps_graph::CsrGraph`] snapshot.
@@ -13,7 +15,6 @@
 //! * [`strategy`] — node-proposal strategies `Υ` (random, degree-based, and
 //!   the informative-paths strategy of the paper);
 //! * [`pruning`] — the uninformative-node pruning state;
-//! * [`propagation`] — label propagation after each interaction;
 //! * [`zoom`] — neighborhood zooming (Figure 3(a)/(b));
 //! * [`validation`] — candidate-path selection and prefix-tree validation
 //!   (Figure 3(c));
@@ -49,7 +50,6 @@
 
 pub mod halt;
 pub mod metrics;
-pub mod propagation;
 pub mod pruning;
 pub mod session;
 pub mod stats;

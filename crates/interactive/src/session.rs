@@ -43,7 +43,9 @@ pub struct SessionConfig {
     pub with_path_validation: bool,
     /// Halt conditions.
     pub halt: HaltConfig,
-    /// The learner configuration.
+    /// The learner configuration.  A session learns at `path_bound` (its
+    /// coverage's bound), whatever `learner.path_bound` says; an engine sets
+    /// the two equal.
     pub learner: Learner,
 }
 
@@ -338,10 +340,10 @@ impl<'g> Session<'g> {
         self.metrics.interactions.inc();
         self.transcript.push(record);
 
-        // Learn from all labels, propagate, prune.  The learner shares the
-        // session's coverage and evaluation stack, so the consistency check
-        // runs on the configured engine (and repeat hypotheses hit the
-        // cache).
+        // Learn from all labels, then refresh the pruning.  The learner
+        // shares the session's coverage and evaluation stack, so the
+        // consistency check runs on the configured engine (and repeat
+        // hypotheses hit the cache).
         if self.examples.positive_count() > 0 {
             if let Ok(learned) =
                 self.config

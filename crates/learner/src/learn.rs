@@ -25,8 +25,9 @@ use gps_rpq::{EvalHandle, NegativeCoverage, QueryAnswer};
 /// Tunable parameters of the learner.
 #[derive(Debug, Clone)]
 pub struct Learner {
-    /// Maximum length of paths considered when selecting positive witness
-    /// words and when collecting the words of negative nodes.
+    /// Maximum length of paths considered by [`Learner::learn`].
+    /// [`Learner::learn_with`] learns at its coverage's bound instead; an
+    /// engine keeps the two equal.
     pub path_bound: usize,
     /// Safety cap on the number of paths enumerated per node.
     pub max_paths_per_node: usize,
@@ -102,24 +103,9 @@ impl Learner {
     /// the negative constraint words off its prefix tree.
     ///
     /// `exec` must serve `graph`, and `coverage` must reflect exactly the
-    /// negatives of `examples`; when its bound differs from the learner's it
-    /// is rebuilt at the learner's bound from the word index.
+    /// negatives of `examples`.  The coverage's bound is the bound learned
+    /// at: positives' words are read from the word index at it.
     pub fn learn_with(
-        &self,
-        graph: &CsrGraph,
-        examples: &ExampleSet,
-        coverage: &NegativeCoverage,
-        exec: &EvalHandle,
-    ) -> Result<LearnedQuery, LearnError> {
-        if coverage.bound() != self.path_bound {
-            let index = exec.bounded_words(self.path_bound);
-            let rebuilt = NegativeCoverage::from_index(&index, examples.negatives());
-            return self.learn_core(graph, examples, &rebuilt, exec);
-        }
-        self.learn_core(graph, examples, coverage, exec)
-    }
-
-    fn learn_core(
         &self,
         graph: &CsrGraph,
         examples: &ExampleSet,
@@ -130,7 +116,7 @@ impl Learner {
             return Err(LearnError::NoPositiveExamples);
         }
         // Step (i): one uncovered word per positive example.
-        let selected = select_paths(exec, examples, coverage, self.path_bound)?;
+        let selected = select_paths(exec, examples, coverage)?;
         let positive_words: Vec<Word> = selected.values().cloned().collect();
 
         // Negative constraint: every bounded word of every negative node,
@@ -142,7 +128,7 @@ impl Learner {
         // capped per-node enumeration keeps the PTA bounded.
         let covered = coverage.covered_words();
         let negative_words = if covered.len() > self.max_paths_per_node {
-            self.negative_words(graph, examples)
+            self.negative_words(graph, examples, coverage.bound())
         } else {
             let mut words: Vec<Word> = vec![Vec::new()];
             words.extend(covered);
@@ -168,14 +154,13 @@ impl Learner {
         })
     }
 
-    /// The words (up to the bound) of every negative node, plus ε (a nullable
+    /// The words (up to `bound`) of every negative node, plus ε (a nullable
     /// hypothesis would select every node and is never a meaningful path
     /// query).
-    fn negative_words(&self, graph: &CsrGraph, examples: &ExampleSet) -> Vec<Word> {
+    fn negative_words(&self, graph: &CsrGraph, examples: &ExampleSet, bound: usize) -> Vec<Word> {
         let negatives = examples.negatives();
         let mut words: Vec<Word> = vec![Vec::new()];
-        let enumerator =
-            PathEnumerator::new(self.path_bound).with_max_paths(self.max_paths_per_node);
+        let enumerator = PathEnumerator::new(bound).with_max_paths(self.max_paths_per_node);
         for node in negatives {
             words.extend(enumerator.words_from(graph, node));
         }
@@ -349,10 +334,13 @@ mod tests {
         let again = learner.learn_with(&g, &ex, &coverage, &exec).unwrap();
         assert_eq!(again.answer, threaded.answer);
         assert_eq!(exec.cache().stats().0, before.0 + 1, "one more hit");
-        // A coverage at the wrong bound is rebuilt rather than trusted.
+        // The coverage's bound is the bound learned at.
         let coarse = NegativeCoverage::from_negatives(&g, ex.negatives(), 1);
-        let rebuilt = learner.learn_with(&g, &ex, &coarse, &exec).unwrap();
-        assert_eq!(rebuilt.regex, direct.regex);
+        let at_one = learner.learn_with(&g, &ex, &coarse, &exec).unwrap();
+        let one = Learner::with_bound(1).learn(&g, &ex).unwrap();
+        assert_eq!(at_one.regex, one.regex);
+        assert_eq!(at_one.selected_paths, one.selected_paths);
+        assert!(at_one.selected_paths.values().all(|word| word.len() == 1));
         // Errors propagate identically.
         let empty = ExampleSet::new();
         let no_cov = NegativeCoverage::new(learner.path_bound);

@@ -16,7 +16,7 @@
 //!
 //! Modules:
 //! * [`examples`] — labeled example sets;
-//! * [`consistency`] — consistency of queries and of example sets;
+//! * [`consistency`] — consistency of queries with example sets;
 //! * [`path_selection`] — smallest-uncovered-path selection;
 //! * [`merge`] — RPNI-style state merging guarded by negative words;
 //! * [`learn`] — the end-to-end learner;

@@ -19,18 +19,16 @@ use std::collections::BTreeMap;
 pub type SelectedPaths = BTreeMap<NodeId, Word>;
 
 /// Selects one uncovered word per positive example of `exec`'s snapshot,
-/// reading each positive's bounded words from its word index.
-///
-/// * `bound` — the maximum path length considered;
-/// * validated paths recorded in `examples` take precedence over automatic
-///   selection but are still checked against the coverage.
+/// reading each positive's words from its word index at the coverage's
+/// bound, the maximum path length considered.  Validated paths recorded in
+/// `examples` take precedence over automatic selection but are still checked
+/// against the coverage.
 pub fn select_paths(
     exec: &EvalHandle,
     examples: &ExampleSet,
     coverage: &NegativeCoverage,
-    bound: usize,
 ) -> Result<SelectedPaths, LearnError> {
-    let index = exec.bounded_words(bound);
+    let index = exec.bounded_words(coverage.bound());
     let mut selected = SelectedPaths::new();
     for positive in examples.positives() {
         if let Some(word) = examples.validated_path(positive) {
@@ -83,7 +81,7 @@ mod tests {
         let mut examples = ExampleSet::new();
         examples.add_positive(node);
         let exec = EvalHandle::naive(g);
-        let selected = select_paths(&exec, &examples, coverage, coverage.bound()).ok()?;
+        let selected = select_paths(&exec, &examples, coverage).ok()?;
         selected.get(&node).cloned()
     }
 
@@ -141,7 +139,7 @@ mod tests {
         examples.set_validated_path(n2, vec![bus, tram, cinema]);
         examples.add_positive(n6);
         let coverage = NegativeCoverage::new(3);
-        let selected = select_paths(&EvalHandle::naive(&g), &examples, &coverage, 3).unwrap();
+        let selected = select_paths(&EvalHandle::naive(&g), &examples, &coverage).unwrap();
         assert_eq!(selected[&n2], vec![bus, tram, cinema]);
         assert_eq!(selected[&n6], vec![cinema]);
     }
@@ -172,14 +170,14 @@ mod tests {
                 .into_iter()
                 .map(|node| (node, direct(node, &coverage, bound).unwrap()))
                 .collect();
-            let cached = select_paths(&exec, &examples, &coverage, bound).unwrap();
+            let cached = select_paths(&exec, &examples, &coverage).unwrap();
             assert_eq!(cached, expected, "bound {bound}");
         }
         // Error cases agree too: every word of N6 covered.
         let coverage = NegativeCoverage::from_negatives(&g, [n4], 3);
         assert_eq!(direct(n6, &coverage, 3), None);
         assert_eq!(
-            select_paths(&exec, &examples, &coverage, 3).unwrap_err(),
+            select_paths(&exec, &examples, &coverage).unwrap_err(),
             LearnError::PositiveFullyCovered { node: n6 },
         );
     }
@@ -194,7 +192,7 @@ mod tests {
         examples.set_validated_path(n2, vec![restaurant]);
         examples.add_negative(n5);
         let coverage = NegativeCoverage::from_negatives(&g, [n5], 3);
-        let err = select_paths(&EvalHandle::naive(&g), &examples, &coverage, 3).unwrap_err();
+        let err = select_paths(&EvalHandle::naive(&g), &examples, &coverage).unwrap_err();
         assert_eq!(err, LearnError::ValidatedPathCovered { node: n2 });
     }
 
@@ -207,7 +205,7 @@ mod tests {
         examples.add_positive(n6);
         examples.add_negative(n4);
         let coverage = NegativeCoverage::from_negatives(&g, [n4], 3);
-        let err = select_paths(&EvalHandle::naive(&g), &examples, &coverage, 3).unwrap_err();
+        let err = select_paths(&EvalHandle::naive(&g), &examples, &coverage).unwrap_err();
         assert_eq!(err, LearnError::PositiveFullyCovered { node: n6 });
     }
 }

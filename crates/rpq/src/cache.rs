@@ -274,25 +274,6 @@ fn grown(answer: &Arc<QueryAnswer>, nodes: usize, nullable: bool) -> Arc<QueryAn
     }
 }
 
-/// The snapshot's bounded-word index: derived once at the largest bound
-/// asked for so far, plus its cheap restrictions to the smaller bounds in use
-/// (the zoom radii below the path bound) — a restriction shares the index's
-/// dictionary, id lists and postings, so no bound is ever derived twice.
-#[derive(Debug, Default)]
-struct Words {
-    index: Option<Arc<WordIndex>>,
-    restricted: HashMap<usize, Arc<WordIndex>>,
-}
-
-impl Words {
-    fn get(&self, bound: usize) -> Option<Arc<WordIndex>> {
-        match &self.index {
-            Some(index) if index.bound() == bound => Some(Arc::clone(index)),
-            _ => self.restricted.get(&bound).cloned(),
-        }
-    }
-}
-
 /// How one epoch migration ([`EvalCache::migrate_answers`]) classified the
 /// old cache's answers.  The split is decided at publish; the Tier-2/3
 /// resumes it schedules run when an answer is first read on the new epoch.
@@ -336,10 +317,10 @@ pub struct EvalCache {
     /// The deltas this cache's pending entries resume across; written once,
     /// by [`migrate_answers`](Self::migrate_answers).
     log: RwLock<DeltaLog>,
-    /// The bounded-word index of the snapshot (lazy, shared): sessions score
-    /// informativeness, cover negatives and decrement scores against it
-    /// instead of walking the graph per node per interaction.
-    words: RwLock<Words>,
+    /// The bounded-word index of the snapshot (lazy, shared, one bound):
+    /// sessions score informativeness, cover negatives and decrement scores
+    /// against it instead of walking the graph per node per interaction.
+    words: RwLock<Option<Arc<WordIndex>>>,
     /// Hit/miss/eviction counters.  Standalone (per-cache) by default so the
     /// legacy accessors keep their exact per-instance semantics; rebound to
     /// the shared `gps_rpq_cache_*` registry series by
@@ -425,7 +406,7 @@ impl EvalCache {
             capacity: DEFAULT_CAPACITY,
             answers: RwLock::new(HashMap::new()),
             log: RwLock::new(DeltaLog::default()),
-            words: RwLock::new(Words::default()),
+            words: RwLock::new(None),
             hits: Counter::standalone(),
             misses: Counter::standalone(),
             evictions: Counter::standalone(),
@@ -526,14 +507,14 @@ impl EvalCache {
         let mut answers = self.answers.write();
         let mut words = self.words.write();
         self.retired_entries
-            .add((answers.len() + usize::from(words.index.is_some())) as u64);
+            .add((answers.len() + usize::from(words.is_some())) as u64);
         let unread = answers
             .values()
             .filter(|slot| slot.entry.is_unresolved())
             .count();
         self.pending_unread.add(unread as u64);
         answers.clear();
-        *words = Words::default();
+        *words = None;
         self.words_pairs.set(0);
         self.retired.store(true, Ordering::Release);
     }
@@ -757,14 +738,14 @@ impl EvalCache {
     /// list with the old epoch.  Nothing happens when `old` never built an
     /// index, or this cache already has one.
     pub fn inherit_words(&self, old: &EvalCache, delta: &GraphDelta) {
-        let Some(index) = old.words.read().index.clone() else {
+        let Some(index) = old.words.read().clone() else {
             return;
         };
         let mut words = self.words.write();
-        if words.index.is_none() {
+        if words.is_none() {
             let index = index.inherit(&old.csr, &self.csr, delta);
             self.words_pairs.set(index.pairs() as u64);
-            words.index = Some(Arc::new(index));
+            *words = Some(Arc::new(index));
         }
     }
 
@@ -818,38 +799,33 @@ impl EvalCache {
     /// length `1..=bound` — all of them, with no walk cap (an uncapped
     /// `PathEnumerator`) — and per word the nodes spelling it.
     ///
-    /// Derived lazily, once, at the largest bound asked for; a smaller bound
-    /// is a restriction of that index (memoized too), a larger one replaces
-    /// it.  The derivation is the most expensive thing the cache builds, so a
-    /// miss runs *under the write lock* after a re-check: a burst of cold
-    /// sessions derives once and the rest wait for the shared result.  Only
-    /// `words` callers wait on this lock — the answer cache has its own.
+    /// The cache holds one index, at one bound: the engine's path bound,
+    /// which its learner and sessions share.  It is derived lazily, once; a
+    /// call at another bound derives that one and replaces it.  The
+    /// derivation is the most expensive thing the cache builds, so a miss
+    /// runs *under the write lock* after a re-check: a burst of cold sessions
+    /// derives once and the rest wait for the shared result.  Only `words`
+    /// callers wait on this lock — the answer cache has its own.
     pub fn bounded_words(&self, bound: usize) -> Arc<WordIndex> {
-        if let Some(index) = self.words.read().get(bound) {
+        let held = |words: &Option<Arc<WordIndex>>| {
+            words
+                .as_ref()
+                .filter(|index| index.bound() == bound)
+                .cloned()
+        };
+        if let Some(index) = held(&self.words.read()) {
             return index;
         }
         let mut words = self.words.write();
-        if let Some(index) = words.get(bound) {
+        if let Some(index) = held(&words) {
             return index;
         }
-        match &words.index {
-            Some(index) if index.bound() > bound => {
-                let restricted = Arc::new(index.restricted(bound));
-                words.restricted.insert(bound, Arc::clone(&restricted));
-                restricted
-            }
-            _ => {
-                let span = self.words_build_latency.start_timer();
-                let index = Arc::new(WordIndex::build(&self.csr, bound));
-                span.stop();
-                self.words_pairs.set(index.pairs() as u64);
-                *words = Words {
-                    index: Some(Arc::clone(&index)),
-                    restricted: HashMap::new(),
-                };
-                index
-            }
-        }
+        let span = self.words_build_latency.start_timer();
+        let index = Arc::new(WordIndex::build(&self.csr, bound));
+        span.stop();
+        self.words_pairs.set(index.pairs() as u64);
+        *words = Some(Arc::clone(&index));
+        index
     }
 
     /// The number of distinct words of length `1..=bound` spelled by each
@@ -866,7 +842,7 @@ impl EvalCache {
     /// The bound the word index is currently derived at, `None` before the
     /// first [`bounded_words`](Self::bounded_words) or inheritance.
     pub fn words_bound(&self) -> Option<usize> {
-        self.words.read().index.as_ref().map(|index| index.bound())
+        self.words.read().as_ref().map(|index| index.bound())
     }
 
     /// Evaluates a batch of expressions, returning the answers in input
@@ -1218,28 +1194,28 @@ mod tests {
     }
 
     #[test]
-    fn smaller_bounds_restrict_the_index_and_larger_ones_replace_it() {
+    fn one_index_is_held_and_another_bound_replaces_it() {
         let g = sample();
         let cache = EvalCache::from_csr(g.clone());
         assert_eq!(cache.words_bound(), None);
         let w2 = cache.bounded_words(2);
         assert_eq!(cache.words_bound(), Some(2));
-        // A smaller bound is served from the same index, and memoized.
-        let w1 = cache.bounded_words(1);
-        assert_eq!(cache.words_bound(), Some(2));
-        assert!(Arc::ptr_eq(&w1, &cache.bounded_words(1)));
-        assert!(Arc::ptr_eq(&w2, &cache.bounded_words(2)));
-        // A larger bound re-derives; the smaller ones follow it.
-        cache.bounded_words(3);
-        assert_eq!(cache.words_bound(), Some(3));
+        assert!(
+            Arc::ptr_eq(&w2, &cache.bounded_words(2)),
+            "held, not rebuilt"
+        );
+        // Any other bound, smaller or larger, re-derives and replaces it.
         let a = g.node_by_name("A").unwrap();
-        for bound in 1..=3 {
+        for bound in [1, 3, 2] {
+            let index = cache.bounded_words(bound);
+            assert_eq!(cache.words_bound(), Some(bound));
             assert_eq!(
-                words_of(&cache.bounded_words(bound), a),
+                words_of(&index, a),
                 enumerated(&g, a, bound),
                 "bound {bound}"
             );
         }
+        assert!(!Arc::ptr_eq(&w2, &cache.bounded_words(2)));
     }
 
     #[test]
@@ -1283,9 +1259,6 @@ mod tests {
             g.add_edge_by_name(window[0], "x", window[1]);
         }
         let base = Arc::new(CsrGraph::from_graph(&g));
-        let old_cache = EvalCache::from_csr((*base).clone());
-        let old_w2 = old_cache.bounded_words(2);
-        let old_w4 = old_cache.bounded_words(4);
 
         // Change both ends: drop the first hop, append w after the tail.
         let mut delta = DeltaGraph::new(Arc::clone(&base));
@@ -1297,11 +1270,14 @@ mod tests {
         let summary = delta.delta();
         let compacted = delta.compact();
 
-        let new_cache = EvalCache::from_csr(compacted.clone());
-        new_cache.inherit_words(&old_cache, &summary);
-        assert_eq!(new_cache.words_bound(), Some(4), "the index was inherited");
         let cold = EvalCache::from_csr(compacted.clone());
+        let mut v1_changed = Vec::new();
         for bound in [2usize, 4] {
+            let old_cache = EvalCache::from_csr((*base).clone());
+            let old = old_cache.bounded_words(bound);
+            let new_cache = EvalCache::from_csr(compacted.clone());
+            new_cache.inherit_words(&old_cache, &summary);
+            assert_eq!(new_cache.words_bound(), Some(bound), "inherited");
             let inherited = new_cache.bounded_words(bound);
             let direct = cold.bounded_words(bound);
             for node in compacted.nodes() {
@@ -1316,21 +1292,16 @@ mod tests {
                 cold.bounded_word_counts(bound),
                 "bound {bound}"
             );
+            // The changed nodes themselves were re-derived on the new
+            // snapshot.
+            assert!(inherited[nodes[0].index()].is_empty());
+            assert!(inherited[w.index()].is_empty());
+            v1_changed.push(words_of(&inherited, nodes[1]) != words_of(&old, nodes[1]));
         }
         // v1 is 3 reverse steps from the nearest changed source (v4) and
-        // unreachable from v0's removal, so its bound-2 words are unchanged…
-        assert_eq!(
-            words_of(&new_cache.bounded_words(2), nodes[1]),
-            words_of(&old_w2, nodes[1])
-        );
-        // …while at bound 4 the appended tail edge reaches it.
-        assert_ne!(
-            words_of(&new_cache.bounded_words(4), nodes[1]),
-            words_of(&old_w4, nodes[1])
-        );
-        // The changed nodes themselves were re-derived on the new snapshot.
-        assert!(new_cache.bounded_words(2)[nodes[0].index()].is_empty());
-        assert!(new_cache.bounded_words(2)[w.index()].is_empty());
+        // unreachable from v0's removal, so its bound-2 words are unchanged,
+        // while at bound 4 the appended tail edge reaches it.
+        assert_eq!(v1_changed, [false, true]);
     }
 
     #[test]

@@ -375,8 +375,8 @@ pub trait DfaEvaluator: std::fmt::Debug + Send + Sync {
 
     /// Single-node membership: is `node` selected by `dfa`?
     ///
-    /// The default computes the full answer; engines with an early-exit
-    /// forward search override it.
+    /// The default computes the full answer; engines with a single-source
+    /// forward search (the frontier engine's witness search) override it.
     fn selects_node(&self, dfa: &Dfa, node: NodeId) -> bool {
         self.evaluate_dfa(dfa).contains(node)
     }

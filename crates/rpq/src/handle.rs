@@ -11,8 +11,8 @@
 //!
 //! [`EvalHandle::bounded_words`] is the one place production code reads a
 //! node's bounded words: pruning, the strategy's scores, negative coverage,
-//! validation prompts, path selection, propagation and satisfiability all go
-//! through it.  Its node ids are the handle's snapshot's, so a handle must
+//! validation prompts and path selection all go through it, at the one path
+//! bound of the engine.  Its node ids are the handle's snapshot's, so a handle must
 //! serve the graph it is used with — [`EvalHandle::assert_serves`] checks
 //! that once, where a session or a standalone refresh is set up, and no read
 //! site falls back to enumerating paths.

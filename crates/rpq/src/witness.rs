@@ -13,49 +13,30 @@ use std::collections::{HashMap, VecDeque};
 /// A `(graph node, DFA state)` configuration of the product search.
 type Config = (NodeId, usize);
 
-/// Parent links of the product BFS: configuration → (parent, edge label).
-type ParentMap = HashMap<Config, (Config, gps_graph::LabelId)>;
+/// Parent links of the product BFS: configuration → (parent, edge label),
+/// `None` for the start.  Also the set of visited configurations.
+type ParentMap = HashMap<Config, Option<(Config, gps_graph::LabelId)>>;
 
 /// Returns a shortest path starting at `node` whose word is accepted by
 /// `dfa`, or `None` when no such path exists (the node is not selected).
 pub fn shortest_witness(graph: &CsrGraph, dfa: &Dfa, node: NodeId) -> Option<Path> {
-    witness_within(graph, dfa, node, usize::MAX)
-}
-
-/// Like [`shortest_witness`] but only considers paths of length at most
-/// `max_length` edges.
-pub fn witness_within(
-    graph: &CsrGraph,
-    dfa: &Dfa,
-    node: NodeId,
-    max_length: usize,
-) -> Option<Path> {
     let start_config = (node, dfa.start());
     if dfa.is_accepting(dfa.start()) {
         return Some(Path::empty(node));
     }
     // BFS over (graph node, DFA state) configurations, remembering the parent
     // configuration and the edge taken so the path can be reconstructed.
-    let mut parents: ParentMap = HashMap::new();
-    let mut depth: HashMap<Config, usize> = HashMap::new();
-    let mut queue = VecDeque::new();
-    depth.insert(start_config, 0);
-    queue.push_back(start_config);
-
+    let mut parents: ParentMap = HashMap::from([(start_config, None)]);
+    let mut queue = VecDeque::from([start_config]);
     while let Some(config) = queue.pop_front() {
-        let d = depth[&config];
-        if d >= max_length {
-            continue;
-        }
         let (current_node, current_state) = config;
         for entry in graph.out(current_node) {
             if let Some(target_state) = dfa.step(current_state, entry.label) {
                 let next = (entry.node, target_state);
-                if depth.contains_key(&next) {
+                if parents.contains_key(&next) {
                     continue;
                 }
-                depth.insert(next, d + 1);
-                parents.insert(next, (config, entry.label));
+                parents.insert(next, Some((config, entry.label)));
                 if dfa.is_accepting(target_state) {
                     return Some(reconstruct(node, next, &parents));
                 }
@@ -70,7 +51,7 @@ fn reconstruct(start: NodeId, accepting: Config, parents: &ParentMap) -> Path {
     let mut labels = Vec::new();
     let mut nodes = vec![accepting.0];
     let mut current = accepting;
-    while let Some(&(parent, label)) = parents.get(&current) {
+    while let Some((parent, label)) = parents[&current] {
         labels.push(label);
         nodes.push(parent.0);
         current = parent;
@@ -82,15 +63,6 @@ fn reconstruct(start: NodeId, accepting: Config, parents: &ParentMap) -> Path {
         word: labels,
         nodes,
     }
-}
-
-/// Returns one shortest witness per selected node, in node-id order.  Nodes
-/// that are not selected are omitted.
-pub fn all_witnesses(graph: &CsrGraph, dfa: &Dfa) -> Vec<Path> {
-    graph
-        .nodes()
-        .filter_map(|node| shortest_witness(graph, dfa, node))
-        .collect()
 }
 
 #[cfg(test)]
@@ -156,36 +128,6 @@ mod tests {
         let c1 = g.node_by_name("C1").unwrap();
         let path = shortest_witness(&g, &dfa, c1).unwrap();
         assert!(path.is_empty());
-    }
-
-    #[test]
-    fn bounded_witness_respects_the_limit() {
-        let g = chain();
-        let dfa = motivating(&g);
-        let n2 = g.node_by_name("N2").unwrap();
-        assert!(witness_within(&g, &dfa, n2, 2).is_none());
-        assert!(witness_within(&g, &dfa, n2, 3).is_some());
-        let n4 = g.node_by_name("N4").unwrap();
-        assert!(witness_within(&g, &dfa, n4, 1).is_some());
-    }
-
-    #[test]
-    fn all_witnesses_covers_exactly_the_answer() {
-        let g = chain();
-        let dfa = motivating(&g);
-        let witnesses = all_witnesses(&g, &dfa);
-        let starts: Vec<NodeId> = witnesses.iter().map(|p| p.start).collect();
-        assert_eq!(
-            starts,
-            vec![
-                g.node_by_name("N2").unwrap(),
-                g.node_by_name("N1").unwrap(),
-                g.node_by_name("N4").unwrap()
-            ]
-        );
-        for w in &witnesses {
-            assert!(dfa.accepts(&w.word));
-        }
     }
 
     #[test]

@@ -6,8 +6,8 @@
 //! relation once per snapshot, in both directions:
 //!
 //! * a [`WordDict`] of the distinct words, with ids ordered by (length, label
-//!   sequence) — so the words within a smaller bound are a prefix of every
-//!   id list, and a per-node list reads shortest-first;
+//!   sequence) — so a per-node list reads shortest-first, and the words
+//!   within a smaller length are a prefix of it;
 //! * each node's sorted word ids, handed out as a [`NodeWords`] (shared
 //!   dictionary + shared id list);
 //! * the transpose, word id → the nodes spelling it ([`WordIndex::spellers`]),
@@ -21,13 +21,16 @@
 //! many walks there are (what an uncapped
 //! `PathEnumerator::new(bound).with_max_paths(usize::MAX)` yields).
 //!
-//! Across a publish [`WordIndex::inherit`] re-derives only the nodes that can
-//! reach a changed edge within the bound; every other node shares its id list
-//! with the old epoch.
+//! An index holds one bound, the path bound of the sessions that read it;
+//! there are no views at other bounds.  Across a publish
+//! [`WordIndex::inherit`] re-derives only the nodes that can reach a changed
+//! edge within the bound; every other node shares its id list with the old
+//! epoch.
 //!
-//! One node's words past the bound — a validation prompt after the user
-//! zoomed out further — come from [`WordIndex::words_within`], which runs the
-//! same recurrence over that node's neighbourhood alone.
+//! One node's words at another length — a validation prompt at the zoom
+//! radius — come from [`WordIndex::words_within`]: cut from the node's list
+//! up to the bound, and past it derived by the same recurrence over that
+//! node's neighbourhood alone.
 
 use gps_graph::{CsrGraph, GraphDelta, LabelId, NodeId, Word};
 use std::collections::HashMap;
@@ -118,32 +121,25 @@ impl WordDict {
 pub struct NodeWords {
     dict: Arc<WordDict>,
     ids: Arc<[u32]>,
-    /// How many of `ids` fall within the bound of the index this handle
-    /// belongs to (all of them, unless it is a [`WordIndex::restricted`] view).
-    len: u32,
 }
 
 impl NodeWords {
     /// Number of distinct words.
     pub fn len(&self) -> usize {
-        self.len as usize
+        self.ids.len()
     }
 
     /// Returns `true` when the node spells nothing within the bound.
     pub fn is_empty(&self) -> bool {
-        self.len == 0
+        self.ids.is_empty()
     }
 
     /// The words, by (length, label sequence).
     pub fn iter(&self) -> NodeWordsIter<'_> {
         NodeWordsIter {
             dict: &self.dict,
-            ids: self.ids().iter(),
+            ids: self.ids.iter(),
         }
-    }
-
-    fn ids(&self) -> &[u32] {
-        &self.ids[..self.len as usize]
     }
 
     /// The ids of the words of exactly `length` labels.
@@ -152,7 +148,7 @@ impl NodeWords {
             return &[];
         };
         let start = self.dict.level_start[length - 1];
-        let ids = self.ids();
+        let ids = &self.ids;
         let from = ids.partition_point(|&id| id < start);
         &ids[from..from + ids[from..].partition_point(|&id| id < end)]
     }
@@ -222,7 +218,7 @@ impl WordIndex {
     }
 
     /// The index of `new`, the snapshot `delta` turned `old` into, given this
-    /// index of `old` (built at its full bound, not a restricted view).
+    /// index of `old`.
     ///
     /// A node's bounded words can only change if one of its bounded
     /// out-paths, in either graph, traverses a changed edge — iff it reaches
@@ -232,28 +228,6 @@ impl WordIndex {
     /// word (the dictionary may keep words no node spells any more).
     pub fn inherit(&self, old: &CsrGraph, new: &CsrGraph, delta: &GraphDelta) -> Self {
         self.rederive(new, &affected_nodes(old, new, delta, self.bound))
-    }
-
-    /// This index narrowed to words of length at most `bound`: the same
-    /// dictionary, id lists and postings, each node's list cut at the first
-    /// longer word.
-    pub fn restricted(&self, bound: usize) -> Self {
-        let end = self.dict.ids_within(bound);
-        let nodes = self
-            .nodes
-            .iter()
-            .map(|words| NodeWords {
-                dict: Arc::clone(&words.dict),
-                ids: Arc::clone(&words.ids),
-                len: words.ids().partition_point(|&id| id < end) as u32,
-            })
-            .collect();
-        Self {
-            bound: bound.min(self.bound),
-            dict: Arc::clone(&self.dict),
-            nodes,
-            postings: Arc::clone(&self.postings),
-        }
     }
 
     /// `node`'s distinct words of length `1..=length`, by (length, label
@@ -267,7 +241,7 @@ impl WordIndex {
     /// over the node's `length − bound − 1`-hop out-neighbourhood only, with
     /// the length-`bound` words of its rim read off the index.
     pub fn words_within(&self, csr: &CsrGraph, node: NodeId, length: usize) -> Vec<Word> {
-        let ids = self.nodes[node.index()].ids();
+        let ids = &self.nodes[node.index()].ids;
         let end = self.dict.ids_within(length);
         let mut words: Vec<Word> = ids[..ids.partition_point(|&id| id < end)]
             .iter()
@@ -354,8 +328,8 @@ impl WordIndex {
         &self.dict
     }
 
-    /// Number of (node, word) pairs held at the bound the index was derived
-    /// at — the size of the id lists, and of the postings.
+    /// Number of (node, word) pairs — the size of the id lists, and of the
+    /// postings.
     pub fn pairs(&self) -> usize {
         self.postings.nodes.len()
     }
@@ -363,9 +337,6 @@ impl WordIndex {
     /// The nodes spelling `word`, ascending; empty when no node does or the
     /// word is longer than the bound.
     pub fn spellers(&self, word: &[LabelId]) -> &[NodeId] {
-        if word.len() > self.bound {
-            return &[];
-        }
         match self.dict.id_of(word) {
             Some(id) => {
                 let id = id as usize;
@@ -388,7 +359,6 @@ impl WordIndex {
                 NodeWords {
                     dict: Arc::clone(&self.dict),
                     ids: no_ids,
-                    len: 0,
                 },
             );
             return Self {
@@ -438,7 +408,6 @@ impl WordIndex {
                 };
                 NodeWords {
                     dict: Arc::clone(&dict),
-                    len: ids.len() as u32,
                     ids,
                 }
             })

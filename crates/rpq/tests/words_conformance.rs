@@ -3,10 +3,10 @@
 //! Per node and bound the index must hold exactly the node's bounded
 //! language — the words of all its walks of length `1..=bound`, what
 //! `PathEnumerator::new(bound).with_max_paths(usize::MAX)` yields, with no
-//! walk cap — with postings that are its transpose; a smaller bound must be the
-//! restriction of a larger one; one node's words at any length, cut from or
-//! derived past an index at any bound, must be its bounded language too; an
-//! inherited index must equal a cold build;
+//! walk cap — with postings that are its transpose; a cache holds one index
+//! and a call at another bound replaces it; one node's words at any length,
+//! cut from or derived past an index at any bound, must be its bounded
+//! language too; an inherited index must equal a cold build at every bound;
 //! and the pruning refresh that walks its postings must keep the scores of
 //! the reference, a rescan of every node's enumerated words.
 
@@ -98,18 +98,13 @@ fn index_equals_the_enumerator_and_its_transpose_at_every_bound() {
         let mut rng = StdRng::seed_from_u64(seed);
         let graph = random_graph(&mut rng, 30, 30 + 6 * seed as usize, 3);
         let csr = CsrGraph::from_graph(&graph);
-        let largest = WordIndex::build(&csr, 6);
         for bound in 1..=6usize {
             let context = format!("seed {seed}, bound {bound}");
             let built = WordIndex::build(&csr, bound);
             assert_index_matches(&context, &built, &csr, bound);
-            // A smaller bound is the larger index cut at that length.
-            let restricted = largest.restricted(bound);
-            assert_index_matches(&format!("{context} (restricted)"), &restricted, &csr, bound);
         }
-        // The cache serves counts and restrictions from one derivation.
+        // The cache holds one index; counts at another bound replace it.
         let cache = EvalCache::from_csr(csr.clone());
-        cache.bounded_words(4);
         for bound in [4usize, 2, 3] {
             let counts = cache.bounded_word_counts(bound);
             for node in csr.nodes() {
@@ -119,24 +114,22 @@ fn index_equals_the_enumerator_and_its_transpose_at_every_bound() {
                     "seed {seed}, bound {bound}, node {node}"
                 );
             }
-            assert_eq!(cache.words_bound(), Some(4));
+            assert_eq!(cache.words_bound(), Some(bound));
         }
     }
 }
 
 /// One node's words at any length, from an index at any bound — cut below
 /// the bound, derived for that node alone above it — are the uncapped
-/// enumerator's; a restricted view reads the same as a build at its bound.
+/// enumerator's.
 #[test]
 fn words_within_any_length_equal_the_enumerator_from_every_bound() {
     for seed in 0..3u64 {
         let mut rng = StdRng::seed_from_u64(seed);
         let graph = random_graph(&mut rng, 24, 36 + 6 * seed as usize, 3);
         let csr = CsrGraph::from_graph(&graph);
-        let largest = WordIndex::build(&csr, 4);
         for bound in 0..=4usize {
             let built = WordIndex::build(&csr, bound);
-            let restricted = largest.restricted(bound);
             for node in csr.nodes() {
                 for length in 0..=6usize {
                     let expected = enumerated(&csr, node, length);
@@ -146,11 +139,6 @@ fn words_within_any_length_equal_the_enumerator_from_every_bound() {
                         built.words_within(&csr, node, length),
                         expected,
                         "{context}"
-                    );
-                    assert_eq!(
-                        restricted.words_within(&csr, node, length),
-                        expected,
-                        "{context} (restricted)"
                     );
                 }
             }
@@ -213,11 +201,11 @@ fn nodes_over_the_enumerators_walk_cap_hold_their_complete_language() {
         "the index holds the walk the cap cuts"
     );
     assert!(index_words(&index, before).contains(&vec![y, x, z, z]));
-    // Restriction keeps the complete language at every smaller bound.
+    // So does a build at every smaller bound.
     for smaller in 1..bound {
         assert_index_matches(
-            &format!("over the cap, restricted to {smaller}"),
-            &index.restricted(smaller),
+            &format!("over the cap, bound {smaller}"),
+            &WordIndex::build(&csr, smaller),
             &csr,
             smaller,
         );
@@ -227,52 +215,52 @@ fn nodes_over_the_enumerators_walk_cap_hold_their_complete_language() {
 #[test]
 fn inherited_indexes_equal_cold_builds_across_chained_deltas() {
     for seed in 0..4u64 {
-        let mut rng = StdRng::seed_from_u64(100 + seed);
-        let graph = random_graph(&mut rng, 40, 70, 3);
-        let mut snapshot = Arc::new(CsrGraph::from_graph(&graph));
-        let mut cache = EvalCache::from_csr((*snapshot).clone());
-        cache.bounded_words(4);
-        cache.bounded_words(2);
-        for round in 0..8 {
-            let mut overlay = DeltaGraph::new(Arc::clone(&snapshot));
-            let mut nodes: Vec<NodeId> = snapshot.nodes().collect();
-            for i in 0..rng.gen_range(0..3usize) {
-                nodes.push(overlay.add_node(format!("s{seed}r{round}n{i}")));
-            }
-            // Removals first (of base edges), then inserts — some between
-            // old nodes, some on the new ones, every other round on a label
-            // the graph has never seen.
-            for _ in 0..rng.gen_range(0..4usize) {
-                let source = NodeId::from(rng.gen_range(0..snapshot.node_count()));
-                if let Some(entry) = snapshot.out(source).first().copied() {
-                    overlay.remove_edge(source, entry.label, entry.node);
+        // The same chain of deltas for an index held at each bound.
+        for bound in [4usize, 2, 3] {
+            let mut rng = StdRng::seed_from_u64(100 + seed);
+            let graph = random_graph(&mut rng, 40, 70, 3);
+            let mut snapshot = Arc::new(CsrGraph::from_graph(&graph));
+            let mut cache = EvalCache::from_csr((*snapshot).clone());
+            cache.bounded_words(bound);
+            for round in 0..8 {
+                let mut overlay = DeltaGraph::new(Arc::clone(&snapshot));
+                let mut nodes: Vec<NodeId> = snapshot.nodes().collect();
+                for i in 0..rng.gen_range(0..3usize) {
+                    nodes.push(overlay.add_node(format!("s{seed}r{round}n{i}")));
                 }
-            }
-            for _ in 0..rng.gen_range(1..5usize) {
-                let name = if round % 2 == 0 && rng.gen_range(0..2u32) == 0 {
-                    format!("fresh{round}")
-                } else {
-                    format!("l{}", rng.gen_range(0..3u32))
-                };
-                let label = overlay.label(&name);
-                let source = nodes[rng.gen_range(0..nodes.len())];
-                let target = nodes[rng.gen_range(0..nodes.len())];
-                overlay.add_edge(source, label, target);
-            }
-            let delta = overlay.delta();
-            let next = Arc::new(overlay.compact());
-            let next_cache = EvalCache::from_csr((*next).clone());
-            next_cache.inherit_words(&cache, &delta);
-            assert_eq!(next_cache.words_bound(), Some(4));
-            for bound in [4usize, 2, 3] {
+                // Removals first (of base edges), then inserts — some between
+                // old nodes, some on the new ones, every other round on a
+                // label the graph has never seen.
+                for _ in 0..rng.gen_range(0..4usize) {
+                    let source = NodeId::from(rng.gen_range(0..snapshot.node_count()));
+                    if let Some(entry) = snapshot.out(source).first().copied() {
+                        overlay.remove_edge(source, entry.label, entry.node);
+                    }
+                }
+                for _ in 0..rng.gen_range(1..5usize) {
+                    let name = if round % 2 == 0 && rng.gen_range(0..2u32) == 0 {
+                        format!("fresh{round}")
+                    } else {
+                        format!("l{}", rng.gen_range(0..3u32))
+                    };
+                    let label = overlay.label(&name);
+                    let source = nodes[rng.gen_range(0..nodes.len())];
+                    let target = nodes[rng.gen_range(0..nodes.len())];
+                    overlay.add_edge(source, label, target);
+                }
+                let delta = overlay.delta();
+                let next = Arc::new(overlay.compact());
+                let next_cache = EvalCache::from_csr((*next).clone());
+                next_cache.inherit_words(&cache, &delta);
+                assert_eq!(next_cache.words_bound(), Some(bound));
                 assert_index_matches(
                     &format!("seed {seed}, round {round}, bound {bound}"),
                     &next_cache.bounded_words(bound),
                     &next,
                     bound,
                 );
+                (snapshot, cache) = (next, next_cache);
             }
-            (snapshot, cache) = (next, next_cache);
         }
     }
 }

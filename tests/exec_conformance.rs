@@ -6,8 +6,8 @@
 //! biological and random corpora:
 //!
 //! * single-query evaluation under the planner-chosen plan and under every
-//!   *forced* plan (push / pull / adaptive), and the forward early-exit
-//!   membership check (`selects`) on a spread of nodes;
+//!   *forced* plan (push / pull / adaptive), and the per-node membership
+//!   check (`selects_node`, a witness search) on a spread of nodes;
 //! * shared-scratch sequential batches (input order preserved);
 //! * a delta-patched index against a fresh build of the compacted snapshot;
 //! * the full `gps_core` engine's cached `evaluate` / `evaluate_many`.
@@ -110,13 +110,13 @@ fn frontier_plans_match_the_naive_evaluator() {
                     "{name} query {i}: forced {plan:?}"
                 );
             }
-            // The forward early-exit membership check, on about eight nodes
+            // The per-node membership check, on about eight nodes
             // spread over the graph plus the first selected one.
             let nodes = graph.node_count();
             let spread = (0..nodes).step_by((nodes / 8).max(1)).map(NodeId::from);
             for node in spread.chain(expected.nodes().first().copied()) {
                 assert_eq!(
-                    planner_engine.selects(dfa, node),
+                    planner_engine.selects_node(dfa, node),
                     expected.contains(node),
                     "{name} query {i}: selects {node}"
                 );
