@@ -2,7 +2,7 @@
 //!
 //! The numbers a user of the system feels are measured by the `benchmark/`
 //! package (seeded workloads, ten-pairs protocol, `BENCH_history.jsonl`).
-//! This binary only holds seventeen ratios no workload there can express — two
+//! This binary only holds eighteen ratios no workload there can express — two
 //! shapes of the same work timed side by side in one process — and exits
 //! non-zero, with one `SMOKE FAILURE:` line per broken floor, when one of
 //! them crosses its bound:
@@ -26,6 +26,7 @@
 //! | 15 | `scale-free-100k` | the index's `memory_bytes()` ≤ `INDEX_BYTES_BOUND`× 8 bytes per edge (a neighbour id in each direction) |
 //! | 16 | `scale-free-100k` | the snapshot's `CsrGraph::memory_bytes()` ≤ `SNAPSHOT_BYTES_BOUND`× 16 bytes per edge (a label and a node id in each direction) |
 //! | 17 | `scale-free-100k` | the mean bytes one `Session::step` allocates over one seeded session (goal `a1.a0.a3`) ≤ `STEP_ALLOC_BOUND` bytes per node |
+//! | 18 | `scale-free-100k` | the speller entries one `WordIndex::inherit` across a 4-edge insert writes ≤ `INHERIT_WRITE_BOUND`× the bound-4 index's `pairs()` |
 //!
 //! Samples of the compared shapes are interleaved round-robin so clock or
 //! thermal drift cannot bias a comparison one way; the floors that compare
@@ -795,8 +796,8 @@ fn telemetry_floor(graph: &Graph, goals: &[String]) -> Floor {
     Floor::of_pairs("scale-free-2000-telemetry", &off, &on, AtLeast(0.95))
 }
 
-/// Floors 10, 14, 15, 16, 9, 11, 12, 13 and 17, on a 4-edges-per-node, 8-label
-/// scale-free corpus of 100k nodes.
+/// Floors 10, 14, 15, 16, 9, 11, 12, 13, 17 and 18, on a 4-edges-per-node,
+/// 8-label scale-free corpus of 100k nodes.
 ///
 /// * The streamed `CsrGraph` builder vs. materializing the mutable `Graph`
 ///   first: the **peak heap bytes** of one build of each (counting
@@ -824,7 +825,9 @@ fn telemetry_floor(graph: &Graph, goals: &[String]) -> Floor {
 /// * A cold evaluation with its seed captured vs. without
 ///   ([`capture_floor`]).
 /// * The bytes a session step allocates per node ([`step_alloc_floor`]).
-fn scale_floors() -> [Floor; 9] {
+/// * The speller entries a word-index inheritance writes
+///   ([`inherit_write_floor`]).
+fn scale_floors() -> [Floor; 10] {
     const GROUP: &str = "scale-free-100k";
     let config = ScaleFreeConfig {
         nodes: 100_000,
@@ -975,6 +978,7 @@ fn scale_floors() -> [Floor; 9] {
     let lazy = lazy_migration_floor(GROUP, &snapshot, &base_eval);
     let capture = capture_floor(GROUP, &base_eval);
     let step_alloc = step_alloc_floor(GROUP, &snapshot, &base_eval);
+    let inherit_write = inherit_write_floor(GROUP, &snapshot, &path[..4]);
     [
         peaks,
         transient,
@@ -985,7 +989,51 @@ fn scale_floors() -> [Floor; 9] {
         lazy,
         capture,
         step_alloc,
+        inherit_write,
     ]
+}
+
+/// Floor 18's bound on the speller entries a word-index inheritance writes,
+/// over the (node, word) pairs the index holds.  While `WordIndex::inherit`
+/// transposed every node's list into fresh postings this read 1.0 (every
+/// pair written); patching only the speller lists of the words a re-derived
+/// node gained or lost reads 0.0003 here.
+const INHERIT_WRITE_BOUND: f64 = 0.02;
+
+/// Floor 18: a publish's word inheritance writes what the publish changed,
+/// not the index.  The bound-4 word index of `snapshot` is inherited across
+/// a delta inserting `edges`; the speller entries written
+/// (`InheritCounts::postings_written`) over the index's `pairs()` must stay
+/// under [`INHERIT_WRITE_BOUND`].  Counted entries, no clock: the reading is
+/// deterministic.
+fn inherit_write_floor(
+    group: &'static str,
+    snapshot: &Arc<CsrGraph>,
+    edges: &[(NodeId, LabelId, NodeId)],
+) -> Floor {
+    let index = WordIndex::build(snapshot, 4);
+    let mut inserting = DeltaGraph::new(Arc::clone(snapshot));
+    for &(source, label, target) in edges {
+        inserting.add_edge(source, label, target);
+    }
+    let delta = inserting.delta();
+    let inherited = index.inherit(snapshot, &inserting.compact(), &delta);
+    let counts = inherited.inherit_counts();
+    Floor {
+        group,
+        numerator: "inherit-postings-written",
+        denominator: "index-pairs",
+        ratio: counts.postings_written as f64 / index.pairs() as f64,
+        bound: AtMost(INHERIT_WRITE_BOUND),
+        detail: format!(
+            "{} entries written for a {}-edge insert ({} nodes re-derived, {} words minted), {} pairs",
+            counts.postings_written,
+            edges.len(),
+            counts.rederived_nodes,
+            counts.minted_words,
+            index.pairs()
+        ),
+    }
 }
 
 /// Floor 14's bound on the transient heap of a label-index build over the

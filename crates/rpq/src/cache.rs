@@ -371,6 +371,13 @@ pub struct EvalCache {
     words_build_latency: Histogram,
     /// `gps_rpq_words_pairs` — (node, word) pairs the word index holds.
     words_pairs: Gauge,
+    /// `gps_rpq_words_{rederived_nodes,minted,postings_written}_total` —
+    /// what each [`inherit_words`](Self::inherit_words) did
+    /// ([`InheritCounts`](crate::InheritCounts)): a publish's word inheritance costs these, not
+    /// the index.
+    words_rederived: Counter,
+    words_minted: Counter,
+    words_postings_written: Counter,
     tick: AtomicU64,
     /// Set once the snapshot this cache serves has been superseded by a
     /// newer epoch and every entry has been dropped (see
@@ -427,6 +434,9 @@ impl EvalCache {
             delete_reseed_latency: Histogram::disabled(),
             words_build_latency: Histogram::disabled(),
             words_pairs: Gauge::disabled(),
+            words_rederived: Counter::standalone(),
+            words_minted: Counter::standalone(),
+            words_postings_written: Counter::standalone(),
             tick: AtomicU64::new(0),
             retired: AtomicBool::new(false),
         }
@@ -462,6 +472,9 @@ impl EvalCache {
             self.delete_reseed_latency = registry.histogram("gps_rpq_delete_reseed_latency_ns");
             self.words_build_latency = registry.histogram("gps_rpq_words_build_latency_ns");
             self.words_pairs = registry.gauge("gps_rpq_words_pairs");
+            self.words_rederived = registry.counter("gps_rpq_words_rederived_nodes_total");
+            self.words_minted = registry.counter("gps_rpq_words_minted_total");
+            self.words_postings_written = registry.counter("gps_rpq_words_postings_written_total");
         }
         self
     }
@@ -734,9 +747,10 @@ impl EvalCache {
     /// epoch's cache) across `delta` — the incremental alternative to
     /// re-deriving every node's words on the first session of each epoch.
     /// Only the nodes that can reach a changed edge within the bound are
-    /// re-derived ([`WordIndex::inherit`]); every other node shares its id
-    /// list with the old epoch.  Nothing happens when `old` never built an
-    /// index, or this cache already has one.
+    /// re-derived, and only the speller lists of words they gained or lost
+    /// are rebuilt ([`WordIndex::inherit`]); every other node's list and
+    /// word's spellers are shared with the old epoch.  Nothing happens when
+    /// `old` never built an index, or this cache already has one.
     pub fn inherit_words(&self, old: &EvalCache, delta: &GraphDelta) {
         let Some(index) = old.words.read().clone() else {
             return;
@@ -744,6 +758,11 @@ impl EvalCache {
         let mut words = self.words.write();
         if words.is_none() {
             let index = index.inherit(&old.csr, &self.csr, delta);
+            let counts = index.inherit_counts();
+            self.words_rederived.add(counts.rederived_nodes as u64);
+            self.words_minted.add(counts.minted_words as u64);
+            self.words_postings_written
+                .add(counts.postings_written as u64);
             self.words_pairs.set(index.pairs() as u64);
             *words = Some(Arc::new(index));
         }
@@ -833,10 +852,12 @@ impl EvalCache {
     /// uncovered-word count under *empty* negative coverage, i.e. the
     /// informativeness baseline an interactive session starts from.
     pub fn bounded_word_counts(&self, bound: usize) -> Vec<u32> {
-        self.bounded_words(bound)
+        let index = self.bounded_words(bound);
+        let mut counts = Vec::with_capacity(index.len());
+        index
             .iter()
-            .map(|words| words.len() as u32)
-            .collect()
+            .for_each(|words| counts.push(words.len() as u32));
+        counts
     }
 
     /// The bound the word index is currently derived at, `None` before the

@@ -377,6 +377,8 @@ pub trait DfaEvaluator: std::fmt::Debug + Send + Sync {
     ///
     /// The default computes the full answer; engines with a single-source
     /// forward search (the frontier engine's witness search) override it.
+    /// No library code calls it: it stays because the `benchmark/` package's
+    /// tracing decorator (`benchmark/src/trace.rs`) overrides it.
     fn selects_node(&self, dfa: &Dfa, node: NodeId) -> bool {
         self.evaluate_dfa(dfa).contains(node)
     }

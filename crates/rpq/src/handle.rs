@@ -96,12 +96,6 @@ impl EvalHandle {
         self.cache.evaluate_compiled(regex, dfa)
     }
 
-    /// Single-node membership through the evaluator (early-exit engines
-    /// answer without a full fixed point).
-    pub fn selects(&self, dfa: &Dfa, node: NodeId) -> bool {
-        self.evaluator().selects_node(dfa, node)
-    }
-
     /// A shortest witness path for `node`, or `None` when unselected.
     pub fn witness(&self, dfa: &Dfa, node: NodeId) -> Option<Path> {
         self.evaluator().witness(dfa, node)
@@ -172,8 +166,8 @@ mod tests {
         let q = crate::PathQuery::parse("bus.tram.cinema", g.labels()).unwrap();
         let n2 = g.node_by_name("N2").unwrap();
         let c1 = g.node_by_name("C1").unwrap();
-        assert!(handle.selects(q.dfa(), n2));
-        assert!(!handle.selects(q.dfa(), c1));
+        assert!(handle.evaluator().selects_node(q.dfa(), n2));
+        assert!(!handle.evaluator().selects_node(q.dfa(), c1));
         let path = handle.witness(q.dfa(), n2).unwrap();
         assert_eq!(path.len(), 3);
         assert!(handle.witness(q.dfa(), c1).is_none());

@@ -58,4 +58,4 @@ pub use coverage::NegativeCoverage;
 pub use eval::{DfaEvaluator, EvalResume, NaiveEvaluator, QueryAnswer};
 pub use handle::EvalHandle;
 pub use query::PathQuery;
-pub use words::{NodeWords, WordDict, WordIndex};
+pub use words::{InheritCounts, NodeWords, WordDict, WordIndex};

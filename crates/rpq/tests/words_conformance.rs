@@ -6,12 +6,14 @@
 //! walk cap — with postings that are its transpose; a cache holds one index
 //! and a call at another bound replaces it; one node's words at any length,
 //! cut from or derived past an index at any bound, must be its bounded
-//! language too; an inherited index must equal a cold build at every bound;
-//! and the pruning refresh that walks its postings must keep the scores of
-//! the reference, a rescan of every node's enumerated words.
+//! language too; an inherited index must equal a cold build at every bound,
+//! keep every id its parent handed out and share what the publish did not
+//! change; and the pruning refresh that walks its postings must keep the
+//! scores of the reference, a rescan of every node's enumerated words.
 
 use gps_graph::{
-    CsrGraph, DeltaGraph, Graph, LabelId, NodeId, PathEnumerator, Word, DEFAULT_MAX_PATHS,
+    CsrGraph, DeltaGraph, Graph, GraphDelta, LabelId, NodeId, PathEnumerator, Word,
+    DEFAULT_MAX_PATHS,
 };
 use gps_interactive::pruning::PruningState;
 use gps_learner::ExampleSet;
@@ -263,6 +265,191 @@ fn inherited_indexes_equal_cold_builds_across_chained_deltas() {
             }
         }
     }
+}
+
+/// The nodes reaching a changed edge's source in fewer than `bound` steps
+/// over either snapshot's edges: the only nodes whose words a publish can
+/// change.
+fn reaching_a_change(
+    old: &CsrGraph,
+    new: &CsrGraph,
+    delta: &GraphDelta,
+    bound: usize,
+) -> BTreeSet<NodeId> {
+    let mut reached: BTreeSet<NodeId> = delta.changed_sources().into_iter().collect();
+    let mut frontier: Vec<NodeId> = reached.iter().copied().collect();
+    for _ in 1..bound {
+        let mut next = Vec::new();
+        for &node in &frontier {
+            let before = if node.index() < old.node_count() {
+                old.inc(node)
+            } else {
+                &[]
+            };
+            for entry in before.iter().chain(new.inc(node)) {
+                if reached.insert(entry.node) {
+                    next.push(entry.node);
+                }
+            }
+        }
+        frontier = next;
+    }
+    reached
+}
+
+/// One publish of a mixed chain: node additions, removals of edges, inserts
+/// (some on new nodes, some under a label the graph has never seen), and on
+/// every third round the removal of every out-edge of a node whose edges all
+/// carry one label — its only word of length 1.  Returns whether that last
+/// kind found a node.
+fn mixed_publish(
+    rng: &mut StdRng,
+    overlay: &mut DeltaGraph,
+    snapshot: &CsrGraph,
+    round: usize,
+) -> bool {
+    let mut nodes: Vec<NodeId> = snapshot.nodes().collect();
+    for i in 0..rng.gen_range(0..3usize) {
+        nodes.push(overlay.add_node(format!("r{round}n{i}")));
+    }
+    let mut emptied = false;
+    if round % 3 == 2 {
+        let single = snapshot.nodes().find(|&node| {
+            let out = snapshot.out(node);
+            !out.is_empty() && out.iter().all(|entry| entry.label == out[0].label)
+        });
+        if let Some(node) = single {
+            for entry in snapshot.out(node) {
+                overlay.remove_edge(node, entry.label, entry.node);
+            }
+            emptied = true;
+        }
+    }
+    for _ in 0..rng.gen_range(0..3usize) {
+        let source = NodeId::from(rng.gen_range(0..snapshot.node_count()));
+        if let Some(entry) = snapshot.out(source).last().copied() {
+            overlay.remove_edge(source, entry.label, entry.node);
+        }
+    }
+    for _ in 0..rng.gen_range(1..4usize) {
+        let name = if round % 4 == 1 && rng.gen_range(0..2u32) == 0 {
+            format!("fresh{round}")
+        } else {
+            format!("l{}", rng.gen_range(0..3u32))
+        };
+        let label = overlay.label(&name);
+        let source = nodes[rng.gen_range(0..nodes.len())];
+        let target = nodes[rng.gen_range(0..nodes.len())];
+        overlay.add_edge(source, label, target);
+    }
+    emptied
+}
+
+/// Everything inheritance promises across one publish from `parent` (the
+/// index of `old`) to `inherited` (of `new`): the words of a cold build in
+/// its order, the parent's ids naming the same words, the lists of the nodes
+/// that cannot reach a change and the spellers of the words whose spellers
+/// did not change shared with the parent — and, when `read_spellers`, the
+/// cold build's spellers for every word either dictionary holds.  Returns
+/// how many lists and speller lists it found shared.
+fn assert_inherits(
+    context: &str,
+    parent: &WordIndex,
+    inherited: &WordIndex,
+    (old, new, delta): (&CsrGraph, &CsrGraph, &GraphDelta),
+    read_spellers: bool,
+) -> (usize, usize) {
+    let bound = parent.bound();
+    let cold = WordIndex::build(new, bound);
+    assert_eq!(inherited.len(), new.node_count(), "{context}");
+    for node in new.nodes() {
+        assert_eq!(
+            index_words(inherited, node),
+            index_words(&cold, node),
+            "{context}: node {node}"
+        );
+    }
+    let (before, after) = (parent.dict(), inherited.dict());
+    assert!(after.len() >= before.len(), "{context}");
+    for id in 0..before.len() as u32 {
+        assert_eq!(after.word(id), before.word(id), "{context}: id {id}");
+    }
+    let reaching = reaching_a_change(old, new, delta, bound);
+    let mut shared = (0, 0);
+    for node in old.nodes().filter(|node| !reaching.contains(node)) {
+        shared.0 += 1;
+        assert!(
+            std::ptr::eq(inherited[node.index()].ids(), parent[node.index()].ids()),
+            "{context}: node {node} cannot reach a change, its list is shared"
+        );
+    }
+    if !read_spellers {
+        return shared;
+    }
+    for id in 0..after.len() as u32 {
+        let word = after.word(id);
+        assert_eq!(
+            inherited.spellers(word),
+            cold.spellers(word),
+            "{context}: word {word:?}"
+        );
+    }
+    for id in 0..cold.dict().len() as u32 {
+        let word = cold.dict().word(id);
+        assert_eq!(inherited.spellers(word), cold.spellers(word), "{context}");
+    }
+    for id in 0..before.len() as u32 {
+        let word = before.word(id);
+        if parent.spellers(word) == cold.spellers(word) && !cold.spellers(word).is_empty() {
+            shared.1 += 1;
+            assert!(
+                std::ptr::eq(inherited.spellers(word), parent.spellers(word)),
+                "{context}: the spellers of {word:?} did not change and are shared"
+            );
+        }
+    }
+    shared
+}
+
+#[test]
+fn inheritance_is_a_cold_build_through_mixed_publish_chains() {
+    let (mut minted, mut emptied, mut unread, mut shared) = (0, 0, 0, (0, 0));
+    for bound in 1..=8usize {
+        for seed in 0..2u64 {
+            let mut rng = StdRng::seed_from_u64(300 + 10 * bound as u64 + seed);
+            let graph = random_graph(&mut rng, 24, 26, 3);
+            let mut snapshot = Arc::new(CsrGraph::from_graph(&graph));
+            let mut index = WordIndex::build(&snapshot, bound);
+            for round in 0..8 {
+                let mut overlay = DeltaGraph::new(Arc::clone(&snapshot));
+                emptied += usize::from(mixed_publish(&mut rng, &mut overlay, &snapshot, round));
+                let delta = overlay.delta();
+                let next = Arc::new(overlay.compact());
+                let inherited = index.inherit(&snapshot, &next, &delta);
+                minted += inherited.inherit_counts().minted_words;
+                // Spellers are read on some rounds only, so patches also
+                // stack on patches no read has merged.
+                let read_spellers = round % 3 == 1 || round == 7;
+                unread += usize::from(!read_spellers);
+                let (lists, spellers) = assert_inherits(
+                    &format!("bound {bound}, seed {seed}, round {round}"),
+                    &index,
+                    &inherited,
+                    (&snapshot, &next, &delta),
+                    read_spellers,
+                );
+                shared = (shared.0 + lists, shared.1 + spellers);
+                (snapshot, index) = (next, inherited);
+            }
+        }
+    }
+    assert!(minted > 0, "some publish minted words");
+    assert!(
+        emptied > 0,
+        "some publish removed a node's only length-1 word"
+    );
+    assert!(unread > 0);
+    assert!(shared.0 > 0 && shared.1 > 0, "{shared:?}");
 }
 
 #[test]

@@ -204,6 +204,9 @@ fn mixed_workload_exports_are_complete_and_valid() {
         "gps_rpq_delete_reseed_latency_ns",
         "gps_rpq_words_build_latency_ns",
         "gps_rpq_words_pairs",
+        "gps_rpq_words_rederived_nodes_total",
+        "gps_rpq_words_minted_total",
+        "gps_rpq_words_postings_written_total",
         "gps_exec_support_overdeleted_total",
         "gps_core_publish_latency_ns",
         "gps_core_publish_phase_apply_ns",
@@ -254,6 +257,20 @@ fn mixed_workload_exports_are_complete_and_valid() {
             >= 1
     );
     assert!(snapshot.gauge("gps_rpq_words_pairs").unwrap() > 0);
+    // The publishes were inherited, not re-derived: a few nodes re-derived
+    // and the spellers of the words they gained patched.
+    assert!(
+        snapshot
+            .counter("gps_rpq_words_rederived_nodes_total")
+            .unwrap()
+            > 0
+    );
+    assert!(
+        snapshot
+            .counter("gps_rpq_words_postings_written_total")
+            .unwrap()
+            > 0
+    );
     assert!(
         snapshot
             .counter("gps_interactive_refresh_postings_total")
