@@ -92,36 +92,6 @@ pub fn is_finite(dfa: &Dfa) -> bool {
     removed == n
 }
 
-/// Enumerates all accepted words of length at most `max_length`, in
-/// length-then-lexicographic order.  Intended for testing and for the small
-/// graphs of the interactive demo; the output size is exponential in
-/// `max_length` for expressive languages.
-pub fn accepted_words_up_to(dfa: &Dfa, max_length: usize) -> Vec<Vec<LabelId>> {
-    let mut result = Vec::new();
-    let mut frontier: Vec<(usize, Vec<LabelId>)> = vec![(dfa.start(), Vec::new())];
-    if dfa.is_accepting(dfa.start()) {
-        result.push(Vec::new());
-    }
-    for _ in 0..max_length {
-        let mut next_frontier = Vec::new();
-        for (state, word) in &frontier {
-            for (symbol, target) in dfa.transitions_from(*state) {
-                let mut next_word = word.clone();
-                next_word.push(symbol);
-                if dfa.is_accepting(target) {
-                    result.push(next_word.clone());
-                }
-                next_frontier.push((target, next_word));
-            }
-        }
-        if next_frontier.is_empty() {
-            break;
-        }
-        frontier = next_frontier;
-    }
-    result
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -219,23 +189,6 @@ mod tests {
         dfa.add_transition(loop_state, l(1), loop_state);
         dfa.add_transition(0, l(1), loop_state);
         assert!(is_finite(&dfa));
-    }
-
-    #[test]
-    fn accepted_word_enumeration() {
-        let dfa = Dfa::from_regex(&Regex::star(Regex::symbol(l(0))));
-        let words = accepted_words_up_to(&dfa, 3);
-        assert_eq!(
-            words,
-            vec![vec![], vec![l(0)], vec![l(0); 2], vec![l(0); 3]]
-        );
-        let ab = Dfa::from_regex(&Regex::union([
-            Regex::word(&[l(0)]),
-            Regex::word(&[l(1), l(1)]),
-        ]));
-        let words = accepted_words_up_to(&ab, 2);
-        assert_eq!(words, vec![vec![l(0)], vec![l(1), l(1)]]);
-        assert!(accepted_words_up_to(&Dfa::from_regex(&Regex::Empty), 5).is_empty());
     }
 
     #[test]

@@ -21,7 +21,6 @@ use gps_datasets::Workload;
 use gps_graph::CsrGraph;
 use gps_interactive::session::SessionConfig;
 use gps_learner::characteristic::partial_sample;
-use gps_learner::Learner;
 use gps_rpq::{EvalHandle, NegativeCoverage, PathQuery};
 use std::time::Instant;
 
@@ -179,7 +178,11 @@ fn experiment_e3() {
     );
     let net = transport::generate(&TransportConfig::with_neighborhoods(100, 5));
     let graph = CsrGraph::from_graph(&net.graph);
-    let learner = Learner::default();
+    let SessionConfig {
+        learner,
+        path_bound,
+        ..
+    } = SessionConfig::default();
     for syntax in ["cinema", "tram*.cinema", "(tram+bus)*.cinema"] {
         let goal = PathQuery::parse(syntax, graph.labels()).unwrap();
         for examples_count in [4usize, 16, 64] {
@@ -187,7 +190,7 @@ fn experiment_e3() {
             // A fresh stack whose word index is built before the clock
             // starts, as a session's is: the learner is what is timed.
             let exec = EvalHandle::naive(&graph);
-            let index = exec.bounded_words(learner.path_bound);
+            let index = exec.bounded_words(path_bound);
             let started = Instant::now();
             let coverage = NegativeCoverage::from_index(&index, sample.negatives());
             let result = learner.learn_with(&graph, &sample, &coverage, &exec);

@@ -8,10 +8,10 @@
 //! to every worker thread and every session, and all of them share a single
 //! snapshot, index and cache.
 //!
-//! Construction goes through [`GpsBuilder`], which exposes every knob of the
-//! system in one place — node-proposal strategy, halt conditions, zoom radii,
-//! path-validation toggle, learner bounds, cache capacity, checkpointing and
-//! telemetry:
+//! Construction goes through [`GpsBuilder`]: the node-proposal strategy,
+//! the interaction budget, cache capacity, checkpointing and telemetry, and
+//! one [`SessionConfig`] for the rest of a session — zoom radii, the path
+//! bound, the path-validation toggle, halt conditions and the learner:
 //!
 //! ```
 //! use gps_core::{Engine, StrategyChoice};
@@ -20,7 +20,6 @@
 //! let (graph, ids) = figure1_graph();
 //! let engine = Engine::builder(graph)
 //!     .strategy(StrategyChoice::InformativePaths)
-//!     .initial_radius(2)
 //!     .max_interactions(100)
 //!     .build();
 //!
@@ -40,13 +39,12 @@ use crate::render;
 use crate::scenario::{self, ScenarioReport, StaticLabelingOutcome};
 use gps_exec::{BatchEvaluator, ExecMetrics, LabelIndex, PlannerConfig};
 use gps_graph::{CsrGraph, Graph, GraphDelta, Neighborhood, NodeId, PathEnumerator, PrefixTree};
-use gps_interactive::halt::HaltConfig;
 use gps_interactive::session::{Session, SessionConfig, SessionOutcome};
 use gps_interactive::strategy::{
     DegreeStrategy, InformativePathsStrategy, RandomStrategy, Strategy,
 };
 use gps_interactive::user::{SimulatedUser, User};
-use gps_learner::{Label, Learner};
+use gps_learner::Label;
 use gps_rpq::{EvalCache, EvalHandle, MigrationReport, PathQuery, QueryAnswer};
 use gps_telemetry::MetricsRegistry;
 use std::sync::Arc;
@@ -117,52 +115,9 @@ impl GpsBuilder {
         }
     }
 
-    /// Starts a builder from a textual edge list (see [`gps_graph::io`]).
-    pub fn from_edge_list(text: &str) -> Result<Self, GpsError> {
-        Ok(Self::new(gps_graph::io::parse_edge_list(text)?))
-    }
-
-    /// Replaces the learner configuration; its `path_bound` becomes the
-    /// engine's path bound.
-    pub fn learner(mut self, learner: Learner) -> Self {
-        self.session.path_bound = learner.path_bound;
-        self.session.learner = learner;
-        self
-    }
-
-    /// Sets the path-length bound shared by the learner, the coverage and
-    /// the pruning.
-    pub fn path_bound(mut self, bound: usize) -> Self {
-        self.session.learner.path_bound = bound;
-        self.session.path_bound = bound;
-        self
-    }
-
-    /// Sets the radius of the first neighborhood shown for a proposed node.
-    pub fn initial_radius(mut self, radius: u32) -> Self {
-        self.session.initial_radius = radius;
-        self
-    }
-
-    /// Sets the maximum radius the user can zoom out to.
-    pub fn max_radius(mut self, radius: u32) -> Self {
-        self.session.max_radius = radius;
-        self
-    }
-
-    /// Enables or disables the path-validation step (Figure 3(c)).
-    pub fn with_path_validation(mut self, enabled: bool) -> Self {
-        self.session.with_path_validation = enabled;
-        self
-    }
-
-    /// Replaces the halt conditions.
-    pub fn halt(mut self, halt: HaltConfig) -> Self {
-        self.session.halt = halt;
-        self
-    }
-
-    /// Bounds the number of label interactions.
+    /// Bounds the number of label interactions: sets the session
+    /// configuration's `halt.max_interactions` (a later
+    /// [`session_config`](Self::session_config) replaces it).
     pub fn max_interactions(mut self, max_interactions: usize) -> Self {
         self.session.halt.max_interactions = max_interactions;
         self
@@ -214,9 +169,9 @@ impl GpsBuilder {
         self
     }
 
-    /// Replaces the whole session configuration at once, including its
-    /// embedded learner (which becomes the engine's learner, at the
-    /// configuration's `path_bound`).
+    /// Replaces the whole session configuration: the zoom radii, the path
+    /// bound sessions, static labeling and the learner share, the
+    /// path-validation toggle, the halt conditions and the learner.
     pub fn session_config(mut self, config: SessionConfig) -> Self {
         self.session = config;
         self
@@ -234,10 +189,7 @@ impl GpsBuilder {
     /// with a streamed corpus builder (e.g.
     /// `gps_datasets::streamed::generate_csr`) to stand up an engine without
     /// ever materializing a mutable [`Graph`].
-    pub fn build_core_over(mut self, snapshot: Arc<CsrGraph>) -> Engine {
-        // One path bound per engine: static labeling and sessions read one
-        // word index.
-        self.session.learner.path_bound = self.session.path_bound;
+    pub fn build_core_over(self, snapshot: Arc<CsrGraph>) -> Engine {
         let exec_metrics = ExecMetrics::from_registry(&self.metrics);
         let started = Instant::now();
         let evaluator = BatchEvaluator::from_csr(&snapshot);
@@ -433,11 +385,6 @@ impl Engine {
         &self.options.session
     }
 
-    /// The learner configuration.
-    pub fn learner(&self) -> &Learner {
-        &self.options.session.learner
-    }
-
     /// The telemetry registry this engine (and every epoch advanced from it)
     /// records into — the disabled registry unless the builder wired one via
     /// [`GpsBuilder::metrics`].
@@ -457,23 +404,6 @@ impl Engine {
     pub fn evaluate(&self, syntax: &str) -> Result<QueryAnswer, GpsError> {
         let query = self.parse_query(syntax)?;
         Ok((*self.cache.evaluate(query.regex())).clone())
-    }
-
-    /// Parses and evaluates a batch of queries, returning the answers in
-    /// input order.  Cache misses are handed to the evaluator in one batch
-    /// call, which runs them in turn over one scratch allocation.
-    pub fn evaluate_many(&self, syntaxes: &[&str]) -> Result<Vec<QueryAnswer>, GpsError> {
-        let queries: Vec<PathQuery> = syntaxes
-            .iter()
-            .map(|syntax| self.parse_query(syntax))
-            .collect::<Result<_, _>>()?;
-        let regexes: Vec<&gps_automata::Regex> = queries.iter().map(|q| q.regex()).collect();
-        Ok(self
-            .cache
-            .evaluate_many(&regexes)
-            .into_iter()
-            .map(|answer| (*answer).clone())
-            .collect())
     }
 
     /// Renders the answer of a query as `{N1, N2, …}`.
@@ -568,7 +498,7 @@ impl Engine {
     /// Scenario 1 — static labeling: the user labels arbitrary nodes and the
     /// system proposes a consistent query or reports the inconsistency.
     pub fn static_labeling(&self, labels: &[(NodeId, Label)]) -> StaticLabelingOutcome {
-        scenario::static_labeling(&self.eval_handle(), labels, self.learner())
+        scenario::static_labeling(&self.eval_handle(), labels, &self.options.session)
     }
 
     /// Scenario 2 — interactive labeling without path validation, against a
@@ -688,96 +618,43 @@ mod tests {
     }
 
     #[test]
-    fn custom_learner_configuration() {
-        let (graph, _) = figure1_graph();
-        let gps = Engine::builder(graph)
-            .learner(Learner::with_bound(3))
-            .build();
-        assert_eq!(gps.learner().path_bound, 3);
-        assert!(gps.snapshot().node_count() == 10);
-    }
-
-    #[test]
-    fn builder_configures_every_layer() {
-        let (graph, _) = figure1_graph();
-        let engine = Engine::builder(graph)
-            .path_bound(3)
-            .initial_radius(1)
-            .max_radius(4)
-            .with_path_validation(false)
-            .max_interactions(7)
-            .strategy(StrategyChoice::Degree)
-            .build();
-        assert_eq!(engine.learner().path_bound, 3);
-        let config = engine.session_config();
-        assert_eq!(config.path_bound, 3);
-        assert_eq!(config.initial_radius, 1);
-        assert_eq!(config.max_radius, 4);
-        assert!(!config.with_path_validation);
-        assert_eq!(config.halt.max_interactions, 7);
-        assert_eq!(engine.strategy(), StrategyChoice::Degree);
-        assert_eq!(
-            config.learner.path_bound, 3,
-            "learner propagates to sessions"
-        );
-    }
-
-    #[test]
-    fn interactive_scenarios_honor_builder_knobs() {
-        let (graph, _) = figure1_graph();
-        // A one-interaction budget must cut the session short regardless of
-        // convergence; with the degree strategy and no stop-on-goal the
-        // session must run exactly one interaction.
-        let engine = Engine::builder(graph)
-            .strategy(StrategyChoice::Degree)
-            .halt(gps_interactive::halt::HaltConfig {
+    fn the_session_config_reaches_every_layer() {
+        use gps_interactive::halt::HaltConfig;
+        let (graph, ids) = figure1_graph();
+        let config = SessionConfig {
+            path_bound: 3,
+            initial_radius: 1,
+            max_radius: 4,
+            with_path_validation: false,
+            halt: HaltConfig {
                 max_interactions: 1,
                 stop_on_goal: false,
-            })
+            },
+            ..SessionConfig::default()
+        };
+        let engine = Engine::builder(graph)
+            .strategy(StrategyChoice::Degree)
+            .session_config(config)
             .build();
+        assert_eq!(engine.strategy(), StrategyChoice::Degree);
+        let session = engine.open_session();
+        for config in [engine.session_config(), session.config()] {
+            assert_eq!(config.path_bound, 3);
+            assert_eq!(config.initial_radius, 1);
+            assert_eq!(config.max_radius, 4);
+            assert!(!config.with_path_validation);
+            assert_eq!(config.halt.max_interactions, 1);
+            assert!(!config.halt.stop_on_goal);
+        }
+        // Static labeling learns at the same bound, off the one word index.
+        engine.static_labeling(&[(ids.n2, Label::Positive), (ids.n5, Label::Negative)]);
+        assert_eq!(engine.eval_cache().words_bound(), Some(3));
+        // The one-interaction budget cuts a scenario short regardless of
+        // convergence.
         let report = engine
             .interactive_with_validation(MOTIVATING_QUERY)
             .unwrap();
-        assert_eq!(report.interactions, 1, "budget knob must reach sessions");
-    }
-
-    #[test]
-    fn session_config_adopts_its_learner_at_its_path_bound() {
-        let (graph, _) = figure1_graph();
-        let config = gps_interactive::session::SessionConfig {
-            learner: Learner::with_bound(2),
-            path_bound: 2,
-            ..Default::default()
-        };
-        let engine = Engine::builder(graph.clone())
-            .session_config(config)
-            .build();
-        assert_eq!(engine.learner().path_bound, 2);
-        assert_eq!(engine.session_config().learner.path_bound, 2);
-        // Two different bounds: the session's wins, for the learner too.
-        let config = gps_interactive::session::SessionConfig {
-            learner: Learner::with_bound(2),
-            path_bound: 3,
-            ..Default::default()
-        };
-        let engine = Engine::builder(graph).session_config(config).build();
-        assert_eq!(engine.learner().path_bound, 3);
-        assert_eq!(engine.session_config().path_bound, 3);
-    }
-
-    #[test]
-    fn a_learner_bound_is_the_bound_of_the_shared_word_index() {
-        let (graph, _) = figure1_graph();
-        let engine = Engine::builder(graph)
-            .learner(Learner::with_bound(3))
-            .build();
-        assert_eq!(engine.session_config().path_bound, 3);
-        let mut user = engine.simulated_user(MOTIVATING_QUERY).unwrap();
-        engine.specify(&mut user);
-        assert_eq!(engine.eval_cache().words_bound(), Some(3));
-        // Static labeling reads the same index.
-        let (_, ids) = figure1_graph();
-        engine.static_labeling(&[(ids.n2, Label::Positive), (ids.n5, Label::Negative)]);
+        assert_eq!(report.interactions, 1);
         assert_eq!(engine.eval_cache().words_bound(), Some(3));
     }
 
@@ -816,25 +693,6 @@ mod tests {
     }
 
     #[test]
-    fn evaluate_many_matches_per_query_evaluation() {
-        let (graph, _) = figure1_graph();
-        let queries = [MOTIVATING_QUERY, "cinema", "bus", MOTIVATING_QUERY];
-        let oracle = NaiveEvaluator::from_csr(CsrGraph::from_graph(&graph));
-        let expected: Vec<Vec<NodeId>> = queries
-            .iter()
-            .map(|q| PathQuery::parse(q, graph.labels()).unwrap())
-            .map(|q| oracle.evaluate_dfa(q.dfa()).nodes())
-            .collect();
-        let engine = Engine::builder(graph).build();
-        let answers = engine.evaluate_many(&queries).unwrap();
-        assert_eq!(answers.len(), queries.len());
-        for (answer, expected) in answers.iter().zip(&expected) {
-            assert_eq!(&answer.nodes(), expected);
-        }
-        assert!(engine.evaluate_many(&["(bus"]).is_err());
-    }
-
-    #[test]
     fn specify_runs_the_configured_strategy() {
         let (graph, _) = figure1_graph();
         let engine = Engine::builder(graph).build();
@@ -846,14 +704,5 @@ mod tests {
             learned.answer.nodes(),
             goal.evaluate(engine.snapshot()).nodes()
         );
-    }
-
-    #[test]
-    fn builder_from_edge_list_parses() {
-        let engine = GpsBuilder::from_edge_list("N1 tram N4\nN4 cinema C1\n")
-            .unwrap()
-            .build();
-        assert_eq!(engine.snapshot().node_count(), 3);
-        assert!(GpsBuilder::from_edge_list("one two\n").is_err());
     }
 }

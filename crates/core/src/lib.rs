@@ -12,8 +12,11 @@
 //!   and the bounded evaluation cache, each held once and shared by every
 //!   clone and session.  Evaluate queries, render neighborhoods and prefix
 //!   trees, run interactive sessions and the three demonstration scenarios;
-//! * [`GpsBuilder`] — one place to choose the node-proposal strategy, the
-//!   halt conditions, the zoom/validation options and the cache capacity;
+//! * [`GpsBuilder`] — the node-proposal strategy, the interaction budget,
+//!   the cache capacity, checkpointing, telemetry and one
+//!   [`SessionConfig`](gps_interactive::session::SessionConfig) for
+//!   everything else a session reads (radii, path bound, validation, halt
+//!   conditions, learner);
 //! * [`GpsError`] — the typed error unifying the per-layer error enums;
 //! * [`render`] — the textual "visualization" layer standing in for the demo
 //!   GUI (Figure 3(a)–(c) of the paper);
@@ -38,7 +41,6 @@
 //! // Build the engine with explicit options.
 //! let engine = Engine::builder(graph)
 //!     .strategy(StrategyChoice::InformativePaths)
-//!     .initial_radius(2)
 //!     .build();
 //!
 //! // Evaluate the motivating query of the paper.

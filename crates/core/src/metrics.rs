@@ -7,7 +7,21 @@
 //! hot paths never take the registry's name-map lock.  With a disabled
 //! registry every handle is a no-op costing one branch.
 
+use gps_interactive::halt::HaltReason;
 use gps_telemetry::{Counter, Gauge, Histogram, MetricsRegistry};
+
+/// Every [`HaltReason`] with the snake-case name of its
+/// `gps_service_sessions_halted_<reason>_total` counter.
+const HALT_REASONS: [(HaltReason, &str); 5] = [
+    (HaltReason::AllNodesResolved, "all_nodes_resolved"),
+    (HaltReason::UserSatisfied, "user_satisfied"),
+    (
+        HaltReason::InteractionBudgetExhausted,
+        "interaction_budget_exhausted",
+    ),
+    (HaltReason::GoalReached, "goal_reached"),
+    (HaltReason::ClosedByClient, "closed_by_client"),
+];
 
 /// The MVCC/durability metric family (`gps_core_*`), recorded by
 /// [`crate::VersionedStore`].
@@ -83,6 +97,13 @@ pub(crate) struct ServiceMetrics {
     /// `gps_service_sessions_completed_total` — sessions whose halt condition
     /// fired (vs. closed early by the client).
     pub sessions_completed: Counter,
+    /// `gps_service_sessions_halted_<reason>_total` — closed sessions by
+    /// the reason they ended, in [`HALT_REASONS`] order; the family sums to
+    /// `gps_service_sessions_closed_total`.
+    sessions_halted: [Counter; 5],
+    /// `gps_service_sessions_unlearned_total` — closed sessions whose
+    /// outcome holds no learned query.
+    pub sessions_unlearned: Counter,
     /// `gps_service_active_sessions` — sessions open right now.
     pub active_sessions: Gauge,
     /// `gps_service_open_latency_ns` — wall time of one session open (pin +
@@ -102,10 +123,22 @@ impl ServiceMetrics {
             sessions_opened: registry.counter("gps_service_sessions_opened_total"),
             sessions_closed: registry.counter("gps_service_sessions_closed_total"),
             sessions_completed: registry.counter("gps_service_sessions_completed_total"),
+            sessions_halted: HALT_REASONS.map(|(_, name)| {
+                registry.counter(&format!("gps_service_sessions_halted_{name}_total"))
+            }),
+            sessions_unlearned: registry.counter("gps_service_sessions_unlearned_total"),
             active_sessions: registry.gauge("gps_service_active_sessions"),
             open_latency: registry.histogram("gps_service_open_latency_ns"),
             step_latency: registry.histogram("gps_service_step_latency_ns"),
             close_latency: registry.histogram("gps_service_close_latency_ns"),
         }
+    }
+
+    /// The `gps_service_sessions_halted_<reason>_total` counter of `reason`.
+    pub(crate) fn sessions_halted(&self, reason: HaltReason) -> &Counter {
+        let slot = HALT_REASONS
+            .iter()
+            .position(|&(listed, _)| listed == reason);
+        &self.sessions_halted[slot.expect("every halt reason is listed")]
     }
 }

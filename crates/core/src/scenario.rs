@@ -18,7 +18,7 @@ use gps_graph::{CsrGraph, NodeId};
 use gps_interactive::session::{Session, SessionConfig, SessionOutcome};
 use gps_interactive::strategy::Strategy;
 use gps_interactive::user::SimulatedUser;
-use gps_learner::{consistency, ExampleSet, Label, LearnedQuery, Learner};
+use gps_learner::{consistency, ExampleSet, Label, LearnedQuery};
 use gps_rpq::{EvalHandle, NegativeCoverage, PathQuery};
 use serde::{Deserialize, Serialize};
 
@@ -27,7 +27,7 @@ use serde::{Deserialize, Serialize};
 pub enum StaticLabelingOutcome {
     /// A query consistent with the user's labels was found.
     Learned(Box<LearnedQuery>),
-    /// The labels are inconsistent: no query (within the learner's bound) can
+    /// The labels are inconsistent: no query (within the path bound) can
     /// select all positives and no negative.  The offending positive node is
     /// reported: the first, in id order, whose every bounded path is covered
     /// by negatives, else the node the learner could not satisfy.
@@ -40,19 +40,23 @@ pub enum StaticLabelingOutcome {
 }
 
 /// Runs the static-labeling scenario on a user-provided example set, over
-/// `exec`'s snapshot: words come from its word index, answers from its cache.
+/// `exec`'s snapshot: words come from its word index at `config.path_bound`,
+/// answers from its cache, and `config.learner` learns.
 pub fn static_labeling(
     exec: &EvalHandle,
     labels: &[(NodeId, Label)],
-    learner: &Learner,
+    config: &SessionConfig,
 ) -> StaticLabelingOutcome {
     let examples: ExampleSet = labels.iter().copied().collect();
     if examples.positive_count() == 0 {
         return StaticLabelingOutcome::NoPositives;
     }
-    let index = exec.bounded_words(learner.path_bound);
+    let index = exec.bounded_words(config.path_bound);
     let coverage = NegativeCoverage::from_index(&index, examples.negatives());
-    match learner.learn_with(exec.cache().csr(), &examples, &coverage, exec) {
+    match config
+        .learner
+        .learn_with(exec.cache().csr(), &examples, &coverage, exec)
+    {
         Ok(learned) => StaticLabelingOutcome::Learned(Box::new(learned)),
         Err(gps_learner::LearnError::PositiveFullyCovered { node })
         | Err(gps_learner::LearnError::ValidatedPathCovered { node })
@@ -151,7 +155,7 @@ mod tests {
 
     fn static_labeling_on_figure1(labels: &[(NodeId, Label)]) -> StaticLabelingOutcome {
         let exec = EvalHandle::naive(&CsrGraph::from_graph(&figure1_graph().0));
-        static_labeling(&exec, labels, &Learner::default())
+        static_labeling(&exec, labels, &SessionConfig::default())
     }
 
     #[test]
@@ -206,7 +210,7 @@ mod tests {
             [(n1, pos), (n2, pos), (n5, neg), (n6, pos)],
             [(n6, pos), (n5, neg), (n2, pos), (n1, pos)],
         ] {
-            match static_labeling(&exec, &labels, &Learner::default()) {
+            match static_labeling(&exec, &labels, &SessionConfig::default()) {
                 StaticLabelingOutcome::Inconsistent {
                     conflicting_positive,
                 } => assert_eq!(conflicting_positive, n2),
@@ -216,7 +220,7 @@ mod tests {
         // Without the negative both learn.
         let labels = [(n2, pos), (n6, pos)];
         assert!(matches!(
-            static_labeling(&exec, &labels, &Learner::default()),
+            static_labeling(&exec, &labels, &SessionConfig::default()),
             StaticLabelingOutcome::Learned(_)
         ));
     }

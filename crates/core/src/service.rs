@@ -6,11 +6,11 @@
 //!
 //! * [`SessionManager`] — a concurrency-safe session table over one core:
 //!   `open` a session for a (simulated) user goal, `step` it one interaction
-//!   at a time, read its per-session [`SessionStats`], `close` it into a
-//!   [`SessionOutcome`].  Every session shares the core's snapshot, bounded
-//!   evaluation cache and label index; every session's learner, coverage,
-//!   pruning and statistics are private to it, so concurrent sessions cannot
-//!   observe each other.
+//!   at a time, `close` it into a [`SessionOutcome`] (which carries its
+//!   per-session statistics).  Every session shares the core's snapshot,
+//!   bounded evaluation cache and label index; every session's learner,
+//!   coverage, pruning and statistics are private to it, so concurrent
+//!   sessions cannot observe each other.
 //! * [`SessionManager::serve`] — the worker-thread driver on the same table:
 //!   hand it a batch of goal queries and a worker count and it opens, runs
 //!   and closes one session per goal across scoped threads, returning the
@@ -42,7 +42,6 @@ use crate::versioned::{GraphUpdate, PublishReport, RecoveryReport, VersionedStor
 use gps_interactive::halt::HaltReason;
 use gps_interactive::metrics::SessionMetrics;
 use gps_interactive::session::{Session, SessionOutcome};
-use gps_interactive::stats::SessionStats;
 use gps_interactive::strategy::Strategy;
 use gps_interactive::user::SimulatedUser;
 use gps_telemetry::{MetricsRegistry, MetricsSnapshot};
@@ -316,11 +315,6 @@ impl SessionManager {
         }
     }
 
-    /// The per-session statistics of session `id` so far.
-    pub fn session_stats(&self, id: SessionId) -> Result<SessionStats, GpsError> {
-        Ok(self.slot(id)?.lock().session.stats().clone())
-    }
-
     /// Closes session `id`, removing it from the table and returning its
     /// outcome.  A session closed before any halt condition fired reports
     /// [`HaltReason::ClosedByClient`].
@@ -351,6 +345,10 @@ impl SessionManager {
         // retired right here.
         self.store.unpin(epoch);
         self.metrics.sessions_closed.inc();
+        self.metrics.sessions_halted(outcome.halt_reason).inc();
+        if outcome.learned.is_none() {
+            self.metrics.sessions_unlearned.inc();
+        }
         self.metrics.active_sessions.set(self.active_count() as u64);
         self.session_metrics
             .interactions_per_session
@@ -483,9 +481,21 @@ mod tests {
     use super::*;
     use crate::engine::Engine;
     use gps_datasets::figure1::{figure1_graph, MOTIVATING_QUERY};
+    use gps_interactive::session::SessionConfig;
 
     fn core() -> EngineCore {
         Engine::builder(figure1_graph().0).build()
+    }
+
+    /// Sessions that keep running after reaching the goal.
+    fn running() -> SessionConfig {
+        SessionConfig {
+            halt: gps_interactive::halt::HaltConfig {
+                max_interactions: 200,
+                stop_on_goal: false,
+            },
+            ..SessionConfig::default()
+        }
     }
 
     #[test]
@@ -502,9 +512,9 @@ mod tests {
         assert!(reason.is_convergence());
         // Stepping a halted session is a no-op.
         assert_eq!(manager.step(id).unwrap(), SessionStatus::Halted(reason));
-        let stats = manager.session_stats(id).unwrap();
-        assert!(stats.interactions >= 1);
         let outcome = manager.close(id).unwrap();
+        let stats = &outcome.stats;
+        assert!(stats.interactions >= 1);
         assert_eq!(outcome.halt_reason, reason);
         assert!(outcome.learned.is_some());
         assert_eq!(manager.active_count(), 0);
@@ -526,7 +536,7 @@ mod tests {
         let id = manager.open(MOTIVATING_QUERY).unwrap();
         manager.close(id).unwrap();
         assert!(matches!(
-            manager.session_stats(id),
+            manager.session_epoch(id),
             Err(GpsError::UnknownSession(_))
         ));
         assert!(matches!(
@@ -540,12 +550,7 @@ mod tests {
         // No stop-on-goal: after one step the session is genuinely still
         // running, so the close is an early client teardown.
         let (graph, _) = figure1_graph();
-        let core = Engine::builder(graph)
-            .halt(gps_interactive::halt::HaltConfig {
-                max_interactions: 200,
-                stop_on_goal: false,
-            })
-            .build();
+        let core = Engine::builder(graph).session_config(running()).build();
         let manager = SessionManager::new(core);
         let id = manager.open(MOTIVATING_QUERY).unwrap();
         manager.step(id).unwrap();
@@ -606,12 +611,7 @@ mod tests {
         // first stays pinned to epoch 0, the second observes epoch 1, and
         // closing the first retires its superseded epoch.
         let (graph, _) = figure1_graph();
-        let core = Engine::builder(graph)
-            .halt(gps_interactive::halt::HaltConfig {
-                max_interactions: 200,
-                stop_on_goal: false,
-            })
-            .build();
+        let core = Engine::builder(graph).session_config(running()).build();
         let service = SessionManager::new(core);
         let first = service.open(MOTIVATING_QUERY).unwrap();
         service.step(first).unwrap();

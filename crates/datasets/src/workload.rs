@@ -107,24 +107,6 @@ impl Workload {
         }
     }
 
-    /// A scale-free *batch* workload: the multi-query input of the batch
-    /// execution engine — `query_count` structurally varied queries (see
-    /// [`queries::batch_workload`]) over one preferential-attachment graph.
-    pub fn scale_free_batch(nodes: usize, query_count: usize, seed: u64) -> Self {
-        let graph = scale_free::generate(&ScaleFreeConfig {
-            nodes,
-            seed,
-            ..ScaleFreeConfig::default()
-        });
-        let queries = queries::batch_workload(&graph, query_count);
-        Self {
-            kind: WorkloadKind::ScaleFree,
-            name: format!("scale-free-{nodes}-batch{query_count}"),
-            graph,
-            queries,
-        }
-    }
-
     /// The large-corpus scale-free workload (~20k nodes, denser and with a
     /// wider alphabet than the default config) used to sanity-check the
     /// planner's default thresholds at a size where the checked-in small
@@ -218,14 +200,5 @@ mod tests {
     fn workload_names_embed_sizes() {
         assert_eq!(Workload::transport(30, 1).name, "transport-30");
         assert_eq!(Workload::biological(80, 1).name, "biological-80");
-    }
-
-    #[test]
-    fn scale_free_batch_carries_a_multi_query_workload() {
-        let w = Workload::scale_free_batch(60, 12, 11);
-        assert_eq!(w.name, "scale-free-60-batch12");
-        assert_eq!(w.queries.len(), 12);
-        assert_eq!(w.kind, WorkloadKind::ScaleFree);
-        assert_eq!(w.graph.node_count(), 60);
     }
 }

@@ -2,10 +2,9 @@
 //!
 //! [`BatchEvaluator`] snapshots a graph into the label-partitioned
 //! [`LabelIndex`] once and then serves any number of queries over it, one
-//! at a time: single evaluations, sequential batches sharing one scratch
-//! allocation ([`evaluate_many`](BatchEvaluator::evaluate_many)), resumes
-//! across a graph delta, and per-node shortest witnesses (which answer
-//! per-node membership too).
+//! at a time, in one scratch allocation kept across calls: evaluations,
+//! resumes across a graph delta, and per-node shortest witnesses (which
+//! answer per-node membership too).
 //!
 //! It implements [`DfaEvaluator`], which is how the `gps-rpq` evaluation
 //! cache — and through it the whole `gps-core` engine, sessions, learner and
@@ -198,16 +197,6 @@ impl BatchEvaluator {
         self.metrics.frontier_rounds.add(rounds);
         (answer, resume)
     }
-
-    /// Evaluates a batch sequentially, sharing one scratch allocation across
-    /// all queries (answers in input order).
-    pub fn evaluate_many(&self, dfas: &[&Dfa]) -> Vec<QueryAnswer> {
-        self.with_scratch(|scratch| {
-            dfas.iter()
-                .map(|dfa| self.evaluate_scratch(dfa, scratch))
-                .collect()
-        })
-    }
 }
 
 impl DfaEvaluator for BatchEvaluator {
@@ -215,20 +204,8 @@ impl DfaEvaluator for BatchEvaluator {
         self.evaluate(dfa)
     }
 
-    fn evaluate_dfas(&self, dfas: &[&Dfa]) -> Vec<QueryAnswer> {
-        self.evaluate_many(dfas)
-    }
-
     fn evaluate_dfa_captured(&self, dfa: &Dfa) -> (QueryAnswer, Option<EvalResume>) {
         self.with_scratch(|scratch| self.evaluate_captured_scratch(dfa, scratch))
-    }
-
-    fn evaluate_dfas_captured(&self, dfas: &[&Dfa]) -> Vec<(QueryAnswer, Option<EvalResume>)> {
-        self.with_scratch(|scratch| {
-            dfas.iter()
-                .map(|dfa| self.evaluate_captured_scratch(dfa, scratch))
-                .collect()
-        })
     }
 
     fn evaluate_dfa_resumed(
@@ -300,7 +277,7 @@ mod tests {
         let evaluator = BatchEvaluator::from_csr(&g);
         let dfas = queries(&g);
         let refs: Vec<&Dfa> = dfas.iter().collect();
-        let batch = evaluator.evaluate_many(&refs);
+        let batch = evaluator.evaluate_dfas(&refs);
         for (dfa, answer) in dfas.iter().zip(&batch) {
             assert_eq!(*answer, gps_rpq::eval::evaluate(&g, dfa));
         }
@@ -432,17 +409,14 @@ mod tests {
     }
 
     #[test]
-    fn captured_batch_matches_single_captures() {
-        // The batch shares one scratch across queries; nothing may leak from
-        // one query's fixed point into the next.
+    fn a_kept_scratch_leaks_nothing_between_captures() {
+        // One evaluator keeps its scratch across calls; nothing may leak
+        // from one query's fixed point into the next.
         let g = sample();
         let evaluator = BatchEvaluator::from_csr(&g);
-        let dfas = queries(&g);
-        let refs: Vec<&Dfa> = dfas.iter().collect();
-        let batch = evaluator.evaluate_dfas_captured(&refs);
-        assert_eq!(batch.len(), dfas.len());
-        for (i, (dfa, captured)) in dfas.iter().zip(&batch).enumerate() {
-            assert_eq!(*captured, evaluator.evaluate_dfa_captured(dfa), "query {i}");
+        for (i, dfa) in queries(&g).iter().enumerate() {
+            let fresh = BatchEvaluator::from_csr(&g).evaluate_dfa_captured(dfa);
+            assert_eq!(evaluator.evaluate_dfa_captured(dfa), fresh, "query {i}");
         }
     }
 
@@ -475,7 +449,7 @@ mod tests {
     fn empty_graph_and_empty_batch() {
         let g = CsrGraph::default();
         let evaluator = BatchEvaluator::from_csr(&g);
-        assert!(evaluator.evaluate_many(&[]).is_empty());
+        assert!(evaluator.evaluate_dfas(&[]).is_empty());
         assert!(evaluator.evaluate_dfas_captured(&[]).is_empty());
     }
 }

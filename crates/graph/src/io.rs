@@ -121,12 +121,6 @@ pub fn read_edge_list_file(path: impl AsRef<FsPath>) -> Result<Graph, IoError> {
     parse_edge_list(&content)
 }
 
-/// Writes a graph to an edge-list file.
-pub fn write_edge_list_file(graph: &Graph, path: impl AsRef<FsPath>) -> Result<(), IoError> {
-    std::fs::write(path, to_edge_list(graph))?;
-    Ok(())
-}
-
 /// Serializes a graph to JSON.
 pub fn to_json(graph: &Graph) -> Result<String, IoError> {
     Ok(serde_json::to_string_pretty(graph)?)
@@ -217,7 +211,7 @@ N5
         let dir = std::env::temp_dir().join("gps-graph-io-test");
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("sample.edges");
-        write_edge_list_file(&g, &path).unwrap();
+        std::fs::write(&path, to_edge_list(&g)).unwrap();
         let g2 = read_edge_list_file(&path).unwrap();
         assert_eq!(g2.edge_count(), g.edge_count());
         std::fs::remove_file(&path).ok();

@@ -108,11 +108,6 @@ impl Neighborhood {
         &self.nodes
     }
 
-    /// Node ids of the fragment, sorted.
-    pub fn node_ids(&self) -> Vec<NodeId> {
-        self.nodes.iter().map(|&(n, _)| n).collect()
-    }
-
     /// Edges of the fragment in row order: by source id, each source's
     /// edges in the order of its out-row.
     pub fn edges(&self) -> &[Edge] {

@@ -92,7 +92,6 @@ pub const DEFAULT_MAX_PATHS: usize = 100_000;
 pub struct PathEnumerator {
     max_length: usize,
     max_paths: usize,
-    include_empty: bool,
 }
 
 impl Default for PathEnumerator {
@@ -100,7 +99,6 @@ impl Default for PathEnumerator {
         Self {
             max_length: 4,
             max_paths: DEFAULT_MAX_PATHS,
-            include_empty: false,
         }
     }
 }
@@ -121,29 +119,17 @@ impl PathEnumerator {
         self
     }
 
-    /// Whether to include the empty path (and the empty word).  The paper's
-    /// queries never select via the empty word, so the default is `false`.
-    pub fn with_empty(mut self, include_empty: bool) -> Self {
-        self.include_empty = include_empty;
-        self
-    }
-
     /// The configured maximum path length.
     pub fn max_length(&self) -> usize {
         self.max_length
     }
 
-    /// Enumerates all paths of length `1..=max_length` (plus the empty path
-    /// when configured) starting at `start`, in breadth-first (shortest
-    /// first) order, deterministically following edge insertion order.
+    /// Enumerates all paths of length `1..=max_length` starting at `start`
+    /// (never the empty path: the paper's queries never select via the empty
+    /// word), in breadth-first (shortest first) order, deterministically
+    /// following edge insertion order.
     pub fn paths_from(&self, graph: &CsrGraph, start: NodeId) -> Vec<Path> {
         let mut result = Vec::new();
-        if self.include_empty {
-            result.push(Path::empty(start));
-        }
-        if self.max_length == 0 {
-            return result;
-        }
         let mut frontier = vec![Path::empty(start)];
         for _ in 0..self.max_length {
             let mut next_frontier = Vec::new();
@@ -267,12 +253,11 @@ mod tests {
     }
 
     #[test]
-    fn include_empty_adds_epsilon_word() {
+    fn the_empty_word_is_never_enumerated() {
         let (g, n2) = n2_fragment();
-        let words = PathEnumerator::new(1).with_empty(true).words_from(&g, n2);
-        assert!(words.contains(&Vec::new()));
-        let words_no_eps = PathEnumerator::new(1).words_from(&g, n2);
-        assert!(!words_no_eps.contains(&Vec::new()));
+        let words = PathEnumerator::new(1).words_from(&g, n2);
+        assert!(!words.is_empty());
+        assert!(!words.contains(&Vec::new()));
     }
 
     #[test]
@@ -296,11 +281,8 @@ mod tests {
     }
 
     #[test]
-    fn max_length_zero_yields_nothing_or_epsilon() {
+    fn max_length_zero_yields_nothing() {
         let (g, n2) = n2_fragment();
         assert!(PathEnumerator::new(0).paths_from(&g, n2).is_empty());
-        let with_empty = PathEnumerator::new(0).with_empty(true).paths_from(&g, n2);
-        assert_eq!(with_empty.len(), 1);
-        assert!(with_empty[0].is_empty());
     }
 }

@@ -89,12 +89,6 @@ impl PrefixTree {
             .unwrap_or(false)
     }
 
-    /// Returns `true` if the word is a (not necessarily proper) prefix of an
-    /// inserted word.
-    pub fn contains_prefix(&self, word: &[LabelId]) -> bool {
-        self.locate(word).is_some()
-    }
-
     /// Locates the trie node spelled by `word`, if present.
     pub fn locate(&self, word: &[LabelId]) -> Option<PrefixNodeId> {
         let mut node = self.root();
@@ -154,11 +148,6 @@ impl PrefixTree {
             self.walk_inner(child, depth + 1, visit);
         }
     }
-
-    /// The longest stored word (ties broken lexicographically first).
-    pub fn longest_word(&self) -> Option<Word> {
-        self.words().into_iter().max_by_key(|w| w.len())
-    }
 }
 
 #[cfg(test)]
@@ -177,8 +166,8 @@ mod tests {
         assert_eq!(tree.word_count(), 0);
         assert!(!tree.contains(&[]));
         assert!(
-            tree.contains_prefix(&[]),
-            "empty word is a prefix of anything"
+            tree.locate(&[]).is_some(),
+            "the empty word locates the root"
         );
     }
 
@@ -190,7 +179,7 @@ mod tests {
         assert!(tree.contains(&[l(0), l(1)]));
         assert!(tree.contains(&[l(0), l(2)]));
         assert!(!tree.contains(&[l(0)]), "prefix is not a stored word");
-        assert!(tree.contains_prefix(&[l(0)]));
+        assert!(tree.locate(&[l(0)]).is_some());
         assert!(!tree.contains(&[l(1)]));
         assert_eq!(tree.word_count(), 2);
     }
@@ -235,14 +224,6 @@ mod tests {
             visits,
             vec![(0, l(0), true), (0, l(1), false), (1, l(0), true)]
         );
-    }
-
-    #[test]
-    fn longest_word_prefers_length() {
-        let tree =
-            PrefixTree::from_words(vec![vec![l(5)], vec![l(0), l(1), l(2)], vec![l(9), l(9)]]);
-        assert_eq!(tree.longest_word(), Some(vec![l(0), l(1), l(2)]));
-        assert_eq!(PrefixTree::new().longest_word(), None);
     }
 
     #[test]

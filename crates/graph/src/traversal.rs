@@ -1,4 +1,4 @@
-//! Graph traversals: BFS, DFS, distances and reachability.
+//! Graph traversals: BFS, distances and reachability.
 //!
 //! Each of these allocates per-node state over the whole graph, so a
 //! traversal costs O(n) however little it reaches.  Neighborhood extraction
@@ -42,11 +42,6 @@ impl BfsDistances {
             .iter()
             .enumerate()
             .filter_map(|(i, d)| d.map(|d| (NodeId::from(i), d)))
-    }
-
-    /// Number of reachable nodes (including the start node itself).
-    pub fn reachable_count(&self) -> usize {
-        self.distances.iter().filter(|d| d.is_some()).count()
     }
 }
 
@@ -106,46 +101,6 @@ pub fn bfs(
 /// Unbounded forward BFS from `start`.
 pub fn bfs_forward(graph: &CsrGraph, start: NodeId) -> BfsDistances {
     bfs(graph, start, None, Direction::Forward)
-}
-
-/// Returns the nodes reachable from `start` (forward direction), including
-/// `start` itself, in BFS order.
-pub fn reachable_from(graph: &CsrGraph, start: NodeId) -> Vec<NodeId> {
-    let mut order = Vec::new();
-    let mut visited = vec![false; graph.node_count()];
-    let mut queue = VecDeque::new();
-    visited[start.index()] = true;
-    queue.push_back(start);
-    while let Some(node) = queue.pop_front() {
-        order.push(node);
-        for next in graph.out(node).iter().map(|entry| entry.node) {
-            if !visited[next.index()] {
-                visited[next.index()] = true;
-                queue.push_back(next);
-            }
-        }
-    }
-    order
-}
-
-/// Depth-first search that invokes `visit` on every node reachable from
-/// `start` in pre-order.
-pub fn dfs_preorder(graph: &CsrGraph, start: NodeId, mut visit: impl FnMut(NodeId)) {
-    let mut visited = vec![false; graph.node_count()];
-    let mut stack = vec![start];
-    while let Some(node) = stack.pop() {
-        if visited[node.index()] {
-            continue;
-        }
-        visited[node.index()] = true;
-        visit(node);
-        // Push successors in reverse so the first successor is visited first.
-        for next in graph.out(node).iter().rev().map(|entry| entry.node) {
-            if !visited[next.index()] {
-                stack.push(next);
-            }
-        }
-    }
 }
 
 /// Returns `true` if `target` is reachable from `source` following forward
@@ -215,7 +170,7 @@ mod tests {
         assert_eq!(d.distance(n[2]), Some(2));
         assert_eq!(d.distance(n[3]), Some(3));
         assert_eq!(d.distance(n[4]), None);
-        assert_eq!(d.reachable_count(), 4);
+        assert_eq!(d.reachable().count(), 4);
     }
 
     #[test]
@@ -240,28 +195,10 @@ mod tests {
     fn both_direction_unions_neighbors() {
         let (g, n) = chain_with_cycle();
         let d = bfs(&g, n[4], None, Direction::Both);
-        assert_eq!(d.reachable_count(), 1, "isolated node sees only itself");
+        assert_eq!(d.reachable().count(), 1, "isolated node sees only itself");
         let d0 = bfs(&g, n[3], Some(1), Direction::Both);
         assert!(d0.is_reachable(n[1]));
         assert!(d0.is_reachable(n[2]));
-    }
-
-    #[test]
-    fn reachable_from_returns_bfs_order() {
-        let (g, n) = chain_with_cycle();
-        let order = reachable_from(&g, n[0]);
-        assert_eq!(order, vec![n[0], n[1], n[2], n[3]]);
-    }
-
-    #[test]
-    fn dfs_preorder_visits_each_reachable_node_once() {
-        let (g, n) = chain_with_cycle();
-        let mut seen = Vec::new();
-        dfs_preorder(&g, n[0], |node| seen.push(node));
-        assert_eq!(seen.len(), 4);
-        assert_eq!(seen[0], n[0]);
-        assert!(seen.contains(&n[3]));
-        assert!(!seen.contains(&n[4]));
     }
 
     #[test]

@@ -43,9 +43,8 @@ pub struct SessionConfig {
     pub with_path_validation: bool,
     /// Halt conditions.
     pub halt: HaltConfig,
-    /// The learner configuration.  A session learns at `path_bound` (its
-    /// coverage's bound): it overwrites `learner.path_bound` with it, so
-    /// [`Session::config`] reports the bound the session learns at.
+    /// The learner configuration; the learner learns at `path_bound` (its
+    /// coverage's bound).
     pub learner: Learner,
 }
 
@@ -191,9 +190,8 @@ impl<'g> Session<'g> {
         self.graph.get()
     }
 
-    fn from_graph_ref(graph: GraphRef<'g>, mut config: SessionConfig, exec: EvalHandle) -> Self {
+    fn from_graph_ref(graph: GraphRef<'g>, config: SessionConfig, exec: EvalHandle) -> Self {
         exec.assert_serves(graph.get());
-        config.learner.path_bound = config.path_bound;
         let coverage = NegativeCoverage::new(config.path_bound);
         let pruning = PruningState::new(config.path_bound);
         Self {
@@ -609,28 +607,6 @@ mod tests {
             assert_eq!(session.stats().interactions, 2);
         }
         assert!(session.config().with_path_validation);
-    }
-
-    #[test]
-    fn a_hand_made_config_learns_and_reports_its_path_bound() {
-        let (g, _) = figure1();
-        let goal = goal(&g);
-        let run = |learner_bound: usize| {
-            let config = SessionConfig {
-                path_bound: 3,
-                learner: Learner::with_bound(learner_bound),
-                ..SessionConfig::default()
-            };
-            let mut user = SimulatedUser::new(goal.clone(), &g);
-            let mut session = Session::new(&g, config);
-            assert_eq!(session.config().path_bound, 3);
-            assert_eq!(session.config().learner.path_bound, 3);
-            let outcome = session.run(&mut InformativePathsStrategy, &mut user);
-            let learned = outcome.learned.map(|query| query.answer.nodes());
-            (outcome.stats.interactions, learned)
-        };
-        // The learner's own bound is overwritten, so it changes nothing.
-        assert_eq!(run(5), run(3));
     }
 
     #[test]

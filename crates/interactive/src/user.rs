@@ -99,12 +99,6 @@ impl SimulatedUser {
         }
     }
 
-    /// Sets the per-node zoom budget.
-    pub fn with_max_zooms(mut self, max_zooms: u32) -> Self {
-        self.max_zooms = max_zooms;
-        self
-    }
-
     /// The goal query driving this user.
     pub fn goal(&self) -> &PathQuery {
         &self.goal
@@ -281,7 +275,8 @@ mod tests {
     #[test]
     fn zoom_budget_forces_an_answer() {
         let (g, ids) = figure1();
-        let mut user = SimulatedUser::new(goal(&g), &g).with_max_zooms(0);
+        let mut user = SimulatedUser::new(goal(&g), &g);
+        user.max_zooms = 0;
         let hood2 = Neighborhood::extract(&g, ids.n2, 2);
         assert_eq!(user.label_node(&g, ids.n2, &hood2), UserResponse::Positive);
     }
@@ -344,7 +339,7 @@ mod tests {
         for node in the_goal.evaluate(&g).nodes() {
             ex.add_positive(node);
         }
-        let learned = gps_learner::Learner::default().learn(&g, &ex).unwrap();
+        let learned = gps_learner::Learner::default().learn(&g, &ex, 4).unwrap();
         let expected = learned.answer.nodes() == the_goal.evaluate(&g).nodes();
         assert_eq!(learned.answer == the_goal.evaluate(&g), expected);
         assert_eq!(

@@ -77,7 +77,7 @@ fn paper_counterexample_without_validation_learns_bus_like_query() {
     examples.add_positive(ids.n2);
     examples.add_positive(ids.n6);
     examples.add_negative(ids.n5);
-    let learned = Learner::default().learn(&graph, &examples).unwrap();
+    let learned = Learner::default().learn(&graph, &examples, 4).unwrap();
     // Consistent with the labels...
     assert!(consistency::check_answer(&learned.answer, &examples).is_consistent());
     // ...but NOT language-equivalent to the goal query.

@@ -123,7 +123,7 @@ mod tests {
         let g = transport_graph();
         let goal = PathQuery::parse("(tram+bus)*.cinema", g.labels()).unwrap();
         let sample = characteristic_sample(&g, &goal);
-        let learned = Learner::default().learn(&g, &sample).unwrap();
+        let learned = Learner::default().learn(&g, &sample, 4).unwrap();
         let goal_answer = goal.evaluate(&g);
         assert_eq!(learned.answer.nodes(), goal_answer.nodes());
     }

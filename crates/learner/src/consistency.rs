@@ -7,8 +7,8 @@
 //! itself, as [`LearnError::PositiveFullyCovered`](crate::LearnError).
 
 use crate::examples::ExampleSet;
-use gps_graph::{CsrGraph, NodeId};
-use gps_rpq::{PathQuery, QueryAnswer};
+use gps_graph::NodeId;
+use gps_rpq::QueryAnswer;
 
 /// The verdict of checking a query against an example set.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -28,12 +28,7 @@ impl Consistency {
     }
 }
 
-/// Checks whether `query` is consistent with `examples` on `graph`.
-pub fn check_query(graph: &CsrGraph, query: &PathQuery, examples: &ExampleSet) -> Consistency {
-    check_answer(&query.evaluate(graph), examples)
-}
-
-/// Checks an already-computed answer against the example set.
+/// Checks whether a query's `answer` is consistent with `examples`.
 pub fn check_answer(answer: &QueryAnswer, examples: &ExampleSet) -> Consistency {
     for node in examples.positives() {
         if !answer.contains(node) {
@@ -51,7 +46,8 @@ pub fn check_answer(answer: &QueryAnswer, examples: &ExampleSet) -> Consistency 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use gps_graph::Graph;
+    use gps_graph::{CsrGraph, Graph};
+    use gps_rpq::PathQuery;
 
     /// N2 -bus-> N1 -tram-> N4 -cinema-> C1; N6 -cinema-> C2.
     fn sample() -> CsrGraph {
@@ -77,8 +73,8 @@ mod tests {
         ex.add_positive(g.node_by_name("N2").unwrap());
         ex.add_positive(g.node_by_name("N6").unwrap());
         ex.add_negative(g.node_by_name("C1").unwrap());
-        assert_eq!(check_query(&g, &q, &ex), Consistency::Consistent);
-        assert!(check_query(&g, &q, &ex).is_consistent());
+        assert_eq!(check_answer(&q.evaluate(&g), &ex), Consistency::Consistent);
+        assert!(check_answer(&q.evaluate(&g), &ex).is_consistent());
     }
 
     #[test]
@@ -88,7 +84,10 @@ mod tests {
         let mut ex = ExampleSet::new();
         let n2 = g.node_by_name("N2").unwrap();
         ex.add_positive(n2);
-        assert_eq!(check_query(&g, &q, &ex), Consistency::MissesPositive(n2));
+        assert_eq!(
+            check_answer(&q.evaluate(&g), &ex),
+            Consistency::MissesPositive(n2)
+        );
     }
 
     #[test]
@@ -99,7 +98,10 @@ mod tests {
         ex.add_positive(g.node_by_name("N2").unwrap());
         let n4 = g.node_by_name("N4").unwrap();
         ex.add_negative(n4);
-        assert_eq!(check_query(&g, &q, &ex), Consistency::SelectsNegative(n4));
+        assert_eq!(
+            check_answer(&q.evaluate(&g), &ex),
+            Consistency::SelectsNegative(n4)
+        );
     }
 
     #[test]

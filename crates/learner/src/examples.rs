@@ -19,16 +19,6 @@ pub enum Label {
     Negative,
 }
 
-impl Label {
-    /// Returns the opposite label.
-    pub fn negate(self) -> Label {
-        match self {
-            Label::Positive => Label::Negative,
-            Label::Negative => Label::Positive,
-        }
-    }
-}
-
 /// A set of labeled nodes, with optional validated paths for positives.
 #[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct ExampleSet {
@@ -198,12 +188,6 @@ mod tests {
         assert!(set.is_empty());
         assert_eq!(set.validated_path(n(1)), None);
         assert_eq!(set.remove(n(1)), None);
-    }
-
-    #[test]
-    fn label_negation() {
-        assert_eq!(Label::Positive.negate(), Label::Negative);
-        assert_eq!(Label::Negative.negate(), Label::Positive);
     }
 
     #[test]

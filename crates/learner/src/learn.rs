@@ -22,13 +22,11 @@ use gps_automata::{Dfa, Regex};
 use gps_graph::{CsrGraph, NodeId, PathEnumerator, Word};
 use gps_rpq::{EvalHandle, NegativeCoverage, QueryAnswer};
 
-/// Tunable parameters of the learner.
+/// Tunable parameters of the learner.  The path bound is not one of them:
+/// [`Learner::learn`] takes it as an argument and [`Learner::learn_with`]
+/// learns at its coverage's bound.
 #[derive(Debug, Clone)]
 pub struct Learner {
-    /// Maximum length of paths considered by [`Learner::learn`].
-    /// [`Learner::learn_with`] learns at its coverage's bound instead; an
-    /// engine keeps the two equal.
-    pub path_bound: usize,
     /// Safety cap on the number of paths enumerated per node.
     pub max_paths_per_node: usize,
 }
@@ -36,7 +34,6 @@ pub struct Learner {
 impl Default for Learner {
     fn default() -> Self {
         Self {
-            path_bound: 4,
             max_paths_per_node: 10_000,
         }
     }
@@ -63,18 +60,10 @@ impl LearnedQuery {
 }
 
 impl Learner {
-    /// Creates a learner with the given path-length bound.
-    pub fn with_bound(path_bound: usize) -> Self {
-        Self {
-            path_bound,
-            ..Self::default()
-        }
-    }
-
-    /// Learns a query consistent with `examples` on `graph`: the convenience
-    /// form of [`learn_with`](Self::learn_with) over a private reference
-    /// evaluation stack and a coverage of the negatives read off its word
-    /// index.
+    /// Learns a query consistent with `examples` on `graph` from paths of
+    /// length at most `bound`: the convenience form of
+    /// [`learn_with`](Self::learn_with) over a private reference evaluation
+    /// stack and a coverage of the negatives read off its word index.
     ///
     /// # Errors
     /// * [`LearnError::NoPositiveExamples`] — nothing to generalize from;
@@ -86,12 +75,11 @@ impl Learner {
         &self,
         graph: &CsrGraph,
         examples: &ExampleSet,
+        bound: usize,
     ) -> Result<LearnedQuery, LearnError> {
         let exec = EvalHandle::naive(graph);
-        let coverage = NegativeCoverage::from_index(
-            &exec.bounded_words(self.path_bound),
-            examples.negatives(),
-        );
+        let coverage =
+            NegativeCoverage::from_index(&exec.bounded_words(bound), examples.negatives());
         self.learn_with(graph, examples, &coverage, &exec)
     }
 
@@ -214,7 +202,7 @@ mod tests {
         ex.add_positive(g.node_by_name("N6").unwrap());
         ex.add_negative(g.node_by_name("R1").unwrap());
         ex.add_negative(g.node_by_name("C1").unwrap());
-        let learned = Learner::default().learn(&g, &ex).unwrap();
+        let learned = Learner::default().learn(&g, &ex, 4).unwrap();
         assert!(learned.selects(g.node_by_name("N2").unwrap()));
         assert!(learned.selects(g.node_by_name("N6").unwrap()));
         assert!(!learned.selects(g.node_by_name("R1").unwrap()));
@@ -238,7 +226,7 @@ mod tests {
         ex.add_negative(g.node_by_name("C1").unwrap());
         ex.add_negative(g.node_by_name("R1").unwrap());
         ex.add_negative(g.node_by_name("R2").unwrap());
-        let learned = Learner::default().learn(&g, &ex).unwrap();
+        let learned = Learner::default().learn(&g, &ex, 4).unwrap();
         // The learned query must behave like the goal query on the examples'
         // words: accept cinema-reaching words over {tram,bus}, reject others.
         assert!(learned.dfa.accepts(&[cinema]));
@@ -266,7 +254,7 @@ mod tests {
         let mut ex = ExampleSet::new();
         ex.add_negative(g.node_by_name("N5").unwrap());
         assert_eq!(
-            Learner::default().learn(&g, &ex).unwrap_err(),
+            Learner::default().learn(&g, &ex, 4).unwrap_err(),
             LearnError::NoPositiveExamples
         );
     }
@@ -276,7 +264,7 @@ mod tests {
         let g = figure1();
         let mut ex = ExampleSet::new();
         ex.add_positive(g.node_by_name("N4").unwrap());
-        let learned = Learner::default().learn(&g, &ex).unwrap();
+        let learned = Learner::default().learn(&g, &ex, 4).unwrap();
         assert!(learned.selects(g.node_by_name("N4").unwrap()));
     }
 
@@ -288,7 +276,7 @@ mod tests {
         // positive it can never be selected by a non-nullable query.
         ex.add_positive(g.node_by_name("C2").unwrap());
         ex.add_negative(g.node_by_name("N5").unwrap());
-        let err = Learner::default().learn(&g, &ex).unwrap_err();
+        let err = Learner::default().learn(&g, &ex, 4).unwrap_err();
         assert_eq!(
             err,
             LearnError::PositiveFullyCovered {
@@ -305,7 +293,7 @@ mod tests {
         ex.add_positive(g.node_by_name("N6").unwrap());
         ex.add_negative(g.node_by_name("N5").unwrap());
         ex.add_negative(g.node_by_name("R1").unwrap());
-        let learned = Learner::default().learn(&g, &ex).unwrap();
+        let learned = Learner::default().learn(&g, &ex, 4).unwrap();
         // Re-evaluating the produced regex as a PathQuery gives the same
         // answer as the DFA the learner evaluated internally.
         let q = PathQuery::new(learned.regex.clone());
@@ -323,8 +311,8 @@ mod tests {
         ex.add_negative(g.node_by_name("R1").unwrap());
         ex.add_negative(g.node_by_name("C1").unwrap());
         let learner = Learner::default();
-        let coverage = NegativeCoverage::from_negatives(&g, ex.negatives(), learner.path_bound);
-        let direct = learner.learn(&g, &ex).unwrap();
+        let coverage = NegativeCoverage::from_negatives(&g, ex.negatives(), 4);
+        let direct = learner.learn(&g, &ex, 4).unwrap();
         let threaded = learner.learn_with(&g, &ex, &coverage, &exec).unwrap();
         assert_eq!(direct.regex, threaded.regex);
         assert_eq!(direct.answer, threaded.answer);
@@ -337,13 +325,13 @@ mod tests {
         // The coverage's bound is the bound learned at.
         let coarse = NegativeCoverage::from_negatives(&g, ex.negatives(), 1);
         let at_one = learner.learn_with(&g, &ex, &coarse, &exec).unwrap();
-        let one = Learner::with_bound(1).learn(&g, &ex).unwrap();
+        let one = learner.learn(&g, &ex, 1).unwrap();
         assert_eq!(at_one.regex, one.regex);
         assert_eq!(at_one.selected_paths, one.selected_paths);
         assert!(at_one.selected_paths.values().all(|word| word.len() == 1));
         // Errors propagate identically.
         let empty = ExampleSet::new();
-        let no_cov = NegativeCoverage::new(learner.path_bound);
+        let no_cov = NegativeCoverage::new(4);
         assert_eq!(
             learner.learn_with(&g, &empty, &no_cov, &exec).unwrap_err(),
             LearnError::NoPositiveExamples
@@ -355,8 +343,8 @@ mod tests {
         let g = figure1();
         let mut ex = ExampleSet::new();
         ex.add_positive(g.node_by_name("N2").unwrap());
-        let short = Learner::with_bound(1).learn(&g, &ex).unwrap();
-        let long = Learner::with_bound(4).learn(&g, &ex).unwrap();
+        let short = Learner::default().learn(&g, &ex, 1).unwrap();
+        let long = Learner::default().learn(&g, &ex, 4).unwrap();
         assert!(short.selected_paths[&g.node_by_name("N2").unwrap()].len() <= 1);
         assert!(!long.selected_paths.is_empty());
     }

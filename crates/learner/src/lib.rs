@@ -49,7 +49,7 @@
 //! examples.add_negative(n5);
 //!
 //! let learned = Learner::default()
-//!     .learn(&CsrGraph::from_graph(&g), &examples)
+//!     .learn(&CsrGraph::from_graph(&g), &examples, 4)
 //!     .unwrap();
 //! // The learned query selects both positives and not the negative.
 //! assert!(learned.answer.contains(n2));

@@ -866,56 +866,6 @@ impl EvalCache {
         self.words.read().as_ref().map(|index| index.bound())
     }
 
-    /// Evaluates a batch of expressions, returning the answers in input
-    /// order.  Hits are served from the cache; the *distinct* misses are
-    /// compiled and handed to the evaluator's batch entry point in one call
-    /// (duplicates within the batch are evaluated once), so a batch engine
-    /// can share scratch state across the misses.
-    pub fn evaluate_many(&self, regexes: &[&Regex]) -> Vec<Arc<QueryAnswer>> {
-        let mut results: Vec<Option<Arc<QueryAnswer>>> =
-            regexes.iter().map(|regex| self.touch(regex)).collect();
-        // Distinct uncached expressions in first-occurrence order, plus the
-        // (result slot → distinct miss) assignment.
-        let mut first_occurrence: HashMap<&Regex, usize> = HashMap::new();
-        let mut distinct: Vec<usize> = Vec::new();
-        let mut assignment: Vec<(usize, usize)> = Vec::new();
-        for (i, result) in results.iter().enumerate() {
-            if result.is_none() {
-                let slot = *first_occurrence.entry(regexes[i]).or_insert_with(|| {
-                    distinct.push(i);
-                    distinct.len() - 1
-                });
-                assignment.push((i, slot));
-            }
-        }
-        if !distinct.is_empty() {
-            let dfas: Vec<Dfa> = distinct
-                .iter()
-                .map(|&i| Dfa::from_regex(regexes[i]))
-                .collect();
-            let outcomes = {
-                let dfa_refs: Vec<&Dfa> = dfas.iter().collect();
-                let span = self.eval_latency.start_timer();
-                let outcomes = self.evaluator.evaluate_dfas_captured(&dfa_refs);
-                span.stop();
-                outcomes
-            };
-            let mut answers: Vec<Arc<QueryAnswer>> = Vec::with_capacity(outcomes.len());
-            for ((&i, dfa), (answer, resume)) in distinct.iter().zip(dfas).zip(outcomes) {
-                let answer = Arc::new(answer);
-                self.insert(regexes[i], &answer, dfa, resume);
-                answers.push(answer);
-            }
-            for (i, slot) in assignment {
-                results[i] = Some(Arc::clone(&answers[slot]));
-            }
-        }
-        results
-            .into_iter()
-            .map(|r| r.expect("all filled"))
-            .collect()
-    }
-
     /// Looks up `regex`, refreshing its recency on a hit.  Hits stay on the
     /// shared read lock; a hit on a pending entry resolves it after the lock
     /// is released, so a resume holds up no insert and no other query.
@@ -1128,62 +1078,6 @@ mod tests {
         cache.evaluate(&Regex::symbol(x));
         cache.evaluate(&Regex::star(Regex::symbol(x)));
         assert_eq!(cache.len(), 1);
-    }
-
-    #[test]
-    fn evaluate_many_mixes_hits_and_misses() {
-        let g = sample();
-        let cache = EvalCache::from_csr(g.clone());
-        let x = g.label_id("x").unwrap();
-        let q1 = Regex::symbol(x);
-        let q2 = Regex::star(Regex::symbol(x));
-        cache.evaluate(&q1);
-        let answers = cache.evaluate_many(&[&q1, &q2, &q1]);
-        assert_eq!(answers.len(), 3);
-        assert_eq!(answers[0].nodes(), answers[2].nodes());
-        assert!(
-            answers[1].contains(g.node_by_name("B").unwrap()),
-            "x* selects B"
-        );
-        assert_eq!(cache.len(), 2);
-    }
-
-    #[test]
-    fn evaluate_many_deduplicates_misses() {
-        /// Counts how many DFAs it is actually asked to evaluate.
-        #[derive(Debug)]
-        struct Counting {
-            inner: NaiveEvaluator,
-            evaluated: std::sync::atomic::AtomicUsize,
-        }
-        impl DfaEvaluator for Counting {
-            fn evaluate_dfa(&self, dfa: &Dfa) -> QueryAnswer {
-                self.evaluated
-                    .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                self.inner.evaluate_dfa(dfa)
-            }
-
-            fn witness(&self, dfa: &Dfa, node: NodeId) -> Option<Path> {
-                self.inner.witness(dfa, node)
-            }
-        }
-        let g = sample();
-        let csr = g.clone();
-        let counting = Counting {
-            inner: NaiveEvaluator::from_csr(csr.clone()),
-            evaluated: std::sync::atomic::AtomicUsize::new(0),
-        };
-        let cache = EvalCache::with_evaluator(csr, Box::new(counting));
-        let x = g.label_id("x").unwrap();
-        let q1 = Regex::symbol(x);
-        let q2 = Regex::star(Regex::symbol(x));
-        let answers = cache.evaluate_many(&[&q1, &q2, &q1, &q1]);
-        assert_eq!(answers.len(), 4);
-        assert_eq!(answers[0].nodes(), answers[2].nodes());
-        // q1 appears three times uncached but is evaluated once.
-        let counting = cache.evaluator();
-        let debug = format!("{counting:?}");
-        assert!(debug.contains("evaluated: 2"), "got {debug}");
     }
 
     /// The words a node's handle yields, as owned label sequences.

@@ -307,11 +307,6 @@ pub fn evaluate(graph: &CsrGraph, dfa: &Dfa) -> QueryAnswer {
     QueryAnswer::from_flags(selected)
 }
 
-/// Evaluates several query DFAs on the same graph.
-pub fn evaluate_many(graph: &CsrGraph, dfas: &[&Dfa]) -> Vec<QueryAnswer> {
-    dfas.iter().map(|dfa| evaluate(graph, dfa)).collect()
-}
-
 /// A compiled-query evaluation strategy bound to one graph.
 ///
 /// The [`EvalCache`](crate::EvalCache) and the `gps-core` engine evaluate
@@ -324,10 +319,11 @@ pub trait DfaEvaluator: std::fmt::Debug + Send + Sync {
     /// Evaluates one compiled query DFA, returning the selected-node set.
     fn evaluate_dfa(&self, dfa: &Dfa) -> QueryAnswer;
 
-    /// Evaluates a batch of compiled DFAs (answers in input order).
+    /// Evaluates a batch of compiled DFAs (answers in input order), one
+    /// [`evaluate_dfa`](Self::evaluate_dfa) call each.
     ///
-    /// The default implementation is a sequential loop; batch engines
-    /// override it to share scratch state across the queries.
+    /// No library code calls it: it stays because the `benchmark/`
+    /// package's tracing decorator (`benchmark/src/trace.rs`) overrides it.
     fn evaluate_dfas(&self, dfas: &[&Dfa]) -> Vec<QueryAnswer> {
         dfas.iter().map(|dfa| self.evaluate_dfa(dfa)).collect()
     }
@@ -343,7 +339,10 @@ pub trait DfaEvaluator: std::fmt::Debug + Send + Sync {
     }
 
     /// Batch variant of [`evaluate_dfa_captured`](Self::evaluate_dfa_captured)
-    /// (answers in input order).
+    /// (answers in input order), one call each.
+    ///
+    /// No library code calls it: it stays because the `benchmark/`
+    /// package's tracing decorator (`benchmark/src/trace.rs`) overrides it.
     fn evaluate_dfas_captured(&self, dfas: &[&Dfa]) -> Vec<(QueryAnswer, Option<EvalResume>)> {
         dfas.iter()
             .map(|dfa| self.evaluate_dfa_captured(dfa))
@@ -591,19 +590,6 @@ mod tests {
         let answer = evaluate(&g, &dfa);
         assert!(answer.is_empty());
         assert!(!answer.contains(NodeId::new(0)));
-    }
-
-    #[test]
-    fn evaluate_many_shares_snapshot() {
-        let g = figure1();
-        let cinema = g.label_id("cinema").unwrap();
-        let restaurant = g.label_id("restaurant").unwrap();
-        let d1 = Dfa::from_regex(&Regex::symbol(cinema));
-        let d2 = Dfa::from_regex(&Regex::symbol(restaurant));
-        let answers = evaluate_many(&g, &[&d1, &d2]);
-        assert_eq!(answers.len(), 2);
-        assert_eq!(answers[0].node_names(&g), vec!["N4", "N6"]);
-        assert_eq!(answers[1].node_names(&g), vec!["N2", "N5"]);
     }
 
     #[test]

@@ -16,12 +16,12 @@ fn main() {
         graph.edge_count()
     );
 
-    // Build the engine through the builder: pick the strategy and the zoom
-    // options.  The engine snapshots the graph once — queries, rendering and
-    // interactive sessions all run on that snapshot.
+    // Build the engine through the builder: pick the strategy (session
+    // options such as the zoom radii keep their defaults).  The engine
+    // snapshots the graph once — queries, rendering and interactive sessions
+    // all run on that snapshot.
     let gps = Engine::builder(graph)
         .strategy(StrategyChoice::InformativePaths)
-        .initial_radius(2)
         .build();
 
     // 2. Evaluate the motivating query: from which neighborhoods can one

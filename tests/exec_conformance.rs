@@ -8,9 +8,9 @@
 //! * single-query evaluation under the planner-chosen plan and under every
 //!   *forced* plan (push / pull / adaptive), and the per-node membership
 //!   check (`selects_node`, a witness search) on a spread of nodes;
-//! * shared-scratch sequential batches (input order preserved);
+//! * sequential batches through one kept scratch (input order preserved);
 //! * a delta-patched index against a fresh build of the compacted snapshot;
-//! * the full `gps_core` engine's cached `evaluate` / `evaluate_many`.
+//! * the full `gps_core` engine's cached `evaluate`, cold and on a hit.
 
 use gps_automata::{Dfa, Regex};
 use gps_core::prelude::*;
@@ -134,7 +134,7 @@ fn batch_and_parallel_executors_preserve_answers_and_order() {
         let dfas = query_set(&graph);
         let refs: Vec<&Dfa> = dfas.iter().collect();
         let expected: Vec<QueryAnswer> = refs.iter().map(|d| naive.evaluate_dfa(d)).collect();
-        assert_eq!(engine.evaluate_many(&refs), expected, "{name}: sequential");
+        assert_eq!(engine.evaluate_dfas(&refs), expected, "{name}: sequential");
     }
 }
 
@@ -149,10 +149,13 @@ fn engine_eval_modes_are_observationally_identical() {
         .map(|q| oracle.evaluate_dfa(q.dfa()))
         .collect();
     let engine = Engine::builder(net.graph).build();
-    let many = engine.evaluate_many(&syntaxes).unwrap();
-    for ((syntax, batch_answer), expected) in syntaxes.iter().zip(&many).zip(&expected) {
+    for (syntax, expected) in syntaxes.iter().zip(&expected) {
         assert_eq!(&engine.evaluate(syntax).unwrap(), expected, "{syntax}");
-        assert_eq!(batch_answer, expected, "{syntax} (batch)");
+        assert_eq!(
+            &engine.evaluate(syntax).unwrap(),
+            expected,
+            "{syntax} (hit)"
+        );
     }
 }
 

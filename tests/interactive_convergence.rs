@@ -113,7 +113,7 @@ fn characteristic_samples_recover_goal_behaviour_on_all_families() {
         }
         let sample = characteristic_sample(&graph, goal);
         let learned = Learner::default()
-            .learn(&graph, &sample)
+            .learn(&graph, &sample, 4)
             .unwrap_or_else(|e| panic!("{}: {e}", workload.name));
         assert_eq!(
             learned.answer.nodes(),

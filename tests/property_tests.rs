@@ -265,7 +265,7 @@ fn learner_output_is_consistent() {
                 _ => {}
             }
         }
-        if let Ok(learned) = Learner::with_bound(3).learn(&graph, &examples) {
+        if let Ok(learned) = Learner::default().learn(&graph, &examples, 3) {
             for positive in examples.positives() {
                 assert!(learned.answer.contains(positive));
             }

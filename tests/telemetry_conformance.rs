@@ -102,6 +102,58 @@ fn transcripts_are_byte_identical_with_metrics_enabled() {
 }
 
 #[test]
+fn halt_counters_split_the_closed_sessions() {
+    // A goal no node satisfies learns nothing, and a session closed before
+    // its first step ends `ClosedByClient` without a hypothesis.
+    let goals = vec![MOTIVATING_QUERY.to_string(), "cinema.cinema".to_string()];
+    let run = |registry: Option<Arc<MetricsRegistry>>| {
+        let svc = service(registry);
+        let mut outcomes = svc.serve(&goals, 1).unwrap();
+        let id = svc.open(MOTIVATING_QUERY).unwrap();
+        outcomes.push(svc.close(id).unwrap());
+        (svc, outcomes)
+    };
+    let (_, base) = run(None);
+    let (svc, outcomes) = run(Some(Arc::new(MetricsRegistry::enabled())));
+    let prints = |outcomes: &[SessionOutcome]| outcomes.iter().map(fingerprint).collect::<Vec<_>>();
+    assert_eq!(
+        prints(&base),
+        prints(&outcomes),
+        "metrics changed a session"
+    );
+
+    let snapshot = svc.metrics();
+    let mut halted = 0;
+    for (reason, name) in [
+        (HaltReason::AllNodesResolved, "all_nodes_resolved"),
+        (HaltReason::UserSatisfied, "user_satisfied"),
+        (
+            HaltReason::InteractionBudgetExhausted,
+            "interaction_budget_exhausted",
+        ),
+        (HaltReason::GoalReached, "goal_reached"),
+        (HaltReason::ClosedByClient, "closed_by_client"),
+    ] {
+        let count = snapshot
+            .counter(&format!("gps_service_sessions_halted_{name}_total"))
+            .unwrap_or_else(|| panic!("{name} is registered"));
+        let expected = outcomes.iter().filter(|o| o.halt_reason == reason).count();
+        assert_eq!(count, expected as u64, "{name}");
+        halted += count;
+    }
+    assert_eq!(
+        Some(halted),
+        snapshot.counter("gps_service_sessions_closed_total")
+    );
+    let unlearned = outcomes.iter().filter(|o| o.learned.is_none()).count();
+    assert!(unlearned >= 1, "the client-closed session learned nothing");
+    assert_eq!(
+        snapshot.counter("gps_service_sessions_unlearned_total"),
+        Some(unlearned as u64)
+    );
+}
+
+#[test]
 fn bare_sessions_are_identical_and_record_per_session_histograms() {
     let (graph, _) = figure1_graph();
     let plain = Engine::builder(graph.clone()).build();
