@@ -45,7 +45,6 @@ pub mod alphabet;
 pub mod decide;
 pub mod determinize;
 pub mod dfa;
-pub mod dot;
 pub mod minimize;
 pub mod nfa;
 pub mod ops;

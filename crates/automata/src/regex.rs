@@ -29,16 +29,6 @@ pub enum Regex {
 }
 
 impl Regex {
-    /// The empty-language expression ∅.
-    pub fn empty() -> Self {
-        Regex::Empty
-    }
-
-    /// The empty-word expression ε.
-    pub fn epsilon() -> Self {
-        Regex::Epsilon
-    }
-
     /// A single-symbol expression.
     pub fn symbol(label: LabelId) -> Self {
         Regex::Symbol(label)

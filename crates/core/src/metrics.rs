@@ -12,14 +12,13 @@ use gps_telemetry::{Counter, Gauge, Histogram, MetricsRegistry};
 
 /// Every [`HaltReason`] with the snake-case name of its
 /// `gps_service_sessions_halted_<reason>_total` counter.
-const HALT_REASONS: [(HaltReason, &str); 5] = [
+const HALT_REASONS: [(HaltReason, &str); 4] = [
     (HaltReason::AllNodesResolved, "all_nodes_resolved"),
     (HaltReason::UserSatisfied, "user_satisfied"),
     (
         HaltReason::InteractionBudgetExhausted,
         "interaction_budget_exhausted",
     ),
-    (HaltReason::GoalReached, "goal_reached"),
     (HaltReason::ClosedByClient, "closed_by_client"),
 ];
 
@@ -100,7 +99,7 @@ pub(crate) struct ServiceMetrics {
     /// `gps_service_sessions_halted_<reason>_total` — closed sessions by
     /// the reason they ended, in [`HALT_REASONS`] order; the family sums to
     /// `gps_service_sessions_closed_total`.
-    sessions_halted: [Counter; 5],
+    sessions_halted: [Counter; 4],
     /// `gps_service_sessions_unlearned_total` — closed sessions whose
     /// outcome holds no learned query.
     pub sessions_unlearned: Counter,

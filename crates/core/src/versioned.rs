@@ -305,7 +305,6 @@ pub struct VersionedStore {
     policy: CheckpointPolicy,
     publishes_since_checkpoint: AtomicU64,
     publishes: AtomicU64,
-    retired: AtomicU64,
     /// The registry the founding core was built with (disabled by default);
     /// event records go here, and [`metrics`](Self::metrics) are pre-bound
     /// handles into it.
@@ -358,7 +357,6 @@ impl VersionedStore {
             policy,
             publishes_since_checkpoint: AtomicU64::new(0),
             publishes: AtomicU64::new(0),
-            retired: AtomicU64::new(0),
             registry,
             metrics,
         }
@@ -507,11 +505,6 @@ impl VersionedStore {
         self.publishes.load(Ordering::Relaxed)
     }
 
-    /// Total superseded epochs retired so far.
-    pub fn retired_count(&self) -> u64 {
-        self.retired.load(Ordering::Relaxed)
-    }
-
     /// Number of staged ops awaiting the next publish.
     pub fn staged_len(&self) -> usize {
         self.staged.lock().iter().map(|batch| batch.ops.len()).sum()
@@ -596,7 +589,6 @@ impl VersionedStore {
         // pinning the latest epoch must not wait on it.
         retired.core.eval_cache().retire();
         drop(retired);
-        self.retired.fetch_add(1, Ordering::Relaxed);
         self.metrics.retired_epochs.inc();
         self.registry
             .event_with("retire", || vec![("epoch".to_string(), epoch.to_string())]);
@@ -717,8 +709,6 @@ impl VersionedStore {
             swap_retire: lap(),
         };
         self.publishes.fetch_add(1, Ordering::Relaxed);
-        self.retired
-            .fetch_add(retired_epochs as u64, Ordering::Relaxed);
         self.metrics.publishes.inc();
         self.metrics.retired_epochs.add(retired_epochs as u64);
         self.metrics.live_epochs.set(live_epochs);
@@ -857,7 +847,6 @@ mod tests {
         store.unpin(0);
         assert_eq!(store.live_epochs(), 1);
         assert!(pinned.eval_cache().is_retired());
-        assert_eq!(store.retired_count(), 1);
     }
 
     #[test]

@@ -12,7 +12,6 @@
 
 use crate::frontier::{
     evaluate_captured, evaluate_counting, resume, witness_from, Resumed, Scratch,
-    DEFAULT_OVERDELETE_LIMIT,
 };
 use crate::index::LabelIndex;
 use crate::metrics::ExecMetrics;
@@ -219,7 +218,7 @@ impl DfaEvaluator for BatchEvaluator {
             rounds,
             overdeleted,
             seed,
-        } = resume(&self.index, dfa, seed, delta, DEFAULT_OVERDELETE_LIMIT)?;
+        } = resume(&self.index, dfa, seed, delta)?;
         // Counted as an evaluation (its rounds are the delta-restricted
         // sweeps); latency is attributed by the caller's reseed histogram,
         // not the cold-eval one.

@@ -25,16 +25,16 @@
 //! [`RowChunk::for_each_hit`]: crate::RowChunk::for_each_hit
 //!
 //! Two entry points, two working sets.  A **cold** evaluation
-//! ([`evaluate_with`] and friends) sweeps dense per-state bitsets in a
-//! reusable [`Scratch`].  When asked to capture, it runs to the true fixed
-//! point (no early exit) and packs the per-state alive sets once into a
-//! block-shared [`EvalResume`] — the alive sets are the whole seed, so a
-//! captured evaluation costs what an uncaptured one does.  A **resume**
-//! ([`resume`]) never sees a `Scratch`: it clones that seed copy-on-write
-//! and touches only the configurations a [`GraphDelta`] can change; where a
-//! removal may have taken a configuration's last derivation, it re-checks
-//! the configuration's out-edges on the patched index instead of reading a
-//! stored count.
+//! ([`evaluate_counting`], [`evaluate_captured`]) sweeps dense per-state
+//! bitsets in a reusable [`Scratch`].  When asked to capture, it runs to the
+//! true fixed point (no early exit) and packs the per-state alive sets once
+//! into a block-shared [`EvalResume`] — the alive sets are the whole seed,
+//! so a captured evaluation costs what an uncaptured one does.  A
+//! **resume** ([`resume`]) never sees a `Scratch`: it clones that seed
+//! copy-on-write and touches only the configurations a [`GraphDelta`] can
+//! change; where a removal may have taken a configuration's last
+//! derivation, it re-checks the configuration's out-edges on the patched
+//! index instead of reading a stored count.
 
 use crate::bitset::FixedBitSet;
 use crate::index::{Direction, LabelIndex, CHUNK_ROWS, CHUNK_WORDS};
@@ -44,15 +44,6 @@ use gps_graph::{GraphDelta, LabelId, NodeId, Path};
 use gps_rpq::{EvalResume, QueryAnswer};
 use std::collections::hash_map::Entry;
 use std::collections::{HashMap, HashSet};
-
-/// The cap [`BatchEvaluator`](crate::BatchEvaluator) puts on a resume's
-/// over-deletion, as a fraction of the post-insert alive configuration
-/// population: when a removal's transitive over-delete cone grows past
-/// `limit × alive_total` configurations, [`resume`] gives up (`None`) and
-/// the caller falls back to a cold recompute — at that point the cold fixed
-/// point is in the same cost class as over-delete *plus* re-derive, without
-/// the bookkeeping.
-pub const DEFAULT_OVERDELETE_LIMIT: f64 = 0.5;
 
 /// Reusable allocation for one cold evaluation: per-state alive, frontier
 /// and staging bitsets.  Batch callers keep one `Scratch` per worker and
@@ -77,18 +68,9 @@ impl Scratch {
 }
 
 /// Evaluates `dfa` over `index` with the given expansion plan, reusing
-/// `scratch` for the per-state bitsets.
-pub fn evaluate_with(
-    index: &LabelIndex,
-    dfa: &Dfa,
-    plan: Plan,
-    scratch: &mut Scratch,
-) -> QueryAnswer {
-    evaluate_counting(index, dfa, plan, scratch).0
-}
-
-/// [`evaluate_with`], additionally reporting how many frontier rounds the
-/// fixed point swept (what `gps_exec_frontier_rounds_total` aggregates).
+/// `scratch` for the per-state bitsets, and reports how many frontier
+/// rounds the fixed point swept (what `gps_exec_frontier_rounds_total`
+/// aggregates).
 pub fn evaluate_counting(
     index: &LabelIndex,
     dfa: &Dfa,
@@ -389,9 +371,10 @@ fn push_to_closure(
 ///    deriving only each other must both die).  Dooming propagates
 ///    transitively over the reverse index: each popped configuration leaves
 ///    the alive set and dooms its alive, non-accepting dependents.  When the
-///    doom count passes `overdelete_limit ×` the alive population after the
-///    insert sweep (carried in the seed, not re-counted), the sweep gives up
-///    — a cold recompute is in the same cost class at that point.
+///    doom count passes half the alive population after the insert sweep
+///    (carried in the seed, not re-counted), the sweep gives up — a cold
+///    recompute is in the same cost class as over-delete *plus* re-derive
+///    at that point, without the bookkeeping.
 /// 3. **Re-derive.** A survivor of over-delete has no derivation through a
 ///    doomed configuration or a removed edge, so its old well-founded
 ///    derivation still holds.  A doomed configuration is re-derivable
@@ -409,8 +392,9 @@ pub fn resume(
     dfa: &Dfa,
     old: &EvalResume,
     delta: &GraphDelta,
-    overdelete_limit: f64,
 ) -> Option<Resumed> {
+    /// The over-delete budget, as a fraction of the alive population.
+    const OVERDELETE_LIMIT: f64 = 0.5;
     let n = index.node_count();
     let s = dfa.state_count();
     if n == 0 || s == 0 || old.state_count() != s || old.nodes() > n {
@@ -450,7 +434,7 @@ pub fn resume(
     }
 
     // --- Over-delete ------------------------------------------------------
-    let budget = overdelete_limit * seed.alive_total() as f64;
+    let budget = OVERDELETE_LIMIT * seed.alive_total() as f64;
     // Doomed = over-deleted this sweep, in discovery order; the set answers
     // membership.  A doomed configuration leaves the alive set only when its
     // own propagation runs.
@@ -591,7 +575,7 @@ mod tests {
     fn eval(g: &CsrGraph, dfa: &Dfa, plan: Plan) -> QueryAnswer {
         let index = LabelIndex::from_csr(g);
         let mut scratch = Scratch::default();
-        evaluate_with(&index, dfa, plan, &mut scratch)
+        evaluate_counting(&index, dfa, plan, &mut scratch).0
     }
 
     #[test]
@@ -622,9 +606,9 @@ mod tests {
         let mut scratch = Scratch::default();
         let big = motivating(&g);
         let small = Dfa::from_regex(&Regex::symbol(g.label_id("cinema").unwrap()));
-        let first = evaluate_with(&index, &big, Plan::Bidirectional, &mut scratch);
-        let second = evaluate_with(&index, &small, Plan::Bidirectional, &mut scratch);
-        let third = evaluate_with(&index, &big, Plan::Bidirectional, &mut scratch);
+        let first = evaluate_counting(&index, &big, Plan::Bidirectional, &mut scratch).0;
+        let second = evaluate_counting(&index, &small, Plan::Bidirectional, &mut scratch).0;
+        let third = evaluate_counting(&index, &big, Plan::Bidirectional, &mut scratch).0;
         assert_eq!(first, third, "scratch reuse must not leak state");
         assert_eq!(second, gps_rpq::eval::evaluate(&g, &small));
     }
@@ -708,8 +692,7 @@ mod tests {
         let summary = delta.delta();
         let compacted = delta.compact();
         let patched = index.apply_delta(&compacted, &summary);
-        let resumed = super::resume(&patched, &dfa, &resume, &summary, DEFAULT_OVERDELETE_LIMIT)
-            .expect("insert-only");
+        let resumed = super::resume(&patched, &dfa, &resume, &summary).expect("insert-only");
         assert_eq!(resumed.answer, gps_rpq::eval::evaluate(&compacted, &dfa));
         assert_eq!(resumed.overdeleted, 0);
     }
@@ -772,7 +755,6 @@ mod tests {
     fn resume_removal_case(
         g: &CsrGraph,
         dfa: &Dfa,
-        limit: f64,
         mutate: impl FnOnce(&mut gps_graph::DeltaGraph),
     ) -> Option<Resumed> {
         let index = LabelIndex::from_csr(g);
@@ -785,7 +767,7 @@ mod tests {
         let summary = delta.delta();
         let compacted = delta.compact();
         let patched = index.apply_delta(&compacted, &summary);
-        let resumed = super::resume(&patched, dfa, &resume, &summary, limit)?;
+        let resumed = super::resume(&patched, dfa, &resume, &summary)?;
         assert_eq!(resumed.answer, gps_rpq::eval::evaluate(&compacted, dfa));
         // Alive bits and carried populations both.
         let (_, _, fresh) = evaluate_captured(&patched, dfa, Plan::Bidirectional, &mut scratch);
@@ -813,7 +795,7 @@ mod tests {
             Regex::star(Regex::symbol(x)),
             Regex::symbol(y),
         ]));
-        let resumed = resume_removal_case(&CsrGraph::from_graph(&g), &dfa, 1.0, |delta| {
+        let resumed = resume_removal_case(&CsrGraph::from_graph(&g), &dfa, |delta| {
             assert!(delta.remove_edge(b, y, c));
         })
         .expect("within budget");
@@ -836,7 +818,7 @@ mod tests {
         let n4 = NodeId::from(2usize);
         let tram = g.label_id("tram").unwrap();
         let bus = g.label_id("bus").unwrap();
-        let resumed = resume_removal_case(&g, &dfa, 1.0, |delta| {
+        let resumed = resume_removal_case(&g, &dfa, |delta| {
             let n5 = delta.add_node("N5");
             delta.add_edge(n2, tram, n5);
             delta.add_edge(n5, bus, n4);
@@ -861,13 +843,13 @@ mod tests {
         let a = g.label_id("a").unwrap();
         let dfa = Dfa::from_regex(&Regex::symbol(a));
         let g = CsrGraph::from_graph(&g);
-        let one = resume_removal_case(&g, &dfa, 1.0, |delta| {
+        let one = resume_removal_case(&g, &dfa, |delta| {
             assert!(delta.remove_edge(u, a, v));
         })
         .expect("within budget");
         assert_eq!(one.overdeleted, 1, "the source is doomed");
         assert!(one.answer.contains(u), "and revived through the other copy");
-        let both = resume_removal_case(&g, &dfa, 1.0, |delta| {
+        let both = resume_removal_case(&g, &dfa, |delta| {
             assert!(delta.remove_edge(u, a, v));
             assert!(delta.remove_edge(u, a, v));
         })
@@ -877,16 +859,27 @@ mod tests {
     }
 
     #[test]
-    fn overdelete_budget_zero_bails_to_cold() {
-        let g = figure1_like();
-        let dfa = motivating(&g);
-        let n1 = NodeId::from(0usize);
-        let bus = g.label_id("bus").unwrap();
-        // Removing N2's only outgoing edge dooms (at least) one non-accepting
-        // configuration, which a zero budget refuses to over-delete.
-        let bailed = resume_removal_case(&g, &dfa, 0.0, |delta| {
-            assert!(delta.remove_edge(NodeId::from(1usize), bus, n1));
+    fn an_overdelete_past_half_the_alive_population_bails_to_cold() {
+        // An odd x-cycle a0 -> a1 -> a2 -> a0 and a0 --y--> c, query
+        // `(x.x)*.y`: each cycle node is alive in both non-accepting states
+        // (6 configurations) and every node in the accepting one (4).
+        // Removing the y edge dooms all 6 of the 10 alive configurations,
+        // past the budget of half.
+        let mut g = Graph::new();
+        let [a0, a1, a2, c] = ["a0", "a1", "a2", "c"].map(|name| g.add_node(name));
+        g.add_edge_by_name(a0, "x", a1);
+        g.add_edge_by_name(a1, "x", a2);
+        g.add_edge_by_name(a2, "x", a0);
+        g.add_edge_by_name(a0, "y", c);
+        let x = Regex::symbol(g.label_id("x").unwrap());
+        let y = g.label_id("y").unwrap();
+        let dfa = Dfa::from_regex(&Regex::concat([
+            Regex::star(Regex::concat([x.clone(), x])),
+            Regex::symbol(y),
+        ]));
+        let bailed = resume_removal_case(&CsrGraph::from_graph(&g), &dfa, |delta| {
+            assert!(delta.remove_edge(a0, y, c));
         });
-        assert!(bailed.is_none(), "budget 0.0 must force the cold fallback");
+        assert!(bailed.is_none(), "past the budget, the caller recomputes");
     }
 }

@@ -65,7 +65,6 @@ pub mod planner;
 
 pub use batch::BatchEvaluator;
 pub use bitset::FixedBitSet;
-pub use frontier::DEFAULT_OVERDELETE_LIMIT;
 pub use index::{Direction, LabelIndex, RowChunk, Rows};
 pub use metrics::ExecMetrics;
 pub use planner::{Plan, PlanDecision, PlannerConfig};

@@ -21,7 +21,7 @@
 //! * [`splice::RowSplice`] — the offset bookkeeping of rebuilding packed CSR
 //!   rows from bulk copies plus a few rewritten rows, shared by `compact` and
 //!   the label-index patch in `gps-exec`;
-//! * [`traversal`] — BFS/DFS, distances and reachability;
+//! * [`traversal`] — BFS distances and weakly connected components;
 //! * [`neighborhood`] — the *k*-neighborhood subgraphs the user is shown
 //!   (Figure 3(a)/(b) of the paper), including the frontier markers ("…")
 //!   and the delta highlighting used when zooming out;

@@ -1,4 +1,4 @@
-//! Graph traversals: BFS, distances and reachability.
+//! Graph traversals: BFS distances and weakly connected components.
 //!
 //! Each of these allocates per-node state over the whole graph, so a
 //! traversal costs O(n) however little it reaches.  Neighborhood extraction
@@ -28,11 +28,6 @@ impl BfsDistances {
     /// Distance from the start node to `node`, if reachable.
     pub fn distance(&self, node: NodeId) -> Option<u32> {
         self.distances.get(node.index()).copied().flatten()
-    }
-
-    /// Returns `true` if `node` is reachable from the start node.
-    pub fn is_reachable(&self, node: NodeId) -> bool {
-        self.distance(node).is_some()
     }
 
     /// Iterates over `(node, distance)` pairs of reachable nodes in node-id
@@ -98,20 +93,6 @@ pub fn bfs(
     BfsDistances { distances, start }
 }
 
-/// Unbounded forward BFS from `start`.
-pub fn bfs_forward(graph: &CsrGraph, start: NodeId) -> BfsDistances {
-    bfs(graph, start, None, Direction::Forward)
-}
-
-/// Returns `true` if `target` is reachable from `source` following forward
-/// edges.
-pub fn is_reachable(graph: &CsrGraph, source: NodeId, target: NodeId) -> bool {
-    if source == target {
-        return true;
-    }
-    bfs_forward(graph, source).is_reachable(target)
-}
-
 /// Weakly connected components, ignoring edge direction.  Returns one vector
 /// of node ids per component, each sorted by node id; components are sorted
 /// by their smallest node id.
@@ -164,7 +145,7 @@ mod tests {
     #[test]
     fn bfs_computes_shortest_distances() {
         let (g, n) = chain_with_cycle();
-        let d = bfs_forward(&g, n[0]);
+        let d = bfs(&g, n[0], None, Direction::Forward);
         assert_eq!(d.distance(n[0]), Some(0));
         assert_eq!(d.distance(n[1]), Some(1));
         assert_eq!(d.distance(n[2]), Some(2));
@@ -197,17 +178,8 @@ mod tests {
         let d = bfs(&g, n[4], None, Direction::Both);
         assert_eq!(d.reachable().count(), 1, "isolated node sees only itself");
         let d0 = bfs(&g, n[3], Some(1), Direction::Both);
-        assert!(d0.is_reachable(n[1]));
-        assert!(d0.is_reachable(n[2]));
-    }
-
-    #[test]
-    fn reachability_checks() {
-        let (g, n) = chain_with_cycle();
-        assert!(is_reachable(&g, n[0], n[3]));
-        assert!(is_reachable(&g, n[3], n[2]), "via the cycle edge d->b->c");
-        assert!(!is_reachable(&g, n[0], n[4]));
-        assert!(is_reachable(&g, n[4], n[4]), "trivially reachable");
+        assert_eq!(d0.distance(n[1]), Some(1));
+        assert_eq!(d0.distance(n[2]), Some(1));
     }
 
     #[test]
@@ -222,7 +194,7 @@ mod tests {
     #[test]
     fn reachable_iteration_lists_pairs() {
         let (g, n) = chain_with_cycle();
-        let d = bfs_forward(&g, n[1]);
+        let d = bfs(&g, n[1], None, Direction::Forward);
         let pairs: Vec<(NodeId, u32)> = d.reachable().collect();
         assert!(pairs.contains(&(n[1], 0)));
         assert!(pairs.contains(&(n[3], 2)));

@@ -4,7 +4,9 @@
 //! natural condition is that every remaining node is uninformative (the
 //! version space cannot shrink further); weaker conditions let the user stop
 //! early when satisfied with an intermediate query, or bound the number of
-//! interactions.
+//! interactions.  Only the user judges whether a query is her goal: the
+//! loop asks her ([`crate::User::satisfied_with`]) and never compares the
+//! hypothesis with a goal itself.
 
 use serde::{Deserialize, Serialize};
 
@@ -17,9 +19,6 @@ pub enum HaltReason {
     UserSatisfied,
     /// The interaction budget was exhausted.
     InteractionBudgetExhausted,
-    /// The simulated goal query and the hypothesis agree on every node (only
-    /// observable in simulation, where the goal is known).
-    GoalReached,
     /// The client closed the session (service deployments only: a managed
     /// session was torn down before any halt condition fired).
     ClosedByClient,
@@ -31,7 +30,7 @@ impl HaltReason {
     pub fn is_convergence(self) -> bool {
         matches!(
             self,
-            HaltReason::AllNodesResolved | HaltReason::GoalReached | HaltReason::UserSatisfied
+            HaltReason::AllNodesResolved | HaltReason::UserSatisfied
         )
     }
 }
@@ -41,8 +40,9 @@ impl HaltReason {
 pub struct HaltConfig {
     /// Maximum number of label interactions before giving up.
     pub max_interactions: usize,
-    /// Whether to stop as soon as the hypothesis answer equals the goal
-    /// answer (simulation only; ignored when no goal is known).
+    /// Whether to ask the user after every interaction if the current
+    /// hypothesis is her goal ([`crate::User::satisfied_with`]); a yes ends
+    /// the session [`HaltReason::UserSatisfied`].
     pub stop_on_goal: bool,
 }
 
@@ -62,7 +62,6 @@ mod tests {
     #[test]
     fn convergence_classification() {
         assert!(HaltReason::AllNodesResolved.is_convergence());
-        assert!(HaltReason::GoalReached.is_convergence());
         assert!(HaltReason::UserSatisfied.is_convergence());
         assert!(!HaltReason::InteractionBudgetExhausted.is_convergence());
         assert!(!HaltReason::ClosedByClient.is_convergence());
@@ -85,8 +84,8 @@ mod tests {
         let back: HaltConfig = serde_json::from_str(&json).unwrap();
         assert_eq!(back.max_interactions, 7);
         assert!(!back.stop_on_goal);
-        let reason_json = serde_json::to_string(&HaltReason::GoalReached).unwrap();
+        let reason_json = serde_json::to_string(&HaltReason::UserSatisfied).unwrap();
         let reason: HaltReason = serde_json::from_str(&reason_json).unwrap();
-        assert_eq!(reason, HaltReason::GoalReached);
+        assert_eq!(reason, HaltReason::UserSatisfied);
     }
 }

@@ -74,11 +74,6 @@ impl PruningState {
         self.bound
     }
 
-    /// The coverage version the cached scores are synchronized to, if any.
-    pub fn synced_version(&self) -> Option<u64> {
-        self.synced.map(|(_, version)| version)
-    }
-
     /// Returns `true` when the cached scores are synchronized with exactly
     /// this coverage's log lineage and version — the condition under which
     /// [`cached_score`](Self::cached_score) equals
@@ -207,11 +202,6 @@ impl PruningState {
         graph.nodes().filter(move |n| !self.is_pruned(*n))
     }
 
-    /// Number of candidate (not yet pruned) nodes.
-    pub fn candidate_count(&self, graph: &CsrGraph) -> usize {
-        self.candidates(graph).count()
-    }
-
     /// Fraction of the graph's nodes that has been pruned (0.0 for an empty
     /// graph).
     pub fn pruned_fraction(&self, graph: &CsrGraph) -> f64 {
@@ -254,7 +244,7 @@ mod tests {
         assert!(pruning.is_pruned(g.node_by_name("C2").unwrap()));
         assert!(pruning.is_pruned(g.node_by_name("N8").unwrap()));
         assert!(!pruning.is_pruned(g.node_by_name("N5").unwrap()));
-        assert_eq!(pruning.candidate_count(&g), 2);
+        assert_eq!(pruning.candidates(&g).count(), 2);
     }
 
     #[test]
@@ -291,7 +281,7 @@ mod tests {
         examples2.add_negative(n6);
         let mut pruning2 = PruningState::new(3);
         pruning2.refresh_with(&g, &examples2, &coverage2, &exec);
-        assert_eq!(pruning2.candidate_count(&g), 0);
+        assert_eq!(pruning2.candidates(&g).count(), 0);
         assert!((pruning2.pruned_fraction(&g) - 1.0).abs() < 1e-9);
     }
 
@@ -337,7 +327,7 @@ mod tests {
                     "step {step}, node {node}"
                 );
             }
-            assert_eq!(incremental.synced_version(), Some(coverage.version()));
+            assert!(incremental.is_synced_to(&coverage));
         }
     }
 
@@ -380,7 +370,7 @@ mod tests {
     fn unsynced_state_reports_no_cached_scores() {
         let g = sample();
         let pruning = PruningState::new(3);
-        assert_eq!(pruning.synced_version(), None);
+        assert!(!pruning.is_synced_to(&NegativeCoverage::new(3)));
         assert_eq!(pruning.cached_score(g.node_by_name("N5").unwrap()), None);
     }
 
@@ -400,6 +390,6 @@ mod tests {
         let g = CsrGraph::default();
         let pruning = PruningState::new(2);
         assert_eq!(pruning.pruned_fraction(&g), 0.0);
-        assert_eq!(pruning.candidate_count(&g), 0);
+        assert_eq!(pruning.candidates(&g).count(), 0);
     }
 }

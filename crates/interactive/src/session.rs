@@ -43,8 +43,8 @@ pub struct SessionConfig {
     pub with_path_validation: bool,
     /// Halt conditions.
     pub halt: HaltConfig,
-    /// The learner configuration; the learner learns at `path_bound` (its
-    /// coverage's bound).
+    /// The learner.  It has no settings of its own: it learns at
+    /// `path_bound` (its coverage's bound), from the coverage's words.
     pub learner: Learner,
 }
 
@@ -278,7 +278,7 @@ impl<'g> Session<'g> {
         let response = loop {
             match user.label_node(graph, node, zoom.neighborhood()) {
                 UserResponse::ZoomOut => {
-                    if zoom.zoom_out(graph).is_some() {
+                    if zoom.zoom_out(graph) {
                         self.stats.zooms += 1;
                         continue;
                     }

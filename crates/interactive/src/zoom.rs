@@ -3,17 +3,23 @@
 //! Before labeling, the user sees the neighborhood of the proposed node at
 //! distance 2; she may repeatedly ask to zoom out, each time revealing the
 //! next ring of nodes and edges.  [`ZoomState`] tracks the current fragment
-//! and the deltas, and refuses to zoom past the point where nothing new can
-//! be revealed (or past a configurable cap).
+//! and refuses to zoom past a configurable cap or past a zoom that revealed
+//! nothing.  A fragment at radius r+1 contains the one at radius r, nodes
+//! and edges alike, so a zoom revealed nothing exactly when it left both
+//! counts unchanged: the state keeps no delta.  The highlight of Figure
+//! 3(b) is [`Neighborhood::zoom_out`]'s delta, which only the renderers
+//! compute.
 
-use gps_graph::{CsrGraph, Neighborhood, NeighborhoodDelta, NodeId};
+use gps_graph::{CsrGraph, Neighborhood, NodeId};
 
 /// The zooming state for one proposed node.
 #[derive(Debug, Clone)]
 pub struct ZoomState {
     node: NodeId,
     current: Neighborhood,
-    deltas: Vec<NeighborhoodDelta>,
+    zooms: usize,
+    /// The last zoom left the fragment's node and edge counts unchanged.
+    saturated: bool,
     max_radius: u32,
 }
 
@@ -25,7 +31,8 @@ impl ZoomState {
         Self {
             node,
             current,
-            deltas: Vec::new(),
+            zooms: 0,
+            saturated: false,
             max_radius: max_radius.max(initial_radius),
         }
     }
@@ -45,33 +52,24 @@ impl ZoomState {
         self.current.radius()
     }
 
-    /// Number of zoom-out steps performed so far.
+    /// Number of zoom-out steps performed so far, the one that revealed
+    /// nothing included.
     pub fn zoom_count(&self) -> usize {
-        self.deltas.len()
+        self.zooms
     }
 
-    /// The deltas revealed by each zoom step, oldest first.
-    pub fn deltas(&self) -> &[NeighborhoodDelta] {
-        &self.deltas
-    }
-
-    /// Returns `true` when another zoom step can still reveal something (the
-    /// radius cap has not been hit and the last zoom was not empty).
-    pub fn can_zoom(&self) -> bool {
-        self.radius() < self.max_radius
-            && !matches!(self.deltas.last(), Some(delta) if delta.is_empty())
-    }
-
-    /// Zooms out by one ring.  Returns the delta, or `None` when zooming is
-    /// no longer possible.
-    pub fn zoom_out(&mut self, graph: &CsrGraph) -> Option<&NeighborhoodDelta> {
-        if !self.can_zoom() {
-            return None;
+    /// Zooms out by one ring.  Returns `false`, changing nothing, once the
+    /// radius cap is reached or the previous zoom revealed nothing.
+    pub fn zoom_out(&mut self, graph: &CsrGraph) -> bool {
+        if self.saturated || self.radius() >= self.max_radius {
+            return false;
         }
-        let (larger, delta) = self.current.zoom_out(graph);
+        let larger = Neighborhood::extract(graph, self.node, self.radius() + 1);
+        self.saturated = larger.node_count() == self.current.node_count()
+            && larger.edge_count() == self.current.edge_count();
         self.current = larger;
-        self.deltas.push(delta);
-        self.deltas.last()
+        self.zooms += 1;
+        true
     }
 }
 
@@ -92,7 +90,6 @@ mod tests {
         assert_eq!(zoom.node(), ids.n2);
         assert_eq!(zoom.radius(), 2);
         assert_eq!(zoom.zoom_count(), 0);
-        assert!(zoom.can_zoom());
         assert!(!zoom.neighborhood().contains(ids.c1));
     }
 
@@ -100,46 +97,62 @@ mod tests {
     fn zooming_reveals_the_cinema_as_in_figure3() {
         let (g, ids) = figure1();
         let mut zoom = ZoomState::new(&g, ids.n2, 2, 5);
-        let delta = zoom.zoom_out(&g).expect("zoom succeeds").clone();
+        assert!(zoom.zoom_out(&g));
         assert_eq!(zoom.radius(), 3);
         assert!(zoom.neighborhood().contains(ids.c1));
-        assert!(delta.added_nodes.contains(&ids.c1));
         assert_eq!(zoom.zoom_count(), 1);
-        assert_eq!(zoom.deltas().len(), 1);
     }
 
     #[test]
-    fn zooming_stops_at_the_cap() {
+    fn max_radius_stops_zooming_before_the_fragment_saturates() {
         let (g, ids) = figure1();
-        let mut zoom = ZoomState::new(&g, ids.n2, 2, 3);
-        assert!(zoom.zoom_out(&g).is_some());
-        assert!(!zoom.can_zoom());
-        assert!(zoom.zoom_out(&g).is_none());
-        assert_eq!(zoom.radius(), 3);
+        let mut zoom = ZoomState::new(&g, ids.n2, 1, 2);
+        assert!(zoom.zoom_out(&g));
+        // Radius 3 would still reveal something: the cap, not saturation,
+        // is what refuses the next zoom.
+        let beyond = Neighborhood::extract(&g, ids.n2, 3);
+        assert!(beyond.edge_count() > zoom.neighborhood().edge_count());
+        assert!(!zoom.zoom_out(&g));
+        assert_eq!(zoom.radius(), 2);
+        assert_eq!(zoom.zoom_count(), 1);
     }
 
     #[test]
-    fn zooming_stops_when_nothing_new_appears() {
+    fn a_saturated_fragment_counts_the_empty_zoom_then_refuses() {
         let (g, ids) = figure1();
+        // A sink's fragment is saturated from the start: its first zoom is
+        // allowed and counted, and reveals nothing.
+        let mut sink = ZoomState::new(&g, ids.c1, 2, 20);
+        assert!(sink.zoom_out(&g));
+        assert_eq!((sink.radius(), sink.zoom_count()), (3, 1));
+        assert_eq!(sink.neighborhood().node_count(), 1);
+        assert!(!sink.zoom_out(&g));
+        assert_eq!((sink.radius(), sink.zoom_count()), (3, 1));
+
+        // From N6 every reachable node and edge shows within a few rings,
+        // far below the cap of 20.
         let mut zoom = ZoomState::new(&g, ids.n6, 2, 20);
-        // From N6 everything reachable is within a few hops; keep zooming
-        // until the state refuses.
-        let mut steps = 0;
-        while zoom.zoom_out(&g).is_some() {
-            steps += 1;
-            assert!(steps < 20, "zooming must terminate");
+        while zoom.zoom_out(&g) {
+            assert!(zoom.radius() < 20, "saturation comes before the cap");
         }
-        assert!(!zoom.can_zoom());
-        // The last recorded delta is empty (that is what stopped us) or the
-        // cap was hit; here the saturation happens first.
-        assert!(zoom.deltas().last().unwrap().is_empty());
+        let radius = zoom.radius();
+        assert_eq!(zoom.zoom_count(), radius as usize - 2);
+        // The last counted zoom revealed nothing, and the one before it did.
+        let before = Neighborhood::extract(&g, ids.n6, radius - 1);
+        assert_eq!(before.node_count(), zoom.neighborhood().node_count());
+        assert_eq!(before.edge_count(), zoom.neighborhood().edge_count());
+        let earlier = Neighborhood::extract(&g, ids.n6, radius - 2);
+        assert!(earlier.edge_count() < before.edge_count());
+        assert!(!zoom.zoom_out(&g));
+        assert_eq!(zoom.radius(), radius);
     }
 
     #[test]
     fn cap_below_initial_radius_is_clamped() {
         let (g, ids) = figure1();
-        let zoom = ZoomState::new(&g, ids.n2, 2, 1);
+        let mut zoom = ZoomState::new(&g, ids.n2, 2, 1);
         assert_eq!(zoom.radius(), 2);
-        assert!(!zoom.can_zoom());
+        assert!(!zoom.zoom_out(&g));
+        assert_eq!(zoom.zoom_count(), 0);
     }
 }

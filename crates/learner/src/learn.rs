@@ -10,8 +10,8 @@
 //! Every bounded word the learner reads comes from an [`EvalHandle`]'s word
 //! index, and every answer from its cache; [`Learner::learn`] builds a
 //! private handle, [`Learner::learn_with`] takes the session's, which must
-//! serve the graph.  The one enumeration left is the `max_paths_per_node`
-//! valve, a resource bound on the negative constraint set.
+//! serve the graph.  The negative constraint words come off the coverage's
+//! prefix tree, which is already in memory: the learner enumerates no path.
 
 use crate::error::LearnError;
 use crate::examples::ExampleSet;
@@ -19,25 +19,14 @@ use crate::merge::generalize;
 use crate::path_selection::{select_paths, SelectedPaths};
 use gps_automata::state_elim::dfa_to_regex;
 use gps_automata::{Dfa, Regex};
-use gps_graph::{CsrGraph, NodeId, PathEnumerator, Word};
+use gps_graph::{CsrGraph, NodeId, Word};
 use gps_rpq::{EvalHandle, NegativeCoverage, QueryAnswer};
 
-/// Tunable parameters of the learner.  The path bound is not one of them:
-/// [`Learner::learn`] takes it as an argument and [`Learner::learn_with`]
-/// learns at its coverage's bound.
-#[derive(Debug, Clone)]
-pub struct Learner {
-    /// Safety cap on the number of paths enumerated per node.
-    pub max_paths_per_node: usize,
-}
-
-impl Default for Learner {
-    fn default() -> Self {
-        Self {
-            max_paths_per_node: 10_000,
-        }
-    }
-}
+/// The learner.  It has no parameters: [`Learner::learn`] takes the path
+/// bound as an argument and [`Learner::learn_with`] learns at its
+/// coverage's bound.
+#[derive(Debug, Clone, Default)]
+pub struct Learner {}
 
 /// The outcome of a successful learning step.
 #[derive(Debug, Clone)]
@@ -90,9 +79,12 @@ impl Learner {
     /// `coverage` — which a session maintains incrementally anyway — supplies
     /// the negative constraint words off its prefix tree.
     ///
-    /// `exec` must serve `graph`, and `coverage` must reflect exactly the
-    /// negatives of `examples`.  The coverage's bound is the bound learned
-    /// at: positives' words are read from the word index at it.
+    /// `coverage` must reflect exactly the negatives of `examples`.  The
+    /// coverage's bound is the bound learned at: positives' words are read
+    /// from the word index at it.
+    ///
+    /// # Panics
+    /// Unless `exec` serves `graph` ([`EvalHandle::assert_serves`]).
     pub fn learn_with(
         &self,
         graph: &CsrGraph,
@@ -100,6 +92,7 @@ impl Learner {
         coverage: &NegativeCoverage,
         exec: &EvalHandle,
     ) -> Result<LearnedQuery, LearnError> {
+        exec.assert_serves(graph);
         if examples.positive_count() == 0 {
             return Err(LearnError::NoPositiveExamples);
         }
@@ -111,17 +104,9 @@ impl Learner {
         // plus the empty word (a nullable query degenerately selects *every*
         // node of every graph, so it can never be the intended path query).
         // The words come straight off the coverage's prefix tree (sorted; ε
-        // sorts before every other word) — unless the uncapped trie outgrew
-        // the learner's `max_paths_per_node` safety valve, in which case the
-        // capped per-node enumeration keeps the PTA bounded.
-        let covered = coverage.covered_words();
-        let negative_words = if covered.len() > self.max_paths_per_node {
-            self.negative_words(graph, examples, coverage.bound())
-        } else {
-            let mut words: Vec<Word> = vec![Vec::new()];
-            words.extend(covered);
-            words
-        };
+        // sorts before every other word).
+        let mut negative_words: Vec<Word> = vec![Vec::new()];
+        negative_words.extend(coverage.covered_words());
 
         // Step (ii): PTA + state merging.
         let dfa = generalize(&positive_words, &negative_words);
@@ -140,21 +125,6 @@ impl Learner {
             selected_paths: selected,
             answer,
         })
-    }
-
-    /// The words (up to `bound`) of every negative node, plus ε (a nullable
-    /// hypothesis would select every node and is never a meaningful path
-    /// query).
-    fn negative_words(&self, graph: &CsrGraph, examples: &ExampleSet, bound: usize) -> Vec<Word> {
-        let negatives = examples.negatives();
-        let mut words: Vec<Word> = vec![Vec::new()];
-        let enumerator = PathEnumerator::new(bound).with_max_paths(self.max_paths_per_node);
-        for node in negatives {
-            words.extend(enumerator.words_from(graph, node));
-        }
-        words.sort();
-        words.dedup();
-        words
     }
 }
 

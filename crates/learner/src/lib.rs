@@ -66,7 +66,6 @@ pub mod error;
 pub mod examples;
 pub mod learn;
 pub mod merge;
-pub mod metrics;
 pub mod path_selection;
 
 pub use error::LearnError;

@@ -256,18 +256,6 @@ impl BlockBits {
             .sum()
     }
 
-    /// Number of bits set in both arrays (an AND-popcount per word over the
-    /// common prefix).
-    pub fn intersection_count(&self, other: &Self) -> usize {
-        self.blocks
-            .iter()
-            .zip(&other.blocks)
-            .filter(|(a, b)| !Arc::ptr_eq(a, zero_words()) && !Arc::ptr_eq(b, zero_words()))
-            .flat_map(|(a, b)| a.iter().zip(b.iter()))
-            .map(|(x, y)| (x & y).count_ones() as usize)
-            .sum()
-    }
-
     /// Returns `true` when both arrays set the same bits, whatever their
     /// lengths.  Blocks at one position cover the same bits, so each pair is
     /// compared by pointer first, then word by word over the shorter block,
@@ -420,7 +408,6 @@ mod tests {
             assert_eq!(from_flags, from_words, "len {len}");
             let expected = flags.iter().filter(|&&f| f).count();
             assert_eq!(from_words.count(), expected);
-            assert_eq!(from_words.intersection_count(&grown), expected);
             // Same bits, one more (clear) bit: a different array.
             let mut longer = from_flags.clone();
             longer.grow(len + 1, false);

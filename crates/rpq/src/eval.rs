@@ -78,11 +78,6 @@ impl QueryAnswer {
         self.selected.is_empty()
     }
 
-    /// Number of nodes selected by both answers.
-    pub fn intersection_len(&self, other: &QueryAnswer) -> usize {
-        self.selected.intersection_count(&other.selected)
-    }
-
     /// Resolves the selected nodes to their display names.
     pub fn node_names<'g>(&self, graph: &'g CsrGraph) -> Vec<&'g str> {
         self.nodes()

@@ -68,11 +68,6 @@ impl EventLog {
         state.ring.iter().cloned().collect()
     }
 
-    /// Total events ever recorded (including shed ones).
-    pub fn total_recorded(&self) -> u64 {
-        self.state.lock().expect("event log poisoned").next_seq
-    }
-
     /// The retention capacity.
     pub fn capacity(&self) -> usize {
         self.capacity
@@ -106,7 +101,6 @@ mod tests {
         assert_eq!(events.len(), 2);
         assert_eq!(events[0].seq, 3, "oldest retained");
         assert_eq!(events[1].seq, 4);
-        assert_eq!(log.total_recorded(), 5);
     }
 
     #[test]
@@ -129,7 +123,9 @@ mod tests {
                 });
             }
         });
-        assert_eq!(log.total_recorded(), 400);
-        assert_eq!(log.snapshot().len(), 64);
+        let events = log.snapshot();
+        assert_eq!(events.len(), 64);
+        // Sequence numbers count shed events too.
+        assert_eq!(events.last().unwrap().seq, 399);
     }
 }

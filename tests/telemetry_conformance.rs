@@ -131,7 +131,6 @@ fn halt_counters_split_the_closed_sessions() {
             HaltReason::InteractionBudgetExhausted,
             "interaction_budget_exhausted",
         ),
-        (HaltReason::GoalReached, "goal_reached"),
         (HaltReason::ClosedByClient, "closed_by_client"),
     ] {
         let count = snapshot
