@@ -188,7 +188,7 @@ impl Dfa {
     }
 
     /// States from which an accepting state is reachable (co-reachable).
-    pub fn coreachable_states(&self) -> Vec<StateId> {
+    fn coreachable_states(&self) -> Vec<StateId> {
         // Build reverse adjacency.
         let mut reverse: Vec<Vec<StateId>> = vec![Vec::new(); self.state_count()];
         for state in 0..self.state_count() {

@@ -258,7 +258,7 @@ pub(crate) struct Advanced {
 /// statistics) and inside the concurrency-safe cache.
 #[derive(Debug, Clone)]
 pub struct Engine {
-    snapshot: Arc<CsrGraph>,
+    /// Holds the snapshot ([`EvalCache::csr`]) too.
     cache: Arc<EvalCache>,
     /// The evaluator the cache runs misses on (the cache holds a clone of
     /// it; both share one [`LabelIndex`]).
@@ -282,14 +282,12 @@ impl Engine {
         evaluator: BatchEvaluator,
         options: Arc<EngineOptions>,
     ) -> Self {
-        let mut cache =
-            EvalCache::with_shared_evaluator(Arc::clone(&snapshot), Box::new(evaluator.clone()))
-                .with_metrics(&options.metrics);
+        let mut cache = EvalCache::with_shared_evaluator(snapshot, Box::new(evaluator.clone()))
+            .with_metrics(&options.metrics);
         if let Some(capacity) = options.cache_capacity {
             cache = cache.with_capacity(capacity);
         }
         Self {
-            snapshot,
             cache: Arc::new(cache),
             evaluator,
             options,
@@ -328,18 +326,18 @@ impl Engine {
     /// The graph this engine serves: the immutable CSR snapshot sessions
     /// run on.
     pub fn snapshot(&self) -> &CsrGraph {
-        &self.snapshot
+        self.cache.csr()
     }
 
     /// A new reference to the shared snapshot.
     pub fn shared_snapshot(&self) -> Arc<CsrGraph> {
-        Arc::clone(&self.snapshot)
+        Arc::clone(self.cache.csr())
     }
 
     /// The epoch of the snapshot this engine serves (see
     /// [`CsrGraph::epoch`]).
     pub fn epoch(&self) -> u64 {
-        self.snapshot.epoch()
+        self.cache.epoch()
     }
 
     /// The shared evaluation cache.
@@ -347,9 +345,10 @@ impl Engine {
         &self.cache
     }
 
-    /// A cheaply cloneable handle to the shared evaluation stack — hand it
-    /// to [`Session::with_exec`] / [`SimulatedUser::with_exec`] (the engine's
-    /// own session entry points do so automatically).
+    /// A cheaply cloneable handle to the shared evaluation stack and its
+    /// snapshot — hand it to [`Session::with_exec`] /
+    /// [`SimulatedUser::with_exec`] (the engine's own session entry points
+    /// do so automatically).
     pub fn eval_handle(&self) -> EvalHandle {
         EvalHandle::from_cache(Arc::clone(&self.cache))
     }
@@ -396,7 +395,7 @@ impl Engine {
 
     /// Parses a query in the paper's syntax against this graph's alphabet.
     pub fn parse_query(&self, syntax: &str) -> Result<PathQuery, GpsError> {
-        Ok(PathQuery::parse(syntax, self.snapshot.labels())?)
+        Ok(PathQuery::parse(syntax, self.snapshot().labels())?)
     }
 
     /// Parses and evaluates a query, returning the selected nodes.  Repeated
@@ -409,12 +408,12 @@ impl Engine {
     /// Renders the answer of a query as `{N1, N2, …}`.
     pub fn evaluate_rendered(&self, syntax: &str) -> Result<String, GpsError> {
         let answer = self.evaluate(syntax)?;
-        Ok(render::render_node_set(&self.snapshot, &answer.nodes()))
+        Ok(render::render_node_set(self.snapshot(), &answer.nodes()))
     }
 
     /// Resolves a node by display name.
     pub fn node(&self, name: &str) -> Result<NodeId, GpsError> {
-        self.snapshot
+        self.snapshot()
             .node_by_name(name)
             .ok_or_else(|| GpsError::UnknownNode(name.to_string()))
     }
@@ -423,20 +422,20 @@ impl Engine {
 
     /// Extracts the neighborhood of a node at the given radius (Figure 3(a)).
     pub fn neighborhood(&self, node: NodeId, radius: u32) -> Neighborhood {
-        Neighborhood::extract(&self.snapshot, node, radius)
+        Neighborhood::extract(self.snapshot(), node, radius)
     }
 
     /// Renders the neighborhood of a node at the given radius.
     pub fn render_neighborhood(&self, node: NodeId, radius: u32) -> String {
-        render::render_neighborhood(&self.snapshot, &self.neighborhood(node, radius), None)
+        render::render_neighborhood(self.snapshot(), &self.neighborhood(node, radius), None)
     }
 
     /// Renders the zoom-out from radius `radius` to `radius + 1`, marking the
     /// newly revealed nodes (Figure 3(b)).
     pub fn render_zoom(&self, node: NodeId, radius: u32) -> String {
         let hood = self.neighborhood(node, radius);
-        let (larger, delta) = hood.zoom_out(&self.snapshot);
-        render::render_neighborhood(&self.snapshot, &larger, Some(&delta))
+        let (larger, delta) = hood.zoom_out(self.snapshot());
+        render::render_neighborhood(self.snapshot(), &larger, Some(&delta))
     }
 
     /// Renders the prefix tree of a node's paths up to `bound`, highlighting
@@ -447,25 +446,22 @@ impl Engine {
         bound: usize,
         suggested: &[gps_graph::LabelId],
     ) -> String {
-        let words = PathEnumerator::new(bound).words_from(&self.snapshot, node);
+        let words = PathEnumerator::new(bound).words_from(self.snapshot(), node);
         let tree = PrefixTree::from_words(&words);
-        render::render_prefix_tree(&self.snapshot, &tree, &suggested.to_vec())
+        render::render_prefix_tree(self.snapshot(), &tree, &suggested.to_vec())
     }
 
     // ------------------------------------------------------------- sessions
 
     /// Opens a new interactive session on the shared snapshot and stack.
     ///
-    /// The session co-owns the snapshot (no borrow of the engine), so it can
-    /// be stored in a session table and stepped from any worker thread; its
-    /// learner/coverage/pruning state is private to the session, while every
-    /// query it evaluates goes through the engine's one bounded cache.
+    /// The session holds the engine's handle (no borrow of the engine), so
+    /// it can be stored in a session table and stepped from any worker
+    /// thread; its learner/coverage/pruning state is private to the session,
+    /// while every query it evaluates goes through the engine's one bounded
+    /// cache.
     pub fn open_session(&self) -> Session<'static> {
-        let mut session = Session::with_shared_exec(
-            Arc::clone(&self.snapshot),
-            self.options.session.clone(),
-            self.eval_handle(),
-        );
+        let mut session = Session::with_exec(self.options.session.clone(), self.eval_handle());
         if self.options.metrics.is_enabled() {
             session.set_metrics(gps_interactive::metrics::SessionMetrics::from_registry(
                 &self.options.metrics,
@@ -532,7 +528,6 @@ impl Engine {
         };
         let mut strategy = self.instantiate_strategy();
         Ok(scenario::interactive(
-            &self.snapshot,
             &goal,
             config,
             strategy.as_mut(),

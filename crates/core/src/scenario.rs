@@ -14,7 +14,7 @@
 //!    guarantees the generalization uses the paths she cares about.
 
 use crate::transcript::Transcript;
-use gps_graph::{CsrGraph, NodeId};
+use gps_graph::NodeId;
 use gps_interactive::session::{Session, SessionConfig, SessionOutcome};
 use gps_interactive::strategy::Strategy;
 use gps_interactive::user::SimulatedUser;
@@ -55,7 +55,7 @@ pub fn static_labeling(
     let coverage = NegativeCoverage::from_index(&index, examples.negatives());
     match config
         .learner
-        .learn_with(exec.cache().csr(), &examples, &coverage, exec)
+        .learn_with(exec.csr(), &examples, &coverage, exec)
     {
         Ok(learned) => StaticLabelingOutcome::Learned(Box::new(learned)),
         Err(gps_learner::LearnError::PositiveFullyCovered { node })
@@ -91,7 +91,6 @@ pub struct ScenarioReport {
 }
 
 fn report_from_outcome(
-    graph: &CsrGraph,
     goal: &PathQuery,
     scenario: &str,
     outcome: &SessionOutcome,
@@ -100,6 +99,7 @@ fn report_from_outcome(
     // Served from the shared cache: the simulated user already evaluated
     // the goal through this handle at construction.
     let goal_answer = exec.evaluate(goal.regex());
+    let graph = exec.csr();
     let goal_reached = outcome
         .learned
         .as_ref()
@@ -127,10 +127,9 @@ fn report_from_outcome(
 
 /// Runs an interactive scenario on the engine's evaluation stack: the
 /// session, the simulated user, the learner and the final report all
-/// evaluate through `exec`.  The scenario label follows
+/// evaluate through `exec`, over its snapshot.  The scenario label follows
 /// `config.with_path_validation`.
 pub fn interactive(
-    graph: &CsrGraph,
     goal: &PathQuery,
     config: SessionConfig,
     strategy: &mut dyn Strategy,
@@ -142,9 +141,9 @@ pub fn interactive(
         "interactive"
     };
     let mut user = SimulatedUser::with_exec(goal.clone(), exec.clone());
-    let mut session = Session::with_exec(graph, config, exec.clone());
+    let mut session = Session::with_exec(config, exec.clone());
     let outcome = session.run(strategy, &mut user);
-    report_from_outcome(graph, goal, scenario, &outcome, &exec)
+    report_from_outcome(goal, scenario, &outcome, &exec)
 }
 
 #[cfg(test)]
@@ -152,6 +151,7 @@ mod tests {
     use super::*;
     use crate::Engine;
     use gps_datasets::figure1::{figure1_graph, MOTIVATING_QUERY};
+    use gps_graph::CsrGraph;
 
     fn static_labeling_on_figure1(labels: &[(NodeId, Label)]) -> StaticLabelingOutcome {
         let exec = EvalHandle::naive(&CsrGraph::from_graph(&figure1_graph().0));

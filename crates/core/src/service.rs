@@ -89,13 +89,17 @@ struct ManagedSession {
     user: SimulatedUser,
     strategy: Box<dyn Strategy + Send>,
     halted: Option<HaltReason>,
-    /// The store epoch this session is pinned to (its birth epoch): the
-    /// session's snapshot, cache and index all belong to this version, so a
-    /// publish mid-session never changes what it observes.
-    epoch: u64,
 }
 
 impl ManagedSession {
+    /// The store epoch this session is pinned to (its birth epoch): the
+    /// epoch of its handle, whose snapshot, cache and index all belong to
+    /// this version, so a publish mid-session never changes what it
+    /// observes.
+    fn epoch(&self) -> u64 {
+        self.session.exec().epoch()
+    }
+
     fn status(&self) -> SessionStatus {
         match self.halted {
             Some(reason) => SessionStatus::Halted(reason),
@@ -245,7 +249,6 @@ impl SessionManager {
             user,
             strategy: core.instantiate_strategy(),
             halted: None,
-            epoch,
         };
         let id = self.next_id.fetch_add(1, Ordering::Relaxed);
         self.sessions
@@ -268,7 +271,7 @@ impl SessionManager {
 
     /// The epoch session `id` is pinned to (its birth epoch).
     pub fn session_epoch(&self, id: SessionId) -> Result<u64, GpsError> {
-        Ok(self.slot(id)?.lock().epoch)
+        Ok(self.slot(id)?.lock().epoch())
     }
 
     /// Performs one interaction of session `id` (a no-op when it already
@@ -333,12 +336,12 @@ impl SessionManager {
             Ok(mutex) => {
                 let managed = mutex.into_inner();
                 let reason = managed.halted.unwrap_or(HaltReason::ClosedByClient);
-                (managed.session.outcome(reason), managed.epoch)
+                (managed.session.outcome(reason), managed.epoch())
             }
             Err(slot) => {
                 let managed = slot.lock();
                 let reason = managed.halted.unwrap_or(HaltReason::ClosedByClient);
-                (managed.session.outcome(reason), managed.epoch)
+                (managed.session.outcome(reason), managed.epoch())
             }
         };
         // Unpin last: a superseded epoch with no other pinned session is
@@ -371,7 +374,7 @@ impl SessionManager {
     }
 
     /// Number of currently open sessions.
-    pub fn active_count(&self) -> usize {
+    fn active_count(&self) -> usize {
         self.sessions.lock().len()
     }
 

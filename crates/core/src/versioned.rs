@@ -135,13 +135,6 @@ pub struct CheckpointPolicy {
     pub every_n_publishes: u64,
 }
 
-impl CheckpointPolicy {
-    /// Never checkpoint — recovery replays the whole log.
-    pub const NEVER: Self = Self {
-        every_n_publishes: 0,
-    };
-}
-
 impl Default for CheckpointPolicy {
     fn default() -> Self {
         Self {
@@ -329,11 +322,7 @@ impl VersionedStore {
     /// (a fresh store, or one whose latest checkpoint is `core`'s snapshot)
     /// — [`open_durable`](Self::open_durable) is the safe entry point for
     /// file-backed stores.
-    pub fn with_store(
-        core: EngineCore,
-        store: Arc<dyn GraphStore>,
-        policy: CheckpointPolicy,
-    ) -> Self {
+    fn with_store(core: EngineCore, store: Arc<dyn GraphStore>, policy: CheckpointPolicy) -> Self {
         let registry = Arc::clone(core.metrics_registry());
         let metrics = CoreMetrics::from_registry(&registry);
         store.set_metrics(StoreMetrics::from_registry(&registry));

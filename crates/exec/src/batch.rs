@@ -18,7 +18,7 @@ use crate::metrics::ExecMetrics;
 use crate::planner::{self, Plan, PlanDecision, PlannerConfig};
 use gps_automata::Dfa;
 use gps_graph::{CsrGraph, GraphDelta, NodeId, Path};
-use gps_rpq::{DfaEvaluator, EvalResume, PathQuery, QueryAnswer};
+use gps_rpq::{DfaEvaluator, EvalResume, QueryAnswer};
 use std::sync::{Arc, Mutex, TryLockError};
 
 /// A frontier-based batch evaluator bound to one graph snapshot.
@@ -55,7 +55,7 @@ impl BatchEvaluator {
     }
 
     /// Builds the evaluator over an already-shared index (no re-partition).
-    pub fn from_shared_index(index: Arc<LabelIndex>) -> Self {
+    fn from_shared_index(index: Arc<LabelIndex>) -> Self {
         Self {
             index,
             plan_override: None,
@@ -163,11 +163,6 @@ impl BatchEvaluator {
         }
     }
 
-    /// Evaluates one parsed query.
-    pub fn evaluate_query(&self, query: &PathQuery) -> QueryAnswer {
-        self.evaluate(query.dfa())
-    }
-
     fn evaluate_scratch(&self, dfa: &Dfa, scratch: &mut Scratch) -> QueryAnswer {
         let plan = self.plan_for(dfa).plan;
         self.metrics.record_plan(plan);
@@ -242,6 +237,7 @@ mod tests {
     use super::*;
     use gps_automata::Regex;
     use gps_graph::{CsrGraph, Graph};
+    use gps_rpq::PathQuery;
 
     fn sample() -> CsrGraph {
         let mut g = Graph::new();
@@ -339,11 +335,11 @@ mod tests {
     }
 
     #[test]
-    fn evaluate_query_accepts_parsed_queries() {
+    fn parsed_queries_evaluate_through_their_dfa() {
         let g = sample();
         let evaluator = BatchEvaluator::from_csr(&g);
         let query = PathQuery::parse("(tram+bus)*.cinema", g.labels()).unwrap();
-        assert_eq!(evaluator.evaluate_query(&query), query.evaluate(&g));
+        assert_eq!(evaluator.evaluate(query.dfa()), query.evaluate(&g));
         assert!(evaluator.selects_node(query.dfa(), g.node_by_name("N2").unwrap()));
         assert!(!evaluator.selects_node(query.dfa(), g.node_by_name("C1").unwrap()));
     }

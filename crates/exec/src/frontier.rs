@@ -133,12 +133,6 @@ fn for_each_derivation(
     }
 }
 
-#[cfg(test)]
-thread_local! {
-    /// Whether each round of this thread's latest fixed point was a pull.
-    static ROUND_LOG: std::cell::RefCell<Vec<bool>> = const { std::cell::RefCell::new(Vec::new()) };
-}
-
 /// The product fixed point.  With `CAPTURE` it runs to the true fixed point
 /// even once the answer is final, and packs every state's alive set into a
 /// resumable seed.
@@ -186,7 +180,7 @@ fn fixed_point<const CAPTURE: bool>(
     let start = dfa.start();
     let mut rounds = 0u64;
     #[cfg(test)]
-    ROUND_LOG.with_borrow_mut(Vec::clear);
+    tests::ROUND_LOG.with_borrow_mut(Vec::clear);
     loop {
         // The answer only reads `alive[start]`; once every node is selected
         // no further round can change it.  This exit can leave *other*
@@ -211,7 +205,7 @@ fn fixed_point<const CAPTURE: bool>(
             }
         };
         #[cfg(test)]
-        ROUND_LOG.with_borrow_mut(|log| log.push(pull));
+        tests::ROUND_LOG.with_borrow_mut(|log| log.push(pull));
 
         let mut progress = false;
         if pull {
@@ -549,6 +543,12 @@ mod tests {
     use super::*;
     use gps_automata::Regex;
     use gps_graph::{CsrGraph, Graph};
+
+    thread_local! {
+        /// Whether each round of this thread's latest fixed point was a pull.
+        pub(super) static ROUND_LOG: std::cell::RefCell<Vec<bool>> =
+            const { std::cell::RefCell::new(Vec::new()) };
+    }
 
     fn figure1_like() -> CsrGraph {
         let mut g = Graph::new();

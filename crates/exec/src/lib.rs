@@ -48,7 +48,7 @@
 //!
 //! let engine = BatchEvaluator::from_csr(&CsrGraph::from_graph(&g));
 //! let q = PathQuery::parse("tram*.cinema", g.labels()).unwrap();
-//! let answer = engine.evaluate_query(&q);
+//! let answer = engine.evaluate(q.dfa());
 //! assert!(answer.contains(n1));
 //! assert!(!answer.contains(c1));
 //! ```

@@ -47,8 +47,8 @@ pub struct PlanDecision {
 /// The planner's decision thresholds.  [`BatchEvaluator`](crate::BatchEvaluator)
 /// always plans with the defaults, which were hand-tuned on the checked-in
 /// workloads and sanity-checked against the 20k-node scale-free corpus (see
-/// `tests/planner_defaults.rs`); [`plan_with`] takes explicit ones for
-/// calibrating them.
+/// `tests/planner_defaults.rs`); the module's tests pass explicit ones to
+/// `plan_with`.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PlannerConfig {
     /// Edge-coverage below which expansion always stays in push mode.
@@ -77,7 +77,7 @@ pub fn plan(index: &LabelIndex, dfa: &Dfa) -> PlanDecision {
 }
 
 /// Picks the expansion plan for `dfa` under explicit thresholds.
-pub fn plan_with(index: &LabelIndex, dfa: &Dfa, config: PlannerConfig) -> PlanDecision {
+fn plan_with(index: &LabelIndex, dfa: &Dfa, config: PlannerConfig) -> PlanDecision {
     let used_labels = dfa.used_alphabet().symbols().to_vec();
     let covered: usize = used_labels
         .iter()

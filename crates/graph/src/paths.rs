@@ -119,11 +119,6 @@ impl PathEnumerator {
         self
     }
 
-    /// The configured maximum path length.
-    pub fn max_length(&self) -> usize {
-        self.max_length
-    }
-
     /// Enumerates all paths of length `1..=max_length` starting at `start`
     /// (never the empty path: the paper's queries never select via the empty
     /// word), in breadth-first (shortest first) order, deterministically

@@ -54,7 +54,7 @@ impl PrefixTree {
     }
 
     /// Number of distinct words stored.
-    pub fn word_count(&self) -> usize {
+    fn word_count(&self) -> usize {
         self.terminal.iter().filter(|&&t| t).count()
     }
 
@@ -90,17 +90,12 @@ impl PrefixTree {
     }
 
     /// Locates the trie node spelled by `word`, if present.
-    pub fn locate(&self, word: &[LabelId]) -> Option<PrefixNodeId> {
+    fn locate(&self, word: &[LabelId]) -> Option<PrefixNodeId> {
         let mut node = self.root();
         for &label in word {
             node = *self.children[node].get(&label)?;
         }
         Some(node)
-    }
-
-    /// Returns whether a trie node is terminal (ends an inserted word).
-    pub fn is_terminal(&self, node: PrefixNodeId) -> bool {
-        self.terminal[node]
     }
 
     /// Children of a trie node, in label order.
@@ -230,7 +225,7 @@ mod tests {
     fn locate_and_children_expose_structure() {
         let tree = PrefixTree::from_words(vec![vec![l(0), l(1)], vec![l(0), l(2)]]);
         let node_a = tree.locate(&[l(0)]).unwrap();
-        assert!(!tree.is_terminal(node_a));
+        assert!(!tree.contains(&[l(0)]), "a prefix, not a word");
         let kids: Vec<LabelId> = tree.children(node_a).map(|(lab, _)| lab).collect();
         assert_eq!(kids, vec![l(1), l(2)]);
         assert!(tree.locate(&[l(3)]).is_none());

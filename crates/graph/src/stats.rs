@@ -200,34 +200,6 @@ impl LabelStats {
         }
     }
 
-    /// The statistics of `label`, if the label exists.
-    pub fn get(&self, label: LabelId) -> Option<&LabelStat> {
-        self.per_label.get(label.index())
-    }
-
-    /// Number of edges carrying `label` (0 for unknown labels).
-    pub fn edge_count_of(&self, label: LabelId) -> usize {
-        self.get(label).map(|s| s.edge_count).unwrap_or(0)
-    }
-
-    /// Fraction of all edges whose label is in `labels`.
-    pub fn coverage(&self, labels: impl IntoIterator<Item = LabelId>) -> f64 {
-        if self.edge_count == 0 {
-            return 0.0;
-        }
-        let covered: usize = labels.into_iter().map(|l| self.edge_count_of(l)).sum();
-        covered as f64 / self.edge_count as f64
-    }
-
-    /// Mean number of edges per node over the given labels.
-    pub fn mean_degree(&self, labels: impl IntoIterator<Item = LabelId>) -> f64 {
-        if self.node_count == 0 {
-            return 0.0;
-        }
-        let covered: usize = labels.into_iter().map(|l| self.edge_count_of(l)).sum();
-        covered as f64 / self.node_count as f64
-    }
-
     /// One display line per label, for the CLI stats output.
     pub fn summary_lines(&self, graph: &CsrGraph) -> Vec<String> {
         self.per_label
@@ -323,14 +295,14 @@ mod tests {
         let y = g.label_id("y").unwrap();
         assert_eq!(stats.node_count, 4);
         assert_eq!(stats.edge_count, 3);
-        let sx = stats.get(x).unwrap();
+        let sx = &stats.per_label[x.index()];
         assert_eq!(sx.edge_count, 2);
         assert!((sx.frequency - 2.0 / 3.0).abs() < 1e-9);
         assert_eq!(sx.max_out_degree, 1, "a and b each have one x out-edge");
         assert_eq!(sx.max_in_degree, 1);
         assert_eq!(sx.source_count, 2);
         assert_eq!(sx.target_count, 2);
-        let sy = stats.get(y).unwrap();
+        let sy = &stats.per_label[y.index()];
         assert_eq!(sy.edge_count, 1);
         assert_eq!(sy.source_count, 1);
     }
@@ -346,20 +318,15 @@ mod tests {
         g.add_edge_by_name(b, "x", c);
         let stats = LabelStats::compute(&CsrGraph::from_graph(&g));
         let x = g.label_id("x").unwrap();
-        assert_eq!(stats.get(x).unwrap().max_out_degree, 2, "a has two x edges");
-        assert_eq!(stats.get(x).unwrap().max_in_degree, 2, "c receives two");
+        let sx = &stats.per_label[x.index()];
+        assert_eq!(sx.max_out_degree, 2, "a has two x edges");
+        assert_eq!(sx.max_in_degree, 2, "c receives two");
     }
 
     #[test]
-    fn label_stats_coverage_and_mean_degree() {
+    fn label_stats_summary_has_a_line_per_label() {
         let g = sample();
         let stats = LabelStats::compute(&g);
-        let x = g.label_id("x").unwrap();
-        let y = g.label_id("y").unwrap();
-        assert!((stats.coverage([x, y]) - 1.0).abs() < 1e-9);
-        assert!((stats.coverage([y]) - 1.0 / 3.0).abs() < 1e-9);
-        assert!((stats.mean_degree([x]) - 0.5).abs() < 1e-9);
-        assert_eq!(stats.edge_count_of(crate::ids::LabelId::new(99)), 0);
         assert_eq!(stats.summary_lines(&g).len(), 2);
         assert!(stats.summary_lines(&g)[0].contains("edges="));
     }
@@ -369,8 +336,6 @@ mod tests {
         let stats = LabelStats::compute(&CsrGraph::default());
         assert_eq!(stats.edge_count, 0);
         assert!(stats.per_label.is_empty());
-        assert_eq!(stats.coverage([LabelId::new(0)]), 0.0);
-        assert_eq!(stats.mean_degree([LabelId::new(0)]), 0.0);
     }
 
     #[test]

@@ -9,9 +9,11 @@
 //!
 //! Every bounded word the loop reads — pruning scores, negative coverage,
 //! validation prompts, the learner's path selection — comes from the
-//! session's [`EvalHandle`] ([`EvalHandle::bounded_words`]), never from a
-//! per-node path enumeration.  The handle must serve the session's graph:
-//! [`Session::with_exec`] and [`Session::with_shared_exec`] assert it.
+//! session's [`EvalHandle`] ([`gps_rpq::EvalCache::bounded_words`]), never
+//! from a per-node path enumeration.  The session's graph is its handle's
+//! snapshot ([`Session::graph`]), so the two cannot disagree; only
+//! [`Session::with_shared_exec`], which still takes a graph beside the
+//! handle, asserts that they are the same.
 
 use crate::halt::{HaltConfig, HaltReason};
 use crate::metrics::SessionMetrics;
@@ -101,40 +103,20 @@ pub struct SessionOutcome {
     pub examples: ExampleSet,
 }
 
-/// How a session holds its graph: borrowed from the caller (the classic
-/// single-session shape) or shared behind an [`Arc`] (the service shape —
-/// a `Session<'static>` that can be stored in a session manager
-/// and driven from worker threads).
-#[derive(Debug)]
-enum GraphRef<'g> {
-    Borrowed(&'g CsrGraph),
-    Shared(Arc<CsrGraph>),
-}
-
-impl GraphRef<'_> {
-    fn get(&self) -> &CsrGraph {
-        match self {
-            GraphRef::Borrowed(graph) => graph,
-            GraphRef::Shared(graph) => graph.as_ref(),
-        }
-    }
-}
-
 /// An in-progress interactive specification session over a [`CsrGraph`].
 ///
 /// Every DFA evaluation inside the loop (the learner's consistency check)
 /// and every read of the word index (pruning, coverage, path selection) goes
-/// through the session's [`EvalHandle`].  [`Session::new`] builds a private naive handle;
-/// [`Session::with_exec`] shares an engine's cache and configured execution
-/// engine, putting the whole loop on the frontier fast path;
-/// [`Session::with_shared_exec`] additionally shares ownership of the graph
-/// snapshot itself, producing a `'static` session that outlives its creator
-/// (the shape the multi-session service stores and steps from worker
-/// threads).
-// `B` (always `CsrGraph`) is kept only for `benchmark/src/shadow.rs:43`.
+/// through the session's [`EvalHandle`], and the graph the session runs on
+/// is that handle's snapshot.  [`Session::new`] builds a private naive
+/// handle over a graph; [`Session::with_exec`] shares an engine's cache and
+/// configured execution engine, putting the whole loop on the frontier fast
+/// path.  A session borrows nothing, so it can be stored (the shape the
+/// multi-session service steps from worker threads).
+// `'g` (a phantom: nothing is borrowed) and `B` (always `CsrGraph`) are kept
+// only for `benchmark/src/shadow.rs:43`.
 #[derive(Debug)]
 pub struct Session<'g, B = CsrGraph> {
-    graph: GraphRef<'g>,
     exec: EvalHandle,
     config: SessionConfig,
     examples: ExampleSet,
@@ -144,20 +126,19 @@ pub struct Session<'g, B = CsrGraph> {
     hypothesis: Option<LearnedQuery>,
     transcript: Vec<InteractionRecord>,
     metrics: SessionMetrics,
-    graph_type: PhantomData<B>,
+    phantom: PhantomData<(&'g (), B)>,
 }
 
 impl Session<'static> {
-    /// Creates a session co-owning its graph: behavior is identical to
-    /// [`Session::with_exec`] over the same graph and stack, but the session
-    /// borrows nothing, so it can be stored (e.g. in a session manager's
-    /// table) and stepped from worker threads long after the creating scope
-    /// ended.
+    /// [`Session::with_exec`] after checking that `graph` is `exec`'s
+    /// snapshot; the session keeps the handle, not the `Arc`.
     ///
     /// # Panics
     /// When `exec` does not serve `graph` ([`EvalHandle::assert_serves`]).
+    // Kept with its graph argument for `benchmark/src/shadow.rs:246`.
     pub fn with_shared_exec(graph: Arc<CsrGraph>, config: SessionConfig, exec: EvalHandle) -> Self {
-        Self::from_graph_ref(GraphRef::Shared(graph), config, exec)
+        exec.assert_serves(&graph);
+        Self::with_exec(config, exec)
     }
 }
 
@@ -165,37 +146,17 @@ impl<'g> Session<'g> {
     /// Creates a session over `graph` with a private reference evaluation
     /// stack (one snapshot + the naive evaluator).
     pub fn new(graph: &'g CsrGraph, config: SessionConfig) -> Self {
-        let exec = EvalHandle::naive(graph);
-        Self::with_exec(graph, config, exec)
+        Self::with_exec(config, EvalHandle::naive(graph))
     }
 
-    /// Creates a session over `graph` evaluating through a shared stack —
-    /// the way engine-driven sessions run, so the session, the learner, the
-    /// pruning and the engine's own query API share one cache, evaluator and
-    /// snapshot.
-    ///
-    /// # Panics
-    /// When `exec` does not serve `graph` ([`EvalHandle::assert_serves`]).
-    pub fn with_exec(graph: &'g CsrGraph, config: SessionConfig, exec: EvalHandle) -> Self {
-        Self::from_graph_ref(GraphRef::Borrowed(graph), config, exec)
-    }
-
-    /// The evaluation stack this session runs on.
-    pub fn exec(&self) -> &EvalHandle {
-        &self.exec
-    }
-
-    /// The graph this session runs on.
-    pub fn graph(&self) -> &CsrGraph {
-        self.graph.get()
-    }
-
-    fn from_graph_ref(graph: GraphRef<'g>, config: SessionConfig, exec: EvalHandle) -> Self {
-        exec.assert_serves(graph.get());
+    /// Creates a session over `exec`'s snapshot evaluating through that
+    /// shared stack — the way engine-driven sessions run, so the session,
+    /// the learner, the pruning and the engine's own query API share one
+    /// cache, evaluator and snapshot.
+    pub fn with_exec(config: SessionConfig, exec: EvalHandle) -> Self {
         let coverage = NegativeCoverage::new(config.path_bound);
         let pruning = PruningState::new(config.path_bound);
         Self {
-            graph,
             exec,
             config,
             examples: ExampleSet::new(),
@@ -205,8 +166,18 @@ impl<'g> Session<'g> {
             hypothesis: None,
             transcript: Vec::new(),
             metrics: SessionMetrics::disabled(),
-            graph_type: PhantomData,
+            phantom: PhantomData,
         }
+    }
+
+    /// The evaluation stack this session runs on.
+    pub fn exec(&self) -> &EvalHandle {
+        &self.exec
+    }
+
+    /// The graph this session runs on: its handle's snapshot.
+    pub fn graph(&self) -> &CsrGraph {
+        self.exec.csr()
     }
 
     /// Installs telemetry handles (see [`SessionMetrics`]) into the session
@@ -249,7 +220,10 @@ impl<'g> Session<'g> {
             return Some(HaltReason::InteractionBudgetExhausted);
         }
         let started = Instant::now();
-        let graph = self.graph.get();
+        // A second reference to the snapshot, so the graph stays borrowable
+        // while the session's fields are updated.
+        let graph = Arc::clone(self.exec.csr());
+        let graph = graph.as_ref();
 
         // 1–3: pick the next informative node (incremental refresh: only
         // nodes spelling newly covered words are touched).
@@ -295,15 +269,7 @@ impl<'g> Session<'g> {
             UserResponse::Positive => {
                 self.stats.positive_labels += 1;
                 let validated = if self.config.with_path_validation {
-                    Self::validate_path(
-                        graph,
-                        &self.exec,
-                        &self.coverage,
-                        &mut self.stats,
-                        user,
-                        node,
-                        zoom.radius() as usize,
-                    )
+                    self.validate_path(user, node, zoom.radius() as usize)
                 } else {
                     None
                 };
@@ -373,27 +339,25 @@ impl<'g> Session<'g> {
         None
     }
 
-    /// Free-standing so the caller can keep borrowing the graph through
-    /// [`GraphRef`] while the statistics are updated (disjoint fields).
+    /// Asks `user` to validate one of `node`'s uncovered words within
+    /// `radius`; `None` when it has none.
     fn validate_path<U: User + ?Sized>(
-        graph: &CsrGraph,
-        exec: &EvalHandle,
-        coverage: &NegativeCoverage,
-        stats: &mut SessionStats,
+        &mut self,
         user: &mut U,
         node: NodeId,
         radius: usize,
     ) -> Option<Word> {
-        let prompt = validation::build_prompt(exec, node, radius, coverage)?;
-        let chosen = user.validate_path(graph, node, &prompt.candidates, &prompt.suggested);
-        stats.path_validations += 1;
+        let prompt = validation::build_prompt(&self.exec, node, radius, &self.coverage)?;
+        let chosen =
+            user.validate_path(self.exec.csr(), node, &prompt.candidates, &prompt.suggested);
+        self.stats.path_validations += 1;
         let word = if prompt.is_candidate(&chosen) {
             chosen
         } else {
             prompt.suggested.clone()
         };
         if word != prompt.suggested {
-            stats.path_corrections += 1;
+            self.stats.path_corrections += 1;
         }
         Some(word)
     }
@@ -498,7 +462,11 @@ mod tests {
             (EvalHandle::naive(&CsrGraph::from_graph(&g)), "(0, 10)"),
         ] {
             let session = panic_message(&|| {
-                Session::with_exec(&graph, SessionConfig::default(), handle.clone());
+                Session::with_shared_exec(
+                    Arc::new(graph.clone()),
+                    SessionConfig::default(),
+                    handle.clone(),
+                );
             });
             let refresh = panic_message(&|| {
                 let coverage = NegativeCoverage::new(4);
@@ -509,6 +477,14 @@ mod tests {
                 assert!(message.contains("(0, 10)"), "{message}");
             }
         }
+    }
+
+    #[test]
+    fn a_session_runs_on_its_handles_snapshot() {
+        let (g, _) = figure1();
+        let handle = EvalHandle::naive(&g);
+        let session = Session::with_exec(SessionConfig::default(), handle.clone());
+        assert!(std::ptr::eq(session.graph(), &**handle.csr()));
     }
 
     #[test]

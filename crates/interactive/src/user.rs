@@ -319,7 +319,7 @@ mod tests {
             }
         }
         // The goal answer went through (and primed) the shared cache.
-        let (_, misses) = exec.cache().stats();
+        let (_, misses) = exec.stats();
         assert!(misses >= 1);
         assert!(
             Arc::ptr_eq(

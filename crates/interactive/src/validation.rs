@@ -9,16 +9,17 @@
 //!
 //! The candidate words are read from the session's [`EvalHandle`]: the
 //! node's entry in its snapshot's word index at the session's path bound
-//! ([`EvalHandle::bounded_words`], shared across every session on the
-//! engine), cut at the radius or, past the bound, extended for that node
+//! ([`gps_rpq::EvalCache::bounded_words`], shared across every session on
+//! the engine), cut at the radius or, past the bound, extended for that node
 //! alone ([`gps_rpq::WordIndex::words_within`]).  There is no other source,
 //! and a prompt never derives the index at another bound.
 
-use gps_graph::{NodeId, PrefixTree, Word};
+use gps_graph::{NodeId, Word};
 use gps_rpq::{EvalHandle, NegativeCoverage};
 
-/// The prompt shown to the user for path validation: the candidate words (as
-/// a prefix tree plus a flat list) and the system's suggested word.
+/// The prompt shown to the user for path validation: the candidate words and
+/// the system's suggested word.  Figure 3(c)'s prefix tree of a node's
+/// paths is drawn by `gps_core::Engine::render_prefix_tree`.
 #[derive(Debug, Clone)]
 pub struct PathValidationPrompt {
     /// The node whose paths are being validated.
@@ -26,8 +27,6 @@ pub struct PathValidationPrompt {
     /// All candidate words (uncovered, length ≤ the neighborhood radius),
     /// sorted by length then lexicographically.
     pub candidates: Vec<Word>,
-    /// The prefix tree over the candidate words, for display.
-    pub tree: PrefixTree,
     /// The word the system suggests (highlighted in the UI).
     pub suggested: Word,
 }
@@ -60,7 +59,7 @@ pub fn build_prompt(
     // Words come by (length, labels): already the candidates' order.
     let index = exec.bounded_words(coverage.bound());
     let candidates: Vec<Word> = index
-        .words_within(exec.cache().csr(), node, radius)
+        .words_within(exec.csr(), node, radius)
         .into_iter()
         .filter(|w| !coverage.is_covered(w))
         .collect();
@@ -68,11 +67,9 @@ pub fn build_prompt(
         return None;
     }
     let suggested = suggest(&candidates, radius);
-    let tree = PrefixTree::from_words(&candidates);
     Some(PathValidationPrompt {
         node,
         candidates,
-        tree,
         suggested,
     })
 }
@@ -116,11 +113,9 @@ mod tests {
         assert!(prompt.is_candidate(&[bus, bus, cinema]));
         assert!(prompt.is_candidate(&[bus, tram, cinema]));
         assert!(prompt.is_candidate(&[restaurant]));
-        // The tree stores exactly the candidate words.
-        assert_eq!(prompt.tree.word_count(), prompt.candidates.len());
-        // Candidates are sorted by length.
+        // Candidates are distinct and sorted by length, then labels.
         for window in prompt.candidates.windows(2) {
-            assert!(window[0].len() <= window[1].len());
+            assert!((window[0].len(), &window[0]) < (window[1].len(), &window[1]));
         }
     }
 
@@ -189,7 +184,6 @@ mod tests {
                         Some(prompt) => {
                             assert_eq!(prompt.candidates, direct, "{node} r{radius}");
                             assert_eq!(prompt.suggested, suggest(&direct, radius));
-                            assert_eq!(prompt.tree.word_count(), direct.len());
                         }
                     }
                 }

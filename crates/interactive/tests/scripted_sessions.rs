@@ -176,11 +176,11 @@ fn a_prompt_at_radius_six_leaves_the_shared_index_at_the_path_bound() {
         },
         ..SessionConfig::default()
     };
-    let mut session = Session::with_exec(&graph, config, exec.clone());
+    let mut session = Session::with_exec(config, exec.clone());
     let outcome = session.run(&mut InformativePathsStrategy, &mut user);
     assert_eq!(outcome.stats.zooms, 4);
     assert_eq!(outcome.stats.path_validations, 1);
     let validated = outcome.transcript[0].validated_word.as_ref().unwrap();
     assert_eq!(validated.len(), 6, "the suggestion has the radius' length");
-    assert_eq!(exec.cache().words_bound(), Some(4));
+    assert_eq!(exec.words_bound(), Some(4));
 }

@@ -288,10 +288,10 @@ mod tests {
         assert_eq!(direct.answer, threaded.answer);
         assert_eq!(direct.selected_paths, threaded.selected_paths);
         // Repeating the same hypothesis is a cache hit.
-        let before = exec.cache().stats();
+        let before = exec.stats();
         let again = learner.learn_with(&g, &ex, &coverage, &exec).unwrap();
         assert_eq!(again.answer, threaded.answer);
-        assert_eq!(exec.cache().stats().0, before.0 + 1, "one more hit");
+        assert_eq!(exec.stats().0, before.0 + 1, "one more hit");
         // The coverage's bound is the bound learned at.
         let coarse = NegativeCoverage::from_negatives(&g, ex.negatives(), 1);
         let at_one = learner.learn_with(&g, &ex, &coarse, &exec).unwrap();

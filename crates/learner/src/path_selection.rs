@@ -7,7 +7,8 @@
 //! deterministic choice used by the second demo scenario.
 //!
 //! A positive's words are read from the evaluation stack's word index
-//! ([`EvalHandle::bounded_words`]), the one source of bounded words.
+//! ([`gps_rpq::EvalCache::bounded_words`]), the one source of bounded
+//! words.
 
 use crate::error::LearnError;
 use crate::examples::ExampleSet;

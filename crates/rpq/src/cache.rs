@@ -20,6 +20,12 @@
 //! seed, plus a position in the cache's log of deltas — and resumed by the
 //! first read that asks for it.  A publish therefore does pointer work per
 //! entry, and only answers someone reads again pay their resume.
+//!
+//! The log is a window: the deltas from the oldest pending entry's epoch to
+//! the cache's, oldest first.  A publish copies the live part of the old
+//! cache's window (an `Arc` per delta) and pushes its own delta; a first read
+//! composes the slice from its entry's position ([`GraphDelta::composed`]).
+//! Once nothing is pending the window is empty.
 
 use crate::eval::{DfaEvaluator, EvalResume, NaiveEvaluator, QueryAnswer};
 use crate::words::WordIndex;
@@ -154,36 +160,16 @@ struct LogMark {
     changed_edges: u64,
 }
 
-/// One publish's delta, linked to the publishes before it.
-#[derive(Debug)]
-struct LogNode {
-    delta: GraphDelta,
-    /// The position `delta` leads to.
-    mark: LogMark,
-    /// The position before the oldest delta of this chain.
-    origin: u64,
-    prev: Option<Arc<LogNode>>,
-}
-
-impl Drop for LogNode {
-    /// Unlinks the chain iteratively: a long log must not drop recursively.
-    fn drop(&mut self) {
-        let mut prev = self.prev.take();
-        while let Some(node) = prev {
-            prev = Arc::try_unwrap(node)
-                .ok()
-                .and_then(|mut node| node.prev.take());
-        }
-    }
-}
-
 /// The deltas between the epochs pending entries describe and this cache's
-/// epoch — a persistent, `Arc`-linked list, newest first, that successive
-/// epochs' caches share.
-#[derive(Debug, Clone, Default)]
+/// epoch, oldest first: the window from the oldest pending entry's position
+/// to this cache's.  Each publish copies the live part of its predecessor's
+/// window (one `Arc` per delta) and pushes its own delta.
+#[derive(Debug, Default)]
 struct DeltaLog {
-    /// `None` when no entry is pending.
-    head: Option<Arc<LogNode>>,
+    /// The position `deltas[0]` starts from, in publishes.
+    first: u64,
+    /// Empty when no entry is pending.
+    deltas: Vec<Arc<GraphDelta>>,
     /// This cache's epoch's position.
     mark: LogMark,
 }
@@ -191,77 +177,35 @@ struct DeltaLog {
 impl DeltaLog {
     /// The net delta from position `from` to this log's epoch.
     fn since(&self, from: LogMark) -> GraphDelta {
-        let count = (self.mark.publishes - from.publishes) as usize;
-        let mut deltas = Vec::with_capacity(count);
-        let mut cursor = self.head.as_deref();
-        for _ in 0..count {
-            let node = cursor.expect("the log reaches back to every pending entry");
-            deltas.push(&node.delta);
-            cursor = node.prev.as_deref();
-        }
-        GraphDelta::composed(deltas.into_iter().rev())
+        let skip = (from.publishes - self.first) as usize;
+        GraphDelta::composed(self.deltas[skip..].iter().map(|delta| &**delta))
     }
 
-    /// The next epoch's log: `delta` appended, holding only the deltas after
-    /// position `keep_after` (the oldest pending entry's), or none at all
-    /// when nothing is pending.
+    /// The next epoch's log: `delta` appended to the deltas after position
+    /// `keep_after` (the oldest pending entry's), or none at all when
+    /// nothing is pending.
     fn append(&self, delta: &GraphDelta, keep_after: Option<u64>) -> DeltaLog {
         let mark = LogMark {
             publishes: self.mark.publishes + 1,
             changed_edges: self.mark.changed_edges + delta.changed_edges() as u64,
         };
-        let Some(keep_after) = keep_after else {
-            return DeltaLog { head: None, mark };
+        let Some(first) = keep_after else {
+            return DeltaLog {
+                first: mark.publishes,
+                deltas: Vec::new(),
+                mark,
+            };
         };
-        let prev = self
-            .head
-            .as_ref()
-            .and_then(|head| trimmed(head, keep_after));
-        let origin = prev
-            .as_ref()
-            .map_or(self.mark.publishes, |prev| prev.origin);
-        let node = LogNode {
-            delta: delta.clone(),
-            mark,
-            origin,
-            prev,
-        };
+        let live = &self.deltas[(first - self.first) as usize..];
+        let mut deltas = Vec::with_capacity(live.len() + 1);
+        deltas.extend(live.iter().cloned());
+        deltas.push(Arc::new(delta.clone()));
         DeltaLog {
-            head: Some(Arc::new(node)),
+            first,
+            deltas,
             mark,
         }
     }
-}
-
-/// `head`'s chain holding the deltas after position `keep_after`.  The
-/// chain is shared as is until the deltas before `keep_after` outnumber
-/// those after it; then the live part is relinked, so rebuilding costs at
-/// most what the dropped part held and a log never holds more than twice
-/// what its pending entries need.
-fn trimmed(head: &Arc<LogNode>, keep_after: u64) -> Option<Arc<LogNode>> {
-    let needed = head
-        .mark
-        .publishes
-        .checked_sub(keep_after)
-        .filter(|&n| n > 0)?;
-    if keep_after - head.origin <= needed {
-        return Some(Arc::clone(head));
-    }
-    let mut live = Vec::with_capacity(needed as usize);
-    let mut cursor = Some(head.as_ref());
-    for _ in 0..needed {
-        let node = cursor.expect("the chain reaches back to keep_after");
-        live.push(node);
-        cursor = node.prev.as_deref();
-    }
-    live.into_iter().rev().fold(None, |prev, node| {
-        Some(Arc::new(LogNode {
-            delta: node.delta.clone(),
-            mark: node.mark,
-            origin: keep_after,
-            prev,
-        }))
-    })
 }
 
 /// `answer` over `nodes` nodes: shared when the node count is unchanged,
@@ -491,7 +435,7 @@ impl EvalCache {
     }
 
     /// The underlying snapshot.
-    pub fn csr(&self) -> &CsrGraph {
+    pub fn csr(&self) -> &Arc<CsrGraph> {
         &self.csr
     }
 
@@ -601,7 +545,7 @@ impl EvalCache {
         // comparable with post-migration touches.
         self.tick
             .fetch_max(old.tick.load(Ordering::Relaxed), Ordering::Relaxed);
-        let old_log = old.log.read().clone();
+        let old_log = old.log.read();
         let changed_edges = old_log.mark.changed_edges + delta.changed_edges() as u64;
         // The oldest log position a pending entry of this cache resumes from.
         let mut keep_after: Option<u64> = None;
@@ -1651,7 +1595,7 @@ mod tests {
         assert!(chain.resumed().is_empty(), "no publish resumed anything");
 
         // The first reads resume once each, across both deltas composed.
-        let cold = EvalCache::from_csr(third.csr().clone());
+        let cold = EvalCache::from_csr(CsrGraph::clone(third.csr()));
         for regex in &queries {
             assert_eq!(third.evaluate(regex), cold.evaluate(regex));
         }
@@ -1698,7 +1642,7 @@ mod tests {
         assert_eq!(chain.counter("gps_rpq_cache_resumed_on_read_total"), 0);
         assert_eq!(
             read,
-            EvalCache::from_csr(third.csr().clone()).evaluate(&twice)
+            EvalCache::from_csr(CsrGraph::clone(third.csr())).evaluate(&twice)
         );
     }
 
@@ -1749,25 +1693,20 @@ mod tests {
         assert_eq!(chain.counter("gps_rpq_cache_fallback_pending_total"), 1);
         assert_eq!(past_budget.len(), 1, "only the resolved entry is carried");
         // The dropped entry recomputes on its next use.
-        let cold = EvalCache::from_csr(past_budget.csr().clone());
+        let cold = EvalCache::from_csr(CsrGraph::clone(past_budget.csr()));
         assert_eq!(past_budget.evaluate(&touched), cold.evaluate(&touched));
         assert_eq!(past_budget.stats().1, 3, "two warm-up misses and this one");
     }
 
-    /// Deltas held by `cache`'s log.
-    fn log_length(cache: &EvalCache) -> usize {
+    /// The window `cache`'s log holds: its first position and its length.
+    fn window(cache: &EvalCache) -> (u64, usize) {
         let log = cache.log.read();
-        let mut length = 0;
-        let mut cursor = log.head.as_deref();
-        while let Some(node) = cursor {
-            length += 1;
-            cursor = node.prev.as_deref();
-        }
-        length
+        assert_eq!(log.first + log.deltas.len() as u64, log.mark.publishes);
+        (log.first, log.deltas.len())
     }
 
     #[test]
-    fn the_log_keeps_only_what_pending_entries_need() {
+    fn the_window_holds_exactly_the_deltas_since_the_oldest_pending_entry() {
         let chain = Chain::new();
         let base = two_labels();
         let (a, b) = (NodeId::from(0usize), NodeId::from(1usize));
@@ -1776,38 +1715,40 @@ mod tests {
         let mut cache = chain.cache(&base);
         cache.evaluate(&on_x);
         cache.evaluate(&on_y);
-        // Publish `r` touches both labels at r = 0 and `y` after.  `on_x` is
-        // first read after publish 29; `on_y` after every publish up to 24.
-        let mut lengths = Vec::new();
-        for round in 0..40 {
+        // Publish `r` touches both labels at r = 0 and `y` after.  `on_y` is
+        // read after every publish up to 9, so it is pending since position
+        // 10; `on_x` is pending since position 0 until it is read after
+        // publish 24.
+        let mut windows = Vec::new();
+        for round in 0..35 {
             let (next, _) = chain.publish(&cache, |delta| {
                 if round == 0 {
                     delta.add_edge(b, x, a);
                 }
                 delta.add_edge(b, y, a);
             });
-            if round < 25 {
+            if round < 10 {
                 next.evaluate(&on_y);
             }
-            if round == 29 {
+            if round == 24 {
                 next.evaluate(&on_x);
             }
-            lengths.push(log_length(&next));
+            windows.push(window(&next));
             cache = next;
         }
-        // Until `on_x` is read the log holds every delta.  Then `on_y`,
-        // pending since position 25, needs 5 of the 30 older deltas: the log
-        // is relinked to those, and grows from there.
-        let expected: Vec<usize> = (1..=30).chain(6..=15).collect();
-        assert_eq!(lengths, expected);
-        let cold = EvalCache::from_csr(cache.csr().clone());
+        let expected: Vec<(u64, usize)> = (0..25)
+            .map(|round| (0, round + 1))
+            .chain((25..35).map(|round| (10, round + 1 - 10)))
+            .collect();
+        assert_eq!(windows, expected);
+        let cold = EvalCache::from_csr(CsrGraph::clone(cache.csr()));
         assert_eq!(cache.evaluate(&on_y), cold.evaluate(&on_y));
         assert_eq!(cache.evaluate(&on_x), cold.evaluate(&on_x));
         // With every entry resolved, a publish leaves nothing pending.
         let (last, _) = chain.publish(&cache, |delta| {
             delta.add_node("W");
         });
-        assert_eq!(log_length(&last), 0, "nothing pending, no log");
+        assert_eq!(window(&last).1, 0, "nothing pending, no deltas");
     }
 
     #[test]

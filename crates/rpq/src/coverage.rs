@@ -12,10 +12,13 @@
 //! [`from_index`](NegativeCoverage::from_index)).  The methods that take a
 //! graph enumerate its paths instead; they are the **reference** the tests
 //! compare the index-fed paths against, and nothing else calls them.
+//!
+//! A coverage holds words, not nodes: which nodes were labeled negative is
+//! for the session's `ExampleSet` to know, and the learner reads them there.
+//! Adding a negative twice covers no new word.
 
 use crate::words::WordIndex;
 use gps_graph::{CsrGraph, LabelId, NodeId, PathEnumerator, PrefixTree, Word};
-use std::collections::BTreeSet;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Source of fresh coverage log identities (see
@@ -28,7 +31,6 @@ static NEXT_LOG_IDENTITY: AtomicU64 = AtomicU64::new(1);
 pub struct NegativeCoverage {
     bound: usize,
     covered: PrefixTree,
-    negatives: BTreeSet<NodeId>,
     /// Every word in insertion order, exactly once — the delta log consumers
     /// (incremental pruning) key their state off [`version`](Self::version),
     /// which is this log's length.
@@ -45,7 +47,6 @@ impl NegativeCoverage {
         Self {
             bound,
             covered: PrefixTree::new(),
-            negatives: BTreeSet::new(),
             covered_log: Vec::new(),
             log_identity: NEXT_LOG_IDENTITY.fetch_add(1, Ordering::Relaxed),
         }
@@ -80,48 +81,26 @@ impl NegativeCoverage {
         self.bound
     }
 
-    /// The negative nodes recorded so far.
-    pub fn negatives(&self) -> impl Iterator<Item = NodeId> + '_ {
-        self.negatives.iter().copied()
-    }
-
-    /// Number of negative nodes recorded.
-    pub fn negative_count(&self) -> usize {
-        self.negatives.len()
-    }
-
     /// Records `node` as a negative example: all its words up to the bound
     /// become covered, enumerated from `graph` (the reference for
-    /// [`add_negative_with_words`](Self::add_negative_with_words)).  Returns
-    /// `false` when the node was already recorded.
-    pub fn add_negative(&mut self, graph: &CsrGraph, node: NodeId) -> bool {
-        if !self.negatives.insert(node) {
-            return false;
-        }
-        for word in PathEnumerator::new(self.bound).words_from(graph, node) {
-            if !self.covered.contains(&word) {
-                self.covered.insert(&word);
-                self.covered_log.push(word);
-            }
-        }
-        true
+    /// [`add_negative_with_words`](Self::add_negative_with_words)).
+    pub fn add_negative(&mut self, graph: &CsrGraph, node: NodeId) {
+        let words = PathEnumerator::new(self.bound).words_from(graph, node);
+        self.add_negative_with_words(node, words);
     }
 
     /// Records `node` as a negative example with its bounded word set
     /// supplied by the caller — its entry in the shared per-snapshot word
-    /// index (`&index[node.index()]`), or a slice of words.  Returns `false`
-    /// when the node was already recorded.
+    /// index (`&index[node.index()]`), or a slice of words.
     ///
     /// `words` must be exactly the node's distinct words up to this
-    /// coverage's bound.
-    pub fn add_negative_with_words<I>(&mut self, node: NodeId, words: I) -> bool
+    /// coverage's bound.  The node itself is not recorded; the parameter is
+    /// kept because `benchmark/src/shadow.rs` passes it.
+    pub fn add_negative_with_words<I>(&mut self, _node: NodeId, words: I)
     where
         I: IntoIterator,
         I::Item: AsRef<[LabelId]>,
     {
-        if !self.negatives.insert(node) {
-            return false;
-        }
         for word in words {
             let word = word.as_ref();
             if !self.covered.contains(word) {
@@ -129,7 +108,6 @@ impl NegativeCoverage {
                 self.covered_log.push(word.to_vec());
             }
         }
-        true
     }
 
     /// A monotonic version counter: the number of distinct covered words so
@@ -221,8 +199,10 @@ mod tests {
         let g = sample();
         let n5 = g.node_by_name("N5").unwrap();
         let mut cov = NegativeCoverage::new(3);
-        assert!(cov.add_negative(&g, n5));
-        assert!(!cov.add_negative(&g, n5), "idempotent");
+        cov.add_negative(&g, n5);
+        let version = cov.version();
+        cov.add_negative(&g, n5);
+        assert_eq!(cov.version(), version, "idempotent");
         let bus = g.label_id("bus").unwrap();
         let cinema = g.label_id("cinema").unwrap();
         let restaurant = g.label_id("restaurant").unwrap();
@@ -230,7 +210,6 @@ mod tests {
         assert!(cov.is_covered(&[bus, cinema]));
         assert!(cov.is_covered(&[restaurant]));
         assert!(!cov.is_covered(&[cinema]));
-        assert_eq!(cov.negative_count(), 1);
     }
 
     #[test]
@@ -281,9 +260,7 @@ mod tests {
         let n5 = g.node_by_name("N5").unwrap();
         let n6 = g.node_by_name("N6").unwrap();
         let cov = NegativeCoverage::from_negatives(&g, [n5, n6], 2);
-        assert_eq!(cov.negative_count(), 2);
         assert_eq!(cov.bound(), 2);
-        assert_eq!(cov.negatives().collect::<Vec<_>>(), vec![n5, n6]);
         let cinema = g.label_id("cinema").unwrap();
         assert!(cov.is_covered(&[cinema]));
     }

@@ -456,7 +456,7 @@ impl DfaEvaluator for NaiveEvaluator {
 /// Counts, for every node, the number of distinct words of length at most
 /// `bound` spelled by its outgoing paths that the DFA accepts.  It enumerates
 /// every node's paths: a diagnostic, not what sessions score nodes with (they
-/// read the word index, see [`EvalHandle::bounded_words`](crate::EvalHandle::bounded_words)).
+/// read the word index, see [`EvalCache::bounded_words`](crate::EvalCache::bounded_words)).
 pub fn accepted_word_counts(graph: &CsrGraph, dfa: &Dfa, bound: usize) -> BTreeMap<NodeId, usize> {
     use gps_graph::PathEnumerator;
     let enumerator = PathEnumerator::new(bound);

@@ -3,25 +3,26 @@
 //! An interactive session touches the evaluator from many places — the
 //! simulated user computes the goal answer, the learner re-checks every new
 //! hypothesis, the pruning state reads the word index for the nodes spelling
-//! newly covered words, witnesses are extracted for proposed nodes.  [`EvalHandle`] bundles the
-//! [`EvalCache`] (and through it the configured [`DfaEvaluator`] and its
-//! shared snapshot/index) behind one cheaply cloneable value so all of those
-//! call sites share a single cache, evaluator and [`gps_graph::CsrGraph`]
-//! per engine instead of re-evaluating or re-snapshotting ad hoc.
+//! newly covered words, witnesses are extracted for proposed nodes.
+//! [`EvalHandle`] is a cheaply cloneable pointer to one [`EvalCache`] — and
+//! through it to the configured evaluator and the [`gps_graph::CsrGraph`]
+//! snapshot it serves — so all of those call sites share a single cache,
+//! evaluator and snapshot per engine instead of re-evaluating or
+//! re-snapshotting ad hoc.  It derefs to the cache: `handle.evaluate(..)`,
+//! `handle.csr()` and `handle.bounded_words(..)` are the cache's methods.
 //!
-//! [`EvalHandle::bounded_words`] is the one place production code reads a
+//! [`EvalCache::bounded_words`] is the one place production code reads a
 //! node's bounded words: pruning, the strategy's scores, negative coverage,
 //! validation prompts and path selection all go through it, at the one path
-//! bound of the engine.  Its node ids are the handle's snapshot's, so a handle must
-//! serve the graph it is used with — [`EvalHandle::assert_serves`] checks
-//! that once, where a session or a standalone refresh is set up, and no read
-//! site falls back to enumerating paths.
+//! bound of the engine.  Its node ids are the handle's snapshot's, so a
+//! session reads its graph from its handle.  The three entry points that
+//! still take a graph beside the handle check it with
+//! [`EvalHandle::assert_serves`], and no read site falls back to enumerating
+//! paths.
 
 use crate::cache::EvalCache;
-use crate::eval::{DfaEvaluator, QueryAnswer};
-use crate::words::WordIndex;
-use gps_automata::{Dfa, Regex};
-use gps_graph::{CsrGraph, NodeId, Path};
+use gps_graph::CsrGraph;
+use std::ops::Deref;
 use std::sync::Arc;
 
 /// A cheaply cloneable handle to a shared evaluation cache + evaluator.
@@ -48,22 +49,6 @@ impl EvalHandle {
         Self { cache }
     }
 
-    /// The shared cache.
-    pub fn cache(&self) -> &EvalCache {
-        &self.cache
-    }
-
-    /// The evaluator answering cache misses.
-    pub fn evaluator(&self) -> &dyn DfaEvaluator {
-        self.cache.evaluator()
-    }
-
-    /// The epoch of the snapshot this handle evaluates against — see
-    /// [`EvalCache::epoch`].
-    pub fn epoch(&self) -> u64 {
-        self.cache.epoch()
-    }
-
     /// Panics unless `graph` is this handle's snapshot or a clone of it
     /// ([`CsrGraph::is_same_snapshot`]): a separate build of the same size
     /// and epoch is another graph.  The message names both `(epoch,
@@ -79,39 +64,20 @@ impl EvalHandle {
             (graph.epoch(), graph.node_count()),
         );
     }
+}
 
-    /// Evaluates `regex` through the cache.
-    pub fn evaluate(&self, regex: &Regex) -> Arc<QueryAnswer> {
-        self.cache.evaluate(regex)
-    }
+impl Deref for EvalHandle {
+    type Target = EvalCache;
 
-    /// Evaluates an already-compiled query through the cache (keyed by its
-    /// expression; the DFA is only consulted on a miss).
-    pub fn evaluate_compiled(&self, regex: &Regex, dfa: &Dfa) -> Arc<QueryAnswer> {
-        self.cache.evaluate_compiled(regex, dfa)
-    }
-
-    /// A shortest witness path for `node`, or `None` when unselected.
-    pub fn witness(&self, dfa: &Dfa, node: NodeId) -> Option<Path> {
-        self.evaluator().witness(dfa, node)
-    }
-
-    /// The snapshot's bounded-word index, derived once and shared — see
-    /// [`EvalCache::bounded_words`].
-    pub fn bounded_words(&self, bound: usize) -> Arc<WordIndex> {
-        self.cache.bounded_words(bound)
-    }
-
-    /// Distinct bounded-word counts per node (empty-coverage informativeness
-    /// baseline) — see [`EvalCache::bounded_word_counts`].
-    pub fn bounded_word_counts(&self, bound: usize) -> Vec<u32> {
-        self.cache.bounded_word_counts(bound)
+    fn deref(&self) -> &EvalCache {
+        &self.cache
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use gps_automata::{Dfa, Regex};
     use gps_graph::Graph;
 
     /// N2 -bus-> N1 -tram-> N4 -cinema-> C1, N2 -restaurant-> R1.
@@ -137,8 +103,8 @@ mod tests {
         let cinema = g.label_id("cinema").unwrap();
         handle.evaluate(&Regex::symbol(cinema));
         other.evaluate(&Regex::symbol(cinema));
-        assert_eq!(handle.cache().stats(), (1, 1), "second call is a hit");
-        assert!(std::ptr::eq(handle.cache(), other.cache()));
+        assert_eq!(handle.stats(), (1, 1), "second call is a hit");
+        assert!(std::ptr::eq(&*handle, &*other));
     }
 
     #[test]
@@ -151,7 +117,7 @@ mod tests {
         let a = handle.evaluate_compiled(&regex, &dfa);
         let b = handle.evaluate(&regex);
         assert_eq!(a.nodes(), b.nodes());
-        assert_eq!(handle.cache().stats(), (1, 1));
+        assert_eq!(handle.stats(), (1, 1));
     }
 
     #[test]

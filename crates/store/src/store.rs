@@ -219,10 +219,10 @@ fn parse_checkpoint_name(path: &Path) -> Option<u64> {
 
 impl FileStore {
     /// File name of the write-ahead log inside a store directory.
-    pub const WAL_FILE: &'static str = "wal.log";
+    const WAL_FILE: &'static str = "wal.log";
 
     /// File name of the advisory lock inside a store directory.
-    pub const LOCK_FILE: &'static str = "LOCK";
+    const LOCK_FILE: &'static str = "LOCK";
 
     /// Path of the WAL inside `dir`.
     pub fn wal_path(dir: &Path) -> PathBuf {

@@ -8,8 +8,8 @@
 //! * [`Histogram`] — a fixed log2-bucket latency distribution recorded
 //!   either directly or through a [`TimerGuard`] RAII span;
 //!
-//! all owned by a sharable [`MetricsRegistry`] with namespaced registration
-//! (see [`MetricsScope`]), plus a bounded ring-buffer [`EventLog`] for
+//! all owned by a sharable [`MetricsRegistry`] that registers them by name,
+//! plus a bounded ring-buffer [`EventLog`] for
 //! structured audit events (session open/step/close, stage/publish,
 //! checkpoint, recovery, epoch retirement).
 //!
@@ -34,12 +34,10 @@
 //!
 //! ```
 //! use gps_telemetry::MetricsRegistry;
-//! use std::sync::Arc;
 //!
-//! let registry = Arc::new(MetricsRegistry::enabled());
-//! let scope = MetricsRegistry::scope(&registry, "gps_demo");
-//! let requests = scope.counter("requests_total");
-//! let latency = scope.histogram("latency_ns");
+//! let registry = MetricsRegistry::enabled();
+//! let requests = registry.counter("gps_demo_requests_total");
+//! let latency = registry.histogram("gps_demo_latency_ns");
 //!
 //! for _ in 0..3 {
 //!     let _span = latency.start_timer();
@@ -62,4 +60,4 @@ pub mod registry;
 pub use event::{Event, EventLog};
 pub use export::{validate_json, validate_prometheus_text};
 pub use metric::{Counter, Gauge, Histogram, HistogramSnapshot, TimerGuard, HISTOGRAM_BUCKETS};
-pub use registry::{MetricsRegistry, MetricsScope, MetricsSnapshot};
+pub use registry::{MetricsRegistry, MetricsSnapshot};

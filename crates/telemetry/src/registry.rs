@@ -57,7 +57,7 @@ impl MetricsRegistry {
 
     /// A live registry retaining the most recent `event_capacity` audit
     /// events.
-    pub fn with_event_capacity(event_capacity: usize) -> Self {
+    fn with_event_capacity(event_capacity: usize) -> Self {
         Self {
             inner: Some(Inner {
                 metrics: Mutex::new(MetricsMap::default()),
@@ -69,16 +69,6 @@ impl MetricsRegistry {
     /// Whether handles vended by this registry record anything.
     pub fn is_enabled(&self) -> bool {
         self.inner.is_some()
-    }
-
-    /// A namespaced view: every registration through the scope is prefixed
-    /// with `prefix` + `_`.
-    pub fn scope(registry: &Arc<Self>, prefix: &str) -> MetricsScope {
-        assert!(valid_name(prefix), "invalid metric namespace {prefix:?}");
-        MetricsScope {
-            registry: Arc::clone(registry),
-            prefix: prefix.to_string(),
-        }
     }
 
     /// The counter registered under `name` (created on first use; disabled
@@ -224,35 +214,6 @@ fn check_name(name: &str, map: &MetricsMap, kind: Kind) {
     assert!(!clash, "metric {name:?} already registered as another kind");
 }
 
-/// A registry view that prefixes every name with its namespace.
-#[derive(Debug, Clone)]
-pub struct MetricsScope {
-    registry: Arc<MetricsRegistry>,
-    prefix: String,
-}
-
-impl MetricsScope {
-    /// The counter `"{prefix}_{name}"`.
-    pub fn counter(&self, name: &str) -> Counter {
-        self.registry.counter(&format!("{}_{name}", self.prefix))
-    }
-
-    /// The gauge `"{prefix}_{name}"`.
-    pub fn gauge(&self, name: &str) -> Gauge {
-        self.registry.gauge(&format!("{}_{name}", self.prefix))
-    }
-
-    /// The histogram `"{prefix}_{name}"`.
-    pub fn histogram(&self, name: &str) -> Histogram {
-        self.registry.histogram(&format!("{}_{name}", self.prefix))
-    }
-
-    /// The underlying registry.
-    pub fn registry(&self) -> &Arc<MetricsRegistry> {
-        &self.registry
-    }
-}
-
 /// A point-in-time copy of a registry: sorted metric series plus the
 /// retained audit events.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
@@ -331,14 +292,6 @@ mod tests {
         h1.record(1);
         h2.record(2);
         assert_eq!(h1.count(), 2);
-    }
-
-    #[test]
-    fn scope_prefixes_names() {
-        let registry = Arc::new(MetricsRegistry::enabled());
-        let scope = MetricsRegistry::scope(&registry, "gps_exec");
-        scope.counter("evals_total").inc();
-        assert_eq!(registry.snapshot().counter("gps_exec_evals_total"), Some(1));
     }
 
     #[test]

@@ -232,7 +232,7 @@ fn bounded_cache_never_exceeds_capacity_under_stress() {
     let outcomes = std::thread::scope(|scope| {
         let probe = scope.spawn(|| {
             while !stop.load(std::sync::atomic::Ordering::Relaxed) {
-                if cache.cache().len() > 4 {
+                if cache.len() > 4 {
                     violations.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
                 }
                 std::thread::yield_now();
