@@ -37,18 +37,21 @@
 use crate::error::GpsError;
 use crate::render;
 use crate::scenario::{self, ScenarioReport, StaticLabelingOutcome};
+use crate::versioned::{PublishPhases, PublishReport};
 use gps_exec::{BatchEvaluator, ExecMetrics, LabelIndex, PlannerConfig};
-use gps_graph::{CsrGraph, Graph, GraphDelta, Neighborhood, NodeId, PathEnumerator, PrefixTree};
+use gps_graph::{
+    CsrGraph, DeltaGraph, Graph, Neighborhood, NodeId, PathEnumerator, PrefixTree, UpdateOp,
+};
 use gps_interactive::session::{Session, SessionConfig, SessionOutcome};
 use gps_interactive::strategy::{
     DegreeStrategy, InformativePathsStrategy, RandomStrategy, Strategy,
 };
 use gps_interactive::user::{SimulatedUser, User};
 use gps_learner::Label;
-use gps_rpq::{EvalCache, EvalHandle, MigrationReport, PathQuery, QueryAnswer};
+use gps_rpq::{EvalCache, EvalHandle, PathQuery, QueryAnswer};
 use gps_telemetry::MetricsRegistry;
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 // Kept only for `benchmark/src/service.rs:9,32`, which pins `Frontier`
 // through `GpsBuilder::eval_mode`; `benchmark/` changes only together with
@@ -98,7 +101,8 @@ pub struct GpsBuilder {
     session: SessionConfig,
     strategy: StrategyChoice,
     cache_capacity: Option<usize>,
-    checkpoint_every: u64,
+    /// Publishes between a durable store's checkpoints (`0`: never).
+    pub(crate) checkpoint_every: u64,
     metrics: Arc<MetricsRegistry>,
 }
 
@@ -110,7 +114,7 @@ impl GpsBuilder {
             session: SessionConfig::default(),
             strategy: StrategyChoice::default(),
             cache_capacity: None,
-            checkpoint_every: crate::versioned::CheckpointPolicy::default().every_n_publishes,
+            checkpoint_every: 32,
             metrics: Arc::new(MetricsRegistry::disabled()),
         }
     }
@@ -144,9 +148,8 @@ impl GpsBuilder {
 
     /// Sets how often a *durable* store writes a snapshot checkpoint and
     /// truncates its write-ahead log: after every `n` publishes (default
-    /// [`crate::versioned::CheckpointPolicy::default`]; `0` disables
-    /// checkpointing entirely, leaving the log to grow).  Ignored by
-    /// in-memory stores.
+    /// 32; `0` disables checkpointing entirely, leaving the log to grow).
+    /// Ignored by in-memory stores, which never checkpoint.
     pub fn checkpoint_every_n_publishes(mut self, n: u64) -> Self {
         self.checkpoint_every = n;
         self
@@ -212,13 +215,6 @@ impl GpsBuilder {
     pub(crate) fn metrics_registry(&self) -> &Arc<MetricsRegistry> {
         &self.metrics
     }
-
-    /// The checkpoint policy this builder configures durable stores with.
-    pub(crate) fn checkpoint_policy(&self) -> crate::versioned::CheckpointPolicy {
-        crate::versioned::CheckpointPolicy {
-            every_n_publishes: self.checkpoint_every,
-        }
-    }
 }
 
 /// The configuration shared by every clone and session of one engine — and
@@ -232,18 +228,6 @@ struct EngineOptions {
     strategy: StrategyChoice,
     cache_capacity: Option<usize>,
     metrics: Arc<MetricsRegistry>,
-}
-
-/// What [`Engine::advance`] built, and where its time went.
-pub(crate) struct Advanced {
-    pub core: Engine,
-    pub migration: MigrationReport,
-    /// Label index patched through the delta.
-    pub index_patch: Duration,
-    /// New cache built and the old epoch's answers migrated into it.
-    pub migrate_answers: Duration,
-    /// Bounded-word index inherited.
-    pub inherit_words: Duration,
 }
 
 /// The GPS system bound to one graph snapshot: query evaluation,
@@ -294,31 +278,64 @@ impl Engine {
         }
     }
 
-    /// Builds the next epoch's engine over `snapshot` (the compacted result
-    /// of `delta`): the label index is patched through the delta instead of
-    /// re-indexed, the new bounded evaluation
-    /// cache migrates the old epoch's answers across the delta
-    /// ([`EvalCache::migrate_answers`]) and inherits its word index
-    /// ([`EvalCache::inherit_words`]), and every configuration knob carries
-    /// over unchanged.  Returns the new engine together with the migration
-    /// split (how many cached answers were carried verbatim, left to resume
-    /// from their seed on first read, or dropped to a cold recompute) and how long each of the
-    /// three steps took.
-    pub(crate) fn advance(&self, snapshot: Arc<CsrGraph>, delta: &GraphDelta) -> Advanced {
-        let started = Instant::now();
-        let evaluator = self.evaluator.apply_delta(&snapshot, delta);
-        let patched = Instant::now();
+    /// One epoch step — what a publish and a recovery's replay both run.
+    /// Applies `ops` through a delta overlay, compacts it into the next
+    /// epoch's snapshot, patches the label index through the delta instead
+    /// of re-indexing, migrates the old epoch's cached answers
+    /// ([`EvalCache::migrate_answers`]: carried verbatim, left to resume
+    /// from their seed on first read, or dropped to a cold recompute) and
+    /// inherits its word index ([`EvalCache::inherit_words`]); every
+    /// configuration knob carries over unchanged.
+    ///
+    /// Returns the next engine and a report of what the step did, its five
+    /// phases timed; the caller fills in the rest (commit, swap and retire,
+    /// durability, latency).  An op that does not apply is an error and
+    /// builds nothing.
+    pub(crate) fn advance(&self, ops: &[UpdateOp]) -> Result<(Engine, PublishReport), GpsError> {
+        // Five consecutive phases, each ending where the next begins.
+        let mut mark = Instant::now();
+        let mut lap = || {
+            let now = Instant::now();
+            let phase = now - mark;
+            mark = now;
+            phase
+        };
+        let mut overlay = DeltaGraph::new(self.shared_snapshot());
+        overlay.apply_all(ops)?;
+        let delta = overlay.delta();
+        let apply = lap();
+        let snapshot = Arc::new(overlay.compact());
+        drop(overlay);
+        let compact = lap();
+        let evaluator = self.evaluator.apply_delta(&snapshot, &delta);
+        let index_patch = lap();
         let core = Self::over(snapshot, evaluator, Arc::clone(&self.options));
-        let migration = core.cache.migrate_answers(&self.cache, delta);
-        let migrated = Instant::now();
-        core.cache.inherit_words(&self.cache, delta);
-        Advanced {
-            core,
+        let migration = core.cache.migrate_answers(&self.cache, &delta);
+        let migrate_answers = lap();
+        core.cache.inherit_words(&self.cache, &delta);
+        let inherit_words = lap();
+        let report = PublishReport {
+            epoch: core.epoch(),
+            added_nodes: delta.added_nodes,
+            added_edges: delta.added_edges.len(),
+            removed_edges: delta.removed_edges.len(),
+            touched_labels: delta.touched_labels().len(),
+            carried_answers: migration.carried,
+            reseeded_answers: migration.reseeded,
+            delete_reseeded_answers: migration.delete_reseeded,
+            recomputed_answers: migration.recomputed,
             migration,
-            index_patch: patched - started,
-            migrate_answers: migrated - patched,
-            inherit_words: migrated.elapsed(),
-        }
+            phases: PublishPhases {
+                apply,
+                compact,
+                index_patch,
+                migrate_answers,
+                inherit_words,
+                ..PublishPhases::default()
+            },
+            ..PublishReport::default()
+        };
+        Ok((core, report))
     }
 
     // ------------------------------------------------------- shared state

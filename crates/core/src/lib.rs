@@ -71,8 +71,7 @@ pub use scenario::{ScenarioReport, StaticLabelingOutcome};
 pub use service::{GpsService, ServiceStats, SessionId, SessionManager, SessionStatus};
 pub use transcript::Transcript;
 pub use versioned::{
-    CheckpointPolicy, DurabilityReport, GraphUpdate, PublishPhases, PublishReport, RecoveryReport,
-    VersionedStore,
+    DurabilityReport, GraphUpdate, PublishPhases, PublishReport, RecoveryReport, VersionedStore,
 };
 
 /// The zero-dependency metrics/tracing layer (`gps-telemetry`), re-exported
@@ -92,8 +91,7 @@ pub mod prelude {
     pub use crate::service::{ServiceStats, SessionId, SessionManager, SessionStatus};
     pub use crate::transcript::Transcript;
     pub use crate::versioned::{
-        CheckpointPolicy, DurabilityReport, GraphUpdate, PublishPhases, PublishReport,
-        RecoveryReport, VersionedStore,
+        DurabilityReport, GraphUpdate, PublishPhases, PublishReport, RecoveryReport, VersionedStore,
     };
     pub use gps_exec::{BatchEvaluator, Plan, PlannerConfig};
     pub use gps_graph::{
@@ -110,6 +108,6 @@ pub mod prelude {
     pub use gps_rpq::{
         EvalCache, EvalHandle, MigrationReport, NegativeCoverage, PathQuery, QueryAnswer,
     };
-    pub use gps_store::{FileStore, GraphStore, MemoryStore};
+    pub use gps_store::{FileStore, GraphStore};
     pub use gps_telemetry::{MetricsRegistry, MetricsSnapshot};
 }

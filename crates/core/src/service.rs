@@ -124,7 +124,8 @@ pub struct ServiceStats {
     pub interactions: u64,
     /// Sessions currently open.
     pub active_sessions: usize,
-    /// Graph updates published so far (see [`SessionManager::update`]).
+    /// Graph updates published since the store was created or recovered
+    /// ([`VersionedStore::publish_count`]).
     pub publishes: u64,
     /// The epoch newly opened sessions currently resolve.
     pub current_epoch: u64,

@@ -18,9 +18,10 @@
 //!   core's `Arc`s for its whole life, so a publish never changes what an
 //!   in-flight session observes — transcripts are byte-stable across
 //!   concurrent publishes (`tests/mvcc_conformance.rs`).
-//! * When a superseded epoch's pin count drops to zero the store **retires**
-//!   it: its cache entries are dropped atomically
-//!   ([`gps_rpq::EvalCache::retire`]) and the core leaves the live set, so
+//! * When a superseded epoch has no pins — at its last unpin, or at the
+//!   publish that supersedes it — the store **retires** it: its cache
+//!   entries are dropped atomically ([`gps_rpq::EvalCache::retire`]), the
+//!   core leaves the live set and a `retire` event names the epoch, so
 //!   memory is bounded by (current epoch + epochs with in-flight sessions).
 //!
 //! The service layer wires this into sessions: `SessionManager` pins every
@@ -29,26 +30,28 @@
 //!
 //! ## Durability
 //!
-//! Every write goes through a pluggable [`GraphStore`] seam.  The default
-//! [`MemoryStore`] persists nothing (zero cost — the engine behaves exactly
-//! as before).  [`open_durable`](VersionedStore::open_durable) instead backs
-//! the store with a [`FileStore`]: staged batches are appended to a
-//! write-ahead log, each publish fsyncs one commit record *before* the
-//! in-memory epoch swap (visible ⟹ durable), and snapshot checkpoints
-//! bound the log per [`CheckpointPolicy`].  Reopening the same directory
-//! replays the committed log suffix on top of the latest checkpoint through
-//! the ordinary delta/advance machinery, so the recovered epoch carries a
-//! patched label index and an inherited evaluation cache just like a live
-//! publish would.
+//! A store is durable or it is not.  [`new`](VersionedStore::new) starts an
+//! in-memory store: nothing is persisted, and every publish's
+//! [`DurabilityReport`] is the default.
+//! [`open_durable`](VersionedStore::open_durable) backs the store with a
+//! [`FileStore`] behind the [`GraphStore`] seam: staged batches are appended
+//! to a write-ahead log, each publish fsyncs one commit record *before* the
+//! in-memory epoch swap (visible ⟹ durable), and a snapshot checkpoint every
+//! [`checkpoint_every_n_publishes`](GpsBuilder::checkpoint_every_n_publishes)
+//! bounds the log.  Reopening the same directory replays the committed log
+//! suffix on top of the latest checkpoint through the same epoch step a
+//! publish runs, so the recovered epoch carries a patched label index and
+//! an inherited evaluation cache just like a live publish would.
 
-use crate::engine::{Advanced, EngineCore, GpsBuilder};
+use crate::engine::{EngineCore, GpsBuilder};
 use crate::error::GpsError;
 use crate::metrics::CoreMetrics;
-use gps_graph::{DeltaGraph, UpdateOp};
+use gps_graph::UpdateOp;
 use gps_rpq::MigrationReport;
-use gps_store::{FileStore, GraphStore, MemoryStore, StagedBatch, StoreMetrics};
+use gps_store::{CommitReceipt, FileStore, GraphStore, StagedBatch, StoreMetrics};
 use gps_telemetry::MetricsRegistry;
-use parking_lot::{Mutex, RwLock};
+use parking_lot::Mutex;
+use std::collections::btree_map::Entry;
 use std::collections::BTreeMap;
 use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -126,24 +129,7 @@ impl GraphUpdate {
     }
 }
 
-/// When a durable store writes a snapshot checkpoint and truncates its
-/// write-ahead log.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct CheckpointPolicy {
-    /// Checkpoint after every `n` publishes; `0` disables checkpointing
-    /// (the log grows until the store is reopened with a different policy).
-    pub every_n_publishes: u64,
-}
-
-impl Default for CheckpointPolicy {
-    fn default() -> Self {
-        Self {
-            every_n_publishes: 32,
-        }
-    }
-}
-
-/// What a publish cost at the durability layer (all zeros under the default
+/// What a publish cost at the durability layer (the default under an
 /// in-memory store).
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct DurabilityReport {
@@ -183,8 +169,9 @@ pub struct RecoveryReport {
 
 /// Where one publish's wall-clock time went: seven consecutive phases that
 /// add up to [`PublishReport::latency`] minus the bookkeeping around them
-/// (taking the staged batches, counters, the policy's checkpoint, the audit
-/// event).  All zeros for an empty publish.
+/// (taking the staged batches, counters, a due checkpoint, the audit
+/// event).  The first five are the epoch step a recovery's replay runs too.
+/// All zeros for an empty publish.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct PublishPhases {
     /// Staged ops applied to the delta overlay and summarized.
@@ -198,7 +185,7 @@ pub struct PublishPhases {
     pub migrate_answers: Duration,
     /// Bounded-word index inherited.
     pub inherit_words: Duration,
-    /// Commit record written (and fsynced under a durable store).
+    /// Commit record written and fsynced (nothing to do in memory).
     pub commit: Duration,
     /// Epoch swap, then unpinned superseded epochs retired and freed.
     pub swap_retire: Duration,
@@ -225,7 +212,7 @@ impl PublishPhases {
 }
 
 /// What one [`VersionedStore::publish`] did.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct PublishReport {
     /// The epoch the publish produced (unchanged for an empty publish).
     pub epoch: u64,
@@ -265,8 +252,8 @@ pub struct PublishReport {
     pub latency: Duration,
     /// The same time, phase by phase.
     pub phases: PublishPhases,
-    /// What the publish cost at the durability layer (zeros under the
-    /// default in-memory store).
+    /// What the publish cost at the durability layer (the default under an
+    /// in-memory store).
     pub durability: DurabilityReport,
 }
 
@@ -277,27 +264,38 @@ struct EpochSlot {
     pins: usize,
 }
 
+/// The newest of the live epochs: the latest one.  A store starts with one
+/// epoch and removes only superseded ones, so there always is one.
+fn latest_slot(epochs: &mut BTreeMap<u64, EpochSlot>) -> &mut EpochSlot {
+    epochs
+        .values_mut()
+        .next_back()
+        .expect("the latest epoch is always live")
+}
+
 /// An epoch-versioned store of [`EngineCore`]s: one *latest* epoch serving
 /// new readers, plus every superseded epoch that still has pinned readers.
 /// See the [module docs](self) for the writer/reader model.
 #[derive(Debug)]
 pub struct VersionedStore {
-    /// The core new readers resolve.  Swapped under the `epochs` lock so a
-    /// pin never observes a latest epoch missing from the registry.
-    latest: RwLock<EngineCore>,
-    /// Batches staged since the last publish, each carrying the sequence
-    /// number its WAL record was written under.
-    staged: Mutex<Vec<StagedBatch>>,
-    /// The live epochs (the latest plus superseded-but-pinned ones).
+    /// The live epochs: the latest (the newest slot, the core new readers
+    /// resolve) plus every superseded one with pinned readers.
     epochs: Mutex<BTreeMap<u64, EpochSlot>>,
+    /// The epoch the store was created or recovered at.
+    founded: u64,
+    /// Batches staged since the last publish, each carrying the sequence
+    /// number its WAL record was written under (`0` in memory).
+    staged: Mutex<Vec<StagedBatch>>,
     /// Serializes publishes (stage/pin/read paths are not blocked by an
     /// in-flight publish until its final swap).
     publish_lock: Mutex<()>,
-    /// The durability seam every write goes through.
-    store: Arc<dyn GraphStore>,
-    policy: CheckpointPolicy,
-    publishes_since_checkpoint: AtomicU64,
-    publishes: AtomicU64,
+    /// The durable store every write goes through; `None` in memory.
+    store: Option<Arc<dyn GraphStore>>,
+    /// Publishes between the durable store's checkpoints (`0`: never).
+    checkpoint_every: u64,
+    /// The epoch the durable store last checkpointed (or was founded) at;
+    /// read and written only under the publish lock.
+    checkpoint_epoch: AtomicU64,
     /// The registry the founding core was built with (disabled by default);
     /// event records go here, and [`metrics`](Self::metrics) are pre-bound
     /// handles into it.
@@ -306,46 +304,37 @@ pub struct VersionedStore {
 }
 
 impl VersionedStore {
-    /// Starts an in-memory store at `core`'s epoch (nothing is persisted —
-    /// the zero-cost default).
+    /// Starts an in-memory store at `core`'s epoch: nothing is persisted and
+    /// nothing is checkpointed.
     pub fn new(core: EngineCore) -> Self {
-        Self::with_store(
-            core,
-            Arc::new(MemoryStore::new()),
-            CheckpointPolicy::default(),
-        )
+        Self::with_store(core, None, 0)
     }
 
-    /// Starts a store at `core`'s epoch over an explicit durability seam.
+    /// Starts a store at `core`'s epoch, durable when `store` is given.
     ///
     /// The caller guarantees `store` already holds state covering `core`
-    /// (a fresh store, or one whose latest checkpoint is `core`'s snapshot)
-    /// — [`open_durable`](Self::open_durable) is the safe entry point for
-    /// file-backed stores.
-    fn with_store(core: EngineCore, store: Arc<dyn GraphStore>, policy: CheckpointPolicy) -> Self {
+    /// (a fresh store, or one whose checkpoint plus committed log is
+    /// `core`'s snapshot) — [`open_durable`](Self::open_durable) is the only
+    /// caller that passes one.
+    fn with_store(
+        core: EngineCore,
+        store: Option<Arc<dyn GraphStore>>,
+        checkpoint_every: u64,
+    ) -> Self {
         let registry = Arc::clone(core.metrics_registry());
         let metrics = CoreMetrics::from_registry(&registry);
-        store.set_metrics(StoreMetrics::from_registry(&registry));
+        let epoch = core.epoch();
         metrics.live_epochs.set(1);
-        metrics.current_epoch.set(core.epoch());
+        metrics.current_epoch.set(epoch);
         metrics.record_snapshot_bytes(core.snapshot());
-        let mut epochs = BTreeMap::new();
-        epochs.insert(
-            core.epoch(),
-            EpochSlot {
-                core: core.clone(),
-                pins: 0,
-            },
-        );
         Self {
-            latest: RwLock::new(core),
+            epochs: Mutex::new(BTreeMap::from([(epoch, EpochSlot { core, pins: 0 })])),
+            founded: epoch,
             staged: Mutex::new(Vec::new()),
-            epochs: Mutex::new(epochs),
             publish_lock: Mutex::new(()),
             store,
-            policy,
-            publishes_since_checkpoint: AtomicU64::new(0),
-            publishes: AtomicU64::new(0),
+            checkpoint_every,
+            checkpoint_epoch: AtomicU64::new(epoch),
             registry,
             metrics,
         }
@@ -356,17 +345,17 @@ impl VersionedStore {
     ///
     /// On a fresh directory the builder's graph becomes the base checkpoint.
     /// On an existing one the builder contributes only its configuration
-    /// (session knobs, cache capacity, checkpoint policy, telemetry) — the
+    /// (session knobs, cache capacity, checkpoint cadence, telemetry) — the
     /// graph state comes from the latest checkpoint plus a replay of every
-    /// committed write-ahead-log batch, each applied through the same
-    /// delta/advance machinery as a live publish.  Torn or uncommitted log
-    /// tails are discarded; a crash at any byte offset recovers to either
-    /// the pre- or the post-publish graph.
+    /// committed write-ahead-log batch, each applied through the epoch step
+    /// a live publish runs.  Torn or uncommitted log tails are discarded; a
+    /// crash at any byte offset recovers to either the pre- or the
+    /// post-publish graph.
     pub fn open_durable(
         dir: impl AsRef<Path>,
         builder: GpsBuilder,
     ) -> Result<(Self, RecoveryReport), GpsError> {
-        let policy = builder.checkpoint_policy();
+        let checkpoint_every = builder.checkpoint_every;
         let registry = Arc::clone(builder.metrics_registry());
         let metrics = CoreMetrics::from_registry(&registry);
         let recovery_started = Instant::now();
@@ -410,25 +399,23 @@ impl VersionedStore {
                     batch.epoch
                 )));
             }
-            let mut overlay = DeltaGraph::new(core.shared_snapshot());
-            overlay.apply_all(&batch.ops).map_err(|e| {
-                GpsError::CorruptLog(format!(
-                    "committed batch for epoch {} does not apply: {}",
-                    batch.epoch,
-                    GpsError::from(e)
-                ))
-            })?;
-            let delta = overlay.delta();
-            let snapshot = Arc::new(overlay.compact());
-            // Replay cares only about reaching the final epoch; the per-step
-            // migration split is a live-publish observability concern.
-            core = core.advance(snapshot, &delta).core;
+            // Replay cares only about reaching the final epoch; the step's
+            // report is a live-publish observability concern.
+            core = core
+                .advance(&batch.ops)
+                .map_err(|e| {
+                    GpsError::CorruptLog(format!(
+                        "committed batch for epoch {} does not apply: {e}",
+                        batch.epoch
+                    ))
+                })?
+                .0;
             replayed_publishes += 1;
             replayed_ops += batch.ops.len();
         }
-        if replayed_publishes > 0 && policy.every_n_publishes != 0 {
+        if replayed_publishes > 0 && checkpoint_every != 0 {
             // Fold the replay into a fresh checkpoint so the next open is
-            // cheap; under a `NEVER` policy the log is left untouched.
+            // cheap; with checkpointing off the log is left untouched.
             store.checkpoint(core.snapshot(), &[])?;
         }
 
@@ -465,12 +452,15 @@ impl VersionedStore {
                 ),
             ]
         });
-        Ok((Self::with_store(core, store, policy), report))
+        Ok((
+            Self::with_store(core, Some(store), checkpoint_every),
+            report,
+        ))
     }
 
     /// A clone of the latest core (un-pinned: for one-shot reads).
     pub fn latest(&self) -> EngineCore {
-        self.latest.read().clone()
+        latest_slot(&mut self.epochs.lock()).core.clone()
     }
 
     /// The telemetry registry this store records into — the founding core's
@@ -481,7 +471,7 @@ impl VersionedStore {
 
     /// The epoch new sessions currently resolve.
     pub fn current_epoch(&self) -> u64 {
-        self.latest.read().epoch()
+        latest_slot(&mut self.epochs.lock()).core.epoch()
     }
 
     /// Number of live epochs (latest + superseded ones with pinned readers).
@@ -489,9 +479,10 @@ impl VersionedStore {
         self.epochs.lock().len()
     }
 
-    /// Total publishes so far.
+    /// Publishes since the store was created or recovered: each one that
+    /// changed anything advanced the epoch by exactly one.
     pub fn publish_count(&self) -> u64 {
-        self.publishes.load(Ordering::Relaxed)
+        self.current_epoch() - self.founded
     }
 
     /// Number of staged ops awaiting the next publish.
@@ -499,20 +490,20 @@ impl VersionedStore {
         self.staged.lock().iter().map(|batch| batch.ops.len()).sum()
     }
 
-    /// Whether writes reach stable storage (`false` for the default
-    /// in-memory store).
+    /// Whether writes reach stable storage (`false` for a store from
+    /// [`new`](Self::new)).
     pub fn is_durable(&self) -> bool {
-        self.store.is_durable()
+        self.store.is_some()
     }
 
-    /// Bytes currently held by the durable store's write-ahead log (0 for
-    /// the in-memory store).
+    /// Bytes currently held by the durable store's write-ahead log (0 in
+    /// memory).
     pub fn wal_bytes(&self) -> u64 {
-        self.store.wal_bytes()
+        self.store.as_ref().map_or(0, |store| store.wal_bytes())
     }
 
-    /// Stages an update for the next [`publish`](Self::publish), appending
-    /// it to the durable store's write-ahead log (without fsync — only the
+    /// Stages an update for the next [`publish`](Self::publish).  A durable
+    /// store appends it to its write-ahead log (without fsync — only the
     /// publish's commit record is synced).
     pub fn stage(&self, update: GraphUpdate) -> Result<(), GpsError> {
         if update.is_empty() {
@@ -521,7 +512,10 @@ impl VersionedStore {
         // The WAL append happens under the staged lock so record order on
         // disk matches buffer order (commit ranges assume it).
         let mut staged = self.staged.lock();
-        let seq = self.store.append_staged(&update.ops)?;
+        let seq = match &self.store {
+            Some(store) => store.append_staged(&update.ops)?,
+            None => 0,
+        };
         self.metrics.staged_ops.add(update.ops.len() as u64);
         self.registry.event_with("stage", || {
             vec![
@@ -542,16 +536,9 @@ impl VersionedStore {
     /// session open.
     pub fn pin_latest(&self) -> EngineCore {
         let mut epochs = self.epochs.lock();
-        let core = self.latest.read().clone();
-        // The latest epoch is always registered (publish swaps `latest` and
-        // inserts its slot under this lock), so the entry is always occupied;
-        // registering it here otherwise keeps the pin path panic-free.
-        let slot = epochs.entry(core.epoch()).or_insert_with(|| EpochSlot {
-            core: core.clone(),
-            pins: 0,
-        });
+        let slot = latest_slot(&mut epochs);
         slot.pins += 1;
-        core
+        slot.core.clone()
     }
 
     /// Releases one pin of `epoch`.  A superseded epoch whose last pin is
@@ -560,24 +547,29 @@ impl VersionedStore {
     pub fn unpin(&self, epoch: u64) {
         let retired = {
             let mut epochs = self.epochs.lock();
-            let current = self.latest.read().epoch();
-            let Some(slot) = epochs.get_mut(&epoch) else {
+            let latest = epochs.keys().next_back() == Some(&epoch);
+            let Entry::Occupied(mut slot) = epochs.entry(epoch) else {
                 return;
             };
-            slot.pins = slot.pins.saturating_sub(1);
-            if slot.pins > 0 || epoch == current {
+            let pins = &mut slot.get_mut().pins;
+            *pins = pins.saturating_sub(1);
+            if *pins > 0 || latest {
                 return;
             }
-            let Some(slot) = epochs.remove(&epoch) else {
-                return;
-            };
+            let slot = slot.remove();
             self.metrics.live_epochs.set(epochs.len() as u64);
             slot
         };
-        // Freeing an epoch's answers is proportional to the cache; readers
-        // pinning the latest epoch must not wait on it.
-        retired.core.eval_cache().retire();
-        drop(retired);
+        self.retire(epoch, retired);
+    }
+
+    /// Retires a superseded epoch nobody pins any more: its cache entries
+    /// are dropped at once ([`gps_rpq::EvalCache::retire`]), then its core.
+    /// Called outside the epochs lock — freeing a snapshot, index and
+    /// answers is graph-sized work, and every session open takes that lock.
+    fn retire(&self, epoch: u64, slot: EpochSlot) {
+        slot.core.eval_cache().retire();
+        drop(slot);
         self.metrics.retired_epochs.inc();
         self.registry
             .event_with("retire", || vec![("epoch".to_string(), epoch.to_string())]);
@@ -591,12 +583,13 @@ impl VersionedStore {
 
     /// Applies every staged op and publishes the next epoch.
     ///
-    /// The heavy work (delta application, compaction, index/stats/cache
-    /// patching) happens outside any reader-visible lock; only the final
-    /// swap holds the epoch registry.  In-flight sessions keep their pinned
-    /// epoch; sessions opened after the swap see the new one.  On error (an
-    /// op referencing a missing node or edge) nothing is published and the
-    /// whole batch is discarded — publishes are all-or-nothing.
+    /// The heavy work (the epoch step: delta application, compaction,
+    /// index and cache patching) happens outside any reader-visible lock;
+    /// only the final swap holds the epoch registry.  In-flight sessions
+    /// keep their pinned epoch; sessions opened after the swap see the new
+    /// one.  On error (an op referencing a missing node or edge) nothing is
+    /// published and the whole batch is discarded — publishes are
+    /// all-or-nothing.
     ///
     /// Under a durable store the commit record is fsynced *before* the
     /// in-memory swap: a publish is visible only once it is durable, and a
@@ -609,65 +602,36 @@ impl VersionedStore {
         let started = Instant::now();
         let batches: Vec<StagedBatch> = std::mem::take(&mut *self.staged.lock());
         let base = self.latest();
-        if batches.is_empty() {
+        let (Some(first), Some(last)) = (batches.first(), batches.last()) else {
             return Ok(PublishReport {
                 epoch: base.epoch(),
-                added_nodes: 0,
-                added_edges: 0,
-                removed_edges: 0,
-                touched_labels: 0,
-                carried_answers: 0,
-                reseeded_answers: 0,
-                delete_reseeded_answers: 0,
-                recomputed_answers: 0,
-                migration: MigrationReport::default(),
-                retired_epochs: 0,
                 latency: started.elapsed(),
-                phases: PublishPhases::default(),
-                durability: DurabilityReport::default(),
+                ..PublishReport::default()
             });
-        }
-        let first_seq = batches.first().expect("non-empty").seq;
-        let last_seq = batches.last().expect("non-empty").seq;
+        };
+        let (first_seq, last_seq) = (first.seq, last.seq);
         let ops: Vec<UpdateOp> = batches.into_iter().flat_map(|batch| batch.ops).collect();
 
-        // Seven consecutive phases, each ending where the next begins.
-        let mut mark = Instant::now();
-        let mut lap = || {
-            let now = Instant::now();
-            let phase = now - mark;
-            mark = now;
-            phase
-        };
-        let mut overlay = DeltaGraph::new(base.shared_snapshot());
-        overlay.apply_all(&ops)?;
-        let delta = overlay.delta();
-        let apply = lap();
-        let snapshot = Arc::new(overlay.compact());
-        drop(overlay);
-        let compact = lap();
-        let Advanced {
-            core: next,
-            migration,
-            index_patch,
-            migrate_answers,
-            inherit_words,
-        } = base.advance(snapshot, &delta);
+        let (next, mut report) = base.advance(&ops)?;
         drop(base);
         let epoch = next.epoch();
         self.metrics.record_snapshot_bytes(next.snapshot());
-        lap();
 
         // Durability point: the publish becomes visible to readers only
         // after its commit record is on stable storage.
-        let receipt = self
-            .store
-            .commit(epoch, first_seq, last_seq, ops.len() as u32)?;
-        let commit = lap();
+        let committing = Instant::now();
+        let committed = match self.store.as_deref() {
+            Some(store) => Some((
+                store,
+                store.commit(epoch, first_seq, last_seq, ops.len() as u32)?,
+            )),
+            None => None,
+        };
+        let swapping = Instant::now();
+        report.phases.commit = swapping - committing;
 
         let (stale, live_epochs) = {
             let mut epochs = self.epochs.lock();
-            *self.latest.write() = next.clone();
             epochs.insert(
                 epoch,
                 EpochSlot {
@@ -675,112 +639,93 @@ impl VersionedStore {
                     pins: 0,
                 },
             );
-            let stale: Vec<EpochSlot> = epochs
+            let stale: Vec<(u64, EpochSlot)> = epochs
                 .extract_if(.., |&e, slot| e != epoch && slot.pins == 0)
-                .map(|(_, slot)| slot)
                 .collect();
             (stale, epochs.len() as u64)
         };
-        // Retired and freed outside the registry lock: a superseded epoch's
-        // snapshot, index and answers are graph-sized, and `pin_latest`
-        // (every session open) takes that lock.
-        let retired_epochs = stale.len();
-        for slot in stale {
-            slot.core.eval_cache().retire();
+        report.retired_epochs = stale.len();
+        for (retired, slot) in stale {
+            self.retire(retired, slot);
         }
-        let phases = PublishPhases {
-            apply,
-            compact,
-            index_patch,
-            migrate_answers,
-            inherit_words,
-            commit,
-            swap_retire: lap(),
-        };
-        self.publishes.fetch_add(1, Ordering::Relaxed);
+        report.phases.swap_retire = swapping.elapsed();
         self.metrics.publishes.inc();
-        self.metrics.retired_epochs.add(retired_epochs as u64);
         self.metrics.live_epochs.set(live_epochs);
         self.metrics.current_epoch.set(epoch);
-        // The publish is already committed, swapped and visible: a
-        // checkpoint failure past this point must not turn into an `Err`
-        // (callers would read it as "publish failed" and re-stage ops that
-        // are already in).  It is reported, not propagated; the store
-        // poisons itself when the failure left the log inconsistent.
-        let (checkpointed, checkpoint_error) = match self.maybe_checkpoint() {
-            Ok(done) => (done, None),
-            Err(e) => (false, Some(e.to_string())),
-        };
-        if checkpointed {
-            self.registry.event_with("checkpoint", || {
-                vec![("epoch".to_string(), epoch.to_string())]
-            });
+        if let Some((store, receipt)) = committed {
+            report.durability = self.checkpoint_if_due(store, epoch, receipt);
         }
-        if let Some(error) = &checkpoint_error {
-            self.metrics.checkpoint_errors.inc();
-            self.registry.event_with("checkpoint_error", || {
-                vec![
-                    ("epoch".to_string(), epoch.to_string()),
-                    ("error".to_string(), error.clone()),
-                ]
-            });
-        }
-        let latency = started.elapsed();
-        self.metrics.publish_latency.record_duration(latency);
-        for (histogram, (_, phase)) in self.metrics.publish_phases.iter().zip(phases.named()) {
+        report.latency = started.elapsed();
+        self.metrics.publish_latency.record_duration(report.latency);
+        for (histogram, (_, phase)) in self
+            .metrics
+            .publish_phases
+            .iter()
+            .zip(report.phases.named())
+        {
             histogram.record_duration(phase);
         }
         self.registry.event_with("publish", || {
             vec![
                 ("epoch".to_string(), epoch.to_string()),
                 ("ops".to_string(), ops.len().to_string()),
-                ("retired_epochs".to_string(), retired_epochs.to_string()),
+                (
+                    "retired_epochs".to_string(),
+                    report.retired_epochs.to_string(),
+                ),
             ]
         });
-        Ok(PublishReport {
-            epoch,
-            added_nodes: delta.added_nodes,
-            added_edges: delta.added_edges.len(),
-            removed_edges: delta.removed_edges.len(),
-            touched_labels: delta.touched_labels().len(),
-            carried_answers: migration.carried,
-            reseeded_answers: migration.reseeded,
-            delete_reseeded_answers: migration.delete_reseeded,
-            recomputed_answers: migration.recomputed,
-            migration,
-            retired_epochs,
-            latency,
-            phases,
-            durability: DurabilityReport {
-                wal_bytes: receipt.wal_bytes,
-                fsync: receipt.fsync,
-                checkpointed,
-                checkpoint_error,
-            },
-        })
+        Ok(report)
     }
 
-    /// Writes a checkpoint if the policy says this publish is due.  Runs
-    /// under the publish lock; holds the staged lock across the store call
-    /// so batches staged concurrently are either re-appended after the WAL
-    /// truncation or land after it — never lost.
-    fn maybe_checkpoint(&self) -> Result<bool, GpsError> {
-        if self.policy.every_n_publishes == 0 {
-            return Ok(false);
-        }
-        let due = self
-            .publishes_since_checkpoint
-            .fetch_add(1, Ordering::Relaxed)
-            + 1
-            >= self.policy.every_n_publishes;
-        if !due {
-            return Ok(false);
+    /// What the durable `store` did for the publish of `epoch`: the commit
+    /// `receipt`, then a checkpoint when one is due.
+    ///
+    /// The publish is already committed, swapped and visible, so a failed
+    /// checkpoint is reported, not propagated: callers would read an `Err`
+    /// as "publish failed" and re-stage ops that are already in.  The store
+    /// poisons itself when the failure left the log inconsistent.  Runs
+    /// under the publish lock and holds the staged lock across the store
+    /// call, so batches staged concurrently are either re-appended after the
+    /// WAL truncation or land after it — never lost.
+    fn checkpoint_if_due(
+        &self,
+        store: &dyn GraphStore,
+        epoch: u64,
+        receipt: CommitReceipt,
+    ) -> DurabilityReport {
+        let mut report = DurabilityReport {
+            wal_bytes: receipt.wal_bytes,
+            fsync: receipt.fsync,
+            ..DurabilityReport::default()
+        };
+        let since = epoch - self.checkpoint_epoch.load(Ordering::Relaxed);
+        if self.checkpoint_every == 0 || since < self.checkpoint_every {
+            return report;
         }
         let core = self.latest();
-        let staged = self.staged.lock();
-        self.store.checkpoint(core.snapshot(), &staged)?;
-        self.publishes_since_checkpoint.store(0, Ordering::Relaxed);
-        Ok(true)
+        let written = store.checkpoint(core.snapshot(), &self.staged.lock());
+        match written {
+            Ok(_) => {
+                self.checkpoint_epoch.store(epoch, Ordering::Relaxed);
+                report.checkpointed = true;
+                self.registry.event_with("checkpoint", || {
+                    vec![("epoch".to_string(), epoch.to_string())]
+                });
+            }
+            Err(e) => {
+                let error = GpsError::from(e).to_string();
+                self.metrics.checkpoint_errors.inc();
+                self.registry.event_with("checkpoint_error", || {
+                    vec![
+                        ("epoch".to_string(), epoch.to_string()),
+                        ("error".to_string(), error.clone()),
+                    ]
+                });
+                report.checkpoint_error = Some(error);
+            }
+        }
+        report
     }
 }
 
@@ -860,6 +805,68 @@ mod tests {
         assert_eq!(report.epoch, 0);
         assert_eq!(report.added_edges, 0);
         assert_eq!(store.publish_count(), 0);
+    }
+
+    /// A figure-1 store recording into an enabled registry.
+    fn observed_store() -> (VersionedStore, Arc<MetricsRegistry>) {
+        let (graph, _) = figure1_graph();
+        let registry = Arc::new(MetricsRegistry::enabled());
+        let core = Engine::builder(graph)
+            .metrics(Arc::clone(&registry))
+            .build();
+        (VersionedStore::new(core), registry)
+    }
+
+    /// The `key` field of every recorded event of `kind`, in order.
+    fn event_fields(registry: &MetricsRegistry, kind: &str, key: &str) -> Vec<String> {
+        let events = registry.snapshot().events;
+        events
+            .into_iter()
+            .filter(|event| event.kind == kind)
+            .flat_map(|event| event.fields)
+            .filter(|(field, _)| field == key)
+            .map(|(_, value)| value)
+            .collect()
+    }
+
+    #[test]
+    fn in_memory_publishes_never_checkpoint() {
+        let (store, registry) = observed_store();
+        for i in 0..64 {
+            let update = if i % 2 == 0 {
+                GraphUpdate::new().add_edge("N6", "tram", "N1")
+            } else {
+                GraphUpdate::new().remove_edge("N6", "tram", "N1")
+            };
+            let report = store.update(update).unwrap();
+            assert_eq!(report.durability, DurabilityReport::default(), "{i}");
+        }
+        assert_eq!(store.publish_count(), 64);
+        assert!(!store.is_durable());
+        assert_eq!(store.wal_bytes(), 0);
+        assert!(event_fields(&registry, "checkpoint", "epoch").is_empty());
+        assert_eq!(event_fields(&registry, "stage", "seq"), vec!["0"; 64]);
+    }
+
+    #[test]
+    fn a_publish_retires_unpinned_epochs_like_an_unpin() {
+        let (store, registry) = observed_store();
+        store.update(GraphUpdate::new().add_node("X1")).unwrap();
+        assert_eq!(event_fields(&registry, "retire", "epoch"), ["0"]);
+
+        // Epoch 1 stays pinned across the next publish and retires on unpin.
+        let pinned = store.pin_latest();
+        let report = store.update(GraphUpdate::new().add_node("X2")).unwrap();
+        assert_eq!(report.retired_epochs, 0);
+        store.unpin(pinned.epoch());
+        // Epoch 2 has no pins: the next publish retires it.
+        let report = store.update(GraphUpdate::new().add_node("X3")).unwrap();
+        assert_eq!(report.retired_epochs, 1);
+        assert_eq!(event_fields(&registry, "retire", "epoch"), ["0", "1", "2"]);
+        assert_eq!(
+            registry.snapshot().counter("gps_core_retired_epochs_total"),
+            Some(3)
+        );
     }
 
     #[test]

@@ -31,7 +31,6 @@ pub struct PruningState {
     /// set bits.
     pruned: Vec<u64>,
     pruned_count: usize,
-    bound: usize,
     /// Per-node uncovered-word counts (`coverage.uncovered_count`), valid
     /// for the coverage version in `synced`.  A node is
     /// coverage-uninformative iff its entry is 0.
@@ -50,13 +49,13 @@ pub struct PruningState {
 }
 
 impl PruningState {
-    /// Creates a pruning state with the given path-length bound (the same
-    /// bound the learner and the coverage use).
-    pub fn new(bound: usize) -> Self {
+    /// Creates an empty pruning state.  The refresh reads its path-length
+    /// bound off the coverage it is given.
+    // `_bound` is ignored; it is kept only for `benchmark/src/shadow.rs:453`.
+    pub fn new(_bound: usize) -> Self {
         Self {
             pruned: Vec::new(),
             pruned_count: 0,
-            bound,
             scores: Vec::new(),
             synced: None,
             metrics: PruningMetrics::disabled(),
@@ -67,11 +66,6 @@ impl PruningState {
     /// only — the pruned set evolves identically with or without them.
     pub fn set_metrics(&mut self, metrics: PruningMetrics) {
         self.metrics = metrics;
-    }
-
-    /// The path-length bound.
-    pub fn bound(&self) -> usize {
-        self.bound
     }
 
     /// Returns `true` when the cached scores are synchronized with exactly
@@ -378,7 +372,6 @@ mod tests {
     fn manual_prune_and_counters() {
         let g = sample();
         let mut pruning = PruningState::new(2);
-        assert_eq!(pruning.bound(), 2);
         assert!(pruning.prune(g.node_by_name("N5").unwrap()));
         assert!(!pruning.prune(g.node_by_name("N5").unwrap()));
         assert_eq!(pruning.pruned_count(), 1);

@@ -56,7 +56,8 @@ pub trait User<B = CsrGraph> {
 /// * Labels a node positive iff the goal selects it;
 /// * Zooms out while the goal's shortest witness for the node is longer than
 ///   the currently visible radius (a positive answer requires seeing the
-///   evidence), up to `max_zooms` extra rings;
+///   evidence), up to `max_zooms` zooms per node, whatever radius the
+///   session starts at;
 /// * Validates the candidate path by picking the shortest candidate the goal
 ///   accepts, falling back to the suggestion.
 ///
@@ -72,6 +73,10 @@ pub struct SimulatedUser {
     answer_cache: Arc<QueryAnswer>,
     exec: EvalHandle,
     witness_lengths: HashMap<NodeId, Option<usize>>,
+    /// The node last asked about and the radius it was shown at.
+    asked: Option<(NodeId, u32)>,
+    /// Zooms asked for on that node since it was proposed.
+    zooms_this_node: u32,
     /// Maximum number of zooms the user is willing to perform per node.
     pub max_zooms: u32,
     /// Number of zoom requests issued so far (across all nodes).
@@ -94,6 +99,8 @@ impl SimulatedUser {
             answer_cache,
             exec,
             witness_lengths: HashMap::new(),
+            asked: None,
+            zooms_this_node: 0,
             max_zooms: 4,
             zooms_performed: 0,
         }
@@ -122,11 +129,13 @@ impl User for SimulatedUser {
         }
         // The user answers "yes" only once the evidence (a witness path) fits
         // inside the visible fragment; otherwise she asks to zoom out.
-        let radius = neighborhood.radius() as usize;
+        let radius = neighborhood.radius();
+        self.ask(node, radius);
         let witness = self.witness_length(node);
         match witness {
-            Some(len) if len <= radius => UserResponse::Positive,
-            Some(_) if self.zooms_this_node(neighborhood) < self.max_zooms => {
+            Some(len) if len <= radius as usize => UserResponse::Positive,
+            Some(_) if self.zooms_this_node < self.max_zooms => {
+                self.zooms_this_node += 1;
                 self.zooms_performed += 1;
                 UserResponse::ZoomOut
             }
@@ -160,10 +169,14 @@ impl User for SimulatedUser {
 }
 
 impl SimulatedUser {
-    /// How many zooms the current neighborhood already represents beyond the
-    /// paper's default starting radius of 2.
-    fn zooms_this_node(&self, neighborhood: &Neighborhood) -> u32 {
-        neighborhood.radius().saturating_sub(2)
+    /// Records that `node` is shown at `radius`.  Another node, or the same
+    /// one shown no wider than before, is a new proposal: its zoom count
+    /// starts over.
+    fn ask(&mut self, node: NodeId, radius: u32) {
+        if !matches!(self.asked, Some((last, shown)) if last == node && shown < radius) {
+            self.zooms_this_node = 0;
+        }
+        self.asked = Some((node, radius));
     }
 
     /// The goal's shortest-witness length for `node`, memoized (the zoom
@@ -270,6 +283,36 @@ mod tests {
         // After zooming to radius 3 the evidence is visible → positive.
         let hood3 = Neighborhood::extract(&g, ids.n2, 3);
         assert_eq!(user.label_node(&g, ids.n2, &hood3), UserResponse::Positive);
+    }
+
+    #[test]
+    fn the_zoom_budget_is_per_node_at_any_initial_radius() {
+        // A 10-hop witness: nine bus hops, then a cinema.
+        let mut graph = gps_graph::Graph::new();
+        let stops: Vec<NodeId> = (0..10).map(|i| graph.add_node(format!("S{i}"))).collect();
+        for pair in stops.windows(2) {
+            graph.add_edge_by_name(pair[0], "bus", pair[1]);
+        }
+        let cinema = graph.add_node("C");
+        graph.add_edge_by_name(stops[9], "cinema", cinema);
+        let g = CsrGraph::from_graph(&graph);
+        let goal = PathQuery::parse("bus*.cinema", g.labels()).unwrap();
+        for initial_radius in [1, 2, 3] {
+            let mut user = SimulatedUser::new(goal.clone(), &g);
+            // The session's zoom loop, for two proposals in a row.
+            for node in [stops[0], stops[1]] {
+                let mut zoom = crate::zoom::ZoomState::new(&g, node, initial_radius, 20);
+                while user.label_node(&g, node, zoom.neighborhood()) == UserResponse::ZoomOut {
+                    assert!(zoom.zoom_out(&g));
+                }
+                assert_eq!(
+                    zoom.zoom_count(),
+                    user.max_zooms as usize,
+                    "radius {initial_radius}, {node}"
+                );
+            }
+            assert_eq!(user.zooms_performed, 2 * u64::from(user.max_zooms));
+        }
     }
 
     #[test]

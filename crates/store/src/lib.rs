@@ -1,13 +1,11 @@
 //! `gps-store` — durable persistence for the GPS engine's versioned graph.
 //!
-//! The crate provides the [`GraphStore`] seam `VersionedStore` publishes
-//! through, plus its two implementations:
-//!
-//! * [`MemoryStore`] — the zero-cost default; nothing is persisted and the
-//!   engine behaves exactly as before durability existed.
-//! * [`FileStore`] — a write-ahead log of name-addressed [`UpdateOp`]
-//!   batches ([`wal`]) plus snapshot checkpoints of compacted CSR epochs
-//!   ([`snapshot`]), with replay-on-startup recovery.
+//! The crate provides the [`GraphStore`] seam a durable `VersionedStore`
+//! publishes through, and [`FileStore`], its implementation: a write-ahead
+//! log of name-addressed [`UpdateOp`] batches ([`wal`]) plus snapshot
+//! checkpoints of compacted CSR epochs ([`snapshot`]), with
+//! replay-on-startup recovery.  An in-memory `VersionedStore` has no
+//! `GraphStore`: it persists nothing.
 //!
 //! The durability contract: staged batches are appended without fsync, a
 //! single fsync lands on the commit record at publish, and a publish is
@@ -37,7 +35,6 @@ pub use error::StoreError;
 pub use metrics::StoreMetrics;
 pub use snapshot::{decode_snapshot, encode_snapshot, SNAPSHOT_MAGIC};
 pub use store::{
-    CheckpointReceipt, CommitReceipt, FileStore, GraphStore, MemoryStore, RecoveredState,
-    StagedBatch,
+    CheckpointReceipt, CommitReceipt, FileStore, GraphStore, RecoveredState, StagedBatch,
 };
 pub use wal::{CommittedBatch, WalRecord, WalScan, WAL_MAGIC};

@@ -2,11 +2,11 @@
 //!
 //! [`StoreMetrics`] is resolved once against a [`MetricsRegistry`] and
 //! installed into a [`GraphStore`](crate::GraphStore) through
-//! [`GraphStore::set_metrics`](crate::GraphStore::set_metrics) (a default
-//! no-op — [`MemoryStore`](crate::MemoryStore) ignores it).  A
-//! [`FileStore`](crate::FileStore) then records WAL append volume, commit
-//! fsyncs and checkpoint durations as they happen, under the same lock its
-//! I/O already holds.
+//! [`GraphStore::set_metrics`](crate::GraphStore::set_metrics) when a
+//! durable `VersionedStore` opens.  A [`FileStore`](crate::FileStore) then
+//! records WAL append volume, commit fsyncs and checkpoint durations as they
+//! happen, under the same lock its I/O already holds.  An in-memory store
+//! has no `GraphStore`, so these series stay absent there.
 
 use gps_telemetry::{Counter, Histogram, MetricsRegistry};
 

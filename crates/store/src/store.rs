@@ -1,13 +1,14 @@
-//! The [`GraphStore`] seam and its two implementations.
+//! The [`GraphStore`] seam and [`FileStore`], its implementation: a
+//! directory holding one write-ahead log (`wal.log`, format in
+//! [`crate::wal`]) plus the latest snapshot checkpoint
+//! (`checkpoint-<epoch>.snap`, format in [`crate::snapshot`]), guarded by an
+//! exclusive advisory lock (`LOCK`) so only one store can have the directory
+//! open at a time.
 //!
-//! * [`MemoryStore`] — the zero-cost default: nothing is persisted, every
-//!   call is a counter bump or a no-op.  A `VersionedStore` over it behaves
-//!   exactly like the pre-durability engine.
-//! * [`FileStore`] — a directory holding one write-ahead log (`wal.log`,
-//!   format in [`crate::wal`]) plus the latest snapshot checkpoint
-//!   (`checkpoint-<epoch>.snap`, format in [`crate::snapshot`]), guarded by
-//!   an exclusive advisory lock (`LOCK`) so only one store can have the
-//!   directory open at a time.
+//! An in-memory `VersionedStore` holds no `GraphStore` at all: it writes
+//! nothing, so there is nothing to stand in for.  The trait stays a seam so
+//! a wrapping store (one that traces, or injects faults) can sit between a
+//! `VersionedStore` and its `FileStore`.
 //!
 //! ## The durability contract
 //!
@@ -40,7 +41,6 @@ use parking_lot::Mutex;
 use std::fs::{self, File, OpenOptions};
 use std::io::{Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::{Duration, Instant};
 
 /// What one [`GraphStore::commit`] did.
@@ -122,58 +122,13 @@ pub trait GraphStore: Send + Sync + std::fmt::Debug {
     /// Bytes currently held by the write-ahead log.
     fn wal_bytes(&self) -> u64;
 
-    /// `false` for the in-memory no-op store.
+    /// Whether writes reach stable storage.
     fn is_durable(&self) -> bool;
 
     /// Installs pre-bound telemetry handles ([`StoreMetrics`]) the store
-    /// records WAL/fsync/checkpoint activity through.  Default: no-op — the
-    /// in-memory store has nothing to measure.
+    /// records WAL/fsync/checkpoint activity through.  Default: no-op, for a
+    /// store that records nothing itself.
     fn set_metrics(&self, _metrics: StoreMetrics) {}
-}
-
-/// The zero-cost default store: persists nothing, never fails.
-#[derive(Debug, Default)]
-pub struct MemoryStore {
-    next_seq: AtomicU64,
-}
-
-impl MemoryStore {
-    /// Creates a fresh in-memory store.
-    pub fn new() -> Self {
-        Self::default()
-    }
-}
-
-impl GraphStore for MemoryStore {
-    fn append_staged(&self, _ops: &[UpdateOp]) -> Result<u64, StoreError> {
-        Ok(self.next_seq.fetch_add(1, Ordering::Relaxed))
-    }
-
-    fn commit(
-        &self,
-        _epoch: u64,
-        _first_seq: u64,
-        _last_seq: u64,
-        _ops: u32,
-    ) -> Result<CommitReceipt, StoreError> {
-        Ok(CommitReceipt::default())
-    }
-
-    fn checkpoint(
-        &self,
-        _snapshot: &CsrGraph,
-        _pending: &[StagedBatch],
-    ) -> Result<CheckpointReceipt, StoreError> {
-        Ok(CheckpointReceipt::default())
-    }
-
-    fn wal_bytes(&self) -> u64 {
-        0
-    }
-
-    fn is_durable(&self) -> bool {
-        false
-    }
 }
 
 #[derive(Debug)]
@@ -511,7 +466,7 @@ impl GraphStore for FileStore {
 mod tests {
     use super::*;
     use gps_graph::Graph;
-    use std::sync::atomic::AtomicU32;
+    use std::sync::atomic::{AtomicU32, Ordering};
 
     static DIRS: AtomicU32 = AtomicU32::new(0);
 
@@ -656,19 +611,5 @@ mod tests {
         let (_, recovered) = FileStore::open(&dir).unwrap();
         assert!(recovered.batches.is_empty());
         fs::remove_dir_all(&dir).unwrap();
-    }
-
-    #[test]
-    fn memory_store_is_a_no_op() {
-        let store = MemoryStore::new();
-        assert_eq!(store.append_staged(&add("X")).unwrap(), 0);
-        assert_eq!(store.append_staged(&add("Y")).unwrap(), 1);
-        assert_eq!(store.commit(1, 0, 1, 2).unwrap(), CommitReceipt::default());
-        assert_eq!(
-            store.checkpoint(&sample_csr(1), &[]).unwrap(),
-            CheckpointReceipt::default()
-        );
-        assert_eq!(store.wal_bytes(), 0);
-        assert!(!store.is_durable());
     }
 }

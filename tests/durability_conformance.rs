@@ -318,6 +318,34 @@ fn checkpoints_bound_the_log_and_speed_recovery() {
 }
 
 #[test]
+fn publish_count_counts_only_this_opens_publishes() {
+    let dir = tmp_dir("count");
+    let (store, _) = VersionedStore::open_durable(&dir, builder(0)).unwrap();
+    let [first, second, third] = updates();
+    store.update(first).unwrap();
+    store.update(second).unwrap();
+    store.publish().unwrap();
+    assert!(store
+        .update(GraphUpdate::new().add_edge("N1", "bus", "Nowhere"))
+        .is_err());
+    assert_eq!(
+        store.publish_count(),
+        2,
+        "empty and failed publishes count nothing"
+    );
+    drop(store);
+
+    let (store, report) = VersionedStore::open_durable(&dir, builder(0)).unwrap();
+    assert_eq!(report.replayed_publishes, 2);
+    assert_eq!(store.publish_count(), 0, "a replay is not a publish");
+    store.update(third).unwrap();
+    assert_eq!(store.publish_count(), 1);
+    assert_eq!(store.current_epoch(), 3);
+    drop(store);
+    fs::remove_dir_all(&dir).unwrap();
+}
+
+#[test]
 fn staged_but_unpublished_ops_are_discarded_at_recovery() {
     let dir = tmp_dir("staged");
     let (store, _) = VersionedStore::open_durable(&dir, builder(32)).unwrap();
