@@ -621,8 +621,12 @@ fn carried_read_floor(graph: &Graph) -> Floor {
 /// warm cache is migrated instead of cold-starting, and the publish leaves
 /// the touched answers pending, so the over-delete/re-derive resumes run
 /// inside the timed first read.  That read must still beat the
-/// 16-fixed-point re-evaluation comfortably (4.6x measured on this graph, against
-/// ~100x when the publish ran them; 2x is the conservative floor).
+/// 16-fixed-point re-evaluation comfortably (3.7-4.4x measured on this
+/// graph, 120-190 us cold; 3.9-4.5x, 215-310 us cold, before cold
+/// evaluations ORed saturated states in; ~100x when the publish ran the
+/// resumes; 2x is the conservative floor).  Each first read resumes across
+/// the last publish's delta as it is: composing that one delta again in
+/// every first read read 2.3-2.9x here.
 ///
 /// The removed edges originate at in-degree-0 nodes, so each over-delete
 /// cone is confined to the source configuration itself — the shape the
@@ -813,8 +817,10 @@ fn telemetry_floor(graph: &Graph, goals: &[String]) -> Floor {
 ///   resume (`DfaEvaluator::evaluate_dfa_resumed`) is a copy-on-write clone
 ///   of the seed plus the delta's derivation cone, a cold evaluation costs
 ///   the graph: the slower of the two resumes must beat it by 20x (measured:
-///   90-105x here, 0.36-0.54 ms against 3.3-5.3 us; a resume that copies or
-///   scans per node again lands near 1x).
+///   32-40x here, 0.16-0.21 ms against 3.4-5.4 us; 88-105x, 0.34-0.54 ms
+///   cold, while the fixed point walked saturated states' reverse
+///   partitions; a resume that copies or scans per node again lands near
+///   1x).
 /// * Patching the evaluator's label index through that 6-edge insert
 ///   (`BatchEvaluator::apply_delta`, what a publish runs) vs. building it
 ///   from scratch over the patched snapshot
@@ -1181,7 +1187,8 @@ fn step_alloc_floor(
 
 /// Floor 13's bound on `eval-cold / eval-uncaptured`.  While a seed carried
 /// a support counter per configuration beside its alive bits, capturing read
-/// 1.49-1.62x here; a seed of alive bits only reads 0.98-1.0x.
+/// 1.49-1.62x here; a seed of alive bits only reads 0.95-1.07x (both arms
+/// 6.8-8.3 ms since saturated states are ORed in, 8.9-10.9 ms before).
 const CAPTURE_BOUND: f64 = 1.15;
 
 /// Floor 13: capturing the seed costs a cold evaluation next to nothing.

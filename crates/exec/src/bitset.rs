@@ -24,16 +24,6 @@ impl FixedBitSet {
         }
     }
 
-    /// The universe size (number of addressable bits).
-    pub fn len(&self) -> usize {
-        self.len
-    }
-
-    /// Returns `true` when no bit is set.
-    pub fn is_empty(&self) -> bool {
-        self.words.iter().all(|&w| w == 0)
-    }
-
     /// Returns `true` when `bit` is set.
     #[inline]
     pub fn contains(&self, bit: usize) -> bool {
@@ -74,21 +64,29 @@ impl FixedBitSet {
         self.len = len;
     }
 
-    /// Number of set bits.
-    pub fn count(&self) -> usize {
-        self.words.iter().map(|w| w.count_ones() as usize).sum()
+    /// ORs `bits` into word `index` (keys `index * 64 ..`); returns the bits
+    /// that were clear before.
+    #[inline]
+    pub fn or_word(&mut self, index: usize, bits: u64) -> u64 {
+        let word = &mut self.words[index];
+        let fresh = bits & !*word;
+        *word |= bits;
+        fresh
     }
 
-    /// ORs `other` into `self`; returns `true` when any new bit appeared.
-    pub fn union_with(&mut self, other: &FixedBitSet) -> bool {
+    /// ORs `other` into `self`; returns how many bits were new — what the
+    /// evaluator adds to the population it carries instead of re-counting.
+    pub fn union_with(&mut self, other: &FixedBitSet) -> usize {
         debug_assert_eq!(self.len, other.len);
-        let mut changed = false;
+        let mut fresh = 0;
         for (word, &incoming) in self.words.iter_mut().zip(&other.words) {
-            let merged = *word | incoming;
-            changed |= merged != *word;
-            *word = merged;
+            let new = incoming & !*word;
+            if new != 0 {
+                fresh += new.count_ones() as usize;
+                *word |= new;
+            }
         }
-        changed
+        fresh
     }
 
     /// Iterates the set bits in ascending order.
@@ -132,16 +130,15 @@ mod tests {
     use super::*;
 
     #[test]
-    fn insert_contains_and_count() {
+    fn insert_contains_and_ones() {
         let mut set = FixedBitSet::new(130);
-        assert!(set.is_empty());
+        assert_eq!(set.ones().next(), None);
         assert!(set.insert(0));
         assert!(set.insert(64));
         assert!(set.insert(129));
         assert!(!set.insert(64), "second insert reports already-present");
         assert!(set.contains(129));
         assert!(!set.contains(1));
-        assert_eq!(set.count(), 3);
         assert_eq!(set.ones().collect::<Vec<_>>(), vec![0, 64, 129]);
     }
 
@@ -149,18 +146,30 @@ mod tests {
     fn insert_all_masks_the_tail() {
         let mut set = FixedBitSet::new(70);
         set.insert_all();
-        assert_eq!(set.count(), 70);
+        assert_eq!(set.ones().count(), 70);
         assert_eq!(set.ones().last(), Some(69));
     }
 
     #[test]
-    fn union_with_reports_change() {
-        let mut a = FixedBitSet::new(10);
-        let mut b = FixedBitSet::new(10);
-        b.insert(7);
-        assert!(a.union_with(&b));
-        assert!(!a.union_with(&b), "second union adds nothing");
-        assert!(a.contains(7));
+    fn union_with_counts_new_bits() {
+        let mut a = FixedBitSet::new(130);
+        let mut b = FixedBitSet::new(130);
+        a.insert(7);
+        for bit in [7, 64, 129] {
+            b.insert(bit);
+        }
+        assert_eq!(a.union_with(&b), 2, "7 was already set");
+        assert_eq!(a.union_with(&b), 0, "second union adds nothing");
+        assert_eq!(a.ones().collect::<Vec<_>>(), vec![7, 64, 129]);
+    }
+
+    #[test]
+    fn or_word_returns_the_fresh_bits() {
+        let mut set = FixedBitSet::new(130);
+        set.insert(65);
+        assert_eq!(set.or_word(1, 0b111), 0b101, "bit 65 was set");
+        assert_eq!(set.or_word(1, 0b111), 0);
+        assert_eq!(set.ones().collect::<Vec<_>>(), vec![64, 65, 66]);
     }
 
     #[test]
@@ -168,11 +177,11 @@ mod tests {
         let mut set = FixedBitSet::new(10);
         set.insert(5);
         set.clear();
-        assert!(set.is_empty());
-        assert_eq!(set.len(), 10);
+        assert_eq!(set.ones().next(), None);
+        assert_eq!(set.as_words().len(), 1);
         set.reset(200);
-        assert_eq!(set.len(), 200);
-        assert!(set.is_empty());
+        assert_eq!(set.as_words().len(), 4);
+        assert_eq!(set.ones().next(), None);
         set.insert(199);
         assert!(set.contains(199));
     }
@@ -180,9 +189,8 @@ mod tests {
     #[test]
     fn empty_universe() {
         let mut set = FixedBitSet::new(0);
-        assert!(set.is_empty());
         assert_eq!(set.ones().count(), 0);
         set.insert_all();
-        assert_eq!(set.count(), 0);
+        assert_eq!(set.ones().count(), 0);
     }
 }

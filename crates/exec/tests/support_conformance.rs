@@ -15,6 +15,12 @@
 //!   find the one that survives), and a graph whose adaptive plan pulls and
 //!   then pushes (the capture every resume starts from must not depend on
 //!   the round mode);
+//! * where a DFA state is alive at every node and the fixed point ORs in
+//!   label occupancy instead of walking rows, every state's alive set still
+//!   equals the naive evaluator started at that state, under every plan,
+//!   uncaptured or captured: on partitions with a partial tail chunk, and
+//!   on partitions a delta left covering fewer rows than the graph has
+//!   nodes — where resumes still reproduce fresh captures;
 //! * `QueryAnswer`'s `==` agrees with node-set equality for answers packed
 //!   from words, grown by selected or unselected nodes, resumed across a
 //!   delta that adds a node, and block-shared copies;
@@ -25,9 +31,10 @@
 
 use gps_automata::{Dfa, Regex};
 use gps_datasets::scale_free::ScaleFreeConfig;
-use gps_exec::frontier::{evaluate_captured, resume, Scratch};
+use gps_exec::frontier::{evaluate_captured, evaluate_counting, resume, Scratch};
+use gps_exec::index::CHUNK_ROWS;
 use gps_exec::planner::Plan;
-use gps_exec::{BatchEvaluator, LabelIndex};
+use gps_exec::{BatchEvaluator, Direction, LabelIndex};
 use gps_graph::{CsrEntry, CsrGraph, DeltaGraph, Edge, Graph, GraphDelta, LabelId, NodeId};
 use gps_rpq::blocks::BLOCK_NODES;
 use gps_rpq::{BlockSharing, EvalCache, EvalResume, MigrationReport, PathQuery, QueryAnswer};
@@ -224,6 +231,98 @@ fn chained_mixed_epochs_reproduce_fresh_captures() {
     for seed in [0xA11CE, 0x0B0B_5EED] {
         chained_epochs_reproduce_fresh_captures(seed);
     }
+}
+
+/// Requires, for every query and plan over `index` (the index of `graph`),
+/// the uncaptured answer to equal the naive evaluator's and each state's
+/// alive set in the captured seed to equal the naive evaluator started at
+/// that state.
+fn every_state_matches_the_oracle(
+    graph: &CsrGraph,
+    index: &LabelIndex,
+    queries: &[Dfa],
+    context: &str,
+) {
+    let mut scratch = Scratch::default();
+    for (i, dfa) in queries.iter().enumerate() {
+        let expected = gps_rpq::eval::evaluate(graph, dfa);
+        for plan in [Plan::Reverse, Plan::Forward, Plan::Bidirectional] {
+            let (answer, _) = evaluate_counting(index, dfa, plan, &mut scratch);
+            assert_eq!(
+                answer, expected,
+                "{context}, query {i}, {plan:?}, uncaptured"
+            );
+            let (_, _, seed) = evaluate_captured(index, dfa, plan, &mut scratch);
+            let seed = seed.expect("capturing evaluations always produce a seed");
+            for state in 0..dfa.state_count() {
+                let mut from = dfa.clone();
+                from.set_start(state);
+                assert_eq!(
+                    seed.answer(state),
+                    gps_rpq::eval::evaluate(graph, &from),
+                    "{context}, query {i}, {plan:?}, state {state}"
+                );
+            }
+        }
+    }
+}
+
+#[test]
+fn saturated_states_derive_what_the_oracle_does_over_short_and_partial_partitions() {
+    // Two full chunks and a 70-row tail; random `a`/`b`/`c` edges and a `d`
+    // cycle through every node, so `d.(a+b)*`'s start state saturates in
+    // one OR of `d`'s occupancy and the uncaptured evaluation stops there.
+    let mut rng = XorShift(0x5A7_0CC);
+    let n = 2 * CHUNK_ROWS + 70;
+    let mut g = Graph::new();
+    let nodes = g.add_nodes("n", n);
+    for _ in 0..3 * n {
+        let label = ["a", "b", "c"][rng.below(3)];
+        g.add_edge_by_name(nodes[rng.below(n)], label, nodes[rng.below(n)]);
+    }
+    for i in 0..n {
+        g.add_edge_by_name(nodes[i], "d", nodes[(i + 1) % n]);
+    }
+    let base = Arc::new(CsrGraph::from_graph(&g));
+    let [a, b, c, d] = ["a", "b", "c", "d"].map(|name| base.label_id(name).unwrap());
+    let mut queries = query_set(&base);
+    let [ra, rb, rd] = [a, b, d].map(Regex::symbol);
+    let a_or_b = Regex::star(Regex::union([ra.clone(), rb]));
+    queries.extend(
+        [
+            Regex::concat([rd.clone(), a_or_b.clone()]),
+            Regex::concat([a_or_b, rd.clone()]),
+            Regex::concat([Regex::star(rd), ra]),
+        ]
+        .iter()
+        .map(Dfa::from_regex),
+    );
+    let index = LabelIndex::from_csr(&base);
+    every_state_matches_the_oracle(&base, &index, &queries, "base");
+    let mut seeds = capture_every_plan(&index, &queries, "base");
+
+    // 4,200 nodes past the next chunk boundary, each with a `c` edge into
+    // the old graph: the `a`, `b` and `d` partitions are shared and cover
+    // the old rows only.
+    let mut delta = DeltaGraph::new(Arc::clone(&base));
+    for i in 0..4200 {
+        let fresh = delta.add_node(format!("fresh{i}"));
+        delta.add_edge(fresh, c, nodes[rng.below(n)]);
+    }
+    let summary = delta.delta();
+    let compacted = delta.compact();
+    let patched = index.apply_delta(&compacted, &summary);
+    let covered = |label| -> usize {
+        let chunks = patched.rows(Direction::Forward, label).chunks();
+        chunks.iter().map(|chunk| chunk.rows()).sum()
+    };
+    assert_eq!([covered(a), covered(b), covered(d)], [n; 3]);
+    assert_eq!(covered(c), n + 4200);
+    every_state_matches_the_oracle(&compacted, &patched, &queries, "patched");
+    capture_every_plan(&patched, &queries, "patched");
+    resume_every_seed(
+        &queries, &mut seeds, &summary, &compacted, &patched, "patched",
+    );
 }
 
 /// `==` on answers is what `nodes() == nodes()` decides, without decoding a

@@ -208,13 +208,15 @@ N5
     #[test]
     fn file_round_trip() {
         let g = parse_edge_list(SAMPLE).unwrap();
-        let dir = std::env::temp_dir().join("gps-graph-io-test");
+        // A directory of this process's own (the test's only call), so
+        // concurrent runs never share a path, removed whole afterwards.
+        let dir = std::env::temp_dir().join(format!("gps-graph-io-test-{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("sample.edges");
         std::fs::write(&path, to_edge_list(&g)).unwrap();
         let g2 = read_edge_list_file(&path).unwrap();
+        std::fs::remove_dir_all(&dir).unwrap();
         assert_eq!(g2.edge_count(), g.edge_count());
-        std::fs::remove_file(&path).ok();
     }
 
     #[test]

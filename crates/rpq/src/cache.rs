@@ -19,13 +19,17 @@
 //! carried, and one it can is left *pending* — its last resolved answer and
 //! seed, plus a position in the cache's log of deltas — and resumed by the
 //! first read that asks for it.  A publish therefore does pointer work per
-//! entry, and only answers someone reads again pay their resume.
+//! entry — it copies the old hash table as it is, without hashing an
+//! expression again, and rewrites the slots in place — and only answers
+//! someone reads again pay their resume.
 //!
 //! The log is a window: the deltas from the oldest pending entry's epoch to
 //! the cache's, oldest first.  A publish copies the live part of the old
-//! cache's window (an `Arc` per delta) and pushes its own delta; a first read
-//! composes the slice from its entry's position ([`GraphDelta::composed`]).
-//! Once nothing is pending the window is empty.
+//! cache's window (an `Arc` per delta) and pushes its own delta.  A first
+//! read of an entry the last publish touched resumes across that publish's
+//! delta as it is; an entry pending for longer composes the slice from its
+//! position ([`GraphDelta::composed`]).  Once nothing is pending the window
+//! is empty.
 
 use crate::eval::{DfaEvaluator, EvalResume, NaiveEvaluator, QueryAnswer};
 use crate::words::WordIndex;
@@ -33,7 +37,7 @@ use gps_automata::{Alphabet, Dfa, Regex};
 use gps_graph::{CsrGraph, GraphDelta, LabelId, NodeId, Path};
 use gps_telemetry::{Counter, Gauge, Histogram, MetricsRegistry};
 use parking_lot::RwLock;
-use std::collections::{BTreeSet, HashMap};
+use std::collections::{BTreeSet, HashMap, HashSet};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
 
@@ -104,8 +108,10 @@ struct Pending {
 struct Entry {
     compiled: Arc<Compiled>,
     /// The answer on this cache's snapshot: set at creation, or by the first
-    /// read of a pending entry.  Never shared across epochs — two epochs'
-    /// caches resolve against different evaluators.
+    /// read of a pending entry.  An unresolved entry is never shared across
+    /// epochs — two epochs' caches resolve against different evaluators; a
+    /// resolved one with no pending state is, by every epoch that carries it
+    /// over the same nodes.
     resolved: OnceLock<Resolved>,
     /// What `resolved` is resumed from; `None` for an entry created resolved.
     pending: Option<Pending>,
@@ -152,6 +158,17 @@ impl Slot {
     }
 }
 
+/// A copy of the slot: the same entry, the recency read now.  What a
+/// migration's table copy is made of.
+impl Clone for Slot {
+    fn clone(&self) -> Self {
+        Self {
+            last_used: AtomicU64::new(self.last_used.load(Ordering::Relaxed)),
+            entry: Arc::clone(&self.entry),
+        }
+    }
+}
+
 /// A position in the delta log: publishes and changed edges since the first
 /// cache of the chain.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -175,10 +192,14 @@ struct DeltaLog {
 }
 
 impl DeltaLog {
-    /// The net delta from position `from` to this log's epoch.
-    fn since(&self, from: LogMark) -> GraphDelta {
-        let skip = (from.publishes - self.first) as usize;
-        GraphDelta::composed(self.deltas[skip..].iter().map(|delta| &**delta))
+    /// The net delta from position `from` to this log's epoch: the last
+    /// publish's own delta as it is — what every entry that publish touched
+    /// reads — else the window's deltas composed.
+    fn since(&self, from: LogMark) -> Arc<GraphDelta> {
+        match &self.deltas[(from.publishes - self.first) as usize..] {
+            [last] => Arc::clone(last),
+            window => Arc::new(GraphDelta::composed(window.iter().map(|delta| &**delta))),
+        }
     }
 
     /// The next epoch's log: `delta` appended to the deltas after position
@@ -245,6 +266,46 @@ pub struct MigrationReport {
     /// Cold fallbacks because the entry stayed unread while more than
     /// `PENDING_EDGE_BUDGET` (65,536) edges changed since its seed's epoch.
     pub fallback_pending: usize,
+}
+
+/// What a migration does with one entry of the old cache.
+enum Fate {
+    /// Resolved, and the delta misses its alphabet: Tier 1.
+    Carried,
+    /// Pending on the new epoch, resuming from `pending` on its first read:
+    /// counted as carried when the delta misses its alphabet, else by the
+    /// delta's kind.
+    Pending { pending: Pending, reads_delta: bool },
+    /// Touched, with no seed to resume from: `fallback_no_seed`.
+    NoSeed,
+    /// Pending past `PENDING_EDGE_BUDGET`: `fallback_pending`.
+    Stale,
+}
+
+/// The entries of `entries` a cache of `capacity` answers has no room for,
+/// by key pointer: ranked most recently used first, everything after the
+/// `capacity`-th entry whose `fate` keeps it.  Empty, without a sort, when
+/// every entry fits — a new epoch's cache has the old one's capacity.
+fn ranked_cut(
+    entries: &HashMap<Arc<Regex>, Slot>,
+    capacity: usize,
+    fate: impl Fn(&Slot) -> Fate,
+) -> HashSet<*const Regex> {
+    if entries.len() <= capacity {
+        return HashSet::new();
+    }
+    let mut ranked: Vec<(&Arc<Regex>, &Slot)> = entries.iter().collect();
+    ranked.sort_by_key(|(_, slot)| std::cmp::Reverse(slot.last_used.load(Ordering::Relaxed)));
+    let mut kept = 0;
+    let mut cut = HashSet::new();
+    for (regex, slot) in ranked {
+        if kept >= capacity {
+            cut.insert(Arc::as_ptr(regex));
+        } else if matches!(fate(slot), Fate::Carried | Fate::Pending { .. }) {
+            kept += 1;
+        }
+    }
+    cut
 }
 
 /// A concurrent, bounded evaluation cache bound to one graph snapshot.
@@ -515,11 +576,12 @@ impl EvalCache {
     /// seed and their epoch's position in the cache's delta log, which this
     /// migration extends by `delta`.  An entry still pending from an earlier
     /// epoch stays pending across this one (it is classified by `delta` like
-    /// any other).  Its first read composes the log from its seed's epoch
-    /// ([`GraphDelta::composed`]): when the net delta misses its alphabet the
-    /// answer is carried, otherwise it is resumed — sharing every block the
-    /// net delta's derivation cone did not reach with the seed — or, when
-    /// the evaluator declines the resume, evaluated cold
+    /// any other).  Its first read takes the net delta since its seed's
+    /// epoch — the last publish's delta as it is, or the log's window from
+    /// its position composed ([`GraphDelta::composed`]): when that misses
+    /// its alphabet the answer is carried, otherwise it is resumed — sharing
+    /// every block the net delta's derivation cone did not reach with the
+    /// seed — or, when the evaluator declines the resume, evaluated cold
     /// (`gps_rpq_cache_fallback_saturation_total`).  Concurrent first readers
     /// wait for one resume.  Each resume's wall time lands on
     /// `gps_rpq_reseed_latency_ns` (insert-only net delta) or
@@ -528,10 +590,21 @@ impl EvalCache {
     ///
     /// Everything else falls back to a cold recompute on next use, with the
     /// reason attributed: `fallback_no_seed` (nothing captured to resume
-    /// from), `fallback_evicted` (the new cache filled before this entry's
-    /// recency rank came up) or `fallback_pending` (the entry stayed unread
-    /// while more than `PENDING_EDGE_BUDGET` (65,536) edges changed since its
-    /// seed's epoch); `recomputed` is always their sum.
+    /// from), `fallback_evicted` (this cache is smaller than `old` and
+    /// filled before this entry's recency rank came up) or
+    /// `fallback_pending` (the entry stayed unread while more than
+    /// `PENDING_EDGE_BUDGET` (65,536) edges changed since its seed's epoch);
+    /// `recomputed` is always their sum.
+    ///
+    /// The migration copies `old`'s table — a hash-table clone keeps every
+    /// bucket position, so no expression is hashed again — and rewrites each
+    /// slot in place: a carried entry with no pending state whose answer
+    /// covers the same nodes is shared as it is (a resolved entry never
+    /// changes), every other kept one gets a fresh entry.  Only a cache
+    /// smaller than `old` ranks the entries by recency, to know which ones to
+    /// cut; an engine's epochs all have one capacity.  Whatever this cache
+    /// held before is replaced: it is meant to be the new epoch's fresh
+    /// cache.
     ///
     /// Recency ticks carry over, so LRU ordering survives the epoch swap;
     /// the split is recorded on the `carried`/`reseeded`/`delete_reseeded`/
@@ -547,41 +620,10 @@ impl EvalCache {
             .fetch_max(old.tick.load(Ordering::Relaxed), Ordering::Relaxed);
         let old_log = old.log.read();
         let changed_edges = old_log.mark.changed_edges + delta.changed_edges() as u64;
-        // The oldest log position a pending entry of this cache resumes from.
-        let mut keep_after: Option<u64> = None;
-        let old_entries = old.answers.read();
-        // Most-recently-used first, so the capacity cap keeps the hot end.
-        let mut ordered: Vec<(&Arc<Regex>, &Slot)> = old_entries.iter().collect();
-        ordered.sort_by_key(|(_, slot)| std::cmp::Reverse(slot.last_used.load(Ordering::Relaxed)));
-        let total = ordered.len();
-        let mut entries = self.answers.write();
-        entries.reserve(total.min(self.capacity));
-        for (rank, (regex, slot)) in ordered.into_iter().enumerate() {
-            if entries.len() >= self.capacity {
-                // Everything below the capacity line recomputes cold on its
-                // next use; attribute the whole tail in one step.
-                let evicted = total - rank;
-                report.recomputed += evicted;
-                report.fallback_evicted += evicted;
-                break;
-            }
-            let (entry, last_used) = (&slot.entry, slot.last_used.load(Ordering::Relaxed));
-            let compiled = Arc::clone(&entry.compiled);
-            let reads_delta = compiled.reads_any(&touched);
+        let fate = |entry: &Entry| -> Fate {
+            let reads_delta = entry.compiled.reads_any(&touched);
             let pending = match entry.resolved.get() {
-                Some(resolved) if !reads_delta => {
-                    report.carried += 1;
-                    let carried = Resolved {
-                        answer: grown(&resolved.answer, new_n, compiled.nullable),
-                        // The seed stays valid: the relevant subgraph is
-                        // unchanged, and nodes past `resume.nodes()` are
-                        // re-seeded from the DFA alone at the next resume.
-                        resume: resolved.resume.clone(),
-                    };
-                    let carried = Slot::new(Entry::resolved(compiled, carried), last_used);
-                    entries.insert(Arc::clone(regex), carried);
-                    continue;
-                }
+                Some(_) if !reads_delta => return Fate::Carried,
                 Some(Resolved {
                     answer,
                     resume: Some(seed),
@@ -590,32 +632,84 @@ impl EvalCache {
                     seed: Arc::clone(seed),
                     mark: old_log.mark,
                 },
-                Some(Resolved { resume: None, .. }) => {
-                    report.recomputed += 1;
-                    report.fallback_no_seed += 1;
-                    continue;
-                }
-                None => entry
-                    .pending
-                    .clone()
-                    .expect("an unresolved entry is pending"),
+                Some(Resolved { resume: None, .. }) => return Fate::NoSeed,
+                None => (entry.pending.clone()).expect("an unresolved entry is pending"),
             };
             if changed_edges - pending.mark.changed_edges > PENDING_EDGE_BUDGET {
+                return Fate::Stale;
+            }
+            Fate::Pending {
+                pending,
+                reads_delta,
+            }
+        };
+        // Copy the old table: a clone keeps every bucket position, so no
+        // expression is hashed again.  Each slot is then rewritten in place.
+        let (mut entries, cut) = {
+            let old_entries = old.answers.read();
+            let cut = ranked_cut(&old_entries, self.capacity, |slot| fate(&slot.entry));
+            (old_entries.clone(), cut)
+        };
+        // The oldest log position a pending entry of this cache resumes from.
+        let mut keep_after: Option<u64> = None;
+        entries.retain(|regex, slot| {
+            if cut.contains(&Arc::as_ptr(regex)) {
                 report.recomputed += 1;
-                report.fallback_pending += 1;
-                continue;
+                report.fallback_evicted += 1;
+                return false;
             }
-            if !reads_delta {
-                report.carried += 1;
-            } else if insert_only {
-                report.reseeded += 1;
-            } else {
-                report.delete_reseeded += 1;
+            let compiled = &slot.entry.compiled;
+            match fate(&slot.entry) {
+                Fate::Carried => {
+                    report.carried += 1;
+                    let resolved = slot
+                        .entry
+                        .resolved
+                        .get()
+                        .expect("carried entries are resolved");
+                    // A resolved entry never changes, so one that answers
+                    // over the same nodes is shared as it is; one still
+                    // holding the pending state it was resumed from drops it.
+                    if slot.entry.pending.is_some() || resolved.answer.node_count() != new_n {
+                        let carried = Resolved {
+                            answer: grown(&resolved.answer, new_n, compiled.nullable),
+                            // The seed stays valid: the relevant subgraph is
+                            // unchanged, and nodes past `resume.nodes()` are
+                            // re-seeded from the DFA alone at the next resume.
+                            resume: resolved.resume.clone(),
+                        };
+                        slot.entry = Arc::new(Entry::resolved(Arc::clone(compiled), carried));
+                    }
+                    true
+                }
+                Fate::Pending {
+                    pending,
+                    reads_delta,
+                } => {
+                    if !reads_delta {
+                        report.carried += 1;
+                    } else if insert_only {
+                        report.reseeded += 1;
+                    } else {
+                        report.delete_reseeded += 1;
+                    }
+                    keep_after = Some(keep_after.unwrap_or(u64::MAX).min(pending.mark.publishes));
+                    slot.entry = Arc::new(Entry::pending(Arc::clone(compiled), pending));
+                    true
+                }
+                Fate::NoSeed => {
+                    report.recomputed += 1;
+                    report.fallback_no_seed += 1;
+                    false
+                }
+                Fate::Stale => {
+                    report.recomputed += 1;
+                    report.fallback_pending += 1;
+                    false
+                }
             }
-            keep_after = Some(keep_after.unwrap_or(u64::MAX).min(pending.mark.publishes));
-            let pending = Slot::new(Entry::pending(compiled, pending), last_used);
-            entries.insert(Arc::clone(regex), pending);
-        }
+        });
+        *self.answers.write() = entries;
         *self.log.write() = old_log.append(delta, keep_after);
         self.carried.add(report.carried as u64);
         self.reseeded.add(report.reseeded as u64);
@@ -1466,14 +1560,15 @@ mod tests {
         assert_eq!(new_cache.bounded_word_counts(2), vec![1, 0, 0]);
     }
 
-    /// Answers naively, captures a placeholder seed for every query, and
-    /// "resumes" by evaluating from scratch while recording the net delta it
-    /// was handed — a stand-in for the frontier engine, which lives in a
-    /// crate above this one.
+    /// Answers naively, captures a placeholder seed for every query that does
+    /// not read `unseeded`, and "resumes" by evaluating from scratch while
+    /// recording the net delta it was handed — a stand-in for the frontier
+    /// engine, which lives in a crate above this one.
     #[derive(Debug)]
     struct Replaying {
         naive: NaiveEvaluator,
         resumed: Arc<std::sync::Mutex<Vec<GraphDelta>>>,
+        unseeded: Option<LabelId>,
     }
 
     impl DfaEvaluator for Replaying {
@@ -1483,8 +1578,11 @@ mod tests {
 
         fn evaluate_dfa_captured(&self, dfa: &Dfa) -> (QueryAnswer, Option<EvalResume>) {
             let answer = self.naive.evaluate_dfa(dfa);
-            let seed = EvalResume::new(answer.node_count());
-            (answer, Some(seed))
+            let unseeded = self
+                .unseeded
+                .is_some_and(|label| dfa.used_alphabet().contains(label));
+            let seed = (!unseeded).then(|| EvalResume::new(answer.node_count()));
+            (answer, seed)
         }
 
         fn evaluate_dfa_resumed(
@@ -1509,6 +1607,7 @@ mod tests {
     struct Chain {
         registry: MetricsRegistry,
         resumed: Arc<std::sync::Mutex<Vec<GraphDelta>>>,
+        unseeded: Option<LabelId>,
     }
 
     impl Chain {
@@ -1516,6 +1615,7 @@ mod tests {
             Self {
                 registry: MetricsRegistry::enabled(),
                 resumed: Arc::default(),
+                unseeded: None,
             }
         }
 
@@ -1523,6 +1623,7 @@ mod tests {
             let evaluator = Replaying {
                 naive: NaiveEvaluator::from_shared(Arc::clone(csr)),
                 resumed: Arc::clone(&self.resumed),
+                unseeded: self.unseeded,
             };
             EvalCache::with_shared_evaluator(Arc::clone(csr), Box::new(evaluator))
                 .with_metrics(&self.registry)
@@ -1696,6 +1797,70 @@ mod tests {
         let cold = EvalCache::from_csr(CsrGraph::clone(past_budget.csr()));
         assert_eq!(past_budget.evaluate(&touched), cold.evaluate(&touched));
         assert_eq!(past_budget.stats().1, 3, "two warm-up misses and this one");
+    }
+
+    #[test]
+    fn a_table_copy_migrates_every_kind_of_entry_like_a_rebuild() {
+        // Before the last publish the cache holds one entry of each kind: a
+        // resolved one no publish touches (`y`), one pending since publish 2
+        // and unread across publishes 2-4 (`x`), one pending since publish 1
+        // that the last publish takes past the edge budget (`v`), and one
+        // resolved without a seed that the last publish touches (`u`).
+        let mut g = Graph::new();
+        let (a, b) = (g.add_node("A"), g.add_node("B"));
+        for label in ["x", "y", "v", "u"] {
+            g.add_edge_by_name(a, label, b);
+        }
+        let base = Arc::new(CsrGraph::from_graph(&g));
+        let [x, y, v, u] = ["x", "y", "v", "u"].map(|name| base.label_id(name).unwrap());
+        let chain = Chain {
+            unseeded: Some(u),
+            ..Chain::new()
+        };
+        let [carry, pend, stale, unseeded] = [y, x, v, u].map(Regex::symbol);
+        let queries = [&carry, &pend, &stale, &unseeded];
+        let first = chain.cache(&base);
+        for regex in queries {
+            first.evaluate(regex);
+        }
+        let (second, report) = chain.publish(&first, |delta| delta.add_edge(b, v, a));
+        assert_eq!((report.carried, report.reseeded), (3, 1), "{report:?}");
+        let (third, report) = chain.publish(&second, |delta| delta.add_edge(b, x, a));
+        assert_eq!((report.carried, report.reseeded), (3, 1), "{report:?}");
+        let (fourth, report) = chain.publish(&third, |delta| {
+            delta.add_node("W");
+        });
+        assert_eq!(report.carried, 4, "{report:?}");
+        // 65,535 changed edges: `v`'s entry falls 65,537 behind, `x`'s
+        // exactly the budget.
+        let (last, report) = chain.publish(&fourth, |delta| {
+            let z = delta.label("z");
+            for _ in 0..PENDING_EDGE_BUDGET - 2 {
+                delta.add_edge(a, z, b);
+            }
+            delta.add_edge(b, u, a);
+        });
+        assert_eq!(
+            report,
+            MigrationReport {
+                carried: 2,
+                recomputed: 2,
+                fallback_no_seed: 1,
+                fallback_pending: 1,
+                ..MigrationReport::default()
+            }
+        );
+        assert_eq!(last.len(), 2);
+        assert_eq!(window(&last), (1, 3), "the window starts at `x`'s mark");
+        assert!(chain.resumed().is_empty(), "no publish resumed anything");
+        let cold = EvalCache::from_csr(CsrGraph::clone(last.csr()));
+        let (hits, misses) = last.stats();
+        for regex in queries {
+            assert_eq!(last.evaluate(regex), cold.evaluate(regex), "{regex:?}");
+        }
+        assert_eq!(chain.resumed().len(), 1, "only `x`'s entry resumes");
+        let (hits, misses) = (last.stats().0 - hits, last.stats().1 - misses);
+        assert_eq!((hits, misses), (2, 2), "two hits, two cold recomputes");
     }
 
     /// The window `cache`'s log holds: its first position and its length.
