@@ -324,7 +324,7 @@ const PATCH_BOUND: f64 = 0.02;
 /// Rounds of the calibrated or hand-timed 2k groups (floors 2, 5, 6, 7).
 const ROUNDS: usize = 4;
 
-/// Floor 1: the `gps-exec` frontier engine (planner-chosen plan) against the
+/// Floor 1: the `gps-exec` frontier engine (push rounds only) against the
 /// node-at-a-time oracle, both on the CSR snapshot.
 fn frontier_floor(graph: &Graph, query: &PathQuery) -> Floor {
     let csr = CsrGraph::from_graph(graph);

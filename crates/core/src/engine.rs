@@ -29,8 +29,8 @@
 //! assert!(report.goal_reached);
 //! ```
 //!
-//! There is one execution path, one query at a time, with the planner's
-//! default thresholds and over-delete budget.  `gps_rpq::NaiveEvaluator`, the
+//! There is one execution path, one query at a time, in one round mode and
+//! with a fixed over-delete budget.  `gps_rpq::NaiveEvaluator`, the
 //! node-at-a-time reference, is the oracle the conformance suites compare
 //! this engine against — not a mode of it.
 
@@ -383,12 +383,11 @@ impl Engine {
     }
 
     // Kept only for `benchmark/src/shadow.rs:129`, which hands the value to
-    // the no-op `BatchEvaluator::with_planner_config`; the evaluator always
-    // plans with the default.  The next change to `benchmark/` drops the
-    // call and this.
+    // the no-op `BatchEvaluator::with_planner_config`; there is no planner.
+    // The next change to `benchmark/` drops the call and this.
     #[doc(hidden)]
     pub fn planner_config(&self) -> PlannerConfig {
-        PlannerConfig::default()
+        PlannerConfig
     }
 
     /// The configured node-proposal strategy.

@@ -93,7 +93,7 @@ pub mod prelude {
     pub use crate::versioned::{
         DurabilityReport, GraphUpdate, PublishPhases, PublishReport, RecoveryReport, VersionedStore,
     };
-    pub use gps_exec::{BatchEvaluator, Plan, PlannerConfig};
+    pub use gps_exec::BatchEvaluator;
     pub use gps_graph::{
         CsrGraph, Edge, EdgeId, Graph, LabelId, LabelInterner, LabelStats, Neighborhood,
         NeighborhoodDelta, NodeId, Path, PathEnumerator, PrefixTree, Word,

@@ -107,27 +107,6 @@ impl Workload {
         }
     }
 
-    /// The large-corpus scale-free workload (~20k nodes, denser and with a
-    /// wider alphabet than the default config) used to sanity-check the
-    /// planner's default thresholds at a size where the checked-in small
-    /// corpora stop being representative (`tests/planner_defaults.rs`).
-    pub fn scale_free_large(seed: u64) -> Self {
-        let graph = scale_free::generate(&ScaleFreeConfig {
-            nodes: 20_000,
-            edges_per_node: 5,
-            alphabet_size: 6,
-            skewed_labels: true,
-            seed,
-        });
-        let queries = queries::standard_workload(&graph);
-        Self {
-            kind: WorkloadKind::ScaleFree,
-            name: "scale-free-20000".to_string(),
-            graph,
-            queries,
-        }
-    }
-
     /// A biological workload with `entities` entities.
     pub fn biological(entities: usize, seed: u64) -> Self {
         let graph = biological::generate(&BiologicalConfig::with_entities(entities, seed));

@@ -15,7 +15,7 @@ use crate::frontier::{
 };
 use crate::index::LabelIndex;
 use crate::metrics::ExecMetrics;
-use crate::planner::{self, Plan, PlanDecision, PlannerConfig};
+use crate::planner::{Plan, PlanDecision, PlannerConfig};
 use gps_automata::Dfa;
 use gps_graph::{CsrGraph, GraphDelta, NodeId, Path};
 use gps_rpq::{DfaEvaluator, EvalResume, QueryAnswer};
@@ -29,7 +29,6 @@ use std::sync::{Arc, Mutex, TryLockError};
 #[derive(Debug, Clone)]
 pub struct BatchEvaluator {
     index: Arc<LabelIndex>,
-    plan_override: Option<Plan>,
     metrics: ExecMetrics,
     /// The per-state bitsets evaluations sweep in, kept between calls — by
     /// every clone and across [`apply_delta`](Self::apply_delta) — so a
@@ -58,7 +57,6 @@ impl BatchEvaluator {
     fn from_shared_index(index: Arc<LabelIndex>) -> Self {
         Self {
             index,
-            plan_override: None,
             metrics: ExecMetrics::disabled(),
             scratch: Arc::default(),
         }
@@ -77,7 +75,6 @@ impl BatchEvaluator {
         self.metrics.index_build.record_duration(started.elapsed());
         let next = Self {
             index: Arc::new(index),
-            plan_override: self.plan_override,
             metrics: self.metrics.clone(),
             scratch: Arc::clone(&self.scratch),
         };
@@ -85,17 +82,9 @@ impl BatchEvaluator {
         next
     }
 
-    /// Forces every query onto `plan` instead of consulting the planner
-    /// (used by the differential tests and benchmarks).
-    pub fn with_plan(mut self, plan: Plan) -> Self {
-        self.plan_override = Some(plan);
-        self
-    }
-
     // Kept only for `benchmark/src/shadow.rs:129`, which passes
-    // `Engine::planner_config` (always the default) and so is ignored: the
-    // planner always runs `PlannerConfig::default()`.  The next change to
-    // `benchmark/` drops the call and this.
+    // `Engine::planner_config`; there is no planner to configure.  The next
+    // change to `benchmark/` drops the call and this.
     #[doc(hidden)]
     pub fn with_planner_config(self, _config: PlannerConfig) -> Self {
         self
@@ -137,59 +126,37 @@ impl BatchEvaluator {
         Arc::clone(&self.index)
     }
 
-    /// The plan the evaluator would run `dfa` with, and why.
-    pub fn plan_for(&self, dfa: &Dfa) -> PlanDecision {
-        let mut decision = planner::plan(&self.index, dfa);
-        if let Some(plan) = self.plan_override {
-            decision.plan = plan;
+    // Kept only for `benchmark/src/trace.rs:236`, which counts how often
+    // this is `Plan::Forward` (never: every evaluation runs push rounds).
+    // The next change to `benchmark/` drops the call and this.
+    #[doc(hidden)]
+    pub fn plan_for(&self, _dfa: &Dfa) -> PlanDecision {
+        PlanDecision {
+            plan: Plan::Reverse,
         }
-        decision
     }
 
     /// Evaluates one compiled DFA.
     pub fn evaluate(&self, dfa: &Dfa) -> QueryAnswer {
-        self.with_scratch(|scratch| self.evaluate_scratch(dfa, scratch))
+        self.cold(|index, scratch| evaluate_counting(index, dfa, scratch))
     }
 
-    /// Runs `sweep` in the shared scratch, or in a fresh one while another
-    /// caller holds it.
-    fn with_scratch<R>(&self, sweep: impl FnOnce(&mut Scratch) -> R) -> R {
-        match self.scratch.try_lock() {
-            Ok(mut scratch) => sweep(&mut scratch),
+    /// Runs one cold evaluation, timed into `gps_exec_eval_latency_ns` and
+    /// counted with its rounds, in the shared scratch — or in a fresh one
+    /// while another caller holds it.
+    fn cold<R>(&self, sweep: impl FnOnce(&LabelIndex, &mut Scratch) -> (R, u64)) -> R {
+        let span = self.metrics.eval_latency.start_timer();
+        let (result, rounds) = match self.scratch.try_lock() {
+            Ok(mut scratch) => sweep(&self.index, &mut scratch),
             // `prepare` resets every bit and counter, so a scratch a
             // panicking sweep left behind is as good as any.
-            Err(TryLockError::Poisoned(poisoned)) => sweep(&mut poisoned.into_inner()),
-            Err(TryLockError::WouldBlock) => sweep(&mut Scratch::default()),
-        }
-    }
-
-    fn evaluate_scratch(&self, dfa: &Dfa, scratch: &mut Scratch) -> QueryAnswer {
-        let plan = self.plan_for(dfa).plan;
-        self.metrics.record_plan(plan);
-        let span = self.metrics.eval_latency.start_timer();
-        let (answer, rounds) = evaluate_counting(&self.index, dfa, plan, scratch);
+            Err(TryLockError::Poisoned(poisoned)) => sweep(&self.index, &mut poisoned.into_inner()),
+            Err(TryLockError::WouldBlock) => sweep(&self.index, &mut Scratch::default()),
+        };
         span.stop();
         self.metrics.evals.inc();
         self.metrics.frontier_rounds.add(rounds);
-        answer
-    }
-
-    /// [`evaluate_scratch`](Self::evaluate_scratch) that additionally
-    /// captures the alive sets when the fixed point completed (see
-    /// [`evaluate_captured`]).
-    fn evaluate_captured_scratch(
-        &self,
-        dfa: &Dfa,
-        scratch: &mut Scratch,
-    ) -> (QueryAnswer, Option<EvalResume>) {
-        let plan = self.plan_for(dfa).plan;
-        self.metrics.record_plan(plan);
-        let span = self.metrics.eval_latency.start_timer();
-        let (answer, rounds, resume) = evaluate_captured(&self.index, dfa, plan, scratch);
-        span.stop();
-        self.metrics.evals.inc();
-        self.metrics.frontier_rounds.add(rounds);
-        (answer, resume)
+        result
     }
 }
 
@@ -199,7 +166,10 @@ impl DfaEvaluator for BatchEvaluator {
     }
 
     fn evaluate_dfa_captured(&self, dfa: &Dfa) -> (QueryAnswer, Option<EvalResume>) {
-        self.with_scratch(|scratch| self.evaluate_captured_scratch(dfa, scratch))
+        self.cold(|index, scratch| {
+            let (answer, rounds, resume) = evaluate_captured(index, dfa, scratch);
+            ((answer, resume), rounds)
+        })
     }
 
     fn evaluate_dfa_resumed(
@@ -318,23 +288,6 @@ mod tests {
     }
 
     #[test]
-    fn forced_plans_all_agree() {
-        let g = sample();
-        let dfas = queries(&g);
-        for plan in [Plan::Reverse, Plan::Forward, Plan::Bidirectional] {
-            let evaluator = BatchEvaluator::from_csr(&g).with_plan(plan);
-            for dfa in &dfas {
-                assert_eq!(
-                    evaluator.plan_for(dfa).plan,
-                    plan,
-                    "override wins over the planner"
-                );
-                assert_eq!(evaluator.evaluate(dfa), gps_rpq::eval::evaluate(&g, dfa));
-            }
-        }
-    }
-
-    #[test]
     fn parsed_queries_evaluate_through_their_dfa() {
         let g = sample();
         let evaluator = BatchEvaluator::from_csr(&g);
@@ -348,7 +301,7 @@ mod tests {
     fn foreign_label_queries_match_the_naive_evaluator() {
         // A DFA compiled against a different (larger) interner: its label ids
         // are not in this graph's alphabet.  The naive evaluator answers
-        // normally (no transition ever fires); all frontier modes must too.
+        // normally (no transition ever fires); the frontier must too.
         let g = sample();
         let foreign = gps_graph::LabelId::new(99);
         let dfas = [
@@ -359,10 +312,6 @@ mod tests {
             let expected = gps_rpq::eval::evaluate(&g, dfa);
             let evaluator = BatchEvaluator::from_csr(&g);
             assert_eq!(evaluator.evaluate(dfa), expected);
-            for plan in [Plan::Reverse, Plan::Forward, Plan::Bidirectional] {
-                let forced = BatchEvaluator::from_csr(&g).with_plan(plan);
-                assert_eq!(forced.evaluate(dfa), expected, "{plan:?}");
-            }
             for node in 0..g.node_count() {
                 assert_eq!(
                     evaluator.selects_node(dfa, NodeId::from(node)),
@@ -395,11 +344,6 @@ mod tests {
         let fresh = BatchEvaluator::from_csr(&compacted);
         for dfa in queries(&g) {
             assert_eq!(patched.evaluate(&dfa), fresh.evaluate(&dfa));
-            assert_eq!(
-                patched.plan_for(&dfa).plan,
-                fresh.plan_for(&dfa).plan,
-                "patched stats drive identical plans"
-            );
         }
     }
 

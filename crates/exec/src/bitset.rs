@@ -65,27 +65,13 @@ impl FixedBitSet {
     }
 
     /// ORs `bits` into word `index` (keys `index * 64 ..`); returns the bits
-    /// that were clear before.
+    /// that were clear before — what the evaluator adds to the population it
+    /// carries instead of re-counting.
     #[inline]
     pub fn or_word(&mut self, index: usize, bits: u64) -> u64 {
         let word = &mut self.words[index];
         let fresh = bits & !*word;
         *word |= bits;
-        fresh
-    }
-
-    /// ORs `other` into `self`; returns how many bits were new — what the
-    /// evaluator adds to the population it carries instead of re-counting.
-    pub fn union_with(&mut self, other: &FixedBitSet) -> usize {
-        debug_assert_eq!(self.len, other.len);
-        let mut fresh = 0;
-        for (word, &incoming) in self.words.iter_mut().zip(&other.words) {
-            let new = incoming & !*word;
-            if new != 0 {
-                fresh += new.count_ones() as usize;
-                *word |= new;
-            }
-        }
         fresh
     }
 
@@ -148,19 +134,6 @@ mod tests {
         set.insert_all();
         assert_eq!(set.ones().count(), 70);
         assert_eq!(set.ones().last(), Some(69));
-    }
-
-    #[test]
-    fn union_with_counts_new_bits() {
-        let mut a = FixedBitSet::new(130);
-        let mut b = FixedBitSet::new(130);
-        a.insert(7);
-        for bit in [7, 64, 129] {
-            b.insert(bit);
-        }
-        assert_eq!(a.union_with(&b), 2, "7 was already set");
-        assert_eq!(a.union_with(&b), 0, "second union adds nothing");
-        assert_eq!(a.ones().collect::<Vec<_>>(), vec![7, 64, 129]);
     }
 
     #[test]

@@ -9,33 +9,29 @@
 //! slice sweeps (semi-naive/delta evaluation: only configurations discovered
 //! in round `k` are expanded in round `k+1`).
 //!
-//! Each round runs in one of two modes (see [`Plan`]):
-//!
-//! * **push** — expand the frontier backward through the reverse adjacency;
-//! * **pull** — scan still-dead configurations forward for an alive
-//!   successor.
-//!
-//! [`Plan::Bidirectional`] re-picks the cheaper mode every round from the
-//! estimated frontier/dead edge volumes, mirroring direction-optimizing BFS.
-//! Either way a round walks `node set & occupancy words` of the label
-//! partition it expands through ([`LabelIndex::rows`]) chunk by chunk — one
-//! chunk lookup, then per word [`RowChunk::for_each_hit`] over the masked
-//! bits — so it never looks up a row the label has nothing in.
+//! Every round is a **push**: the configurations the last round derived
+//! (the frontier) are expanded backward through the reverse adjacency of
+//! each DFA transition's label, and whatever turns alive forms the next
+//! frontier — so round `k` derives exactly the configurations `k` steps from
+//! an accepting one, and the round count is a plain backward breadth-first
+//! walk's.  A round walks `frontier & occupancy words` of the label's
+//! reverse partition ([`LabelIndex::rows`]) chunk by chunk — one chunk
+//! lookup, then per word [`RowChunk::for_each_hit`] over the masked bits —
+//! so it never looks up a row the label has nothing in.
 //!
 //! [`RowChunk::for_each_hit`]: crate::RowChunk::for_each_hit
 //!
 //! A state alive at every node is **saturated**: through a transition `p
 //! --a--> q` into it, `(u, p)` is derivable exactly at the nodes `u` with an
-//! `a`-edge, which are the occupancy words of `a`'s forward partition.  So
-//! either mode ORs those words into `p`'s sets instead of walking `q`'s
-//! frontier row by row — one word operation per 64 nodes (≈ 15.6k at 1M
-//! nodes) where the accepting states' first push round walked the whole
-//! reverse partition of the last label.  A partition built before nodes
-//! were added covers fewer rows; the rows it does not cover have no edge
-//! under its label, so that is still exact.  The per-state alive and
-//! frontier populations are carried through every insert, OR and union,
-//! so the saturation test, the early exit and the adaptive cost model read
-//! a number instead of counting bitsets.
+//! `a`-edge, which are the occupancy words of `a`'s forward partition.  So a
+//! round ORs those words into `p`'s sets instead of walking `q`'s frontier
+//! row by row — one word operation per 64 nodes (≈ 15.6k at 1M nodes) where
+//! the accepting states' first round would walk the whole reverse partition
+//! of the last label.  A partition built before nodes were added covers
+//! fewer rows; the rows it does not cover have no edge under its label, so
+//! that is still exact.  The per-state alive and frontier populations are
+//! carried through every insert and OR, so the saturation test and the
+//! early exit read a number instead of counting bitsets.
 //!
 //! Two entry points, two working sets.  A **cold** evaluation
 //! ([`evaluate_counting`], [`evaluate_captured`]) sweeps dense per-state
@@ -50,8 +46,7 @@
 //! index instead of reading a stored count.
 
 use crate::bitset::FixedBitSet;
-use crate::index::{Direction, LabelIndex, CHUNK_ROWS, CHUNK_WORDS};
-use crate::planner::Plan;
+use crate::index::{Direction, LabelIndex, CHUNK_WORDS};
 use gps_automata::Dfa;
 use gps_graph::{GraphDelta, LabelId, NodeId, Path};
 use gps_rpq::{EvalResume, QueryAnswer};
@@ -80,17 +75,15 @@ impl Scratch {
     }
 }
 
-/// Evaluates `dfa` over `index` with the given expansion plan, reusing
-/// `scratch` for the per-state bitsets, and reports how many frontier
-/// rounds the fixed point swept (what `gps_exec_frontier_rounds_total`
-/// aggregates).
+/// Evaluates `dfa` over `index`, reusing `scratch` for the per-state
+/// bitsets, and reports how many frontier rounds the fixed point swept
+/// (what `gps_exec_frontier_rounds_total` aggregates).
 pub fn evaluate_counting(
     index: &LabelIndex,
     dfa: &Dfa,
-    plan: Plan,
     scratch: &mut Scratch,
 ) -> (QueryAnswer, u64) {
-    let (answer, rounds, _) = fixed_point::<false>(index, dfa, plan, scratch);
+    let (answer, rounds, _) = fixed_point::<false>(index, dfa, scratch);
     (answer, rounds)
 }
 
@@ -110,10 +103,9 @@ pub fn evaluate_counting(
 pub fn evaluate_captured(
     index: &LabelIndex,
     dfa: &Dfa,
-    plan: Plan,
     scratch: &mut Scratch,
 ) -> (QueryAnswer, u64, Option<EvalResume>) {
-    fixed_point::<true>(index, dfa, plan, scratch)
+    fixed_point::<true>(index, dfa, scratch)
 }
 
 /// Calls `visit(p, sources)` with the `a`-predecessor row of `u` for every
@@ -177,7 +169,6 @@ fn for_each_occupied_word(index: &LabelIndex, label: LabelId, mut visit: impl Fn
 fn fixed_point<const CAPTURE: bool>(
     index: &LabelIndex,
     dfa: &Dfa,
-    plan: Plan,
     scratch: &mut Scratch,
 ) -> (QueryAnswer, u64, Option<EvalResume>) {
     let n = index.node_count();
@@ -192,23 +183,10 @@ fn fixed_point<const CAPTURE: bool>(
         next,
     } = scratch;
 
-    // DFA transitions, forward (pull) and reversed (push), plus per-state
-    // mean-degree weights for the adaptive cost model.
     let rev_dfa = reverse_transitions(dfa);
-    let mut fwd_dfa: Vec<Vec<(LabelId, usize)>> = vec![Vec::new(); s];
-    let mut push_weight = vec![0.0f64; s];
-    let mut pull_weight = vec![0.0f64; s];
-    let mean_degree = |label: LabelId| index.label_edge_count(label) as f64 / n as f64;
-    for state in 0..s {
-        for (label, target) in dfa.transitions_from(state) {
-            fwd_dfa[state].push((label, target));
-            push_weight[target] += mean_degree(label);
-            pull_weight[state] += mean_degree(label);
-        }
-    }
 
     // Per-state populations of `alive`, `frontier` and `next`, carried
-    // through every insert and union instead of re-counted.
+    // through every insert and OR instead of re-counted.
     let mut alive_pop = vec![0usize; s];
     let mut frontier_pop = vec![0usize; s];
     let mut next_pop = vec![0usize; s];
@@ -225,8 +203,6 @@ fn fixed_point<const CAPTURE: bool>(
 
     let start = dfa.start();
     let mut rounds = 0u64;
-    #[cfg(test)]
-    tests::ROUND_LOG.with_borrow_mut(Vec::clear);
     loop {
         // The answer only reads `alive[start]`; once every node is selected
         // no further round can change it.  This exit can leave *other*
@@ -237,97 +213,38 @@ fn fixed_point<const CAPTURE: bool>(
         }
         rounds += 1;
 
-        let pull = match plan {
-            Plan::Reverse => false,
-            Plan::Forward => true,
-            Plan::Bidirectional => {
-                let push_cost: f64 = (0..s)
-                    .map(|q| frontier_pop[q] as f64 * push_weight[q])
-                    .sum();
-                let pull_cost: f64 = (0..s)
-                    .map(|p| (n - alive_pop[p]) as f64 * pull_weight[p])
-                    .sum();
-                pull_cost < push_cost
-            }
-        };
-        #[cfg(test)]
-        tests::ROUND_LOG.with_borrow_mut(|log| log.push(pull));
-
         // Which states are saturated (see the module docs) is fixed as the
-        // round starts: a push round that fills a state ORs it in from the
-        // next round on, so every round derives what walking its frontier
-        // would, and the round count is a plain walk's.
+        // round starts: a round that fills a state ORs it in from the next
+        // round on, so every round derives what walking its frontier would.
+        // `alive` is marked immediately and the delta collected in `next`.
         let saturated: Vec<bool> = alive_pop.iter().map(|&pop| pop == n).collect();
-        if pull {
-            // Jacobi round: read `alive`, stage discoveries in `next`.  Per
-            // transition, only the still-dead nodes that have an edge under
-            // its label are looked at, chunk by chunk.
-            for (p, transitions) in fwd_dfa.iter().enumerate() {
-                if saturated[p] {
-                    continue;
-                }
-                for &(label, q) in transitions {
-                    if saturated[q] {
-                        let (alive, next) = (&alive[p], &mut next[p]);
-                        for_each_occupied_word(index, label, |w, occupied| {
-                            next.or_word(w, occupied & !alive.as_words()[w]);
-                        });
-                        continue;
+        for q in (0..s).filter(|&q| saturated[q] && frontier_pop[q] > 0) {
+            for &(label, p) in &rev_dfa[q] {
+                let (alive, next) = (&mut alive[p], &mut next[p]);
+                let mut fresh_bits = 0;
+                for_each_occupied_word(index, label, |w, occupied| {
+                    let fresh = alive.or_word(w, occupied);
+                    if fresh != 0 {
+                        next.or_word(w, fresh);
+                        fresh_bits += fresh.count_ones() as usize;
                     }
-                    let chunks = index.rows(Direction::Forward, label).chunks();
-                    for (c, chunk) in chunks.iter().enumerate() {
-                        if chunk.is_empty() {
-                            continue;
-                        }
-                        let first = c * CHUNK_WORDS;
-                        for i in 0..chunk.occupied().len() {
-                            let found =
-                                alive[p].as_words()[first + i] | next[p].as_words()[first + i];
-                            chunk.for_each_hit(i, !found, |row, targets| {
-                                if targets.iter().any(|&u| alive[q].contains(u as usize)) {
-                                    next[p].insert(c * CHUNK_ROWS + row);
-                                }
-                            });
-                        }
-                    }
-                }
+                });
+                alive_pop[p] += fresh_bits;
+                next_pop[p] += fresh_bits;
             }
-            for p in 0..s {
-                // `next[p]` holds dead nodes only: every bit is new.
-                next_pop[p] = alive[p].union_with(&next[p]);
-                alive_pop[p] += next_pop[p];
-            }
-        } else {
-            // Gauss-Seidel round: mark `alive` immediately, collect the
-            // delta in `next`.  A saturated frontier is ORed in, not walked.
-            for q in (0..s).filter(|&q| saturated[q] && frontier_pop[q] > 0) {
-                for &(label, p) in &rev_dfa[q] {
-                    let (alive, next) = (&mut alive[p], &mut next[p]);
-                    let mut fresh_bits = 0;
-                    for_each_occupied_word(index, label, |w, occupied| {
-                        let fresh = alive.or_word(w, occupied);
-                        if fresh != 0 {
-                            next.or_word(w, fresh);
-                            fresh_bits += fresh.count_ones() as usize;
-                        }
-                    });
-                    alive_pop[p] += fresh_bits;
-                    next_pop[p] += fresh_bits;
-                }
-            }
-            let skip = |q: usize| frontier_pop[q] == 0 || saturated[q];
-            for_each_derivation(index, &rev_dfa, frontier, skip, |p, sources| {
-                for &w in sources {
-                    if alive[p].insert(w as usize) {
-                        next[p].insert(w as usize);
-                        alive_pop[p] += 1;
-                        next_pop[p] += 1;
-                    }
-                }
-            });
         }
+        let skip = |q: usize| frontier_pop[q] == 0 || saturated[q];
+        for_each_derivation(index, &rev_dfa, frontier, skip, |p, sources| {
+            for &w in sources {
+                if alive[p].insert(w as usize) {
+                    next[p].insert(w as usize);
+                    alive_pop[p] += 1;
+                    next_pop[p] += 1;
+                }
+            }
+        });
         if next_pop.iter().all(|&pop| pop == 0) {
-            // No round mode can derive anything further: a true fixed point.
+            // Nothing new: a true fixed point.
             break;
         }
         std::mem::swap(frontier, next);
@@ -622,14 +539,9 @@ pub fn witness_from(index: &LabelIndex, dfa: &Dfa, source: usize) -> Option<Path
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::index::CHUNK_ROWS;
     use gps_automata::Regex;
     use gps_graph::{CsrGraph, Graph};
-
-    thread_local! {
-        /// Whether each round of this thread's latest fixed point was a pull.
-        pub(super) static ROUND_LOG: std::cell::RefCell<Vec<bool>> =
-            const { std::cell::RefCell::new(Vec::new()) };
-    }
 
     fn figure1_like() -> CsrGraph {
         let mut g = Graph::new();
@@ -653,31 +565,25 @@ mod tests {
         ]))
     }
 
-    fn eval(g: &CsrGraph, dfa: &Dfa, plan: Plan) -> QueryAnswer {
+    fn eval(g: &CsrGraph, dfa: &Dfa) -> QueryAnswer {
         let index = LabelIndex::from_csr(g);
         let mut scratch = Scratch::default();
-        evaluate_counting(&index, dfa, plan, &mut scratch).0
+        evaluate_counting(&index, dfa, &mut scratch).0
     }
 
     #[test]
-    fn all_plans_match_the_naive_evaluator() {
+    fn the_motivating_query_matches_the_naive_evaluator() {
         let g = figure1_like();
         let dfa = motivating(&g);
-        let expected = gps_rpq::eval::evaluate(&g, &dfa);
-        for plan in [Plan::Reverse, Plan::Forward, Plan::Bidirectional] {
-            assert_eq!(eval(&g, &dfa, plan), expected, "{plan:?}");
-        }
+        assert_eq!(eval(&g, &dfa), gps_rpq::eval::evaluate(&g, &dfa));
     }
 
     #[test]
     fn epsilon_selects_everything_and_empty_nothing() {
         let g = figure1_like();
-        for plan in [Plan::Reverse, Plan::Forward, Plan::Bidirectional] {
-            let eps = eval(&g, &Dfa::from_regex(&Regex::Epsilon), plan);
-            assert_eq!(eps.len(), g.node_count(), "{plan:?}");
-            let empty = eval(&g, &Dfa::from_regex(&Regex::Empty), plan);
-            assert!(empty.is_empty(), "{plan:?}");
-        }
+        let eps = eval(&g, &Dfa::from_regex(&Regex::Epsilon));
+        assert_eq!(eps.len(), g.node_count());
+        assert!(eval(&g, &Dfa::from_regex(&Regex::Empty)).is_empty());
     }
 
     #[test]
@@ -687,9 +593,9 @@ mod tests {
         let mut scratch = Scratch::default();
         let big = motivating(&g);
         let small = Dfa::from_regex(&Regex::symbol(g.label_id("cinema").unwrap()));
-        let first = evaluate_counting(&index, &big, Plan::Bidirectional, &mut scratch).0;
-        let second = evaluate_counting(&index, &small, Plan::Bidirectional, &mut scratch).0;
-        let third = evaluate_counting(&index, &big, Plan::Bidirectional, &mut scratch).0;
+        let first = evaluate_counting(&index, &big, &mut scratch).0;
+        let second = evaluate_counting(&index, &small, &mut scratch).0;
+        let third = evaluate_counting(&index, &big, &mut scratch).0;
         assert_eq!(first, third, "scratch reuse must not leak state");
         assert_eq!(second, gps_rpq::eval::evaluate(&g, &small));
     }
@@ -758,8 +664,7 @@ mod tests {
         let g = CsrGraph::from_graph(&g);
         let index = LabelIndex::from_csr(&g);
         let mut scratch = Scratch::default();
-        let (answer, _, resume) =
-            evaluate_captured(&index, &dfa, Plan::Bidirectional, &mut scratch);
+        let (answer, _, resume) = evaluate_captured(&index, &dfa, &mut scratch);
         assert_eq!(answer.len(), g.node_count(), "saturating query");
         let resume = resume.expect("saturated fixed points now capture a seed");
         assert_eq!(resume.state_count(), dfa.state_count());
@@ -779,42 +684,6 @@ mod tests {
     }
 
     #[test]
-    fn a_run_mixing_pull_and_push_rounds_captures_the_seed_every_plan_does() {
-        // `c.a.b*` over dense `b`, some `a` and a few `c` edges (a shape
-        // `support_conformance` resumes across): round 1 pulls — the
-        // accepting frontier is every node and `b` is dense, while the dead
-        // states only read the sparse `a` and `c` — and round 2 pushes the
-        // few nodes it found through `c`.
-        let mut g = Graph::new();
-        let n = g.add_nodes("n", 400);
-        for i in 0..398 {
-            g.add_edge_by_name(n[i], "b", n[i + 1]);
-            g.add_edge_by_name(n[i], "b", n[i + 2]);
-        }
-        for i in 0..100 {
-            g.add_edge_by_name(n[i], "a", n[i + 1]);
-        }
-        for i in 0..20 {
-            g.add_edge_by_name(n[200 + i], "c", n[90 + i]);
-        }
-        let [a, b, c] = ["a", "b", "c"].map(|name| Regex::symbol(g.label_id(name).unwrap()));
-        let dfa = Dfa::from_regex(&Regex::concat([c, a, Regex::star(b)]));
-        let g = CsrGraph::from_graph(&g);
-        let index = LabelIndex::from_csr(&g);
-        let mut scratch = Scratch::default();
-        let mut capture = |plan| {
-            let (answer, _, seed) = evaluate_captured(&index, &dfa, plan, &mut scratch);
-            assert_eq!(answer, gps_rpq::eval::evaluate(&g, &dfa), "{plan:?}");
-            seed.expect("capturing evaluations always produce a seed")
-        };
-        let mixed = capture(Plan::Bidirectional);
-        let pulls = ROUND_LOG.with_borrow(Vec::clone);
-        assert_eq!(pulls, [true, false, false], "pull, then push to the end");
-        assert_eq!(mixed, capture(Plan::Reverse), "push rounds only");
-        assert_eq!(mixed, capture(Plan::Forward), "pull rounds only");
-    }
-
-    #[test]
     fn cyclic_graphs_terminate() {
         let mut g = Graph::new();
         let a = g.add_node("a");
@@ -823,41 +692,28 @@ mod tests {
         g.add_edge_by_name(b, "x", a);
         let x = g.label_id("x").unwrap();
         let dfa = Dfa::from_regex(&Regex::star(Regex::symbol(x)));
-        let g = CsrGraph::from_graph(&g);
-        for plan in [Plan::Reverse, Plan::Forward, Plan::Bidirectional] {
-            assert_eq!(eval(&g, &dfa, plan).len(), 2, "{plan:?}");
-        }
+        assert_eq!(eval(&CsrGraph::from_graph(&g), &dfa).len(), 2);
     }
 
-    /// Evaluates `dfa` over `index` — the index of `g` — under every plan,
-    /// uncaptured and captured: every answer equals the naive evaluator's,
-    /// each state's alive set in the seed equals the naive evaluator
-    /// started at that state, and the three plans capture one seed.
-    /// Returns the uncaptured and captured round counts of each plan.
-    fn oracle_checked(g: &CsrGraph, index: &LabelIndex, dfa: &Dfa) -> Vec<(u64, u64)> {
+    /// Evaluates `dfa` over `index` — the index of `g` — uncaptured and
+    /// captured: both answers equal the naive evaluator's, and each state's
+    /// alive set in the seed equals the naive evaluator started at that
+    /// state.  Returns the uncaptured and captured round counts.
+    fn oracle_checked(g: &CsrGraph, index: &LabelIndex, dfa: &Dfa) -> (u64, u64) {
         let expected = gps_rpq::eval::evaluate(g, dfa);
         let mut scratch = Scratch::default();
-        let mut seeds: Vec<EvalResume> = Vec::new();
-        let mut rounds = Vec::new();
-        for plan in [Plan::Reverse, Plan::Forward, Plan::Bidirectional] {
-            let (answer, uncaptured) = evaluate_counting(index, dfa, plan, &mut scratch);
-            assert_eq!(answer, expected, "{plan:?}, uncaptured");
-            let (answer, captured, seed) = evaluate_captured(index, dfa, plan, &mut scratch);
-            assert_eq!(answer, expected, "{plan:?}, captured");
-            let seed = seed.expect("capturing evaluations always produce a seed");
-            for state in 0..dfa.state_count() {
-                let mut from = dfa.clone();
-                from.set_start(state);
-                let oracle = gps_rpq::eval::evaluate(g, &from);
-                assert_eq!(seed.answer(state), oracle, "{plan:?}, state {state}");
-            }
-            if let Some(first) = seeds.first() {
-                assert_eq!(&seed, first, "{plan:?} captures another seed");
-            }
-            seeds.push(seed);
-            rounds.push((uncaptured, captured));
+        let (answer, uncaptured) = evaluate_counting(index, dfa, &mut scratch);
+        assert_eq!(answer, expected, "uncaptured");
+        let (answer, captured, seed) = evaluate_captured(index, dfa, &mut scratch);
+        assert_eq!(answer, expected, "captured");
+        let seed = seed.expect("capturing evaluations always produce a seed");
+        for state in 0..dfa.state_count() {
+            let mut from = dfa.clone();
+            from.set_start(state);
+            let oracle = gps_rpq::eval::evaluate(g, &from);
+            assert_eq!(seed.answer(state), oracle, "state {state}");
         }
-        rounds
+        (uncaptured, captured)
     }
 
     /// The rows `label`'s forward partition covers.
@@ -959,8 +815,7 @@ mod tests {
         let g = CsrGraph::from_graph(&g);
         let [x, y, z] = ["x", "y", "z"].map(|name| Regex::symbol(g.label_id(name).unwrap()));
         let dfa = Dfa::from_regex(&Regex::concat([z, Regex::star(x), y]));
-        let rounds = oracle_checked(&g, &LabelIndex::from_csr(&g), &dfa);
-        assert_eq!(rounds[0], (4, 4), "Reverse: {rounds:?}");
+        assert_eq!(oracle_checked(&g, &LabelIndex::from_csr(&g), &dfa), (4, 4));
     }
 
     #[test]
@@ -980,9 +835,7 @@ mod tests {
         let g = CsrGraph::from_graph(&g);
         let [a, b] = ["a", "b"].map(|name| Regex::symbol(g.label_id(name).unwrap()));
         let dfa = Dfa::from_regex(&Regex::concat([a, Regex::star(b)]));
-        let rounds = oracle_checked(&g, &LabelIndex::from_csr(&g), &dfa);
-        assert_eq!(rounds[0], (1, 2), "Reverse: {rounds:?}");
-        assert_eq!(rounds[1], (1, 2), "Forward: {rounds:?}");
+        assert_eq!(oracle_checked(&g, &LabelIndex::from_csr(&g), &dfa), (1, 2));
     }
 
     /// Captures a seed on `g`, applies `mutate` on a [`DeltaGraph`] over it,
@@ -996,7 +849,7 @@ mod tests {
     ) -> Option<Resumed> {
         let index = LabelIndex::from_csr(g);
         let mut scratch = Scratch::default();
-        let (_, _, resume) = evaluate_captured(&index, dfa, Plan::Bidirectional, &mut scratch);
+        let (_, _, resume) = evaluate_captured(&index, dfa, &mut scratch);
         let resume = resume.expect("base capture");
         let base = std::sync::Arc::new(g.clone());
         let mut delta = gps_graph::DeltaGraph::new(base);
@@ -1007,7 +860,7 @@ mod tests {
         let resumed = super::resume(&patched, dfa, &resume, &summary)?;
         assert_eq!(resumed.answer, gps_rpq::eval::evaluate(&compacted, dfa));
         // Alive bits and carried populations both.
-        let (_, _, fresh) = evaluate_captured(&patched, dfa, Plan::Bidirectional, &mut scratch);
+        let (_, _, fresh) = evaluate_captured(&patched, dfa, &mut scratch);
         assert_eq!(resumed.seed, fresh.expect("fresh capture"));
         Some(resumed)
     }

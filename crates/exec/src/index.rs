@@ -34,7 +34,7 @@
 //! `CHUNK_ROWS` is a multiple of 64, so the occupancy words of chunk `c`
 //! line up with words `c * CHUNK_ROWS / 64 ..` of a node set's
 //! [`FixedBitSet`]: a sweep walks chunk-major — one chunk lookup, then per
-//! word a hit mask (the set's word, or its complement) handed to
+//! word the node set's word as a hit mask handed to
 //! [`RowChunk::for_each_hit`], which skips a word without occupied hits
 //! before it reads a rank — and a point lookup is one shift, one mask and
 //! one popcount.  The rank arithmetic lives in `RowChunk` alone.  A node
@@ -433,11 +433,6 @@ impl Partition {
         }
     }
 
-    /// The number of `(row, neighbor)` entries.
-    fn edge_count(&self) -> usize {
-        self.chunks.iter().map(|chunk| chunk.neighbors.len()).sum()
-    }
-
     fn memory_bytes(&self) -> usize {
         self.chunks.iter().map(|chunk| chunk.memory_bytes()).sum()
     }
@@ -603,7 +598,6 @@ pub struct LabelIndex {
     label_count: usize,
     fwd: DirIndex,
     rev: DirIndex,
-    label_edge_counts: Vec<usize>,
 }
 
 impl LabelIndex {
@@ -615,7 +609,6 @@ impl LabelIndex {
         LabelIndex {
             node_count: graph.node_count(),
             label_count: graph.label_count(),
-            label_edge_counts: fwd.parts.iter().map(|part| part.edge_count()).collect(),
             fwd,
             rev,
         }
@@ -639,22 +632,7 @@ impl LabelIndex {
     /// figure is per-index, not per-fleet).
     pub fn memory_bytes(&self) -> usize {
         let dir = |d: &DirIndex| -> usize { d.parts.iter().map(|p| p.memory_bytes()).sum() };
-        dir(&self.fwd)
-            + dir(&self.rev)
-            + self.label_edge_counts.len() * std::mem::size_of::<usize>()
-    }
-
-    /// Number of edges carrying `label`.
-    pub fn label_edge_count(&self, label: LabelId) -> usize {
-        self.label_edge_counts
-            .get(label.index())
-            .copied()
-            .unwrap_or(0)
-    }
-
-    /// Number of edges in the indexed graph.
-    pub fn edge_count(&self) -> usize {
-        self.label_edge_counts.iter().sum()
+        dir(&self.fwd) + dir(&self.rev)
     }
 
     /// The `label`-neighbors of `node` in `direction` as a packed slice.
@@ -717,8 +695,7 @@ impl LabelIndex {
         let mut patches = LabelPatch::by_label(delta).into_iter().peekable();
         let mut fwd_parts = Vec::with_capacity(label_count);
         let mut rev_parts = Vec::with_capacity(label_count);
-        let mut label_edge_counts = vec![0usize; label_count];
-        for (label, slot) in label_edge_counts.iter_mut().enumerate() {
+        for label in 0..label_count {
             let known = label < self.label_count;
             if let Some((_, patch)) = patches.next_if(|&(touched, _)| touched == label) {
                 let id = LabelId::from(label);
@@ -736,13 +713,11 @@ impl LabelIndex {
                     id,
                     &patch.rev,
                 );
-                *slot = fwd.edge_count();
                 fwd_parts.push(Arc::new(fwd));
                 rev_parts.push(Arc::new(rev));
             } else if known {
                 fwd_parts.push(Arc::clone(&self.fwd.parts[label]));
                 rev_parts.push(Arc::clone(&self.rev.parts[label]));
-                *slot = self.label_edge_counts[label];
             } else {
                 // A label interned without edges: nothing to patch.
                 let empty = Arc::new(Partition::empty(node_count));
@@ -755,7 +730,6 @@ impl LabelIndex {
             label_count,
             fwd: DirIndex { parts: fwd_parts },
             rev: DirIndex { parts: rev_parts },
-            label_edge_counts,
         }
     }
 }
@@ -772,6 +746,13 @@ mod tests {
             .iter()
             .map(|&n| NodeId::new(n))
             .collect()
+    }
+
+    /// The number of `label`-edges, counted row by row.
+    fn edges_of(index: &LabelIndex, label: LabelId) -> usize {
+        (0..index.node_count())
+            .map(|node| index.neighbors(Direction::Forward, label, node).len())
+            .sum()
     }
 
     fn sample() -> CsrGraph {
@@ -801,8 +782,8 @@ mod tests {
             successor_ids(&index, y, a),
             vec![g.node_by_name("c").unwrap()]
         );
-        assert_eq!(index.label_edge_count(x), 3);
-        assert_eq!(index.label_edge_count(y), 1);
+        assert_eq!(edges_of(&index, x), 3);
+        assert_eq!(edges_of(&index, y), 1);
     }
 
     #[test]
@@ -833,7 +814,10 @@ mod tests {
             .is_empty());
         let x = g.label_id("x").unwrap();
         assert!(index.neighbors(Direction::Forward, x, 99).is_empty());
-        assert_eq!(index.label_edge_count(LabelId::new(99)), 0);
+        assert!(index
+            .rows(Direction::Forward, LabelId::new(99))
+            .chunks()
+            .is_empty());
     }
 
     #[test]
@@ -872,11 +856,6 @@ mod tests {
         assert_eq!(patched.label_count(), fresh.label_count());
         for label in 0..fresh.label_count() {
             let label = LabelId::from(label);
-            assert_eq!(
-                patched.label_edge_count(label),
-                fresh.label_edge_count(label),
-                "{label:?}"
-            );
             for node in 0..fresh.node_count() {
                 for direction in [Direction::Forward, Direction::Reverse] {
                     assert_eq!(
@@ -922,7 +901,7 @@ mod tests {
             patched.neighbors(Direction::Forward, x, a.index()),
             &[b.raw()]
         );
-        assert_eq!(patched.label_edge_count(x), 1);
+        assert_eq!(edges_of(&patched, x), 1);
     }
 
     #[test]
@@ -1051,10 +1030,6 @@ mod tests {
             let patched = self.index.apply_delta(&snapshot, &delta);
             let fresh = LabelIndex::from_csr(snapshot.as_ref());
             assert_eq!(patched.node_count, n, "{context}");
-            assert_eq!(
-                patched.label_edge_counts, fresh.label_edge_counts,
-                "{context}"
-            );
             let touched = delta.touched_labels();
             for label in 0..labels {
                 let id = LabelId::from(label);

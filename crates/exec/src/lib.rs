@@ -15,22 +15,22 @@
 //!   [`index::CHUNK_ROWS`] rows, built once per graph, patched per update
 //!   by rebuilding only the chunks the update touches, and shared by every
 //!   query and every clone of the evaluator;
-//! * [`frontier`] — the semi-naive product-automaton fixed point sweeping
-//!   whole frontiers per DFA transition — only the rows a label has edges
-//!   in — in push (reverse), pull (forward) or per-round adaptive mode; a
-//!   capturing evaluation packs the per-state alive sets it swept in as its
-//!   resumable seed;
-//! * [`planner`] — picks the expansion [`Plan`] per query from the label
-//!   index's per-label edge counts;
+//! * [`frontier`] — the semi-naive product-automaton fixed point: each
+//!   round pushes the configurations the last round derived backward
+//!   through the reverse partitions of their DFA transitions' labels — only
+//!   the rows a label has edges in — and ORs a state alive at every node
+//!   into its predecessors from label occupancy words; a capturing
+//!   evaluation packs the per-state alive sets it swept in as its resumable
+//!   seed;
 //! * [`batch::BatchEvaluator`] — the public engine: single and sequential
 //!   batch evaluation, resumes across a delta, membership checks and
 //!   witnesses, pluggable into the `gps-rpq` cache (and thus the whole
 //!   `gps-core` engine) through the [`gps_rpq::DfaEvaluator`] trait.
 //!
-//! There is one execution path, one query at a time: every plan, the batch
-//! and the resume across a delta are differentially tested to be
-//! answer-identical to the naive node-at-a-time evaluator in
-//! `gps_rpq::eval`, which exists as that oracle.
+//! There is one execution path, one query at a time, in one round mode:
+//! the evaluation, the batch and the resume across a delta are
+//! differentially tested to be answer-identical to the naive node-at-a-time
+//! evaluator in `gps_rpq::eval`, which exists as that oracle.
 //!
 //! ## Example
 //!
@@ -61,10 +61,11 @@ pub mod bitset;
 pub mod frontier;
 pub mod index;
 pub mod metrics;
-pub mod planner;
+mod planner;
 
 pub use batch::BatchEvaluator;
 pub use bitset::FixedBitSet;
 pub use index::{Direction, LabelIndex, RowChunk, Rows};
 pub use metrics::ExecMetrics;
+#[doc(hidden)]
 pub use planner::{Plan, PlanDecision, PlannerConfig};

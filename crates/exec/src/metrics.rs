@@ -5,7 +5,6 @@
 //! [`BatchEvaluator`](crate::BatchEvaluator) — including across epochs through `apply_delta` — so the hot evaluation
 //! path records through lock-free handles instead of registry lookups.
 
-use crate::planner::Plan;
 use gps_telemetry::{Counter, Gauge, Histogram, MetricsRegistry};
 
 /// The execution-engine metric family (`gps_exec_*`).
@@ -18,13 +17,6 @@ pub struct ExecMetrics {
     /// `gps_exec_frontier_rounds_total` — frontier rounds swept across all
     /// evaluations.
     pub frontier_rounds: Counter,
-    /// `gps_exec_plan_reverse_total` — evaluations run with [`Plan::Reverse`].
-    pub plan_reverse: Counter,
-    /// `gps_exec_plan_forward_total` — evaluations run with [`Plan::Forward`].
-    pub plan_forward: Counter,
-    /// `gps_exec_plan_bidirectional_total` — evaluations run with
-    /// [`Plan::Bidirectional`].
-    pub plan_bidirectional: Counter,
     /// `gps_exec_index_build_ns` — wall time of one [`LabelIndex`]
     /// construction or delta patch (fresh builds and `apply_delta` both
     /// record here; a patch's sample spans the
@@ -63,21 +55,9 @@ impl ExecMetrics {
             evals: registry.counter("gps_exec_evals_total"),
             eval_latency: registry.histogram("gps_exec_eval_latency_ns"),
             frontier_rounds: registry.counter("gps_exec_frontier_rounds_total"),
-            plan_reverse: registry.counter("gps_exec_plan_reverse_total"),
-            plan_forward: registry.counter("gps_exec_plan_forward_total"),
-            plan_bidirectional: registry.counter("gps_exec_plan_bidirectional_total"),
             index_build: registry.histogram("gps_exec_index_build_ns"),
             index_bytes: registry.gauge("gps_exec_index_bytes"),
             support_overdeleted: registry.counter("gps_exec_support_overdeleted_total"),
-        }
-    }
-
-    /// Counts one evaluation under the plan that ran it.
-    pub(crate) fn record_plan(&self, plan: Plan) {
-        match plan {
-            Plan::Reverse => self.plan_reverse.inc(),
-            Plan::Forward => self.plan_forward.inc(),
-            Plan::Bidirectional => self.plan_bidirectional.inc(),
         }
     }
 }

@@ -12,13 +12,12 @@
 //!   arrays and land on an exact multiple of one;
 //! * the same holds on two shapes random graphs rarely produce: a hub whose
 //!   configurations have hundreds of derivations (the re-derive check must
-//!   find the one that survives), and a graph whose adaptive plan pulls and
-//!   then pushes (the capture every resume starts from must not depend on
-//!   the round mode);
+//!   find the one that survives), and a dense label beside sparse ones,
+//!   where one round ORs label occupancy and the next walks a few rows;
 //! * where a DFA state is alive at every node and the fixed point ORs in
 //!   label occupancy instead of walking rows, every state's alive set still
-//!   equals the naive evaluator started at that state, under every plan,
-//!   uncaptured or captured: on partitions with a partial tail chunk, and
+//!   equals the naive evaluator started at that state, uncaptured or
+//!   captured: on partitions with a partial tail chunk, and
 //!   on partitions a delta left covering fewer rows than the graph has
 //!   nodes — where resumes still reproduce fresh captures;
 //! * `QueryAnswer`'s `==` agrees with node-set equality for answers packed
@@ -33,7 +32,6 @@ use gps_automata::{Dfa, Regex};
 use gps_datasets::scale_free::ScaleFreeConfig;
 use gps_exec::frontier::{evaluate_captured, evaluate_counting, resume, Scratch};
 use gps_exec::index::CHUNK_ROWS;
-use gps_exec::planner::Plan;
 use gps_exec::{BatchEvaluator, Direction, LabelIndex};
 use gps_graph::{CsrEntry, CsrGraph, DeltaGraph, Edge, Graph, GraphDelta, LabelId, NodeId};
 use gps_rpq::blocks::BLOCK_NODES;
@@ -119,21 +117,13 @@ fn pick_removals(snapshot: &CsrGraph, rng: &mut XorShift, count: usize) -> Vec<E
     picked
 }
 
-/// Captures every query under each forced plan, requires the three seeds to
-/// be equal, and returns them.
-fn capture_every_plan(index: &LabelIndex, queries: &[Dfa], context: &str) -> Vec<EvalResume> {
+/// Captures every query and returns the seeds.
+fn capture_all(index: &LabelIndex, queries: &[Dfa]) -> Vec<EvalResume> {
     let mut scratch = Scratch::default();
-    let mut capture = |dfa, plan| {
-        let (_, _, seed) = evaluate_captured(index, dfa, plan, &mut scratch);
-        seed.expect("capturing evaluations always produce a seed")
-    };
-    (queries.iter().enumerate())
-        .map(|(i, dfa)| {
-            let seed = capture(dfa, Plan::Bidirectional);
-            for plan in [Plan::Reverse, Plan::Forward] {
-                assert_eq!(capture(dfa, plan), seed, "{context}, query {i}, {plan:?}");
-            }
-            seed
+    (queries.iter())
+        .map(|dfa| {
+            let (_, _, seed) = evaluate_captured(index, dfa, &mut scratch);
+            seed.expect("capturing evaluations always produce a seed")
         })
         .collect()
 }
@@ -158,7 +148,7 @@ fn resume_every_seed(
             gps_rpq::eval::evaluate(compacted, dfa),
             "{context}, query {i}: resumed answer diverged from cold"
         );
-        let (_, _, fresh) = evaluate_captured(patched, dfa, Plan::Bidirectional, &mut scratch);
+        let (_, _, fresh) = evaluate_captured(patched, dfa, &mut scratch);
         assert_eq!(
             resumed.seed,
             fresh.expect("fresh capture"),
@@ -179,7 +169,7 @@ fn chained_epochs_reproduce_fresh_captures(rng_seed: u64) {
 
     let mut base = Arc::new(graph.clone());
     let mut index = LabelIndex::from_csr(&base);
-    let mut seeds = capture_every_plan(&index, &queries, &format!("rng seed {rng_seed:#x}"));
+    let mut seeds = capture_all(&index, &queries);
 
     let mut node_counts = vec![base.node_count()];
     for epoch in 1..=EPOCHS {
@@ -233,10 +223,10 @@ fn chained_mixed_epochs_reproduce_fresh_captures() {
     }
 }
 
-/// Requires, for every query and plan over `index` (the index of `graph`),
-/// the uncaptured answer to equal the naive evaluator's and each state's
-/// alive set in the captured seed to equal the naive evaluator started at
-/// that state.
+/// Requires, for every query over `index` (the index of `graph`), the
+/// uncaptured answer to equal the naive evaluator's and each state's alive
+/// set in the captured seed to equal the naive evaluator started at that
+/// state.
 fn every_state_matches_the_oracle(
     graph: &CsrGraph,
     index: &LabelIndex,
@@ -246,23 +236,18 @@ fn every_state_matches_the_oracle(
     let mut scratch = Scratch::default();
     for (i, dfa) in queries.iter().enumerate() {
         let expected = gps_rpq::eval::evaluate(graph, dfa);
-        for plan in [Plan::Reverse, Plan::Forward, Plan::Bidirectional] {
-            let (answer, _) = evaluate_counting(index, dfa, plan, &mut scratch);
+        let (answer, _) = evaluate_counting(index, dfa, &mut scratch);
+        assert_eq!(answer, expected, "{context}, query {i}, uncaptured");
+        let (_, _, seed) = evaluate_captured(index, dfa, &mut scratch);
+        let seed = seed.expect("capturing evaluations always produce a seed");
+        for state in 0..dfa.state_count() {
+            let mut from = dfa.clone();
+            from.set_start(state);
             assert_eq!(
-                answer, expected,
-                "{context}, query {i}, {plan:?}, uncaptured"
+                seed.answer(state),
+                gps_rpq::eval::evaluate(graph, &from),
+                "{context}, query {i}, state {state}"
             );
-            let (_, _, seed) = evaluate_captured(index, dfa, plan, &mut scratch);
-            let seed = seed.expect("capturing evaluations always produce a seed");
-            for state in 0..dfa.state_count() {
-                let mut from = dfa.clone();
-                from.set_start(state);
-                assert_eq!(
-                    seed.answer(state),
-                    gps_rpq::eval::evaluate(graph, &from),
-                    "{context}, query {i}, {plan:?}, state {state}"
-                );
-            }
         }
     }
 }
@@ -299,7 +284,7 @@ fn saturated_states_derive_what_the_oracle_does_over_short_and_partial_partition
     );
     let index = LabelIndex::from_csr(&base);
     every_state_matches_the_oracle(&base, &index, &queries, "base");
-    let mut seeds = capture_every_plan(&index, &queries, "base");
+    let mut seeds = capture_all(&index, &queries);
 
     // 4,200 nodes past the next chunk boundary, each with a `c` edge into
     // the old graph: the `a`, `b` and `d` partitions are shared and cover
@@ -319,7 +304,6 @@ fn saturated_states_derive_what_the_oracle_does_over_short_and_partial_partition
     assert_eq!([covered(a), covered(b), covered(d)], [n; 3]);
     assert_eq!(covered(c), n + 4200);
     every_state_matches_the_oracle(&compacted, &patched, &queries, "patched");
-    capture_every_plan(&patched, &queries, "patched");
     resume_every_seed(
         &queries, &mut seeds, &summary, &compacted, &patched, "patched",
     );
@@ -350,7 +334,7 @@ fn answer_equality_is_node_set_equality() {
     let mut scratch = Scratch::default();
     let mut answers = Vec::new();
     for dfa in &queries {
-        let (answer, _, seed) = evaluate_captured(&index, dfa, Plan::Bidirectional, &mut scratch);
+        let (answer, _, seed) = evaluate_captured(&index, dfa, &mut scratch);
         let seed = seed.expect("capturing evaluations always produce a seed");
         let mut words = vec![0u64; n.div_ceil(64)];
         for node in answer.nodes() {
@@ -399,10 +383,10 @@ fn hub_graph() -> CsrGraph {
     CsrGraph::from_graph(&g)
 }
 
-/// Dense `b`, some `a`, a few `c`: on `c.a.b*` the adaptive plan pulls in
-/// round 1 and pushes afterwards (`gps_exec::frontier`'s unit tests assert
-/// that round sequence on this shape).
-fn pull_then_push_graph() -> (CsrGraph, Dfa) {
+/// Dense `b`, some `a`, a few `c`: on `c.a.b*` the accepting state holds
+/// every node, round 1 ORs `a`'s occupancy into the state before it, and
+/// round 2 walks the few `c` edges back from there.
+fn dense_beside_sparse_graph() -> (CsrGraph, Dfa) {
     let mut g = Graph::new();
     let n = g.add_nodes("n", 400);
     for i in 0..398 {
@@ -424,13 +408,13 @@ fn pull_then_push_graph() -> (CsrGraph, Dfa) {
 fn special_shapes_resume_to_fresh_captures() {
     let hub = hub_graph();
     let hub_queries = query_set(&hub);
-    let (mixed, mixed_query) = pull_then_push_graph();
-    let mut mixed_queries = query_set(&mixed);
-    mixed_queries.push(mixed_query);
+    let (dense, dense_query) = dense_beside_sparse_graph();
+    let mut dense_queries = query_set(&dense);
+    dense_queries.push(dense_query);
     let hub_id = NodeId::from(0usize);
     for (name, graph, queries) in [
         ("hub", hub, hub_queries),
-        ("pull then push", mixed, mixed_queries),
+        ("dense beside sparse", dense, dense_queries),
     ] {
         let mut rng = XorShift(0x5EED_CAFE);
         let labels: Vec<LabelId> = ["a", "b", "c"]
@@ -439,7 +423,7 @@ fn special_shapes_resume_to_fresh_captures() {
             .collect();
         let mut base = Arc::new(graph);
         let mut index = LabelIndex::from_csr(&base);
-        let mut seeds = capture_every_plan(&index, &queries, name);
+        let mut seeds = capture_all(&index, &queries);
         // Even epochs only remove edges, odd ones also add; every hub epoch
         // removes one of the hub's own in-edges.
         for epoch in 1..=8 {

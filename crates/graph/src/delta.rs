@@ -169,13 +169,6 @@ impl GraphDelta {
         self.added_edges.len() + self.removed_edges.len()
     }
 
-    /// `self` followed by `next` (a delta staged over the snapshot `self`
-    /// produced) as one delta from `self`'s base; see
-    /// [`composed`](Self::composed).
-    pub fn then(&self, next: &GraphDelta) -> GraphDelta {
-        Self::composed([self, next])
-    }
-
     /// The *net* effect of a chain of deltas, each staged over the snapshot
     /// the one before it produced, as one delta from the first one's base.
     ///
@@ -1335,7 +1328,7 @@ mod tests {
     }
 
     #[test]
-    fn then_cancels_round_trips_and_counts_parallel_copies() {
+    fn composing_two_cancels_round_trips_and_counts_parallel_copies() {
         let base = base();
         let batches = vec![
             vec![
@@ -1355,7 +1348,7 @@ mod tests {
             ],
         ];
         let (snapshots, deltas) = publish_all(&base, &batches);
-        let composed = deltas[0].then(&deltas[1]);
+        let composed = GraphDelta::composed(&deltas[..2]);
         assert_is_net(&composed);
         assert_eq!(composed.added_nodes, 2);
         assert_eq!(composed.base_epoch, base.epoch());
@@ -1375,7 +1368,7 @@ mod tests {
     }
 
     #[test]
-    fn then_removes_as_many_parallel_copies_as_went() {
+    fn composing_two_removes_as_many_parallel_copies_as_went() {
         let base = base();
         let batches = vec![
             vec![op("b", "y", "c", true), op("b", "y", "c", true)],
@@ -1386,7 +1379,7 @@ mod tests {
             ],
         ];
         let (snapshots, deltas) = publish_all(&base, &batches);
-        let composed = deltas[0].then(&deltas[1]);
+        let composed = GraphDelta::composed(&deltas[..2]);
         assert_is_net(&composed);
         let y = base.labels().get("y").unwrap();
         let edge = Edge::new(NodeId::from(1usize), y, NodeId::from(2usize));
@@ -1446,9 +1439,9 @@ mod tests {
                 batches.push(batch);
             }
             let (snapshots, deltas) = publish_all(&base, &batches);
-            let folded = deltas[1..]
-                .iter()
-                .fold(deltas[0].clone(), |acc, delta| acc.then(delta));
+            let folded = deltas[1..].iter().fold(deltas[0].clone(), |acc, delta| {
+                GraphDelta::composed([&acc, delta])
+            });
             let composed = GraphDelta::composed(&deltas);
             assert_is_net(&composed);
             assert_eq!(net(&folded), net(&composed), "k = {k}");

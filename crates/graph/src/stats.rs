@@ -116,9 +116,6 @@ pub struct LabelStat {
 
 /// Per-label degree/frequency statistics over a whole graph, as
 /// `gps-cli stats` prints them.
-///
-/// The batch execution engine's planner (`gps-exec`) does not read these: it
-/// needs only per-label edge counts, which its label index already holds.
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct LabelStats {
     /// One entry per label, indexed by [`LabelId::index`].

@@ -815,16 +815,8 @@ impl EvalCache {
     /// calls with an equal expression hit the cache; when the cache is full
     /// the least-recently-used entry is evicted.
     pub fn evaluate(&self, regex: &Regex) -> Arc<QueryAnswer> {
-        if let Some(answer) = self.touch(regex) {
-            return answer;
-        }
-        let dfa = Dfa::from_regex(regex);
-        let span = self.eval_latency.start_timer();
-        let (answer, resume) = self.evaluator.evaluate_dfa_captured(&dfa);
-        span.stop();
-        let answer = Arc::new(answer);
-        self.insert(regex, &answer, dfa, resume);
-        answer
+        self.touch(regex)
+            .unwrap_or_else(|| self.miss(regex, Dfa::from_regex(regex)))
     }
 
     /// Like [`evaluate`](Self::evaluate), but for callers that already hold
@@ -834,14 +826,18 @@ impl EvalCache {
     /// `dfa` must accept the language of `regex` — the answer is cached under
     /// the expression.
     pub fn evaluate_compiled(&self, regex: &Regex, dfa: &Dfa) -> Arc<QueryAnswer> {
-        if let Some(answer) = self.touch(regex) {
-            return answer;
-        }
+        self.touch(regex)
+            .unwrap_or_else(|| self.miss(regex, dfa.clone()))
+    }
+
+    /// Evaluates `dfa` (compiled from `regex`) after a miss, timed into the
+    /// cache's eval latency, and caches the answer with its seed.
+    fn miss(&self, regex: &Regex, dfa: Dfa) -> Arc<QueryAnswer> {
         let span = self.eval_latency.start_timer();
-        let (answer, resume) = self.evaluator.evaluate_dfa_captured(dfa);
+        let (answer, resume) = self.evaluator.evaluate_dfa_captured(&dfa);
         span.stop();
         let answer = Arc::new(answer);
-        self.insert(regex, &answer, dfa.clone(), resume);
+        self.insert(regex, &answer, dfa, resume);
         answer
     }
 
@@ -1027,6 +1023,16 @@ mod tests {
         assert_eq!(a1.nodes(), a2.nodes());
         assert_eq!(cache.len(), 1);
         assert_eq!(cache.stats(), (1, 1));
+        // Both entry points share one miss path and one hit path: each
+        // call ticks exactly one counter.
+        let star = Regex::star(q.clone());
+        cache.evaluate_compiled(&q, &Dfa::from_regex(&q));
+        assert_eq!(cache.stats(), (2, 1));
+        cache.evaluate_compiled(&star, &Dfa::from_regex(&star));
+        assert_eq!(cache.stats(), (2, 2));
+        let expected = crate::eval::evaluate(&g, &Dfa::from_regex(&star));
+        assert_eq!(*cache.evaluate(&star), expected);
+        assert_eq!(cache.stats(), (3, 2));
     }
 
     #[test]

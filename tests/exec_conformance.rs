@@ -5,9 +5,11 @@
 //! Differential properties over the transport, scale-free, figure1,
 //! biological and random corpora:
 //!
-//! * single-query evaluation under the planner-chosen plan and under every
-//!   *forced* plan (push / pull / adaptive), and the per-node membership
-//!   check (`selects_node`, a witness search) on a spread of nodes;
+//! * single-query evaluation and the per-node membership check
+//!   (`selects_node`, a witness search) on a spread of nodes;
+//! * the fixed point's round count (`gps_exec_frontier_rounds_total`)
+//!   against the layers of a backward breadth-first search over the
+//!   product graph;
 //! * sequential batches through one kept scratch (input order preserved);
 //! * a delta-patched index against a fresh build of the compacted snapshot;
 //! * the full `gps_core` engine's cached `evaluate`, cold and on a hit.
@@ -19,7 +21,7 @@ use gps_datasets::figure1::figure1_graph;
 use gps_datasets::queries;
 use gps_datasets::scale_free::{self, ScaleFreeConfig};
 use gps_datasets::transport::{self, TransportConfig};
-use gps_exec::{BatchEvaluator, Plan};
+use gps_exec::{BatchEvaluator, ExecMetrics};
 use gps_graph::DeltaGraph;
 use gps_rpq::DfaEvaluator;
 use rand::rngs::StdRng;
@@ -86,41 +88,147 @@ fn query_set(graph: &Graph) -> Vec<Dfa> {
 }
 
 #[test]
-fn frontier_plans_match_the_naive_evaluator() {
+fn frontier_evaluation_matches_the_naive_evaluator() {
     for (name, graph) in corpus() {
         let csr = CsrGraph::from_graph(&graph);
         let naive = gps_rpq::NaiveEvaluator::from_csr(csr.clone());
-        let planner_engine = BatchEvaluator::from_csr(&csr);
-        let forced: Vec<(Plan, BatchEvaluator)> =
-            [Plan::Reverse, Plan::Forward, Plan::Bidirectional]
-                .into_iter()
-                .map(|plan| (plan, planner_engine.clone().with_plan(plan)))
-                .collect();
+        let engine = BatchEvaluator::from_csr(&csr);
         for (i, dfa) in query_set(&graph).iter().enumerate() {
             let expected = naive.evaluate_dfa(dfa);
-            assert_eq!(
-                planner_engine.evaluate(dfa),
-                expected,
-                "{name} query {i}: planner-chosen plan"
-            );
-            for (plan, engine) in &forced {
-                assert_eq!(
-                    engine.evaluate(dfa),
-                    expected,
-                    "{name} query {i}: forced {plan:?}"
-                );
-            }
+            assert_eq!(engine.evaluate(dfa), expected, "{name} query {i}");
             // The per-node membership check, on about eight nodes
             // spread over the graph plus the first selected one.
             let nodes = graph.node_count();
             let spread = (0..nodes).step_by((nodes / 8).max(1)).map(NodeId::from);
             for node in spread.chain(expected.nodes().first().copied()) {
                 assert_eq!(
-                    planner_engine.selects_node(dfa, node),
+                    engine.selects_node(dfa, node),
                     expected.contains(node),
                     "{name} query {i}: selects {node}"
                 );
             }
+        }
+    }
+}
+
+/// The three shapes of the benchmark's unseen-query stream
+/// (`a.b.c.d`, `(a+b)*.c.d.a`, `a.b*.c.d`) over eight label tuples drawn
+/// from `labels`.
+fn unseen_query_shapes(labels: &[LabelId]) -> Vec<Dfa> {
+    let symbol = |i: usize| Regex::symbol(labels[i % labels.len()]);
+    let mut dfas = Vec::new();
+    for i in 0..8 {
+        let [a, b, c, d] = [i, i / 2 + 1, i + 3, 2 * i].map(symbol);
+        dfas.extend(
+            [
+                Regex::concat([a.clone(), b.clone(), c.clone(), d.clone()]),
+                Regex::concat([
+                    Regex::star(Regex::union([a.clone(), b.clone()])),
+                    c.clone(),
+                    d.clone(),
+                    a.clone(),
+                ]),
+                Regex::concat([a, Regex::star(b), c, d]),
+            ]
+            .iter()
+            .map(Dfa::from_regex),
+        );
+    }
+    dfas
+}
+
+/// The round counts a frontier fixed point of `dfa` over `csr` must report,
+/// `(uncaptured, captured)`, from a backward breadth-first search over the
+/// product graph read off the snapshot's incoming rows.  Layer 0 is every
+/// accepting configuration and layer `k` the configurations `k` steps from
+/// one; round `k` derives layer `k`.  A captured evaluation runs until a
+/// round derives nothing (that round counts); an uncaptured one stops
+/// before the first round that starts with every node selected.
+fn expected_rounds(csr: &CsrGraph, dfa: &Dfa) -> (u64, u64) {
+    let (n, s) = (csr.node_count(), dfa.state_count());
+    if n == 0 || s == 0 {
+        return (0, 0);
+    }
+    let mut into: Vec<Vec<(LabelId, usize)>> = vec![Vec::new(); s];
+    for p in 0..s {
+        for (label, q) in dfa.transitions_from(p) {
+            into[q].push((label, p));
+        }
+    }
+    let start = dfa.start();
+    let mut seen = vec![vec![false; n]; s];
+    let mut layer = Vec::new();
+    for q in (0..s).filter(|&q| dfa.is_accepting(q)) {
+        seen[q].fill(true);
+        layer.extend((0..n).map(|v| (q, v)));
+    }
+    let mut selected = seen[start].iter().filter(|&&alive| alive).count();
+    let mut saturated_at = (selected == n).then_some(0);
+    let mut round = 0;
+    loop {
+        round += 1;
+        let mut next = Vec::new();
+        for &(q, v) in &layer {
+            for entry in csr.inc(NodeId::from(v)) {
+                for &(label, p) in &into[q] {
+                    let u = entry.node.index();
+                    if entry.label == label && !seen[p][u] {
+                        seen[p][u] = true;
+                        next.push((p, u));
+                        selected += usize::from(p == start);
+                    }
+                }
+            }
+        }
+        if next.is_empty() {
+            return (saturated_at.unwrap_or(round), round);
+        }
+        if saturated_at.is_none() && selected == n {
+            saturated_at = Some(round);
+        }
+        layer = next;
+    }
+}
+
+/// Every evaluation's `gps_exec_frontier_rounds_total` increment equals the
+/// layer count of a backward breadth-first search over the product graph —
+/// captured up to the true fixed point, uncaptured up to the start state's
+/// saturation — on the conformance corpora and on a corpus built like the
+/// benchmark's, under its unseen-query shapes.
+#[test]
+fn frontier_round_counts_match_a_backward_breadth_first_search() {
+    let mut corpora = corpus();
+    corpora.push((
+        "benchmark-like".to_string(),
+        scale_free::generate(&ScaleFreeConfig {
+            nodes: 2_000,
+            edges_per_node: 2,
+            alphabet_size: 8,
+            skewed_labels: true,
+            seed: 0x6770_7362,
+        }),
+    ));
+    for (name, graph) in corpora {
+        let csr = CsrGraph::from_graph(&graph);
+        let registry = gps_telemetry::MetricsRegistry::enabled();
+        let engine =
+            BatchEvaluator::from_csr(&csr).with_metrics(ExecMetrics::from_registry(&registry));
+        let rounds = || {
+            (registry.snapshot())
+                .counter("gps_exec_frontier_rounds_total")
+                .unwrap_or(0)
+        };
+        let labels: Vec<LabelId> = graph.labels().ids().collect();
+        let mut dfas = query_set(&graph);
+        dfas.extend(unseen_query_shapes(&labels));
+        for (i, dfa) in dfas.iter().enumerate() {
+            let (uncaptured, captured) = expected_rounds(&csr, dfa);
+            let before = rounds();
+            engine.evaluate(dfa);
+            let after = rounds();
+            assert_eq!(after - before, uncaptured, "{name} query {i}: uncaptured");
+            engine.evaluate_dfa_captured(dfa);
+            assert_eq!(rounds() - after, captured, "{name} query {i}: captured");
         }
     }
 }
@@ -217,9 +325,9 @@ fn spelling_sweeps_match_the_reference_and_the_acceptor_evaluation() {
 }
 
 /// Two frontier evaluators must expose the *same* index: every adjacency
-/// slice, per-label edge count, occupancy word, planner decision and query
-/// answer.  (Not the memory footprint: an untouched partition shared across a
-/// node-adding patch keeps its shorter coverage.)
+/// slice, occupancy word and query answer.  (Not the memory footprint: an
+/// untouched partition shared across a node-adding patch keeps its shorter
+/// coverage.)
 fn assert_indexes_identical(
     context: &str,
     reference: &BatchEvaluator,
@@ -232,11 +340,6 @@ fn assert_indexes_identical(
     assert_eq!(a.node_count(), b.node_count(), "{context}: node count");
     assert_eq!(a.label_count(), b.label_count(), "{context}: label count");
     for label in (0..a.label_count()).map(LabelId::from) {
-        assert_eq!(
-            a.label_edge_count(label),
-            b.label_edge_count(label),
-            "{context}: edge count of label {label:?}"
-        );
         for direction in [Direction::Forward, Direction::Reverse] {
             for node in 0..a.node_count() {
                 assert_eq!(
@@ -284,11 +387,6 @@ fn assert_indexes_identical(
         }
     }
     for (i, dfa) in dfas.iter().enumerate() {
-        assert_eq!(
-            reference.plan_for(dfa),
-            other.plan_for(dfa),
-            "{context}: plan of query {i}"
-        );
         assert_eq!(
             reference.evaluate(dfa),
             other.evaluate(dfa),
