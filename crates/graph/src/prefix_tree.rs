@@ -7,7 +7,6 @@
 //! `gps-core::render` and `gps-interactive::validation`.
 
 use crate::ids::LabelId;
-use crate::paths::Word;
 use std::collections::BTreeMap;
 
 /// Identifier of a prefix-tree node (dense, root = 0).
@@ -93,36 +92,20 @@ impl PrefixTree {
     fn locate(&self, word: &[LabelId]) -> Option<PrefixNodeId> {
         let mut node = self.root();
         for &label in word {
-            node = *self.children[node].get(&label)?;
+            node = self.child(node, label)?;
         }
         Some(node)
     }
 
-    /// Children of a trie node, in label order.
-    pub fn children(
-        &self,
-        node: PrefixNodeId,
-    ) -> impl Iterator<Item = (LabelId, PrefixNodeId)> + '_ {
-        self.children[node].iter().map(|(&l, &n)| (l, n))
+    /// Returns `true` if `node` terminates an inserted word.
+    pub fn is_terminal(&self, node: PrefixNodeId) -> bool {
+        self.terminal[node]
     }
 
-    /// All stored words, in lexicographic label order.
-    pub fn words(&self) -> Vec<Word> {
-        let mut result = Vec::new();
-        let mut current = Vec::new();
-        self.collect_words(self.root(), &mut current, &mut result);
-        result
-    }
-
-    fn collect_words(&self, node: PrefixNodeId, current: &mut Word, out: &mut Vec<Word>) {
-        if self.terminal[node] {
-            out.push(current.clone());
-        }
-        for (label, child) in self.children[node].clone() {
-            current.push(label);
-            self.collect_words(child, current, out);
-            current.pop();
-        }
+    /// The child of `node` along `label`, if any.
+    #[inline]
+    pub fn child(&self, node: PrefixNodeId, label: LabelId) -> Option<PrefixNodeId> {
+        self.children[node].get(&label).copied()
     }
 
     /// Depth-first walk of the tree invoking `visit(depth, label, node,
@@ -138,7 +121,7 @@ impl PrefixTree {
         depth: usize,
         visit: &mut impl FnMut(usize, LabelId, PrefixNodeId, bool),
     ) {
-        for (label, child) in self.children[node].clone() {
+        for (&label, &child) in &self.children[node] {
             visit(depth, label, child, self.terminal[child]);
             self.walk_inner(child, depth + 1, visit);
         }
@@ -187,17 +170,23 @@ mod tests {
     }
 
     #[test]
-    fn words_round_trip_in_sorted_order() {
+    fn duplicate_words_collapse_and_walk_in_label_order() {
         let tree = PrefixTree::from_words(vec![
             vec![l(2)],
             vec![l(0), l(1)],
             vec![l(0)],
             vec![l(0), l(1)],
         ]);
+        assert_eq!(tree.word_count(), 3, "duplicates collapse");
+        let mut visits = Vec::new();
+        tree.walk(|depth, label, node, terminal| {
+            assert_eq!(tree.is_terminal(node), terminal);
+            visits.push((depth, label, terminal));
+        });
         assert_eq!(
-            tree.words(),
-            vec![vec![l(0)], vec![l(0), l(1)], vec![l(2)]],
-            "duplicates collapse, order is lexicographic"
+            visits,
+            vec![(0, l(0), true), (1, l(1), true), (0, l(2), true)],
+            "depth first, children in label order"
         );
     }
 
@@ -207,7 +196,7 @@ mod tests {
         tree.insert(&[]);
         assert!(tree.contains(&[]));
         assert_eq!(tree.word_count(), 1);
-        assert_eq!(tree.words(), vec![Vec::<LabelId>::new()]);
+        assert!(tree.is_terminal(tree.root()));
     }
 
     #[test]
@@ -222,12 +211,13 @@ mod tests {
     }
 
     #[test]
-    fn locate_and_children_expose_structure() {
+    fn locate_and_child_expose_structure() {
         let tree = PrefixTree::from_words(vec![vec![l(0), l(1)], vec![l(0), l(2)]]);
         let node_a = tree.locate(&[l(0)]).unwrap();
         assert!(!tree.contains(&[l(0)]), "a prefix, not a word");
-        let kids: Vec<LabelId> = tree.children(node_a).map(|(lab, _)| lab).collect();
-        assert_eq!(kids, vec![l(1), l(2)]);
+        assert!(tree.child(node_a, l(1)).is_some() && tree.child(node_a, l(2)).is_some());
         assert!(tree.locate(&[l(3)]).is_none());
+        assert_eq!(tree.child(tree.root(), l(0)), Some(node_a));
+        assert_eq!(tree.child(node_a, l(0)), None);
     }
 }

@@ -100,16 +100,12 @@ impl Learner {
         let selected = select_paths(exec, examples, coverage)?;
         let positive_words: Vec<Word> = selected.values().cloned().collect();
 
-        // Negative constraint: every bounded word of every negative node,
-        // plus the empty word (a nullable query degenerately selects *every*
-        // node of every graph, so it can never be the intended path query).
-        // The words come straight off the coverage's prefix tree (sorted; ε
-        // sorts before every other word).
-        let mut negative_words: Vec<Word> = vec![Vec::new()];
-        negative_words.extend(coverage.covered_words());
-
-        // Step (ii): PTA + state merging.
-        let dfa = generalize(&positive_words, &negative_words);
+        // Step (ii): PTA + state merging.  The negative constraint is every
+        // bounded word of every negative node, plus the empty word (a
+        // nullable query degenerately selects *every* node of every graph,
+        // so it can never be the intended path query); the merger walks the
+        // coverage's prefix tree in place and counts its root as ε.
+        let dfa = generalize(&positive_words, coverage.covered_tree());
         let regex = dfa_to_regex(&dfa);
 
         // Final consistency check against the actual graph semantics.

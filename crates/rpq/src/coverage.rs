@@ -136,11 +136,10 @@ impl NegativeCoverage {
         &self.covered_log[start..]
     }
 
-    /// Every covered word, sorted (shortest-prefix-first lexicographic) and
-    /// deduplicated — the negative constraint set the learner generalizes
-    /// against.
-    pub fn covered_words(&self) -> Vec<Word> {
-        self.covered.words()
+    /// Every covered word as a prefix tree — the negative constraint set
+    /// the learner checks its merges against, walked in place.
+    pub fn covered_tree(&self) -> &PrefixTree {
+        &self.covered
     }
 
     /// Returns `true` when `word` is covered by some negative example.
@@ -288,10 +287,12 @@ mod tests {
         assert_eq!(cov.version(), v2);
         // Past-the-end versions yield an empty delta.
         assert!(cov.covered_since(v2 + 10).is_empty());
-        // covered_words is the sorted, deduplicated union of the log.
-        let mut log: Vec<_> = cov.covered_since(0).to_vec();
-        log.sort();
-        assert_eq!(cov.covered_words(), log);
+        // The covered tree holds exactly the words of the log.
+        let tree = cov.covered_tree();
+        let mut terminals = tree.is_terminal(tree.root()) as usize;
+        tree.walk(|_, _, _, terminal| terminals += terminal as usize);
+        assert_eq!(terminals, cov.covered_since(0).len());
+        assert!(cov.covered_since(0).iter().all(|word| tree.contains(word)));
     }
 
     #[test]
