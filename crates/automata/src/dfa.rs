@@ -11,6 +11,7 @@ use crate::minimize::minimize;
 use crate::nfa::{Nfa, StateId};
 use crate::regex::Regex;
 use gps_graph::LabelId;
+use std::borrow::Cow;
 use std::collections::BTreeMap;
 
 /// A deterministic finite automaton with a partial transition function.
@@ -216,6 +217,13 @@ impl Dfa {
     /// co-reachable, renumbered densely.  If the start state is not
     /// co-reachable the result recognizes the empty language.
     pub fn trim(&self) -> Self {
+        self.trimmed().into_owned()
+    }
+
+    /// [`trim`](Self::trim) without the copy when there is nothing to cut:
+    /// the kept states are renumbered in ascending order, so an automaton
+    /// whose every state is kept is its own trim part and is borrowed.
+    pub fn trimmed(&self) -> Cow<'_, Self> {
         let reachable = self.reachable_states();
         let coreachable: Vec<bool> = {
             let co = self.coreachable_states();
@@ -226,8 +234,11 @@ impl Dfa {
             flags
         };
         let keep: Vec<StateId> = reachable.into_iter().filter(|&s| coreachable[s]).collect();
+        if keep.len() == self.state_count() {
+            return Cow::Borrowed(self);
+        }
         if keep.is_empty() || !keep.contains(&self.start) {
-            return Dfa::empty_language();
+            return Cow::Owned(Dfa::empty_language());
         }
         let mut renumber = BTreeMap::new();
         for (new_id, &old_id) in keep.iter().enumerate() {
@@ -247,7 +258,7 @@ impl Dfa {
                 }
             }
         }
-        dfa
+        Cow::Owned(dfa)
     }
 }
 
@@ -341,6 +352,18 @@ mod tests {
         assert_eq!(trimmed.state_count(), 2);
         assert!(trimmed.accepts(&[l(0), l(1)]));
         assert!(!trimmed.accepts(&[l(2)]));
+    }
+
+    #[test]
+    fn a_trim_automaton_is_borrowed_as_its_own_trim_part() {
+        let mut dfa = a_star_b();
+        assert!(matches!(dfa.trimmed(), Cow::Borrowed(_)));
+        // Renumbering a trim automaton maps it to itself.
+        let dead = dfa.add_state(false);
+        dfa.add_transition(1, l(2), dead);
+        let trimmed = dfa.trimmed();
+        assert!(matches!(trimmed, Cow::Owned(_)));
+        assert_eq!(*trimmed, a_star_b());
     }
 
     #[test]

@@ -17,7 +17,8 @@ use std::collections::BTreeMap;
 /// [`Regex`] smart constructors; it is correct but not guaranteed to be the
 /// shortest expression for the language.
 pub fn dfa_to_regex(dfa: &Dfa) -> Regex {
-    let trim = dfa.trim();
+    // The learner's DFAs come out of `minimize` already trim: borrowed.
+    let trim = dfa.trimmed();
     if trim.accepting_states().is_empty() {
         return Regex::Empty;
     }

@@ -99,6 +99,9 @@ pub struct GpsBuilder {
     graph: Graph,
     /// The session configuration; its embedded learner is the engine's.
     session: SessionConfig,
+    /// [`max_interactions`](Self::max_interactions)' budget, applied over
+    /// `session` at build time so the call order does not matter.
+    max_interactions: Option<usize>,
     strategy: StrategyChoice,
     cache_capacity: Option<usize>,
     /// Publishes between a durable store's checkpoints (`0`: never).
@@ -112,6 +115,7 @@ impl GpsBuilder {
         Self {
             graph,
             session: SessionConfig::default(),
+            max_interactions: None,
             strategy: StrategyChoice::default(),
             cache_capacity: None,
             checkpoint_every: 32,
@@ -119,11 +123,11 @@ impl GpsBuilder {
         }
     }
 
-    /// Bounds the number of label interactions: sets the session
-    /// configuration's `halt.max_interactions` (a later
-    /// [`session_config`](Self::session_config) replaces it).
+    /// Bounds the number of label interactions: overrides the session
+    /// configuration's `halt.max_interactions`, whether
+    /// [`session_config`](Self::session_config) is called before or after.
     pub fn max_interactions(mut self, max_interactions: usize) -> Self {
-        self.session.halt.max_interactions = max_interactions;
+        self.max_interactions = Some(max_interactions);
         self
     }
 
@@ -192,7 +196,10 @@ impl GpsBuilder {
     /// with a streamed corpus builder (e.g.
     /// `gps_datasets::streamed::generate_csr`) to stand up an engine without
     /// ever materializing a mutable [`Graph`].
-    pub fn build_core_over(self, snapshot: Arc<CsrGraph>) -> Engine {
+    pub fn build_core_over(mut self, snapshot: Arc<CsrGraph>) -> Engine {
+        if let Some(max_interactions) = self.max_interactions {
+            self.session.halt.max_interactions = max_interactions;
+        }
         let exec_metrics = ExecMetrics::from_registry(&self.metrics);
         let started = Instant::now();
         let evaluator = BatchEvaluator::from_csr(&snapshot);
@@ -667,6 +674,33 @@ mod tests {
             .unwrap();
         assert_eq!(report.interactions, 1);
         assert_eq!(engine.eval_cache().words_bound(), Some(3));
+    }
+
+    #[test]
+    fn the_interaction_budget_survives_either_call_order() {
+        let config = SessionConfig {
+            path_bound: 3,
+            ..SessionConfig::default()
+        };
+        let before = Engine::builder(figure1_graph().0)
+            .max_interactions(5)
+            .session_config(config.clone())
+            .build();
+        let after = Engine::builder(figure1_graph().0)
+            .session_config(config)
+            .max_interactions(5)
+            .build();
+        for engine in [&before, &after] {
+            let config = engine.session_config();
+            assert_eq!(config.halt.max_interactions, 5);
+            assert_eq!(config.path_bound, 3);
+        }
+        // Without the call, the session configuration's own budget stands.
+        let default = Engine::builder(figure1_graph().0).build();
+        assert_eq!(
+            default.session_config().halt.max_interactions,
+            SessionConfig::default().halt.max_interactions
+        );
     }
 
     #[test]

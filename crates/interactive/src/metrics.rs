@@ -48,6 +48,12 @@ pub struct SessionMetrics {
     /// `gps_interactive_interactions_per_session` — dialogue length of each
     /// completed session (recorded when a session's run loop halts).
     pub interactions_per_session: Histogram,
+    /// `gps_interactive_learns_total` — learner calls that ran the learner
+    /// (a failed learn included).
+    pub learns: Counter,
+    /// `gps_interactive_hypotheses_kept_total` — learner calls that kept the
+    /// previous hypothesis because the labels since it could not change it.
+    pub hypotheses_kept: Counter,
     /// The pruning sub-family.
     pub pruning: PruningMetrics,
 }
@@ -64,6 +70,8 @@ impl SessionMetrics {
             interactions: registry.counter("gps_interactive_interactions_total"),
             interactions_per_session: registry
                 .histogram("gps_interactive_interactions_per_session"),
+            learns: registry.counter("gps_interactive_learns_total"),
+            hypotheses_kept: registry.counter("gps_interactive_hypotheses_kept_total"),
             pruning: PruningMetrics::from_registry(registry),
         }
     }

@@ -14,6 +14,19 @@
 //! snapshot ([`Session::graph`]), so the two cannot disagree; only
 //! [`Session::with_shared_exec`], which still takes a graph beside the
 //! handle, asserts that they are the same.
+//!
+//! After every label the session relearns through
+//! [`Learner::relearn_with`], handing it the current hypothesis and the
+//! labels recorded since that hypothesis was learned ([`SinceLearned`]).
+//! The learner keeps the hypothesis when only negatives were added and its
+//! answer selects none of them, or when only positives were added and their
+//! selected words build the same prefix-tree acceptor; both rules are exact
+//! (the proofs are in `gps_learner::learn`), so the transcript and every
+//! hypothesis are those of a session that learns on every label.  A relabeled
+//! node, labels of both polarities since the hypothesis, or a failed rule
+//! learn from scratch; a failed learn keeps the old hypothesis and the
+//! labels since it.  `gps_interactive_learns_total` and
+//! `gps_interactive_hypotheses_kept_total` count the two outcomes.
 
 use crate::halt::{HaltConfig, HaltReason};
 use crate::metrics::SessionMetrics;
@@ -24,7 +37,7 @@ use crate::user::{User, UserResponse};
 use crate::validation;
 use crate::zoom::ZoomState;
 use gps_graph::{CsrGraph, NodeId, Word};
-use gps_learner::{ExampleSet, Label, LearnedQuery, Learner};
+use gps_learner::{ExampleSet, Label, LearnedQuery, Learner, Relearned, SinceLearned};
 use gps_rpq::{EvalHandle, NegativeCoverage};
 use std::marker::PhantomData;
 use std::sync::Arc;
@@ -124,6 +137,8 @@ pub struct Session<'g, B = CsrGraph> {
     pruning: PruningState,
     stats: SessionStats,
     hypothesis: Option<LearnedQuery>,
+    /// The labels recorded since `hypothesis` was last brought up to date.
+    since_learned: SinceLearned,
     transcript: Vec<InteractionRecord>,
     metrics: SessionMetrics,
     phantom: PhantomData<(&'g (), B)>,
@@ -164,6 +179,7 @@ impl<'g> Session<'g> {
             pruning,
             stats: SessionStats::default(),
             hypothesis: None,
+            since_learned: SinceLearned::Nothing,
             transcript: Vec::new(),
             metrics: SessionMetrics::disabled(),
             phantom: PhantomData,
@@ -265,6 +281,7 @@ impl<'g> Session<'g> {
         };
 
         // 6: record the label (and the validated path for positives).
+        let relabeled = self.examples.is_labeled(node);
         let record = match response {
             UserResponse::Positive => {
                 self.stats.positive_labels += 1;
@@ -303,19 +320,33 @@ impl<'g> Session<'g> {
         };
         self.stats.interactions += 1;
         self.metrics.interactions.inc();
+        self.since_learned = self.since_learned.record(record.label, relabeled);
         self.transcript.push(record);
 
         // Learn from all labels, then refresh the pruning.  The learner
         // shares the session's coverage and evaluation stack, so the
         // consistency check runs on the configured engine (and repeat
-        // hypotheses hit the cache).
+        // hypotheses hit the cache); it keeps the hypothesis when the labels
+        // since it was learned provably cannot change it.  A failed learn
+        // keeps the old hypothesis and the labels since it.
         if self.examples.positive_count() > 0 {
-            if let Ok(learned) =
-                self.config
-                    .learner
-                    .learn_with(graph, &self.examples, &self.coverage, &self.exec)
-            {
-                self.hypothesis = Some(learned);
+            match self.config.learner.relearn_with(
+                graph,
+                &self.examples,
+                &self.coverage,
+                &self.exec,
+                &mut self.hypothesis,
+                self.since_learned,
+            ) {
+                Ok(relearned) => {
+                    let counter = match relearned {
+                        Relearned::Kept => &self.metrics.hypotheses_kept,
+                        Relearned::Learned => &self.metrics.learns,
+                    };
+                    counter.inc();
+                    self.since_learned = SinceLearned::Nothing;
+                }
+                Err(_) => self.metrics.learns.inc(),
             }
         }
         self.pruning

@@ -12,11 +12,43 @@
 //! private handle, [`Learner::learn_with`] takes the session's, which must
 //! serve the graph.  The negative constraint words come off the coverage's
 //! prefix tree, which is already in memory: the learner enumerates no path.
+//!
+//! # Keeping a hypothesis
+//!
+//! A session relearns after every label, and most labels cannot change what
+//! the learner returns.  [`Learner::relearn_with`] takes the session's
+//! previous hypothesis H — the result of a learn on examples that today's
+//! extend by the labels [`SinceLearned`] names — and keeps it whenever one
+//! of two rules proves that a fresh [`learn_with`](Learner::learn_with)
+//! would return H again:
+//!
+//! * **Only negatives were added, and H's answer selects none of today's
+//!   negatives.**  A negative's bounded words are paths from it, so a word of
+//!   L(H) among them would put the node in H's answer: no new negative word
+//!   is in L(H).  The positives are unchanged, and each word H selected is
+//!   in L(H), so no new negative covers it and path selection picks the same
+//!   words.  The merger then sees the same prefix-tree acceptor.  Merging
+//!   only grows the language, so every automaton H's merger committed
+//!   accepts a subset of L(H) and still excludes the larger negative set,
+//!   while every merge it rejected accepted an old negative word and is
+//!   still rejected.  Same merges, same DFA, regex and answer.
+//! * **Only positives were added, and the acceptor of today's selected words
+//!   equals H's, state numbering included.**  The negatives are unchanged,
+//!   so the merger gets identical input.  H is kept with today's selected
+//!   paths written in place.  Comparing acceptors, not words, matters: the
+//!   acceptor numbers its states in word order, so a positive whose word is
+//!   already selected can still renumber it.
+//!
+//! Anything else — the first learn, a relabeled node, a label of each
+//! polarity since H, or a rule whose check fails — learns exactly as
+//! `learn_with` does, reusing any path selection already made.  A kept
+//! hypothesis stores no automaton beyond H itself.
 
 use crate::error::LearnError;
-use crate::examples::ExampleSet;
+use crate::examples::{ExampleSet, Label};
 use crate::merge::generalize;
 use crate::path_selection::{select_paths, SelectedPaths};
+use gps_automata::pta::build_pta;
 use gps_automata::state_elim::dfa_to_regex;
 use gps_automata::{Dfa, Regex};
 use gps_graph::{CsrGraph, NodeId, Word};
@@ -27,6 +59,49 @@ use gps_rpq::{EvalHandle, NegativeCoverage, QueryAnswer};
 /// coverage's bound.
 #[derive(Debug, Clone, Default)]
 pub struct Learner {}
+
+/// The labels an example set gained after a hypothesis was learned from it:
+/// what [`Learner::relearn_with`] needs to know to keep that hypothesis.  A
+/// session folds every label it records in with [`record`](Self::record)
+/// and starts over at [`Nothing`](Self::Nothing) whenever its hypothesis is
+/// brought up to date.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum SinceLearned {
+    /// No label.
+    Nothing,
+    /// Positive labels of previously unlabeled nodes only.
+    Positives,
+    /// Negative labels of previously unlabeled nodes only.
+    Negatives,
+    /// Labels of both polarities, or a node labeled again.
+    Anything,
+}
+
+impl SinceLearned {
+    /// Adds one label: `label` given to a node that was unlabeled unless
+    /// `relabeled`.
+    pub fn record(self, label: Label, relabeled: bool) -> Self {
+        match (self, label) {
+            _ if relabeled => SinceLearned::Anything,
+            (SinceLearned::Nothing | SinceLearned::Positives, Label::Positive) => {
+                SinceLearned::Positives
+            }
+            (SinceLearned::Nothing | SinceLearned::Negatives, Label::Negative) => {
+                SinceLearned::Negatives
+            }
+            _ => SinceLearned::Anything,
+        }
+    }
+}
+
+/// How [`Learner::relearn_with`] brought a hypothesis up to date.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Relearned {
+    /// The previous hypothesis is what a learn returns: it was kept.
+    Kept,
+    /// The learner ran and replaced it.
+    Learned,
+}
 
 /// The outcome of a successful learning step.
 #[derive(Debug, Clone)]
@@ -77,7 +152,8 @@ impl Learner {
     /// consistency evaluation goes through its cache/evaluator (a stable
     /// hypothesis across interactions is a cache hit), and the caller's
     /// `coverage` — which a session maintains incrementally anyway — supplies
-    /// the negative constraint words off its prefix tree.
+    /// the negative constraint words off its prefix tree.  This is
+    /// [`relearn_with`](Self::relearn_with) without a previous hypothesis.
     ///
     /// `coverage` must reflect exactly the negatives of `examples`.  The
     /// coverage's bound is the bound learned at: positives' words are read
@@ -92,12 +168,71 @@ impl Learner {
         coverage: &NegativeCoverage,
         exec: &EvalHandle,
     ) -> Result<LearnedQuery, LearnError> {
+        let mut hypothesis = None;
+        self.relearn_with(
+            graph,
+            examples,
+            coverage,
+            exec,
+            &mut hypothesis,
+            SinceLearned::Anything,
+        )?;
+        Ok(hypothesis.expect("a successful learn fills an empty slot"))
+    }
+
+    /// Brings `hypothesis` up to date with `examples`: on success the slot
+    /// holds exactly what [`learn_with`](Self::learn_with) returns on the
+    /// same arguments, and on error it is left as it was.  `since` names the
+    /// labels `examples` gained after the slot's hypothesis was learned; when
+    /// one of the module's two rules proves the learn would return that
+    /// hypothesis again, it is kept (with today's selected paths written in
+    /// place) and nothing is learned.  An empty slot always learns.
+    ///
+    /// # Errors
+    /// The errors of [`learn_with`](Self::learn_with).
+    ///
+    /// # Panics
+    /// Unless `exec` serves `graph` ([`EvalHandle::assert_serves`]).
+    pub fn relearn_with(
+        &self,
+        graph: &CsrGraph,
+        examples: &ExampleSet,
+        coverage: &NegativeCoverage,
+        exec: &EvalHandle,
+        hypothesis: &mut Option<LearnedQuery>,
+        since: SinceLearned,
+    ) -> Result<Relearned, LearnError> {
         exec.assert_serves(graph);
         if examples.positive_count() == 0 {
             return Err(LearnError::NoPositiveExamples);
         }
+        let mut selected = None;
+        if let Some(previous) = hypothesis.as_mut() {
+            match since {
+                SinceLearned::Nothing | SinceLearned::Negatives => {
+                    let selects_a_negative = examples
+                        .iter()
+                        .any(|(node, label)| label == Label::Negative && previous.selects(node));
+                    if !selects_a_negative {
+                        return Ok(Relearned::Kept);
+                    }
+                }
+                SinceLearned::Positives => {
+                    let today = select_paths(exec, examples, coverage)?;
+                    if build_pta(today.values()) == build_pta(previous.selected_paths.values()) {
+                        previous.selected_paths = today;
+                        return Ok(Relearned::Kept);
+                    }
+                    selected = Some(today);
+                }
+                SinceLearned::Anything => {}
+            }
+        }
         // Step (i): one uncovered word per positive example.
-        let selected = select_paths(exec, examples, coverage)?;
+        let selected = match selected {
+            Some(selected) => selected,
+            None => select_paths(exec, examples, coverage)?,
+        };
         let positive_words: Vec<Word> = selected.values().cloned().collect();
 
         // Step (ii): PTA + state merging.  The negative constraint is every
@@ -115,12 +250,13 @@ impl Learner {
                 return Err(LearnError::InconsistentResult { node: negative });
             }
         }
-        Ok(LearnedQuery {
+        *hypothesis = Some(LearnedQuery {
             regex,
             dfa,
             selected_paths: selected,
             answer,
-        })
+        });
+        Ok(Relearned::Learned)
     }
 }
 
@@ -302,6 +438,83 @@ mod tests {
             learner.learn_with(&g, &empty, &no_cov, &exec).unwrap_err(),
             LearnError::NoPositiveExamples
         );
+    }
+
+    #[test]
+    fn labels_since_a_learn_fold_into_one_polarity_or_anything() {
+        use SinceLearned::*;
+        let fold = |labels: &[(Label, bool)]| {
+            labels.iter().fold(Nothing, |since, &(label, relabeled)| {
+                since.record(label, relabeled)
+            })
+        };
+        let (pos, neg) = ((Label::Positive, false), (Label::Negative, false));
+        assert_eq!(fold(&[]), Nothing);
+        assert_eq!(fold(&[pos, pos]), Positives);
+        assert_eq!(fold(&[neg, neg]), Negatives);
+        assert_eq!(fold(&[pos, neg]), Anything);
+        assert_eq!(fold(&[neg, pos]), Anything);
+        assert_eq!(fold(&[(Label::Negative, true)]), Anything);
+        assert_eq!(fold(&[(Label::Positive, true), pos]), Anything);
+    }
+
+    #[test]
+    fn relearning_keeps_exactly_what_a_learn_would_return() {
+        let g = figure1();
+        let exec = EvalHandle::naive(&g);
+        let learner = Learner::default();
+        let node = |name| g.node_by_name(name).unwrap();
+        let mut examples = ExampleSet::new();
+        let mut hypothesis = None;
+        let mut since = SinceLearned::Nothing;
+        // Each label and how the relearn after it settles.
+        let steps = [
+            ("N4", Label::Positive, Relearned::Learned),
+            // R1 is a sink, outside every answer: kept.
+            ("R1", Label::Negative, Relearned::Kept),
+            // N2 selects N4's word `bus`: the same acceptor, kept.
+            ("N2", Label::Positive, Relearned::Kept),
+            // N6 adds a word of its own, `tram`: learned.
+            ("N6", Label::Positive, Relearned::Learned),
+            ("C1", Label::Negative, Relearned::Kept),
+            // N5 spells `tram` and is selected: learned.
+            ("N5", Label::Negative, Relearned::Learned),
+        ];
+        for (name, label, expected) in steps {
+            since = since.record(label, examples.is_labeled(node(name)));
+            examples.add(node(name), label);
+            let coverage = NegativeCoverage::from_negatives(&g, examples.negatives(), 4);
+            let relearned = learner
+                .relearn_with(&g, &examples, &coverage, &exec, &mut hypothesis, since)
+                .unwrap();
+            since = SinceLearned::Nothing;
+            assert_eq!(relearned, expected, "after {name}");
+            let fresh = learner.learn_with(&g, &examples, &coverage, &exec).unwrap();
+            let kept = hypothesis.as_ref().unwrap();
+            assert_eq!(kept.dfa, fresh.dfa, "after {name}");
+            assert_eq!(kept.regex, fresh.regex, "after {name}");
+            assert_eq!(kept.answer, fresh.answer, "after {name}");
+            assert_eq!(kept.selected_paths, fresh.selected_paths, "after {name}");
+        }
+        // A relabel always learns, and an error leaves the slot as it was.
+        let before = hypothesis.clone().unwrap();
+        examples.add_negative(node("N4"));
+        let coverage = NegativeCoverage::from_negatives(&g, examples.negatives(), 4);
+        let since = SinceLearned::Nothing.record(Label::Negative, true);
+        let relearned =
+            learner.relearn_with(&g, &examples, &coverage, &exec, &mut hypothesis, since);
+        let fresh = learner.learn_with(&g, &examples, &coverage, &exec);
+        match (relearned, fresh) {
+            (Ok(relearned), Ok(fresh)) => {
+                assert_eq!(relearned, Relearned::Learned);
+                assert_eq!(hypothesis.unwrap().regex, fresh.regex);
+            }
+            (Err(relearned), Err(fresh)) => {
+                assert_eq!(relearned, fresh);
+                assert_eq!(hypothesis.unwrap().regex, before.regex);
+            }
+            (relearned, fresh) => panic!("{relearned:?} against {fresh:?}"),
+        }
     }
 
     #[test]

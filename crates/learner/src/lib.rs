@@ -70,4 +70,4 @@ pub mod path_selection;
 
 pub use error::LearnError;
 pub use examples::{ExampleSet, Label};
-pub use learn::{LearnedQuery, Learner};
+pub use learn::{LearnedQuery, Learner, Relearned, SinceLearned};

@@ -12,6 +12,12 @@
 //! the same corpus seed); the goals are drawn from its eleven star-free
 //! goal shapes by a seeded generator of this file.
 //!
+//! The same sample counts the learner's calls: how many ran the learner and
+//! how many kept the previous hypothesis (`gps_interactive_learns_total` /
+//! `gps_interactive_hypotheses_kept_total`).  Both are exact for this
+//! sample, so a change that keeps fewer hypotheses — or keeps one a learn
+//! would have replaced, which the text would also show — fails here.
+//!
 //! When the text differs, the test writes what it printed to
 //! `hypotheses_2k.txt` in Cargo's per-test scratch directory
 //! (`target/tmp/`) and names the first differing line; replace the golden
@@ -22,9 +28,11 @@ use gps_datasets::scale_free::{self, ScaleFreeConfig};
 use gps_graph::{CsrGraph, Neighborhood, NodeId, Word};
 use gps_interactive::user::{SimulatedUser, User, UserResponse};
 use gps_learner::{Label, LearnedQuery};
+use gps_telemetry::MetricsRegistry;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::fmt::Write as _;
+use std::sync::{Arc, OnceLock};
 
 /// Sessions in the sample.
 const SESSIONS: usize = 128;
@@ -84,7 +92,14 @@ fn goal(rng: &mut StdRng) -> String {
     }
 }
 
-fn transcript() -> String {
+/// The sample's text and its `(learns, hypotheses kept)` counts, computed
+/// once for both tests.
+fn sample() -> &'static (String, (u64, u64)) {
+    static SAMPLE: OnceLock<(String, (u64, u64))> = OnceLock::new();
+    SAMPLE.get_or_init(run_sample)
+}
+
+fn run_sample() -> (String, (u64, u64)) {
     let graph = scale_free::generate(&ScaleFreeConfig {
         nodes: 2_000,
         edges_per_node: 2,
@@ -92,7 +107,11 @@ fn transcript() -> String {
         skewed_labels: true,
         seed: 0x6770_7362,
     });
-    let engine = Engine::builder(graph).max_interactions(24).build();
+    let registry = Arc::new(MetricsRegistry::enabled());
+    let engine = Engine::builder(graph)
+        .max_interactions(24)
+        .metrics(Arc::clone(&registry))
+        .build();
     let name = |label| engine.snapshot().labels().name(label).unwrap_or("?");
     let mut rng = StdRng::seed_from_u64(47);
     let mut out = String::new();
@@ -144,16 +163,22 @@ fn transcript() -> String {
             writeln!(out).unwrap();
         }
     }
-    out
+    let metrics = registry.snapshot();
+    let count = |name| metrics.counter(name).unwrap_or(0);
+    let counts = (
+        count("gps_interactive_learns_total"),
+        count("gps_interactive_hypotheses_kept_total"),
+    );
+    (out, counts)
 }
 
 #[test]
 fn the_hypothesis_sequence_matches_the_golden_file() {
     let golden = include_str!("golden/hypotheses_2k.txt");
-    let actual = transcript();
+    let actual = &sample().0;
     if actual != golden {
         let path = std::path::Path::new(env!("CARGO_TARGET_TMPDIR")).join("hypotheses_2k.txt");
-        std::fs::write(&path, &actual).unwrap();
+        std::fs::write(&path, actual).unwrap();
         let line = actual
             .lines()
             .zip(golden.lines())
@@ -166,4 +191,12 @@ fn the_hypothesis_sequence_matches_the_golden_file() {
             path.display()
         );
     }
+}
+
+#[test]
+fn the_sample_learns_on_one_learner_call_in_four() {
+    let (learns, kept) = sample().1;
+    // 1,074 learner calls: 535 of the 575 negative labels that reach the
+    // learner and 287 of the 499 positives keep the hypothesis.
+    assert_eq!((learns, kept), (252, 822), "(learns, hypotheses kept)");
 }

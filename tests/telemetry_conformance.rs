@@ -273,6 +273,8 @@ fn mixed_workload_exports_are_complete_and_valid() {
         "gps_service_sessions_opened_total",
         "gps_service_sessions_closed_total",
         "gps_interactive_interactions_total",
+        "gps_interactive_learns_total",
+        "gps_interactive_hypotheses_kept_total",
         "gps_interactive_refresh_postings_total",
     ] {
         assert!(text.contains(required), "missing {required} in:\n{text}");
